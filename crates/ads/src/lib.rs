@@ -7,11 +7,11 @@
 //! an initial best-so-far, then a serial scan of the SAX array with
 //! lower-bound pruning and early-abandoned real distances).
 //!
-//! One deliberate substitution, recorded in DESIGN.md §3: real ADS+ is
-//! *adaptive* (leaves are materialized lazily, during queries). We build
-//! the full index up front, which upper-bounds ADS+ build time and matches
-//! its steady-state query path — the comparisons the paper's figures make
-//! (build-time ratios, exact-query latency) keep their direction.
+//! One deliberate substitution: real ADS+ is *adaptive* (leaves are
+//! materialized lazily, during queries). We build the full index up
+//! front, which upper-bounds ADS+ build time and matches its steady-state
+//! query path — the comparisons the paper's figures make (build-time
+//! ratios, exact-query latency) keep their direction.
 
 pub mod build;
 pub mod query;

@@ -1,7 +1,7 @@
-//! One module per regenerated figure/ablation. See DESIGN.md §4.
+//! One module per regenerated figure/ablation; [`ALL`] maps each
+//! experiment id to the paper figure it regenerates.
 
 pub mod abl_buffers;
-pub mod abl_queues;
 pub mod coldstart;
 pub mod ext_dtw;
 pub mod fig10;
@@ -116,11 +116,6 @@ pub const ALL: &[Experiment] = &[
         "abl-buffers",
         "Ablation (footnote 2): locked shared buffers vs per-thread parts",
         abl_buffers::run,
-    ),
-    (
-        "abl-queues",
-        "Ablation: number of priority queues in MESSI query answering",
-        abl_queues::run,
     ),
 ];
 

@@ -2,8 +2,8 @@
 //! table/CSV output, timing helpers.
 //!
 //! Every experiment regenerates one of the paper's figures at a chosen
-//! [`Scale`]; see DESIGN.md §4 for the experiment ↔ figure map and
-//! EXPERIMENTS.md for recorded results.
+//! [`Scale`]; [`experiments::ALL`] is the experiment ↔ figure map
+//! (`repro --list` prints it).
 
 pub mod experiments;
 

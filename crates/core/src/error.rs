@@ -55,6 +55,13 @@ pub enum InvalidSpec {
         /// Index of the offending query within the batch.
         index: usize,
     },
+    /// A query holds a `NaN` or infinite value: every distance to it is
+    /// `NaN` or infinite, so no series can be "nearest" and the pruning
+    /// bounds stop ordering anything.
+    NonFiniteQuery {
+        /// Index of the offending query within the batch.
+        index: usize,
+    },
 }
 
 impl fmt::Display for InvalidSpec {
@@ -82,6 +89,11 @@ impl fmt::Display for InvalidSpec {
                 f,
                 "query {index} has length {got} but the index holds series of \
                  length {expected}; re-sample or re-slice the query to match"
+            ),
+            InvalidSpec::NonFiniteQuery { index } => write!(
+                f,
+                "query {index} contains a NaN or infinite value; distances to it \
+                 are undefined — drop or interpolate the missing points first"
             ),
         }
     }
@@ -174,6 +186,9 @@ mod tests {
         .into();
         let text = e.to_string();
         assert!(text.contains("query 3") && text.contains("128") && text.contains("256"));
+        let e: Error = InvalidSpec::NonFiniteQuery { index: 2 }.into();
+        let text = e.to_string();
+        assert!(text.contains("query 2") && text.contains("NaN"));
         assert!(std::error::Error::source(&e).is_none());
     }
 }

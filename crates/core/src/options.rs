@@ -17,8 +17,6 @@ pub struct Options {
     pub block_series: usize,
     /// Series per generation — the modeled memory budget (on-disk engines).
     pub generation_series: usize,
-    /// Priority queues for MESSI queries (0 = one per thread).
-    pub queues: usize,
 }
 
 impl Default for Options {
@@ -29,7 +27,6 @@ impl Default for Options {
             threads: 0,
             block_series: 1024,
             generation_series: 16 * 1024,
-            queues: 0,
         }
     }
 }
@@ -92,10 +89,10 @@ impl Options {
         &self,
         series_len: usize,
     ) -> Result<dsidx_messi::MessiConfig, Error> {
-        Ok(
-            dsidx_messi::MessiConfig::new(self.tree_config(series_len)?, self.effective_threads())
-                .with_queues(self.queues),
-        )
+        Ok(dsidx_messi::MessiConfig::new(
+            self.tree_config(series_len)?,
+            self.effective_threads(),
+        ))
     }
 }
 

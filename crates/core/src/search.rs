@@ -46,7 +46,8 @@ pub trait Search {
     ///
     /// # Errors
     /// [`Error::InvalidSpec`] for query-time misuse (`k == 0`, empty
-    /// batch, over-wide DTW band, wrong query length);
+    /// batch, over-wide DTW band, wrong query length, a `NaN` or infinite
+    /// query value);
     /// [`Error::Unsupported`] when the engine cannot run the spec (exact
     /// DTW on an on-disk index); I/O and configuration failures from the
     /// engines.

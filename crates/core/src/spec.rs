@@ -176,6 +176,9 @@ impl QuerySpec {
                 }
                 .into());
             }
+            if !q.iter().all(|v| v.is_finite()) {
+                return Err(InvalidSpec::NonFiniteQuery { index }.into());
+            }
         }
         Ok(())
     }
@@ -234,6 +237,15 @@ mod tests {
                 index: 1
             }))
         ));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut poisoned = q.clone();
+            poisoned[17] = bad;
+            let batch: Vec<&[f32]> = vec![&q, &poisoned];
+            assert!(matches!(
+                QuerySpec::nn().validate(64, &batch),
+                Err(Error::InvalidSpec(InvalidSpec::NonFiniteQuery { index: 1 }))
+            ));
+        }
         // And the in-bounds spellings pass.
         assert!(QuerySpec::knn(5).validate(64, &qs).is_ok());
         assert!(QuerySpec::nn()

@@ -23,8 +23,6 @@ pub struct MessiConfig {
     pub threads: usize,
     /// Series per Fetch&Inc chunk during summarization.
     pub chunk_series: usize,
-    /// Number of priority queues at query time (0 = one per thread).
-    pub queues: usize,
     /// Buffer layout during construction.
     pub buffer_mode: BufferMode,
 }
@@ -37,7 +35,6 @@ impl MessiConfig {
             tree,
             threads,
             chunk_series: 1024,
-            queues: 0,
             buffer_mode: BufferMode::PerThreadParts,
         }
     }
@@ -50,28 +47,11 @@ impl MessiConfig {
         self
     }
 
-    /// Sets the priority-queue count (0 = one per thread).
-    #[must_use]
-    pub fn with_queues(mut self, queues: usize) -> Self {
-        self.queues = queues;
-        self
-    }
-
     /// Sets the buffer layout.
     #[must_use]
     pub fn with_buffer_mode(mut self, buffer_mode: BufferMode) -> Self {
         self.buffer_mode = buffer_mode;
         self
-    }
-
-    /// Effective queue count.
-    #[must_use]
-    pub fn effective_queues(&self) -> usize {
-        if self.queues == 0 {
-            self.threads
-        } else {
-            self.queues
-        }
     }
 
     pub(crate) fn validate(&self) {
@@ -88,12 +68,11 @@ mod tests {
     fn builder_and_defaults() {
         let tree = TreeConfig::new(64, 8, 10).unwrap();
         let cfg = MessiConfig::new(tree, 8);
-        assert_eq!(cfg.effective_queues(), 8);
+        assert_eq!(cfg.threads, 8);
+        assert_eq!(cfg.buffer_mode, BufferMode::PerThreadParts);
         let cfg = cfg
-            .with_queues(3)
             .with_chunk_series(64)
             .with_buffer_mode(BufferMode::LockedShared);
-        assert_eq!(cfg.effective_queues(), 3);
         assert_eq!(cfg.chunk_series, 64);
         assert_eq!(cfg.buffer_mode, BufferMode::LockedShared);
         cfg.validate();

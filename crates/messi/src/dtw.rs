@@ -15,8 +15,8 @@
 
 use crate::build::MessiIndex;
 use crate::config::MessiConfig;
-use crate::pqueue::{drain_best_first, Drain, MinQueues};
-use crate::traverse::{BatchLeaf, BatchTraversal};
+use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
+use crate::traverse::BatchTraversal;
 use dsidx_isax::NodeMindistTable;
 use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
@@ -30,7 +30,7 @@ use dsidx_sync::{AtomicBest, Pruner, SpinBarrier};
 
 /// The shared DTW schedule behind [`exact_nn_dtw`] and [`exact_knn_dtw`],
 /// generic over [`Pruner`] exactly like the ED paths: the same traversal +
-/// priority-queue scheduling, with the iSAX-envelope → LB_Keogh → banded
+/// sorted-run scheduling, with the iSAX-envelope → LB_Keogh → banded
 /// DTW cascade at the leaves pruning against `best.threshold_sq()`.
 /// Returns `Ok(None)` for an empty index.
 fn run_exact_dtw<P: Pruner>(
@@ -75,8 +75,8 @@ fn run_exact_dtw<P: Pruner>(
     phase.record(Phase::Seed, clock.lap());
 
     let shared = AtomicQueryStats::new();
-    let queues: MinQueues<u32> = MinQueues::new(cfg.effective_queues());
-    let traversal = crate::traverse::Traversal::new(flat, &node_table, best, &queues);
+    let runs = LeafRuns::new(cfg.threads, 0);
+    let traversal = crate::traverse::Traversal::new(flat, &node_table, best);
     let phase_barrier = SpinBarrier::new(cfg.threads);
     let errors = ErrorSlot::for_phase(Phase::DtwCascade);
 
@@ -84,14 +84,15 @@ fn run_exact_dtw<P: Pruner>(
         // Workers accumulate locally and merge once (see `AtomicQueryStats`).
         let mut local = QueryStats::default();
         // Traversal phase (cooperative; see `crate::traverse`).
-        let st = traversal.run_worker();
-        local.nodes_pruned = st.pruned;
-        local.leaves_enqueued = st.enqueued;
+        let mut run = RunBuilder::new();
+        local.nodes_pruned = traversal.run_worker(&mut run);
+        local.leaves_enqueued = run.len() as u64;
+        runs.publish(worker, run);
         phase_barrier.wait();
 
         // Processing phase.
         let mut fetcher = SeriesFetcher::new(source);
-        drain_best_first(&queues, worker, |lb, idx| {
+        let unclaimed = drain_best_first(&runs, worker, |lb, idx, _| {
             if errors.is_set() || lb >= best.threshold_sq() {
                 local.leaves_discarded += 1;
                 return Drain::Abandon;
@@ -114,6 +115,7 @@ fn run_exact_dtw<P: Pruner>(
                 }
             }
         });
+        local.leaves_discarded += unclaimed;
         shared.merge(&local);
     });
     errors.take()?;
@@ -156,14 +158,14 @@ pub fn exact_nn_dtw(
 }
 
 /// Exact k-NN under banded DTW through the MESSI index: the same
-/// traversal and priority-queue schedule as [`exact_nn_dtw`], pruning the
+/// traversal and sorted-run schedule as [`exact_nn_dtw`], pruning the
 /// whole cascade (iSAX envelope bound, LB_Keogh, early-abandoned DTW)
 /// against the k-th best DTW distance (a [`SharedTopK`]).
 ///
 /// Returns the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,
-/// empty for an empty index. Deterministic across runs, thread counts and
-/// queue counts (distance ties prefer the lowest position).
+/// empty for an empty index. Deterministic across runs and thread counts
+/// (distance ties prefer the lowest position).
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -188,14 +190,14 @@ pub fn exact_knn_dtw(
 /// broadcast — the DTW cell of the batched query plane: the tree is
 /// traversed once for the whole batch using per-query *interval* node
 /// tables (a node is pruned only when every query's threshold beats its
-/// envelope bound), priority-queue entries carry the per-query node
+/// envelope bound), queued leaves carry the per-query node
 /// mindists, and a popped leaf pays the full DTW cascade (interval iSAX
 /// bound → LB_Keogh → early-abandoned banded DTW) once per entry for every
 /// query whose leaf-level bound survived, fetching the entry from the
 /// source at most once per leaf visit.
 ///
 /// Answers are element-wise identical to calling [`exact_knn_dtw`] per
-/// query, deterministic across runs, thread counts and queue counts.
+/// query, deterministic across runs and thread counts.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -287,32 +289,34 @@ pub fn exact_knn_dtw_batch_shared(
     // interval tables; Phase B: best-bound-first processing, once per leaf
     // for the whole batch, the DTW cascade per surviving query. One
     // broadcast, phases separated by a spin barrier — exactly the ED batch
-    // schedule with the DTW leaf kernel. A failed raw read closes the
-    // worker's queue and surfaces after the join.
+    // schedule with the DTW leaf kernel. A failed raw read closes the run
+    // and surfaces after the join.
     let shared = AtomicQueryStats::new();
-    let queues: MinQueues<BatchLeaf> = MinQueues::new(cfg.effective_queues());
-    let traversal = BatchTraversal::new(flat, &node_tables, &batch, &queues);
+    let runs = LeafRuns::new(cfg.threads, batch.len());
+    let traversal = BatchTraversal::new(flat, &node_tables, &batch);
     let phase_barrier = SpinBarrier::new(cfg.threads);
     let errors = ErrorSlot::for_phase(Phase::DtwCascade);
 
     pool.broadcast(&|worker| {
         let mut shared_local = QueryStats::default();
         let mut locals = vec![QueryStats::default(); batch.len()];
-        let st = traversal.run_worker();
-        shared_local.nodes_pruned = st.pruned;
-        shared_local.leaves_enqueued = st.enqueued;
+        let mut run = RunBuilder::new();
+        shared_local.nodes_pruned = traversal.run_worker(&mut run);
+        shared_local.leaves_enqueued = run.len() as u64;
+        runs.publish(worker, run);
         phase_barrier.wait();
 
         let mut fetcher = SeriesFetcher::new(source);
         let mut active: Vec<usize> = Vec::with_capacity(batch.len());
-        drain_best_first(&queues, worker, |min_lb, leaf: BatchLeaf| {
+        let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
+        let unclaimed = drain_best_first(&runs, worker, |min_lb, idx, lbs| {
             if errors.is_set() || min_lb >= batch.max_threshold_sq() {
                 shared_local.leaves_discarded += 1;
                 return Drain::Abandon;
             }
             active.clear();
             for (qi, slot) in batch.slots().iter().enumerate() {
-                if leaf.lbs[qi] < slot.topk.threshold_sq() {
+                if lbs[qi] < slot.topk.threshold_sq() {
                     active.push(qi);
                 }
             }
@@ -321,7 +325,7 @@ pub fn exact_knn_dtw_batch_shared(
                 return Drain::Processed;
             }
             shared_local.leaves_processed += 1;
-            let entries = flat.leaf_entries(flat.node(leaf.idx));
+            let entries = flat.leaf_entries(flat.node(idx));
             match batch_process_leaf_entries_dtw(
                 entries,
                 &mut fetcher,
@@ -329,6 +333,7 @@ pub fn exact_knn_dtw_batch_shared(
                 &active,
                 &preps,
                 band,
+                &mut survivors,
                 &mut locals,
             ) {
                 Ok(()) => Drain::Processed,
@@ -338,6 +343,7 @@ pub fn exact_knn_dtw_batch_shared(
                 }
             }
         });
+        shared_local.leaves_discarded += unclaimed;
         batch.merge_locals(&locals);
         shared.merge(&shared_local);
     });
@@ -465,10 +471,11 @@ mod tests {
                             "q{qi} band={band} k={k} x{threads}"
                         );
                     }
-                    // Traversal counters live in the shared slice.
-                    assert!(
-                        stats.shared.leaves_processed + stats.shared.leaves_discarded
-                            <= stats.shared.leaves_enqueued
+                    // Traversal counters live in the shared slice, and
+                    // the leaf funnel is exact.
+                    assert_eq!(
+                        stats.shared.leaves_processed + stats.shared.leaves_discarded,
+                        stats.shared.leaves_enqueued
                     );
                 }
             }
@@ -493,16 +500,30 @@ mod tests {
     }
 
     #[test]
-    fn knn_dtw_batch_deterministic_across_queue_counts() {
+    fn knn_dtw_batch_deterministic_across_thread_counts() {
         let data = DatasetKind::Seismic.generate(250, 64, 61);
         let (messi, _) = build(&data, &cfg(4));
         let qs = DatasetKind::Seismic.queries(4, 64, 61);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let (first, _) = exact_knn_dtw_batch(&messi, &data, &qrefs, 4, 6, &cfg(1)).unwrap();
-        for queues in [1usize, 2, 8] {
-            let c = cfg(4).with_queues(queues);
+        for threads in [2usize, 3, 8] {
+            let c = cfg(threads);
             let (got, _) = exact_knn_dtw_batch(&messi, &data, &qrefs, 4, 6, &c).unwrap();
-            assert_eq!(got, first, "queues={queues}");
+            assert_eq!(got, first, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn knn_dtw_deterministic_across_thread_counts() {
+        let data = DatasetKind::Seismic.generate(250, 64, 67);
+        let (messi, _) = build(&data, &cfg(4));
+        let qs = DatasetKind::Seismic.queries(3, 64, 67);
+        for q in qs.iter() {
+            let (first, _) = exact_knn_dtw(&messi, &data, q, 4, 6, &cfg(1)).unwrap();
+            for threads in [2usize, 3, 8] {
+                let (got, _) = exact_knn_dtw(&messi, &data, q, 4, 6, &cfg(threads)).unwrap();
+                assert_eq!(got, first, "threads={threads}");
+            }
         }
     }
 
@@ -596,7 +617,10 @@ mod tests {
             // The cascade only sees entries that survived the iSAX bound.
             assert!(stats.lb_keogh_computed <= stats.lb_entry_computed);
             // Traversal counters report through the same struct.
-            assert!(stats.leaves_processed + stats.leaves_discarded <= stats.leaves_enqueued);
+            assert_eq!(
+                stats.leaves_processed + stats.leaves_discarded,
+                stats.leaves_enqueued
+            );
             // Scan-only counters stay zero for the tree-based engine.
             assert_eq!(stats.lb_computed, 0);
             assert_eq!(stats.candidates, 0);

@@ -12,11 +12,14 @@
 //!   ablation.
 //! * **Query answering** — tree-based, not scan-based: workers traverse
 //!   subtrees pruning with node-level lower bounds against a shared BSF,
-//!   insert surviving leaves into a set of minimum priority queues
-//!   (round-robin, for load balancing), then repeatedly pop the most
-//!   promising leaves; a popped bound above the BSF abandons the whole
-//!   queue. This ordering is why MESSI computes far fewer real distances
-//!   than ParIS — the effect Fig. 12 quantifies.
+//!   collect surviving leaves best-bound-first, then repeatedly pop the
+//!   most promising leaves; a popped bound above the BSF abandons
+//!   everything queued behind it. This ordering is why MESSI computes far
+//!   fewer real distances than ParIS — the effect Fig. 12 quantifies.
+//!   The paper collects the leaves in locked minimum priority queues
+//!   filled round-robin; since they are only ever filled, then drained,
+//!   this reproduction uses per-worker sorted runs claimed by Fetch&Inc
+//!   instead (see [`pqueue`]) — same order, no lock per leaf.
 //!
 //! The paper positions MESSI as in-memory; this reproduction additionally
 //! makes every query path generic over `dsidx_storage::RawSource` and adds

@@ -1,19 +1,27 @@
-//! Sharded minimum priority queues for MESSI query answering.
+//! Sorted leaf runs: MESSI's traversal → processing hand-off.
 //!
-//! Leaves are inserted round-robin across shards ("each thread inserts
-//! elements in the priority queues in a round-robin fashion so that load
-//! balancing is achieved"); each worker then pops from one shard at a
-//! time. A shard whose minimum exceeds the BSF is *closed* — every
-//! remaining element is provably prunable.
+//! The paper hands surviving leaves from the traversal to the processing
+//! phase through locked minimum priority queues filled round-robin. But
+//! the queues are only ever *filled, then drained*, with a barrier
+//! between — a heap under a lock buys nothing a sort cannot, and costs a
+//! contended lock plus a sift on every push and every pop. So here:
+//!
+//! * **Fill** — each traversal worker appends to its own [`RunBuilder`]:
+//!   no lock, no atomic, no per-leaf allocation (the per-query leaf bounds
+//!   of a batch go to a flat `f32` arena beside the items).
+//! * **Publish** — before the phase barrier the worker sorts its run by
+//!   `(bound, leaf)` and hands it to the shared [`LeafRuns`].
+//! * **Drain** — after the barrier each run is claimed best-bound-first
+//!   through one Fetch&Inc cursor; a worker drains its own run, then the
+//!   others' (work stealing for free). A popped bound that proves the rest
+//!   of a run prunable *closes* the run by swapping its cursor to the end,
+//!   which also tells exactly how many leaves were never claimed.
 
-use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Histogram: leaves one worker popped in one [`drain_best_first`] call —
-/// the per-worker share of a MESSI queue drain.
+/// the per-worker share of a MESSI run drain.
 pub const DRAIN_POPS: &str = "dsidx_messi_drain_pops";
 
 fn drain_pops_histogram() -> &'static dsidx_obs::registry::Histogram {
@@ -28,249 +36,315 @@ fn drain_pops_histogram() -> &'static dsidx_obs::registry::Histogram {
     })
 }
 
-/// Heap item ordered by a non-negative `f32` key via its bit pattern
-/// (valid because non-negative IEEE-754 floats order like their bits).
-struct Item<T> {
-    key_bits: u32,
-    payload: T,
+/// One queued leaf, ordered by a non-negative `f32` bound via its bit
+/// pattern (valid because non-negative IEEE-754 floats order like their
+/// bits), ties broken by leaf index so a run's order is deterministic.
+#[derive(Debug, Clone, Copy)]
+struct RunItem {
+    lb_bits: u32,
+    leaf: u32,
+    /// Offset of this leaf's per-query bounds in the run's arena.
+    bounds_at: u32,
 }
 
-impl<T> PartialEq for Item<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key_bits == other.key_bits
-    }
-}
-impl<T> Eq for Item<T> {}
-impl<T> PartialOrd for Item<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Item<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key_bits.cmp(&other.key_bits)
-    }
+/// One worker's private run under construction (traversal phase).
+#[derive(Debug, Default)]
+pub struct RunBuilder {
+    items: Vec<RunItem>,
+    bounds: Vec<f32>,
 }
 
-/// A fixed set of sharded min-queues with round-robin insertion.
-pub struct MinQueues<T> {
-    shards: Vec<Mutex<BinaryHeap<Reverse<Item<T>>>>>,
-    open: Vec<AtomicBool>,
-    open_count: AtomicUsize,
-    rr: AtomicUsize,
-}
-
-impl<T> MinQueues<T> {
-    /// Creates `n` empty open shards (`n >= 1`).
+impl RunBuilder {
+    /// An empty run.
     #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "need at least one queue");
-        let mut shards = Vec::with_capacity(n);
-        shards.resize_with(n, || Mutex::new(BinaryHeap::new()));
-        let mut open = Vec::with_capacity(n);
-        open.resize_with(n, || AtomicBool::new(true));
-        Self {
-            shards,
-            open,
-            open_count: AtomicUsize::new(n),
-            rr: AtomicUsize::new(0),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Number of shards.
+    /// Leaves pushed so far.
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    pub fn len(&self) -> usize {
+        self.items.len()
     }
 
-    /// Inserts into the next shard round-robin.
+    /// `true` while nothing was pushed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Appends leaf `leaf` under ordering key `key`, carrying `bounds`
+    /// (one node-level bound per query of a batch; empty on the
+    /// single-query paths, whose only bound is the key).
     ///
     /// # Panics
-    /// Panics if `key` is negative (lower bounds are non-negative).
-    pub fn push_rr(&self, key: f32, payload: T) {
-        assert!(key >= 0.0, "queue keys are non-negative lower bounds");
-        // ORDERING: relaxed — the round-robin cursor only spreads load;
-        // any interleaving is correct and the payload travels under the
-        // shard's mutex.
-        let shard = self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[shard].lock().push(Reverse(Item {
-            key_bits: key.to_bits(),
-            payload,
-        }));
-    }
-
-    /// Pops the minimum of one shard, or `None` if it is empty.
-    pub fn pop_min(&self, shard: usize) -> Option<(f32, T)> {
-        let Reverse(item) = self.shards[shard].lock().pop()?;
-        Some((f32::from_bits(item.key_bits), item.payload))
-    }
-
-    /// Marks a shard closed (exhausted or abandoned). Returns `true` if
-    /// this call closed it.
-    pub fn close(&self, shard: usize) -> bool {
-        if self.open[shard].swap(false, Ordering::AcqRel) {
-            self.open_count.fetch_sub(1, Ordering::AcqRel);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// `true` while the shard has not been closed.
-    #[must_use]
-    pub fn is_open(&self, shard: usize) -> bool {
-        self.open[shard].load(Ordering::Acquire)
-    }
-
-    /// `true` once every shard is closed.
-    #[must_use]
-    pub fn all_closed(&self) -> bool {
-        self.open_count.load(Ordering::Acquire) == 0
+    /// Panics if `key` is negative or NaN (lower bounds are non-negative,
+    /// and the bit-pattern ordering depends on it).
+    #[inline]
+    pub fn push(&mut self, key: f32, leaf: u32, bounds: &[f32]) {
+        assert!(key >= 0.0, "run keys are non-negative lower bounds");
+        let bounds_at = u32::try_from(self.bounds.len()).expect("bounds arena fits u32 offsets");
+        self.bounds.extend_from_slice(bounds);
+        self.items.push(RunItem {
+            lb_bits: key.to_bits(),
+            leaf,
+            bounds_at,
+        });
     }
 }
 
-/// What a processing worker decided about one popped queue minimum.
+/// A published run: sorted items, their bounds arena, and the claim
+/// cursor. Aligned to a cache line so draining one run never bounces the
+/// line another run's cursor lives on.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+struct Run {
+    cursor: AtomicUsize,
+    sorted: OnceLock<RunBuilder>,
+}
+
+impl Run {
+    /// Closes this run (of `len` leaves) wholesale, returning how many of
+    /// its leaves were never claimed (0 when it was already closed or
+    /// exhausted).
+    fn close(&self, len: usize) -> u64 {
+        // ORDERING: acq-rel swap — the cursor carries no payload (items
+        // were published through the `OnceLock` and the phase barrier);
+        // the RMW's total order on this one atomic is what makes every
+        // index either claimed by exactly one `fetch_add` or skipped by
+        // exactly one `swap`, so the never-claimed count is exact.
+        let claimed = self.cursor.swap(len, Ordering::AcqRel);
+        len.saturating_sub(claimed) as u64
+    }
+}
+
+/// The per-query set of leaf runs, one per worker.
+#[derive(Debug)]
+pub struct LeafRuns {
+    /// Bounds carried per leaf (the batch size; 0 on single-query paths).
+    width: usize,
+    runs: Box<[Run]>,
+}
+
+impl LeafRuns {
+    /// `workers` unpublished runs whose leaves each carry `width` bounds.
+    #[must_use]
+    pub fn new(workers: usize, width: usize) -> Self {
+        assert!(workers > 0, "need at least one run");
+        Self {
+            width,
+            runs: (0..workers).map(|_| Run::default()).collect(),
+        }
+    }
+
+    /// Sorts `run` best-bound-first and publishes it as `worker`'s. Every
+    /// worker publishes exactly once (an empty run is fine), before the
+    /// barrier that separates traversal from processing.
+    ///
+    /// # Panics
+    /// Panics on a second publish for the same worker, or if some leaf
+    /// does not carry exactly `width` bounds.
+    pub fn publish(&self, worker: usize, mut run: RunBuilder) {
+        assert_eq!(
+            run.bounds.len(),
+            run.items.len() * self.width,
+            "every leaf carries one bound per query"
+        );
+        run.items
+            .sort_unstable_by_key(|item| (item.lb_bits, item.leaf));
+        assert!(
+            self.runs[worker].sorted.set(run).is_ok(),
+            "worker {worker} published its run twice"
+        );
+    }
+}
+
+/// What a processing worker decided about one popped leaf.
 pub enum Drain {
-    /// The item was handled (processed or discarded); keep draining this
-    /// shard.
+    /// The leaf was handled (processed or discarded); keep draining this
+    /// run.
     Processed,
-    /// The popped minimum proves everything left in this shard is
-    /// prunable: close the shard and move on.
+    /// The popped bound proves everything left in this run is prunable:
+    /// close the run and move on.
     Abandon,
 }
 
 /// The best-bound-first processing schedule shared by every MESSI query
-/// path: starting from the worker's home shard, pop minima and hand them
-/// to `on_pop`; close a shard when it empties or `on_pop` abandons it;
-/// migrate to the next open shard; spin briefly then yield while other
-/// workers drain the rest. Returns once every shard is closed.
-pub fn drain_best_first<T>(
-    queues: &MinQueues<T>,
+/// path: starting from the worker's own run, claim leaves in ascending
+/// bound order and hand `(bound, leaf, per-query bounds)` to `on_pop`;
+/// leave a run when it is exhausted or `on_pop` abandons it (which closes
+/// it for everyone); move on to the next worker's run. Returns the number
+/// of leaves this worker's abandons left unclaimed — each such leaf is
+/// counted by exactly one worker, so summed over workers
+/// `popped + returned == published`.
+///
+/// Must only run after every worker published (i.e. behind the barrier).
+pub fn drain_best_first(
+    runs: &LeafRuns,
     worker: usize,
-    mut on_pop: impl FnMut(f32, T) -> Drain,
-) {
-    let n = queues.shard_count();
-    let mut shard = worker % n;
-    let mut idle_cycles = 0u32;
+    mut on_pop: impl FnMut(f32, u32, &[f32]) -> Drain,
+) -> u64 {
+    let n = runs.runs.len();
     let mut pops = 0u64;
-    loop {
-        if queues.all_closed() {
-            if dsidx_obs::enabled() {
-                drain_pops_histogram().observe(pops);
-            }
-            return;
-        }
-        if !queues.is_open(shard) {
-            shard = (shard + 1) % n;
-            idle_cycles += 1;
-            if idle_cycles > n as u32 {
-                // Every shard is closed or being drained by another
-                // worker; yield instead of hammering shared lines.
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-            continue;
-        }
-        idle_cycles = 0;
-        match queues.pop_min(shard) {
-            None => {
-                queues.close(shard);
-                shard = (shard + 1) % n;
-            }
-            Some((key, item)) => {
-                pops += 1;
-                if matches!(on_pop(key, item), Drain::Abandon) {
-                    queues.close(shard);
-                    shard = (shard + 1) % n;
-                }
+    let mut unclaimed = 0u64;
+    for r in (worker..n).chain(0..worker) {
+        let run = &runs.runs[r];
+        let sorted = run
+            .sorted
+            .get()
+            .expect("every run is published before the barrier");
+        let len = sorted.items.len();
+        loop {
+            // ORDERING: relaxed — Fetch&Inc claim: the index is the whole
+            // payload; the items it indexes were published through the
+            // `OnceLock` (acquired by `get` above) before the barrier.
+            let i = run.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = sorted.items.get(i) else {
+                break;
+            };
+            pops += 1;
+            let at = item.bounds_at as usize;
+            let bounds = &sorted.bounds[at..at + runs.width];
+            if matches!(
+                on_pop(f32::from_bits(item.lb_bits), item.leaf, bounds),
+                Drain::Abandon
+            ) {
+                unclaimed += run.close(len);
+                break;
             }
         }
     }
+    if dsidx_obs::enabled() {
+        drain_pops_histogram().observe(pops);
+    }
+    unclaimed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
+
+    fn run_of(keys: &[(f32, u32)]) -> RunBuilder {
+        let mut run = RunBuilder::new();
+        for &(k, v) in keys {
+            run.push(k, v, &[]);
+        }
+        run
+    }
+
+    fn drain_all(runs: &LeafRuns, worker: usize) -> Vec<(f32, u32)> {
+        let mut out = Vec::new();
+        let unclaimed = drain_best_first(runs, worker, |k, v, _| {
+            out.push((k, v));
+            Drain::Processed
+        });
+        assert_eq!(unclaimed, 0);
+        out
+    }
 
     #[test]
     fn pops_in_ascending_key_order() {
-        let q: MinQueues<u32> = MinQueues::new(1);
-        for (k, v) in [(3.0, 30), (1.0, 10), (2.0, 20), (0.5, 5)] {
-            q.push_rr(k, v);
-        }
-        let mut keys = Vec::new();
-        while let Some((k, _)) = q.pop_min(0) {
-            keys.push(k);
-        }
-        assert_eq!(keys, vec![0.5, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn round_robin_balances_shards() {
-        let q: MinQueues<usize> = MinQueues::new(4);
-        for i in 0..40 {
-            q.push_rr(i as f32, i);
-        }
-        for shard in 0..4 {
-            let mut n = 0;
-            while q.pop_min(shard).is_some() {
-                n += 1;
-            }
-            assert_eq!(n, 10, "shard {shard} imbalance");
-        }
-    }
-
-    #[test]
-    fn close_is_idempotent_and_counted() {
-        let q: MinQueues<u8> = MinQueues::new(2);
-        assert!(!q.all_closed());
-        assert!(q.close(0));
-        assert!(!q.close(0), "second close is a no-op");
-        assert!(q.is_open(1));
-        assert!(!q.all_closed());
-        assert!(q.close(1));
-        assert!(q.all_closed());
+        let runs = LeafRuns::new(1, 0);
+        runs.publish(
+            0,
+            run_of(&[(3.0, 30), (1.0, 10), (2.0, 20), (0.5, 5), (1.0, 7)]),
+        );
+        // Ascending by bound, ties by leaf index.
+        assert_eq!(
+            drain_all(&runs, 0),
+            vec![(0.5, 5), (1.0, 7), (1.0, 10), (2.0, 20), (3.0, 30)]
+        );
     }
 
     #[test]
     fn zero_key_allowed() {
-        let q: MinQueues<u8> = MinQueues::new(1);
-        q.push_rr(0.0, 1);
-        assert_eq!(q.pop_min(0), Some((0.0, 1)));
+        let runs = LeafRuns::new(1, 0);
+        runs.publish(0, run_of(&[(0.0, 1)]));
+        assert_eq!(drain_all(&runs, 0), vec![(0.0, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_key_panics() {
-        let q: MinQueues<u8> = MinQueues::new(1);
-        q.push_rr(-1.0, 0);
+        RunBuilder::new().push(-1.0, 0, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn nan_key_panics() {
+        RunBuilder::new().push(f32::NAN, 0, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one bound per query")]
+    fn wrong_bounds_width_panics() {
+        let runs = LeafRuns::new(1, 2);
+        let mut run = RunBuilder::new();
+        run.push(1.0, 0, &[1.0]);
+        runs.publish(0, run);
+    }
+
+    #[test]
+    #[should_panic(expected = "published its run twice")]
+    fn double_publish_panics() {
+        let runs = LeafRuns::new(1, 0);
+        runs.publish(0, RunBuilder::new());
+        runs.publish(0, RunBuilder::new());
+    }
+
+    #[test]
+    fn bounds_travel_with_their_leaf_through_the_sort() {
+        let runs = LeafRuns::new(2, 3);
+        let mut a = RunBuilder::new();
+        a.push(5.0, 50, &[5.0, 6.0, 7.0]);
+        a.push(1.0, 10, &[1.0, 2.0, 3.0]);
+        let mut b = RunBuilder::new();
+        b.push(2.0, 20, &[2.0, 9.0, 4.0]);
+        runs.publish(0, a);
+        runs.publish(1, b);
+        let mut seen = Vec::new();
+        drain_best_first(&runs, 1, |k, leaf, bounds| {
+            assert_eq!(bounds[0], k);
+            seen.push((leaf, bounds.to_vec()));
+            Drain::Processed
+        });
+        // Own run first, then the other, each ascending.
+        assert_eq!(
+            seen,
+            vec![
+                (20, vec![2.0, 9.0, 4.0]),
+                (10, vec![1.0, 2.0, 3.0]),
+                (50, vec![5.0, 6.0, 7.0]),
+            ]
+        );
     }
 
     #[test]
     fn drain_best_first_visits_everything_and_honors_abandon() {
-        let q: MinQueues<usize> = MinQueues::new(2);
-        for i in 0..20 {
-            q.push_rr(i as f32, i);
-        }
-        // No abandoning: every item is handed out exactly once.
-        let mut seen = [false; 20];
-        drain_best_first(&q, 0, |_, v| {
-            assert!(!seen[v], "duplicate {v}");
-            seen[v] = true;
-            Drain::Processed
-        });
-        assert!(seen.iter().all(|&b| b));
-        assert!(q.all_closed());
+        // No abandoning: every item of every run is handed out exactly
+        // once, own run first; empty runs are fine.
+        let runs = LeafRuns::new(3, 0);
+        runs.publish(0, run_of(&[(4.0, 4), (0.0, 0), (2.0, 2)]));
+        runs.publish(1, RunBuilder::new());
+        runs.publish(2, run_of(&[(3.0, 3), (1.0, 1)]));
+        assert_eq!(
+            drain_all(&runs, 2),
+            vec![(1.0, 1), (3.0, 3), (0.0, 0), (2.0, 2), (4.0, 4)]
+        );
+        // Everything is claimed now: a second drain pops nothing.
+        assert!(drain_all(&runs, 0).is_empty());
 
-        // Abandoning at a key closes the shard wholesale: later items of
-        // that shard are never handed out.
-        let q: MinQueues<usize> = MinQueues::new(1);
-        for i in 0..10 {
-            q.push_rr(i as f32, i);
-        }
+        // Abandoning at a key closes the run wholesale: later items of
+        // that run are never handed out, and are counted as unclaimed.
+        let runs = LeafRuns::new(1, 0);
+        runs.publish(
+            0,
+            run_of(&(0..10).map(|i| (i as f32, i)).collect::<Vec<_>>()),
+        );
         let mut popped = Vec::new();
-        drain_best_first(&q, 0, |k, v| {
+        let unclaimed = drain_best_first(&runs, 0, |k, v, _| {
             popped.push(v);
             if k >= 4.0 {
                 Drain::Abandon
@@ -279,29 +353,133 @@ mod tests {
             }
         });
         assert_eq!(popped, vec![0, 1, 2, 3, 4]);
-        assert!(q.all_closed());
+        assert_eq!(unclaimed, 5);
+    }
+
+    #[test]
+    fn close_is_idempotent_and_counted() {
+        let runs = LeafRuns::new(2, 0);
+        runs.publish(0, run_of(&[(1.0, 1), (2.0, 2), (3.0, 3)]));
+        runs.publish(1, run_of(&[(1.5, 15), (2.5, 25)]));
+        // Abandon run 0 at its first pop; run 1 stays open and is drained
+        // in full — an abandon closes only its own run.
+        let mut popped = Vec::new();
+        let unclaimed = drain_best_first(&runs, 0, |_, v, _| {
+            popped.push(v);
+            if v == 1 {
+                Drain::Abandon
+            } else {
+                Drain::Processed
+            }
+        });
+        assert_eq!(popped, vec![1, 15, 25]);
+        assert_eq!(unclaimed, 2, "leaves 2 and 3 were never claimed");
+        // The never-claimed leaves are counted exactly once: closing again
+        // (or draining again) finds nothing.
+        assert_eq!(runs.runs[0].close(3), 0);
+        let unclaimed = drain_best_first(&runs, 1, |_, _, _| panic!("nothing left to pop"));
+        assert_eq!(unclaimed, 0);
     }
 
     #[test]
     fn concurrent_push_pop_preserves_items() {
-        let q: MinQueues<usize> = MinQueues::new(3);
-        std::thread::scope(|s| {
-            for t in 0..6usize {
-                let q = &q;
-                s.spawn(move || {
-                    for i in 0..500 {
-                        q.push_rr((t * 500 + i) as f32, t * 500 + i);
-                    }
-                });
-            }
-        });
-        let mut seen = vec![false; 3000];
-        for shard in 0..3 {
-            while let Some((_, v)) = q.pop_min(shard) {
-                assert!(!seen[v], "duplicate {v}");
-                seen[v] = true;
+        const PER_WORKER: usize = 500;
+        for threads in [1usize, 2, 3, 8] {
+            // Fill, publish, barrier, drain — the shape of a query. Worker
+            // `t` leaves its run empty when `t % 4 == 3`.
+            let runs = LeafRuns::new(threads, 1);
+            let barrier = Barrier::new(threads);
+            let total: usize = (0..threads).filter(|t| t % 4 != 3).count() * PER_WORKER;
+            let seen: Vec<AtomicU64> = (0..threads * PER_WORKER)
+                .map(|_| AtomicU64::new(0))
+                .collect();
+            let popped = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let (runs, barrier, seen, popped) = (&runs, &barrier, &seen, &popped);
+                    s.spawn(move || {
+                        let mut run = RunBuilder::new();
+                        if t % 4 != 3 {
+                            for i in 0..PER_WORKER {
+                                // Descending keys: the sort has work to do.
+                                let id = t * PER_WORKER + i;
+                                let key = (PER_WORKER - i) as f32;
+                                run.push(key, id as u32, &[key]);
+                            }
+                        }
+                        runs.publish(t, run);
+                        barrier.wait();
+                        // Each run must come out ascending: track the last
+                        // key seen per source run.
+                        let mut last = vec![0.0f32; threads];
+                        let mut mine = 0u64;
+                        let unclaimed = drain_best_first(runs, t, |k, leaf, bounds| {
+                            assert_eq!(bounds, [k]);
+                            let from = leaf as usize / PER_WORKER;
+                            assert!(k >= last[from], "run {from} out of order");
+                            last[from] = k;
+                            // ORDERING: relaxed — test tally read after the
+                            // scope joins.
+                            seen[leaf as usize].fetch_add(1, Ordering::Relaxed);
+                            mine += 1;
+                            Drain::Processed
+                        });
+                        assert_eq!(unclaimed, 0);
+                        // ORDERING: relaxed — test tally read after the
+                        // scope joins.
+                        popped.fetch_add(mine, Ordering::Relaxed);
+                    });
+                }
+            });
+            assert_eq!(popped.into_inner(), total as u64, "threads={threads}");
+            for (id, n) in seen.into_iter().enumerate() {
+                let want = u64::from((id / PER_WORKER) % 4 != 3);
+                assert_eq!(n.into_inner(), want, "leaf {id} threads={threads}");
             }
         }
-        assert!(seen.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn concurrent_abandons_account_for_every_leaf_exactly_once() {
+        const PER_WORKER: usize = 400;
+        for threads in [2usize, 3, 8] {
+            let runs = LeafRuns::new(threads, 0);
+            let barrier = Barrier::new(threads);
+            let popped = AtomicU64::new(0);
+            let unclaimed = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let (runs, barrier, popped, unclaimed) = (&runs, &barrier, &popped, &unclaimed);
+                    s.spawn(move || {
+                        let mut run = RunBuilder::new();
+                        for i in 0..PER_WORKER {
+                            run.push(i as f32, (t * PER_WORKER + i) as u32, &[]);
+                        }
+                        runs.publish(t, run);
+                        barrier.wait();
+                        // Everyone abandons at the same bound, so several
+                        // workers race to close the same run.
+                        let mut mine = 0u64;
+                        let left = drain_best_first(runs, t, |k, _, _| {
+                            mine += 1;
+                            if k >= 100.0 {
+                                Drain::Abandon
+                            } else {
+                                Drain::Processed
+                            }
+                        });
+                        // ORDERING: relaxed — test tallies read after the
+                        // scope joins.
+                        popped.fetch_add(mine, Ordering::Relaxed);
+                        unclaimed.fetch_add(left, Ordering::Relaxed);
+                    });
+                }
+            });
+            assert_eq!(
+                popped.into_inner() + unclaimed.into_inner(),
+                (threads * PER_WORKER) as u64,
+                "threads={threads}"
+            );
+        }
     }
 }

@@ -5,18 +5,19 @@
 //! * **Traversal** — workers claim root subtrees by Fetch&Inc and prune
 //!   with node-level lower bounds against the shared BSF; the root level
 //!   (tens of thousands of one-bit words) is scanned flat from the key
-//!   bits alone, without touching tree memory. Surviving leaves enter the
-//!   minimum priority queues round-robin.
-//! * **Processing** — workers pop leaves best-bound-first; a popped bound
-//!   above the BSF abandons the whole queue (everything behind it is
-//!   farther). Surviving entries pay an entry-level lower bound, then an
-//!   early-abandoned real distance.
+//!   bits alone, without touching tree memory. Each worker appends its
+//!   surviving leaves to a private run and publishes it sorted by bound.
+//! * **Processing** — workers claim leaves best-bound-first, their own
+//!   run first, then the others'; a popped bound above the BSF abandons
+//!   the whole run (everything behind it is farther). Surviving entries
+//!   pay an entry-level lower bound, then an early-abandoned real
+//!   distance.
 //!
 //! Query preparation, approximate-descent seeding and the per-entry
 //! verify loop come from the shared kernel (`dsidx-query`); this module
 //! contributes the MESSI scheduling — cooperative traversal plus
-//! best-bound-first queue draining. All tree reads go through the
-//! flattened view ([`dsidx_tree::flat`]).
+//! best-bound-first run draining (see [`crate::pqueue`]). All tree reads
+//! go through the flattened view ([`dsidx_tree::flat`]).
 //!
 //! Every entry point is generic over [`RawSource`]: the tree prunes the
 //! same way wherever the raw values live, and only the surviving
@@ -24,7 +25,7 @@
 //! device-charged positioned reads against a
 //! [`DatasetFile`](dsidx_storage::DatasetFile). A read failing mid-query
 //! (a device dying under load) surfaces as `Err`: each worker records the
-//! first failure in a shared [`ErrorSlot`], its peers drain their queues
+//! first failure in a shared [`ErrorSlot`], its peers close the runs
 //! without paying further I/O, and the broadcast's coordinator returns the
 //! error.
 //!
@@ -32,8 +33,8 @@
 
 use crate::build::MessiIndex;
 use crate::config::MessiConfig;
-use crate::pqueue::{drain_best_first, Drain, MinQueues};
-use crate::traverse::{BatchLeaf, BatchTraversal};
+use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
+use crate::traverse::BatchTraversal;
 use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
     approx_leaf_flat, batch_process_leaf_entries, batch_seed_positions, finish_knn,
@@ -46,7 +47,7 @@ use dsidx_sync::{AtomicBest, SpinBarrier};
 
 /// The MESSI schedule behind [`exact_nn`]: approximate-descent seeding,
 /// then one pool broadcast running the cooperative traversal and the
-/// best-bound-first queue processing with a spin barrier between. Returns
+/// best-bound-first run processing with a spin barrier between. Returns
 /// `Ok(None)` for an empty index. (k-NN goes through the batch path —
 /// [`exact_knn`] is a batch of one.)
 fn run_exact<P: Pruner>(
@@ -88,14 +89,14 @@ fn run_exact<P: Pruner>(
     // Phase A: cooperative parallel traversal — the root level is scanned
     // flat from the key bits alone, large subtrees are split via work
     // donation (see [`crate::traverse`]); surviving leaves enter the
-    // queues with their node-level lower bound. Phase B: pop best-first; a
-    // popped minimum above the BSF closes its whole queue; each worker
-    // migrates to the next open queue. One broadcast, phases separated by
-    // a spin barrier. A failed raw read records into `errors` and closes
-    // the worker's queue; peers see `is_set` and close theirs.
+    // worker's run with their node-level lower bound. Phase B: pop
+    // best-first; a popped minimum above the BSF closes its whole run;
+    // each worker moves on to the next run. One broadcast, phases
+    // separated by a spin barrier. A failed raw read records into `errors`
+    // and closes the run; peers see `is_set` and close theirs.
     let shared = AtomicQueryStats::new();
-    let queues: MinQueues<u32> = MinQueues::new(cfg.effective_queues());
-    let traversal = crate::traverse::Traversal::new(flat, &node_table, best, &queues);
+    let runs = LeafRuns::new(cfg.threads, 0);
+    let traversal = crate::traverse::Traversal::new(flat, &node_table, best);
     let phase_barrier = SpinBarrier::new(cfg.threads);
     let errors = ErrorSlot::for_phase(Phase::Traversal);
 
@@ -104,16 +105,17 @@ fn run_exact<P: Pruner>(
         // fetch_adds per leaf would bounce one cache line across every
         // core and dominate these sub-ms phases.
         let mut local = QueryStats::default();
-        let st = traversal.run_worker();
-        local.nodes_pruned = st.pruned;
-        local.leaves_enqueued = st.enqueued;
+        let mut run = RunBuilder::new();
+        local.nodes_pruned = traversal.run_worker(&mut run);
+        local.leaves_enqueued = run.len() as u64;
+        runs.publish(worker, run);
         phase_barrier.wait();
 
         // Phase B: best-bound-first processing.
         let mut fetcher = SeriesFetcher::new(source);
-        drain_best_first(&queues, worker, |lb, idx| {
+        let unclaimed = drain_best_first(&runs, worker, |lb, idx, _| {
             if errors.is_set() || lb >= best.threshold_sq() {
-                // Everything left in this queue is at least as far (or a
+                // Everything left in this run is at least as far (or a
                 // peer already failed): abandon it wholesale.
                 local.leaves_discarded += 1;
                 return Drain::Abandon;
@@ -132,6 +134,7 @@ fn run_exact<P: Pruner>(
                 }
             }
         });
+        local.leaves_discarded += unclaimed;
         shared.merge(&local);
     });
     errors.take()?;
@@ -168,15 +171,14 @@ pub fn exact_nn(
     }
 }
 
-/// Exact k-NN through the MESSI index: the same traversal + priority-queue
+/// Exact k-NN through the MESSI index: the same traversal + sorted-run
 /// schedule, pruning against the k-th best distance (a [`SharedTopK`])
 /// instead of the single best.
 ///
 /// Returns the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,
-/// empty for an empty index. The answer is deterministic across runs,
-/// thread counts and queue counts (distance ties prefer the lowest
-/// position).
+/// empty for an empty index. The answer is deterministic across runs and
+/// thread counts (distance ties prefer the lowest position).
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -197,13 +199,13 @@ pub fn exact_knn(
 
 /// Exact k-NN for a *batch* of queries in **one** pool broadcast: the tree
 /// is traversed once for the whole batch (a node is pruned only when every
-/// query's threshold beats its bound), priority-queue entries carry the
+/// query's threshold beats its bound), queued leaves carry the
 /// per-query node mindists, and a popped leaf is processed once — each
 /// entry's series fetched from the source at most once per leaf visit and
 /// checked against every query whose leaf-level bound survived.
 ///
 /// Answers are element-wise identical to calling [`exact_knn`] per query,
-/// deterministic across runs, thread counts and queue counts. The
+/// deterministic across runs and thread counts. The
 /// traversal counters ([`QueryStats::nodes_pruned`], `leaves_*`) describe
 /// work done once for the whole batch and are reported in
 /// [`BatchStats::shared`]; per-query counters sit in
@@ -227,7 +229,7 @@ pub fn exact_knn_batch(
 
 /// [`exact_knn_batch`] with an optional cross-shard pruner view (see
 /// [`SharedPruners`](dsidx_query::SharedPruners)): with `shard` set, the
-/// traversal and queue-processing phases prune against thresholds that
+/// traversal and run-processing phases prune against thresholds that
 /// other shards tighten mid-flight, and recorded positions are rebased to
 /// global. The returned matches then reflect the whole gather so far; the
 /// coordinator uses this return value for stats and reads the final answer
@@ -294,16 +296,15 @@ pub fn exact_knn_batch_shared(
 
     // Phase A: one cooperative traversal for the whole batch (see
     // [`crate::traverse::BatchTraversal`]); surviving leaves enter the
-    // queues keyed by their minimum per-query bound. Phase B: pop
+    // worker's run keyed by their minimum per-query bound. Phase B: pop
     // best-first; a popped minimum at or above every query's threshold
-    // closes its whole queue; an entry pays per-query bounds and
+    // closes its whole run; an entry pays per-query bounds and
     // early-abandoned distances only for queries whose leaf bound
     // survived. One broadcast, phases separated by a spin barrier; a
-    // failed raw read closes the worker's queue and surfaces after the
-    // join.
+    // failed raw read closes the run and surfaces after the join.
     let shared = AtomicQueryStats::new();
-    let queues: MinQueues<BatchLeaf> = MinQueues::new(cfg.effective_queues());
-    let traversal = BatchTraversal::new(flat, &tables, &batch, &queues);
+    let runs = LeafRuns::new(cfg.threads, batch.len());
+    let traversal = BatchTraversal::new(flat, &tables, &batch);
     let phase_barrier = SpinBarrier::new(cfg.threads);
     let errors = ErrorSlot::for_phase(Phase::Traversal);
 
@@ -312,38 +313,47 @@ pub fn exact_knn_batch_shared(
         // `AtomicQueryStats`).
         let mut shared_local = QueryStats::default();
         let mut locals = vec![QueryStats::default(); batch.len()];
-        let st = traversal.run_worker();
-        shared_local.nodes_pruned = st.pruned;
-        shared_local.leaves_enqueued = st.enqueued;
+        let mut run = RunBuilder::new();
+        shared_local.nodes_pruned = traversal.run_worker(&mut run);
+        shared_local.leaves_enqueued = run.len() as u64;
+        runs.publish(worker, run);
         phase_barrier.wait();
 
         // Phase B: best-bound-first processing, once per leaf for the
         // whole batch.
         let mut fetcher = SeriesFetcher::new(source);
         let mut active: Vec<usize> = Vec::with_capacity(batch.len());
-        drain_best_first(&queues, worker, |min_lb, leaf: BatchLeaf| {
+        let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
+        let unclaimed = drain_best_first(&runs, worker, |min_lb, idx, lbs| {
             if errors.is_set() || min_lb >= batch.max_threshold_sq() {
-                // Every remaining leaf in this queue is at least as far
-                // for every query (or a peer already failed): abandon it
+                // Every remaining leaf in this run is at least as far for
+                // every query (or a peer already failed): abandon it
                 // wholesale.
                 shared_local.leaves_discarded += 1;
                 return Drain::Abandon;
             }
             active.clear();
             for (qi, slot) in batch.slots().iter().enumerate() {
-                if leaf.lbs[qi] < slot.topk.threshold_sq() {
+                if lbs[qi] < slot.topk.threshold_sq() {
                     active.push(qi);
                 }
             }
             if active.is_empty() {
-                // No query can benefit from this one leaf, but the queue's
+                // No query can benefit from this one leaf, but the run's
                 // minimum key still beat some threshold — keep draining it.
                 shared_local.leaves_discarded += 1;
                 return Drain::Processed;
             }
             shared_local.leaves_processed += 1;
-            let entries = flat.leaf_entries(flat.node(leaf.idx));
-            match batch_process_leaf_entries(entries, &mut fetcher, &batch, &active, &mut locals) {
+            let entries = flat.leaf_entries(flat.node(idx));
+            match batch_process_leaf_entries(
+                entries,
+                &mut fetcher,
+                &batch,
+                &active,
+                &mut survivors,
+                &mut locals,
+            ) {
                 Ok(()) => Drain::Processed,
                 Err(e) => {
                     errors.record(e);
@@ -351,6 +361,7 @@ pub fn exact_knn_batch_shared(
                 }
             }
         });
+        shared_local.leaves_discarded += unclaimed;
         batch.merge_locals(&locals);
         shared.merge(&shared_local);
     });
@@ -490,10 +501,11 @@ mod tests {
                     );
                 }
                 // Traversal ran once for the batch: structural counters
-                // live in the shared slice, per-query ones per slot.
-                assert!(
-                    stats.shared.leaves_processed + stats.shared.leaves_discarded
-                        <= stats.shared.leaves_enqueued
+                // live in the shared slice, per-query ones per slot; every
+                // enqueued leaf is processed or discarded, exactly once.
+                assert_eq!(
+                    stats.shared.leaves_processed + stats.shared.leaves_discarded,
+                    stats.shared.leaves_enqueued
                 );
                 assert_eq!(stats.shared.lb_computed, 0);
             }
@@ -501,31 +513,30 @@ mod tests {
     }
 
     #[test]
-    fn knn_batch_deterministic_across_queue_counts() {
+    fn knn_batch_deterministic_across_thread_counts() {
         let data = DatasetKind::Seismic.generate(400, 64, 71);
         let (messi, _) = build(&data, &cfg(4));
         let qs = DatasetKind::Seismic.queries(5, 64, 71);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let (first, _) = exact_knn_batch(&messi, &data, &qrefs, 9, &cfg(1)).unwrap();
-        for queues in [1usize, 2, 8, 32] {
-            let c = cfg(4).with_queues(queues);
-            let (got, _) = exact_knn_batch(&messi, &data, &qrefs, 9, &c).unwrap();
-            assert_eq!(got, first, "queues={queues}");
+        for threads in [2usize, 3, 8] {
+            let (got, _) = exact_knn_batch(&messi, &data, &qrefs, 9, &cfg(threads)).unwrap();
+            assert_eq!(got, first, "threads={threads}");
         }
     }
 
     #[test]
-    fn knn_deterministic_across_queue_counts() {
+    fn knn_deterministic_across_thread_counts() {
         let data = DatasetKind::Seismic.generate(500, 64, 3);
         let (messi, _) = build(&data, &cfg(4));
         let q = DatasetKind::Seismic.queries(1, 64, 3);
         let (first, _) = exact_knn(&messi, &data, q.get(0), 12, &cfg(1)).unwrap();
         assert_eq!(first.len(), 12);
-        for queues in [1usize, 2, 8, 32] {
-            let c = cfg(4).with_queues(queues);
+        for threads in [2usize, 3, 8] {
+            let c = cfg(threads);
             for _ in 0..2 {
                 let (m, _) = exact_knn(&messi, &data, q.get(0), 12, &c).unwrap();
-                assert_eq!(m, first, "queues={queues}");
+                assert_eq!(m, first, "threads={threads}");
             }
         }
     }
@@ -584,16 +595,21 @@ mod tests {
     }
 
     #[test]
-    fn queue_count_does_not_change_the_answer() {
+    fn thread_count_does_not_change_the_answer() {
         let data = DatasetKind::Synthetic.generate(500, 64, 8);
         let (messi, _) = build(&data, &cfg(4));
         let queries = DatasetKind::Synthetic.queries(4, 64, 8);
         for q in queries.iter() {
-            let want = brute_force(&data, q).unwrap();
-            for queues in [1usize, 2, 8, 32] {
-                let c = cfg(4).with_queues(queues);
-                let (got, _) = exact_nn(&messi, &data, q, &c).unwrap().unwrap();
-                assert_eq!(got.pos, want.pos, "queues={queues}");
+            let (first, _) = exact_nn(&messi, &data, q, &cfg(1)).unwrap().unwrap();
+            assert_eq!(first.pos, brute_force(&data, q).unwrap().pos);
+            for threads in [2usize, 3, 8] {
+                let (got, stats) = exact_nn(&messi, &data, q, &cfg(threads)).unwrap().unwrap();
+                assert_eq!(got, first, "threads={threads}");
+                assert_eq!(
+                    stats.leaves_processed + stats.leaves_discarded,
+                    stats.leaves_enqueued,
+                    "threads={threads}"
+                );
             }
         }
     }
@@ -605,14 +621,17 @@ mod tests {
         let queries = dsidx_series::gen::sines(3, 64, 77);
         for q in queries.iter() {
             let (_, stats) = exact_nn(&messi, &data, q, &cfg(4)).unwrap().unwrap();
-            // On clusterable data the queues + tree bounds must discard
-            // most real-distance work.
+            // On clusterable data the sorted runs + tree bounds must
+            // discard most real-distance work.
             assert!(
                 stats.real_computed < 500,
                 "expected strong pruning, computed {} real distances",
                 stats.real_computed
             );
-            assert!(stats.leaves_processed + stats.leaves_discarded <= stats.leaves_enqueued);
+            assert_eq!(
+                stats.leaves_processed + stats.leaves_discarded,
+                stats.leaves_enqueued
+            );
             // Scan-only counters stay zero for the tree-based engine.
             assert_eq!(stats.lb_computed, 0);
             assert_eq!(stats.candidates, 0);

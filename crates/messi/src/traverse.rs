@@ -8,7 +8,7 @@
 //! root subtree (random-walk data clusters heavily on first bits) sets the
 //! whole phase's critical path.
 
-use crate::pqueue::MinQueues;
+use crate::pqueue::RunBuilder;
 use dsidx_isax::NodeMindistTable;
 use dsidx_query::QueryBatch;
 use dsidx_sync::{Pruner, WorkQueue};
@@ -20,15 +20,6 @@ const DONATE_ABOVE: usize = 32;
 /// Tuning: how often (in node visits) the donation check runs.
 const DONATE_CHECK_MASK: u64 = 0x3F;
 
-/// Per-worker traversal outcome counters.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TraverseStats {
-    /// Nodes (roots included) pruned by their lower bound.
-    pub pruned: u64,
-    /// Leaves pushed into the queues.
-    pub enqueued: u64,
-}
-
 /// Shared state for one traversal phase. Generic over [`Pruner`], so the
 /// same traversal prunes against the single best (1-NN) or the k-th best
 /// distance (k-NN).
@@ -38,7 +29,6 @@ pub struct Traversal<'a, P: Pruner> {
     /// Root-level contribution per segment for key bits 0/1.
     root_contrib: Vec<(f32, f32)>,
     best: &'a P,
-    queues: &'a MinQueues<u32>,
     root_queue: WorkQueue,
     /// Overflow work: node indices donated by overloaded workers.
     shared: Mutex<Vec<u32>>,
@@ -47,12 +37,7 @@ pub struct Traversal<'a, P: Pruner> {
 impl<'a, P: Pruner> Traversal<'a, P> {
     /// Prepares a traversal over `flat`'s occupied roots.
     #[must_use]
-    pub fn new(
-        flat: &'a FlatTree,
-        node_table: &'a NodeMindistTable,
-        best: &'a P,
-        queues: &'a MinQueues<u32>,
-    ) -> Self {
+    pub fn new(flat: &'a FlatTree, node_table: &'a NodeMindistTable, best: &'a P) -> Self {
         let segments = flat.segments();
         let root_contrib = (0..segments).map(|s| node_table.root_pair(s)).collect();
         Self {
@@ -60,7 +45,6 @@ impl<'a, P: Pruner> Traversal<'a, P> {
             node_table,
             root_contrib,
             best,
-            queues,
             root_queue: WorkQueue::new(flat.roots().len()),
             shared: Mutex::new(Vec::new()),
         }
@@ -77,12 +61,14 @@ impl<'a, P: Pruner> Traversal<'a, P> {
         sum
     }
 
-    /// Runs one worker's share of the traversal. Returns when every root
-    /// has been claimed and every donated item drained (see module docs for
+    /// Runs one worker's share of the traversal, appending surviving
+    /// leaves to the worker's private `run`. Returns when every root has
+    /// been claimed and every donated item drained (see module docs for
     /// why that is sound: the holder of remaining work drains the shared
-    /// stack before returning).
-    pub fn run_worker(&self) -> TraverseStats {
-        let mut stats = TraverseStats::default();
+    /// stack before returning) with the number of nodes (roots included)
+    /// this worker pruned by their lower bound.
+    pub fn run_worker(&self, run: &mut RunBuilder) -> u64 {
+        let mut pruned = 0u64;
         let mut stack: Vec<u32> = Vec::new();
         let mut visits = 0u64;
         // Claim root chunks first.
@@ -90,11 +76,11 @@ impl<'a, P: Pruner> Traversal<'a, P> {
             for i in range {
                 let (key, root_idx) = self.flat.roots()[i];
                 if self.root_lb(key) >= self.best.threshold_sq() {
-                    stats.pruned += 1;
+                    pruned += 1;
                     continue;
                 }
                 stack.push(root_idx);
-                self.drain_stack(&mut stack, &mut visits, &mut stats);
+                self.drain_stack(&mut stack, &mut visits, &mut pruned, run);
             }
         }
         // Help with donated work until none remains anywhere.
@@ -103,14 +89,20 @@ impl<'a, P: Pruner> Traversal<'a, P> {
             match item {
                 Some(idx) => {
                     stack.push(idx);
-                    self.drain_stack(&mut stack, &mut visits, &mut stats);
+                    self.drain_stack(&mut stack, &mut visits, &mut pruned, run);
                 }
-                None => return stats,
+                None => return pruned,
             }
         }
     }
 
-    fn drain_stack(&self, stack: &mut Vec<u32>, visits: &mut u64, stats: &mut TraverseStats) {
+    fn drain_stack(
+        &self,
+        stack: &mut Vec<u32>,
+        visits: &mut u64,
+        pruned: &mut u64,
+        run: &mut RunBuilder,
+    ) {
         while let Some(idx) = stack.pop() {
             *visits += 1;
             if *visits & DONATE_CHECK_MASK == 0 && stack.len() > DONATE_ABOVE {
@@ -123,13 +115,12 @@ impl<'a, P: Pruner> Traversal<'a, P> {
             let node = self.flat.node(idx);
             let lb = node.mindist_sq(self.node_table);
             if lb >= self.best.threshold_sq() {
-                stats.pruned += 1;
+                *pruned += 1;
                 continue;
             }
             if node.is_leaf() {
                 if !node.entry_range().is_empty() {
-                    stats.enqueued += 1;
-                    self.queues.push_rr(lb, idx);
+                    run.push(lb, idx, &[]);
                 }
             } else {
                 let (zero, one) = node.children(idx);
@@ -140,30 +131,20 @@ impl<'a, P: Pruner> Traversal<'a, P> {
     }
 }
 
-/// A leaf surviving a batched traversal, as queued for the processing
-/// phase: the flat-tree node index plus the node-level lower bound for
-/// *every* query in the batch (index-aligned with the batch's slots), so
-/// processing knows per query whether the leaf can still contribute
-/// without recomputing bounds.
-pub struct BatchLeaf {
-    /// Flat-tree node index of the leaf.
-    pub idx: u32,
-    /// Per-query node-level MINDIST (squared).
-    pub lbs: Box<[f32]>,
-}
-
 /// Shared state for one *batched* traversal phase: the tree is walked once
 /// for the whole batch, a node is pruned only when **every** query's
-/// threshold beats its bound, and surviving leaves are enqueued with their
-/// per-query mindists. The same root-claiming and work-donation schedule
-/// as [`Traversal`] (its batch-of-one specialization).
+/// threshold beats its bound, and a surviving leaf is queued with the
+/// node-level lower bound for *every* query in the batch (index-aligned
+/// with the batch's slots), so processing knows per query whether the leaf
+/// can still contribute without recomputing bounds. The same root-claiming
+/// and work-donation schedule as [`Traversal`] (its batch-of-one
+/// specialization).
 pub struct BatchTraversal<'a, 'q> {
     flat: &'a FlatTree,
     tables: &'a [NodeMindistTable],
     /// Root-level contribution per query, per segment, for key bits 0/1.
     root_contribs: Vec<Vec<(f32, f32)>>,
     batch: &'a QueryBatch<'q>,
-    queues: &'a MinQueues<BatchLeaf>,
     root_queue: WorkQueue,
     /// Overflow work: node indices donated by overloaded workers.
     shared: Mutex<Vec<u32>>,
@@ -181,7 +162,6 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
         flat: &'a FlatTree,
         tables: &'a [NodeMindistTable],
         batch: &'a QueryBatch<'q>,
-        queues: &'a MinQueues<BatchLeaf>,
     ) -> Self {
         assert_eq!(tables.len(), batch.len(), "one node table per query");
         let segments = flat.segments();
@@ -194,7 +174,6 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
             tables,
             root_contribs,
             batch,
-            queues,
             root_queue: WorkQueue::new(flat.roots().len()),
             shared: Mutex::new(Vec::new()),
         }
@@ -225,19 +204,21 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
 
     /// Runs one worker's share of the batched traversal (same contract as
     /// [`Traversal::run_worker`]).
-    pub fn run_worker(&self) -> TraverseStats {
-        let mut stats = TraverseStats::default();
+    pub fn run_worker(&self, run: &mut RunBuilder) -> u64 {
+        let mut pruned = 0u64;
         let mut stack: Vec<u32> = Vec::new();
         let mut visits = 0u64;
+        // Scratch for one leaf's per-query bounds, reused across leaves.
+        let mut lbs: Vec<f32> = Vec::with_capacity(self.batch.len());
         while let Some(range) = self.root_queue.claim_chunk(64) {
             for i in range {
                 let (key, root_idx) = self.flat.roots()[i];
                 if self.root_pruned_for_all(key) {
-                    stats.pruned += 1;
+                    pruned += 1;
                     continue;
                 }
                 stack.push(root_idx);
-                self.drain_stack(&mut stack, &mut visits, &mut stats);
+                self.drain_stack(&mut stack, &mut visits, &mut pruned, &mut lbs, run);
             }
         }
         loop {
@@ -245,14 +226,21 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
             match item {
                 Some(idx) => {
                     stack.push(idx);
-                    self.drain_stack(&mut stack, &mut visits, &mut stats);
+                    self.drain_stack(&mut stack, &mut visits, &mut pruned, &mut lbs, run);
                 }
-                None => return stats,
+                None => return pruned,
             }
         }
     }
 
-    fn drain_stack(&self, stack: &mut Vec<u32>, visits: &mut u64, stats: &mut TraverseStats) {
+    fn drain_stack(
+        &self,
+        stack: &mut Vec<u32>,
+        visits: &mut u64,
+        pruned: &mut u64,
+        lbs: &mut Vec<f32>,
+        run: &mut RunBuilder,
+    ) {
         while let Some(idx) = stack.pop() {
             *visits += 1;
             if *visits & DONATE_CHECK_MASK == 0 && stack.len() > DONATE_ABOVE {
@@ -265,9 +253,9 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
                 if node.entry_range().is_empty() {
                     continue;
                 }
-                // Leaves need every query's bound (the queue payload), so
-                // compute them all; the min orders the queue.
-                let mut lbs = Vec::with_capacity(self.batch.len());
+                // Leaves need every query's bound (the run payload), so
+                // compute them all; the min orders the run.
+                lbs.clear();
                 let mut min_lb = f32::INFINITY;
                 let mut survives = false;
                 for (qi, slot) in self.batch.slots().iter().enumerate() {
@@ -277,17 +265,10 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
                     lbs.push(lb);
                 }
                 if !survives {
-                    stats.pruned += 1;
+                    *pruned += 1;
                     continue;
                 }
-                stats.enqueued += 1;
-                self.queues.push_rr(
-                    min_lb,
-                    BatchLeaf {
-                        idx,
-                        lbs: lbs.into_boxed_slice(),
-                    },
-                );
+                run.push(min_lb, idx, lbs);
             } else {
                 // Internal nodes only need the "any query survives" test.
                 let survives =
@@ -295,7 +276,7 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
                         node.mindist_sq(&self.tables[qi]) < slot.topk.threshold_sq()
                     });
                 if !survives {
-                    stats.pruned += 1;
+                    *pruned += 1;
                     continue;
                 }
                 let (zero, one) = node.children(idx);
@@ -311,6 +292,7 @@ mod tests {
     use super::*;
     use crate::build::build;
     use crate::config::MessiConfig;
+    use crate::pqueue::{drain_best_first, Drain, LeafRuns};
     use dsidx_isax::paa::paa;
     use dsidx_series::gen::DatasetKind;
     use dsidx_sync::AtomicBest;
@@ -335,16 +317,18 @@ mod tests {
             .count() as u64;
         for threads in [1usize, 4, 8] {
             let best = AtomicBest::new();
-            let queues: MinQueues<u32> = MinQueues::new(threads);
-            let traversal = Traversal::new(&messi.flat, &node_table, &best, &queues);
+            let runs = LeafRuns::new(threads, 0);
+            let traversal = Traversal::new(&messi.flat, &node_table, &best);
             let enqueued = std::sync::atomic::AtomicU64::new(0);
             std::thread::scope(|s| {
-                for _ in 0..threads {
-                    let traversal = &traversal;
-                    let enqueued = &enqueued;
+                for worker in 0..threads {
+                    let (traversal, runs, enqueued) = (&traversal, &runs, &enqueued);
                     s.spawn(move || {
-                        let st = traversal.run_worker();
-                        enqueued.fetch_add(st.enqueued, std::sync::atomic::Ordering::Relaxed);
+                        let mut run = RunBuilder::new();
+                        let pruned = traversal.run_worker(&mut run);
+                        assert_eq!(pruned, 0, "infinite BSF prunes nothing");
+                        enqueued.fetch_add(run.len() as u64, std::sync::atomic::Ordering::Relaxed);
+                        runs.publish(worker, run);
                     });
                 }
             });
@@ -355,11 +339,10 @@ mod tests {
             );
             // And every queued index is a distinct leaf.
             let mut seen = std::collections::HashSet::new();
-            for shard in 0..threads {
-                while let Some((_, idx)) = queues.pop_min(shard) {
-                    assert!(seen.insert(idx), "leaf {idx} enqueued twice");
-                }
-            }
+            drain_best_first(&runs, 0, |_, idx, _| {
+                assert!(seen.insert(idx), "leaf {idx} enqueued twice");
+                Drain::Processed
+            });
             assert_eq!(seen.len() as u64, total_leaves);
         }
     }
@@ -373,9 +356,10 @@ mod tests {
         let paa_q = paa(q.get(0), 8);
         let node_table = NodeMindistTable::new_point(&paa_q, cfg.tree.quantizer().segment_lens());
         let best = AtomicBest::with_initial(0.0, 0); // perfect BSF
-        let queues: MinQueues<u32> = MinQueues::new(2);
-        let traversal = Traversal::new(&messi.flat, &node_table, &best, &queues);
-        let st = traversal.run_worker();
-        assert_eq!(st.enqueued, 0, "zero BSF must prune every subtree");
+        let traversal = Traversal::new(&messi.flat, &node_table, &best);
+        let mut run = RunBuilder::new();
+        let pruned = traversal.run_worker(&mut run);
+        assert!(run.is_empty(), "zero BSF must prune every subtree");
+        assert!(pruned > 0);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! Unlike MESSI, candidates are processed in position order, not
 //! best-bound-first — the paper attributes part of MESSI's speedup to
-//! exactly that difference, which the `abl-queues` ablation measures.
+//! exactly that difference, which `fig12`'s real-distance counts show.
 
 use crate::build::ParisIndex;
 use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};

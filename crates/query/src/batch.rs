@@ -611,6 +611,9 @@ pub fn batch_verify_candidates(
 /// generalization of
 /// [`process_leaf_entries`](crate::scan::process_leaf_entries).
 ///
+/// `survivors` is caller-owned scratch (its contents are overwritten), so
+/// a worker visiting thousands of leaves allocates it once.
+///
 /// # Errors
 /// Propagates raw-source I/O failures.
 pub fn batch_process_leaf_entries(
@@ -618,10 +621,10 @@ pub fn batch_process_leaf_entries(
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     batch: &QueryBatch<'_>,
     active: &[usize],
+    survivors: &mut Vec<usize>,
     locals: &mut [QueryStats],
 ) -> Result<(), StorageError> {
     let (mut fetches, mut requests) = (0u64, 0u64);
-    let mut survivors: Vec<usize> = Vec::with_capacity(active.len());
     for e in entries {
         survivors.clear();
         for &qi in active {
@@ -636,7 +639,7 @@ pub fn batch_process_leaf_entries(
         }
         let series = fetcher.fetch(e.pos as usize)?;
         fetches += 1;
-        for &qi in &survivors {
+        for &qi in survivors.iter() {
             let slot = &batch.slots()[qi];
             let limit = slot.topk.threshold_sq();
             requests += 1;
@@ -779,7 +782,17 @@ mod tests {
         let mut locals = vec![QueryStats::default(); batch.len()];
         let mut fetcher = SeriesFetcher::new(&data);
         // Only queries 0 and 2 are active for this "leaf".
-        batch_process_leaf_entries(&entries, &mut fetcher, &batch, &[0, 2], &mut locals).unwrap();
+        // Stale scratch contents must not leak into the survivor set.
+        let mut survivors = vec![1usize];
+        batch_process_leaf_entries(
+            &entries,
+            &mut fetcher,
+            &batch,
+            &[0, 2],
+            &mut survivors,
+            &mut locals,
+        )
+        .unwrap();
         batch.merge_locals(&locals);
         let (matches, stats) = batch.finish(1, QueryStats::default());
         for qi in [0usize, 2] {

@@ -185,7 +185,8 @@ pub fn batch_seed_positions_dtw(
 /// query that still wants it — the DTW counterpart of
 /// [`batch_process_leaf_entries`](crate::batch::batch_process_leaf_entries).
 ///
-/// `preps` is index-aligned with the batch's slots.
+/// `preps` is index-aligned with the batch's slots; `survivors` is
+/// caller-owned scratch (its contents are overwritten).
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -200,11 +201,11 @@ pub fn batch_process_leaf_entries_dtw(
     active: &[usize],
     preps: &[DtwPrepared],
     band: usize,
+    survivors: &mut Vec<usize>,
     locals: &mut [QueryStats],
 ) -> Result<(), StorageError> {
     assert_eq!(preps.len(), batch.len(), "one DtwPrepared per query");
     let (mut fetches, mut requests) = (0u64, 0u64);
-    let mut survivors: Vec<usize> = Vec::with_capacity(active.len());
     for e in entries {
         survivors.clear();
         for &qi in active {
@@ -219,7 +220,7 @@ pub fn batch_process_leaf_entries_dtw(
         }
         let series = fetcher.fetch(e.pos as usize)?;
         fetches += 1;
-        for &qi in &survivors {
+        for &qi in survivors.iter() {
             let slot = &batch.slots()[qi];
             let prep = &preps[qi];
             let limit = slot.topk.threshold_sq();
@@ -376,6 +377,7 @@ mod tests {
                 &active,
                 &preps,
                 band,
+                &mut Vec::new(),
                 &mut locals,
             )
             .unwrap();

@@ -15,8 +15,8 @@
 //! The engines differ only in *scheduling*: ADS+ runs step 3 serially in
 //! position order, ParIS splits it into parallel collect/verify phases
 //! over Fetch&Inc chunks, MESSI replaces the scan with a tree traversal
-//! feeding priority queues but pays the same per-entry loop at the leaves.
-//! Those loops live here once; engines keep only their scheduling. One
+//! feeding best-bound-first leaf runs but pays the same per-entry loop at
+//! the leaves. Those loops live here once; engines keep only their scheduling. One
 //! [`QueryStats`] reports all of them uniformly.
 //!
 //! Every loop is generic over [`Pruner`] — the abstraction of "threshold

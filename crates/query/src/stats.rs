@@ -26,11 +26,13 @@ pub struct QueryStats {
     pub candidates: u64,
     /// Nodes (roots included) pruned during tree traversal (MESSI).
     pub nodes_pruned: u64,
-    /// Leaves inserted into the priority queues (MESSI).
+    /// Leaves appended to the sorted leaf runs (MESSI).
     pub leaves_enqueued: u64,
     /// Leaves actually examined — popped and below the BSF (MESSI).
     pub leaves_processed: u64,
-    /// Leaves discarded by queue abandonment at pop time (MESSI).
+    /// Leaves never examined: popped at or above every threshold, or left
+    /// unclaimed in a run such a pop closed (MESSI). Together with
+    /// `leaves_processed` this accounts for every enqueued leaf.
     pub leaves_discarded: u64,
     /// Entry-level lower bounds computed (MESSI).
     pub lb_entry_computed: u64,

@@ -6,7 +6,7 @@
 //! not redistributable, so this module provides generators whose outputs
 //! reproduce the property that drives the paper's cross-dataset figures:
 //! **prunability** (random walk prunes best, EEG-like data worst, seismic
-//! in between). See DESIGN.md §3 for the substitution argument.
+//! in between).
 //!
 //! Everything is seeded and reproducible: the RNG is an in-repo SplitMix64
 //! (no dependence on `rand`'s cross-version stream stability).

@@ -22,8 +22,7 @@ pub struct LeafChunk {
 /// already materialized to the leaf store. The paper flushes leaves "to
 /// free space in main memory" — at this reproduction's laptop scale the
 /// summaries fit comfortably, so we model the *I/O cost* of materialization
-/// (every flush is charged to the device) while keeping the bytes resident;
-/// see DESIGN.md §3.
+/// (every flush is charged to the device) while keeping the bytes resident.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LeafPayload {
     /// All entries of this leaf.

@@ -244,6 +244,54 @@ fn legacy_empty_batches_keep_their_contract() {
     }
 }
 
+#[test]
+fn non_finite_queries_are_rejected_everywhere() {
+    // A NaN or infinite query value used to come back as Ok([]) (exact ED)
+    // or panic inside the DTW kernel; the query plane now rejects it on
+    // every engine x measure x fidelity x residence, naming the query.
+    let dir = std::env::temp_dir().join(format!("dsidx-plane-nonfinite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = DatasetKind::Synthetic.generate(200, 64, 31);
+    let path = dir.join("nonfinite.dsidx");
+    dsidx::storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let qs = DatasetKind::Synthetic.queries(2, 64, 31);
+    for engine in Engine::ALL {
+        let memory = MemoryIndex::build(data.clone(), engine, &opts(2, 16)).unwrap();
+        let disk = DiskIndex::build(
+            &path,
+            &dir,
+            engine,
+            &opts(2, 16),
+            DeviceProfile::UNTHROTTLED,
+        )
+        .unwrap();
+        let sharded = ShardedIndex::build_in_memory(&data, 3, engine, &opts(2, 16)).unwrap();
+        let residences: [(&str, &dyn Search); 3] =
+            [("memory", &memory), ("disk", &disk), ("sharded", &sharded)];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut poisoned = qs.get(1).to_vec();
+            poisoned[40] = bad;
+            let batch: [&[f32]; 2] = [qs.get(0), &poisoned];
+            for (residence, idx) in residences {
+                for fidelity in [Fidelity::Exact, Fidelity::Approximate] {
+                    for measure in [Measure::Euclidean, Measure::Dtw { band: 4 }] {
+                        let spec = QuerySpec::knn(3).measure(measure).fidelity(fidelity);
+                        let got = idx.search(&batch, &spec);
+                        assert!(
+                            matches!(
+                                got,
+                                Err(Error::InvalidSpec(InvalidSpec::NonFiniteQuery { index: 1 }))
+                            ),
+                            "{} {residence} {fidelity:?} {measure:?} {bad}: {got:?}",
+                            engine.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
