@@ -10,9 +10,13 @@
 //! * **broadcasts per query** — the batch amortization survives the move
 //!   to disk (MESSI still answers a whole batch in ≤ 1 traversal
 //!   broadcast; ParIS keeps its 2; serial ADS+ stays at 0) — self-asserted;
-//! * **device-charged bytes read** — how much raw data each engine's
-//!   pruning actually touches, the paper's reason tree-based query
-//!   answering wins on slow devices.
+//! * **device-charged bytes read** and **raw series fetched** — how much
+//!   raw data each engine's pruning actually touches, the paper's reason
+//!   tree-based query answering wins on slow devices;
+//! * **shared fetches never exceed the per-query requests they served**
+//!   (`series_fetched <= series_requests`) on every row — the batch
+//!   accounting invariant, checked here under real worker threads —
+//!   self-asserted.
 
 use crate::{disk_dataset, f, ms, queries_planted, time, Scale, Table};
 use dsidx::prelude::*;
@@ -26,7 +30,7 @@ const BAND_DIVISOR: usize = 20;
 ///
 /// # Panics
 /// Panics (self-assertion) if on-disk MESSI issues more than one broadcast
-/// per batch.
+/// per batch, or any engine reports more raw fetches than requests.
 pub fn run(scale: &Scale) {
     let kind = DatasetKind::Synthetic;
     let len = scale.len_for(kind);
@@ -45,6 +49,7 @@ pub fn run(scale: &Scale) {
             "avg_query_ms",
             "broadcasts_per_query",
             "bytes_read_per_query",
+            "series_fetched_per_query",
             "real_per_query",
             "phase_ms_per_query",
             "phase_top",
@@ -79,10 +84,18 @@ pub fn run(scale: &Scale) {
                 f(ms(t) / nq as f64),
                 f(bpq),
                 (bytes / nq).to_string(),
+                (stats.series_fetched / nq).to_string(),
                 (stats.total().real_computed / nq).to_string(),
                 f(phase_ms),
                 phase_top.into(),
             ]);
+            assert!(
+                stats.series_fetched <= stats.series_requests,
+                "{} {measure:?}: {} raw fetches served only {} requests",
+                engine.name(),
+                stats.series_fetched,
+                stats.series_requests
+            );
             if engine == Engine::Messi {
                 assert!(
                     stats.broadcasts <= 1,
@@ -96,7 +109,8 @@ pub fn run(scale: &Scale) {
     table.finish();
     println!(
         "shape check: the engine matrix is closed — every engine answers both measures\n\
-         on disk. MESSI keeps its <=1-broadcast-per-batch invariant (self-asserted) and\n\
-         its tree pruning reads the fewest device-charged bytes of the pool engines."
+         on disk. MESSI keeps its <=1-broadcast-per-batch invariant and no engine fetches\n\
+         more raw series than its queries requested (both self-asserted); MESSI's tree\n\
+         pruning reads the fewest device-charged bytes of the pool engines."
     );
 }

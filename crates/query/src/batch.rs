@@ -24,6 +24,7 @@
 
 use crate::fetch::SeriesFetcher;
 use crate::prepare::PreparedQuery;
+use crate::scan::LB_BLOCK;
 use crate::stats::{AtomicQueryStats, QueryStats};
 use dsidx_isax::{Quantizer, Word};
 use dsidx_obs::phase::PhaseAcc;
@@ -518,10 +519,13 @@ pub struct BatchCandidate {
 
 /// Lower-bound filter over one Fetch&Inc chunk of the SAX array, batched
 /// (ParIS collect): each word in `range` is bounded against every query;
-/// survivors append one [`BatchCandidate`] per `(position, query)` pair.
+/// survivors append one [`BatchCandidate`] per `(position, query)` pair,
+/// position-major, so the triples of one position stay contiguous.
 /// Thresholds are sampled once per chunk — the paper's granularity for
-/// refreshing the pruning threshold. The batch generalization of
-/// [`collect_candidates`](crate::scan::collect_candidates).
+/// refreshing the pruning threshold. Bounds come from the batched kernel
+/// ([`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many),
+/// bit-identical with SIMD on or off), one row per query over blocks of
+/// `LB_BLOCK` words.
 pub fn batch_collect_candidates(
     words: &[Word],
     range: Range<usize>,
@@ -534,27 +538,126 @@ pub fn batch_collect_candidates(
         .iter()
         .map(|s| s.topk.threshold_sq())
         .collect();
-    for pos in range {
-        let word = &words[pos];
-        for (qi, slot) in batch.slots().iter().enumerate() {
-            let lb = slot.prep.table.lookup(word);
-            if lb < limits[qi] {
-                locals[qi].candidates += 1;
-                out.push(BatchCandidate {
-                    pos: pos as u32,
-                    query: qi as u32,
-                    lb,
-                });
+    let mut rows = vec![0.0f32; batch.len() * LB_BLOCK];
+    let mut start = range.start;
+    for block in words[range].chunks(LB_BLOCK) {
+        for (slot, row) in batch.slots().iter().zip(rows.chunks_exact_mut(LB_BLOCK)) {
+            slot.prep.table.lookup_many(block, row);
+        }
+        for off in 0..block.len() {
+            for (qi, &limit) in limits.iter().enumerate() {
+                let lb = rows[qi * LB_BLOCK + off];
+                if lb < limit {
+                    locals[qi].candidates += 1;
+                    out.push(BatchCandidate {
+                        pos: (start + off) as u32,
+                        query: qi as u32,
+                        lb,
+                    });
+                }
             }
         }
+        start += block.len();
+    }
+}
+
+/// Puts a collected candidate list in the order ParIS verifies it: a
+/// **best-bound-first head**, then the rest **in position order**.
+///
+/// The head holds, for every query, the positions of its `head` smallest
+/// bounds (ties included), sorted ascending by `(run bound, position)`
+/// where a run's bound is the smallest bound any query recorded for that
+/// position. Those are the series most likely to be the answer, so
+/// fetching them first — while the thresholds are loosest — tightens the
+/// thresholds after a few reads, and the re-check in
+/// [`batch_verify_candidates`] then drops most of what follows without
+/// touching the source. The tail keeps position order: what still
+/// survives the tightened thresholds has to be read whatever the order,
+/// and in position order a dense stretch of survivors is a sequential
+/// read (and a sequential walk of an in-memory collection) instead of a
+/// seek per series. A list no longer than the head is sorted outright;
+/// then, with one worker and k = 1, no candidate whose bound exceeds the
+/// final distance is fetched at all.
+///
+/// The result is a pure function of the *set* of triples — it does not
+/// depend on the order the collect workers appended their chunks in —
+/// and the triples of one position stay contiguous.
+pub fn order_best_bound_first(
+    candidates: &mut [BatchCandidate],
+    batch: &QueryBatch<'_>,
+    head: usize,
+) {
+    // Stable and adaptive: each collect worker appended ascending
+    // stretches, which merge in near-linear time.
+    candidates.sort_by_key(|c| (c.pos, c.query));
+
+    // Per query, the bound its `head`-th best candidate has.
+    let mut bounds_of: Vec<Vec<f32>> = vec![Vec::new(); batch.len()];
+    for c in candidates.iter() {
+        bounds_of[c.query as usize].push(c.lb);
+    }
+    let cutoffs: Vec<f32> = bounds_of
+        .iter_mut()
+        .map(|lbs| match head {
+            0 => f32::NEG_INFINITY,
+            _ if lbs.len() <= head => f32::INFINITY,
+            _ => *lbs.select_nth_unstable_by(head - 1, f32::total_cmp).1,
+        })
+        .collect();
+    drop(bounds_of);
+
+    // Lift the head runs out, keyed by run bound...
+    let mut lifted: Vec<(f32, BatchCandidate)> = Vec::new();
+    let mut gaps: Vec<Range<usize>> = Vec::new();
+    let mut start = 0;
+    for run in candidates.chunk_by(|a, b| a.pos == b.pos) {
+        let end = start + run.len();
+        if run.iter().any(|c| c.lb <= cutoffs[c.query as usize]) {
+            let bound = run.iter().map(|c| c.lb).fold(f32::INFINITY, f32::min);
+            lifted.extend(run.iter().map(|&c| (bound, c)));
+            gaps.push(start..end);
+        }
+        start = end;
+    }
+    // ...close the gaps they leave toward the back, so the tail sits, still
+    // in position order, at the end of the slice...
+    let mut tail_start = candidates.len();
+    let mut kept_end = candidates.len();
+    for gap in gaps.iter().rev() {
+        tail_start -= kept_end - gap.end;
+        candidates.copy_within(gap.end..kept_end, tail_start);
+        kept_end = gap.start;
+    }
+    tail_start -= kept_end;
+    candidates.copy_within(..kept_end, tail_start);
+    debug_assert_eq!(tail_start, lifted.len());
+    // ...and put them back in front, best bound first.
+    lifted.sort_unstable_by(|(ka, a), (kb, b)| {
+        ka.total_cmp(kb)
+            .then(a.pos.cmp(&b.pos))
+            .then(a.query.cmp(&b.query))
+    });
+    for (slot, (_, c)) in candidates.iter_mut().zip(lifted) {
+        *slot = c;
     }
 }
 
 /// Verifies one Fetch&Inc chunk of a batched candidate list (ParIS
-/// verify): bounds are re-checked against each query's *current*
-/// threshold, and a run of triples sharing a position pays one fetch for
-/// all of them. The batch generalization of
-/// [`verify_candidates`](crate::scan::verify_candidates).
+/// verify): each triple's bound is re-checked against its query's
+/// *current* threshold, and a run of triples sharing a position pays one
+/// fetch for all that survive the re-check — none when none does.
+///
+/// A position run belongs to the chunk its first triple falls in: the
+/// chunk skips a run that began before `range` and finishes one that
+/// runs past it, so however the list is cut into chunks a position kept
+/// by several queries is fetched at most once.
+///
+/// Each threshold is sampled exactly once, into `survivors` (caller-owned
+/// scratch, contents overwritten): the fetch decision, the request count
+/// and the abandon limit all come from that one sample, so a fetch always
+/// has a request behind it however the other workers tighten thresholds
+/// meanwhile. A stale sample is only looser; the insert-time comparison
+/// stays authoritative.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -563,39 +666,40 @@ pub fn batch_verify_candidates(
     range: Range<usize>,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     batch: &QueryBatch<'_>,
+    survivors: &mut Vec<(usize, f32)>,
     locals: &mut [QueryStats],
 ) -> Result<(), StorageError> {
-    let cs = &candidates[range];
+    let continues_run =
+        |i: usize| 0 < i && i < candidates.len() && candidates[i].pos == candidates[i - 1].pos;
+    let (mut start, mut end) = (range.start, range.end);
+    while start < end && continues_run(start) {
+        start += 1;
+    }
+    while start < end && continues_run(end) {
+        end += 1;
+    }
     let (mut fetches, mut requests) = (0u64, 0u64);
-    let mut i = 0;
-    while i < cs.len() {
-        let pos = cs[i].pos;
-        let mut j = i + 1;
-        while j < cs.len() && cs[j].pos == pos {
-            j += 1;
+    for run in candidates[start..end].chunk_by(|a, b| a.pos == b.pos) {
+        survivors.clear();
+        for c in run {
+            let qi = c.query as usize;
+            let limit = batch.slots()[qi].topk.threshold_sq();
+            if c.lb < limit {
+                survivors.push((qi, limit));
+            }
         }
-        let run = &cs[i..j];
-        i = j;
-        // Skip the fetch entirely when every query's threshold has moved
-        // below its recorded bound since collection.
-        if !run
-            .iter()
-            .any(|c| c.lb < batch.slots()[c.query as usize].topk.threshold_sq())
-        {
+        if survivors.is_empty() {
             continue;
         }
+        let pos = run[0].pos;
         let series = fetcher.fetch(pos as usize)?;
         fetches += 1;
-        for c in run {
-            let slot = &batch.slots()[c.query as usize];
-            let limit = slot.topk.threshold_sq();
-            if c.lb >= limit {
-                continue;
-            }
-            requests += 1;
+        requests += survivors.len() as u64;
+        for &(qi, limit) in survivors.iter() {
+            let slot = &batch.slots()[qi];
             if let Some(d) = euclidean_sq_bounded(slot.values, series, limit) {
-                slot.topk.insert(d, c.pos);
-                locals[c.query as usize].real_computed += 1;
+                slot.topk.insert(d, pos);
+                locals[qi].real_computed += 1;
             }
         }
     }
@@ -726,10 +830,18 @@ mod tests {
             let end = (start + 64).min(words.len());
             batch_collect_candidates(&words, start..end, &batch, &mut locals, &mut candidates);
         }
+        let mut survivors = Vec::new();
         for start in (0..candidates.len()).step_by(16) {
             let end = (start + 16).min(candidates.len());
-            batch_verify_candidates(&candidates, start..end, &mut fetcher, &batch, &mut locals)
-                .unwrap();
+            batch_verify_candidates(
+                &candidates,
+                start..end,
+                &mut fetcher,
+                &batch,
+                &mut survivors,
+                &mut locals,
+            )
+            .unwrap();
         }
         batch.merge_locals(&locals);
         let (matches, stats) = batch.finish(2, QueryStats::default());
@@ -743,6 +855,332 @@ mod tests {
         }
         assert_eq!(stats.broadcasts, 2);
         assert!((stats.broadcasts_per_query() - 0.5).abs() < 1e-9);
+    }
+
+    /// A [`RawSource`] that logs every position read and, when a hook is
+    /// set, runs it inside each read — how a test forces "another worker
+    /// tightened the threshold while this one was fetching".
+    struct LoggingSource<'a> {
+        data: &'a Dataset,
+        reads: std::sync::Mutex<Vec<usize>>,
+        on_read: Option<&'a (dyn Fn() + Sync)>,
+    }
+
+    impl<'a> LoggingSource<'a> {
+        fn new(data: &'a Dataset) -> Self {
+            Self {
+                data,
+                reads: std::sync::Mutex::new(Vec::new()),
+                on_read: None,
+            }
+        }
+
+        fn reads(&self) -> Vec<usize> {
+            self.reads.lock().unwrap().clone()
+        }
+    }
+
+    impl RawSource for LoggingSource<'_> {
+        fn count(&self) -> usize {
+            self.data.len()
+        }
+
+        fn series_len(&self) -> usize {
+            self.data.series_len()
+        }
+
+        fn read_into(&self, pos: usize, out: &mut [f32]) -> Result<(), StorageError> {
+            self.reads.lock().unwrap().push(pos);
+            if let Some(hook) = self.on_read {
+                hook();
+            }
+            self.data.read_into(pos, out)
+        }
+    }
+
+    /// Collects the whole SAX array for `batch` in 64-word chunks.
+    fn collect_all(words: &[Word], batch: &QueryBatch<'_>) -> Vec<BatchCandidate> {
+        let mut locals = vec![QueryStats::default(); batch.len()];
+        let mut candidates = Vec::new();
+        for start in (0..words.len()).step_by(64) {
+            let end = (start + 64).min(words.len());
+            batch_collect_candidates(words, start..end, batch, &mut locals, &mut candidates);
+        }
+        candidates
+    }
+
+    /// Verifies `candidates` serially in `chunk`-sized claims; returns the
+    /// positions fetched, in order.
+    fn verify_all(
+        candidates: &[BatchCandidate],
+        chunk: usize,
+        data: &Dataset,
+        batch: &QueryBatch<'_>,
+    ) -> Vec<usize> {
+        let source = LoggingSource::new(data);
+        let mut fetcher = SeriesFetcher::new(&source);
+        let mut locals = vec![QueryStats::default(); batch.len()];
+        let mut survivors = Vec::new();
+        for start in (0..candidates.len()).step_by(chunk) {
+            let end = (start + chunk).min(candidates.len());
+            batch_verify_candidates(
+                candidates,
+                start..end,
+                &mut fetcher,
+                batch,
+                &mut survivors,
+                &mut locals,
+            )
+            .unwrap();
+        }
+        source.reads()
+    }
+
+    #[test]
+    fn best_bound_first_fetches_nothing_past_the_final_distance() {
+        // One worker, k = 1: best-bound-first fetches exactly the
+        // candidates whose bound beats the final distance — the fewest any
+        // order can get away with — so never more than position order.
+        let (data, words, config) = fixture(500);
+        let qs = DatasetKind::Synthetic.queries(6, 64, 17);
+        let (mut best_total, mut position_total) = (0, 0);
+        for q in qs.iter() {
+            let seeded = || {
+                let batch = QueryBatch::new(config.quantizer(), &[q], 1);
+                let mut fetcher = SeriesFetcher::new(&data);
+                batch_seed_prefix(3, &mut fetcher, &batch).unwrap();
+                batch
+            };
+            let by_position = seeded();
+            let candidates = collect_all(&words, &by_position);
+            assert!(candidates.windows(2).all(|w| w[0].pos < w[1].pos));
+            let position_reads = verify_all(&candidates, 16, &data, &by_position);
+
+            let best_first = seeded();
+            let mut ordered = candidates.clone();
+            order_best_bound_first(&mut ordered, &best_first, usize::MAX);
+            assert!(ordered
+                .windows(2)
+                .all(|w| (w[0].lb, w[0].pos) < (w[1].lb, w[1].pos)));
+            let best_reads = verify_all(&ordered, 4, &data, &best_first);
+
+            let want = brute_topk(&data, q, 1)[0];
+            for batch in [&by_position, &best_first] {
+                assert_eq!(batch.slots()[0].topk.matches()[0].1, want.1);
+            }
+            let final_dist = best_first.slots()[0].topk.matches()[0].0;
+            for &pos in &best_reads {
+                let c = ordered.iter().find(|c| c.pos as usize == pos).unwrap();
+                assert!(c.lb <= final_dist, "fetched {pos} with bound {}", c.lb);
+            }
+            let must_fetch = candidates.iter().filter(|c| c.lb <= final_dist).count();
+            assert_eq!(best_reads.len(), must_fetch);
+            assert!(best_reads.len() <= position_reads.len());
+            best_total += best_reads.len();
+            position_total += position_reads.len();
+        }
+        assert!(
+            best_total < position_total,
+            "{best_total} vs {position_total}"
+        );
+    }
+
+    #[test]
+    fn best_bound_order_keeps_position_runs_whole_whatever_the_append_order() {
+        // Three queries, two of them identical: their triples for one
+        // position must stay adjacent (one fetch), runs sort by their best
+        // bound, and the result does not depend on which collect worker
+        // appended its chunk first.
+        let (data, words, config) = fixture(300);
+        let qs = DatasetKind::Synthetic.queries(2, 64, 23);
+        let qrefs: Vec<&[f32]> = vec![qs.get(0), qs.get(1), qs.get(0)];
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, 2);
+        let mut fetcher = SeriesFetcher::new(&data);
+        batch_seed_prefix(8, &mut fetcher, &batch).unwrap();
+        let mut locals = vec![QueryStats::default(); batch.len()];
+        let mut chunks: Vec<Vec<BatchCandidate>> = Vec::new();
+        for start in (0..words.len()).step_by(64) {
+            let mut out = Vec::new();
+            let end = (start + 64).min(words.len());
+            batch_collect_candidates(&words, start..end, &batch, &mut locals, &mut out);
+            chunks.push(out);
+        }
+        let mut forward: Vec<BatchCandidate> = chunks.iter().flatten().copied().collect();
+        let mut backward: Vec<BatchCandidate> = chunks.iter().rev().flatten().copied().collect();
+        order_best_bound_first(&mut forward, &batch, usize::MAX);
+        order_best_bound_first(&mut backward, &batch, usize::MAX);
+        assert_eq!(forward, backward);
+        let runs: Vec<&[BatchCandidate]> = forward.chunk_by(|a, b| a.pos == b.pos).collect();
+        let mut seen = std::collections::HashSet::new();
+        let mut last = (0.0f32, 0u32);
+        for run in &runs {
+            assert!(
+                seen.insert(run[0].pos),
+                "position {} split in two runs",
+                run[0].pos
+            );
+            assert!(run.windows(2).all(|w| w[0].query < w[1].query));
+            let key = (
+                run.iter().map(|c| c.lb).fold(f32::INFINITY, f32::min),
+                run[0].pos,
+            );
+            assert!(last <= key, "runs out of order: {last:?} then {key:?}");
+            last = key;
+        }
+        // Queries 0 and 2 are the same series: every run holds both or
+        // neither, with equal bounds.
+        for run in &runs {
+            let of = |q: u32| run.iter().find(|c| c.query == q).map(|c| c.lb);
+            assert_eq!(of(0), of(2));
+        }
+        // The shared fetch: one read per run that still has a survivor,
+        // even with chunks (5 triples) that cut through the runs.
+        let reads = verify_all(&forward, 5, &data, &batch);
+        assert!(reads.len() <= runs.len());
+        let mut once = std::collections::HashSet::new();
+        assert!(
+            reads.iter().all(|&pos| once.insert(pos)),
+            "a position read twice"
+        );
+        let (matches, stats) = batch.finish(2, QueryStats::default());
+        assert_eq!(matches[0], matches[2]);
+        for (qi, q) in qrefs.iter().enumerate() {
+            let want = brute_topk(&data, q, 2);
+            assert_eq!(
+                matches[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
+                want.iter().map(|m| m.1).collect::<Vec<_>>(),
+                "q{qi}"
+            );
+        }
+        assert!(stats.series_fetched <= stats.series_requests);
+    }
+
+    #[test]
+    fn a_finite_head_leads_and_the_rest_keeps_position_order() {
+        let (data, words, config) = fixture(400);
+        let qs = DatasetKind::Synthetic.queries(2, 64, 31);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, 1);
+        let mut fetcher = SeriesFetcher::new(&data);
+        batch_seed_prefix(2, &mut fetcher, &batch).unwrap();
+        let collected = collect_all(&words, &batch);
+        let head = 5;
+        assert!(collected.iter().filter(|c| c.query == 0).count() > 3 * head);
+        let mut ordered = collected.clone();
+        order_best_bound_first(&mut ordered, &batch, head);
+        // Nothing lost, nothing invented.
+        let key = |c: &BatchCandidate| (c.pos, c.query);
+        let mut sorted = ordered.clone();
+        sorted.sort_by_key(key);
+        assert_eq!(sorted, collected);
+        // The tail is the longest position-ordered suffix; the head before
+        // it is bound-ordered and holds each query's `head` best bounds.
+        let tail_start = (1..ordered.len())
+            .rev()
+            .find(|&i| key(&ordered[i - 1]) > key(&ordered[i]))
+            .unwrap_or(0);
+        let (lead, tail) = ordered.split_at(tail_start);
+        // At most `head` runs per query, each run holding both queries.
+        assert!(!lead.is_empty() && lead.len() <= 2 * 2 * head);
+        assert!(tail.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        for q in 0..2u32 {
+            let mut lbs: Vec<f32> = collected
+                .iter()
+                .filter(|c| c.query == q)
+                .map(|c| c.lb)
+                .collect();
+            lbs.sort_by(f32::total_cmp);
+            let lifted = |pos: u32| lead.iter().any(|c| c.pos == pos);
+            for c in collected.iter().filter(|c| c.query == q) {
+                if c.lb <= lbs[head - 1] {
+                    assert!(lifted(c.pos), "q{q}: best bound {} left in the tail", c.lb);
+                }
+            }
+        }
+        // A head of zero is plain position order.
+        let mut flat = ordered.clone();
+        order_best_bound_first(&mut flat, &batch, 0);
+        assert_eq!(flat, collected);
+        // Whatever the head, verification stays exact.
+        verify_all(&ordered, 16, &data, &batch);
+        let (matches, _) = batch.finish(2, QueryStats::default());
+        for (qi, q) in qrefs.iter().enumerate() {
+            assert_eq!(matches[qi][0].pos, brute_topk(&data, q, 1)[0].1, "q{qi}");
+        }
+    }
+
+    #[test]
+    fn a_fetch_always_has_a_request_behind_it() {
+        // Another worker tightens the threshold below the candidate's bound
+        // *while* this one fetches it. The fetch was decided from one
+        // threshold sample and must be counted against that same sample:
+        // one fetch, one request (reading the threshold a second time
+        // would count the fetch and skip the request).
+        let (data, _, config) = fixture(40);
+        let q = data.get(7).to_vec();
+        let shared = SharedPruners::new(1, 1);
+        let batch = QueryBatch::with_shared(config.quantizer(), &[&q], &shared, 0);
+        let tighten = || {
+            dsidx_sync::Pruner::insert(shared.topks()[0].as_ref(), 0.0, 39);
+        };
+        let mut source = LoggingSource::new(&data);
+        source.on_read = Some(&tighten);
+        let mut fetcher = SeriesFetcher::new(&source);
+        let candidates = [BatchCandidate {
+            pos: 3,
+            query: 0,
+            lb: 0.5,
+        }];
+        let mut locals = vec![QueryStats::default()];
+        let mut survivors = Vec::new();
+        batch_verify_candidates(
+            &candidates,
+            0..1,
+            &mut fetcher,
+            &batch,
+            &mut survivors,
+            &mut locals,
+        )
+        .unwrap();
+        assert_eq!(source.reads(), vec![3]);
+        let (matches, stats) = batch.finish(0, QueryStats::default());
+        assert_eq!((stats.series_fetched, stats.series_requests), (1, 1));
+        // The concurrent insert stays authoritative.
+        assert_eq!(matches[0][0].pos, 39);
+    }
+
+    #[test]
+    fn collect_bounds_match_the_scalar_reference_for_every_query() {
+        // The batched kernel is bit-identical to the scalar lookup with
+        // SIMD on or off, across block boundaries and a short last block.
+        let (data, words, config) = fixture(LB_BLOCK + 37);
+        let qs = DatasetKind::Synthetic.queries(3, 64, 29);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, 1);
+        let mut fetcher = SeriesFetcher::new(&data);
+        batch_seed_prefix(2, &mut fetcher, &batch).unwrap();
+        let mut locals = vec![QueryStats::default(); batch.len()];
+        let mut got = Vec::new();
+        batch_collect_candidates(&words, 5..words.len(), &batch, &mut locals, &mut got);
+        let mut want = Vec::new();
+        for (pos, word) in words.iter().enumerate().skip(5) {
+            for (qi, slot) in batch.slots().iter().enumerate() {
+                let lb = slot.prep.table.lookup_scalar(word);
+                if lb < slot.topk.threshold_sq() {
+                    want.push(BatchCandidate {
+                        pos: pos as u32,
+                        query: qi as u32,
+                        lb,
+                    });
+                }
+            }
+        }
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
+        for (qi, local) in locals.iter().enumerate() {
+            let kept = want.iter().filter(|c| c.query as usize == qi).count();
+            assert_eq!(local.candidates, kept as u64);
+        }
     }
 
     #[test]

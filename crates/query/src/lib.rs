@@ -44,8 +44,8 @@ pub mod stats;
 
 pub use batch::{
     batch_collect_candidates, batch_process_leaf_entries, batch_scan_sax_serial,
-    batch_seed_positions, batch_seed_prefix, batch_verify_candidates, BatchCandidate, BatchSlot,
-    BatchStats, QueryBatch, ShardView, SharedPruners,
+    batch_seed_positions, batch_seed_prefix, batch_verify_candidates, order_best_bound_first,
+    BatchCandidate, BatchSlot, BatchStats, QueryBatch, ShardView, SharedPruners,
 };
 pub use dtw::{
     batch_process_leaf_entries_dtw, batch_seed_positions_dtw, process_leaf_entries_dtw,
@@ -55,10 +55,10 @@ pub use errslot::ErrorSlot;
 pub use fetch::SeriesFetcher;
 pub use knn::finish_knn;
 pub use prepare::PreparedQuery;
-pub use scan::{
-    collect_candidates, process_leaf_entries, scan_sax_serial, verify_candidate, verify_candidates,
+pub use scan::{process_leaf_entries, scan_sax_serial, verify_candidate};
+pub use seed::{
+    approx_leaf, approx_leaf_flat, best_bound_positions, seed_from_entries, seed_prefix,
 };
-pub use seed::{approx_leaf, approx_leaf_flat, seed_from_entries, seed_prefix};
 pub use stats::{AtomicQueryStats, QueryStats};
 
 pub use dsidx_sync::{OffsetTopK, Pruner, SharedTopK};

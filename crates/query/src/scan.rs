@@ -1,7 +1,8 @@
 //! The early-abandoned real-distance candidate loops — the exact phase
-//! every engine runs after seeding, in three shapes: the serial interleaved
-//! SIMS scan (ADS+), the two-phase collect/verify split (ParIS chunks), and
-//! the per-leaf entry loop (MESSI).
+//! every engine runs after seeding: the serial interleaved SIMS scan
+//! (ADS+) and the per-leaf entry loop (MESSI). ParIS's two-phase
+//! collect/verify split exists only in batch form
+//! ([`batch`](crate::batch)); a single query is a batch of one.
 //!
 //! Every loop is generic over [`Pruner`], so the same code answers 1-NN
 //! (an [`AtomicBest`](dsidx_sync::AtomicBest) best-so-far) and k-NN (a
@@ -15,7 +16,6 @@ use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
 use dsidx_tree::LeafEntry;
-use std::ops::Range;
 
 /// Verifies one candidate position: re-checks its lower bound against the
 /// *current* threshold (it may have improved since the bound was computed),
@@ -82,53 +82,7 @@ pub fn scan_sax_serial<P: Pruner>(
 }
 
 /// Words lower-bounded per batched-kernel call in the scan loops.
-const LB_BLOCK: usize = 256;
-
-/// Lower-bound filter over one Fetch&Inc chunk of the SAX array (ParIS
-/// phase 2): appends `(position, bound)` survivors to `out`. The threshold
-/// is sampled once per chunk — the paper's granularity for refreshing the
-/// pruning threshold.
-pub fn collect_candidates<P: Pruner>(
-    words: &[dsidx_isax::Word],
-    range: Range<usize>,
-    table: &MindistTable,
-    pruner: &P,
-    out: &mut Vec<(u32, f32)>,
-) {
-    let limit = pruner.threshold_sq();
-    let mut bounds = [0.0f32; LB_BLOCK];
-    let mut pos = range.start;
-    for block in words[range].chunks(LB_BLOCK) {
-        table.lookup_many(block, &mut bounds);
-        for &lb in &bounds[..block.len()] {
-            if lb < limit {
-                out.push((pos as u32, lb));
-            }
-            pos += 1;
-        }
-    }
-}
-
-/// Verifies one Fetch&Inc chunk of a collected candidate list (ParIS
-/// phase 3). Returns the number of full real distances paid.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-pub fn verify_candidates<P: Pruner>(
-    candidates: &[(u32, f32)],
-    range: Range<usize>,
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    query: &[f32],
-    pruner: &P,
-) -> Result<u64, StorageError> {
-    let mut reals = 0u64;
-    for &(pos, lb) in &candidates[range] {
-        if verify_candidate(pos, lb, fetcher, query, pruner)? {
-            reals += 1;
-        }
-    }
-    Ok(reals)
-}
+pub(crate) const LB_BLOCK: usize = 256;
 
 /// Entry-level bound + early-abandoned real distance over one leaf's
 /// entries (MESSI processing phase), fetching survivors from any
@@ -242,59 +196,6 @@ mod tests {
                     assert!((g.0 - w.0).abs() <= w.0 * 1e-4 + 1e-4);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn collect_then_verify_matches_serial_scan() {
-        let (data, words, config) = fixture(300);
-        let queries = DatasetKind::Synthetic.queries(3, 64, 9);
-        for q in queries.iter() {
-            let prep = PreparedQuery::new(config.quantizer(), q);
-            // Two-phase (ParIS shape), chunked.
-            let best = AtomicBest::new();
-            let mut candidates = Vec::new();
-            for start in (0..words.len()).step_by(64) {
-                let end = (start + 64).min(words.len());
-                collect_candidates(&words, start..end, &prep.table, &best, &mut candidates);
-            }
-            let mut fetcher = SeriesFetcher::new(&data);
-            let mut reals = 0;
-            for start in (0..candidates.len()).step_by(16) {
-                let end = (start + 16).min(candidates.len());
-                reals +=
-                    verify_candidates(&candidates, start..end, &mut fetcher, q, &best).unwrap();
-            }
-            assert!(reals <= candidates.len() as u64);
-            let want = brute(&data, q);
-            assert_eq!(best.get().1, want.1);
-        }
-    }
-
-    #[test]
-    fn collect_then_verify_with_topk_is_exact() {
-        let (data, words, config) = fixture(280);
-        let queries = DatasetKind::Synthetic.queries(3, 64, 41);
-        for q in queries.iter() {
-            let prep = PreparedQuery::new(config.quantizer(), q);
-            let k = 7;
-            let topk = SharedTopK::new(k);
-            let mut candidates = Vec::new();
-            for start in (0..words.len()).step_by(64) {
-                let end = (start + 64).min(words.len());
-                collect_candidates(&words, start..end, &prep.table, &topk, &mut candidates);
-            }
-            let mut fetcher = SeriesFetcher::new(&data);
-            for start in (0..candidates.len()).step_by(16) {
-                let end = (start + 16).min(candidates.len());
-                let _ = verify_candidates(&candidates, start..end, &mut fetcher, q, &topk).unwrap();
-            }
-            let want = brute_topk(&data, q, k);
-            let got = topk.matches();
-            assert_eq!(
-                got.iter().map(|m| m.1).collect::<Vec<_>>(),
-                want.iter().map(|m| m.1).collect::<Vec<_>>()
-            );
         }
     }
 

@@ -3,7 +3,7 @@
 //! starts from a tight best-so-far instead of infinity.
 
 use crate::fetch::SeriesFetcher;
-use dsidx_isax::Word;
+use dsidx_isax::{MindistTable, Word};
 use dsidx_series::distance::euclidean_sq;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
@@ -54,6 +54,30 @@ pub fn seed_from_entries<P: Pruner>(
         pruner.insert(euclidean_sq(query, series), e.pos);
     }
     Ok(entries.len() as u64)
+}
+
+/// Appends to `out` the positions of the `n` entries of `entries` with the
+/// smallest MINDIST to the query behind `table`, ties broken by position
+/// (all of them when the leaf holds no more than `n`).
+///
+/// Bound-ranked seeding: on a device that charges an access latency per
+/// raw series, seeding from a whole approximate leaf pays for every
+/// entry although the best-so-far almost always comes from the few whose
+/// summaries sit closest to the query's. Ranking costs one table lookup
+/// per resident entry and no I/O.
+pub fn best_bound_positions(
+    entries: &[LeafEntry],
+    table: &MindistTable,
+    n: usize,
+    out: &mut Vec<u32>,
+) {
+    let mut ranked: Vec<(f32, u32)> = entries
+        .iter()
+        .map(|e| (table.lookup(&e.word), e.pos))
+        .collect();
+    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    ranked.truncate(n);
+    out.extend(ranked.iter().map(|&(_, pos)| pos));
 }
 
 /// Pays (early-abandoned) real distances for the position-order prefix
@@ -139,6 +163,32 @@ mod tests {
             assert_eq!(flat_positions, tree_positions);
             // The query's own leaf contains the queried series.
             assert!(tree_positions.contains(&(pos as u32)));
+        }
+    }
+
+    #[test]
+    fn best_bound_positions_rank_by_bound_then_position() {
+        let (data, index) = build_index(300);
+        let quantizer = index.config().quantizer();
+        let q = data.get(42);
+        let prep = crate::prepare::PreparedQuery::new(quantizer, q);
+        let leaf = approx_leaf(&index, &prep.word).expect("non-empty");
+        let entries = leaf.entries().expect("resident leaf");
+        assert!(entries.len() > 2, "fixture leaf too small to rank");
+        let mut want: Vec<(f32, u32)> = entries
+            .iter()
+            .map(|e| (prep.table.lookup(&e.word), e.pos))
+            .collect();
+        want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let want: Vec<u32> = want.iter().map(|&(_, pos)| pos).collect();
+        // The query's own entry bounds to zero, so it is among the first.
+        let own = entries.iter().find(|e| e.pos == 42).expect("own leaf");
+        assert_eq!(prep.table.lookup(&own.word), 0.0);
+        for n in [0usize, 1, 2, entries.len(), entries.len() + 5] {
+            let mut got = vec![7u32]; // appended to, never cleared
+            best_bound_positions(entries, &prep.table, n, &mut got);
+            assert_eq!(got[0], 7);
+            assert_eq!(&got[1..], &want[..n.min(want.len())], "n={n}");
         }
     }
 

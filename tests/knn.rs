@@ -176,6 +176,70 @@ fn knn_on_disk_engines_matches_brute_force() {
     }
 }
 
+/// The ParIS exact schedule picks *which* series to read from live
+/// thresholds (ranked seeds, best-bound-first verification), so the reads
+/// vary with the thread count and the residence — the answer must not:
+/// bit-identical across 1/2/4/8 threads and across memory, disk and a
+/// 3-shard index, and equal to brute force, single and batched.
+#[test]
+fn paris_answers_are_identical_across_threads_residences_and_shards() {
+    let dir = std::env::temp_dir().join(format!("dsidx-knn-paris-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = mixed_duplicates(DatasetKind::Synthetic, 450, 64, 57);
+    let path = dir.join("paris.dsidx");
+    dsidx::storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let queries = DatasetKind::Synthetic.queries(5, 64, 57);
+    let qrefs: Vec<&[f32]> = queries.iter().collect();
+    for engine in [Engine::Paris, Engine::ParisPlus] {
+        for k in [1usize, 6, 30] {
+            let spec = QuerySpec::knn(k);
+            let want: Vec<Vec<Match>> =
+                qrefs.iter().map(|q| brute_force_knn(&data, q, k)).collect();
+            let mut reference: Option<Vec<Vec<Match>>> = None;
+            for threads in [1usize, 2, 4, 8] {
+                let o = opts(threads, 12);
+                let memory = MemoryIndex::build(data.clone(), engine, &o).unwrap();
+                let disk =
+                    DiskIndex::build(&path, &dir, engine, &o, DeviceProfile::UNTHROTTLED).unwrap();
+                let sharded = dsidx::ShardedIndex::build_in_memory(&data, 3, engine, &o).unwrap();
+                let answers = [
+                    (
+                        "memory",
+                        memory.search(&qrefs, &spec).unwrap().into_matches(),
+                    ),
+                    ("disk", disk.search(&qrefs, &spec).unwrap().into_matches()),
+                    (
+                        "3 shards",
+                        sharded.search(&qrefs, &spec).unwrap().into_matches(),
+                    ),
+                ];
+                for (residence, got) in answers {
+                    let label = format!("{} {residence} k={k} x{threads}", engine.name());
+                    for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.iter().map(|m| m.pos).collect::<Vec<_>>(),
+                            w.iter().map(|m| m.pos).collect::<Vec<_>>(),
+                            "{label} q{qi}"
+                        );
+                        // One query alone answers like its batch row.
+                        let alone = memory.search(&[qrefs[qi]], &spec).unwrap().into_single();
+                        assert_eq!(&alone, g, "{label} q{qi}: single vs batch");
+                    }
+                    // Distances too, bit for bit, against the first cell.
+                    let first = reference.get_or_insert_with(|| got.clone());
+                    for (f, g) in first.iter().flatten().zip(got.iter().flatten()) {
+                        assert_eq!(
+                            (f.pos, f.dist_sq.to_bits()),
+                            (g.pos, g.dist_sq.to_bits()),
+                            "{label}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn knn_on_empty_collection_is_empty() {
     let data = Dataset::new(64).unwrap();
