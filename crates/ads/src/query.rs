@@ -40,7 +40,8 @@ fn run_exact<P: Pruner>(
     // Step 1: approximate answer from the closest leaf.
     let leaf = approx_leaf(&ads.index, &prep.word).expect("non-empty index has a non-empty leaf");
     let entries = leaf.entries().expect("serial leaves are resident");
-    stats.real_computed += seed_from_entries(entries, &mut fetcher, query, pruner)
+    let positions = entries.iter().map(|e| e.pos);
+    stats.real_computed += seed_from_entries(positions, &mut fetcher, query, pruner)
         .map_err(|e| e.in_phase(Phase::Seed.name()))?;
     stats.phase.record(Phase::Seed, clock.lap());
 
@@ -213,7 +214,7 @@ pub fn approx_knn(
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
     approx_leaf_visit(ads, source, query, k, |entries, fetcher, topk| {
-        seed_from_entries(entries, fetcher, query, topk)
+        seed_from_entries(entries.iter().map(|e| e.pos), fetcher, query, topk)
     })
 }
 
@@ -235,7 +236,7 @@ pub fn approx_knn_dtw(
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
     approx_leaf_visit(ads, source, query, k, |entries, fetcher, topk| {
-        seed_from_entries_dtw(entries, fetcher, query, band, topk)
+        seed_from_entries_dtw(entries.iter().map(|e| e.pos), fetcher, query, band, topk)
     })
 }
 

@@ -8,7 +8,9 @@
 //! fixed k and reporting wall time per query plus the amortization
 //! counters: broadcasts per query (constant per batch ⇒ shrinking as 1/B
 //! for the pool engines, 0 for serial ADS+) and raw series fetched once
-//! versus the per-query requests they served.
+//! versus the per-query requests they served (ADS+ and ParIS share raw
+//! reads across a batch; MESSI in memory hands whole queries to workers,
+//! so each request is its own fetch and the two columns are equal).
 
 use crate::{core_ladder, f, mem_dataset, ms, queries, time, Scale, Table};
 use dsidx::prelude::*;
@@ -113,7 +115,8 @@ pub fn run(scale: &Scale) {
     );
     println!(
         "shape check: broadcasts_per_query is constant-per-batch (2/B ParIS, 1/B MESSI,\n\
-         0 for serial ADS+) and requests_per_query exceeds fetched_per_query as the\n\
-         batch shares raw reads — the fixed per-query overhead amortizing away."
+         0 for serial ADS+). requests_per_query exceeds fetched_per_query where the\n\
+         batch shares raw reads (ADS+, ParIS); for MESSI the two are equal — in memory\n\
+         it answers whole queries per worker and every request fetches for itself."
     );
 }

@@ -194,7 +194,10 @@ impl MindistTable {
     /// single-word [`Self::lookup`], whose horizontal sum reassociates).
     ///
     /// Only the first `words.len()` slots of `out` are written; any excess
-    /// capacity is left untouched.
+    /// capacity is left untouched. Words beyond a multiple of eight take the
+    /// scalar loop one by one, so a caller bounding many short runs (tree
+    /// leaves) should pass runs padded to a multiple of eight and ignore
+    /// the extra results — see `FlatTree::leaf_words_padded`.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `words`.
@@ -239,7 +242,11 @@ impl MindistTable {
 /// cardinality. Tree traversal (MESSI) evaluates tens of thousands of node
 /// bounds per query; this reduces each to `w` lookups and adds, like
 /// [`MindistTable`] does for full-cardinality words.
-#[derive(Debug, Clone)]
+///
+/// The [`Default`] table has no segments and bounds everything at zero;
+/// [`fill_point`](Self::fill_point) / [`fill_interval`](Self::fill_interval)
+/// size it for a query.
+#[derive(Debug, Clone, Default)]
 pub struct NodeMindistTable {
     /// Flat layout: `seg * (MAX_BITS * MAX_CARDINALITY) + (bits-1) * MAX_CARDINALITY + prefix`.
     table: Vec<f32>,
@@ -250,35 +257,56 @@ impl NodeMindistTable {
     /// Builds the table for an ED query with PAA `paa`.
     #[must_use]
     pub fn new_point(paa: &[f32], seg_lens: &[u32]) -> Self {
-        Self::build(paa.len(), seg_lens, |seg, lo, hi| {
-            interval_dist_sq(paa[seg], lo, hi)
-        })
+        let mut table = Self::default();
+        table.fill_point(paa, seg_lens);
+        table
     }
 
     /// Builds the table for a DTW query with PAA envelope bounds.
     #[must_use]
     pub fn new_interval(env_lo: &[f32], env_hi: &[f32], seg_lens: &[u32]) -> Self {
-        Self::build(env_lo.len(), seg_lens, |seg, lo, hi| {
-            interval_gap_sq(env_lo[seg], env_hi[seg], lo, hi)
-        })
+        let mut table = Self::default();
+        table.fill_interval(env_lo, env_hi, seg_lens);
+        table
     }
 
-    fn build(segments: usize, seg_lens: &[u32], dist: impl Fn(usize, f32, f32) -> f32) -> Self {
+    /// Refills this table for another ED query, reusing its 128 KiB
+    /// buffer — a worker answering many queries keeps one table instead of
+    /// allocating (and faulting in) a fresh one per query.
+    pub fn fill_point(&mut self, paa: &[f32], seg_lens: &[u32]) {
+        self.fill(paa.len(), seg_lens, |seg, lo, hi| {
+            interval_dist_sq(paa[seg], lo, hi)
+        });
+    }
+
+    /// Refills this table for another DTW query (see
+    /// [`fill_point`](Self::fill_point)).
+    pub fn fill_interval(&mut self, env_lo: &[f32], env_hi: &[f32], seg_lens: &[u32]) {
+        self.fill(env_lo.len(), seg_lens, |seg, lo, hi| {
+            interval_gap_sq(env_lo[seg], env_hi[seg], lo, hi)
+        });
+    }
+
+    fn fill(&mut self, segments: usize, seg_lens: &[u32], dist: impl Fn(usize, f32, f32) -> f32) {
         assert_eq!(segments, seg_lens.len());
         let bp = breakpoints();
         let stride_seg = MAX_BITS as usize * MAX_CARDINALITY;
-        let mut table = vec![0.0f32; segments * stride_seg];
+        // Every slot a lookup can reach (`prefix < 2^bits`) is rewritten
+        // below; the rest stay zero from the sizing.
+        if self.table.len() != segments * stride_seg {
+            self.table = vec![0.0f32; segments * stride_seg];
+        }
+        self.segments = segments;
         for (seg, &seg_len) in seg_lens.iter().enumerate() {
             let weight = seg_len as f32;
             for bits in 1..=MAX_BITS {
                 let row_base = seg * stride_seg + (bits as usize - 1) * MAX_CARDINALITY;
                 for prefix in 0..(1usize << bits) {
                     let (lo, hi) = bp.region(prefix as u8, bits);
-                    table[row_base + prefix] = weight * dist(seg, lo, hi);
+                    self.table[row_base + prefix] = weight * dist(seg, lo, hi);
                 }
             }
         }
-        Self { table, segments }
     }
 
     /// The contribution of segment `seg` at one-bit cardinality, for both
@@ -544,6 +572,24 @@ mod tests {
                     zero
                 };
             }
+        }
+    }
+
+    #[test]
+    fn refilled_node_table_equals_a_fresh_one() {
+        // One table reused across queries, segment counts and both kinds.
+        let mut reused = NodeMindistTable::default();
+        for (seed, segments) in [(3u64, 16usize), (4, 8), (5, 16)] {
+            let q = Quantizer::new(64, segments).unwrap();
+            let paa_a = crate::paa::paa(&series(seed, 64), segments);
+            reused.fill_point(&paa_a, q.segment_lens());
+            let fresh = NodeMindistTable::new_point(&paa_a, q.segment_lens());
+            assert_eq!(reused.table, fresh.table, "point, {segments} segments");
+            let lo: Vec<f32> = paa_a.iter().map(|v| v - 0.2).collect();
+            let hi: Vec<f32> = paa_a.iter().map(|v| v + 0.2).collect();
+            reused.fill_interval(&lo, &hi, q.segment_lens());
+            let fresh = NodeMindistTable::new_interval(&lo, &hi, q.segment_lens());
+            assert_eq!(reused.table, fresh.table, "interval, {segments} segments");
         }
     }
 

@@ -6,132 +6,109 @@
 //! The pruning cascade per candidate: iSAX-envelope lower bound (node and
 //! entry level) → LB_Keogh on the raw series → early-abandoned banded DTW.
 //!
-//! Like the ED paths ([`crate::query`]), every entry point is generic
-//! over [`RawSource`]: the cascade's first stage prunes from the leaf
-//! summaries alone, so an on-disk source pays positioned reads only for
-//! entries that survive the iSAX bound — this is what gives exact DTW an
-//! on-disk schedule. Mid-query read failures surface as `Err` through the
-//! worker pool's shared [`ErrorSlot`].
+//! The schedules are the Euclidean ones ([`crate::query`] — whole queries
+//! per worker, cooperative, or shared fetch, chosen by the same rule from
+//! the source's residence and the batch width); this module only supplies
+//! the DTW `LeafKernel`: interval tables instead of point tables, the
+//! cascade at the leaves, and [`Phase::DtwCascade`] as the phase the
+//! broadcast is booked under. Like the ED paths, every entry point is
+//! generic over [`RawSource`]: the cascade's first stage prunes from the
+//! leaf summaries alone, so an on-disk source pays positioned reads only
+//! for entries that survive the iSAX bound — this is what gives exact DTW
+//! an on-disk schedule. Mid-query read failures surface as `Err`.
 
 use crate::build::MessiIndex;
 use crate::config::MessiConfig;
-use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
-use crate::traverse::BatchTraversal;
-use dsidx_isax::NodeMindistTable;
-use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};
+use crate::query::{exact_batch, LeafKernel};
+use dsidx_isax::{NodeMindistTable, Quantizer, Word};
+use dsidx_obs::phase::Phase;
 use dsidx_query::{
-    approx_leaf_flat, batch_process_leaf_entries_dtw, batch_seed_positions_dtw, finish_knn,
-    process_leaf_entries_dtw, seed_from_entries_dtw, AtomicQueryStats, BatchStats, DtwPrepared,
-    ErrorSlot, QueryBatch, QueryStats, SeriesFetcher, ShardView, SharedTopK,
+    batch_process_leaf_entries_dtw, batch_seed_positions_dtw, process_leaf_entries_dtw,
+    seed_from_entries_dtw, BatchStats, DtwPrepared, LeafScratch, Pruner, QueryBatch, QueryStats,
+    SeriesFetcher, ShardView,
 };
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
-use dsidx_sync::{AtomicBest, Pruner, SpinBarrier};
 
-/// The shared DTW schedule behind [`exact_nn_dtw`] and [`exact_knn_dtw`],
-/// generic over [`Pruner`] exactly like the ED paths: the same traversal +
-/// sorted-run scheduling, with the iSAX-envelope → LB_Keogh → banded
-/// DTW cascade at the leaves pruning against `best.threshold_sq()`.
-/// Returns `Ok(None)` for an empty index.
-fn run_exact_dtw<P: Pruner>(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    query: &[f32],
+/// Banded DTW: interval MINDIST tables from the query's envelope, then
+/// LB_Keogh → early-abandoned DTW for what survives them.
+struct Dtw {
     band: usize,
-    cfg: &MessiConfig,
-    best: &P,
-) -> Result<Option<QueryStats>, StorageError> {
-    let config = messi.index.config();
-    assert_eq!(query.len(), config.series_len(), "query length mismatch");
-    cfg.validate();
-    let flat = &messi.flat;
-    if flat.entry_count() == 0 {
-        return Ok(None);
+}
+
+impl LeafKernel for Dtw {
+    type Prep = DtwPrepared;
+    const PHASE: Phase = Phase::DtwCascade;
+
+    fn prepare(&self, quantizer: &Quantizer, query: &[f32]) -> DtwPrepared {
+        DtwPrepared::new(quantizer, query, self.band)
     }
-    let quantizer = config.quantizer();
-    let mut clock = PhaseClock::start();
-    let mut phase = PhaseBreakdown::new();
 
-    // Query envelope, its PAA bounds, and the interval MINDIST tables.
-    let prep = DtwPrepared::new(quantizer, query, band);
-    let node_table = prep.node_table(quantizer);
-    let pool = dsidx_sync::pool::global(cfg.threads);
-    phase.record(Phase::Prepare, clock.lap());
+    fn word(prep: &DtwPrepared) -> &Word {
+        &prep.word
+    }
 
-    // Initial BSF from the query's own leaf (approximate answer): the
-    // kernel's ED descent locates the leaf, seeding pays DTW distances.
-    let query_word = quantizer.word(query);
-    let approx_idx =
-        approx_leaf_flat(flat, &query_word).expect("non-empty index has a non-empty leaf");
-    let mut fetcher = SeriesFetcher::new(source);
-    let approx_real = seed_from_entries_dtw(
-        flat.leaf_entries(flat.node(approx_idx)),
-        &mut fetcher,
-        query,
-        band,
-        best,
-    )
-    .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-    phase.record(Phase::Seed, clock.lap());
+    fn fill_node_table(prep: &DtwPrepared, quantizer: &Quantizer, table: &mut NodeMindistTable) {
+        prep.fill_node_table(quantizer, table);
+    }
 
-    let shared = AtomicQueryStats::new();
-    let runs = LeafRuns::new(cfg.threads, 0);
-    let traversal = crate::traverse::Traversal::new(flat, &node_table, best);
-    let phase_barrier = SpinBarrier::new(cfg.threads);
-    let errors = ErrorSlot::for_phase(Phase::DtwCascade);
+    fn seed<P: Pruner>(
+        &self,
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        query: &[f32],
+        pruner: &P,
+    ) -> Result<u64, StorageError> {
+        seed_from_entries_dtw(positions.iter().copied(), fetcher, query, self.band, pruner)
+    }
 
-    pool.broadcast(&|worker| {
-        // Workers accumulate locally and merge once (see `AtomicQueryStats`).
-        let mut local = QueryStats::default();
-        // Traversal phase (cooperative; see `crate::traverse`).
-        let mut run = RunBuilder::new();
-        local.nodes_pruned = traversal.run_worker(&mut run);
-        local.leaves_enqueued = run.len() as u64;
-        runs.publish(worker, run);
-        phase_barrier.wait();
+    fn process_leaf<P: Pruner>(
+        &self,
+        prep: &DtwPrepared,
+        words: &[Word],
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        query: &[f32],
+        pruner: &P,
+        scratch: &mut LeafScratch,
+        stats: &mut QueryStats,
+    ) -> Result<u64, StorageError> {
+        process_leaf_entries_dtw(
+            words, positions, prep, fetcher, query, self.band, pruner, scratch, stats,
+        )
+    }
 
-        // Processing phase.
-        let mut fetcher = SeriesFetcher::new(source);
-        let unclaimed = drain_best_first(&runs, worker, |lb, idx, _| {
-            if errors.is_set() || lb >= best.threshold_sq() {
-                local.leaves_discarded += 1;
-                return Drain::Abandon;
-            }
-            local.leaves_processed += 1;
-            let entries = flat.leaf_entries(flat.node(idx));
-            match process_leaf_entries_dtw(
-                entries,
-                &prep,
-                &mut fetcher,
-                query,
-                band,
-                best,
-                &mut local,
-            ) {
-                Ok(()) => Drain::Processed,
-                Err(e) => {
-                    errors.record(e);
-                    Drain::Abandon
-                }
-            }
-        });
-        local.leaves_discarded += unclaimed;
-        shared.merge(&local);
-    });
-    errors.take()?;
-    phase.record(Phase::DtwCascade, clock.lap());
+    fn batch_seed(
+        &self,
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        batch: &QueryBatch<'_, ()>,
+    ) -> Result<(), StorageError> {
+        batch_seed_positions_dtw(positions, fetcher, batch, self.band)
+    }
 
-    let mut stats = shared.snapshot();
-    stats.real_computed += approx_real;
-    stats.phase = stats.phase.merged(&phase);
-    Ok(Some(stats))
+    fn batch_process_leaf(
+        &self,
+        preps: &[DtwPrepared],
+        words: &[Word],
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        batch: &QueryBatch<'_, ()>,
+        active: &[usize],
+        survivors: &mut Vec<usize>,
+        locals: &mut [QueryStats],
+    ) -> Result<(), StorageError> {
+        batch_process_leaf_entries_dtw(
+            words, positions, fetcher, batch, active, preps, self.band, survivors, locals,
+        )
+    }
 }
 
 /// Exact 1-NN under banded DTW through the MESSI index over any
-/// [`RawSource`], with the unified per-query work counters: the
-/// tree-traversal counters plus the DTW cascade's LB_Keogh prunes and
-/// early-abandoned DTWs — so the `ext-dtw` experiment reports like the ED
-/// ones.
+/// [`RawSource`]: [`exact_knn_dtw`] at `k = 1`, with the unified per-query
+/// work counters — the tree-traversal counters plus the DTW cascade's
+/// LB_Keogh prunes and early-abandoned DTWs — so the `ext-dtw` experiment
+/// reports like the ED ones.
 ///
 /// Returns `Ok(None)` for an empty index.
 ///
@@ -147,20 +124,13 @@ pub fn exact_nn_dtw(
     band: usize,
     cfg: &MessiConfig,
 ) -> Result<Option<(Match, QueryStats)>, StorageError> {
-    let best = AtomicBest::new();
-    match run_exact_dtw(messi, source, query, band, cfg, &best)? {
-        None => Ok(None),
-        Some(stats) => {
-            let (dist_sq, pos) = best.get();
-            Ok(Some((Match::new(pos, dist_sq), stats)))
-        }
-    }
+    let (matches, stats) = exact_knn_dtw(messi, source, query, band, 1, cfg)?;
+    Ok(matches.first().map(|&nearest| (nearest, stats)))
 }
 
-/// Exact k-NN under banded DTW through the MESSI index: the same
-/// traversal and sorted-run schedule as [`exact_nn_dtw`], pruning the
-/// whole cascade (iSAX envelope bound, LB_Keogh, early-abandoned DTW)
-/// against the k-th best DTW distance (a [`SharedTopK`]).
+/// Exact k-NN under banded DTW through the MESSI index, pruning the whole
+/// cascade (iSAX envelope bound, LB_Keogh, early-abandoned DTW) against
+/// the k-th best DTW distance: [`exact_knn_dtw_batch`] with a batch of one.
 ///
 /// Returns the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,
@@ -181,23 +151,12 @@ pub fn exact_knn_dtw(
     k: usize,
     cfg: &MessiConfig,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let topk = SharedTopK::new(k);
-    let stats = run_exact_dtw(messi, source, query, band, cfg, &topk)?;
-    Ok(finish_knn(&topk, stats))
+    let (mut matches, stats) = exact_knn_dtw_batch(messi, source, &[query], band, k, cfg)?;
+    Ok((matches.pop().expect("batch of one"), stats.into_single()))
 }
 
 /// Exact k-NN under banded DTW for a *batch* of queries in **one** pool
-/// broadcast — the DTW cell of the batched query plane: the tree is
-/// traversed once for the whole batch using per-query *interval* node
-/// tables (a node is pruned only when every query's threshold beats its
-/// envelope bound), queued leaves carry the per-query node
-/// mindists, and a popped leaf pays the full DTW cascade (interval iSAX
-/// bound → LB_Keogh → early-abandoned banded DTW) once per entry for every
-/// query whose leaf-level bound survived, fetching the entry from the
-/// source at most once per leaf visit.
-///
-/// Answers are element-wise identical to calling [`exact_knn_dtw`] per
-/// query, deterministic across runs and thread counts.
+/// broadcast: [`exact_knn_dtw_batch_shared`] without a shard view.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -216,13 +175,20 @@ pub fn exact_knn_dtw_batch(
     exact_knn_dtw_batch_shared(messi, source, queries, band, k, cfg, None)
 }
 
-/// [`exact_knn_dtw_batch`] with an optional cross-shard pruner view (see
-/// [`SharedPruners`](dsidx_query::SharedPruners)): with `shard` set, the
-/// whole DTW cascade prunes against thresholds that other shards tighten
-/// mid-flight, and recorded positions are rebased to global. The returned
-/// matches then reflect the whole gather so far; the coordinator uses this
-/// return value for stats and reads the final answer from the shared
-/// pruners after every shard joined.
+/// Exact k-NN under banded DTW for a batch of queries in **one** pool
+/// broadcast — the DTW cell of the batched query plane, and the entry
+/// point every other exact DTW function of this crate delegates to. The
+/// batch is scheduled exactly like a Euclidean one (see
+/// [`exact_knn_batch_shared`](crate::query::exact_knn_batch_shared) and the
+/// [`crate::query`] module docs), with interval node tables in the
+/// traversal and the full cascade (interval iSAX bound → LB_Keogh →
+/// early-abandoned banded DTW) at the leaves.
+///
+/// Answers are element-wise identical to calling [`exact_knn_dtw`] per
+/// query, deterministic across runs, thread counts and schedules. With
+/// `shard` set (see [`SharedPruners`](dsidx_query::SharedPruners)) the
+/// whole cascade prunes against thresholds that other shards tighten
+/// mid-flight, and recorded positions are rebased to global.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -238,119 +204,7 @@ pub fn exact_knn_dtw_batch_shared(
     cfg: &MessiConfig,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    let config = messi.index.config();
-    for q in queries {
-        assert_eq!(q.len(), config.series_len(), "query length mismatch");
-    }
-    cfg.validate();
-    let flat = &messi.flat;
-    let quantizer = config.quantizer();
-    let mut clock = PhaseClock::start();
-    let batch = QueryBatch::for_shard(quantizer, queries, k, shard);
-    let prepare_nanos = clock.lap();
-    if flat.entry_count() == 0 || batch.is_empty() {
-        return Ok(batch.finish(0, QueryStats::default()));
-    }
-    batch.phases().record(Phase::Prepare, prepare_nanos);
-    let preps: Vec<DtwPrepared> = batch
-        .slots()
-        .iter()
-        .map(|s| DtwPrepared::new(quantizer, s.values, band))
-        .collect();
-    let node_tables: Vec<NodeMindistTable> =
-        preps.iter().map(|p| p.node_table(quantizer)).collect();
-    let pool = dsidx_sync::pool::global(cfg.threads);
-    clock.lap_into(batch.phases(), Phase::Prepare);
-
-    // Initial thresholds from the union of the batch's own leaves
-    // (distinct leaves only), cross-seeded into every pruner with
-    // early-abandoned DTW distances.
-    let mut leaf_idxs: Vec<u32> = batch
-        .slots()
-        .iter()
-        .map(|slot| {
-            approx_leaf_flat(flat, &slot.prep.word).expect("non-empty index has a non-empty leaf")
-        })
-        .collect();
-    leaf_idxs.sort_unstable();
-    leaf_idxs.dedup();
-    let mut positions: Vec<u32> = leaf_idxs
-        .iter()
-        .flat_map(|&idx| flat.leaf_entries(flat.node(idx)).iter().map(|e| e.pos))
-        .collect();
-    positions.sort_unstable();
-    positions.dedup();
-    let mut fetcher = SeriesFetcher::new(source);
-    batch_seed_positions_dtw(&positions, &mut fetcher, &batch, band)
-        .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-    clock.lap_into(batch.phases(), Phase::Seed);
-
-    // Phase A: one cooperative traversal for the whole batch over the
-    // interval tables; Phase B: best-bound-first processing, once per leaf
-    // for the whole batch, the DTW cascade per surviving query. One
-    // broadcast, phases separated by a spin barrier — exactly the ED batch
-    // schedule with the DTW leaf kernel. A failed raw read closes the run
-    // and surfaces after the join.
-    let shared = AtomicQueryStats::new();
-    let runs = LeafRuns::new(cfg.threads, batch.len());
-    let traversal = BatchTraversal::new(flat, &node_tables, &batch);
-    let phase_barrier = SpinBarrier::new(cfg.threads);
-    let errors = ErrorSlot::for_phase(Phase::DtwCascade);
-
-    pool.broadcast(&|worker| {
-        let mut shared_local = QueryStats::default();
-        let mut locals = vec![QueryStats::default(); batch.len()];
-        let mut run = RunBuilder::new();
-        shared_local.nodes_pruned = traversal.run_worker(&mut run);
-        shared_local.leaves_enqueued = run.len() as u64;
-        runs.publish(worker, run);
-        phase_barrier.wait();
-
-        let mut fetcher = SeriesFetcher::new(source);
-        let mut active: Vec<usize> = Vec::with_capacity(batch.len());
-        let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
-        let unclaimed = drain_best_first(&runs, worker, |min_lb, idx, lbs| {
-            if errors.is_set() || min_lb >= batch.max_threshold_sq() {
-                shared_local.leaves_discarded += 1;
-                return Drain::Abandon;
-            }
-            active.clear();
-            for (qi, slot) in batch.slots().iter().enumerate() {
-                if lbs[qi] < slot.topk.threshold_sq() {
-                    active.push(qi);
-                }
-            }
-            if active.is_empty() {
-                shared_local.leaves_discarded += 1;
-                return Drain::Processed;
-            }
-            shared_local.leaves_processed += 1;
-            let entries = flat.leaf_entries(flat.node(idx));
-            match batch_process_leaf_entries_dtw(
-                entries,
-                &mut fetcher,
-                &batch,
-                &active,
-                &preps,
-                band,
-                &mut survivors,
-                &mut locals,
-            ) {
-                Ok(()) => Drain::Processed,
-                Err(e) => {
-                    errors.record(e);
-                    Drain::Abandon
-                }
-            }
-        });
-        shared_local.leaves_discarded += unclaimed;
-        batch.merge_locals(&locals);
-        shared.merge(&shared_local);
-    });
-    errors.take()?;
-    clock.lap_into(batch.phases(), Phase::DtwCascade);
-
-    Ok(batch.finish(1, shared.snapshot()))
+    exact_batch(&Dtw { band }, messi, source, queries, k, cfg, shard)
 }
 
 /// *Approximate* k-NN under banded DTW: descend to the query's own leaf
@@ -373,9 +227,9 @@ pub fn approx_knn_dtw(
     band: usize,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    crate::query::approx_leaf_visit(messi, query, k, |entries, topk| {
+    crate::query::approx_leaf_visit(messi, query, k, |positions, topk| {
         let mut fetcher = SeriesFetcher::new(source);
-        seed_from_entries_dtw(entries, &mut fetcher, query, band, topk)
+        seed_from_entries_dtw(positions.iter().copied(), &mut fetcher, query, band, topk)
     })
 }
 
@@ -393,6 +247,15 @@ mod tests {
 
     fn cfg(threads: usize) -> MessiConfig {
         MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(64)
+    }
+
+    /// Every enqueued leaf is processed or discarded, exactly once.
+    fn assert_funnel_exact(stats: &QueryStats) {
+        assert_eq!(
+            stats.leaves_processed + stats.leaves_discarded,
+            stats.leaves_enqueued,
+            "{stats:?}"
+        );
     }
 
     #[test]
@@ -471,12 +334,25 @@ mod tests {
                             "q{qi} band={band} k={k} x{threads}"
                         );
                     }
-                    // Traversal counters live in the shared slice, and
-                    // the leaf funnel is exact.
-                    assert_eq!(
-                        stats.shared.leaves_processed + stats.shared.leaves_discarded,
-                        stats.shared.leaves_enqueued
-                    );
+                    // A resident source is traversed per query, and each
+                    // query's leaf funnel is exact.
+                    for (qi, q) in stats.per_query.iter().enumerate() {
+                        assert!(q.leaves_enqueued > 0, "q{qi} band={band} k={k} x{threads}");
+                        assert_funnel_exact(q);
+                    }
+                    assert_eq!(stats.shared.leaves_enqueued, 0);
+                    // The same batch over a source that is not resident
+                    // is traversed once for the whole batch: same answers,
+                    // the funnel in the shared slice, fetches shared.
+                    let file = FlakySource::new(data.clone(), u64::MAX);
+                    let (on_file, stats) =
+                        exact_knn_dtw_batch(&messi, &file, &qrefs, band, k, &c).unwrap();
+                    assert_eq!(on_file, batched, "band={band} k={k} x{threads}");
+                    assert_eq!(stats.broadcasts, 1);
+                    assert!(stats.shared.leaves_enqueued > 0);
+                    assert_funnel_exact(&stats.shared);
+                    assert!(stats.per_query.iter().all(|q| q.leaves_enqueued == 0));
+                    assert!(stats.series_fetched <= stats.series_requests);
                 }
             }
         }

@@ -7,8 +7,9 @@
 //! contended lock plus a sift on every push and every pop. So here:
 //!
 //! * **Fill** — each traversal worker appends to its own [`RunBuilder`]:
-//!   no lock, no atomic, no per-leaf allocation (the per-query leaf bounds
-//!   of a batch go to a flat `f32` arena beside the items).
+//!   no lock, no atomic, no per-leaf allocation. A leaf is one `u64`
+//!   (bound bits above the leaf index), so sorting a run is sorting
+//!   integers.
 //! * **Publish** — before the phase barrier the worker sorts its run by
 //!   `(bound, leaf)` and hands it to the shared [`LeafRuns`].
 //! * **Drain** — after the barrier each run is claimed best-bound-first
@@ -16,6 +17,15 @@
 //!   others' (work stealing for free). A popped bound that proves the rest
 //!   of a run prunable *closes* the run by swapping its cursor to the end,
 //!   which also tells exactly how many leaves were never claimed.
+//!
+//! A worker that answers a whole query alone (see [`crate::query`]) skips
+//! publish and cursor: it [`sort`](RunBuilder::sort)s its run in place
+//! and walks it with [`get`](RunBuilder::get).
+//!
+//! Only the shared-fetch batch schedule (non-resident sources) attaches
+//! anything to a leaf: one node-level bound per query of the batch, kept
+//! in a flat `f32` arena beside the keys (`width` floats per leaf). Runs
+//! of the single-query schedules have width 0 and carry no arena.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -36,21 +46,26 @@ fn drain_pops_histogram() -> &'static dsidx_obs::registry::Histogram {
     })
 }
 
-/// One queued leaf, ordered by a non-negative `f32` bound via its bit
-/// pattern (valid because non-negative IEEE-754 floats order like their
-/// bits), ties broken by leaf index so a run's order is deterministic.
-#[derive(Debug, Clone, Copy)]
-struct RunItem {
-    lb_bits: u32,
-    leaf: u32,
-    /// Offset of this leaf's per-query bounds in the run's arena.
-    bounds_at: u32,
+/// One queued leaf as an integer that orders like `(bound, leaf)`: the
+/// bound's bit pattern above the leaf index (valid because non-negative
+/// IEEE-754 floats order like their bits). Leaves are unique within a run,
+/// so a run's order is deterministic.
+#[inline]
+fn pack(key: f32, leaf: u32) -> u64 {
+    (u64::from(key.to_bits()) << 32) | u64::from(leaf)
+}
+
+#[inline]
+fn unpack(item: u64) -> (f32, u32) {
+    (f32::from_bits((item >> 32) as u32), item as u32)
 }
 
 /// One worker's private run under construction (traversal phase).
 #[derive(Debug, Default)]
 pub struct RunBuilder {
-    items: Vec<RunItem>,
+    items: Vec<u64>,
+    /// Per-query bounds of each pushed leaf, in push order (`width` per
+    /// leaf); empty on the single-query schedules.
     bounds: Vec<f32>,
 }
 
@@ -74,8 +89,8 @@ impl RunBuilder {
     }
 
     /// Appends leaf `leaf` under ordering key `key`, carrying `bounds`
-    /// (one node-level bound per query of a batch; empty on the
-    /// single-query paths, whose only bound is the key).
+    /// (one node-level bound per query of a shared-fetch batch; empty on
+    /// the single-query schedules, whose only bound is the key).
     ///
     /// # Panics
     /// Panics if `key` is negative or NaN (lower bounds are non-negative,
@@ -83,24 +98,53 @@ impl RunBuilder {
     #[inline]
     pub fn push(&mut self, key: f32, leaf: u32, bounds: &[f32]) {
         assert!(key >= 0.0, "run keys are non-negative lower bounds");
-        let bounds_at = u32::try_from(self.bounds.len()).expect("bounds arena fits u32 offsets");
         self.bounds.extend_from_slice(bounds);
-        self.items.push(RunItem {
-            lb_bits: key.to_bits(),
-            leaf,
-            bounds_at,
-        });
+        self.items.push(pack(key, leaf));
+    }
+
+    /// Forgets every pushed leaf, keeping the allocation — a worker
+    /// answering query after query reuses one builder.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.bounds.clear();
+    }
+
+    /// Sorts the run best-bound-first in place, for the worker that filled
+    /// it to walk with [`get`](Self::get).
+    ///
+    /// # Panics
+    /// Panics if any leaf carries bounds (they are addressed by push
+    /// order, which an in-place sort would lose — publish such a run).
+    pub fn sort(&mut self) {
+        assert!(self.bounds.is_empty(), "runs with bounds are published");
+        self.items.sort_unstable();
+    }
+
+    /// The `i`-th leaf as `(bound, leaf)`; `None` past the end.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<(f32, u32)> {
+        self.items.get(i).copied().map(unpack)
     }
 }
 
-/// A published run: sorted items, their bounds arena, and the claim
-/// cursor. Aligned to a cache line so draining one run never bounces the
-/// line another run's cursor lives on.
+/// A run sorted for the shared drain.
+#[derive(Debug)]
+struct SortedRun {
+    items: Vec<u64>,
+    /// Push index of each sorted item — its row in `bounds`. Empty at
+    /// width 0.
+    rows: Vec<u32>,
+    bounds: Vec<f32>,
+}
+
+/// A published run and its claim cursor. Aligned to a cache line so
+/// draining one run never bounces the line another run's cursor lives on.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct Run {
     cursor: AtomicUsize,
-    sorted: OnceLock<RunBuilder>,
+    sorted: OnceLock<SortedRun>,
 }
 
 impl Run {
@@ -121,7 +165,8 @@ impl Run {
 /// The per-query set of leaf runs, one per worker.
 #[derive(Debug)]
 pub struct LeafRuns {
-    /// Bounds carried per leaf (the batch size; 0 on single-query paths).
+    /// Bounds carried per leaf (the batch size on the shared-fetch batch
+    /// schedule; 0 on the single-query ones).
     width: usize,
     runs: Box<[Run]>,
 }
@@ -144,16 +189,30 @@ impl LeafRuns {
     /// # Panics
     /// Panics on a second publish for the same worker, or if some leaf
     /// does not carry exactly `width` bounds.
-    pub fn publish(&self, worker: usize, mut run: RunBuilder) {
+    pub fn publish(&self, worker: usize, run: RunBuilder) {
+        let RunBuilder { mut items, bounds } = run;
         assert_eq!(
-            run.bounds.len(),
-            run.items.len() * self.width,
+            bounds.len(),
+            items.len() * self.width,
             "every leaf carries one bound per query"
         );
-        run.items
-            .sort_unstable_by_key(|item| (item.lb_bits, item.leaf));
+        let rows = if self.width == 0 {
+            items.sort_unstable();
+            Vec::new()
+        } else {
+            let mut tagged: Vec<(u64, u32)> = items.iter().copied().zip(0u32..).collect();
+            tagged.sort_unstable();
+            let (sorted, rows) = tagged.into_iter().unzip();
+            items = sorted;
+            rows
+        };
+        let sorted = SortedRun {
+            items,
+            rows,
+            bounds,
+        };
         assert!(
-            self.runs[worker].sorted.set(run).is_ok(),
+            self.runs[worker].sorted.set(sorted).is_ok(),
             "worker {worker} published its run twice"
         );
     }
@@ -169,14 +228,14 @@ pub enum Drain {
     Abandon,
 }
 
-/// The best-bound-first processing schedule shared by every MESSI query
-/// path: starting from the worker's own run, claim leaves in ascending
-/// bound order and hand `(bound, leaf, per-query bounds)` to `on_pop`;
-/// leave a run when it is exhausted or `on_pop` abandons it (which closes
-/// it for everyone); move on to the next worker's run. Returns the number
-/// of leaves this worker's abandons left unclaimed — each such leaf is
-/// counted by exactly one worker, so summed over workers
-/// `popped + returned == published`.
+/// The best-bound-first processing schedule of the cooperative MESSI
+/// schedules: starting from the worker's own run, claim leaves in
+/// ascending bound order and hand `(bound, leaf, per-query bounds)` to
+/// `on_pop`; leave a run when it is exhausted or `on_pop` abandons it
+/// (which closes it for everyone); move on to the next worker's run.
+/// Returns the number of leaves this worker's abandons left
+/// unclaimed — each such leaf is counted by exactly one worker, so summed
+/// over workers `popped + returned == published`.
 ///
 /// Must only run after every worker published (i.e. behind the barrier).
 pub fn drain_best_first(
@@ -199,16 +258,19 @@ pub fn drain_best_first(
             // payload; the items it indexes were published through the
             // `OnceLock` (acquired by `get` above) before the barrier.
             let i = run.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = sorted.items.get(i) else {
+            let Some(&item) = sorted.items.get(i) else {
                 break;
             };
             pops += 1;
-            let at = item.bounds_at as usize;
-            let bounds = &sorted.bounds[at..at + runs.width];
-            if matches!(
-                on_pop(f32::from_bits(item.lb_bits), item.leaf, bounds),
-                Drain::Abandon
-            ) {
+            let (key, leaf) = unpack(item);
+            let bounds = match sorted.rows.get(i) {
+                Some(&row) => {
+                    let at = row as usize * runs.width;
+                    &sorted.bounds[at..at + runs.width]
+                }
+                None => &[][..],
+            };
+            if matches!(on_pop(key, leaf, bounds), Drain::Abandon) {
                 unclaimed += run.close(len);
                 break;
             }
@@ -256,6 +318,28 @@ mod tests {
             drain_all(&runs, 0),
             vec![(0.5, 5), (1.0, 7), (1.0, 10), (2.0, 20), (3.0, 30)]
         );
+    }
+
+    #[test]
+    fn a_private_run_sorts_in_place_and_is_reusable() {
+        let mut run = run_of(&[(3.0, 30), (1.0, 10), (2.0, 20), (1.0, 7)]);
+        run.sort();
+        let walked: Vec<_> = (0..).map_while(|i| run.get(i)).collect();
+        assert_eq!(walked, vec![(1.0, 7), (1.0, 10), (2.0, 20), (3.0, 30)]);
+        assert_eq!(run.get(4), None);
+        run.clear();
+        assert!(run.is_empty());
+        run.push(0.5, 5, &[]);
+        run.sort();
+        assert_eq!(run.get(0), Some((0.5, 5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "runs with bounds are published")]
+    fn a_run_with_bounds_cannot_be_sorted_in_place() {
+        let mut run = RunBuilder::new();
+        run.push(1.0, 0, &[1.0]);
+        run.sort();
     }
 
     #[test]

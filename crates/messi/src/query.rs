@@ -1,152 +1,684 @@
 //! MESSI exact query answering (stage 3 of Fig. 3).
 //!
-//! Two phases, executed by one pool broadcast with a spin-barrier between:
+//! One query is answered in two steps, whoever runs them:
 //!
-//! * **Traversal** — workers claim root subtrees by Fetch&Inc and prune
-//!   with node-level lower bounds against the shared BSF; the root level
-//!   (tens of thousands of one-bit words) is scanned flat from the key
-//!   bits alone, without touching tree memory. Each worker appends its
-//!   surviving leaves to a private run and publishes it sorted by bound.
-//! * **Processing** — workers claim leaves best-bound-first, their own
-//!   run first, then the others'; a popped bound above the BSF abandons
-//!   the whole run (everything behind it is farther). Surviving entries
-//!   pay an entry-level lower bound, then an early-abandoned real
-//!   distance.
+//! * **Traversal** — root subtrees are claimed by Fetch&Inc and pruned
+//!   with node-level lower bounds against the query's best-so-far; the
+//!   root level (tens of thousands of one-bit words) is scanned from the
+//!   key bits alone, two table reads per root
+//!   ([`RootBounds`](crate::traverse::RootBounds)), without touching tree
+//!   memory. Surviving leaves are appended to a run and sorted by bound.
+//! * **Processing** — leaves are visited best-bound-first; a bound at or
+//!   above the best-so-far abandons everything behind it. A visited leaf
+//!   is bounded whole by the batched MINDIST kernel over its padded word
+//!   run, its survivors' series are prefetched, then each survivor pays an
+//!   early-abandoned real distance. A worker walking its own sorted run
+//!   also knows which leaf comes a few steps later and requests its words
+//!   early; the shared drain of the cooperative schedule does not (what the
+//!   next claim of a shared cursor will be is anyone's guess, and the same
+//!   lookahead there measured no gain).
 //!
-//! Query preparation, approximate-descent seeding and the per-entry
-//! verify loop come from the shared kernel (`dsidx-query`); this module
-//! contributes the MESSI scheduling — cooperative traversal plus
-//! best-bound-first run draining (see [`crate::pqueue`]). All tree reads
-//! go through the flattened view ([`dsidx_tree::flat`]).
+//! Query preparation, approximate-descent seeding and the per-leaf loops
+//! come from the shared kernel (`dsidx-query`), reached through
+//! `LeafKernel` so that the Euclidean schedules here and the DTW ones in
+//! [`crate::dtw`] are the same code. This module contributes the MESSI
+//! scheduling. All tree reads go through the flattened view
+//! ([`dsidx_tree::flat`]).
 //!
-//! Every entry point is generic over [`RawSource`]: the tree prunes the
-//! same way wherever the raw values live, and only the surviving
-//! candidates pay a fetch — zero-copy against an in-memory [`Dataset`],
-//! device-charged positioned reads against a
-//! [`DatasetFile`](dsidx_storage::DatasetFile). A read failing mid-query
-//! (a device dying under load) surfaces as `Err`: each worker records the
-//! first failure in a shared [`ErrorSlot`], its peers close the runs
-//! without paying further I/O, and the broadcast's coordinator returns the
-//! error.
+//! # Which schedule runs
 //!
-//! [`Dataset`]: dsidx_series::Dataset
+//! MESSI parallelises *inside* a query because it assumes one query at a
+//! time. With a batch in hand that is the wrong axis: pruning a tree node
+//! only when 64 unrelated queries agree prunes almost nothing, and a
+//! barrier, a shared run and per-leaf survivor lists buy nothing when the
+//! raw data is a pointer away. So [`exact_knn_batch_shared`] — the one
+//! entry point; everything else here delegates to it — picks one of three
+//! schedules from what it can observe about the call, and from nothing
+//! else (there is no option, environment variable or feature behind it):
+//!
+//! | source | batch width | schedule |
+//! |---|---|---|
+//! | resident (`as_memory()` is `Some`) | `>= threads` | **whole queries**: workers claim query indices from a [`WorkQueue`] and answer each start to finish — prepare, seed from its own leaf, traverse alone into a private run, sort, drain — with one reusable node table, run and scratch per worker. No barrier, nothing shared but the claim counter. |
+//! | resident | `< threads` | **cooperative**: the queries run one after another, all workers on each — traversal into per-worker runs, a spin barrier, best-bound-first drain with stealing (the paper's schedule). Too few queries to keep every worker busy otherwise; this is the single-query path. |
+//! | non-resident | any | **shared fetch**: one traversal for the whole batch ([`BatchTraversal`]), a popped leaf processed once and each surviving series read once for every query that wants it — on a device that charges per read, one fetch serving many queries is the saving that matters. |
+//!
+//! Every schedule is one pool broadcast per call and returns bit-identical
+//! answers: every reported distance comes from the same bounded kernel,
+//! and the top-k collectors break ties by position.
+//!
+//! What the two boundaries rest on (2 workers, alternating pairs; every
+//! run is in CHANGES.md, PR 20):
+//!
+//! * *Residence.* The resident schedules forced onto a `DiskIndex` (modeled
+//!   SSD) against shared fetch: shared fetch is faster in `repro ondisk`
+//!   on both measures (ED 46 vs 57 ms per query, DTW 377 vs 486; 12 of 12
+//!   pairs each), and at 64 queries per call by 14 % for 10-NN ED and by
+//!   5x for DTW, whose looser bounds make queries want the same series
+//!   (1,605 reads per query where answering alone takes 10,154). It is
+//!   not faster everywhere: 64 x 1-NN ED per call reads the same 380
+//!   series either way and pays 8x the distance attempts to share them
+//!   (+15 %), and one query per call is level (+4 %).
+//! * *Width.* `>= threads` is verified far from the boundary only — one
+//!   query per call (cooperative 1.7x faster than a lone whole query) and
+//!   64 (whole queries 2x the batch traversal). At the boundary the only
+//!   pool measured is 2 wide, and there cooperative was ahead at 2 and 3
+//!   queries per call (by 10 % and 7 %), level at 4, behind by 15 % at 8.
+//!   Just above the boundary whole queries leave workers idle for a full
+//!   query (9 queries on 8 workers take two query times); whether a wider
+//!   pool moves the crossover is not measured.
+//!
+//! A read failing mid-query (a device dying under load) surfaces as `Err`:
+//! the worker records the first failure in a shared [`ErrorSlot`], its
+//! peers stop claiming work, and the coordinator returns the error.
 
 use crate::build::MessiIndex;
 use crate::config::MessiConfig;
 use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
-use crate::traverse::BatchTraversal;
-use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};
+use crate::traverse::{BatchTraversal, Traversal};
+use dsidx_isax::{NodeMindistTable, Quantizer, Word};
+use dsidx_obs::phase::{Phase, PhaseAcc, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
     approx_leaf_flat, batch_process_leaf_entries, batch_seed_positions, finish_knn,
-    process_leaf_entries, seed_from_entries, AtomicQueryStats, BatchStats, ErrorSlot,
+    process_leaf_entries, seed_from_entries, AtomicQueryStats, BatchStats, ErrorSlot, LeafScratch,
     PreparedQuery, Pruner, QueryBatch, QueryStats, SeriesFetcher, ShardView, SharedTopK,
 };
+use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
-use dsidx_sync::{AtomicBest, SpinBarrier};
+use dsidx_sync::{SpinBarrier, WorkQueue};
+use dsidx_tree::FlatTree;
 
-/// The MESSI schedule behind [`exact_nn`]: approximate-descent seeding,
-/// then one pool broadcast running the cooperative traversal and the
-/// best-bound-first run processing with a spin barrier between. Returns
-/// `Ok(None)` for an empty index. (k-NN goes through the batch path —
-/// [`exact_knn`] is a batch of one.)
-fn run_exact<P: Pruner>(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    cfg: &MessiConfig,
-    best: &P,
-) -> Result<Option<QueryStats>, StorageError> {
-    let config = messi.index.config();
-    assert_eq!(query.len(), config.series_len(), "query length mismatch");
-    cfg.validate();
-    let flat = &messi.flat;
-    if flat.entry_count() == 0 {
-        return Ok(None);
-    }
-    let mut clock = PhaseClock::start();
-    let mut phase = PhaseBreakdown::new();
-    let quantizer = config.quantizer();
-    let prep = PreparedQuery::new(quantizer, query);
-    let node_table = prep.node_table(quantizer);
-    let pool = dsidx_sync::pool::global(cfg.threads);
-    phase.record(Phase::Prepare, clock.lap());
+/// What a distance measure contributes to the MESSI schedules: how a query
+/// is prepared, and the seeding and per-leaf loops that pay its distances.
+/// The schedules themselves — traversal, runs, who works on what — are
+/// written once against this.
+pub(crate) trait LeafKernel: Sync {
+    /// Per-query prepared state (summaries and lookup tables).
+    type Prep: Sync;
 
-    // Initial threshold from the query's own leaf (approximate answer),
-    // routing around empty subtrees.
-    let approx_idx =
-        approx_leaf_flat(flat, &prep.word).expect("non-empty index has a non-empty leaf");
-    let mut fetcher = SeriesFetcher::new(source);
-    let approx_real = seed_from_entries(
-        flat.leaf_entries(flat.node(approx_idx)),
-        &mut fetcher,
-        query,
-        best,
-    )
-    .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-    phase.record(Phase::Seed, clock.lap());
+    /// The phase the traversal-and-processing broadcast is booked under.
+    const PHASE: Phase;
 
-    // Phase A: cooperative parallel traversal — the root level is scanned
-    // flat from the key bits alone, large subtrees are split via work
-    // donation (see [`crate::traverse`]); surviving leaves enter the
-    // worker's run with their node-level lower bound. Phase B: pop
-    // best-first; a popped minimum above the BSF closes its whole run;
-    // each worker moves on to the next run. One broadcast, phases
-    // separated by a spin barrier. A failed raw read records into `errors`
-    // and closes the run; peers see `is_set` and close theirs.
-    let shared = AtomicQueryStats::new();
-    let runs = LeafRuns::new(cfg.threads, 0);
-    let traversal = crate::traverse::Traversal::new(flat, &node_table, best);
-    let phase_barrier = SpinBarrier::new(cfg.threads);
-    let errors = ErrorSlot::for_phase(Phase::Traversal);
+    /// Prepares `query`.
+    fn prepare(&self, quantizer: &Quantizer, query: &[f32]) -> Self::Prep;
 
-    pool.broadcast(&|worker| {
-        // Workers accumulate locally and merge once per phase — shared
-        // fetch_adds per leaf would bounce one cache line across every
-        // core and dominate these sub-ms phases.
-        let mut local = QueryStats::default();
-        let mut run = RunBuilder::new();
-        local.nodes_pruned = traversal.run_worker(&mut run);
-        local.leaves_enqueued = run.len() as u64;
-        runs.publish(worker, run);
-        phase_barrier.wait();
+    /// The query's own iSAX word, which locates its seed leaf.
+    fn word(prep: &Self::Prep) -> &Word;
 
-        // Phase B: best-bound-first processing.
-        let mut fetcher = SeriesFetcher::new(source);
-        let unclaimed = drain_best_first(&runs, worker, |lb, idx, _| {
-            if errors.is_set() || lb >= best.threshold_sq() {
-                // Everything left in this run is at least as far (or a
-                // peer already failed): abandon it wholesale.
-                local.leaves_discarded += 1;
-                return Drain::Abandon;
-            }
-            local.leaves_processed += 1;
-            let entries = flat.leaf_entries(flat.node(idx));
-            local.lb_entry_computed += entries.len() as u64;
-            match process_leaf_entries(entries, &prep.table, &mut fetcher, query, best) {
-                Ok(reals) => {
-                    local.real_computed += reals;
-                    Drain::Processed
-                }
-                Err(e) => {
-                    errors.record(e);
-                    Drain::Abandon
-                }
-            }
-        });
-        local.leaves_discarded += unclaimed;
-        shared.merge(&local);
-    });
-    errors.take()?;
-    phase.record(Phase::Traversal, clock.lap());
+    /// Fills `table` with the query's node-level bounds.
+    fn fill_node_table(prep: &Self::Prep, quantizer: &Quantizer, table: &mut NodeMindistTable);
 
-    let mut stats = shared.snapshot();
-    stats.real_computed += approx_real;
-    stats.phase = stats.phase.merged(&phase);
-    Ok(Some(stats))
+    /// Seeds `pruner` from the entries at `positions`; returns the full
+    /// distances paid.
+    fn seed<P: Pruner>(
+        &self,
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        query: &[f32],
+        pruner: &P,
+    ) -> Result<u64, StorageError>;
+
+    /// Processes one leaf for one query; returns the series fetched.
+    #[allow(clippy::too_many_arguments)] // the leaf, the query, and where results go
+    fn process_leaf<P: Pruner>(
+        &self,
+        prep: &Self::Prep,
+        words: &[Word],
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        query: &[f32],
+        pruner: &P,
+        scratch: &mut LeafScratch,
+        stats: &mut QueryStats,
+    ) -> Result<u64, StorageError>;
+
+    /// Seeds every query of `batch` from `positions`, one fetch each.
+    fn batch_seed(
+        &self,
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        batch: &QueryBatch<'_, ()>,
+    ) -> Result<(), StorageError>;
+
+    /// Processes one leaf for the `active` queries of `batch`, one fetch
+    /// per surviving entry.
+    #[allow(clippy::too_many_arguments)] // mirrors the shared kernel's batch leaf loop
+    fn batch_process_leaf(
+        &self,
+        preps: &[Self::Prep],
+        words: &[Word],
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        batch: &QueryBatch<'_, ()>,
+        active: &[usize],
+        survivors: &mut Vec<usize>,
+        locals: &mut [QueryStats],
+    ) -> Result<(), StorageError>;
 }
 
-/// Exact 1-NN through the MESSI index over any [`RawSource`].
+/// Euclidean distance: point MINDIST tables, early-abandoned ED.
+struct Euclidean;
+
+impl LeafKernel for Euclidean {
+    type Prep = PreparedQuery;
+    const PHASE: Phase = Phase::Traversal;
+
+    fn prepare(&self, quantizer: &Quantizer, query: &[f32]) -> PreparedQuery {
+        PreparedQuery::new(quantizer, query)
+    }
+
+    fn word(prep: &PreparedQuery) -> &Word {
+        &prep.word
+    }
+
+    fn fill_node_table(prep: &PreparedQuery, quantizer: &Quantizer, table: &mut NodeMindistTable) {
+        table.fill_point(&prep.paa, quantizer.segment_lens());
+    }
+
+    fn seed<P: Pruner>(
+        &self,
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        query: &[f32],
+        pruner: &P,
+    ) -> Result<u64, StorageError> {
+        seed_from_entries(positions.iter().copied(), fetcher, query, pruner)
+    }
+
+    fn process_leaf<P: Pruner>(
+        &self,
+        prep: &PreparedQuery,
+        words: &[Word],
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        query: &[f32],
+        pruner: &P,
+        scratch: &mut LeafScratch,
+        stats: &mut QueryStats,
+    ) -> Result<u64, StorageError> {
+        process_leaf_entries(
+            words,
+            positions,
+            &prep.table,
+            fetcher,
+            query,
+            pruner,
+            scratch,
+            stats,
+        )
+    }
+
+    fn batch_seed(
+        &self,
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        batch: &QueryBatch<'_, ()>,
+    ) -> Result<(), StorageError> {
+        batch_seed_positions(positions, fetcher, batch)
+    }
+
+    fn batch_process_leaf(
+        &self,
+        preps: &[PreparedQuery],
+        words: &[Word],
+        positions: &[u32],
+        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
+        batch: &QueryBatch<'_, ()>,
+        active: &[usize],
+        survivors: &mut Vec<usize>,
+        locals: &mut [QueryStats],
+    ) -> Result<(), StorageError> {
+        batch_process_leaf_entries(
+            words, positions, fetcher, batch, preps, active, survivors, locals,
+        )
+    }
+}
+
+/// How many visits ahead a worker draining its private run requests a
+/// leaf's words — far enough that they arrive before they are bounded,
+/// near enough that they are still cached then. The leaf's *node* (which
+/// says where its words are) is requested twice as far ahead: asking for
+/// the words only once that read is also a miss stalls the prefetch
+/// itself and costs more than it saves.
+const LOOKAHEAD: usize = 4;
+
+/// Cache lines of a leaf's word run requested ahead: a typical leaf (a
+/// dozen 17-byte words) in full.
+const LEAF_PREFETCH_LINES: usize = 4;
+
+/// Everything the three schedules share for one call.
+struct Call<'a, 'q, K, S> {
+    kernel: &'a K,
+    flat: &'a FlatTree,
+    quantizer: &'a Quantizer,
+    source: &'a S,
+    threads: usize,
+    batch: &'a QueryBatch<'q, ()>,
+    errors: &'a ErrorSlot,
+}
+
+/// The one exact entry point behind every `exact_*` function of this crate
+/// (both measures): builds the batch, picks the schedule (see the module
+/// docs for the rule), runs it in one broadcast.
+pub(crate) fn exact_batch<K: LeafKernel>(
+    kernel: &K,
+    messi: &MessiIndex,
+    source: &impl RawSource,
+    queries: &[&[f32]],
+    k: usize,
+    cfg: &MessiConfig,
+    shard: Option<ShardView<'_>>,
+) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
+    let config = messi.index.config();
+    for q in queries {
+        assert_eq!(q.len(), config.series_len(), "query length mismatch");
+    }
+    cfg.validate();
+    let mut clock = PhaseClock::start();
+    let batch = QueryBatch::unprepared(queries, k, shard);
+    if messi.flat.entry_count() == 0 || batch.is_empty() {
+        return Ok(batch.finish(0, QueryStats::default()));
+    }
+    let errors = ErrorSlot::for_phase(K::PHASE);
+    let call = Call {
+        kernel,
+        flat: &messi.flat,
+        quantizer: config.quantizer(),
+        source,
+        threads: cfg.threads,
+        batch: &batch,
+        errors: &errors,
+    };
+    // Counters of work done once for the whole batch: only the shared-fetch
+    // schedule has any; the resident schedules account per query.
+    let shared = if source.as_memory().is_none() {
+        call.shared_fetch(&mut clock)?
+    } else if queries.len() >= cfg.threads {
+        call.whole_queries(&mut clock);
+        QueryStats::default()
+    } else {
+        call.cooperative(&mut clock)?;
+        QueryStats::default()
+    };
+    errors.take()?;
+    Ok(batch.finish(1, shared))
+}
+
+impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
+    /// Resident source, at least one query per worker: each worker answers
+    /// whole queries, claimed one at a time.
+    fn whole_queries(&self, clock: &mut PhaseClock) {
+        let Self { batch, errors, .. } = *self;
+        let pool = dsidx_sync::pool::global(self.threads);
+        let claims = WorkQueue::new(batch.len());
+        let spent = PhaseAcc::new();
+        clock.lap_into(batch.phases(), Phase::Prepare);
+
+        pool.broadcast(&|_| {
+            let mut worker = Worker::new(self.source);
+            let mut phases = PhaseBreakdown::new();
+            let mut fetched = 0u64;
+            while !errors.is_set() {
+                let Some(qi) = claims.claim() else { break };
+                let slot = &batch.slots()[qi];
+                match self.answer_alone(slot.values, &slot.topk, &mut worker, &mut phases) {
+                    Ok((stats, series)) => {
+                        slot.stats.merge(&stats);
+                        fetched += series;
+                    }
+                    Err(e) => errors.record_for_query(e, qi),
+                }
+            }
+            // Resident data: every distance attempt reads its own series.
+            batch.count_io(fetched, fetched);
+            spent.add(&phases);
+        });
+
+        // The workers' phase times add up to about `threads` times the
+        // broadcast's wall time. Book the wall time, split in the
+        // proportions the workers measured, so the breakdown keeps adding
+        // up to what the caller waited.
+        let wall = clock.lap();
+        let spent = spent.snapshot();
+        let total = u128::from(spent.total_nanos());
+        if total == 0 {
+            batch.phases().record(K::PHASE, wall);
+        }
+        for (phase, nanos) in spent.iter().filter(|&(_, nanos)| nanos > 0) {
+            let share = u128::from(wall) * u128::from(nanos) / total;
+            batch
+                .phases()
+                .record(phase, u64::try_from(share).unwrap_or(u64::MAX));
+        }
+    }
+
+    /// One query, start to finish, on the calling worker alone. Phase
+    /// times go to the worker's `phases`; returns the query's counters and
+    /// the number of series fetched.
+    fn answer_alone<P: Pruner>(
+        &self,
+        query: &[f32],
+        pruner: &P,
+        worker: &mut Worker<'_, S>,
+        phases: &mut PhaseBreakdown,
+    ) -> Result<(QueryStats, u64), StorageError> {
+        let (flat, kernel) = (self.flat, self.kernel);
+        let mut clock = PhaseClock::start();
+        let mut stats = QueryStats::default();
+        let prep = kernel.prepare(self.quantizer, query);
+        K::fill_node_table(&prep, self.quantizer, &mut worker.node_table);
+        phases.record(Phase::Prepare, clock.lap());
+
+        let own_leaf =
+            approx_leaf_flat(flat, K::word(&prep)).expect("non-empty index has a non-empty leaf");
+        let seeds = flat.leaf_positions(flat.node(own_leaf));
+        stats.real_computed = kernel
+            .seed(seeds, &mut worker.fetcher, query, pruner)
+            .map_err(|e| e.in_phase(Phase::Seed.name()))?;
+        let mut fetched = seeds.len() as u64;
+        phases.record(Phase::Seed, clock.lap());
+
+        let run = &mut worker.run;
+        run.clear();
+        stats.nodes_pruned = Traversal::new(flat, &worker.node_table, pruner).run_worker(run);
+        stats.leaves_enqueued = run.len() as u64;
+        run.sort();
+        let mut visited = 0;
+        while let Some((lb, leaf)) = run.get(visited) {
+            if lb >= pruner.threshold_sq() {
+                break;
+            }
+            if let Some((_, far)) = run.get(visited + 2 * LOOKAHEAD) {
+                prefetch_lines(std::slice::from_ref(flat.node(far)), 1);
+            }
+            if let Some((_, near)) = run.get(visited + LOOKAHEAD) {
+                prefetch_lines(flat.leaf_words(flat.node(near)), LEAF_PREFETCH_LINES);
+            }
+            visited += 1;
+            let node = flat.node(leaf);
+            fetched += kernel.process_leaf(
+                &prep,
+                flat.leaf_words_padded(node),
+                flat.leaf_positions(node),
+                &mut worker.fetcher,
+                query,
+                pruner,
+                &mut worker.scratch,
+                &mut stats,
+            )?;
+        }
+        stats.leaves_processed = visited as u64;
+        stats.leaves_discarded = stats.leaves_enqueued - stats.leaves_processed;
+        phases.record(K::PHASE, clock.lap());
+        Ok((stats, fetched))
+    }
+
+    /// Prepares every query of the batch on the calling thread: its
+    /// summaries and its node-level table, index-aligned with the slots.
+    fn prepare_all(&self) -> (Vec<K::Prep>, Vec<NodeMindistTable>) {
+        let preps: Vec<K::Prep> = self
+            .batch
+            .slots()
+            .iter()
+            .map(|slot| self.kernel.prepare(self.quantizer, slot.values))
+            .collect();
+        let node_tables = preps
+            .iter()
+            .map(|prep| {
+                let mut table = NodeMindistTable::default();
+                K::fill_node_table(prep, self.quantizer, &mut table);
+                table
+            })
+            .collect();
+        (preps, node_tables)
+    }
+
+    /// Resident source, fewer queries than workers: the queries one after
+    /// another, all workers on each (the paper's schedule). Preparation
+    /// and seeding run here, on the coordinator, before the broadcast.
+    fn cooperative(&self, clock: &mut PhaseClock) -> Result<(), StorageError> {
+        let Self {
+            flat,
+            kernel,
+            batch,
+            errors,
+            ..
+        } = *self;
+        let (preps, node_tables) = self.prepare_all();
+        let pool = dsidx_sync::pool::global(self.threads);
+        clock.lap_into(batch.phases(), Phase::Prepare);
+
+        // Initial threshold from each query's own leaf (its approximate
+        // answer), routing around empty subtrees.
+        let mut fetcher = SeriesFetcher::new(self.source);
+        let mut fetched = 0u64;
+        for (slot, prep) in batch.slots().iter().zip(&preps) {
+            let own_leaf = approx_leaf_flat(flat, K::word(prep))
+                .expect("non-empty index has a non-empty leaf");
+            let seeds = flat.leaf_positions(flat.node(own_leaf));
+            let reals = kernel
+                .seed(seeds, &mut fetcher, slot.values, &slot.topk)
+                .map_err(|e| e.in_phase(Phase::Seed.name()))?;
+            slot.stats.add_real_computed(reals);
+            fetched += seeds.len() as u64;
+        }
+        batch.count_io(fetched, fetched);
+        clock.lap_into(batch.phases(), Phase::Seed);
+
+        // Per query: cooperative traversal (roots claimed by Fetch&Inc,
+        // large subtrees split by work donation — see [`crate::traverse`])
+        // into per-worker runs, a spin barrier, then best-bound-first
+        // draining, own run first. A worker done draining query `i` moves
+        // straight on to traversing query `i + 1`; nothing of `i + 1` is
+        // drained before every worker has published its run for it.
+        let stages: Vec<_> = batch
+            .slots()
+            .iter()
+            .zip(&node_tables)
+            .map(|(slot, table)| {
+                (
+                    Traversal::new(flat, table, &slot.topk),
+                    LeafRuns::new(self.threads, 0),
+                )
+            })
+            .collect();
+        let barrier = SpinBarrier::new(self.threads);
+
+        pool.broadcast(&|worker| {
+            let mut fetcher = SeriesFetcher::new(self.source);
+            let mut scratch = LeafScratch::new();
+            let mut fetched = 0u64;
+            for (qi, (slot, prep)) in batch.slots().iter().zip(&preps).enumerate() {
+                let (traversal, runs) = &stages[qi];
+                // Workers accumulate locally and merge once per query —
+                // shared fetch_adds per leaf would bounce one cache line
+                // across every core and dominate these sub-ms phases.
+                let mut local = QueryStats::default();
+                let mut run = RunBuilder::new();
+                local.nodes_pruned = traversal.run_worker(&mut run);
+                local.leaves_enqueued = run.len() as u64;
+                runs.publish(worker, run);
+                barrier.wait();
+
+                let unclaimed = drain_best_first(runs, worker, |lb, leaf, _| {
+                    if errors.is_set() || lb >= slot.topk.threshold_sq() {
+                        // Everything left in this run is at least as
+                        // far (or a peer already failed): abandon it
+                        // wholesale.
+                        local.leaves_discarded += 1;
+                        return Drain::Abandon;
+                    }
+                    local.leaves_processed += 1;
+                    let node = flat.node(leaf);
+                    match kernel.process_leaf(
+                        prep,
+                        flat.leaf_words_padded(node),
+                        flat.leaf_positions(node),
+                        &mut fetcher,
+                        slot.values,
+                        &slot.topk,
+                        &mut scratch,
+                        &mut local,
+                    ) {
+                        Ok(series) => {
+                            fetched += series;
+                            Drain::Processed
+                        }
+                        Err(e) => {
+                            errors.record_for_query(e, qi);
+                            Drain::Abandon
+                        }
+                    }
+                });
+                local.leaves_discarded += unclaimed;
+                slot.stats.merge(&local);
+            }
+            batch.count_io(fetched, fetched);
+        });
+        clock.lap_into(batch.phases(), K::PHASE);
+        Ok(())
+    }
+
+    /// Non-resident source: one traversal and one leaf visit for the whole
+    /// batch, each surviving series read once for every query that still
+    /// wants it. Returns the counters of the work done once for the batch.
+    fn shared_fetch(&self, clock: &mut PhaseClock) -> Result<QueryStats, StorageError> {
+        let Self {
+            flat,
+            kernel,
+            batch,
+            errors,
+            ..
+        } = *self;
+        let (preps, node_tables) = self.prepare_all();
+        let pool = dsidx_sync::pool::global(self.threads);
+        clock.lap_into(batch.phases(), Phase::Prepare);
+
+        // Initial thresholds from the union of the batch's own leaves
+        // (distinct leaves only), cross-seeded into every pruner. Positions
+        // are deduplicated and fetched in position order (sequential-
+        // friendly for on-disk sources).
+        let mut leaf_idxs: Vec<u32> = preps
+            .iter()
+            .map(|prep| {
+                approx_leaf_flat(flat, K::word(prep)).expect("non-empty index has a non-empty leaf")
+            })
+            .collect();
+        leaf_idxs.sort_unstable();
+        leaf_idxs.dedup();
+        let mut positions: Vec<u32> = leaf_idxs
+            .iter()
+            .flat_map(|&idx| flat.leaf_positions(flat.node(idx)))
+            .copied()
+            .collect();
+        positions.sort_unstable();
+        positions.dedup();
+        let mut fetcher = SeriesFetcher::new(self.source);
+        kernel
+            .batch_seed(&positions, &mut fetcher, batch)
+            .map_err(|e| e.in_phase(Phase::Seed.name()))?;
+        clock.lap_into(batch.phases(), Phase::Seed);
+
+        // Phase A: one cooperative traversal for the whole batch (see
+        // [`BatchTraversal`]); surviving leaves enter the worker's run
+        // keyed by their minimum per-query bound. Phase B: pop best-first;
+        // a popped minimum at or above every query's threshold closes its
+        // whole run; an entry pays per-query bounds and distances only for
+        // queries whose leaf bound survived. One broadcast, phases
+        // separated by a spin barrier; a failed raw read closes the run
+        // and surfaces after the join.
+        let shared = AtomicQueryStats::new();
+        let runs = LeafRuns::new(self.threads, batch.len());
+        let traversal = BatchTraversal::new(flat, &node_tables, batch);
+        let barrier = SpinBarrier::new(self.threads);
+
+        pool.broadcast(&|worker| {
+            // Workers accumulate locally and merge once per phase (see
+            // `AtomicQueryStats`).
+            let mut shared_local = QueryStats::default();
+            let mut locals = vec![QueryStats::default(); batch.len()];
+            let mut run = RunBuilder::new();
+            shared_local.nodes_pruned = traversal.run_worker(&mut run);
+            shared_local.leaves_enqueued = run.len() as u64;
+            runs.publish(worker, run);
+            barrier.wait();
+
+            let mut fetcher = SeriesFetcher::new(self.source);
+            let mut active: Vec<usize> = Vec::with_capacity(batch.len());
+            let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
+            let unclaimed = drain_best_first(&runs, worker, |min_lb, leaf, lbs| {
+                if errors.is_set() || min_lb >= batch.max_threshold_sq() {
+                    // Every remaining leaf in this run is at least as
+                    // far for every query (or a peer already failed):
+                    // abandon it wholesale.
+                    shared_local.leaves_discarded += 1;
+                    return Drain::Abandon;
+                }
+                active.clear();
+                for (qi, slot) in batch.slots().iter().enumerate() {
+                    if lbs[qi] < slot.topk.threshold_sq() {
+                        active.push(qi);
+                    }
+                }
+                if active.is_empty() {
+                    // No query can benefit from this one leaf, but the
+                    // run's minimum key still beat some threshold —
+                    // keep draining it.
+                    shared_local.leaves_discarded += 1;
+                    return Drain::Processed;
+                }
+                shared_local.leaves_processed += 1;
+                let node = flat.node(leaf);
+                match kernel.batch_process_leaf(
+                    &preps,
+                    flat.leaf_words(node),
+                    flat.leaf_positions(node),
+                    &mut fetcher,
+                    batch,
+                    &active,
+                    &mut survivors,
+                    &mut locals,
+                ) {
+                    Ok(()) => Drain::Processed,
+                    Err(e) => {
+                        errors.record(e);
+                        Drain::Abandon
+                    }
+                }
+            });
+            shared_local.leaves_discarded += unclaimed;
+            batch.merge_locals(&locals);
+            shared.merge(&shared_local);
+        });
+        clock.lap_into(batch.phases(), K::PHASE);
+        Ok(shared.snapshot())
+    }
+}
+
+/// What a worker of the whole-query schedule keeps from query to query:
+/// the raw-series fetcher, one node-level table (128 KiB, refilled per
+/// query instead of one table per query of the batch built up front), its
+/// leaf run and the per-leaf scratch.
+struct Worker<'a, S: RawSource> {
+    fetcher: SeriesFetcher<'a, S>,
+    node_table: NodeMindistTable,
+    run: RunBuilder,
+    scratch: LeafScratch,
+}
+
+impl<'a, S: RawSource> Worker<'a, S> {
+    fn new(source: &'a S) -> Self {
+        Self {
+            fetcher: SeriesFetcher::new(source),
+            node_table: NodeMindistTable::default(),
+            run: RunBuilder::new(),
+            scratch: LeafScratch::new(),
+        }
+    }
+}
+
+/// Exact 1-NN through the MESSI index over any [`RawSource`]:
+/// [`exact_knn`] at `k = 1`.
 ///
 /// Returns `Ok(None)` for an empty index.
 ///
@@ -161,19 +693,12 @@ pub fn exact_nn(
     query: &[f32],
     cfg: &MessiConfig,
 ) -> Result<Option<(Match, QueryStats)>, StorageError> {
-    let best = AtomicBest::new();
-    match run_exact(messi, source, query, cfg, &best)? {
-        None => Ok(None),
-        Some(stats) => {
-            let (dist_sq, pos) = best.get();
-            Ok(Some((Match::new(pos, dist_sq), stats)))
-        }
-    }
+    let (matches, stats) = exact_knn(messi, source, query, 1, cfg)?;
+    Ok(matches.first().map(|&nearest| (nearest, stats)))
 }
 
-/// Exact k-NN through the MESSI index: the same traversal + sorted-run
-/// schedule, pruning against the k-th best distance (a [`SharedTopK`])
-/// instead of the single best.
+/// Exact k-NN through the MESSI index, pruning against the k-th best
+/// distance (a [`SharedTopK`]): [`exact_knn_batch`] with a batch of one.
 ///
 /// Returns the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,
@@ -197,19 +722,8 @@ pub fn exact_knn(
     Ok((matches.pop().expect("batch of one"), stats.into_single()))
 }
 
-/// Exact k-NN for a *batch* of queries in **one** pool broadcast: the tree
-/// is traversed once for the whole batch (a node is pruned only when every
-/// query's threshold beats its bound), queued leaves carry the
-/// per-query node mindists, and a popped leaf is processed once — each
-/// entry's series fetched from the source at most once per leaf visit and
-/// checked against every query whose leaf-level bound survived.
-///
-/// Answers are element-wise identical to calling [`exact_knn`] per query,
-/// deterministic across runs and thread counts. The
-/// traversal counters ([`QueryStats::nodes_pruned`], `leaves_*`) describe
-/// work done once for the whole batch and are reported in
-/// [`BatchStats::shared`]; per-query counters sit in
-/// [`BatchStats::per_query`].
+/// Exact k-NN for a *batch* of queries in **one** pool broadcast:
+/// [`exact_knn_batch_shared`] without a shard view.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -227,13 +741,26 @@ pub fn exact_knn_batch(
     exact_knn_batch_shared(messi, source, queries, k, cfg, None)
 }
 
-/// [`exact_knn_batch`] with an optional cross-shard pruner view (see
-/// [`SharedPruners`](dsidx_query::SharedPruners)): with `shard` set, the
-/// traversal and run-processing phases prune against thresholds that
-/// other shards tighten mid-flight, and recorded positions are rebased to
-/// global. The returned matches then reflect the whole gather so far; the
-/// coordinator uses this return value for stats and reads the final answer
-/// from the shared pruners after every shard joined.
+/// Exact k-NN for a batch of queries in **one** pool broadcast — the entry
+/// point every other exact Euclidean function of this crate delegates to.
+/// How the batch is scheduled onto the workers depends on the source's
+/// residence and on the batch width against the pool width; see the
+/// [module docs](self) for the rule and the reasons.
+///
+/// Answers are element-wise identical to calling [`exact_knn`] per query,
+/// deterministic across runs, thread counts and schedules. Counters of
+/// work done once for the whole batch (the shared-fetch schedule's
+/// traversal) are reported in [`BatchStats::shared`]; everything a
+/// schedule does per query — on a resident source, all of it — sits in
+/// [`BatchStats::per_query`], where `leaves_processed + leaves_discarded
+/// == leaves_enqueued` holds query by query.
+///
+/// With `shard` set (see [`SharedPruners`](dsidx_query::SharedPruners)),
+/// every schedule prunes against thresholds that other shards tighten
+/// mid-flight, and recorded positions are rebased to global. The returned
+/// matches then reflect the whole gather so far; the coordinator uses this
+/// return value for stats and reads the final answer from the shared
+/// pruners after every shard joined.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -248,127 +775,7 @@ pub fn exact_knn_batch_shared(
     cfg: &MessiConfig,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    let config = messi.index.config();
-    for q in queries {
-        assert_eq!(q.len(), config.series_len(), "query length mismatch");
-    }
-    cfg.validate();
-    let flat = &messi.flat;
-    let quantizer = config.quantizer();
-    let mut clock = PhaseClock::start();
-    let batch = QueryBatch::for_shard(quantizer, queries, k, shard);
-    let prepare_nanos = clock.lap();
-    if flat.entry_count() == 0 || batch.is_empty() {
-        return Ok(batch.finish(0, QueryStats::default()));
-    }
-    batch.phases().record(Phase::Prepare, prepare_nanos);
-    let tables: Vec<_> = batch
-        .slots()
-        .iter()
-        .map(|s| s.prep.node_table(quantizer))
-        .collect();
-    let pool = dsidx_sync::pool::global(cfg.threads);
-    clock.lap_into(batch.phases(), Phase::Prepare);
-
-    // Initial thresholds from the union of the batch's own leaves
-    // (distinct leaves only), cross-seeded into every pruner. Positions
-    // are deduplicated and fetched in position order (sequential-friendly
-    // for on-disk sources).
-    let mut leaf_idxs: Vec<u32> = batch
-        .slots()
-        .iter()
-        .map(|slot| {
-            approx_leaf_flat(flat, &slot.prep.word).expect("non-empty index has a non-empty leaf")
-        })
-        .collect();
-    leaf_idxs.sort_unstable();
-    leaf_idxs.dedup();
-    let mut positions: Vec<u32> = leaf_idxs
-        .iter()
-        .flat_map(|&idx| flat.leaf_entries(flat.node(idx)).iter().map(|e| e.pos))
-        .collect();
-    positions.sort_unstable();
-    positions.dedup();
-    let mut fetcher = SeriesFetcher::new(source);
-    batch_seed_positions(&positions, &mut fetcher, &batch)
-        .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-    clock.lap_into(batch.phases(), Phase::Seed);
-
-    // Phase A: one cooperative traversal for the whole batch (see
-    // [`crate::traverse::BatchTraversal`]); surviving leaves enter the
-    // worker's run keyed by their minimum per-query bound. Phase B: pop
-    // best-first; a popped minimum at or above every query's threshold
-    // closes its whole run; an entry pays per-query bounds and
-    // early-abandoned distances only for queries whose leaf bound
-    // survived. One broadcast, phases separated by a spin barrier; a
-    // failed raw read closes the run and surfaces after the join.
-    let shared = AtomicQueryStats::new();
-    let runs = LeafRuns::new(cfg.threads, batch.len());
-    let traversal = BatchTraversal::new(flat, &tables, &batch);
-    let phase_barrier = SpinBarrier::new(cfg.threads);
-    let errors = ErrorSlot::for_phase(Phase::Traversal);
-
-    pool.broadcast(&|worker| {
-        // Workers accumulate locally and merge once per phase (see
-        // `AtomicQueryStats`).
-        let mut shared_local = QueryStats::default();
-        let mut locals = vec![QueryStats::default(); batch.len()];
-        let mut run = RunBuilder::new();
-        shared_local.nodes_pruned = traversal.run_worker(&mut run);
-        shared_local.leaves_enqueued = run.len() as u64;
-        runs.publish(worker, run);
-        phase_barrier.wait();
-
-        // Phase B: best-bound-first processing, once per leaf for the
-        // whole batch.
-        let mut fetcher = SeriesFetcher::new(source);
-        let mut active: Vec<usize> = Vec::with_capacity(batch.len());
-        let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
-        let unclaimed = drain_best_first(&runs, worker, |min_lb, idx, lbs| {
-            if errors.is_set() || min_lb >= batch.max_threshold_sq() {
-                // Every remaining leaf in this run is at least as far for
-                // every query (or a peer already failed): abandon it
-                // wholesale.
-                shared_local.leaves_discarded += 1;
-                return Drain::Abandon;
-            }
-            active.clear();
-            for (qi, slot) in batch.slots().iter().enumerate() {
-                if lbs[qi] < slot.topk.threshold_sq() {
-                    active.push(qi);
-                }
-            }
-            if active.is_empty() {
-                // No query can benefit from this one leaf, but the run's
-                // minimum key still beat some threshold — keep draining it.
-                shared_local.leaves_discarded += 1;
-                return Drain::Processed;
-            }
-            shared_local.leaves_processed += 1;
-            let entries = flat.leaf_entries(flat.node(idx));
-            match batch_process_leaf_entries(
-                entries,
-                &mut fetcher,
-                &batch,
-                &active,
-                &mut survivors,
-                &mut locals,
-            ) {
-                Ok(()) => Drain::Processed,
-                Err(e) => {
-                    errors.record(e);
-                    Drain::Abandon
-                }
-            }
-        });
-        shared_local.leaves_discarded += unclaimed;
-        batch.merge_locals(&locals);
-        shared.merge(&shared_local);
-    });
-    errors.take()?;
-    clock.lap_into(batch.phases(), Phase::Traversal);
-
-    Ok(batch.finish(1, shared.snapshot()))
+    exact_batch(&Euclidean, messi, source, queries, k, cfg, shard)
 }
 
 /// *Approximate* k-NN through the MESSI index: descend to the query's own
@@ -394,20 +801,20 @@ pub fn approx_knn(
     query: &[f32],
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    approx_leaf_visit(messi, query, k, |entries, topk| {
+    approx_leaf_visit(messi, query, k, |positions, topk| {
         let mut fetcher = SeriesFetcher::new(source);
-        seed_from_entries(entries, &mut fetcher, query, topk)
+        seed_from_entries(positions.iter().copied(), &mut fetcher, query, topk)
     })
 }
 
 /// The shared best-leaf visit behind both approximate measures (ED here,
 /// DTW in [`crate::dtw`]): locate the query's leaf, let `pay` charge one
-/// real distance per entry into the collector.
+/// real distance per entry (given by position) into the collector.
 pub(crate) fn approx_leaf_visit(
     messi: &MessiIndex,
     query: &[f32],
     k: usize,
-    pay: impl FnOnce(&[dsidx_tree::LeafEntry], &SharedTopK) -> Result<u64, StorageError>,
+    pay: impl FnOnce(&[u32], &SharedTopK) -> Result<u64, StorageError>,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
     let config = messi.index.config();
     assert_eq!(query.len(), config.series_len(), "query length mismatch");
@@ -419,7 +826,7 @@ pub(crate) fn approx_leaf_visit(
     let word = config.quantizer().word(query);
     let idx = approx_leaf_flat(flat, &word).expect("non-empty index has a non-empty leaf");
     let stats = QueryStats {
-        real_computed: pay(flat.leaf_entries(flat.node(idx)), &topk)?,
+        real_computed: pay(flat.leaf_positions(flat.node(idx)), &topk)?,
         ..QueryStats::default()
     };
     Ok(finish_knn(&topk, Some(stats)))
@@ -438,6 +845,15 @@ mod tests {
 
     fn cfg(threads: usize) -> MessiConfig {
         MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(64)
+    }
+
+    /// Every enqueued leaf is processed or discarded, exactly once.
+    fn assert_funnel_exact(stats: &QueryStats) {
+        assert_eq!(
+            stats.leaves_processed + stats.leaves_discarded,
+            stats.leaves_enqueued,
+            "{stats:?}"
+        );
     }
 
     #[test]
@@ -500,13 +916,25 @@ mod tests {
                         "q{qi} k={k} x{threads}"
                     );
                 }
-                // Traversal ran once for the batch: structural counters
-                // live in the shared slice, per-query ones per slot; every
-                // enqueued leaf is processed or discarded, exactly once.
-                assert_eq!(
-                    stats.shared.leaves_processed + stats.shared.leaves_discarded,
-                    stats.shared.leaves_enqueued
-                );
+                // A resident source is traversed per query: every leaf a
+                // query enqueued is processed or discarded, exactly once.
+                for (qi, q) in stats.per_query.iter().enumerate() {
+                    assert!(q.leaves_enqueued > 0, "q{qi} k={k} x{threads}");
+                    assert_funnel_exact(q);
+                }
+                assert_eq!(stats.shared.leaves_enqueued, 0);
+                assert_eq!(stats.series_fetched, stats.series_requests);
+                // The same batch over a source that is not resident is
+                // traversed once for the whole batch: same answers, the
+                // funnel in the shared slice, fetches shared by queries.
+                let file = FlakySource::new(data.clone(), u64::MAX);
+                let (on_file, stats) = exact_knn_batch(&messi, &file, &qrefs, k, &c).unwrap();
+                assert_eq!(on_file, batched, "k={k} x{threads}");
+                assert_eq!(stats.broadcasts, 1);
+                assert!(stats.shared.leaves_enqueued > 0);
+                assert_funnel_exact(&stats.shared);
+                assert!(stats.per_query.iter().all(|q| q.leaves_enqueued == 0));
+                assert!(stats.series_fetched <= stats.series_requests);
                 assert_eq!(stats.shared.lb_computed, 0);
             }
         }
@@ -639,6 +1067,32 @@ mod tests {
     }
 
     #[test]
+    fn shared_fetch_funnel_is_exact_when_runs_are_abandoned() {
+        // Clusterable data and k = 1: thresholds tighten fast, so sorted
+        // runs are closed early with leaves still unclaimed — every one of
+        // them must still be counted as discarded, once.
+        let data = dsidx_series::gen::sines(1000, 64, 3);
+        let (messi, _) = build(&data, &cfg(4));
+        let file = FlakySource::new(data.clone(), u64::MAX);
+        let queries = dsidx_series::gen::sines(3, 64, 77);
+        let all: Vec<&[f32]> = queries.iter().collect();
+        for threads in [1usize, 2, 4] {
+            for batch in [&all[..1], &all[..]] {
+                let (got, stats) = exact_knn_batch(&messi, &file, batch, 1, &cfg(threads)).unwrap();
+                let (want, _) = exact_knn_batch(&messi, &data, batch, 1, &cfg(threads)).unwrap();
+                assert_eq!(got, want, "x{threads}");
+                assert_funnel_exact(&stats.shared);
+                assert!(
+                    stats.shared.leaves_discarded > 1,
+                    "x{threads}: expected a run closed early, {:?}",
+                    stats.shared
+                );
+                assert!(stats.series_fetched <= stats.series_requests);
+            }
+        }
+    }
+
+    #[test]
     fn query_for_indexed_series_finds_itself() {
         let data = DatasetKind::Sald.generate(300, 64, 6);
         let (messi, _) = build(&data, &cfg(3));
@@ -707,10 +1161,37 @@ mod tests {
             );
             assert!(flaky.tripped());
         }
-        // An unconstrained budget answers exactly like the dataset itself.
+        // A batch wider than the pool, which on a resident source would
+        // hand whole queries to workers: a fallible source is not
+        // resident, so it takes the shared-fetch schedule, where a failed
+        // read stops every worker and still comes back as `Err`.
+        let wide = DatasetKind::Synthetic.queries(9, 64, 92);
+        let wide: Vec<&[f32]> = wide.iter().collect();
+        for budget in [1u64, 8, 32, 64] {
+            let flaky = FlakySource::new(data.clone(), budget);
+            let err = exact_knn_batch(&messi, &flaky, &wide, 50, &cfg(4)).unwrap_err();
+            assert!(matches!(err.root_cause(), StorageError::Io(_)), "{err}");
+            assert!(flaky.tripped());
+        }
+        // An unconstrained budget answers exactly like the dataset itself
+        // — through the other schedule: the traversal counters of the
+        // shared-fetch schedule are the batch's, those of the resident
+        // schedules each query's.
         let flaky = FlakySource::new(data.clone(), u64::MAX);
         let (via_flaky, _) = exact_knn(&messi, &flaky, q.get(0), 7, &cfg(4)).unwrap();
         let (via_data, _) = exact_knn(&messi, &data, q.get(0), 7, &cfg(4)).unwrap();
         assert_eq!(via_flaky, via_data);
+        let (via_flaky, on_flaky) = exact_knn_batch(&messi, &flaky, &wide, 7, &cfg(4)).unwrap();
+        let (via_data, on_data) = exact_knn_batch(&messi, &data, &wide, 7, &cfg(4)).unwrap();
+        assert_eq!(via_flaky, via_data);
+        assert!(on_flaky.shared.leaves_enqueued > 0);
+        assert_funnel_exact(&on_flaky.shared);
+        assert!(on_flaky.per_query.iter().all(|q| q.leaves_enqueued == 0));
+        assert!(on_flaky.series_fetched < on_flaky.series_requests);
+        assert_eq!(on_data.shared.leaves_enqueued, 0);
+        assert!(on_data.per_query.iter().all(|q| q.leaves_enqueued > 0));
+        on_data.per_query.iter().for_each(assert_funnel_exact);
+        assert_eq!(on_data.series_fetched, on_data.series_requests);
+        assert_eq!((on_flaky.broadcasts, on_data.broadcasts), (1, 1));
     }
 }

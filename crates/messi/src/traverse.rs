@@ -1,4 +1,4 @@
-//! Cooperative index traversal (phase A of query answering).
+//! Index traversal (phase A of query answering).
 //!
 //! Work units are root subtrees, claimed by Fetch&Inc as in the paper. The
 //! paper keeps subtree granularity because *construction* inside a subtree
@@ -7,6 +7,18 @@
 //! shared overflow stack that idle workers drain. Without this, one giant
 //! root subtree (random-walk data clusters heavily on first bits) sets the
 //! whole phase's critical path.
+//!
+//! [`Traversal`] walks the tree for one query. Several workers may share
+//! one (the cooperative schedule), or a single worker may run it alone
+//! into its private run (the whole-query schedule — same code, the claims
+//! just never contend). [`BatchTraversal`] walks it once for a whole batch
+//! and is used only where one raw fetch can serve many queries, i.e. over
+//! non-resident sources (see [`crate::query`] for which schedule runs
+//! when).
+//!
+//! Either way the root level — by far the widest, and on random-walk data
+//! most of the tree — is scanned from the root keys alone through
+//! [`RootBounds`], without touching node memory.
 
 use crate::pqueue::RunBuilder;
 use dsidx_isax::NodeMindistTable;
@@ -20,14 +32,76 @@ const DONATE_ABOVE: usize = 32;
 /// Tuning: how often (in node visits) the donation check runs.
 const DONATE_CHECK_MASK: u64 = 0x3F;
 
-/// Shared state for one traversal phase. Generic over [`Pruner`], so the
+/// Key bits resolved by one [`RootBounds`] table.
+const ROOT_TABLE_BITS: usize = 8;
+
+/// One query's lower bound for every possible root subtree, as two table
+/// reads.
+///
+/// A root's word has one bit per segment — its key — so its bound is a sum
+/// of per-segment terms that each depend on one key bit
+/// ([`NodeMindistTable::root_pair`]). Summing them bit by bit costs a
+/// 16-step dependent chain per root, tens of thousands of times per
+/// query. Instead the key is split in two bytes and each half's partial
+/// sum is tabulated once per query (2 × 256 entries, 1,020 adds):
+/// `lb(key) = hi[key >> 8] + lo[key & 0xFF]`. Each entry adds its
+/// segments in index order, so the result differs from the sequential sum
+/// only by the association of the final add.
+#[derive(Debug, Clone)]
+pub struct RootBounds {
+    /// Partial sums over the segments above the low byte of the key
+    /// (`[0] == 0.0` alone when there are at most eight segments).
+    hi: [f32; 1 << ROOT_TABLE_BITS],
+    /// Partial sums over the last (up to) eight segments.
+    lo: [f32; 1 << ROOT_TABLE_BITS],
+    lo_bits: usize,
+}
+
+impl RootBounds {
+    /// Tabulates the root-level terms of `node_table` for a tree of
+    /// `segments` segments.
+    #[must_use]
+    pub fn new(node_table: &NodeMindistTable, segments: usize) -> Self {
+        let lo_bits = segments.min(ROOT_TABLE_BITS);
+        let hi_bits = segments - lo_bits;
+        // Doubling: after segment `s` the first `2^(s+1)` entries hold the
+        // sums for every setting of the key bits seen so far, the most
+        // significant (earliest segment) first — exactly the key's layout.
+        let tabulate = |first: usize, bits: usize| {
+            let mut sums = [0.0f32; 1 << ROOT_TABLE_BITS];
+            for (done, seg) in (first..first + bits).enumerate() {
+                let (zero, one) = node_table.root_pair(seg);
+                for i in (0..1usize << done).rev() {
+                    let so_far = sums[i];
+                    sums[2 * i] = so_far + zero;
+                    sums[2 * i + 1] = so_far + one;
+                }
+            }
+            sums
+        };
+        Self {
+            hi: tabulate(0, hi_bits),
+            lo: tabulate(hi_bits, lo_bits),
+            lo_bits,
+        }
+    }
+
+    /// The lower bound of the root subtree with key `key`.
+    #[inline]
+    #[must_use]
+    pub fn lb(&self, key: u16) -> f32 {
+        let key = usize::from(key);
+        self.hi[key >> self.lo_bits] + self.lo[key & ((1 << self.lo_bits) - 1)]
+    }
+}
+
+/// Shared state for one query's traversal. Generic over [`Pruner`], so the
 /// same traversal prunes against the single best (1-NN) or the k-th best
 /// distance (k-NN).
 pub struct Traversal<'a, P: Pruner> {
     flat: &'a FlatTree,
     node_table: &'a NodeMindistTable,
-    /// Root-level contribution per segment for key bits 0/1.
-    root_contrib: Vec<(f32, f32)>,
+    root_bounds: RootBounds,
     best: &'a P,
     root_queue: WorkQueue,
     /// Overflow work: node indices donated by overloaded workers.
@@ -38,27 +112,14 @@ impl<'a, P: Pruner> Traversal<'a, P> {
     /// Prepares a traversal over `flat`'s occupied roots.
     #[must_use]
     pub fn new(flat: &'a FlatTree, node_table: &'a NodeMindistTable, best: &'a P) -> Self {
-        let segments = flat.segments();
-        let root_contrib = (0..segments).map(|s| node_table.root_pair(s)).collect();
         Self {
             flat,
             node_table,
-            root_contrib,
+            root_bounds: RootBounds::new(node_table, flat.segments()),
             best,
             root_queue: WorkQueue::new(flat.roots().len()),
             shared: Mutex::new(Vec::new()),
         }
-    }
-
-    #[inline]
-    fn root_lb(&self, key: u16) -> f32 {
-        let segments = self.root_contrib.len();
-        let mut sum = 0.0f32;
-        for (seg, &(zero, one)) in self.root_contrib.iter().enumerate() {
-            let bit = (key >> (segments - 1 - seg)) & 1;
-            sum += if bit == 0 { zero } else { one };
-        }
-        sum
     }
 
     /// Runs one worker's share of the traversal, appending surviving
@@ -75,7 +136,7 @@ impl<'a, P: Pruner> Traversal<'a, P> {
         while let Some(range) = self.root_queue.claim_chunk(64) {
             for i in range {
                 let (key, root_idx) = self.flat.roots()[i];
-                if self.root_lb(key) >= self.best.threshold_sq() {
+                if self.root_bounds.lb(key) >= self.best.threshold_sq() {
                     pruned += 1;
                     continue;
                 }
@@ -142,9 +203,9 @@ impl<'a, P: Pruner> Traversal<'a, P> {
 pub struct BatchTraversal<'a, 'q> {
     flat: &'a FlatTree,
     tables: &'a [NodeMindistTable],
-    /// Root-level contribution per query, per segment, for key bits 0/1.
-    root_contribs: Vec<Vec<(f32, f32)>>,
-    batch: &'a QueryBatch<'q>,
+    /// Root-level bounds per query.
+    root_bounds: Vec<RootBounds>,
+    batch: &'a QueryBatch<'q, ()>,
     root_queue: WorkQueue,
     /// Overflow work: node indices donated by overloaded workers.
     shared: Mutex<Vec<u32>>,
@@ -161,34 +222,21 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
     pub fn new(
         flat: &'a FlatTree,
         tables: &'a [NodeMindistTable],
-        batch: &'a QueryBatch<'q>,
+        batch: &'a QueryBatch<'q, ()>,
     ) -> Self {
         assert_eq!(tables.len(), batch.len(), "one node table per query");
-        let segments = flat.segments();
-        let root_contribs = tables
+        let root_bounds = tables
             .iter()
-            .map(|t| (0..segments).map(|s| t.root_pair(s)).collect())
+            .map(|t| RootBounds::new(t, flat.segments()))
             .collect();
         Self {
             flat,
             tables,
-            root_contribs,
+            root_bounds,
             batch,
             root_queue: WorkQueue::new(flat.roots().len()),
             shared: Mutex::new(Vec::new()),
         }
-    }
-
-    #[inline]
-    fn root_lb(&self, qi: usize, key: u16) -> f32 {
-        let contrib = &self.root_contribs[qi];
-        let segments = contrib.len();
-        let mut sum = 0.0f32;
-        for (seg, &(zero, one)) in contrib.iter().enumerate() {
-            let bit = (key >> (segments - 1 - seg)) & 1;
-            sum += if bit == 0 { zero } else { one };
-        }
-        sum
     }
 
     /// `true` iff no query in the batch can benefit from the subtree under
@@ -198,8 +246,8 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
         self.batch
             .slots()
             .iter()
-            .enumerate()
-            .all(|(qi, slot)| self.root_lb(qi, key) >= slot.topk.threshold_sq())
+            .zip(&self.root_bounds)
+            .all(|(slot, bounds)| bounds.lb(key) >= slot.topk.threshold_sq())
     }
 
     /// Runs one worker's share of the batched traversal (same contract as

@@ -13,7 +13,10 @@
 //! approximates the query's wall time — the `obs` bench experiment holds
 //! the two within 10% of each other. A parallel phase (a pool broadcast)
 //! is charged as one interval: the coordinator's wait *is* the phase's
-//! wall time.
+//! wall time. Where the workers of one broadcast each run several phases
+//! back to back (MESSI answering whole queries per worker), that interval
+//! is split between the phases in the proportions the workers measured —
+//! still wall time, never a sum over workers.
 //!
 //! All capture is gated on [`crate::enabled`]: with observability off the
 //! clocks never read the OS timer and every recorded duration is zero.

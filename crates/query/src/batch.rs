@@ -9,7 +9,9 @@
 //! Engines run the whole batch inside one schedule (ADS+ one serial scan,
 //! ParIS one collect + one verify broadcast, MESSI one traversal
 //! broadcast), so the per-query broadcast cost drops to `1/B` of the
-//! single-query path.
+//! single-query path. (MESSI shares data passes only where a fetch is
+//! charged: over a resident dataset it shares just the broadcast and
+//! hands whole queries to workers — see `dsidx_messi::query`.)
 //!
 //! Per-query state is exactly the single-query state, vectorized: a
 //! [`PreparedQuery`], a [`SharedTopK`] pruner (k-NN shaped; 1-NN batches
@@ -32,18 +34,21 @@ use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::{OffsetTopK, SharedTopK};
-use dsidx_tree::LeafEntry;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-query state inside a [`QueryBatch`]: the query's raw values, its
 /// prepared summaries, its own pruner and its own work counters.
-pub struct BatchSlot<'q> {
+///
+/// `P` is what the batch prepared per query up front: a [`PreparedQuery`]
+/// for the scan engines, `()` for a batch built
+/// [`unprepared`](QueryBatch::unprepared).
+pub struct BatchSlot<'q, P = PreparedQuery> {
     /// The raw (z-normalized) query values.
     pub values: &'q [f32],
     /// PAA summary, iSAX word and MINDIST table for this query.
-    pub prep: PreparedQuery,
+    pub prep: P,
     /// This query's top-k collector — its threshold prunes only for this
     /// query, never for its batch-mates. An [`OffsetTopK`] view: a plain
     /// per-batch collector for an ordinary batch, or a rebasing view into
@@ -138,8 +143,8 @@ pub struct ShardView<'a> {
 }
 
 /// A batch of exact k-NN queries answered by one shared schedule.
-pub struct QueryBatch<'q> {
-    slots: Vec<BatchSlot<'q>>,
+pub struct QueryBatch<'q, P = PreparedQuery> {
+    slots: Vec<BatchSlot<'q, P>>,
     fetches: AtomicU64,
     requests: AtomicU64,
     phases: PhaseAcc,
@@ -154,7 +159,7 @@ impl<'q> QueryBatch<'q> {
     /// series length (engines also assert this at their API boundary).
     #[must_use]
     pub fn new(quantizer: &Quantizer, queries: &[&'q [f32]], k: usize) -> Self {
-        Self::build(quantizer, queries, |_| OffsetTopK::fresh(k))
+        Self::build(queries, prepared_by(quantizer), |_| OffsetTopK::fresh(k))
     }
 
     /// Prepares a batch whose per-query pruners are rebasing views into
@@ -172,10 +177,8 @@ impl<'q> QueryBatch<'q> {
         shared: &SharedPruners,
         base: u32,
     ) -> Self {
-        assert_eq!(shared.len(), queries.len(), "one shared pruner per query");
-        Self::build(quantizer, queries, |qi| {
-            OffsetTopK::shared(Arc::clone(&shared.topks()[qi]), base)
-        })
+        let topk = sharing(shared, base, queries.len());
+        Self::build(queries, prepared_by(quantizer), topk)
     }
 
     /// [`new`](Self::new) or [`with_shared`](Self::with_shared), chosen by
@@ -196,10 +199,43 @@ impl<'q> QueryBatch<'q> {
             None => Self::new(quantizer, queries, k),
         }
     }
+}
 
+impl<'q> QueryBatch<'q, ()> {
+    /// [`for_shard`](QueryBatch::for_shard) without preparing any query:
+    /// the slots carry values, pruners and counters only. For schedules
+    /// that prepare a query where they answer it — in parallel inside the
+    /// worker that claimed it — instead of serially up front.
+    ///
+    /// # Panics
+    /// As [`for_shard`](QueryBatch::for_shard), query lengths aside.
+    #[must_use]
+    pub fn unprepared(queries: &[&'q [f32]], k: usize, shard: Option<ShardView<'_>>) -> Self {
+        match shard {
+            Some(v) => Self::build(queries, |_| (), sharing(v.pruners, v.base, queries.len())),
+            None => Self::build(queries, |_| (), |_| OffsetTopK::fresh(k)),
+        }
+    }
+}
+
+fn prepared_by(quantizer: &Quantizer) -> impl FnMut(&[f32]) -> PreparedQuery + '_ {
+    |values| PreparedQuery::new(quantizer, values)
+}
+
+fn sharing(
+    shared: &SharedPruners,
+    base: u32,
+    queries: usize,
+) -> impl FnMut(usize) -> OffsetTopK + '_ {
+    assert_eq!(shared.len(), queries, "one shared pruner per query");
+    move |qi| OffsetTopK::shared(Arc::clone(&shared.topks()[qi]), base)
+}
+
+/// What every batch offers, whatever it prepared per query.
+impl<'q, P> QueryBatch<'q, P> {
     fn build(
-        quantizer: &Quantizer,
         queries: &[&'q [f32]],
+        mut prep: impl FnMut(&[f32]) -> P,
         mut topk: impl FnMut(usize) -> OffsetTopK,
     ) -> Self {
         let slots = queries
@@ -207,7 +243,7 @@ impl<'q> QueryBatch<'q> {
             .enumerate()
             .map(|(qi, &values)| BatchSlot {
                 values,
-                prep: PreparedQuery::new(quantizer, values),
+                prep: prep(values),
                 topk: topk(qi),
                 stats: AtomicQueryStats::new(),
             })
@@ -234,7 +270,7 @@ impl<'q> QueryBatch<'q> {
 
     /// The per-query slots.
     #[must_use]
-    pub fn slots(&self) -> &[BatchSlot<'q>] {
+    pub fn slots(&self) -> &[BatchSlot<'q, P>] {
         &self.slots
     }
 
@@ -330,9 +366,11 @@ pub struct BatchStats {
     /// independent queries would each have fetched for. `series_requests
     /// >= series_fetched`; the gap is the sharing.
     pub series_requests: u64,
-    /// Counters for work done once for the whole batch (tree traversal
-    /// for MESSI: nodes pruned, leaves enqueued/processed/discarded);
-    /// zero for the scan engines.
+    /// Counters for work done once for the whole batch (the tree
+    /// traversal of MESSI's shared-fetch schedule: nodes pruned, leaves
+    /// enqueued/processed/discarded); zero for the scan engines and for
+    /// MESSI over a resident source, which traverses per query. Phase
+    /// times are always here: the schedule ran once for the batch.
     pub shared: QueryStats,
     /// Per-query counters, index-aligned with the batch's queries.
     pub per_query: Vec<QueryStats>,
@@ -392,10 +430,10 @@ impl BatchStats {
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
-pub fn batch_seed_positions(
+pub fn batch_seed_positions<P>(
     positions: &[u32],
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_>,
+    batch: &QueryBatch<'_, P>,
 ) -> Result<(), StorageError> {
     if batch.is_empty() || positions.is_empty() {
         return Ok(());
@@ -715,40 +753,50 @@ pub fn batch_verify_candidates(
 /// generalization of
 /// [`process_leaf_entries`](crate::scan::process_leaf_entries).
 ///
-/// `survivors` is caller-owned scratch (its contents are overwritten), so
-/// a worker visiting thousands of leaves allocates it once.
+/// `words` and `positions` are the leaf's entries (index-aligned);
+/// `preps` is index-aligned with the batch's slots (the batch itself may
+/// be [`unprepared`](QueryBatch::unprepared)). `survivors` is caller-owned
+/// scratch (its contents are overwritten), so a worker visiting thousands
+/// of leaves allocates it once.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
-pub fn batch_process_leaf_entries(
-    entries: &[LeafEntry],
+///
+/// # Panics
+/// Panics if `preps` is not one prepared query per slot.
+#[allow(clippy::too_many_arguments)] // the leaf, the batch, and where results go
+pub fn batch_process_leaf_entries<P>(
+    words: &[Word],
+    positions: &[u32],
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_>,
+    batch: &QueryBatch<'_, P>,
+    preps: &[PreparedQuery],
     active: &[usize],
     survivors: &mut Vec<usize>,
     locals: &mut [QueryStats],
 ) -> Result<(), StorageError> {
+    assert_eq!(preps.len(), batch.len(), "one PreparedQuery per query");
     let (mut fetches, mut requests) = (0u64, 0u64);
-    for e in entries {
+    for (word, &pos) in words.iter().zip(positions) {
         survivors.clear();
         for &qi in active {
             let slot = &batch.slots()[qi];
             locals[qi].lb_entry_computed += 1;
-            if slot.prep.table.lookup(&e.word) < slot.topk.threshold_sq() {
+            if preps[qi].table.lookup(word) < slot.topk.threshold_sq() {
                 survivors.push(qi);
             }
         }
         if survivors.is_empty() {
             continue;
         }
-        let series = fetcher.fetch(e.pos as usize)?;
+        let series = fetcher.fetch(pos as usize)?;
         fetches += 1;
         for &qi in survivors.iter() {
             let slot = &batch.slots()[qi];
             let limit = slot.topk.threshold_sq();
             requests += 1;
             if let Some(d) = euclidean_sq_bounded(slot.values, series, limit) {
-                slot.topk.insert(d, e.pos);
+                slot.topk.insert(d, pos);
                 locals[qi].real_computed += 1;
             }
         }
@@ -1208,24 +1256,27 @@ mod tests {
     #[test]
     fn batch_leaf_processing_respects_active_set() {
         let (data, words, config) = fixture(120);
-        let entries: Vec<LeafEntry> = words
-            .iter()
-            .enumerate()
-            .map(|(pos, w)| LeafEntry::new(*w, pos as u32))
-            .collect();
+        let positions: Vec<u32> = (0..120).collect();
         let qs = DatasetKind::Synthetic.queries(3, 64, 13);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let k = 4;
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, k);
+        // The schedule that uses this loop prepares its own queries.
+        let batch = QueryBatch::unprepared(&qrefs, k, None);
+        let preps: Vec<PreparedQuery> = qrefs
+            .iter()
+            .map(|q| PreparedQuery::new(config.quantizer(), q))
+            .collect();
         let mut locals = vec![QueryStats::default(); batch.len()];
         let mut fetcher = SeriesFetcher::new(&data);
         // Only queries 0 and 2 are active for this "leaf".
         // Stale scratch contents must not leak into the survivor set.
         let mut survivors = vec![1usize];
         batch_process_leaf_entries(
-            &entries,
+            &words,
+            &positions,
             &mut fetcher,
             &batch,
+            &preps,
             &[0, 2],
             &mut survivors,
             &mut locals,

@@ -16,13 +16,13 @@
 
 use crate::batch::QueryBatch;
 use crate::fetch::SeriesFetcher;
+use crate::scan::LeafScratch;
 use crate::stats::QueryStats;
 use dsidx_isax::paa::envelope_paa_bounds;
-use dsidx_isax::{MindistTable, NodeMindistTable, Quantizer};
-use dsidx_series::distance::dtw::{dtw_sq, dtw_sq_bounded, envelope, lb_keogh_sq_bounded};
+use dsidx_isax::{MindistTable, NodeMindistTable, Quantizer, Word};
+use dsidx_series::distance::dtw::{dtw_sq_bounded, envelope, lb_keogh_sq_bounded};
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
-use dsidx_tree::LeafEntry;
 
 /// Everything a banded-DTW query needs before touching index structures:
 /// the query envelope (for LB_Keogh), its per-segment PAA bounds, and the
@@ -40,6 +40,8 @@ pub struct DtwPrepared {
     hi_paa: Vec<f32>,
     /// Interval word-level MINDIST table — a sound DTW lower bound.
     pub table: MindistTable,
+    /// The query's own full-cardinality iSAX word (locates its seed leaf).
+    pub word: Word,
 }
 
 impl DtwPrepared {
@@ -65,6 +67,7 @@ impl DtwPrepared {
             lo_paa,
             hi_paa,
             table,
+            word: quantizer.word(query),
         }
     }
 
@@ -73,57 +76,86 @@ impl DtwPrepared {
     /// never need it.
     #[must_use]
     pub fn node_table(&self, quantizer: &Quantizer) -> NodeMindistTable {
-        NodeMindistTable::new_interval(&self.lo_paa, &self.hi_paa, quantizer.segment_lens())
+        let mut table = NodeMindistTable::default();
+        self.fill_node_table(quantizer, &mut table);
+        table
+    }
+
+    /// [`node_table`](Self::node_table) into a table the caller reuses
+    /// from query to query.
+    pub fn fill_node_table(&self, quantizer: &Quantizer, table: &mut NodeMindistTable) {
+        table.fill_interval(&self.lo_paa, &self.hi_paa, quantizer.segment_lens());
     }
 }
 
-/// Seeds the pruner with the full banded-DTW distance of every entry in
-/// the approximate leaf — the DTW counterpart of
+/// Seeds the pruner from the approximate leaf under banded DTW: every
+/// entry (given by its raw-data position) pays an early-abandoned DTW
+/// against the pruner's current threshold — the DTW counterpart of
 /// [`seed_from_entries`](crate::seed::seed_from_entries). Returns the
-/// number of real (full) DTW distances computed.
+/// number of *full* DTW distances computed; abandoned ones are not
+/// counted anywhere (`dtw_abandoned` is the leaf cascade's counter).
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
 pub fn seed_from_entries_dtw<P: Pruner>(
-    entries: &[LeafEntry],
+    positions: impl IntoIterator<Item = u32>,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     query: &[f32],
     band: usize,
     pruner: &P,
 ) -> Result<u64, StorageError> {
-    for e in entries {
-        let series = fetcher.fetch(e.pos as usize)?;
-        pruner.insert(dtw_sq(query, series, band), e.pos);
+    let mut paid = 0u64;
+    for pos in positions {
+        let limit = pruner.threshold_sq();
+        let series = fetcher.fetch(pos as usize)?;
+        if let Some(d) = dtw_sq_bounded(query, series, band, limit) {
+            pruner.insert(d, pos);
+            paid += 1;
+        }
     }
-    Ok(entries.len() as u64)
+    Ok(paid)
 }
 
-/// The LB_Keogh → early-abandoned banded DTW tail of the cascade over one
-/// leaf's entries for a single query (MESSI's DTW processing phase),
-/// paying a fetch only for entries whose iSAX bound survives. Counter
-/// updates land in `stats` (`lb_entry_computed`, `lb_keogh_*`,
-/// `real_computed`, `dtw_abandoned`) — the single-query counterpart of
-/// [`batch_process_leaf_entries_dtw`] and the DTW counterpart of
-/// [`process_leaf_entries`](crate::scan::process_leaf_entries).
+/// The full DTW cascade over one leaf's entries for a single query
+/// (MESSI's DTW processing phase): the interval iSAX bound over the whole
+/// leaf first, the survivors' series prefetched ([`LeafScratch`]), then
+/// LB_Keogh → early-abandoned banded DTW per survivor against the live
+/// threshold. The DTW counterpart of
+/// [`process_leaf_entries`](crate::scan::process_leaf_entries), with the
+/// same `words`/`positions` contract.
+///
+/// Counter updates land in `stats` (`lb_entry_computed`, `lb_keogh_*`,
+/// `real_computed`, `dtw_abandoned`); returns the number of series fetched.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
+///
+/// # Panics
+/// Panics if `words` is shorter than `positions`.
+#[allow(clippy::too_many_arguments)] // mirrors the ED leaf loop + band
 pub fn process_leaf_entries_dtw<P: Pruner>(
-    entries: &[LeafEntry],
+    words: &[Word],
+    positions: &[u32],
     prep: &DtwPrepared,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     query: &[f32],
     band: usize,
     pruner: &P,
+    scratch: &mut LeafScratch,
     stats: &mut QueryStats,
-) -> Result<(), StorageError> {
-    for e in entries {
+) -> Result<u64, StorageError> {
+    let limit = pruner.threshold_sq();
+    let survivors = scratch.bound_leaf(words, positions, &prep.table, limit, fetcher);
+    stats.lb_entry_computed += positions.len() as u64;
+    let mut fetched = 0u64;
+    for &(pos, lb) in survivors {
+        // Re-read per survivor: this worker or a peer may have tightened it.
         let limit = pruner.threshold_sq();
-        stats.lb_entry_computed += 1;
-        if prep.table.lookup(&e.word) >= limit {
+        if lb >= limit {
             continue;
         }
-        let series = fetcher.fetch(e.pos as usize)?;
+        let series = fetcher.fetch(pos as usize)?;
+        fetched += 1;
         stats.lb_keogh_computed += 1;
         if lb_keogh_sq_bounded(series, &prep.lo_env, &prep.hi_env, limit).is_none() {
             stats.lb_keogh_pruned += 1;
@@ -131,12 +163,12 @@ pub fn process_leaf_entries_dtw<P: Pruner>(
         }
         if let Some(d) = dtw_sq_bounded(query, series, band, limit) {
             stats.real_computed += 1;
-            pruner.insert(d, e.pos);
+            pruner.insert(d, pos);
         } else {
             stats.dtw_abandoned += 1;
         }
     }
-    Ok(())
+    Ok(fetched)
 }
 
 /// Seeds every query in a DTW batch from the (deduplicated) `positions`:
@@ -146,10 +178,10 @@ pub fn process_leaf_entries_dtw<P: Pruner>(
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
-pub fn batch_seed_positions_dtw(
+pub fn batch_seed_positions_dtw<P>(
     positions: &[u32],
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_>,
+    batch: &QueryBatch<'_, P>,
     band: usize,
 ) -> Result<(), StorageError> {
     if batch.is_empty() || positions.is_empty() {
@@ -185,6 +217,7 @@ pub fn batch_seed_positions_dtw(
 /// query that still wants it — the DTW counterpart of
 /// [`batch_process_leaf_entries`](crate::batch::batch_process_leaf_entries).
 ///
+/// `words` and `positions` are the leaf's entries (index-aligned);
 /// `preps` is index-aligned with the batch's slots; `survivors` is
 /// caller-owned scratch (its contents are overwritten).
 ///
@@ -194,10 +227,11 @@ pub fn batch_seed_positions_dtw(
 /// # Panics
 /// Panics if `preps` is not one prepared state per query.
 #[allow(clippy::too_many_arguments)] // mirrors the ED batch loop + band
-pub fn batch_process_leaf_entries_dtw(
-    entries: &[LeafEntry],
+pub fn batch_process_leaf_entries_dtw<P>(
+    words: &[Word],
+    positions: &[u32],
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_>,
+    batch: &QueryBatch<'_, P>,
     active: &[usize],
     preps: &[DtwPrepared],
     band: usize,
@@ -206,19 +240,19 @@ pub fn batch_process_leaf_entries_dtw(
 ) -> Result<(), StorageError> {
     assert_eq!(preps.len(), batch.len(), "one DtwPrepared per query");
     let (mut fetches, mut requests) = (0u64, 0u64);
-    for e in entries {
+    for (word, &pos) in words.iter().zip(positions) {
         survivors.clear();
         for &qi in active {
             let slot = &batch.slots()[qi];
             locals[qi].lb_entry_computed += 1;
-            if preps[qi].table.lookup(&e.word) < slot.topk.threshold_sq() {
+            if preps[qi].table.lookup(word) < slot.topk.threshold_sq() {
                 survivors.push(qi);
             }
         }
         if survivors.is_empty() {
             continue;
         }
-        let series = fetcher.fetch(e.pos as usize)?;
+        let series = fetcher.fetch(pos as usize)?;
         fetches += 1;
         for &qi in survivors.iter() {
             let slot = &batch.slots()[qi];
@@ -231,7 +265,7 @@ pub fn batch_process_leaf_entries_dtw(
                 continue;
             }
             if let Some(d) = dtw_sq_bounded(slot.values, series, band, limit) {
-                slot.topk.insert(d, e.pos);
+                slot.topk.insert(d, pos);
                 locals[qi].real_computed += 1;
             } else {
                 locals[qi].dtw_abandoned += 1;
@@ -246,6 +280,7 @@ pub fn batch_process_leaf_entries_dtw(
 mod tests {
     use super::*;
     use crate::stats::QueryStats;
+    use dsidx_series::distance::dtw::dtw_sq;
     use dsidx_series::gen::DatasetKind;
     use dsidx_series::Dataset;
     use dsidx_tree::TreeConfig;
@@ -254,6 +289,12 @@ mod tests {
         let config = TreeConfig::new(64, 8, 16).unwrap();
         let data = DatasetKind::Synthetic.generate(n, 64, 5);
         (data, config)
+    }
+
+    /// The whole fixture as one leaf: its words and positions.
+    fn leaf_of(data: &Dataset, quantizer: &Quantizer) -> (Vec<Word>, Vec<u32>) {
+        let words = data.iter().map(|s| quantizer.word(s)).collect();
+        (words, (0..data.len() as u32).collect())
     }
 
     fn brute_dtw_topk(data: &Dataset, q: &[f32], band: usize, k: usize) -> Vec<(f32, u32)> {
@@ -302,16 +343,14 @@ mod tests {
 
     #[test]
     fn seed_from_entries_dtw_finds_leaf_minimum() {
-        let (data, config) = fixture(100);
-        let quantizer = config.quantizer();
-        let entries: Vec<LeafEntry> = (0..20u32)
-            .map(|pos| LeafEntry::new(quantizer.word(data.get(pos as usize)), pos))
-            .collect();
+        let (data, _) = fixture(100);
         let q = data.get(7);
         let topk = dsidx_sync::SharedTopK::new(1);
         let mut fetcher = SeriesFetcher::new(&data);
-        let reals = seed_from_entries_dtw(&entries, &mut fetcher, q, 3, &topk).unwrap();
-        assert_eq!(reals, 20);
+        let reals = seed_from_entries_dtw(0..20u32, &mut fetcher, q, 3, &topk).unwrap();
+        // Only improvements are paid in full, and nothing after series 7
+        // sets the best-so-far to zero can be one.
+        assert!((1..=8).contains(&reals), "{reals}");
         // Series 7 is among the entries, so its DTW distance of 0 wins.
         assert_eq!(topk.matches(), vec![(0.0, 7)]);
     }
@@ -320,11 +359,7 @@ mod tests {
     fn single_query_leaf_cascade_equals_brute_force() {
         let (data, config) = fixture(220);
         let quantizer = config.quantizer();
-        let entries: Vec<LeafEntry> = data
-            .iter()
-            .enumerate()
-            .map(|(pos, s)| LeafEntry::new(quantizer.word(s), pos as u32))
-            .collect();
+        let (words, positions) = leaf_of(&data, quantizer);
         let qs = DatasetKind::Synthetic.queries(3, 64, 21);
         let band = 4;
         for q in qs.iter() {
@@ -332,8 +367,19 @@ mod tests {
             let topk = dsidx_sync::SharedTopK::new(6);
             let mut fetcher = SeriesFetcher::new(&data);
             let mut stats = QueryStats::default();
-            process_leaf_entries_dtw(&entries, &prep, &mut fetcher, q, band, &topk, &mut stats)
-                .unwrap();
+            let fetched = process_leaf_entries_dtw(
+                &words,
+                &positions,
+                &prep,
+                &mut fetcher,
+                q,
+                band,
+                &topk,
+                &mut LeafScratch::new(),
+                &mut stats,
+            )
+            .unwrap();
+            assert_eq!(fetched, stats.lb_keogh_computed);
             let want = brute_dtw_topk(&data, q, band, 6);
             assert_eq!(
                 topk.matches().iter().map(|m| m.1).collect::<Vec<_>>(),
@@ -353,11 +399,7 @@ mod tests {
     fn batched_leaf_cascade_equals_brute_force() {
         let (data, config) = fixture(250);
         let quantizer = config.quantizer();
-        let entries: Vec<LeafEntry> = data
-            .iter()
-            .enumerate()
-            .map(|(pos, s)| LeafEntry::new(quantizer.word(s), pos as u32))
-            .collect();
+        let (words, positions) = leaf_of(&data, quantizer);
         let qs = DatasetKind::Synthetic.queries(4, 64, 13);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let band = 4;
@@ -371,7 +413,8 @@ mod tests {
             let mut locals = vec![QueryStats::default(); batch.len()];
             let mut fetcher = SeriesFetcher::new(&data);
             batch_process_leaf_entries_dtw(
-                &entries,
+                &words,
+                &positions,
                 &mut fetcher,
                 &batch,
                 &active,

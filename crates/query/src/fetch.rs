@@ -1,8 +1,14 @@
 //! Raw-series access for query-time verification, uniform over in-memory
 //! datasets and on-disk files.
 
+use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Dataset;
 use dsidx_storage::{RawSource, StorageError};
+
+/// Cache lines of a series requested ahead of its distance computation:
+/// enough to cover where an early-abandoned distance usually stops; the
+/// hardware prefetcher follows the sequential read from there.
+const PREFETCH_LINES: usize = 4;
 
 /// Fetches raw series from a [`RawSource`], taking the zero-copy path when
 /// the source is an in-memory dataset and reading through a reusable
@@ -29,6 +35,17 @@ impl<'a, S: RawSource> SeriesFetcher<'a, S> {
             source,
             memory,
             scratch,
+        }
+    }
+
+    /// Hints that series `pos` is about to be [`fetch`](Self::fetch)ed, so
+    /// a resident source can start pulling it toward the cache while the
+    /// caller still works on something else. No-op (and no device charge)
+    /// for non-resident sources.
+    #[inline]
+    pub fn prefetch(&self, pos: usize) {
+        if let Some(ds) = self.memory {
+            prefetch_lines(ds.get(pos), PREFETCH_LINES);
         }
     }
 

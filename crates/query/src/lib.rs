@@ -55,7 +55,7 @@ pub use errslot::ErrorSlot;
 pub use fetch::SeriesFetcher;
 pub use knn::finish_knn;
 pub use prepare::PreparedQuery;
-pub use scan::{process_leaf_entries, scan_sax_serial, verify_candidate};
+pub use scan::{process_leaf_entries, scan_sax_serial, verify_candidate, LeafScratch};
 pub use seed::{
     approx_leaf, approx_leaf_flat, best_bound_positions, seed_from_entries, seed_prefix,
 };

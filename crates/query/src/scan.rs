@@ -11,11 +11,10 @@
 
 use crate::fetch::SeriesFetcher;
 use crate::stats::QueryStats;
-use dsidx_isax::MindistTable;
+use dsidx_isax::{MindistTable, Word};
 use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
-use dsidx_tree::LeafEntry;
 
 /// Verifies one candidate position: re-checks its lower bound against the
 /// *current* threshold (it may have improved since the bound was computed),
@@ -84,35 +83,100 @@ pub fn scan_sax_serial<P: Pruner>(
 /// Words lower-bounded per batched-kernel call in the scan loops.
 pub(crate) const LB_BLOCK: usize = 256;
 
+/// Reusable buffers of the per-leaf loops: one bound per (padded) word and
+/// the entries that survived the bound pass. A worker visiting thousands
+/// of leaves per query allocates them once.
+#[derive(Debug, Default)]
+pub struct LeafScratch {
+    bounds: Vec<f32>,
+    /// `(position, bound)` of each surviving entry, in entry order.
+    survivors: Vec<(u32, f32)>,
+}
+
+impl LeafScratch {
+    /// Empty buffers; they grow to the largest leaf seen.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Pass one of a leaf visit: bounds every word with the batched kernel
+    /// (bit-identical with SIMD on or off), keeps the entries among the
+    /// first `positions.len()` whose bound beats `limit`, and starts
+    /// pulling their series toward the cache so pass two does not open
+    /// each distance with a memory stall. Returns the survivors as
+    /// `(position, bound)`, in entry order.
+    pub(crate) fn bound_leaf(
+        &mut self,
+        words: &[Word],
+        positions: &[u32],
+        table: &MindistTable,
+        limit: f32,
+        fetcher: &SeriesFetcher<'_, impl RawSource>,
+    ) -> &[(u32, f32)] {
+        assert!(words.len() >= positions.len(), "one word per position");
+        if self.bounds.len() < words.len() {
+            self.bounds.resize(words.len(), 0.0);
+        }
+        table.lookup_many(words, &mut self.bounds);
+        self.survivors.clear();
+        for (&lb, &pos) in self.bounds.iter().zip(positions) {
+            if lb < limit {
+                self.survivors.push((pos, lb));
+                fetcher.prefetch(pos as usize);
+            }
+        }
+        &self.survivors
+    }
+}
+
 /// Entry-level bound + early-abandoned real distance over one leaf's
 /// entries (MESSI processing phase), fetching survivors from any
-/// [`RawSource`] — zero-copy in memory, device-charged reads on disk. The
-/// pruning threshold refreshes after every improvement. Returns the number
-/// of full real distances paid; the caller counts `entries.len()` bounds.
+/// [`RawSource`] — zero-copy in memory, device-charged reads on disk.
+///
+/// Two passes, because a leaf's entries point all over the raw data: first
+/// the whole leaf is bounded and the survivors' series are prefetched
+/// ([`LeafScratch`]), then the survivors pay their distances, the pruning
+/// threshold re-read after each one (and each bound re-checked against it).
+/// `words` may be longer than `positions` — a run padded for the batched
+/// kernel (`FlatTree::leaf_words_padded`); the extra bounds are ignored.
+///
+/// Counts `lb_entry_computed` and `real_computed` into `stats`; returns the
+/// number of series fetched.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
+///
+/// # Panics
+/// Panics if `words` is shorter than `positions`.
+#[allow(clippy::too_many_arguments)] // the leaf, the query, and where results go
 pub fn process_leaf_entries<P: Pruner>(
-    entries: &[LeafEntry],
+    words: &[Word],
+    positions: &[u32],
     table: &MindistTable,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     query: &[f32],
     pruner: &P,
+    scratch: &mut LeafScratch,
+    stats: &mut QueryStats,
 ) -> Result<u64, StorageError> {
-    let mut reals = 0u64;
-    let mut limit = pruner.threshold_sq();
-    for e in entries {
-        if table.lookup(&e.word) >= limit {
+    let survivors = scratch.bound_leaf(words, positions, table, pruner.threshold_sq(), fetcher);
+    stats.lb_entry_computed += positions.len() as u64;
+    let mut fetched = 0u64;
+    for &(pos, lb) in survivors {
+        // Re-read per survivor: this worker or a peer may have tightened it.
+        let limit = pruner.threshold_sq();
+        if lb >= limit {
             continue;
         }
-        let series = fetcher.fetch(e.pos as usize)?;
+        let series = fetcher.fetch(pos as usize)?;
+        fetched += 1;
         if let Some(d) = euclidean_sq_bounded(query, series, limit) {
-            reals += 1;
-            pruner.insert(d, e.pos);
+            stats.real_computed += 1;
+            pruner.insert(d, pos);
         }
-        limit = pruner.threshold_sq();
     }
-    Ok(reals)
+    Ok(fetched)
 }
 
 #[cfg(test)]
@@ -123,6 +187,14 @@ mod tests {
     use dsidx_series::gen::DatasetKind;
     use dsidx_sync::{AtomicBest, SharedTopK};
     use dsidx_tree::TreeConfig;
+
+    /// One leaf holding the whole fixture, padded like a flat-tree leaf.
+    fn leaf_of(words: &[Word]) -> (Vec<Word>, Vec<u32>) {
+        let positions = (0..words.len() as u32).collect();
+        let mut padded = words.to_vec();
+        padded.resize(words.len().next_multiple_of(8), words[0]);
+        (padded, positions)
+    }
 
     fn fixture(n: usize) -> (dsidx_series::Dataset, Vec<dsidx_isax::Word>, TreeConfig) {
         let config = TreeConfig::new(64, 8, 16).unwrap();
@@ -215,20 +287,29 @@ mod tests {
 
     #[test]
     fn leaf_entry_processing_is_exact_over_the_leaf() {
-        let (data, words, config) = fixture(200);
-        let entries: Vec<LeafEntry> = words
-            .iter()
-            .enumerate()
-            .map(|(pos, w)| LeafEntry::new(*w, pos as u32))
-            .collect();
+        // 203 entries: the padded run carries five words past the leaf.
+        let (data, words, config) = fixture(203);
+        let (padded, positions) = leaf_of(&words);
         let queries = DatasetKind::Synthetic.queries(3, 64, 31);
+        let mut scratch = LeafScratch::new();
         for q in queries.iter() {
             let prep = PreparedQuery::new(config.quantizer(), q);
             let best = AtomicBest::new();
             let mut fetcher = SeriesFetcher::new(&data);
-            let reals =
-                process_leaf_entries(&entries, &prep.table, &mut fetcher, q, &best).unwrap();
-            assert!(reals <= entries.len() as u64);
+            let mut stats = QueryStats::default();
+            let fetched = process_leaf_entries(
+                &padded,
+                &positions,
+                &prep.table,
+                &mut fetcher,
+                q,
+                &best,
+                &mut scratch,
+                &mut stats,
+            )
+            .unwrap();
+            assert_eq!(stats.lb_entry_computed, 203, "padding is not counted");
+            assert!(stats.real_computed <= fetched && fetched <= 203);
             let want = brute(&data, q);
             assert_eq!(best.get().1, want.1);
         }
@@ -237,18 +318,24 @@ mod tests {
     #[test]
     fn leaf_entry_processing_with_topk_is_exact_over_the_leaf() {
         let (data, words, config) = fixture(200);
-        let entries: Vec<LeafEntry> = words
-            .iter()
-            .enumerate()
-            .map(|(pos, w)| LeafEntry::new(*w, pos as u32))
-            .collect();
+        let (padded, positions) = leaf_of(&words);
         let queries = DatasetKind::Synthetic.queries(2, 64, 13);
         for q in queries.iter() {
             let prep = PreparedQuery::new(config.quantizer(), q);
             let k = 9;
             let topk = SharedTopK::new(k);
             let mut fetcher = SeriesFetcher::new(&data);
-            let _ = process_leaf_entries(&entries, &prep.table, &mut fetcher, q, &topk).unwrap();
+            process_leaf_entries(
+                &padded,
+                &positions,
+                &prep.table,
+                &mut fetcher,
+                q,
+                &topk,
+                &mut LeafScratch::new(),
+                &mut QueryStats::default(),
+            )
+            .unwrap();
             let want = brute_topk(&data, q, k);
             assert_eq!(
                 topk.matches().iter().map(|m| m.1).collect::<Vec<_>>(),

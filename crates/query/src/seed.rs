@@ -4,7 +4,7 @@
 
 use crate::fetch::SeriesFetcher;
 use dsidx_isax::{MindistTable, Word};
-use dsidx_series::distance::euclidean_sq;
+use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
 use dsidx_tree::{FlatTree, Index, LeafEntry, Node};
@@ -37,23 +37,35 @@ pub fn approx_leaf_flat(flat: &FlatTree, word: &Word) -> Option<u32> {
         })
 }
 
-/// Seeds the pruner with the full real distance of every entry in the
-/// approximate leaf. Returns the number of real distances computed (all of
-/// them — seeding never abandons, the threshold may start at infinity).
+/// Seeds the pruner from the approximate leaf: every entry (given by its
+/// raw-data position) pays an early-abandoned real distance against the
+/// pruner's current threshold. Returns the number of *full* real distances
+/// computed — all of them until the pruner holds k, fewer once it abandons.
+///
+/// The distance goes through [`euclidean_sq_bounded`] like every other
+/// insertion in the kernel, never the unbounded variant: the two SIMD
+/// kernels add in different orders and can disagree in the last bit, and a
+/// reported distance must not depend on which phase reached the series
+/// first (memory and disk schedules seed from different sets).
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
 pub fn seed_from_entries<P: Pruner>(
-    entries: &[LeafEntry],
+    positions: impl IntoIterator<Item = u32>,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     query: &[f32],
     pruner: &P,
 ) -> Result<u64, StorageError> {
-    for e in entries {
-        let series = fetcher.fetch(e.pos as usize)?;
-        pruner.insert(euclidean_sq(query, series), e.pos);
+    let mut paid = 0u64;
+    for pos in positions {
+        let limit = pruner.threshold_sq();
+        let series = fetcher.fetch(pos as usize)?;
+        if let Some(d) = euclidean_sq_bounded(query, series, limit) {
+            pruner.insert(d, pos);
+            paid += 1;
+        }
     }
-    Ok(entries.len() as u64)
+    Ok(paid)
 }
 
 /// Appends to `out` the positions of the `n` entries of `entries` with the
@@ -107,7 +119,7 @@ pub fn seed_prefix<P: Pruner>(
     for pos in 0..prefix {
         let limit = pruner.threshold_sq();
         let series = fetcher.fetch(pos)?;
-        if let Some(d) = dsidx_series::distance::euclidean_sq_bounded(query, series, limit) {
+        if let Some(d) = euclidean_sq_bounded(query, series, limit) {
             pruner.insert(d, pos as u32);
             paid += 1;
         }
@@ -151,11 +163,7 @@ mod tests {
             let word = quantizer.word(data.get(pos));
             let leaf = approx_leaf(&index, &word).expect("non-empty");
             let flat_idx = approx_leaf_flat(&flat, &word).expect("non-empty");
-            let mut flat_positions: Vec<u32> = flat
-                .leaf_entries(flat.node(flat_idx))
-                .iter()
-                .map(|e| e.pos)
-                .collect();
+            let mut flat_positions = flat.leaf_positions(flat.node(flat_idx)).to_vec();
             let mut tree_positions: Vec<u32> =
                 leaf.entries().unwrap().iter().map(|e| e.pos).collect();
             flat_positions.sort_unstable();
@@ -202,8 +210,11 @@ mod tests {
         let entries = leaf.entries().expect("resident leaf");
         let best = AtomicBest::new();
         let mut fetcher = SeriesFetcher::new(&data);
-        let reals = seed_from_entries(entries, &mut fetcher, q, &best).unwrap();
-        assert_eq!(reals, entries.len() as u64);
+        let positions = entries.iter().map(|e| e.pos);
+        let reals = seed_from_entries(positions, &mut fetcher, q, &best).unwrap();
+        // Everything is paid in full until the first insertion; after it
+        // the rest may abandon against the tightening best-so-far.
+        assert!((1..=entries.len() as u64).contains(&reals));
         // Series 42 is in its own leaf, so seeding must find distance 0.
         let (dist_sq, pos) = best.get();
         assert_eq!(pos, 42);

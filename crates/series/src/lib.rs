@@ -24,6 +24,7 @@ pub mod error;
 pub mod gen;
 pub mod load;
 pub mod nn;
+pub mod prefetch;
 pub mod series;
 pub mod stats;
 pub mod znorm;

@@ -4,15 +4,31 @@
 //! (independent subtrees, in-place splits) but miserable for traversal:
 //! every node visit is a pointer chase. Query answering in MESSI touches
 //! tens of thousands of nodes per query, so after construction the tree is
-//! *flattened* once into three dense arrays — nodes (depth-first), leaf
-//! entries (leaf-contiguous), and occupied roots — and queries walk those.
-//! The paper's C implementation gets the same effect for free by storing
+//! *flattened* once into dense arrays — nodes (depth-first), leaf entries
+//! (leaf-contiguous), and occupied roots — and queries walk those. The
+//! paper's C implementation gets the same effect for free by storing
 //! nodes in preallocated arrays.
+//!
+//! Leaf entries are stored as two parallel arrays, the iSAX words and the
+//! raw-data positions (the bytes of a [`LeafEntry`](crate::LeafEntry),
+//! split by field). Processing a leaf first lower-bounds *every* word and
+//! only then touches the positions of the few survivors, so the words of
+//! one leaf sit contiguously for the batched MINDIST kernel
+//! ([`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many))
+//! and no cache line is spent on positions that are never read. The word
+//! array is padded so that any leaf can be bounded in whole blocks of
+//! [`LEAF_BLOCK`] words ([`FlatTree::leaf_words_padded`]): the kernel then
+//! never falls back to its one-word-at-a-time tail, and the caller ignores
+//! the extra results. The snapshot format is unaffected — a snapshot
+//! stores the [`Index`], and the flat view is rebuilt from it.
 
-use crate::entry::LeafEntry;
 use crate::index::Index;
 use crate::node::Node;
-use dsidx_isax::{NodeMindistTable, MAX_SEGMENTS};
+use dsidx_isax::{NodeMindistTable, Word, MAX_SEGMENTS};
+
+/// Words per block of the batched MINDIST kernel; leaf word runs are
+/// padded to a multiple of it.
+pub const LEAF_BLOCK: usize = 8;
 
 /// A node in the flattened tree.
 ///
@@ -85,8 +101,12 @@ pub struct FlatTree {
     nodes: Vec<FlatNode>,
     /// `(root key, node index)` for every occupied root, key-ascending.
     roots: Vec<(u16, u32)>,
-    /// Every leaf's entries, leaf-contiguous.
-    entries: Vec<LeafEntry>,
+    /// Every leaf's iSAX words, leaf-contiguous, followed by
+    /// `LEAF_BLOCK - 1` filler words so the last leaf can be padded too.
+    words: Vec<Word>,
+    /// Raw-data position of each word (no filler: `words.len() -
+    /// (LEAF_BLOCK - 1)` of them in a non-empty tree).
+    positions: Vec<u32>,
     segments: usize,
 }
 
@@ -97,7 +117,8 @@ impl FlatTree {
         let mut flat = FlatTree {
             nodes: Vec::new(),
             roots: Vec::with_capacity(index.occupied_roots().len()),
-            entries: Vec::with_capacity(index.len()),
+            words: Vec::with_capacity(index.len() + LEAF_BLOCK - 1),
+            positions: Vec::with_capacity(index.len()),
             segments: index.config().segments(),
         };
         for &key in index.occupied_roots() {
@@ -105,6 +126,9 @@ impl FlatTree {
             let idx = flat.push_subtree(root);
             flat.roots.push((key, idx));
         }
+        let filler = Word::new(&[0u8; MAX_SEGMENTS][..flat.segments]);
+        flat.words
+            .extend(std::iter::repeat_n(filler, LEAF_BLOCK - 1));
         flat
     }
 
@@ -117,7 +141,7 @@ impl FlatTree {
             prefixes[seg] = word.prefix(seg);
             bits[seg] = word.bits(seg);
         }
-        let entry_start = self.entries.len() as u32;
+        let entry_start = self.positions.len() as u32;
         self.nodes.push(FlatNode {
             prefixes,
             bits,
@@ -131,10 +155,11 @@ impl FlatTree {
             let one_idx = self.push_subtree(one);
             self.nodes[my_index as usize].one_child = one_idx;
         } else {
-            self.entries
-                .extend_from_slice(node.entries().expect("resident leaf"));
+            let entries = node.entries().expect("resident leaf");
+            self.words.extend(entries.iter().map(|e| e.word));
+            self.positions.extend(entries.iter().map(|e| e.pos));
         }
-        self.nodes[my_index as usize].entry_end = self.entries.len() as u32;
+        self.nodes[my_index as usize].entry_end = self.positions.len() as u32;
         my_index
     }
 
@@ -159,23 +184,48 @@ impl FlatTree {
         &self.nodes
     }
 
-    /// A leaf's entries.
+    /// The iSAX words of a leaf's entries, index-aligned with
+    /// [`leaf_positions`](Self::leaf_positions).
     ///
     /// # Panics
     /// Debug-asserts the node is a leaf (an inner node's range spans its
     /// whole subtree).
     #[inline]
     #[must_use]
-    pub fn leaf_entries(&self, node: &FlatNode) -> &[LeafEntry] {
+    pub fn leaf_words(&self, node: &FlatNode) -> &[Word] {
         debug_assert!(node.is_leaf());
-        &self.entries[node.entry_range()]
+        &self.words[node.entry_range()]
+    }
+
+    /// [`leaf_words`](Self::leaf_words) extended to the next multiple of
+    /// [`LEAF_BLOCK`] words: the leaf's own words first, then whatever
+    /// follows them in the array (the next leaf's words or filler). Bound
+    /// the whole run with the batched kernel and read only the first
+    /// `subtree_len()` results.
+    #[inline]
+    #[must_use]
+    pub fn leaf_words_padded(&self, node: &FlatNode) -> &[Word] {
+        debug_assert!(node.is_leaf());
+        let start = node.entry_start as usize;
+        &self.words[start..start + node.subtree_len().next_multiple_of(LEAF_BLOCK)]
+    }
+
+    /// The raw-data positions of a leaf's entries.
+    ///
+    /// # Panics
+    /// Debug-asserts the node is a leaf.
+    #[inline]
+    #[must_use]
+    pub fn leaf_positions(&self, node: &FlatNode) -> &[u32] {
+        debug_assert!(node.is_leaf());
+        &self.positions[node.entry_range()]
     }
 
     /// Total number of entries.
     #[inline]
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.positions.len()
     }
 
     /// Number of iSAX segments.
@@ -238,6 +288,7 @@ impl FlatTree {
 mod tests {
     use super::*;
     use crate::config::TreeConfig;
+    use crate::entry::LeafEntry;
     use dsidx_isax::Quantizer;
 
     fn build_index(n: u64, cap: usize) -> (TreeConfig, Index, Vec<LeafEntry>) {
@@ -271,7 +322,7 @@ mod tests {
             .nodes()
             .iter()
             .filter(|n| n.is_leaf())
-            .flat_map(|n| flat.leaf_entries(n).iter().map(|e| e.pos))
+            .flat_map(|n| flat.leaf_positions(n).iter().copied())
             .collect();
         seen.sort_unstable();
         let mut want: Vec<u32> = entries.iter().map(|e| e.pos).collect();
@@ -292,8 +343,13 @@ mod tests {
                 check(flat, fz, zero);
                 check(flat, fo, one);
             } else {
-                let want: Vec<u32> = node.entries().unwrap().iter().map(|e| e.pos).collect();
-                let got: Vec<u32> = flat.leaf_entries(fnode).iter().map(|e| e.pos).collect();
+                let want = node.entries().unwrap();
+                let got: Vec<LeafEntry> = flat
+                    .leaf_words(fnode)
+                    .iter()
+                    .zip(flat.leaf_positions(fnode))
+                    .map(|(&word, &pos)| LeafEntry::new(word, pos))
+                    .collect();
                 assert_eq!(got, want);
             }
         }
@@ -324,8 +380,7 @@ mod tests {
                 .iter()
                 .map(|x| x.pos)
                 .collect();
-            let got: Vec<u32> = flat.leaf_entries(flat_leaf).iter().map(|x| x.pos).collect();
-            assert_eq!(got, want);
+            assert_eq!(flat.leaf_positions(flat_leaf), want);
         }
     }
 
