@@ -9,9 +9,10 @@ use crate::build::AdsIndex;
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
     approx_leaf, batch_scan_sax_serial, batch_seed_positions, finish_knn, scan_sax_serial,
-    seed_from_entries, seed_from_entries_dtw, BatchStats, PreparedQuery, Pruner, QueryBatch,
-    QueryStats, SeriesFetcher, ShardView, SharedTopK,
+    seed_from_entries, seed_from_entries_dtw, BatchStats, LeafScratch, PreparedQuery, Pruner,
+    QueryBatch, QueryStats, SeriesFetcher, ShardView, SharedTopK,
 };
+use dsidx_series::distance::dtw::envelope;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::AtomicBest;
@@ -219,8 +220,8 @@ pub fn approx_knn(
 }
 
 /// *Approximate* k-NN under banded DTW via the serial index: the same
-/// best-leaf visit as [`approx_knn`], paying full banded-DTW distances for
-/// the leaf's entries.
+/// best-leaf visit as [`approx_knn`], the leaf's entries going through the
+/// DTW cascade (`dsidx_series::distance::dtw::dtw_cascade`).
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -235,8 +236,19 @@ pub fn approx_knn_dtw(
     band: usize,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
+    let (mut lower, mut upper) = (Vec::new(), Vec::new());
+    envelope(query, band, &mut lower, &mut upper);
     approx_leaf_visit(ads, source, query, k, |entries, fetcher, topk| {
-        seed_from_entries_dtw(entries.iter().map(|e| e.pos), fetcher, query, band, topk)
+        seed_from_entries_dtw(
+            entries.iter().map(|e| e.pos),
+            fetcher,
+            query,
+            &lower,
+            &upper,
+            band,
+            topk,
+            &mut LeafScratch::new(),
+        )
     })
 }
 

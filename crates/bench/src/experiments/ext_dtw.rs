@@ -37,7 +37,9 @@ pub fn run(scale: &Scale) {
             "ucr_dtw_p_ms",
             "messi_dtw_ms",
             "keogh_pruned",
+            "rev_pruned",
             "dtw_abandoned",
+            "dtw_cells",
             "real_computed",
         ],
     );
@@ -63,7 +65,9 @@ pub fn run(scale: &Scale) {
             f(ms(parallel)),
             f(ms(messi_t)),
             (stats.lb_keogh_pruned / nq).to_string(),
+            (stats.lb_keogh_rev_pruned / nq).to_string(),
             (stats.dtw_abandoned / nq).to_string(),
+            (stats.dtw_cells / nq).to_string(),
             (stats.real_computed / nq).to_string(),
         ]);
     }
@@ -72,8 +76,11 @@ pub fn run(scale: &Scale) {
         "shape check: the index answers DTW queries far below the serial scan and\n\
          below the parallel scan; the gap grows with the band (scan DTW cost grows,\n\
          index pruning still avoids most of it). The counters show the cascade:\n\
-         LB_Keogh prunes most survivors, early abandoning kills most DTWs, and only\n\
-         real_computed full DTWs remain — the same QueryStats the ED figures report."
+         LB_Keogh prunes most survivors (keogh_pruned counts both directions,\n\
+         rev_pruned the share that only the candidate's own envelope caught), early\n\
+         abandoning kills most DTWs that do start (dtw_cells: DP cells evaluated, a\n\
+         full DTW being about len * (2 * band + 1)), and only real_computed full DTWs\n\
+         remain — the same QueryStats the ED figures report."
     );
 
     // Batched DTW: the missing cell of the old method matrix. The whole

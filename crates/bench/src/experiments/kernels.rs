@@ -147,26 +147,38 @@ fn workload(len: usize) -> Workload {
 }
 
 /// Asserts that scalar and SIMD dispatch agree on every bounded kernel's
-/// Some/None outcome at limits away from the boundary (and exactly for
-/// DTW, whose SIMD kernel is bit-identical by construction). Runs in both
-/// modes regardless of hardware: without AVX2 this is trivially true and
-/// still exercises every dispatcher.
+/// Some/None outcome at limits away from the boundary — and to the bit for
+/// the kernels that are bit-identical by construction: DTW alone, DTW
+/// through the whole cascade (which adds the `rest` abandon test), and the
+/// envelope. Runs in both modes regardless of hardware: without AVX2 this
+/// is trivially true and still exercises every dispatcher.
 fn assert_decision_equivalence(w: &Workload) {
     let mut scalar_decisions = Vec::new();
-    let mut scalar_dtw = Vec::new();
+    let mut scalar_exact = Vec::new();
+    let mut scratch = dtw::DtwScratch::new();
     for mode in [false, true] {
         set_simd_enabled(mode);
         let mut decisions = Vec::new();
-        let mut dtw_vals = Vec::new();
+        let mut exact_vals = Vec::new();
         for i in 0..w.a.len() {
             let (x, y) = (&w.a[i], &w.b[i]);
+            let (mut lo, mut up) = (Vec::new(), Vec::new());
+            dtw::envelope(y, w.band, &mut lo, &mut up);
+            exact_vals.extend(lo.into_iter().chain(up).map(Some));
             for scale in [1.0f32, 4.0] {
+                let limit = w.dtw_limits[i] * scale;
+                let verdict =
+                    dtw::dtw_cascade(x, &w.lo[i], &w.up[i], y, w.band, limit, &mut scratch);
+                exact_vals.push(match verdict {
+                    dtw::DtwVerdict::Full(d) => Some(d),
+                    _ => None,
+                });
                 decisions.push(euclidean_sq_bounded(x, y, w.ed_limits[i] * scale).is_some());
                 decisions.push(
                     dtw::lb_keogh_sq_bounded(y, &w.lo[i], &w.up[i], w.lb_limits[i] * scale)
                         .is_some(),
                 );
-                dtw_vals.push(dtw::dtw_sq_bounded(x, y, w.band, w.dtw_limits[i] * scale));
+                exact_vals.push(dtw::dtw_sq_bounded(x, y, w.band, w.dtw_limits[i] * scale));
             }
         }
         if mode {
@@ -175,16 +187,19 @@ fn assert_decision_equivalence(w: &Workload) {
                 "scalar/SIMD bounded kernels disagree on an abandon decision"
             );
             let same_bits =
-                scalar_dtw
+                scalar_exact
                     .iter()
-                    .zip(&dtw_vals)
+                    .zip(&exact_vals)
                     .all(|(s, v): (&Option<f32>, &Option<f32>)| {
                         s.map(f32::to_bits) == v.map(f32::to_bits)
                     });
-            assert!(same_bits, "DTW SIMD kernel is not bit-identical to scalar");
+            assert!(
+                same_bits,
+                "a DTW, cascade or envelope SIMD kernel is not bit-identical to scalar"
+            );
         } else {
             scalar_decisions = decisions;
-            scalar_dtw = dtw_vals;
+            scalar_exact = exact_vals;
         }
     }
 }
@@ -219,6 +234,7 @@ pub fn run(scale: &Scale) {
         assert_decision_equivalence(&w);
         println!("  decision-equivalence ok at len {len}");
         let mut scan_out = vec![0.0f32; w.scan_words.len()];
+        let (mut env_lo, mut env_up) = (Vec::new(), Vec::new());
         // (name, units of work per call, body). ns/call is per unit.
         type Kernel<'a> = (&'a str, usize, Box<dyn FnMut() + 'a>);
         let kernels: Vec<Kernel> = vec![
@@ -237,6 +253,16 @@ pub fn run(scale: &Scale) {
                 Box::new(|| {
                     for i in 0..PAIRS {
                         black_box(dtw::lb_keogh_sq(&w.b[i], &w.lo[i], &w.up[i]));
+                    }
+                }),
+            ),
+            (
+                "envelope",
+                PAIRS,
+                Box::new(|| {
+                    for y in &w.b {
+                        dtw::envelope(y, w.band, &mut env_lo, &mut env_up);
+                        black_box(env_lo[0]);
                     }
                 }),
             ),

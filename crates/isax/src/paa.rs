@@ -3,7 +3,9 @@
 //! A series of length `n` is cut into `w` contiguous segments; segment `i`
 //! covers positions `[i*n/w, (i+1)*n/w)` (integer division), so lengths
 //! differ by at most one when `w` does not divide `n`. Each segment is
-//! summarized by its mean.
+//! summarized by its mean — a series by the means of its points, a DTW
+//! query by the means of its envelope's two halves
+//! ([`envelope_paa_bounds`]).
 
 /// Returns the start offsets of each segment plus the final end offset
 /// (`w + 1` entries).
@@ -42,12 +44,21 @@ pub fn paa(series: &[f32], segments: usize) -> Vec<f32> {
     out
 }
 
-/// Per-segment PAA bounds of a DTW envelope: segment-max of the upper
-/// envelope and segment-min of the lower envelope.
+/// Per-segment PAA of a DTW envelope: the segment **means** of the lower
+/// and of the upper envelope (Keogh's LB_PAA).
 ///
-/// Using max/min (rather than means) keeps the PAA-level DTW lower bound
-/// sound: every warped alignment of the query stays inside
-/// `[lower_out[i], upper_out[i]]` for each candidate point of segment `i`.
+/// Means are enough for a sound lower bound, and tighter than the
+/// segment minimum/maximum. For a candidate `c` with segment mean `c̄`,
+/// the per-point excursion `d(c_j, [L_j, U_j]) = max(c_j - U_j, L_j - c_j,
+/// 0)` is jointly convex in `(c_j, L_j, U_j)`, so by Jensen the excursion of
+/// the means is at most the mean of the excursions, and by Cauchy-Schwarz
+/// the squared mean is at most the mean of the squares:
+/// `len * d(c̄, [L̄, Ū])^2 <= sum_seg d(c_j, [L_j, U_j])^2`. Summed over
+/// segments the right-hand side is LB_Keogh, which lower-bounds banded DTW.
+/// An iSAX region that contains `c̄` is at least as close to `[L̄, Ū]` as
+/// `c̄` itself, so the interval MINDIST tables built from these bounds
+/// (`MindistTable::new_interval`, `NodeMindistTable::fill_interval`) stay
+/// below the DTW distance of every series the word or node can hold.
 pub fn envelope_paa_bounds(
     lower_env: &[f32],
     upper_env: &[f32],
@@ -56,22 +67,8 @@ pub fn envelope_paa_bounds(
 ) {
     assert_eq!(lower_env.len(), upper_env.len(), "envelope length mismatch");
     assert_eq!(lower_out.len(), upper_out.len(), "output length mismatch");
-    let w = lower_out.len();
-    let n = lower_env.len();
-    assert!(w > 0 && w <= n, "invalid segmentation");
-    let mut start = 0;
-    for i in 0..w {
-        let end = (i + 1) * n / w;
-        lower_out[i] = lower_env[start..end]
-            .iter()
-            .copied()
-            .fold(f32::INFINITY, f32::min);
-        upper_out[i] = upper_env[start..end]
-            .iter()
-            .copied()
-            .fold(f32::NEG_INFINITY, f32::max);
-        start = end;
-    }
+    paa_into(lower_env, lower_out);
+    paa_into(upper_env, upper_out);
 }
 
 #[cfg(test)]

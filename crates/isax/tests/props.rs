@@ -154,6 +154,48 @@ proptest! {
         prop_assert!(md_word <= d + d.abs() * 1e-3 + 1e-3, "word dtw bound {md_word} > dtw {d}");
     }
 
+    /// The same bound where it is tightest and where the segmentation is
+    /// awkward: the candidate is the query plus a little noise (so the
+    /// envelope means, not slack, carry the bound), the length is not a
+    /// multiple of the segment count, and the band runs from nothing to
+    /// past the whole series.
+    #[test]
+    fn envelope_mindist_lower_bounds_dtw_of_near_copies(
+        (w, q, noise) in config_and_pair(),
+        scale in 0.0f32..0.3,
+        band_pick in 0usize..6,
+    ) {
+        // Make `n % w != 0` whenever the length allows it.
+        let n = if q.len() % w == 0 && q.len() > w { q.len() - 1 } else { q.len() };
+        let q = &q[..n];
+        let c: Vec<f32> = q.iter().zip(&noise).map(|(a, b)| a + scale * b).collect();
+        let band = [0, 1, n / 10, n / 2, n, n + 5][band_pick];
+        let quant = Quantizer::new(n, w).unwrap();
+        let word_c = quant.word(&c);
+        let node = NodeWord::root(word_c.root_key(), w);
+
+        let mut lo_env = Vec::new();
+        let mut hi_env = Vec::new();
+        dtw::envelope(q, band, &mut lo_env, &mut hi_env);
+        let mut lo_paa = vec![0.0; w];
+        let mut hi_paa = vec![0.0; w];
+        envelope_paa_bounds(&lo_env, &hi_env, &mut lo_paa, &mut hi_paa);
+        // Means sit inside the extrema the bound used to be built from.
+        for seg in 0..w {
+            prop_assert!(lo_paa[seg] <= hi_paa[seg]);
+        }
+
+        let d = dtw::dtw_sq(q, &c, band);
+        let md_node = mindist_envelope_node_sq(&lo_paa, &hi_paa, &node, quant.segment_lens());
+        prop_assert!(md_node <= d + d.abs() * 1e-3 + 1e-3, "node dtw bound {md_node} > dtw {d}");
+        let table = MindistTable::new_interval(&lo_paa, &hi_paa, quant.segment_lens());
+        let md_word = table.lookup(&word_c);
+        prop_assert!(md_word <= d + d.abs() * 1e-3 + 1e-3, "word dtw bound {md_word} > dtw {d}");
+        // And below LB_Keogh, the bound it is the PAA of.
+        let lb = dtw::lb_keogh_sq(&c, &lo_env, &hi_env);
+        prop_assert!(md_word <= lb + lb.abs() * 1e-3 + 1e-3, "word bound {md_word} > LB_Keogh {lb}");
+    }
+
     /// Quantization/prefix coherence for arbitrary values.
     #[test]
     fn symbol_prefix_coherence(v in -10.0f32..10.0) {

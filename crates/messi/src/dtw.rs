@@ -3,8 +3,17 @@
 //! we can index a dataset once, and then use this index to answer both
 //! Euclidean and DTW similarity search queries."
 //!
-//! The pruning cascade per candidate: iSAX-envelope lower bound (node and
-//! entry level) → LB_Keogh on the raw series → early-abandoned banded DTW.
+//! The pruning cascade per candidate, five stages, each an exact lower
+//! bound of the banded DTW distance: the iSAX bound of the query
+//! envelope's PAA at the node, the same bound at the leaf entry, then —
+//! on the raw series, all inside
+//! [`dtw_cascade`](dsidx_series::distance::dtw::dtw_cascade) — LB_Keogh
+//! against the query's envelope, LB_Keogh of the query against the
+//! candidate's envelope, and a banded DTW that abandons on what both
+//! bounds say is still unpaid. The counters tell them apart:
+//! `lb_keogh_pruned` covers both LB_Keogh directions
+//! (`lb_keogh_rev_pruned` is the reversed one's share) and `dtw_cells`
+//! says how far the DTWs that did start got.
 //!
 //! The schedules are the Euclidean ones ([`crate::query`] — whole queries
 //! per worker, cooperative, or shared fetch, chosen by the same rule from
@@ -27,11 +36,12 @@ use dsidx_query::{
     seed_from_entries_dtw, BatchStats, DtwPrepared, LeafScratch, Pruner, QueryBatch, QueryStats,
     SeriesFetcher, ShardView,
 };
+use dsidx_series::distance::dtw::envelope;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 
 /// Banded DTW: interval MINDIST tables from the query's envelope, then
-/// LB_Keogh → early-abandoned DTW for what survives them.
+/// the raw-series cascade for what survives them.
 struct Dtw {
     band: usize,
 }
@@ -54,12 +64,23 @@ impl LeafKernel for Dtw {
 
     fn seed<P: Pruner>(
         &self,
+        prep: &DtwPrepared,
         positions: &[u32],
         fetcher: &mut SeriesFetcher<'_, impl RawSource>,
         query: &[f32],
         pruner: &P,
+        scratch: &mut LeafScratch,
     ) -> Result<u64, StorageError> {
-        seed_from_entries_dtw(positions.iter().copied(), fetcher, query, self.band, pruner)
+        seed_from_entries_dtw(
+            positions.iter().copied(),
+            fetcher,
+            query,
+            &prep.lo_env,
+            &prep.hi_env,
+            self.band,
+            pruner,
+            scratch,
+        )
     }
 
     fn process_leaf<P: Pruner>(
@@ -80,11 +101,12 @@ impl LeafKernel for Dtw {
 
     fn batch_seed(
         &self,
+        preps: &[DtwPrepared],
         positions: &[u32],
         fetcher: &mut SeriesFetcher<'_, impl RawSource>,
         batch: &QueryBatch<'_, ()>,
     ) -> Result<(), StorageError> {
-        batch_seed_positions_dtw(positions, fetcher, batch, self.band)
+        batch_seed_positions_dtw(positions, fetcher, batch, preps, self.band)
     }
 
     fn batch_process_leaf(
@@ -96,10 +118,11 @@ impl LeafKernel for Dtw {
         batch: &QueryBatch<'_, ()>,
         active: &[usize],
         survivors: &mut Vec<usize>,
+        scratch: &mut LeafScratch,
         locals: &mut [QueryStats],
     ) -> Result<(), StorageError> {
         batch_process_leaf_entries_dtw(
-            words, positions, fetcher, batch, active, preps, self.band, survivors, locals,
+            words, positions, fetcher, batch, active, preps, self.band, survivors, scratch, locals,
         )
     }
 }
@@ -107,8 +130,8 @@ impl LeafKernel for Dtw {
 /// Exact 1-NN under banded DTW through the MESSI index over any
 /// [`RawSource`]: [`exact_knn_dtw`] at `k = 1`, with the unified per-query
 /// work counters — the tree-traversal counters plus the DTW cascade's
-/// LB_Keogh prunes and early-abandoned DTWs — so the `ext-dtw` experiment
-/// reports like the ED ones.
+/// LB_Keogh prunes (both directions), abandoned DTWs and DP cells — so the
+/// `ext-dtw` experiment reports like the ED ones.
 ///
 /// Returns `Ok(None)` for an empty index.
 ///
@@ -129,7 +152,7 @@ pub fn exact_nn_dtw(
 }
 
 /// Exact k-NN under banded DTW through the MESSI index, pruning the whole
-/// cascade (iSAX envelope bound, LB_Keogh, early-abandoned DTW) against
+/// cascade (iSAX envelope bound, both LB_Keoghs, abandoning DTW) against
 /// the k-th best DTW distance: [`exact_knn_dtw_batch`] with a batch of one.
 ///
 /// Returns the up-to-`k` nearest series sorted ascending by
@@ -181,8 +204,9 @@ pub fn exact_knn_dtw_batch(
 /// batch is scheduled exactly like a Euclidean one (see
 /// [`exact_knn_batch_shared`](crate::query::exact_knn_batch_shared) and the
 /// [`crate::query`] module docs), with interval node tables in the
-/// traversal and the full cascade (interval iSAX bound → LB_Keogh →
-/// early-abandoned banded DTW) at the leaves.
+/// traversal and the full cascade (interval iSAX bound, then
+/// [`dtw_cascade`](dsidx_series::distance::dtw::dtw_cascade)) at the
+/// leaves.
 ///
 /// Answers are element-wise identical to calling [`exact_knn_dtw`] per
 /// query, deterministic across runs, thread counts and schedules. With
@@ -208,8 +232,9 @@ pub fn exact_knn_dtw_batch_shared(
 }
 
 /// *Approximate* k-NN under banded DTW: descend to the query's own leaf
-/// and return the k nearest of its entries by full banded-DTW distance —
-/// no traversal, no pool broadcast, one leaf's worth of fetches. Every
+/// and return the k nearest of its entries by banded-DTW distance (each
+/// entry through the raw-series cascade) — no traversal, no pool
+/// broadcast, one leaf's worth of fetches. Every
 /// reported distance is a real DTW distance, so it is never below the
 /// exact answer at the same rank. Returns fewer than `k` matches when the
 /// leaf holds fewer entries, empty for an empty index.
@@ -227,9 +252,19 @@ pub fn approx_knn_dtw(
     band: usize,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
+    let (mut lower, mut upper) = (Vec::new(), Vec::new());
+    envelope(query, band, &mut lower, &mut upper);
     crate::query::approx_leaf_visit(messi, query, k, |positions, topk| {
-        let mut fetcher = SeriesFetcher::new(source);
-        seed_from_entries_dtw(positions.iter().copied(), &mut fetcher, query, band, topk)
+        seed_from_entries_dtw(
+            positions.iter().copied(),
+            &mut SeriesFetcher::new(source),
+            query,
+            &lower,
+            &upper,
+            band,
+            topk,
+            &mut LeafScratch::new(),
+        )
     })
 }
 

@@ -112,10 +112,12 @@ pub(crate) trait LeafKernel: Sync {
     /// distances paid.
     fn seed<P: Pruner>(
         &self,
+        prep: &Self::Prep,
         positions: &[u32],
         fetcher: &mut SeriesFetcher<'_, impl RawSource>,
         query: &[f32],
         pruner: &P,
+        scratch: &mut LeafScratch,
     ) -> Result<u64, StorageError>;
 
     /// Processes one leaf for one query; returns the series fetched.
@@ -135,6 +137,7 @@ pub(crate) trait LeafKernel: Sync {
     /// Seeds every query of `batch` from `positions`, one fetch each.
     fn batch_seed(
         &self,
+        preps: &[Self::Prep],
         positions: &[u32],
         fetcher: &mut SeriesFetcher<'_, impl RawSource>,
         batch: &QueryBatch<'_, ()>,
@@ -152,6 +155,7 @@ pub(crate) trait LeafKernel: Sync {
         batch: &QueryBatch<'_, ()>,
         active: &[usize],
         survivors: &mut Vec<usize>,
+        scratch: &mut LeafScratch,
         locals: &mut [QueryStats],
     ) -> Result<(), StorageError>;
 }
@@ -177,10 +181,12 @@ impl LeafKernel for Euclidean {
 
     fn seed<P: Pruner>(
         &self,
+        _prep: &PreparedQuery,
         positions: &[u32],
         fetcher: &mut SeriesFetcher<'_, impl RawSource>,
         query: &[f32],
         pruner: &P,
+        _scratch: &mut LeafScratch,
     ) -> Result<u64, StorageError> {
         seed_from_entries(positions.iter().copied(), fetcher, query, pruner)
     }
@@ -210,6 +216,7 @@ impl LeafKernel for Euclidean {
 
     fn batch_seed(
         &self,
+        _preps: &[PreparedQuery],
         positions: &[u32],
         fetcher: &mut SeriesFetcher<'_, impl RawSource>,
         batch: &QueryBatch<'_, ()>,
@@ -226,6 +233,7 @@ impl LeafKernel for Euclidean {
         batch: &QueryBatch<'_, ()>,
         active: &[usize],
         survivors: &mut Vec<usize>,
+        _scratch: &mut LeafScratch,
         locals: &mut [QueryStats],
     ) -> Result<(), StorageError> {
         batch_process_leaf_entries(
@@ -373,7 +381,14 @@ impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
             approx_leaf_flat(flat, K::word(&prep)).expect("non-empty index has a non-empty leaf");
         let seeds = flat.leaf_positions(flat.node(own_leaf));
         stats.real_computed = kernel
-            .seed(seeds, &mut worker.fetcher, query, pruner)
+            .seed(
+                &prep,
+                seeds,
+                &mut worker.fetcher,
+                query,
+                pruner,
+                &mut worker.scratch,
+            )
             .map_err(|e| e.in_phase(Phase::Seed.name()))?;
         let mut fetched = seeds.len() as u64;
         phases.record(Phase::Seed, clock.lap());
@@ -451,13 +466,21 @@ impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
         // Initial threshold from each query's own leaf (its approximate
         // answer), routing around empty subtrees.
         let mut fetcher = SeriesFetcher::new(self.source);
+        let mut scratch = LeafScratch::new();
         let mut fetched = 0u64;
         for (slot, prep) in batch.slots().iter().zip(&preps) {
             let own_leaf = approx_leaf_flat(flat, K::word(prep))
                 .expect("non-empty index has a non-empty leaf");
             let seeds = flat.leaf_positions(flat.node(own_leaf));
             let reals = kernel
-                .seed(seeds, &mut fetcher, slot.values, &slot.topk)
+                .seed(
+                    prep,
+                    seeds,
+                    &mut fetcher,
+                    slot.values,
+                    &slot.topk,
+                    &mut scratch,
+                )
                 .map_err(|e| e.in_phase(Phase::Seed.name()))?;
             slot.stats.add_real_computed(reals);
             fetched += seeds.len() as u64;
@@ -575,7 +598,7 @@ impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
         positions.dedup();
         let mut fetcher = SeriesFetcher::new(self.source);
         kernel
-            .batch_seed(&positions, &mut fetcher, batch)
+            .batch_seed(&preps, &positions, &mut fetcher, batch)
             .map_err(|e| e.in_phase(Phase::Seed.name()))?;
         clock.lap_into(batch.phases(), Phase::Seed);
 
@@ -606,6 +629,7 @@ impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
             let mut fetcher = SeriesFetcher::new(self.source);
             let mut active: Vec<usize> = Vec::with_capacity(batch.len());
             let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
+            let mut scratch = LeafScratch::new();
             let unclaimed = drain_best_first(&runs, worker, |min_lb, leaf, lbs| {
                 if errors.is_set() || min_lb >= batch.max_threshold_sq() {
                     // Every remaining leaf in this run is at least as
@@ -637,6 +661,7 @@ impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
                     batch,
                     &active,
                     &mut survivors,
+                    &mut scratch,
                     &mut locals,
                 ) {
                     Ok(()) => Drain::Processed,

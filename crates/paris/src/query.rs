@@ -39,7 +39,7 @@ use dsidx_query::{
     BatchCandidate, BatchStats, DtwPrepared, ErrorSlot, PreparedQuery, Pruner, QueryBatch,
     QueryStats, SeriesFetcher, ShardView, SharedTopK,
 };
-use dsidx_series::distance::dtw::{dtw_sq_bounded, lb_keogh_sq_bounded};
+use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_series::Match;
 use dsidx_storage::{LeafHandle, RawSource, StorageError};
@@ -349,8 +349,8 @@ pub fn approx_knn(
 
 /// *Approximate* k-NN under banded DTW through the ParIS index: the same
 /// sketch-nearest probing as [`approx_knn`], using the interval (envelope)
-/// sketch bound to rank positions and paying the LB_Keogh →
-/// early-abandoned banded DTW cascade for the probes.
+/// sketch bound to rank positions and putting the probes through the
+/// raw-series cascade ([`DtwPrepared::cascade`]).
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -368,25 +368,13 @@ pub fn approx_knn_dtw(
     let config = paris.index.config();
     assert_eq!(query.len(), config.series_len(), "query length mismatch");
     let prep = DtwPrepared::new(config.quantizer(), query, band);
+    let mut scratch = DtwScratch::new();
     sketch_nearest(
         paris,
         source,
         k,
         |word| prep.table.lookup(word),
-        move |series, limit, stats| {
-            stats.lb_keogh_computed += 1;
-            if lb_keogh_sq_bounded(series, &prep.lo_env, &prep.hi_env, limit).is_none() {
-                stats.lb_keogh_pruned += 1;
-                return None;
-            }
-            if let Some(d) = dtw_sq_bounded(query, series, band, limit) {
-                stats.real_computed += 1;
-                Some(d)
-            } else {
-                stats.dtw_abandoned += 1;
-                None
-            }
-        },
+        |series, limit, stats| prep.cascade(query, series, band, limit, &mut scratch, stats),
     )
 }
 

@@ -1,18 +1,24 @@
-//! DTW query preparation and the batched DTW kernel loops.
+//! DTW query preparation and the DTW kernel loops.
 //!
 //! A banded-DTW query carries more prepared state than a Euclidean one:
-//! the LB_Keogh envelope of the query, the PAA bounds of that envelope,
-//! and the *interval* MINDIST tables built from those bounds (a point
-//! query lower-bounds candidates from its own PAA; a warped query must
-//! lower-bound them from everything the band allows). [`DtwPrepared`]
-//! packages all of it, built once per query.
+//! the LB_Keogh envelope of the query, the PAA of that envelope (segment
+//! means of its lower and upper half), and the *interval* MINDIST tables
+//! built from them (a point query lower-bounds candidates from its own
+//! PAA; a warped query must lower-bound them from everything the band
+//! allows). [`DtwPrepared`] packages all of it, built once per query.
 //!
-//! The batch loops here are the DTW generalizations of the ED loops in
-//! [`batch`](crate::batch): a [`QueryBatch`] supplies the per-query
-//! pruners and counters, a `&[DtwPrepared]` (index-aligned with the
-//! batch's slots) supplies the per-query envelopes, and each fetched
-//! series pays the cascade — interval iSAX bound → LB_Keogh → early-
-//! abandoned banded DTW — against every active query in one data pass.
+//! The loops here are the DTW generalizations of the ED loops in
+//! [`scan`](crate::scan) and [`batch`](crate::batch): index summaries are
+//! bounded through the interval tables first, and every raw series that
+//! survives goes through the one raw-series cascade,
+//! [`dtw_cascade`] — LB_Keogh, reversed LB_Keogh, banded DTW abandoning on
+//! the bounds' unpaid remainder — against the live threshold, its verdict
+//! booked by [`QueryStats::count_dtw`]. Seeds go through the same
+//! function; they report only the full DTWs they paid. In the batch loops
+//! a [`QueryBatch`] supplies the per-query pruners and counters, a
+//! `&[DtwPrepared]` (index-aligned with the batch's slots) the per-query
+//! envelopes, and each fetched series meets every active query in one
+//! data pass.
 
 use crate::batch::QueryBatch;
 use crate::fetch::SeriesFetcher;
@@ -20,7 +26,7 @@ use crate::scan::LeafScratch;
 use crate::stats::QueryStats;
 use dsidx_isax::paa::envelope_paa_bounds;
 use dsidx_isax::{MindistTable, NodeMindistTable, Quantizer, Word};
-use dsidx_series::distance::dtw::{dtw_sq_bounded, envelope, lb_keogh_sq_bounded};
+use dsidx_series::distance::dtw::{dtw_cascade, envelope, DtwScratch, DtwVerdict};
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
 
@@ -34,9 +40,9 @@ pub struct DtwPrepared {
     pub lo_env: Vec<f32>,
     /// Upper envelope of the query under the band.
     pub hi_env: Vec<f32>,
-    /// Segment-min of the lower envelope (PAA bound).
+    /// Segment means of the lower envelope (see [`envelope_paa_bounds`]).
     lo_paa: Vec<f32>,
-    /// Segment-max of the upper envelope (PAA bound).
+    /// Segment means of the upper envelope.
     hi_paa: Vec<f32>,
     /// Interval word-level MINDIST table — a sound DTW lower bound.
     pub table: MindistTable,
@@ -81,6 +87,30 @@ impl DtwPrepared {
         table
     }
 
+    /// One raw `series` through the [`dtw_cascade`] of `query` (the series
+    /// this state was prepared from, under the same `band`) at `limit`,
+    /// booked in `stats`; the distance if a full DTW was paid.
+    pub fn cascade(
+        &self,
+        query: &[f32],
+        series: &[f32],
+        band: usize,
+        limit: f32,
+        scratch: &mut DtwScratch,
+        stats: &mut QueryStats,
+    ) -> Option<f32> {
+        let verdict = dtw_cascade(
+            query,
+            &self.lo_env,
+            &self.hi_env,
+            series,
+            band,
+            limit,
+            scratch,
+        );
+        stats.count_dtw(verdict, scratch.cells())
+    }
+
     /// [`node_table`](Self::node_table) into a table the caller reuses
     /// from query to query.
     pub fn fill_node_table(&self, quantizer: &Quantizer, table: &mut NodeMindistTable) {
@@ -89,26 +119,32 @@ impl DtwPrepared {
 }
 
 /// Seeds the pruner from the approximate leaf under banded DTW: every
-/// entry (given by its raw-data position) pays an early-abandoned DTW
-/// against the pruner's current threshold — the DTW counterpart of
-/// [`seed_from_entries`](crate::seed::seed_from_entries). Returns the
-/// number of *full* DTW distances computed; abandoned ones are not
-/// counted anywhere (`dtw_abandoned` is the leaf cascade's counter).
+/// entry (given by its raw-data position) goes through the
+/// [`dtw_cascade`] against the pruner's current threshold — the DTW
+/// counterpart of [`seed_from_entries`](crate::seed::seed_from_entries).
+/// `lower`/`upper` are the query's envelope under `band`. Returns the
+/// number of *full* DTW distances computed; pruned and abandoned entries
+/// are not counted anywhere (the funnel counters are the leaf cascade's).
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
+#[allow(clippy::too_many_arguments)] // the cascade's arguments + where results go
 pub fn seed_from_entries_dtw<P: Pruner>(
     positions: impl IntoIterator<Item = u32>,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     query: &[f32],
+    lower: &[f32],
+    upper: &[f32],
     band: usize,
     pruner: &P,
+    scratch: &mut LeafScratch,
 ) -> Result<u64, StorageError> {
     let mut paid = 0u64;
     for pos in positions {
         let limit = pruner.threshold_sq();
         let series = fetcher.fetch(pos as usize)?;
-        if let Some(d) = dtw_sq_bounded(query, series, band, limit) {
+        let verdict = dtw_cascade(query, lower, upper, series, band, limit, &mut scratch.dtw);
+        if let DtwVerdict::Full(d) = verdict {
             pruner.insert(d, pos);
             paid += 1;
         }
@@ -118,14 +154,15 @@ pub fn seed_from_entries_dtw<P: Pruner>(
 
 /// The full DTW cascade over one leaf's entries for a single query
 /// (MESSI's DTW processing phase): the interval iSAX bound over the whole
-/// leaf first, the survivors' series prefetched ([`LeafScratch`]), then
-/// LB_Keogh → early-abandoned banded DTW per survivor against the live
-/// threshold. The DTW counterpart of
+/// leaf first, the survivors' series prefetched ([`LeafScratch`]), then the
+/// raw-series [`dtw_cascade`] per survivor against the live threshold. The
+/// DTW counterpart of
 /// [`process_leaf_entries`](crate::scan::process_leaf_entries), with the
 /// same `words`/`positions` contract.
 ///
-/// Counter updates land in `stats` (`lb_entry_computed`, `lb_keogh_*`,
-/// `real_computed`, `dtw_abandoned`); returns the number of series fetched.
+/// Counter updates land in `stats` (`lb_entry_computed`, then
+/// [`DtwPrepared::cascade`] per survivor); returns the number of series
+/// fetched.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -145,10 +182,12 @@ pub fn process_leaf_entries_dtw<P: Pruner>(
     stats: &mut QueryStats,
 ) -> Result<u64, StorageError> {
     let limit = pruner.threshold_sq();
-    let survivors = scratch.bound_leaf(words, positions, &prep.table, limit, fetcher);
+    scratch.bound_leaf(words, positions, &prep.table, limit, fetcher);
     stats.lb_entry_computed += positions.len() as u64;
     let mut fetched = 0u64;
-    for &(pos, lb) in survivors {
+    // The survivors by field, so the cascade's buffers can be borrowed
+    // beside them.
+    for &(pos, lb) in &scratch.survivors {
         // Re-read per survivor: this worker or a peer may have tightened it.
         let limit = pruner.threshold_sq();
         if lb >= limit {
@@ -156,47 +195,43 @@ pub fn process_leaf_entries_dtw<P: Pruner>(
         }
         let series = fetcher.fetch(pos as usize)?;
         fetched += 1;
-        stats.lb_keogh_computed += 1;
-        if lb_keogh_sq_bounded(series, &prep.lo_env, &prep.hi_env, limit).is_none() {
-            stats.lb_keogh_pruned += 1;
-            continue;
-        }
-        if let Some(d) = dtw_sq_bounded(query, series, band, limit) {
-            stats.real_computed += 1;
+        if let Some(d) = prep.cascade(query, series, band, limit, &mut scratch.dtw, stats) {
             pruner.insert(d, pos);
-        } else {
-            stats.dtw_abandoned += 1;
         }
     }
     Ok(fetched)
 }
 
 /// Seeds every query in a DTW batch from the (deduplicated) `positions`:
-/// each series is fetched once and pays an early-abandoned banded DTW
-/// against every query — the DTW counterpart of
-/// [`batch_seed_positions`](crate::batch::batch_seed_positions).
+/// each series is fetched once and goes through the [`dtw_cascade`] of
+/// every query — the DTW counterpart of
+/// [`batch_seed_positions`](crate::batch::batch_seed_positions). `preps`
+/// is index-aligned with the batch's slots.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
+///
+/// # Panics
+/// Panics if `preps` is not one prepared state per query.
 pub fn batch_seed_positions_dtw<P>(
     positions: &[u32],
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     batch: &QueryBatch<'_, P>,
+    preps: &[DtwPrepared],
     band: usize,
 ) -> Result<(), StorageError> {
+    assert_eq!(preps.len(), batch.len(), "one DtwPrepared per query");
     if batch.is_empty() || positions.is_empty() {
         return Ok(());
     }
     let mut locals = vec![QueryStats::default(); batch.len()];
+    let mut scratch = DtwScratch::new();
     for &pos in positions {
         let series = fetcher.fetch(pos as usize)?;
-        for (slot, local) in batch.slots().iter().zip(&mut locals) {
+        for ((slot, prep), local) in batch.slots().iter().zip(preps).zip(&mut locals) {
             let limit = slot.topk.threshold_sq();
-            if let Some(d) = dtw_sq_bounded(slot.values, series, band, limit) {
+            if let Some(d) = prep.cascade(slot.values, series, band, limit, &mut scratch, local) {
                 slot.topk.insert(d, pos);
-                local.real_computed += 1;
-            } else {
-                local.dtw_abandoned += 1;
             }
         }
     }
@@ -210,16 +245,16 @@ pub fn batch_seed_positions_dtw<P>(
 
 /// The full DTW pruning cascade over one leaf's entries for every query in
 /// `active` (indices into the batch's slots whose leaf-level bound
-/// survived): interval iSAX bound → LB_Keogh on the raw series →
-/// early-abandoned banded DTW, each stage pruning against that query's
-/// current threshold. The leaf is processed *once* for the whole batch,
-/// and a surviving entry is fetched once from the [`RawSource`] for every
-/// query that still wants it — the DTW counterpart of
+/// survived): interval iSAX bound, then the raw-series [`dtw_cascade`],
+/// each stage pruning against that query's current threshold. The leaf is
+/// processed *once* for the whole batch, and a surviving entry is fetched
+/// once from the [`RawSource`] for every query that still wants it — the
+/// DTW counterpart of
 /// [`batch_process_leaf_entries`](crate::batch::batch_process_leaf_entries).
 ///
 /// `words` and `positions` are the leaf's entries (index-aligned);
-/// `preps` is index-aligned with the batch's slots; `survivors` is
-/// caller-owned scratch (its contents are overwritten).
+/// `preps` is index-aligned with the batch's slots; `survivors` and
+/// `scratch` are caller-owned scratch (their contents are overwritten).
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -236,9 +271,11 @@ pub fn batch_process_leaf_entries_dtw<P>(
     preps: &[DtwPrepared],
     band: usize,
     survivors: &mut Vec<usize>,
+    scratch: &mut LeafScratch,
     locals: &mut [QueryStats],
 ) -> Result<(), StorageError> {
     assert_eq!(preps.len(), batch.len(), "one DtwPrepared per query");
+    let scratch = &mut scratch.dtw;
     let (mut fetches, mut requests) = (0u64, 0u64);
     for (word, &pos) in words.iter().zip(positions) {
         survivors.clear();
@@ -256,19 +293,11 @@ pub fn batch_process_leaf_entries_dtw<P>(
         fetches += 1;
         for &qi in survivors.iter() {
             let slot = &batch.slots()[qi];
-            let prep = &preps[qi];
             let limit = slot.topk.threshold_sq();
             requests += 1;
-            locals[qi].lb_keogh_computed += 1;
-            if lb_keogh_sq_bounded(series, &prep.lo_env, &prep.hi_env, limit).is_none() {
-                locals[qi].lb_keogh_pruned += 1;
-                continue;
-            }
-            if let Some(d) = dtw_sq_bounded(slot.values, series, band, limit) {
+            let local = &mut locals[qi];
+            if let Some(d) = preps[qi].cascade(slot.values, series, band, limit, scratch, local) {
                 slot.topk.insert(d, pos);
-                locals[qi].real_computed += 1;
-            } else {
-                locals[qi].dtw_abandoned += 1;
             }
         }
     }
@@ -347,7 +376,12 @@ mod tests {
         let q = data.get(7);
         let topk = dsidx_sync::SharedTopK::new(1);
         let mut fetcher = SeriesFetcher::new(&data);
-        let reals = seed_from_entries_dtw(0..20u32, &mut fetcher, q, 3, &topk).unwrap();
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        envelope(q, 3, &mut lo, &mut hi);
+        let mut scratch = LeafScratch::new();
+        let reals =
+            seed_from_entries_dtw(0..20u32, &mut fetcher, q, &lo, &hi, 3, &topk, &mut scratch)
+                .unwrap();
         // Only improvements are paid in full, and nothing after series 7
         // sets the best-so-far to zero can be one.
         assert!((1..=8).contains(&reals), "{reals}");
@@ -421,6 +455,7 @@ mod tests {
                 &preps,
                 band,
                 &mut Vec::new(),
+                &mut LeafScratch::new(),
                 &mut locals,
             )
             .unwrap();
@@ -451,8 +486,12 @@ mod tests {
         let qs = DatasetKind::Synthetic.queries(3, 64, 11);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let batch = QueryBatch::new(config.quantizer(), &qrefs, 2);
+        let preps: Vec<DtwPrepared> = qrefs
+            .iter()
+            .map(|q| DtwPrepared::new(config.quantizer(), q, 4))
+            .collect();
         let mut fetcher = SeriesFetcher::new(&data);
-        batch_seed_positions_dtw(&[3, 7, 19], &mut fetcher, &batch, 4).unwrap();
+        batch_seed_positions_dtw(&[3, 7, 19], &mut fetcher, &batch, &preps, 4).unwrap();
         for slot in batch.slots() {
             assert_eq!(slot.topk.len(), 2);
             assert!(slot.topk.threshold_sq().is_finite());
@@ -461,8 +500,10 @@ mod tests {
         assert_eq!(stats.series_fetched, 3);
         assert_eq!(stats.series_requests, 9);
         for q in &stats.per_query {
-            // Every position resolves to a full or an abandoned DTW.
-            assert_eq!(q.real_computed + q.dtw_abandoned, 3);
+            // Every position goes through the cascade and resolves to a
+            // prune, an abandoned or a full DTW.
+            assert_eq!(q.lb_keogh_computed, 3);
+            assert_eq!(q.lb_keogh_pruned + q.dtw_abandoned + q.real_computed, 3);
             assert!(q.real_computed >= 2);
         }
     }
@@ -472,11 +513,12 @@ mod tests {
         let (data, config) = fixture(10);
         let batch = QueryBatch::new(config.quantizer(), &[], 2);
         let mut fetcher = SeriesFetcher::new(&data);
-        batch_seed_positions_dtw(&[1, 2], &mut fetcher, &batch, 3).unwrap();
+        batch_seed_positions_dtw(&[1, 2], &mut fetcher, &batch, &[], 3).unwrap();
         let qs = DatasetKind::Synthetic.queries(1, 64, 1);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let batch = QueryBatch::new(config.quantizer(), &qrefs, 2);
-        batch_seed_positions_dtw(&[], &mut fetcher, &batch, 3).unwrap();
+        let preps = [DtwPrepared::new(config.quantizer(), qs.get(0), 3)];
+        batch_seed_positions_dtw(&[], &mut fetcher, &batch, &preps, 3).unwrap();
         let (_, stats) = batch.finish(0, QueryStats::default());
         assert_eq!(stats.series_fetched, 0);
     }

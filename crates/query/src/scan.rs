@@ -12,6 +12,7 @@
 use crate::fetch::SeriesFetcher;
 use crate::stats::QueryStats;
 use dsidx_isax::{MindistTable, Word};
+use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
@@ -83,14 +84,16 @@ pub fn scan_sax_serial<P: Pruner>(
 /// Words lower-bounded per batched-kernel call in the scan loops.
 pub(crate) const LB_BLOCK: usize = 256;
 
-/// Reusable buffers of the per-leaf loops: one bound per (padded) word and
-/// the entries that survived the bound pass. A worker visiting thousands
-/// of leaves per query allocates them once.
+/// Reusable buffers of the per-leaf loops: one bound per (padded) word,
+/// the entries that survived the bound pass, and what the DTW cascade
+/// needs per candidate (empty and unused under Euclidean distance). A
+/// worker visiting thousands of leaves per query allocates them once.
 #[derive(Debug, Default)]
 pub struct LeafScratch {
     bounds: Vec<f32>,
     /// `(position, bound)` of each surviving entry, in entry order.
-    survivors: Vec<(u32, f32)>,
+    pub(crate) survivors: Vec<(u32, f32)>,
+    pub(crate) dtw: DtwScratch,
 }
 
 impl LeafScratch {

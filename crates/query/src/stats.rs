@@ -1,6 +1,7 @@
 //! The unified per-query counter set shared by every engine.
 
 use dsidx_obs::phase::{PhaseAcc, PhaseBreakdown};
+use dsidx_series::distance::dtw::DtwVerdict;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters from one exact query, uniform across engines.
@@ -38,11 +39,19 @@ pub struct QueryStats {
     pub lb_entry_computed: u64,
     /// LB_Keogh envelope bounds evaluated (DTW cascade).
     pub lb_keogh_computed: u64,
-    /// Candidates pruned by LB_Keogh before any DTW work (DTW cascade).
+    /// Candidates pruned by LB_Keogh — against the query's envelope or,
+    /// reversed, against their own — before any DTW work (DTW cascade).
     pub lb_keogh_pruned: u64,
+    /// The part of `lb_keogh_pruned` that passed the query-envelope bound
+    /// and fell to the reversed one (query against the candidate's
+    /// envelope).
+    pub lb_keogh_rev_pruned: u64,
     /// Banded DTW computations abandoned early against the BSF (DTW
     /// cascade).
     pub dtw_abandoned: u64,
+    /// DP cells evaluated by the banded DTWs that were started, abandoned
+    /// ones included — how early the abandons come (DTW cascade).
+    pub dtw_cells: u64,
     /// Real distances fully evaluated (not early-abandoned) — Euclidean or
     /// DTW, per the query.
     pub real_computed: u64,
@@ -67,6 +76,30 @@ impl QueryStats {
             + self.lb_keogh_computed
     }
 
+    /// Books what [`dtw_cascade`](dsidx_series::distance::dtw::dtw_cascade)
+    /// did with one candidate — `cells` being the DP cells it evaluated —
+    /// and returns the distance if a full DTW was paid. Every call is one
+    /// `lb_keogh_computed` that resolves to exactly one of
+    /// `lb_keogh_pruned` (either direction), `dtw_abandoned` or
+    /// `real_computed`.
+    pub fn count_dtw(&mut self, verdict: DtwVerdict, cells: u64) -> Option<f32> {
+        self.lb_keogh_computed += 1;
+        self.dtw_cells += cells;
+        match verdict {
+            DtwVerdict::KeoghPruned => self.lb_keogh_pruned += 1,
+            DtwVerdict::ReversedPruned => {
+                self.lb_keogh_pruned += 1;
+                self.lb_keogh_rev_pruned += 1;
+            }
+            DtwVerdict::Abandoned => self.dtw_abandoned += 1,
+            DtwVerdict::Full(d) => {
+                self.real_computed += 1;
+                return Some(d);
+            }
+        }
+        None
+    }
+
     /// Field-wise sum (aggregating a query batch into one report row).
     #[must_use]
     pub fn merged(&self, other: &QueryStats) -> QueryStats {
@@ -82,7 +115,9 @@ impl QueryStats {
             lb_entry_computed,
             lb_keogh_computed,
             lb_keogh_pruned,
+            lb_keogh_rev_pruned,
             dtw_abandoned,
+            dtw_cells,
             real_computed,
             phase,
         } = *other;
@@ -96,7 +131,9 @@ impl QueryStats {
             lb_entry_computed: self.lb_entry_computed + lb_entry_computed,
             lb_keogh_computed: self.lb_keogh_computed + lb_keogh_computed,
             lb_keogh_pruned: self.lb_keogh_pruned + lb_keogh_pruned,
+            lb_keogh_rev_pruned: self.lb_keogh_rev_pruned + lb_keogh_rev_pruned,
             dtw_abandoned: self.dtw_abandoned + dtw_abandoned,
+            dtw_cells: self.dtw_cells + dtw_cells,
             real_computed: self.real_computed + real_computed,
             phase: self.phase.merged(&phase),
         }
@@ -119,7 +156,9 @@ pub struct AtomicQueryStats {
     lb_entry_computed: AtomicU64,
     lb_keogh_computed: AtomicU64,
     lb_keogh_pruned: AtomicU64,
+    lb_keogh_rev_pruned: AtomicU64,
     dtw_abandoned: AtomicU64,
+    dtw_cells: AtomicU64,
     real_computed: AtomicU64,
     phase: PhaseAcc,
 }
@@ -144,7 +183,9 @@ impl AtomicQueryStats {
             lb_entry_computed,
             lb_keogh_computed,
             lb_keogh_pruned,
+            lb_keogh_rev_pruned,
             dtw_abandoned,
+            dtw_cells,
             real_computed,
             phase,
         } = *local;
@@ -165,8 +206,11 @@ impl AtomicQueryStats {
             .fetch_add(lb_keogh_computed, Ordering::Relaxed);
         self.lb_keogh_pruned
             .fetch_add(lb_keogh_pruned, Ordering::Relaxed);
+        self.lb_keogh_rev_pruned
+            .fetch_add(lb_keogh_rev_pruned, Ordering::Relaxed);
         self.dtw_abandoned
             .fetch_add(dtw_abandoned, Ordering::Relaxed);
+        self.dtw_cells.fetch_add(dtw_cells, Ordering::Relaxed);
         self.real_computed
             .fetch_add(real_computed, Ordering::Relaxed);
         self.phase.add(&phase);
@@ -190,7 +234,9 @@ impl AtomicQueryStats {
             lb_entry_computed: self.lb_entry_computed.load(Ordering::Relaxed),
             lb_keogh_computed: self.lb_keogh_computed.load(Ordering::Relaxed),
             lb_keogh_pruned: self.lb_keogh_pruned.load(Ordering::Relaxed),
+            lb_keogh_rev_pruned: self.lb_keogh_rev_pruned.load(Ordering::Relaxed),
             dtw_abandoned: self.dtw_abandoned.load(Ordering::Relaxed),
+            dtw_cells: self.dtw_cells.load(Ordering::Relaxed),
             real_computed: self.real_computed.load(Ordering::Relaxed),
             phase: self.phase.snapshot(),
         }
@@ -216,7 +262,9 @@ mod tests {
             lb_entry_computed: 7 * k,
             lb_keogh_computed: 8 * k,
             lb_keogh_pruned: 9 * k,
+            lb_keogh_rev_pruned: 14 * k,
             dtw_abandoned: 10 * k,
+            dtw_cells: 15 * k,
             real_computed: 11 * k,
             phase,
         }

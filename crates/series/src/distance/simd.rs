@@ -307,30 +307,42 @@ pub unsafe fn dtw_sq_bounded_avx2(a: &[f32], b: &[f32], band: usize, limit: f32)
         }
         // SAFETY: forwards the caller's contract (AVX2/FMA support, equal
         // non-zero lengths); the scratch slice is exactly `4 * n` long.
-        unsafe { dtw_rows_avx2(a, b, band.min(n - 1), limit, &mut buf[..4 * n]) }
+        unsafe { dtw_rows_avx2(a, b, band.min(n - 1), limit, None, &mut buf[..4 * n]).0 }
     })
 }
 
 /// The DP-row loop of [`dtw_sq_bounded_avx2`], over a caller-provided flat
-/// scratch buffer it splits into the four `n`-length rows.
+/// scratch buffer it splits into the four `n`-length rows. `rest` and the
+/// returned cell count are those of
+/// [`dtw_rows_scalar`](crate::distance::dtw::dtw_rows_scalar): the abandon
+/// test is the same expression on the same values, so the two kernels stop
+/// at the same row.
 ///
 /// # Safety
 /// Caller must ensure AVX2/FMA support, `a.len() == b.len() == n > 0`,
-/// `r < n`, and `scratch.len() == 4 * n`.
+/// `r < n`, `scratch.len() == 4 * n`, and `rest`, when given, `n` long.
 #[target_feature(enable = "avx2", enable = "fma")]
 #[must_use]
-unsafe fn dtw_rows_avx2(
+pub(crate) unsafe fn dtw_rows_avx2(
     a: &[f32],
     b: &[f32],
     r: usize,
     limit: f32,
+    rest: Option<&[f32]>,
     scratch: &mut [f32],
-) -> Option<f32> {
+) -> (Option<f32>, u64) {
     let n = a.len();
+    debug_assert!(rest.is_none_or(|rest| rest.len() == n));
     let inf = f32::INFINITY;
-    let (mut prev, rest) = scratch.split_at_mut(n);
-    let (mut curr, rest) = rest.split_at_mut(n);
-    let (cost, mins) = rest.split_at_mut(n);
+    let abandon_at = if rest.is_some() {
+        crate::distance::dtw::widened_limit(limit, n)
+    } else {
+        limit
+    };
+    let mut cells = 0u64;
+    let (mut prev, others) = scratch.split_at_mut(n);
+    let (mut curr, others) = others.split_at_mut(n);
+    let (cost, mins) = others.split_at_mut(n);
     // Band-edge cells one past a row's window are read (as `up`/`diag`)
     // before any row writes them; like the scalar kernel's fresh rows they
     // must start at +inf, so stale values from a previous call on this
@@ -389,17 +401,73 @@ unsafe fn dtw_rows_avx2(
                 left = c;
                 row_min = row_min.min(c);
             }
-            if row_min >= limit {
-                return None;
+            cells += (hi - lo + 1) as u64;
+            if rest.map_or(row_min, |rest| row_min + *rest.get_unchecked(i)) >= abandon_at {
+                return (None, cells);
             }
             std::mem::swap(&mut prev, &mut curr);
         }
     }
     let result = prev[n - 1];
-    if result < limit {
-        Some(result)
-    } else {
-        None
+    (if result < limit { Some(result) } else { None }, cells)
+}
+
+/// The in-place doubling passes of
+/// [`envelope`](crate::distance::dtw::envelope), minimum and maximum side
+/// by side, 8 lanes at a time — same operands in the same order as
+/// [`sliding_min_max_scalar`](crate::distance::dtw::sliding_min_max_scalar),
+/// so the outputs are bit-identical.
+///
+/// Every pass runs whole vectors, up to 7 lanes past the last element it
+/// needs. Those lanes only ever read sentinels or other surplus lanes and
+/// only write positions no needed lane reads afterwards (passes go up the
+/// buffer and read ahead of where they write), which is why the buffers
+/// carry 8 floats of padding.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX2.
+///
+/// # Panics
+/// Panics if a buffer is shorter than `n + window - 1 + 8`.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn sliding_min_max_avx2(lo: &mut [f32], up: &mut [f32], n: usize, window: usize) {
+    let len = n + window - 1 + 8;
+    assert!(
+        lo.len() >= len && up.len() >= len,
+        "padded buffers too short"
+    );
+    /// One pass: `x[i] = op(x[i], x[i + ahead])` for `i < count`, rounded
+    /// up to whole vectors.
+    ///
+    /// # Safety
+    /// AVX2, and both buffers hold `count + ahead + 7` floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pass(lo: *mut f32, up: *mut f32, count: usize, ahead: usize) {
+        let mut i = 0;
+        while i < count {
+            // SAFETY: the last vector starts below `count`, so no lane is
+            // past `count + ahead + 6`; the caller vouches for that many.
+            unsafe {
+                let far = _mm256_loadu_ps(lo.add(i + ahead));
+                _mm256_storeu_ps(lo.add(i), _mm256_min_ps(_mm256_loadu_ps(lo.add(i)), far));
+                let far = _mm256_loadu_ps(up.add(i + ahead));
+                _mm256_storeu_ps(up.add(i), _mm256_max_ps(_mm256_loadu_ps(up.add(i)), far));
+            }
+            i += 8;
+        }
+    }
+    let (lo, up) = (lo.as_mut_ptr(), up.as_mut_ptr());
+    // SAFETY: every pass has `count + ahead <= n + window - 1`, which
+    // leaves the 8 floats of padding checked above; AVX2 is the caller's
+    // guarantee.
+    unsafe {
+        let mut s = 1;
+        while 2 * s <= window {
+            pass(lo, up, n + window - 2 * s, s);
+            s *= 2;
+        }
+        pass(lo, up, n, window - s);
     }
 }
 
@@ -579,6 +647,85 @@ mod tests {
                         "n={n} band={band} limit={limit}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn rest_abandoning_dtw_avx2_is_bit_identical_to_scalar() {
+        if !avx2_fma_available() {
+            eprintln!("skipping: no AVX2/FMA on this host");
+            return;
+        }
+        use crate::distance::dtw::{dtw_rows_scalar, lb_keogh_sq_scalar};
+        for n in [1usize, 2, 7, 8, 9, 17, 33, 64, 100, 256] {
+            let a = series(n as u64 + 700, n);
+            let b = series(n as u64 + 800, n);
+            let mut rows = vec![0.0f32; 4 * n];
+            for band in [0usize, 1, 3, 8, 40, n] {
+                let r = band.min(n - 1);
+                // Any non-increasing non-negative `rest` exercises the
+                // kernels; use the forward LB_Keogh suffix sums.
+                let (lo, up) = envelope_of(&a, r);
+                let rest: Vec<f32> = (0..n)
+                    .map(|i| {
+                        let from = (i + r + 1).min(n);
+                        lb_keogh_sq_scalar(&b[from..], &lo[from..], &up[from..])
+                    })
+                    .collect();
+                let (full, all_cells) =
+                    dtw_rows_scalar(&a, &b, r, f32::INFINITY, None, &mut rows[..2 * n]);
+                let full = full.expect("infinite limit never abandons");
+                for limit in [0.0, full * 0.5, full, full * 1.001, f32::INFINITY] {
+                    for rest in [None, Some(&rest[..])] {
+                        let s = dtw_rows_scalar(&a, &b, r, limit, rest, &mut rows[..2 * n]);
+                        // SAFETY: AVX2/FMA availability checked above; equal
+                        // non-zero lengths, `r < n`, rows `4 * n`, rest `n`.
+                        let v = unsafe { dtw_rows_avx2(&a, &b, r, limit, rest, &mut rows) };
+                        // Same value, same decision, stopped at the same row.
+                        assert_eq!(
+                            (s.0.map(f32::to_bits), s.1),
+                            (v.0.map(f32::to_bits), v.1),
+                            "n={n} band={band} limit={limit} rest={}",
+                            rest.is_some()
+                        );
+                        assert!(s.1 <= all_cells);
+                        assert_eq!(s.0.is_some(), full < limit);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sliding_min_max_avx2_is_bit_identical_to_scalar() {
+        if !avx2_fma_available() {
+            eprintln!("skipping: no AVX2/FMA on this host");
+            return;
+        }
+        use crate::distance::dtw::sliding_min_max_scalar;
+        for n in (1usize..=40).chain([63, 64, 65, 100, 255, 256, 257, 300]) {
+            let mut s = series(n as u64 + 900, n);
+            // Equal neighbours and both zeros: ties must resolve alike.
+            if n > 4 {
+                s[1] = s[0];
+                s[2] = 0.0;
+                s[3] = -0.0;
+            }
+            for r in (0..n.min(20)).chain([n - 1]) {
+                let window = 2 * r + 1;
+                let len = n + window - 1 + 8;
+                let mut lo = vec![f32::INFINITY; len];
+                let mut up = vec![f32::NEG_INFINITY; len];
+                lo[r..r + n].copy_from_slice(&s);
+                up[r..r + n].copy_from_slice(&s);
+                let (mut want_lo, mut want_up) = (lo.clone(), up.clone());
+                sliding_min_max_scalar(&mut want_lo, &mut want_up, n, window);
+                // SAFETY: AVX2 availability checked above.
+                unsafe { sliding_min_max_avx2(&mut lo, &mut up, n, window) };
+                let bits = |v: &[f32]| v[..n].iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&lo), bits(&want_lo), "n={n} r={r}");
+                assert_eq!(bits(&up), bits(&want_up), "n={n} r={r}");
             }
         }
     }

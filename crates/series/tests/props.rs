@@ -132,6 +132,79 @@ proptest! {
     }
 
     #[test]
+    fn envelope_equals_naive_window_extrema(
+        (s, r) in (1usize..=300).prop_flat_map(|n| {
+            (prop::collection::vec(-100.0f32..100.0, n), 0..=n + 5)
+        }),
+    ) {
+        let mut lo = Vec::new();
+        let mut up = Vec::new();
+        dtw::envelope(&s, r, &mut lo, &mut up);
+        prop_assert_eq!(lo.len(), s.len());
+        prop_assert_eq!(up.len(), s.len());
+        for i in 0..s.len() {
+            let window = &s[i.saturating_sub(r)..=(i + r).min(s.len() - 1)];
+            let min = window.iter().copied().fold(f32::INFINITY, f32::min);
+            let max = window.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            prop_assert_eq!(lo[i].to_bits(), min.to_bits(), "lower[{}] r={}", i, r);
+            prop_assert_eq!(up[i].to_bits(), max.to_bits(), "upper[{}] r={}", i, r);
+        }
+    }
+
+    #[test]
+    fn both_lb_keoghs_lower_bound_dtw((q, c) in series_pair(96), band in 0usize..16) {
+        let (mut lo, mut up) = (Vec::new(), Vec::new());
+        dtw::envelope(&q, band, &mut lo, &mut up);
+        let forward = dtw::lb_keogh_sq(&c, &lo, &up);
+        dtw::envelope(&c, band, &mut lo, &mut up);
+        let reversed = dtw::lb_keogh_sq(&q, &lo, &up);
+        let d = dtw::dtw_sq(&q, &c, band);
+        prop_assert!(reversed <= d + d.abs() * 1e-4 + 1e-3, "reversed={reversed} dtw={d}");
+        let both = forward.max(reversed);
+        prop_assert!(both <= d + d.abs() * 1e-4 + 1e-3, "max={both} dtw={d}");
+    }
+
+    #[test]
+    fn cascade_is_plain_dtw_in_value_and_decision(
+        (q, c) in remainder_class_pair(),
+        band in 0usize..40,
+        frac in 0.0f32..2.0,
+    ) {
+        // Whatever stage stops a candidate, the outcome is the plain
+        // kernel's: the same bits when it completes, `None` exactly when
+        // that returns `None` — one ulp above the true cost included,
+        // which is where pruners put their threshold on a tie.
+        let (mut lo, mut up) = (Vec::new(), Vec::new());
+        dtw::envelope(&q, band, &mut lo, &mut up);
+        let full = dtw::dtw_sq(&q, &c, band);
+        let mut scratch = dtw::DtwScratch::new();
+        let cells_of_a_full_dtw = {
+            let v = dtw::dtw_cascade(&q, &lo, &up, &c, band, f32::INFINITY, &mut scratch);
+            prop_assert_eq!(v, dtw::DtwVerdict::Full(full));
+            scratch.cells()
+        };
+        for limit in [full * frac + 0.001, full, f32::from_bits(full.to_bits() + 1)] {
+            let plain = dtw::dtw_sq_bounded(&q, &c, band, limit);
+            let verdict = dtw::dtw_cascade(&q, &lo, &up, &c, band, limit, &mut scratch);
+            let got = match verdict {
+                dtw::DtwVerdict::Full(d) => Some(d),
+                _ => None,
+            };
+            prop_assert_eq!(
+                got.map(f32::to_bits),
+                plain.map(f32::to_bits),
+                "limit={} verdict={:?} plain={:?}",
+                limit,
+                verdict,
+                plain
+            );
+            prop_assert!(scratch.cells() <= cells_of_a_full_dtw);
+            let started = matches!(verdict, dtw::DtwVerdict::Full(_) | dtw::DtwVerdict::Abandoned);
+            prop_assert_eq!(scratch.cells() > 0, started);
+        }
+    }
+
+    #[test]
     fn abandon_order_is_a_permutation(q in finite_series(200)) {
         let order = abandon_order(&q);
         let mut seen = vec![false; q.len()];

@@ -418,38 +418,34 @@ mod tests {
 
     #[test]
     fn ssd_parallel_reads_overlap() {
-        // 8 threads x 100 random reads on SSD: serialized this models
-        // 800 * ~92us ≈ 74ms; with the SSD's parallel I/O each thread only
-        // pays its own ~9ms. Assert well under half the serialized figure.
-        // Scheduler noise when the whole workspace's tests saturate the
-        // machine can stretch a single attempt, so the overlap is allowed
-        // a few tries; it must show up in at least one.
+        // Two threads, one 16 MiB read each: ~32 ms of modeled transfer
+        // apiece, almost all of it slept, so the two waits need no second
+        // core to overlap. Serialized (the HDD's single actuator) they
+        // would take ~64 ms; the SSD must stay well under that. The waits
+        // are long against scheduler noise and a loaded machine still gets
+        // a few tries; the overlap must show up in at least one.
         let d = Device::new(DeviceProfile::SSD);
+        let bytes = 16 * 1024 * 1024u64;
+        let one = Duration::from_nanos(bandwidth_nanos(bytes, d.profile().read_bandwidth));
         let mut last = Duration::ZERO;
         for _ in 0..3 {
             let t0 = Instant::now();
             std::thread::scope(|s| {
-                for t in 0..8u64 {
+                for t in 0..2u64 {
                     let d = &d;
-                    s.spawn(move || {
-                        for i in 0..100u64 {
-                            d.charge_read(t * 1_000_000 + i * 7919, 1024);
-                        }
-                    });
+                    s.spawn(move || d.charge_read(t * 1_000_000_000, bytes));
                 }
             });
             last = t0.elapsed();
-            if last < Duration::from_millis(37) {
+            assert!(
+                last >= one,
+                "two reads took {last:?}, one alone takes {one:?}"
+            );
+            if last < one * 3 / 2 {
                 return;
             }
         }
-        // The timing bound is only meaningful when threads can actually run
-        // concurrently. On a single-CPU host (CI runners, constrained
-        // containers) the 800 charge_read calls contend for one core and
-        // the wall clock measures the scheduler, not the I/O model — the
-        // model's own accounting above is still exercised, so don't fail.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert!(cores < 2, "SSD reads serialized on {cores} cores: {last:?}");
+        panic!("SSD reads serialized: {last:?} for two overlapping {one:?} reads");
     }
 
     #[test]

@@ -1,4 +1,15 @@
 //! UCR-style scans under Dynamic Time Warping (the paper's §V extension).
+//!
+//! The index-free baseline the DTW engines are measured against, so it
+//! gets exactly what they get: every candidate of every scan here goes
+//! through the one raw-series cascade
+//! ([`dtw_cascade`]) — LB_Keogh
+//! against the query's envelope, the reversed LB_Keogh against the
+//! candidate's, then banded DTW abandoning on the bounds' unpaid remainder
+//! — at the scan's current best-so-far. The three scans (serial 1-NN,
+//! parallel 1-NN/k-NN, parallel batch over any source) differ in how
+//! positions are handed out and which [`Pruner`] collects; the per-candidate
+//! body is `Warped::offer` in all of them.
 
 use std::sync::Arc;
 
@@ -7,16 +18,61 @@ use dsidx_query::{
     finish_knn, AtomicQueryStats, BatchStats, ErrorSlot, QueryStats, SeriesFetcher, ShardView,
     SharedTopK,
 };
-use dsidx_series::distance::dtw::{dtw_sq_bounded, envelope, lb_keogh_sq_bounded};
+use dsidx_series::distance::dtw::{dtw_cascade, dtw_sq, envelope, DtwScratch};
 use dsidx_series::{Dataset, Match};
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::{AtomicBest, OffsetTopK, Pruner, WorkQueue};
 
-/// Exact 1-NN under banded DTW by serial scan with the LB_Keogh cascade.
-///
-/// For each candidate: LB_Keogh against the query envelope first (cheap,
-/// early-abandoning); only survivors pay for the banded DTW, itself
-/// early-abandoned row-wise against the best-so-far.
+/// A query as the scans see it: its values and its envelope under the
+/// band, computed once.
+struct Warped<'q> {
+    query: &'q [f32],
+    lower: Vec<f32>,
+    upper: Vec<f32>,
+    band: usize,
+}
+
+impl<'q> Warped<'q> {
+    fn new(query: &'q [f32], band: usize) -> Self {
+        let (mut lower, mut upper) = (Vec::new(), Vec::new());
+        envelope(query, band, &mut lower, &mut upper);
+        Self {
+            query,
+            lower,
+            upper,
+            band,
+        }
+    }
+
+    /// The loop body of every scan: `series` (at `pos`) through the
+    /// cascade at `pruner`'s current threshold, counted into `stats`,
+    /// recorded if a full DTW came out below it.
+    fn offer<P: Pruner>(
+        &self,
+        series: &[f32],
+        pos: u32,
+        pruner: &P,
+        scratch: &mut DtwScratch,
+        stats: &mut QueryStats,
+    ) {
+        let limit = pruner.threshold_sq();
+        let verdict = dtw_cascade(
+            self.query,
+            &self.lower,
+            &self.upper,
+            series,
+            self.band,
+            limit,
+            scratch,
+        );
+        if let Some(d) = stats.count_dtw(verdict, scratch.cells()) {
+            pruner.insert(d, pos);
+        }
+    }
+}
+
+/// Exact 1-NN under banded DTW by serial scan, every candidate through the
+/// cascade against the best-so-far.
 ///
 /// Returns `None` for an empty dataset.
 ///
@@ -25,27 +81,21 @@ use dsidx_sync::{AtomicBest, OffsetTopK, Pruner, WorkQueue};
 #[must_use]
 pub fn scan_dtw(data: &Dataset, query: &[f32], band: usize) -> Option<Match> {
     assert_eq!(query.len(), data.series_len(), "query length mismatch");
-    let mut lower = Vec::new();
-    let mut upper = Vec::new();
-    envelope(query, band, &mut lower, &mut upper);
-    let mut best: Option<Match> = None;
-    for (pos, series) in data.iter().enumerate() {
-        let limit = best.map_or(f32::INFINITY, |b| b.dist_sq);
-        if lb_keogh_sq_bounded(series, &lower, &upper, limit).is_none() {
-            continue;
-        }
-        if let Some(d) = dtw_sq_bounded(query, series, band, limit) {
-            best = Some(Match::new(pos as u32, d));
-        } else if best.is_none() {
-            // Degenerate: +inf limit only fails for non-finite costs, which
-            // finite inputs never produce — but keep an explicit fallback.
-            best = Some(Match::new(
-                pos as u32,
-                dsidx_series::distance::dtw::dtw_sq(query, series, band),
-            ));
-        }
+    if data.is_empty() {
+        return None;
     }
-    best
+    let warped = Warped::new(query, band);
+    let best = AtomicBest::new();
+    let mut scratch = DtwScratch::new();
+    let mut stats = QueryStats::default();
+    for (pos, series) in data.iter().enumerate() {
+        warped.offer(series, pos as u32, &best, &mut scratch, &mut stats);
+    }
+    let (dist_sq, pos) = best.get();
+    // Against +inf the cascade completes whatever finite series it is
+    // given, so position 0 at the latest set a finite best.
+    debug_assert!(dist_sq.is_finite(), "finite inputs give a finite DTW");
+    Some(Match::new(pos, dist_sq))
 }
 
 /// Parallel variant of [`scan_dtw`] with a shared best-so-far.
@@ -85,17 +135,16 @@ pub fn scan_dtw_parallel_with_stats(
     if data.is_empty() {
         return None;
     }
-    let first = dsidx_series::distance::dtw::dtw_sq(query, data.get(0), band);
+    let first = dtw_sq(query, data.get(0), band);
     let best = AtomicBest::with_initial(first, 0);
     let stats = scan_dtw_parallel_pruner(data, query, band, threads, &best);
     let (dist_sq, pos) = best.get();
     Some((Match::new(pos, dist_sq), stats))
 }
 
-/// Exact k-NN under banded DTW by parallel scan: the same LB_Keogh →
-/// early-abandoned-DTW cascade as [`scan_dtw_parallel_with_stats`],
-/// pruning against the k-th best DTW distance (a [`SharedTopK`]) instead
-/// of the single best. The index-free DTW k-NN baseline (and the fallback
+/// Exact k-NN under banded DTW by parallel scan: the same cascade as
+/// [`scan_dtw_parallel_with_stats`], pruning against the k-th best DTW
+/// distance (a [`SharedTopK`]) instead of the single best. The index-free DTW k-NN baseline (and the fallback
 /// the facade uses for engines without a DTW index path).
 ///
 /// Returns the up-to-`k` nearest series sorted ascending by
@@ -119,7 +168,7 @@ pub fn knn_dtw_parallel_with_stats(
     if data.is_empty() {
         return finish_knn(&topk, None);
     }
-    let first = dsidx_series::distance::dtw::dtw_sq(query, data.get(0), band);
+    let first = dtw_sq(query, data.get(0), band);
     topk.insert(first, 0);
     let stats = scan_dtw_parallel_pruner(data, query, band, threads, &topk);
     finish_knn(&topk, Some(stats))
@@ -138,9 +187,7 @@ fn scan_dtw_parallel_pruner<P: Pruner>(
 ) -> QueryStats {
     assert!(threads > 0, "thread count must be non-zero");
     let mut clock = PhaseClock::start();
-    let mut lower = Vec::new();
-    let mut upper = Vec::new();
-    envelope(query, band, &mut lower, &mut upper);
+    let warped = Warped::new(query, band);
     let prepare_nanos = clock.lap();
     let queue = WorkQueue::new(data.len());
     let shared = AtomicQueryStats::new();
@@ -148,21 +195,10 @@ fn scan_dtw_parallel_pruner<P: Pruner>(
     pool.broadcast(&|_worker| {
         // Accumulate locally, merge once per worker (see `AtomicQueryStats`).
         let mut local = QueryStats::default();
+        let mut scratch = DtwScratch::new();
         while let Some(range) = queue.claim_chunk(64) {
             for pos in range {
-                let limit = best.threshold_sq();
-                let series = data.get(pos);
-                local.lb_keogh_computed += 1;
-                if lb_keogh_sq_bounded(series, &lower, &upper, limit).is_none() {
-                    local.lb_keogh_pruned += 1;
-                    continue;
-                }
-                if let Some(d) = dtw_sq_bounded(query, series, band, limit) {
-                    local.real_computed += 1;
-                    best.insert(d, pos as u32);
-                } else {
-                    local.dtw_abandoned += 1;
-                }
+                warped.offer(data.get(pos), pos as u32, best, &mut scratch, &mut local);
             }
         }
         shared.merge(&local);
@@ -178,8 +214,7 @@ fn scan_dtw_parallel_pruner<P: Pruner>(
 /// Exact k-NN under banded DTW for a *batch* of queries by one parallel
 /// scan over any [`RawSource`]: each position's series is read once
 /// (zero-copy in memory, a device-charged positioned read on disk) and
-/// pays the LB_Keogh → early-abandoned-DTW cascade against every query in
-/// the batch — one data pass, B threshold checks, a single pool
+/// goes through the cascade of every query in the batch — one data pass, B threshold checks, a single pool
 /// broadcast. The index-free batched-DTW baseline, and the exact-DTW
 /// schedule the facade uses for engines without a DTW index path — on
 /// disk included.
@@ -233,9 +268,7 @@ pub fn knn_dtw_batch_parallel_with_stats_shared(
     }
     let mut clock = PhaseClock::start();
     struct Slot<'q> {
-        query: &'q [f32],
-        lower: Vec<f32>,
-        upper: Vec<f32>,
+        warped: Warped<'q>,
         topk: OffsetTopK,
         stats: AtomicQueryStats,
     }
@@ -243,17 +276,12 @@ pub fn knn_dtw_batch_parallel_with_stats_shared(
         .iter()
         .enumerate()
         .map(|(qi, &query)| {
-            let mut lower = Vec::new();
-            let mut upper = Vec::new();
-            envelope(query, band, &mut lower, &mut upper);
             let topk = match shard {
                 Some(view) => OffsetTopK::shared(Arc::clone(&view.pruners.topks()[qi]), view.base),
                 None => OffsetTopK::fresh(k),
             };
             Slot {
-                query,
-                lower,
-                upper,
+                warped: Warped::new(query, band),
                 topk,
                 stats: AtomicQueryStats::new(),
             }
@@ -282,7 +310,7 @@ pub fn knn_dtw_batch_parallel_with_stats_shared(
             .fetch(0)
             .map_err(|e| e.in_phase(Phase::Seed.name()))?;
         for slot in &slots {
-            let first = dsidx_series::distance::dtw::dtw_sq(slot.query, first_series, band);
+            let first = dtw_sq(slot.warped.query, first_series, band);
             slot.topk.insert(first, 0);
         }
     }
@@ -295,6 +323,7 @@ pub fn knn_dtw_batch_parallel_with_stats_shared(
         // Accumulate locally, merge once per worker (see `AtomicQueryStats`).
         let mut locals = vec![QueryStats::default(); slots.len()];
         let mut fetcher = SeriesFetcher::new(source);
+        let mut scratch = DtwScratch::new();
         'claims: while let Some(range) = queue.claim_chunk(64) {
             if errors.is_set() {
                 break;
@@ -308,18 +337,8 @@ pub fn knn_dtw_batch_parallel_with_stats_shared(
                     }
                 };
                 for (slot, local) in slots.iter().zip(&mut locals) {
-                    let limit = slot.topk.threshold_sq();
-                    local.lb_keogh_computed += 1;
-                    if lb_keogh_sq_bounded(series, &slot.lower, &slot.upper, limit).is_none() {
-                        local.lb_keogh_pruned += 1;
-                        continue;
-                    }
-                    if let Some(d) = dtw_sq_bounded(slot.query, series, band, limit) {
-                        local.real_computed += 1;
-                        slot.topk.insert(d, pos as u32);
-                    } else {
-                        local.dtw_abandoned += 1;
-                    }
+                    slot.warped
+                        .offer(series, pos as u32, &slot.topk, &mut scratch, local);
                 }
             }
         }
@@ -369,12 +388,7 @@ pub fn brute_force_dtw_knn(data: &Dataset, query: &[f32], band: usize, k: usize)
     let mut all: Vec<Match> = data
         .iter()
         .enumerate()
-        .map(|(pos, series)| {
-            Match::new(
-                pos as u32,
-                dsidx_series::distance::dtw::dtw_sq(query, series, band),
-            )
-        })
+        .map(|(pos, series)| Match::new(pos as u32, dtw_sq(query, series, band)))
         .collect();
     all.sort_unstable_by(|a, b| {
         a.dist_sq
@@ -392,7 +406,7 @@ pub fn brute_force_dtw(data: &Dataset, query: &[f32], band: usize) -> Option<Mat
     assert_eq!(query.len(), data.series_len(), "query length mismatch");
     let mut best: Option<Match> = None;
     for (pos, series) in data.iter().enumerate() {
-        let d = dsidx_series::distance::dtw::dtw_sq(query, series, band);
+        let d = dtw_sq(query, series, band);
         if best.is_none_or(|b| d < b.dist_sq) {
             best = Some(Match::new(pos as u32, d));
         }

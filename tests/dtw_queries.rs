@@ -71,3 +71,71 @@ fn dtw_band_zero_equals_euclidean_answer() {
         assert!((ed.dist_sq - dtw.dist_sq).abs() <= ed.dist_sq * 1e-3 + 1e-3);
     }
 }
+
+/// A duplicate-heavy collection under DTW: every series has 19 exact
+/// copies scattered through the file, so the k-th distance is always a
+/// tie and most candidates arrive exactly one ulp under the pruning
+/// threshold — where a lower bound or an abandon test that rounds the
+/// wrong way would drop the copy at the lower position. Positions and
+/// distance bits must equal brute force on every engine, in memory and on
+/// disk, whatever the thread count.
+#[test]
+fn dtw_ties_at_the_kth_distance_keep_the_lowest_positions_everywhere() {
+    use dsidx::ucr::brute_force_dtw_knn;
+    use std::sync::Arc;
+
+    let base = DatasetKind::Synthetic.generate(15, 64, 808);
+    let mut data = Dataset::new(64).unwrap();
+    for _copy in 0..20 {
+        for member in base.iter() {
+            data.push(member).unwrap();
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("dsidx-dtw-ties-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ties.dsidx");
+    dsidx::storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+
+    // Two members (ties at distance zero) and two fresh queries (ties at
+    // whatever the distance happens to be).
+    let fresh = DatasetKind::Synthetic.queries(2, 64, 809);
+    let queries: Vec<&[f32]> = vec![base.get(3), base.get(11), fresh.get(0), fresh.get(1)];
+    for band in [0usize, 4, 12] {
+        for k in [1usize, 7, 20, 33] {
+            let spec = QuerySpec::knn(k).measure(Measure::Dtw { band });
+            let want: Vec<Vec<Match>> = queries
+                .iter()
+                .map(|q| brute_force_dtw_knn(&data, q, band, k))
+                .collect();
+            for threads in [1usize, 2, 4] {
+                let o = Options::default()
+                    .with_threads(threads)
+                    .with_leaf_capacity(10);
+                for engine in Engine::ALL {
+                    let memory = MemoryIndex::build(data.clone(), engine, &o).unwrap();
+                    let disk =
+                        DiskIndex::build(&path, &dir, engine, &o, DeviceProfile::UNTHROTTLED)
+                            .unwrap();
+                    let answers = [
+                        ("memory", memory.search(&queries, &spec).unwrap()),
+                        ("disk", disk.search(&queries, &spec).unwrap()),
+                    ];
+                    for (residence, got) in answers {
+                        let got = got.into_matches();
+                        for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
+                            let bits = |ms: &[Match]| -> Vec<(u32, u32)> {
+                                ms.iter().map(|m| (m.pos, m.dist_sq.to_bits())).collect()
+                            };
+                            assert_eq!(
+                                bits(g),
+                                bits(w),
+                                "{} {residence} band={band} k={k} x{threads} q{qi}",
+                                engine.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
