@@ -120,14 +120,17 @@ pub fn build_from_file(
 
 /// ADS+-style buffered bulk load: group entries per root subtree first,
 /// then build each subtree in one pass (better locality than interleaved
-/// inserts — this is what the receiving-buffer design generalizes).
+/// inserts — this is what the receiving-buffer design generalizes). The
+/// root fan-out is fitted to the number of words, whatever `config`
+/// carried (see [`TreeConfig::fitted_to`]).
 fn bulk_build(words: &[Word], config: &TreeConfig) -> Index {
+    let config = config.fitted_to(words.len());
     let mut buffers: Vec<Vec<LeafEntry>> = Vec::new();
     buffers.resize_with(config.root_count(), Vec::new);
     for (pos, word) in words.iter().enumerate() {
-        buffers[word.root_key() as usize].push(LeafEntry::new(*word, pos as u32));
+        buffers[usize::from(config.root_key(word))].push(LeafEntry::new(*word, pos as u32));
     }
-    let mut index = Index::new(config.clone());
+    let mut index = Index::new(config);
     for buffer in buffers {
         for entry in buffer {
             index.insert(entry);

@@ -48,7 +48,9 @@ fn bench_isax(c: &mut Criterion) {
     group.bench_function("node_mindist_table_build", |b| {
         b.iter(|| NodeMindistTable::new_point(black_box(&qpaa), quantizer.segment_lens()));
     });
-    let root = dsidx::isax::NodeWord::root(words[0].root_key(), 16);
+    // A root word as a tree fitted to ~200k series has it: 11 keyed
+    // segments, 5 carrying no bits.
+    let root = dsidx::isax::NodeWord::root(words[0].root_key(11), 11, 16);
     group.bench_function("node_mindist_lookup", |b| {
         b.iter(|| node_table.lookup(black_box(&root)));
     });

@@ -102,9 +102,11 @@ fn workload(len: usize) -> Workload {
     }
     let quantizer = Quantizer::new(len, 16).expect("16 segments fit every swept length");
     let words: Vec<Word> = b.iter().map(|s| quantizer.word(s)).collect();
+    // Root words as a tree fitted to ~200k series has them: 11 keyed
+    // segments, 5 carrying no bits.
     let nodes: Vec<dsidx::isax::NodeWord> = words
         .iter()
-        .map(|w| dsidx::isax::NodeWord::root(w.root_key(), 16))
+        .map(|w| dsidx::isax::NodeWord::root(w.root_key(11), 11, 16))
         .collect();
     let scan_words: Vec<Word> = (0..SCAN_WORDS)
         .map(|i| quantizer.word(&series(i as u64 + 10_000, len)))

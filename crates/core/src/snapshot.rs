@@ -90,6 +90,7 @@ pub(crate) fn save_snapshot(
     let fingerprint = SnapshotFingerprint {
         engine: engine_id(engine),
         segments: config.segments() as u8,
+        root_segments: config.root_segments() as u8,
         series_len: u32::try_from(config.series_len()).expect("series_len fits u32"),
         count: index.len() as u64,
         leaf_capacity: config.leaf_capacity() as u64,
@@ -159,10 +160,25 @@ pub(crate) fn open_snapshot(
     }
     let segments = usize::from(fp.segments);
     let leaf_capacity = usize::try_from(fp.leaf_capacity).expect("leaf capacity fits usize");
+    if leaf_capacity == 0 {
+        return Err(corrupt("snapshot fingerprint has leaf capacity 0".into()));
+    }
     // TreeConfig re-validates the geometry (segment bounds, series_len vs
-    // segments, nonzero capacity), so corrupt fingerprint fields surface
-    // as configuration errors here rather than panics later.
-    let config = TreeConfig::new(expect_series_len, segments, leaf_capacity)?;
+    // segments), so corrupt fingerprint fields surface as configuration
+    // errors here rather than panics later. The root fan-out is derived
+    // from the same count and capacity the builder saw, never taken from
+    // the file: a recorded value that disagrees names a tree of another
+    // shape than the one the sections can hold.
+    let config =
+        TreeConfig::new(expect_series_len, segments, leaf_capacity)?.fitted_to(expect_count);
+    if usize::from(fp.root_segments) != config.root_segments() {
+        return Err(corrupt(format!(
+            "snapshot fingerprint records a root key over {} segments; {expect_count} series in \
+             leaves of {leaf_capacity} key it over {}",
+            fp.root_segments,
+            config.root_segments(),
+        )));
+    }
     let sections = TreeSections {
         nodes: reader.read_section(SEC_NODES)?,
         roots: reader.read_section(SEC_ROOTS)?,

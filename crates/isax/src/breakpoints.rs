@@ -1,4 +1,8 @@
-//! N(0, 1) quantile breakpoints, for every cardinality `2^b`, `b = 1..=8`.
+//! N(0, 1) quantile breakpoints, for every cardinality `2^b`, `b = 0..=8`.
+//!
+//! Zero bits is the degenerate cardinality 1: no breakpoints, one region
+//! covering the whole line — what a node word says about a segment it does
+//! not constrain.
 //!
 //! The breakpoints for cardinality `2^b` are `Phi^{-1}(i / 2^b)` for
 //! `i = 1..2^b - 1`. Because `i / 2^b == 2i / 2^(b+1)`, every breakpoint at
@@ -12,14 +16,14 @@ use std::sync::OnceLock;
 /// Breakpoints for all supported cardinalities.
 #[derive(Debug)]
 pub struct BreakpointTable {
-    /// `per_bits[b - 1]` holds the `2^b - 1` ascending breakpoints for `b` bits.
+    /// `per_bits[b]` holds the `2^b - 1` ascending breakpoints for `b` bits.
     per_bits: Vec<Vec<f32>>,
 }
 
 impl BreakpointTable {
     fn compute() -> Self {
-        let mut per_bits = Vec::with_capacity(MAX_BITS as usize);
-        for bits in 1..=MAX_BITS {
+        let mut per_bits = Vec::with_capacity(MAX_BITS as usize + 1);
+        for bits in 0..=MAX_BITS {
             let card = 1usize << bits;
             let mut bps = Vec::with_capacity(card - 1);
             for i in 1..card {
@@ -33,12 +37,12 @@ impl BreakpointTable {
     /// The ascending breakpoints for a cardinality of `bits` bits.
     ///
     /// # Panics
-    /// Panics unless `1 <= bits <= MAX_BITS`.
+    /// Panics unless `bits <= MAX_BITS`.
     #[inline]
     #[must_use]
     pub fn for_bits(&self, bits: u8) -> &[f32] {
-        assert!((1..=MAX_BITS).contains(&bits), "bits out of range: {bits}");
-        &self.per_bits[bits as usize - 1]
+        assert!(bits <= MAX_BITS, "bits out of range: {bits}");
+        &self.per_bits[bits as usize]
     }
 
     /// Quantizes a value into its symbol (bottom-up region index) at the
@@ -92,7 +96,7 @@ mod tests {
     #[test]
     fn counts_and_order() {
         let t = breakpoints();
-        for bits in 1..=MAX_BITS {
+        for bits in 0..=MAX_BITS {
             let bps = t.for_bits(bits);
             assert_eq!(bps.len(), (1usize << bits) - 1);
             for w in bps.windows(2) {
@@ -126,10 +130,10 @@ mod tests {
         for i in -60..=60 {
             let v = i as f32 * 0.1;
             let full = t.symbol(v, MAX_BITS);
-            for bits in 1..MAX_BITS {
+            for bits in 0..MAX_BITS {
                 assert_eq!(
                     t.symbol(v, bits),
-                    full >> (MAX_BITS - bits),
+                    (u16::from(full) >> (MAX_BITS - bits)) as u8,
                     "v={v} bits={bits}"
                 );
             }
@@ -164,7 +168,7 @@ mod tests {
     #[test]
     fn regions_partition_the_line() {
         let t = breakpoints();
-        for bits in 1..=MAX_BITS {
+        for bits in 0..=MAX_BITS {
             let card = 1u16 << bits;
             let (first_lo, _) = t.region(0, bits);
             assert_eq!(first_lo, f32::NEG_INFINITY);

@@ -37,7 +37,9 @@ pub use mindist::{MindistTable, NodeMindistTable};
 // (re-exported so isax consumers need not depend on dsidx-series directly).
 pub use dsidx_series::distance::simd_enabled;
 pub use quantizer::Quantizer;
-pub use word::{NodeWord, Word, WordMatcher, MAX_BITS, MAX_CARDINALITY, MAX_SEGMENTS};
+pub use word::{
+    root_key_segments, NodeWord, Word, WordMatcher, MAX_BITS, MAX_CARDINALITY, MAX_SEGMENTS,
+};
 
 /// The paper's default number of segments ("w is fixed to 16 in this paper,
 /// as in previous studies").

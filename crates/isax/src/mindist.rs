@@ -234,21 +234,38 @@ impl MindistTable {
     }
 }
 
+/// Slots per segment of a [`NodeMindistTable`]: `2^b` regions at each of the
+/// cardinalities `b = 0..=MAX_BITS` is `2^(MAX_BITS+1) - 1`, rounded up.
+pub(crate) const NODE_ROW: usize = 2 * MAX_CARDINALITY;
+
+/// Where segment-local `(bits, prefix)` sits in its [`NODE_ROW`]: the
+/// regions of one segment form a binary tree under refinement (a region's
+/// two halves are `prefix·0` and `prefix·1`), and this is that tree's heap
+/// numbering — the single whole-line region at `0`, then the two 1-bit
+/// regions, the four 2-bit ones, and so on.
+#[inline]
+fn node_slot(bits: u8, prefix: u8) -> usize {
+    (1usize << bits) - 1 + prefix as usize
+}
+
 /// A per-query lookup table for *node-level* MINDIST evaluations at every
 /// cardinality.
 ///
-/// `table[seg][bits-1][prefix]` holds the weighted squared contribution of
-/// segment `seg` when its region is the `prefix` region at `2^bits`
-/// cardinality. Tree traversal (MESSI) evaluates tens of thousands of node
-/// bounds per query; this reduces each to `w` lookups and adds, like
-/// [`MindistTable`] does for full-cardinality words.
+/// For each segment it holds the weighted squared contribution of every
+/// region at every cardinality `2^bits`, `bits = 0..=8`, laid out by
+/// `node_slot` — 511 values per segment, 32 KiB at 16 segments. The
+/// zero-bit region is the whole line and contributes exactly `0.0`, so a
+/// segment a node word leaves unconstrained drops out of the sum. Tree
+/// traversal (MESSI) evaluates thousands of node bounds per query; this
+/// reduces each to `w` lookups and adds, like [`MindistTable`] does for
+/// full-cardinality words.
 ///
 /// The [`Default`] table has no segments and bounds everything at zero;
 /// [`fill_point`](Self::fill_point) / [`fill_interval`](Self::fill_interval)
 /// size it for a query.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMindistTable {
-    /// Flat layout: `seg * (MAX_BITS * MAX_CARDINALITY) + (bits-1) * MAX_CARDINALITY + prefix`.
+    /// Flat layout: `seg * NODE_ROW + node_slot(bits, prefix)`.
     table: Vec<f32>,
     segments: usize,
 }
@@ -270,9 +287,9 @@ impl NodeMindistTable {
         table
     }
 
-    /// Refills this table for another ED query, reusing its 128 KiB
-    /// buffer — a worker answering many queries keeps one table instead of
-    /// allocating (and faulting in) a fresh one per query.
+    /// Refills this table for another ED query, reusing its buffer — a
+    /// worker answering many queries keeps one table instead of allocating
+    /// a fresh one per query.
     pub fn fill_point(&mut self, paa: &[f32], seg_lens: &[u32]) {
         self.fill(paa.len(), seg_lens, |seg, lo, hi| {
             interval_dist_sq(paa[seg], lo, hi)
@@ -290,20 +307,17 @@ impl NodeMindistTable {
     fn fill(&mut self, segments: usize, seg_lens: &[u32], dist: impl Fn(usize, f32, f32) -> f32) {
         assert_eq!(segments, seg_lens.len());
         let bp = breakpoints();
-        let stride_seg = MAX_BITS as usize * MAX_CARDINALITY;
-        // Every slot a lookup can reach (`prefix < 2^bits`) is rewritten
-        // below; the rest stay zero from the sizing.
-        if self.table.len() != segments * stride_seg {
-            self.table = vec![0.0f32; segments * stride_seg];
-        }
+        // Every slot a lookup can reach is rewritten below; the one spare
+        // slot per row stays zero from the sizing.
+        self.table.resize(segments * NODE_ROW, 0.0);
         self.segments = segments;
         for (seg, &seg_len) in seg_lens.iter().enumerate() {
             let weight = seg_len as f32;
-            for bits in 1..=MAX_BITS {
-                let row_base = seg * stride_seg + (bits as usize - 1) * MAX_CARDINALITY;
-                for prefix in 0..(1usize << bits) {
-                    let (lo, hi) = bp.region(prefix as u8, bits);
-                    self.table[row_base + prefix] = weight * dist(seg, lo, hi);
+            let row = &mut self.table[seg * NODE_ROW..(seg + 1) * NODE_ROW];
+            for bits in 0..=MAX_BITS {
+                for prefix in 0..=(((1u16 << bits) - 1) as u8) {
+                    let (lo, hi) = bp.region(prefix, bits);
+                    row[node_slot(bits, prefix)] = weight * dist(seg, lo, hi);
                 }
             }
         }
@@ -312,15 +326,19 @@ impl NodeMindistTable {
     /// The contribution of segment `seg` at one-bit cardinality, for both
     /// prefixes `(bit 0, bit 1)`.
     ///
-    /// Root subtrees all have one-bit words derived from their key, so the
-    /// engines scan root keys with these 2-entry rows instead of touching
-    /// tree nodes — the root level is by far the widest.
+    /// Root subtrees have one-bit words derived from their key on the
+    /// segments the key covers (and nothing on the rest), so the engines
+    /// scan root keys with these 2-entry rows instead of touching tree
+    /// nodes.
     #[inline]
     #[must_use]
     pub fn root_pair(&self, seg: usize) -> (f32, f32) {
         debug_assert!(seg < self.segments);
-        let base = seg * MAX_BITS as usize * MAX_CARDINALITY;
-        (self.table[base], self.table[base + 1])
+        let row = seg * NODE_ROW;
+        (
+            self.table[row + node_slot(1, 0)],
+            self.table[row + node_slot(1, 1)],
+        )
     }
 
     /// Squared MINDIST to a variable-cardinality node word.
@@ -334,8 +352,8 @@ impl NodeMindistTable {
         #[cfg(target_arch = "x86_64")]
         if self.segments == crate::word::MAX_SEGMENTS && dsidx_series::distance::simd_enabled() {
             // SAFETY: `simd_enabled` implies AVX2; segments == 16 means the
-            // table holds all 16 * 8 * 256 entries, and `NodeWord`
-            // maintains every bits entry in 1..=MAX_BITS.
+            // table holds all 16 * NODE_ROW entries, and `NodeWord`
+            // maintains every bits entry in 0..=MAX_BITS.
             return unsafe {
                 crate::simd::node_table_lookup_avx2(
                     &self.table,
@@ -353,13 +371,9 @@ impl NodeMindistTable {
     #[must_use]
     pub fn lookup_scalar(&self, node: &NodeWord) -> f32 {
         debug_assert_eq!(node.segments(), self.segments);
-        let stride_seg = MAX_BITS as usize * MAX_CARDINALITY;
         let mut sum = 0.0f32;
         for seg in 0..self.segments {
-            let idx = seg * stride_seg
-                + (node.bits(seg) as usize - 1) * MAX_CARDINALITY
-                + node.prefix(seg) as usize;
-            sum += self.table[idx];
+            sum += self.table[seg * NODE_ROW + node_slot(node.bits(seg), node.prefix(seg))];
         }
         sum
     }
@@ -367,41 +381,34 @@ impl NodeMindistTable {
     /// Squared MINDIST from raw `(bits, prefix)` arrays (used by the
     /// flattened tree, which stores node words as plain byte arrays).
     ///
-    /// Only the first `segments` entries of each slice are read. The SIMD
-    /// path additionally requires every `bits[seg]` to be in
-    /// `1..=MAX_BITS` (always true for bytes written by the flattened
-    /// tree); rather than trust callers, out-of-range bits fall back to the
-    /// scalar loop, which panics on the resulting out-of-bounds index.
+    /// Only the first `segments` entries of each slice are read.
+    ///
+    /// # Panics
+    /// Panics if a `bits[seg]` exceeds `MAX_BITS` (never true for bytes
+    /// written by the flattened tree): the gather kernel must not be
+    /// handed an index it cannot vouch for, and the scalar loop would read
+    /// another segment's row.
     #[inline]
     #[must_use]
     pub fn lookup_parts(&self, bits: &[u8], prefixes: &[u8]) -> f32 {
-        debug_assert!(bits.len() >= self.segments && prefixes.len() >= self.segments);
+        let (bits, prefixes) = (&bits[..self.segments], &prefixes[..self.segments]);
+        assert!(
+            bits.iter().all(|&b| b <= MAX_BITS),
+            "node cardinality past {MAX_BITS} bits"
+        );
         #[cfg(target_arch = "x86_64")]
-        if self.segments == crate::word::MAX_SEGMENTS
-            && bits.len() >= crate::word::MAX_SEGMENTS
-            && prefixes.len() >= crate::word::MAX_SEGMENTS
-            && dsidx_series::distance::simd_enabled()
-        {
-            let bits_arr: &[u8; crate::word::MAX_SEGMENTS] =
-                bits[..crate::word::MAX_SEGMENTS].try_into().unwrap();
-            let pref_arr: &[u8; crate::word::MAX_SEGMENTS] =
-                prefixes[..crate::word::MAX_SEGMENTS].try_into().unwrap();
-            if bits_arr.iter().all(|b| (1..=MAX_BITS).contains(b)) {
-                // SAFETY: `simd_enabled` implies AVX2; segments == 16 means
-                // the table holds all 16 * 8 * 256 entries, and every bits
-                // lane was just validated to be in 1..=MAX_BITS.
-                return unsafe {
-                    crate::simd::node_table_lookup_avx2(&self.table, bits_arr, pref_arr)
-                };
-            }
+        if self.segments == crate::word::MAX_SEGMENTS && dsidx_series::distance::simd_enabled() {
+            let bits: &[u8; crate::word::MAX_SEGMENTS] = bits.try_into().expect("16 segments");
+            let prefixes: &[u8; crate::word::MAX_SEGMENTS] =
+                prefixes.try_into().expect("16 segments");
+            // SAFETY: `simd_enabled` implies AVX2; segments == 16 means the
+            // table holds all 16 * NODE_ROW entries, and every bits lane
+            // was just checked to be in 0..=MAX_BITS.
+            return unsafe { crate::simd::node_table_lookup_avx2(&self.table, bits, prefixes) };
         }
-        let stride_seg = MAX_BITS as usize * MAX_CARDINALITY;
         let mut sum = 0.0f32;
-        for seg in 0..self.segments {
-            let idx = seg * stride_seg
-                + (bits[seg] as usize - 1) * MAX_CARDINALITY
-                + prefixes[seg] as usize;
-            sum += self.table[idx];
+        for (seg, (&b, &prefix)) in bits.iter().zip(prefixes).enumerate() {
+            sum += self.table[seg * NODE_ROW + node_slot(b, prefix)];
         }
         sum
     }
@@ -483,7 +490,7 @@ mod tests {
             let paa_a = crate::paa::paa(&a, 8);
             let wd = mindist_paa_word_sq(&paa_a, &word_b, q.segment_lens());
             // Build node words of decreasing precision containing b.
-            let root = NodeWord::root(word_b.root_key(), 8);
+            let root = NodeWord::root(word_b.root_key(8), 8, 8);
             let nd = mindist_paa_node_sq(&paa_a, &root, q.segment_lens());
             assert!(
                 nd <= wd + wd.abs() * 1e-5 + 1e-6,
@@ -500,8 +507,10 @@ mod tests {
         let w = q.word(&a);
         let paa_a = crate::paa::paa(&a, 16);
         assert_eq!(mindist_paa_word_sq(&paa_a, &w, q.segment_lens()), 0.0);
-        let root = NodeWord::root(w.root_key(), 16);
-        assert_eq!(mindist_paa_node_sq(&paa_a, &root, q.segment_lens()), 0.0);
+        for r in 1..=16 {
+            let root = NodeWord::root(w.root_key(r), r, 16);
+            assert_eq!(mindist_paa_node_sq(&paa_a, &root, q.segment_lens()), 0.0);
+        }
     }
 
     #[test]
@@ -529,7 +538,7 @@ mod tests {
         let q = Quantizer::new(n, 8).unwrap();
         let a = series(9, n);
         let w = q.word(&a);
-        let node = NodeWord::root(w.root_key(), 8);
+        let node = NodeWord::root(w.root_key(8), 8, 8);
         let paa_a = crate::paa::paa(&a, 8);
         // Envelope that covers the PAA exactly: bound must be <= point bound.
         let env_md = mindist_envelope_node_sq(&paa_a, &paa_a, &node, q.segment_lens());
@@ -552,9 +561,11 @@ mod tests {
         for seed in 0..40u64 {
             let b = series(seed + 300, n);
             let word_b = q.word(&b);
-            // Walk a refinement path, checking the table at every level.
-            let mut node = NodeWord::root(word_b.root_key(), 16);
-            for k in 0..24 {
+            // Walk a refinement path from a root of every fan-out (zero-bit
+            // segments included), checking the table at every level.
+            let r = 1 + seed as usize % 16;
+            let mut node = NodeWord::root(word_b.root_key(r), r, 16);
+            for k in 0..40 {
                 let direct = mindist_paa_node_sq(&paa_a, &node, q.segment_lens());
                 let looked = table.lookup(&node);
                 assert!(
@@ -605,7 +616,7 @@ mod tests {
         for seed in 0..30u64 {
             let b = series(seed + 900, n);
             let word_b = q.word(&b);
-            let node = NodeWord::root(word_b.root_key(), 8);
+            let node = NodeWord::root(word_b.root_key(8), 8, 8);
             let direct = mindist_envelope_node_sq(&lo, &hi, &node, q.segment_lens());
             assert!((direct - table.lookup(&node)).abs() <= direct.abs() * 1e-5 + 1e-6);
         }
@@ -711,10 +722,11 @@ mod tests {
         let table = NodeMindistTable::new_point(&paa_a, q.segment_lens());
         for seed in 0..40u64 {
             let word_b = q.word(&series(seed + 900, n));
-            let mut node = NodeWord::root(word_b.root_key(), 16);
-            for k in 0..24 {
+            let r = 1 + seed as usize % 16;
+            let mut node = NodeWord::root(word_b.root_key(r), r, 16);
+            for k in 0..40 {
                 let scalar = table.lookup_scalar(&node);
-                // SAFETY: AVX2 checked above; NodeWord keeps bits in 1..=8.
+                // SAFETY: AVX2 checked above; NodeWord keeps bits in 0..=8.
                 let simd = unsafe {
                     crate::simd::node_table_lookup_avx2(
                         &table.table,

@@ -66,13 +66,6 @@ impl Quantizer {
         &self.seg_lens
     }
 
-    /// Number of distinct root keys (`2^segments`).
-    #[inline]
-    #[must_use]
-    pub fn root_count(&self) -> usize {
-        1usize << self.segments
-    }
-
     /// Computes the PAA of `series` into `paa_out`.
     ///
     /// # Panics
@@ -161,7 +154,8 @@ mod tests {
             w.symbol(1) >= 128,
             "positive segment quantizes above median"
         );
-        assert_eq!(w.root_key(), 0b01);
+        assert_eq!(w.root_key(2), 0b01);
+        assert_eq!(w.root_key(1), 0b0);
     }
 
     #[test]
@@ -178,11 +172,5 @@ mod tests {
         let q = Quantizer::new(16, 4).unwrap();
         let mut out = [0.0f32; 4];
         q.paa_into(&[0.0; 8], &mut out);
-    }
-
-    #[test]
-    fn root_count() {
-        assert_eq!(Quantizer::new(256, 16).unwrap().root_count(), 65536);
-        assert_eq!(Quantizer::new(256, 4).unwrap().root_count(), 16);
     }
 }

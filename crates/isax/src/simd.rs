@@ -10,14 +10,15 @@
 
 #![cfg(target_arch = "x86_64")]
 
+use crate::mindist::NODE_ROW;
 use crate::word::{Word, MAX_BITS, MAX_CARDINALITY, MAX_SEGMENTS};
 use std::arch::x86_64::{
     __m128i, __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cvtepu8_epi32,
     _mm256_extractf128_ps, _mm256_i32gather_ps, _mm256_set1_epi32, _mm256_setr_epi32,
-    _mm256_setzero_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_epi32, _mm_add_ps,
-    _mm_add_ss, _mm_cvtss_f32, _mm_loadu_si128, _mm_movehl_ps, _mm_shuffle_ps, _mm_srli_si128,
-    _mm_unpackhi_epi16, _mm_unpackhi_epi32, _mm_unpackhi_epi8, _mm_unpacklo_epi16,
-    _mm_unpacklo_epi32, _mm_unpacklo_epi8,
+    _mm256_setzero_ps, _mm256_sllv_epi32, _mm256_storeu_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
+    _mm_loadu_si128, _mm_movehl_ps, _mm_shuffle_ps, _mm_srli_si128, _mm_unpackhi_epi16,
+    _mm_unpackhi_epi32, _mm_unpackhi_epi8, _mm_unpacklo_epi16, _mm_unpacklo_epi32,
+    _mm_unpacklo_epi8,
 };
 
 /// Horizontal sum of all 8 lanes.
@@ -143,27 +144,30 @@ pub(crate) unsafe fn word_table_lookup_batch8_avx2(
     }
 }
 
-/// Sums `table[seg * 2048 + (bits[seg] - 1) * 256 + prefixes[seg]]` over all
-/// 16 segments (the [`crate::NodeMindistTable`] layout).
+/// Sums `table[seg * NODE_ROW + (1 << bits[seg]) - 1 + prefixes[seg]]` over
+/// all 16 segments (the [`crate::NodeMindistTable`] layout).
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX2, that
-/// `table.len() >= MAX_SEGMENTS * MAX_BITS * MAX_CARDINALITY` (32768), and
-/// that every `bits[seg]` is in `1..=MAX_BITS`. Each gathered index is then
-/// at most `15 * 2048 + 7 * 256 + 255 = 32767`, in bounds. (`prefixes` needs
-/// no precondition beyond being `u8`: an out-of-cardinality prefix reads a
-/// stale-but-in-bounds slot, same as the scalar loop.)
+/// `table.len() >= MAX_SEGMENTS * NODE_ROW` (8192), and that every
+/// `bits[seg]` is in `0..=MAX_BITS`. Each gathered index is then at least
+/// `0 + 1 - 1 + 0 = 0` and at most `15 * 512 + 256 - 1 + 255 = 8190`, in
+/// bounds. (`prefixes` needs no precondition beyond being `u8`: an
+/// out-of-cardinality prefix reads a neighbouring-but-in-bounds slot, same
+/// as the scalar loop.)
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn node_table_lookup_avx2(
     table: &[f32],
     bits: &[u8; MAX_SEGMENTS],
     prefixes: &[u8; MAX_SEGMENTS],
 ) -> f32 {
-    debug_assert!(table.len() >= MAX_SEGMENTS * MAX_BITS as usize * MAX_CARDINALITY);
-    debug_assert!(bits.iter().all(|b| (1..=MAX_BITS).contains(b)));
+    debug_assert!(table.len() >= MAX_SEGMENTS * NODE_ROW);
+    debug_assert!(bits.iter().all(|&b| b <= MAX_BITS));
     // SAFETY: the caller guarantees AVX2, a full-size table, and bits in
-    // 1..=8, so every index is at most 15*2048 + 7*256 + 255 = 32767 <
-    // table.len(); the 16-byte loads read exactly the [u8; 16] arrays.
+    // 0..=8, so every index is in 0..=15*512 + 255 + 255 = 8190 <
+    // table.len() (the `- 1` is folded into the per-lane row offsets, and
+    // `1 << bits >= 1` keeps lane 0 from going negative); the 16-byte loads
+    // read exactly the [u8; 16] arrays.
     unsafe {
         let base = table.as_ptr();
         let raw_bits: __m128i = _mm_loadu_si128(bits.as_ptr().cast());
@@ -172,24 +176,28 @@ pub(crate) unsafe fn node_table_lookup_avx2(
         let bits_hi = _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(raw_bits));
         let pref_lo = _mm256_cvtepu8_epi32(raw_pref);
         let pref_hi = _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(raw_pref));
-        // Per-lane segment offsets seg * 2048; each lane computes
-        // segoff + (bits << 8) - 256 + prefix.
-        let segs_lo = _mm256_setr_epi32(0, 2048, 4096, 6144, 8192, 10240, 12288, 14336);
-        let segs_hi = _mm256_setr_epi32(16384, 18432, 20480, 22528, 24576, 26624, 28672, 30720);
-        let bias = _mm256_setr_epi32(256, 256, 256, 256, 256, 256, 256, 256);
-        let idx_lo = _mm256_sub_epi32(
-            _mm256_add_epi32(
-                _mm256_add_epi32(segs_lo, _mm256_slli_epi32::<8>(bits_lo)),
-                pref_lo,
-            ),
-            bias,
+        // Per-lane row offsets seg * NODE_ROW - 1; each lane computes
+        // rowoff + (1 << bits) + prefix.
+        const ROW: i32 = NODE_ROW as i32;
+        let rows_lo = _mm256_setr_epi32(
+            -1,
+            ROW - 1,
+            2 * ROW - 1,
+            3 * ROW - 1,
+            4 * ROW - 1,
+            5 * ROW - 1,
+            6 * ROW - 1,
+            7 * ROW - 1,
         );
-        let idx_hi = _mm256_sub_epi32(
-            _mm256_add_epi32(
-                _mm256_add_epi32(segs_hi, _mm256_slli_epi32::<8>(bits_hi)),
-                pref_hi,
-            ),
-            bias,
+        let rows_hi = _mm256_add_epi32(rows_lo, _mm256_set1_epi32(8 * ROW));
+        let one = _mm256_set1_epi32(1);
+        let idx_lo = _mm256_add_epi32(
+            _mm256_add_epi32(rows_lo, _mm256_sllv_epi32(one, bits_lo)),
+            pref_lo,
+        );
+        let idx_hi = _mm256_add_epi32(
+            _mm256_add_epi32(rows_hi, _mm256_sllv_epi32(one, bits_hi)),
+            pref_hi,
         );
         let gathered = _mm256_add_ps(
             _mm256_i32gather_ps::<4>(base, idx_lo),

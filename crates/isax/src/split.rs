@@ -54,7 +54,7 @@ mod tests {
     #[test]
     fn picks_most_balanced_segment() {
         // Root node over 2 segments; both prefixes are 1.
-        let node = NodeWord::root(0b11, 2);
+        let node = NodeWord::root(0b11, 2, 2);
         // Segment 0 next bits: 0,0,0,0 (imbalance 4).
         // Segment 1 next bits: 0,0,1,1 (imbalance 0) -> pick 1.
         let words = [
@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn tie_breaks_on_lower_cardinality_then_index() {
-        let node = NodeWord::root(0b00, 2);
+        let node = NodeWord::root(0b00, 2, 2);
         // Both segments perfectly balanced.
         let words = [
             Word::new(&[0b0000_0000, 0b0000_0000]),
@@ -85,8 +85,24 @@ mod tests {
     }
 
     #[test]
+    fn unconstrained_segments_win_ties_below_a_partial_root() {
+        // Root keyed on segment 0 only; segments 1 and 2 carry zero bits.
+        let node = NodeWord::root(0b1, 1, 3);
+        // All three next bits split 1:1 — the zero-bit segments tie on
+        // cardinality, the lower index wins.
+        let words = [
+            Word::new(&[0b1000_0000, 0b0000_0000, 0b0000_0000]),
+            Word::new(&[0b1100_0000, 0b1000_0000, 0b1000_0000]),
+        ];
+        assert_eq!(choose_split_segment(words.iter(), &node), Some(1));
+        let (zero, one) = node.split(1);
+        assert!(zero.contains(&words[0]) && one.contains(&words[1]));
+        assert_eq!(choose_split_segment(words[..1].iter(), &zero), Some(2));
+    }
+
+    #[test]
     fn returns_none_at_max_cardinality() {
-        let mut node = NodeWord::root(0, 1);
+        let mut node = NodeWord::root(0, 1, 1);
         for _ in 1..MAX_BITS {
             node = node.split(0).0;
         }
@@ -96,14 +112,14 @@ mod tests {
 
     #[test]
     fn empty_leaf_still_picks_a_segment() {
-        let node = NodeWord::root(0, 4);
+        let node = NodeWord::root(0, 4, 4);
         // No entries: every splittable segment has imbalance 0; lowest index.
         assert_eq!(choose_split_segment([].iter(), &node), Some(0));
     }
 
     #[test]
     fn split_actually_separates_on_chosen_segment() {
-        let node = NodeWord::root(0b0, 1);
+        let node = NodeWord::root(0b0, 1, 1);
         let words = [
             Word::new(&[0b0000_0000]),
             Word::new(&[0b0111_1111]),

@@ -4,6 +4,7 @@
 use dsidx_isax::breakpoints::breakpoints;
 use dsidx_isax::mindist::{
     mindist_envelope_node_sq, mindist_paa_node_sq, mindist_paa_word_sq, MindistTable,
+    NodeMindistTable,
 };
 use dsidx_isax::paa::{envelope_paa_bounds, paa};
 use dsidx_isax::word::{NodeWord, MAX_BITS};
@@ -48,14 +49,21 @@ proptest! {
     /// Node-level bound is looser than (or equal to) the word-level bound,
     /// and still lower-bounds ED — at every refinement level along the path.
     #[test]
-    fn node_mindist_chain((w, q, c) in config_and_pair(), splits in 0usize..20) {
+    fn node_mindist_chain(
+        (w, q, c) in config_and_pair(),
+        splits in 0usize..40,
+        r_pick in 0usize..16,
+    ) {
         let quant = Quantizer::new(q.len(), w).unwrap();
         let word_c = quant.word(&c);
         let paa_q = paa(&q, w);
         let ed = euclidean_sq(&q, &c);
         let wd = mindist_paa_word_sq(&paa_q, &word_c, quant.segment_lens());
 
-        let mut node = NodeWord::root(word_c.root_key(), w);
+        // From a root of any fan-out: the unkeyed segments start at zero
+        // bits and are refined like the rest.
+        let r = 1 + r_pick % w;
+        let mut node = NodeWord::root(word_c.root_key(r), r, w);
         let mut prev = mindist_paa_node_sq(&paa_q, &node, quant.segment_lens());
         prop_assert!(prev <= ed + ed.abs() * 1e-3 + 1e-3);
         // Refine along c's path; the bound must be monotone non-decreasing.
@@ -137,7 +145,8 @@ proptest! {
         let band = ((q.len() as f64) * band_frac) as usize;
         let quant = Quantizer::new(q.len(), w).unwrap();
         let word_c = quant.word(&c);
-        let node = NodeWord::root(word_c.root_key(), w);
+        let r = 1 + q.len() % w;
+        let node = NodeWord::root(word_c.root_key(r), r, w);
 
         let mut lo_env = Vec::new();
         let mut hi_env = Vec::new();
@@ -172,7 +181,8 @@ proptest! {
         let band = [0, 1, n / 10, n / 2, n, n + 5][band_pick];
         let quant = Quantizer::new(n, w).unwrap();
         let word_c = quant.word(&c);
-        let node = NodeWord::root(word_c.root_key(), w);
+        let r = 1 + band_pick % w;
+        let node = NodeWord::root(word_c.root_key(r), r, w);
 
         let mut lo_env = Vec::new();
         let mut hi_env = Vec::new();
@@ -204,27 +214,118 @@ proptest! {
         for bits in 1..MAX_BITS {
             prop_assert_eq!(t.symbol(v, bits), full >> (MAX_BITS - bits));
         }
-        // Value lies in its region at every cardinality.
-        for bits in 1..=MAX_BITS {
+        prop_assert_eq!(t.symbol(v, 0), 0);
+        // Value lies in its region at every cardinality, the single
+        // zero-bit region included.
+        for bits in 0..=MAX_BITS {
             let s = t.symbol(v, bits);
             let (lo, hi) = t.region(s, bits);
             prop_assert!(lo <= v && v < hi);
         }
     }
 
-    /// After a split, a contained word lands in exactly one child.
+    /// After a split, a contained word lands in exactly one child — from
+    /// one bit and from zero bits alike.
     #[test]
-    fn split_is_a_partition((w, q, _c) in config_and_pair(), seg_pick in 0usize..16) {
+    fn split_is_a_partition(
+        (w, q, _c) in config_and_pair(),
+        seg_pick in 0usize..16,
+        r_pick in 0usize..16,
+    ) {
         let quant = Quantizer::new(q.len(), w).unwrap();
         let word = quant.word(&q);
-        let node = NodeWord::root(word.root_key(), w);
+        let r = 1 + r_pick % w;
+        let node = NodeWord::root(word.root_key(r), r, w);
         let seg = seg_pick % w;
-        if node.can_split(seg) {
-            let (zero, one) = node.split(seg);
-            let in_zero = zero.contains(&word);
-            let in_one = one.contains(&word);
-            prop_assert!(in_zero ^ in_one, "must land in exactly one child");
-            prop_assert_eq!(in_one, node.split_bit(&word, seg));
+        let (zero, one) = node.split(seg);
+        let in_zero = zero.contains(&word);
+        let in_one = one.contains(&word);
+        prop_assert!(in_zero ^ in_one, "must land in exactly one child");
+        prop_assert_eq!(in_one, node.split_bit(&word, seg));
+        if node.bits(seg) == 0 {
+            // Refining an unkeyed segment yields its two one-bit children.
+            prop_assert_eq!((zero.bits(seg), zero.prefix(seg)), (1, 0));
+            prop_assert_eq!((one.bits(seg), one.prefix(seg)), (1, 1));
+        }
+    }
+
+    /// For every fan-out `r`, a root word contains exactly the words that
+    /// carry its key; the packed matcher agrees with the per-segment test;
+    /// and the word survives a trip through its raw parts.
+    #[test]
+    fn root_words_contain_exactly_the_words_with_their_key((w, q, c) in config_and_pair()) {
+        let quant = Quantizer::new(q.len(), w).unwrap();
+        let (word_q, word_c) = (quant.word(&q), quant.word(&c));
+        for r in 1..=w {
+            let key = word_q.root_key(r);
+            prop_assert!(u32::from(key) < 1 << r);
+            let root = NodeWord::root(key, r, w);
+            prop_assert_eq!(root.total_bits() as usize, r);
+            for other in [&word_q, &word_c] {
+                let inside = other.root_key(r) == key;
+                prop_assert_eq!(root.contains(other), inside, "r={}", r);
+                prop_assert_eq!(root.matcher().contains(other), inside, "r={}", r);
+            }
+            let prefixes: Vec<u8> = (0..w).map(|s| root.prefix(s)).collect();
+            let bits: Vec<u8> = (0..w).map(|s| root.bits(s)).collect();
+            prop_assert_eq!(NodeWord::from_parts(&prefixes, &bits), Some(root));
+            // A prefix its cardinality cannot represent is refused, on
+            // keyed and unkeyed segments alike.
+            for seg in 0..w {
+                let mut bad = prefixes.clone();
+                bad[seg] |= 1 << bits[seg];
+                prop_assert_eq!(NodeWord::from_parts(&bad, &bits), None);
+            }
+        }
+    }
+
+    /// The node table never bounds a node above the word table's bound for
+    /// a word under it — point and interval tables, from roots of every
+    /// fan-out down a refinement path — and its dispatched lookup (AVX2 at
+    /// 16 segments) agrees with the sequential sum up to the association of
+    /// the horizontal add.
+    #[test]
+    fn node_table_stays_below_the_word_table(
+        (w, q, c) in config_and_pair(),
+        r_pick in 0usize..16,
+        slack in 0.0f32..0.5,
+    ) {
+        let quant = Quantizer::new(q.len(), w).unwrap();
+        let word_c = quant.word(&c);
+        let paa_q = paa(&q, w);
+        let lo: Vec<f32> = paa_q.iter().map(|v| v - slack).collect();
+        let hi: Vec<f32> = paa_q.iter().map(|v| v + slack).collect();
+        let lens = quant.segment_lens();
+        let tables = [
+            (NodeMindistTable::new_point(&paa_q, lens), MindistTable::new_point(&paa_q, lens)),
+            (
+                NodeMindistTable::new_interval(&lo, &hi, lens),
+                MindistTable::new_interval(&lo, &hi, lens),
+            ),
+        ];
+        // No bits anywhere: contains everything, bounds nothing, exactly.
+        let whole = NodeWord::from_parts(&vec![0; w], &vec![0; w]).expect("zero bits are a word");
+        prop_assert!(whole.contains(&word_c) && whole.matcher().contains(&word_c));
+        for (node_table, _) in &tables {
+            prop_assert_eq!(node_table.lookup(&whole).to_bits(), 0.0f32.to_bits());
+            prop_assert_eq!(node_table.lookup_scalar(&whole).to_bits(), 0.0f32.to_bits());
+        }
+        let r = 1 + r_pick % w;
+        let mut node = NodeWord::root(word_c.root_key(r), r, w);
+        for k in 0..=8 * w {
+            prop_assert!(node.contains(&word_c));
+            for (node_table, word_table) in &tables {
+                let fine = word_table.lookup_scalar(&word_c);
+                let coarse = node_table.lookup_scalar(&node);
+                prop_assert!(coarse <= fine, "node bound {} above word bound {}", coarse, fine);
+                let dispatched = node_table.lookup(&node);
+                prop_assert!((dispatched - coarse).abs() <= coarse * 1e-5);
+            }
+            let seg = k % w;
+            if node.can_split(seg) {
+                let (zero, one) = node.split(seg);
+                node = if node.split_bit(&word_c, seg) { one } else { zero };
+            }
         }
     }
 }

@@ -4,7 +4,12 @@
 //! [`build`] summarizes an in-memory dataset with the paper's Fetch&Inc
 //! chunk claiming, [`build_from_file`] streams sequential blocks of a
 //! [`DatasetFile`] (reads charged to the modeled device) — the on-disk
-//! ingestion that lets `DiskIndex` host a MESSI tree. Both produce
+//! ingestion that lets `DiskIndex` host a MESSI tree. Both know the
+//! collection size up front and refit the tree configuration to it
+//! ([`TreeConfig::fitted_to`]): the root key — and with it the number of
+//! stage-1 buffers each worker owns, `2^r`, 2,048 at 200k series rather
+//! than the paper's 65,536 — covers only as many segments as the collection
+//! can fill. Both produce
 //! **identical trees for identical raw data**: stage 2 inserts each
 //! subtree's entries in position order, so the split decisions (which
 //! depend on the entries present at overflow time) never depend on worker
@@ -18,7 +23,7 @@ use dsidx_isax::Word;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, StorageError};
 use dsidx_sync::{SyncSlice, WorkQueue};
-use dsidx_tree::{FlatTree, Index, LeafEntry, Node, NodeWord, SaxArray};
+use dsidx_tree::{FlatTree, Index, LeafEntry, Node, SaxArray, TreeConfig};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
@@ -60,14 +65,15 @@ pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildPhases) {
         "series length mismatch"
     );
     let t0 = Instant::now();
+    let tree = cfg.tree.fitted_to(data.len());
     let (words, parts) = match cfg.buffer_mode {
-        BufferMode::PerThreadParts => summarize_per_thread(data, cfg),
-        BufferMode::LockedShared => summarize_locked(data, cfg),
+        BufferMode::PerThreadParts => summarize_per_thread(data, cfg, &tree),
+        BufferMode::LockedShared => summarize_locked(data, cfg, &tree),
     };
     let summarize = t0.elapsed();
 
     let t1 = Instant::now();
-    let index = build_tree(cfg, &parts);
+    let index = build_tree(cfg.threads, tree, &parts);
     let flat = FlatTree::from_index(&index);
     let tree_build = t1.elapsed();
 
@@ -115,14 +121,13 @@ pub fn build_from_file(
     );
     assert!(block_series > 0, "block size must be non-zero");
     let t0 = Instant::now();
-    let segments = cfg.tree.segments();
-    let root_count = cfg.tree.root_count();
-    let quantizer = cfg.tree.quantizer();
-    let series_len = cfg.tree.series_len();
-    let mut paa = vec![0.0f32; segments];
+    let tree = cfg.tree.fitted_to(file.count());
+    let quantizer = tree.quantizer();
+    let series_len = tree.series_len();
+    let mut paa = vec![0.0f32; tree.segments()];
     let mut words: Vec<Word> = Vec::with_capacity(file.count());
     let mut buffers: Buffers = Vec::new();
-    buffers.resize_with(root_count, Vec::new);
+    buffers.resize_with(tree.root_count(), Vec::new);
     let mut block = Vec::new();
     let mut start = 0;
     while start < file.count() {
@@ -132,7 +137,7 @@ pub fn build_from_file(
             let pos = start + i;
             let word = quantizer.word_into(series, &mut paa);
             words.push(word);
-            let parts = &mut buffers[word.root_key() as usize];
+            let parts = &mut buffers[usize::from(tree.root_key(&word))];
             if parts.is_empty() {
                 parts.push(Vec::new());
             }
@@ -143,7 +148,7 @@ pub fn build_from_file(
     let summarize = t0.elapsed();
 
     let t1 = Instant::now();
-    let index = build_tree(cfg, &buffers);
+    let index = build_tree(cfg.threads, tree, &buffers);
     let flat = FlatTree::from_index(&index);
     let tree_build = t1.elapsed();
 
@@ -166,10 +171,14 @@ pub fn build_from_file(
 type Buffers = Vec<Vec<Vec<LeafEntry>>>;
 
 /// Stage 1, MESSI layout: every worker owns a full array of buffer parts.
-fn summarize_per_thread(data: &Dataset, cfg: &MessiConfig) -> (Vec<Word>, Buffers) {
-    let segments = cfg.tree.segments();
-    let root_count = cfg.tree.root_count();
-    let quantizer = cfg.tree.quantizer();
+fn summarize_per_thread(
+    data: &Dataset,
+    cfg: &MessiConfig,
+    tree: &TreeConfig,
+) -> (Vec<Word>, Buffers) {
+    let segments = tree.segments();
+    let root_count = tree.root_count();
+    let quantizer = tree.quantizer();
     let filler = Word::new(&vec![0u8; segments]);
     let sax = SyncSlice::new(vec![filler; data.len()]);
     let queue = WorkQueue::new(data.len());
@@ -187,7 +196,7 @@ fn summarize_per_thread(data: &Dataset, cfg: &MessiConfig) -> (Vec<Word>, Buffer
                 // SAFETY: chunk claims are disjoint; each position is
                 // written exactly once.
                 unsafe { sax.write(pos, word) };
-                parts[word.root_key() as usize].push(LeafEntry::new(word, pos as u32));
+                parts[usize::from(tree.root_key(&word))].push(LeafEntry::new(word, pos as u32));
             }
         }
         *slots[worker].lock() = parts;
@@ -212,10 +221,10 @@ fn summarize_per_thread(data: &Dataset, cfg: &MessiConfig) -> (Vec<Word>, Buffer
 
 /// Stage 1, rejected layout (paper footnote 2): one locked buffer per
 /// subtree, contended by all workers.
-fn summarize_locked(data: &Dataset, cfg: &MessiConfig) -> (Vec<Word>, Buffers) {
-    let segments = cfg.tree.segments();
-    let root_count = cfg.tree.root_count();
-    let quantizer = cfg.tree.quantizer();
+fn summarize_locked(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) -> (Vec<Word>, Buffers) {
+    let segments = tree.segments();
+    let root_count = tree.root_count();
+    let quantizer = tree.quantizer();
     let filler = Word::new(&vec![0u8; segments]);
     let sax = SyncSlice::new(vec![filler; data.len()]);
     let queue = WorkQueue::new(data.len());
@@ -230,7 +239,7 @@ fn summarize_locked(data: &Dataset, cfg: &MessiConfig) -> (Vec<Word>, Buffers) {
                 let word = quantizer.word_into(data.get(pos), &mut paa);
                 // SAFETY: chunk claims are disjoint.
                 unsafe { sax.write(pos, word) };
-                locked[word.root_key() as usize]
+                locked[usize::from(tree.root_key(&word))]
                     .lock()
                     .push(LeafEntry::new(word, pos as u32));
             }
@@ -261,8 +270,7 @@ fn summarize_locked(data: &Dataset, cfg: &MessiConfig) -> (Vec<Word>, Buffers) {
 /// the same raw data, deterministic across runs and thread counts. The
 /// sort is per-subtree and runs inside the parallel claim, so it rides the
 /// same cores as the inserts it orders.
-fn build_tree(cfg: &MessiConfig, buffers: &Buffers) -> Index {
-    let segments = cfg.tree.segments();
+fn build_tree(threads: usize, tree: TreeConfig, buffers: &Buffers) -> Index {
     let occupied: Vec<u16> = buffers
         .iter()
         .enumerate()
@@ -270,27 +278,26 @@ fn build_tree(cfg: &MessiConfig, buffers: &Buffers) -> Index {
         .map(|(key, _)| key as u16)
         .collect();
     let roots: SyncSlice<Option<Box<Node>>> =
-        SyncSlice::new((0..cfg.tree.root_count()).map(|_| None).collect());
+        SyncSlice::new((0..tree.root_count()).map(|_| None).collect());
     let queue = WorkQueue::new(occupied.len());
-    let tree_cfg = &cfg.tree;
-    let pool = dsidx_sync::pool::global(cfg.threads);
+    let pool = dsidx_sync::pool::global(threads);
     pool.broadcast(&|_worker| {
         while let Some(i) = queue.claim() {
             let key = occupied[i];
-            let mut node = Box::new(Node::new_leaf(NodeWord::root(key, segments)));
+            let mut node = Box::new(Node::new_leaf(tree.root_word(key)));
             let mut entries: Vec<LeafEntry> = buffers[key as usize]
                 .iter()
                 .flat_map(|part| part.iter().copied())
                 .collect();
             entries.sort_unstable_by_key(|e| e.pos);
             for e in entries {
-                node.insert(e, tree_cfg);
+                node.insert(e, &tree);
             }
             // SAFETY: each occupied key is claimed exactly once.
             unsafe { roots.write(key as usize, Some(node)) };
         }
     });
-    Index::from_roots(cfg.tree.clone(), roots.into_inner())
+    Index::from_roots(tree, roots.into_inner())
 }
 
 #[cfg(test)]
@@ -325,14 +332,9 @@ mod tests {
         let (b, _) = build(&data, &cfg(4).with_buffer_mode(BufferMode::LockedShared));
         assert_eq!(a.index.len(), b.index.len());
         assert_eq!(a.sax.words(), b.sax.words());
-        assert_eq!(a.index.occupied_roots(), b.index.occupied_roots());
         // Position-ordered stage-2 insertion makes the trees *identical*,
         // not merely statistically alike.
-        let sa = index_stats(&a.index);
-        let sb = index_stats(&b.index);
-        assert_eq!(sa.entry_count, sb.entry_count);
-        assert_eq!(sa.root_subtrees, sb.root_subtrees);
-        assert_eq!(sa.leaf_count, sb.leaf_count);
+        assert_eq!(a.index, b.index);
         assert_eq!(a.flat.nodes().len(), b.flat.nodes().len());
     }
 
@@ -396,9 +398,23 @@ mod tests {
     fn matches_serial_baseline_structure() {
         let data = DatasetKind::Seismic.generate(400, 64, 21);
         let (messi, _) = build(&data, &cfg(6));
+        // 400 series in leaves of 16 want 25 leaves: 5 of the 8 segments
+        // key the root, whatever fan-out the caller's config carried.
+        let fitted = cfg(1).tree.fitted_to(400);
+        assert_eq!(fitted.root_segments(), 5);
+        assert_eq!(messi.index.config(), &fitted);
+        assert_eq!(messi.flat.root_segments(), 5);
+        let stats = index_stats(&messi.index);
+        assert!(stats.root_subtrees <= 32);
+        // One entry at a time, in position order, into a tree of that shape.
+        let mut serial = Index::new(fitted.clone());
+        for (pos, word) in messi.sax.words().iter().enumerate() {
+            serial.insert(LeafEntry::new(*word, pos as u32));
+        }
+        assert_eq!(messi.index, serial);
+        // And ADS+'s buffered bulk load, which fits its own configuration.
         let (ads, _) = dsidx_ads::build_from_dataset(&data, &cfg(1).tree);
-        assert_eq!(messi.index.len(), ads.index.len());
-        assert_eq!(messi.index.occupied_roots(), ads.index.occupied_roots());
+        assert_eq!(messi.index, ads.index);
         assert_eq!(messi.sax.words(), ads.sax.words());
     }
 

@@ -4,8 +4,9 @@
 //!
 //! * **Traversal** — root subtrees are claimed by Fetch&Inc and pruned
 //!   with node-level lower bounds against the query's best-so-far; the
-//!   root level (tens of thousands of one-bit words) is scanned from the
-//!   key bits alone, two table reads per root
+//!   root level (up to `2^r` words of one bit on each keyed segment, `r`
+//!   fitted to the collection) is scanned from the key bits alone, two
+//!   table reads per root
 //!   ([`RootBounds`](crate::traverse::RootBounds)), without touching tree
 //!   memory. Surviving leaves are appended to a run and sorted by bound.
 //! * **Processing** — leaves are visited best-bound-first; a bound at or

@@ -16,12 +16,13 @@
 //! non-resident sources (see [`crate::query`] for which schedule runs
 //! when).
 //!
-//! Either way the root level — by far the widest, and on random-walk data
-//! most of the tree — is scanned from the root keys alone through
+//! Either way the root level — the widest single level, though on a tree
+//! fitted to its collection (`2^r` roots of about a leaf's worth each) no
+//! longer most of the tree — is scanned from the root keys alone through
 //! [`RootBounds`], without touching node memory.
 
 use crate::pqueue::RunBuilder;
-use dsidx_isax::NodeMindistTable;
+use dsidx_isax::{root_key_segments, NodeMindistTable};
 use dsidx_query::QueryBatch;
 use dsidx_sync::{Pruner, WorkQueue};
 use dsidx_tree::FlatTree;
@@ -38,38 +39,49 @@ const ROOT_TABLE_BITS: usize = 8;
 /// One query's lower bound for every possible root subtree, as two table
 /// reads.
 ///
-/// A root's word has one bit per segment — its key — so its bound is a sum
-/// of per-segment terms that each depend on one key bit
-/// ([`NodeMindistTable::root_pair`]). Summing them bit by bit costs a
-/// 16-step dependent chain per root, tens of thousands of times per
-/// query. Instead the key is split in two bytes and each half's partial
-/// sum is tabulated once per query (2 × 256 entries, 1,020 adds):
-/// `lb(key) = hi[key >> 8] + lo[key & 0xFF]`. Each entry adds its
-/// segments in index order, so the result differs from the sequential sum
-/// only by the association of the final add.
+/// A root's word has one bit on each of the tree's `r` keyed segments —
+/// its key — and none on the rest, so its bound is a sum of `r` per-segment
+/// terms that each depend on one key bit
+/// ([`NodeMindistTable::root_pair`]); the unkeyed segments contribute
+/// exactly zero. Summing them bit by bit costs an `r`-step dependent chain
+/// per root, thousands of times per query. Instead the key is split into
+/// its low (up to) eight bits and the rest, and each part's partial sum
+/// is tabulated once per query (`2^min(r,8) + 2^(r-8)` entries — 264 at
+/// `r = 11`): `lb(key) = hi[key >> 8] + lo[key & 0xFF]`. Each entry adds
+/// its segments in index order, so the result differs from the sequential
+/// sum only by the association of the final add.
 #[derive(Debug, Clone)]
 pub struct RootBounds {
-    /// Partial sums over the segments above the low byte of the key
-    /// (`[0] == 0.0` alone when there are at most eight segments).
+    /// Partial sums over the keyed segments above the low byte of the key
+    /// (`[0] == 0.0` alone when there are at most eight of them).
     hi: [f32; 1 << ROOT_TABLE_BITS],
-    /// Partial sums over the last (up to) eight segments.
+    /// Partial sums over the last (up to) eight keyed segments.
     lo: [f32; 1 << ROOT_TABLE_BITS],
     lo_bits: usize,
 }
 
 impl RootBounds {
-    /// Tabulates the root-level terms of `node_table` for a tree of
-    /// `segments` segments.
+    /// Tabulates the root-level terms of `node_table` for a tree whose
+    /// root keys cover `root_segments` of its `segments` segments
+    /// ([`FlatTree::root_segments`], [`FlatTree::segments`]).
+    ///
+    /// # Panics
+    /// Panics if `root_segments` exceeds 16 (two tables of eight key bits).
     #[must_use]
-    pub fn new(node_table: &NodeMindistTable, segments: usize) -> Self {
-        let lo_bits = segments.min(ROOT_TABLE_BITS);
-        let hi_bits = segments - lo_bits;
+    pub fn new(node_table: &NodeMindistTable, root_segments: usize, segments: usize) -> Self {
+        assert!(
+            root_segments <= 2 * ROOT_TABLE_BITS,
+            "root key wider than 16 bits"
+        );
+        let lo_bits = root_segments.min(ROOT_TABLE_BITS);
+        let hi_bits = root_segments - lo_bits;
         // Doubling: after segment `s` the first `2^(s+1)` entries hold the
         // sums for every setting of the key bits seen so far, the most
         // significant (earliest segment) first — exactly the key's layout.
-        let tabulate = |first: usize, bits: usize| {
+        let mut keyed = root_key_segments(root_segments, segments);
+        let mut tabulate = |bits: usize| {
             let mut sums = [0.0f32; 1 << ROOT_TABLE_BITS];
-            for (done, seg) in (first..first + bits).enumerate() {
+            for (done, seg) in keyed.by_ref().take(bits).enumerate() {
                 let (zero, one) = node_table.root_pair(seg);
                 for i in (0..1usize << done).rev() {
                     let so_far = sums[i];
@@ -80,8 +92,8 @@ impl RootBounds {
             sums
         };
         Self {
-            hi: tabulate(0, hi_bits),
-            lo: tabulate(hi_bits, lo_bits),
+            hi: tabulate(hi_bits),
+            lo: tabulate(lo_bits),
             lo_bits,
         }
     }
@@ -115,7 +127,7 @@ impl<'a, P: Pruner> Traversal<'a, P> {
         Self {
             flat,
             node_table,
-            root_bounds: RootBounds::new(node_table, flat.segments()),
+            root_bounds: RootBounds::new(node_table, flat.root_segments(), flat.segments()),
             best,
             root_queue: WorkQueue::new(flat.roots().len()),
             shared: Mutex::new(Vec::new()),
@@ -227,7 +239,7 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
         assert_eq!(tables.len(), batch.len(), "one node table per query");
         let root_bounds = tables
             .iter()
-            .map(|t| RootBounds::new(t, flat.segments()))
+            .map(|t| RootBounds::new(t, flat.root_segments(), flat.segments()))
             .collect();
         Self {
             flat,

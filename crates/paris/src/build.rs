@@ -24,7 +24,7 @@ use dsidx_isax::Word;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, LeafStoreReader, LeafStoreWriter, StorageError};
 use dsidx_sync::{SyncSlice, WorkQueue};
-use dsidx_tree::{Index, LeafChunk, LeafEntry, Node, NodeWord, SaxArray};
+use dsidx_tree::{Index, LeafChunk, LeafEntry, Node, SaxArray};
 use parking_lot::{Condvar, Mutex};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -208,7 +208,9 @@ fn run_pipeline(
     store: Option<&LeafStoreWriter>,
     mut read_block: impl FnMut(usize, usize, &mut Vec<f32>) -> Result<(), StorageError>,
 ) -> Result<(Index, SaxArray, BuildReport), StorageError> {
-    let tree_cfg = &cfg.tree;
+    // `total` is known before the first read: fit the root fan-out (and
+    // with it the number of receiving buffers) to it.
+    let tree_cfg = &cfg.tree.fitted_to(total);
     let quantizer = tree_cfg.quantizer().clone();
     let segments = tree_cfg.segments();
     let series_len = tree_cfg.series_len();
@@ -273,8 +275,10 @@ fn run_pipeline(
                                 // SAFETY: block ranges are disjoint and each
                                 // position is summarized exactly once.
                                 unsafe { sax.write(pos, word) };
-                                recbufs[parity]
-                                    .push(word.root_key(), LeafEntry::new(word, pos as u32));
+                                recbufs[parity].push(
+                                    tree_cfg.root_key(&word),
+                                    LeafEntry::new(word, pos as u32),
+                                );
                             }
                         }
                         Feed::EndGen { parity } => {
@@ -295,7 +299,7 @@ fn run_pipeline(
                                 // them after growth, never concurrently.
                                 let slot = unsafe { roots.get_mut(key as usize) };
                                 let node = slot.get_or_insert_with(|| {
-                                    Box::new(Node::new_leaf(NodeWord::root(key, segments)))
+                                    Box::new(Node::new_leaf(tree_cfg.root_word(key)))
                                 });
                                 for e in entries {
                                     node.insert(e, tree_cfg);

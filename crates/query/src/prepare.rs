@@ -83,10 +83,13 @@ mod tests {
         let node_table = prep.node_table(&quantizer);
         let c = series(11, 64);
         let word_c = quantizer.word(&c);
-        let root = dsidx_isax::NodeWord::root(word_c.root_key(), 8);
-        // Node-level (coarse) bound never exceeds the word-level bound.
-        let coarse = node_table.lookup(&root);
+        // Node-level (coarse) bound never exceeds the word-level bound,
+        // whatever the root fan-out.
         let fine = prep.table.lookup(&word_c);
-        assert!(coarse <= fine + fine.abs() * 1e-5 + 1e-5);
+        for r in 1..=8 {
+            let root = dsidx_isax::NodeWord::root(word_c.root_key(r), r, 8);
+            let coarse = node_table.lookup(&root);
+            assert!(coarse <= fine + fine.abs() * 1e-5 + 1e-5);
+        }
     }
 }

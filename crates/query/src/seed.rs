@@ -25,7 +25,8 @@ pub fn approx_leaf_flat(flat: &FlatTree, word: &Word) -> Option<u32> {
     if roots.is_empty() {
         return None;
     }
-    let start_root = match roots.binary_search_by_key(&word.root_key(), |&(k, _)| k) {
+    let key = word.root_key(flat.root_segments());
+    let start_root = match roots.binary_search_by_key(&key, |&(k, _)| k) {
         Ok(i) => i,
         Err(i) => i.min(roots.len() - 1), // absent subtree: nearest key
     };

@@ -13,13 +13,14 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "DSIDXSN1"
-//! 8       4     format version (currently 1)
+//! 8       4     format version (currently 2)
 //! 12      4     section count
 //! 16      1     engine id          \
 //! 17      1     segments            |  the fingerprint: enough to refuse
-//! 18      2     reserved            |  opening a snapshot against the
-//! 20      4     series length       |  wrong dataset or the wrong engine
-//! 24      8     series count        |  before touching any section
+//! 18      1     root segments       |  opening a snapshot against the
+//! 19      1     reserved            |  wrong dataset or the wrong engine
+//! 20      4     series length       |  before touching any section
+//! 24      8     series count        |
 //! 32      8     leaf capacity      /
 //! 40      16    reserved
 //! 56      8     checksum64 of bytes 0..56 ++ the section table
@@ -48,7 +49,10 @@
 //! know) and by the reserved header ranges, which writers must zero.
 //! Anything else — record layout changes, checksum changes — bumps the
 //! version, and old snapshots are rebuilt from raw data (builds are fast;
-//! that is this codebase's whole point).
+//! that is this codebase's whole point). Version 2 did exactly that: the
+//! tree's root fan-out stopped being implied by `segments` (the
+//! fingerprint's `root segments` byte records it, node words may carry
+//! zero-bit segments), so a version-1 file is refused by number.
 
 use crate::device::Device;
 use crate::error::StorageError;
@@ -60,7 +64,7 @@ use std::sync::Arc;
 
 const MAGIC: [u8; 8] = *b"DSIDXSN1";
 /// The snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 const HEADER_LEN: u64 = 64;
 const TABLE_ENTRY_LEN: u64 = 32;
 /// Section payloads start on multiples of this (a typical sector /
@@ -81,6 +85,10 @@ pub struct SnapshotFingerprint {
     pub engine: u8,
     /// iSAX segments per word.
     pub segments: u8,
+    /// How many of them the tree's root key covers (derived from `count`
+    /// and `leaf_capacity` at build time; recorded so an opener can tell a
+    /// tree of another shape from its own).
+    pub root_segments: u8,
     /// Points per series.
     pub series_len: u32,
     /// Number of series the index covers.
@@ -258,6 +266,7 @@ impl SnapshotWriter {
         let fp = &self.fingerprint;
         header[16] = fp.engine;
         header[17] = fp.segments;
+        header[18] = fp.root_segments;
         header[20..24].copy_from_slice(&fp.series_len.to_le_bytes());
         header[24..32].copy_from_slice(&fp.count.to_le_bytes());
         header[32..40].copy_from_slice(&fp.leaf_capacity.to_le_bytes());
@@ -374,6 +383,7 @@ impl SnapshotReader {
         let fingerprint = SnapshotFingerprint {
             engine: header[16],
             segments: header[17],
+            root_segments: header[18],
             series_len: u32::from_le_bytes(header[20..24].try_into().expect("slice of 4")),
             count: u64::from_le_bytes(header[24..32].try_into().expect("slice of 8")),
             leaf_capacity: u64::from_le_bytes(header[32..40].try_into().expect("slice of 8")),
@@ -535,6 +545,7 @@ mod tests {
         SnapshotFingerprint {
             engine: 3,
             segments: 16,
+            root_segments: 4,
             series_len: 256,
             count: 1000,
             leaf_capacity: 100,
@@ -641,11 +652,15 @@ mod tests {
         let path = tmp("future.snap");
         write_sample(&path);
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        match SnapshotReader::open(&path, dev()) {
-            Err(StorageError::BadVersion(9)) => {}
-            other => panic!("expected BadVersion(9), got {other:?}"),
+        for version in [9u32, 1] {
+            // (1 is the format before root keys were fitted to the
+            // collection: refused by number, rebuilt from raw data.)
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match SnapshotReader::open(&path, dev()) {
+                Err(StorageError::BadVersion(v)) if v == version => {}
+                other => panic!("expected BadVersion({version}), got {other:?}"),
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! The boxed [`Node`] graph is ideal for construction
 //! (independent subtrees, in-place splits) but miserable for traversal:
 //! every node visit is a pointer chase. Query answering in MESSI touches
-//! tens of thousands of nodes per query, so after construction the tree is
+//! thousands of nodes per query, so after construction the tree is
 //! *flattened* once into dense arrays — nodes (depth-first), leaf entries
 //! (leaf-contiguous), and occupied roots — and queries walk those. The
 //! paper's C implementation gets the same effect for free by storing
@@ -94,7 +94,7 @@ impl FlatNode {
 }
 
 /// The flattened index: dense arrays for traversal.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FlatTree {
     /// All nodes, subtree by subtree, each subtree depth-first
     /// (zero-child-adjacent).
@@ -108,6 +108,8 @@ pub struct FlatTree {
     /// (LEAF_BLOCK - 1)` of them in a non-empty tree).
     positions: Vec<u32>,
     segments: usize,
+    /// Segments the root keys are taken from (the index's derived `r`).
+    root_segments: usize,
 }
 
 impl FlatTree {
@@ -120,6 +122,7 @@ impl FlatTree {
             words: Vec::with_capacity(index.len() + LEAF_BLOCK - 1),
             positions: Vec::with_capacity(index.len()),
             segments: index.config().segments(),
+            root_segments: index.config().root_segments(),
         };
         for &key in index.occupied_roots() {
             let root = index.root(key).expect("occupied root exists");
@@ -235,6 +238,14 @@ impl FlatTree {
         self.segments
     }
 
+    /// Number of segments the root keys in [`roots`](Self::roots) are taken
+    /// from — pass it to [`Word::root_key`] to find a word's root.
+    #[inline]
+    #[must_use]
+    pub fn root_segments(&self) -> usize {
+        self.root_segments
+    }
+
     /// Descends from node `idx` towards `word`, returning the leaf index.
     #[must_use]
     pub fn descend(&self, mut idx: u32, word: &dsidx_isax::Word) -> u32 {
@@ -292,7 +303,10 @@ mod tests {
     use dsidx_isax::Quantizer;
 
     fn build_index(n: u64, cap: usize) -> (TreeConfig, Index, Vec<LeafEntry>) {
-        let cfg = TreeConfig::new(64, 8, cap).unwrap();
+        // Three of eight segments in the root key, whatever `n`: every
+        // subtree starts from a word with zero-bit segments.
+        let cfg = TreeConfig::new(64, 8, cap).unwrap().fitted_to(8 * cap);
+        assert_eq!(cfg.root_segments(), 3);
         let mut idx = Index::new(cfg.clone());
         let mut entries = Vec::new();
         for seed in 0..n {
@@ -370,7 +384,7 @@ mod tests {
             let boxed_leaf = idx.leaf_for(&e.word).unwrap();
             let root_pos = idx
                 .occupied_roots()
-                .binary_search(&e.word.root_key())
+                .binary_search(&cfg.root_key(&e.word))
                 .unwrap();
             let (_, root_idx) = flat.roots()[root_pos];
             let flat_leaf = flat.node(flat.descend(root_idx, &e.word));

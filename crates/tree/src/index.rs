@@ -1,13 +1,21 @@
 //! The index: root slot table + configuration.
+//!
+//! The slot table has `2^r` entries, `r` being the configuration's derived
+//! [`root_segments`](TreeConfig::root_segments): a word's slot is the top
+//! bit of each of its `r` keyed segments. Whoever creates the index decides
+//! `r` by the configuration it passes — the engines pass one fitted to
+//! their collection, so a slot holds about a leaf's worth of series
+//! instead of a handful.
 
 use crate::config::TreeConfig;
 use crate::entry::LeafEntry;
 use crate::node::Node;
-use dsidx_isax::{NodeWord, Word};
+use dsidx_isax::Word;
 
 /// An iSAX tree index over a raw data source.
 ///
-/// Holds one optional subtree per root key. Engines build the subtrees —
+/// Holds one optional subtree per root key (`u16`: the configuration caps
+/// `r` at 16). Engines build the subtrees —
 /// serially ([`Index::insert`]) or in parallel (building `Node`s for
 /// disjoint keys and assembling with [`Index::from_roots`]) — and queries
 /// read them through [`Index::root`]/[`Index::occupied_roots`].
@@ -93,13 +101,12 @@ impl Index {
 
     /// Inserts one entry (serial engines).
     pub fn insert(&mut self, entry: LeafEntry) {
-        let key = entry.word.root_key();
+        let key = self.config.root_key(&entry.word);
         let slot = &mut self.roots[key as usize];
         match slot {
             Some(node) => node.insert(entry, &self.config),
             None => {
-                let mut node =
-                    Box::new(Node::new_leaf(NodeWord::root(key, self.config.segments())));
+                let mut node = Box::new(Node::new_leaf(self.config.root_word(key)));
                 node.insert(entry, &self.config);
                 *slot = Some(node);
                 let at = self.occupied.partition_point(|&k| k < key);
@@ -136,7 +143,8 @@ impl Index {
     /// caller falls back to another subtree for its approximate answer).
     #[must_use]
     pub fn leaf_for(&self, word: &Word) -> Option<&Node> {
-        self.root(word.root_key()).map(|n| n.descend(word))
+        self.root(self.config.root_key(word))
+            .map(|n| n.descend(word))
     }
 
     /// Like [`Index::leaf_for`], but detours around empty subtrees so the
@@ -144,7 +152,7 @@ impl Index {
     /// their approximate answers from.
     #[must_use]
     pub fn non_empty_leaf_for(&self, word: &Word) -> Option<&Node> {
-        self.root(word.root_key())
+        self.root(self.config.root_key(word))
             .and_then(|n| n.descend_non_empty(word))
     }
 
@@ -181,8 +189,12 @@ mod tests {
     use super::*;
     use dsidx_isax::Quantizer;
 
+    /// Four segments, two of them in the root key: root words carry
+    /// zero bits on the other two.
     fn config() -> TreeConfig {
-        TreeConfig::new(32, 4, 8).unwrap()
+        let config = TreeConfig::new(32, 4, 8).unwrap().fitted_to(20);
+        assert_eq!(config.root_segments(), 2);
+        config
     }
 
     fn entry(q: &Quantizer, seed: u64) -> LeafEntry {
@@ -241,10 +253,9 @@ mod tests {
         // Partitioned build.
         let mut slots: Vec<Option<Box<Node>>> = (0..cfg.root_count()).map(|_| None).collect();
         for e in &entries {
-            let key = e.word.root_key() as usize;
-            let node = slots[key].get_or_insert_with(|| {
-                Box::new(Node::new_leaf(NodeWord::root(key as u16, cfg.segments())))
-            });
+            let key = cfg.root_key(&e.word);
+            let node = slots[usize::from(key)]
+                .get_or_insert_with(|| Box::new(Node::new_leaf(cfg.root_word(key))));
             node.insert(*e, &cfg);
         }
         let built = Index::from_roots(cfg, slots);
@@ -264,7 +275,7 @@ mod tests {
             *s = if e.word.symbol(i) >= 128 { 0 } else { 255 };
         }
         let other = Word::new(&symbols);
-        assert_ne!(other.root_key(), e.word.root_key());
+        assert_ne!(cfg.root_key(&other), cfg.root_key(&e.word));
         assert!(idx.leaf_for(&other).is_none());
         assert!(idx.any_leaf().is_some());
     }

@@ -1,9 +1,12 @@
 //! The iSAX tree index structure shared by ADS+, ParIS, ParIS+ and MESSI.
 //!
-//! The structure follows §II of the paper exactly:
+//! The structure follows §II of the paper, with the root fan-out fitted to
+//! the collection (see [`config`]):
 //!
-//! * the **root** fans out to up to `2^w` subtrees, one per combination of
-//!   the first bit of each of the `w` segments (the *root key*);
+//! * the **root** fans out to up to `2^r` subtrees, one per combination of
+//!   the first bit of each of `r <= w` evenly spread segments (the *root key*;
+//!   the paper fixes `r = w`, which suits its 100 M-series collections and
+//!   starves the leaves of anything smaller);
 //! * **inner nodes** carry a variable-cardinality [`NodeWord`] and exactly
 //!   two children, distinguished by one extra bit on one segment;
 //! * **leaf nodes** hold `(iSAX word, raw-series position)` entries up to a

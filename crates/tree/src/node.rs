@@ -346,8 +346,11 @@ mod tests {
     use super::*;
     use dsidx_isax::{Quantizer, Word};
 
+    /// Four segments, the first two in the root key.
     fn config(cap: usize) -> TreeConfig {
-        TreeConfig::new(32, 4, cap).unwrap()
+        let config = TreeConfig::new(32, 4, cap).unwrap().fitted_to(3 * cap);
+        assert_eq!(config.root_segments(), 2);
+        config
     }
 
     fn entry(q: &Quantizer, seed: u64) -> LeafEntry {
@@ -369,7 +372,7 @@ mod tests {
         let mut seed = 0u64;
         while out.len() < n {
             let e = entry(q, seed);
-            if e.word.root_key() == key {
+            if cfg.root_key(&e.word) == key {
                 out.push(e);
             }
             seed += 1;
@@ -378,7 +381,7 @@ mod tests {
     }
 
     fn any_key(cfg: &TreeConfig) -> u16 {
-        entry(cfg.quantizer(), 0).word.root_key()
+        cfg.root_key(&entry(cfg.quantizer(), 0).word)
     }
 
     #[test]
@@ -386,7 +389,7 @@ mod tests {
         let cfg = config(4);
         let key = any_key(&cfg);
         let es = entries_for_root(&cfg, key, 4);
-        let mut node = Node::new_leaf(NodeWord::root(key, 4));
+        let mut node = Node::new_leaf(cfg.root_word(key));
         for e in &es {
             node.insert(*e, &cfg);
         }
@@ -400,7 +403,7 @@ mod tests {
         let cfg = config(4);
         let key = any_key(&cfg);
         let es = entries_for_root(&cfg, key, 20);
-        let mut node = Node::new_leaf(NodeWord::root(key, 4));
+        let mut node = Node::new_leaf(cfg.root_word(key));
         for e in &es {
             node.insert(*e, &cfg);
         }
@@ -423,7 +426,7 @@ mod tests {
         let cfg = config(2);
         let key = any_key(&cfg);
         let es = entries_for_root(&cfg, key, 12);
-        let mut node = Node::new_leaf(NodeWord::root(key, 4));
+        let mut node = Node::new_leaf(cfg.root_word(key));
         for e in &es {
             node.insert(*e, &cfg);
         }
@@ -439,7 +442,7 @@ mod tests {
     fn identical_words_overflow_gracefully() {
         let cfg = config(2);
         let w = Word::new(&[5, 9, 200, 31]);
-        let mut node = Node::new_leaf(NodeWord::root(w.root_key(), 4));
+        let mut node = Node::new_leaf(cfg.root_word(cfg.root_key(&w)));
         for pos in 0..10 {
             node.insert(LeafEntry::new(w, pos), &cfg);
         }
@@ -454,7 +457,7 @@ mod tests {
         let cfg = config(10);
         let key = any_key(&cfg);
         let es = entries_for_root(&cfg, key, 6);
-        let mut node = Node::new_leaf(NodeWord::root(key, 4));
+        let mut node = Node::new_leaf(cfg.root_word(key));
         for e in &es[..4] {
             node.insert(*e, &cfg);
         }
@@ -482,7 +485,7 @@ mod tests {
     fn flush_of_empty_suffix_adds_no_chunk() {
         let cfg = config(4);
         let key = any_key(&cfg);
-        let mut node = Node::new_leaf(NodeWord::root(key, 4));
+        let mut node = Node::new_leaf(cfg.root_word(key));
         node.mark_flushed(LeafChunk {
             offset: 0,
             count: 0,
@@ -496,7 +499,7 @@ mod tests {
         let cfg = config(4);
         let key = any_key(&cfg);
         let es = entries_for_root(&cfg, key, 2);
-        let mut node = Node::new_leaf(NodeWord::root(key, 4));
+        let mut node = Node::new_leaf(cfg.root_word(key));
         for e in &es {
             node.insert(*e, &cfg);
         }
@@ -511,7 +514,7 @@ mod tests {
         let cfg = config(4);
         let key = any_key(&cfg);
         let es = entries_for_root(&cfg, key, 5);
-        let mut node = Node::new_leaf(NodeWord::root(key, 4));
+        let mut node = Node::new_leaf(cfg.root_word(key));
         for e in &es[..4] {
             node.insert(*e, &cfg);
         }
@@ -533,7 +536,7 @@ mod tests {
         let cfg = config(1);
         let key = any_key(&cfg);
         let es = entries_for_root(&cfg, key, 6);
-        let mut node = Node::new_leaf(NodeWord::root(key, 4));
+        let mut node = Node::new_leaf(cfg.root_word(key));
         for e in &es {
             node.insert(*e, &cfg);
         }

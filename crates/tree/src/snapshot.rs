@@ -18,6 +18,10 @@
 //!   no child pointers: an inner record is always immediately followed by
 //!   its zero subtree, then its one subtree.
 //! * **root record** (8 B): `key: u16`, `reserved: u16`, `node_count: u32`.
+//!   Keys are `r`-bit (`r` = the configuration's `root_segments`, which the
+//!   container's fingerprint records): a key at or past `2^r`, or a subtree
+//!   whose first node is not the root word of its key under that `r`, is
+//!   rejected.
 //! * **chunk record** (12 B): `offset: u64`, `count: u32` — one per
 //!   [`LeafChunk`], consumed in leaf order.
 //! * **entry record** (`segments + 4` B): the entry word's symbols, then
@@ -214,7 +218,7 @@ pub fn decode_tree(
         prev_key = Some(key);
         let mut budget = node_count as usize;
         let subtree = decode_node(
-            NodeWord::root(key, segments),
+            config.root_word(key),
             &mut state,
             &mut nodes,
             &mut chunks,
@@ -434,8 +438,12 @@ mod tests {
     use super::*;
     use dsidx_isax::Quantizer;
 
+    /// Four segments, two of them in the root key, so every root record
+    /// round-trips a word with zero-bit segments.
     fn config() -> TreeConfig {
-        TreeConfig::new(32, 4, 8).unwrap()
+        let config = TreeConfig::new(32, 4, 8).unwrap().fitted_to(20);
+        assert_eq!(config.root_segments(), 2);
+        config
     }
 
     fn series(seed: u64) -> Vec<f32> {

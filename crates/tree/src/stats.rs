@@ -131,7 +131,7 @@ mod tests {
     use crate::entry::LeafEntry;
 
     fn build(n: u64, cap: usize) -> Index {
-        let cfg = TreeConfig::new(64, 8, cap).unwrap();
+        let cfg = TreeConfig::new(64, 8, cap).unwrap().fitted_to(n as usize);
         let mut idx = Index::new(cfg.clone());
         for seed in 0..n {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;

@@ -225,9 +225,10 @@ fn padded_leaf_runs_bound_bit_identically_to_the_scalar_lookup() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The two-table root bound is the per-segment sum up to the rounding
-    /// of one reassociated add, and — like it — never above the true
-    /// squared distance of any series under that root.
+    /// The two-table root bound is the root word's per-segment sum up to
+    /// the rounding of one reassociated add, for every root fan-out `r` of
+    /// every segment count, and — like it — never above the true squared
+    /// distance of any series under that root.
     #[test]
     fn root_bounds_match_the_segment_sum_and_stay_below_true_distances(
         segments in 1usize..=16,
@@ -238,22 +239,24 @@ proptest! {
         let mut q = qflat;
         znormalize(&mut q);
         let table = NodeMindistTable::new_point(&paa(&q, segments), quantizer.segment_lens());
-        let bounds = RootBounds::new(&table, segments);
-        for c in cflat.chunks(64) {
-            let mut c = c.to_vec();
-            znormalize(&mut c);
-            let key = quantizer.word(&c).root_key();
-            let got = bounds.lb(key);
-            let sum = table.lookup_scalar(&NodeWord::root(key, segments));
-            prop_assert!((got - sum).abs() <= sum * 1e-6, "{got} vs {sum}");
-            let ed = euclidean_sq(&q, &c);
-            prop_assert!(got <= ed + ed * 1e-4 + 1e-4, "root bound {got} above ED {ed}");
-        }
-        // And exhaustively over the keys when there are few of them.
-        if segments <= 10 {
-            for key in 0..1u16 << segments {
-                let sum = table.lookup_scalar(&NodeWord::root(key, segments));
-                prop_assert!((bounds.lb(key) - sum).abs() <= sum * 1e-6);
+        for r in 1..=segments {
+            let bounds = RootBounds::new(&table, r, segments);
+            for c in cflat.chunks(64) {
+                let mut c = c.to_vec();
+                znormalize(&mut c);
+                let key = quantizer.word(&c).root_key(r);
+                let got = bounds.lb(key);
+                let sum = table.lookup_scalar(&NodeWord::root(key, r, segments));
+                prop_assert!((got - sum).abs() <= sum * 1e-6, "r={r}: {got} vs {sum}");
+                let ed = euclidean_sq(&q, &c);
+                prop_assert!(got <= ed + ed * 1e-4 + 1e-4, "root bound {got} above ED {ed}");
+            }
+            // And exhaustively over the keys when there are few of them.
+            if r <= 10 {
+                for key in 0..1u16 << r {
+                    let sum = table.lookup_scalar(&NodeWord::root(key, r, segments));
+                    prop_assert!((bounds.lb(key) - sum).abs() <= sum * 1e-6, "r={r} key={key}");
+                }
             }
         }
     }

@@ -79,6 +79,47 @@ fn tie_group_straddling_a_shard_boundary_keeps_global_order() {
     }
 }
 
+/// Every shard fits its own tree to its own slice, so shards of unequal
+/// size can key their roots on different numbers of segments — and all of
+/// them differently from the monolith. None of that may show in an exact
+/// answer.
+#[test]
+fn shards_with_different_root_fan_outs_match_the_monolith() {
+    use dsidx::shard::partition;
+    use dsidx::tree::TreeConfig;
+    let series_len = 64usize;
+    // 193 series in leaves of 12 over 2 shards: 97 series want 9 leaves
+    // (4 root segments), 96 want 8 (3 segments), the monolith's 17 want 5.
+    let total = 193usize;
+    let fan_out = |count: usize| {
+        TreeConfig::new(series_len, 8, 12)
+            .unwrap()
+            .fitted_to(count)
+            .root_segments()
+    };
+    let sizes: Vec<usize> = partition(total, 2).iter().map(|r| r.len()).collect();
+    assert_eq!(sizes, [97, 96]);
+    assert_eq!([fan_out(97), fan_out(96), fan_out(total)], [4, 3, 5]);
+    let data = DatasetKind::Synthetic.generate(total, series_len, 91);
+    let queries = DatasetKind::Synthetic.queries(4, series_len, 91);
+    let qrefs: Vec<&[f32]> = queries.iter().collect();
+    for engine in Engine::ALL {
+        let monolith = MemoryIndex::build(data.clone(), engine, &opts(2)).unwrap();
+        let sharded = ShardedIndex::build_in_memory(&data, 2, engine, &opts(2)).unwrap();
+        for spec in [
+            QuerySpec::knn(7),
+            QuerySpec::knn(7).measure(Measure::Dtw { band: 3 }),
+        ] {
+            let want = monolith.search(&qrefs, &spec).unwrap();
+            let got = sharded.search(&qrefs, &spec).unwrap();
+            for (qi, (w, g)) in want.matches().iter().zip(got.matches()).enumerate() {
+                let label = format!("{} {:?} q{qi}", engine.name(), spec.measure_kind());
+                assert_bit_identical(w, g, &label);
+            }
+        }
+    }
+}
+
 /// Pool-oversubscription regression: building and searching an 8-shard
 /// index must reuse the one cached global pool per worker count instead
 /// of spawning `8 * threads` workers. This test owns the distinctive

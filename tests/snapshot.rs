@@ -5,7 +5,10 @@
 //! index.
 
 use dsidx::prelude::*;
-use dsidx::storage::{write_dataset, StorageError};
+use dsidx::storage::{
+    write_dataset, Device, SnapshotFingerprint, SnapshotReader, SnapshotWriter, StorageError,
+};
+use dsidx::tree::TreeConfig;
 use dsidx::{Error, ShardedIndex};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -216,6 +219,96 @@ fn future_format_version_is_rejected_by_name() {
         matches!(err.root_cause(), StorageError::BadVersion(99)),
         "{err}"
     );
+}
+
+/// Version 1 keyed every root on all `w` segments and had no zero-bit
+/// node words; its files are refused by number (and rebuilt from raw
+/// data), not misread.
+#[test]
+fn version_one_snapshot_is_rejected_by_number() {
+    let dir = tmpdir("v1");
+    let data = DatasetKind::Synthetic.generate(120, 64, 29);
+    let built = MemoryIndex::build(data.clone(), Engine::Messi, &opts()).unwrap();
+    let path = dir.join("v2.snap");
+    built.save(&path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(
+        bytes[8..12],
+        2u32.to_le_bytes(),
+        "this build writes version 2"
+    );
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let old = dir.join("v1.snap");
+    std::fs::write(&old, &bytes).unwrap();
+    let err = match MemoryIndex::open(&old, data, &Options::default()) {
+        Err(Error::Storage(e)) => e,
+        Err(other) => panic!("non-storage error: {other}"),
+        Ok(_) => panic!("version 1 accepted"),
+    };
+    assert!(
+        matches!(err.root_cause(), StorageError::BadVersion(1)),
+        "{err}"
+    );
+}
+
+/// The root fan-out is in the fingerprint, and it has to be the one the
+/// tree in the sections was built with: the same sections re-wrapped under
+/// any other value (checksums and all) are refused as corrupt, and under
+/// the recorded value they open and answer.
+#[test]
+fn fingerprint_root_segments_must_match_the_tree() {
+    let dir = tmpdir("rootseg");
+    let data = DatasetKind::Synthetic.generate(300, 64, 31);
+    let queries = DatasetKind::Synthetic.queries(2, 64, 31);
+    let built = MemoryIndex::build(data.clone(), Engine::Messi, &opts()).unwrap();
+    let path = dir.join("good.snap");
+    built.save(&path).unwrap();
+    let device = Arc::new(Device::unthrottled());
+    let reader = SnapshotReader::open(&path, Arc::clone(&device)).unwrap();
+    let recorded = *reader.fingerprint();
+    // 300 series in leaves of 16 want 19 leaves: 5 of 16 segments.
+    let derived = TreeConfig::new(64, 16, 16).unwrap().fitted_to(300);
+    assert_eq!(usize::from(recorded.root_segments), derived.root_segments());
+    assert_eq!(recorded.root_segments, 5);
+    let rewrap = |root_segments: u8, leaf_capacity: u64| {
+        let out = dir.join(format!("r{root_segments}-c{leaf_capacity}.snap"));
+        let fingerprint = SnapshotFingerprint {
+            root_segments,
+            leaf_capacity,
+            ..recorded
+        };
+        let mut writer = SnapshotWriter::new(&out, fingerprint, Arc::clone(&device));
+        for id in ["NODES", "ROOTS", "CHUNKS", "ENTRIES"] {
+            writer.section(id, reader.read_section(id).unwrap());
+        }
+        writer.finish().unwrap();
+        out
+    };
+    // A wrong fan-out under the right capacity; the right fan-out under a
+    // capacity that derives another one; a consistent pair the root
+    // records do not fit; and a capacity nothing can be derived from.
+    for (r, capacity) in [
+        (0u8, 16u64),
+        (4, 16),
+        (6, 16),
+        (16, 16),
+        (200, 16),
+        (5, 4),
+        (7, 4),
+        (5, 0),
+    ] {
+        let err = match MemoryIndex::open(&rewrap(r, capacity), data.clone(), &Options::default()) {
+            Err(Error::Storage(e)) => e,
+            Err(other) => panic!("non-storage error for r={r} capacity={capacity}: {other}"),
+            Ok(_) => panic!("r={r} capacity={capacity} accepted for a tree built with 5 and 16"),
+        };
+        assert!(
+            matches!(err.root_cause(), StorageError::Corrupt(_)),
+            "r={r} capacity={capacity}: {err}"
+        );
+    }
+    let reopened = MemoryIndex::open(&rewrap(5, 16), data, &Options::default()).unwrap();
+    assert_plane_identical(&built, &reopened, &queries, "re-wrapped");
 }
 
 #[test]
