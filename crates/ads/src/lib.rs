@@ -18,6 +18,4 @@ pub mod query;
 
 pub use build::{build_from_dataset, build_from_file, AdsBuildReport, AdsIndex};
 pub use dsidx_query::{BatchStats, QueryStats};
-pub use query::{
-    approx_knn, approx_knn_dtw, exact_knn, exact_knn_batch, exact_knn_batch_shared, exact_nn,
-};
+pub use query::{approx, exact};

@@ -3,140 +3,34 @@
 //! All heavy lifting comes from the shared kernel (`dsidx-query`): query
 //! preparation, approximate-descent seeding, and the interleaved
 //! lower-bound/verify scan. ADS+ contributes only the scheduling — one
-//! thread, position order.
+//! thread, position order. Two entry points: [`exact`] (Euclidean, a batch
+//! of queries in one pass; a single query is a batch of one) and
+//! [`approx`] (either measure, one best-leaf visit).
 
 use crate::build::AdsIndex;
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
-    approx_leaf, batch_scan_sax_serial, batch_seed_positions, finish_knn, scan_sax_serial,
-    seed_from_entries, seed_from_entries_dtw, BatchStats, LeafScratch, PreparedQuery, Pruner,
-    QueryBatch, QueryStats, SeriesFetcher, ShardView, SharedTopK,
+    approx_leaf, batch_scan_sax_serial, batch_seed_positions, finish_knn, seed_from_entries,
+    seed_from_entries_dtw, BatchStats, LeafScratch, Measure, QueryBatch, QueryStats, SeriesFetcher,
+    ShardView, SharedTopK,
 };
 use dsidx_series::distance::dtw::envelope;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
-use dsidx_sync::AtomicBest;
 
-/// The SIMS schedule behind [`exact_nn`]: approximate descent for the
-/// initial threshold, then the serial SAX-array scan. Returns `None` for
-/// an empty index. (k-NN goes through the batch path — [`exact_knn`] is a
-/// batch of one.)
-fn run_exact<P: Pruner>(
-    ads: &AdsIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    pruner: &P,
-) -> Result<Option<QueryStats>, StorageError> {
-    let config = ads.index.config();
-    assert_eq!(query.len(), config.series_len(), "query length mismatch");
-    if ads.index.is_empty() {
-        return Ok(None);
-    }
-    let mut clock = PhaseClock::start();
-    let prep = PreparedQuery::new(config.quantizer(), query);
-    let mut fetcher = SeriesFetcher::new(source);
-    let mut stats = QueryStats::default();
-    stats.phase.record(Phase::Prepare, clock.lap());
-
-    // Step 1: approximate answer from the closest leaf.
-    let leaf = approx_leaf(&ads.index, &prep.word).expect("non-empty index has a non-empty leaf");
-    let entries = leaf.entries().expect("serial leaves are resident");
-    let positions = entries.iter().map(|e| e.pos);
-    stats.real_computed += seed_from_entries(positions, &mut fetcher, query, pruner)
-        .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-    stats.phase.record(Phase::Seed, clock.lap());
-
-    // Step 2: SIMS — serial scan of the SAX array with lower-bound pruning.
-    scan_sax_serial(
-        ads.sax.words(),
-        &prep.table,
-        &mut fetcher,
-        query,
-        pruner,
-        &mut stats,
-    )
-    .map_err(|e| e.in_phase(Phase::SaxScan.name()))?;
-    stats.phase.record(Phase::SaxScan, clock.lap());
-    Ok(Some(stats))
-}
-
-/// Exact 1-NN via the serial index path: approximate descent for an
-/// initial best-so-far, then a serial SAX-array scan with lower-bound
-/// pruning, reading raw values for survivors.
+/// Exact Euclidean k-NN for a *batch* of queries in one serial pass: every
+/// query is seeded from the union of the batch's approximate leaves (each
+/// series fetched once, checked against all B queries), then a single
+/// SAX-array scan lower-bounds each word against every query and fetches a
+/// surviving position at most once.
 ///
-/// Returns `None` for an empty index.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length.
-pub fn exact_nn(
-    ads: &AdsIndex,
-    source: &impl RawSource,
-    query: &[f32],
-) -> Result<Option<(Match, QueryStats)>, StorageError> {
-    let best = AtomicBest::new();
-    match run_exact(ads, source, query, &best)? {
-        None => Ok(None),
-        Some(stats) => {
-            let (dist_sq, pos) = best.get();
-            Ok(Some((Match::new(pos, dist_sq), stats)))
-        }
-    }
-}
-
-/// Exact k-NN via the same serial index path, pruning against the k-th
-/// best distance instead of the single best — the batch-of-one special
-/// case of [`exact_knn_batch`].
-///
-/// Returns the up-to-`k` nearest series sorted ascending by
+/// Each answer is the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,
-/// empty for an empty index.
+/// empty for an empty index — and does not depend on what else is in the
+/// batch; the data is walked once instead of B times. The serial engine
+/// issues no pool broadcasts, so [`BatchStats::broadcasts`] is 0.
 ///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length or
-/// `k == 0`.
-pub fn exact_knn(
-    ads: &AdsIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    k: usize,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let (mut matches, stats) = exact_knn_batch(ads, source, &[query], k)?;
-    Ok((matches.pop().expect("batch of one"), stats.into_single()))
-}
-
-/// Exact k-NN for a *batch* of queries in one serial pass: every query is
-/// seeded from the union of the batch's approximate leaves (each series
-/// fetched once, checked against all B queries), then a single SAX-array
-/// scan lower-bounds each word against every query and fetches a surviving
-/// position at most once.
-///
-/// Answers are element-wise identical to calling [`exact_knn`] per query;
-/// the data is walked once instead of B times. The serial engine issues no
-/// pool broadcasts, so [`BatchStats::broadcasts`] is 0.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if any query length differs from the configured series length or
-/// `k == 0`.
-pub fn exact_knn_batch(
-    ads: &AdsIndex,
-    source: &impl RawSource,
-    queries: &[&[f32]],
-    k: usize,
-) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    exact_knn_batch_shared(ads, source, queries, k, None)
-}
-
-/// [`exact_knn_batch`] with an optional cross-shard pruner view: when
-/// `shard` is `Some`, every kernel loop feeds the shared per-query
+/// With `shard` set, every kernel loop feeds the shared per-query
 /// collectors (recording positions rebased to global), so other shards'
 /// finds tighten this scan's thresholds mid-flight. The returned matches
 /// then reflect the *global* gather so far; the scatter-gather coordinator
@@ -148,8 +42,9 @@ pub fn exact_knn_batch(
 /// Propagates raw-source I/O failures.
 ///
 /// # Panics
-/// As [`exact_knn_batch`].
-pub fn exact_knn_batch_shared(
+/// Panics if any query length differs from the configured series length or
+/// `k == 0`.
+pub fn exact(
     ads: &AdsIndex,
     source: &impl RawSource,
     queries: &[&[f32]],
@@ -197,10 +92,12 @@ pub fn exact_knn_batch_shared(
 
 /// *Approximate* k-NN via the serial index: descend to the query's own
 /// leaf (the paper's approximate answer) and return the k nearest of its
-/// entries by real Euclidean distance — no SAX-array scan. Every reported
-/// distance is a real distance to a real series, so it is never below the
-/// exact answer at the same rank; returns fewer than `k` matches when the
-/// leaf holds fewer entries, empty for an empty index.
+/// entries by real distance under `measure` — early-abandoned Euclidean
+/// distance, or the DTW cascade
+/// (`dsidx_series::distance::dtw::dtw_cascade`) — with no SAX-array scan.
+/// Every reported distance is a real distance to a real series, so it is
+/// never below the exact answer at the same rank; returns fewer than `k`
+/// matches when the leaf holds fewer entries, empty for an empty index.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -208,48 +105,34 @@ pub fn exact_knn_batch_shared(
 /// # Panics
 /// Panics if the query length differs from the configured series length or
 /// `k == 0`.
-pub fn approx_knn(
+pub fn approx(
     ads: &AdsIndex,
     source: &impl RawSource,
     query: &[f32],
+    measure: Measure,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    approx_leaf_visit(ads, source, query, k, |entries, fetcher, topk| {
-        seed_from_entries(entries.iter().map(|e| e.pos), fetcher, query, topk)
-    })
-}
-
-/// *Approximate* k-NN under banded DTW via the serial index: the same
-/// best-leaf visit as [`approx_knn`], the leaf's entries going through the
-/// DTW cascade (`dsidx_series::distance::dtw::dtw_cascade`).
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length or
-/// `k == 0`.
-pub fn approx_knn_dtw(
-    ads: &AdsIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    band: usize,
-    k: usize,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let (mut lower, mut upper) = (Vec::new(), Vec::new());
-    envelope(query, band, &mut lower, &mut upper);
-    approx_leaf_visit(ads, source, query, k, |entries, fetcher, topk| {
-        seed_from_entries_dtw(
-            entries.iter().map(|e| e.pos),
-            fetcher,
-            query,
-            &lower,
-            &upper,
-            band,
-            topk,
-            &mut LeafScratch::new(),
-        )
-    })
+    match measure {
+        Measure::Euclidean => approx_leaf_visit(ads, source, query, k, |entries, fetcher, topk| {
+            seed_from_entries(entries.iter().map(|e| e.pos), fetcher, query, topk)
+        }),
+        Measure::Dtw { band } => {
+            let (mut lower, mut upper) = (Vec::new(), Vec::new());
+            envelope(query, band, &mut lower, &mut upper);
+            approx_leaf_visit(ads, source, query, k, |entries, fetcher, topk| {
+                seed_from_entries_dtw(
+                    entries.iter().map(|e| e.pos),
+                    fetcher,
+                    query,
+                    &lower,
+                    &upper,
+                    band,
+                    topk,
+                    &mut LeafScratch::new(),
+                )
+            })
+        }
+    }
 }
 
 /// The shared best-leaf visit behind both approximate measures: locate the
@@ -298,6 +181,23 @@ mod tests {
         TreeConfig::new(64, 8, 16).unwrap()
     }
 
+    /// One query through [`exact`] as a batch of one.
+    fn knn(
+        ads: &AdsIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        k: usize,
+    ) -> (Vec<Match>, QueryStats) {
+        let (mut matches, stats) = exact(ads, source, &[q], k, None).unwrap();
+        (matches.pop().expect("batch of one"), stats.into_single())
+    }
+
+    /// The `k = 1` case of [`knn`]; `None` for an empty index.
+    fn nn(ads: &AdsIndex, source: &impl RawSource, q: &[f32]) -> Option<(Match, QueryStats)> {
+        let (matches, stats) = knn(ads, source, q, 1);
+        matches.first().map(|&m| (m, stats))
+    }
+
     #[test]
     fn exact_on_all_dataset_kinds() {
         for kind in DatasetKind::ALL {
@@ -305,7 +205,7 @@ mod tests {
             let (ads, _) = build_from_dataset(&data, &config());
             let queries = kind.queries(10, 64, 23);
             for q in queries.iter() {
-                let (got, stats) = exact_nn(&ads, &data, q).unwrap().unwrap();
+                let (got, stats) = nn(&ads, &data, q).unwrap();
                 let want = brute_force(&data, q).unwrap();
                 assert_eq!(got.pos, want.pos, "{}", kind.name());
                 assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4);
@@ -322,7 +222,7 @@ mod tests {
         let queries = dsidx_series::gen::sines(5, 64, 999);
         let mut pruned_everything = true;
         for q in queries.iter() {
-            let (_, stats) = exact_nn(&ads, &data, q).unwrap().unwrap();
+            let (_, stats) = nn(&ads, &data, q).unwrap();
             if stats.candidates > 400 {
                 pruned_everything = false;
             }
@@ -340,7 +240,7 @@ mod tests {
         let queries = DatasetKind::Synthetic.queries(4, 64, 13);
         for q in queries.iter() {
             for k in [1usize, 5, 25, 400, 500] {
-                let (got, stats) = exact_knn(&ads, &data, q, k).unwrap();
+                let (got, stats) = knn(&ads, &data, q, k);
                 let want = dsidx_ucr::brute_force_knn(&data, q, k);
                 assert_eq!(got.len(), want.len(), "k={k}");
                 for (g, w) in got.iter().zip(&want) {
@@ -358,10 +258,10 @@ mod tests {
         let (ads, _) = build_from_dataset(&data, &config());
         let queries = DatasetKind::Sald.queries(5, 64, 7);
         for q in queries.iter() {
-            let (nn, _) = exact_nn(&ads, &data, q).unwrap().unwrap();
-            let (knn, _) = exact_knn(&ads, &data, q, 1).unwrap();
-            assert_eq!(knn.len(), 1);
-            assert_eq!(knn[0].pos, nn.pos);
+            let want = brute_force(&data, q).unwrap();
+            let (got, _) = knn(&ads, &data, q, 1);
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].pos, want.pos);
         }
     }
 
@@ -372,11 +272,11 @@ mod tests {
         let qs = DatasetKind::Synthetic.queries(8, 64, 19);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         for k in [1usize, 6, 30] {
-            let (batched, stats) = exact_knn_batch(&ads, &data, &qrefs, k).unwrap();
+            let (batched, stats) = exact(&ads, &data, &qrefs, k, None).unwrap();
             assert_eq!(stats.broadcasts, 0, "serial engine broadcasts nothing");
             assert_eq!(stats.per_query.len(), 8);
             for (qi, q) in qs.iter().enumerate() {
-                let (single, _) = exact_knn(&ads, &data, q, k).unwrap();
+                let (single, _) = knn(&ads, &data, q, k);
                 assert_eq!(
                     batched[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
                     single.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -394,7 +294,7 @@ mod tests {
     fn knn_batch_of_zero_queries_is_empty() {
         let data = DatasetKind::Synthetic.generate(50, 64, 3);
         let (ads, _) = build_from_dataset(&data, &config());
-        let (matches, stats) = exact_knn_batch(&ads, &data, &[], 5).unwrap();
+        let (matches, stats) = exact(&ads, &data, &[], 5, None).unwrap();
         assert!(matches.is_empty());
         assert_eq!(stats.broadcasts, 0);
         assert!(stats.per_query.is_empty());
@@ -408,7 +308,7 @@ mod tests {
         for q in queries.iter() {
             for k in [1usize, 5, 12] {
                 let exact = dsidx_ucr::brute_force_knn(&data, q, k);
-                let (approx, stats) = approx_knn(&ads, &data, q, k).unwrap();
+                let (approx, stats) = approx(&ads, &data, q, Measure::Euclidean, k).unwrap();
                 assert!(!approx.is_empty() && approx.len() <= k);
                 for (a, e) in approx.iter().zip(&exact) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6, "k={k}");
@@ -417,7 +317,8 @@ mod tests {
                 assert_eq!(stats.lb_computed, 0);
                 assert!(stats.real_computed >= approx.len() as u64);
                 let exact_dtw = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
-                let (approx_dtw, _) = approx_knn_dtw(&ads, &data, q, 4, k).unwrap();
+                let (approx_dtw, _) =
+                    super::approx(&ads, &data, q, Measure::Dtw { band: 4 }, k).unwrap();
                 for (a, e) in approx_dtw.iter().zip(&exact_dtw) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6, "dtw k={k}");
                 }
@@ -430,13 +331,13 @@ mod tests {
         let data = DatasetKind::Sald.generate(200, 64, 13);
         let (ads, _) = build_from_dataset(&data, &config());
         for pos in [0usize, 77, 199] {
-            let (m, _) = approx_knn(&ads, &data, data.get(pos), 1).unwrap();
+            let (m, _) = approx(&ads, &data, data.get(pos), Measure::Euclidean, 1).unwrap();
             assert_eq!(m[0].pos as usize, pos);
             assert_eq!(m[0].dist_sq, 0.0);
         }
         let empty = dsidx_series::Dataset::new(64).unwrap();
         let (ads, _) = build_from_dataset(&empty, &config());
-        let (m, stats) = approx_knn(&ads, &empty, &vec![0.0; 64], 3).unwrap();
+        let (m, stats) = approx(&ads, &empty, &vec![0.0; 64], Measure::Euclidean, 3).unwrap();
         assert!(m.is_empty());
         assert_eq!(stats, QueryStats::default());
     }
@@ -445,7 +346,7 @@ mod tests {
     fn knn_on_empty_index_is_empty() {
         let data = dsidx_series::Dataset::new(64).unwrap();
         let (ads, _) = build_from_dataset(&data, &config());
-        let (got, stats) = exact_knn(&ads, &data, &vec![0.0; 64], 3).unwrap();
+        let (got, stats) = knn(&ads, &data, &vec![0.0; 64], 3);
         assert!(got.is_empty());
         assert_eq!(stats, QueryStats::default());
     }
@@ -461,8 +362,8 @@ mod tests {
         let (ads, _) = build_from_file(&file, &config(), 64).unwrap();
         let queries = DatasetKind::Seismic.queries(5, 64, 8);
         for q in queries.iter() {
-            let (mem, _) = exact_nn(&ads, &data, q).unwrap().unwrap();
-            let (disk, _) = exact_nn(&ads, &file, q).unwrap().unwrap();
+            let (mem, _) = nn(&ads, &data, q).unwrap();
+            let (disk, _) = nn(&ads, &file, q).unwrap();
             assert_eq!(mem.pos, disk.pos);
             assert!((mem.dist_sq - disk.dist_sq).abs() <= mem.dist_sq * 1e-4 + 1e-4);
         }
@@ -472,7 +373,7 @@ mod tests {
     fn empty_index_returns_none() {
         let data = dsidx_series::Dataset::new(64).unwrap();
         let (ads, _) = build_from_dataset(&data, &config());
-        assert!(exact_nn(&ads, &data, &vec![0.0; 64]).unwrap().is_none());
+        assert!(nn(&ads, &data, &vec![0.0; 64]).is_none());
     }
 
     #[test]
@@ -480,7 +381,7 @@ mod tests {
         let data = DatasetKind::Synthetic.generate(200, 64, 4);
         let (ads, _) = build_from_dataset(&data, &config());
         for pos in [0usize, 99, 199] {
-            let (m, _) = exact_nn(&ads, &data, data.get(pos)).unwrap().unwrap();
+            let (m, _) = nn(&ads, &data, data.get(pos)).unwrap();
             assert_eq!(m.pos as usize, pos);
             assert_eq!(m.dist_sq, 0.0);
         }
@@ -495,7 +396,7 @@ mod tests {
         let data = DatasetKind::Synthetic.generate(150, 64, 17);
         let (ads, _) = build_from_dataset(&data, &config());
         let q = DatasetKind::Synthetic.queries(1, 64, 17);
-        let (_, stats) = exact_nn(&ads, &data, q.get(0)).unwrap().unwrap();
+        let (_, stats) = nn(&ads, &data, q.get(0)).unwrap();
         assert_eq!(stats.lb_computed, 150);
         assert!(stats.real_computed >= 1, "seeding pays at least one real");
         assert_eq!(stats.nodes_pruned, 0);

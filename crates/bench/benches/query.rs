@@ -22,8 +22,7 @@ fn bench_query(c: &mut Criterion) {
 
     let (ads, _) = dsidx::ads::build_from_dataset(&data, &tree);
     let (paris, _) = dsidx::paris::build_in_memory(&data, &ParisConfig::new(tree.clone(), threads));
-    let mcfg = MessiConfig::new(tree.clone(), threads);
-    let (messi, _) = dsidx::messi::build(&data, &mcfg);
+    let (messi, _) = dsidx::messi::build(&data, &MessiConfig::new(tree.clone(), threads));
 
     let mut qi = 0usize;
     let next = move || {
@@ -41,19 +40,23 @@ fn bench_query(c: &mut Criterion) {
     });
     let mut nq = next.clone();
     group.bench_function("ads_serial", |b| {
-        b.iter(|| dsidx::ads::exact_nn(&ads, &data, black_box(&nq())).unwrap());
+        b.iter(|| dsidx::ads::exact(&ads, &data, &[black_box(&nq())], 1, None).unwrap());
     });
     let mut nq = next.clone();
     group.bench_function("paris", |b| {
-        b.iter(|| dsidx::paris::exact_nn(&paris, &data, black_box(&nq()), threads).unwrap());
+        b.iter(|| {
+            dsidx::paris::exact(&paris, &data, &[black_box(&nq())], 1, threads, None).unwrap()
+        });
     });
+    let messi_nn =
+        |q: &[f32], measure| dsidx::messi::exact(&messi, &data, &[q], measure, 1, threads, None);
     let mut nq = next.clone();
     group.bench_function("messi", |b| {
-        b.iter(|| dsidx::messi::exact_nn(&messi, &data, black_box(&nq()), &mcfg));
+        b.iter(|| messi_nn(black_box(&nq()), Measure::Euclidean));
     });
     let mut nq = next;
     group.bench_function("messi_dtw_band5pct", |b| {
-        b.iter(|| dsidx::messi::exact_nn_dtw(&messi, &data, black_box(&nq()), 6, &mcfg));
+        b.iter(|| messi_nn(black_box(&nq()), Measure::Dtw { band: 6 }));
     });
     group.finish();
 }

@@ -52,7 +52,7 @@ pub fn run(scale: &Scale) {
             let _ = dsidx::ucr::scan_dtw(&data, q, band);
         });
         let parallel = time_queries(&qs, |q| {
-            let _ = dsidx::ucr::scan_dtw_parallel(&data, q, band, cores);
+            let _ = dsidx::ucr::scan_dtw_parallel(&*data, &[q], band, 1, cores, None);
         });
         let mut stats = QueryStats::default();
         let messi_t = time_queries(&qs, |q| {

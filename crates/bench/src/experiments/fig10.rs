@@ -49,7 +49,7 @@ pub(crate) fn run_profile(scale: &Scale, profile: DeviceProfile, table_name: &st
             dsidx::ads::build_from_file(&unthrottled, &tree, 4096).expect("ads build")
         };
         let ads_t = time_queries(&qs, |q| {
-            let _ = dsidx::ads::exact_nn(&ads, &file, q).expect("query");
+            let _ = dsidx::ads::exact(&ads, &file, &[q], 1, None).expect("query");
         });
 
         // ParIS+: parallel index query.
@@ -65,7 +65,7 @@ pub(crate) fn run_profile(scale: &Scale, profile: DeviceProfile, table_name: &st
             build_on_disk(&unthrottled, &store, &cfg, Overlap::ParisPlus).expect("build")
         };
         let paris_t = time_queries(&qs, |q| {
-            let _ = dsidx::paris::exact_nn(&paris, &file, q, cores).expect("query");
+            let _ = dsidx::paris::exact(&paris, &file, &[q], 1, cores, None).expect("query");
         });
 
         let ratio = |d: std::time::Duration| d.as_secs_f64() / paris_t.as_secs_f64();

@@ -45,23 +45,26 @@ pub fn run(scale: &Scale) {
 
         let (paris, _) =
             dsidx::paris::build_in_memory(&data, &ParisConfig::new(tree.clone(), cores));
-        let mcfg = MessiConfig::new(tree.clone(), cores);
-        let (messi, _) = dsidx::messi::build(&data, &mcfg);
+        let (messi, _) = dsidx::messi::build(&data, &MessiConfig::new(tree.clone(), cores));
 
         // Warm up all engines once (pool wake + caches).
         let w = qs.get(0);
         let _ = dsidx::ucr::scan_ed_parallel(&data, w, cores);
-        let _ = dsidx::paris::exact_nn(&paris, &data, w, cores).expect("warm");
-        let _ = dsidx::messi::exact_nn(&messi, &data, w, &mcfg);
+        let paris_nn = |q: &[f32]| dsidx::paris::exact(&paris, &data, &[q], 1, cores, None);
+        let messi_nn = |q: &[f32]| {
+            dsidx::messi::exact(&messi, &data, &[q], Measure::Euclidean, 1, cores, None)
+        };
+        let _ = paris_nn(w).expect("warm");
+        let _ = messi_nn(w);
 
         let ucr = time_queries(&qs, |q| {
             let _ = dsidx::ucr::scan_ed_parallel(&data, q, cores);
         });
         let paris_t = time_queries(&qs, |q| {
-            let _ = dsidx::paris::exact_nn(&paris, &data, q, cores).expect("query");
+            let _ = paris_nn(q).expect("query");
         });
         let messi_t = time_queries(&qs, |q| {
-            let _ = dsidx::messi::exact_nn(&messi, &data, q, &mcfg);
+            let _ = messi_nn(q);
         });
 
         // Work counters, averaged over the workload — both engines report
@@ -69,14 +72,10 @@ pub fn run(scale: &Scale) {
         let mut paris_stats = dsidx::query::QueryStats::default();
         let mut messi_stats = dsidx::query::QueryStats::default();
         for q in qs.iter() {
-            let (_, ps) = dsidx::paris::exact_nn(&paris, &data, q, cores)
-                .expect("query")
-                .unwrap();
-            paris_stats = paris_stats.merged(&ps);
-            let (_, ms_) = dsidx::messi::exact_nn(&messi, &data, q, &mcfg)
-                .expect("in-memory query")
-                .unwrap();
-            messi_stats = messi_stats.merged(&ms_);
+            let (_, ps) = paris_nn(q).expect("query");
+            paris_stats = paris_stats.merged(&ps.into_single());
+            let (_, ms_) = messi_nn(q).expect("in-memory query");
+            messi_stats = messi_stats.merged(&ms_.into_single());
         }
         let (p_lb, p_real) = (paris_stats.lb_total(), paris_stats.real_computed);
         let (m_lb, m_real) = (messi_stats.lb_total(), messi_stats.real_computed);

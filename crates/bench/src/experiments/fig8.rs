@@ -6,7 +6,7 @@
 //! cheaper).
 
 use crate::{core_ladder, disk_dataset, f, ms, time_queries, Scale, Table};
-use dsidx::paris::{build_on_disk, exact_nn, Overlap, ParisConfig};
+use dsidx::paris::{build_on_disk, exact, Overlap, ParisConfig};
 use dsidx::prelude::*;
 use dsidx::storage::DatasetFile;
 use std::sync::Arc;
@@ -35,7 +35,7 @@ pub fn run(scale: &Scale) {
         for &cores in &core_ladder(&[2, 4, 6, 12, 24]) {
             dsidx::sync::pool::global(cores).broadcast(&|_| {});
             let avg = time_queries(&qs, |q| {
-                let _ = exact_nn(&paris, &file, q, cores).expect("query");
+                let _ = exact(&paris, &file, &[q], 1, cores, None).expect("query");
             });
             table.row(&[profile.name.into(), cores.to_string(), f(ms(avg))]);
         }

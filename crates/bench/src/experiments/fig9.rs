@@ -29,11 +29,10 @@ pub fn run(scale: &Scale) {
             let _ = dsidx::ucr::scan_ed_parallel(&data, q, cores);
         });
         let paris_t = time_queries(&qs, |q| {
-            let _ = dsidx::paris::exact_nn(&paris, &data, q, cores).expect("query");
+            let _ = dsidx::paris::exact(&paris, &data, &[q], 1, cores, None).expect("query");
         });
-        let mcfg = MessiConfig::new(tree.clone(), cores);
         let messi_t = time_queries(&qs, |q| {
-            let _ = dsidx::messi::exact_nn(&messi, &data, q, &mcfg);
+            let _ = dsidx::messi::exact(&messi, &data, &[q], Measure::Euclidean, 1, cores, None);
         });
         table.row(&[
             cores.to_string(),

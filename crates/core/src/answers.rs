@@ -128,8 +128,7 @@ impl Answers {
         Some(phase)
     }
 
-    /// Consumes a batch-of-one response into `(matches, stats)` — the
-    /// shape of the legacy `*_with_stats` methods.
+    /// Consumes a batch-of-one response into `(matches, stats)`.
     ///
     /// # Panics
     /// Panics if the response holds more than one query's answers or was

@@ -1,12 +1,16 @@
 //! The unified engine API: build once, query many.
 //!
+//! One index type, [`Index<S>`], holds a built engine beside the raw
+//! source `S` it answers from; [`MemoryIndex`] and [`DiskIndex`] are its
+//! two instantiations. Building, opening and saving are spelled per
+//! residence because their arguments differ; everything else exists once.
+//!
 //! Querying goes through the **query plane**: describe the request with a
 //! [`QuerySpec`] (how many neighbors, which [`Measure`], which
 //! [`Fidelity`], stats or not) and execute it with
-//! [`Search::search`] — one method, one internal dispatch per engine,
-//! batches as the native shape (a single query is a batch of one). The
-//! pre-plane method matrix (`nn`/`knn` × `_dtw` × `_batch` ×
-//! `_with_stats`) survives as deprecated one-line wrappers over `search`.
+//! [`Search::search`] — one method, one internal dispatch (`Index::run`)
+//! onto one exact and one approximate entry point per engine, batches as
+//! the native shape (a single query is a batch of one).
 
 use crate::answers::Answers;
 use crate::error::Error;
@@ -17,9 +21,9 @@ use crate::spec::{Fidelity, Measure, QuerySpec};
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{BatchStats, QueryStats, ShardView};
 use dsidx_series::{Dataset, Match};
-use dsidx_storage::{DatasetFile, Device, DeviceProfile, LeafStoreReader, RawSource};
+use dsidx_storage::{DatasetFile, Device, DeviceProfile, LeafStoreReader, RawSource, StorageError};
 use dsidx_tree::stats::{index_stats, IndexStats};
-use dsidx_tree::FlatTree;
+use dsidx_tree::{FlatTree, SaxArray};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -71,31 +75,62 @@ impl std::str::FromStr for Engine {
     }
 }
 
-enum MemoryInner {
+/// The built engine behind an [`Index`]: ParIS and ParIS+ differ in how
+/// they build, not in what they build.
+enum Built {
     Ads(dsidx_ads::AdsIndex),
     Paris(dsidx_paris::ParisIndex),
     Messi(dsidx_messi::MessiIndex),
 }
 
-/// The shared approximate-fidelity batch loop behind both `run_spec`s:
-/// approximate answering pays one best-leaf visit (ADS+, MESSI) or one
-/// sketch-nearest probe pass (ParIS) per query — no broadcast — so the
-/// batch is a plain loop and the batch counters report per-query work
-/// only. `answer_one` maps one query to the engine's approximate call.
+impl Built {
+    /// The iSAX tree every engine is built around.
+    fn tree(&self) -> &dsidx_tree::Index {
+        match self {
+            Built::Ads(ads) => &ads.index,
+            Built::Paris(paris) => &paris.index,
+            Built::Messi(messi) => &messi.index,
+        }
+    }
+
+    /// Reassembles `engine`'s index from a decoded snapshot; `leaves` is
+    /// the reader over an embedded ParIS leaf store, when one was saved.
+    fn from_snapshot(
+        engine: Engine,
+        index: dsidx_tree::Index,
+        sax: SaxArray,
+        leaves: Option<LeafStoreReader>,
+    ) -> Self {
+        match engine {
+            Engine::Ads => Built::Ads(dsidx_ads::AdsIndex { index, sax }),
+            Engine::Paris | Engine::ParisPlus => {
+                Built::Paris(dsidx_paris::ParisIndex { index, sax, leaves })
+            }
+            Engine::Messi => {
+                let flat = FlatTree::from_index(&index);
+                Built::Messi(dsidx_messi::MessiIndex { index, flat, sax })
+            }
+        }
+    }
+}
+
+/// The approximate-fidelity batch loop: approximate answering pays one
+/// best-leaf visit (ADS+, MESSI) or one sketch-nearest probe pass (ParIS)
+/// per query — no broadcast — so the batch is a plain loop and the batch
+/// counters report per-query work only. `answer_one` is the engine's
+/// approximate entry point.
 fn approx_batch(
     queries: &[&[f32]],
-    mut answer_one: impl FnMut(&[f32]) -> Result<(Vec<Match>, QueryStats), Error>,
-) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
+    mut answer_one: impl FnMut(&[f32]) -> Result<(Vec<Match>, QueryStats), StorageError>,
+) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
     let mut matches = Vec::with_capacity(queries.len());
     let mut per_query = Vec::with_capacity(queries.len());
     let mut clock = PhaseClock::start();
     for (i, &q) in queries.iter().enumerate() {
-        let (m, mut s) = answer_one(q).map_err(|e| match e {
-            // The approximate visit is one seeding pass; engines that
-            // annotated a more precise phase keep it (first wins).
-            Error::Storage(e) => Error::Storage(e.in_phase(Phase::Seed.name()).for_query(i as u64)),
-            other => other,
-        })?;
+        // The approximate visit is one seeding pass; engines that
+        // annotated a more precise phase keep it (first wins).
+        let (m, mut s) =
+            answer_one(q).map_err(|e| e.in_phase(Phase::Seed.name()).for_query(i as u64))?;
         // Engines that time their own approximate visit already filled
         // the breakdown; charge the rest to the seeding phase they are.
         let nanos = clock.lap();
@@ -145,13 +180,149 @@ pub(crate) fn trace_search(
     );
 }
 
-/// An index over an in-memory dataset (owned via `Arc`, so clones of the
-/// handle share both data and index).
-pub struct MemoryIndex {
-    data: Arc<Dataset>,
+/// Distinguishes the leaf-store files of concurrent (or repeated) builds
+/// in one process: the pid alone collides when a process builds twice
+/// into the same workdir.
+static BUILD_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// Where a ParIS leaf store lives: a standalone scratch file from a
+/// build (`offset` 0, `len` `None` = the whole file), or a section of a
+/// snapshot file after [`DiskIndex::open`].
+struct StoreLocation {
+    path: PathBuf,
+    offset: u64,
+    len: Option<u64>,
+}
+
+/// A built index beside the raw source `S` it answers from. Use it through
+/// its two instantiations: [`MemoryIndex`] (the dataset in memory, owned
+/// via `Arc`) and [`DiskIndex`] (a dataset file, raw values fetched from —
+/// and charged to — the modeled device at query time).
+pub struct Index<S> {
+    source: S,
     engine: Engine,
     options: Options,
-    inner: MemoryInner,
+    built: Built,
+    /// Build time decomposition of an on-disk ParIS/ParIS+ build.
+    build_report: Option<dsidx_paris::BuildReport>,
+    /// The on-disk ParIS/ParIS+ leaf store, for [`DiskIndex::save`].
+    store: Option<StoreLocation>,
+}
+
+/// An index over an in-memory dataset (owned via `Arc`, so clones of the
+/// handle share both data and index).
+pub type MemoryIndex = Index<Arc<Dataset>>;
+
+/// An index over an on-disk dataset file; raw values are fetched (and
+/// charged to the device) at query time.
+pub type DiskIndex = Index<DatasetFile>;
+
+impl<S> Index<S> {
+    /// The engine this index was built with.
+    #[must_use]
+    pub fn engine(&self) -> Engine {
+        self.engine
+    }
+
+    /// Structural statistics of the underlying tree.
+    #[must_use]
+    pub fn stats(&self) -> IndexStats {
+        index_stats(self.built.tree())
+    }
+
+    /// Pairs a decoded snapshot with the `source` it was opened over. The
+    /// engine and tree geometry come from the snapshot: the corresponding
+    /// fields of `options` are overridden, so queries run with the
+    /// geometry the tree was actually built with.
+    fn from_snapshot(
+        source: S,
+        contents: SnapshotContents,
+        options: &Options,
+        leaves: Option<LeafStoreReader>,
+        store: Option<StoreLocation>,
+    ) -> Self {
+        Self {
+            source,
+            engine: contents.engine,
+            options: options
+                .clone()
+                .with_segments(contents.segments)
+                .with_leaf_capacity(contents.leaf_capacity),
+            built: Built::from_snapshot(contents.engine, contents.index, contents.sax, leaves),
+            build_report: None,
+            store,
+        }
+    }
+
+    /// The one dispatch behind [`Search::search`]: every (fidelity,
+    /// engine, measure) cell maps to one engine entry point, so adding an
+    /// axis value is adding a match arm — never a method family. The spec
+    /// must already be validated against `queries` (every public `search`
+    /// does that once, at its boundary).
+    ///
+    /// Raw candidate reads go to `source` — the index's own, or a
+    /// fault-injecting stand-in under a [`ShardedIndex`](crate::ShardedIndex)
+    /// — and, when `shard` is set, the exact cells feed the cross-shard
+    /// pruners so a tight match in another shard raises this index's
+    /// abandon thresholds mid-flight. The approximate cells ignore `shard`
+    /// (per-shard trees probe independently; the coordinator merges
+    /// post-hoc).
+    pub(crate) fn run<R: RawSource>(
+        &self,
+        source: &R,
+        queries: &[&[f32]],
+        spec: &QuerySpec,
+        shard: Option<ShardView<'_>>,
+    ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
+        let (k, measure) = (spec.k(), spec.measure_kind());
+        let threads = self.options.effective_threads();
+        Ok(match (spec.fidelity_kind(), &self.built, measure) {
+            (Fidelity::Exact, Built::Messi(messi), _) => {
+                dsidx_messi::exact(messi, source, queries, measure, k, threads, shard)
+            }
+            (Fidelity::Exact, Built::Ads(ads), Measure::Euclidean) => {
+                dsidx_ads::exact(ads, source, queries, k, shard)
+            }
+            (Fidelity::Exact, Built::Paris(paris), Measure::Euclidean) => {
+                dsidx_paris::exact(paris, source, queries, k, threads, shard)
+            }
+            // The engines without a DTW index path: the one parallel UCR
+            // scan over the raw source (still exact, just index-free).
+            (Fidelity::Exact, Built::Ads(_) | Built::Paris(_), Measure::Dtw { band }) => {
+                dsidx_ucr::scan_dtw_parallel(source, queries, band, k, threads, shard)
+            }
+            (Fidelity::Approximate, Built::Ads(ads), _) => {
+                approx_batch(queries, |q| dsidx_ads::approx(ads, source, q, measure, k))
+            }
+            (Fidelity::Approximate, Built::Paris(paris), _) => approx_batch(queries, |q| {
+                dsidx_paris::approx(paris, source, q, measure, k)
+            }),
+            (Fidelity::Approximate, Built::Messi(messi), _) => approx_batch(queries, |q| {
+                dsidx_messi::approx(messi, source, q, measure, k)
+            }),
+        }?)
+    }
+
+    /// [`Search::search`] for either residence: validate once, dispatch,
+    /// package. Validation is booked as the call's preparation phase.
+    fn search_on<R: RawSource>(
+        &self,
+        source: &R,
+        residence: &'static str,
+        queries: &[&[f32]],
+        spec: &QuerySpec,
+    ) -> Result<Answers, Error> {
+        trace_search(residence, self.engine, queries.len(), spec);
+        let mut clock = PhaseClock::start();
+        spec.validate(source.series_len(), queries)?;
+        let validate_nanos = clock.lap();
+        let (matches, mut stats) = self.run(source, queries, spec, None)?;
+        stats.shared.phase.record(Phase::Prepare, validate_nanos);
+        Ok(Answers::new(
+            matches,
+            spec.stats_requested().then_some(stats),
+        ))
+    }
 }
 
 impl MemoryIndex {
@@ -169,27 +340,24 @@ impl MemoryIndex {
     ) -> Result<Self, Error> {
         let data = data.into();
         let series_len = data.series_len();
-        let inner = match engine {
-            Engine::Ads => {
-                let (ads, _) =
-                    dsidx_ads::build_from_dataset(&data, &options.tree_config(series_len)?);
-                MemoryInner::Ads(ads)
-            }
-            Engine::Paris | Engine::ParisPlus => {
-                let (paris, _) =
-                    dsidx_paris::build_in_memory(&data, &options.paris_config(series_len)?);
-                MemoryInner::Paris(paris)
-            }
+        let built = match engine {
+            Engine::Ads => Built::Ads(
+                dsidx_ads::build_from_dataset(&data, &options.tree_config(series_len)?).0,
+            ),
+            Engine::Paris | Engine::ParisPlus => Built::Paris(
+                dsidx_paris::build_in_memory(&data, &options.paris_config(series_len)?).0,
+            ),
             Engine::Messi => {
-                let (messi, _) = dsidx_messi::build(&data, &options.messi_config(series_len)?);
-                MemoryInner::Messi(messi)
+                Built::Messi(dsidx_messi::build(&data, &options.messi_config(series_len)?).0)
             }
         };
         Ok(Self {
-            data,
+            source: data,
             engine,
             options: options.clone(),
-            inner,
+            built,
+            build_report: None,
+            store: None,
         })
     }
 
@@ -205,12 +373,7 @@ impl MemoryIndex {
     /// I/O failures writing the file.
     pub fn save(&self, path: &Path) -> Result<u64, Error> {
         let device = Arc::new(Device::unthrottled());
-        let index = match &self.inner {
-            MemoryInner::Ads(ads) => &ads.index,
-            MemoryInner::Paris(paris) => &paris.index,
-            MemoryInner::Messi(messi) => &messi.index,
-        };
-        save_snapshot(path, self.engine, index, None, &device)
+        save_snapshot(path, self.engine, self.built.tree(), None, &device)
     }
 
     /// Opens a snapshot saved by [`save`](Self::save) over `data` — the
@@ -235,355 +398,20 @@ impl MemoryIndex {
         let data = data.into();
         let device = Arc::new(Device::unthrottled());
         let contents = open_snapshot(path, &device, data.series_len(), data.len())?;
-        let SnapshotContents {
-            engine,
-            index,
-            sax,
-            segments,
-            leaf_capacity,
-            ..
-        } = contents;
-        let options = options
-            .clone()
-            .with_segments(segments)
-            .with_leaf_capacity(leaf_capacity);
-        let inner = match engine {
-            Engine::Ads => MemoryInner::Ads(dsidx_ads::AdsIndex { index, sax }),
-            Engine::Paris | Engine::ParisPlus => MemoryInner::Paris(dsidx_paris::ParisIndex {
-                index,
-                sax,
-                leaves: None,
-            }),
-            Engine::Messi => {
-                let flat = FlatTree::from_index(&index);
-                MemoryInner::Messi(dsidx_messi::MessiIndex { index, flat, sax })
-            }
-        };
-        Ok(Self {
-            data,
-            engine,
-            options,
-            inner,
-        })
-    }
-
-    /// The engine this index was built with.
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        self.engine
+        Ok(Self::from_snapshot(data, contents, options, None, None))
     }
 
     /// The indexed dataset.
     #[must_use]
     pub fn data(&self) -> &Dataset {
-        &self.data
-    }
-
-    /// The one dispatch behind [`Search::search`]: every (fidelity,
-    /// measure) cell maps to one engine batch entry point, so adding an
-    /// axis value is adding a match arm — never a method family.
-    fn run_spec(
-        &self,
-        queries: &[&[f32]],
-        spec: &QuerySpec,
-    ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
-        self.run_spec_sharded(&*self.data, queries, spec, None)
-    }
-
-    /// [`run_spec`](Self::run_spec) parameterized for scatter-gather use
-    /// by [`ShardedIndex`](crate::ShardedIndex): raw candidate reads go to
-    /// `source` (normally the indexed dataset; a fault-injecting wrapper
-    /// in tests), and — when `shard` is set — the exact cells feed the
-    /// cross-shard pruners so a tight match in another shard raises this
-    /// index's abandon thresholds mid-flight. The approximate cells
-    /// ignore `shard` (per-shard trees probe independently; the
-    /// coordinator merges post-hoc).
-    pub(crate) fn run_spec_sharded<S: RawSource>(
-        &self,
-        source: &S,
-        queries: &[&[f32]],
-        spec: &QuerySpec,
-        shard: Option<ShardView<'_>>,
-    ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
-        let mut clock = PhaseClock::start();
-        spec.validate(self.data.series_len(), queries)?;
-        let k = spec.k();
-        let threads = self.options.effective_threads();
-        let prepare_nanos = clock.lap();
-        let (matches, mut stats) = (match spec.fidelity_kind() {
-            Fidelity::Exact => match spec.measure_kind() {
-                Measure::Euclidean => match &self.inner {
-                    MemoryInner::Ads(ads) => Ok(dsidx_ads::exact_knn_batch_shared(
-                        ads, source, queries, k, shard,
-                    )?),
-                    MemoryInner::Paris(paris) => Ok(dsidx_paris::exact_knn_batch_shared(
-                        paris, source, queries, k, threads, shard,
-                    )?),
-                    MemoryInner::Messi(messi) => {
-                        let cfg = self.options.messi_config(self.data.series_len())?;
-                        Ok(dsidx_messi::exact_knn_batch_shared(
-                            messi, source, queries, k, &cfg, shard,
-                        )?)
-                    }
-                },
-                // Batched DTW: one broadcast through MESSI's cascade,
-                // the one batched parallel UCR scan for the engines
-                // without a DTW index path (still exact, just index-free).
-                Measure::Dtw { band } => match &self.inner {
-                    MemoryInner::Messi(messi) => {
-                        let cfg = self.options.messi_config(self.data.series_len())?;
-                        Ok(dsidx_messi::exact_knn_dtw_batch_shared(
-                            messi, source, queries, band, k, &cfg, shard,
-                        )?)
-                    }
-                    _ => Ok(dsidx_ucr::knn_dtw_batch_parallel_with_stats_shared(
-                        source, queries, band, k, threads, shard,
-                    )?),
-                },
-            },
-            Fidelity::Approximate => approx_batch(queries, |q| {
-                Ok(match (&self.inner, spec.measure_kind()) {
-                    (MemoryInner::Ads(ads), Measure::Euclidean) => {
-                        dsidx_ads::approx_knn(ads, source, q, k)?
-                    }
-                    (MemoryInner::Ads(ads), Measure::Dtw { band }) => {
-                        dsidx_ads::approx_knn_dtw(ads, source, q, band, k)?
-                    }
-                    (MemoryInner::Paris(paris), Measure::Euclidean) => {
-                        dsidx_paris::approx_knn(paris, source, q, k)?
-                    }
-                    (MemoryInner::Paris(paris), Measure::Dtw { band }) => {
-                        dsidx_paris::approx_knn_dtw(paris, source, q, band, k)?
-                    }
-                    (MemoryInner::Messi(messi), Measure::Euclidean) => {
-                        dsidx_messi::approx_knn(messi, source, q, k)?
-                    }
-                    (MemoryInner::Messi(messi), Measure::Dtw { band }) => {
-                        dsidx_messi::approx_knn_dtw(messi, source, q, band, k)?
-                    }
-                })
-            }),
-        })?;
-        stats.shared.phase.record(Phase::Prepare, prepare_nanos);
-        Ok((matches, stats))
-    }
-
-    /// Exact 1-NN under Euclidean distance. `None` for an empty dataset.
-    ///
-    /// # Errors
-    /// Propagates engine failures.
-    #[deprecated(note = "use `Search::search` with `QuerySpec::nn()`")]
-    pub fn nn(&self, query: &[f32]) -> Result<Option<Match>, Error> {
-        Ok(self.search(&[query], &QuerySpec::nn())?.into_nn())
-    }
-
-    /// Exact 1-NN plus the unified per-query work counters.
-    ///
-    /// # Errors
-    /// Propagates engine failures.
-    #[deprecated(note = "use `Search::search` with `QuerySpec::nn().with_stats()`")]
-    pub fn nn_with_stats(&self, query: &[f32]) -> Result<Option<(Match, QueryStats)>, Error> {
-        let (matches, stats) = self
-            .search(&[query], &QuerySpec::nn().with_stats())?
-            .into_single_with_stats();
-        Ok(matches.into_iter().next().map(|m| (m, stats)))
-    }
-
-    /// Exact k-NN under Euclidean distance: the `k` nearest series, sorted
-    /// ascending by `(distance, position)`.
-    ///
-    /// # Errors
-    /// Propagates engine failures; `k == 0` is [`Error::InvalidSpec`].
-    #[deprecated(note = "use `Search::search` with `QuerySpec::knn(k)`")]
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Match>, Error> {
-        Ok(self.search(&[query], &QuerySpec::knn(k))?.into_single())
-    }
-
-    /// Exact k-NN plus the unified per-query work counters.
-    ///
-    /// # Errors
-    /// Propagates engine failures; `k == 0` is [`Error::InvalidSpec`].
-    #[deprecated(note = "use `Search::search` with `QuerySpec::knn(k).with_stats()`")]
-    pub fn knn_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-    ) -> Result<(Vec<Match>, QueryStats), Error> {
-        Ok(self
-            .search(&[query], &QuerySpec::knn(k).with_stats())?
-            .into_single_with_stats())
-    }
-
-    /// Exact 1-NN for a *batch* of queries: one answer per query (in
-    /// order), `None` where the dataset is empty.
-    ///
-    /// # Errors
-    /// Propagates engine failures.
-    #[deprecated(note = "use `Search::search` with `QuerySpec::nn()`")]
-    pub fn nn_batch(&self, queries: &[&[f32]]) -> Result<Vec<Option<Match>>, Error> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(self
-            .search(queries, &QuerySpec::nn())?
-            .into_matches()
-            .into_iter()
-            .map(|mut m| m.pop())
-            .collect())
-    }
-
-    /// Exact k-NN for a *batch* of queries, answered by one shared engine
-    /// schedule; element-wise identical to per-query [`knn`](Self::knn).
-    ///
-    /// # Errors
-    /// Propagates engine failures; `k == 0` is [`Error::InvalidSpec`].
-    #[deprecated(note = "use `Search::search` with `QuerySpec::knn(k)`")]
-    pub fn knn_batch(&self, queries: &[&[f32]], k: usize) -> Result<Vec<Vec<Match>>, Error> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(self.search(queries, &QuerySpec::knn(k))?.into_matches())
-    }
-
-    /// Exact k-NN for a batch of queries plus the [`BatchStats`] that make
-    /// the amortization observable.
-    ///
-    /// # Errors
-    /// Propagates engine failures; `k == 0` is [`Error::InvalidSpec`].
-    #[deprecated(note = "use `Search::search` with `QuerySpec::knn(k).with_stats()`")]
-    pub fn knn_batch_with_stats(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-    ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
-        if queries.is_empty() {
-            return Ok((Vec::new(), BatchStats::default()));
-        }
-        Ok(self
-            .search(queries, &QuerySpec::knn(k).with_stats())?
-            .into_parts_with_stats())
-    }
-
-    /// Exact 1-NN under banded DTW — answered from the *same* index (§V
-    /// of the paper).
-    ///
-    /// # Errors
-    /// Configuration errors; an over-wide band is [`Error::InvalidSpec`].
-    #[deprecated(
-        note = "use `Search::search` with `QuerySpec::nn().measure(Measure::Dtw { band })`"
-    )]
-    pub fn nn_dtw(&self, query: &[f32], band: usize) -> Result<Option<Match>, Error> {
-        Ok(self
-            .search(&[query], &QuerySpec::nn().measure(Measure::Dtw { band }))?
-            .into_nn())
-    }
-
-    /// Exact 1-NN under banded DTW plus the unified work counters for the
-    /// pruning cascade (LB_Keogh prunes, early-abandoned DTWs).
-    ///
-    /// # Errors
-    /// Configuration errors; an over-wide band is [`Error::InvalidSpec`].
-    #[deprecated(
-        note = "use `Search::search` with `QuerySpec::nn().measure(Measure::Dtw { band }).with_stats()`"
-    )]
-    pub fn nn_dtw_with_stats(
-        &self,
-        query: &[f32],
-        band: usize,
-    ) -> Result<Option<(Match, QueryStats)>, Error> {
-        let spec = QuerySpec::nn().measure(Measure::Dtw { band }).with_stats();
-        let (matches, stats) = self.search(&[query], &spec)?.into_single_with_stats();
-        Ok(matches.into_iter().next().map(|m| (m, stats)))
-    }
-
-    /// Exact k-NN under banded DTW — answered from the same index where
-    /// the engine supports it (MESSI), by the parallel UCR-DTW k-NN scan
-    /// otherwise (still exact, just index-free).
-    ///
-    /// # Errors
-    /// Configuration errors; `k == 0` or an over-wide band is
-    /// [`Error::InvalidSpec`].
-    #[deprecated(
-        note = "use `Search::search` with `QuerySpec::knn(k).measure(Measure::Dtw { band })`"
-    )]
-    pub fn knn_dtw(&self, query: &[f32], band: usize, k: usize) -> Result<Vec<Match>, Error> {
-        Ok(self
-            .search(&[query], &QuerySpec::knn(k).measure(Measure::Dtw { band }))?
-            .into_single())
-    }
-
-    /// Exact k-NN under banded DTW plus the unified work counters for the
-    /// whole pruning cascade, pruned against the k-th best DTW distance.
-    ///
-    /// # Errors
-    /// Configuration errors; `k == 0` or an over-wide band is
-    /// [`Error::InvalidSpec`].
-    #[deprecated(
-        note = "use `Search::search` with `QuerySpec::knn(k).measure(Measure::Dtw { band }).with_stats()`"
-    )]
-    pub fn knn_dtw_with_stats(
-        &self,
-        query: &[f32],
-        band: usize,
-        k: usize,
-    ) -> Result<(Vec<Match>, QueryStats), Error> {
-        let spec = QuerySpec::knn(k)
-            .measure(Measure::Dtw { band })
-            .with_stats();
-        Ok(self.search(&[query], &spec)?.into_single_with_stats())
-    }
-
-    /// Structural statistics of the underlying tree.
-    #[must_use]
-    pub fn stats(&self) -> IndexStats {
-        match &self.inner {
-            MemoryInner::Ads(ads) => index_stats(&ads.index),
-            MemoryInner::Paris(paris) => index_stats(&paris.index),
-            MemoryInner::Messi(messi) => index_stats(&messi.index),
-        }
+        &self.source
     }
 }
 
 impl Search for MemoryIndex {
     fn search(&self, queries: &[&[f32]], spec: &QuerySpec) -> Result<Answers, Error> {
-        trace_search("memory", self.engine, queries.len(), spec);
-        let (matches, stats) = self.run_spec(queries, spec)?;
-        Ok(Answers::new(
-            matches,
-            spec.stats_requested().then_some(stats),
-        ))
+        self.search_on(self.data(), "memory", queries, spec)
     }
-}
-
-enum DiskInner {
-    Ads(dsidx_ads::AdsIndex),
-    Paris(dsidx_paris::ParisIndex),
-    Messi(dsidx_messi::MessiIndex),
-}
-
-/// Distinguishes the leaf-store files of concurrent (or repeated) builds
-/// in one process: the pid alone collides when a process builds twice
-/// into the same workdir.
-static BUILD_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Where a ParIS leaf store lives: a standalone scratch file from a
-/// build (`offset` 0, `len` `None` = the whole file), or a section of a
-/// snapshot file after [`DiskIndex::open`].
-struct StoreLocation {
-    path: PathBuf,
-    offset: u64,
-    len: Option<u64>,
-}
-
-/// An index over an on-disk dataset file; raw values are fetched (and
-/// charged to the device) at query time.
-pub struct DiskIndex {
-    file: DatasetFile,
-    engine: Engine,
-    options: Options,
-    inner: DiskInner,
-    build_report: Option<dsidx_paris::BuildReport>,
-    store: Option<StoreLocation>,
 }
 
 impl DiskIndex {
@@ -608,16 +436,17 @@ impl DiskIndex {
         let file = DatasetFile::open(dataset_path, device)?;
         let series_len = file.series_len();
         // One workdir setup for every engine (scratch files land here).
-        std::fs::create_dir_all(workdir).map_err(dsidx_storage::StorageError::from)?;
-        let (inner, build_report, store) = match engine {
-            Engine::Ads => {
-                let (ads, _) = dsidx_ads::build_from_file(
+        std::fs::create_dir_all(workdir).map_err(StorageError::from)?;
+        let (mut build_report, mut store) = (None, None);
+        let built = match engine {
+            Engine::Ads => Built::Ads(
+                dsidx_ads::build_from_file(
                     &file,
                     &options.tree_config(series_len)?,
                     options.block_series,
-                )?;
-                (DiskInner::Ads(ads), None, None)
-            }
+                )?
+                .0,
+            ),
             Engine::Paris | Engine::ParisPlus => {
                 let mode = if engine == Engine::Paris {
                     dsidx_paris::Overlap::Paris
@@ -637,30 +466,28 @@ impl DiskIndex {
                     &options.paris_config(series_len)?,
                     mode,
                 )?;
-                (
-                    DiskInner::Paris(paris),
-                    Some(report),
-                    Some(StoreLocation {
-                        path: store_path,
-                        offset: 0,
-                        len: None,
-                    }),
-                )
+                build_report = Some(report);
+                store = Some(StoreLocation {
+                    path: store_path,
+                    offset: 0,
+                    len: None,
+                });
+                Built::Paris(paris)
             }
-            Engine::Messi => {
-                let (messi, _) = dsidx_messi::build_from_file(
+            Engine::Messi => Built::Messi(
+                dsidx_messi::build_from_file(
                     &file,
                     &options.messi_config(series_len)?,
                     options.block_series,
-                )?;
-                (DiskInner::Messi(messi), None, None)
-            }
+                )?
+                .0,
+            ),
         };
         Ok(Self {
-            file,
+            source: file,
             engine,
             options: options.clone(),
-            inner,
+            built,
             build_report,
             store,
         })
@@ -678,12 +505,8 @@ impl DiskIndex {
     /// I/O failures reading the leaf store or writing the snapshot.
     pub fn save(&self, path: &Path) -> Result<u64, Error> {
         let leaf_store = self.read_store_bytes()?;
-        let index = match &self.inner {
-            DiskInner::Ads(ads) => &ads.index,
-            DiskInner::Paris(paris) => &paris.index,
-            DiskInner::Messi(messi) => &messi.index,
-        };
-        save_snapshot(path, self.engine, index, leaf_store, self.file.device())
+        let device = self.source.device();
+        save_snapshot(path, self.engine, self.built.tree(), leaf_store, device)
     }
 
     /// The raw bytes of the leaf store this index answers from, charged
@@ -694,21 +517,18 @@ impl DiskIndex {
         let Some(loc) = &self.store else {
             return Ok(None);
         };
-        let file = std::fs::File::open(&loc.path).map_err(dsidx_storage::StorageError::from)?;
+        let file = std::fs::File::open(&loc.path).map_err(StorageError::from)?;
         let len = match loc.len {
             Some(len) => len,
             None => {
-                let total = file
-                    .metadata()
-                    .map_err(dsidx_storage::StorageError::from)?
-                    .len();
+                let total = file.metadata().map_err(StorageError::from)?.len();
                 total - loc.offset
             }
         };
         let mut bytes = vec![0u8; usize::try_from(len).expect("store fits memory")];
         file.read_exact_at(&mut bytes, loc.offset)
-            .map_err(dsidx_storage::StorageError::from)?;
-        self.file.device().charge_read(loc.offset, len);
+            .map_err(StorageError::from)?;
+        self.source.device().charge_read(loc.offset, len);
         Ok(Some(bytes))
     }
 
@@ -736,74 +556,30 @@ impl DiskIndex {
     ) -> Result<Self, Error> {
         let device = Arc::new(Device::new(profile));
         let file = DatasetFile::open(dataset_path, Arc::clone(&device))?;
-        let contents = open_snapshot(snapshot_path, &device, file.series_len(), file.count())?;
-        let SnapshotContents {
-            engine,
-            index,
-            sax,
-            leaf_store,
-            segments,
-            leaf_capacity,
-        } = contents;
-        let options = options
-            .clone()
-            .with_segments(segments)
-            .with_leaf_capacity(leaf_capacity);
-        let (inner, store) = match engine {
-            Engine::Ads => (DiskInner::Ads(dsidx_ads::AdsIndex { index, sax }), None),
-            Engine::Paris | Engine::ParisPlus => {
-                let (leaves, store) = match leaf_store {
-                    Some((offset, len, bytes)) => {
-                        let reader = LeafStoreReader::from_verified_bytes(
-                            snapshot_path,
-                            offset,
-                            &bytes,
-                            Arc::clone(&device),
-                        )?;
-                        (
-                            Some(reader),
-                            Some(StoreLocation {
-                                path: snapshot_path.to_path_buf(),
-                                offset,
-                                len: Some(len),
-                            }),
-                        )
-                    }
-                    None => (None, None),
-                };
-                (
-                    DiskInner::Paris(dsidx_paris::ParisIndex { index, sax, leaves }),
-                    store,
-                )
-            }
-            Engine::Messi => {
-                let flat = FlatTree::from_index(&index);
-                (
-                    DiskInner::Messi(dsidx_messi::MessiIndex { index, flat, sax }),
-                    None,
-                )
-            }
+        let mut contents = open_snapshot(snapshot_path, &device, file.series_len(), file.count())?;
+        let (leaves, store) = match contents.leaf_store.take() {
+            Some((offset, len, bytes)) => (
+                Some(LeafStoreReader::from_verified_bytes(
+                    snapshot_path,
+                    offset,
+                    &bytes,
+                    device,
+                )?),
+                Some(StoreLocation {
+                    path: snapshot_path.to_path_buf(),
+                    offset,
+                    len: Some(len),
+                }),
+            ),
+            None => (None, None),
         };
-        Ok(Self {
-            file,
-            engine,
-            options,
-            inner,
-            build_report: None,
-            store,
-        })
-    }
-
-    /// The engine this index was built with.
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        self.engine
+        Ok(Self::from_snapshot(file, contents, options, leaves, store))
     }
 
     /// The dataset file the index answers from.
     #[must_use]
     pub fn file(&self) -> &DatasetFile {
-        &self.file
+        &self.source
     }
 
     /// Build time decomposition (ParIS/ParIS+ only).
@@ -811,222 +587,37 @@ impl DiskIndex {
     pub fn build_report(&self) -> Option<&dsidx_paris::BuildReport> {
         self.build_report.as_ref()
     }
-
-    /// The one dispatch behind [`Search::search`] for on-disk indexes
-    /// (see [`MemoryIndex::run_spec`]): the same engine entry points as in
-    /// memory, handed the dataset file as the raw source, so candidate
-    /// reads are charged to the modeled device. Every (fidelity, measure)
-    /// cell is answered — exact DTW runs MESSI's generic cascade on its
-    /// own tree and the batched parallel UCR-DTW scan over the file for
-    /// the engines without a DTW index path.
-    fn run_spec(
-        &self,
-        queries: &[&[f32]],
-        spec: &QuerySpec,
-    ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
-        self.run_spec_sharded(&self.file, queries, spec, None)
-    }
-
-    /// [`run_spec`](Self::run_spec) parameterized for scatter-gather use
-    /// (see [`MemoryIndex::run_spec_sharded`]): `source` is normally the
-    /// index's own dataset file, `shard` threads the cross-shard pruners
-    /// through the exact cells.
-    pub(crate) fn run_spec_sharded<S: RawSource>(
-        &self,
-        source: &S,
-        queries: &[&[f32]],
-        spec: &QuerySpec,
-        shard: Option<ShardView<'_>>,
-    ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
-        let mut clock = PhaseClock::start();
-        spec.validate(self.file.series_len(), queries)?;
-        let k = spec.k();
-        let threads = self.options.effective_threads();
-        let prepare_nanos = clock.lap();
-        let (matches, mut stats) = (match spec.fidelity_kind() {
-            Fidelity::Exact => match spec.measure_kind() {
-                Measure::Euclidean => match &self.inner {
-                    DiskInner::Ads(ads) => Ok(dsidx_ads::exact_knn_batch_shared(
-                        ads, source, queries, k, shard,
-                    )?),
-                    DiskInner::Paris(paris) => Ok(dsidx_paris::exact_knn_batch_shared(
-                        paris, source, queries, k, threads, shard,
-                    )?),
-                    DiskInner::Messi(messi) => {
-                        let cfg = self.options.messi_config(self.file.series_len())?;
-                        Ok(dsidx_messi::exact_knn_batch_shared(
-                            messi, source, queries, k, &cfg, shard,
-                        )?)
-                    }
-                },
-                Measure::Dtw { band } => match &self.inner {
-                    DiskInner::Messi(messi) => {
-                        let cfg = self.options.messi_config(self.file.series_len())?;
-                        Ok(dsidx_messi::exact_knn_dtw_batch_shared(
-                            messi, source, queries, band, k, &cfg, shard,
-                        )?)
-                    }
-                    _ => Ok(dsidx_ucr::knn_dtw_batch_parallel_with_stats_shared(
-                        source, queries, band, k, threads, shard,
-                    )?),
-                },
-            },
-            Fidelity::Approximate => approx_batch(queries, |q| {
-                Ok(match (&self.inner, spec.measure_kind()) {
-                    (DiskInner::Ads(ads), Measure::Euclidean) => {
-                        dsidx_ads::approx_knn(ads, source, q, k)?
-                    }
-                    (DiskInner::Ads(ads), Measure::Dtw { band }) => {
-                        dsidx_ads::approx_knn_dtw(ads, source, q, band, k)?
-                    }
-                    (DiskInner::Paris(paris), Measure::Euclidean) => {
-                        dsidx_paris::approx_knn(paris, source, q, k)?
-                    }
-                    (DiskInner::Paris(paris), Measure::Dtw { band }) => {
-                        dsidx_paris::approx_knn_dtw(paris, source, q, band, k)?
-                    }
-                    (DiskInner::Messi(messi), Measure::Euclidean) => {
-                        dsidx_messi::approx_knn(messi, source, q, k)?
-                    }
-                    (DiskInner::Messi(messi), Measure::Dtw { band }) => {
-                        dsidx_messi::approx_knn_dtw(messi, source, q, band, k)?
-                    }
-                })
-            }),
-        })?;
-        stats.shared.phase.record(Phase::Prepare, prepare_nanos);
-        Ok((matches, stats))
-    }
-
-    /// Exact 1-NN under Euclidean distance; raw reads go to the modeled
-    /// device. `None` for an empty dataset.
-    ///
-    /// # Errors
-    /// Propagates I/O failures.
-    #[deprecated(note = "use `Search::search` with `QuerySpec::nn()`")]
-    pub fn nn(&self, query: &[f32]) -> Result<Option<Match>, Error> {
-        Ok(self.search(&[query], &QuerySpec::nn())?.into_nn())
-    }
-
-    /// Exact 1-NN plus the unified per-query work counters.
-    ///
-    /// # Errors
-    /// Propagates I/O failures.
-    #[deprecated(note = "use `Search::search` with `QuerySpec::nn().with_stats()`")]
-    pub fn nn_with_stats(&self, query: &[f32]) -> Result<Option<(Match, QueryStats)>, Error> {
-        let (matches, stats) = self
-            .search(&[query], &QuerySpec::nn().with_stats())?
-            .into_single_with_stats();
-        Ok(matches.into_iter().next().map(|m| (m, stats)))
-    }
-
-    /// Exact k-NN under Euclidean distance; raw reads for candidate
-    /// verification go to the modeled device.
-    ///
-    /// # Errors
-    /// Propagates I/O failures; `k == 0` is [`Error::InvalidSpec`].
-    #[deprecated(note = "use `Search::search` with `QuerySpec::knn(k)`")]
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Match>, Error> {
-        Ok(self.search(&[query], &QuerySpec::knn(k))?.into_single())
-    }
-
-    /// Exact k-NN plus the unified per-query work counters.
-    ///
-    /// # Errors
-    /// Propagates I/O failures; `k == 0` is [`Error::InvalidSpec`].
-    #[deprecated(note = "use `Search::search` with `QuerySpec::knn(k).with_stats()`")]
-    pub fn knn_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-    ) -> Result<(Vec<Match>, QueryStats), Error> {
-        Ok(self
-            .search(&[query], &QuerySpec::knn(k).with_stats())?
-            .into_single_with_stats())
-    }
-
-    /// Exact 1-NN for a *batch* of queries; raw reads go to the modeled
-    /// device.
-    ///
-    /// # Errors
-    /// Propagates I/O failures.
-    #[deprecated(note = "use `Search::search` with `QuerySpec::nn()`")]
-    pub fn nn_batch(&self, queries: &[&[f32]]) -> Result<Vec<Option<Match>>, Error> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(self
-            .search(queries, &QuerySpec::nn())?
-            .into_matches()
-            .into_iter()
-            .map(|mut m| m.pop())
-            .collect())
-    }
-
-    /// Exact k-NN for a *batch* of queries answered by one shared engine
-    /// schedule; candidate verification fetches each raw series at most
-    /// once per step for the whole batch, charged to the modeled device.
-    ///
-    /// # Errors
-    /// Propagates I/O failures; `k == 0` is [`Error::InvalidSpec`].
-    #[deprecated(note = "use `Search::search` with `QuerySpec::knn(k)`")]
-    pub fn knn_batch(&self, queries: &[&[f32]], k: usize) -> Result<Vec<Vec<Match>>, Error> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(self.search(queries, &QuerySpec::knn(k))?.into_matches())
-    }
-
-    /// Exact k-NN for a batch of queries plus the [`BatchStats`].
-    ///
-    /// # Errors
-    /// Propagates I/O failures; `k == 0` is [`Error::InvalidSpec`].
-    #[deprecated(note = "use `Search::search` with `QuerySpec::knn(k).with_stats()`")]
-    pub fn knn_batch_with_stats(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-    ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
-        if queries.is_empty() {
-            return Ok((Vec::new(), BatchStats::default()));
-        }
-        Ok(self
-            .search(queries, &QuerySpec::knn(k).with_stats())?
-            .into_parts_with_stats())
-    }
-
-    /// Structural statistics of the underlying tree.
-    #[must_use]
-    pub fn stats(&self) -> IndexStats {
-        match &self.inner {
-            DiskInner::Ads(ads) => index_stats(&ads.index),
-            DiskInner::Paris(paris) => index_stats(&paris.index),
-            DiskInner::Messi(messi) => index_stats(&messi.index),
-        }
-    }
 }
 
 impl Search for DiskIndex {
     fn search(&self, queries: &[&[f32]], spec: &QuerySpec) -> Result<Answers, Error> {
-        trace_search("disk", self.engine, queries.len(), spec);
-        let (matches, stats) = self.run_spec(queries, spec)?;
-        Ok(Answers::new(
-            matches,
-            spec.stats_requested().then_some(stats),
-        ))
+        self.search_on(self.file(), "disk", queries, spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    // The legacy matrix stays covered on purpose: these tests pin the
-    // wrapper behavior the equivalence suite (tests/query_plane.rs)
-    // relates to the QuerySpec spellings.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::error::InvalidSpec;
     use dsidx_series::gen::DatasetKind;
+
+    /// One query's exact Euclidean k-NN, as a batch of one.
+    fn knn(idx: &impl Search, q: &[f32], k: usize) -> Vec<Match> {
+        idx.search(&[q], &QuerySpec::knn(k)).unwrap().into_single()
+    }
+
+    /// The `k = 1` case of [`knn`]; `None` for an empty collection.
+    fn nn(idx: &impl Search, q: &[f32]) -> Option<Match> {
+        idx.search(&[q], &QuerySpec::nn()).unwrap().into_nn()
+    }
+
+    /// One query's exact k-NN under banded DTW, with its work counters.
+    fn knn_dtw(idx: &impl Search, q: &[f32], band: usize, k: usize) -> (Vec<Match>, QueryStats) {
+        let spec = QuerySpec::knn(k)
+            .measure(Measure::Dtw { band })
+            .with_stats();
+        idx.search(&[q], &spec).unwrap().into_single_with_stats()
+    }
 
     #[test]
     fn engine_parsing_and_names() {
@@ -1049,7 +640,7 @@ mod tests {
         for q in queries.iter() {
             let want = dsidx_ucr::brute_force(&data, q).unwrap();
             for idx in &indexes {
-                let got = idx.nn(q).unwrap().unwrap();
+                let got = nn(idx, q).unwrap();
                 assert_eq!(got.pos, want.pos, "{}", idx.engine().name());
             }
         }
@@ -1065,7 +656,7 @@ mod tests {
             for q in queries.iter() {
                 for k in [1usize, 7, 50] {
                     let want = dsidx_ucr::brute_force_knn(&data, q, k);
-                    let got = idx.knn(q, k).unwrap();
+                    let got = knn(&idx, q, k);
                     assert_eq!(
                         got.iter().map(|m| m.pos).collect::<Vec<_>>(),
                         want.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -1074,8 +665,8 @@ mod tests {
                     );
                 }
                 // nn is the k = 1 special case.
-                let nn = idx.nn(q).unwrap().unwrap();
-                assert_eq!(idx.knn(q, 1).unwrap()[0], nn, "{}", engine.name());
+                let nearest = nn(&idx, q).unwrap();
+                assert_eq!(knn(&idx, q, 1)[0], nearest, "{}", engine.name());
             }
         }
     }
@@ -1088,7 +679,10 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         for engine in Engine::ALL {
             let idx = MemoryIndex::build(data.clone(), engine, &opts).unwrap();
-            let (batched, stats) = idx.knn_batch_with_stats(&qrefs, 5).unwrap();
+            let (batched, stats) = idx
+                .search(&qrefs, &QuerySpec::knn(5).with_stats())
+                .unwrap()
+                .into_parts_with_stats();
             // The whole batch costs at most the single-query broadcast
             // budget once — not once per query.
             assert!(
@@ -1099,7 +693,7 @@ mod tests {
                 qrefs.len()
             );
             for (qi, q) in qs.iter().enumerate() {
-                let single = idx.knn(q, 5).unwrap();
+                let single = knn(&idx, q, 5);
                 assert_eq!(
                     batched[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
                     single.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -1107,10 +701,15 @@ mod tests {
                     engine.name()
                 );
             }
-            // nn_batch is the k = 1 column of the same surface.
-            let nns = idx.nn_batch(&qrefs).unwrap();
+            // A 1-NN batch is the k = 1 column of the same surface.
+            let nns = idx.search(&qrefs, &QuerySpec::nn()).unwrap();
             for (qi, q) in qs.iter().enumerate() {
-                assert_eq!(nns[qi], idx.nn(q).unwrap(), "{} q{qi}", engine.name());
+                assert_eq!(
+                    nns.best(qi).copied(),
+                    nn(&idx, q),
+                    "{} q{qi}",
+                    engine.name()
+                );
             }
         }
     }
@@ -1125,7 +724,7 @@ mod tests {
             for q in qs.iter() {
                 for k in [1usize, 6, 25] {
                     let want = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
-                    let (got, stats) = idx.knn_dtw_with_stats(q, 4, k).unwrap();
+                    let (got, stats) = knn_dtw(&idx, q, 4, k);
                     assert_eq!(
                         got.iter().map(|m| m.pos).collect::<Vec<_>>(),
                         want.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -1134,9 +733,10 @@ mod tests {
                     );
                     assert!(stats.lb_keogh_computed > 0, "{}", engine.name());
                 }
-                // nn_dtw is the k = 1 special case.
-                let nn = idx.nn_dtw(q, 4).unwrap().unwrap();
-                assert_eq!(idx.knn_dtw(q, 4, 1).unwrap()[0].pos, nn.pos);
+                // 1-NN is the k = 1 special case.
+                let spec = QuerySpec::nn().measure(Measure::Dtw { band: 4 });
+                let nearest = idx.search(&[q], &spec).unwrap().into_nn().unwrap();
+                assert_eq!(knn_dtw(&idx, q, 4, 1).0[0].pos, nearest.pos);
             }
         }
     }
@@ -1229,11 +829,6 @@ mod tests {
                 ..
             }))
         ));
-        // The legacy wrappers surface the same structured errors.
-        assert!(matches!(
-            idx.knn(&q, 0),
-            Err(Error::InvalidSpec(InvalidSpec::ZeroK))
-        ));
     }
 
     #[test]
@@ -1243,11 +838,12 @@ mod tests {
         let q = DatasetKind::Sald.queries(1, 64, 15);
         for engine in [Engine::Messi, Engine::Paris] {
             let idx = MemoryIndex::build(data.clone(), engine, &opts).unwrap();
-            let (m, stats) = idx
-                .nn_dtw_with_stats(q.get(0), 4)
-                .unwrap()
-                .expect("non-empty");
-            assert_eq!(m, idx.nn_dtw(q.get(0), 4).unwrap().unwrap());
+            let (m, stats) = knn_dtw(&idx, q.get(0), 4, 1);
+            let spec = QuerySpec::nn().measure(Measure::Dtw { band: 4 });
+            assert_eq!(
+                m[0],
+                idx.search(&[q.get(0)], &spec).unwrap().into_nn().unwrap()
+            );
             // Both the index path and the scan fallback report the DTW
             // cascade through the same counters.
             assert!(stats.lb_keogh_computed > 0, "{}", engine.name());
@@ -1289,7 +885,7 @@ mod tests {
 
     #[test]
     fn disk_search_answers_every_fidelity_measure_cell() {
-        // No `Unsupported` cells remain in the on-disk query plane: every
+        // No unsupported cells in the on-disk query plane: every
         // engine answers exact/approximate x ED/DTW over the file.
         let dir = std::env::temp_dir().join(format!("dsidx-core-dtw-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1385,28 +981,14 @@ mod tests {
         let q = DatasetKind::Synthetic.queries(1, 64, 21);
         for engine in Engine::ALL {
             let idx = MemoryIndex::build(data.clone(), engine, &opts).unwrap();
-            let (_, stats): (Match, QueryStats) =
-                idx.nn_with_stats(q.get(0)).unwrap().expect("non-empty");
+            let (_, stats): (Vec<Match>, QueryStats) = idx
+                .search(&[q.get(0)], &QuerySpec::nn().with_stats())
+                .unwrap()
+                .into_single_with_stats();
             // Every engine pays real distances (at least the seeding pass)
             // and reports lower-bound work through the same accessor.
             assert!(stats.real_computed > 0, "{}", engine.name());
             assert!(stats.lb_total() > 0, "{}", engine.name());
-        }
-    }
-
-    fn memory_tree(idx: &MemoryIndex) -> &dsidx_tree::Index {
-        match &idx.inner {
-            MemoryInner::Ads(x) => &x.index,
-            MemoryInner::Paris(x) => &x.index,
-            MemoryInner::Messi(x) => &x.index,
-        }
-    }
-
-    fn disk_tree(idx: &DiskIndex) -> &dsidx_tree::Index {
-        match &idx.inner {
-            DiskInner::Ads(x) => &x.index,
-            DiskInner::Paris(x) => &x.index,
-            DiskInner::Messi(x) => &x.index,
         }
     }
 
@@ -1428,12 +1010,7 @@ mod tests {
             // The decoded tree is structurally *equal* to the built one,
             // node for node (Index derives PartialEq) — the strongest
             // form of "no reconstruction drift".
-            assert_eq!(
-                memory_tree(&built),
-                memory_tree(&opened),
-                "{}",
-                engine.name()
-            );
+            assert_eq!(built.built.tree(), opened.built.tree(), "{}", engine.name());
         }
     }
 
@@ -1460,7 +1037,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(opened.engine(), engine);
-            assert_eq!(disk_tree(&built), disk_tree(&opened), "{}", engine.name());
+            assert_eq!(built.built.tree(), opened.built.tree(), "{}", engine.name());
             // ParIS answers exact queries through the leaf store embedded
             // in the snapshot file — same answers as the scratch-file one.
             let a = built.search(&qs, &QuerySpec::knn(5)).unwrap();

@@ -15,8 +15,6 @@ pub enum Error {
     Storage(dsidx_storage::StorageError),
     /// Series-level validation failure.
     Series(dsidx_series::SeriesError),
-    /// The requested operation does not apply to the chosen engine.
-    Unsupported(&'static str),
     /// A [`QuerySpec`](crate::QuerySpec) (or its queries) failed
     /// validation before any engine ran — the structured form of
     /// query-time misuse (`k == 0`, an over-wide DTW band, an empty
@@ -105,7 +103,6 @@ impl fmt::Display for Error {
             Error::Config(e) => write!(f, "configuration error: {e}"),
             Error::Storage(e) => write!(f, "storage error: {e}"),
             Error::Series(e) => write!(f, "series error: {e}"),
-            Error::Unsupported(what) => write!(f, "unsupported operation: {what}"),
             Error::InvalidSpec(e) => write!(f, "invalid query spec: {e}"),
         }
     }
@@ -117,7 +114,7 @@ impl std::error::Error for Error {
             Error::Config(e) => Some(e),
             Error::Storage(e) => Some(e),
             Error::Series(e) => Some(e),
-            Error::Unsupported(_) | Error::InvalidSpec(_) => None,
+            Error::InvalidSpec(_) => None,
         }
     }
 }
@@ -156,9 +153,6 @@ mod tests {
         let e: Error = dsidx_isax::IsaxError::BadSegmentCount { requested: 0 }.into();
         assert!(e.to_string().contains("configuration"));
         assert!(e.source().is_some());
-        let e = Error::Unsupported("dtw on this engine");
-        assert!(e.to_string().contains("dtw"));
-        assert!(e.source().is_none());
         let e: Error = dsidx_series::SeriesError::EmptySeries.into();
         assert!(e.to_string().contains("series"));
         let e: Error = dsidx_storage::StorageError::BadMagic.into();

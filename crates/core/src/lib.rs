@@ -60,12 +60,18 @@
 //! * [`storage`] — dataset files, device throttling profiles, leaf store;
 //! * [`query`] — the shared exact-NN query kernel (preparation, BSF
 //!   seeding, early-abandoned candidate scans, unified [`QueryStats`]);
-//! * [`ads`], [`ucr`], [`paris`], [`messi`] — the engines;
+//! * [`ads`], [`ucr`], [`paris`], [`messi`] — the engines, each with one
+//!   exact and one approximate entry point (`exact`, `approx`) taking
+//!   batches and the [`Measure`] as values;
 //! * [`sync`] — the concurrency substrate (atomic BSF, Fetch&Inc claims).
 //!
-//! Use the facade types ([`MemoryIndex`], [`DiskIndex`]) for application
-//! code and the engine crates directly for experiments that need full
-//! control (the `dsidx-bench` harness does the latter).
+//! The facade itself is small: [`engine`] holds the one index type
+//! ([`engine::Index`], of which [`MemoryIndex`] and [`DiskIndex`] are the
+//! two instantiations) and the one dispatch from a [`QuerySpec`] onto
+//! those entry points; [`shard`] scatters the same dispatch over slices of
+//! a collection. Use the facade types for application code and the engine
+//! crates directly for experiments that need full control (the
+//! `dsidx-bench` harness does the latter).
 
 pub mod answers;
 pub mod engine;

@@ -8,11 +8,11 @@ use crate::spec::QuerySpec;
 /// wherever the data lives: a batch of queries in, an [`Answers`] out,
 /// shaped by a [`QuerySpec`].
 ///
-/// Implemented by [`MemoryIndex`](crate::MemoryIndex) and
-/// [`DiskIndex`](crate::DiskIndex); both route all four request axes
-/// (`k`, measure, fidelity, stats) through one internal dispatch per
-/// engine, so a single query is literally a batch of one and every legacy
-/// facade method is a thin wrapper over this call.
+/// Implemented by [`MemoryIndex`](crate::MemoryIndex),
+/// [`DiskIndex`](crate::DiskIndex) and [`ShardedIndex`](crate::ShardedIndex);
+/// all four request axes (`k`, measure, fidelity, stats) go through one
+/// internal dispatch onto one exact and one approximate entry point per
+/// engine, so a single query is literally a batch of one.
 ///
 /// ```
 /// use dsidx::prelude::*;
@@ -47,9 +47,6 @@ pub trait Search {
     /// # Errors
     /// [`Error::InvalidSpec`] for query-time misuse (`k == 0`, empty
     /// batch, over-wide DTW band, wrong query length, a `NaN` or infinite
-    /// query value);
-    /// [`Error::Unsupported`] when the engine cannot run the spec (exact
-    /// DTW on an on-disk index); I/O and configuration failures from the
-    /// engines.
+    /// query value); I/O and configuration failures from the engines.
     fn search(&self, queries: &[&[f32]], spec: &QuerySpec) -> Result<Answers, Error>;
 }

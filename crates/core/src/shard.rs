@@ -38,14 +38,15 @@
 //! instead of spawning `N * threads` workers.
 
 use crate::answers::Answers;
-use crate::engine::{trace_search, DiskIndex, Engine, MemoryIndex};
+use crate::engine::{trace_search, DiskIndex, Engine, Index, MemoryIndex};
 use crate::error::Error;
 use crate::options::Options;
 use crate::search::Search;
 use crate::spec::{Fidelity, QuerySpec};
-use dsidx_query::{BatchStats, QueryStats, ShardView, SharedPruners};
+use dsidx_obs::phase::{Phase, PhaseClock};
+use dsidx_query::{BatchStats, QueryStats, SeriesFetcher, ShardView, SharedPruners};
 use dsidx_series::{Dataset, Match};
-use dsidx_storage::{Device, DeviceProfile, FlakySource, RawSource, StorageError};
+use dsidx_storage::{DatasetFile, Device, DeviceProfile, FlakySource, RawSource, StorageError};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -87,55 +88,85 @@ pub fn partition(total: usize, shards: usize) -> Vec<Range<usize>> {
 /// Per-shard answer: the shard-local matches plus its merged stats.
 type ShardOutput = Result<(Vec<Vec<Match>>, BatchStats), Error>;
 
-enum ShardIndex {
-    Memory(Box<MemoryIndex>),
-    Disk(Box<DiskIndex>),
-}
-
 /// One shard: an ordinary engine index over a contiguous slice, plus the
 /// slice's global offset and an optional fault-injecting source override.
-struct Shard {
-    index: ShardIndex,
+struct Shard<S> {
+    index: Index<S>,
     base: u32,
     count: usize,
     flaky: Option<FlakySource>,
 }
 
-impl Shard {
-    /// Runs the spec on this shard, reading raw series from the shard's
-    /// own source (or its fault-injecting override) and feeding the
-    /// cross-shard pruners when `view` is set.
+impl<S> Shard<S> {
+    /// Runs the (already validated) spec on this shard, reading raw series
+    /// from `own` — the shard's own source — or from its fault-injecting
+    /// override, and feeding the cross-shard pruners when `view` is set.
     fn run(
         &self,
+        own: &impl RawSource,
         queries: &[&[f32]],
         spec: &QuerySpec,
         view: Option<ShardView<'_>>,
     ) -> ShardOutput {
-        match (&self.index, &self.flaky) {
-            (ShardIndex::Memory(m), None) => m.run_spec_sharded(m.data(), queries, spec, view),
-            (ShardIndex::Memory(m), Some(f)) => m.run_spec_sharded(f, queries, spec, view),
-            (ShardIndex::Disk(d), None) => d.run_spec_sharded(d.file(), queries, spec, view),
-            (ShardIndex::Disk(d), Some(f)) => d.run_spec_sharded(f, queries, spec, view),
+        match &self.flaky {
+            Some(flaky) => self.index.run(flaky, queries, spec, view),
+            None => self.index.run(own, queries, spec, view),
         }
     }
+}
 
-    /// Materializes the shard's raw source as an in-memory dataset (used
-    /// to wrap it in a [`FlakySource`]).
-    fn materialize(&self) -> Result<Dataset, Error> {
-        match &self.index {
-            ShardIndex::Memory(m) => Ok(m.data().clone()),
-            ShardIndex::Disk(d) => {
-                let file = d.file();
-                let series_len = file.series_len();
-                let mut flat = Vec::with_capacity(file.count() * series_len);
-                let mut buf = vec![0.0f32; series_len];
-                for pos in 0..file.count() {
-                    file.read_into(pos, &mut buf)?;
-                    flat.extend_from_slice(&buf);
-                }
-                Ok(Dataset::from_flat(flat, series_len)?)
-            }
+/// The shards of one index — all of one residence.
+enum Shards {
+    Memory(Vec<Shard<Arc<Dataset>>>),
+    Disk(Vec<Shard<DatasetFile>>),
+}
+
+/// Positions `range` of `source` as a dataset of their own.
+fn slice_of(source: &impl RawSource, range: Range<usize>) -> Result<Dataset, Error> {
+    let series_len = source.series_len();
+    let mut flat = Vec::with_capacity(range.len() * series_len);
+    let mut fetcher = SeriesFetcher::new(source);
+    for pos in range {
+        flat.extend_from_slice(fetcher.fetch(pos)?);
+    }
+    Ok(Dataset::from_flat(flat, series_len)?)
+}
+
+/// The per-shard assembly loop behind all four constructors: one index per
+/// [`partition`] slice of `total` series, from `index_for(shard, slice)`.
+/// A storage failure is labeled with its shard, and every index must
+/// report `engine` (an opened snapshot names its own).
+fn assemble<S>(
+    total: usize,
+    shards: usize,
+    engine: Engine,
+    mut index_for: impl FnMut(usize, Range<usize>) -> Result<Index<S>, Error>,
+) -> Result<Vec<Shard<S>>, Error> {
+    let mut built = Vec::with_capacity(shards);
+    for (s, range) in partition(total, shards).into_iter().enumerate() {
+        let index = index_for(s, range.clone()).map_err(|e| for_shard(e, s))?;
+        if index.engine() != engine {
+            return Err(manifest_corrupt(format!(
+                "shard {s} snapshot was saved with engine {}, manifest says {}",
+                index.engine().name(),
+                engine.name()
+            )));
         }
+        built.push(Shard {
+            index,
+            base: u32::try_from(range.start).expect("dataset positions fit in u32"),
+            count: range.len(),
+            flaky: None,
+        });
+    }
+    Ok(built)
+}
+
+/// Labels a storage failure with the shard it happened in.
+fn for_shard(e: Error, shard: usize) -> Error {
+    match e {
+        Error::Storage(err) => Error::Storage(err.for_shard(shard as u64)),
+        other => other,
     }
 }
 
@@ -164,7 +195,7 @@ impl Shard {
 /// );
 /// ```
 pub struct ShardedIndex {
-    shards: Vec<Shard>,
+    shards: Shards,
     engine: Engine,
     series_len: usize,
     total: usize,
@@ -172,6 +203,17 @@ pub struct ShardedIndex {
 }
 
 impl ShardedIndex {
+    /// `shards` as one logical index, BSF sharing on.
+    fn new(shards: Shards, engine: Engine, series_len: usize, total: usize) -> Self {
+        Self {
+            shards,
+            engine,
+            series_len,
+            total,
+            share_bsf: true,
+        }
+    }
+
     /// Builds `shards` in-memory engine indexes, one per [`partition`]
     /// slice of `data`.
     ///
@@ -186,28 +228,11 @@ impl ShardedIndex {
         engine: Engine,
         options: &Options,
     ) -> Result<Self, Error> {
-        let series_len = data.series_len();
-        let mut built = Vec::with_capacity(shards);
-        for range in partition(data.len(), shards) {
-            let mut flat = Vec::with_capacity(range.len() * series_len);
-            for pos in range.clone() {
-                flat.extend_from_slice(data.get(pos));
-            }
-            let part = Dataset::from_flat(flat, series_len)?;
-            built.push(Shard {
-                index: ShardIndex::Memory(Box::new(MemoryIndex::build(part, engine, options)?)),
-                base: u32::try_from(range.start).expect("dataset positions fit in u32"),
-                count: range.len(),
-                flaky: None,
-            });
-        }
-        Ok(Self {
-            shards: built,
-            engine,
-            series_len,
-            total: data.len(),
-            share_bsf: true,
-        })
+        let built = assemble(data.len(), shards, engine, |_, range| {
+            MemoryIndex::build(slice_of(data, range)?, engine, options)
+        })?;
+        let shards = Shards::Memory(built);
+        Ok(Self::new(shards, engine, data.series_len(), data.len()))
     }
 
     /// Splits the dataset file at `dataset_path` into `shards` contiguous
@@ -229,47 +254,22 @@ impl ShardedIndex {
         profile: DeviceProfile,
     ) -> Result<Self, Error> {
         let device = Arc::new(Device::unthrottled());
-        let file = dsidx_storage::DatasetFile::open(dataset_path, Arc::clone(&device))?;
-        let series_len = file.series_len();
-        let total = file.count();
+        let file = DatasetFile::open(dataset_path, Arc::clone(&device))?;
         std::fs::create_dir_all(workdir).map_err(StorageError::from)?;
         // ORDERING: relaxed — the counter only mints unique workdir names;
         // nothing is published through it.
         let seq = SHARD_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut built = Vec::with_capacity(shards);
-        for (s, range) in partition(total, shards).into_iter().enumerate() {
-            let mut flat = Vec::with_capacity(range.len() * series_len);
-            let mut buf = vec![0.0f32; series_len];
-            for pos in range.clone() {
-                file.read_into(pos, &mut buf)?;
-                flat.extend_from_slice(&buf);
-            }
-            let part = Dataset::from_flat(flat, series_len)?;
+        let built = assemble(file.count(), shards, engine, |s, range| {
             let shard_path = workdir.join(format!(
                 "dsidx-shard-{}-{seq}-{s}.dsidx",
                 std::process::id()
             ));
+            let part = slice_of(&file, range)?;
             dsidx_storage::write_dataset(&shard_path, &part, Arc::clone(&device))?;
-            built.push(Shard {
-                index: ShardIndex::Disk(Box::new(DiskIndex::build(
-                    &shard_path,
-                    workdir,
-                    engine,
-                    options,
-                    profile,
-                )?)),
-                base: u32::try_from(range.start).expect("dataset positions fit in u32"),
-                count: range.len(),
-                flaky: None,
-            });
-        }
-        Ok(Self {
-            shards: built,
-            engine,
-            series_len,
-            total,
-            share_bsf: true,
-        })
+            DiskIndex::build(&shard_path, workdir, engine, options, profile)
+        })?;
+        let shards = Shards::Disk(built);
+        Ok(Self::new(shards, engine, file.series_len(), file.count()))
     }
 
     /// Saves the sharded index as one snapshot artifact per shard inside
@@ -288,33 +288,28 @@ impl ShardedIndex {
     /// I/O failures creating `dir` or writing any artifact.
     pub fn save(&self, dir: &Path) -> Result<u64, Error> {
         std::fs::create_dir_all(dir).map_err(StorageError::from)?;
-        let mut total_bytes = 0u64;
-        let mut manifest = String::new();
-        manifest.push_str("dsidx-snapshot-manifest v1\n");
-        manifest.push_str(&format!("engine {}\n", self.engine.name()));
-        manifest.push_str(&format!("series_len {}\n", self.series_len));
-        manifest.push_str(&format!("total {}\n", self.total));
-        manifest.push_str(&format!("shards {}\n", self.shards.len()));
-        for (s, shard) in self.shards.iter().enumerate() {
-            let file = format!("shard-{s}.snap");
-            let (kind, dataset) = match &shard.index {
-                ShardIndex::Memory(m) => {
-                    total_bytes += m.save(&dir.join(&file))?;
-                    ("memory", "-".to_string())
-                }
-                ShardIndex::Disk(d) => {
-                    total_bytes += d.save(&dir.join(&file))?;
-                    ("disk", d.file().path().display().to_string())
-                }
-            };
-            manifest.push_str(&format!(
-                "shard {s} {kind} {} {} {file} {dataset}\n",
-                shard.base, shard.count
-            ));
-        }
+        let mut manifest = format!(
+            "dsidx-snapshot-manifest v1\nengine {}\nseries_len {}\ntotal {}\nshards {}\n",
+            self.engine.name(),
+            self.series_len,
+            self.total,
+            self.shard_count()
+        );
+        let shard_bytes = match &self.shards {
+            Shards::Memory(shards) => {
+                save_shards(shards, dir, "memory", &mut manifest, |m, path| {
+                    Ok((m.save(path)?, "-".to_string()))
+                })
+            }
+            Shards::Disk(shards) => save_shards(shards, dir, "disk", &mut manifest, |d, path| {
+                // Absolute, so the manifest can be followed from any
+                // working directory, whatever path the file was opened by.
+                let dataset = std::fs::canonicalize(d.file().path()).map_err(StorageError::from)?;
+                Ok((d.save(path)?, dataset.display().to_string()))
+            }),
+        }?;
         std::fs::write(dir.join("MANIFEST"), &manifest).map_err(StorageError::from)?;
-        total_bytes += manifest.len() as u64;
-        Ok(total_bytes)
+        Ok(shard_bytes + manifest.len() as u64)
     }
 
     /// Reopens a saved sharded index over `data` — the same concatenated
@@ -338,41 +333,13 @@ impl ShardedIndex {
                 data.series_len()
             )));
         }
-        let mut built = Vec::with_capacity(m.shards.len());
-        for (entry, range) in m.shards.iter().zip(partition(m.total, m.shards.len())) {
-            entry.check_slice(&range)?;
-            let mut flat = Vec::with_capacity(range.len() * m.series_len);
-            for pos in range.clone() {
-                flat.extend_from_slice(data.get(pos));
-            }
-            let part = Dataset::from_flat(flat, m.series_len)?;
-            let index =
-                MemoryIndex::open(&dir.join(&entry.file), part, options).map_err(|e| match e {
-                    Error::Storage(err) => Error::Storage(err.for_shard(entry.index)),
-                    other => other,
-                })?;
-            if index.engine() != m.engine {
-                return Err(manifest_corrupt(format!(
-                    "shard {} snapshot was saved with engine {}, manifest says {}",
-                    entry.index,
-                    index.engine().name(),
-                    m.engine.name()
-                )));
-            }
-            built.push(Shard {
-                index: ShardIndex::Memory(Box::new(index)),
-                base: u32::try_from(range.start).expect("dataset positions fit in u32"),
-                count: range.len(),
-                flaky: None,
-            });
-        }
-        Ok(Self {
-            shards: built,
-            engine: m.engine,
-            series_len: m.series_len,
-            total: m.total,
-            share_bsf: true,
-        })
+        let built = assemble(m.total, m.shards.len(), m.engine, |s, range| {
+            let entry = &m.shards[s];
+            entry.check_slice(s, &range)?;
+            MemoryIndex::open(&dir.join(&entry.file), slice_of(data, range)?, options)
+        })?;
+        let shards = Shards::Memory(built);
+        Ok(Self::new(shards, m.engine, m.series_len, m.total))
     }
 
     /// Reopens a saved on-disk sharded index from `dir` alone: each
@@ -389,44 +356,19 @@ impl ShardedIndex {
         profile: DeviceProfile,
     ) -> Result<Self, Error> {
         let m = Manifest::read(dir)?;
-        let mut built = Vec::with_capacity(m.shards.len());
-        for (entry, range) in m.shards.iter().zip(partition(m.total, m.shards.len())) {
-            entry.check_slice(&range)?;
+        let built = assemble(m.total, m.shards.len(), m.engine, |s, range| {
+            let entry = &m.shards[s];
+            entry.check_slice(s, &range)?;
             let (true, Some(dataset)) = (entry.on_disk, &entry.dataset) else {
                 return Err(manifest_corrupt(format!(
-                    "shard {} was saved from memory; open_on_disk needs shards saved from disk \
-                     (use open_in_memory)",
-                    entry.index
+                    "shard {s} was saved from memory; open_on_disk needs shards saved from disk \
+                     (use open_in_memory)"
                 )));
             };
-            let index =
-                DiskIndex::open(&dir.join(&entry.file), Path::new(dataset), options, profile)
-                    .map_err(|e| match e {
-                        Error::Storage(err) => Error::Storage(err.for_shard(entry.index)),
-                        other => other,
-                    })?;
-            if index.engine() != m.engine {
-                return Err(manifest_corrupt(format!(
-                    "shard {} snapshot was saved with engine {}, manifest says {}",
-                    entry.index,
-                    index.engine().name(),
-                    m.engine.name()
-                )));
-            }
-            built.push(Shard {
-                index: ShardIndex::Disk(Box::new(index)),
-                base: u32::try_from(range.start).expect("dataset positions fit in u32"),
-                count: range.len(),
-                flaky: None,
-            });
-        }
-        Ok(Self {
-            shards: built,
-            engine: m.engine,
-            series_len: m.series_len,
-            total: m.total,
-            share_bsf: true,
-        })
+            DiskIndex::open(&dir.join(&entry.file), Path::new(dataset), options, profile)
+        })?;
+        let shards = Shards::Disk(built);
+        Ok(Self::new(shards, m.engine, m.series_len, m.total))
     }
 
     /// The engine every shard was built with.
@@ -438,7 +380,10 @@ impl ShardedIndex {
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        match &self.shards {
+            Shards::Memory(shards) => shards.len(),
+            Shards::Disk(shards) => shards.len(),
+        }
     }
 
     /// Total series indexed across all shards.
@@ -487,14 +432,34 @@ impl ShardedIndex {
         shard: usize,
         reads_before_failure: u64,
     ) -> Result<(), Error> {
-        let data = self.shards[shard].materialize()?;
-        self.shards[shard].flaky = Some(FlakySource::new(data, reads_before_failure));
+        let (data, slot) = match &mut self.shards {
+            Shards::Memory(shards) => {
+                let shard = &mut shards[shard];
+                (shard.index.data().clone(), &mut shard.flaky)
+            }
+            Shards::Disk(shards) => {
+                let shard = &mut shards[shard];
+                let file = shard.index.file();
+                (slice_of(file, 0..file.count())?, &mut shard.flaky)
+            }
+        };
+        *slot = Some(FlakySource::new(data, reads_before_failure));
         Ok(())
     }
 
-    /// The scatter-gather coordinator behind [`Search::search`].
-    fn run_spec(&self, queries: &[&[f32]], spec: &QuerySpec) -> ShardOutput {
+    /// The scatter-gather coordinator behind [`Search::search`], over
+    /// shards of either residence; `own` names a shard index's raw source.
+    /// The spec is validated here, once for all shards.
+    fn scatter_gather<S: Sync, R: RawSource>(
+        &self,
+        shards: &[Shard<S>],
+        own: fn(&Index<S>) -> &R,
+        queries: &[&[f32]],
+        spec: &QuerySpec,
+    ) -> ShardOutput {
+        let mut clock = PhaseClock::start();
         spec.validate(self.series_len, queries)?;
+        let validate_nanos = clock.lap();
         let sharing = self.share_bsf && matches!(spec.fidelity_kind(), Fidelity::Exact);
         let pruners = sharing.then(|| SharedPruners::new(queries.len(), spec.k()));
 
@@ -504,8 +469,7 @@ impl ShardedIndex {
         // self-deadlocks. Broadcasts from different shards serialize on
         // the pool's run lock; the serial parts overlap.
         let results: Vec<(ShardOutput, Duration)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
+            let handles: Vec<_> = shards
                 .iter()
                 .enumerate()
                 .map(|(s, shard)| {
@@ -513,10 +477,9 @@ impl ShardedIndex {
                     scope.spawn(move || {
                         let start = Instant::now();
                         let view = pruners.map(|p| p.view(shard.base));
-                        let out = shard.run(queries, spec, view).map_err(|e| match e {
-                            Error::Storage(err) => Error::Storage(err.for_shard(s as u64)),
-                            other => other,
-                        });
+                        let out = shard
+                            .run(own(&shard.index), queries, spec, view)
+                            .map_err(|e| for_shard(e, s));
                         (out, start.elapsed())
                     })
                 })
@@ -544,7 +507,7 @@ impl ShardedIndex {
             // smallest `(distance, global position)` pairs per query.
             None => {
                 let mut merged: Vec<Vec<Match>> = vec![Vec::new(); queries.len()];
-                for (shard, (shard_matches, _)) in self.shards.iter().zip(&parts) {
+                for (shard, (shard_matches, _)) in shards.iter().zip(&parts) {
                     for (qi, ms) in shard_matches.iter().enumerate() {
                         merged[qi]
                             .extend(ms.iter().map(|m| Match::new(shard.base + m.pos, m.dist_sq)));
@@ -564,13 +527,14 @@ impl ShardedIndex {
         };
 
         if pruners.is_some() && dsidx_obs::trace::enabled() {
-            trace_bsf_wins(&self.shards, &matches);
+            trace_bsf_wins(shards, &matches);
         }
 
         let mut stats = BatchStats {
             per_query: vec![QueryStats::default(); queries.len()],
             ..BatchStats::default()
         };
+        stats.shared.phase.record(Phase::Prepare, validate_nanos);
         for (_, p) in &parts {
             stats.broadcasts += p.broadcasts;
             stats.series_fetched += p.series_fetched;
@@ -584,13 +548,35 @@ impl ShardedIndex {
     }
 }
 
+/// Saves every shard's snapshot into `dir` and appends its `shard` line to
+/// `manifest`; `save` writes one index and names its dataset file for the
+/// line. Returns the bytes written.
+fn save_shards<S>(
+    shards: &[Shard<S>],
+    dir: &Path,
+    kind: &str,
+    manifest: &mut String,
+    save: impl Fn(&Index<S>, &Path) -> Result<(u64, String), Error>,
+) -> Result<u64, Error> {
+    let mut total_bytes = 0;
+    for (s, shard) in shards.iter().enumerate() {
+        let file = format!("shard-{s}.snap");
+        let (bytes, dataset) = save(&shard.index, &dir.join(&file))?;
+        total_bytes += bytes;
+        manifest.push_str(&format!(
+            "shard {s} {kind} {} {} {file} {dataset}\n",
+            shard.base, shard.count
+        ));
+    }
+    Ok(total_bytes)
+}
+
 fn manifest_corrupt(msg: String) -> Error {
     Error::Storage(StorageError::Corrupt(msg))
 }
 
 /// One `shard ...` line of a sharded-snapshot `MANIFEST`.
 struct ManifestShard {
-    index: u64,
     on_disk: bool,
     base: u32,
     count: usize,
@@ -603,12 +589,11 @@ struct ManifestShard {
 impl ManifestShard {
     /// The recorded slice must be the one [`partition`] re-derives —
     /// otherwise global positions would silently shift.
-    fn check_slice(&self, range: &Range<usize>) -> Result<(), Error> {
+    fn check_slice(&self, shard: usize, range: &Range<usize>) -> Result<(), Error> {
         if self.base as usize != range.start || self.count != range.len() {
             return Err(manifest_corrupt(format!(
-                "shard {} records slice ({}, {}) but the partition rule gives ({}, {}) — the \
+                "shard {shard} records slice ({}, {}) but the partition rule gives ({}, {}) — the \
                  manifest was edited or truncated",
-                self.index,
                 self.base,
                 self.count,
                 range.start,
@@ -676,14 +661,13 @@ impl Manifest {
                         "memory" => false,
                         _ => return Err(bad("residence")),
                     };
-                    let index = i.parse::<u64>().map_err(|_| bad("shard number"))?;
-                    if index != shards.len() as u64 {
+                    let index = i.parse::<usize>().map_err(|_| bad("shard number"))?;
+                    if index != shards.len() {
                         return Err(manifest_corrupt(format!(
                             "manifest shard records are out of order at shard {index}"
                         )));
                     }
                     shards.push(ManifestShard {
-                        index,
                         on_disk,
                         base: base.parse().map_err(|_| bad("base"))?,
                         count: count.parse().map_err(|_| bad("count"))?,
@@ -721,7 +705,10 @@ impl Manifest {
 impl Search for ShardedIndex {
     fn search(&self, queries: &[&[f32]], spec: &QuerySpec) -> Result<Answers, Error> {
         trace_search("sharded", self.engine, queries.len(), spec);
-        let (matches, stats) = self.run_spec(queries, spec)?;
+        let (matches, stats) = match &self.shards {
+            Shards::Memory(shards) => self.scatter_gather(shards, MemoryIndex::data, queries, spec),
+            Shards::Disk(shards) => self.scatter_gather(shards, DiskIndex::file, queries, spec),
+        }?;
         Ok(Answers::new(
             matches,
             spec.stats_requested().then_some(stats),
@@ -773,7 +760,7 @@ fn record_shard_obs(shard: usize, elapsed: Duration, stats: &BatchStats) {
 /// Emits one `shard_bsf_win` trace event per (query, shard) whose inserts
 /// survived into the final top-k — the shards whose candidates improved
 /// the shared BSF and held their rank to the end.
-fn trace_bsf_wins(shards: &[Shard], matches: &[Vec<Match>]) {
+fn trace_bsf_wins<S>(shards: &[Shard<S>], matches: &[Vec<Match>]) {
     use dsidx_obs::trace::Value;
     for (qi, ms) in matches.iter().enumerate() {
         for (s, shard) in shards.iter().enumerate() {

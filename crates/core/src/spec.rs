@@ -12,29 +12,13 @@
 //!
 //! Batching is not a spec axis: [`Search::search`](crate::Search::search)
 //! always takes a slice of queries, and a single query is a batch of one.
-//! Adding a new axis value means adding an enum variant (both enums are
-//! `#[non_exhaustive]`), not a new method on every index type.
+//! Adding a new axis value means adding an enum variant, not a new method
+//! on every index type. [`Measure`] lives in `dsidx-query`, below the
+//! engines, because their entry points take it as a value.
 
 use crate::error::{Error, InvalidSpec};
 
-/// The similarity measure a query is answered under.
-///
-/// Marked `#[non_exhaustive]`: future measures (e.g. normalized or
-/// weighted variants) appear as new variants, not new facade methods.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum Measure {
-    /// Euclidean distance (the paper's default measure).
-    Euclidean,
-    /// Dynamic Time Warping under a Sakoe-Chiba band of half-width `band`
-    /// (in points; `band = 0` degenerates to Euclidean alignment). The
-    /// same index answers both measures (§V of the paper).
-    Dtw {
-        /// Sakoe-Chiba half-width in points; must be smaller than the
-        /// series length.
-        band: usize,
-    },
-}
+pub use dsidx_query::Measure;
 
 /// How faithful the answer must be.
 ///

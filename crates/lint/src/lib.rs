@@ -13,7 +13,6 @@
 //! | `atomics-ordering` | every `Ordering::Relaxed` publish point carries an `// ORDERING:` rationale or an allowlist entry |
 //! | `error-context` | no `.unwrap()`/`.expect()` on fallible storage reads in engine/query crates |
 //! | `obs-catalog` | README metric/trace catalogs match the names defined in code, both directions |
-//! | `deprecated-delegation` | `#[deprecated]` facade wrappers stay thin delegations to `Search::search` |
 //!
 //! Run `cargo run -p dsidx-lint --release` from the workspace; see
 //! `--explain <rule-id>` for the full rationale behind any rule, and

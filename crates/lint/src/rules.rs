@@ -155,21 +155,6 @@ Fix: add the catalog row (name in backticks in the first table column), or
 delete the stale row/constant.",
         check: check_obs_catalog,
     },
-    Rule {
-        id: "deprecated-delegation",
-        summary: "#[deprecated] facade wrappers stay thin delegations",
-        explain: "\
-Every `#[deprecated]` fn must remain a thin wrapper over the query plane: a
-body of at most 14 lines that calls `.search(` and contains no loops,
-`match`, or unsafe code. The legacy nn/knn method matrix survives only as
-documentation-by-delegation; logic accreting inside a deprecated wrapper
-would fork behavior away from `Search::search` and un-deprecate it de facto.
-
-Why: tests/public_api.rs pins the facade surface; this rule pins its depth.
-
-Fix: move the logic into the QuerySpec/Search path and delegate to it.",
-        check: check_deprecated_delegation,
-    },
 ];
 
 /// Looks up a rule by id.
@@ -723,92 +708,6 @@ fn check_obs_catalog(ws: &Workspace) -> Vec<Violation> {
                 "obs-catalog",
                 format!("README catalogs trace event `{name}` but no code emits it"),
             ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------- rule 5
-
-/// Maximum body height (lines between the braces, inclusive) of a
-/// deprecated wrapper: enough for an empty-batch guard plus one delegation
-/// chain, not enough for logic.
-const WRAPPER_MAX_LINES: usize = 14;
-
-fn check_deprecated_delegation(ws: &Workspace) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for f in &ws.files {
-        for (idx, line) in f.lines.iter().enumerate() {
-            if !line.code.contains("#[deprecated") || f.is_test_line(idx) {
-                continue;
-            }
-            // Find the fn the attribute decorates (the attribute itself and
-            // doc comments may span lines).
-            let mut fn_line = None;
-            for j in idx..(idx + 12).min(f.lines.len()) {
-                if f.lines[j].code.contains("fn ") {
-                    fn_line = Some(j);
-                    break;
-                }
-            }
-            let Some(fn_line) = fn_line else {
-                continue;
-            };
-            // Brace-match the body on stripped code.
-            let mut depth = 0i64;
-            let mut open = None;
-            let mut close = None;
-            'body: for j in fn_line..f.lines.len() {
-                for ch in f.lines[j].code.chars() {
-                    match ch {
-                        '{' => {
-                            if open.is_none() {
-                                open = Some(j);
-                            }
-                            depth += 1;
-                        }
-                        '}' => {
-                            depth -= 1;
-                            if depth == 0 && open.is_some() {
-                                close = Some(j);
-                                break 'body;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            let (Some(open), Some(close)) = (open, close) else {
-                continue; // trait decl without body
-            };
-            let body: Vec<&str> = (open..=close).map(|j| f.lines[j].code.as_str()).collect();
-            let body_text = body.join("\n");
-            let height = close - open + 1;
-            let mut problems = Vec::new();
-            if height > WRAPPER_MAX_LINES {
-                problems.push(format!(
-                    "body spans {height} lines (max {WRAPPER_MAX_LINES})"
-                ));
-            }
-            if !body_text.contains(".search(") {
-                problems.push("does not delegate to `.search(`".to_owned());
-            }
-            for kw in ["for", "while", "loop", "match", "unsafe"] {
-                if has_word(&body_text, kw).is_some() {
-                    problems.push(format!("contains `{kw}`"));
-                }
-            }
-            if !problems.is_empty() {
-                out.push(Violation::new(
-                    &f.path,
-                    fn_line,
-                    "deprecated-delegation",
-                    format!(
-                        "#[deprecated] wrapper is no longer a thin delegation: {}",
-                        problems.join("; ")
-                    ),
-                ));
-            }
         }
     }
     out

@@ -15,8 +15,6 @@ const ATOMICS_GOOD: &str = include_str!("../fixtures/atomics_good.rs");
 const ATOMICS_BAD: &str = include_str!("../fixtures/atomics_bad.rs");
 const ERRCTX_GOOD: &str = include_str!("../fixtures/error_context_good.rs");
 const ERRCTX_BAD: &str = include_str!("../fixtures/error_context_bad.rs");
-const DEPRECATED_GOOD: &str = include_str!("../fixtures/deprecated_good.rs");
-const DEPRECATED_BAD: &str = include_str!("../fixtures/deprecated_bad.rs");
 const OBS_CODE: &str = include_str!("../fixtures/obs_metrics.rs");
 const OBS_README: &str = include_str!("../fixtures/obs_readme.md");
 
@@ -184,21 +182,6 @@ fn obs_catalog_requires_markers() {
     );
     let r = ws.check();
     assert_eq!(findings(&r, "obs-catalog"), vec![("README.md", 1)]);
-}
-
-#[test]
-fn deprecated_delegation_negative() {
-    let ws = workspace_from_sources(&[("crates/core/src/fx.rs", DEPRECATED_BAD)], None, "");
-    assert_eq!(
-        findings(&ws.check(), "deprecated-delegation"),
-        vec![("crates/core/src/fx.rs", 6)]
-    );
-}
-
-#[test]
-fn deprecated_delegation_positive() {
-    let ws = workspace_from_sources(&[("crates/core/src/fx.rs", DEPRECATED_GOOD)], None, "");
-    assert_eq!(findings(&ws.check(), "deprecated-delegation"), vec![]);
 }
 
 #[test]

@@ -121,15 +121,3 @@ fn injected_uncataloged_metric_is_caught() {
         "crates/obs/src/zz_lint_inject.rs",
     );
 }
-
-#[test]
-fn injected_fat_deprecated_wrapper_is_caught() {
-    assert_injected_caught(
-        &[(
-            "crates/core/src/zz_lint_inject.rs",
-            include_str!("../fixtures/deprecated_bad.rs"),
-        )],
-        "deprecated-delegation",
-        "crates/core/src/zz_lint_inject.rs",
-    );
-}

@@ -17,33 +17,29 @@
 //!
 //! The schedules are the Euclidean ones ([`crate::query`] — whole queries
 //! per worker, cooperative, or shared fetch, chosen by the same rule from
-//! the source's residence and the batch width); this module only supplies
-//! the DTW `LeafKernel`: interval tables instead of point tables, the
-//! cascade at the leaves, and [`Phase::DtwCascade`] as the phase the
-//! broadcast is booked under. Like the ED paths, every entry point is
-//! generic over [`RawSource`]: the cascade's first stage prunes from the
-//! leaf summaries alone, so an on-disk source pays positioned reads only
-//! for entries that survive the iSAX bound — this is what gives exact DTW
-//! an on-disk schedule. Mid-query read failures surface as `Err`.
+//! the source's residence and the batch width), entered through the same
+//! [`exact`](crate::query::exact) with `Measure::Dtw { band }`; this module
+//! only supplies the DTW `LeafKernel`: interval tables instead of point
+//! tables, the cascade at the leaves, and [`Phase::DtwCascade`] as the
+//! phase the broadcast is booked under. Like the ED path it is generic
+//! over [`RawSource`]: the cascade's first stage prunes from the leaf
+//! summaries alone, so an on-disk source pays positioned reads only for
+//! entries that survive the iSAX bound — this is what gives exact DTW an
+//! on-disk schedule. Mid-query read failures surface as `Err`.
 
-use crate::build::MessiIndex;
-use crate::config::MessiConfig;
-use crate::query::{exact_batch, LeafKernel};
+use crate::query::LeafKernel;
 use dsidx_isax::{NodeMindistTable, Quantizer, Word};
 use dsidx_obs::phase::Phase;
 use dsidx_query::{
     batch_process_leaf_entries_dtw, batch_seed_positions_dtw, process_leaf_entries_dtw,
-    seed_from_entries_dtw, BatchStats, DtwPrepared, LeafScratch, Pruner, QueryBatch, QueryStats,
-    SeriesFetcher, ShardView,
+    seed_from_entries_dtw, DtwPrepared, LeafScratch, Pruner, QueryBatch, QueryStats, SeriesFetcher,
 };
-use dsidx_series::distance::dtw::envelope;
-use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 
 /// Banded DTW: interval MINDIST tables from the query's envelope, then
 /// the raw-series cascade for what survives them.
-struct Dtw {
-    band: usize,
+pub(crate) struct Dtw {
+    pub(crate) band: usize,
 }
 
 impl LeafKernel for Dtw {
@@ -127,161 +123,66 @@ impl LeafKernel for Dtw {
     }
 }
 
-/// Exact 1-NN under banded DTW through the MESSI index over any
-/// [`RawSource`]: [`exact_knn_dtw`] at `k = 1`, with the unified per-query
-/// work counters — the tree-traversal counters plus the DTW cascade's
-/// LB_Keogh prunes (both directions), abandoned DTWs and DP cells — so the
-/// `ext-dtw` experiment reports like the ED ones.
-///
-/// Returns `Ok(None)` for an empty index.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length.
-pub fn exact_nn_dtw(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    band: usize,
-    cfg: &MessiConfig,
-) -> Result<Option<(Match, QueryStats)>, StorageError> {
-    let (matches, stats) = exact_knn_dtw(messi, source, query, band, 1, cfg)?;
-    Ok(matches.first().map(|&nearest| (nearest, stats)))
-}
-
-/// Exact k-NN under banded DTW through the MESSI index, pruning the whole
-/// cascade (iSAX envelope bound, both LB_Keoghs, abandoning DTW) against
-/// the k-th best DTW distance: [`exact_knn_dtw_batch`] with a batch of one.
-///
-/// Returns the up-to-`k` nearest series sorted ascending by
-/// `(distance, position)` — fewer than `k` when the collection is smaller,
-/// empty for an empty index. Deterministic across runs and thread counts
-/// (distance ties prefer the lowest position).
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length or
-/// `k == 0`.
-pub fn exact_knn_dtw(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    band: usize,
-    k: usize,
-    cfg: &MessiConfig,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let (mut matches, stats) = exact_knn_dtw_batch(messi, source, &[query], band, k, cfg)?;
-    Ok((matches.pop().expect("batch of one"), stats.into_single()))
-}
-
-/// Exact k-NN under banded DTW for a *batch* of queries in **one** pool
-/// broadcast: [`exact_knn_dtw_batch_shared`] without a shard view.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if any query length differs from the configured series length or
-/// `k == 0`.
-pub fn exact_knn_dtw_batch(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    queries: &[&[f32]],
-    band: usize,
-    k: usize,
-    cfg: &MessiConfig,
-) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    exact_knn_dtw_batch_shared(messi, source, queries, band, k, cfg, None)
-}
-
-/// Exact k-NN under banded DTW for a batch of queries in **one** pool
-/// broadcast — the DTW cell of the batched query plane, and the entry
-/// point every other exact DTW function of this crate delegates to. The
-/// batch is scheduled exactly like a Euclidean one (see
-/// [`exact_knn_batch_shared`](crate::query::exact_knn_batch_shared) and the
-/// [`crate::query`] module docs), with interval node tables in the
-/// traversal and the full cascade (interval iSAX bound, then
-/// [`dtw_cascade`](dsidx_series::distance::dtw::dtw_cascade)) at the
-/// leaves.
-///
-/// Answers are element-wise identical to calling [`exact_knn_dtw`] per
-/// query, deterministic across runs, thread counts and schedules. With
-/// `shard` set (see [`SharedPruners`](dsidx_query::SharedPruners)) the
-/// whole cascade prunes against thresholds that other shards tighten
-/// mid-flight, and recorded positions are rebased to global.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// As [`exact_knn_dtw_batch`].
-pub fn exact_knn_dtw_batch_shared(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    queries: &[&[f32]],
-    band: usize,
-    k: usize,
-    cfg: &MessiConfig,
-    shard: Option<ShardView<'_>>,
-) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    exact_batch(&Dtw { band }, messi, source, queries, k, cfg, shard)
-}
-
-/// *Approximate* k-NN under banded DTW: descend to the query's own leaf
-/// and return the k nearest of its entries by banded-DTW distance (each
-/// entry through the raw-series cascade) — no traversal, no pool
-/// broadcast, one leaf's worth of fetches. Every
-/// reported distance is a real DTW distance, so it is never below the
-/// exact answer at the same rank. Returns fewer than `k` matches when the
-/// leaf holds fewer entries, empty for an empty index.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length or
-/// `k == 0`.
-pub fn approx_knn_dtw(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    band: usize,
-    k: usize,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let (mut lower, mut upper) = (Vec::new(), Vec::new());
-    envelope(query, band, &mut lower, &mut upper);
-    crate::query::approx_leaf_visit(messi, query, k, |positions, topk| {
-        seed_from_entries_dtw(
-            positions.iter().copied(),
-            &mut SeriesFetcher::new(source),
-            query,
-            &lower,
-            &upper,
-            band,
-            topk,
-            &mut LeafScratch::new(),
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::build::build;
+    use crate::build::{build, MessiIndex};
     use crate::config::MessiConfig;
+    use crate::query::{approx, exact};
+    use dsidx_query::{BatchStats, Measure, QueryStats};
     use dsidx_series::distance::dtw::dtw_sq;
     use dsidx_series::gen::DatasetKind;
-    use dsidx_series::Dataset;
+    use dsidx_series::{Dataset, Match};
     use dsidx_storage::FlakySource;
+    use dsidx_storage::{RawSource, StorageError};
     use dsidx_tree::TreeConfig;
     use dsidx_ucr::dtw::brute_force_dtw;
 
     fn cfg(threads: usize) -> MessiConfig {
         MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(64)
+    }
+
+    /// [`exact`] under banded DTW for a batch, on `threads` workers.
+    fn knn_dtw_batch(
+        messi: &MessiIndex,
+        source: &impl RawSource,
+        queries: &[&[f32]],
+        band: usize,
+        k: usize,
+        threads: usize,
+    ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
+        let measure = Measure::Dtw { band };
+        exact(messi, source, queries, measure, k, threads, None)
+    }
+
+    /// One query through [`exact`] as a batch of one.
+    fn knn_dtw(
+        messi: &MessiIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        band: usize,
+        k: usize,
+        threads: usize,
+    ) -> Result<(Vec<Match>, QueryStats), StorageError> {
+        let (mut matches, stats) = knn_dtw_batch(messi, source, &[q], band, k, threads)?;
+        Ok((matches.pop().expect("batch of one"), stats.into_single()))
+    }
+
+    /// The `k = 1` case of [`knn_dtw`]; `None` for an empty index.
+    fn nn_dtw(
+        messi: &MessiIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        band: usize,
+        threads: usize,
+    ) -> Result<Option<(Match, QueryStats)>, StorageError> {
+        let (matches, stats) = knn_dtw(messi, source, q, band, 1, threads)?;
+        Ok(matches.first().map(|&m| (m, stats)))
+    }
+
+    /// Euclidean 1-NN through the same entry point.
+    fn nn_ed(messi: &MessiIndex, data: &Dataset, q: &[f32], threads: usize) -> Match {
+        let (matches, _) = exact(messi, data, &[q], Measure::Euclidean, 1, threads, None).unwrap();
+        matches[0][0]
     }
 
     /// Every enqueued leaf is processed or discarded, exactly once.
@@ -302,9 +203,7 @@ mod tests {
             for band in [0usize, 3, 6] {
                 for q in queries.iter() {
                     let want = brute_force_dtw(&data, q, band).unwrap();
-                    let (got, _) = exact_nn_dtw(&messi, &data, q, band, &cfg(4))
-                        .unwrap()
-                        .unwrap();
+                    let (got, _) = nn_dtw(&messi, &data, q, band, 4).unwrap().unwrap();
                     assert_eq!(got.pos, want.pos, "{} band={band}", kind.name());
                     assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4);
                 }
@@ -321,8 +220,7 @@ mod tests {
             for k in [1usize, 6, 30, 300] {
                 let want = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
                 for threads in [1usize, 4] {
-                    let c = cfg(threads);
-                    let (got, stats) = exact_knn_dtw(&messi, &data, q, 4, k, &c).unwrap();
+                    let (got, stats) = knn_dtw(&messi, &data, q, 4, k, threads).unwrap();
                     assert_eq!(got.len(), want.len(), "k={k} x{threads}");
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(g.pos, w.pos, "k={k} x{threads}");
@@ -340,8 +238,8 @@ mod tests {
         let (messi, _) = build(&data, &cfg(3));
         let queries = DatasetKind::Seismic.queries(4, 64, 29);
         for q in queries.iter() {
-            let (nn, _) = exact_nn_dtw(&messi, &data, q, 5, &cfg(3)).unwrap().unwrap();
-            let (knn, _) = exact_knn_dtw(&messi, &data, q, 5, 1, &cfg(3)).unwrap();
+            let (nn, _) = nn_dtw(&messi, &data, q, 5, 3).unwrap().unwrap();
+            let (knn, _) = knn_dtw(&messi, &data, q, 5, 1, 3).unwrap();
             assert_eq!(knn.len(), 1);
             assert_eq!(knn[0].pos, nn.pos);
         }
@@ -356,13 +254,12 @@ mod tests {
         for band in [0usize, 4] {
             for k in [1usize, 6, 20] {
                 for threads in [1usize, 4] {
-                    let c = cfg(threads);
                     let (batched, stats) =
-                        exact_knn_dtw_batch(&messi, &data, &qrefs, band, k, &c).unwrap();
+                        knn_dtw_batch(&messi, &data, &qrefs, band, k, threads).unwrap();
                     assert_eq!(stats.broadcasts, 1, "one broadcast for the whole DTW batch");
                     assert!(stats.broadcasts_per_query() < 1.0);
                     for (qi, q) in qs.iter().enumerate() {
-                        let (single, _) = exact_knn_dtw(&messi, &data, q, band, k, &c).unwrap();
+                        let (single, _) = knn_dtw(&messi, &data, q, band, k, threads).unwrap();
                         assert_eq!(
                             batched[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
                             single.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -381,7 +278,7 @@ mod tests {
                     // the funnel in the shared slice, fetches shared.
                     let file = FlakySource::new(data.clone(), u64::MAX);
                     let (on_file, stats) =
-                        exact_knn_dtw_batch(&messi, &file, &qrefs, band, k, &c).unwrap();
+                        knn_dtw_batch(&messi, &file, &qrefs, band, k, threads).unwrap();
                     assert_eq!(on_file, batched, "band={band} k={k} x{threads}");
                     assert_eq!(stats.broadcasts, 1);
                     assert!(stats.shared.leaves_enqueued > 0);
@@ -399,7 +296,7 @@ mod tests {
         let (messi, _) = build(&data, &cfg(3));
         let qs = DatasetKind::Sald.queries(4, 64, 47);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let (batched, _) = exact_knn_dtw_batch(&messi, &data, &qrefs, 5, 7, &cfg(3)).unwrap();
+        let (batched, _) = knn_dtw_batch(&messi, &data, &qrefs, 5, 7, 3).unwrap();
         for (qi, q) in qs.iter().enumerate() {
             let want = dsidx_ucr::brute_force_dtw_knn(&data, q, 5, 7);
             assert_eq!(
@@ -416,10 +313,9 @@ mod tests {
         let (messi, _) = build(&data, &cfg(4));
         let qs = DatasetKind::Seismic.queries(4, 64, 61);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let (first, _) = exact_knn_dtw_batch(&messi, &data, &qrefs, 4, 6, &cfg(1)).unwrap();
+        let (first, _) = knn_dtw_batch(&messi, &data, &qrefs, 4, 6, 1).unwrap();
         for threads in [2usize, 3, 8] {
-            let c = cfg(threads);
-            let (got, _) = exact_knn_dtw_batch(&messi, &data, &qrefs, 4, 6, &c).unwrap();
+            let (got, _) = knn_dtw_batch(&messi, &data, &qrefs, 4, 6, threads).unwrap();
             assert_eq!(got, first, "threads={threads}");
         }
     }
@@ -430,9 +326,9 @@ mod tests {
         let (messi, _) = build(&data, &cfg(4));
         let qs = DatasetKind::Seismic.queries(3, 64, 67);
         for q in qs.iter() {
-            let (first, _) = exact_knn_dtw(&messi, &data, q, 4, 6, &cfg(1)).unwrap();
+            let (first, _) = knn_dtw(&messi, &data, q, 4, 6, 1).unwrap();
             for threads in [2usize, 3, 8] {
-                let (got, _) = exact_knn_dtw(&messi, &data, q, 4, 6, &cfg(threads)).unwrap();
+                let (got, _) = knn_dtw(&messi, &data, q, 4, 6, threads).unwrap();
                 assert_eq!(got, first, "threads={threads}");
             }
         }
@@ -443,12 +339,12 @@ mod tests {
         let empty = Dataset::new(64).unwrap();
         let (messi, _) = build(&empty, &cfg(2));
         let q = vec![0.0f32; 64];
-        let (got, stats) = exact_knn_dtw_batch(&messi, &empty, &[&q], 3, 2, &cfg(2)).unwrap();
+        let (got, stats) = knn_dtw_batch(&messi, &empty, &[&q], 3, 2, 2).unwrap();
         assert_eq!(got, vec![Vec::new()]);
         assert_eq!(stats.broadcasts, 0);
         let data = DatasetKind::Synthetic.generate(50, 64, 9);
         let (messi, _) = build(&data, &cfg(2));
-        let (got, _) = exact_knn_dtw_batch(&messi, &data, &[], 3, 2, &cfg(2)).unwrap();
+        let (got, _) = knn_dtw_batch(&messi, &data, &[], 3, 2, 2).unwrap();
         assert!(got.is_empty());
     }
 
@@ -460,7 +356,8 @@ mod tests {
         for q in queries.iter() {
             for k in [1usize, 5] {
                 let exact = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
-                let (approx, stats) = approx_knn_dtw(&messi, &data, q, 4, k).unwrap();
+                let (approx, stats) =
+                    approx(&messi, &data, q, Measure::Dtw { band: 4 }, k).unwrap();
                 assert!(!approx.is_empty() && approx.len() <= k);
                 for (a, e) in approx.iter().zip(&exact) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6);
@@ -478,7 +375,7 @@ mod tests {
     fn knn_dtw_on_empty_index_is_empty() {
         let data = Dataset::new(64).unwrap();
         let (messi, _) = build(&data, &cfg(2));
-        let (got, stats) = exact_knn_dtw(&messi, &data, &vec![0.0; 64], 3, 5, &cfg(2)).unwrap();
+        let (got, stats) = knn_dtw(&messi, &data, &vec![0.0; 64], 3, 5, 2).unwrap();
         assert!(got.is_empty());
         assert_eq!(stats, QueryStats::default());
     }
@@ -489,13 +386,8 @@ mod tests {
         let data = DatasetKind::Synthetic.generate(400, 64, 71);
         let (messi, _) = build(&data, &cfg(4));
         let q = DatasetKind::Synthetic.queries(1, 64, 71);
-        let ed = crate::query::exact_nn(&messi, &data, q.get(0), &cfg(4))
-            .unwrap()
-            .unwrap()
-            .0;
-        let (dtw, _) = exact_nn_dtw(&messi, &data, q.get(0), 5, &cfg(4))
-            .unwrap()
-            .unwrap();
+        let ed = nn_ed(&messi, &data, q.get(0), 4);
+        let (dtw, _) = nn_dtw(&messi, &data, q.get(0), 5, 4).unwrap().unwrap();
         // DTW distance never exceeds ED distance.
         assert!(dtw.dist_sq <= ed.dist_sq + ed.dist_sq * 1e-4 + 1e-4);
     }
@@ -504,7 +396,7 @@ mod tests {
     fn empty_index_returns_none() {
         let data = Dataset::new(64).unwrap();
         let (messi, _) = build(&data, &cfg(2));
-        assert!(exact_nn_dtw(&messi, &data, &vec![0.0; 64], 3, &cfg(2))
+        assert!(nn_dtw(&messi, &data, &vec![0.0; 64], 3, 2)
             .unwrap()
             .is_none());
     }
@@ -515,7 +407,7 @@ mod tests {
         let (messi, _) = build(&data, &cfg(3));
         let queries = DatasetKind::Sald.queries(3, 64, 9);
         for q in queries.iter() {
-            let (_, stats) = exact_nn_dtw(&messi, &data, q, 4, &cfg(3)).unwrap().unwrap();
+            let (_, stats) = nn_dtw(&messi, &data, q, 4, 3).unwrap().unwrap();
             // Seeding pays at least one full DTW.
             assert!(stats.real_computed >= 1);
             // Each LB_Keogh survivor resolves to an abandoned or a fully
@@ -544,11 +436,8 @@ mod tests {
         let (messi, _) = build(&data, &cfg(3));
         let queries = DatasetKind::Seismic.queries(3, 64, 19);
         for q in queries.iter() {
-            let ed = crate::query::exact_nn(&messi, &data, q, &cfg(3))
-                .unwrap()
-                .unwrap()
-                .0;
-            let (dtw, _) = exact_nn_dtw(&messi, &data, q, 0, &cfg(3)).unwrap().unwrap();
+            let ed = nn_ed(&messi, &data, q, 3);
+            let (dtw, _) = nn_dtw(&messi, &data, q, 0, 3).unwrap().unwrap();
             assert_eq!(ed.pos, dtw.pos);
         }
     }
@@ -564,14 +453,14 @@ mod tests {
         for budget in [0u64, 1, 16, 48] {
             let flaky = FlakySource::new(data.clone(), budget);
             assert!(
-                exact_knn_dtw_batch(&messi, &flaky, &qrefs, 4, 40, &cfg(4)).is_err(),
+                knn_dtw_batch(&messi, &flaky, &qrefs, 4, 40, 4).is_err(),
                 "budget {budget} cannot cover a k=40 DTW batch over 400 series"
             );
         }
         // An unconstrained budget answers exactly like the dataset itself.
         let flaky = FlakySource::new(data.clone(), u64::MAX);
-        let (via_flaky, _) = exact_knn_dtw(&messi, &flaky, qs.get(0), 4, 5, &cfg(4)).unwrap();
-        let (via_data, _) = exact_knn_dtw(&messi, &data, qs.get(0), 4, 5, &cfg(4)).unwrap();
+        let (via_flaky, _) = knn_dtw(&messi, &flaky, qs.get(0), 4, 5, 4).unwrap();
+        let (via_data, _) = knn_dtw(&messi, &data, qs.get(0), 4, 5, 4).unwrap();
         assert_eq!(via_flaky, via_data);
     }
 }

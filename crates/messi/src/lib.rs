@@ -45,7 +45,4 @@ pub mod traverse;
 pub use build::{build, build_from_file, BuildPhases, MessiIndex};
 pub use config::{BufferMode, MessiConfig};
 pub use dsidx_query::{BatchStats, QueryStats};
-pub use dtw::{
-    approx_knn_dtw, exact_knn_dtw, exact_knn_dtw_batch, exact_knn_dtw_batch_shared, exact_nn_dtw,
-};
-pub use query::{approx_knn, exact_knn, exact_knn_batch, exact_knn_batch_shared, exact_nn};
+pub use query::{approx, exact};

@@ -21,10 +21,11 @@
 //!
 //! Query preparation, approximate-descent seeding and the per-leaf loops
 //! come from the shared kernel (`dsidx-query`), reached through
-//! `LeafKernel` so that the Euclidean schedules here and the DTW ones in
-//! [`crate::dtw`] are the same code. This module contributes the MESSI
-//! scheduling. All tree reads go through the flattened view
-//! ([`dsidx_tree::flat`]).
+//! `LeafKernel` so that one set of schedules answers both measures (the
+//! Euclidean kernel is here, the DTW one in [`crate::dtw`]). This module
+//! contributes the MESSI scheduling and the crate's two entry points,
+//! [`exact`] and [`approx`], which take the [`Measure`] as a value. All
+//! tree reads go through the flattened view ([`dsidx_tree::flat`]).
 //!
 //! # Which schedule runs
 //!
@@ -32,10 +33,9 @@
 //! time. With a batch in hand that is the wrong axis: pruning a tree node
 //! only when 64 unrelated queries agree prunes almost nothing, and a
 //! barrier, a shared run and per-leaf survivor lists buy nothing when the
-//! raw data is a pointer away. So [`exact_knn_batch_shared`] — the one
-//! entry point; everything else here delegates to it — picks one of three
-//! schedules from what it can observe about the call, and from nothing
-//! else (there is no option, environment variable or feature behind it):
+//! raw data is a pointer away. So [`exact`] picks one of three schedules
+//! from what it can observe about the call, and from nothing else (there
+//! is no option, environment variable or feature behind it):
 //!
 //! | source | batch width | schedule |
 //! |---|---|---|
@@ -73,16 +73,17 @@
 //! peers stop claiming work, and the coordinator returns the error.
 
 use crate::build::MessiIndex;
-use crate::config::MessiConfig;
 use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
 use crate::traverse::{BatchTraversal, Traversal};
 use dsidx_isax::{NodeMindistTable, Quantizer, Word};
 use dsidx_obs::phase::{Phase, PhaseAcc, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
     approx_leaf_flat, batch_process_leaf_entries, batch_seed_positions, finish_knn,
-    process_leaf_entries, seed_from_entries, AtomicQueryStats, BatchStats, ErrorSlot, LeafScratch,
-    PreparedQuery, Pruner, QueryBatch, QueryStats, SeriesFetcher, ShardView, SharedTopK,
+    process_leaf_entries, seed_from_entries, seed_from_entries_dtw, AtomicQueryStats, BatchStats,
+    ErrorSlot, LeafScratch, Measure, PreparedQuery, Pruner, QueryBatch, QueryStats, SeriesFetcher,
+    ShardView, SharedTopK,
 };
+use dsidx_series::distance::dtw::envelope;
 use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
@@ -266,23 +267,22 @@ struct Call<'a, 'q, K, S> {
     errors: &'a ErrorSlot,
 }
 
-/// The one exact entry point behind every `exact_*` function of this crate
-/// (both measures): builds the batch, picks the schedule (see the module
-/// docs for the rule), runs it in one broadcast.
-pub(crate) fn exact_batch<K: LeafKernel>(
+/// [`exact`] for one measure's kernel: builds the batch, picks the schedule
+/// (see the module docs for the rule), runs it in one broadcast.
+fn exact_batch<K: LeafKernel>(
     kernel: &K,
     messi: &MessiIndex,
     source: &impl RawSource,
     queries: &[&[f32]],
     k: usize,
-    cfg: &MessiConfig,
+    threads: usize,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
     let config = messi.index.config();
     for q in queries {
         assert_eq!(q.len(), config.series_len(), "query length mismatch");
     }
-    cfg.validate();
+    assert!(threads > 0, "thread count must be non-zero");
     let mut clock = PhaseClock::start();
     let batch = QueryBatch::unprepared(queries, k, shard);
     if messi.flat.entry_count() == 0 || batch.is_empty() {
@@ -294,7 +294,7 @@ pub(crate) fn exact_batch<K: LeafKernel>(
         flat: &messi.flat,
         quantizer: config.quantizer(),
         source,
-        threads: cfg.threads,
+        threads,
         batch: &batch,
         errors: &errors,
     };
@@ -302,7 +302,7 @@ pub(crate) fn exact_batch<K: LeafKernel>(
     // schedule has any; the resident schedules account per query.
     let shared = if source.as_memory().is_none() {
         call.shared_fetch(&mut clock)?
-    } else if queries.len() >= cfg.threads {
+    } else if queries.len() >= threads {
         call.whole_queries(&mut clock);
         QueryStats::default()
     } else {
@@ -703,83 +703,25 @@ impl<'a, S: RawSource> Worker<'a, S> {
     }
 }
 
-/// Exact 1-NN through the MESSI index over any [`RawSource`]:
-/// [`exact_knn`] at `k = 1`.
+/// Exact k-NN for a batch of queries under `measure` in **one** pool
+/// broadcast — the crate's one exact entry point. A single query is a
+/// batch of one; 1-NN is `k = 1`. How the batch is scheduled onto the
+/// `threads` workers depends on the source's residence and on the batch
+/// width against the pool width; see the [module docs](self) for the rule
+/// and the reasons. Under [`Measure::Dtw`] the same schedules run with
+/// interval node tables in the traversal and the full cascade at the
+/// leaves (see [`crate::dtw`]).
 ///
-/// Returns `Ok(None)` for an empty index.
-///
-/// # Errors
-/// Propagates raw-source I/O failures (the in-memory path is infallible).
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length.
-pub fn exact_nn(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    cfg: &MessiConfig,
-) -> Result<Option<(Match, QueryStats)>, StorageError> {
-    let (matches, stats) = exact_knn(messi, source, query, 1, cfg)?;
-    Ok(matches.first().map(|&nearest| (nearest, stats)))
-}
-
-/// Exact k-NN through the MESSI index, pruning against the k-th best
-/// distance (a [`SharedTopK`]): [`exact_knn_batch`] with a batch of one.
-///
-/// Returns the up-to-`k` nearest series sorted ascending by
+/// Each answer is the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,
-/// empty for an empty index. The answer is deterministic across runs and
-/// thread counts (distance ties prefer the lowest position).
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length or
-/// `k == 0`.
-pub fn exact_knn(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    k: usize,
-    cfg: &MessiConfig,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let (mut matches, stats) = exact_knn_batch(messi, source, &[query], k, cfg)?;
-    Ok((matches.pop().expect("batch of one"), stats.into_single()))
-}
-
-/// Exact k-NN for a *batch* of queries in **one** pool broadcast:
-/// [`exact_knn_batch_shared`] without a shard view.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if any query length differs from the configured series length or
-/// `k == 0`.
-pub fn exact_knn_batch(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    queries: &[&[f32]],
-    k: usize,
-    cfg: &MessiConfig,
-) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    exact_knn_batch_shared(messi, source, queries, k, cfg, None)
-}
-
-/// Exact k-NN for a batch of queries in **one** pool broadcast — the entry
-/// point every other exact Euclidean function of this crate delegates to.
-/// How the batch is scheduled onto the workers depends on the source's
-/// residence and on the batch width against the pool width; see the
-/// [module docs](self) for the rule and the reasons.
-///
-/// Answers are element-wise identical to calling [`exact_knn`] per query,
-/// deterministic across runs, thread counts and schedules. Counters of
-/// work done once for the whole batch (the shared-fetch schedule's
-/// traversal) are reported in [`BatchStats::shared`]; everything a
-/// schedule does per query — on a resident source, all of it — sits in
-/// [`BatchStats::per_query`], where `leaves_processed + leaves_discarded
-/// == leaves_enqueued` holds query by query.
+/// empty for an empty index — deterministic across runs, thread counts and
+/// schedules (distance ties prefer the lowest position) and independent of
+/// what else is in the batch. Counters of work done once for the whole
+/// batch (the shared-fetch schedule's traversal) are reported in
+/// [`BatchStats::shared`]; everything a schedule does per query — on a
+/// resident source, all of it — sits in [`BatchStats::per_query`], where
+/// `leaves_processed + leaves_discarded == leaves_enqueued` holds query by
+/// query.
 ///
 /// With `shard` set (see [`SharedPruners`](dsidx_query::SharedPruners)),
 /// every schedule prunes against thresholds that other shards tighten
@@ -789,26 +731,36 @@ pub fn exact_knn_batch(
 /// pruners after every shard joined.
 ///
 /// # Errors
-/// Propagates raw-source I/O failures.
+/// Propagates raw-source I/O failures (the in-memory path is infallible).
 ///
 /// # Panics
-/// As [`exact_knn_batch`].
-pub fn exact_knn_batch_shared(
+/// Panics if any query length differs from the configured series length,
+/// `threads == 0`, or `k == 0`.
+pub fn exact(
     messi: &MessiIndex,
     source: &impl RawSource,
     queries: &[&[f32]],
+    measure: Measure,
     k: usize,
-    cfg: &MessiConfig,
+    threads: usize,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    exact_batch(&Euclidean, messi, source, queries, k, cfg, shard)
+    match measure {
+        Measure::Euclidean => exact_batch(&Euclidean, messi, source, queries, k, threads, shard),
+        Measure::Dtw { band } => {
+            let kernel = crate::dtw::Dtw { band };
+            exact_batch(&kernel, messi, source, queries, k, threads, shard)
+        }
+    }
 }
 
 /// *Approximate* k-NN through the MESSI index: descend to the query's own
 /// leaf (the paper's approximate answer — "the most promising leaf") and
-/// return the k nearest of its entries by real Euclidean distance, without
-/// the exact traversal/processing phases. No pool broadcast is issued; on
-/// an on-disk source only the one leaf's entries are fetched.
+/// return the k nearest of its entries by real distance under `measure`
+/// (early-abandoned Euclidean, or each entry through the raw-series DTW
+/// cascade), without the exact traversal/processing phases. No pool
+/// broadcast is issued; on an on-disk source only the one leaf's entries
+/// are fetched.
 ///
 /// Every reported distance is a real distance to a real series, so it is
 /// never below the exact answer at the same rank; the positions may
@@ -821,22 +773,41 @@ pub fn exact_knn_batch_shared(
 /// # Panics
 /// Panics if the query length differs from the configured series length or
 /// `k == 0`.
-pub fn approx_knn(
+pub fn approx(
     messi: &MessiIndex,
     source: &impl RawSource,
     query: &[f32],
+    measure: Measure,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    approx_leaf_visit(messi, query, k, |positions, topk| {
-        let mut fetcher = SeriesFetcher::new(source);
-        seed_from_entries(positions.iter().copied(), &mut fetcher, query, topk)
-    })
+    match measure {
+        Measure::Euclidean => approx_leaf_visit(messi, query, k, |positions, topk| {
+            let mut fetcher = SeriesFetcher::new(source);
+            seed_from_entries(positions.iter().copied(), &mut fetcher, query, topk)
+        }),
+        Measure::Dtw { band } => {
+            let (mut lower, mut upper) = (Vec::new(), Vec::new());
+            envelope(query, band, &mut lower, &mut upper);
+            approx_leaf_visit(messi, query, k, |positions, topk| {
+                seed_from_entries_dtw(
+                    positions.iter().copied(),
+                    &mut SeriesFetcher::new(source),
+                    query,
+                    &lower,
+                    &upper,
+                    band,
+                    topk,
+                    &mut LeafScratch::new(),
+                )
+            })
+        }
+    }
 }
 
-/// The shared best-leaf visit behind both approximate measures (ED here,
-/// DTW in [`crate::dtw`]): locate the query's leaf, let `pay` charge one
-/// real distance per entry (given by position) into the collector.
-pub(crate) fn approx_leaf_visit(
+/// The shared best-leaf visit behind both approximate measures: locate the
+/// query's leaf, let `pay` charge one real distance per entry (given by
+/// position) into the collector.
+fn approx_leaf_visit(
     messi: &MessiIndex,
     query: &[f32],
     k: usize,
@@ -873,6 +844,40 @@ mod tests {
         MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(64)
     }
 
+    /// Euclidean [`exact`] for a batch, on `threads` workers.
+    fn knn_batch(
+        messi: &MessiIndex,
+        source: &impl RawSource,
+        queries: &[&[f32]],
+        k: usize,
+        threads: usize,
+    ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
+        exact(messi, source, queries, Measure::Euclidean, k, threads, None)
+    }
+
+    /// One query through [`exact`] as a batch of one.
+    fn knn(
+        messi: &MessiIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        k: usize,
+        threads: usize,
+    ) -> Result<(Vec<Match>, QueryStats), StorageError> {
+        let (mut matches, stats) = knn_batch(messi, source, &[q], k, threads)?;
+        Ok((matches.pop().expect("batch of one"), stats.into_single()))
+    }
+
+    /// The `k = 1` case of [`knn`]; `None` for an empty index.
+    fn nn(
+        messi: &MessiIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        threads: usize,
+    ) -> Result<Option<(Match, QueryStats)>, StorageError> {
+        let (matches, stats) = knn(messi, source, q, 1, threads)?;
+        Ok(matches.first().map(|&m| (m, stats)))
+    }
+
     /// Every enqueued leaf is processed or discarded, exactly once.
     fn assert_funnel_exact(stats: &QueryStats) {
         assert_eq!(
@@ -891,8 +896,7 @@ mod tests {
             for q in queries.iter() {
                 let want = brute_force(&data, q).unwrap();
                 for threads in [1usize, 4] {
-                    let c = cfg(threads);
-                    let (got, _) = exact_nn(&messi, &data, q, &c).unwrap().unwrap();
+                    let (got, _) = nn(&messi, &data, q, threads).unwrap().unwrap();
                     assert_eq!(got.pos, want.pos, "{} x{threads}", kind.name());
                     assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4);
                 }
@@ -909,8 +913,7 @@ mod tests {
             for k in [1usize, 10, 50, 700] {
                 let want = dsidx_ucr::brute_force_knn(&data, q, k);
                 for threads in [1usize, 4] {
-                    let c = cfg(threads);
-                    let (got, stats) = exact_knn(&messi, &data, q, k, &c).unwrap();
+                    let (got, stats) = knn(&messi, &data, q, k, threads).unwrap();
                     assert_eq!(got.len(), want.len(), "k={k} x{threads}");
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(g.pos, w.pos, "k={k} x{threads}");
@@ -930,12 +933,11 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         for k in [1usize, 8, 40] {
             for threads in [1usize, 4] {
-                let c = cfg(threads);
-                let (batched, stats) = exact_knn_batch(&messi, &data, &qrefs, k, &c).unwrap();
+                let (batched, stats) = knn_batch(&messi, &data, &qrefs, k, threads).unwrap();
                 assert_eq!(stats.broadcasts, 1, "one broadcast for the whole batch");
                 assert!(stats.broadcasts_per_query() < 1.0);
                 for (qi, q) in qs.iter().enumerate() {
-                    let (single, _) = exact_knn(&messi, &data, q, k, &c).unwrap();
+                    let (single, _) = knn(&messi, &data, q, k, threads).unwrap();
                     assert_eq!(
                         batched[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
                         single.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -954,7 +956,7 @@ mod tests {
                 // traversed once for the whole batch: same answers, the
                 // funnel in the shared slice, fetches shared by queries.
                 let file = FlakySource::new(data.clone(), u64::MAX);
-                let (on_file, stats) = exact_knn_batch(&messi, &file, &qrefs, k, &c).unwrap();
+                let (on_file, stats) = knn_batch(&messi, &file, &qrefs, k, threads).unwrap();
                 assert_eq!(on_file, batched, "k={k} x{threads}");
                 assert_eq!(stats.broadcasts, 1);
                 assert!(stats.shared.leaves_enqueued > 0);
@@ -972,9 +974,9 @@ mod tests {
         let (messi, _) = build(&data, &cfg(4));
         let qs = DatasetKind::Seismic.queries(5, 64, 71);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let (first, _) = exact_knn_batch(&messi, &data, &qrefs, 9, &cfg(1)).unwrap();
+        let (first, _) = knn_batch(&messi, &data, &qrefs, 9, 1).unwrap();
         for threads in [2usize, 3, 8] {
-            let (got, _) = exact_knn_batch(&messi, &data, &qrefs, 9, &cfg(threads)).unwrap();
+            let (got, _) = knn_batch(&messi, &data, &qrefs, 9, threads).unwrap();
             assert_eq!(got, first, "threads={threads}");
         }
     }
@@ -984,12 +986,11 @@ mod tests {
         let data = DatasetKind::Seismic.generate(500, 64, 3);
         let (messi, _) = build(&data, &cfg(4));
         let q = DatasetKind::Seismic.queries(1, 64, 3);
-        let (first, _) = exact_knn(&messi, &data, q.get(0), 12, &cfg(1)).unwrap();
+        let (first, _) = knn(&messi, &data, q.get(0), 12, 1).unwrap();
         assert_eq!(first.len(), 12);
         for threads in [2usize, 3, 8] {
-            let c = cfg(threads);
             for _ in 0..2 {
-                let (m, _) = exact_knn(&messi, &data, q.get(0), 12, &c).unwrap();
+                let (m, _) = knn(&messi, &data, q.get(0), 12, threads).unwrap();
                 assert_eq!(m, first, "threads={threads}");
             }
         }
@@ -1003,7 +1004,7 @@ mod tests {
         for q in queries.iter() {
             for k in [1usize, 5, 12] {
                 let exact = dsidx_ucr::brute_force_knn(&data, q, k);
-                let (approx, stats) = approx_knn(&messi, &data, q, k).unwrap();
+                let (approx, stats) = approx(&messi, &data, q, Measure::Euclidean, k).unwrap();
                 assert!(approx.len() <= k);
                 assert!(!approx.is_empty());
                 // Rank-wise: the approximate i-th distance never falls
@@ -1024,7 +1025,7 @@ mod tests {
         let data = DatasetKind::Sald.generate(300, 64, 6);
         let (messi, _) = build(&data, &cfg(3));
         for pos in [0usize, 123, 299] {
-            let (m, _) = approx_knn(&messi, &data, data.get(pos), 1).unwrap();
+            let (m, _) = approx(&messi, &data, data.get(pos), Measure::Euclidean, 1).unwrap();
             assert_eq!(m[0].pos as usize, pos);
             assert_eq!(m[0].dist_sq, 0.0);
         }
@@ -1034,7 +1035,7 @@ mod tests {
     fn approx_knn_on_empty_index_is_empty() {
         let data = Dataset::new(64).unwrap();
         let (messi, _) = build(&data, &cfg(2));
-        let (got, stats) = approx_knn(&messi, &data, &vec![0.0; 64], 4).unwrap();
+        let (got, stats) = approx(&messi, &data, &vec![0.0; 64], Measure::Euclidean, 4).unwrap();
         assert!(got.is_empty());
         assert_eq!(stats, QueryStats::default());
     }
@@ -1043,7 +1044,7 @@ mod tests {
     fn knn_on_empty_index_is_empty() {
         let data = Dataset::new(64).unwrap();
         let (messi, _) = build(&data, &cfg(2));
-        let (got, stats) = exact_knn(&messi, &data, &vec![0.0; 64], 4, &cfg(2)).unwrap();
+        let (got, stats) = knn(&messi, &data, &vec![0.0; 64], 4, 2).unwrap();
         assert!(got.is_empty());
         assert_eq!(stats, QueryStats::default());
     }
@@ -1054,10 +1055,10 @@ mod tests {
         let (messi, _) = build(&data, &cfg(4));
         let queries = DatasetKind::Synthetic.queries(4, 64, 8);
         for q in queries.iter() {
-            let (first, _) = exact_nn(&messi, &data, q, &cfg(1)).unwrap().unwrap();
+            let (first, _) = nn(&messi, &data, q, 1).unwrap().unwrap();
             assert_eq!(first.pos, brute_force(&data, q).unwrap().pos);
             for threads in [2usize, 3, 8] {
-                let (got, stats) = exact_nn(&messi, &data, q, &cfg(threads)).unwrap().unwrap();
+                let (got, stats) = nn(&messi, &data, q, threads).unwrap().unwrap();
                 assert_eq!(got, first, "threads={threads}");
                 assert_eq!(
                     stats.leaves_processed + stats.leaves_discarded,
@@ -1074,7 +1075,7 @@ mod tests {
         let (messi, _) = build(&data, &cfg(4));
         let queries = dsidx_series::gen::sines(3, 64, 77);
         for q in queries.iter() {
-            let (_, stats) = exact_nn(&messi, &data, q, &cfg(4)).unwrap().unwrap();
+            let (_, stats) = nn(&messi, &data, q, 4).unwrap().unwrap();
             // On clusterable data the sorted runs + tree bounds must
             // discard most real-distance work.
             assert!(
@@ -1104,8 +1105,8 @@ mod tests {
         let all: Vec<&[f32]> = queries.iter().collect();
         for threads in [1usize, 2, 4] {
             for batch in [&all[..1], &all[..]] {
-                let (got, stats) = exact_knn_batch(&messi, &file, batch, 1, &cfg(threads)).unwrap();
-                let (want, _) = exact_knn_batch(&messi, &data, batch, 1, &cfg(threads)).unwrap();
+                let (got, stats) = knn_batch(&messi, &file, batch, 1, threads).unwrap();
+                let (want, _) = knn_batch(&messi, &data, batch, 1, threads).unwrap();
                 assert_eq!(got, want, "x{threads}");
                 assert_funnel_exact(&stats.shared);
                 assert!(
@@ -1123,9 +1124,7 @@ mod tests {
         let data = DatasetKind::Sald.generate(300, 64, 6);
         let (messi, _) = build(&data, &cfg(3));
         for pos in [0usize, 123, 299] {
-            let (m, _) = exact_nn(&messi, &data, data.get(pos), &cfg(3))
-                .unwrap()
-                .unwrap();
+            let (m, _) = nn(&messi, &data, data.get(pos), 3).unwrap().unwrap();
             assert_eq!(m.pos as usize, pos);
             assert_eq!(m.dist_sq, 0.0);
         }
@@ -1135,9 +1134,7 @@ mod tests {
     fn empty_index_returns_none() {
         let data = Dataset::new(64).unwrap();
         let (messi, _) = build(&data, &cfg(2));
-        assert!(exact_nn(&messi, &data, &vec![0.0; 64], &cfg(2))
-            .unwrap()
-            .is_none());
+        assert!(nn(&messi, &data, &vec![0.0; 64], 2).unwrap().is_none());
     }
 
     #[test]
@@ -1145,9 +1142,9 @@ mod tests {
         let data = DatasetKind::Seismic.generate(600, 64, 13);
         let (messi, _) = build(&data, &cfg(8));
         let q = DatasetKind::Seismic.queries(1, 64, 13);
-        let (first, _) = exact_nn(&messi, &data, q.get(0), &cfg(1)).unwrap().unwrap();
+        let (first, _) = nn(&messi, &data, q.get(0), 1).unwrap().unwrap();
         for _ in 0..5 {
-            let (m, _) = exact_nn(&messi, &data, q.get(0), &cfg(8)).unwrap().unwrap();
+            let (m, _) = nn(&messi, &data, q.get(0), 8).unwrap().unwrap();
             assert_eq!(m, first);
         }
     }
@@ -1160,7 +1157,7 @@ mod tests {
         let (messi, _) = build(&data, &cfg(2));
         let q = DatasetKind::Seismic.queries(1, 64, 123);
         let want = brute_force(&data, q.get(0)).unwrap();
-        let (got, _) = exact_nn(&messi, &data, q.get(0), &cfg(2)).unwrap().unwrap();
+        let (got, _) = nn(&messi, &data, q.get(0), 2).unwrap().unwrap();
         assert_eq!(got.pos, want.pos);
     }
 
@@ -1173,7 +1170,7 @@ mod tests {
         // Budget 0: the very first fetch (approximate-leaf seeding) fails,
         // and the error carries the phase it happened in.
         let flaky = FlakySource::new(data.clone(), 0);
-        let err = exact_nn(&messi, &flaky, q.get(0), &cfg(4)).unwrap_err();
+        let err = nn(&messi, &flaky, q.get(0), 4).unwrap_err();
         assert!(matches!(err.root_cause(), StorageError::Io(_)));
         assert!(err.to_string().starts_with("during seed:"), "{err}");
         // Budgets that survive seeding but die inside the broadcast's
@@ -1182,7 +1179,7 @@ mod tests {
         for budget in [1u64, 8, 32, 64] {
             let flaky = FlakySource::new(data.clone(), budget);
             assert!(
-                exact_knn_batch(&messi, &flaky, &qrefs, 50, &cfg(4)).is_err(),
+                knn_batch(&messi, &flaky, &qrefs, 50, 4).is_err(),
                 "budget {budget} cannot cover a k=50 batch over 500 series"
             );
             assert!(flaky.tripped());
@@ -1195,7 +1192,7 @@ mod tests {
         let wide: Vec<&[f32]> = wide.iter().collect();
         for budget in [1u64, 8, 32, 64] {
             let flaky = FlakySource::new(data.clone(), budget);
-            let err = exact_knn_batch(&messi, &flaky, &wide, 50, &cfg(4)).unwrap_err();
+            let err = knn_batch(&messi, &flaky, &wide, 50, 4).unwrap_err();
             assert!(matches!(err.root_cause(), StorageError::Io(_)), "{err}");
             assert!(flaky.tripped());
         }
@@ -1204,11 +1201,11 @@ mod tests {
         // shared-fetch schedule are the batch's, those of the resident
         // schedules each query's.
         let flaky = FlakySource::new(data.clone(), u64::MAX);
-        let (via_flaky, _) = exact_knn(&messi, &flaky, q.get(0), 7, &cfg(4)).unwrap();
-        let (via_data, _) = exact_knn(&messi, &data, q.get(0), 7, &cfg(4)).unwrap();
+        let (via_flaky, _) = knn(&messi, &flaky, q.get(0), 7, 4).unwrap();
+        let (via_data, _) = knn(&messi, &data, q.get(0), 7, 4).unwrap();
         assert_eq!(via_flaky, via_data);
-        let (via_flaky, on_flaky) = exact_knn_batch(&messi, &flaky, &wide, 7, &cfg(4)).unwrap();
-        let (via_data, on_data) = exact_knn_batch(&messi, &data, &wide, 7, &cfg(4)).unwrap();
+        let (via_flaky, on_flaky) = knn_batch(&messi, &flaky, &wide, 7, 4).unwrap();
+        let (via_data, on_data) = knn_batch(&messi, &data, &wide, 7, 4).unwrap();
         assert_eq!(via_flaky, via_data);
         assert!(on_flaky.shared.leaves_enqueued > 0);
         assert_funnel_exact(&on_flaky.shared);

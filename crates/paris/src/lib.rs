@@ -33,7 +33,5 @@ pub mod report;
 pub use build::{build_in_memory, build_on_disk, ParisIndex};
 pub use config::{Overlap, ParisConfig};
 pub use dsidx_query::{BatchStats, QueryStats};
-pub use query::{
-    approx_knn, approx_knn_dtw, exact_knn, exact_knn_batch, exact_knn_batch_shared, exact_nn,
-};
+pub use query::{approx, exact};
 pub use report::BuildReport;

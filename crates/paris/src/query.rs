@@ -10,8 +10,8 @@
 //! early-abandoned verification) comes from the shared kernel
 //! (`dsidx-query`); this module contributes the ParIS scheduling: two
 //! Fetch&Inc-chunked pool phases with a shared candidate list between.
-//! There is one exact schedule, [`exact_knn_batch_shared`]; 1-NN and
-//! single queries are its k = 1 / batch-of-one cases.
+//! There is one exact schedule, [`exact`] (1-NN and single queries are
+//! its k = 1 / batch-of-one cases), and one approximate one, [`approx`].
 //!
 //! **Departs from the paper** in *which* raw series the schedule pays
 //! for, never in the answer. The paper seeds from every entry of the
@@ -36,7 +36,7 @@ use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
     approx_leaf, batch_collect_candidates, batch_seed_positions, batch_seed_prefix,
     batch_verify_candidates, best_bound_positions, finish_knn, order_best_bound_first,
-    BatchCandidate, BatchStats, DtwPrepared, ErrorSlot, PreparedQuery, Pruner, QueryBatch,
+    BatchCandidate, BatchStats, DtwPrepared, ErrorSlot, Measure, PreparedQuery, Pruner, QueryBatch,
     QueryStats, SeriesFetcher, ShardView, SharedTopK,
 };
 use dsidx_series::distance::dtw::DtwScratch;
@@ -94,60 +94,14 @@ fn charge_leaf_read(paris: &ParisIndex, leaf: &dsidx_tree::Node) -> Result<(), S
     Ok(())
 }
 
-/// Exact 1-NN through the ParIS index: [`exact_knn`] at k = 1.
+/// Exact Euclidean k-NN for a *batch* of queries through the ParIS index,
+/// amortizing the pool wake-ups that dominate sub-millisecond queries: the
+/// whole batch is answered by **one** collect broadcast plus **one** verify
+/// broadcast, with Fetch&Inc chunking inside. A single query is a batch of
+/// one; 1-NN is `k = 1`.
 ///
 /// `source` supplies raw series (the dataset file for on-disk operation —
 /// reads are charged to its device — or the in-memory dataset).
-///
-/// Returns `None` for an empty index.
-///
-/// # Errors
-/// Propagates raw-source and leaf-store I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length or
-/// `threads == 0`.
-pub fn exact_nn(
-    paris: &ParisIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    threads: usize,
-) -> Result<Option<(Match, QueryStats)>, StorageError> {
-    let (mut matches, stats) = exact_knn(paris, source, query, 1, threads)?;
-    Ok(matches.pop().map(|m| (m, stats)))
-}
-
-/// Exact k-NN through the ParIS index — a batch of one through
-/// [`exact_knn_batch`]. Workers share one top-k set (a [`SharedTopK`]), so
-/// the tail of the candidate list is dropped as soon as any worker
-/// tightens the k-th distance.
-///
-/// Returns the up-to-`k` nearest series sorted ascending by
-/// `(distance, position)` — fewer than `k` when the collection is smaller,
-/// empty for an empty index. The answer is deterministic across runs and
-/// thread counts (distance ties prefer the lowest position).
-///
-/// # Errors
-/// Propagates raw-source and leaf-store I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length,
-/// `threads == 0`, or `k == 0`.
-pub fn exact_knn(
-    paris: &ParisIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    k: usize,
-    threads: usize,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let (mut matches, stats) = exact_knn_batch(paris, source, &[query], k, threads)?;
-    Ok((matches.pop().expect("batch of one"), stats.into_single()))
-}
-
-/// Exact k-NN for a *batch* of queries, amortizing the pool wake-ups that
-/// dominate sub-millisecond queries: the whole batch is answered by **one**
-/// collect broadcast plus **one** verify broadcast (instead of two per
-/// query), with the same Fetch&Inc chunking inside.
 ///
 /// Seeding ranks each query's approximate leaf by the query's own MINDIST
 /// and fetches only the best few entries (each distinct leaf charged once
@@ -160,30 +114,18 @@ pub fn exact_knn(
 /// first, best bound first, the rest in position order — and the verify
 /// phase claims chunks of it from the front, paying one raw fetch for
 /// every run of queries that kept the same position and still beat their
-/// live thresholds.
+/// live thresholds. Workers share one top-k set per query, so the tail of
+/// the candidate list is dropped as soon as any worker tightens the k-th
+/// distance.
 ///
-/// Answers are element-wise identical to calling [`exact_knn`] per query,
-/// deterministic across runs and thread counts.
+/// Each answer is the up-to-`k` nearest series sorted ascending by
+/// `(distance, position)` — fewer than `k` when the collection is smaller,
+/// empty for an empty index — deterministic across runs and thread counts
+/// (distance ties prefer the lowest position) and independent of what else
+/// is in the batch.
 ///
-/// # Errors
-/// Propagates raw-source and leaf-store I/O failures.
-///
-/// # Panics
-/// Panics if any query length differs from the configured series length,
-/// `threads == 0`, or `k == 0`.
-pub fn exact_knn_batch(
-    paris: &ParisIndex,
-    source: &impl RawSource,
-    queries: &[&[f32]],
-    k: usize,
-    threads: usize,
-) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    exact_knn_batch_shared(paris, source, queries, k, threads, None)
-}
-
-/// [`exact_knn_batch`] with an optional cross-shard pruner view (see
-/// [`SharedPruners`](dsidx_query::SharedPruners)): with `shard` set, both
-/// pool phases prune against thresholds that other shards tighten
+/// With `shard` set (see [`SharedPruners`](dsidx_query::SharedPruners)),
+/// both pool phases prune against thresholds that other shards tighten
 /// mid-flight, and recorded positions are rebased to global. The returned
 /// matches then reflect the whole gather so far; the coordinator uses this
 /// return value for stats and reads the final answer from the shared
@@ -193,8 +135,9 @@ pub fn exact_knn_batch(
 /// Propagates raw-source and leaf-store I/O failures.
 ///
 /// # Panics
-/// As [`exact_knn_batch`].
-pub fn exact_knn_batch_shared(
+/// Panics if any query length differs from the configured series length,
+/// `threads == 0`, or `k == 0`.
+pub fn exact(
     paris: &ParisIndex,
     source: &impl RawSource,
     queries: &[&[f32]],
@@ -307,10 +250,12 @@ pub fn exact_knn_batch_shared(
 
 /// *Approximate* k-NN through the ParIS index by **sketch-nearest**
 /// probing: one serial pass over the SAX array (the sketches) lower-bounds
-/// every position, the few-times-k positions with the smallest sketch
-/// distances are fetched and verified with real Euclidean distances, and
-/// the k nearest of those probes are returned — no pool broadcast, no
-/// exhaustive verification.
+/// every position — by the point bound under [`Measure::Euclidean`], by the
+/// interval (envelope) bound under [`Measure::Dtw`] — the few-times-k
+/// positions with the smallest sketch distances are fetched and verified
+/// with real distances (early-abandoned Euclidean, or the raw-series
+/// cascade, [`DtwPrepared::cascade`]), and the k nearest of those probes
+/// are returned — no pool broadcast, no exhaustive verification.
 ///
 /// Every reported distance is a real distance to a real series, so it is
 /// never below the exact answer at the same rank; the positions may
@@ -322,60 +267,47 @@ pub fn exact_knn_batch_shared(
 /// # Panics
 /// Panics if the query length differs from the configured series length or
 /// `k == 0`.
-pub fn approx_knn(
+pub fn approx(
     paris: &ParisIndex,
     source: &impl RawSource,
     query: &[f32],
+    measure: Measure,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
     let config = paris.index.config();
     assert_eq!(query.len(), config.series_len(), "query length mismatch");
-    let prep = PreparedQuery::new(config.quantizer(), query);
-    sketch_nearest(
-        paris,
-        source,
-        k,
-        |word| prep.table.lookup(word),
-        move |series, limit, stats| {
-            if let Some(d) = euclidean_sq_bounded(query, series, limit) {
-                stats.real_computed += 1;
-                Some(d)
-            } else {
-                None
-            }
-        },
-    )
-}
-
-/// *Approximate* k-NN under banded DTW through the ParIS index: the same
-/// sketch-nearest probing as [`approx_knn`], using the interval (envelope)
-/// sketch bound to rank positions and putting the probes through the
-/// raw-series cascade ([`DtwPrepared::cascade`]).
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length or
-/// `k == 0`.
-pub fn approx_knn_dtw(
-    paris: &ParisIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    band: usize,
-    k: usize,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let config = paris.index.config();
-    assert_eq!(query.len(), config.series_len(), "query length mismatch");
-    let prep = DtwPrepared::new(config.quantizer(), query, band);
-    let mut scratch = DtwScratch::new();
-    sketch_nearest(
-        paris,
-        source,
-        k,
-        |word| prep.table.lookup(word),
-        |series, limit, stats| prep.cascade(query, series, band, limit, &mut scratch, stats),
-    )
+    match measure {
+        Measure::Euclidean => {
+            let prep = PreparedQuery::new(config.quantizer(), query);
+            sketch_nearest(
+                paris,
+                source,
+                k,
+                |word| prep.table.lookup(word),
+                move |series, limit, stats| {
+                    if let Some(d) = euclidean_sq_bounded(query, series, limit) {
+                        stats.real_computed += 1;
+                        Some(d)
+                    } else {
+                        None
+                    }
+                },
+            )
+        }
+        Measure::Dtw { band } => {
+            let prep = DtwPrepared::new(config.quantizer(), query, band);
+            let mut scratch = DtwScratch::new();
+            sketch_nearest(
+                paris,
+                source,
+                k,
+                |word| prep.table.lookup(word),
+                |series, limit, stats| {
+                    prep.cascade(query, series, band, limit, &mut scratch, stats)
+                },
+            )
+        }
+    }
 }
 
 /// The shared sketch-nearest schedule behind both approximate measures:
@@ -447,6 +379,29 @@ mod tests {
             .with_generation_series(256)
     }
 
+    /// One query through [`exact`] as a batch of one.
+    fn knn(
+        paris: &ParisIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        k: usize,
+        threads: usize,
+    ) -> (Vec<Match>, QueryStats) {
+        let (mut matches, stats) = exact(paris, source, &[q], k, threads, None).unwrap();
+        (matches.pop().expect("batch of one"), stats.into_single())
+    }
+
+    /// The `k = 1` case of [`knn`]; `None` for an empty index.
+    fn nn(
+        paris: &ParisIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        threads: usize,
+    ) -> Option<(Match, QueryStats)> {
+        let (matches, stats) = knn(paris, source, q, 1, threads);
+        matches.first().map(|&m| (m, stats))
+    }
+
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dsidx-parisq-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -462,7 +417,7 @@ mod tests {
             for q in queries.iter() {
                 let want = brute_force(&data, q).unwrap();
                 for threads in [1usize, 4] {
-                    let (got, stats) = exact_nn(&paris, &data, q, threads).unwrap().unwrap();
+                    let (got, stats) = nn(&paris, &data, q, threads).unwrap();
                     assert_eq!(got.pos, want.pos, "{} x{threads}", kind.name());
                     assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4);
                     assert_eq!(stats.lb_computed, 600);
@@ -482,7 +437,7 @@ mod tests {
         let queries = DatasetKind::Seismic.queries(6, 64, 5);
         for q in queries.iter() {
             let want = brute_force(&data, q).unwrap();
-            let (got, _) = exact_nn(&paris, &file, q, 4).unwrap().unwrap();
+            let (got, _) = nn(&paris, &file, q, 4).unwrap();
             assert_eq!(got.pos, want.pos);
             assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4);
         }
@@ -497,7 +452,7 @@ mod tests {
             for k in [1usize, 8, 40, 600] {
                 let want = dsidx_ucr::brute_force_knn(&data, q, k);
                 for threads in [1usize, 4] {
-                    let (got, _) = exact_knn(&paris, &data, q, k, threads).unwrap();
+                    let (got, _) = knn(&paris, &data, q, k, threads);
                     assert_eq!(got.len(), want.len(), "k={k} x{threads}");
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(g.pos, w.pos, "k={k} x{threads}");
@@ -518,7 +473,7 @@ mod tests {
         let data = DatasetKind::Synthetic.generate(2000, 64, 8);
         let (paris, _) = build_in_memory(&data, &cfg(4));
         let q = DatasetKind::Synthetic.queries(1, 64, 8);
-        let (got, stats) = exact_knn(&paris, &data, q.get(0), 50, 4).unwrap();
+        let (got, stats) = knn(&paris, &data, q.get(0), 50, 4);
         assert_eq!(got.len(), 50);
         assert!(
             stats.candidates < 2000,
@@ -551,7 +506,7 @@ mod tests {
         for q in qs.iter() {
             for k in [1usize, 3, 9] {
                 let want = dsidx_ucr::brute_force_knn(&data, q, k);
-                let (got, stats) = exact_knn(&paris, &data, q, k, 2).unwrap();
+                let (got, stats) = knn(&paris, &data, q, k, 2);
                 assert_eq!(
                     got.iter().map(|m| m.pos).collect::<Vec<_>>(),
                     want.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -573,7 +528,7 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         for k in [1usize, 10] {
             for threads in [1usize, 4] {
-                let (got, stats) = exact_knn_batch(&paris, &data, &qrefs, k, threads).unwrap();
+                let (got, stats) = exact(&paris, &data, &qrefs, k, threads, None).unwrap();
                 for (qi, q) in qs.iter().enumerate() {
                     let want = dsidx_ucr::brute_force_knn(&data, q, k);
                     assert_eq!(
@@ -607,7 +562,7 @@ mod tests {
         let queries: Vec<&[f32]> = vec![base.get(5), fresh.get(0), fresh.get(1)];
         for k in [1usize, 7, 25, 40] {
             for threads in [1usize, 4] {
-                let (got, stats) = exact_knn_batch(&paris, &data, &queries, k, threads).unwrap();
+                let (got, stats) = exact(&paris, &data, &queries, k, threads, None).unwrap();
                 for (qi, q) in queries.iter().enumerate() {
                     let want = dsidx_ucr::brute_force_knn(&data, q, k);
                     assert_eq!(
@@ -620,7 +575,7 @@ mod tests {
             }
         }
         // The member query's nearest copies are positions 5, 17, 29, ...
-        let (own, _) = exact_knn(&paris, &data, base.get(5), 3, 4).unwrap();
+        let (own, _) = knn(&paris, &data, base.get(5), 3, 4);
         assert_eq!(own.iter().map(|m| m.pos).collect::<Vec<_>>(), [5, 17, 29]);
         assert!(own.iter().all(|m| m.dist_sq == 0.0));
     }
@@ -639,7 +594,7 @@ mod tests {
         // the leaf-store read-back (one thread, so fetches repeat exactly).
         let leaf_bytes = |queries: &[&[f32]]| {
             file.device().reset_stats();
-            let (_, stats) = exact_knn_batch(&paris, &file, queries, 1, 1).unwrap();
+            let (_, stats) = exact(&paris, &file, queries, 1, 1, None).unwrap();
             let read = file.device().stats().bytes_read;
             (read - stats.series_fetched * series_bytes, stats)
         };
@@ -664,7 +619,7 @@ mod tests {
         let mut phases = Vec::new();
         for budget in 0u64..64 {
             let flaky = FlakySource::new(data.clone(), budget);
-            match exact_knn_batch(&paris, &flaky, &qrefs, 5, 4) {
+            match exact(&paris, &flaky, &qrefs, 5, 4, None) {
                 Ok(_) => assert!(!flaky.tripped(), "budget {budget}"),
                 Err(err) => {
                     assert!(flaky.tripped());
@@ -685,8 +640,8 @@ mod tests {
         assert!(phases[first_verify..].iter().all(|&p| p == "verify"));
         // An unconstrained budget answers exactly like the dataset itself.
         let flaky = FlakySource::new(data.clone(), u64::MAX);
-        let (via_flaky, _) = exact_knn_batch(&paris, &flaky, &qrefs, 5, 4).unwrap();
-        let (via_data, _) = exact_knn_batch(&paris, &data, &qrefs, 5, 4).unwrap();
+        let (via_flaky, _) = exact(&paris, &flaky, &qrefs, 5, 4, None).unwrap();
+        let (via_data, _) = exact(&paris, &data, &qrefs, 5, 4, None).unwrap();
         assert_eq!(via_flaky, via_data);
     }
 
@@ -722,7 +677,7 @@ mod tests {
         let qs = DatasetKind::Synthetic.queries(4, 64, 97);
         for rep in 0..300 {
             let q = qs.get(rep % qs.len());
-            let (got, stats) = exact_knn_batch(&paris, &source, &[q], 1, 8).unwrap();
+            let (got, stats) = exact(&paris, &source, &[q], 1, 8, None).unwrap();
             assert_eq!(got[0][0].pos, brute_force(&data, q).unwrap().pos);
             assert_eq!(
                 stats.series_fetched, stats.series_requests,
@@ -739,11 +694,11 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         for k in [1usize, 9, 35] {
             for threads in [1usize, 4] {
-                let (batched, stats) = exact_knn_batch(&paris, &data, &qrefs, k, threads).unwrap();
+                let (batched, stats) = exact(&paris, &data, &qrefs, k, threads, None).unwrap();
                 assert_eq!(stats.broadcasts, 2, "one collect + one verify per batch");
                 assert!(stats.broadcasts_per_query() < 1.0);
                 for (qi, q) in qs.iter().enumerate() {
-                    let (single, _) = exact_knn(&paris, &data, q, k, threads).unwrap();
+                    let (single, _) = knn(&paris, &data, q, k, threads);
                     assert_eq!(
                         batched[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
                         single.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -767,8 +722,8 @@ mod tests {
             build_on_disk(&file, &tmp("batch.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
         let qs = DatasetKind::Seismic.queries(5, 64, 53);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let (mem, _) = exact_knn_batch(&paris, &data, &qrefs, 7, 4).unwrap();
-        let (disk, _) = exact_knn_batch(&paris, &file, &qrefs, 7, 4).unwrap();
+        let (mem, _) = exact(&paris, &data, &qrefs, 7, 4, None).unwrap();
+        let (disk, _) = exact(&paris, &file, &qrefs, 7, 4, None).unwrap();
         for (qi, (m, d)) in mem.iter().zip(&disk).enumerate() {
             assert_eq!(
                 m.iter().map(|x| x.pos).collect::<Vec<_>>(),
@@ -795,7 +750,7 @@ mod tests {
         let queries = DatasetKind::Seismic.queries(3, 64, 17);
         for q in queries.iter() {
             let want = dsidx_ucr::brute_force_knn(&data, q, 10);
-            let (got, _) = exact_knn(&paris, &file, q, 10, 4).unwrap();
+            let (got, _) = knn(&paris, &file, q, 10, 4);
             assert_eq!(
                 got.iter().map(|m| m.pos).collect::<Vec<_>>(),
                 want.iter().map(|m| m.pos).collect::<Vec<_>>()
@@ -808,11 +763,11 @@ mod tests {
         let data = DatasetKind::Sald.generate(600, 64, 23);
         let (paris, _) = build_in_memory(&data, &cfg(6));
         let q = DatasetKind::Sald.queries(1, 64, 23);
-        let (first, _) = exact_knn(&paris, &data, q.get(0), 15, 1).unwrap();
+        let (first, _) = knn(&paris, &data, q.get(0), 15, 1);
         assert_eq!(first.len(), 15);
         for threads in [2usize, 4, 8] {
             for _ in 0..3 {
-                let (m, _) = exact_knn(&paris, &data, q.get(0), 15, threads).unwrap();
+                let (m, _) = knn(&paris, &data, q.get(0), 15, threads);
                 assert_eq!(m, first);
             }
         }
@@ -826,7 +781,7 @@ mod tests {
         for q in queries.iter() {
             for k in [1usize, 5, 12] {
                 let exact = dsidx_ucr::brute_force_knn(&data, q, k);
-                let (approx, stats) = approx_knn(&paris, &data, q, k).unwrap();
+                let (approx, stats) = approx(&paris, &data, q, Measure::Euclidean, k).unwrap();
                 assert_eq!(approx.len(), k.min(data.len()));
                 for (a, e) in approx.iter().zip(&exact) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6, "k={k}");
@@ -836,7 +791,8 @@ mod tests {
                 assert!(stats.candidates <= 600);
                 assert!(stats.candidates >= k as u64);
                 let exact_dtw = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
-                let (approx_dtw, _) = approx_knn_dtw(&paris, &data, q, 4, k).unwrap();
+                let (approx_dtw, _) =
+                    super::approx(&paris, &data, q, Measure::Dtw { band: 4 }, k).unwrap();
                 for (a, e) in approx_dtw.iter().zip(&exact_dtw) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6, "dtw k={k}");
                 }
@@ -849,8 +805,8 @@ mod tests {
         let (paris_d, _) =
             build_on_disk(&file, &tmp("approx.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
         for q in queries.iter() {
-            let (mem, _) = approx_knn(&paris_d, &data, q, 5).unwrap();
-            let (disk, _) = approx_knn(&paris_d, &file, q, 5).unwrap();
+            let (mem, _) = approx(&paris_d, &data, q, Measure::Euclidean, 5).unwrap();
+            let (disk, _) = approx(&paris_d, &file, q, Measure::Euclidean, 5).unwrap();
             assert_eq!(
                 mem.iter().map(|m| m.pos).collect::<Vec<_>>(),
                 disk.iter().map(|m| m.pos).collect::<Vec<_>>()
@@ -865,13 +821,13 @@ mod tests {
         let data = DatasetKind::Seismic.generate(400, 64, 21);
         let (paris, _) = build_in_memory(&data, &cfg(3));
         for pos in [0usize, 200, 399] {
-            let (m, _) = approx_knn(&paris, &data, data.get(pos), 1).unwrap();
+            let (m, _) = approx(&paris, &data, data.get(pos), Measure::Euclidean, 1).unwrap();
             assert_eq!(m[0].pos as usize, pos);
             assert_eq!(m[0].dist_sq, 0.0);
         }
         let empty = dsidx_series::Dataset::new(64).unwrap();
         let (paris, _) = build_in_memory(&empty, &cfg(2));
-        let (m, stats) = approx_knn(&paris, &empty, &vec![0.0; 64], 3).unwrap();
+        let (m, stats) = approx(&paris, &empty, &vec![0.0; 64], Measure::Euclidean, 3).unwrap();
         assert!(m.is_empty());
         assert_eq!(stats, QueryStats::default());
     }
@@ -881,7 +837,7 @@ mod tests {
         let data = DatasetKind::Synthetic.generate(300, 64, 11);
         let (paris, _) = build_in_memory(&data, &cfg(4));
         for pos in [0usize, 150, 299] {
-            let (m, _) = exact_nn(&paris, &data, data.get(pos), 4).unwrap().unwrap();
+            let (m, _) = nn(&paris, &data, data.get(pos), 4).unwrap();
             assert_eq!(m.pos as usize, pos);
             assert_eq!(m.dist_sq, 0.0);
         }
@@ -891,9 +847,7 @@ mod tests {
     fn empty_index_returns_none() {
         let data = dsidx_series::Dataset::new(64).unwrap();
         let (paris, _) = build_in_memory(&data, &cfg(2));
-        assert!(exact_nn(&paris, &data, &vec![0.0; 64], 2)
-            .unwrap()
-            .is_none());
+        assert!(nn(&paris, &data, &vec![0.0; 64], 2).is_none());
     }
 
     #[test]
@@ -901,10 +855,10 @@ mod tests {
         let data = DatasetKind::Sald.generate(800, 64, 3);
         let (paris, _) = build_in_memory(&data, &cfg(6));
         let q = DatasetKind::Sald.queries(1, 64, 3);
-        let (first, _) = exact_nn(&paris, &data, q.get(0), 1).unwrap().unwrap();
+        let (first, _) = nn(&paris, &data, q.get(0), 1).unwrap();
         for threads in [2usize, 4, 8] {
             for _ in 0..3 {
-                let (m, _) = exact_nn(&paris, &data, q.get(0), threads).unwrap().unwrap();
+                let (m, _) = nn(&paris, &data, q.get(0), threads).unwrap();
                 assert_eq!(m, first);
             }
         }
@@ -915,7 +869,7 @@ mod tests {
         let data = DatasetKind::Synthetic.generate(200, 64, 2);
         let (paris, _) = build_in_memory(&data, &cfg(2));
         let q = DatasetKind::Synthetic.queries(1, 64, 2);
-        let (_, stats) = exact_nn(&paris, &data, q.get(0), 2).unwrap().unwrap();
+        let (_, stats) = nn(&paris, &data, q.get(0), 2).unwrap();
         assert_eq!(stats.nodes_pruned, 0);
         assert_eq!(stats.leaves_enqueued, 0);
         assert_eq!(stats.leaves_processed, 0);

@@ -18,7 +18,7 @@
 //! are k = 1), and an [`AtomicQueryStats`]. The loops in this module are
 //! the batch generalizations of the single-query kernel loops in
 //! [`seed`](crate::seed) and [`scan`](crate::scan) — those remain as the
-//! lean B = 1 specializations used by the `exact_nn` paths.
+//! lean B = 1 specializations.
 //!
 //! [`BatchStats`] makes the amortization observable: broadcasts issued for
 //! the whole batch, raw series fetched once versus the per-query requests

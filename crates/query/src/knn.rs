@@ -1,4 +1,4 @@
-//! Shared k-NN result assembly: every engine's `exact_knn` ends the same
+//! Shared k-NN result assembly: every engine's k-NN answer ends the same
 //! way, so the collector-to-answer conversion lives here once.
 
 use crate::stats::QueryStats;

@@ -37,6 +37,7 @@ pub mod dtw;
 pub mod errslot;
 pub mod fetch;
 pub mod knn;
+pub mod measure;
 pub mod prepare;
 pub mod scan;
 pub mod seed;
@@ -54,6 +55,7 @@ pub use dtw::{
 pub use errslot::ErrorSlot;
 pub use fetch::SeriesFetcher;
 pub use knn::finish_knn;
+pub use measure::Measure;
 pub use prepare::PreparedQuery;
 pub use scan::{process_leaf_entries, scan_sax_serial, verify_candidate, LeafScratch};
 pub use seed::{

@@ -6,17 +6,17 @@
 //! ([`dtw_cascade`]) — LB_Keogh
 //! against the query's envelope, the reversed LB_Keogh against the
 //! candidate's, then banded DTW abandoning on the bounds' unpaid remainder
-//! — at the scan's current best-so-far. The three scans (serial 1-NN,
-//! parallel 1-NN/k-NN, parallel batch over any source) differ in how
-//! positions are handed out and which [`Pruner`] collects; the per-candidate
-//! body is `Warped::offer` in all of them.
+//! — at the scan's current best-so-far. There are two scans: the serial
+//! 1-NN reference ([`scan_dtw`]) and the one parallel scan
+//! ([`scan_dtw_parallel`]: a batch of queries, k-NN, any source). They
+//! differ in how positions are handed out and which [`Pruner`] collects;
+//! the per-candidate body is `Warped::offer` in both.
 
 use std::sync::Arc;
 
 use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
     finish_knn, AtomicQueryStats, BatchStats, ErrorSlot, QueryStats, SeriesFetcher, ShardView,
-    SharedTopK,
 };
 use dsidx_series::distance::dtw::{dtw_cascade, dtw_sq, envelope, DtwScratch};
 use dsidx_series::{Dataset, Match};
@@ -98,155 +98,27 @@ pub fn scan_dtw(data: &Dataset, query: &[f32], band: usize) -> Option<Match> {
     Some(Match::new(pos, dist_sq))
 }
 
-/// Parallel variant of [`scan_dtw`] with a shared best-so-far.
-///
-/// Returns `None` for an empty dataset.
-///
-/// # Panics
-/// Panics if the query length differs from the dataset's series length or
-/// `threads == 0`.
-#[must_use]
-pub fn scan_dtw_parallel(
-    data: &Dataset,
-    query: &[f32],
-    band: usize,
-    threads: usize,
-) -> Option<Match> {
-    scan_dtw_parallel_with_stats(data, query, band, threads).map(|(m, _)| m)
-}
-
-/// [`scan_dtw_parallel`] plus the unified per-query work counters for the
-/// DTW cascade: LB_Keogh bounds computed/pruned, DTWs abandoned, DTWs
-/// fully paid.
-///
-/// Returns `None` for an empty dataset.
-///
-/// # Panics
-/// Panics if the query length differs from the dataset's series length or
-/// `threads == 0`.
-#[must_use]
-pub fn scan_dtw_parallel_with_stats(
-    data: &Dataset,
-    query: &[f32],
-    band: usize,
-    threads: usize,
-) -> Option<(Match, QueryStats)> {
-    assert_eq!(query.len(), data.series_len(), "query length mismatch");
-    if data.is_empty() {
-        return None;
-    }
-    let first = dtw_sq(query, data.get(0), band);
-    let best = AtomicBest::with_initial(first, 0);
-    let stats = scan_dtw_parallel_pruner(data, query, band, threads, &best);
-    let (dist_sq, pos) = best.get();
-    Some((Match::new(pos, dist_sq), stats))
-}
-
-/// Exact k-NN under banded DTW by parallel scan: the same cascade as
-/// [`scan_dtw_parallel_with_stats`], pruning against the k-th best DTW
-/// distance (a [`SharedTopK`]) instead of the single best. The index-free DTW k-NN baseline (and the fallback
-/// the facade uses for engines without a DTW index path).
-///
-/// Returns the up-to-`k` nearest series sorted ascending by
-/// `(distance, position)` — fewer than `k` when the collection is smaller,
-/// empty for an empty dataset. Deterministic across runs and thread
-/// counts.
-///
-/// # Panics
-/// Panics if the query length differs from the dataset's series length,
-/// `threads == 0`, or `k == 0`.
-#[must_use]
-pub fn knn_dtw_parallel_with_stats(
-    data: &Dataset,
-    query: &[f32],
-    band: usize,
-    k: usize,
-    threads: usize,
-) -> (Vec<Match>, QueryStats) {
-    assert_eq!(query.len(), data.series_len(), "query length mismatch");
-    let topk = SharedTopK::new(k);
-    if data.is_empty() {
-        return finish_knn(&topk, None);
-    }
-    let first = dtw_sq(query, data.get(0), band);
-    topk.insert(first, 0);
-    let stats = scan_dtw_parallel_pruner(data, query, band, threads, &topk);
-    finish_knn(&topk, Some(stats))
-}
-
-/// The shared parallel DTW cascade behind the 1-NN and k-NN scans, generic
-/// over [`Pruner`] like the ED kernel loops. The pruner must already hold
-/// one seed candidate (position 0's full DTW), which this function charges
-/// as the `+1` in `real_computed`.
-fn scan_dtw_parallel_pruner<P: Pruner>(
-    data: &Dataset,
-    query: &[f32],
-    band: usize,
-    threads: usize,
-    best: &P,
-) -> QueryStats {
-    assert!(threads > 0, "thread count must be non-zero");
-    let mut clock = PhaseClock::start();
-    let warped = Warped::new(query, band);
-    let prepare_nanos = clock.lap();
-    let queue = WorkQueue::new(data.len());
-    let shared = AtomicQueryStats::new();
-    let pool = dsidx_sync::pool::global(threads);
-    pool.broadcast(&|_worker| {
-        // Accumulate locally, merge once per worker (see `AtomicQueryStats`).
-        let mut local = QueryStats::default();
-        let mut scratch = DtwScratch::new();
-        while let Some(range) = queue.claim_chunk(64) {
-            for pos in range {
-                warped.offer(data.get(pos), pos as u32, best, &mut scratch, &mut local);
-            }
-        }
-        shared.merge(&local);
-    });
-    let mut stats = shared.snapshot();
-    stats.phase.record(Phase::Prepare, prepare_nanos);
-    stats.phase.record(Phase::DtwCascade, clock.lap());
-    // Position 0 paid one unconditional full DTW for the initial seed.
-    stats.real_computed += 1;
-    stats
-}
-
 /// Exact k-NN under banded DTW for a *batch* of queries by one parallel
-/// scan over any [`RawSource`]: each position's series is read once
+/// scan over any [`RawSource`] — the one parallel DTW scan; a single query
+/// is a batch of one, 1-NN is `k = 1`. Each position's series is read once
 /// (zero-copy in memory, a device-charged positioned read on disk) and
-/// goes through the cascade of every query in the batch — one data pass, B threshold checks, a single pool
-/// broadcast. The index-free batched-DTW baseline, and the exact-DTW
-/// schedule the facade uses for engines without a DTW index path — on
-/// disk included.
+/// goes through the cascade of every query in the batch: one data pass, B
+/// threshold checks, a single pool broadcast. The index-free DTW baseline,
+/// and the exact-DTW schedule the facade uses for engines without a DTW
+/// index path — on disk included.
 ///
-/// Answers are element-wise identical to calling
-/// [`knn_dtw_parallel_with_stats`] per query over the same data; the
-/// [`BatchStats`] report the single broadcast and the shared reads. A
-/// read failing mid-scan surfaces as `Err`: workers record the first
-/// failure and stop claiming chunks.
+/// Each answer is the up-to-`k` nearest series sorted ascending by
+/// `(distance, position)` — fewer than `k` when the collection is smaller,
+/// empty for an empty source — deterministic across runs and thread counts
+/// and independent of what else is in the batch; the [`BatchStats`] report
+/// the single broadcast and the shared reads. A read failing mid-scan
+/// surfaces as `Err`: workers record the first failure and stop claiming
+/// chunks.
 ///
-/// # Errors
-/// Propagates raw-source I/O failures (the in-memory path is infallible).
-///
-/// # Panics
-/// Panics if any query length differs from the source's series length,
-/// `threads == 0`, or `k == 0`.
-pub fn knn_dtw_batch_parallel_with_stats(
-    source: &impl RawSource,
-    queries: &[&[f32]],
-    band: usize,
-    k: usize,
-    threads: usize,
-) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    knn_dtw_batch_parallel_with_stats_shared(source, queries, band, k, threads, None)
-}
-
-/// [`knn_dtw_batch_parallel_with_stats`] with optional cross-shard pruner
-/// sharing: when `shard` is set, every query prunes against (and inserts
-/// into) the shared [`SharedPruners`](dsidx_query::SharedPruners)
-/// collectors with positions rebased by the shard's global offset, so a
-/// tight match found by another shard raises this scan's abandon
-/// thresholds mid-flight.
+/// When `shard` is set, every query prunes against (and inserts into) the
+/// shared [`SharedPruners`](dsidx_query::SharedPruners) collectors with
+/// positions rebased by the shard's global offset, so a tight match found
+/// by another shard raises this scan's abandon thresholds mid-flight.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures (the in-memory path is infallible).
@@ -254,7 +126,7 @@ pub fn knn_dtw_batch_parallel_with_stats(
 /// # Panics
 /// Panics if any query length differs from the source's series length,
 /// `threads == 0`, or `k == 0`.
-pub fn knn_dtw_batch_parallel_with_stats_shared(
+pub fn scan_dtw_parallel(
     source: &impl RawSource,
     queries: &[&[f32]],
     band: usize,
@@ -302,8 +174,7 @@ pub fn knn_dtw_batch_parallel_with_stats_shared(
     let mut phase = PhaseBreakdown::new();
     phase.record(Phase::Prepare, prepare_nanos);
 
-    // Position 0 seeds every query with one unconditional full DTW, like
-    // the single-query scan.
+    // Position 0 seeds every query with one unconditional full DTW.
     {
         let mut fetcher = SeriesFetcher::new(source);
         let first_series = fetcher
@@ -419,6 +290,18 @@ mod tests {
     use super::*;
     use dsidx_series::gen::DatasetKind;
 
+    /// One query through [`scan_dtw_parallel`] as a batch of one.
+    fn knn(
+        data: &Dataset,
+        q: &[f32],
+        band: usize,
+        k: usize,
+        threads: usize,
+    ) -> (Vec<Match>, QueryStats) {
+        let (mut matches, stats) = scan_dtw_parallel(data, &[q], band, k, threads, None).unwrap();
+        (matches.pop().expect("batch of one"), stats.into_single())
+    }
+
     #[test]
     fn scan_matches_brute_force() {
         for kind in DatasetKind::ALL {
@@ -442,7 +325,7 @@ mod tests {
         for q in queries.iter() {
             let want = scan_dtw(&data, q, 6).unwrap();
             for threads in [1usize, 3, 8] {
-                let got = scan_dtw_parallel(&data, q, 6, threads).unwrap();
+                let got = knn(&data, q, 6, 1, threads).0[0];
                 assert_eq!(got.pos, want.pos);
                 assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4);
             }
@@ -454,8 +337,8 @@ mod tests {
         let data = DatasetKind::Synthetic.generate(180, 48, 29);
         let queries = DatasetKind::Synthetic.queries(3, 48, 29);
         for q in queries.iter() {
-            let (m, stats) = scan_dtw_parallel_with_stats(&data, q, 4, 3).unwrap();
-            assert_eq!(m.pos, brute_force_dtw(&data, q, 4).unwrap().pos);
+            let (m, stats) = knn(&data, q, 4, 1, 3);
+            assert_eq!(m[0].pos, brute_force_dtw(&data, q, 4).unwrap().pos);
             // Every position pays one LB_Keogh bound and lands in exactly
             // one bucket: pruned, abandoned, or fully paid (minus the
             // unconditional seed DTW at position 0).
@@ -476,7 +359,7 @@ mod tests {
             for k in [1usize, 5, 20, 200] {
                 let want = brute_force_dtw_knn(&data, q, 4, k);
                 for threads in [1usize, 3] {
-                    let (got, stats) = knn_dtw_parallel_with_stats(&data, q, 4, k, threads);
+                    let (got, stats) = knn(&data, q, 4, k, threads);
                     assert_eq!(got.len(), want.len(), "k={k} x{threads}");
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(g.pos, w.pos, "k={k} x{threads}");
@@ -495,10 +378,10 @@ mod tests {
         let data = DatasetKind::Synthetic.generate(120, 48, 41);
         let queries = DatasetKind::Synthetic.queries(3, 48, 41);
         for q in queries.iter() {
-            let (nn, _) = scan_dtw_parallel_with_stats(&data, q, 5, 3).unwrap();
-            let (knn, _) = knn_dtw_parallel_with_stats(&data, q, 5, 1, 3);
-            assert_eq!(knn.len(), 1);
-            assert_eq!(knn[0].pos, nn.pos);
+            let nn = scan_dtw(&data, q, 5).unwrap();
+            let (got, _) = knn(&data, q, 5, 1, 3);
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].pos, nn.pos);
         }
     }
 
@@ -511,7 +394,7 @@ mod tests {
             for k in [1usize, 6] {
                 for threads in [1usize, 3] {
                     let (batched, stats) =
-                        knn_dtw_batch_parallel_with_stats(&data, &qrefs, band, k, threads).unwrap();
+                        scan_dtw_parallel(&data, &qrefs, band, k, threads, None).unwrap();
                     assert_eq!(stats.broadcasts, 1);
                     assert!(stats.broadcasts_per_query() < 1.0);
                     // Every position once, plus the seed's re-read of
@@ -519,7 +402,7 @@ mod tests {
                     assert_eq!(stats.series_fetched, 181);
                     for (qi, q) in qs.iter().enumerate() {
                         let want = brute_force_dtw_knn(&data, q, band, k);
-                        let (single, _) = knn_dtw_parallel_with_stats(&data, q, band, k, threads);
+                        let (single, _) = knn(&data, q, band, k, threads);
                         assert_eq!(
                             batched[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
                             want.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -538,11 +421,11 @@ mod tests {
     fn knn_dtw_batch_on_empty_inputs() {
         let data = Dataset::new(8).unwrap();
         let q = [0.0f32; 8];
-        let (m, stats) = knn_dtw_batch_parallel_with_stats(&data, &[&q], 2, 3, 2).unwrap();
+        let (m, stats) = scan_dtw_parallel(&data, &[&q], 2, 3, 2, None).unwrap();
         assert_eq!(m, vec![Vec::new()]);
         assert_eq!(stats.broadcasts, 0);
         let data = DatasetKind::Synthetic.generate(20, 8, 1);
-        let (m, stats) = knn_dtw_batch_parallel_with_stats(&data, &[], 2, 3, 2).unwrap();
+        let (m, stats) = scan_dtw_parallel(&data, &[], 2, 3, 2, None).unwrap();
         assert!(m.is_empty());
         assert!(stats.per_query.is_empty());
     }
@@ -557,21 +440,21 @@ mod tests {
         for budget in [0u64, 1, 40, 100] {
             let flaky = dsidx_storage::FlakySource::new(data.clone(), budget);
             assert!(
-                knn_dtw_batch_parallel_with_stats(&flaky, &qrefs, 3, 4, 3).is_err(),
+                scan_dtw_parallel(&flaky, &qrefs, 3, 4, 3, None).is_err(),
                 "budget {budget} cannot cover a 120-series scan"
             );
         }
         // An unconstrained budget answers exactly like the dataset.
         let flaky = dsidx_storage::FlakySource::new(data.clone(), u64::MAX);
-        let (via_flaky, _) = knn_dtw_batch_parallel_with_stats(&flaky, &qrefs, 3, 4, 3).unwrap();
-        let (via_data, _) = knn_dtw_batch_parallel_with_stats(&data, &qrefs, 3, 4, 3).unwrap();
+        let (via_flaky, _) = scan_dtw_parallel(&flaky, &qrefs, 3, 4, 3, None).unwrap();
+        let (via_data, _) = scan_dtw_parallel(&data, &qrefs, 3, 4, 3, None).unwrap();
         assert_eq!(via_flaky, via_data);
     }
 
     #[test]
     fn knn_dtw_on_empty_dataset_is_empty() {
         let data = Dataset::new(8).unwrap();
-        let (got, stats) = knn_dtw_parallel_with_stats(&data, &[0.0; 8], 2, 3, 4);
+        let (got, stats) = knn(&data, &[0.0; 8], 2, 3, 4);
         assert!(got.is_empty());
         assert_eq!(stats, QueryStats::default());
     }
@@ -612,7 +495,7 @@ mod tests {
     fn empty_dataset_returns_none() {
         let data = Dataset::new(8).unwrap();
         assert!(scan_dtw(&data, &[0.0; 8], 2).is_none());
-        assert!(scan_dtw_parallel(&data, &[0.0; 8], 2, 4).is_none());
+        assert!(knn(&data, &[0.0; 8], 2, 1, 4).0.is_empty());
     }
 
     #[test]

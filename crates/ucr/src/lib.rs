@@ -15,10 +15,6 @@ pub mod dtw;
 pub mod ed;
 pub mod parallel;
 
-pub use dtw::{
-    brute_force_dtw_knn, knn_dtw_batch_parallel_with_stats,
-    knn_dtw_batch_parallel_with_stats_shared, knn_dtw_parallel_with_stats, scan_dtw,
-    scan_dtw_parallel, scan_dtw_parallel_with_stats,
-};
+pub use dtw::{brute_force_dtw_knn, scan_dtw, scan_dtw_parallel};
 pub use ed::{brute_force, brute_force_knn, scan_ed, scan_ed_file};
 pub use parallel::scan_ed_parallel;

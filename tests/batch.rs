@@ -1,15 +1,25 @@
-//! Cross-engine batched queries: `knn_batch(queries, k)` must be
-//! element-wise identical to sequentially calling `knn(q, k)` — same
+//! Cross-engine batched queries: one `search` over a batch must be
+//! element-wise identical to searching each query alone — same
 //! positions, same (deterministic, lowest-position tie-broken) ordering —
 //! on every engine, memory and disk, including datasets salted with exact
 //! duplicates where top-k boundaries cut through tie groups. The batch
 //! path shares one schedule across all queries, so this is the statement
 //! that sharing never changes an answer.
 
-#![allow(deprecated)] // pins the legacy wrappers; tests/query_plane.rs relates them to QuerySpec
-
 use dsidx::prelude::*;
 use std::sync::Arc;
+
+/// One query's exact Euclidean k-NN, as a batch of one.
+fn knn(idx: &impl Search, q: &[f32], k: usize) -> Vec<Match> {
+    idx.search(&[q], &QuerySpec::knn(k)).unwrap().into_single()
+}
+
+/// A batch's exact Euclidean k-NN, one match list per query.
+fn knn_batch(idx: &impl Search, queries: &[&[f32]], k: usize) -> Vec<Vec<Match>> {
+    idx.search(queries, &QuerySpec::knn(k))
+        .unwrap()
+        .into_matches()
+}
 
 fn opts(threads: usize, leaf: usize) -> Options {
     Options::default()
@@ -32,10 +42,10 @@ fn mixed_duplicates(kind: DatasetKind, base: usize, len: usize, seed: u64) -> Da
 
 fn assert_batch_equals_sequential(idx: &MemoryIndex, qs: &Dataset, k: usize) {
     let qrefs: Vec<&[f32]> = qs.iter().collect();
-    let batched = idx.knn_batch(&qrefs, k).unwrap();
+    let batched = knn_batch(idx, &qrefs, k);
     assert_eq!(batched.len(), qrefs.len());
     for (qi, q) in qs.iter().enumerate() {
-        let single = idx.knn(q, k).unwrap();
+        let single = knn(idx, q, k);
         assert_eq!(
             batched[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
             single.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -86,9 +96,9 @@ fn knn_batch_equals_sequential_on_disk_engines() {
         )
         .unwrap();
         for k in [1usize, 9, 40] {
-            let batched = idx.knn_batch(&qrefs, k).unwrap();
+            let batched = knn_batch(&idx, &qrefs, k);
             for (qi, q) in qs.iter().enumerate() {
-                let single = idx.knn(q, k).unwrap();
+                let single = knn(&idx, q, k);
                 assert_eq!(
                     batched[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
                     single.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -98,7 +108,8 @@ fn knn_batch_equals_sequential_on_disk_engines() {
             }
         }
         // And the batch shares the broadcast budget on disk too.
-        let (_, stats) = idx.knn_batch_with_stats(&qrefs, 5).unwrap();
+        let answers = idx.search(&qrefs, &QuerySpec::knn(5).with_stats()).unwrap();
+        let stats = answers.stats().unwrap();
         assert!(stats.broadcasts_per_query() < 1.0, "{}", engine.name());
         assert!(stats.series_requests >= stats.series_fetched);
     }
@@ -122,7 +133,7 @@ fn batch_boundary_inside_a_duplicate_group_keeps_lowest_positions() {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(8, 5)).unwrap();
         for k in [1usize, 3, 7] {
             for _ in 0..3 {
-                let batched = idx.knn_batch(&qrefs, k).unwrap();
+                let batched = knn_batch(&idx, &qrefs, k);
                 for (qi, q) in qrefs.iter().enumerate() {
                     let want = dsidx::ucr::brute_force_knn(&data, q, k);
                     assert_eq!(
@@ -144,23 +155,30 @@ fn nn_batch_matches_nn_and_handles_empty_inputs() {
     let qrefs: Vec<&[f32]> = qs.iter().collect();
     for engine in Engine::ALL {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(3, 10)).unwrap();
-        let nns = idx.nn_batch(&qrefs).unwrap();
+        let nns = idx.search(&qrefs, &QuerySpec::nn()).unwrap();
         for (qi, q) in qs.iter().enumerate() {
-            assert_eq!(nns[qi], idx.nn(q).unwrap(), "{} q{qi}", engine.name());
+            let alone = idx.search(&[q], &QuerySpec::nn()).unwrap().into_nn();
+            assert_eq!(nns.best(qi).copied(), alone, "{} q{qi}", engine.name());
         }
-        // A batch of zero queries is a no-op, not an error.
-        assert!(idx.knn_batch(&[], 3).unwrap().is_empty());
-        assert!(idx.nn_batch(&[]).unwrap().is_empty());
+        // A batch of zero queries is refused, not answered.
+        assert!(matches!(
+            idx.search(&[], &QuerySpec::knn(3)),
+            Err(Error::InvalidSpec(InvalidSpec::EmptyBatch))
+        ));
     }
     // Batches over an empty collection answer every query with nothing.
     let empty = Dataset::new(64).unwrap();
     for engine in Engine::ALL {
         let idx = MemoryIndex::build(empty.clone(), engine, &opts(2, 10)).unwrap();
-        let answers = idx.knn_batch(&qrefs, 5).unwrap();
+        let answers = knn_batch(&idx, &qrefs, 5);
         assert_eq!(answers.len(), qrefs.len(), "{}", engine.name());
         assert!(answers.iter().all(Vec::is_empty), "{}", engine.name());
-        let nns = idx.nn_batch(&qrefs).unwrap();
-        assert!(nns.iter().all(Option::is_none), "{}", engine.name());
+        let nns = idx.search(&qrefs, &QuerySpec::nn()).unwrap();
+        assert!(
+            (0..qrefs.len()).all(|qi| nns.best(qi).is_none()),
+            "{}",
+            engine.name()
+        );
     }
 }
 
@@ -171,7 +189,8 @@ fn batch_stats_report_the_amortization() {
     let qrefs: Vec<&[f32]> = qs.iter().collect();
     for engine in Engine::ALL {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(4, 16)).unwrap();
-        let (_, stats) = idx.knn_batch_with_stats(&qrefs, 5).unwrap();
+        let answers = idx.search(&qrefs, &QuerySpec::knn(5).with_stats()).unwrap();
+        let stats = answers.stats().unwrap();
         assert_eq!(stats.per_query.len(), 8, "{}", engine.name());
         // The acceptance bar: under one broadcast per query at B >= 4.
         assert!(

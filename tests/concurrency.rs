@@ -2,11 +2,15 @@
 //! index must all get exact answers, and answers must not depend on the
 //! degree of concurrency.
 
-#![allow(deprecated)] // pins the legacy wrappers; tests/query_plane.rs relates them to QuerySpec
-
 use dsidx::prelude::*;
 use dsidx::ucr::brute_force;
 use std::sync::Arc;
+
+/// One query's exact Euclidean 1-NN, as a batch of one; `None` for an
+/// empty collection.
+fn nn(idx: &impl Search, q: &[f32]) -> Option<Match> {
+    idx.search(&[q], &QuerySpec::nn()).unwrap().into_nn()
+}
 
 #[test]
 fn concurrent_clients_get_exact_answers() {
@@ -29,7 +33,7 @@ fn concurrent_clients_get_exact_answers() {
                     // Each client starts at a different query and loops.
                     for k in 0..queries.len() {
                         let i = (client + k) % queries.len();
-                        let got = idx.nn(queries.get(i)).unwrap().unwrap();
+                        let got = nn(&*idx, queries.get(i)).unwrap();
                         assert_eq!(
                             got.pos,
                             expected[i].pos,
@@ -53,10 +57,7 @@ fn answers_are_identical_across_thread_counts() {
             .with_threads(threads)
             .with_leaf_capacity(25);
         let idx = MemoryIndex::build(data.clone(), Engine::Messi, &opts).unwrap();
-        let answers: Vec<Match> = queries
-            .iter()
-            .map(|q| idx.nn(q).unwrap().unwrap())
-            .collect();
+        let answers: Vec<Match> = queries.iter().map(|q| nn(&idx, q).unwrap()).collect();
         match &reference {
             None => reference = Some(answers),
             Some(r) => assert_eq!(&answers, r, "threads={threads}"),
@@ -78,9 +79,10 @@ fn interleaved_ed_and_dtw_queries_share_one_index() {
                 for i in 0..queries.len() {
                     let q = queries.get(i);
                     if (client + i) % 2 == 0 {
-                        let _ = idx.nn(q).unwrap().unwrap();
+                        let _ = nn(&*idx, q).unwrap();
                     } else {
-                        let _ = idx.nn_dtw(q, 4).unwrap().unwrap();
+                        let spec = QuerySpec::nn().measure(Measure::Dtw { band: 4 });
+                        let _ = idx.search(&[q], &spec).unwrap().into_nn().unwrap();
                     }
                 }
             });

@@ -1,9 +1,13 @@
 //! The §V extension end to end: one index, two distance measures.
 
-#![allow(deprecated)] // pins the legacy wrappers; tests/query_plane.rs relates them to QuerySpec
-
 use dsidx::prelude::*;
 use dsidx::ucr::dtw::brute_force_dtw;
+
+/// One query's exact 1-NN under banded DTW, as a batch of one.
+fn nn_dtw(idx: &impl Search, q: &[f32], band: usize) -> Option<Match> {
+    let spec = QuerySpec::nn().measure(Measure::Dtw { band });
+    idx.search(&[q], &spec).unwrap().into_nn()
+}
 
 fn opts() -> Options {
     Options::default().with_threads(4).with_leaf_capacity(20)
@@ -18,7 +22,7 @@ fn messi_dtw_matches_brute_force_on_all_families() {
         for band in [0usize, 3, 8] {
             for q in queries.iter() {
                 let want = brute_force_dtw(&data, q, band).unwrap();
-                let got = idx.nn_dtw(q, band).unwrap().unwrap();
+                let got = nn_dtw(&idx, q, band).unwrap();
                 assert_eq!(got.pos, want.pos, "{} band={band}", kind.name());
                 assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4);
             }
@@ -34,7 +38,7 @@ fn non_messi_engines_fall_back_to_exact_parallel_scan() {
         let idx = MemoryIndex::build(data.clone(), engine, &opts()).unwrap();
         for q in queries.iter() {
             let want = brute_force_dtw(&data, q, 5).unwrap();
-            let got = idx.nn_dtw(q, 5).unwrap().unwrap();
+            let got = nn_dtw(&idx, q, 5).unwrap();
             assert_eq!(got.pos, want.pos, "{} fallback", engine.name());
         }
     }
@@ -48,8 +52,12 @@ fn dtw_recovers_time_shifted_template_that_ed_misses() {
     let mut q = data.get(200).to_vec();
     q.rotate_right(6);
     dsidx::series::znorm::znormalize(&mut q);
-    let dtw_hit = idx.nn_dtw(&q, 10).unwrap().unwrap();
-    let ed_hit = idx.nn(&q).unwrap().unwrap();
+    let dtw_hit = nn_dtw(&idx, &q, 10).unwrap();
+    let ed_hit = idx
+        .search(&[&q], &QuerySpec::nn())
+        .unwrap()
+        .into_nn()
+        .unwrap();
     assert_eq!(dtw_hit.pos, 200, "DTW must absorb the shift");
     assert!(
         dtw_hit.dist_sq < ed_hit.dist_sq * 0.5,
@@ -65,8 +73,12 @@ fn dtw_band_zero_equals_euclidean_answer() {
     let queries = DatasetKind::Synthetic.queries(4, 64, 17);
     let idx = MemoryIndex::build(data, Engine::Messi, &opts()).unwrap();
     for q in queries.iter() {
-        let ed = idx.nn(q).unwrap().unwrap();
-        let dtw = idx.nn_dtw(q, 0).unwrap().unwrap();
+        let ed = idx
+            .search(&[q], &QuerySpec::nn())
+            .unwrap()
+            .into_nn()
+            .unwrap();
+        let dtw = nn_dtw(&idx, q, 0).unwrap();
         assert_eq!(ed.pos, dtw.pos);
         assert!((ed.dist_sq - dtw.dist_sq).abs() <= ed.dist_sq * 1e-3 + 1e-3);
     }

@@ -2,10 +2,14 @@
 //! nearest neighbor on every dataset family — the index structures are
 //! *exact*, pruning only with sound lower bounds.
 
-#![allow(deprecated)] // pins the legacy wrappers; tests/query_plane.rs relates them to QuerySpec
-
 use dsidx::prelude::*;
 use dsidx::ucr::brute_force;
+
+/// One query's exact Euclidean 1-NN, as a batch of one; `None` for an
+/// empty collection.
+fn nn(idx: &impl Search, q: &[f32]) -> Option<Match> {
+    idx.search(&[q], &QuerySpec::nn()).unwrap().into_nn()
+}
 
 fn opts(threads: usize, leaf: usize) -> Options {
     Options::default()
@@ -25,7 +29,7 @@ fn all_engines_agree_with_brute_force_on_all_families() {
         for q in queries.iter() {
             let want = brute_force(&data, q).unwrap();
             for idx in &indexes {
-                let got = idx.nn(q).unwrap().unwrap();
+                let got = nn(idx, q).unwrap();
                 assert_eq!(
                     got.pos,
                     want.pos,
@@ -52,7 +56,7 @@ fn exactness_is_robust_to_leaf_capacity_extremes() {
             let idx = MemoryIndex::build(data.clone(), engine, &opts(3, leaf)).unwrap();
             for q in queries.iter() {
                 let want = brute_force(&data, q).unwrap();
-                let got = idx.nn(q).unwrap().unwrap();
+                let got = nn(&idx, q).unwrap();
                 assert_eq!(got.pos, want.pos, "{} leaf={leaf}", engine.name());
             }
         }
@@ -68,7 +72,7 @@ fn exactness_across_segment_counts() {
         let idx = MemoryIndex::build(data.clone(), Engine::Messi, &o).unwrap();
         for q in queries.iter() {
             let want = brute_force(&data, q).unwrap();
-            let got = idx.nn(q).unwrap().unwrap();
+            let got = nn(&idx, q).unwrap();
             assert_eq!(got.pos, want.pos, "segments={segments}");
         }
     }
@@ -80,7 +84,7 @@ fn every_indexed_series_is_its_own_nearest_neighbor() {
     for engine in Engine::ALL {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(4, 30)).unwrap();
         for pos in [0usize, 250, 499] {
-            let got = idx.nn(data.get(pos)).unwrap().unwrap();
+            let got = nn(&idx, data.get(pos)).unwrap();
             assert_eq!(got.pos as usize, pos, "{}", engine.name());
             assert_eq!(got.dist_sq, 0.0);
         }
@@ -93,7 +97,7 @@ fn single_series_collection() {
     let q = DatasetKind::Synthetic.queries(1, 64, 5);
     for engine in Engine::ALL {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(2, 10)).unwrap();
-        let got = idx.nn(q.get(0)).unwrap().unwrap();
+        let got = nn(&idx, q.get(0)).unwrap();
         assert_eq!(got.pos, 0, "{}", engine.name());
     }
 }
@@ -103,7 +107,7 @@ fn empty_collection_returns_none() {
     let data = Dataset::new(64).unwrap();
     for engine in Engine::ALL {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(2, 10)).unwrap();
-        assert!(idx.nn(&[0.0; 64]).unwrap().is_none(), "{}", engine.name());
+        assert!(nn(&idx, &[0.0; 64]).is_none(), "{}", engine.name());
     }
 }
 
@@ -119,7 +123,7 @@ fn identical_series_tie_break_deterministically() {
     for engine in Engine::ALL {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(8, 5)).unwrap();
         for _ in 0..5 {
-            let got = idx.nn(proto.get(0)).unwrap().unwrap();
+            let got = nn(&idx, proto.get(0)).unwrap();
             assert_eq!(got.pos, 0, "{}", engine.name());
             assert_eq!(got.dist_sq, 0.0);
         }

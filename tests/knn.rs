@@ -1,14 +1,17 @@
 //! Cross-engine exact k-NN: for every engine (in-memory and on-disk where
-//! supported), `knn(q, k)` must equal the brute-force k smallest distances
-//! — sorted ascending, with the deterministic lowest-position tie-break —
-//! including on datasets salted with exact duplicates, where the k-th
-//! boundary routinely falls inside a group of equal distances.
-
-#![allow(deprecated)] // pins the legacy wrappers; tests/query_plane.rs relates them to QuerySpec
+//! supported), an exact k-NN search must equal the brute-force k smallest
+//! distances — sorted ascending, with the deterministic lowest-position
+//! tie-break — including on datasets salted with exact duplicates, where
+//! the k-th boundary routinely falls inside a group of equal distances.
 
 use dsidx::prelude::*;
 use dsidx::ucr::brute_force_knn;
 use std::sync::Arc;
+
+/// One query's exact Euclidean k-NN, as a batch of one.
+fn knn(idx: &impl Search, q: &[f32], k: usize) -> Vec<Match> {
+    idx.search(&[q], &QuerySpec::knn(k)).unwrap().into_single()
+}
 
 fn opts(threads: usize, leaf: usize) -> Options {
     Options::default()
@@ -44,7 +47,7 @@ fn knn_equals_brute_force_on_mixed_duplicate_datasets() {
             for k in [1usize, 5, 23, 100] {
                 let want = brute_force_knn(&data, q, k);
                 for idx in &indexes {
-                    let got = idx.knn(q, k).unwrap();
+                    let got = knn(idx, q, k);
                     assert_eq!(
                         got.iter().map(|m| m.pos).collect::<Vec<_>>(),
                         want.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -82,7 +85,7 @@ fn knn_boundary_inside_a_duplicate_group_keeps_lowest_positions() {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(8, 5)).unwrap();
         for k in [1usize, 3, 7] {
             for _ in 0..3 {
-                let got = idx.knn(q, k).unwrap();
+                let got = knn(&idx, q, k);
                 let want = brute_force_knn(&data, q, k);
                 assert_eq!(
                     got.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -103,10 +106,14 @@ fn knn_at_k1_matches_nn_everywhere() {
         for engine in Engine::ALL {
             let idx = MemoryIndex::build(data.clone(), engine, &opts(4, 20)).unwrap();
             for q in queries.iter() {
-                let nn = idx.nn(q).unwrap().unwrap();
-                let knn = idx.knn(q, 1).unwrap();
-                assert_eq!(knn.len(), 1);
-                assert_eq!(knn[0], nn, "{} on {}", engine.name(), kind.name());
+                let nn = idx
+                    .search(&[q], &QuerySpec::nn())
+                    .unwrap()
+                    .into_nn()
+                    .unwrap();
+                let got = knn(&idx, q, 1);
+                assert_eq!(got.len(), 1);
+                assert_eq!(got[0], nn, "{} on {}", engine.name(), kind.name());
             }
         }
     }
@@ -119,7 +126,7 @@ fn knn_larger_than_the_collection_returns_everything_sorted() {
     let q = DatasetKind::Sald.queries(1, 64, 31);
     for engine in Engine::ALL {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(3, 10)).unwrap();
-        let got = idx.knn(q.get(0), n + 50).unwrap();
+        let got = knn(&idx, q.get(0), n + 50);
         let want = brute_force_knn(&data, q.get(0), n + 50);
         assert_eq!(got.len(), n, "{}", engine.name());
         assert_eq!(
@@ -160,7 +167,10 @@ fn knn_on_disk_engines_matches_brute_force() {
         for q in queries.iter() {
             for k in [1usize, 9, 40] {
                 let want = brute_force_knn(&data, q, k);
-                let (got, stats) = idx.knn_with_stats(q, k).unwrap();
+                let (got, stats) = idx
+                    .search(&[q], &QuerySpec::knn(k).with_stats())
+                    .unwrap()
+                    .into_single_with_stats();
                 assert_eq!(
                     got.iter().map(|m| m.pos).collect::<Vec<_>>(),
                     want.iter().map(|m| m.pos).collect::<Vec<_>>(),
@@ -170,8 +180,12 @@ fn knn_on_disk_engines_matches_brute_force() {
                 assert!(stats.real_computed >= got.len() as u64, "{}", engine.name());
             }
             // And the 1-NN special case agrees with nn on disk too.
-            let nn = idx.nn(q).unwrap().unwrap();
-            assert_eq!(idx.knn(q, 1).unwrap()[0], nn, "{}", engine.name());
+            let nn = idx
+                .search(&[q], &QuerySpec::nn())
+                .unwrap()
+                .into_nn()
+                .unwrap();
+            assert_eq!(knn(&idx, q, 1)[0], nn, "{}", engine.name());
         }
     }
 }
@@ -245,10 +259,6 @@ fn knn_on_empty_collection_is_empty() {
     let data = Dataset::new(64).unwrap();
     for engine in Engine::ALL {
         let idx = MemoryIndex::build(data.clone(), engine, &opts(2, 10)).unwrap();
-        assert!(
-            idx.knn(&[0.0; 64], 5).unwrap().is_empty(),
-            "{}",
-            engine.name()
-        );
+        assert!(knn(&idx, &[0.0; 64], 5).is_empty(), "{}", engine.name());
     }
 }

@@ -1,12 +1,16 @@
 //! End-to-end on-disk behaviour: the facade's `DiskIndex` over real files
 //! with modeled devices, failure injection, device accounting.
 
-#![allow(deprecated)] // pins the legacy wrappers; tests/query_plane.rs relates them to QuerySpec
-
 use dsidx::prelude::*;
 use dsidx::storage::write_dataset;
 use dsidx::ucr::brute_force;
 use std::sync::Arc;
+
+/// One query's exact Euclidean 1-NN, as a batch of one; `None` for an
+/// empty collection.
+fn nn(idx: &impl Search, q: &[f32]) -> Option<Match> {
+    idx.search(&[q], &QuerySpec::nn()).unwrap().into_nn()
+}
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dsidx-it-{}-{name}", std::process::id()));
@@ -34,7 +38,7 @@ fn disk_engines_agree_with_brute_force() {
         let idx = DiskIndex::build(&path, &dir, engine, &o, DeviceProfile::UNTHROTTLED).unwrap();
         for q in queries.iter() {
             let want = brute_force(&data, q).unwrap();
-            let got = idx.nn(q).unwrap().unwrap();
+            let got = nn(&idx, q).unwrap();
             assert_eq!(got.pos, want.pos, "{}", engine.name());
         }
     }
@@ -177,7 +181,7 @@ fn queries_charge_the_device() {
     .unwrap();
     idx.file().device().reset_stats();
     let q = DatasetKind::Seismic.queries(1, 64, 3);
-    let _ = idx.nn(q.get(0)).unwrap().unwrap();
+    let _ = nn(&idx, q.get(0)).unwrap();
     let stats = idx.file().device().stats();
     assert!(
         stats.bytes_read > 0,
@@ -230,8 +234,7 @@ fn wrong_length_query_is_a_structured_error() {
     )
     .unwrap();
     // The query plane validates before any engine runs: a mis-sized query
-    // comes back as InvalidSpec::QueryLength (not a panic), through the
-    // new spelling and the legacy wrapper alike.
+    // comes back as InvalidSpec::QueryLength (not a panic).
     let short = [0.0f32; 16];
     let e = idx.search(&[&short[..]], &QuerySpec::nn());
     assert!(matches!(
@@ -241,10 +244,6 @@ fn wrong_length_query_is_a_structured_error() {
             got: 16,
             index: 0
         }))
-    ));
-    assert!(matches!(
-        idx.nn(&[0.0; 16]),
-        Err(Error::InvalidSpec(InvalidSpec::QueryLength { .. }))
     ));
 }
 
@@ -260,7 +259,7 @@ fn hdd_queries_slower_than_ssd_queries() {
         let idx = DiskIndex::build(&path, &dir, Engine::ParisPlus, &opts(), profile).unwrap();
         let t = std::time::Instant::now();
         for q in queries.iter() {
-            let _ = idx.nn(q).unwrap().unwrap();
+            let _ = nn(&idx, q).unwrap();
         }
         times.push(t.elapsed());
     }

@@ -2,8 +2,6 @@
 //! queries, every engine's answer equals brute force — the system-level
 //! statement of the lower-bound soundness invariant.
 
-#![allow(deprecated)] // pins the legacy wrappers; tests/query_plane.rs relates them to QuerySpec
-
 use dsidx::prelude::*;
 use dsidx::ucr::{brute_force, dtw::brute_force_dtw};
 use proptest::prelude::*;
@@ -41,7 +39,7 @@ proptest! {
             .with_segments(8.min(len));
         for engine in Engine::ALL {
             let idx = MemoryIndex::build(data.clone(), engine, &opts).unwrap();
-            let got = idx.nn(&q).unwrap().unwrap();
+            let got = idx.search(&[&q], &QuerySpec::nn()).unwrap().into_nn().unwrap();
             // Positions may differ only on exact distance ties.
             if got.pos != want.pos {
                 prop_assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4,
@@ -63,7 +61,8 @@ proptest! {
             .with_leaf_capacity(10)
             .with_segments(8.min(len));
         let idx = MemoryIndex::build(data, Engine::Messi, &opts).unwrap();
-        let got = idx.nn_dtw(&q, band).unwrap().unwrap();
+        let spec = QuerySpec::nn().measure(Measure::Dtw { band });
+        let got = idx.search(&[&q], &spec).unwrap().into_nn().unwrap();
         prop_assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4,
             "dtw dist mismatch: {} vs {}", got.dist_sq, want.dist_sq);
     }
@@ -94,9 +93,13 @@ proptest! {
         let reversed: Vec<&[f32]> = queries.iter().rev().map(Vec::as_slice).collect();
         for engine in Engine::ALL {
             let idx = MemoryIndex::build(data.clone(), engine, &opts).unwrap();
-            let got_fwd = idx.knn_batch(&forward, k).unwrap();
-            let got_rev = idx.knn_batch(&reversed, k).unwrap();
-            let solo: Vec<_> = forward.iter().map(|q| idx.knn(q, k).unwrap()).collect();
+            let spec = QuerySpec::knn(k);
+            let got_fwd = idx.search(&forward, &spec).unwrap().into_matches();
+            let got_rev = idx.search(&reversed, &spec).unwrap().into_matches();
+            let solo: Vec<_> = forward
+                .iter()
+                .map(|q| idx.search(&[q], &spec).unwrap().into_single())
+                .collect();
             for qi in 0..forward.len() {
                 let fwd_pos: Vec<u32> = got_fwd[qi].iter().map(|m| m.pos).collect();
                 let rev_pos: Vec<u32> =

@@ -11,8 +11,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Extracts `pub fn` / `pub struct` / `pub enum` / `pub trait` items from
-/// one source file, skipping comments and `#[cfg(test)]` items. The
+/// Extracts `pub fn` / `pub struct` / `pub enum` / `pub trait` /
+/// `pub type` / `pub const` / `pub use` items from one source file, skipping comments and `#[cfg(test)]` items. The
 /// skip tracks brace depth, so it ends where the test module ends — a
 /// `pub` item *after* a test module still lands in the snapshot.
 fn extract(source: &str) -> Vec<String> {
@@ -54,9 +54,17 @@ fn extract(source: &str) -> Vec<String> {
             ("pub struct ", "struct"),
             ("pub enum ", "enum"),
             ("pub trait ", "trait"),
+            ("pub type ", "type"),
+            ("pub use ", "use"),
             ("pub const ", "const"),
         ] {
             if let Some(rest) = t.strip_prefix(prefix) {
+                // A re-export is named by what it exports, not by where
+                // it comes from.
+                let rest = match kind {
+                    "use" => rest.rsplit("::").next().unwrap_or(rest),
+                    _ => rest,
+                };
                 let name: String = rest
                     .chars()
                     .take_while(|c| c.is_alphanumeric() || *c == '_')

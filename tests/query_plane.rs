@@ -1,11 +1,11 @@
-//! The query-plane equivalence suite: every legacy facade method must
-//! return **bit-identical** results to its `QuerySpec` spelling, on every
-//! engine, in memory and on disk — the contract that lets the deprecated
-//! matrix be thin wrappers over `Search::search`. Plus the fidelity
-//! properties: approximate answers never report a distance below the
-//! exact answer at the same rank, and batched DTW equals sequential DTW
-//! element-wise.
-#![allow(deprecated)] // the legacy spellings are the subject under test
+//! The query-plane suite: properties of `Search::search` that hold on
+//! every engine, in memory, on disk and sharded. A query's answer does not
+//! depend on what else is in its batch (**bit-identical** alone and in a
+//! batch of four, in every engine × residence × measure × fidelity cell);
+//! no cell is unsupported; non-finite queries are rejected everywhere;
+//! approximate answers never report a distance below the exact answer at
+//! the same rank; exact DTW on disk equals brute force; and batched DTW
+//! equals sequential DTW element-wise.
 
 use dsidx::prelude::*;
 use proptest::prelude::*;
@@ -32,111 +32,20 @@ fn assert_bit_identical(old: &[Match], new: &[Match], label: &str) {
 }
 
 #[test]
-fn memory_legacy_matrix_equals_queryspec_spelling() {
-    let data = DatasetKind::Synthetic.generate(350, 64, 4071);
-    let qs = DatasetKind::Synthetic.queries(4, 64, 4071);
-    let qrefs: Vec<&[f32]> = qs.iter().collect();
-    let (band, k) = (4usize, 5usize);
-    for engine in Engine::ALL {
-        let idx = MemoryIndex::build(data.clone(), engine, &opts(3, 16)).unwrap();
-        let name = engine.name();
-        let q = qrefs[0];
-
-        // nn == search(nn spec).
-        let old = idx.nn(q).unwrap();
-        let new = idx.search(&[q], &QuerySpec::nn()).unwrap().into_nn();
-        assert_eq!(old.map(|m| m.pos), new.map(|m| m.pos), "{name} nn");
-
-        // nn_with_stats == search(nn spec + stats).
-        let (old_m, _) = idx.nn_with_stats(q).unwrap().unwrap();
-        let answers = idx.search(&[q], &QuerySpec::nn().with_stats()).unwrap();
-        assert!(answers.stats().is_some());
-        assert_bit_identical(
-            &[old_m],
-            &[*answers.best(0).unwrap()],
-            &format!("{name} nn_with_stats"),
-        );
-
-        // knn / knn_with_stats == search(knn spec).
-        let old = idx.knn(q, k).unwrap();
-        let new = idx.search(&[q], &QuerySpec::knn(k)).unwrap().into_single();
-        assert_bit_identical(&old, &new, &format!("{name} knn"));
-        let (old, _) = idx.knn_with_stats(q, k).unwrap();
-        let (new, _) = idx
-            .search(&[q], &QuerySpec::knn(k).with_stats())
-            .unwrap()
-            .into_single_with_stats();
-        assert_bit_identical(&old, &new, &format!("{name} knn_with_stats"));
-
-        // nn_batch / knn_batch / knn_batch_with_stats == batched search.
-        let old = idx.nn_batch(&qrefs).unwrap();
-        let new = idx.search(&qrefs, &QuerySpec::nn()).unwrap();
-        for (qi, o) in old.iter().enumerate() {
-            assert_eq!(
-                o.map(|m| m.pos),
-                new.best(qi).map(|m| m.pos),
-                "{name} nn_batch q{qi}"
-            );
-        }
-        let old = idx.knn_batch(&qrefs, k).unwrap();
-        let new = idx
-            .search(&qrefs, &QuerySpec::knn(k))
-            .unwrap()
-            .into_matches();
-        for (qi, (o, n)) in old.iter().zip(&new).enumerate() {
-            assert_bit_identical(o, n, &format!("{name} knn_batch q{qi}"));
-        }
-        let (old, old_stats) = idx.knn_batch_with_stats(&qrefs, k).unwrap();
-        let (new, new_stats) = idx
-            .search(&qrefs, &QuerySpec::knn(k).with_stats())
-            .unwrap()
-            .into_parts_with_stats();
-        for (qi, (o, n)) in old.iter().zip(&new).enumerate() {
-            assert_bit_identical(o, n, &format!("{name} knn_batch_with_stats q{qi}"));
-        }
-        assert_eq!(old_stats.broadcasts, new_stats.broadcasts, "{name}");
-
-        // The DTW column: nn_dtw / knn_dtw (+ stats) == measure(Dtw).
-        let dtw = |spec: QuerySpec| spec.measure(Measure::Dtw { band });
-        let old = idx.nn_dtw(q, band).unwrap();
-        let new = idx.search(&[q], &dtw(QuerySpec::nn())).unwrap().into_nn();
-        assert_eq!(old.map(|m| m.pos), new.map(|m| m.pos), "{name} nn_dtw");
-        let (old_m, _) = idx.nn_dtw_with_stats(q, band).unwrap().unwrap();
-        let new = idx
-            .search(&[q], &dtw(QuerySpec::nn()).with_stats())
-            .unwrap();
-        assert_bit_identical(
-            &[old_m],
-            &[*new.best(0).unwrap()],
-            &format!("{name} nn_dtw_with_stats"),
-        );
-        let old = idx.knn_dtw(q, band, k).unwrap();
-        let new = idx
-            .search(&[q], &dtw(QuerySpec::knn(k)))
-            .unwrap()
-            .into_single();
-        assert_bit_identical(&old, &new, &format!("{name} knn_dtw"));
-        let (old, _) = idx.knn_dtw_with_stats(q, band, k).unwrap();
-        let (new, _) = idx
-            .search(&[q], &dtw(QuerySpec::knn(k)).with_stats())
-            .unwrap()
-            .into_single_with_stats();
-        assert_bit_identical(&old, &new, &format!("{name} knn_dtw_with_stats"));
-    }
-}
-
-#[test]
-fn disk_legacy_matrix_equals_queryspec_spelling() {
+fn a_batch_of_one_is_bit_identical_to_its_row_in_a_batch_of_four() {
+    // Batch width picks the schedule (MESSI: cooperative alone, whole
+    // queries or shared fetch at four; ParIS/ADS+: one pass either way) and
+    // decides which queries share fetches and seeds — never the answer.
     let dir = std::env::temp_dir().join(format!("dsidx-plane-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let data = DatasetKind::Seismic.generate(250, 64, 17);
+    let data = DatasetKind::Seismic.generate(300, 64, 4071);
     let path = dir.join("plane.dsidx");
     dsidx::storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
-    let qs = DatasetKind::Seismic.queries(3, 64, 17);
+    let qs = DatasetKind::Seismic.queries(4, 64, 4071);
     let qrefs: Vec<&[f32]> = qs.iter().collect();
-    let k = 7usize;
     for engine in Engine::ALL {
-        let idx = DiskIndex::build(
+        let memory = MemoryIndex::build(data.clone(), engine, &opts(3, 16)).unwrap();
+        let disk = DiskIndex::build(
             &path,
             &dir,
             engine,
@@ -144,47 +53,28 @@ fn disk_legacy_matrix_equals_queryspec_spelling() {
             DeviceProfile::UNTHROTTLED,
         )
         .unwrap();
-        let name = engine.name();
-        let q = qrefs[0];
-
-        let old = idx.nn(q).unwrap();
-        let new = idx.search(&[q], &QuerySpec::nn()).unwrap().into_nn();
-        assert_eq!(old.map(|m| m.pos), new.map(|m| m.pos), "{name} nn");
-        let (old_m, _) = idx.nn_with_stats(q).unwrap().unwrap();
-        assert_eq!(
-            old_m.pos,
-            idx.search(&[q], &QuerySpec::nn().with_stats())
-                .unwrap()
-                .best(0)
-                .unwrap()
-                .pos,
-            "{name} nn_with_stats"
-        );
-        let old = idx.knn(q, k).unwrap();
-        let new = idx.search(&[q], &QuerySpec::knn(k)).unwrap().into_single();
-        assert_bit_identical(&old, &new, &format!("{name} knn"));
-        let (old, _) = idx.knn_with_stats(q, k).unwrap();
-        let (new, _) = idx
-            .search(&[q], &QuerySpec::knn(k).with_stats())
-            .unwrap()
-            .into_single_with_stats();
-        assert_bit_identical(&old, &new, &format!("{name} knn_with_stats"));
-        let old = idx.knn_batch(&qrefs, k).unwrap();
-        let new = idx
-            .search(&qrefs, &QuerySpec::knn(k))
-            .unwrap()
-            .into_matches();
-        for (qi, (o, n)) in old.iter().zip(&new).enumerate() {
-            assert_bit_identical(o, n, &format!("{name} knn_batch q{qi}"));
-        }
-        let old = idx.nn_batch(&qrefs).unwrap();
-        let new = idx.search(&qrefs, &QuerySpec::nn()).unwrap();
-        for (qi, o) in old.iter().enumerate() {
-            assert_eq!(
-                o.map(|m| m.pos),
-                new.best(qi).map(|m| m.pos),
-                "{name} nn_batch q{qi}"
-            );
+        let sharded = ShardedIndex::build_in_memory(&data, 3, engine, &opts(3, 16)).unwrap();
+        let residences: [(&str, &dyn Search); 3] =
+            [("memory", &memory), ("disk", &disk), ("sharded", &sharded)];
+        for (residence, idx) in residences {
+            for fidelity in [Fidelity::Exact, Fidelity::Approximate] {
+                for measure in [Measure::Euclidean, Measure::Dtw { band: 4 }] {
+                    let spec = QuerySpec::knn(5).measure(measure).fidelity(fidelity);
+                    let batch = idx.search(&qrefs, &spec).unwrap();
+                    for (qi, q) in qrefs.iter().enumerate() {
+                        let alone = idx.search(&[q], &spec).unwrap().into_single();
+                        assert!(!alone.is_empty());
+                        assert_bit_identical(
+                            &alone,
+                            &batch.matches()[qi],
+                            &format!(
+                                "{} {residence} {fidelity:?} {measure:?} q{qi}",
+                                engine.name()
+                            ),
+                        );
+                    }
+                }
+            }
         }
     }
 }
@@ -192,7 +82,7 @@ fn disk_legacy_matrix_equals_queryspec_spelling() {
 #[test]
 fn disk_query_plane_has_no_unsupported_cells() {
     // Every engine x fidelity x measure combination answers on DiskIndex —
-    // the cell that used to report Unsupported (exact DTW) included.
+    // exact DTW included.
     let dir = std::env::temp_dir().join(format!("dsidx-plane-full-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let data = DatasetKind::Synthetic.generate(200, 64, 23);
@@ -222,25 +112,6 @@ fn disk_query_plane_has_no_unsupported_cells() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn legacy_empty_batches_keep_their_contract() {
-    // The query plane rejects empty batches (InvalidSpec::EmptyBatch);
-    // the legacy wrappers keep returning empty collections.
-    let data = DatasetKind::Synthetic.generate(60, 64, 3);
-    for engine in Engine::ALL {
-        let idx = MemoryIndex::build(data.clone(), engine, &opts(2, 10)).unwrap();
-        assert!(idx.nn_batch(&[]).unwrap().is_empty());
-        assert!(idx.knn_batch(&[], 3).unwrap().is_empty());
-        let (m, stats) = idx.knn_batch_with_stats(&[], 3).unwrap();
-        assert!(m.is_empty());
-        assert_eq!(stats, BatchStats::default());
-        assert!(matches!(
-            idx.search(&[], &QuerySpec::nn()),
-            Err(Error::InvalidSpec(InvalidSpec::EmptyBatch))
-        ));
     }
 }
 

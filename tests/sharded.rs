@@ -207,6 +207,63 @@ fn disk_shard_read_fault_reports_shard_and_phase() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A sharded index built with a *relative* workdir must still save a
+/// manifest that names each shard's dataset file absolutely — what its
+/// format promises — so `open_on_disk` follows it from any working
+/// directory, and answers bit-identically.
+#[test]
+fn manifest_records_absolute_dataset_paths_for_a_relative_workdir() {
+    let cwd = std::env::current_dir().unwrap();
+    let workdir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .strip_prefix(&cwd)
+        .unwrap_or(std::path::Path::new("target/tmp"))
+        .join(format!("dsidx-sharded-relative-{}", std::process::id()));
+    assert!(workdir.is_relative());
+    std::fs::create_dir_all(&workdir).unwrap();
+    let data = DatasetKind::Synthetic.generate(240, 64, 29);
+    let path = workdir.join("full.dsidx");
+    dsidx::storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let built = ShardedIndex::build_on_disk(
+        &path,
+        &workdir,
+        3,
+        Engine::ParisPlus,
+        &opts(2),
+        DeviceProfile::UNTHROTTLED,
+    )
+    .unwrap();
+    let snapdir = workdir.join("snap");
+    built.save(&snapdir).unwrap();
+
+    let manifest = std::fs::read_to_string(snapdir.join("MANIFEST")).unwrap();
+    let shard_lines: Vec<&str> = manifest
+        .lines()
+        .filter(|l| l.starts_with("shard "))
+        .collect();
+    assert_eq!(shard_lines.len(), 3);
+    for line in shard_lines {
+        // `shard <i> <kind> <base> <count> <file> <dataset>`
+        let dataset = line.splitn(7, ' ').nth(6).unwrap();
+        assert!(
+            std::path::Path::new(dataset).is_absolute(),
+            "manifest records a relative dataset path: {line}"
+        );
+    }
+
+    let opened =
+        ShardedIndex::open_on_disk(&snapdir, &Options::default(), DeviceProfile::UNTHROTTLED)
+            .unwrap();
+    let qs = DatasetKind::Synthetic.queries(3, 64, 29);
+    let qrefs: Vec<&[f32]> = qs.iter().collect();
+    let spec = QuerySpec::knn(5);
+    let want = built.search(&qrefs, &spec).unwrap();
+    let got = opened.search(&qrefs, &spec).unwrap();
+    for (qi, (w, g)) in want.matches().iter().zip(got.matches()).enumerate() {
+        assert_bit_identical(w, g, &format!("reopened q{qi}"));
+    }
+    std::fs::remove_dir_all(&workdir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
