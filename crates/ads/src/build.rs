@@ -2,14 +2,18 @@
 
 use dsidx_isax::Word;
 use dsidx_storage::{DatasetFile, StorageError};
-use dsidx_tree::{Index, LeafEntry, SaxArray, TreeConfig};
+use dsidx_tree::{FlatTree, Index, LeafEntry, SaxArray, TreeConfig};
 use std::time::{Duration, Instant};
 
-/// A built ADS+-style index: the tree plus the SAX array.
+/// A built ADS+-style index: the flat tree (what the approximate descent
+/// seeds from) plus the SAX array (what SIMS scans).
 #[derive(Debug)]
 pub struct AdsIndex {
-    /// The iSAX tree.
-    pub index: Index,
+    /// The iSAX tree, flattened once its bulk load ended.
+    pub tree: FlatTree,
+    /// The configuration the tree was built under (fitted to the
+    /// collection).
+    pub config: TreeConfig,
     /// Position-ordered iSAX words (scanned by SIMS at query time).
     pub sax: SaxArray,
 }
@@ -46,19 +50,13 @@ pub fn build_from_dataset(
     for series in data.iter() {
         words.push(quantizer.word_into(series, &mut paa));
     }
-    let index = bulk_build(&words, config);
+    let ads = bulk_load(words, config);
     let report = AdsBuildReport {
         read: Duration::ZERO,
         cpu: t0.elapsed(),
         total: t0.elapsed(),
     };
-    (
-        AdsIndex {
-            index,
-            sax: SaxArray::new(words),
-        },
-        report,
-    )
+    (ads, report)
 }
 
 /// Builds serially from an on-disk dataset file, reading sequential blocks
@@ -102,41 +100,39 @@ pub fn build_from_file(
         start += count;
     }
     let tc = Instant::now();
-    let index = bulk_build(&words, config);
+    let ads = bulk_load(words, config);
     cpu += tc.elapsed();
     let report = AdsBuildReport {
         read,
         cpu,
         total: t0.elapsed(),
     };
-    Ok((
-        AdsIndex {
-            index,
-            sax: SaxArray::new(words),
-        },
-        report,
-    ))
+    Ok((ads, report))
 }
 
 /// ADS+-style buffered bulk load: group entries per root subtree first,
 /// then build each subtree in one pass (better locality than interleaved
-/// inserts — this is what the receiving-buffer design generalizes). The
-/// root fan-out is fitted to the number of words, whatever `config`
-/// carried (see [`TreeConfig::fitted_to`]).
-fn bulk_build(words: &[Word], config: &TreeConfig) -> Index {
+/// inserts — this is what the receiving-buffer design generalizes), and
+/// flatten the result. The root fan-out is fitted to the number of words,
+/// whatever `config` carried (see [`TreeConfig::fitted_to`]).
+fn bulk_load(words: Vec<Word>, config: &TreeConfig) -> AdsIndex {
     let config = config.fitted_to(words.len());
     let mut buffers: Vec<Vec<LeafEntry>> = Vec::new();
     buffers.resize_with(config.root_count(), Vec::new);
     for (pos, word) in words.iter().enumerate() {
         buffers[usize::from(config.root_key(word))].push(LeafEntry::new(*word, pos as u32));
     }
-    let mut index = Index::new(config);
+    let mut index = Index::new(config.clone());
     for buffer in buffers {
         for entry in buffer {
             index.insert(entry);
         }
     }
-    index
+    AdsIndex {
+        tree: FlatTree::from_index(&index),
+        config,
+        sax: SaxArray::new(words),
+    }
 }
 
 #[cfg(test)]
@@ -144,7 +140,8 @@ mod tests {
     use super::*;
     use dsidx_series::gen::DatasetKind;
     use dsidx_storage::{write_dataset, Device};
-    use dsidx_tree::stats::{index_stats, validate};
+    use dsidx_tree::snapshot::validate;
+    use dsidx_tree::stats::index_stats;
     use std::sync::Arc;
 
     fn config() -> TreeConfig {
@@ -155,9 +152,9 @@ mod tests {
     fn build_indexes_every_series() {
         let data = DatasetKind::Synthetic.generate(400, 64, 5);
         let (ads, report) = build_from_dataset(&data, &config());
-        assert_eq!(ads.index.len(), 400);
+        assert_eq!(ads.tree.entry_count(), 400);
         assert_eq!(ads.sax.len(), 400);
-        validate(&ads.index);
+        validate(&ads.tree, &ads.config, 400).unwrap();
         assert!(report.total >= report.cpu);
         // SAX array is position-aligned.
         let q = config();
@@ -176,21 +173,21 @@ mod tests {
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
         let (mem, _) = build_from_dataset(&data, &config());
         let (disk, report) = build_from_file(&file, &config(), 77).unwrap();
-        assert_eq!(mem.index.len(), disk.index.len());
+        assert_eq!(mem.tree.entry_count(), disk.tree.entry_count());
         assert_eq!(mem.sax.words(), disk.sax.words());
         assert_eq!(
-            index_stats(&mem.index).leaf_count,
-            index_stats(&disk.index).leaf_count
+            index_stats(&mem.tree).leaf_count,
+            index_stats(&disk.tree).leaf_count
         );
         assert!(report.read > Duration::ZERO || report.total >= report.cpu);
-        validate(&disk.index);
+        validate(&disk.tree, &disk.config, 300).unwrap();
     }
 
     #[test]
     fn empty_dataset_builds_empty_index() {
         let data = dsidx_series::Dataset::new(64).unwrap();
         let (ads, _) = build_from_dataset(&data, &config());
-        assert!(ads.index.is_empty());
+        assert_eq!(ads.tree.entry_count(), 0);
         assert!(ads.sax.is_empty());
     }
 

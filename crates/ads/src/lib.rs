@@ -18,4 +18,4 @@ pub mod query;
 
 pub use build::{build_from_dataset, build_from_file, AdsBuildReport, AdsIndex};
 pub use dsidx_query::{BatchStats, QueryStats};
-pub use query::{approx, exact};
+pub use query::exact;

@@ -3,18 +3,18 @@
 //! All heavy lifting comes from the shared kernel (`dsidx-query`): query
 //! preparation, approximate-descent seeding, and the interleaved
 //! lower-bound/verify scan. ADS+ contributes only the scheduling — one
-//! thread, position order. Two entry points: [`exact`] (Euclidean, a batch
-//! of queries in one pass; a single query is a batch of one) and
-//! [`approx`] (either measure, one best-leaf visit).
+//! thread, position order. One entry point, [`exact`] (Euclidean, a batch
+//! of queries in one pass; a single query is a batch of one); the
+//! approximate answer is the shared best-leaf visit,
+//! [`approx_best_leaf`](dsidx_query::approx_best_leaf), over
+//! [`AdsIndex::tree`].
 
 use crate::build::AdsIndex;
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
-    approx_leaf, batch_scan_sax_serial, batch_seed_positions, finish_knn, seed_from_entries,
-    seed_from_entries_dtw, BatchStats, LeafScratch, Measure, QueryBatch, QueryStats, SeriesFetcher,
-    ShardView, SharedTopK,
+    approx_leaf_flat, batch_scan_sax_serial, batch_seed_positions, BatchStats, QueryBatch,
+    QueryStats, SeriesFetcher, ShardView,
 };
-use dsidx_series::distance::dtw::envelope;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 
@@ -51,14 +51,14 @@ pub fn exact(
     k: usize,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    let config = ads.index.config();
+    let (tree, config) = (&ads.tree, &ads.config);
     for q in queries {
         assert_eq!(q.len(), config.series_len(), "query length mismatch");
     }
     let mut clock = PhaseClock::start();
     let batch = QueryBatch::for_shard(config.quantizer(), queries, k, shard);
     let prepare_nanos = clock.lap();
-    if ads.index.is_empty() || batch.is_empty() {
+    if tree.entry_count() == 0 || batch.is_empty() {
         return Ok(batch.finish(0, QueryStats::default()));
     }
     batch.phases().record(Phase::Prepare, prepare_nanos);
@@ -69,13 +69,8 @@ pub fn exact(
     let mut positions: Vec<u32> = Vec::new();
     for slot in batch.slots() {
         let leaf =
-            approx_leaf(&ads.index, &slot.prep.word).expect("non-empty index has a non-empty leaf");
-        positions.extend(
-            leaf.entries()
-                .expect("serial leaves are resident")
-                .iter()
-                .map(|e| e.pos),
-        );
+            approx_leaf_flat(tree, &slot.prep.word).expect("non-empty index has a non-empty leaf");
+        positions.extend_from_slice(tree.leaf_positions(tree.node(leaf)));
     }
     positions.sort_unstable();
     positions.dedup();
@@ -90,87 +85,11 @@ pub fn exact(
     Ok(batch.finish(0, QueryStats::default()))
 }
 
-/// *Approximate* k-NN via the serial index: descend to the query's own
-/// leaf (the paper's approximate answer) and return the k nearest of its
-/// entries by real distance under `measure` — early-abandoned Euclidean
-/// distance, or the DTW cascade
-/// (`dsidx_series::distance::dtw::dtw_cascade`) — with no SAX-array scan.
-/// Every reported distance is a real distance to a real series, so it is
-/// never below the exact answer at the same rank; returns fewer than `k`
-/// matches when the leaf holds fewer entries, empty for an empty index.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length or
-/// `k == 0`.
-pub fn approx(
-    ads: &AdsIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    measure: Measure,
-    k: usize,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    match measure {
-        Measure::Euclidean => approx_leaf_visit(ads, source, query, k, |entries, fetcher, topk| {
-            seed_from_entries(entries.iter().map(|e| e.pos), fetcher, query, topk)
-        }),
-        Measure::Dtw { band } => {
-            let (mut lower, mut upper) = (Vec::new(), Vec::new());
-            envelope(query, band, &mut lower, &mut upper);
-            approx_leaf_visit(ads, source, query, k, |entries, fetcher, topk| {
-                seed_from_entries_dtw(
-                    entries.iter().map(|e| e.pos),
-                    fetcher,
-                    query,
-                    &lower,
-                    &upper,
-                    band,
-                    topk,
-                    &mut LeafScratch::new(),
-                )
-            })
-        }
-    }
-}
-
-/// The shared best-leaf visit behind both approximate measures: locate the
-/// query's leaf, let `pay` charge one real distance per entry into the
-/// collector.
-fn approx_leaf_visit<S: RawSource>(
-    ads: &AdsIndex,
-    source: &S,
-    query: &[f32],
-    k: usize,
-    pay: impl FnOnce(
-        &[dsidx_tree::LeafEntry],
-        &mut SeriesFetcher<'_, S>,
-        &SharedTopK,
-    ) -> Result<u64, StorageError>,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let config = ads.index.config();
-    assert_eq!(query.len(), config.series_len(), "query length mismatch");
-    let topk = SharedTopK::new(k);
-    if ads.index.is_empty() {
-        return Ok(finish_knn(&topk, None));
-    }
-    let mut clock = PhaseClock::start();
-    let word = config.quantizer().word(query);
-    let leaf = approx_leaf(&ads.index, &word).expect("non-empty index has a non-empty leaf");
-    let entries = leaf.entries().expect("serial leaves are resident");
-    let mut fetcher = SeriesFetcher::new(source);
-    let mut stats = QueryStats::default();
-    stats.phase.record(Phase::Prepare, clock.lap());
-    stats.real_computed = pay(entries, &mut fetcher, &topk)?;
-    stats.phase.record(Phase::Seed, clock.lap());
-    Ok(finish_knn(&topk, Some(stats)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::{build_from_dataset, build_from_file};
+    use dsidx_query::{approx_best_leaf, Measure};
     use dsidx_series::gen::DatasetKind;
     use dsidx_storage::{write_dataset, DatasetFile, Device};
     use dsidx_tree::TreeConfig;
@@ -179,6 +98,17 @@ mod tests {
 
     fn config() -> TreeConfig {
         TreeConfig::new(64, 8, 16).unwrap()
+    }
+
+    /// The approximate answer through the index's tree.
+    fn approx(
+        ads: &AdsIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        measure: Measure,
+        k: usize,
+    ) -> Result<(Vec<Match>, QueryStats), StorageError> {
+        approx_best_leaf(&ads.tree, &ads.config, source, q, measure, k)
     }
 
     /// One query through [`exact`] as a batch of one.
@@ -318,7 +248,7 @@ mod tests {
                 assert!(stats.real_computed >= approx.len() as u64);
                 let exact_dtw = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
                 let (approx_dtw, _) =
-                    super::approx(&ads, &data, q, Measure::Dtw { band: 4 }, k).unwrap();
+                    self::approx(&ads, &data, q, Measure::Dtw { band: 4 }, k).unwrap();
                 for (a, e) in approx_dtw.iter().zip(&exact_dtw) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6, "dtw k={k}");
                 }

@@ -9,8 +9,10 @@
 //! [`QuerySpec`] (how many neighbors, which [`Measure`], which
 //! [`Fidelity`], stats or not) and execute it with
 //! [`Search::search`] — one method, one internal dispatch (`Index::run`)
-//! onto one exact and one approximate entry point per engine, batches as
-//! the native shape (a single query is a batch of one).
+//! onto one exact entry point per engine and one approximate one per
+//! answer kind (the best-leaf visit of ADS+ and MESSI, ParIS's
+//! sketch-nearest probe), batches as the native shape (a single query is a
+//! batch of one).
 
 use crate::answers::Answers;
 use crate::error::Error;
@@ -23,8 +25,8 @@ use dsidx_query::{BatchStats, QueryStats, ShardView};
 use dsidx_series::{Dataset, Match};
 use dsidx_storage::{DatasetFile, Device, DeviceProfile, LeafStoreReader, RawSource, StorageError};
 use dsidx_tree::stats::{index_stats, IndexStats};
-use dsidx_tree::{FlatTree, SaxArray};
-use std::path::{Path, PathBuf};
+use dsidx_tree::{FlatTree, TreeConfig};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Which indexing engine to use.
@@ -84,41 +86,69 @@ enum Built {
 }
 
 impl Built {
-    /// The iSAX tree every engine is built around.
-    fn tree(&self) -> &dsidx_tree::Index {
+    /// The flat iSAX tree every engine holds, and the configuration it was
+    /// built under.
+    fn tree(&self) -> (&FlatTree, &TreeConfig) {
         match self {
-            Built::Ads(ads) => &ads.index,
-            Built::Paris(paris) => &paris.index,
-            Built::Messi(messi) => &messi.index,
+            Built::Ads(ads) => (&ads.tree, &ads.config),
+            Built::Paris(paris) => (&paris.tree, &paris.config),
+            Built::Messi(messi) => (&messi.tree, &messi.config),
         }
     }
 
-    /// Reassembles `engine`'s index from a decoded snapshot; `leaves` is
-    /// the reader over an embedded ParIS leaf store, when one was saved.
+    /// Reassembles `engine`'s index from a decoded snapshot: the tree goes
+    /// in as decoded, ADS+ and ParIS rebuild the SAX array they scan from
+    /// it, and ParIS takes its chunk column and `leaves`, the reader over
+    /// an embedded leaf store, when they were saved.
     fn from_snapshot(
         engine: Engine,
-        index: dsidx_tree::Index,
-        sax: SaxArray,
+        contents: SnapshotContents,
         leaves: Option<LeafStoreReader>,
     ) -> Self {
+        let SnapshotContents {
+            tree,
+            config,
+            chunks,
+            ..
+        } = contents;
         match engine {
-            Engine::Ads => Built::Ads(dsidx_ads::AdsIndex { index, sax }),
-            Engine::Paris | Engine::ParisPlus => {
-                Built::Paris(dsidx_paris::ParisIndex { index, sax, leaves })
-            }
-            Engine::Messi => {
-                let flat = FlatTree::from_index(&index);
-                Built::Messi(dsidx_messi::MessiIndex { index, flat, sax })
-            }
+            Engine::Ads => Built::Ads(dsidx_ads::AdsIndex {
+                sax: tree.sax_array(),
+                tree,
+                config,
+            }),
+            Engine::Paris | Engine::ParisPlus => Built::Paris(dsidx_paris::ParisIndex {
+                sax: tree.sax_array(),
+                tree,
+                config,
+                chunks: chunks.unwrap_or_default(),
+                leaves,
+            }),
+            Engine::Messi => Built::Messi(dsidx_messi::MessiIndex { tree, config }),
         }
+    }
+
+    /// Saves the index to `path`, embedding `leaf_store` when given.
+    fn save(
+        &self,
+        path: &Path,
+        engine: Engine,
+        leaf_store: Option<Vec<u8>>,
+        device: &Arc<Device>,
+    ) -> Result<u64, Error> {
+        let chunks = match self {
+            Built::Paris(paris) => Some(&paris.chunks),
+            Built::Ads(_) | Built::Messi(_) => None,
+        };
+        save_snapshot(path, engine, self.tree(), chunks, leaf_store, device)
     }
 }
 
 /// The approximate-fidelity batch loop: approximate answering pays one
 /// best-leaf visit (ADS+, MESSI) or one sketch-nearest probe pass (ParIS)
 /// per query — no broadcast — so the batch is a plain loop and the batch
-/// counters report per-query work only. `answer_one` is the engine's
-/// approximate entry point.
+/// counters report per-query work only. `answer_one` is the approximate
+/// answer for one query.
 fn approx_batch(
     queries: &[&[f32]],
     mut answer_one: impl FnMut(&[f32]) -> Result<(Vec<Match>, QueryStats), StorageError>,
@@ -185,15 +215,6 @@ pub(crate) fn trace_search(
 /// into the same workdir.
 static BUILD_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// Where a ParIS leaf store lives: a standalone scratch file from a
-/// build (`offset` 0, `len` `None` = the whole file), or a section of a
-/// snapshot file after [`DiskIndex::open`].
-struct StoreLocation {
-    path: PathBuf,
-    offset: u64,
-    len: Option<u64>,
-}
-
 /// A built index beside the raw source `S` it answers from. Use it through
 /// its two instantiations: [`MemoryIndex`] (the dataset in memory, owned
 /// via `Arc`) and [`DiskIndex`] (a dataset file, raw values fetched from —
@@ -205,8 +226,6 @@ pub struct Index<S> {
     built: Built,
     /// Build time decomposition of an on-disk ParIS/ParIS+ build.
     build_report: Option<dsidx_paris::BuildReport>,
-    /// The on-disk ParIS/ParIS+ leaf store, for [`DiskIndex::save`].
-    store: Option<StoreLocation>,
 }
 
 /// An index over an in-memory dataset (owned via `Arc`, so clones of the
@@ -227,7 +246,7 @@ impl<S> Index<S> {
     /// Structural statistics of the underlying tree.
     #[must_use]
     pub fn stats(&self) -> IndexStats {
-        index_stats(self.built.tree())
+        index_stats(self.built.tree().0)
     }
 
     /// Pairs a decoded snapshot with the `source` it was opened over. The
@@ -239,18 +258,17 @@ impl<S> Index<S> {
         contents: SnapshotContents,
         options: &Options,
         leaves: Option<LeafStoreReader>,
-        store: Option<StoreLocation>,
     ) -> Self {
+        let engine = contents.engine;
         Self {
             source,
-            engine: contents.engine,
+            engine,
             options: options
                 .clone()
-                .with_segments(contents.segments)
-                .with_leaf_capacity(contents.leaf_capacity),
-            built: Built::from_snapshot(contents.engine, contents.index, contents.sax, leaves),
+                .with_segments(contents.config.segments())
+                .with_leaf_capacity(contents.config.leaf_capacity()),
+            built: Built::from_snapshot(engine, contents, leaves),
             build_report: None,
-            store,
         }
     }
 
@@ -291,15 +309,16 @@ impl<S> Index<S> {
             (Fidelity::Exact, Built::Ads(_) | Built::Paris(_), Measure::Dtw { band }) => {
                 dsidx_ucr::scan_dtw_parallel(source, queries, band, k, threads, shard)
             }
-            (Fidelity::Approximate, Built::Ads(ads), _) => {
-                approx_batch(queries, |q| dsidx_ads::approx(ads, source, q, measure, k))
-            }
             (Fidelity::Approximate, Built::Paris(paris), _) => approx_batch(queries, |q| {
                 dsidx_paris::approx(paris, source, q, measure, k)
             }),
-            (Fidelity::Approximate, Built::Messi(messi), _) => approx_batch(queries, |q| {
-                dsidx_messi::approx(messi, source, q, measure, k)
-            }),
+            // ADS+ and MESSI: one best-leaf visit over the tree they share.
+            (Fidelity::Approximate, Built::Ads(_) | Built::Messi(_), _) => {
+                let (tree, config) = self.built.tree();
+                approx_batch(queries, |q| {
+                    dsidx_query::approx_best_leaf(tree, config, source, q, measure, k)
+                })
+            }
         }?)
     }
 
@@ -357,14 +376,14 @@ impl MemoryIndex {
             options: options.clone(),
             built,
             build_report: None,
-            store: None,
         })
     }
 
-    /// Saves the built index as a snapshot file at `path`: the tree
-    /// topology and leaf entries in the versioned container format (see
-    /// the `snapshot` section of the README) — the SAX words live inside
-    /// the entry records, so they are not stored separately. The dataset
+    /// Saves the built index as a snapshot file at `path`: the flat tree's
+    /// arrays in the versioned container format (see the `snapshot` section
+    /// of the README) — the SAX words are the tree's entry words, so they
+    /// are not stored separately. The file is replaced whole, never
+    /// rewritten in place. The dataset
     /// itself is *not* embedded — [`open`](Self::open) re-pairs the
     /// snapshot with the caller's dataset and cross-checks the
     /// fingerprint. Returns the snapshot size in bytes.
@@ -373,13 +392,13 @@ impl MemoryIndex {
     /// I/O failures writing the file.
     pub fn save(&self, path: &Path) -> Result<u64, Error> {
         let device = Arc::new(Device::unthrottled());
-        save_snapshot(path, self.engine, self.built.tree(), None, &device)
+        self.built.save(path, self.engine, None, &device)
     }
 
     /// Opens a snapshot saved by [`save`](Self::save) over `data` — the
     /// same dataset the snapshot was built from. No tree construction
-    /// happens: the node records are decoded back into the tree in one
-    /// pass, so opening costs milliseconds where building costs seconds.
+    /// happens: the sections are read straight into the flat tree and
+    /// checked, so opening costs milliseconds where building costs seconds.
     ///
     /// The engine and tree geometry (segments, leaf capacity) come from
     /// the snapshot; the corresponding fields of `options` are
@@ -398,7 +417,7 @@ impl MemoryIndex {
         let data = data.into();
         let device = Arc::new(Device::unthrottled());
         let contents = open_snapshot(path, &device, data.series_len(), data.len())?;
-        Ok(Self::from_snapshot(data, contents, options, None, None))
+        Ok(Self::from_snapshot(data, contents, options, None))
     }
 
     /// The indexed dataset.
@@ -437,7 +456,7 @@ impl DiskIndex {
         let series_len = file.series_len();
         // One workdir setup for every engine (scratch files land here).
         std::fs::create_dir_all(workdir).map_err(StorageError::from)?;
-        let (mut build_report, mut store) = (None, None);
+        let mut build_report = None;
         let built = match engine {
             Engine::Ads => Built::Ads(
                 dsidx_ads::build_from_file(
@@ -467,11 +486,6 @@ impl DiskIndex {
                     mode,
                 )?;
                 build_report = Some(report);
-                store = Some(StoreLocation {
-                    path: store_path,
-                    offset: 0,
-                    len: None,
-                });
                 Built::Paris(paris)
             }
             Engine::Messi => Built::Messi(
@@ -489,47 +503,29 @@ impl DiskIndex {
             options: options.clone(),
             built,
             build_report,
-            store,
         })
     }
 
-    /// Saves the built index as a snapshot file at `path`: tree topology,
-    /// leaf entries, SAX words, and — for ParIS/ParIS+ — the materialized
-    /// leaf store, embedded verbatim as a section. The dataset file is
-    /// *not* embedded; [`open`](Self::open) re-pairs the snapshot with it
-    /// and cross-checks the fingerprint. All reads and the write are
-    /// charged to this index's modeled device. Returns the snapshot size
-    /// in bytes.
+    /// Saves the built index as a snapshot file at `path`: the flat tree's
+    /// arrays and — for ParIS/ParIS+ — the chunk column and the
+    /// materialized leaf store, embedded verbatim as a section (read
+    /// through the handle this index already answers from, so saving over
+    /// the file an index was opened from is safe: the file is replaced
+    /// whole, never rewritten in place). The dataset file is *not*
+    /// embedded; [`open`](Self::open) re-pairs the snapshot with it and
+    /// cross-checks the fingerprint. All reads and the write are charged to
+    /// this index's modeled device. Returns the snapshot size in bytes.
     ///
     /// # Errors
     /// I/O failures reading the leaf store or writing the snapshot.
     pub fn save(&self, path: &Path) -> Result<u64, Error> {
-        let leaf_store = self.read_store_bytes()?;
-        let device = self.source.device();
-        save_snapshot(path, self.engine, self.built.tree(), leaf_store, device)
-    }
-
-    /// The raw bytes of the leaf store this index answers from, charged
-    /// to the device as one sequential read. `None` for engines without a
-    /// store.
-    fn read_store_bytes(&self) -> Result<Option<Vec<u8>>, Error> {
-        use std::os::unix::fs::FileExt;
-        let Some(loc) = &self.store else {
-            return Ok(None);
+        let leaf_store = match &self.built {
+            Built::Paris(paris) => paris.leaves.as_ref().map(LeafStoreReader::read_all),
+            Built::Ads(_) | Built::Messi(_) => None,
         };
-        let file = std::fs::File::open(&loc.path).map_err(StorageError::from)?;
-        let len = match loc.len {
-            Some(len) => len,
-            None => {
-                let total = file.metadata().map_err(StorageError::from)?.len();
-                total - loc.offset
-            }
-        };
-        let mut bytes = vec![0u8; usize::try_from(len).expect("store fits memory")];
-        file.read_exact_at(&mut bytes, loc.offset)
-            .map_err(StorageError::from)?;
-        self.source.device().charge_read(loc.offset, len);
-        Ok(Some(bytes))
+        let leaf_store = leaf_store.transpose()?;
+        self.built
+            .save(path, self.engine, leaf_store, self.source.device())
     }
 
     /// Opens a snapshot saved by [`save`](Self::save), re-pairing it with
@@ -557,23 +553,14 @@ impl DiskIndex {
         let device = Arc::new(Device::new(profile));
         let file = DatasetFile::open(dataset_path, Arc::clone(&device))?;
         let mut contents = open_snapshot(snapshot_path, &device, file.series_len(), file.count())?;
-        let (leaves, store) = match contents.leaf_store.take() {
-            Some((offset, len, bytes)) => (
-                Some(LeafStoreReader::from_verified_bytes(
-                    snapshot_path,
-                    offset,
-                    &bytes,
-                    device,
-                )?),
-                Some(StoreLocation {
-                    path: snapshot_path.to_path_buf(),
-                    offset,
-                    len: Some(len),
-                }),
-            ),
-            None => (None, None),
-        };
-        Ok(Self::from_snapshot(file, contents, options, leaves, store))
+        let leaves = contents
+            .leaf_store
+            .take()
+            .map(|(offset, bytes)| {
+                LeafStoreReader::from_verified_bytes(snapshot_path, offset, &bytes, device)
+            })
+            .transpose()?;
+        Ok(Self::from_snapshot(file, contents, options, leaves))
     }
 
     /// The dataset file the index answers from.
@@ -803,6 +790,41 @@ mod tests {
     }
 
     #[test]
+    fn ads_and_messi_answer_approximately_bit_for_bit_alike() {
+        // Both build the same tree (position-ordered inserts; see MESSI's
+        // `matches_serial_baseline_structure`) and answer approximately
+        // with the one best-leaf visit over it.
+        let dir = std::env::temp_dir().join(format!("dsidx-core-approx-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.dsidx");
+        let data = DatasetKind::Sald.generate(500, 64, 43);
+        dsidx_storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let opts = Options::default().with_threads(2).with_leaf_capacity(16);
+        let qs = DatasetKind::Sald.queries(6, 64, 43);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        let bits = |idx: &dyn Search, spec: &QuerySpec| -> Vec<Vec<(u32, u32)>> {
+            let answers = idx.search(&qrefs, spec).unwrap();
+            let rows = answers.matches().iter();
+            rows.map(|row| row.iter().map(|m| (m.pos, m.dist_sq.to_bits())).collect())
+                .collect()
+        };
+        for measure in [Measure::Euclidean, Measure::Dtw { band: 4 }] {
+            let spec = QuerySpec::knn(4)
+                .measure(measure)
+                .fidelity(Fidelity::Approximate);
+            let mut answers = Vec::new();
+            for engine in [Engine::Ads, Engine::Messi] {
+                let memory = MemoryIndex::build(data.clone(), engine, &opts).unwrap();
+                let disk = DiskIndex::build(&path, &dir, engine, &opts, DeviceProfile::UNTHROTTLED)
+                    .unwrap();
+                answers.push(bits(&memory, &spec));
+                answers.push(bits(&disk, &spec));
+            }
+            assert!(answers.iter().all(|a| *a == answers[0]), "{measure:?}");
+        }
+    }
+
+    #[test]
     fn invalid_specs_are_rejected_with_structured_errors() {
         let data = DatasetKind::Synthetic.generate(50, 64, 3);
         let idx = MemoryIndex::build(data, Engine::Ads, &Options::default()).unwrap();
@@ -962,10 +984,12 @@ mod tests {
             DeviceProfile::UNTHROTTLED,
         )
         .unwrap();
-        assert_ne!(
-            a.store.as_ref().map(|s| &s.path),
-            b.store.as_ref().map(|s| &s.path)
-        );
+        let stores = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with("dsidx-leaves-"))
+            .count();
+        assert_eq!(stores, 2, "two builds, two leaf-store files");
         let q = DatasetKind::Synthetic.queries(1, 64, 3);
         // Both indexes still answer (neither's store was truncated by the
         // other's build).

@@ -56,13 +56,15 @@
 //! * [`series`] — datasets, z-normalization, distances (SIMD ED, DTW),
 //!   generators for the paper's dataset families;
 //! * [`isax`] — PAA, breakpoints, iSAX words, MINDIST lower bounds;
-//! * [`tree`] — the shared iSAX tree index structure;
+//! * [`tree`] — the shared iSAX tree: built as a boxed graph, held and
+//!   persisted as flat arrays;
 //! * [`storage`] — dataset files, device throttling profiles, leaf store;
 //! * [`query`] — the shared exact-NN query kernel (preparation, BSF
-//!   seeding, early-abandoned candidate scans, unified [`QueryStats`]);
+//!   seeding, early-abandoned candidate scans, unified [`QueryStats`]) and
+//!   the best-leaf visit that is ADS+'s and MESSI's approximate answer;
 //! * [`ads`], [`ucr`], [`paris`], [`messi`] — the engines, each with one
-//!   exact and one approximate entry point (`exact`, `approx`) taking
-//!   batches and the [`Measure`] as values;
+//!   exact entry point (`exact`; ParIS also its sketch-nearest `approx`)
+//!   taking batches and the [`Measure`] as values;
 //! * [`sync`] — the concurrency substrate (atomic BSF, Fetch&Inc claims).
 //!
 //! The facade itself is small: [`engine`] holds the one index type

@@ -11,8 +11,9 @@ use crate::spec::QuerySpec;
 /// Implemented by [`MemoryIndex`](crate::MemoryIndex),
 /// [`DiskIndex`](crate::DiskIndex) and [`ShardedIndex`](crate::ShardedIndex);
 /// all four request axes (`k`, measure, fidelity, stats) go through one
-/// internal dispatch onto one exact and one approximate entry point per
-/// engine, so a single query is literally a batch of one.
+/// internal dispatch onto one exact entry point per engine and one
+/// approximate one per answer kind, so a single query is literally a batch
+/// of one.
 ///
 /// ```
 /// use dsidx::prelude::*;

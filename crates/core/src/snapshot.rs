@@ -1,13 +1,15 @@
 //! Shared save/open plumbing behind [`MemoryIndex::save`],
 //! [`DiskIndex::open`] and friends: engine ids, section naming, fingerprint
-//! validation, tree/SAX codec invocation, and the snapshot observability
+//! validation, tree codec invocation, and the snapshot observability
 //! hooks.
 //!
 //! The division of labor: `dsidx-storage::snapshot` owns the *container*
 //! (header, checksums, section table), `dsidx-tree::snapshot` owns the
-//! *record layouts* (node/entry/SAX arrays), and this module is the glue
-//! that knows which sections an engine's index turns into and how to
-//! validate a snapshot against the dataset it is being opened over.
+//! *record layouts* (the flat tree's arrays, ParIS's chunk column), and
+//! this module is the glue that knows which sections an engine's index
+//! turns into and how to validate a snapshot against the dataset it is
+//! being opened over. Every engine's tree is saved from, and opened into,
+//! the one flat form it queries.
 //!
 //! [`MemoryIndex::save`]: crate::MemoryIndex::save
 //! [`DiskIndex::open`]: crate::DiskIndex::open
@@ -16,8 +18,10 @@ use crate::engine::Engine;
 use crate::error::Error;
 use dsidx_storage::snapshot::SnapshotFingerprint;
 use dsidx_storage::{Device, SnapshotReader, SnapshotWriter, StorageError};
-use dsidx_tree::snapshot::{decode_tree, encode_tree, CodecError, TreeSections};
-use dsidx_tree::{Index, SaxArray, TreeConfig};
+use dsidx_tree::snapshot::{
+    decode_chunks, decode_tree, encode, encode_chunks, CodecError, TreeSections,
+};
+use dsidx_tree::{FlatTree, LeafChunks, TreeConfig};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,14 +37,15 @@ const SNAPSHOT_OPEN_NANOS: &str = "dsidx_snapshot_open_nanos";
 const SNAPSHOT_OPEN_BYTES: &str = "dsidx_snapshot_open_bytes";
 
 // Section ids (1..=8 printable ASCII bytes, see the container docs).
-// There is deliberately no SAX section: the entry records already carry
-// every (position, word) pair, so the SAX array is reconstructed from the
-// decoded tree — storing it twice would cost ~`segments` bytes per series
-// of open-path bandwidth to verify a duplicate.
+// There is deliberately no SAX section: WORDS and POSITION already carry
+// every (position, word) pair, so ADS+ and ParIS rebuild their SAX array
+// from the decoded tree — storing it twice would cost ~`segments` bytes
+// per series of open-path bandwidth to verify a duplicate.
 const SEC_NODES: &str = "NODES";
 const SEC_ROOTS: &str = "ROOTS";
+const SEC_WORDS: &str = "WORDS";
+const SEC_POSITIONS: &str = "POSITION";
 const SEC_CHUNKS: &str = "CHUNKS";
-const SEC_ENTRIES: &str = "ENTRIES";
 const SEC_LEAFSTORE: &str = "LEAFSTOR";
 
 /// The engine discriminant stored in a snapshot header. Append-only: these
@@ -74,33 +79,37 @@ fn codec(e: CodecError) -> Error {
     corrupt(e.to_string())
 }
 
-/// Writes one engine index as a snapshot file. `leaf_store` is the raw
-/// bytes of a materialized ParIS leaf store to embed, when there is one.
-/// Returns the file size; charging goes to `device` as one sequential
-/// append.
+/// Writes one engine index — its flat tree, built under `config`, and for
+/// ParIS its leaf-store chunk column — as a snapshot file. `leaf_store` is
+/// the raw bytes of a materialized ParIS leaf store to embed, when there
+/// is one. Returns the file size; charging goes to `device` as one
+/// sequential append.
 pub(crate) fn save_snapshot(
     path: &Path,
     engine: Engine,
-    index: &Index,
+    (tree, config): (&FlatTree, &TreeConfig),
+    chunks: Option<&LeafChunks>,
     leaf_store: Option<Vec<u8>>,
     device: &Arc<Device>,
 ) -> Result<u64, Error> {
     let start = Instant::now();
-    let config = index.config();
     let fingerprint = SnapshotFingerprint {
         engine: engine_id(engine),
         segments: config.segments() as u8,
         root_segments: config.root_segments() as u8,
         series_len: u32::try_from(config.series_len()).expect("series_len fits u32"),
-        count: index.len() as u64,
+        count: tree.entry_count() as u64,
         leaf_capacity: config.leaf_capacity() as u64,
     };
     let mut writer = SnapshotWriter::new(path, fingerprint, Arc::clone(device));
-    let tree = encode_tree(index);
-    writer.section(SEC_NODES, tree.nodes);
-    writer.section(SEC_ROOTS, tree.roots);
-    writer.section(SEC_CHUNKS, tree.chunks);
-    writer.section(SEC_ENTRIES, tree.entries);
+    let sections = encode(tree);
+    writer.section(SEC_NODES, sections.nodes);
+    writer.section(SEC_ROOTS, sections.roots);
+    writer.section(SEC_WORDS, sections.words);
+    writer.section(SEC_POSITIONS, sections.positions);
+    if let Some(chunks) = chunks {
+        writer.section(SEC_CHUNKS, encode_chunks(chunks));
+    }
     if let Some(bytes) = leaf_store {
         writer.section(SEC_LEAFSTORE, bytes);
     }
@@ -117,26 +126,26 @@ pub(crate) fn save_snapshot(
 }
 
 /// Everything an opened snapshot reconstitutes, before engine-specific
-/// assembly (ParIS leaf-store reader, MESSI flat tree).
+/// assembly (ParIS leaf-store reader, ADS+/ParIS SAX array).
 pub(crate) struct SnapshotContents {
     pub engine: Engine,
-    pub index: Index,
-    pub sax: SaxArray,
-    /// `(offset, len, bytes)` of the embedded leaf store within the
-    /// snapshot file, when one was saved. The bytes are the verified
-    /// section payload — handing them to the leaf-store reader lets it
-    /// parse its header without a second (seek-priced) read of the file.
-    pub leaf_store: Option<(u64, u64, Vec<u8>)>,
+    pub tree: FlatTree,
     /// Tree geometry from the fingerprint — the opener overrides its
-    /// [`Options`](crate::Options) with these so query-time configs match
-    /// the snapshot, not the caller's (possibly different) defaults.
-    pub segments: usize,
-    pub leaf_capacity: usize,
+    /// [`Options`](crate::Options) with it so query-time configs match the
+    /// snapshot, not the caller's (possibly different) defaults.
+    pub config: TreeConfig,
+    /// ParIS's leaf-store chunk column, when one was saved.
+    pub chunks: Option<LeafChunks>,
+    /// `(offset, bytes)` of the embedded leaf store within the snapshot
+    /// file, when one was saved. The bytes are the verified section payload
+    /// — handing them to the leaf-store reader lets it parse its header
+    /// without a second (seek-priced) read of the file.
+    pub leaf_store: Option<(u64, Vec<u8>)>,
 }
 
 /// Opens, validates and decodes a snapshot against the dataset it will
-/// answer for. No tree construction happens: the node records *are* the
-/// tree, read back in one pass per section and re-linked.
+/// answer for. No tree construction happens: the sections *are* the flat
+/// tree, read back in one pass each and checked.
 ///
 /// All reads are charged to `device`; the open is recorded under the
 /// `dsidx_snapshot_open_*` metrics and a `snapshot_open` trace event.
@@ -182,38 +191,23 @@ pub(crate) fn open_snapshot(
     let sections = TreeSections {
         nodes: reader.read_section(SEC_NODES)?,
         roots: reader.read_section(SEC_ROOTS)?,
-        chunks: reader.read_section(SEC_CHUNKS)?,
-        entries: reader.read_section(SEC_ENTRIES)?,
+        words: reader.read_section(SEC_WORDS)?,
+        positions: reader.read_section(SEC_POSITIONS)?,
     };
-    let index = decode_tree(config, expect_count, &sections).map_err(codec)?;
-    // The SAX array is reconstructed from the leaf entries — the decoder
-    // proved their positions form a permutation of `0..count`, so every
-    // slot is filled exactly once and the two structures agree by
-    // construction (no cross-check needed, no duplicate section read).
-    let mut words = vec![None; expect_count];
-    index.for_each_leaf(&mut |leaf| {
-        for entry in leaf.entries().expect("leaf has entries") {
-            words[entry.pos as usize] = Some(entry.word);
-        }
-    });
-    let sax = SaxArray::new(
-        words
-            .into_iter()
-            .map(|w| w.expect("decoded positions cover 0..count"))
-            .collect(),
-    );
-    let leaf_store = if reader.has_section(SEC_LEAFSTORE) {
+    let tree = decode_tree(config.clone(), expect_count, &sections).map_err(codec)?;
+    let chunks = if reader.has_section(SEC_CHUNKS) {
+        let bytes = reader.read_section(SEC_CHUNKS)?;
+        Some(decode_chunks(&tree, &bytes).map_err(codec)?)
+    } else {
+        None
+    };
+    let leaf_store = match reader.section_range(SEC_LEAFSTORE) {
         // Verify the embedded store's checksum now — query-time leaf reads
         // go straight to file offsets and would not notice corruption. The
         // verified bytes ride along so the reader can parse its header
         // without re-reading the file.
-        let bytes = reader.read_section(SEC_LEAFSTORE)?;
-        let (offset, len) = reader
-            .section_range(SEC_LEAFSTORE)
-            .expect("section exists: has_section was just checked");
-        Some((offset, len, bytes))
-    } else {
-        None
+        Some((offset, _)) => Some((offset, reader.read_section(SEC_LEAFSTORE)?)),
+        None => None,
     };
     let elapsed = start.elapsed();
     let bytes = device.stats().bytes_read - read_before;
@@ -241,11 +235,10 @@ pub(crate) fn open_snapshot(
     }
     Ok(SnapshotContents {
         engine,
-        index,
-        sax,
+        tree,
+        config,
+        chunks,
         leaf_store,
-        segments,
-        leaf_capacity,
     })
 }
 

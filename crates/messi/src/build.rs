@@ -19,26 +19,23 @@
 //! a tree-shape-dependent notion).
 
 use crate::config::{BufferMode, MessiConfig};
-use dsidx_isax::Word;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, StorageError};
 use dsidx_sync::{SyncSlice, WorkQueue};
-use dsidx_tree::{FlatTree, Index, LeafEntry, Node, SaxArray, TreeConfig};
+use dsidx_tree::{FlatTree, Index, LeafEntry, Node, TreeConfig};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
-/// A built MESSI index.
+/// A built MESSI index: the flat tree and nothing else. Queries traverse
+/// it (see [`dsidx_tree::flat`]) and read summaries from its leaves; there
+/// is no SAX array, which no MESSI query would read.
 #[derive(Debug)]
 pub struct MessiIndex {
-    /// The iSAX tree (fully resident).
-    pub index: Index,
-    /// Cache-conscious flattened view of the tree — what query answering
-    /// actually traverses (see [`dsidx_tree::flat`]).
-    pub flat: FlatTree,
-    /// Position-ordered iSAX words (not used by MESSI's own query path,
-    /// which reads summaries from the leaves, but kept for cross-engine
-    /// tooling and ablations).
-    pub sax: SaxArray,
+    /// The iSAX tree, flattened once its subtrees were built.
+    pub tree: FlatTree,
+    /// The configuration the tree was built under (fitted to the
+    /// collection).
+    pub config: TreeConfig,
 }
 
 /// Wall-clock phase breakdown (Fig. 5's two stacked components).
@@ -65,24 +62,19 @@ pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildPhases) {
         "series length mismatch"
     );
     let t0 = Instant::now();
-    let tree = cfg.tree.fitted_to(data.len());
-    let (words, parts) = match cfg.buffer_mode {
-        BufferMode::PerThreadParts => summarize_per_thread(data, cfg, &tree),
-        BufferMode::LockedShared => summarize_locked(data, cfg, &tree),
+    let config = cfg.tree.fitted_to(data.len());
+    let parts = match cfg.buffer_mode {
+        BufferMode::PerThreadParts => summarize_per_thread(data, cfg, &config),
+        BufferMode::LockedShared => summarize_locked(data, cfg, &config),
     };
     let summarize = t0.elapsed();
 
     let t1 = Instant::now();
-    let index = build_tree(cfg.threads, tree, &parts);
-    let flat = FlatTree::from_index(&index);
+    let tree = FlatTree::from_index(&build_tree(cfg.threads, config.clone(), &parts));
     let tree_build = t1.elapsed();
 
     (
-        MessiIndex {
-            index,
-            flat,
-            sax: SaxArray::new(words),
-        },
+        MessiIndex { tree, config },
         BuildPhases {
             summarize,
             tree_build,
@@ -121,13 +113,12 @@ pub fn build_from_file(
     );
     assert!(block_series > 0, "block size must be non-zero");
     let t0 = Instant::now();
-    let tree = cfg.tree.fitted_to(file.count());
-    let quantizer = tree.quantizer();
-    let series_len = tree.series_len();
-    let mut paa = vec![0.0f32; tree.segments()];
-    let mut words: Vec<Word> = Vec::with_capacity(file.count());
+    let config = cfg.tree.fitted_to(file.count());
+    let quantizer = config.quantizer();
+    let series_len = config.series_len();
+    let mut paa = vec![0.0f32; config.segments()];
     let mut buffers: Buffers = Vec::new();
-    buffers.resize_with(tree.root_count(), Vec::new);
+    buffers.resize_with(config.root_count(), Vec::new);
     let mut block = Vec::new();
     let mut start = 0;
     while start < file.count() {
@@ -136,8 +127,7 @@ pub fn build_from_file(
         for (i, series) in block.chunks_exact(series_len).enumerate() {
             let pos = start + i;
             let word = quantizer.word_into(series, &mut paa);
-            words.push(word);
-            let parts = &mut buffers[usize::from(tree.root_key(&word))];
+            let parts = &mut buffers[usize::from(config.root_key(&word))];
             if parts.is_empty() {
                 parts.push(Vec::new());
             }
@@ -148,16 +138,11 @@ pub fn build_from_file(
     let summarize = t0.elapsed();
 
     let t1 = Instant::now();
-    let index = build_tree(cfg.threads, tree, &buffers);
-    let flat = FlatTree::from_index(&index);
+    let tree = FlatTree::from_index(&build_tree(cfg.threads, config.clone(), &buffers));
     let tree_build = t1.elapsed();
 
     Ok((
-        MessiIndex {
-            index,
-            flat,
-            sax: SaxArray::new(words),
-        },
+        MessiIndex { tree, config },
         BuildPhases {
             summarize,
             tree_build,
@@ -171,16 +156,10 @@ pub fn build_from_file(
 type Buffers = Vec<Vec<Vec<LeafEntry>>>;
 
 /// Stage 1, MESSI layout: every worker owns a full array of buffer parts.
-fn summarize_per_thread(
-    data: &Dataset,
-    cfg: &MessiConfig,
-    tree: &TreeConfig,
-) -> (Vec<Word>, Buffers) {
+fn summarize_per_thread(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) -> Buffers {
     let segments = tree.segments();
     let root_count = tree.root_count();
     let quantizer = tree.quantizer();
-    let filler = Word::new(&vec![0u8; segments]);
-    let sax = SyncSlice::new(vec![filler; data.len()]);
     let queue = WorkQueue::new(data.len());
 
     let pool = dsidx_sync::pool::global(cfg.threads);
@@ -193,9 +172,6 @@ fn summarize_per_thread(
         while let Some(range) = queue.claim_chunk(cfg.chunk_series) {
             for pos in range {
                 let word = quantizer.word_into(data.get(pos), &mut paa);
-                // SAFETY: chunk claims are disjoint; each position is
-                // written exactly once.
-                unsafe { sax.write(pos, word) };
                 parts[usize::from(tree.root_key(&word))].push(LeafEntry::new(word, pos as u32));
             }
         }
@@ -216,17 +192,15 @@ fn summarize_per_thread(
             }
         }
     }
-    (sax.into_inner(), buffers)
+    buffers
 }
 
 /// Stage 1, rejected layout (paper footnote 2): one locked buffer per
 /// subtree, contended by all workers.
-fn summarize_locked(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) -> (Vec<Word>, Buffers) {
+fn summarize_locked(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) -> Buffers {
     let segments = tree.segments();
     let root_count = tree.root_count();
     let quantizer = tree.quantizer();
-    let filler = Word::new(&vec![0u8; segments]);
-    let sax = SyncSlice::new(vec![filler; data.len()]);
     let queue = WorkQueue::new(data.len());
     let mut locked: Vec<Mutex<Vec<LeafEntry>>> = Vec::new();
     locked.resize_with(root_count, || Mutex::new(Vec::new()));
@@ -237,8 +211,6 @@ fn summarize_locked(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) -> (Ve
         while let Some(range) = queue.claim_chunk(cfg.chunk_series) {
             for pos in range {
                 let word = quantizer.word_into(data.get(pos), &mut paa);
-                // SAFETY: chunk claims are disjoint.
-                unsafe { sax.write(pos, word) };
                 locked[usize::from(tree.root_key(&word))]
                     .lock()
                     .push(LeafEntry::new(word, pos as u32));
@@ -254,7 +226,7 @@ fn summarize_locked(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) -> (Ve
             buffers[key].push(part);
         }
     }
-    (sax.into_inner(), buffers)
+    buffers
 }
 
 /// Stage 2: workers claim subtrees by Fetch&Inc and build them
@@ -304,8 +276,8 @@ fn build_tree(threads: usize, tree: TreeConfig, buffers: &Buffers) -> Index {
 mod tests {
     use super::*;
     use dsidx_series::gen::DatasetKind;
-    use dsidx_tree::stats::{index_stats, validate};
-    use dsidx_tree::TreeConfig;
+    use dsidx_tree::snapshot::validate;
+    use dsidx_tree::stats::index_stats;
 
     fn cfg(threads: usize) -> MessiConfig {
         MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(50)
@@ -315,13 +287,13 @@ mod tests {
     fn build_indexes_every_series() {
         let data = DatasetKind::Synthetic.generate(700, 64, 2);
         let (messi, phases) = build(&data, &cfg(4));
-        assert_eq!(messi.index.len(), 700);
-        assert_eq!(messi.sax.len(), 700);
-        validate(&messi.index);
+        assert_eq!(messi.tree.entry_count(), 700);
+        validate(&messi.tree, &messi.config, 700).unwrap();
         assert!(phases.total >= phases.summarize);
-        let q = cfg(1).tree;
+        // Every series sits in the tree under its own word.
+        let sax = messi.tree.sax_array();
         for (pos, series) in data.iter().enumerate() {
-            assert_eq!(messi.sax.word(pos), &q.quantizer().word(series));
+            assert_eq!(sax.word(pos), &messi.config.quantizer().word(series));
         }
     }
 
@@ -330,12 +302,11 @@ mod tests {
         let data = DatasetKind::Sald.generate(500, 64, 9);
         let (a, _) = build(&data, &cfg(4));
         let (b, _) = build(&data, &cfg(4).with_buffer_mode(BufferMode::LockedShared));
-        assert_eq!(a.index.len(), b.index.len());
-        assert_eq!(a.sax.words(), b.sax.words());
+        assert_eq!(a.tree.entry_count(), b.tree.entry_count());
         // Position-ordered stage-2 insertion makes the trees *identical*,
         // not merely statistically alike.
-        assert_eq!(a.index, b.index);
-        assert_eq!(a.flat.nodes().len(), b.flat.nodes().len());
+        assert_eq!(a.tree, b.tree);
+        assert_eq!(a.config, b.config);
     }
 
     #[test]
@@ -346,7 +317,7 @@ mod tests {
             for _ in 0..2 {
                 let (again, _) = build(&data, &cfg(threads));
                 assert_eq!(
-                    first.index, again.index,
+                    first.tree, again.tree,
                     "tree shape must not depend on worker timing (x{threads})"
                 );
             }
@@ -368,12 +339,11 @@ mod tests {
         let (disk, phases) = build_from_file(&file, &cfg(4), 77).unwrap();
         // Identical words AND an identical tree: the determinism the
         // disk==memory query equivalence rests on.
-        assert_eq!(mem.sax.words(), disk.sax.words());
-        assert_eq!(mem.index, disk.index);
+        assert_eq!(mem.tree, disk.tree);
         assert!(phases.total >= phases.summarize);
         // Streaming reads were charged to the device.
         assert_eq!(device.stats().bytes_read, 400 * 64 * 4);
-        validate(&disk.index);
+        validate(&disk.tree, &disk.config, 400).unwrap();
     }
 
     #[test]
@@ -391,7 +361,7 @@ mod tests {
         .unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
         let (messi, _) = build_from_file(&file, &cfg(2), 64).unwrap();
-        assert!(messi.index.is_empty());
+        assert_eq!(messi.tree.entry_count(), 0);
     }
 
     #[test]
@@ -402,35 +372,36 @@ mod tests {
         // key the root, whatever fan-out the caller's config carried.
         let fitted = cfg(1).tree.fitted_to(400);
         assert_eq!(fitted.root_segments(), 5);
-        assert_eq!(messi.index.config(), &fitted);
-        assert_eq!(messi.flat.root_segments(), 5);
-        let stats = index_stats(&messi.index);
+        assert_eq!(messi.config, fitted);
+        assert_eq!(messi.tree.root_segments(), 5);
+        let stats = index_stats(&messi.tree);
         assert!(stats.root_subtrees <= 32);
         // One entry at a time, in position order, into a tree of that shape.
         let mut serial = Index::new(fitted.clone());
-        for (pos, word) in messi.sax.words().iter().enumerate() {
-            serial.insert(LeafEntry::new(*word, pos as u32));
+        for (pos, series) in data.iter().enumerate() {
+            serial.insert(LeafEntry::new(fitted.quantizer().word(series), pos as u32));
         }
-        assert_eq!(messi.index, serial);
+        assert_eq!(messi.tree, FlatTree::from_index(&serial));
         // And ADS+'s buffered bulk load, which fits its own configuration.
         let (ads, _) = dsidx_ads::build_from_dataset(&data, &cfg(1).tree);
-        assert_eq!(messi.index, ads.index);
-        assert_eq!(messi.sax.words(), ads.sax.words());
+        assert_eq!(messi.tree, ads.tree);
+        assert_eq!(messi.config, ads.config);
+        assert_eq!(messi.tree.sax_array(), ads.sax);
     }
 
     #[test]
     fn single_thread_build_works() {
         let data = DatasetKind::Synthetic.generate(100, 64, 4);
         let (messi, _) = build(&data, &cfg(1));
-        assert_eq!(messi.index.len(), 100);
-        validate(&messi.index);
+        assert_eq!(messi.tree.entry_count(), 100);
+        validate(&messi.tree, &messi.config, 100).unwrap();
     }
 
     #[test]
     fn empty_dataset() {
         let data = Dataset::new(64).unwrap();
         let (messi, _) = build(&data, &cfg(4));
-        assert!(messi.index.is_empty());
+        assert_eq!(messi.tree.entry_count(), 0);
     }
 
     #[test]

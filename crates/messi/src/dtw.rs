@@ -127,8 +127,8 @@ impl LeafKernel for Dtw {
 mod tests {
     use crate::build::{build, MessiIndex};
     use crate::config::MessiConfig;
-    use crate::query::{approx, exact};
-    use dsidx_query::{BatchStats, Measure, QueryStats};
+    use crate::query::exact;
+    use dsidx_query::{approx_best_leaf, BatchStats, Measure, QueryStats};
     use dsidx_series::distance::dtw::dtw_sq;
     use dsidx_series::gen::DatasetKind;
     use dsidx_series::{Dataset, Match};
@@ -356,8 +356,15 @@ mod tests {
         for q in queries.iter() {
             for k in [1usize, 5] {
                 let exact = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
-                let (approx, stats) =
-                    approx(&messi, &data, q, Measure::Dtw { band: 4 }, k).unwrap();
+                let (approx, stats) = approx_best_leaf(
+                    &messi.tree,
+                    &messi.config,
+                    &data,
+                    q,
+                    Measure::Dtw { band: 4 },
+                    k,
+                )
+                .unwrap();
                 assert!(!approx.is_empty() && approx.len() <= k);
                 for (a, e) in approx.iter().zip(&exact) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6);

@@ -45,4 +45,4 @@ pub mod traverse;
 pub use build::{build, build_from_file, BuildPhases, MessiIndex};
 pub use config::{BufferMode, MessiConfig};
 pub use dsidx_query::{BatchStats, QueryStats};
-pub use query::{approx, exact};
+pub use query::exact;

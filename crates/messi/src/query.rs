@@ -23,9 +23,11 @@
 //! come from the shared kernel (`dsidx-query`), reached through
 //! `LeafKernel` so that one set of schedules answers both measures (the
 //! Euclidean kernel is here, the DTW one in [`crate::dtw`]). This module
-//! contributes the MESSI scheduling and the crate's two entry points,
-//! [`exact`] and [`approx`], which take the [`Measure`] as a value. All
-//! tree reads go through the flattened view ([`dsidx_tree::flat`]).
+//! contributes the MESSI scheduling and the crate's entry point, [`exact`],
+//! which takes the [`Measure`] as a value. All tree reads go through the
+//! flat tree ([`dsidx_tree::flat`]); the approximate answer is the shared
+//! best-leaf visit, [`approx_best_leaf`](dsidx_query::approx_best_leaf),
+//! over [`MessiIndex::tree`].
 //!
 //! # Which schedule runs
 //!
@@ -78,12 +80,10 @@ use crate::traverse::{BatchTraversal, Traversal};
 use dsidx_isax::{NodeMindistTable, Quantizer, Word};
 use dsidx_obs::phase::{Phase, PhaseAcc, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
-    approx_leaf_flat, batch_process_leaf_entries, batch_seed_positions, finish_knn,
-    process_leaf_entries, seed_from_entries, seed_from_entries_dtw, AtomicQueryStats, BatchStats,
-    ErrorSlot, LeafScratch, Measure, PreparedQuery, Pruner, QueryBatch, QueryStats, SeriesFetcher,
-    ShardView, SharedTopK,
+    approx_leaf_flat, batch_process_leaf_entries, batch_seed_positions, process_leaf_entries,
+    seed_from_entries, AtomicQueryStats, BatchStats, ErrorSlot, LeafScratch, Measure,
+    PreparedQuery, Pruner, QueryBatch, QueryStats, SeriesFetcher, ShardView,
 };
-use dsidx_series::distance::dtw::envelope;
 use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
@@ -278,20 +278,20 @@ fn exact_batch<K: LeafKernel>(
     threads: usize,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    let config = messi.index.config();
+    let config = &messi.config;
     for q in queries {
         assert_eq!(q.len(), config.series_len(), "query length mismatch");
     }
     assert!(threads > 0, "thread count must be non-zero");
     let mut clock = PhaseClock::start();
     let batch = QueryBatch::unprepared(queries, k, shard);
-    if messi.flat.entry_count() == 0 || batch.is_empty() {
+    if messi.tree.entry_count() == 0 || batch.is_empty() {
         return Ok(batch.finish(0, QueryStats::default()));
     }
     let errors = ErrorSlot::for_phase(K::PHASE);
     let call = Call {
         kernel,
-        flat: &messi.flat,
+        flat: &messi.tree,
         quantizer: config.quantizer(),
         source,
         threads,
@@ -754,86 +754,12 @@ pub fn exact(
     }
 }
 
-/// *Approximate* k-NN through the MESSI index: descend to the query's own
-/// leaf (the paper's approximate answer — "the most promising leaf") and
-/// return the k nearest of its entries by real distance under `measure`
-/// (early-abandoned Euclidean, or each entry through the raw-series DTW
-/// cascade), without the exact traversal/processing phases. No pool
-/// broadcast is issued; on an on-disk source only the one leaf's entries
-/// are fetched.
-///
-/// Every reported distance is a real distance to a real series, so it is
-/// never below the exact answer at the same rank; the positions may
-/// differ. Returns fewer than `k` matches when the leaf holds fewer
-/// entries, empty for an empty index.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the configured series length or
-/// `k == 0`.
-pub fn approx(
-    messi: &MessiIndex,
-    source: &impl RawSource,
-    query: &[f32],
-    measure: Measure,
-    k: usize,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    match measure {
-        Measure::Euclidean => approx_leaf_visit(messi, query, k, |positions, topk| {
-            let mut fetcher = SeriesFetcher::new(source);
-            seed_from_entries(positions.iter().copied(), &mut fetcher, query, topk)
-        }),
-        Measure::Dtw { band } => {
-            let (mut lower, mut upper) = (Vec::new(), Vec::new());
-            envelope(query, band, &mut lower, &mut upper);
-            approx_leaf_visit(messi, query, k, |positions, topk| {
-                seed_from_entries_dtw(
-                    positions.iter().copied(),
-                    &mut SeriesFetcher::new(source),
-                    query,
-                    &lower,
-                    &upper,
-                    band,
-                    topk,
-                    &mut LeafScratch::new(),
-                )
-            })
-        }
-    }
-}
-
-/// The shared best-leaf visit behind both approximate measures: locate the
-/// query's leaf, let `pay` charge one real distance per entry (given by
-/// position) into the collector.
-fn approx_leaf_visit(
-    messi: &MessiIndex,
-    query: &[f32],
-    k: usize,
-    pay: impl FnOnce(&[u32], &SharedTopK) -> Result<u64, StorageError>,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let config = messi.index.config();
-    assert_eq!(query.len(), config.series_len(), "query length mismatch");
-    let topk = SharedTopK::new(k);
-    let flat = &messi.flat;
-    if flat.entry_count() == 0 {
-        return Ok(finish_knn(&topk, None));
-    }
-    let word = config.quantizer().word(query);
-    let idx = approx_leaf_flat(flat, &word).expect("non-empty index has a non-empty leaf");
-    let stats = QueryStats {
-        real_computed: pay(flat.leaf_positions(flat.node(idx)), &topk)?,
-        ..QueryStats::default()
-    };
-    Ok(finish_knn(&topk, Some(stats)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::build;
     use crate::config::MessiConfig;
+    use dsidx_query::approx_best_leaf;
     use dsidx_series::gen::DatasetKind;
     use dsidx_series::Dataset;
     use dsidx_storage::FlakySource;
@@ -842,6 +768,17 @@ mod tests {
 
     fn cfg(threads: usize) -> MessiConfig {
         MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(64)
+    }
+
+    /// The approximate answer through the index's tree.
+    fn approx(
+        messi: &MessiIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        measure: Measure,
+        k: usize,
+    ) -> Result<(Vec<Match>, QueryStats), StorageError> {
+        approx_best_leaf(&messi.tree, &messi.config, source, q, measure, k)
     }
 
     /// Euclidean [`exact`] for a batch, on `threads` workers.

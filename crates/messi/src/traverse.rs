@@ -370,7 +370,7 @@ mod tests {
         // With an infinite BSF nothing is pruned, so every non-empty leaf
         // must be enqueued exactly once no matter how many workers help.
         let total_leaves = messi
-            .flat
+            .tree
             .nodes()
             .iter()
             .filter(|n| n.is_leaf() && !n.entry_range().is_empty())
@@ -378,7 +378,7 @@ mod tests {
         for threads in [1usize, 4, 8] {
             let best = AtomicBest::new();
             let runs = LeafRuns::new(threads, 0);
-            let traversal = Traversal::new(&messi.flat, &node_table, &best);
+            let traversal = Traversal::new(&messi.tree, &node_table, &best);
             let enqueued = std::sync::atomic::AtomicU64::new(0);
             std::thread::scope(|s| {
                 for worker in 0..threads {
@@ -416,7 +416,7 @@ mod tests {
         let paa_q = paa(q.get(0), 8);
         let node_table = NodeMindistTable::new_point(&paa_q, cfg.tree.quantizer().segment_lens());
         let best = AtomicBest::with_initial(0.0, 0); // perfect BSF
-        let traversal = Traversal::new(&messi.flat, &node_table, &best);
+        let traversal = Traversal::new(&messi.tree, &node_table, &best);
         let mut run = RunBuilder::new();
         let pruned = traversal.run_worker(&mut run);
         assert!(run.is_empty(), "zero BSF must prune every subtree");

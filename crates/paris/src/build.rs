@@ -24,7 +24,7 @@ use dsidx_isax::Word;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, LeafStoreReader, LeafStoreWriter, StorageError};
 use dsidx_sync::{SyncSlice, WorkQueue};
-use dsidx_tree::{Index, LeafChunk, LeafEntry, Node, SaxArray};
+use dsidx_tree::{FlatTree, Index, LeafChunk, LeafChunks, LeafEntry, Node, SaxArray, TreeConfig};
 use parking_lot::{Condvar, Mutex};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,11 +34,17 @@ use std::time::{Duration, Instant};
 /// A built ParIS/ParIS+ index.
 #[derive(Debug)]
 pub struct ParisIndex {
-    /// The iSAX tree (all subtrees resident; leaves carry flush chunks in
-    /// on-disk mode).
-    pub index: Index,
+    /// The iSAX tree, flattened once construction ended (every leaf stays
+    /// resident; the approximate descent seeds from it).
+    pub tree: FlatTree,
+    /// The configuration the tree was built under (fitted to the
+    /// collection).
+    pub config: TreeConfig,
     /// Position-ordered iSAX words — what stage 4 scans.
     pub sax: SaxArray,
+    /// Where each leaf of `tree` was materialized in `leaves` (empty for
+    /// in-memory builds).
+    pub chunks: LeafChunks,
     /// The materialized leaf store (on-disk builds only).
     pub leaves: Option<LeafStoreReader>,
 }
@@ -143,22 +149,15 @@ pub fn build_on_disk(
         "series length mismatch"
     );
     let store = LeafStoreWriter::create(store_path, cfg.tree.segments(), file.device().clone())?;
-    let (index, sax, report) = run_pipeline(
+    let (mut paris, report) = run_pipeline(
         cfg,
         mode,
         file.count(),
         Some(&store),
         |start, count, out| file.read_block(start, count, out),
     )?;
-    let leaves = store.finish()?;
-    Ok((
-        ParisIndex {
-            index,
-            sax,
-            leaves: Some(leaves),
-        },
-        report,
-    ))
+    paris.leaves = Some(store.finish()?);
+    Ok((paris, report))
 }
 
 /// Builds an in-memory ParIS index (the paper's "in-memory implementation
@@ -176,7 +175,7 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (ParisIndex, BuildR
         "series length mismatch"
     );
     let series_len = data.series_len();
-    let (index, sax, report) = run_pipeline(
+    run_pipeline(
         cfg,
         Overlap::Paris,
         data.len(),
@@ -189,15 +188,7 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (ParisIndex, BuildR
             Ok(())
         },
     )
-    .expect("in-memory build performs no I/O");
-    (
-        ParisIndex {
-            index,
-            sax,
-            leaves: None,
-        },
-        report,
-    )
+    .expect("in-memory build performs no I/O")
 }
 
 #[allow(clippy::too_many_lines)]
@@ -207,7 +198,7 @@ fn run_pipeline(
     total: usize,
     store: Option<&LeafStoreWriter>,
     mut read_block: impl FnMut(usize, usize, &mut Vec<f32>) -> Result<(), StorageError>,
-) -> Result<(Index, SaxArray, BuildReport), StorageError> {
+) -> Result<(ParisIndex, BuildReport), StorageError> {
     // `total` is known before the first read: fit the root fan-out (and
     // with it the number of receiving buffers) to it.
     let tree_cfg = &cfg.tree.fitted_to(total);
@@ -435,8 +426,14 @@ fn run_pipeline(
         generations,
     };
     let index = Index::from_roots(tree_cfg.clone(), roots.into_inner());
-    let sax = SaxArray::new(sax.into_inner());
-    Ok((index, sax, report))
+    let paris = ParisIndex {
+        tree: FlatTree::from_index(&index),
+        config: tree_cfg.clone(),
+        sax: SaxArray::new(sax.into_inner()),
+        chunks: LeafChunks::from_index(&index),
+        leaves: None,
+    };
+    Ok((paris, report))
 }
 
 /// Parallel in-memory summarization used by ablations and tests: fills only
@@ -473,9 +470,14 @@ mod tests {
     use super::*;
     use dsidx_series::gen::DatasetKind;
     use dsidx_storage::{write_dataset, Device, DeviceProfile};
-    use dsidx_tree::stats::{index_stats, validate};
-    use dsidx_tree::TreeConfig;
+    use dsidx_tree::snapshot::{decode_chunks, encode_chunks, validate};
+    use dsidx_tree::stats::index_stats;
     use std::sync::Arc;
+
+    /// The occupied root keys, ascending.
+    fn root_keys(tree: &FlatTree) -> Vec<u16> {
+        tree.roots().iter().map(|&(key, _)| key).collect()
+    }
 
     fn tree_cfg() -> TreeConfig {
         TreeConfig::new(64, 8, 16).unwrap()
@@ -501,9 +503,10 @@ mod tests {
             .with_block_series(64)
             .with_generation_series(256);
         let (paris, report) = build_in_memory(&data, &cfg);
-        assert_eq!(paris.index.len(), 600);
+        assert_eq!(paris.tree.entry_count(), 600);
         assert_eq!(paris.sax.len(), 600);
-        validate(&paris.index);
+        validate(&paris.tree, &paris.config, 600).unwrap();
+        assert_eq!(paris.chunks, LeafChunks::default());
         assert!(report.generations >= 2, "600/256 needs >= 3 generations");
         // SAX words match direct computation.
         let q = cfg.tree.quantizer();
@@ -513,10 +516,10 @@ mod tests {
         // Same leaf structure as the serial baseline build.
         let (ads, _) = dsidx_ads::build_from_dataset(&data, &cfg.tree);
         assert_eq!(
-            index_stats(&paris.index).entry_count,
-            index_stats(&ads.index).entry_count
+            index_stats(&paris.tree).entry_count,
+            index_stats(&ads.tree).entry_count
         );
-        assert_eq!(paris.index.occupied_roots(), ads.index.occupied_roots());
+        assert_eq!(root_keys(&paris.tree), root_keys(&ads.tree));
     }
 
     #[test]
@@ -527,20 +530,21 @@ mod tests {
             .with_generation_series(150);
         let (paris, rep_a) = build_on_disk(&file, &tmp("a.leaf"), &cfg, Overlap::Paris).unwrap();
         let (plus, rep_b) = build_on_disk(&file, &tmp("b.leaf"), &cfg, Overlap::ParisPlus).unwrap();
-        assert_eq!(paris.index.len(), 500);
-        assert_eq!(plus.index.len(), 500);
-        validate(&paris.index);
-        validate(&plus.index);
+        for built in [&paris, &plus] {
+            assert_eq!(built.tree.entry_count(), 500);
+            validate(&built.tree, &built.config, 500).unwrap();
+        }
         assert_eq!(paris.sax.words(), plus.sax.words());
-        assert_eq!(paris.index.occupied_roots(), plus.index.occupied_roots());
+        assert_eq!(root_keys(&paris.tree), root_keys(&plus.tree));
         assert!(rep_a.generations >= 3);
         assert_eq!(rep_a.generations, rep_b.generations);
         assert!(paris.leaves.is_some());
-        // Every leaf is fully flushed at the end of both builds.
-        for idx in [&paris.index, &plus.index] {
-            idx.for_each_leaf(&mut |leaf| {
-                assert!(leaf.unflushed_entries().is_empty(), "leaf left unflushed");
-            });
+        // Every leaf is fully flushed at the end of both builds: the chunk
+        // column decodes only if its counts cover each leaf exactly.
+        for built in [&paris, &plus] {
+            let bytes = encode_chunks(&built.chunks);
+            assert!(!bytes.is_empty());
+            assert_eq!(decode_chunks(&built.tree, &bytes).unwrap(), built.chunks);
         }
     }
 
@@ -554,10 +558,10 @@ mod tests {
         let reader = paris.leaves.as_ref().unwrap();
         let mut records = Vec::new();
         let mut checked = 0;
-        paris.index.for_each_leaf(&mut |leaf| {
-            let payload = leaf.payload().unwrap();
+        let tree = &paris.tree;
+        for (idx, leaf) in tree.nodes().iter().enumerate().filter(|(_, n)| n.is_leaf()) {
             let mut from_store = Vec::new();
-            for chunk in &payload.chunks {
+            for chunk in paris.chunks.of(idx as u32) {
                 reader
                     .read(
                         dsidx_storage::LeafHandle {
@@ -569,11 +573,15 @@ mod tests {
                     .unwrap();
                 from_store.extend(records.iter().copied());
             }
-            let resident: Vec<(Word, u32)> =
-                payload.entries.iter().map(|e| (e.word, e.pos)).collect();
+            let resident: Vec<(Word, u32)> = tree
+                .leaf_words(leaf)
+                .iter()
+                .copied()
+                .zip(tree.leaf_positions(leaf).iter().copied())
+                .collect();
             assert_eq!(from_store, resident, "store contents must mirror leaf");
             checked += 1;
-        });
+        }
         assert!(checked > 0);
     }
 
@@ -585,9 +593,9 @@ mod tests {
             .with_generation_series(1000);
         let (paris, report) =
             build_on_disk(&file, &tmp("small.leaf"), &cfg, Overlap::Paris).unwrap();
-        assert_eq!(paris.index.len(), 100);
+        assert_eq!(paris.tree.entry_count(), 100);
         assert_eq!(report.generations, 1);
-        validate(&paris.index);
+        validate(&paris.tree, &paris.config, 100).unwrap();
     }
 
     #[test]
@@ -595,7 +603,7 @@ mod tests {
         let data = dsidx_series::Dataset::new(64).unwrap();
         let cfg = ParisConfig::new(tree_cfg(), 4);
         let (paris, report) = build_in_memory(&data, &cfg);
-        assert!(paris.index.is_empty());
+        assert_eq!(paris.tree.entry_count(), 0);
         assert!(paris.sax.is_empty());
         assert_eq!(report.generations, 0);
     }
@@ -624,8 +632,8 @@ mod tests {
             let file = DatasetFile::open(&path, device.clone()).unwrap();
             let store = tmp(&format!("hdd_{}.leaf", mode.name()));
             let (paris, report) = build_on_disk(&file, &store, &cfg, mode).unwrap();
-            validate(&paris.index);
-            assert_eq!((paris.index.len(), report.generations), (3000, 4));
+            validate(&paris.tree, &paris.config, 3000).unwrap();
+            assert_eq!((paris.tree.entry_count(), report.generations), (3000, 4));
             device.stats()
         };
         let paris = build(Overlap::Paris);

@@ -34,7 +34,7 @@
 use crate::build::ParisIndex;
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
-    approx_leaf, batch_collect_candidates, batch_seed_positions, batch_seed_prefix,
+    approx_leaf_flat, batch_collect_candidates, batch_seed_positions, batch_seed_prefix,
     batch_verify_candidates, best_bound_positions, finish_knn, order_best_bound_first,
     BatchCandidate, BatchStats, DtwPrepared, ErrorSlot, Measure, PreparedQuery, Pruner, QueryBatch,
     QueryStats, SeriesFetcher, ShardView, SharedTopK,
@@ -76,12 +76,12 @@ const APPROX_PROBE_PER_NEIGHBOR: usize = 4;
 /// Minimum sketch-nearest probes whatever the k.
 const APPROX_PROBE_MIN: usize = 16;
 
-/// Charges the on-disk read-back of one materialized leaf to the leaf
-/// store's device (a no-op for in-memory builds).
-fn charge_leaf_read(paris: &ParisIndex, leaf: &dsidx_tree::Node) -> Result<(), StorageError> {
+/// Charges the on-disk read-back of one materialized leaf (by flat node
+/// index) to the leaf store's device (a no-op for in-memory builds).
+fn charge_leaf_read(paris: &ParisIndex, leaf: u32) -> Result<(), StorageError> {
     if let Some(reader) = &paris.leaves {
         let mut records = Vec::new();
-        for chunk in &leaf.payload().expect("leaf payload").chunks {
+        for chunk in paris.chunks.of(leaf) {
             reader.read(
                 LeafHandle {
                     offset: chunk.offset,
@@ -145,7 +145,7 @@ pub fn exact(
     threads: usize,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    let config = paris.index.config();
+    let (tree, config) = (&paris.tree, &paris.config);
     for q in queries {
         assert_eq!(q.len(), config.series_len(), "query length mismatch");
     }
@@ -153,7 +153,7 @@ pub fn exact(
     let mut clock = PhaseClock::start();
     let batch = QueryBatch::for_shard(config.quantizer(), queries, k, shard);
     let prepare_nanos = clock.lap();
-    if paris.index.is_empty() || batch.is_empty() {
+    if tree.entry_count() == 0 || batch.is_empty() {
         return Ok(batch.finish(0, QueryStats::default()));
     }
     batch.phases().record(Phase::Prepare, prepare_nanos);
@@ -162,17 +162,19 @@ pub fn exact(
     // approximate leaf (distinct leaves charged once), cross-seeded into
     // every pruner, then the shared threshold warm-up over a position-order
     // prefix (adjacent positions: one seek for the lot).
-    let mut leaves: Vec<&dsidx_tree::Node> = Vec::new();
+    let mut leaves: Vec<u32> = Vec::new();
     let mut positions: Vec<u32> = Vec::new();
     for slot in batch.slots() {
-        let leaf = approx_leaf(&paris.index, &slot.prep.word)
-            .expect("non-empty index has a non-empty leaf");
-        if !leaves.iter().any(|l| std::ptr::eq(*l, leaf)) {
+        let leaf =
+            approx_leaf_flat(tree, &slot.prep.word).expect("non-empty index has a non-empty leaf");
+        if !leaves.contains(&leaf) {
             charge_leaf_read(paris, leaf).map_err(|e| e.in_phase(Phase::Seed.name()))?;
             leaves.push(leaf);
         }
+        let node = tree.node(leaf);
         best_bound_positions(
-            leaf.entries().expect("leaves are resident"),
+            tree.leaf_words(node),
+            tree.leaf_positions(node),
             &slot.prep.table,
             k.max(SEED_PROBES),
             &mut positions,
@@ -274,7 +276,7 @@ pub fn approx(
     measure: Measure,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let config = paris.index.config();
+    let config = &paris.config;
     assert_eq!(query.len(), config.series_len(), "query length mismatch");
     match measure {
         Measure::Euclidean => {
@@ -322,7 +324,7 @@ fn sketch_nearest(
     mut verify: impl FnMut(&[f32], f32, &mut QueryStats) -> Option<f32>,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
     let topk = SharedTopK::new(k);
-    if paris.index.is_empty() {
+    if paris.tree.entry_count() == 0 {
         return Ok(finish_knn(&topk, None));
     }
     let mut clock = PhaseClock::start();
@@ -497,10 +499,7 @@ mod tests {
             .with_generation_series(256);
         let data = DatasetKind::Synthetic.generate(500, 64, 61);
         let (paris, _) = build_in_memory(&data, &tiny);
-        let mut largest = 0;
-        paris
-            .index
-            .for_each_leaf(&mut |leaf| largest = largest.max(leaf.entry_count()));
+        let largest = dsidx_tree::stats::index_stats(&paris.tree).max_leaf_len;
         assert!(largest < SEED_PROBES, "fixture leaves too large: {largest}");
         let qs = DatasetKind::Synthetic.queries(5, 64, 61);
         for q in qs.iter() {

@@ -59,7 +59,7 @@ pub use measure::Measure;
 pub use prepare::PreparedQuery;
 pub use scan::{process_leaf_entries, scan_sax_serial, verify_candidate, LeafScratch};
 pub use seed::{
-    approx_leaf, approx_leaf_flat, best_bound_positions, seed_from_entries, seed_prefix,
+    approx_best_leaf, approx_leaf_flat, best_bound_positions, seed_from_entries, seed_prefix,
 };
 pub use stats::{AtomicQueryStats, QueryStats};
 

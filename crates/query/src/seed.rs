@@ -1,24 +1,28 @@
 //! Approximate-descent BSF seeding: locate the leaf the query's own word
 //! descends to and pay real distances for its entries, so the exact phase
-//! starts from a tight best-so-far instead of infinity.
+//! starts from a tight best-so-far instead of infinity — or, at
+//! approximate fidelity, so that leaf's best entries *are* the answer
+//! ([`approx_best_leaf`]).
 
+use crate::dtw::seed_from_entries_dtw;
 use crate::fetch::SeriesFetcher;
+use crate::knn::finish_knn;
+use crate::measure::Measure;
+use crate::scan::LeafScratch;
+use crate::stats::QueryStats;
 use dsidx_isax::{MindistTable, Word};
+use dsidx_obs::phase::{Phase, PhaseClock};
+use dsidx_series::distance::dtw::envelope;
 use dsidx_series::distance::euclidean_sq_bounded;
+use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
-use dsidx_sync::Pruner;
-use dsidx_tree::{FlatTree, Index, LeafEntry, Node};
+use dsidx_sync::{Pruner, SharedTopK};
+use dsidx_tree::{FlatTree, TreeConfig};
 
-/// The most promising leaf for `word` in a pointer tree: the query's own
-/// non-empty leaf, or any non-empty leaf when the query's subtree is empty.
-/// `None` only for an empty index.
-#[must_use]
-pub fn approx_leaf<'i>(index: &'i Index, word: &Word) -> Option<&'i Node> {
-    index.non_empty_leaf_for(word).or_else(|| index.any_leaf())
-}
-
-/// The most promising leaf for `word` in a flattened tree (node index
-/// form), routing around empty subtrees. `None` only for an empty index.
+/// The most promising leaf for `word` (its node index): the query's own
+/// non-empty leaf, routing around empty subtrees; when the query's root
+/// slot is empty, the leaf its word reaches under the next occupied key
+/// (the last one when none is above). `None` only for an empty index.
 #[must_use]
 pub fn approx_leaf_flat(flat: &FlatTree, word: &Word) -> Option<u32> {
     let roots = flat.roots();
@@ -36,6 +40,65 @@ pub fn approx_leaf_flat(flat: &FlatTree, word: &Word) -> Option<u32> {
                 .iter()
                 .find_map(|&(_, r)| flat.descend_non_empty(r, word))
         })
+}
+
+/// *Approximate* k-NN by one best-leaf visit — the approximate answer of
+/// ADS+ and MESSI, the paper's "most promising leaf": descend to the
+/// query's own leaf ([`approx_leaf_flat`]) and return the k nearest of its
+/// entries by real distance under `measure` (early-abandoned Euclidean, or
+/// each entry through the DTW cascade), with no scan, no traversal and no
+/// pool broadcast. On an on-disk source only that leaf's series are
+/// fetched.
+///
+/// Every reported distance is a real distance to a real series, so it is
+/// never below the exact answer at the same rank; returns fewer than `k`
+/// matches when the leaf holds fewer entries, empty for an empty tree.
+///
+/// # Errors
+/// Propagates raw-source I/O failures.
+///
+/// # Panics
+/// Panics if the query length differs from the configured series length or
+/// `k == 0`.
+pub fn approx_best_leaf(
+    tree: &FlatTree,
+    config: &TreeConfig,
+    source: &impl RawSource,
+    query: &[f32],
+    measure: Measure,
+    k: usize,
+) -> Result<(Vec<Match>, QueryStats), StorageError> {
+    assert_eq!(query.len(), config.series_len(), "query length mismatch");
+    let topk = SharedTopK::new(k);
+    if tree.entry_count() == 0 {
+        return Ok(finish_knn(&topk, None));
+    }
+    let mut clock = PhaseClock::start();
+    let word = config.quantizer().word(query);
+    let leaf = approx_leaf_flat(tree, &word).expect("non-empty index has a non-empty leaf");
+    let positions = tree.leaf_positions(tree.node(leaf)).iter().copied();
+    let mut fetcher = SeriesFetcher::new(source);
+    let mut stats = QueryStats::default();
+    stats.phase.record(Phase::Prepare, clock.lap());
+    stats.real_computed = match measure {
+        Measure::Euclidean => seed_from_entries(positions, &mut fetcher, query, &topk)?,
+        Measure::Dtw { band } => {
+            let (mut lower, mut upper) = (Vec::new(), Vec::new());
+            envelope(query, band, &mut lower, &mut upper);
+            seed_from_entries_dtw(
+                positions,
+                &mut fetcher,
+                query,
+                &lower,
+                &upper,
+                band,
+                &topk,
+                &mut LeafScratch::new(),
+            )?
+        }
+    };
+    stats.phase.record(Phase::Seed, clock.lap());
+    Ok(finish_knn(&topk, Some(stats)))
 }
 
 /// Seeds the pruner from the approximate leaf: every entry (given by its
@@ -69,9 +132,10 @@ pub fn seed_from_entries<P: Pruner>(
     Ok(paid)
 }
 
-/// Appends to `out` the positions of the `n` entries of `entries` with the
-/// smallest MINDIST to the query behind `table`, ties broken by position
-/// (all of them when the leaf holds no more than `n`).
+/// Appends to `out` the positions of the `n` leaf entries (`words` and
+/// their index-aligned `positions`) with the smallest MINDIST to the query
+/// behind `table`, ties broken by position (all of them when the leaf
+/// holds no more than `n`).
 ///
 /// Bound-ranked seeding: on a device that charges an access latency per
 /// raw series, seeding from a whole approximate leaf pays for every
@@ -79,14 +143,16 @@ pub fn seed_from_entries<P: Pruner>(
 /// summaries sit closest to the query's. Ranking costs one table lookup
 /// per resident entry and no I/O.
 pub fn best_bound_positions(
-    entries: &[LeafEntry],
+    words: &[Word],
+    positions: &[u32],
     table: &MindistTable,
     n: usize,
     out: &mut Vec<u32>,
 ) {
-    let mut ranked: Vec<(f32, u32)> = entries
+    let mut ranked: Vec<(f32, u32)> = words
         .iter()
-        .map(|e| (table.lookup(&e.word), e.pos))
+        .zip(positions)
+        .map(|(w, &pos)| (table.lookup(w), pos))
         .collect();
     ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     ranked.truncate(n);
@@ -133,7 +199,7 @@ mod tests {
     use super::*;
     use dsidx_series::gen::DatasetKind;
     use dsidx_sync::AtomicBest;
-    use dsidx_tree::TreeConfig;
+    use dsidx_tree::{Index, LeafEntry};
 
     fn build_index(n: usize) -> (dsidx_series::Dataset, Index) {
         let config = TreeConfig::new(64, 8, 16).unwrap();
@@ -146,11 +212,22 @@ mod tests {
         (data, index)
     }
 
+    /// The flat tree of [`build_index`] and the approximate leaf of series
+    /// `pos`'s own word, as `(words, positions)`.
+    fn own_leaf(index: &Index, data: &dsidx_series::Dataset, pos: usize) -> (Vec<Word>, Vec<u32>) {
+        let flat = FlatTree::from_index(index);
+        let word = index.config().quantizer().word(data.get(pos));
+        let leaf = flat.node(approx_leaf_flat(&flat, &word).expect("non-empty"));
+        (
+            flat.leaf_words(leaf).to_vec(),
+            flat.leaf_positions(leaf).to_vec(),
+        )
+    }
+
     #[test]
     fn empty_index_has_no_leaf() {
         let (_, index) = build_index(0);
         let word = Word::new(&[0u8; 8]);
-        assert!(approx_leaf(&index, &word).is_none());
         let flat = FlatTree::from_index(&index);
         assert!(approx_leaf_flat(&flat, &word).is_none());
     }
@@ -158,15 +235,17 @@ mod tests {
     #[test]
     fn flat_and_pointer_descent_agree() {
         let (data, index) = build_index(500);
-        let flat = FlatTree::from_index(&index);
-        let quantizer = index.config().quantizer();
         for pos in [0usize, 123, 499] {
-            let word = quantizer.word(data.get(pos));
-            let leaf = approx_leaf(&index, &word).expect("non-empty");
-            let flat_idx = approx_leaf_flat(&flat, &word).expect("non-empty");
-            let mut flat_positions = flat.leaf_positions(flat.node(flat_idx)).to_vec();
-            let mut tree_positions: Vec<u32> =
-                leaf.entries().unwrap().iter().map(|e| e.pos).collect();
+            let (_, mut flat_positions) = own_leaf(&index, &data, pos);
+            // The pointer tree's leaf holding the series: where insertion
+            // routed its word.
+            let mut tree_positions = Vec::new();
+            index.for_each_leaf(&mut |leaf| {
+                let entries = leaf.entries().unwrap();
+                if entries.iter().any(|e| e.pos == pos as u32) {
+                    tree_positions = entries.iter().map(|e| e.pos).collect();
+                }
+            });
             flat_positions.sort_unstable();
             tree_positions.sort_unstable();
             assert_eq!(flat_positions, tree_positions);
@@ -181,21 +260,21 @@ mod tests {
         let quantizer = index.config().quantizer();
         let q = data.get(42);
         let prep = crate::prepare::PreparedQuery::new(quantizer, q);
-        let leaf = approx_leaf(&index, &prep.word).expect("non-empty");
-        let entries = leaf.entries().expect("resident leaf");
-        assert!(entries.len() > 2, "fixture leaf too small to rank");
-        let mut want: Vec<(f32, u32)> = entries
+        let (words, positions) = own_leaf(&index, &data, 42);
+        assert!(words.len() > 2, "fixture leaf too small to rank");
+        let mut want: Vec<(f32, u32)> = words
             .iter()
-            .map(|e| (prep.table.lookup(&e.word), e.pos))
+            .zip(&positions)
+            .map(|(w, &pos)| (prep.table.lookup(w), pos))
             .collect();
         want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let want: Vec<u32> = want.iter().map(|&(_, pos)| pos).collect();
         // The query's own entry bounds to zero, so it is among the first.
-        let own = entries.iter().find(|e| e.pos == 42).expect("own leaf");
-        assert_eq!(prep.table.lookup(&own.word), 0.0);
-        for n in [0usize, 1, 2, entries.len(), entries.len() + 5] {
+        let own = positions.iter().position(|&p| p == 42).expect("own leaf");
+        assert_eq!(prep.table.lookup(&words[own]), 0.0);
+        for n in [0usize, 1, 2, words.len(), words.len() + 5] {
             let mut got = vec![7u32]; // appended to, never cleared
-            best_bound_positions(entries, &prep.table, n, &mut got);
+            best_bound_positions(&words, &positions, &prep.table, n, &mut got);
             assert_eq!(got[0], 7);
             assert_eq!(&got[1..], &want[..n.min(want.len())], "n={n}");
         }
@@ -204,18 +283,14 @@ mod tests {
     #[test]
     fn seeding_finds_the_leaf_minimum() {
         let (data, index) = build_index(300);
-        let quantizer = index.config().quantizer();
         let q = data.get(42);
-        let word = quantizer.word(q);
-        let leaf = approx_leaf(&index, &word).expect("non-empty");
-        let entries = leaf.entries().expect("resident leaf");
+        let (_, positions) = own_leaf(&index, &data, 42);
         let best = AtomicBest::new();
         let mut fetcher = SeriesFetcher::new(&data);
-        let positions = entries.iter().map(|e| e.pos);
-        let reals = seed_from_entries(positions, &mut fetcher, q, &best).unwrap();
+        let reals = seed_from_entries(positions.iter().copied(), &mut fetcher, q, &best).unwrap();
         // Everything is paid in full until the first insertion; after it
         // the rest may abandon against the tightening best-so-far.
-        assert!((1..=entries.len() as u64).contains(&reals));
+        assert!((1..=positions.len() as u64).contains(&reals));
         // Series 42 is in its own leaf, so seeding must find distance 0.
         let (dist_sq, pos) = best.get();
         assert_eq!(pos, 42);

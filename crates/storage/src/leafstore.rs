@@ -125,6 +125,8 @@ pub struct LeafStoreReader {
     segments: usize,
     /// Byte position of the store's header within `file`.
     base: u64,
+    /// Bytes of the store, header included.
+    len: u64,
 }
 
 impl LeafStoreReader {
@@ -144,6 +146,7 @@ impl LeafStoreReader {
     /// Format violations and I/O failures.
     pub fn open_within(path: &Path, base: u64, device: Arc<Device>) -> Result<Self, StorageError> {
         let file = File::open(path)?;
+        let len = file.metadata()?.len().saturating_sub(base);
         let mut header = [0u8; HEADER_LEN as usize];
         device.charge_read(base, HEADER_LEN);
         file.read_exact_at(&mut header, base).map_err(|e| {
@@ -153,7 +156,7 @@ impl LeafStoreReader {
                 StorageError::Io(e)
             }
         })?;
-        Self::from_parts(file, &header, base, device)
+        Self::from_parts(file, &header, base, len, device)
     }
 
     /// Opens a leaf store embedded at byte `base` of `path` whose bytes
@@ -177,13 +180,15 @@ impl LeafStoreReader {
             ));
         }
         let file = File::open(path)?;
-        Self::from_parts(file, &bytes[..HEADER_LEN as usize], base, device)
+        let len = bytes.len() as u64;
+        Self::from_parts(file, &bytes[..HEADER_LEN as usize], base, len, device)
     }
 
     fn from_parts(
         file: File,
         header: &[u8],
         base: u64,
+        len: u64,
         device: Arc<Device>,
     ) -> Result<Self, StorageError> {
         if header[0..8] != MAGIC {
@@ -200,7 +205,22 @@ impl LeafStoreReader {
             device,
             segments,
             base,
+            len,
         })
+    }
+
+    /// The whole store, header included, through the handle this reader
+    /// holds — one sequential read charged to the device. What a snapshot
+    /// embeds; the handle keeps reading the same bytes even after the file
+    /// it was opened from is replaced.
+    ///
+    /// # Errors
+    /// I/O failures (including a store shorter than it was when opened).
+    pub fn read_all(&self) -> Result<Vec<u8>, StorageError> {
+        let mut bytes = vec![0u8; usize::try_from(self.len).expect("store fits memory")];
+        self.device.charge_read(self.base, self.len);
+        self.file.read_exact_at(&mut bytes, self.base)?;
+        Ok(bytes)
     }
 
     /// Number of segments per stored word.
@@ -362,6 +382,10 @@ mod tests {
         assert_eq!(out, entries);
         // Charging sees the absolute position, so seek modeling stays honest.
         assert_eq!(device.stats().bytes_read, 16 + 15 * 12);
+        // Read whole from the verified section bytes, it is exactly them.
+        let section = &bytes[100..100 + store_bytes.len()];
+        let r = LeafStoreReader::from_verified_bytes(&container, 100, section, dev()).unwrap();
+        assert_eq!(r.read_all().unwrap(), store_bytes);
         // A wrong base lands on garbage and is rejected, not misread.
         assert!(LeafStoreReader::open_within(&container, 0, dev()).is_err());
     }

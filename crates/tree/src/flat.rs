@@ -1,13 +1,14 @@
-//! A cache-conscious flattened view of a built index.
+//! The flat tree: the one form an index takes after construction.
 //!
-//! The boxed [`Node`] graph is ideal for construction
-//! (independent subtrees, in-place splits) but miserable for traversal:
-//! every node visit is a pointer chase. Query answering in MESSI touches
-//! thousands of nodes per query, so after construction the tree is
-//! *flattened* once into dense arrays — nodes (depth-first), leaf entries
-//! (leaf-contiguous), and occupied roots — and queries walk those. The
-//! paper's C implementation gets the same effect for free by storing
-//! nodes in preallocated arrays.
+//! The boxed [`Node`] graph is ideal for construction (independent
+//! subtrees, in-place splits) but miserable for traversal: every node
+//! visit is a pointer chase. So every engine *flattens* its tree once when
+//! construction ends — into dense arrays of nodes (depth-first), leaf
+//! entries (leaf-contiguous) and occupied roots — drops the graph, and
+//! answers every query from these arrays; a snapshot stores them as they
+//! are ([`crate::snapshot`]) and an open reads them straight back. The
+//! paper's C implementation gets the same effect by storing nodes in
+//! preallocated arrays.
 //!
 //! Leaf entries are stored as two parallel arrays, the iSAX words and the
 //! raw-data positions (the bytes of a [`LeafEntry`](crate::LeafEntry),
@@ -19,18 +20,18 @@
 //! array is padded so that any leaf can be bounded in whole blocks of
 //! [`LEAF_BLOCK`] words ([`FlatTree::leaf_words_padded`]): the kernel then
 //! never falls back to its one-word-at-a-time tail, and the caller ignores
-//! the extra results. The snapshot format is unaffected — a snapshot
-//! stores the [`Index`], and the flat view is rebuilt from it.
+//! the extra results.
 
 use crate::index::Index;
-use crate::node::Node;
-use dsidx_isax::{NodeMindistTable, Word, MAX_SEGMENTS};
+use crate::node::{LeafChunk, Node};
+use crate::sax::SaxArray;
+use dsidx_isax::{NodeMindistTable, NodeWord, Word, MAX_SEGMENTS};
 
 /// Words per block of the batched MINDIST kernel; leaf word runs are
 /// padded to a multiple of it.
 pub const LEAF_BLOCK: usize = 8;
 
-/// A node in the flattened tree.
+/// A node in the flattened tree (44 bytes, the snapshot's node record).
 ///
 /// Children are laid out depth-first, so an inner node's zero child sits
 /// at `self_index + 1` and only the one child's index is stored. The
@@ -38,16 +39,16 @@ pub const LEAF_BLOCK: usize = 8;
 /// each node records its subtree's entry range — leaves use it as their
 /// content, inner nodes use it for O(1) emptiness checks during guided
 /// descents.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlatNode {
-    prefixes: [u8; MAX_SEGMENTS],
-    bits: [u8; MAX_SEGMENTS],
+    pub(crate) prefixes: [u8; MAX_SEGMENTS],
+    pub(crate) bits: [u8; MAX_SEGMENTS],
     /// Start of this subtree's entry range.
-    entry_start: u32,
+    pub(crate) entry_start: u32,
     /// End of this subtree's entry range.
-    entry_end: u32,
+    pub(crate) entry_end: u32,
     /// Index of the one-child; `NO_CHILD` for leaves.
-    one_child: u32,
+    pub(crate) one_child: u32,
 }
 
 const NO_CHILD: u32 = u32::MAX;
@@ -91,29 +92,45 @@ impl FlatNode {
     pub fn mindist_sq(&self, table: &NodeMindistTable) -> f32 {
         table.lookup_parts(&self.bits, &self.prefixes)
     }
+
+    /// The node's word over `segments` segments; `None` unless it is
+    /// representable and every slot past `segments` is zero.
+    pub(crate) fn word(&self, segments: usize) -> Option<NodeWord> {
+        let mut unused = self.prefixes[segments..]
+            .iter()
+            .chain(&self.bits[segments..]);
+        if unused.any(|&b| b != 0) {
+            return None;
+        }
+        NodeWord::from_parts(&self.prefixes[..segments], &self.bits[..segments])
+    }
 }
 
 /// The flattened index: dense arrays for traversal.
-#[derive(Debug, Clone)]
+///
+/// `PartialEq` compares everything — nodes, roots, words, positions — so a
+/// decoded snapshot can be checked against the tree it was saved from.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatTree {
     /// All nodes, subtree by subtree, each subtree depth-first
     /// (zero-child-adjacent).
-    nodes: Vec<FlatNode>,
+    pub(crate) nodes: Vec<FlatNode>,
     /// `(root key, node index)` for every occupied root, key-ascending.
-    roots: Vec<(u16, u32)>,
+    pub(crate) roots: Vec<(u16, u32)>,
     /// Every leaf's iSAX words, leaf-contiguous, followed by
     /// `LEAF_BLOCK - 1` filler words so the last leaf can be padded too.
-    words: Vec<Word>,
+    pub(crate) words: Vec<Word>,
     /// Raw-data position of each word (no filler: `words.len() -
-    /// (LEAF_BLOCK - 1)` of them in a non-empty tree).
-    positions: Vec<u32>,
-    segments: usize,
+    /// (LEAF_BLOCK - 1)` of them).
+    pub(crate) positions: Vec<u32>,
+    pub(crate) segments: usize,
     /// Segments the root keys are taken from (the index's derived `r`).
-    root_segments: usize,
+    pub(crate) root_segments: usize,
 }
 
 impl FlatTree {
-    /// Flattens a built index (O(nodes + entries)).
+    /// Flattens a built index (O(nodes + entries)) — the last step of
+    /// every build.
     #[must_use]
     pub fn from_index(index: &Index) -> Self {
         let mut flat = FlatTree {
@@ -129,10 +146,16 @@ impl FlatTree {
             let idx = flat.push_subtree(root);
             flat.roots.push((key, idx));
         }
-        let filler = Word::new(&[0u8; MAX_SEGMENTS][..flat.segments]);
-        flat.words
-            .extend(std::iter::repeat_n(filler, LEAF_BLOCK - 1));
+        flat.pad_words();
         flat
+    }
+
+    /// Appends the `LEAF_BLOCK - 1` filler words that let the last leaf be
+    /// bounded in whole blocks.
+    pub(crate) fn pad_words(&mut self) {
+        let filler = Word::new(&[0u8; MAX_SEGMENTS][..self.segments]);
+        self.words
+            .extend(std::iter::repeat_n(filler, LEAF_BLOCK - 1));
     }
 
     fn push_subtree(&mut self, node: &Node) -> u32 {
@@ -246,31 +269,28 @@ impl FlatTree {
         self.root_segments
     }
 
-    /// Descends from node `idx` towards `word`, returning the leaf index.
+    /// The position-ordered SAX array the entries spell out — what ADS+
+    /// and ParIS scan. Built from the tree rather than stored beside it in
+    /// a snapshot: every `(position, word)` pair is already here.
+    ///
+    /// # Panics
+    /// Panics unless the positions are a permutation of
+    /// `0..entry_count()` (true of every built or decoded tree).
     #[must_use]
-    pub fn descend(&self, mut idx: u32, word: &dsidx_isax::Word) -> u32 {
-        loop {
-            let node = self.node(idx);
-            if node.is_leaf() {
-                return idx;
-            }
-            // The split segment is the one where the children carry one
-            // more bit; recover the branch from the word's next bit.
-            let (zero, one) = node.children(idx);
-            let zero_node = self.node(zero);
-            let seg = (0..self.segments)
-                .find(|&s| zero_node.bits[s] == node.bits[s] + 1)
-                .expect("inner node has a refined segment");
-            let bit = (word.symbol(seg) >> (dsidx_isax::MAX_BITS - node.bits[seg] - 1)) & 1;
-            idx = if bit == 1 { one } else { zero };
+    pub fn sax_array(&self) -> SaxArray {
+        let mut words = self.words[..self.positions.len()].to_vec();
+        for (&pos, &word) in self.positions.iter().zip(&self.words) {
+            words[pos as usize] = word;
         }
+        SaxArray::new(words)
     }
 
-    /// Like [`FlatTree::descend`], but detours around empty subtrees so
-    /// the returned leaf always holds at least one entry. Returns `None`
-    /// when the subtree at `idx` is entirely empty.
+    /// Descends from node `idx` towards `word`, detouring around empty
+    /// subtrees so the returned leaf always holds at least one entry (for
+    /// an indexed word: the leaf holding it). Returns `None` when the
+    /// subtree at `idx` is entirely empty.
     #[must_use]
-    pub fn descend_non_empty(&self, mut idx: u32, word: &dsidx_isax::Word) -> Option<u32> {
+    pub fn descend_non_empty(&self, mut idx: u32, word: &Word) -> Option<u32> {
         if self.node(idx).subtree_len() == 0 {
             return None;
         }
@@ -279,6 +299,8 @@ impl FlatTree {
             if node.is_leaf() {
                 return Some(idx);
             }
+            // The split segment is the one where the children carry one
+            // more bit; recover the branch from the word's next bit.
             let (zero, one) = node.children(idx);
             let zero_node = self.node(zero);
             let seg = (0..self.segments)
@@ -291,6 +313,56 @@ impl FlatTree {
             } else {
                 sibling
             };
+        }
+    }
+}
+
+/// Where each leaf of a [`FlatTree`] sits in a ParIS leaf store: a column
+/// beside the tree, keyed by flat node index. Inner nodes own no chunks,
+/// and an index built in memory has an empty column.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LeafChunks {
+    /// Node `i`'s chunks are `chunks[starts[i]..starts[i + 1]]` (empty, or
+    /// one start per node plus the end).
+    pub(crate) starts: Vec<u32>,
+    /// Every leaf's chunks, leaves in node order.
+    pub(crate) chunks: Vec<LeafChunk>,
+}
+
+impl LeafChunks {
+    /// Collects a built index's flush chunks in the node order of
+    /// [`FlatTree::from_index`].
+    #[must_use]
+    pub fn from_index(index: &Index) -> Self {
+        fn push(node: &Node, out: &mut LeafChunks) {
+            out.starts.push(out.chunks.len() as u32);
+            if let Some((_, zero, one)) = node.children() {
+                push(zero, out);
+                push(one, out);
+            } else {
+                let payload = node.payload().expect("a node without children is a leaf");
+                out.chunks.extend_from_slice(&payload.chunks);
+            }
+        }
+        let mut out = Self::default();
+        for &key in index.occupied_roots() {
+            push(index.root(key).expect("occupied root exists"), &mut out);
+        }
+        if out.chunks.is_empty() {
+            return Self::default();
+        }
+        out.starts.push(out.chunks.len() as u32);
+        out
+    }
+
+    /// The chunks of node `node` (none for inner nodes and in-memory
+    /// builds).
+    #[must_use]
+    pub fn of(&self, node: u32) -> &[LeafChunk] {
+        let i = node as usize;
+        match (self.starts.get(i), self.starts.get(i + 1)) {
+            (Some(&start), Some(&end)) => &self.chunks[start as usize..end as usize],
+            _ => &[],
         }
     }
 }
@@ -342,6 +414,11 @@ mod tests {
         let mut want: Vec<u32> = entries.iter().map(|e| e.pos).collect();
         want.sort_unstable();
         assert_eq!(seen, want);
+        // The SAX array it spells out is the words in position order.
+        let sax = flat.sax_array();
+        for e in &entries {
+            assert_eq!(sax.word(e.pos as usize), &e.word);
+        }
     }
 
     #[test]
@@ -352,6 +429,7 @@ mod tests {
         fn check(flat: &FlatTree, fidx: u32, node: &Node) {
             let fnode = flat.node(fidx);
             assert_eq!(fnode.is_leaf(), node.is_leaf());
+            assert_eq!(fnode.word(flat.segments()).as_ref(), Some(node.word()));
             if let Some((_, zero, one)) = node.children() {
                 let (fz, fo) = fnode.children(fidx);
                 check(flat, fz, zero);
@@ -380,21 +458,22 @@ mod tests {
         let flat = FlatTree::from_index(&idx);
         let q = Quantizer::new(64, 8).unwrap();
         assert_eq!(q.segments(), cfg.segments());
+        // The boxed leaf each entry was routed into on insert.
+        let mut leaf_of = vec![Vec::new(); entries.len()];
+        idx.for_each_leaf(&mut |leaf| {
+            let positions: Vec<u32> = leaf.entries().unwrap().iter().map(|e| e.pos).collect();
+            for &pos in &positions {
+                leaf_of[pos as usize].clone_from(&positions);
+            }
+        });
         for e in entries.iter().step_by(7) {
-            let boxed_leaf = idx.leaf_for(&e.word).unwrap();
             let root_pos = idx
                 .occupied_roots()
                 .binary_search(&cfg.root_key(&e.word))
                 .unwrap();
             let (_, root_idx) = flat.roots()[root_pos];
-            let flat_leaf = flat.node(flat.descend(root_idx, &e.word));
-            let want: Vec<u32> = boxed_leaf
-                .entries()
-                .unwrap()
-                .iter()
-                .map(|x| x.pos)
-                .collect();
-            assert_eq!(flat.leaf_positions(flat_leaf), want);
+            let flat_leaf = flat.node(flat.descend_non_empty(root_idx, &e.word).unwrap());
+            assert_eq!(flat.leaf_positions(flat_leaf), leaf_of[e.pos as usize]);
         }
     }
 
@@ -429,5 +508,7 @@ mod tests {
         assert_eq!(flat.entry_count(), 0);
         assert!(flat.roots().is_empty());
         assert!(flat.nodes().is_empty());
+        assert!(flat.sax_array().is_empty());
+        assert_eq!(LeafChunks::from_index(&idx), LeafChunks::default());
     }
 }

@@ -1,4 +1,9 @@
-//! The index: root slot table + configuration.
+//! The index under construction: root slot table + configuration.
+//!
+//! This is the build-time form of the tree — builders insert into it (or
+//! assemble it from subtrees grown in parallel) and flatten it into a
+//! [`FlatTree`](crate::FlatTree) when construction ends; nothing queries
+//! it.
 //!
 //! The slot table has `2^r` entries, `r` being the configuration's derived
 //! [`root_segments`](TreeConfig::root_segments): a word's slot is the top
@@ -10,15 +15,14 @@
 use crate::config::TreeConfig;
 use crate::entry::LeafEntry;
 use crate::node::Node;
-use dsidx_isax::Word;
 
-/// An iSAX tree index over a raw data source.
+/// An iSAX tree index being built over a raw data source.
 ///
 /// Holds one optional subtree per root key (`u16`: the configuration caps
-/// `r` at 16). Engines build the subtrees —
-/// serially ([`Index::insert`]) or in parallel (building `Node`s for
-/// disjoint keys and assembling with [`Index::from_roots`]) — and queries
-/// read them through [`Index::root`]/[`Index::occupied_roots`].
+/// `r` at 16). Engines build the subtrees — serially ([`Index::insert`])
+/// or in parallel (building `Node`s for disjoint keys and assembling with
+/// [`Index::from_roots`]) — and flatten the result, which reads them
+/// through [`Index::root`]/[`Index::occupied_roots`].
 ///
 /// `PartialEq` compares full structure (configuration, every node, every
 /// leaf's entries in order) — what build-determinism tests assert.
@@ -71,13 +75,6 @@ impl Index {
         }
     }
 
-    /// Decomposes the index into its root slots (for staged parallel
-    /// builds that grow subtrees across generations).
-    #[must_use]
-    pub fn into_roots(self) -> (TreeConfig, Vec<Option<Box<Node>>>) {
-        (self.config, self.roots)
-    }
-
     /// The configuration.
     #[inline]
     #[must_use]
@@ -123,55 +120,11 @@ impl Index {
         self.roots[key as usize].as_deref()
     }
 
-    /// Mutable access to a subtree slot (serial maintenance paths, e.g.
-    /// leaf flushing).
-    #[inline]
-    pub fn root_mut(&mut self, key: u16) -> Option<&mut Node> {
-        self.roots[key as usize].as_deref_mut()
-    }
-
     /// Keys of the non-empty root subtrees, ascending.
     #[inline]
     #[must_use]
     pub fn occupied_roots(&self) -> &[u16] {
         &self.occupied
-    }
-
-    /// Descends to the leaf whose word region contains `word`.
-    ///
-    /// Returns `None` when the word's root subtree does not exist (the
-    /// caller falls back to another subtree for its approximate answer).
-    #[must_use]
-    pub fn leaf_for(&self, word: &Word) -> Option<&Node> {
-        self.root(self.config.root_key(word))
-            .map(|n| n.descend(word))
-    }
-
-    /// Like [`Index::leaf_for`], but detours around empty subtrees so the
-    /// result (if any) always holds at least one entry — what engines seed
-    /// their approximate answers from.
-    #[must_use]
-    pub fn non_empty_leaf_for(&self, word: &Word) -> Option<&Node> {
-        self.root(self.config.root_key(word))
-            .and_then(|n| n.descend_non_empty(word))
-    }
-
-    /// Some non-empty leaf, when the index is non-empty (fallback for
-    /// approximate answers on missing root subtrees).
-    #[must_use]
-    pub fn any_leaf(&self) -> Option<&Node> {
-        for &key in &self.occupied {
-            let mut found = None;
-            self.root(key)?.for_each_leaf(&mut |leaf| {
-                if found.is_none() && leaf.entry_count() > 0 {
-                    found = Some(leaf);
-                }
-            });
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
     }
 
     /// Visits every leaf in the index.
@@ -187,7 +140,7 @@ impl Index {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsidx_isax::Quantizer;
+    use dsidx_isax::{Quantizer, Word};
 
     /// Four segments, two of them in the root key: root words carry
     /// zero bits on the other two.
@@ -216,7 +169,6 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.len(), 0);
         assert!(idx.occupied_roots().is_empty());
-        assert!(idx.any_leaf().is_none());
     }
 
     #[test]
@@ -229,8 +181,13 @@ mod tests {
         }
         assert_eq!(idx.len(), 500);
         for e in &entries {
-            let leaf = idx.leaf_for(&e.word).expect("subtree exists");
-            assert!(leaf.entries().unwrap().iter().any(|x| x.pos == e.pos));
+            let root = idx.root(cfg.root_key(&e.word)).expect("subtree exists");
+            let mut found = false;
+            root.for_each_leaf(&mut |leaf| {
+                found |= leaf.word().contains(&e.word)
+                    && leaf.entries().unwrap().iter().any(|x| x.pos == e.pos);
+            });
+            assert!(found, "entry {} not in the leaf of its word", e.pos);
         }
         // occupied_roots is sorted and deduplicated.
         let occ = idx.occupied_roots();
@@ -276,25 +233,13 @@ mod tests {
         }
         let other = Word::new(&symbols);
         assert_ne!(cfg.root_key(&other), cfg.root_key(&e.word));
-        assert!(idx.leaf_for(&other).is_none());
-        assert!(idx.any_leaf().is_some());
+        assert!(idx.root(cfg.root_key(&other)).is_none());
+        assert_eq!(idx.occupied_roots(), [cfg.root_key(&e.word)]);
     }
 
     #[test]
     #[should_panic(expected = "slot count mismatch")]
     fn from_roots_validates_slot_count() {
         let _ = Index::from_roots(config(), vec![]);
-    }
-
-    #[test]
-    fn into_roots_round_trips() {
-        let cfg = config();
-        let mut idx = Index::new(cfg.clone());
-        for i in 0..50 {
-            idx.insert(entry(cfg.quantizer(), i));
-        }
-        let (cfg2, roots) = idx.into_roots();
-        let idx2 = Index::from_roots(cfg2, roots);
-        assert_eq!(idx2.len(), 50);
     }
 }

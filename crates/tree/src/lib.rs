@@ -17,6 +17,13 @@
 //! via receiving buffers, via per-thread buffer parts) and *how* they walk
 //! it at query time — which is the paper's point, and why they share this
 //! crate.
+//!
+//! The tree has two forms, one per phase. Builders grow a boxed [`Node`]
+//! graph under an [`Index`] (in-place splits, independent subtrees), then
+//! flatten it into a [`FlatTree`] and drop it: after construction the flat
+//! arrays are the only copy — every engine queries them, a snapshot
+//! ([`snapshot`]) persists them as they are, and an open reads them
+//! straight back.
 
 pub mod config;
 pub mod entry;
@@ -29,7 +36,7 @@ pub mod stats;
 
 pub use config::TreeConfig;
 pub use entry::LeafEntry;
-pub use flat::{FlatNode, FlatTree};
+pub use flat::{FlatNode, FlatTree, LeafChunks};
 pub use index::Index;
 pub use node::{LeafChunk, LeafPayload, Node};
 pub use sax::SaxArray;

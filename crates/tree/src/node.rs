@@ -1,5 +1,9 @@
-//! Tree nodes: leaves, inner nodes, splitting, leaf materialization
-//! bookkeeping.
+//! Tree nodes, the build-time form of the tree: leaves, inner nodes,
+//! splitting, leaf materialization bookkeeping.
+//!
+//! Builders grow subtrees of these boxed nodes in place; once construction
+//! ends the graph is flattened ([`crate::flat`]) and dropped, so nothing
+//! after a build — queries, snapshots, opens — sees a `Node`.
 
 use crate::config::TreeConfig;
 use crate::entry::LeafEntry;
@@ -58,44 +62,6 @@ impl Node {
         Self {
             word,
             kind: NodeKind::Leaf(LeafPayload::default()),
-        }
-    }
-
-    /// Rebuilds a leaf from a persisted payload (snapshot decode path).
-    ///
-    /// The payload is taken as-is; the caller is responsible for its
-    /// invariants (`flushed <= entries.len()`, chunk counts summing to
-    /// `flushed`, every entry word under `word`) — the snapshot decoder
-    /// validates them against the file before calling this.
-    #[must_use]
-    pub fn from_payload(word: NodeWord, payload: LeafPayload) -> Self {
-        Self {
-            word,
-            kind: NodeKind::Leaf(payload),
-        }
-    }
-
-    /// Rebuilds an inner node from its persisted children (snapshot decode
-    /// path).
-    ///
-    /// # Panics
-    /// Panics if the children's words are not the split of `word` on
-    /// `split_seg` — a structurally impossible tree must never come into
-    /// existence, whatever the bytes said.
-    #[must_use]
-    pub fn from_children(word: NodeWord, split_seg: u8, zero: Box<Node>, one: Box<Node>) -> Self {
-        let (zero_word, one_word) = word.split(split_seg as usize);
-        assert!(
-            *zero.word() == zero_word && *one.word() == one_word,
-            "children do not partition the parent word on segment {split_seg}"
-        );
-        Self {
-            word,
-            kind: NodeKind::Inner {
-                split_seg,
-                zero,
-                one,
-            },
         }
     }
 
@@ -221,62 +187,6 @@ impl Node {
             zero,
             one,
         };
-    }
-
-    /// Descends towards `word`, returning the leaf it would land in.
-    #[must_use]
-    pub fn descend(&self, word: &dsidx_isax::Word) -> &Node {
-        let mut node = self;
-        loop {
-            match &node.kind {
-                NodeKind::Leaf(_) => return node,
-                NodeKind::Inner {
-                    split_seg,
-                    zero,
-                    one,
-                } => {
-                    node = if node.word.split_bit(word, *split_seg as usize) {
-                        one
-                    } else {
-                        zero
-                    };
-                }
-            }
-        }
-    }
-
-    /// Descends towards `word` but never into an empty subtree (splits can
-    /// leave empty siblings, and an approximate answer seeded from an empty
-    /// or arbitrary leaf gives a uselessly weak best-so-far).
-    ///
-    /// Returns `None` when this whole subtree is empty.
-    #[must_use]
-    pub fn descend_non_empty(&self, word: &dsidx_isax::Word) -> Option<&Node> {
-        if self.entry_count() == 0 {
-            return None;
-        }
-        let mut node = self;
-        loop {
-            match &node.kind {
-                NodeKind::Leaf(_) => return Some(node),
-                NodeKind::Inner {
-                    split_seg,
-                    zero,
-                    one,
-                } => {
-                    let (matching, sibling) = if node.word.split_bit(word, *split_seg as usize) {
-                        (one, zero)
-                    } else {
-                        (zero, one)
-                    };
-                    node = if matching.entry_count() > 0 {
-                        matching
-                    } else {
-                        sibling
-                    };
-                }
-            }
-        }
     }
 
     /// Visits every leaf below this node (depth-first, zero child first).
@@ -430,11 +340,17 @@ mod tests {
         for e in &es {
             node.insert(*e, &cfg);
         }
+        // Leaf words partition the subtree: each entry's word falls under
+        // exactly one leaf, and that leaf holds it.
         for e in &es {
-            let leaf = node.descend(&e.word);
-            assert!(leaf.is_leaf());
-            assert!(leaf.word().contains(&e.word));
-            assert!(leaf.entries().unwrap().iter().any(|x| x.pos == e.pos));
+            let mut holders = Vec::new();
+            node.for_each_leaf(&mut |leaf| {
+                if leaf.word().contains(&e.word) {
+                    holders.push(leaf);
+                }
+            });
+            assert_eq!(holders.len(), 1);
+            assert!(holders[0].entries().unwrap().iter().any(|x| x.pos == e.pos));
         }
     }
 

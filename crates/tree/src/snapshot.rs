@@ -1,5 +1,5 @@
-//! Fixed-layout wire codec for the iSAX tree: turns an [`Index`] (and its
-//! [`SaxArray`]) into flat little-endian record arrays and back.
+//! Fixed-layout wire codec for the iSAX tree: a [`FlatTree`]'s arrays as
+//! little-endian section payloads, and back.
 //!
 //! This crate owns only the *record layouts*; the surrounding container —
 //! magic, format version, fingerprint, per-section checksums — lives in
@@ -9,54 +9,44 @@
 //!
 //! # Layouts (all integers little-endian)
 //!
-//! * **node record** (48 B): `prefixes[16]`, `bits[16]`, `entry_start: u32`
-//!   (running entry-record cursor at encode time — redundant, checked on
-//!   decode), `entry_count: u32`, `flushed: u32`, `chunk_count: u16`,
-//!   `split_seg: u8`, `flags: u8` (bit 0 = leaf). Nodes are written
-//!   depth-first, zero child first, subtrees in ascending root-key order —
-//!   the same deterministic order every engine builds in — so decode needs
-//!   no child pointers: an inner record is always immediately followed by
-//!   its zero subtree, then its one subtree.
-//! * **root record** (8 B): `key: u16`, `reserved: u16`, `node_count: u32`.
-//!   Keys are `r`-bit (`r` = the configuration's `root_segments`, which the
-//!   container's fingerprint records): a key at or past `2^r`, or a subtree
-//!   whose first node is not the root word of its key under that `r`, is
-//!   rejected.
-//! * **chunk record** (12 B): `offset: u64`, `count: u32` — one per
-//!   [`LeafChunk`], consumed in leaf order.
-//! * **entry record** (`segments + 4` B): the entry word's symbols, then
-//!   `pos: u32`.
-//! * **SAX record** (`segments` B): one full-cardinality word, in position
-//!   order.
+//! The sections are the flat tree's own arrays, so encoding is a copy and
+//! decoding reads them straight into the tree an engine queries:
+//!
+//! * **nodes** (44 B per node): one [`FlatNode`] —
+//!   `prefixes[16]`, `bits[16]` (zero past `segments`), `entry_start: u32`,
+//!   `entry_end: u32`, `one_child: u32` (`u32::MAX` for a leaf) — in the
+//!   tree's node order: subtrees in ascending root-key order, each
+//!   depth-first with an inner node's zero child right after it.
+//! * **roots** (6 B per occupied root): `key: u16`, `node: u32`. Keys are
+//!   `r`-bit (`r` = the configuration's `root_segments`, which the
+//!   container's fingerprint records).
+//! * **words** (`segments` B per entry): every leaf entry's iSAX symbols,
+//!   leaf-contiguous (the padding words the tree appends are not stored).
+//! * **positions** (4 B per entry): raw-data positions, index-aligned with
+//!   the words.
+//! * **chunks** (12 B per chunk, ParIS on disk only): `offset: u64`,
+//!   `count: u32` per leaf-store chunk, leaves in node order. Every leaf is
+//!   flushed in full by the end of a build, so a leaf's chunks are simply
+//!   the next ones, until their counts add up to its entry count.
 //!
 //! The decoder trusts nothing: every structural invariant the builders
-//! maintain (words partition on split, entry words fall under their leaf,
-//! positions form a permutation of `0..count`, flush bookkeeping adds up)
-//! is re-checked against the bytes, so a corrupt file that slips past the
-//! container checksums still yields an error — never a silently wrong
-//! index.
+//! maintain is re-checked against the bytes ([`validate`]), so a corrupt
+//! file that slips past the container checksums still yields an error —
+//! never a silently wrong index. Only a flipped symbol that stays inside
+//! its leaf, or a flipped chunk offset, is left to those checksums.
 
 use crate::config::TreeConfig;
-use crate::entry::LeafEntry;
+use crate::flat::{FlatNode, FlatTree, LeafChunks};
 use crate::index::Index;
-use crate::node::{LeafChunk, LeafPayload, Node};
-use crate::sax::SaxArray;
+use crate::node::LeafChunk;
 use dsidx_isax::{NodeWord, Word, MAX_SEGMENTS};
 
 /// Size of one serialized tree node.
-pub const NODE_RECORD_LEN: usize = 48;
+pub const NODE_RECORD_LEN: usize = 2 * MAX_SEGMENTS + 12;
 /// Size of one root-subtree directory record.
-pub const ROOT_RECORD_LEN: usize = 8;
+pub const ROOT_RECORD_LEN: usize = 6;
 /// Size of one leaf-store chunk record.
 pub const CHUNK_RECORD_LEN: usize = 12;
-
-/// Size of one leaf-entry record for a given segment count.
-#[must_use]
-pub fn entry_record_len(segments: usize) -> usize {
-    segments + 4
-}
-
-const FLAG_LEAF: u8 = 1;
 
 /// A malformed or internally inconsistent serialized tree.
 ///
@@ -64,18 +54,6 @@ const FLAG_LEAF: u8 = 1;
 /// always names the offending record kind.
 #[derive(Debug)]
 pub struct CodecError(String);
-
-impl CodecError {
-    fn new(msg: impl Into<String>) -> Self {
-        Self(msg.into())
-    }
-
-    /// The human-readable description.
-    #[must_use]
-    pub fn message(&self) -> &str {
-        &self.0
-    }
-}
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -85,358 +63,292 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// The four flat record arrays a serialized tree consists of.
+/// Returns a [`CodecError`] with the formatted message unless `cond` holds.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        if !$cond {
+            return Err(CodecError(format!($($msg)+)));
+        }
+    };
+}
+
+/// The four flat arrays a serialized tree consists of.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TreeSections {
-    /// Node records, DFS order (see module docs).
+    /// Node records, tree order (see module docs).
     pub nodes: Vec<u8>,
     /// Root directory records, ascending key order.
     pub roots: Vec<u8>,
-    /// Leaf-store chunk records, leaf order.
-    pub chunks: Vec<u8>,
-    /// Leaf entry records, leaf order.
-    pub entries: Vec<u8>,
+    /// Entry words, leaf-contiguous.
+    pub words: Vec<u8>,
+    /// Entry positions, index-aligned with `words`.
+    pub positions: Vec<u8>,
 }
 
-/// Serializes an index's full structure into flat record arrays.
+/// Serializes a flat tree.
+#[must_use]
+pub fn encode(tree: &FlatTree) -> TreeSections {
+    let count = tree.entry_count();
+    let mut out = TreeSections {
+        nodes: Vec::with_capacity(tree.nodes.len() * NODE_RECORD_LEN),
+        roots: Vec::with_capacity(tree.roots.len() * ROOT_RECORD_LEN),
+        words: vec![0; count * tree.segments],
+        positions: vec![0; count * 4],
+    };
+    for node in &tree.nodes {
+        out.nodes.extend_from_slice(&node.prefixes);
+        out.nodes.extend_from_slice(&node.bits);
+        for field in [node.entry_start, node.entry_end, node.one_child] {
+            out.nodes.extend_from_slice(&field.to_le_bytes());
+        }
+    }
+    for &(key, node) in &tree.roots {
+        out.roots.extend_from_slice(&key.to_le_bytes());
+        out.roots.extend_from_slice(&node.to_le_bytes());
+    }
+    for (record, word) in out.words.chunks_exact_mut(tree.segments).zip(&tree.words) {
+        record.copy_from_slice(word.symbols());
+    }
+    for (record, pos) in out.positions.chunks_exact_mut(4).zip(&tree.positions) {
+        record.copy_from_slice(&pos.to_le_bytes());
+    }
+    out
+}
+
+/// Flattens a built index and serializes it.
 #[must_use]
 pub fn encode_tree(index: &Index) -> TreeSections {
-    let segments = index.config().segments();
-    let mut out = TreeSections::default();
-    let mut entry_cursor: u32 = 0;
-    for &key in index.occupied_roots() {
-        let node = index.root(key).expect("occupied root has a node");
-        let before = out.nodes.len();
-        encode_node(node, segments, &mut out, &mut entry_cursor);
-        let node_count = ((out.nodes.len() - before) / NODE_RECORD_LEN) as u32;
-        out.roots.extend_from_slice(&key.to_le_bytes());
-        out.roots.extend_from_slice(&0u16.to_le_bytes());
-        out.roots.extend_from_slice(&node_count.to_le_bytes());
-    }
-    out
+    encode(&FlatTree::from_index(index))
 }
 
-fn encode_node(node: &Node, segments: usize, out: &mut TreeSections, entry_cursor: &mut u32) {
-    let word = node.word();
-    let mut rec = [0u8; NODE_RECORD_LEN];
-    for seg in 0..segments {
-        rec[seg] = word.prefix(seg);
-        rec[MAX_SEGMENTS + seg] = word.bits(seg);
-    }
-    rec[32..36].copy_from_slice(&entry_cursor.to_le_bytes());
-    if let Some(payload) = node.payload() {
-        let count = u32::try_from(payload.entries.len()).expect("leaf entry count fits u32");
-        let chunk_count = u16::try_from(payload.chunks.len()).expect("leaf chunk count fits u16");
-        rec[36..40].copy_from_slice(&count.to_le_bytes());
-        rec[40..44].copy_from_slice(&payload.flushed.to_le_bytes());
-        rec[44..46].copy_from_slice(&chunk_count.to_le_bytes());
-        rec[47] = FLAG_LEAF;
-        out.nodes.extend_from_slice(&rec);
-        for chunk in &payload.chunks {
-            out.chunks.extend_from_slice(&chunk.offset.to_le_bytes());
-            out.chunks.extend_from_slice(&chunk.count.to_le_bytes());
-        }
-        for entry in &payload.entries {
-            out.entries.extend_from_slice(entry.word.symbols());
-            out.entries.extend_from_slice(&entry.pos.to_le_bytes());
-        }
-        *entry_cursor += count;
-    } else {
-        let (split_seg, zero, one) = node.children().expect("non-leaf has children");
-        rec[46] = split_seg as u8;
-        out.nodes.extend_from_slice(&rec);
-        encode_node(zero, segments, out, entry_cursor);
-        encode_node(one, segments, out, entry_cursor);
-    }
-}
-
-/// Serializes a SAX array (position order, `segments` bytes per word).
-#[must_use]
-pub fn encode_sax(sax: &SaxArray) -> Vec<u8> {
-    let mut out = Vec::with_capacity(sax.len() * sax.words().first().map_or(0, Word::segments));
-    for word in sax.words() {
-        out.extend_from_slice(word.symbols());
-    }
-    out
-}
-
-/// Deserializes a SAX array of exactly `count` words of `segments` symbols.
-pub fn decode_sax(bytes: &[u8], segments: usize, count: usize) -> Result<SaxArray, CodecError> {
-    if bytes.len() != count * segments {
-        return Err(CodecError::new(format!(
-            "SAX section is {} bytes; expected {} ({count} words x {segments} segments)",
-            bytes.len(),
-            count * segments,
-        )));
-    }
-    let words = bytes.chunks_exact(segments).map(Word::new).collect();
-    Ok(SaxArray::new(words))
-}
-
-/// Rebuilds an [`Index`] from its serialized record arrays.
+/// Reads a serialized tree back into the flat tree an engine queries, and
+/// [`validate`]s it.
 ///
 /// `count` is the dataset size the index must cover: the decoder verifies
 /// the leaf positions form a permutation of `0..count`.
+///
+/// # Errors
+/// A [`CodecError`] naming the first malformed record or broken invariant.
 pub fn decode_tree(
     config: TreeConfig,
     count: usize,
     sections: &TreeSections,
-) -> Result<Index, CodecError> {
+) -> Result<FlatTree, CodecError> {
     let segments = config.segments();
-    let mut nodes = Reader::new(&sections.nodes, "node", NODE_RECORD_LEN)?;
-    let roots = Reader::new(&sections.roots, "root", ROOT_RECORD_LEN)?;
-    let mut chunks = Reader::new(&sections.chunks, "chunk", CHUNK_RECORD_LEN)?;
-    let mut entries = Reader::new(&sections.entries, "entry", entry_record_len(segments))?;
-
-    let mut slots: Vec<Option<Box<Node>>> = vec![None; config.root_count()];
-    let mut state = DecodeState {
-        config: &config,
-        entries_read: 0,
-        seen: vec![false; count],
+    let nodes = records(&sections.nodes, "node", NODE_RECORD_LEN)?.map(|rec| FlatNode {
+        prefixes: rec[..16].try_into().expect("slice of 16"),
+        bits: rec[16..32].try_into().expect("slice of 16"),
+        entry_start: le_u32(&rec[32..36]),
+        entry_end: le_u32(&rec[36..40]),
+        one_child: le_u32(&rec[40..44]),
+    });
+    let roots = records(&sections.roots, "root", ROOT_RECORD_LEN)?
+        .map(|rec| (u16::from_le_bytes([rec[0], rec[1]]), le_u32(&rec[2..])));
+    let words = records(&sections.words, "word", segments)?;
+    let positions = records(&sections.positions, "position", 4)?;
+    ensure!(
+        words.len() == count && positions.len() == count,
+        "{} words and {} positions stored for {count} series",
+        words.len(),
+        positions.len()
+    );
+    let mut tree = FlatTree {
+        nodes: nodes.collect(),
+        roots: roots.collect(),
+        words: words.map(Word::new).collect(),
+        positions: positions.map(le_u32).collect(),
+        segments,
+        root_segments: config.root_segments(),
     };
-    let mut prev_key: Option<u16> = None;
-    for rec in roots.buf.chunks_exact(ROOT_RECORD_LEN) {
-        let key = u16::from_le_bytes(rec[0..2].try_into().expect("slice of 2"));
-        let reserved = u16::from_le_bytes(rec[2..4].try_into().expect("slice of 2"));
-        let node_count = u32::from_le_bytes(rec[4..8].try_into().expect("slice of 4"));
-        if reserved != 0 {
-            return Err(CodecError::new(format!(
-                "root record for key {key} has nonzero reserved field {reserved}"
-            )));
-        }
-        if usize::from(key) >= config.root_count() {
-            return Err(CodecError::new(format!(
-                "root key {key} out of range (root count {})",
-                config.root_count()
-            )));
-        }
-        if prev_key.is_some_and(|p| p >= key) {
-            return Err(CodecError::new(format!(
-                "root keys not strictly ascending at key {key}"
-            )));
-        }
+    tree.pad_words();
+    validate(&tree, &config, count)?;
+    Ok(tree)
+}
+
+/// Checks every structural invariant a built tree keeps, against the
+/// configuration it was built under and the `count` series it indexes:
+///
+/// * root keys are strictly ascending, below `2^r`, and each subtree
+///   starts where the previous one ended, at its key's root word;
+/// * every node word is representable and — below the root — the split
+///   of its parent on exactly one segment; an inner node's zero child
+///   follows it and its one child starts right after the zero subtree;
+/// * entry ranges nest and tile `0..count` in node order;
+/// * every entry word lies inside its leaf's word, and a leaf holds more
+///   than the leaf capacity only when no segment can be refined further;
+/// * the positions are a permutation of `0..count`.
+///
+/// The snapshot decoder runs it on every open; tests run it on built
+/// trees.
+///
+/// # Errors
+/// A [`CodecError`] naming the first violation.
+pub fn validate(tree: &FlatTree, config: &TreeConfig, count: usize) -> Result<(), CodecError> {
+    let segments = config.segments();
+    ensure!(
+        (tree.segments, tree.root_segments) == (segments, config.root_segments()),
+        "tree geometry differs from its configuration"
+    );
+    // One pass over the nodes in order. `pending` holds, innermost last,
+    // the word each node still to come must carry and, for a one child,
+    // the inner node that has to name it; `cursor` counts the entries the
+    // leaves so far hold.
+    let (mut idx, mut cursor) = (0u32, 0u32);
+    let mut pending: Vec<(NodeWord, Option<&FlatNode>)> = Vec::new();
+    let mut prev_key = None;
+    for &(key, root) in &tree.roots {
+        ensure!(
+            usize::from(key) < config.root_count() && prev_key < Some(key),
+            "root key {key} out of range (root count {}) or not ascending",
+            config.root_count()
+        );
+        ensure!(
+            root == idx,
+            "root {key} starts at node {root}; the previous subtree ended at {idx}"
+        );
         prev_key = Some(key);
-        let mut budget = node_count as usize;
-        let subtree = decode_node(
-            config.root_word(key),
-            &mut state,
-            &mut nodes,
-            &mut chunks,
-            &mut entries,
-            &mut budget,
-        )?;
-        if budget != 0 {
-            return Err(CodecError::new(format!(
-                "root {key} declared {node_count} nodes but its subtree used fewer"
-            )));
+        pending.push((config.root_word(key), None));
+        while let Some((expect, parent)) = pending.pop() {
+            let node = tree.nodes.get(idx as usize);
+            let Some(node) = node.filter(|node| node.word(segments) == Some(expect)) else {
+                return Err(CodecError(format!(
+                    "node {idx} is missing or its word is not `{expect}`, its place in the tree"
+                )));
+            };
+            ensure!(
+                node.entry_start == cursor
+                    && parent.is_none_or(|p| (p.one_child, p.entry_end) == (idx, node.entry_end)),
+                "node {idx} does not start, or its parent does not end, where the tree says"
+            );
+            if node.is_leaf() {
+                ensure!(
+                    (cursor as usize..=count).contains(&(node.entry_end as usize)),
+                    "leaf {idx} entry range {cursor}..{} out of bounds",
+                    node.entry_end
+                );
+                let len = node.subtree_len();
+                ensure!(
+                    len <= config.leaf_capacity() || (0..segments).all(|s| !expect.can_split(s)),
+                    "leaf {idx} holds {len} entries, over capacity, and could still split"
+                );
+                let matcher = expect.matcher();
+                ensure!(
+                    tree.words[node.entry_range()]
+                        .iter()
+                        .all(|w| matcher.contains(w)),
+                    "leaf {idx} holds an entry word outside the leaf's region"
+                );
+                cursor = node.entry_end;
+            } else {
+                // The zero child follows its parent; the segment it refines
+                // is the split, and checking the child against the split's
+                // word proves it refines nothing else.
+                let zero = tree.nodes.get(idx as usize + 1);
+                let seg =
+                    zero.and_then(|zero| (0..segments).find(|&s| zero.bits[s] != node.bits[s]));
+                let Some(seg) = seg.filter(|&seg| expect.can_split(seg)) else {
+                    return Err(CodecError(format!(
+                        "inner node {idx} has no zero child splitting it on a valid segment"
+                    )));
+                };
+                let (zero_word, one_word) = expect.split(seg);
+                pending.extend([(one_word, Some(node)), (zero_word, None)]);
+            }
+            idx += 1;
         }
-        slots[usize::from(key)] = Some(subtree);
     }
-    nodes.finish()?;
-    chunks.finish()?;
-    entries.finish()?;
-    if state.entries_read as usize != count {
-        return Err(CodecError::new(format!(
-            "tree holds {} entries but the dataset has {count} series",
-            state.entries_read
-        )));
+    ensure!(
+        (idx as usize, cursor as usize) == (tree.nodes.len(), count),
+        "the subtrees cover {idx} of {} nodes and {cursor} of {count} entries",
+        tree.nodes.len()
+    );
+    let mut seen = vec![false; count];
+    for &pos in &tree.positions {
+        let fresh = seen
+            .get_mut(pos as usize)
+            .is_some_and(|seen| !std::mem::replace(seen, true));
+        ensure!(
+            fresh,
+            "dataset position {pos} appears twice in the tree or is out of range"
+        );
     }
-    Ok(Index::from_roots(config, slots))
+    Ok(())
 }
 
-struct DecodeState<'a> {
-    config: &'a TreeConfig,
-    entries_read: u32,
-    /// Which dataset positions have appeared in a leaf so far — together
-    /// with the final count check this proves the positions are a
-    /// permutation of `0..count`.
-    seen: Vec<bool>,
+/// Serializes a ParIS leaf-store chunk column (empty for an in-memory
+/// build).
+#[must_use]
+pub fn encode_chunks(chunks: &LeafChunks) -> Vec<u8> {
+    let records = chunks.chunks.iter();
+    records
+        .flat_map(|c| [&c.offset.to_le_bytes()[..], &c.count.to_le_bytes()].concat())
+        .collect()
 }
 
-fn decode_node(
-    expect: NodeWord,
-    state: &mut DecodeState<'_>,
-    nodes: &mut Reader<'_>,
-    chunks: &mut Reader<'_>,
-    entries: &mut Reader<'_>,
-    budget: &mut usize,
-) -> Result<Box<Node>, CodecError> {
-    let Some(rest) = budget.checked_sub(1) else {
-        return Err(CodecError::new(
-            "subtree holds more nodes than its root record declared",
-        ));
-    };
-    *budget = rest;
-    let segments = state.config.segments();
-    let rec = nodes.take()?;
-    let word = NodeWord::from_parts(
-        &rec[..segments],
-        &rec[MAX_SEGMENTS..MAX_SEGMENTS + segments],
-    )
-    .ok_or_else(|| CodecError::new("node record holds an unrepresentable iSAX word"))?;
-    if word != expect {
-        return Err(CodecError::new(format!(
-            "node word `{word}` does not match its tree position (expected `{expect}`)"
-        )));
+/// Reads a chunk column back against the (validated) tree it belongs to:
+/// empty, or chunks that cover every leaf's entries exactly.
+///
+/// # Errors
+/// A [`CodecError`] for a malformed record or counts that do not add up
+/// leaf by leaf.
+pub fn decode_chunks(tree: &FlatTree, bytes: &[u8]) -> Result<LeafChunks, CodecError> {
+    let mut records = records(bytes, "chunk", CHUNK_RECORD_LEN)?.map(|rec| LeafChunk {
+        offset: u64::from_le_bytes(rec[..8].try_into().expect("slice of 8")),
+        count: le_u32(&rec[8..]),
+    });
+    if bytes.is_empty() {
+        return Ok(LeafChunks::default());
     }
-    let entry_start = u32::from_le_bytes(rec[32..36].try_into().expect("slice of 4"));
-    if entry_start != state.entries_read {
-        return Err(CodecError::new(format!(
-            "node entry cursor {entry_start} disagrees with the {} entries decoded so far",
-            state.entries_read
-        )));
-    }
-    let entry_count = u32::from_le_bytes(rec[36..40].try_into().expect("slice of 4"));
-    let flushed = u32::from_le_bytes(rec[40..44].try_into().expect("slice of 4"));
-    let chunk_count = u16::from_le_bytes(rec[44..46].try_into().expect("slice of 2"));
-    let split_seg = rec[46];
-    match rec[47] {
-        FLAG_LEAF => {
-            if split_seg != 0 {
-                return Err(CodecError::new("leaf record has nonzero split segment"));
-            }
-            if flushed > entry_count {
-                return Err(CodecError::new(format!(
-                    "leaf flush bookkeeping corrupt: {flushed} flushed of {entry_count} entries"
-                )));
-            }
-            if entry_count as usize > state.seen.len() - state.entries_read as usize {
-                return Err(CodecError::new(format!(
-                    "leaf claims {entry_count} entries; only {} remain unaccounted",
-                    state.seen.len() - state.entries_read as usize
-                )));
-            }
-            let mut leaf_chunks = Vec::with_capacity(usize::from(chunk_count));
-            let mut flushed_sum = 0u64;
-            for _ in 0..chunk_count {
-                let rec = chunks.take()?;
-                let offset = u64::from_le_bytes(rec[0..8].try_into().expect("slice of 8"));
-                let count = u32::from_le_bytes(rec[8..12].try_into().expect("slice of 4"));
-                if count == 0 {
-                    return Err(CodecError::new("leaf chunk record with zero entries"));
-                }
-                flushed_sum += u64::from(count);
-                leaf_chunks.push(LeafChunk { offset, count });
-            }
-            if flushed_sum != u64::from(flushed) {
-                return Err(CodecError::new(format!(
-                    "leaf chunk counts sum to {flushed_sum}, flushed prefix is {flushed}"
-                )));
-            }
-            let mut leaf_entries = Vec::with_capacity(entry_count as usize);
-            let matcher = word.matcher();
-            for _ in 0..entry_count {
-                let rec = entries.take()?;
-                let entry_word = Word::new(&rec[..segments]);
-                if !matcher.contains(&entry_word) {
-                    return Err(CodecError::new(
-                        "leaf entry word falls outside the leaf's region",
-                    ));
-                }
-                let pos =
-                    u32::from_le_bytes(rec[segments..segments + 4].try_into().expect("slice of 4"));
-                match state.seen.get_mut(pos as usize) {
-                    Some(seen @ false) => *seen = true,
-                    Some(true) => {
-                        return Err(CodecError::new(format!(
-                            "dataset position {pos} appears twice in the tree"
-                        )));
-                    }
-                    None => {
-                        return Err(CodecError::new(format!(
-                            "entry position {pos} out of range for {} series",
-                            state.seen.len()
-                        )));
-                    }
-                }
-                leaf_entries.push(LeafEntry::new(entry_word, pos));
-            }
-            state.entries_read += entry_count;
-            Ok(Box::new(Node::from_payload(
-                word,
-                LeafPayload {
-                    entries: leaf_entries,
-                    flushed,
-                    chunks: leaf_chunks,
-                },
-            )))
+    let mut out = LeafChunks::default();
+    for (idx, node) in tree.nodes.iter().enumerate() {
+        out.starts.push(out.chunks.len() as u32);
+        let mut left = if node.is_leaf() {
+            node.subtree_len()
+        } else {
+            0
+        };
+        while left > 0 {
+            let chunk = records.next();
+            let count = chunk.map_or(0, |c| c.count as usize);
+            ensure!(
+                (1..=left).contains(&count),
+                "chunk records do not cover the {left} entries left of leaf {idx}"
+            );
+            left -= count;
+            out.chunks.extend(chunk);
         }
-        0 => {
-            if entry_count != 0 || flushed != 0 || chunk_count != 0 {
-                return Err(CodecError::new(
-                    "inner node record carries leaf-only fields",
-                ));
-            }
-            let seg = usize::from(split_seg);
-            if seg >= segments || !word.can_split(seg) {
-                return Err(CodecError::new(format!(
-                    "inner node splits on invalid segment {seg}"
-                )));
-            }
-            let (zero_word, one_word) = word.split(seg);
-            let zero = decode_node(zero_word, state, nodes, chunks, entries, budget)?;
-            let one = decode_node(one_word, state, nodes, chunks, entries, budget)?;
-            Ok(Box::new(Node::from_children(word, split_seg, zero, one)))
-        }
-        flags => Err(CodecError::new(format!(
-            "unknown node flags {flags:#04x} (file from a future format?)"
-        ))),
     }
+    out.starts.push(out.chunks.len() as u32);
+    ensure!(
+        records.next().is_none(),
+        "chunk section has records past the last leaf"
+    );
+    Ok(out)
 }
 
-/// Sequential record reader over one section's bytes.
-struct Reader<'a> {
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("slice of 4"))
+}
+
+/// The fixed-size records of one section.
+fn records<'a>(
     buf: &'a [u8],
-    pos: usize,
-    what: &'static str,
+    what: &str,
     record_len: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], what: &'static str, record_len: usize) -> Result<Self, CodecError> {
-        if buf.len() % record_len != 0 {
-            return Err(CodecError::new(format!(
-                "{what} section is {} bytes, not a multiple of the {record_len}-byte record",
-                buf.len()
-            )));
-        }
-        Ok(Self {
-            buf,
-            pos: 0,
-            what,
-            record_len,
-        })
-    }
-
-    fn take(&mut self) -> Result<&'a [u8], CodecError> {
-        let end = self.pos + self.record_len;
-        if end > self.buf.len() {
-            return Err(CodecError::new(format!(
-                "{} section exhausted: tree structure references more records than stored",
-                self.what
-            )));
-        }
-        let rec = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(rec)
-    }
-
-    fn finish(&self) -> Result<(), CodecError> {
-        if self.pos != self.buf.len() {
-            return Err(CodecError::new(format!(
-                "{} section has {} trailing bytes the tree never referenced",
-                self.what,
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+) -> Result<std::slice::ChunksExact<'a, u8>, CodecError> {
+    ensure!(
+        buf.len() % record_len == 0,
+        "{what} section is {} bytes, not a multiple of the {record_len}-byte record",
+        buf.len()
+    );
+    Ok(buf.chunks_exact(record_len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsidx_isax::Quantizer;
+    use crate::entry::LeafEntry;
+    use crate::node::Node;
 
     /// Four segments, two of them in the root key, so every root record
     /// round-trips a word with zero-bit segments.
@@ -458,80 +370,101 @@ mod tests {
             .collect()
     }
 
-    fn build(count: usize) -> (Index, SaxArray) {
+    fn build_index(count: usize) -> Index {
         let cfg = config();
-        let q: &Quantizer = cfg.quantizer();
         let mut idx = Index::new(cfg.clone());
-        let mut words = Vec::with_capacity(count);
         for pos in 0..count {
-            let w = q.word(&series(pos as u64));
+            let w = cfg.quantizer().word(&series(pos as u64));
             idx.insert(LeafEntry::new(w, pos as u32));
-            words.push(w);
         }
-        (idx, SaxArray::new(words))
+        idx
+    }
+
+    fn build(count: usize) -> FlatTree {
+        FlatTree::from_index(&build_index(count))
     }
 
     #[test]
     fn tree_round_trips_bit_identically() {
         for count in [0usize, 1, 7, 400] {
-            let (idx, _) = build(count);
-            let sections = encode_tree(&idx);
+            let tree = build(count);
+            let sections = encode(&tree);
+            assert_eq!(sections.nodes.len(), tree.nodes().len() * NODE_RECORD_LEN);
+            assert_eq!(sections.words.len(), count * 4);
             let back = decode_tree(config(), count, &sections).expect("decode");
-            assert_eq!(back, idx, "count={count}");
+            assert_eq!(back, tree, "count={count}");
+            assert_eq!(encode_tree(&build_index(count)), sections);
         }
     }
 
     #[test]
     fn flush_bookkeeping_round_trips() {
-        let (mut idx, _) = build(60);
-        // Simulate a ParIS materialization pass: flush every leaf.
+        // Simulate a ParIS materialization pass: grow each subtree, flush
+        // every leaf, assemble.
+        let cfg = config();
+        let mut slots: Vec<Option<Box<Node>>> = vec![None; cfg.root_count()];
+        for pos in 0..60u32 {
+            let word = cfg.quantizer().word(&series(u64::from(pos)));
+            let key = cfg.root_key(&word);
+            slots[usize::from(key)]
+                .get_or_insert_with(|| Box::new(Node::new_leaf(cfg.root_word(key))))
+                .insert(LeafEntry::new(word, pos), &cfg);
+        }
         let mut offset = 0u64;
-        for key in idx.occupied_roots().to_vec() {
-            idx.root_mut(key).unwrap().for_each_leaf_mut(&mut |leaf| {
+        for node in slots.iter_mut().flatten() {
+            node.for_each_leaf_mut(&mut |leaf| {
                 let count = leaf.unflushed_entries().len() as u32;
                 leaf.mark_flushed(LeafChunk { offset, count });
                 offset += u64::from(count) * 36;
             });
         }
-        let sections = encode_tree(&idx);
-        assert!(!sections.chunks.is_empty());
-        let back = decode_tree(config(), 60, &sections).expect("decode");
-        assert_eq!(back, idx);
-    }
-
-    #[test]
-    fn sax_round_trips() {
-        let (_, sax) = build(50);
-        let bytes = encode_sax(&sax);
-        assert_eq!(bytes.len(), 50 * 4);
-        let back = decode_sax(&bytes, 4, 50).expect("decode");
-        assert_eq!(back, sax);
-    }
-
-    #[test]
-    fn sax_length_mismatch_is_an_error() {
-        let err = decode_sax(&[0u8; 41], 4, 10).unwrap_err();
-        assert!(err.to_string().contains("SAX section"), "{err}");
+        let index = Index::from_roots(cfg.clone(), slots);
+        let tree = FlatTree::from_index(&index);
+        let chunks = LeafChunks::from_index(&index);
+        for (idx, node) in tree.nodes().iter().enumerate() {
+            let covered: u32 = chunks.of(idx as u32).iter().map(|c| c.count).sum();
+            let want = if node.is_leaf() {
+                node.subtree_len()
+            } else {
+                0
+            };
+            assert_eq!(covered as usize, want, "node {idx}");
+        }
+        let bytes = encode_chunks(&chunks);
+        assert_eq!(bytes.len(), chunks.chunks.len() * CHUNK_RECORD_LEN);
+        let back = decode_tree(cfg, 60, &encode(&tree)).expect("decode");
+        assert_eq!(back, tree);
+        assert_eq!(decode_chunks(&back, &bytes).expect("decode"), chunks);
+        // An in-memory build has no column, and an empty one decodes so.
+        assert_eq!(decode_chunks(&back, &[]).unwrap(), LeafChunks::default());
+        // Every flip of a count byte, every dropped or extra record, is
+        // caught (offsets are the container checksum's job).
+        for i in (0..bytes.len()).filter(|i| i % CHUNK_RECORD_LEN >= 8) {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x01;
+            assert!(decode_chunks(&back, &bad).is_err(), "count flip at {i}");
+        }
+        assert!(decode_chunks(&back, &bytes[CHUNK_RECORD_LEN..]).is_err());
+        assert!(decode_chunks(&back, &[&bytes[..], &bytes[..CHUNK_RECORD_LEN]].concat()).is_err());
     }
 
     #[test]
     fn decode_rejects_wrong_count() {
-        let (idx, _) = build(30);
-        let sections = encode_tree(&idx);
+        let sections = encode(&build(30));
         assert!(decode_tree(config(), 31, &sections).is_err());
         assert!(decode_tree(config(), 29, &sections).is_err());
     }
 
     #[test]
     fn decode_rejects_truncated_sections() {
-        let (idx, _) = build(120);
-        let good = encode_tree(&idx);
-        for cut in ["nodes", "roots", "entries"] {
+        let good = encode(&build(120));
+        for cut in ["nodes", "roots", "words", "positions"] {
             let mut s = good.clone();
             match cut {
                 "nodes" => s.nodes.truncate(s.nodes.len() - NODE_RECORD_LEN),
                 "roots" => s.roots.truncate(s.roots.len() - ROOT_RECORD_LEN),
-                _ => s.entries.truncate(s.entries.len() - entry_record_len(4)),
+                "words" => s.words.truncate(s.words.len() - 4),
+                _ => s.positions.truncate(s.positions.len() - 4),
             }
             assert!(decode_tree(config(), 120, &s).is_err(), "cut {cut}");
         }
@@ -544,22 +477,29 @@ mod tests {
 
     #[test]
     fn decode_rejects_flipped_structure_bytes() {
-        let (idx, _) = build(150);
-        let good = encode_tree(&idx);
-        // Flip one byte at a time through the node section: every single
-        // flip must be caught (word mismatch, cursor mismatch, bad flags,
-        // count imbalance, ...) — never accepted into a wrong tree.
+        let tree = build(150);
+        let good = encode(&tree);
+        // Flip one byte at a time through the node, root and position
+        // sections: every single flip must be caught (word mismatch, range
+        // mismatch, dangling child, duplicate position, ...) — never
+        // accepted into a different tree.
         let mut undetected = Vec::new();
-        for i in 0..good.nodes.len() {
-            let mut s = good.clone();
-            s.nodes[i] ^= 0x40;
-            match decode_tree(config(), 150, &s) {
-                Err(_) => {}
-                // A flip that decodes *identically* is impossible (the byte
-                // differs); any Ok must therefore be a wrong tree.
-                Ok(back) => {
-                    if back != idx {
-                        undetected.push(i);
+        for section in ["nodes", "roots", "positions"] {
+            let len = match section {
+                "nodes" => good.nodes.len(),
+                "roots" => good.roots.len(),
+                _ => good.positions.len(),
+            };
+            for i in 0..len {
+                let mut s = good.clone();
+                match section {
+                    "nodes" => s.nodes[i] ^= 0x40,
+                    "roots" => s.roots[i] ^= 0x40,
+                    _ => s.positions[i] ^= 0x40,
+                }
+                if let Ok(back) = decode_tree(config(), 150, &s) {
+                    if back != tree {
+                        undetected.push((section, i));
                     }
                 }
             }
@@ -573,22 +513,31 @@ mod tests {
     #[test]
     fn decode_rejects_duplicate_positions() {
         let cfg = config();
-        let q = cfg.quantizer();
         let mut idx = Index::new(cfg.clone());
-        let w = q.word(&series(3));
+        let w = cfg.quantizer().word(&series(3));
         idx.insert(LeafEntry::new(w, 0));
         idx.insert(LeafEntry::new(w, 0)); // same position twice
-        let sections = encode_tree(&idx);
-        let err = decode_tree(cfg, 2, &sections).unwrap_err();
+        let err = decode_tree(cfg, 2, &encode_tree(&idx)).unwrap_err();
         assert!(err.to_string().contains("twice"), "{err}");
     }
 
     #[test]
+    fn decode_rejects_out_of_range_root_keys() {
+        let mut sections = encode(&build(40));
+        let last = sections.roots.len() - ROOT_RECORD_LEN;
+        // Four root slots under `r = 2`: key 4 names none of them.
+        sections.roots[last..last + 2].copy_from_slice(&4u16.to_le_bytes());
+        let err = decode_tree(config(), 40, &sections).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
     fn empty_index_encodes_to_empty_sections() {
-        let idx = Index::new(config());
-        let s = encode_tree(&idx);
-        assert!(s.nodes.is_empty() && s.roots.is_empty() && s.entries.is_empty());
+        let tree = build(0);
+        let s = encode(&tree);
+        assert!(s.nodes.is_empty() && s.roots.is_empty());
+        assert!(s.words.is_empty() && s.positions.is_empty());
         let back = decode_tree(config(), 0, &s).expect("decode");
-        assert_eq!(back, idx);
+        assert_eq!(back, tree);
     }
 }

@@ -1,7 +1,7 @@
-//! Index shape statistics and structural validation.
+//! Index shape statistics. (Structural validation is the snapshot
+//! decoder's: [`crate::snapshot::validate`].)
 
-use crate::index::Index;
-use crate::node::Node;
+use crate::flat::FlatTree;
 
 /// Structural statistics of a built index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -20,108 +20,28 @@ pub struct IndexStats {
     pub max_leaf_len: usize,
 }
 
-/// Computes shape statistics for an index.
+/// Computes shape statistics for a flattened index.
 #[must_use]
-pub fn index_stats(index: &Index) -> IndexStats {
+pub fn index_stats(tree: &FlatTree) -> IndexStats {
     let mut stats = IndexStats {
-        root_subtrees: index.occupied_roots().len(),
+        root_subtrees: tree.roots().len(),
         ..Default::default()
     };
-    for &key in index.occupied_roots() {
-        if let Some(node) = index.root(key) {
-            visit(node, 0, &mut stats);
+    let mut stack: Vec<(u32, usize)> = tree.roots().iter().map(|&(_, idx)| (idx, 0)).collect();
+    while let Some((idx, depth)) = stack.pop() {
+        let node = tree.node(idx);
+        if node.is_leaf() {
+            stats.leaf_count += 1;
+            stats.max_depth = stats.max_depth.max(depth);
+            stats.entry_count += node.subtree_len();
+            stats.max_leaf_len = stats.max_leaf_len.max(node.subtree_len());
+        } else {
+            stats.inner_count += 1;
+            let (zero, one) = node.children(idx);
+            stack.extend([(zero, depth + 1), (one, depth + 1)]);
         }
     }
     stats
-}
-
-fn visit(node: &Node, depth: usize, stats: &mut IndexStats) {
-    if let Some((_, zero, one)) = node.children() {
-        stats.inner_count += 1;
-        visit(zero, depth + 1, stats);
-        visit(one, depth + 1, stats);
-    } else {
-        stats.leaf_count += 1;
-        stats.max_depth = stats.max_depth.max(depth);
-        let n = node.entry_count();
-        stats.entry_count += n;
-        stats.max_leaf_len = stats.max_leaf_len.max(n);
-    }
-}
-
-/// Exhaustively checks the structural invariants of an index; panics with a
-/// description on the first violation. Test-and-debug helper.
-///
-/// Invariants:
-/// 1. every resident entry's word is contained in its leaf's node word;
-/// 2. resident leaves never exceed capacity unless their word is fully
-///    refined (no splittable segment remains);
-/// 3. children's words refine their parent's word by exactly one bit on the
-///    recorded split segment;
-/// 4. `index.len()` equals the number of entries found.
-///
-/// # Panics
-/// Panics when any invariant is violated.
-pub fn validate(index: &Index) {
-    let cfg = index.config();
-    let mut found = 0usize;
-    for &key in index.occupied_roots() {
-        let node = index.root(key).expect("occupied root must exist");
-        validate_node(node, cfg, &mut found);
-    }
-    assert_eq!(
-        found,
-        index.len(),
-        "index.len() disagrees with leaf contents"
-    );
-}
-
-fn validate_node(node: &Node, cfg: &crate::config::TreeConfig, found: &mut usize) {
-    if let Some((seg, zero, one)) = node.children() {
-        assert_eq!(
-            zero.word().bits(seg),
-            node.word().bits(seg) + 1,
-            "zero child bit count"
-        );
-        assert_eq!(
-            one.word().bits(seg),
-            node.word().bits(seg) + 1,
-            "one child bit count"
-        );
-        assert_eq!(
-            zero.word().prefix(seg) >> 1,
-            node.word().prefix(seg),
-            "zero child prefix"
-        );
-        assert_eq!(
-            one.word().prefix(seg) >> 1,
-            node.word().prefix(seg),
-            "one child prefix"
-        );
-        assert_eq!(zero.word().prefix(seg) & 1, 0, "zero child last bit");
-        assert_eq!(one.word().prefix(seg) & 1, 1, "one child last bit");
-        validate_node(zero, cfg, found);
-        validate_node(one, cfg, found);
-        return;
-    }
-    *found += node.entry_count();
-    if let Some(entries) = node.entries() {
-        let splittable = (0..cfg.segments()).any(|s| node.word().can_split(s));
-        if splittable {
-            assert!(
-                entries.len() <= cfg.leaf_capacity(),
-                "resident splittable leaf over capacity: {} > {}",
-                entries.len(),
-                cfg.leaf_capacity()
-            );
-        }
-        for e in entries {
-            assert!(
-                node.word().contains(&e.word),
-                "entry outside its leaf's region"
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,8 +49,9 @@ mod tests {
     use super::*;
     use crate::config::TreeConfig;
     use crate::entry::LeafEntry;
+    use crate::index::Index;
 
-    fn build(n: u64, cap: usize) -> Index {
+    fn build(n: u64, cap: usize) -> (TreeConfig, FlatTree) {
         let cfg = TreeConfig::new(64, 8, cap).unwrap().fitted_to(n as usize);
         let mut idx = Index::new(cfg.clone());
         for seed in 0..n {
@@ -145,31 +66,33 @@ mod tests {
                 .collect();
             idx.insert(LeafEntry::new(cfg.quantizer().word(&s), seed as u32));
         }
-        idx
+        (cfg, FlatTree::from_index(&idx))
     }
 
     #[test]
     fn stats_count_consistently() {
-        let idx = build(400, 4);
-        let st = index_stats(&idx);
+        let (_, tree) = build(400, 4);
+        let st = index_stats(&tree);
         assert_eq!(st.entry_count, 400);
-        assert_eq!(st.root_subtrees, idx.occupied_roots().len());
+        assert_eq!(st.root_subtrees, tree.roots().len());
         // A binary tree with L leaves has L-1 inner nodes per subtree; in a
         // forest: leaves - inners == subtrees.
         assert_eq!(st.leaf_count - st.inner_count, st.root_subtrees);
+        assert_eq!(st.leaf_count + st.inner_count, tree.nodes().len());
         assert!(st.max_leaf_len <= 4 || st.max_depth > 0);
     }
 
     #[test]
     fn validate_accepts_well_formed_index() {
-        validate(&build(500, 7));
-        validate(&build(1, 1));
-        validate(&build(0, 5));
+        for (n, cap) in [(500, 7), (1, 1), (0, 5)] {
+            let (cfg, tree) = build(n, cap);
+            crate::snapshot::validate(&tree, &cfg, n as usize).expect("built trees are valid");
+        }
     }
 
     #[test]
     fn stats_on_empty_index() {
-        let st = index_stats(&build(0, 3));
+        let st = index_stats(&build(0, 3).1);
         assert_eq!(st, IndexStats::default());
     }
 }

@@ -1,11 +1,11 @@
 //! Property tests for trees whose root fan-out is fitted to the collection:
 //! whatever `r` the collection size derives, the tree is structurally valid,
-//! independent of how its subtrees were filled, and survives the snapshot
-//! codec bit for bit — under its own `r` and no other.
+//! independent of how its subtrees were filled, and its flat form survives
+//! the snapshot codec bit for bit — under its own `r` and no other.
 
 use dsidx_isax::Word;
-use dsidx_tree::snapshot::{decode_tree, encode_tree};
-use dsidx_tree::stats::{index_stats, validate};
+use dsidx_tree::snapshot::{decode_tree, encode, validate};
+use dsidx_tree::stats::index_stats;
 use dsidx_tree::{FlatTree, Index, LeafEntry, Node, TreeConfig};
 use proptest::prelude::*;
 
@@ -60,8 +60,9 @@ proptest! {
         prop_assert!(r == 1 || (capacity << (r - 1)) < words.len());
 
         let index = serial(&config, &words);
-        validate(&index);
-        let stats = index_stats(&index);
+        let flat = FlatTree::from_index(&index);
+        prop_assert!(validate(&flat, &config, words.len()).is_ok());
+        let stats = index_stats(&flat);
         prop_assert_eq!(stats.entry_count, words.len());
         prop_assert!(stats.root_subtrees <= config.root_count());
         prop_assert_eq!(stats.leaf_count - stats.inner_count, stats.root_subtrees);
@@ -70,18 +71,12 @@ proptest! {
             prop_assert_eq!(root.word(), &config.root_word(key));
             prop_assert_eq!(root.word().total_bits() as usize, r);
         }
-        for word in &words {
-            let leaf = index.leaf_for(word).expect("its subtree exists");
-            prop_assert!(leaf.word().contains(word));
-        }
-
-        let flat = FlatTree::from_index(&index);
         prop_assert_eq!(flat.root_segments(), r);
         prop_assert_eq!(flat.entry_count(), words.len());
         for word in &words {
             let at = flat.roots().binary_search_by_key(&word.root_key(r), |&(k, _)| k);
-            let leaf = flat.node(flat.descend(flat.roots()[at.unwrap()].1, word));
-            prop_assert!(flat.leaf_words(leaf).contains(word));
+            let leaf = flat.descend_non_empty(flat.roots()[at.unwrap()].1, word);
+            prop_assert!(flat.leaf_words(flat.node(leaf.unwrap())).contains(word));
         }
 
         let mut slots: Vec<Option<Box<Node>>> = vec![None; config.root_count()];
@@ -94,19 +89,19 @@ proptest! {
         prop_assert_eq!(Index::from_roots(config, slots), index);
     }
 
-    /// The snapshot codec round-trips a fitted tree bit for bit, and the
-    /// same bytes decoded under any other root fan-out are an error, never
-    /// a different tree.
+    /// The snapshot codec round-trips a fitted tree's flat form bit for
+    /// bit, and the same bytes decoded under any other root fan-out are an
+    /// error, never a different tree.
     #[test]
     fn codec_round_trips_under_the_trees_own_fan_out_only(
         (segments, capacity, words) in collection(),
     ) {
         let unfitted = TreeConfig::new(64, segments, capacity).unwrap();
         let config = unfitted.fitted_to(words.len());
-        let index = serial(&config, &words);
-        let sections = encode_tree(&index);
+        let flat = FlatTree::from_index(&serial(&config, &words));
+        let sections = encode(&flat);
         let back = decode_tree(config.clone(), words.len(), &sections).expect("own encoding");
-        prop_assert_eq!(&back, &index);
+        prop_assert_eq!(&back, &flat);
         for r in 1..=segments {
             // `fitted_to(capacity << r)` derives exactly `r`. (An empty
             // tree has no root records to disagree with any fan-out.)

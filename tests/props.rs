@@ -122,8 +122,8 @@ proptest! {
             .with_segments(8.min(len));
         let tree = opts.tree_config(len).unwrap();
         let (ads, _) = dsidx::ads::build_from_dataset(&data, &tree);
-        dsidx::tree::stats::validate(&ads.index);
-        let stats = dsidx::tree::stats::index_stats(&ads.index);
+        prop_assert!(dsidx::tree::snapshot::validate(&ads.tree, &ads.config, data.len()).is_ok());
+        let stats = dsidx::tree::stats::index_stats(&ads.tree);
         prop_assert_eq!(stats.entry_count, data.len());
     }
 }

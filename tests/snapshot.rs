@@ -222,33 +222,36 @@ fn future_format_version_is_rejected_by_name() {
 }
 
 /// Version 1 keyed every root on all `w` segments and had no zero-bit
-/// node words; its files are refused by number (and rebuilt from raw
-/// data), not misread.
+/// node words; version 2 stored the boxed tree's 48-byte node records.
+/// Their files are refused by number (and rebuilt from raw data), not
+/// misread.
 #[test]
 fn version_one_snapshot_is_rejected_by_number() {
     let dir = tmpdir("v1");
     let data = DatasetKind::Synthetic.generate(120, 64, 29);
     let built = MemoryIndex::build(data.clone(), Engine::Messi, &opts()).unwrap();
-    let path = dir.join("v2.snap");
+    let path = dir.join("v3.snap");
     built.save(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(
         bytes[8..12],
-        2u32.to_le_bytes(),
-        "this build writes version 2"
+        3u32.to_le_bytes(),
+        "this build writes version 3"
     );
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let old = dir.join("v1.snap");
-    std::fs::write(&old, &bytes).unwrap();
-    let err = match MemoryIndex::open(&old, data, &Options::default()) {
-        Err(Error::Storage(e)) => e,
-        Err(other) => panic!("non-storage error: {other}"),
-        Ok(_) => panic!("version 1 accepted"),
-    };
-    assert!(
-        matches!(err.root_cause(), StorageError::BadVersion(1)),
-        "{err}"
-    );
+    for version in [2u32, 1] {
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let old = dir.join(format!("v{version}.snap"));
+        std::fs::write(&old, &bytes).unwrap();
+        let err = match MemoryIndex::open(&old, data.clone(), &Options::default()) {
+            Err(Error::Storage(e)) => e,
+            Err(other) => panic!("non-storage error: {other}"),
+            Ok(_) => panic!("version {version} accepted"),
+        };
+        assert!(
+            matches!(err.root_cause(), StorageError::BadVersion(v) if *v == version),
+            "{err}"
+        );
+    }
 }
 
 /// The root fan-out is in the fingerprint, and it has to be the one the
@@ -278,7 +281,7 @@ fn fingerprint_root_segments_must_match_the_tree() {
             ..recorded
         };
         let mut writer = SnapshotWriter::new(&out, fingerprint, Arc::clone(&device));
-        for id in ["NODES", "ROOTS", "CHUNKS", "ENTRIES"] {
+        for id in ["NODES", "ROOTS", "WORDS", "POSITION"] {
             writer.section(id, reader.read_section(id).unwrap());
         }
         writer.finish().unwrap();
@@ -309,6 +312,58 @@ fn fingerprint_root_segments_must_match_the_tree() {
     }
     let reopened = MemoryIndex::open(&rewrap(5, 16), data, &Options::default()).unwrap();
     assert_plane_identical(&built, &reopened, &queries, "re-wrapped");
+}
+
+/// Saving over the file an opened index is still serving from replaces it
+/// whole: the opened index keeps answering from the bytes it opened (a
+/// ParIS+ leaf store is read from inside its snapshot), can still save
+/// itself elsewhere, and the path opens as the new index.
+#[test]
+fn saving_over_an_open_snapshot_leaves_the_opened_index_intact() {
+    let dir = tmpdir("overwrite");
+    let data = DatasetKind::Synthetic.generate(300, 64, 37);
+    let path = dir.join("data.dsidx");
+    write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let queries = DatasetKind::Synthetic.queries(3, 64, 37);
+    let qrefs: Vec<&[f32]> = queries.iter().collect();
+    let spec = QuerySpec::knn(5);
+    let open = |snap: &std::path::Path| {
+        DiskIndex::open(snap, &path, &opts(), DeviceProfile::UNTHROTTLED).unwrap()
+    };
+    let shared = dir.join("shared.snap");
+    DiskIndex::build(
+        &path,
+        &dir,
+        Engine::ParisPlus,
+        &opts(),
+        DeviceProfile::UNTHROTTLED,
+    )
+    .unwrap()
+    .save(&shared)
+    .unwrap();
+    let a = open(&shared);
+    let before = a.search(&qrefs, &spec).unwrap();
+
+    let small = DatasetKind::Sald.generate(40, 64, 41);
+    MemoryIndex::build(small.clone(), Engine::Messi, &opts())
+        .unwrap()
+        .save(&shared)
+        .unwrap();
+    assert_eq!(a.search(&qrefs, &spec).unwrap().matches(), before.matches());
+    let copy = dir.join("copy.snap");
+    a.save(&copy).unwrap();
+    assert_eq!(
+        open(&copy).search(&qrefs, &spec).unwrap().matches(),
+        before.matches()
+    );
+    let reopened = MemoryIndex::open(&shared, small, &Options::default()).unwrap();
+    assert_eq!(reopened.engine(), Engine::Messi);
+    // Each save renamed its temporary file into place; none is left over.
+    let names = std::fs::read_dir(&dir).unwrap();
+    let names: Vec<String> = names
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
 }
 
 #[test]
