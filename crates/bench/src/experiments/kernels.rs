@@ -1,18 +1,21 @@
 //! Kernel microbenchmarks — scalar vs SIMD ns/call for every distance
-//! kernel the lower-bound pipeline dispatches on, plus an end-to-end k-NN
-//! before/after comparison.
+//! kernel the lower-bound pipeline dispatches on, for summarization and
+//! the per-query table fills, plus an end-to-end k-NN before/after
+//! comparison.
 //!
 //! The harness times each kernel through its *public dispatcher* with the
 //! process-wide SIMD gate forced off, then on
 //! ([`dsidx::series::distance::set_simd_enabled`]), so what is measured is
 //! exactly what the engines execute. Decision-equivalence between the two
 //! modes (the Some/None outcome of every bounded kernel at limits away from
-//! the float boundary) is asserted unconditionally — on hosts without AVX2
+//! the float boundary), and the bit-identity of every PAA value, word and
+//! MINDIST table slot, is asserted unconditionally — on hosts without AVX2
 //! both modes are the scalar path and the assertion is trivial, on AVX2
 //! hosts it pins the dispatch contract. Speedups are only *reported* when
 //! AVX2 is present.
 
 use crate::{f, mem_dataset, ms, queries, time, Scale, Table};
+use dsidx::isax::paa::envelope_paa_bounds;
 use dsidx::isax::{MindistTable, NodeMindistTable, Quantizer, Word};
 use dsidx::prelude::*;
 use dsidx::series::distance::{
@@ -80,6 +83,7 @@ struct Workload {
     nodes: Vec<dsidx::isax::NodeWord>,
     /// A large contiguous word array (the SAX-array scan shape).
     scan_words: Vec<Word>,
+    quantizer: Quantizer,
     table: MindistTable,
     node_table: NodeMindistTable,
     /// Early-abandon limits comfortably away from each pair's exact
@@ -140,6 +144,7 @@ fn workload(len: usize) -> Workload {
         words,
         nodes,
         scan_words,
+        quantizer,
         table,
         node_table,
         ed_limits,
@@ -148,18 +153,54 @@ fn workload(len: usize) -> Workload {
     }
 }
 
+/// PAA bits, words, and the point, interval and node tables built from
+/// the PAAs.
+type Summaries = (
+    Vec<u32>,
+    Vec<Word>,
+    Vec<MindistTable>,
+    Vec<NodeMindistTable>,
+);
+
+/// The summaries of every workload series under the current SIMD mode —
+/// what must not depend on the mode.
+fn summaries(w: &Workload) -> Summaries {
+    let q = &w.quantizer;
+    let lens = q.segment_lens();
+    let (mut paa_bits, mut words, mut tables, mut node_tables) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut paa = vec![0.0f32; q.segments()];
+    for s in w.a.iter().chain(&w.b) {
+        words.push(q.word_into(s, &mut paa));
+        paa_bits.extend(paa.iter().map(|v| v.to_bits()));
+        tables.push(MindistTable::new_point(&paa, lens));
+        node_tables.push(NodeMindistTable::new_point(&paa, lens));
+    }
+    let mut up_paa = paa.clone();
+    for (lo, up) in w.lo.iter().zip(&w.up) {
+        envelope_paa_bounds(lo, up, &mut paa, &mut up_paa);
+        paa_bits.extend(paa.iter().chain(&up_paa).map(|v| v.to_bits()));
+        tables.push(MindistTable::new_interval(&paa, &up_paa, lens));
+        node_tables.push(NodeMindistTable::new_interval(&paa, &up_paa, lens));
+    }
+    (paa_bits, words, tables, node_tables)
+}
+
 /// Asserts that scalar and SIMD dispatch agree on every bounded kernel's
 /// Some/None outcome at limits away from the boundary — and to the bit for
 /// the kernels that are bit-identical by construction: DTW alone, DTW
-/// through the whole cascade (which adds the `rest` abandon test), and the
-/// envelope. Runs in both modes regardless of hardware: without AVX2 this
-/// is trivially true and still exercises every dispatcher.
+/// through the whole cascade (which adds the `rest` abandon test), the
+/// envelope, and summarization (every PAA value, word and table slot).
+/// Runs in both modes regardless of hardware: without AVX2 this is
+/// trivially true and still exercises every dispatcher.
 fn assert_decision_equivalence(w: &Workload) {
     let mut scalar_decisions = Vec::new();
     let mut scalar_exact = Vec::new();
+    let mut scalar_summaries = None;
     let mut scratch = dtw::DtwScratch::new();
     for mode in [false, true] {
         set_simd_enabled(mode);
+        let summaries = summaries(w);
         let mut decisions = Vec::new();
         let mut exact_vals = Vec::new();
         for i in 0..w.a.len() {
@@ -199,9 +240,14 @@ fn assert_decision_equivalence(w: &Workload) {
                 same_bits,
                 "a DTW, cascade or envelope SIMD kernel is not bit-identical to scalar"
             );
+            assert!(
+                scalar_summaries.as_ref() == Some(&summaries),
+                "a PAA value, word or MINDIST table slot depends on the SIMD mode"
+            );
         } else {
             scalar_decisions = decisions;
             scalar_exact = exact_vals;
+            scalar_summaries = Some(summaries);
         }
     }
 }
@@ -237,6 +283,12 @@ pub fn run(scale: &Scale) {
         println!("  decision-equivalence ok at len {len}");
         let mut scan_out = vec![0.0f32; w.scan_words.len()];
         let (mut env_lo, mut env_up) = (Vec::new(), Vec::new());
+        let mut paa = vec![0.0f32; w.quantizer.segments()];
+        let paas: Vec<Vec<f32>> =
+            w.a.iter()
+                .map(|s| dsidx::isax::paa::paa(s, w.quantizer.segments()))
+                .collect();
+        let mut node_table = NodeMindistTable::default();
         // (name, units of work per call, body). ns/call is per unit.
         type Kernel<'a> = (&'a str, usize, Box<dyn FnMut() + 'a>);
         let kernels: Vec<Kernel> = vec![
@@ -279,6 +331,30 @@ pub fn run(scale: &Scale) {
                             w.band,
                             w.dtw_limits[i] * 4.0,
                         ));
+                    }
+                }),
+            ),
+            (
+                "summarize",
+                PAIRS,
+                Box::new(|| {
+                    // PAA + quantizer: what every build pays per series.
+                    for y in &w.b {
+                        black_box(w.quantizer.word_into(y, &mut paa));
+                    }
+                }),
+            ),
+            (
+                "table_fill",
+                PAIRS,
+                Box::new(|| {
+                    // A point query's two tables (no SIMD dispatch of its
+                    // own: the fill is a plain loop the compiler
+                    // vectorizes, so both columns run the same code).
+                    for p in &paas {
+                        black_box(MindistTable::new_point(p, w.quantizer.segment_lens()));
+                        node_table.fill_point(p, w.quantizer.segment_lens());
+                        black_box(&node_table);
                     }
                 }),
             ),

@@ -48,6 +48,36 @@ fn interval_gap_sq(alo: f32, ahi: f32, blo: f32, bhi: f32) -> f32 {
     }
 }
 
+/// Fills one table row for a point query: `row[s] = weight *
+/// interval_dist_sq(v, edges[s], edges[s + 1])` for every region `s`,
+/// without branches.
+///
+/// `max(lo - v, v - hi, 0)` is the one difference the branchy version
+/// picks — `lo - v` below the region, `v - hi` above it, zero inside
+/// (both differences are non-positive there) — so for a non-NaN `v` every
+/// slot is the same float operations on the same operands, bit for bit.
+/// The loop vectorizes.
+#[inline]
+fn point_row(row: &mut [f32], edges: &[f32], v: f32, weight: f32) {
+    let (lo, hi) = (&edges[..row.len()], &edges[1..=row.len()]);
+    for ((slot, &lo), &hi) in row.iter_mut().zip(lo).zip(hi) {
+        let d = (lo - v).max(v - hi).max(0.0);
+        *slot = weight * (d * d);
+    }
+}
+
+/// [`point_row`] for an interval query `[alo, ahi]` (`alo <= ahi`, neither
+/// NaN): `max(alo - hi, lo - ahi, 0)` is the difference
+/// [`interval_gap_sq`] picks, zero where the intervals overlap.
+#[inline]
+fn interval_row(row: &mut [f32], edges: &[f32], alo: f32, ahi: f32, weight: f32) {
+    let (lo, hi) = (&edges[..row.len()], &edges[1..=row.len()]);
+    for ((slot, &lo), &hi) in row.iter_mut().zip(lo).zip(hi) {
+        let d = (alo - hi).max(lo - ahi).max(0.0);
+        *slot = weight * (d * d);
+    }
+}
+
 /// Squared MINDIST between a query PAA and a node's variable-cardinality
 /// word.
 ///
@@ -108,7 +138,10 @@ pub fn mindist_envelope_node_sq(
 ///
 /// `table[seg * 256 + symbol]` holds that segment's weighted squared
 /// contribution, so `lookup` is `w` gathers and adds per word.
-#[derive(Debug, Clone)]
+///
+/// Every slot is a non-negative finite value (or `+inf`) for a query
+/// without NaN, so `==` between two tables is equality of their bits.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MindistTable {
     table: Vec<f32>,
     segments: usize,
@@ -118,30 +151,32 @@ impl MindistTable {
     /// Builds the table for an ED query with PAA `paa`.
     #[must_use]
     pub fn new_point(paa: &[f32], seg_lens: &[u32]) -> Self {
-        Self::build(paa.len(), seg_lens, |seg, lo, hi| {
-            interval_dist_sq(paa[seg], lo, hi)
+        Self::build(paa.len(), seg_lens, |seg, weight, edges, row| {
+            point_row(row, edges, paa[seg], weight);
         })
     }
 
     /// Builds the table for a DTW query with PAA envelope bounds.
     #[must_use]
     pub fn new_interval(env_lo: &[f32], env_hi: &[f32], seg_lens: &[u32]) -> Self {
-        Self::build(env_lo.len(), seg_lens, |seg, lo, hi| {
-            interval_gap_sq(env_lo[seg], env_hi[seg], lo, hi)
+        Self::build(env_lo.len(), seg_lens, |seg, weight, edges, row| {
+            interval_row(row, edges, env_lo[seg], env_hi[seg], weight);
         })
     }
 
-    fn build(segments: usize, seg_lens: &[u32], dist: impl Fn(usize, f32, f32) -> f32) -> Self {
+    /// Fills segment `seg`'s row through `fill_row(seg, weight, edges,
+    /// row)`, `edges` being the 8-bit region boundaries.
+    fn build(
+        segments: usize,
+        seg_lens: &[u32],
+        fill_row: impl Fn(usize, f32, &[f32], &mut [f32]),
+    ) -> Self {
         assert_eq!(segments, seg_lens.len());
-        let bp = breakpoints();
+        let edges = breakpoints().edges(MAX_BITS);
         let mut table = vec![0.0f32; segments * MAX_CARDINALITY];
-        for (seg, &seg_len) in seg_lens.iter().enumerate() {
-            let weight = seg_len as f32;
-            let row = &mut table[seg * MAX_CARDINALITY..(seg + 1) * MAX_CARDINALITY];
-            for (symbol, slot) in row.iter_mut().enumerate() {
-                let (lo, hi) = bp.region(symbol as u8, MAX_BITS);
-                *slot = weight * dist(seg, lo, hi);
-            }
+        let rows = table.chunks_exact_mut(MAX_CARDINALITY);
+        for ((seg, &seg_len), row) in seg_lens.iter().enumerate().zip(rows) {
+            fill_row(seg, seg_len as f32, edges, row);
         }
         Self { table, segments }
     }
@@ -152,7 +187,9 @@ impl MindistTable {
     /// (unless `DSIDX_NO_SIMD` disables it); the SIMD sum may differ from
     /// [`Self::lookup_scalar`] in the last bits (lane-parallel vs
     /// sequential accumulation) but both are sound lower bounds built from
-    /// the same table entries.
+    /// the same table entries. Good for a pruning test; anything that
+    /// *ranks* words by bound goes through [`Self::lookup_many`], whose
+    /// sums do not depend on the SIMD mode.
     #[inline]
     #[must_use]
     pub fn lookup(&self, word: &Word) -> f32 {
@@ -262,8 +299,8 @@ fn node_slot(bits: u8, prefix: u8) -> usize {
 ///
 /// The [`Default`] table has no segments and bounds everything at zero;
 /// [`fill_point`](Self::fill_point) / [`fill_interval`](Self::fill_interval)
-/// size it for a query.
-#[derive(Debug, Clone, Default)]
+/// size it for a query. `==` compares slots as [`MindistTable`]'s does.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeMindistTable {
     /// Flat layout: `seg * NODE_ROW + node_slot(bits, prefix)`.
     table: Vec<f32>,
@@ -291,34 +328,40 @@ impl NodeMindistTable {
     /// worker answering many queries keeps one table instead of allocating
     /// a fresh one per query.
     pub fn fill_point(&mut self, paa: &[f32], seg_lens: &[u32]) {
-        self.fill(paa.len(), seg_lens, |seg, lo, hi| {
-            interval_dist_sq(paa[seg], lo, hi)
+        self.fill(paa.len(), seg_lens, |seg, weight, edges, row| {
+            point_row(row, edges, paa[seg], weight);
         });
     }
 
     /// Refills this table for another DTW query (see
     /// [`fill_point`](Self::fill_point)).
     pub fn fill_interval(&mut self, env_lo: &[f32], env_hi: &[f32], seg_lens: &[u32]) {
-        self.fill(env_lo.len(), seg_lens, |seg, lo, hi| {
-            interval_gap_sq(env_lo[seg], env_hi[seg], lo, hi)
+        self.fill(env_lo.len(), seg_lens, |seg, weight, edges, row| {
+            interval_row(row, edges, env_lo[seg], env_hi[seg], weight);
         });
     }
 
-    fn fill(&mut self, segments: usize, seg_lens: &[u32], dist: impl Fn(usize, f32, f32) -> f32) {
+    /// Fills, for every segment and cardinality, the `2^bits` contiguous
+    /// slots from `node_slot(bits, 0)` through `fill_row(seg, weight,
+    /// edges, slots)`, `edges` being that cardinality's region boundaries.
+    fn fill(
+        &mut self,
+        segments: usize,
+        seg_lens: &[u32],
+        fill_row: impl Fn(usize, f32, &[f32], &mut [f32]),
+    ) {
         assert_eq!(segments, seg_lens.len());
         let bp = breakpoints();
         // Every slot a lookup can reach is rewritten below; the one spare
         // slot per row stays zero from the sizing.
         self.table.resize(segments * NODE_ROW, 0.0);
         self.segments = segments;
-        for (seg, &seg_len) in seg_lens.iter().enumerate() {
-            let weight = seg_len as f32;
-            let row = &mut self.table[seg * NODE_ROW..(seg + 1) * NODE_ROW];
+        let rows = self.table.chunks_exact_mut(NODE_ROW);
+        for ((seg, &seg_len), row) in seg_lens.iter().enumerate().zip(rows) {
             for bits in 0..=MAX_BITS {
-                for prefix in 0..=(((1u16 << bits) - 1) as u8) {
-                    let (lo, hi) = bp.region(prefix, bits);
-                    row[node_slot(bits, prefix)] = weight * dist(seg, lo, hi);
-                }
+                let start = node_slot(bits, 0);
+                let slots = &mut row[start..start + (1 << bits)];
+                fill_row(seg, seg_len as f32, bp.edges(bits), slots);
             }
         }
     }
@@ -601,6 +644,81 @@ mod tests {
             reused.fill_interval(&lo, &hi, q.segment_lens());
             let fresh = NodeMindistTable::new_interval(&lo, &hi, q.segment_lens());
             assert_eq!(reused.table, fresh.table, "interval, {segments} segments");
+        }
+    }
+
+    /// Values a table row can be filled for: random ones, every 8-bit
+    /// breakpoint (so a coarser region's edge too) and values an ulp or
+    /// two either side,
+    /// zeros, and values past the outer breakpoints up to the infinities.
+    fn probe_values() -> Vec<f32> {
+        let mut values: Vec<f32> = series(91, 64);
+        for &bp in breakpoints().for_bits(MAX_BITS) {
+            values.extend([bp, bp * (1.0 - f32::EPSILON), bp * (1.0 + f32::EPSILON)]);
+        }
+        values.extend([0.0, -0.0, 3.0, -3.0, 1e30, -1e30, f32::MAX, f32::MIN]);
+        values.extend([f32::INFINITY, f32::NEG_INFINITY]);
+        values
+    }
+
+    #[test]
+    fn filled_slots_are_bit_identical_to_the_branchy_formulas() {
+        let bp = breakpoints();
+        let q = Quantizer::new(250, 16).unwrap(); // weights 15 and 16
+        let values = probe_values();
+        let mut node = NodeMindistTable::default();
+        for (i, chunk) in values.chunks(16).enumerate() {
+            let mut paa = [0.5f32; 16];
+            paa[..chunk.len()].copy_from_slice(chunk);
+            // Envelopes around the values, degenerate ones and ones
+            // reaching an infinity included (an infinite value is its own
+            // envelope: `inf - inf` would be no interval at all).
+            let widths = [0.0f32, 0.3, 2.0, f32::INFINITY];
+            let around = |v: f32, w: f32| if v.is_infinite() { v } else { v + w };
+            let lo: Vec<f32> = paa.iter().map(|&v| around(v, -widths[i % 4])).collect();
+            let hi: Vec<f32> = paa
+                .iter()
+                .map(|&v| around(v, widths[(i + 1) % 4]))
+                .collect();
+            let lens = q.segment_lens();
+            let words = [
+                MindistTable::new_point(&paa, lens),
+                MindistTable::new_interval(&lo, &hi, lens),
+            ];
+            for (kind, word) in words.iter().enumerate() {
+                if kind == 0 {
+                    node.fill_point(&paa, lens);
+                } else {
+                    node.fill_interval(&lo, &hi, lens);
+                }
+                let dist = |seg: usize, (rlo, rhi): (f32, f32)| {
+                    lens[seg] as f32
+                        * if kind == 0 {
+                            interval_dist_sq(paa[seg], rlo, rhi)
+                        } else {
+                            interval_gap_sq(lo[seg], hi[seg], rlo, rhi)
+                        }
+                };
+                for seg in 0..16 {
+                    for s in 0..=u8::MAX {
+                        let want = dist(seg, bp.region(s, MAX_BITS));
+                        let got = word.table[seg * MAX_CARDINALITY + usize::from(s)];
+                        assert_eq!(got.to_bits(), want.to_bits(), "word kind={kind} seg={seg}");
+                    }
+                    for bits in 0..=MAX_BITS {
+                        for prefix in 0..=((1u16 << bits) - 1) as u8 {
+                            let want = dist(seg, bp.region(prefix, bits));
+                            let got = node.table[seg * NODE_ROW + node_slot(bits, prefix)];
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "node kind={kind} seg={seg} bits={bits} prefix={prefix}"
+                            );
+                        }
+                    }
+                    assert_eq!(node.table[(seg + 1) * NODE_ROW - 1], 0.0, "spare slot");
+                }
+            }
         }
     }
 

@@ -6,6 +6,15 @@
 //! summarized by its mean — a series by the means of its points, a DTW
 //! query by the means of its envelope's two halves
 //! ([`envelope_paa_bounds`]).
+//!
+//! A mean is the segment's points added in index order, starting from
+//! `-0.0` (the identity of float addition, so an all-`-0.0` segment keeps
+//! its sign), then divided by the segment length. That sequence of float
+//! operations is the contract: [`paa_scalar`] states it, and the AVX2
+//! kernel [`paa_into`] dispatches to — one segment per lane, each lane
+//! adding its segment's points in the same order — performs exactly the
+//! same operations on the same operands. Every PAA value, and so every
+//! iSAX word, tree and snapshot byte, is bit-identical with SIMD on or off.
 
 /// Returns the start offsets of each segment plus the final end offset
 /// (`w + 1` entries).
@@ -20,9 +29,34 @@ pub fn segment_bounds(series_len: usize, segments: usize) -> Vec<usize> {
 
 /// Computes the PAA of `series` into `out` (`out.len()` segments).
 ///
+/// Dispatches to an AVX2 kernel when the segment count is a multiple of 8
+/// and every segment holds the same multiple of 4 points (the paper's 16
+/// segments over 256 points, say) and SIMD is enabled; every other
+/// segmentation, and every host without AVX2, takes [`paa_scalar`]. Both
+/// produce the same bits.
+///
 /// # Panics
 /// Panics if `out` is empty or longer than `series`.
 pub fn paa_into(series: &[f32], out: &mut [f32]) {
+    let w = out.len();
+    assert!(w > 0 && w <= series.len(), "invalid segmentation");
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::paa_fits(series.len(), w) && dsidx_series::distance::simd_enabled() {
+        // SAFETY: `simd_enabled` implies AVX2, and `paa_fits` checked the
+        // segmentation the kernel requires.
+        unsafe { crate::simd::paa_avx2(series, out) };
+        return;
+    }
+    paa_scalar(series, out);
+}
+
+/// The scalar PAA — the reference [`paa_into`]'s vector path must equal
+/// bit for bit, and its fallback: each segment's points folded in index
+/// order from `-0.0`, then divided by the segment's length.
+///
+/// # Panics
+/// Panics if `out` is empty or longer than `series`.
+pub fn paa_scalar(series: &[f32], out: &mut [f32]) {
     let w = out.len();
     assert!(w > 0 && w <= series.len(), "invalid segmentation");
     let n = series.len();
@@ -30,7 +64,7 @@ pub fn paa_into(series: &[f32], out: &mut [f32]) {
     for (i, o) in out.iter_mut().enumerate() {
         let end = (i + 1) * n / w;
         let seg = &series[start..end];
-        let sum: f32 = seg.iter().sum();
+        let sum = seg.iter().fold(-0.0f32, |acc, &x| acc + x);
         *o = sum / seg.len() as f32;
         start = end;
     }
@@ -116,6 +150,80 @@ mod tests {
     #[should_panic(expected = "invalid segmentation")]
     fn more_segments_than_points_panics() {
         let _ = paa(&[1.0, 2.0], 3);
+    }
+
+    /// The inputs the vector path must reproduce bit for bit: random
+    /// walks, constants, all `-0.0`, alternating `±1e30` (sums that cancel
+    /// catastrophically, so any reassociation shows), and subnormals.
+    fn exactness_inputs(n: usize) -> Vec<Vec<f32>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / 16_777_216.0 - 0.5
+        };
+        let mut walk = Vec::with_capacity(n);
+        let mut x = 0.0f32;
+        for _ in 0..n {
+            x += next();
+            walk.push(x);
+        }
+        let noise: Vec<f32> = (0..n).map(|_| next() * 1e3).collect();
+        vec![
+            walk,
+            noise,
+            vec![0.7; n],
+            vec![-0.0; n],
+            (0..n)
+                .map(|i| if i % 2 == 0 { 1e30 } else { -1e30 })
+                .collect(),
+            (0..n)
+                .map(|i| f32::from_bits(1 + i as u32) * if i % 3 == 0 { -1.0 } else { 1.0 })
+                .collect(),
+        ]
+    }
+
+    #[test]
+    fn dispatched_paa_is_bit_identical_to_the_scalar_loop() {
+        // Shapes the vector kernel covers (8 or 16 segments of 4, 8, 12 or
+        // 16 points) and shapes it leaves to the scalar loop.
+        let shapes = [
+            (256, 16),
+            (64, 16),
+            (128, 16),
+            (64, 8),
+            (32, 8),
+            (96, 8),
+            (250, 16),
+            (100, 13),
+            (7, 7),
+        ];
+        for (n, w) in shapes {
+            for (k, series) in exactness_inputs(n).iter().enumerate() {
+                let mut want = vec![f32::NAN; w];
+                paa_scalar(series, &mut want);
+                let mut got = vec![f32::NAN; w];
+                paa_into(series, &mut got);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n={n} w={w} input={k}");
+                #[cfg(target_arch = "x86_64")]
+                if crate::simd::paa_fits(n, w) && dsidx_series::distance::hardware_simd_available()
+                {
+                    let mut direct = vec![f32::NAN; w];
+                    // SAFETY: AVX2 checked above, and `paa_fits` holds.
+                    unsafe { crate::simd::paa_avx2(series, &mut direct) };
+                    assert_eq!(bits(&direct), bits(&want), "kernel n={n} w={w} input={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_all_negative_zero_segment_keeps_its_sign() {
+        let mut out = [f32::NAN; 16];
+        paa_scalar(&[-0.0; 256], &mut out);
+        assert!(out.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
     }
 
     #[test]

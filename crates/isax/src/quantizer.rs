@@ -1,5 +1,15 @@
 //! The [`Quantizer`]: a validated `(series_len, segments)` configuration
 //! with the conversion routines every engine shares.
+//!
+//! [`Quantizer::word_into`] is the one summarization path: the MESSI, ADS+
+//! and ParIS/ParIS+ builds and every query and DTW-envelope preparation
+//! reach it (or its two halves). A series becomes its PAA
+//! ([`crate::paa::paa_into`], AVX2 where the segmentation allows) and each
+//! PAA value a symbol by a bucket-table lookup
+//! ([`crate::BreakpointTable::symbol`]). Both halves are exact
+//! replacements — the PAA repeats the scalar loop's float operations, the
+//! lookup returns what a binary search over the breakpoints would — so a
+//! word never depends on the SIMD mode.
 
 use crate::breakpoints::breakpoints;
 use crate::error::IsaxError;
@@ -85,8 +95,8 @@ impl Quantizer {
         assert_eq!(paa.len(), self.segments, "paa length mismatch");
         let table = breakpoints();
         let mut symbols = [0u8; MAX_SEGMENTS];
-        for (i, &v) in paa.iter().enumerate() {
-            symbols[i] = table.symbol(v, MAX_BITS);
+        for (s, &v) in symbols.iter_mut().zip(paa) {
+            *s = table.symbol(v, MAX_BITS);
         }
         Word::new(&symbols[..self.segments])
     }

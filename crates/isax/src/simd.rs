@@ -1,12 +1,14 @@
-//! AVX2 gather kernels for the MINDIST lookup tables.
+//! AVX2 kernels for summarization and the MINDIST lookup tables.
 //!
 //! A [`crate::MindistTable`] lookup at the paper's default 16 segments is 16
 //! dependent loads and adds; with AVX2 it becomes two 8-lane gathers and a
-//! horizontal sum. These kernels are `pub(crate)` — callers go through the
-//! dispatching `lookup` methods in [`crate::mindist`], which gate on
+//! horizontal sum. The PAA kernel ([`paa_avx2`]) sums eight segments at
+//! once, one per lane, in the scalar loop's order. These kernels are
+//! `pub(crate)` — callers go through the dispatching `lookup` methods in
+//! [`crate::mindist`] and [`crate::paa::paa_into`], which gate on
 //! [`dsidx_series::distance::simd_enabled`] and fall back to the scalar
 //! loops everywhere else (non-x86-64, no AVX2, `DSIDX_NO_SIMD=1`, or a
-//! segment count other than 16).
+//! shape the kernel does not cover).
 
 #![cfg(target_arch = "x86_64")]
 
@@ -14,12 +16,70 @@ use crate::mindist::NODE_ROW;
 use crate::word::{Word, MAX_BITS, MAX_CARDINALITY, MAX_SEGMENTS};
 use std::arch::x86_64::{
     __m128i, __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cvtepu8_epi32,
-    _mm256_extractf128_ps, _mm256_i32gather_ps, _mm256_set1_epi32, _mm256_setr_epi32,
-    _mm256_setzero_ps, _mm256_sllv_epi32, _mm256_storeu_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
-    _mm_loadu_si128, _mm_movehl_ps, _mm_shuffle_ps, _mm_srli_si128, _mm_unpackhi_epi16,
-    _mm_unpackhi_epi32, _mm_unpackhi_epi8, _mm_unpacklo_epi16, _mm_unpacklo_epi32,
-    _mm_unpacklo_epi8,
+    _mm256_div_ps, _mm256_extractf128_ps, _mm256_i32gather_ps, _mm256_set1_epi32, _mm256_set1_ps,
+    _mm256_set_m128, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_sllv_epi32,
+    _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_ps, _mm_add_ss,
+    _mm_cvtss_f32, _mm_loadu_ps, _mm_loadu_si128, _mm_movehl_ps, _mm_shuffle_ps, _mm_srli_si128,
+    _mm_unpackhi_epi16, _mm_unpackhi_epi32, _mm_unpackhi_epi8, _mm_unpacklo_epi16,
+    _mm_unpacklo_epi32, _mm_unpacklo_epi8,
 };
+
+/// Whether [`paa_avx2`] covers a segmentation: segments in whole groups of
+/// eight lanes, all of one length, that length a multiple of four (the
+/// kernel transposes 8 x 4 blocks).
+#[inline]
+pub(crate) fn paa_fits(series_len: usize, segments: usize) -> bool {
+    segments % 8 == 0 && series_len % segments == 0 && (series_len / segments) % 4 == 0
+}
+
+/// The PAA of `series` into `out`, eight segments per register, one per
+/// lane.
+///
+/// Each group of eight segments is read as 8 x 4 blocks — four points of
+/// each segment — transposed in-register so that column `j` holds point
+/// `j` of every segment, and added column by column. Lane `r` therefore
+/// adds its segment's points in index order starting from `-0.0` and
+/// divides by the length: the float operations of
+/// [`crate::paa::paa_scalar`], so every value is bit-identical to it.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX2 and that
+/// `paa_fits(series.len(), out.len())` holds.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn paa_avx2(series: &[f32], out: &mut [f32]) {
+    debug_assert!(!out.is_empty() && paa_fits(series.len(), out.len()));
+    let seg_len = series.len() / out.len();
+    // SAFETY: the caller guarantees AVX2 and the segmentation. Group `g`
+    // covers `series[8g * seg_len..8(g + 1) * seg_len]`, within the series
+    // because `out.len()` is a multiple of 8 and `series.len() ==
+    // out.len() * seg_len`; each 4-float load reads points `j..j + 4` of
+    // one of its segments with `j + 4 <= seg_len` (a multiple of 4); the
+    // store fills exactly the group's 8 output slots.
+    unsafe {
+        let len = _mm256_set1_ps(seg_len as f32);
+        for (group, dst) in out.chunks_exact_mut(8).enumerate() {
+            let base = series.as_ptr().add(group * 8 * seg_len);
+            let row = |seg: usize, j: usize| _mm_loadu_ps(base.add(seg * seg_len + j));
+            let mut acc = _mm256_set1_ps(-0.0);
+            for j in (0..seg_len).step_by(4) {
+                // Segment r in the low half, segment r + 4 in the high half.
+                let v0 = _mm256_set_m128(row(4, j), row(0, j));
+                let v1 = _mm256_set_m128(row(5, j), row(1, j));
+                let v2 = _mm256_set_m128(row(6, j), row(2, j));
+                let v3 = _mm256_set_m128(row(7, j), row(3, j));
+                let t0 = _mm256_unpacklo_ps(v0, v1);
+                let t1 = _mm256_unpackhi_ps(v0, v1);
+                let t2 = _mm256_unpacklo_ps(v2, v3);
+                let t3 = _mm256_unpackhi_ps(v2, v3);
+                acc = _mm256_add_ps(acc, _mm256_shuffle_ps::<0x44>(t0, t2));
+                acc = _mm256_add_ps(acc, _mm256_shuffle_ps::<0xEE>(t0, t2));
+                acc = _mm256_add_ps(acc, _mm256_shuffle_ps::<0x44>(t1, t3));
+                acc = _mm256_add_ps(acc, _mm256_shuffle_ps::<0xEE>(t1, t3));
+            }
+            _mm256_storeu_ps(dst.as_mut_ptr(), _mm256_div_ps(acc, len));
+        }
+    }
+}
 
 /// Horizontal sum of all 8 lanes.
 ///

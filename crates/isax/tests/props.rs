@@ -224,6 +224,20 @@ proptest! {
         }
     }
 
+    /// The bucket-table quantizer equals the binary search over the
+    /// breakpoints for arbitrary `f32` bit patterns — NaNs, infinities,
+    /// subnormals and signed zeros included — at every cardinality.
+    #[test]
+    fn table_symbol_equals_search_for_any_bits(patterns in prop::collection::vec(0u32..=u32::MAX, 64)) {
+        let t = breakpoints();
+        for v in patterns.into_iter().map(f32::from_bits) {
+            for bits in 0..=MAX_BITS {
+                let searched = t.for_bits(bits).partition_point(|&bp| bp <= v) as u8;
+                prop_assert_eq!(t.symbol(v, bits), searched, "v={:e} bits={}", v, bits);
+            }
+        }
+    }
+
     /// After a split, a contained word lands in exactly one child — from
     /// one bit and from zero bits alike.
     #[test]

@@ -80,7 +80,7 @@ and (b) only be called from their dispatcher modules — the files that gate
 on `simd_enabled()` (which itself implies `is_x86_feature_detected!`) — or
 from `#[cfg(test)]` code that performs its own gating. The dispatcher set is
 crates/series/src/distance/{mod,dtw,simd}.rs and
-crates/isax/src/{mindist,simd}.rs; a `lint.allow` entry for this rule adds a
+crates/isax/src/{mindist,paa,simd}.rs; a `lint.allow` entry for this rule adds a
 file to the set. Any dispatcher that calls a kernel defined elsewhere must
 itself mention `simd_enabled` so the runtime gate is visibly present.
 
@@ -325,6 +325,7 @@ const DISPATCHERS: &[&str] = &[
     "crates/series/src/distance/dtw.rs",
     "crates/series/src/distance/simd.rs",
     "crates/isax/src/mindist.rs",
+    "crates/isax/src/paa.rs",
     "crates/isax/src/simd.rs",
 ];
 

@@ -17,12 +17,20 @@
 //! makes on-disk answers bit-identical to in-memory answers, approximate
 //! fidelity included (the approximate answer is "the query's own leaf" —
 //! a tree-shape-dependent notion).
+//!
+//! Stage 2 has no serial tail beyond one copy. Each worker claims a run of
+//! subtrees, grows each from its stage-1 parts, flattens the run into a
+//! [`FlatFragment`] and drops the boxed nodes and the parts before it
+//! claims the next run — flattening and freeing ride the same cores as
+//! the inserts. The coordinator then only stitches the fragments together
+//! in key order ([`FlatTree::stitch`]); [`BuildPhases::stitch`] reports
+//! how long that takes.
 
 use crate::config::{BufferMode, MessiConfig};
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, StorageError};
 use dsidx_sync::{SyncSlice, WorkQueue};
-use dsidx_tree::{FlatTree, Index, LeafEntry, Node, TreeConfig};
+use dsidx_tree::{FlatFragment, FlatTree, LeafEntry, Node, TreeConfig};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
@@ -45,6 +53,9 @@ pub struct BuildPhases {
     pub summarize: Duration,
     /// Stage 2: "Tree Index Construction".
     pub tree_build: Duration,
+    /// The serial end of stage 2, included in `tree_build`: stitching the
+    /// subtrees the workers flattened into one tree.
+    pub stitch: Duration,
     /// Total wall time.
     pub total: Duration,
 }
@@ -70,7 +81,7 @@ pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildPhases) {
     let summarize = t0.elapsed();
 
     let t1 = Instant::now();
-    let tree = FlatTree::from_index(&build_tree(cfg.threads, config.clone(), &parts));
+    let (tree, stitch) = build_tree(cfg.threads, &config, parts);
     let tree_build = t1.elapsed();
 
     (
@@ -78,6 +89,7 @@ pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildPhases) {
         BuildPhases {
             summarize,
             tree_build,
+            stitch,
             total: t0.elapsed(),
         },
     )
@@ -138,7 +150,7 @@ pub fn build_from_file(
     let summarize = t0.elapsed();
 
     let t1 = Instant::now();
-    let tree = FlatTree::from_index(&build_tree(cfg.threads, config.clone(), &buffers));
+    let (tree, stitch) = build_tree(cfg.threads, &config, buffers);
     let tree_build = t1.elapsed();
 
     Ok((
@@ -146,6 +158,7 @@ pub fn build_from_file(
         BuildPhases {
             summarize,
             tree_build,
+            stitch,
             total: t0.elapsed(),
         },
     ))
@@ -229,47 +242,93 @@ fn summarize_locked(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) -> Buf
     buffers
 }
 
-/// Stage 2: workers claim subtrees by Fetch&Inc and build them
+/// Root subtrees a stage-2 worker claims at once, and flattens into one
+/// fragment: few enough fragments (128 at 200k series) that the stitch
+/// copies and frees a handful of arrays, enough claims to keep the workers
+/// balanced.
+const SUBTREES_PER_CLAIM: usize = 16;
+
+/// Stage 2: workers claim runs of subtrees by Fetch&Inc and build them
 /// independently ("all index workers process distinct subtrees of the
-/// index ... with no need for synchronization").
+/// index ... with no need for synchronization"), then the coordinator
+/// stitches them into the flat tree.
 ///
-/// Each subtree's entries are inserted in **position order**, whatever
-/// order the parts arrived in: leaf-split decisions depend on the entries
-/// present at overflow time, so insertion order shapes the tree — and the
-/// tree's shape is observable (the approximate answer is the query's own
-/// leaf). Position-ordered insertion makes every build path (per-thread
-/// parts, locked buffers, streaming-from-file) produce the same tree for
-/// the same raw data, deterministic across runs and thread counts. The
-/// sort is per-subtree and runs inside the parallel claim, so it rides the
-/// same cores as the inserts it orders.
-fn build_tree(threads: usize, tree: TreeConfig, buffers: &Buffers) -> Index {
+/// A worker that has grown a run of subtrees ([`grow_subtree`]) flattens
+/// them into a [`FlatFragment`] on the spot and drops their boxed nodes
+/// and stage-1 parts, so flattening and freeing run in parallel too. All
+/// that is left after the broadcast is [`FlatTree::stitch`]: copying the
+/// fragments together in key order with rebased offsets — the same
+/// flatten-then-stitch that [`FlatTree::from_index`] runs serially.
+/// Returns the tree and the stitch's wall time.
+fn build_tree(threads: usize, tree: &TreeConfig, buffers: Buffers) -> (FlatTree, Duration) {
     let occupied: Vec<u16> = buffers
         .iter()
         .enumerate()
         .filter(|(_, parts)| !parts.is_empty())
         .map(|(key, _)| key as u16)
         .collect();
-    let roots: SyncSlice<Option<Box<Node>>> =
-        SyncSlice::new((0..tree.root_count()).map(|_| None).collect());
+    let counts: Vec<usize> = occupied
+        .iter()
+        .map(|&key| buffers[usize::from(key)].iter().map(Vec::len).sum())
+        .collect();
+    // One lock per subtree, taken once by the worker that claims it.
+    let buffers: Vec<Mutex<Vec<Vec<LeafEntry>>>> = buffers.into_iter().map(Mutex::new).collect();
+    let runs = occupied.len().div_ceil(SUBTREES_PER_CLAIM);
+    let fragments: SyncSlice<Option<FlatFragment>> =
+        SyncSlice::new((0..runs).map(|_| None).collect());
     let queue = WorkQueue::new(occupied.len());
     let pool = dsidx_sync::pool::global(threads);
     pool.broadcast(&|_worker| {
-        while let Some(i) = queue.claim() {
-            let key = occupied[i];
-            let mut node = Box::new(Node::new_leaf(tree.root_word(key)));
-            let mut entries: Vec<LeafEntry> = buffers[key as usize]
-                .iter()
-                .flat_map(|part| part.iter().copied())
-                .collect();
-            entries.sort_unstable_by_key(|e| e.pos);
-            for e in entries {
-                node.insert(e, &tree);
+        while let Some(run) = queue.claim_chunk(SUBTREES_PER_CLAIM) {
+            let mut fragment = FlatFragment::with_capacity(counts[run.clone()].iter().sum());
+            for &key in &occupied[run.clone()] {
+                let mut parts = std::mem::take(&mut *buffers[usize::from(key)].lock());
+                fragment.push(key, &grow_subtree(key, &mut parts, tree));
             }
-            // SAFETY: each occupied key is claimed exactly once.
-            unsafe { roots.write(key as usize, Some(node)) };
+            // SAFETY: each run is claimed exactly once, and run starts are
+            // distinct multiples of SUBTREES_PER_CLAIM.
+            unsafe { fragments.write(run.start / SUBTREES_PER_CLAIM, Some(fragment)) };
         }
     });
-    Index::from_roots(tree, roots.into_inner())
+    let t = Instant::now();
+    let fragments = fragments
+        .into_inner()
+        .into_iter()
+        .map(|f| f.expect("every run of subtrees was claimed"))
+        .collect();
+    (FlatTree::stitch(tree, fragments), t.elapsed())
+}
+
+/// Grows the subtree of root key `key` from its stage-1 parts (one per
+/// worker, or one in all), inserting in **position order** whatever order
+/// the parts arrived in.
+///
+/// Leaf-split decisions depend on the entries present at overflow time, so
+/// insertion order shapes the tree — and the tree's shape is observable
+/// (the approximate answer is the query's own leaf). Position-ordered
+/// insertion makes every build path (per-thread parts, locked buffers,
+/// streaming-from-file) produce the same tree for the same raw data,
+/// deterministic across runs and thread counts.
+///
+/// A part that one worker filled is already in position order (workers
+/// claim ascending chunks), so sorting it is one pass; only a locked
+/// buffer's part needs the sort. The sorted parts are then merged straight
+/// into the inserts, by a scan over their heads (one per worker).
+fn grow_subtree(key: u16, parts: &mut [Vec<LeafEntry>], tree: &TreeConfig) -> Node {
+    for part in parts.iter_mut() {
+        part.sort_unstable_by_key(|e| e.pos);
+    }
+    let mut heads: Vec<&[LeafEntry]> = parts.iter().map(Vec::as_slice).collect();
+    let mut node = Node::new_leaf(tree.root_word(key));
+    while let Some(head) = heads
+        .iter_mut()
+        .filter(|h| !h.is_empty())
+        .min_by_key(|h| h[0].pos)
+    {
+        node.insert(head[0], tree);
+        *head = &head[1..];
+    }
+    node
 }
 
 #[cfg(test)]
@@ -278,6 +337,7 @@ mod tests {
     use dsidx_series::gen::DatasetKind;
     use dsidx_tree::snapshot::validate;
     use dsidx_tree::stats::index_stats;
+    use dsidx_tree::Index;
 
     fn cfg(threads: usize) -> MessiConfig {
         MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(50)

@@ -32,6 +32,7 @@
 //! counts show the gap to MESSI closing.
 
 use crate::build::ParisIndex;
+use dsidx_isax::MindistTable;
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
     approx_leaf_flat, batch_collect_candidates, batch_seed_positions, batch_seed_prefix,
@@ -285,7 +286,7 @@ pub fn approx(
                 paris,
                 source,
                 k,
-                |word| prep.table.lookup(word),
+                &prep.table,
                 move |series, limit, stats| {
                     if let Some(d) = euclidean_sq_bounded(query, series, limit) {
                         stats.real_computed += 1;
@@ -299,28 +300,26 @@ pub fn approx(
         Measure::Dtw { band } => {
             let prep = DtwPrepared::new(config.quantizer(), query, band);
             let mut scratch = DtwScratch::new();
-            sketch_nearest(
-                paris,
-                source,
-                k,
-                |word| prep.table.lookup(word),
-                |series, limit, stats| {
-                    prep.cascade(query, series, band, limit, &mut scratch, stats)
-                },
-            )
+            sketch_nearest(paris, source, k, &prep.table, |series, limit, stats| {
+                prep.cascade(query, series, band, limit, &mut scratch, stats)
+            })
         }
     }
 }
 
 /// The shared sketch-nearest schedule behind both approximate measures:
-/// rank every SAX word by `bound`, verify the best few-times-k positions
-/// through `verify` (which charges its own counters and returns a full
-/// real distance when one was paid).
+/// rank every SAX word by its bound in `table`, verify the best
+/// few-times-k positions through `verify` (which charges its own counters
+/// and returns a full real distance when one was paid).
+///
+/// The pass bounds the whole array with [`MindistTable::lookup_many`]:
+/// the batched kernel, and one whose sums are bit-identical with SIMD on
+/// or off, so the probed set never depends on the SIMD mode.
 fn sketch_nearest(
     paris: &ParisIndex,
     source: &impl RawSource,
     k: usize,
-    bound: impl Fn(&dsidx_isax::Word) -> f32,
+    table: &MindistTable,
     mut verify: impl FnMut(&[f32], f32, &mut QueryStats) -> Option<f32>,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
     let topk = SharedTopK::new(k);
@@ -333,11 +332,9 @@ fn sketch_nearest(
         lb_computed: words.len() as u64,
         ..QueryStats::default()
     };
-    let mut sketched: Vec<(f32, u32)> = words
-        .iter()
-        .enumerate()
-        .map(|(pos, w)| (bound(w), pos as u32))
-        .collect();
+    let mut bounds = vec![0.0f32; words.len()];
+    table.lookup_many(words, &mut bounds);
+    let mut sketched: Vec<(f32, u32)> = bounds.into_iter().zip(0u32..).collect();
     let probe = k
         .saturating_mul(APPROX_PROBE_PER_NEIGHBOR)
         .max(APPROX_PROBE_MIN)

@@ -142,6 +142,10 @@ pub fn seed_from_entries<P: Pruner>(
 /// entry although the best-so-far almost always comes from the few whose
 /// summaries sit closest to the query's. Ranking costs one table lookup
 /// per resident entry and no I/O.
+///
+/// The bounds come from [`MindistTable::lookup_many`], whose sums are
+/// bit-identical with SIMD on or off, so the ranking — and every seed
+/// drawn from it — does not depend on the SIMD mode.
 pub fn best_bound_positions(
     words: &[Word],
     positions: &[u32],
@@ -149,11 +153,9 @@ pub fn best_bound_positions(
     n: usize,
     out: &mut Vec<u32>,
 ) {
-    let mut ranked: Vec<(f32, u32)> = words
-        .iter()
-        .zip(positions)
-        .map(|(w, &pos)| (table.lookup(w), pos))
-        .collect();
+    let mut bounds = vec![0.0f32; words.len()];
+    table.lookup_many(words, &mut bounds);
+    let mut ranked: Vec<(f32, u32)> = bounds.into_iter().zip(positions.iter().copied()).collect();
     ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     ranked.truncate(n);
     out.extend(ranked.iter().map(|&(_, pos)| pos));
@@ -265,7 +267,7 @@ mod tests {
         let mut want: Vec<(f32, u32)> = words
             .iter()
             .zip(&positions)
-            .map(|(w, &pos)| (prep.table.lookup(w), pos))
+            .map(|(w, &pos)| (prep.table.lookup_scalar(w), pos))
             .collect();
         want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let want: Vec<u32> = want.iter().map(|&(_, pos)| pos).collect();

@@ -22,6 +22,7 @@
 //! never falls back to its one-word-at-a-time tail, and the caller ignores
 //! the extra results.
 
+use crate::config::TreeConfig;
 use crate::index::Index;
 use crate::node::{LeafChunk, Node};
 use crate::sax::SaxArray;
@@ -128,34 +129,43 @@ pub struct FlatTree {
     pub(crate) root_segments: usize,
 }
 
-impl FlatTree {
-    /// Flattens a built index (O(nodes + entries)) — the last step of
-    /// every build.
+/// Root subtrees flattened on their own, keys ascending: the unit a build
+/// worker hands over once it has grown a subtree, so that it can drop the
+/// boxed nodes right away. Node indices, child links and entry ranges
+/// count from the fragment's start; [`FlatTree::stitch`] rebases them.
+#[derive(Debug, Default)]
+pub struct FlatFragment {
+    /// `(root key, node index)` of each subtree, keys ascending.
+    roots: Vec<(u16, u32)>,
+    nodes: Vec<FlatNode>,
+    words: Vec<Word>,
+    positions: Vec<u32>,
+}
+
+impl FlatFragment {
+    /// An empty fragment with room for `entries` entries (and for the
+    /// filler words a stitched tree ends with).
     #[must_use]
-    pub fn from_index(index: &Index) -> Self {
-        let mut flat = FlatTree {
-            nodes: Vec::new(),
-            roots: Vec::with_capacity(index.occupied_roots().len()),
-            words: Vec::with_capacity(index.len() + LEAF_BLOCK - 1),
-            positions: Vec::with_capacity(index.len()),
-            segments: index.config().segments(),
-            root_segments: index.config().root_segments(),
-        };
-        for &key in index.occupied_roots() {
-            let root = index.root(key).expect("occupied root exists");
-            let idx = flat.push_subtree(root);
-            flat.roots.push((key, idx));
+    pub fn with_capacity(entries: usize) -> Self {
+        Self {
+            words: Vec::with_capacity(entries + LEAF_BLOCK - 1),
+            positions: Vec::with_capacity(entries),
+            ..Self::default()
         }
-        flat.pad_words();
-        flat
     }
 
-    /// Appends the `LEAF_BLOCK - 1` filler words that let the last leaf be
-    /// bounded in whole blocks.
-    pub(crate) fn pad_words(&mut self) {
-        let filler = Word::new(&[0u8; MAX_SEGMENTS][..self.segments]);
-        self.words
-            .extend(std::iter::repeat_n(filler, LEAF_BLOCK - 1));
+    /// Appends the subtree `root` under root key `key`: nodes depth-first,
+    /// zero child adjacent, entries leaf-contiguous (O(nodes + entries)).
+    ///
+    /// # Panics
+    /// Panics unless `key` is above every key already in the fragment.
+    pub fn push(&mut self, key: u16, root: &Node) {
+        assert!(
+            self.roots.last().is_none_or(|&(last, _)| last < key),
+            "subtrees out of key order"
+        );
+        let idx = self.push_subtree(root);
+        self.roots.push((key, idx));
     }
 
     fn push_subtree(&mut self, node: &Node) -> u32 {
@@ -187,6 +197,85 @@ impl FlatTree {
         }
         self.nodes[my_index as usize].entry_end = self.positions.len() as u32;
         my_index
+    }
+}
+
+impl FlatTree {
+    /// Flattens a built index (O(nodes + entries)): every occupied root's
+    /// subtree into one [`FlatFragment`], then [`stitch`](Self::stitch) —
+    /// the serial form of what MESSI's parallel stage 2 does.
+    #[must_use]
+    pub fn from_index(index: &Index) -> Self {
+        let mut fragment = FlatFragment::with_capacity(index.len());
+        for &key in index.occupied_roots() {
+            fragment.push(key, index.root(key).expect("occupied root exists"));
+        }
+        Self::stitch(index.config(), vec![fragment])
+    }
+
+    /// Concatenates fragments into one tree under `config`, rebasing each
+    /// fragment's node indices and entry ranges by what precedes it. The
+    /// first fragment's arrays are taken over as they are (it needs no
+    /// rebase); every other fragment is copied and dropped.
+    ///
+    /// # Panics
+    /// Panics unless the keys ascend across the fragments (each occupied
+    /// root once).
+    #[must_use]
+    pub fn stitch(config: &TreeConfig, fragments: Vec<FlatFragment>) -> Self {
+        let nodes: usize = fragments.iter().map(|f| f.nodes.len()).sum();
+        let entries: usize = fragments.iter().map(|f| f.positions.len()).sum();
+        let mut fragments = fragments.into_iter();
+        let first = fragments.next().unwrap_or_default();
+        let mut flat = FlatTree {
+            nodes: first.nodes,
+            roots: first.roots,
+            words: first.words,
+            positions: first.positions,
+            segments: config.segments(),
+            root_segments: config.root_segments(),
+        };
+        flat.nodes.reserve_exact(nodes - flat.nodes.len());
+        flat.words
+            .reserve_exact(entries + LEAF_BLOCK - 1 - flat.words.len());
+        flat.positions.reserve_exact(entries - flat.positions.len());
+        for fragment in fragments {
+            let (last, next) = (flat.roots.last(), fragment.roots.first());
+            assert!(
+                last.zip(next).is_none_or(|(a, b)| a.0 < b.0),
+                "fragments out of key order"
+            );
+            let node_base = flat.nodes.len() as u32;
+            let entry_base = flat.positions.len() as u32;
+            flat.roots.extend(
+                fragment
+                    .roots
+                    .iter()
+                    .map(|&(key, idx)| (key, idx + node_base)),
+            );
+            flat.nodes.extend(fragment.nodes.iter().map(|n| FlatNode {
+                entry_start: n.entry_start + entry_base,
+                entry_end: n.entry_end + entry_base,
+                one_child: if n.is_leaf() {
+                    NO_CHILD
+                } else {
+                    n.one_child + node_base
+                },
+                ..*n
+            }));
+            flat.words.extend_from_slice(&fragment.words);
+            flat.positions.extend_from_slice(&fragment.positions);
+        }
+        flat.pad_words();
+        flat
+    }
+
+    /// Appends the `LEAF_BLOCK - 1` filler words that let the last leaf be
+    /// bounded in whole blocks.
+    pub(crate) fn pad_words(&mut self) {
+        let filler = Word::new(&[0u8; MAX_SEGMENTS][..self.segments]);
+        self.words
+            .extend(std::iter::repeat_n(filler, LEAF_BLOCK - 1));
     }
 
     /// Occupied `(root key, node index)` pairs, key-ascending.
@@ -370,7 +459,6 @@ impl LeafChunks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TreeConfig;
     use crate::entry::LeafEntry;
     use dsidx_isax::Quantizer;
 
@@ -498,6 +586,43 @@ mod tests {
             let (_, fidx) = flat.roots()[i];
             check(&flat, fidx, idx.root(key).unwrap(), &table);
         }
+    }
+
+    /// `idx`'s subtrees as fragments of `per` subtrees each.
+    fn fragments(idx: &Index, per: usize) -> Vec<FlatFragment> {
+        idx.occupied_roots()
+            .chunks(per)
+            .map(|keys| {
+                let mut fragment = FlatFragment::default();
+                for &key in keys {
+                    fragment.push(key, idx.root(key).unwrap());
+                }
+                fragment
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stitched_fragments_equal_the_serial_flatten() {
+        let (cfg, idx, _) = build_index(500, 8);
+        let serial = FlatTree::from_index(&idx);
+        assert!(serial.roots().len() > 3);
+        for per in [1, 2, 3] {
+            assert_eq!(
+                FlatTree::stitch(&cfg, fragments(&idx, per)),
+                serial,
+                "per={per}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fragments out of key order")]
+    fn stitch_refuses_fragments_out_of_key_order() {
+        let (cfg, idx, _) = build_index(500, 8);
+        let mut fragments = fragments(&idx, 1);
+        fragments.swap(0, 1);
+        let _ = FlatTree::stitch(&cfg, fragments);
     }
 
     #[test]

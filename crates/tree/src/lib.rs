@@ -36,7 +36,7 @@ pub mod stats;
 
 pub use config::TreeConfig;
 pub use entry::LeafEntry;
-pub use flat::{FlatNode, FlatTree, LeafChunks};
+pub use flat::{FlatFragment, FlatNode, FlatTree, LeafChunks};
 pub use index::Index;
 pub use node::{LeafChunk, LeafPayload, Node};
 pub use sax::SaxArray;
