@@ -1,7 +1,6 @@
 //! One module per regenerated figure/ablation; [`ALL`] maps each
 //! experiment id to the paper figure it regenerates.
 
-pub mod abl_buffers;
 pub mod coldstart;
 pub mod ext_dtw;
 pub mod fig10;
@@ -13,7 +12,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod kernels;
 pub mod knn;
 pub mod obs;
 pub mod ondisk;
@@ -78,11 +76,6 @@ pub const ALL: &[Experiment] = &[
         ext_dtw::run,
     ),
     (
-        "kernels",
-        "Extension: scalar vs SIMD ns/call per distance kernel + k-NN before/after",
-        kernels::run,
-    ),
-    (
         "knn",
         "Extension: exact k-NN sweep (k in {1,5,10,50,100}) per engine",
         knn::run,
@@ -111,11 +104,6 @@ pub const ALL: &[Experiment] = &[
         "shards",
         "Extension: scatter-gather sharding sweep (N in {1,2,4,8}) with BSF sharing A/B",
         shards::run,
-    ),
-    (
-        "abl-buffers",
-        "Ablation (footnote 2): locked shared buffers vs per-thread parts",
-        abl_buffers::run,
     ),
 ];
 

@@ -127,29 +127,6 @@ impl Answers {
         }
         Some(phase)
     }
-
-    /// Consumes a batch-of-one response into `(matches, stats)`.
-    ///
-    /// # Panics
-    /// Panics if the response holds more than one query's answers or was
-    /// produced without [`with_stats`](crate::QuerySpec::with_stats).
-    #[must_use]
-    pub fn into_single_with_stats(self) -> (Vec<Match>, QueryStats) {
-        let (mut matches, stats) = self.into_parts_with_stats();
-        assert_eq!(matches.len(), 1, "batch of one");
-        (matches.pop().expect("one query"), stats.into_single())
-    }
-
-    /// Consumes the response into `(per-query matches, batch stats)`.
-    ///
-    /// # Panics
-    /// Panics if the response was produced without
-    /// [`with_stats`](crate::QuerySpec::with_stats).
-    #[must_use]
-    pub fn into_parts_with_stats(self) -> (Vec<Vec<Match>>, BatchStats) {
-        let stats = self.stats.expect("spec requested stats");
-        (self.matches, stats)
-    }
 }
 
 #[cfg(test)]
@@ -175,12 +152,10 @@ mod tests {
         assert_eq!(a.best(0), Some(&Match::new(3, 1.0)));
         assert_eq!(a.best(1), None);
         assert_eq!(a.best(9), None);
-        assert!(a.stats().is_some());
+        assert_eq!(a.stats().map(|s| s.broadcasts), Some(1));
         assert!(a.query_stats(1).is_some());
         assert!(a.query_stats(2).is_none());
-        let (m, s) = a.into_parts_with_stats();
-        assert_eq!(m.len(), 2);
-        assert_eq!(s.broadcasts, 1);
+        assert_eq!(a.into_matches().len(), 2);
     }
 
     #[test]
@@ -197,12 +172,6 @@ mod tests {
     #[should_panic(expected = "batch of one")]
     fn single_on_a_larger_batch_panics() {
         let _ = sample().single();
-    }
-
-    #[test]
-    #[should_panic(expected = "requested stats")]
-    fn parts_with_stats_requires_stats() {
-        let _ = Answers::new(vec![vec![]], None).into_parts_with_stats();
     }
 
     #[test]

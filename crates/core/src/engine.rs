@@ -603,7 +603,9 @@ mod tests {
         let spec = QuerySpec::knn(k)
             .measure(Measure::Dtw { band })
             .with_stats();
-        idx.search(&[q], &spec).unwrap().into_single_with_stats()
+        let answers = idx.search(&[q], &spec).unwrap();
+        let stats = answers.query_stats(0).expect("spec requested stats");
+        (answers.into_single(), stats)
     }
 
     #[test]
@@ -666,10 +668,9 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         for engine in Engine::ALL {
             let idx = MemoryIndex::build(data.clone(), engine, &opts).unwrap();
-            let (batched, stats) = idx
-                .search(&qrefs, &QuerySpec::knn(5).with_stats())
-                .unwrap()
-                .into_parts_with_stats();
+            let answers = idx.search(&qrefs, &QuerySpec::knn(5).with_stats()).unwrap();
+            let stats = answers.stats().expect("spec requested stats");
+            let batched = answers.matches();
             // The whole batch costs at most the single-query broadcast
             // budget once — not once per query.
             assert!(
@@ -1005,10 +1006,11 @@ mod tests {
         let q = DatasetKind::Synthetic.queries(1, 64, 21);
         for engine in Engine::ALL {
             let idx = MemoryIndex::build(data.clone(), engine, &opts).unwrap();
-            let (_, stats): (Vec<Match>, QueryStats) = idx
+            let stats = idx
                 .search(&[q.get(0)], &QuerySpec::nn().with_stats())
                 .unwrap()
-                .into_single_with_stats();
+                .query_stats(0)
+                .expect("spec requested stats");
             // Every engine pays real distances (at least the seeding pass)
             // and reports lower-bound work through the same accessor.
             assert!(stats.real_computed > 0, "{}", engine.name());

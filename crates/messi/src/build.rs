@@ -26,7 +26,7 @@
 //! in key order ([`FlatTree::stitch`]); [`BuildPhases::stitch`] reports
 //! how long that takes.
 
-use crate::config::{BufferMode, MessiConfig};
+use crate::config::MessiConfig;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, StorageError};
 use dsidx_sync::{SyncSlice, WorkQueue};
@@ -74,10 +74,7 @@ pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildPhases) {
     );
     let t0 = Instant::now();
     let config = cfg.tree.fitted_to(data.len());
-    let parts = match cfg.buffer_mode {
-        BufferMode::PerThreadParts => summarize_per_thread(data, cfg, &config),
-        BufferMode::LockedShared => summarize_locked(data, cfg, &config),
-    };
+    let parts = summarize_per_thread(data, cfg, &config);
     let summarize = t0.elapsed();
 
     let t1 = Instant::now();
@@ -165,10 +162,11 @@ pub fn build_from_file(
 }
 
 /// Per-subtree buffers: `buffers[key]` holds one or more parts, each the
-/// private output of one worker (one part total in locked mode).
+/// private output of one worker (one part in all for a file build).
 type Buffers = Vec<Vec<Vec<LeafEntry>>>;
 
-/// Stage 1, MESSI layout: every worker owns a full array of buffer parts.
+/// Stage 1: every worker owns a full array of buffer parts, so appending a
+/// summary takes no lock (MESSI's layout).
 fn summarize_per_thread(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) -> Buffers {
     let segments = tree.segments();
     let root_count = tree.root_count();
@@ -203,40 +201,6 @@ fn summarize_per_thread(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) ->
             if !part.is_empty() {
                 buffers[key].push(part);
             }
-        }
-    }
-    buffers
-}
-
-/// Stage 1, rejected layout (paper footnote 2): one locked buffer per
-/// subtree, contended by all workers.
-fn summarize_locked(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) -> Buffers {
-    let segments = tree.segments();
-    let root_count = tree.root_count();
-    let quantizer = tree.quantizer();
-    let queue = WorkQueue::new(data.len());
-    let mut locked: Vec<Mutex<Vec<LeafEntry>>> = Vec::new();
-    locked.resize_with(root_count, || Mutex::new(Vec::new()));
-
-    let pool = dsidx_sync::pool::global(cfg.threads);
-    pool.broadcast(&|_worker| {
-        let mut paa = vec![0.0f32; segments];
-        while let Some(range) = queue.claim_chunk(cfg.chunk_series) {
-            for pos in range {
-                let word = quantizer.word_into(data.get(pos), &mut paa);
-                locked[usize::from(tree.root_key(&word))]
-                    .lock()
-                    .push(LeafEntry::new(word, pos as u32));
-            }
-        }
-    });
-
-    let mut buffers: Buffers = Vec::new();
-    buffers.resize_with(root_count, Vec::new);
-    for (key, m) in locked.into_iter().enumerate() {
-        let part = m.into_inner();
-        if !part.is_empty() {
-            buffers[key].push(part);
         }
     }
     buffers
@@ -306,14 +270,14 @@ fn build_tree(threads: usize, tree: &TreeConfig, buffers: Buffers) -> (FlatTree,
 /// Leaf-split decisions depend on the entries present at overflow time, so
 /// insertion order shapes the tree — and the tree's shape is observable
 /// (the approximate answer is the query's own leaf). Position-ordered
-/// insertion makes every build path (per-thread parts, locked buffers,
-/// streaming-from-file) produce the same tree for the same raw data,
-/// deterministic across runs and thread counts.
+/// insertion makes both build paths (per-worker parts, streaming-from-file)
+/// produce the same tree for the same raw data, deterministic across runs
+/// and thread counts.
 ///
-/// A part that one worker filled is already in position order (workers
-/// claim ascending chunks), so sorting it is one pass; only a locked
-/// buffer's part needs the sort. The sorted parts are then merged straight
-/// into the inserts, by a scan over their heads (one per worker).
+/// Every part arrives in position order already (a worker claims
+/// ascending chunks; a file is read front to back), so the sort is one
+/// pass that only guards that invariant. The sorted parts are then merged
+/// straight into the inserts, by a scan over their heads (one per worker).
 fn grow_subtree(key: u16, parts: &mut [Vec<LeafEntry>], tree: &TreeConfig) -> Node {
     for part in parts.iter_mut() {
         part.sort_unstable_by_key(|e| e.pos);
@@ -355,18 +319,6 @@ mod tests {
         for (pos, series) in data.iter().enumerate() {
             assert_eq!(sax.word(pos), &messi.config.quantizer().word(series));
         }
-    }
-
-    #[test]
-    fn both_buffer_modes_build_identical_trees() {
-        let data = DatasetKind::Sald.generate(500, 64, 9);
-        let (a, _) = build(&data, &cfg(4));
-        let (b, _) = build(&data, &cfg(4).with_buffer_mode(BufferMode::LockedShared));
-        assert_eq!(a.tree.entry_count(), b.tree.entry_count());
-        // Position-ordered stage-2 insertion makes the trees *identical*,
-        // not merely statistically alike.
-        assert_eq!(a.tree, b.tree);
-        assert_eq!(a.config, b.config);
     }
 
     #[test]

@@ -2,18 +2,6 @@
 
 use dsidx_tree::TreeConfig;
 
-/// How summarization workers store iSAX summaries before tree construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BufferMode {
-    /// Each worker appends to its own part of every subtree's buffer — no
-    /// synchronization (MESSI's design).
-    PerThreadParts,
-    /// One locked buffer per subtree shared by all workers — the
-    /// alternative the paper measured and rejected (footnote 2); kept for
-    /// the `abl-buffers` ablation.
-    LockedShared,
-}
-
 /// Configuration for MESSI builds and queries.
 #[derive(Debug, Clone)]
 pub struct MessiConfig {
@@ -23,8 +11,6 @@ pub struct MessiConfig {
     pub threads: usize,
     /// Series per Fetch&Inc chunk during summarization.
     pub chunk_series: usize,
-    /// Buffer layout during construction.
-    pub buffer_mode: BufferMode,
 }
 
 impl MessiConfig {
@@ -35,7 +21,6 @@ impl MessiConfig {
             tree,
             threads,
             chunk_series: 1024,
-            buffer_mode: BufferMode::PerThreadParts,
         }
     }
 
@@ -44,13 +29,6 @@ impl MessiConfig {
     pub fn with_chunk_series(mut self, chunk_series: usize) -> Self {
         assert!(chunk_series > 0, "chunk size must be non-zero");
         self.chunk_series = chunk_series;
-        self
-    }
-
-    /// Sets the buffer layout.
-    #[must_use]
-    pub fn with_buffer_mode(mut self, buffer_mode: BufferMode) -> Self {
-        self.buffer_mode = buffer_mode;
         self
     }
 
@@ -69,12 +47,9 @@ mod tests {
         let tree = TreeConfig::new(64, 8, 10).unwrap();
         let cfg = MessiConfig::new(tree, 8);
         assert_eq!(cfg.threads, 8);
-        assert_eq!(cfg.buffer_mode, BufferMode::PerThreadParts);
-        let cfg = cfg
-            .with_chunk_series(64)
-            .with_buffer_mode(BufferMode::LockedShared);
+        assert_eq!(cfg.chunk_series, 1024);
+        let cfg = cfg.with_chunk_series(64);
         assert_eq!(cfg.chunk_series, 64);
-        assert_eq!(cfg.buffer_mode, BufferMode::LockedShared);
         cfg.validate();
     }
 

@@ -7,9 +7,9 @@
 //!   own parts* of the per-subtree buffers ("to reduce synchronization
 //!   cost, each iSAX buffer is split into parts and each worker works on
 //!   its own part"), then build distinct subtrees in parallel with no
-//!   synchronization. The locked-buffer alternative the paper rejected in
-//!   footnote 2 is kept as [`config::BufferMode::LockedShared`] for the
-//!   ablation.
+//!   synchronization. Per-worker parts are the only layout: the one
+//!   locked buffer per subtree that the paper rejected in footnote 2 is
+//!   not implemented.
 //! * **Query answering** — tree-based, not scan-based: workers traverse
 //!   subtrees pruning with node-level lower bounds against a shared BSF,
 //!   collect surviving leaves best-bound-first, then repeatedly pop the
@@ -43,6 +43,6 @@ pub mod query;
 pub mod traverse;
 
 pub use build::{build, build_from_file, BuildPhases, MessiIndex};
-pub use config::{BufferMode, MessiConfig};
+pub use config::MessiConfig;
 pub use dsidx_query::{BatchStats, QueryStats};
 pub use query::exact;

@@ -3,8 +3,8 @@
 //! Thread roles and synchronization, mirroring the paper:
 //!
 //! * the **coordinator** (caller thread) reads sequential blocks and feeds
-//!   them to a bounded MPMC channel sized to hold a full generation — the
-//!   "raw data buffer in main memory";
+//!   them to a bounded channel sized to hold a full generation — the
+//!   "raw data buffer in main memory" — that all workers receive from;
 //! * `threads` **workers** summarize blocks into per-subtree RecBufs and
 //!   the SAX array; at each generation boundary the coordinator enqueues
 //!   one `EndGen` marker per worker (channel FIFO guarantees every worker
@@ -28,6 +28,7 @@ use dsidx_tree::{FlatTree, Index, LeafChunk, LeafChunks, LeafEntry, Node, SaxArr
 use parking_lot::{Condvar, Mutex};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -92,6 +93,13 @@ impl FlushTracker {
             self.cv.wait(&mut p);
         }
     }
+}
+
+/// Receives from a channel that several threads consume: `std::sync::mpsc`
+/// has one consumer, so they take turns through a lock. The guard drops
+/// when this returns, before the caller handles the message.
+pub(crate) fn recv_shared<T>(rx: &Mutex<Receiver<T>>) -> Option<T> {
+    rx.lock().recv().ok()
 }
 
 /// Shared error slot: first storage error wins, the pipeline drains.
@@ -219,9 +227,11 @@ fn run_pipeline(
 
     // Channel capacity: a full generation plus markers — the raw buffer.
     let blocks_per_gen = cfg.generation_series.div_ceil(cfg.block_series);
-    let (block_tx, block_rx) = crossbeam_channel::bounded::<Feed>(2 * blocks_per_gen + threads + 1);
-    let (flush_tx, flush_rx) = crossbeam_channel::unbounded::<u16>();
-    let (gen_done_tx, gen_done_rx) = crossbeam_channel::unbounded::<()>();
+    let (block_tx, block_rx) = mpsc::sync_channel::<Feed>(2 * blocks_per_gen + threads + 1);
+    let block_rx = Mutex::new(block_rx);
+    let (flush_tx, flush_rx) = mpsc::channel::<u16>();
+    let flush_rx = Mutex::new(flush_rx);
+    let (gen_done_tx, gen_done_rx) = mpsc::channel::<()>();
     let flush_tracker = FlushTracker::new();
     let barrier = Barrier::new(threads);
     let grow_nanos = AtomicU64::new(0);
@@ -239,7 +249,7 @@ fn run_pipeline(
         // redesign, in ParIS it is equivalent to a distinct construction
         // pool because the coordinator is stopped anyway).
         for _ in 0..threads {
-            let block_rx = block_rx.clone();
+            let block_rx = &block_rx;
             let flush_tx = flush_tx.clone();
             let quantizer = quantizer.clone();
             let recbufs = &recbufs;
@@ -253,7 +263,7 @@ fn run_pipeline(
             let gen_done_tx = gen_done_tx.clone();
             s.spawn(move || {
                 let mut paa = vec![0.0f32; segments];
-                while let Ok(feed) = block_rx.recv() {
+                while let Some(feed) = recv_shared(block_rx) {
                     match feed {
                         Feed::Block {
                             first_pos,
@@ -337,13 +347,13 @@ fn run_pipeline(
         // coordinator keeps reading.
         if mode == Overlap::ParisPlus && store.is_some() {
             for _ in 0..2usize {
-                let flush_rx = flush_rx.clone();
+                let flush_rx = &flush_rx;
                 let roots = &roots;
                 let errors = &errors;
                 let flush_tracker = &flush_tracker;
                 let flush_nanos = &flush_nanos;
                 s.spawn(move || {
-                    while let Ok(key) = flush_rx.recv() {
+                    while let Some(key) = recv_shared(flush_rx) {
                         let tf = Instant::now();
                         // SAFETY: the key was handed over after growth
                         // finished; no grower touches it until the tracker
@@ -360,7 +370,6 @@ fn run_pipeline(
                 });
             }
         }
-        drop(flush_rx);
 
         // Coordinator (stage 1).
         let result = (|| -> Result<(), StorageError> {

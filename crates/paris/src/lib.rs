@@ -35,3 +35,78 @@ pub use config::{Overlap, ParisConfig};
 pub use dsidx_query::{BatchStats, QueryStats};
 pub use query::{approx, exact};
 pub use report::BuildReport;
+
+#[cfg(test)]
+mod tests {
+    //! The build's channels that several threads consume — the workers'
+    //! blocks, the flushers' keys — are one `std::sync::mpsc` receiver
+    //! behind a lock, read through [`recv_shared`](crate::build::recv_shared).
+
+    use crate::build::recv_shared;
+    use parking_lot::Mutex;
+    use std::sync::mpsc;
+
+    #[test]
+    fn cloned_receivers_share_the_queue() {
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let (rx1, rx2) = (&rx, &rx);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        let a = recv_shared(rx1).unwrap();
+        let b = recv_shared(rx2).unwrap();
+        assert_eq!(a + b, 3);
+        // Once the sender is gone, every consumer sees the end.
+        drop(tx);
+        assert_eq!((recv_shared(rx1), recv_shared(rx2)), (None, None));
+    }
+
+    #[test]
+    fn mpmc_under_contention_delivers_everything() {
+        // Two producers, three consumers taking turns on one bounded
+        // receiver: each message reaches exactly one consumer, each
+        // consumer sees every producer's messages in send order (the
+        // generation markers rely on that), and all of them see the end.
+        let (tx, rx) = mpsc::sync_channel::<(u32, u32)>(4);
+        let rx = Mutex::new(rx);
+        let got: Vec<Vec<(u32, u32)>> = std::thread::scope(|s| {
+            let consumers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut mine = Vec::new();
+                        while let Some(v) = recv_shared(&rx) {
+                            mine.push(v);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            for producer in 0..2 {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    for seq in 0..5_000 {
+                        tx.send((producer, seq)).unwrap();
+                    }
+                });
+            }
+            drop(tx);
+            consumers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for mine in &got {
+            for producer in 0..2 {
+                let seqs: Vec<u32> = mine
+                    .iter()
+                    .filter(|m| m.0 == producer)
+                    .map(|m| m.1)
+                    .collect();
+                assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+        let mut all = got.concat();
+        all.sort_unstable();
+        let want: Vec<(u32, u32)> = (0..2)
+            .flat_map(|p| (0..5_000).map(move |seq| (p, seq)))
+            .collect();
+        assert_eq!(all, want);
+    }
+}

@@ -3,10 +3,8 @@
 //!
 //! This is ParIS's original design — "index Receiving Buffers" filled by
 //! the bulk-loading workers (§III). The paper contrasts it with MESSI's
-//! per-thread buffer parts precisely because these *shared, locked* buffers
-//! pay a synchronization cost; keeping that design here (and the other in
-//! `dsidx-messi`) is what lets the `abl-buffers` ablation measure the
-//! difference.
+//! per-thread buffer parts (`dsidx-messi`) precisely because these
+//! *shared, locked* buffers pay a synchronization cost.
 
 use dsidx_tree::LeafEntry;
 use parking_lot::Mutex;

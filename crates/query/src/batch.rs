@@ -17,8 +17,8 @@
 //! [`PreparedQuery`], a [`SharedTopK`] pruner (k-NN shaped; 1-NN batches
 //! are k = 1), and an [`AtomicQueryStats`]. The loops in this module are
 //! the batch generalizations of the single-query kernel loops in
-//! [`seed`](crate::seed) and [`scan`](crate::scan) — those remain as the
-//! lean B = 1 specializations.
+//! [`seed`](crate::seed) and [`scan`](crate::scan); the scan engines have
+//! only the batch form, and answer a single query as a batch of one.
 //!
 //! [`BatchStats`] makes the amortization observable: broadcasts issued for
 //! the whole batch, raw series fetched once versus the per-query requests
@@ -26,7 +26,6 @@
 
 use crate::fetch::SeriesFetcher;
 use crate::prepare::PreparedQuery;
-use crate::scan::LB_BLOCK;
 use crate::stats::{AtomicQueryStats, QueryStats};
 use dsidx_isax::{Quantizer, Word};
 use dsidx_obs::phase::PhaseAcc;
@@ -141,6 +140,9 @@ pub struct ShardView<'a> {
     /// Global position of this shard's local position 0.
     pub base: u32,
 }
+
+/// Words lower-bounded per batched-kernel call in the collect loop.
+const LB_BLOCK: usize = 256;
 
 /// A batch of exact k-NN queries answered by one shared schedule.
 pub struct QueryBatch<'q, P = PreparedQuery> {
@@ -458,9 +460,19 @@ pub fn batch_seed_positions<P>(
 }
 
 /// Warms every k-NN threshold in the batch over the position-order prefix
-/// `0..prefix` (see [`seed_prefix`](crate::seed::seed_prefix) for why a
-/// batch lower-bound phase needs this): one fetch per position, an
-/// early-abandoned real distance per query.
+/// `0..prefix`: one fetch per position, an early-abandoned real distance
+/// per query.
+///
+/// Leaf seeding alone leaves a k-NN threshold at `+inf` whenever the
+/// approximate leaf holds fewer than k entries — harmless for engines
+/// that interleave pruning with insertion (ADS+'s scan, MESSI's
+/// best-first processing), but pathological for a batch lower-bound phase
+/// like ParIS's collect, which would then materialize the *entire*
+/// collection as candidates. Warming over a prefix a few times k puts the
+/// threshold at a low quantile of the sampled distance distribution
+/// instead of the sample maximum, restoring pruning power before any
+/// batch phase runs. Once a collector fills, the loop early-abandons
+/// against the tightening threshold, so oversampling stays cheap.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -490,8 +502,8 @@ pub fn batch_seed_prefix(
 
 /// SIMS-style serial scan, batched (the ADS+ schedule): every SAX word is
 /// lower-bounded against every query; a position is fetched at most once,
-/// then verified for each query whose bound survived. The batch
-/// generalization of [`scan_sax_serial`](crate::scan::scan_sax_serial).
+/// then verified for each query whose bound survived. Fills each query's
+/// `lb_computed`, `candidates` and `real_computed`.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -837,7 +849,9 @@ mod tests {
         let (data, words, config) = fixture(400);
         let qs = DatasetKind::Synthetic.queries(6, 64, 7);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        for k in [1usize, 4, 17] {
+        // k = 400 and 450 reach and pass the collection size: every
+        // position is then an answer, and the threshold stays open.
+        for k in [1usize, 4, 17, 400, 450] {
             let batch = QueryBatch::new(config.quantizer(), &qrefs, k);
             let mut fetcher = SeriesFetcher::new(&data);
             batch_scan_sax_serial(&words, &mut fetcher, &batch).unwrap();
@@ -851,8 +865,12 @@ mod tests {
                     assert_eq!(g.pos, w.1, "q{qi} k={k}");
                     assert!((g.dist_sq - w.0).abs() <= w.0 * 1e-4 + 1e-4);
                 }
-                // Every query paid one bound per position.
-                assert_eq!(stats.per_query[qi].lb_computed, 400);
+                // Every query paid one bound per position; only bound
+                // survivors can pay a real distance.
+                let q = &stats.per_query[qi];
+                assert_eq!(q.lb_computed, 400);
+                assert!(q.candidates <= q.lb_computed, "q{qi} k={k}");
+                assert!(q.real_computed <= q.candidates, "q{qi} k={k}");
             }
             // Fetches are shared: never more than one per position, and
             // never fewer than any single query's needs.
@@ -1184,6 +1202,28 @@ mod tests {
         batch_verify_candidates(
             &candidates,
             0..1,
+            &mut fetcher,
+            &batch,
+            &mut survivors,
+            &mut locals,
+        )
+        .unwrap();
+        assert_eq!(source.reads(), vec![3]);
+        // Verified again, both bounds are stale — one above the tightened
+        // threshold, one exactly at it: the re-check skips them without
+        // touching the source.
+        let limit = batch.slots()[0].topk.threshold_sq();
+        let stale = [
+            candidates[0],
+            BatchCandidate {
+                pos: 5,
+                query: 0,
+                lb: limit,
+            },
+        ];
+        batch_verify_candidates(
+            &stale,
+            0..2,
             &mut fetcher,
             &batch,
             &mut survivors,

@@ -57,10 +57,8 @@ pub use fetch::SeriesFetcher;
 pub use knn::finish_knn;
 pub use measure::Measure;
 pub use prepare::PreparedQuery;
-pub use scan::{process_leaf_entries, scan_sax_serial, verify_candidate, LeafScratch};
-pub use seed::{
-    approx_best_leaf, approx_leaf_flat, best_bound_positions, seed_from_entries, seed_prefix,
-};
+pub use scan::{process_leaf_entries, LeafScratch};
+pub use seed::{approx_best_leaf, approx_leaf_flat, best_bound_positions, seed_from_entries};
 pub use stats::{AtomicQueryStats, QueryStats};
 
 pub use dsidx_sync::{OffsetTopK, Pruner, SharedTopK};

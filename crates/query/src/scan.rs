@@ -1,10 +1,9 @@
-//! The early-abandoned real-distance candidate loops — the exact phase
-//! every engine runs after seeding: the serial interleaved SIMS scan
-//! (ADS+) and the per-leaf entry loop (MESSI). ParIS's two-phase
-//! collect/verify split exists only in batch form
-//! ([`batch`](crate::batch)); a single query is a batch of one.
+//! The per-leaf early-abandoned real-distance loop — MESSI's exact phase
+//! after seeding, one leaf's entries at a time. The scan engines' loops
+//! (ADS+'s serial SIMS scan, ParIS's collect/verify split) exist only in
+//! batch form ([`batch`](crate::batch)); a single query is a batch of one.
 //!
-//! Every loop is generic over [`Pruner`], so the same code answers 1-NN
+//! The loop is generic over [`Pruner`], so the same code answers 1-NN
 //! (an [`AtomicBest`](dsidx_sync::AtomicBest) best-so-far) and k-NN (a
 //! [`SharedTopK`](dsidx_sync::SharedTopK) whose threshold is the k-th best
 //! distance).
@@ -16,73 +15,6 @@ use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
-
-/// Verifies one candidate position: re-checks its lower bound against the
-/// *current* threshold (it may have improved since the bound was computed),
-/// fetches the raw values, computes the early-abandoned real distance, and
-/// records improvements. Returns `true` iff a full real distance was paid.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-#[inline]
-pub fn verify_candidate<P: Pruner>(
-    pos: u32,
-    lb: f32,
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    query: &[f32],
-    pruner: &P,
-) -> Result<bool, StorageError> {
-    let limit = pruner.threshold_sq();
-    if lb >= limit {
-        return Ok(false);
-    }
-    let series = fetcher.fetch(pos as usize)?;
-    match euclidean_sq_bounded(query, series, limit) {
-        Some(d) => {
-            pruner.insert(d, pos);
-            Ok(true)
-        }
-        None => Ok(false),
-    }
-}
-
-/// SIMS-style serial scan (ADS+): lower-bound every SAX word in position
-/// order and verify survivors immediately. Fills `lb_computed`,
-/// `candidates` and `real_computed`.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-pub fn scan_sax_serial<P: Pruner>(
-    words: &[dsidx_isax::Word],
-    table: &MindistTable,
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    query: &[f32],
-    pruner: &P,
-    stats: &mut QueryStats,
-) -> Result<(), StorageError> {
-    // Bound a block of words at a time (the SIMD batch kernel is
-    // bit-identical to the per-word scalar loop, so blocking never changes
-    // a pruning decision), then test each bound against the live threshold.
-    let mut bounds = [0.0f32; LB_BLOCK];
-    for (start, block) in words.chunks(LB_BLOCK).enumerate() {
-        table.lookup_many(block, &mut bounds);
-        stats.lb_computed += block.len() as u64;
-        for (off, &lb) in bounds[..block.len()].iter().enumerate() {
-            if lb >= pruner.threshold_sq() {
-                continue;
-            }
-            stats.candidates += 1;
-            let pos = (start * LB_BLOCK + off) as u32;
-            if verify_candidate(pos, lb, fetcher, query, pruner)? {
-                stats.real_computed += 1;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Words lower-bounded per batched-kernel call in the scan loops.
-pub(crate) const LB_BLOCK: usize = 256;
 
 /// Reusable buffers of the per-leaf loops: one bound per (padded) word,
 /// the entries that survived the bound pass, and what the DTW cascade
@@ -185,6 +117,9 @@ pub fn process_leaf_entries<P: Pruner>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{
+        batch_scan_sax_serial, batch_verify_candidates, BatchCandidate, QueryBatch,
+    };
     use crate::prepare::PreparedQuery;
     use dsidx_series::distance::euclidean_sq;
     use dsidx_series::gen::DatasetKind;
@@ -229,18 +164,30 @@ mod tests {
         all
     }
 
+    /// ADS+'s serial scan of one query: a batch of one.
+    fn serial_scan(
+        data: &dsidx_series::Dataset,
+        words: &[Word],
+        config: &TreeConfig,
+        q: &[f32],
+        k: usize,
+    ) -> (Vec<(f32, u32)>, QueryStats) {
+        let batch = QueryBatch::new(config.quantizer(), &[q], k);
+        let mut fetcher = SeriesFetcher::new(data);
+        batch_scan_sax_serial(words, &mut fetcher, &batch).unwrap();
+        let (matches, stats) = batch.finish(0, QueryStats::default());
+        let got = matches[0].iter().map(|m| (m.dist_sq, m.pos)).collect();
+        (got, stats.per_query[0])
+    }
+
     #[test]
     fn serial_scan_is_exact_and_accounts_correctly() {
         let (data, words, config) = fixture(400);
         let queries = DatasetKind::Synthetic.queries(5, 64, 5);
         for q in queries.iter() {
-            let prep = PreparedQuery::new(config.quantizer(), q);
-            let best = AtomicBest::new();
-            let mut fetcher = SeriesFetcher::new(&data);
-            let mut stats = QueryStats::default();
-            scan_sax_serial(&words, &prep.table, &mut fetcher, q, &best, &mut stats).unwrap();
+            let (got, stats) = serial_scan(&data, &words, &config, q, 1);
             let want = brute(&data, q);
-            let (dist_sq, pos) = best.get();
+            let (dist_sq, pos) = got[0];
             assert_eq!(pos, want.1);
             assert!((dist_sq - want.0).abs() <= want.0 * 1e-4 + 1e-4);
             // Accounting invariants: every position pays a bound; only
@@ -258,13 +205,8 @@ mod tests {
         let queries = DatasetKind::Synthetic.queries(4, 64, 19);
         for q in queries.iter() {
             for k in [1usize, 5, 20, 350, 400] {
-                let prep = PreparedQuery::new(config.quantizer(), q);
-                let topk = SharedTopK::new(k);
-                let mut fetcher = SeriesFetcher::new(&data);
-                let mut stats = QueryStats::default();
-                scan_sax_serial(&words, &prep.table, &mut fetcher, q, &topk, &mut stats).unwrap();
+                let (got, _) = serial_scan(&data, &words, &config, q, k);
                 let want = brute_topk(&data, q, k);
-                let got = topk.matches();
                 assert_eq!(got.len(), want.len(), "k={k}");
                 for (g, w) in got.iter().zip(&want) {
                     assert_eq!(g.1, w.1, "k={k}");
@@ -276,16 +218,45 @@ mod tests {
 
     #[test]
     fn verify_candidate_skips_stale_bounds() {
-        let (data, _, _) = fixture(10);
+        // One query's candidates, verified as a batch of one whose
+        // threshold an earlier insert holds at 1.0.
+        let (data, _, config) = fixture(10);
         let q = data.get(0).to_vec();
-        let best = AtomicBest::with_initial(1.0, 999);
+        let batch = QueryBatch::new(config.quantizer(), &[&q], 1);
+        batch.slots()[0].topk.insert(1.0, 999);
         let mut fetcher = SeriesFetcher::new(&data);
+        let mut survivors = Vec::new();
+        let mut locals = vec![QueryStats::default()];
+        let candidate = |pos, lb| [BatchCandidate { pos, query: 0, lb }];
         // A bound at/above the BSF is pruned without touching the source.
-        assert!(!verify_candidate(3, 1.0, &mut fetcher, &q, &best).unwrap());
-        assert_eq!(best.get().1, 999);
+        let bsf = batch.slots()[0].topk.threshold_sq();
+        let stale = candidate(3, bsf);
+        batch_verify_candidates(
+            &stale,
+            0..1,
+            &mut fetcher,
+            &batch,
+            &mut survivors,
+            &mut locals,
+        )
+        .unwrap();
+        assert_eq!(locals[0].real_computed, 0);
+        assert_eq!(batch.slots()[0].topk.threshold_sq(), bsf);
         // A bound below lets the real distance through (series 0 itself).
-        assert!(verify_candidate(0, 0.0, &mut fetcher, &q, &best).unwrap());
-        assert_eq!(best.get(), (0.0, 0));
+        let fresh = candidate(0, 0.0);
+        batch_verify_candidates(
+            &fresh,
+            0..1,
+            &mut fetcher,
+            &batch,
+            &mut survivors,
+            &mut locals,
+        )
+        .unwrap();
+        assert_eq!(locals[0].real_computed, 1);
+        let (matches, stats) = batch.finish(0, QueryStats::default());
+        assert_eq!((matches[0][0].pos, matches[0][0].dist_sq), (0, 0.0));
+        assert_eq!(stats.series_fetched, 1, "only the fresh bound fetched");
     }
 
     #[test]

@@ -161,41 +161,6 @@ pub fn best_bound_positions(
     out.extend(ranked.iter().map(|&(_, pos)| pos));
 }
 
-/// Pays (early-abandoned) real distances for the position-order prefix
-/// `0..prefix`, feeding improvements to the pruner. Returns the number of
-/// *full* real distances computed.
-///
-/// Leaf seeding alone leaves a k-NN threshold at `+inf` whenever the
-/// approximate leaf holds fewer than k entries — harmless for engines
-/// that interleave pruning with insertion (ADS+'s scan, MESSI's
-/// best-first processing), but pathological for a batch lower-bound phase
-/// like ParIS's collect, which would then materialize the *entire*
-/// collection as candidates. Warming over a prefix a few times k puts the
-/// threshold at a low quantile of the sampled distance distribution
-/// instead of the sample maximum, restoring pruning power before any
-/// batch phase runs. Once the collector fills, the loop early-abandons
-/// against the tightening threshold, so oversampling stays cheap.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-pub fn seed_prefix<P: Pruner>(
-    prefix: usize,
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    query: &[f32],
-    pruner: &P,
-) -> Result<u64, StorageError> {
-    let mut paid = 0u64;
-    for pos in 0..prefix {
-        let limit = pruner.threshold_sq();
-        let series = fetcher.fetch(pos)?;
-        if let Some(d) = euclidean_sq_bounded(query, series, limit) {
-            pruner.insert(d, pos as u32);
-            paid += 1;
-        }
-    }
-    Ok(paid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -75,8 +75,8 @@ pub fn simd_kill_switch_active() -> bool {
     std::env::var_os("DSIDX_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Overrides the cached dispatch decision (benchmark/test hook: the
-/// `kernels` experiment times both paths in one process). Requesting SIMD
+/// Overrides the cached dispatch decision (test hook: the SIMD-equivalence
+/// suites run both paths in one process). Requesting SIMD
 /// on hardware without it is ignored, and the `DSIDX_NO_SIMD` kill-switch
 /// always wins — an operator bisecting a kernel regression must not have
 /// the scalar pin silently undone by a library consumer calling this.

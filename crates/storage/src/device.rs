@@ -403,7 +403,9 @@ mod tests {
     fn bandwidth_charging_scales_with_bytes() {
         let d = Device::new(DeviceProfile::HDD);
         let t0 = Instant::now();
-        // 32 MiB sequential at 160 MiB/s ≈ 200ms.
+        // 32 MiB sequential at 160 MiB/s = 200 ms, plus the first read's
+        // seek (8.5 ms). The charge is exact; the wall clock only has to
+        // cover most of it (an upper bound would measure the machine).
         let block = 4 * 1024 * 1024u64;
         for i in 0..8 {
             d.charge_read(i * block, block);
@@ -413,7 +415,9 @@ mod tests {
             elapsed >= Duration::from_millis(150),
             "slept only {elapsed:?}"
         );
-        assert!(elapsed < Duration::from_millis(1500));
+        let stats = d.stats();
+        assert_eq!(stats.seeks, 1);
+        assert_eq!(stats.charged_nanos, 208_500_000);
     }
 
     #[test]
@@ -452,12 +456,23 @@ mod tests {
     fn small_charges_accumulate_instead_of_oversleeping() {
         let d = Device::new(DeviceProfile::SSD);
         let t0 = Instant::now();
-        // 1000 x 1-byte sequential reads: bandwidth cost ~0; only the first
-        // is a seek. Without accumulation this would sleep 1000 times.
+        // 1000 x 1-byte sequential reads: 1 ns of bandwidth each, and only
+        // the first is a seek (90 us). The 91 us total stays under the
+        // sleep threshold, so it is owed, never slept.
         for i in 0..1000 {
             d.charge_read(i, 1);
         }
-        assert!(t0.elapsed() < Duration::from_millis(60));
+        let elapsed = t0.elapsed();
+        let stats = d.stats();
+        assert_eq!(stats.seeks, 1);
+        assert_eq!(stats.charged_nanos, 91_000);
+        assert!(stats.charged_nanos < SLEEP_THRESHOLD_NANOS);
+        // A device that slept per charge would pay a sleep's floor (the
+        // threshold) 1000 times; one that accumulates comes nowhere near.
+        assert!(
+            elapsed < Duration::from_nanos(1000 * SLEEP_THRESHOLD_NANOS),
+            "{elapsed:?}"
+        );
     }
 
     #[test]

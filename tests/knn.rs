@@ -167,10 +167,9 @@ fn knn_on_disk_engines_matches_brute_force() {
         for q in queries.iter() {
             for k in [1usize, 9, 40] {
                 let want = brute_force_knn(&data, q, k);
-                let (got, stats) = idx
-                    .search(&[q], &QuerySpec::knn(k).with_stats())
-                    .unwrap()
-                    .into_single_with_stats();
+                let answers = idx.search(&[q], &QuerySpec::knn(k).with_stats()).unwrap();
+                let stats = answers.query_stats(0).expect("spec requested stats");
+                let got = answers.into_single();
                 assert_eq!(
                     got.iter().map(|m| m.pos).collect::<Vec<_>>(),
                     want.iter().map(|m| m.pos).collect::<Vec<_>>(),
