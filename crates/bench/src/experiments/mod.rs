@@ -82,7 +82,7 @@ pub const ALL: &[Experiment] = &[
     ),
     (
         "throughput",
-        "Extension: batched query throughput (B in {1,4,16,64}) per engine",
+        "Extension: batched query throughput (B in {1,t-1,t,t+1,2t,64}) per engine",
         throughput::run,
     ),
     (

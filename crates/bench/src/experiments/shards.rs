@@ -3,11 +3,12 @@
 //! {1, 2, 4, 8} over a fixed total.
 //!
 //! Reports per shard count: build time, exact k-NN batch latency, and
-//! candidates verified with sharing on versus off (the number the shared
-//! BSF shrinks). Self-asserts the two contracts the `ShardedIndex`
-//! promises:
+//! candidates verified by the sharded index versus the isolated baseline —
+//! one `MemoryIndex` per `partition` slice, searched independently and
+//! merged (the number the shared BSF shrinks). Self-asserts the two
+//! contracts the `ShardedIndex` promises:
 //!
-//! * every sharded answer — sharing on or off — is element-wise
+//! * every sharded answer — and the merged isolated one — is element-wise
 //!   **bit-identical** to the monolithic index over the concatenated
 //!   dataset;
 //! * at `N >= 2`, sharing verifies **strictly fewer** candidates than `N`
@@ -16,6 +17,7 @@
 
 use crate::{core_ladder, f, mem_dataset, queries, time, Scale, Table};
 use dsidx::prelude::*;
+use dsidx::shard::partition;
 use dsidx::ShardedIndex;
 
 /// Neighbors per query.
@@ -28,6 +30,38 @@ const REPS: usize = 3;
 /// Candidates verified (real distances fully computed) across a batch.
 fn verified(stats: &BatchStats) -> u64 {
     stats.shared.real_computed + stats.per_query.iter().map(|q| q.real_computed).sum::<u64>()
+}
+
+/// The isolated baseline: one `MemoryIndex` per [`partition`] slice of
+/// `data`, each searched on its own; the answers are rebased to global
+/// positions and merged to the `k` smallest `(distance, position)` pairs
+/// per query. Returns the merged answers and the candidates verified.
+fn isolated(
+    data: &Dataset,
+    n: usize,
+    options: &Options,
+    qrefs: &[&[f32]],
+    spec: &QuerySpec,
+) -> (Vec<Vec<Match>>, u64) {
+    let len = data.series_len();
+    let mut merged: Vec<Vec<Match>> = vec![Vec::new(); qrefs.len()];
+    let mut work = 0;
+    for range in partition(data.len(), n) {
+        let base = range.start as u32;
+        let flat = data.as_flat()[range.start * len..range.end * len].to_vec();
+        let slice = Dataset::from_flat(flat, len).expect("a slice of a valid dataset");
+        let index = MemoryIndex::build(slice, Engine::Messi, options).expect("valid config");
+        let answers = index.search(qrefs, spec).expect("slice query");
+        work += verified(answers.stats().expect("stats requested"));
+        for (row, ms) in merged.iter_mut().zip(answers.matches()) {
+            row.extend(ms.iter().map(|m| Match::new(base + m.pos, m.dist_sq)));
+        }
+    }
+    for row in &mut merged {
+        row.sort_unstable_by(|a, b| a.dist_sq.total_cmp(&b.dist_sq).then(a.pos.cmp(&b.pos)));
+        row.truncate(spec.k());
+    }
+    (merged, work)
 }
 
 /// Runs this experiment at the given scale, printing its table and CSV.
@@ -83,16 +117,13 @@ pub fn run(scale: &Scale) {
             search_ms = search_ms.min(t.as_secs_f64() * 1e3);
         }
 
-        // Sharing off: same answers, more work — the A/B the toggle
-        // exists for.
-        let isolated = sharded.with_bsf_sharing(false);
-        let answers = isolated.search(&qrefs, &spec).expect("isolated query");
+        // The isolated baseline: same answers, more work.
+        let (merged, off) = isolated(&data, n, &options, &qrefs, &spec);
         assert_eq!(
             want.matches(),
-            answers.matches(),
-            "sharded (sharing off, n={n}) diverged from the monolith"
+            &merged[..],
+            "isolated slices (n={n}) diverged from the monolith"
         );
-        let off = verified(answers.stats().expect("stats requested"));
         if n >= 2 {
             assert!(
                 on < off,

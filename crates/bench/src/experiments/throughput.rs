@@ -4,20 +4,23 @@
 //! For sub-millisecond queries the pool broadcast (waking and joining
 //! every worker) dominates; a batch of B queries pays it once. This
 //! experiment drives the facade's query plane (`Search::search` with a
-//! `QuerySpec`), sweeping the batch size B ∈ {1, 4, 16, 64} per engine at
-//! fixed k and reporting wall time per query plus the amortization
-//! counters: broadcasts per query (constant per batch ⇒ shrinking as 1/B
-//! for the pool engines, 0 for serial ADS+) and raw series fetched once
-//! versus the per-query requests they served (ADS+ and ParIS share raw
-//! reads across a batch; MESSI in memory hands whole queries to workers,
-//! so each request is its own fetch and the two columns are equal).
+//! `QuerySpec`), sweeping the batch size per engine at fixed k around the
+//! pool width t — B ∈ {1, t − 1, t, t + 1, 2t, 64}, deduplicated, each
+//! over the largest multiple of B queries that fits in 64 — and reporting
+//! wall time per query plus the amortization counters: broadcasts per
+//! query (constant per batch ⇒ shrinking as 1/B for the pool engines, 0
+//! for serial ADS+) and raw series fetched once versus the per-query
+//! requests they served (ADS+ and ParIS share raw reads across a batch;
+//! MESSI in memory answers each query from its own reads, so the two
+//! columns are equal). Around t is where MESSI's resident schedule turns
+//! from every worker on one query into whole queries per worker.
 
 use crate::{core_ladder, f, mem_dataset, ms, queries, time, Scale, Table};
 use dsidx::prelude::*;
 use std::sync::Arc;
 
-/// The swept batch sizes.
-const BATCH_SIZES: [usize; 4] = [1, 4, 16, 64];
+/// Queries available to a cell (the widest batch).
+const QUERIES: usize = 64;
 /// Neighbors per query.
 const K: usize = 10;
 
@@ -50,9 +53,12 @@ pub fn run(scale: &Scale) {
     let data = Arc::new(mem_dataset(kind, scale));
     let len = data.series_len();
     let options = Options::default().with_threads(cores);
-    // Enough queries to fill the largest batch.
-    let qs = queries(kind, *BATCH_SIZES.last().expect("non-empty"), len);
+    let qs = queries(kind, QUERIES, len);
     let qrefs: Vec<&[f32]> = qs.iter().collect();
+    let mut widths = vec![1, cores - 1, cores, cores + 1, 2 * cores, QUERIES];
+    widths.retain(|&b| (1..=QUERIES).contains(&b));
+    widths.sort_unstable();
+    widths.dedup();
 
     let engines = [Engine::Ads, Engine::Paris, Engine::Messi];
     let indexes: Vec<MemoryIndex> = engines
@@ -79,13 +85,14 @@ pub fn run(scale: &Scale) {
             "phase_ms_per_query",
         ],
     );
-    let nq = qrefs.len() as u64;
     let mut amortized = true;
-    for b in BATCH_SIZES {
+    for b in widths {
+        let batches = qrefs.chunks_exact(b);
+        let nq = (qrefs.len() - batches.remainder().len()) as u64;
         for idx in &indexes {
             let mut cell = Cell::default();
             let (_, t) = time(|| {
-                for chunk in qrefs.chunks(b) {
+                for chunk in batches.clone() {
                     let answers = idx.search(chunk, &spec).expect("query");
                     cell.add(answers.stats().expect("stats requested"));
                 }
@@ -117,6 +124,6 @@ pub fn run(scale: &Scale) {
         "shape check: broadcasts_per_query is constant-per-batch (2/B ParIS, 1/B MESSI,\n\
          0 for serial ADS+). requests_per_query exceeds fetched_per_query where the\n\
          batch shares raw reads (ADS+, ParIS); for MESSI the two are equal — in memory\n\
-         it answers whole queries per worker and every request fetches for itself."
+         every query's distance attempts read their own series."
     );
 }

@@ -20,10 +20,9 @@
 //!   against, so the total candidates verified shrinks below what `N`
 //!   independent searches would pay. Sharing only ever *tightens*
 //!   thresholds, so exact answers stay element-wise bit-identical to a
-//!   monolithic index over the concatenated dataset. The
-//!   [`with_bsf_sharing`](ShardedIndex::with_bsf_sharing) toggle exists
-//!   for A/B measurement (the `shards` bench experiment asserts the
-//!   candidate-count win).
+//!   monolithic index over the concatenated dataset. (The `shards` bench
+//!   experiment asserts the candidate-count win against one independent
+//!   index per [`partition`] slice.)
 //!
 //! At approximate fidelity each shard's tree is probed independently (the
 //! per-shard trees are not the monolith's tree, so there is no shared
@@ -199,18 +198,16 @@ pub struct ShardedIndex {
     engine: Engine,
     series_len: usize,
     total: usize,
-    share_bsf: bool,
 }
 
 impl ShardedIndex {
-    /// `shards` as one logical index, BSF sharing on.
+    /// `shards` as one logical index.
     fn new(shards: Shards, engine: Engine, series_len: usize, total: usize) -> Self {
         Self {
             shards,
             engine,
             series_len,
             total,
-            share_bsf: true,
         }
     }
 
@@ -398,25 +395,6 @@ impl ShardedIndex {
         self.total == 0
     }
 
-    /// Whether exact searches share one BSF across shards (on by
-    /// default).
-    #[must_use]
-    pub fn bsf_sharing(&self) -> bool {
-        self.share_bsf
-    }
-
-    /// Enables or disables cross-shard BSF sharing (builder style).
-    ///
-    /// With sharing off, exact searches run each shard fully
-    /// independently and merge the per-shard top-k lists afterwards —
-    /// same answers, strictly more candidates verified at `shards >= 2`.
-    /// Exists for A/B measurement; leave it on otherwise.
-    #[must_use]
-    pub fn with_bsf_sharing(mut self, share: bool) -> Self {
-        self.share_bsf = share;
-        self
-    }
-
     /// Test support: wraps shard `shard`'s raw reads in a
     /// [`FlakySource`] allowing `reads_before_failure` successful reads
     /// before every read fails — the shape of one shard's device dying
@@ -460,8 +438,8 @@ impl ShardedIndex {
         let mut clock = PhaseClock::start();
         spec.validate(self.series_len, queries)?;
         let validate_nanos = clock.lap();
-        let sharing = self.share_bsf && matches!(spec.fidelity_kind(), Fidelity::Exact);
-        let pruners = sharing.then(|| SharedPruners::new(queries.len(), spec.k()));
+        let exact = matches!(spec.fidelity_kind(), Fidelity::Exact);
+        let pruners = exact.then(|| SharedPruners::new(queries.len(), spec.k()));
 
         // Scatter: one coordinator thread per shard. These must be plain
         // threads, never pool tasks — the engines broadcast on the shared
@@ -503,8 +481,9 @@ impl ShardedIndex {
             // BSF sharing: the collectors already hold the global answer
             // (global positions, deduped, `(distance, position)`-ordered).
             Some(p) => p.matches(),
-            // Independent shards: rebase local positions and keep the k
-            // smallest `(distance, global position)` pairs per query.
+            // Approximate fidelity, each shard probed independently:
+            // rebase local positions and keep the k smallest `(distance,
+            // global position)` pairs per query.
             None => {
                 let mut merged: Vec<Vec<Match>> = vec![Vec::new(); queries.len()];
                 for (shard, (shard_matches, _)) in shards.iter().zip(&parts) {
@@ -836,24 +815,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sharing_disabled_gives_the_same_answers() {
-        let data = DatasetKind::Sald.generate(400, 64, 23);
-        let opts = Options::default().with_threads(2).with_leaf_capacity(16);
-        let qs = DatasetKind::Sald.queries(2, 64, 23);
-        let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let shared = ShardedIndex::build_in_memory(&data, 3, Engine::Messi, &opts).unwrap();
-        let isolated = ShardedIndex::build_in_memory(&data, 3, Engine::Messi, &opts)
-            .unwrap()
-            .with_bsf_sharing(false);
-        assert!(shared.bsf_sharing());
-        assert!(!isolated.bsf_sharing());
-        let spec = QuerySpec::knn(6).with_stats();
-        let a = shared.search(&qrefs, &spec).unwrap();
-        let b = isolated.search(&qrefs, &spec).unwrap();
-        assert_eq!(a.matches(), b.matches());
     }
 
     #[test]

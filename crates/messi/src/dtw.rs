@@ -15,13 +15,12 @@
 //! (`lb_keogh_rev_pruned` is the reversed one's share) and `dtw_cells`
 //! says how far the DTWs that did start got.
 //!
-//! The schedules are the Euclidean ones ([`crate::query`] — whole queries
-//! per worker, cooperative, or shared fetch, chosen by the same rule from
-//! the source's residence and the batch width), entered through the same
-//! [`exact`](crate::query::exact) with `Measure::Dtw { band }`; this module
-//! only supplies the DTW `LeafKernel`: interval tables instead of point
-//! tables, the cascade at the leaves, and [`Phase::DtwCascade`] as the
-//! phase the broadcast is booked under. Like the ED path it is generic
+//! The schedules are the Euclidean ones ([`crate::query`] — claim and help
+//! on a resident source, shared fetch on any other), entered through the
+//! same [`exact`](crate::query::exact) with `Measure::Dtw { band }`; this
+//! module only supplies the DTW `LeafKernel`: interval tables instead of
+//! point tables, the cascade at the leaves, and [`Phase::DtwCascade`] as
+//! the phase the broadcast is booked under. Like the ED path it is generic
 //! over [`RawSource`]: the cascade's first stage prunes from the leaf
 //! summaries alone, so an on-disk source pays positioned reads only for
 //! entries that survive the iSAX bound — this is what gives exact DTW an

@@ -19,11 +19,11 @@
 //!   The paper collects the leaves in locked minimum priority queues
 //!   filled round-robin; since they are only ever filled, then drained,
 //!   this reproduction uses per-worker sorted runs claimed by Fetch&Inc
-//!   instead (see [`pqueue`]) — same order, no lock per leaf. That
-//!   within-query parallelism is for a query that arrives alone; a batch
-//!   at least as wide as the pool over a resident dataset is answered
-//!   whole queries per worker instead, and over a non-resident one with
-//!   fetches shared across the batch ([`query`] has the rule).
+//!   instead (see [`pqueue`]) — same order, no lock per leaf. Over a
+//!   resident dataset a batch is answered by workers that claim whole
+//!   queries and, once none is left, join the unfinished ones through the
+//!   same root claims and run cursors; over a non-resident one fetches are
+//!   shared across the batch ([`query`] has both schedules).
 //!
 //! The paper positions MESSI as in-memory; this reproduction additionally
 //! makes every query path generic over `dsidx_storage::RawSource` and adds

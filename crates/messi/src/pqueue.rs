@@ -1,31 +1,25 @@
 //! Sorted leaf runs: MESSI's traversal → processing hand-off.
 //!
-//! The paper hands surviving leaves from the traversal to the processing
-//! phase through locked minimum priority queues filled round-robin. But
-//! the queues are only ever *filled, then drained*, with a barrier
-//! between — a heap under a lock buys nothing a sort cannot, and costs a
-//! contended lock plus a sift on every push and every pop. So here:
+//! The paper hands leaves over through locked minimum priority queues. But
+//! each queue is only *filled, then drained*: a heap under a lock buys
+//! nothing a sort cannot, and costs a contended lock and a sift per push
+//! and per pop. So here:
 //!
 //! * **Fill** — each traversal worker appends to its own [`RunBuilder`]:
-//!   no lock, no atomic, no per-leaf allocation. A leaf is one `u64`
-//!   (bound bits above the leaf index), so sorting a run is sorting
-//!   integers.
-//! * **Publish** — before the phase barrier the worker sorts its run by
-//!   `(bound, leaf)` and hands it to the shared [`LeafRuns`].
-//! * **Drain** — after the barrier each run is claimed best-bound-first
-//!   through one Fetch&Inc cursor; a worker drains its own run, then the
-//!   others' (work stealing for free). A popped bound that proves the rest
-//!   of a run prunable *closes* the run by swapping its cursor to the end,
-//!   which also tells exactly how many leaves were never claimed.
+//!   no lock, no atomic. A leaf is one `u64` (bound bits above the leaf
+//!   index), so sorting a run is sorting integers.
+//! * **Publish** — when its share of the traversal ends, the worker sorts
+//!   its run and hands it to the shared [`LeafRuns`]. No barrier: peers
+//!   may be draining the runs published before it.
+//! * **Drain** — a published run is claimed best-bound-first through one
+//!   Fetch&Inc cursor; a worker drains its own run, then the published
+//!   others'. A popped bound that proves the rest prunable *closes* the
+//!   run (its cursor swapped to the end), which also counts the leaves
+//!   never claimed. A publisher drains its own run until it is exhausted
+//!   or closed, so no run waits on a peer.
 //!
-//! A worker that answers a whole query alone (see [`crate::query`]) skips
-//! publish and cursor: it [`sort`](RunBuilder::sort)s its run in place
-//! and walks it with [`get`](RunBuilder::get).
-//!
-//! Only the shared-fetch batch schedule (non-resident sources) attaches
-//! anything to a leaf: one node-level bound per query of the batch, kept
-//! in a flat `f32` arena beside the keys (`width` floats per leaf). Runs
-//! of the single-query schedules have width 0 and carry no arena.
+//! Only shared fetch (non-resident sources) attaches anything to a leaf:
+//! one bound per query of the batch, in an `f32` arena beside the keys.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -65,7 +59,7 @@ fn unpack(item: u64) -> (f32, u32) {
 pub struct RunBuilder {
     items: Vec<u64>,
     /// Per-query bounds of each pushed leaf, in push order (`width` per
-    /// leaf); empty on the single-query schedules.
+    /// leaf); empty on the resident schedule.
     bounds: Vec<f32>,
 }
 
@@ -90,7 +84,7 @@ impl RunBuilder {
 
     /// Appends leaf `leaf` under ordering key `key`, carrying `bounds`
     /// (one node-level bound per query of a shared-fetch batch; empty on
-    /// the single-query schedules, whose only bound is the key).
+    /// the resident schedule, whose only bound is the key).
     ///
     /// # Panics
     /// Panics if `key` is negative or NaN (lower bounds are non-negative,
@@ -101,39 +95,13 @@ impl RunBuilder {
         self.bounds.extend_from_slice(bounds);
         self.items.push(pack(key, leaf));
     }
-
-    /// Forgets every pushed leaf, keeping the allocation — a worker
-    /// answering query after query reuses one builder.
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.bounds.clear();
-    }
-
-    /// Sorts the run best-bound-first in place, for the worker that filled
-    /// it to walk with [`get`](Self::get).
-    ///
-    /// # Panics
-    /// Panics if any leaf carries bounds (they are addressed by push
-    /// order, which an in-place sort would lose — publish such a run).
-    pub fn sort(&mut self) {
-        assert!(self.bounds.is_empty(), "runs with bounds are published");
-        self.items.sort_unstable();
-    }
-
-    /// The `i`-th leaf as `(bound, leaf)`; `None` past the end.
-    #[inline]
-    #[must_use]
-    pub fn get(&self, i: usize) -> Option<(f32, u32)> {
-        self.items.get(i).copied().map(unpack)
-    }
 }
 
 /// A run sorted for the shared drain.
 #[derive(Debug)]
 struct SortedRun {
     items: Vec<u64>,
-    /// Push index of each sorted item — its row in `bounds`. Empty at
-    /// width 0.
+    /// Push index of each sorted item — its row in `bounds` (none at width 0).
     rows: Vec<u32>,
     bounds: Vec<f32>,
 }
@@ -148,25 +116,24 @@ struct Run {
 }
 
 impl Run {
-    /// Closes this run (of `len` leaves) wholesale, returning how many of
-    /// its leaves were never claimed (0 when it was already closed or
-    /// exhausted).
+    /// Closes this run (of `len` leaves) wholesale; returns how many of its
+    /// leaves were never claimed (0 when already closed or exhausted).
     fn close(&self, len: usize) -> u64 {
         // ORDERING: acq-rel swap — the cursor carries no payload (items
-        // were published through the `OnceLock` and the phase barrier);
-        // the RMW's total order on this one atomic is what makes every
-        // index either claimed by exactly one `fetch_add` or skipped by
-        // exactly one `swap`, so the never-claimed count is exact.
+        // were published through the `OnceLock`); the RMW's total order on
+        // this one atomic is what makes every index either claimed by
+        // exactly one `fetch_add` or skipped by exactly one `swap`, so the
+        // never-claimed count is exact.
         let claimed = self.cursor.swap(len, Ordering::AcqRel);
         len.saturating_sub(claimed) as u64
     }
 }
 
-/// The per-query set of leaf runs, one per worker.
+/// The per-query set of leaf runs, one slot per worker.
 #[derive(Debug)]
 pub struct LeafRuns {
     /// Bounds carried per leaf (the batch size on the shared-fetch batch
-    /// schedule; 0 on the single-query ones).
+    /// schedule; 0 on the resident one).
     width: usize,
     runs: Box<[Run]>,
 }
@@ -182,9 +149,9 @@ impl LeafRuns {
         }
     }
 
-    /// Sorts `run` best-bound-first and publishes it as `worker`'s. Every
-    /// worker publishes exactly once (an empty run is fine), before the
-    /// barrier that separates traversal from processing.
+    /// Sorts `run` best-bound-first and publishes it as `worker`'s. A
+    /// worker publishes at most once (an empty run is fine), whenever its
+    /// traversal ends; peers may be draining the other slots meanwhile.
     ///
     /// # Panics
     /// Panics on a second publish for the same worker, or if some leaf
@@ -216,61 +183,86 @@ impl LeafRuns {
             "worker {worker} published its run twice"
         );
     }
+
+    /// `true` once `worker` published its run.
+    #[must_use]
+    pub fn is_published(&self, worker: usize) -> bool {
+        self.runs[worker].sorted.get().is_some()
+    }
+
+    /// `true` while some published run has leaves nobody claimed — a hint:
+    /// acting on a stale answer costs at most an empty drain.
+    #[must_use]
+    pub fn has_unclaimed(&self) -> bool {
+        self.runs.iter().any(|run| {
+            run.sorted.get().is_some_and(|sorted| {
+                // ORDERING: relaxed — a hint; the drain that acts on it
+                // claims through its own `fetch_add`.
+                run.cursor.load(Ordering::Relaxed) < sorted.items.len()
+            })
+        })
+    }
 }
 
 /// What a processing worker decided about one popped leaf.
 pub enum Drain {
-    /// The leaf was handled (processed or discarded); keep draining this
-    /// run.
+    /// The leaf was handled (processed or discarded): keep draining.
     Processed,
-    /// The popped bound proves everything left in this run is prunable:
-    /// close the run and move on.
+    /// Everything left in this run is prunable: close it and move on.
     Abandon,
 }
 
-/// The best-bound-first processing schedule of the cooperative MESSI
-/// schedules: starting from the worker's own run, claim leaves in
-/// ascending bound order and hand `(bound, leaf, per-query bounds)` to
-/// `on_pop`; leave a run when it is exhausted or `on_pop` abandons it
-/// (which closes it for everyone); move on to the next worker's run.
-/// Returns the number of leaves this worker's abandons left
-/// unclaimed — each such leaf is counted by exactly one worker, so summed
-/// over workers `popped + returned == published`.
-///
-/// Must only run after every worker published (i.e. behind the barrier).
+/// A popped leaf's run from that leaf on, for prefetching: whoever claims
+/// the leaves behind it, their memory is wanted soon.
+#[derive(Clone, Copy)]
+pub struct Ahead<'a>(&'a [u64]);
+
+impl Ahead<'_> {
+    /// The leaf `steps` places behind the popped one, if the run is that
+    /// long.
+    #[inline]
+    #[must_use]
+    pub fn leaf(self, steps: usize) -> Option<u32> {
+        self.0.get(steps).map(|&item| unpack(item).1)
+    }
+}
+
+/// MESSI's best-bound-first processing: from the worker's own run on, claim
+/// leaves in ascending bound order and hand `(bound, leaf, per-query
+/// bounds, what comes next)` to `on_pop`; leave a run when it is exhausted
+/// or `on_pop` abandons it (closing it for everyone). Unpublished slots
+/// are skipped — their publishers drain them. Returns the leaves this
+/// worker's abandons left unclaimed, each counted by exactly one worker:
+/// once every run is exhausted or closed, `popped + returned == published`.
 pub fn drain_best_first(
     runs: &LeafRuns,
     worker: usize,
-    mut on_pop: impl FnMut(f32, u32, &[f32]) -> Drain,
+    mut on_pop: impl FnMut(f32, u32, &[f32], Ahead<'_>) -> Drain,
 ) -> u64 {
     let n = runs.runs.len();
     let mut pops = 0u64;
     let mut unclaimed = 0u64;
     for r in (worker..n).chain(0..worker) {
         let run = &runs.runs[r];
-        let sorted = run
-            .sorted
-            .get()
-            .expect("every run is published before the barrier");
+        let Some(sorted) = run.sorted.get() else {
+            continue;
+        };
         let len = sorted.items.len();
         loop {
             // ORDERING: relaxed — Fetch&Inc claim: the index is the whole
             // payload; the items it indexes were published through the
-            // `OnceLock` (acquired by `get` above) before the barrier.
+            // `OnceLock` (acquired by `get` above).
             let i = run.cursor.fetch_add(1, Ordering::Relaxed);
             let Some(&item) = sorted.items.get(i) else {
                 break;
             };
             pops += 1;
             let (key, leaf) = unpack(item);
-            let bounds = match sorted.rows.get(i) {
-                Some(&row) => {
-                    let at = row as usize * runs.width;
-                    &sorted.bounds[at..at + runs.width]
-                }
-                None => &[][..],
-            };
-            if matches!(on_pop(key, leaf, bounds), Drain::Abandon) {
+            let bounds = sorted.rows.get(i).map_or(&[][..], |&row| {
+                &sorted.bounds[row as usize * runs.width..][..runs.width]
+            });
+            let ahead = Ahead(&sorted.items[i..]);
+            if matches!(on_pop(key, leaf, bounds, ahead), Drain::Abandon) {
                 unclaimed += run.close(len);
                 break;
             }
@@ -298,7 +290,7 @@ mod tests {
 
     fn drain_all(runs: &LeafRuns, worker: usize) -> Vec<(f32, u32)> {
         let mut out = Vec::new();
-        let unclaimed = drain_best_first(runs, worker, |k, v, _| {
+        let unclaimed = drain_best_first(runs, worker, |k, v, _, _| {
             out.push((k, v));
             Drain::Processed
         });
@@ -318,28 +310,6 @@ mod tests {
             drain_all(&runs, 0),
             vec![(0.5, 5), (1.0, 7), (1.0, 10), (2.0, 20), (3.0, 30)]
         );
-    }
-
-    #[test]
-    fn a_private_run_sorts_in_place_and_is_reusable() {
-        let mut run = run_of(&[(3.0, 30), (1.0, 10), (2.0, 20), (1.0, 7)]);
-        run.sort();
-        let walked: Vec<_> = (0..).map_while(|i| run.get(i)).collect();
-        assert_eq!(walked, vec![(1.0, 7), (1.0, 10), (2.0, 20), (3.0, 30)]);
-        assert_eq!(run.get(4), None);
-        run.clear();
-        assert!(run.is_empty());
-        run.push(0.5, 5, &[]);
-        run.sort();
-        assert_eq!(run.get(0), Some((0.5, 5)));
-    }
-
-    #[test]
-    #[should_panic(expected = "runs with bounds are published")]
-    fn a_run_with_bounds_cannot_be_sorted_in_place() {
-        let mut run = RunBuilder::new();
-        run.push(1.0, 0, &[1.0]);
-        run.sort();
     }
 
     #[test]
@@ -389,7 +359,7 @@ mod tests {
         runs.publish(0, a);
         runs.publish(1, b);
         let mut seen = Vec::new();
-        drain_best_first(&runs, 1, |k, leaf, bounds| {
+        drain_best_first(&runs, 1, |k, leaf, bounds, _| {
             assert_eq!(bounds[0], k);
             seen.push((leaf, bounds.to_vec()));
             Drain::Processed
@@ -428,7 +398,7 @@ mod tests {
             run_of(&(0..10).map(|i| (i as f32, i)).collect::<Vec<_>>()),
         );
         let mut popped = Vec::new();
-        let unclaimed = drain_best_first(&runs, 0, |k, v, _| {
+        let unclaimed = drain_best_first(&runs, 0, |k, v, _, _| {
             popped.push(v);
             if k >= 4.0 {
                 Drain::Abandon
@@ -448,7 +418,7 @@ mod tests {
         // Abandon run 0 at its first pop; run 1 stays open and is drained
         // in full — an abandon closes only its own run.
         let mut popped = Vec::new();
-        let unclaimed = drain_best_first(&runs, 0, |_, v, _| {
+        let unclaimed = drain_best_first(&runs, 0, |_, v, _, _| {
             popped.push(v);
             if v == 1 {
                 Drain::Abandon
@@ -461,7 +431,7 @@ mod tests {
         // The never-claimed leaves are counted exactly once: closing again
         // (or draining again) finds nothing.
         assert_eq!(runs.runs[0].close(3), 0);
-        let unclaimed = drain_best_first(&runs, 1, |_, _, _| panic!("nothing left to pop"));
+        let unclaimed = drain_best_first(&runs, 1, |_, _, _, _| panic!("nothing left to pop"));
         assert_eq!(unclaimed, 0);
     }
 
@@ -497,7 +467,7 @@ mod tests {
                         // key seen per source run.
                         let mut last = vec![0.0f32; threads];
                         let mut mine = 0u64;
-                        let unclaimed = drain_best_first(runs, t, |k, leaf, bounds| {
+                        let unclaimed = drain_best_first(runs, t, |k, leaf, bounds, _| {
                             assert_eq!(bounds, [k]);
                             let from = leaf as usize / PER_WORKER;
                             assert!(k >= last[from], "run {from} out of order");
@@ -544,7 +514,7 @@ mod tests {
                         // Everyone abandons at the same bound, so several
                         // workers race to close the same run.
                         let mut mine = 0u64;
-                        let left = drain_best_first(runs, t, |k, _, _| {
+                        let left = drain_best_first(runs, t, |k, _, _, _| {
                             mine += 1;
                             if k >= 100.0 {
                                 Drain::Abandon
@@ -562,6 +532,125 @@ mod tests {
             assert_eq!(
                 popped.into_inner() + unclaimed.into_inner(),
                 (threads * PER_WORKER) as u64,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn unpublished_slots_are_skipped_until_their_publisher_arrives() {
+        let runs = LeafRuns::new(3, 0);
+        assert!(!runs.has_unclaimed());
+        runs.publish(1, run_of(&[(2.0, 20), (1.0, 10)]));
+        assert!(runs.is_published(1) && !runs.is_published(0));
+        assert!(runs.has_unclaimed());
+        // Worker 0 has not published: its own slot and slot 2 are skipped.
+        assert_eq!(drain_all(&runs, 0), vec![(1.0, 10), (2.0, 20)]);
+        assert!(!runs.has_unclaimed());
+        // A late publisher drains its own run; nothing is popped twice.
+        runs.publish(0, run_of(&[(0.5, 5), (3.0, 30), (4.0, 40)]));
+        let mut ahead = Vec::new();
+        let unclaimed = drain_best_first(&runs, 0, |_, leaf, _, next| {
+            ahead.push((leaf, next.leaf(1), next.leaf(2)));
+            Drain::Processed
+        });
+        assert_eq!(unclaimed, 0);
+        assert_eq!(
+            ahead,
+            vec![
+                (5, Some(30), Some(40)),
+                (30, Some(40), None),
+                (40, None, None)
+            ]
+        );
+        assert!(!runs.has_unclaimed());
+    }
+
+    #[test]
+    fn staggered_publishes_while_peers_drain_account_for_every_leaf_once() {
+        const PER_WORKER: usize = 300;
+        for threads in [2usize, 3, 8] {
+            // No barrier: worker `t` publishes only once every earlier
+            // worker has published and made one drain pass — which skipped
+            // slot `t` and the later ones — so each late run arrives while
+            // its peers are draining. Worker `t` leaves its run empty when
+            // `t % 4 == 3`; odd runs are closed at a bound, the others
+            // drained to exhaustion.
+            let runs = LeafRuns::new(threads, 0);
+            let published = AtomicUsize::new(0);
+            let first_passes = AtomicUsize::new(0);
+            let total = (0..threads).filter(|t| t % 4 != 3).count() * PER_WORKER;
+            let seen: Vec<AtomicU64> = (0..threads * PER_WORKER)
+                .map(|_| AtomicU64::new(0))
+                .collect();
+            let unclaimed = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let (runs, published, first_passes, seen, unclaimed) =
+                        (&runs, &published, &first_passes, &seen, &unclaimed);
+                    s.spawn(move || {
+                        // ORDERING: acquire — pairs with the release
+                        // increments below: the earlier runs are visible.
+                        while published.load(Ordering::Acquire) < t
+                            || first_passes.load(Ordering::Acquire) < t
+                        {
+                            std::thread::yield_now();
+                        }
+                        let mut run = RunBuilder::new();
+                        if t % 4 != 3 {
+                            for i in 0..PER_WORKER {
+                                run.push(i as f32, (t * PER_WORKER + i) as u32, &[]);
+                            }
+                        }
+                        runs.publish(t, run);
+                        // ORDERING: release — see the acquire above.
+                        published.fetch_add(1, Ordering::Release);
+                        // Keep draining while runs are still to come or
+                        // hold unclaimed leaves, as an idle resident
+                        // worker does.
+                        let mut left = 0;
+                        for pass in 0.. {
+                            // ORDERING: acquire — see the release above.
+                            let all_published = published.load(Ordering::Acquire) == threads;
+                            left += drain_best_first(runs, t, |k, leaf, _, _| {
+                                // ORDERING: relaxed — test tally read after
+                                // the scope joins.
+                                seen[leaf as usize].fetch_add(1, Ordering::Relaxed);
+                                let from = leaf as usize / PER_WORKER;
+                                if from % 2 == 1 && k >= 200.0 {
+                                    Drain::Abandon
+                                } else {
+                                    Drain::Processed
+                                }
+                            });
+                            if pass == 0 {
+                                // ORDERING: release — see the acquire above.
+                                first_passes.fetch_add(1, Ordering::Release);
+                            }
+                            if all_published && !runs.has_unclaimed() {
+                                break;
+                            }
+                            std::thread::yield_now();
+                        }
+                        // ORDERING: relaxed — test tally read after the
+                        // scope joins.
+                        unclaimed.fetch_add(left, Ordering::Relaxed);
+                    });
+                }
+            });
+            let mut popped = 0;
+            for (id, n) in seen.into_iter().enumerate() {
+                let n = n.into_inner();
+                assert!(n <= 1, "leaf {id} popped {n} times, threads={threads}");
+                let from = id / PER_WORKER;
+                if from % 4 != 3 && (from % 2 == 0 || id % PER_WORKER <= 200) {
+                    assert_eq!(n, 1, "leaf {id} never popped, threads={threads}");
+                }
+                popped += n;
+            }
+            assert_eq!(
+                popped + unclaimed.into_inner(),
+                total as u64,
                 "threads={threads}"
             );
         }

@@ -1,6 +1,6 @@
 //! MESSI exact query answering (stage 3 of Fig. 3).
 //!
-//! One query is answered in two steps, whoever runs them:
+//! One query is answered in two steps, by however many workers join it:
 //!
 //! * **Traversal** — root subtrees are claimed by Fetch&Inc and pruned
 //!   with node-level lower bounds against the query's best-so-far; the
@@ -8,20 +8,19 @@
 //!   fitted to the collection) is scanned from the key bits alone, two
 //!   table reads per root
 //!   ([`RootBounds`](crate::traverse::RootBounds)), without touching tree
-//!   memory. Surviving leaves are appended to a run and sorted by bound.
+//!   memory. Surviving leaves are appended to the worker's run, which is
+//!   sorted by bound and published the moment the worker's share ends.
 //! * **Processing** — leaves are visited best-bound-first; a bound at or
 //!   above the best-so-far abandons everything behind it. A visited leaf
 //!   is bounded whole by the batched MINDIST kernel over its padded word
 //!   run, its survivors' series are prefetched, then each survivor pays an
-//!   early-abandoned real distance. A worker walking its own sorted run
-//!   also knows which leaf comes a few steps later and requests its words
-//!   early; the shared drain of the cooperative schedule does not (what the
-//!   next claim of a shared cursor will be is anyone's guess, and the same
-//!   lookahead there measured no gain).
+//!   early-abandoned real distance. The words of the leaf a few places
+//!   behind the popped one (and, twice as far, its node) are requested
+//!   early, whoever will claim it.
 //!
 //! Query preparation, approximate-descent seeding and the per-leaf loops
 //! come from the shared kernel (`dsidx-query`), reached through
-//! `LeafKernel` so that one set of schedules answers both measures (the
+//! `LeafKernel` so that one pair of schedules answers both measures (the
 //! Euclidean kernel is here, the DTW one in [`crate::dtw`]). This module
 //! contributes the MESSI scheduling and the crate's entry point, [`exact`],
 //! which takes the [`Measure`] as a value. All tree reads go through the
@@ -31,48 +30,43 @@
 //!
 //! # Which schedule runs
 //!
-//! MESSI parallelises *inside* a query because it assumes one query at a
-//! time. With a batch in hand that is the wrong axis: pruning a tree node
-//! only when 64 unrelated queries agree prunes almost nothing, and a
-//! barrier, a shared run and per-leaf survivor lists buy nothing when the
-//! raw data is a pointer away. So [`exact`] picks one of three schedules
-//! from what it can observe about the call, and from nothing else (there
-//! is no option, environment variable or feature behind it):
+//! [`exact`] picks one of two schedules from the source's residence, and
+//! from nothing else (there is no option, environment variable or feature
+//! behind it):
 //!
-//! | source | batch width | schedule |
-//! |---|---|---|
-//! | resident (`as_memory()` is `Some`) | `>= threads` | **whole queries**: workers claim query indices from a [`WorkQueue`] and answer each start to finish — prepare, seed from its own leaf, traverse alone into a private run, sort, drain — with one reusable node table, run and scratch per worker. No barrier, nothing shared but the claim counter. |
-//! | resident | `< threads` | **cooperative**: the queries run one after another, all workers on each — traversal into per-worker runs, a spin barrier, best-bound-first drain with stealing (the paper's schedule). Too few queries to keep every worker busy otherwise; this is the single-query path. |
-//! | non-resident | any | **shared fetch**: one traversal for the whole batch ([`BatchTraversal`]), a popped leaf processed once and each surviving series read once for every query that wants it — on a device that charges per read, one fetch serving many queries is the saving that matters. |
+//! | source | schedule |
+//! |---|---|
+//! | resident (`as_memory()` is `Some`) | **claim and help**: each worker claims the next query from a [`WorkQueue`], prepares it, seeds it from its own leaf and opens it to its peers, then runs its share of the traversal into its own run, publishes the run and drains best-bound-first. A worker that finds the queue empty joins an open query that still has work: its traversal while a participant is still traversing, its published runs while they hold unclaimed leaves. A batch of one is the paper's schedule (every worker on the one query); a batch of 64 is whole queries per worker with the tail shared. |
+//! | non-resident | **shared fetch**: one traversal for the whole batch ([`BatchTraversal`]), a popped leaf processed once and each surviving series read once for every query that wants it — on a device that charges per read, one fetch serving many queries is the saving that matters. |
 //!
-//! Every schedule is one pool broadcast per call and returns bit-identical
+//! The resident schedule has no barrier. Every published run is drained
+//! by its publisher until it is exhausted or closed, so exactness never
+//! waits on a peer. A worker with nothing to do waits (spinning, then
+//! yielding) only while some query is still being opened or has a
+//! participant that has not published its run, and stops waiting as soon
+//! as a peer records an error.
+//!
+//! Both schedules are one pool broadcast per call and return bit-identical
 //! answers: every reported distance comes from the same bounded kernel,
 //! and the top-k collectors break ties by position.
 //!
-//! What the two boundaries rest on (2 workers, alternating pairs; every
-//! run is in CHANGES.md, PR 20):
-//!
-//! * *Residence.* The resident schedules forced onto a `DiskIndex` (modeled
-//!   SSD) against shared fetch: shared fetch is faster in `repro ondisk`
-//!   on both measures (ED 46 vs 57 ms per query, DTW 377 vs 486; 12 of 12
-//!   pairs each), and at 64 queries per call by 14 % for 10-NN ED and by
-//!   5x for DTW, whose looser bounds make queries want the same series
-//!   (1,605 reads per query where answering alone takes 10,154). It is
-//!   not faster everywhere: 64 x 1-NN ED per call reads the same 380
-//!   series either way and pays 8x the distance attempts to share them
-//!   (+15 %), and one query per call is level (+4 %).
-//! * *Width.* `>= threads` is verified far from the boundary only — one
-//!   query per call (cooperative 1.7x faster than a lone whole query) and
-//!   64 (whole queries 2x the batch traversal). At the boundary the only
-//!   pool measured is 2 wide, and there cooperative was ahead at 2 and 3
-//!   queries per call (by 10 % and 7 %), level at 4, behind by 15 % at 8.
-//!   Just above the boundary whole queries leave workers idle for a full
-//!   query (9 queries on 8 workers take two query times); whether a wider
-//!   pool moves the crossover is not measured.
+//! The residence boundary rests on alternating pairs (2 workers; every run
+//! is in CHANGES.md): on a `DiskIndex` (modeled SSD) shared fetch beat
+//! the resident schedules of the time in `repro ondisk` on both measures
+//! (ED 46 vs 57 ms per query, DTW 377 vs 486; 12 of 12 pairs each), by
+//! 14 % for 64 x 10-NN ED per call and by 5x for 64 DTW queries, whose
+//! looser bounds make queries want the same series. It lost 15 % on 64 x
+//! 1-NN ED per call and was level at one query per call. The resident
+//! schedule replaced a width rule (whole queries from `threads` queries
+//! per call up, all workers on each query below); `repro throughput
+//! --scale small` (100k x 256, 10-NN, 2 workers, 16 alternating runs,
+//! µs per query, rule → this schedule) reads 379 → 391 at width 1, 472 →
+//! 384 at t, 446 → 348 at t + 1, 409 → 368 at 2t and 345 → 356 at 64.
 //!
 //! A read failing mid-query (a device dying under load) surfaces as `Err`:
-//! the worker records the first failure in a shared [`ErrorSlot`], its
-//! peers stop claiming work, and the coordinator returns the error.
+//! the worker records the first failure in a shared [`ErrorSlot`], with
+//! the query and the phase it tripped in; its peers stop claiming,
+//! joining and waiting, and the coordinator returns the error.
 
 use crate::build::MessiIndex;
 use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
@@ -87,16 +81,19 @@ use dsidx_query::{
 use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
-use dsidx_sync::{SpinBarrier, WorkQueue};
+use dsidx_sync::{OffsetTopK, SpinBarrier, WorkQueue};
 use dsidx_tree::FlatTree;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// What a distance measure contributes to the MESSI schedules: how a query
 /// is prepared, and the seeding and per-leaf loops that pay its distances.
 /// The schedules themselves — traversal, runs, who works on what — are
 /// written once against this.
 pub(crate) trait LeafKernel: Sync {
-    /// Per-query prepared state (summaries and lookup tables).
-    type Prep: Sync;
+    /// Per-query prepared state (summaries and lookup tables), shared by
+    /// every worker that joins the query.
+    type Prep: Send + Sync;
 
     /// The phase the traversal-and-processing broadcast is booked under.
     const PHASE: Phase;
@@ -244,7 +241,7 @@ impl LeafKernel for Euclidean {
     }
 }
 
-/// How many visits ahead a worker draining its private run requests a
+/// How many places behind the popped leaf a draining worker requests a
 /// leaf's words — far enough that they arrive before they are bounded,
 /// near enough that they are still cached then. The leaf's *node* (which
 /// says where its words are) is requested twice as far ahead: asking for
@@ -256,7 +253,7 @@ const LOOKAHEAD: usize = 4;
 /// dozen 17-byte words) in full.
 const LEAF_PREFETCH_LINES: usize = 4;
 
-/// Everything the three schedules share for one call.
+/// Everything the two schedules share for one call.
 struct Call<'a, 'q, K, S> {
     kernel: &'a K,
     flat: &'a FlatTree,
@@ -268,7 +265,7 @@ struct Call<'a, 'q, K, S> {
 }
 
 /// [`exact`] for one measure's kernel: builds the batch, picks the schedule
-/// (see the module docs for the rule), runs it in one broadcast.
+/// (see the module docs), runs it in one broadcast.
 fn exact_batch<K: LeafKernel>(
     kernel: &K,
     messi: &MessiIndex,
@@ -299,54 +296,103 @@ fn exact_batch<K: LeafKernel>(
         errors: &errors,
     };
     // Counters of work done once for the whole batch: only the shared-fetch
-    // schedule has any; the resident schedules account per query.
+    // schedule has any; the resident schedule accounts per query.
     let shared = if source.as_memory().is_none() {
         call.shared_fetch(&mut clock)?
-    } else if queries.len() >= threads {
-        call.whole_queries(&mut clock);
-        QueryStats::default()
     } else {
-        call.cooperative(&mut clock)?;
+        call.resident(&mut clock);
         QueryStats::default()
     };
     errors.take()?;
     Ok(batch.finish(1, shared))
 }
 
-impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
-    /// Resident source, at least one query per worker: each worker answers
-    /// whole queries, claimed one at a time.
-    fn whole_queries(&self, clock: &mut PhaseClock) {
+/// One query of a resident call, opened to every worker by the one that
+/// claimed it: what a peer needs to join its traversal or its drain.
+struct Open<'a, K: LeafKernel> {
+    prep: K::Prep,
+    traversal: Traversal<'a, OffsetTopK>,
+    runs: LeafRuns,
+    /// Participants that joined the traversal and have not published their
+    /// run yet (the opener counts from the start).
+    traversing: AtomicUsize,
+}
+
+/// Where a worker that found the query queue empty goes next.
+enum Help {
+    /// Work on this query: join its traversal first when `true` (the
+    /// worker is then counted in `traversing`), then drain it.
+    Join(usize, bool),
+    /// Nothing to do yet: some query is still being opened or traversed.
+    Wait,
+    /// Every query is opened, traversed and drained.
+    Done,
+}
+
+/// What a resident worker keeps from query to query: its fetcher and
+/// per-leaf scratch, the phase times it measured, the series it fetched.
+struct Worker<'a, S: RawSource> {
+    fetcher: SeriesFetcher<'a, S>,
+    scratch: LeafScratch,
+    phases: PhaseBreakdown,
+    fetched: u64,
+}
+
+impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
+    /// Resident source, any batch width: workers claim whole queries and
+    /// help unfinished ones once the queue is empty (see the module docs).
+    fn resident(&self, clock: &mut PhaseClock) {
         let Self { batch, errors, .. } = *self;
         let pool = dsidx_sync::pool::global(self.threads);
         let claims = WorkQueue::new(batch.len());
+        let opened: Vec<OnceLock<Open<'a, K>>> =
+            batch.slots().iter().map(|_| OnceLock::new()).collect();
         let spent = PhaseAcc::new();
         clock.lap_into(batch.phases(), Phase::Prepare);
 
-        pool.broadcast(&|_| {
-            let mut worker = Worker::new(self.source);
-            let mut phases = PhaseBreakdown::new();
-            let mut fetched = 0u64;
+        pool.broadcast(&|worker| {
+            let mut me = Worker {
+                fetcher: SeriesFetcher::new(self.source),
+                scratch: LeafScratch::new(),
+                phases: PhaseBreakdown::new(),
+                fetched: 0,
+            };
+            let mut spins = 0u32;
             while !errors.is_set() {
-                let Some(qi) = claims.claim() else { break };
-                let slot = &batch.slots()[qi];
-                match self.answer_alone(slot.values, &slot.topk, &mut worker, &mut phases) {
-                    Ok((stats, series)) => {
-                        slot.stats.merge(&stats);
-                        fetched += series;
+                let (qi, traverse) = if let Some(qi) = claims.claim() {
+                    match self.open(qi, &mut me) {
+                        Ok(open) => {
+                            assert!(opened[qi].set(open).is_ok(), "query {qi} opened twice");
+                            (qi, true)
+                        }
+                        Err(e) => {
+                            errors.record_for_query(e, qi);
+                            continue;
+                        }
                     }
-                    Err(e) => errors.record_for_query(e, qi),
-                }
+                } else {
+                    match help_wanted(&opened, worker) {
+                        Help::Join(qi, traverse) => (qi, traverse),
+                        Help::Wait => {
+                            backoff(&mut spins);
+                            continue;
+                        }
+                        Help::Done => break,
+                    }
+                };
+                spins = 0;
+                let open = opened[qi].get().expect("worked-on queries are open");
+                self.work_on(qi, open, traverse, worker, &mut me);
             }
             // Resident data: every distance attempt reads its own series.
-            batch.count_io(fetched, fetched);
-            spent.add(&phases);
+            batch.count_io(me.fetched, me.fetched);
+            spent.add(&me.phases);
         });
 
         // The workers' phase times add up to about `threads` times the
-        // broadcast's wall time. Book the wall time, split in the
-        // proportions the workers measured, so the breakdown keeps adding
-        // up to what the caller waited.
+        // broadcast's wall time (waiting for a peer is booked to no phase).
+        // Book the wall time, split in the proportions the workers
+        // measured, so the breakdown adds up to what the caller waited.
         let wall = clock.lap();
         let spent = spent.snapshot();
         let total = u128::from(spent.total_nanos());
@@ -361,206 +407,117 @@ impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
         }
     }
 
-    /// One query, start to finish, on the calling worker alone. Phase
-    /// times go to the worker's `phases`; returns the query's counters and
-    /// the number of series fetched.
-    fn answer_alone<P: Pruner>(
-        &self,
-        query: &[f32],
-        pruner: &P,
-        worker: &mut Worker<'_, S>,
-        phases: &mut PhaseBreakdown,
-    ) -> Result<(QueryStats, u64), StorageError> {
+    /// Prepares and seeds claimed query `qi` on the calling worker; returns
+    /// it ready to open, with the caller counted as traversing it.
+    fn open(&self, qi: usize, me: &mut Worker<'_, S>) -> Result<Open<'a, K>, StorageError> {
         let (flat, kernel) = (self.flat, self.kernel);
+        let slot = &self.batch.slots()[qi];
         let mut clock = PhaseClock::start();
-        let mut stats = QueryStats::default();
-        let prep = kernel.prepare(self.quantizer, query);
-        K::fill_node_table(&prep, self.quantizer, &mut worker.node_table);
-        phases.record(Phase::Prepare, clock.lap());
+        let prep = kernel.prepare(self.quantizer, slot.values);
+        let mut node_table = NodeMindistTable::default();
+        K::fill_node_table(&prep, self.quantizer, &mut node_table);
+        let traversal = Traversal::new(flat, node_table, &slot.topk);
+        me.phases.record(Phase::Prepare, clock.lap());
 
+        // Initial threshold from the query's own leaf (its approximate
+        // answer), routing around empty subtrees.
         let own_leaf =
             approx_leaf_flat(flat, K::word(&prep)).expect("non-empty index has a non-empty leaf");
         let seeds = flat.leaf_positions(flat.node(own_leaf));
-        stats.real_computed = kernel
+        let reals = kernel
             .seed(
                 &prep,
                 seeds,
-                &mut worker.fetcher,
-                query,
-                pruner,
-                &mut worker.scratch,
+                &mut me.fetcher,
+                slot.values,
+                &slot.topk,
+                &mut me.scratch,
             )
             .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-        let mut fetched = seeds.len() as u64;
-        phases.record(Phase::Seed, clock.lap());
+        slot.stats.add_real_computed(reals);
+        me.fetched += seeds.len() as u64;
+        me.phases.record(Phase::Seed, clock.lap());
+        Ok(Open {
+            prep,
+            traversal,
+            runs: LeafRuns::new(self.threads, 0),
+            traversing: AtomicUsize::new(1),
+        })
+    }
 
-        let run = &mut worker.run;
-        run.clear();
-        stats.nodes_pruned = Traversal::new(flat, &worker.node_table, pruner).run_worker(run);
-        stats.leaves_enqueued = run.len() as u64;
-        run.sort();
-        let mut visited = 0;
-        while let Some((lb, leaf)) = run.get(visited) {
-            if lb >= pruner.threshold_sq() {
-                break;
+    /// One visit of the calling worker to open query `qi`: its share of the
+    /// traversal into its own run and the run's publication when
+    /// `traverse` (the caller is then counted in `traversing`), then a
+    /// best-bound-first drain, own run first.
+    fn work_on(
+        &self,
+        qi: usize,
+        open: &Open<'_, K>,
+        traverse: bool,
+        worker: usize,
+        me: &mut Worker<'_, S>,
+    ) {
+        let (flat, kernel, errors) = (self.flat, self.kernel, self.errors);
+        let slot = &self.batch.slots()[qi];
+        let mut clock = PhaseClock::start();
+        // Workers accumulate locally and merge once per visit — shared
+        // fetch_adds per leaf would bounce one cache line across every
+        // core and dominate these sub-ms phases.
+        let mut local = QueryStats::default();
+        if traverse {
+            let mut run = RunBuilder::new();
+            local.nodes_pruned = open.traversal.run_worker(&mut run);
+            local.leaves_enqueued = run.len() as u64;
+            open.runs.publish(worker, run);
+            // ORDERING: release — pairs with the acquire in `help_wanted`:
+            // a peer that reads the count this leaves sees the run
+            // published.
+            open.traversing.fetch_sub(1, Ordering::Release);
+        }
+        let Worker {
+            fetcher,
+            scratch,
+            fetched,
+            ..
+        } = me;
+        let unclaimed = drain_best_first(&open.runs, worker, |lb, leaf, _, ahead| {
+            if errors.is_set() || lb >= slot.topk.threshold_sq() {
+                // Everything left in this run is at least as far (or a
+                // peer already failed): abandon it wholesale.
+                local.leaves_discarded += 1;
+                return Drain::Abandon;
             }
-            if let Some((_, far)) = run.get(visited + 2 * LOOKAHEAD) {
+            if let Some(far) = ahead.leaf(2 * LOOKAHEAD) {
                 prefetch_lines(std::slice::from_ref(flat.node(far)), 1);
             }
-            if let Some((_, near)) = run.get(visited + LOOKAHEAD) {
+            if let Some(near) = ahead.leaf(LOOKAHEAD) {
                 prefetch_lines(flat.leaf_words(flat.node(near)), LEAF_PREFETCH_LINES);
             }
-            visited += 1;
+            local.leaves_processed += 1;
             let node = flat.node(leaf);
-            fetched += kernel.process_leaf(
-                &prep,
+            match kernel.process_leaf(
+                &open.prep,
                 flat.leaf_words_padded(node),
                 flat.leaf_positions(node),
-                &mut worker.fetcher,
-                query,
-                pruner,
-                &mut worker.scratch,
-                &mut stats,
-            )?;
-        }
-        stats.leaves_processed = visited as u64;
-        stats.leaves_discarded = stats.leaves_enqueued - stats.leaves_processed;
-        phases.record(K::PHASE, clock.lap());
-        Ok((stats, fetched))
-    }
-
-    /// Prepares every query of the batch on the calling thread: its
-    /// summaries and its node-level table, index-aligned with the slots.
-    fn prepare_all(&self) -> (Vec<K::Prep>, Vec<NodeMindistTable>) {
-        let preps: Vec<K::Prep> = self
-            .batch
-            .slots()
-            .iter()
-            .map(|slot| self.kernel.prepare(self.quantizer, slot.values))
-            .collect();
-        let node_tables = preps
-            .iter()
-            .map(|prep| {
-                let mut table = NodeMindistTable::default();
-                K::fill_node_table(prep, self.quantizer, &mut table);
-                table
-            })
-            .collect();
-        (preps, node_tables)
-    }
-
-    /// Resident source, fewer queries than workers: the queries one after
-    /// another, all workers on each (the paper's schedule). Preparation
-    /// and seeding run here, on the coordinator, before the broadcast.
-    fn cooperative(&self, clock: &mut PhaseClock) -> Result<(), StorageError> {
-        let Self {
-            flat,
-            kernel,
-            batch,
-            errors,
-            ..
-        } = *self;
-        let (preps, node_tables) = self.prepare_all();
-        let pool = dsidx_sync::pool::global(self.threads);
-        clock.lap_into(batch.phases(), Phase::Prepare);
-
-        // Initial threshold from each query's own leaf (its approximate
-        // answer), routing around empty subtrees.
-        let mut fetcher = SeriesFetcher::new(self.source);
-        let mut scratch = LeafScratch::new();
-        let mut fetched = 0u64;
-        for (slot, prep) in batch.slots().iter().zip(&preps) {
-            let own_leaf = approx_leaf_flat(flat, K::word(prep))
-                .expect("non-empty index has a non-empty leaf");
-            let seeds = flat.leaf_positions(flat.node(own_leaf));
-            let reals = kernel
-                .seed(
-                    prep,
-                    seeds,
-                    &mut fetcher,
-                    slot.values,
-                    &slot.topk,
-                    &mut scratch,
-                )
-                .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-            slot.stats.add_real_computed(reals);
-            fetched += seeds.len() as u64;
-        }
-        batch.count_io(fetched, fetched);
-        clock.lap_into(batch.phases(), Phase::Seed);
-
-        // Per query: cooperative traversal (roots claimed by Fetch&Inc,
-        // large subtrees split by work donation — see [`crate::traverse`])
-        // into per-worker runs, a spin barrier, then best-bound-first
-        // draining, own run first. A worker done draining query `i` moves
-        // straight on to traversing query `i + 1`; nothing of `i + 1` is
-        // drained before every worker has published its run for it.
-        let stages: Vec<_> = batch
-            .slots()
-            .iter()
-            .zip(&node_tables)
-            .map(|(slot, table)| {
-                (
-                    Traversal::new(flat, table, &slot.topk),
-                    LeafRuns::new(self.threads, 0),
-                )
-            })
-            .collect();
-        let barrier = SpinBarrier::new(self.threads);
-
-        pool.broadcast(&|worker| {
-            let mut fetcher = SeriesFetcher::new(self.source);
-            let mut scratch = LeafScratch::new();
-            let mut fetched = 0u64;
-            for (qi, (slot, prep)) in batch.slots().iter().zip(&preps).enumerate() {
-                let (traversal, runs) = &stages[qi];
-                // Workers accumulate locally and merge once per query —
-                // shared fetch_adds per leaf would bounce one cache line
-                // across every core and dominate these sub-ms phases.
-                let mut local = QueryStats::default();
-                let mut run = RunBuilder::new();
-                local.nodes_pruned = traversal.run_worker(&mut run);
-                local.leaves_enqueued = run.len() as u64;
-                runs.publish(worker, run);
-                barrier.wait();
-
-                let unclaimed = drain_best_first(runs, worker, |lb, leaf, _| {
-                    if errors.is_set() || lb >= slot.topk.threshold_sq() {
-                        // Everything left in this run is at least as
-                        // far (or a peer already failed): abandon it
-                        // wholesale.
-                        local.leaves_discarded += 1;
-                        return Drain::Abandon;
-                    }
-                    local.leaves_processed += 1;
-                    let node = flat.node(leaf);
-                    match kernel.process_leaf(
-                        prep,
-                        flat.leaf_words_padded(node),
-                        flat.leaf_positions(node),
-                        &mut fetcher,
-                        slot.values,
-                        &slot.topk,
-                        &mut scratch,
-                        &mut local,
-                    ) {
-                        Ok(series) => {
-                            fetched += series;
-                            Drain::Processed
-                        }
-                        Err(e) => {
-                            errors.record_for_query(e, qi);
-                            Drain::Abandon
-                        }
-                    }
-                });
-                local.leaves_discarded += unclaimed;
-                slot.stats.merge(&local);
+                fetcher,
+                slot.values,
+                &slot.topk,
+                scratch,
+                &mut local,
+            ) {
+                Ok(series) => {
+                    *fetched += series;
+                    Drain::Processed
+                }
+                Err(e) => {
+                    errors.record_for_query(e, qi);
+                    Drain::Abandon
+                }
             }
-            batch.count_io(fetched, fetched);
         });
-        clock.lap_into(batch.phases(), K::PHASE);
-        Ok(())
+        local.leaves_discarded += unclaimed;
+        slot.stats.merge(&local);
+        me.phases.record(K::PHASE, clock.lap());
     }
 
     /// Non-resident source: one traversal and one leaf visit for the whole
@@ -574,7 +531,21 @@ impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
             errors,
             ..
         } = *self;
-        let (preps, node_tables) = self.prepare_all();
+        // Every query's summaries and node-level table, index-aligned with
+        // the slots.
+        let preps: Vec<K::Prep> = batch
+            .slots()
+            .iter()
+            .map(|slot| kernel.prepare(self.quantizer, slot.values))
+            .collect();
+        let node_tables: Vec<NodeMindistTable> = preps
+            .iter()
+            .map(|prep| {
+                let mut table = NodeMindistTable::default();
+                K::fill_node_table(prep, self.quantizer, &mut table);
+                table
+            })
+            .collect();
         let pool = dsidx_sync::pool::global(self.threads);
         clock.lap_into(batch.phases(), Phase::Prepare);
 
@@ -631,7 +602,7 @@ impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
             let mut active: Vec<usize> = Vec::with_capacity(batch.len());
             let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
             let mut scratch = LeafScratch::new();
-            let unclaimed = drain_best_first(&runs, worker, |min_lb, leaf, lbs| {
+            let unclaimed = drain_best_first(&runs, worker, |min_lb, leaf, lbs, _| {
                 if errors.is_set() || min_lb >= batch.max_threshold_sq() {
                     // Every remaining leaf in this run is at least as
                     // far for every query (or a peer already failed):
@@ -681,34 +652,57 @@ impl<K: LeafKernel, S: RawSource> Call<'_, '_, K, S> {
     }
 }
 
-/// What a worker of the whole-query schedule keeps from query to query:
-/// the raw-series fetcher, one node-level table (128 KiB, refilled per
-/// query instead of one table per query of the batch built up front), its
-/// leaf run and the per-leaf scratch.
-struct Worker<'a, S: RawSource> {
-    fetcher: SeriesFetcher<'a, S>,
-    node_table: NodeMindistTable,
-    run: RunBuilder,
-    scratch: LeafScratch,
+/// Where a worker whose claims ran dry goes next: the first open query it
+/// can still help — its traversal while a participant is still traversing
+/// and this worker has not published for it, its published runs while
+/// they hold unclaimed leaves — else wait while some claimed query is not
+/// open yet (being prepared and seeded) or still traversed, else done.
+fn help_wanted<K: LeafKernel>(opened: &[OnceLock<Open<'_, K>>], worker: usize) -> Help {
+    let mut pending = false;
+    for (qi, open) in opened.iter().enumerate() {
+        let Some(open) = open.get() else {
+            pending = true;
+            continue;
+        };
+        // ORDERING: acquire — pairs with the release decrement in
+        // `work_on`: once the count reads zero, every run of the query is
+        // published and visible to `has_unclaimed` below.
+        let traversing = open.traversing.load(Ordering::Acquire) > 0;
+        if traversing && !open.runs.is_published(worker) {
+            // ORDERING: relaxed — a count, no payload; the run it announces
+            // is published by the release decrement in `work_on`.
+            open.traversing.fetch_add(1, Ordering::Relaxed);
+            return Help::Join(qi, true);
+        }
+        if open.runs.has_unclaimed() {
+            return Help::Join(qi, false);
+        }
+        pending |= traversing;
+    }
+    if pending {
+        Help::Wait
+    } else {
+        Help::Done
+    }
 }
 
-impl<'a, S: RawSource> Worker<'a, S> {
-    fn new(source: &'a S) -> Self {
-        Self {
-            fetcher: SeriesFetcher::new(source),
-            node_table: NodeMindistTable::default(),
-            run: RunBuilder::new(),
-            scratch: LeafScratch::new(),
-        }
+/// One step of waiting for a peer: spin briefly, then yield — as
+/// [`SpinBarrier`] does, because a hot spin on a shared or oversubscribed
+/// core slows the very peer it waits for.
+fn backoff(spins: &mut u32) {
+    if *spins < 64 {
+        std::hint::spin_loop();
+        *spins += 1;
+    } else {
+        std::thread::yield_now();
     }
 }
 
 /// Exact k-NN for a batch of queries under `measure` in **one** pool
 /// broadcast — the crate's one exact entry point. A single query is a
 /// batch of one; 1-NN is `k = 1`. How the batch is scheduled onto the
-/// `threads` workers depends on the source's residence and on the batch
-/// width against the pool width; see the [module docs](self) for the rule
-/// and the reasons. Under [`Measure::Dtw`] the same schedules run with
+/// `threads` workers depends on the source's residence alone; see the
+/// [module docs](self). Under [`Measure::Dtw`] the same schedules run with
 /// interval node tables in the traversal and the full cascade at the
 /// leaves (see [`crate::dtw`]).
 ///
@@ -1121,10 +1115,10 @@ mod tests {
             );
             assert!(flaky.tripped());
         }
-        // A batch wider than the pool, which on a resident source would
-        // hand whole queries to workers: a fallible source is not
-        // resident, so it takes the shared-fetch schedule, where a failed
-        // read stops every worker and still comes back as `Err`.
+        // A batch wider than the pool: a fallible source is not resident,
+        // so it takes the shared-fetch schedule, where a failed read stops
+        // every worker and still comes back as `Err` (the resident
+        // schedule's error path has its own test below).
         let wide = DatasetKind::Synthetic.queries(9, 64, 92);
         let wide: Vec<&[f32]> = wide.iter().collect();
         for budget in [1u64, 8, 32, 64] {
@@ -1136,7 +1130,7 @@ mod tests {
         // An unconstrained budget answers exactly like the dataset itself
         // — through the other schedule: the traversal counters of the
         // shared-fetch schedule are the batch's, those of the resident
-        // schedules each query's.
+        // schedule each query's.
         let flaky = FlakySource::new(data.clone(), u64::MAX);
         let (via_flaky, _) = knn(&messi, &flaky, q.get(0), 7, 4).unwrap();
         let (via_data, _) = knn(&messi, &data, q.get(0), 7, 4).unwrap();
@@ -1153,5 +1147,125 @@ mod tests {
         on_data.per_query.iter().for_each(assert_funnel_exact);
         assert_eq!(on_data.series_fetched, on_data.series_requests);
         assert_eq!((on_flaky.broadcasts, on_data.broadcasts), (1, 1));
+    }
+
+    /// The resident schedule over `source`, called directly: the residence
+    /// dispatch in [`exact`] would send a fallible source to shared fetch.
+    fn resident<K: LeafKernel>(
+        kernel: &K,
+        messi: &MessiIndex,
+        source: &impl RawSource,
+        queries: &[&[f32]],
+        k: usize,
+        threads: usize,
+    ) -> Result<Vec<Vec<Match>>, StorageError> {
+        let batch = QueryBatch::unprepared(queries, k, None);
+        let errors = ErrorSlot::for_phase(K::PHASE);
+        let call = Call {
+            kernel,
+            flat: &messi.tree,
+            quantizer: messi.config.quantizer(),
+            source,
+            threads,
+            batch: &batch,
+            errors: &errors,
+        };
+        call.resident(&mut PhaseClock::start());
+        errors.take()?;
+        Ok(batch.finish(1, QueryStats::default()).0)
+    }
+
+    /// Runs `f` on a thread of its own and fails unless it returns within a
+    /// minute: a worker left waiting on a run nobody publishes fails the
+    /// test instead of hanging it (a hung thread cannot be joined, so it is
+    /// joined only once it has answered). A panic inside `f` fails it too.
+    fn under_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let call = std::thread::spawn(move || tx.send(f()).expect("the watchdog waits"));
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("{label}: the call hung or panicked ({e})"));
+        call.join()
+            .expect("the call answered, then its thread ends");
+        got
+    }
+
+    #[test]
+    fn resident_read_failures_are_errors_with_their_query_and_phase() {
+        let data = DatasetKind::Synthetic.generate(500, 64, 91);
+        let (messi, _) = build(&data, &cfg(4));
+        let messi = std::sync::Arc::new(messi);
+        let queries: std::sync::Arc<Vec<Vec<f32>>> = std::sync::Arc::new(
+            DatasetKind::Synthetic
+                .queries(64, 64, 92)
+                .iter()
+                .map(<[f32]>::to_vec)
+                .collect(),
+        );
+        // Query 0's seeding reads its own leaf: a budget of exactly that
+        // many reads fails in the drain when query 0 is all there is, or
+        // when one worker answers the batch in order.
+        let prep = PreparedQuery::new(messi.config.quantizer(), &queries[0]);
+        let own_leaf = approx_leaf_flat(&messi.tree, &prep.word).unwrap();
+        let seed_reads = messi.tree.leaf_positions(messi.tree.node(own_leaf)).len() as u64;
+        for threads in [1usize, 2, 4, 8] {
+            let mut widths = vec![1, threads, threads + 1, 64];
+            widths.dedup();
+            for width in widths {
+                for (budget, dtw) in [
+                    (0, false),
+                    (0, true),
+                    (seed_reads, false),
+                    (seed_reads, true),
+                ] {
+                    let label = format!("x{threads} width={width} budget={budget} dtw={dtw}");
+                    let (messi, queries, data) = (messi.clone(), queries.clone(), data.clone());
+                    let got = under_watchdog(&label, move || {
+                        let flaky = FlakySource::new(data, budget);
+                        let qrefs: Vec<&[f32]> =
+                            queries[..width].iter().map(Vec::as_slice).collect();
+                        let got = if dtw {
+                            let kernel = crate::dtw::Dtw { band: 4 };
+                            resident(&kernel, &messi, &flaky, &qrefs, 50, threads)
+                        } else {
+                            resident(&Euclidean, &messi, &flaky, &qrefs, 50, threads)
+                        };
+                        got.map_err(|e| {
+                            (e.to_string(), matches!(e.root_cause(), StorageError::Io(_)))
+                        })
+                    });
+                    let (msg, io) = got.expect_err(&label);
+                    assert!(io, "{label}: {msg}");
+                    // "during <phase> (query <i>): I/O error: ..."
+                    let (phase, query) = msg
+                        .strip_prefix("during ")
+                        .and_then(|rest| rest.split_once(" (query "))
+                        .and_then(|(phase, rest)| Some((phase, rest.split_once("):")?.0)))
+                        .unwrap_or_else(|| panic!("{label}: {msg}"));
+                    let query: usize = query.parse().unwrap();
+                    assert!(query < width, "{label}: {msg}");
+                    let drain = if dtw { "dtw_cascade" } else { "traversal" };
+                    let want: &[&str] = if budget == 0 {
+                        // Every read fails: no query is ever opened.
+                        &["seed"]
+                    } else if width == 1 || threads == 1 {
+                        &[drain]
+                    } else {
+                        &["seed", drain]
+                    };
+                    assert!(want.contains(&phase), "{label}: {msg}");
+                    if want == [drain] {
+                        assert_eq!(query, 0, "{label}: {msg}");
+                    }
+                }
+            }
+            // With the budget unconstrained the same calls answer exactly
+            // like the dispatch does over the dataset itself.
+            let flaky = FlakySource::new(data.clone(), u64::MAX);
+            let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+            let got = resident(&Euclidean, &messi, &flaky, &qrefs, 7, threads).unwrap();
+            let (want, _) = knn_batch(&messi, &data, &qrefs, 7, threads).unwrap();
+            assert_eq!(got, want, "x{threads}");
+        }
     }
 }

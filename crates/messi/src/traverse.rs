@@ -8,13 +8,14 @@
 //! root subtree (random-walk data clusters heavily on first bits) sets the
 //! whole phase's critical path.
 //!
-//! [`Traversal`] walks the tree for one query. Several workers may share
-//! one (the cooperative schedule), or a single worker may run it alone
-//! into its private run (the whole-query schedule — same code, the claims
-//! just never contend). [`BatchTraversal`] walks it once for a whole batch
-//! and is used only where one raw fetch can serve many queries, i.e. over
-//! non-resident sources (see [`crate::query`] for which schedule runs
-//! when).
+//! [`Traversal`] walks the tree for one query, with as many workers as
+//! join it: the worker that opened the query and any peer that ran out of
+//! queries of its own while the walk was still running (see
+//! [`crate::query`]). Each runs its share into its own run; a worker alone
+//! on a query runs the same code, its claims just never contend.
+//! [`BatchTraversal`] walks the tree once for a whole batch and is used
+//! only where one raw fetch can serve many queries, i.e. over non-resident
+//! sources.
 //!
 //! Either way the root level — the widest single level, though on a tree
 //! fitted to its collection (`2^r` roots of about a leaf's worth each) no
@@ -107,12 +108,12 @@ impl RootBounds {
     }
 }
 
-/// Shared state for one query's traversal. Generic over [`Pruner`], so the
-/// same traversal prunes against the single best (1-NN) or the k-th best
-/// distance (k-NN).
+/// Shared state for one query's traversal, owning the query's node-level
+/// table. Generic over [`Pruner`], so the same traversal prunes against
+/// the single best (1-NN) or the k-th best distance (k-NN).
 pub struct Traversal<'a, P: Pruner> {
     flat: &'a FlatTree,
-    node_table: &'a NodeMindistTable,
+    node_table: NodeMindistTable,
     root_bounds: RootBounds,
     best: &'a P,
     root_queue: WorkQueue,
@@ -123,11 +124,11 @@ pub struct Traversal<'a, P: Pruner> {
 impl<'a, P: Pruner> Traversal<'a, P> {
     /// Prepares a traversal over `flat`'s occupied roots.
     #[must_use]
-    pub fn new(flat: &'a FlatTree, node_table: &'a NodeMindistTable, best: &'a P) -> Self {
+    pub fn new(flat: &'a FlatTree, node_table: NodeMindistTable, best: &'a P) -> Self {
         Self {
             flat,
+            root_bounds: RootBounds::new(&node_table, flat.root_segments(), flat.segments()),
             node_table,
-            root_bounds: RootBounds::new(node_table, flat.root_segments(), flat.segments()),
             best,
             root_queue: WorkQueue::new(flat.roots().len()),
             shared: Mutex::new(Vec::new()),
@@ -186,7 +187,7 @@ impl<'a, P: Pruner> Traversal<'a, P> {
                 shared.extend(stack.drain(..keep));
             }
             let node = self.flat.node(idx);
-            let lb = node.mindist_sq(self.node_table);
+            let lb = node.mindist_sq(&self.node_table);
             if lb >= self.best.threshold_sq() {
                 *pruned += 1;
                 continue;
@@ -378,7 +379,7 @@ mod tests {
         for threads in [1usize, 4, 8] {
             let best = AtomicBest::new();
             let runs = LeafRuns::new(threads, 0);
-            let traversal = Traversal::new(&messi.tree, &node_table, &best);
+            let traversal = Traversal::new(&messi.tree, node_table.clone(), &best);
             let enqueued = std::sync::atomic::AtomicU64::new(0);
             std::thread::scope(|s| {
                 for worker in 0..threads {
@@ -399,7 +400,7 @@ mod tests {
             );
             // And every queued index is a distinct leaf.
             let mut seen = std::collections::HashSet::new();
-            drain_best_first(&runs, 0, |_, idx, _| {
+            drain_best_first(&runs, 0, |_, idx, _, _| {
                 assert!(seen.insert(idx), "leaf {idx} enqueued twice");
                 Drain::Processed
             });
@@ -416,7 +417,7 @@ mod tests {
         let paa_q = paa(q.get(0), 8);
         let node_table = NodeMindistTable::new_point(&paa_q, cfg.tree.quantizer().segment_lens());
         let best = AtomicBest::with_initial(0.0, 0); // perfect BSF
-        let traversal = Traversal::new(&messi.tree, &node_table, &best);
+        let traversal = Traversal::new(&messi.tree, node_table, &best);
         let mut run = RunBuilder::new();
         let pruned = traversal.run_worker(&mut run);
         assert!(run.is_empty(), "zero BSF must prune every subtree");

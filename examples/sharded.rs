@@ -6,12 +6,45 @@
 //! Run with: `cargo run --release --example sharded`
 
 use dsidx::prelude::*;
+use dsidx::shard::partition;
 use dsidx::ShardedIndex;
 use std::time::Instant;
 
 /// Candidates verified (real distances fully computed) across a batch.
 fn verified(stats: &BatchStats) -> u64 {
     stats.shared.real_computed + stats.per_query.iter().map(|q| q.real_computed).sum::<u64>()
+}
+
+/// Without sharing: one index per `partition` slice, each searched on its
+/// own, the answers rebased to global positions and merged to the `k`
+/// best per query. Returns the merged answers and the candidates verified.
+fn isolated(
+    data: &Dataset,
+    shards: usize,
+    options: &Options,
+    batch: &[&[f32]],
+    spec: &QuerySpec,
+) -> Result<(Vec<Vec<Match>>, u64), Error> {
+    let len = data.series_len();
+    let mut merged: Vec<Vec<Match>> = vec![Vec::new(); batch.len()];
+    let mut work = 0;
+    for range in partition(data.len(), shards) {
+        let base = range.start as u32;
+        let slice = Dataset::from_flat(
+            data.as_flat()[range.start * len..range.end * len].to_vec(),
+            len,
+        )?;
+        let answers = MemoryIndex::build(slice, Engine::Messi, options)?.search(batch, spec)?;
+        work += verified(answers.stats().expect("stats requested"));
+        for (row, ms) in merged.iter_mut().zip(answers.matches()) {
+            row.extend(ms.iter().map(|m| Match::new(base + m.pos, m.dist_sq)));
+        }
+    }
+    for row in &mut merged {
+        row.sort_unstable_by(|a, b| a.dist_sq.total_cmp(&b.dist_sq).then(a.pos.cmp(&b.pos)));
+        row.truncate(spec.k());
+    }
+    Ok((merged, work))
 }
 
 fn main() -> Result<(), Error> {
@@ -45,15 +78,11 @@ fn main() -> Result<(), Error> {
         let query = t1.elapsed();
         assert_eq!(want.matches(), shared.matches(), "sharded != monolith");
 
-        // Sharing off: each shard searches independently and the
-        // coordinator merges afterwards — same answers, more work.
-        let isolated = sharded.with_bsf_sharing(false).search(&batch, &spec)?;
-        assert_eq!(want.matches(), isolated.matches(), "isolated != monolith");
-
-        let (on, off) = (
-            verified(shared.stats().expect("stats requested")),
-            verified(isolated.stats().expect("stats requested")),
-        );
+        // Without sharing: each slice searched independently, merged
+        // afterwards — same answers, more work.
+        let (merged, off) = isolated(&data, shards, &options, &batch, &spec)?;
+        assert_eq!(want.matches(), &merged[..], "isolated != monolith");
+        let on = verified(shared.stats().expect("stats requested"));
         println!(
             "    {shards} shard(s): build {build:>8.1?}  search {query:>8.1?}  \
              verified {on:>5} shared / {off:>5} isolated",

@@ -1,13 +1,14 @@
-//! MESSI schedule differential: which of the three exact schedules runs
-//! (whole queries per worker, cooperative, shared fetch — see
-//! `dsidx::messi::query`) is decided from the source's residence and the
-//! batch width against the pool width, so the answer must not depend on
-//! either. One matrix pins that: brute-force oracle × k × threads × batch
-//! width on both sides of every schedule boundary × ED/DTW ×
-//! duplicate-heavy data (lowest-position tie-break) × monolith/4 shards,
-//! positions **and distance bits** equal throughout. Plus the two kernel
-//! pieces the schedules share: the two-table root bound and the padded
-//! leaf word runs.
+//! MESSI schedule differential: which of the two exact schedules runs
+//! (claim and help on a resident source, shared fetch on any other — see
+//! `dsidx::messi::query`) is decided from the source's residence, and on a
+//! resident source how the workers share the batch depends on its width
+//! against the pool width, so the answer must not depend on either. One
+//! matrix pins that: brute-force oracle × k × threads × batch widths
+//! around the pool width (a batch of one, t − 1, t, t + 1, 2t, 64) ×
+//! ED/DTW × duplicate-heavy data (lowest-position tie-break) × monolith/4
+//! shards, positions **and distance bits** equal throughout. Plus the two
+//! kernel pieces the schedules share: the two-table root bound and the
+//! padded leaf word runs.
 
 use dsidx::isax::paa::paa;
 use dsidx::isax::{MindistTable, NodeMindistTable, NodeWord, Quantizer};
@@ -114,7 +115,7 @@ fn answers_do_not_depend_on_the_schedule() {
                     ShardedIndex::build_in_memory(&data, 4, Engine::Messi, &opts(threads)).unwrap();
                 // `search` rejects an empty batch, so one worker has no
                 // `threads - 1` column.
-                for width in [1, threads - 1, threads, threads + 1, 64] {
+                for width in [1, threads - 1, threads, threads + 1, 2 * threads, 64] {
                     if width == 0 {
                         continue;
                     }
@@ -168,7 +169,8 @@ fn seed_leaf_neighbours_report_the_same_bits_on_memory_and_disk() {
     .unwrap();
     for k in [1usize, 5] {
         let spec = QuerySpec::knn(k);
-        // Wide (whole queries per worker in memory) and alone (cooperative).
+        // Wide (whole queries per worker in memory) and alone (every worker
+        // on the one query).
         let wide = memory.search(&qrefs, &spec).unwrap();
         let on_disk = disk.search(&qrefs, &spec).unwrap();
         assert_eq!(bits(wide.matches()), bits(on_disk.matches()), "k={k}");
