@@ -13,7 +13,10 @@
 //!   writes, is far beyond 10× on its own);
 //! * **fidelity** — every opened index answers the full query-plane
 //!   matrix (measure × fidelity × single/batch) bit-identically to the
-//!   index it was saved from.
+//!   index it was saved from;
+//! * **one layout** — every engine's snapshot is as large as MESSI's: all
+//!   four save the same flat tree as the same four sections, so a section
+//!   only one engine writes fails here.
 //!
 //! Device bytes make the *why* visible: the build reads every raw series
 //! (512 B each at tiny scale) while the open reads only the snapshot
@@ -45,8 +48,9 @@ fn plane_specs(band: usize) -> Vec<QuerySpec> {
 ///
 /// # Panics
 /// Panics (self-assertion) if the summed opens are not at least 10×
-/// faster than the summed builds, or if any opened index's answers differ
-/// from the built index's anywhere in the query-plane matrix.
+/// faster than the summed builds, if any opened index's answers differ
+/// from the built index's anywhere in the query-plane matrix, or if any
+/// engine's snapshot is not exactly as large as MESSI's.
 pub fn run(scale: &Scale) {
     let kind = DatasetKind::Synthetic;
     let len = scale.len_for(kind);
@@ -72,6 +76,7 @@ pub fn run(scale: &Scale) {
     );
     let mut build_total = Duration::ZERO;
     let mut open_total = Duration::ZERO;
+    let mut sizes = Vec::new();
     for engine in Engine::ALL {
         let (built, build_time) = time(|| {
             DiskIndex::build(&path, &workdir, engine, &options, DeviceProfile::SSD)
@@ -117,6 +122,7 @@ pub fn run(scale: &Scale) {
 
         build_total += build_time;
         open_total += best_open;
+        sizes.push((engine, snapshot_bytes));
         table.row(&[
             engine.name().to_owned(),
             f(ms(build_time)),
@@ -128,6 +134,20 @@ pub fn run(scale: &Scale) {
         ]);
     }
     table.finish();
+
+    let messi = sizes
+        .iter()
+        .find(|(engine, _)| *engine == Engine::Messi)
+        .map(|&(_, bytes)| bytes);
+    for &(engine, bytes) in &sizes {
+        assert_eq!(
+            Some(bytes),
+            messi,
+            "{} saves a {bytes}-byte snapshot where MESSI saves {messi:?}: every engine's \
+             snapshot is its flat tree, in the same four sections",
+            engine.name()
+        );
+    }
 
     let speedup = ms(build_total) / ms(open_total);
     assert!(

@@ -23,7 +23,7 @@ use crate::spec::{Fidelity, Measure, QuerySpec};
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{BatchStats, QueryStats, ShardView};
 use dsidx_series::{Dataset, Match};
-use dsidx_storage::{DatasetFile, Device, DeviceProfile, LeafStoreReader, RawSource, StorageError};
+use dsidx_storage::{DatasetFile, Device, DeviceProfile, EntryRuns, RawSource, StorageError};
 use dsidx_tree::stats::{index_stats, IndexStats};
 use dsidx_tree::{FlatTree, TreeConfig};
 use std::path::Path;
@@ -98,19 +98,14 @@ impl Built {
 
     /// Reassembles `engine`'s index from a decoded snapshot: the tree goes
     /// in as decoded, ADS+ and ParIS rebuild the SAX array they scan from
-    /// it, and ParIS takes its chunk column and `leaves`, the reader over
-    /// an embedded leaf store, when they were saved.
+    /// it, and ParIS reads its leaves back from `leaves`, the snapshot's
+    /// own entry runs, when it answers on disk.
     fn from_snapshot(
         engine: Engine,
         contents: SnapshotContents,
-        leaves: Option<LeafStoreReader>,
+        leaves: Option<EntryRuns>,
     ) -> Self {
-        let SnapshotContents {
-            tree,
-            config,
-            chunks,
-            ..
-        } = contents;
+        let SnapshotContents { tree, config, .. } = contents;
         match engine {
             Engine::Ads => Built::Ads(dsidx_ads::AdsIndex {
                 sax: tree.sax_array(),
@@ -121,26 +116,10 @@ impl Built {
                 sax: tree.sax_array(),
                 tree,
                 config,
-                chunks: chunks.unwrap_or_default(),
                 leaves,
             }),
             Engine::Messi => Built::Messi(dsidx_messi::MessiIndex { tree, config }),
         }
-    }
-
-    /// Saves the index to `path`, embedding `leaf_store` when given.
-    fn save(
-        &self,
-        path: &Path,
-        engine: Engine,
-        leaf_store: Option<Vec<u8>>,
-        device: &Arc<Device>,
-    ) -> Result<u64, Error> {
-        let chunks = match self {
-            Built::Paris(paris) => Some(&paris.chunks),
-            Built::Ads(_) | Built::Messi(_) => None,
-        };
-        save_snapshot(path, engine, self.tree(), chunks, leaf_store, device)
     }
 }
 
@@ -210,9 +189,9 @@ pub(crate) fn trace_search(
     );
 }
 
-/// Distinguishes the leaf-store files of concurrent (or repeated) builds
-/// in one process: the pid alone collides when a process builds twice
-/// into the same workdir.
+/// Distinguishes the leaf-store files of concurrent builds in one
+/// process: the pid alone collides when two builds share a workdir (each
+/// file is unlinked once its build holds it open).
 static BUILD_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// A built index beside the raw source `S` it answers from. Use it through
@@ -257,7 +236,7 @@ impl<S> Index<S> {
         source: S,
         contents: SnapshotContents,
         options: &Options,
-        leaves: Option<LeafStoreReader>,
+        leaves: Option<EntryRuns>,
     ) -> Self {
         let engine = contents.engine;
         Self {
@@ -392,7 +371,7 @@ impl MemoryIndex {
     /// I/O failures writing the file.
     pub fn save(&self, path: &Path) -> Result<u64, Error> {
         let device = Arc::new(Device::unthrottled());
-        self.built.save(path, self.engine, None, &device)
+        save_snapshot(path, self.engine, self.built.tree(), &device)
     }
 
     /// Opens a snapshot saved by [`save`](Self::save) over `data` — the
@@ -416,7 +395,7 @@ impl MemoryIndex {
     ) -> Result<Self, Error> {
         let data = data.into();
         let device = Arc::new(Device::unthrottled());
-        let contents = open_snapshot(path, &device, data.series_len(), data.len())?;
+        let (contents, _) = open_snapshot(path, &device, data.series_len(), data.len())?;
         Ok(Self::from_snapshot(data, contents, options, None))
     }
 
@@ -436,7 +415,9 @@ impl Search for MemoryIndex {
 impl DiskIndex {
     /// Builds an index over the dataset file at `dataset_path`, modeling
     /// the given device profile. `workdir` is created if absent and
-    /// receives any engine scratch files (the ParIS leaf store).
+    /// briefly holds any engine scratch file: the ParIS leaf store is
+    /// unlinked as soon as the build holds it open, so it lives exactly as
+    /// long as the index and nothing is left behind.
     ///
     /// Every engine builds on disk: ADS+ and MESSI stream the file block
     /// by block (reads charged to the device), ParIS/ParIS+ run the
@@ -507,25 +488,18 @@ impl DiskIndex {
     }
 
     /// Saves the built index as a snapshot file at `path`: the flat tree's
-    /// arrays and — for ParIS/ParIS+ — the chunk column and the
-    /// materialized leaf store, embedded verbatim as a section (read
-    /// through the handle this index already answers from, so saving over
-    /// the file an index was opened from is safe: the file is replaced
-    /// whole, never rewritten in place). The dataset file is *not*
-    /// embedded; [`open`](Self::open) re-pairs the snapshot with it and
-    /// cross-checks the fingerprint. All reads and the write are charged to
+    /// arrays, the same four sections for every engine (a ParIS leaf is
+    /// read back from the tree's own entry runs, so there is no leaf store
+    /// to embed). The file is replaced whole, never rewritten in place, so
+    /// saving over the file an index was opened from is safe. The dataset
+    /// file is *not* embedded; [`open`](Self::open) re-pairs the snapshot
+    /// with it and cross-checks the fingerprint. The write is charged to
     /// this index's modeled device. Returns the snapshot size in bytes.
     ///
     /// # Errors
-    /// I/O failures reading the leaf store or writing the snapshot.
+    /// I/O failures writing the snapshot.
     pub fn save(&self, path: &Path) -> Result<u64, Error> {
-        let leaf_store = match &self.built {
-            Built::Paris(paris) => paris.leaves.as_ref().map(LeafStoreReader::read_all),
-            Built::Ads(_) | Built::Messi(_) => None,
-        };
-        let leaf_store = leaf_store.transpose()?;
-        self.built
-            .save(path, self.engine, leaf_store, self.source.device())
+        save_snapshot(path, self.engine, self.built.tree(), self.source.device())
     }
 
     /// Opens a snapshot saved by [`save`](Self::save), re-pairing it with
@@ -534,8 +508,9 @@ impl DiskIndex {
     /// read per section, all charged to the device — so opening costs
     /// milliseconds where building costs seconds of modeled I/O.
     ///
-    /// ParIS/ParIS+ leaf reads are served straight from the leaf-store
-    /// section *inside* the snapshot file; no scratch files are written.
+    /// ParIS/ParIS+ leaf reads are served straight from the `WORDS` and
+    /// `POSITION` sections *inside* the snapshot file, through the handle
+    /// the open read them with; no scratch files are written.
     /// The engine and tree geometry come from the snapshot (the
     /// corresponding `options` fields are overridden), and the opened
     /// index answers [`Search::search`] bit-identically to the one that
@@ -552,15 +527,9 @@ impl DiskIndex {
     ) -> Result<Self, Error> {
         let device = Arc::new(Device::new(profile));
         let file = DatasetFile::open(dataset_path, Arc::clone(&device))?;
-        let mut contents = open_snapshot(snapshot_path, &device, file.series_len(), file.count())?;
-        let leaves = contents
-            .leaf_store
-            .take()
-            .map(|(offset, bytes)| {
-                LeafStoreReader::from_verified_bytes(snapshot_path, offset, &bytes, device)
-            })
-            .transpose()?;
-        Ok(Self::from_snapshot(file, contents, options, leaves))
+        let (contents, runs) =
+            open_snapshot(snapshot_path, &device, file.series_len(), file.count())?;
+        Ok(Self::from_snapshot(file, contents, options, Some(runs)))
     }
 
     /// The dataset file the index answers from.
@@ -985,18 +954,78 @@ mod tests {
             DeviceProfile::UNTHROTTLED,
         )
         .unwrap();
-        let stores = std::fs::read_dir(&dir)
+        // Each build unlinked its store once it held it open: nothing is
+        // left in the workdir, while both indexes are alive.
+        let stores: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok()?.file_name().into_string().ok())
             .filter(|name| name.starts_with("dsidx-leaves-"))
-            .count();
-        assert_eq!(stores, 2, "two builds, two leaf-store files");
+            .collect();
+        assert!(
+            stores.is_empty(),
+            "leaf-store files left behind: {stores:?}"
+        );
         let q = DatasetKind::Synthetic.queries(1, 64, 3);
         // Both indexes still answer (neither's store was truncated by the
         // other's build).
         let qa = a.search(&[q.get(0)], &QuerySpec::nn()).unwrap().into_nn();
         let qb = b.search(&[q.get(0)], &QuerySpec::nn()).unwrap().into_nn();
         assert_eq!(qa.map(|m| m.pos), qb.map(|m| m.pos));
+    }
+
+    /// Every leaf of a ParIS+ index read back from its entry runs, with
+    /// what each read-back cost on `device`: `(len, bytes, seeks)`.
+    fn leaf_read_backs(index: &DiskIndex) -> Vec<(usize, u64, u64)> {
+        let Built::Paris(paris) = &index.built else {
+            panic!("a ParIS index");
+        };
+        let (runs, device) = (paris.leaves.as_ref().unwrap(), index.file().device());
+        let (mut words, mut positions) = (Vec::new(), Vec::new());
+        let mut costs = Vec::new();
+        for leaf in paris.tree.nodes().iter().filter(|n| n.is_leaf()) {
+            let before = device.stats();
+            runs.read(leaf.entry_range(), &mut words, &mut positions)
+                .unwrap();
+            let after = device.stats();
+            assert_eq!(words, paris.tree.leaf_words(leaf));
+            assert_eq!(positions, paris.tree.leaf_positions(leaf));
+            costs.push((
+                leaf.subtree_len(),
+                after.bytes_read - before.bytes_read,
+                after.seeks - before.seeks,
+            ));
+        }
+        costs
+    }
+
+    #[test]
+    fn a_paris_leaf_reads_back_in_two_reads_of_its_entry_range() {
+        // The SSD profile counts seeks (the unthrottled one does not). A
+        // leaf read back from the built index's rewritten store, or from
+        // the snapshot it was saved to, is its entry range in the two
+        // runs: len x (segments + 4) bytes, at most two seeks, and the
+        // very entries the tree holds.
+        let dir = std::env::temp_dir().join(format!("dsidx-core-runs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("r.dsidx");
+        let data = DatasetKind::Synthetic.generate(400, 64, 19);
+        dsidx_storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let opts = Options::default().with_threads(2).with_leaf_capacity(16);
+        let built =
+            DiskIndex::build(&path, &dir, Engine::ParisPlus, &opts, DeviceProfile::SSD).unwrap();
+        let snap = dir.join("r.snap");
+        built.save(&snap).unwrap();
+        let opened = DiskIndex::open(&snap, &path, &opts, DeviceProfile::SSD).unwrap();
+        let record = (opts.segments + 4) as u64;
+        for index in [&built, &opened] {
+            let costs = leaf_read_backs(index);
+            assert!(costs.len() > 1);
+            assert_eq!(costs.iter().map(|c| c.0).sum::<usize>(), 400);
+            for (len, bytes, seeks) in costs {
+                assert_eq!(bytes, len as u64 * record);
+                assert!(seeks <= 2, "{seeks} seeks for one leaf");
+            }
+        }
     }
 
     #[test]
@@ -1064,8 +1093,8 @@ mod tests {
             .unwrap();
             assert_eq!(opened.engine(), engine);
             assert_eq!(built.built.tree(), opened.built.tree(), "{}", engine.name());
-            // ParIS answers exact queries through the leaf store embedded
-            // in the snapshot file — same answers as the scratch-file one.
+            // ParIS reads its leaves back from the snapshot's entry runs —
+            // same answers as from the built index's rewritten store.
             let a = built.search(&qs, &QuerySpec::knn(5)).unwrap();
             let b = opened.search(&qs, &QuerySpec::knn(5)).unwrap();
             assert_eq!(a.matches(), b.matches(), "{}", engine.name());

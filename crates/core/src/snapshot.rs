@@ -5,11 +5,14 @@
 //!
 //! The division of labor: `dsidx-storage::snapshot` owns the *container*
 //! (header, checksums, section table), `dsidx-tree::snapshot` owns the
-//! *record layouts* (the flat tree's arrays, ParIS's chunk column), and
-//! this module is the glue that knows which sections an engine's index
-//! turns into and how to validate a snapshot against the dataset it is
-//! being opened over. Every engine's tree is saved from, and opened into,
-//! the one flat form it queries.
+//! *record layouts* (the flat tree's arrays), and this module is the glue
+//! that knows which sections an index turns into and how to validate a
+//! snapshot against the dataset it is being opened over. Every engine's
+//! index is its flat tree, so every engine saves the same four sections
+//! and opens them into the one flat form it queries; only the header's
+//! engine id tells the files apart. Sections a snapshot carries beyond
+//! those four (older ParIS files held a chunk column and a leaf store) are
+//! ignored.
 //!
 //! [`MemoryIndex::save`]: crate::MemoryIndex::save
 //! [`DiskIndex::open`]: crate::DiskIndex::open
@@ -17,11 +20,9 @@
 use crate::engine::Engine;
 use crate::error::Error;
 use dsidx_storage::snapshot::SnapshotFingerprint;
-use dsidx_storage::{Device, SnapshotReader, SnapshotWriter, StorageError};
-use dsidx_tree::snapshot::{
-    decode_chunks, decode_tree, encode, encode_chunks, CodecError, TreeSections,
-};
-use dsidx_tree::{FlatTree, LeafChunks, TreeConfig};
+use dsidx_storage::{Device, EntryRuns, SnapshotReader, SnapshotWriter, StorageError};
+use dsidx_tree::snapshot::{decode_tree, encode, CodecError, TreeSections};
+use dsidx_tree::{FlatTree, TreeConfig};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,8 +46,6 @@ const SEC_NODES: &str = "NODES";
 const SEC_ROOTS: &str = "ROOTS";
 const SEC_WORDS: &str = "WORDS";
 const SEC_POSITIONS: &str = "POSITION";
-const SEC_CHUNKS: &str = "CHUNKS";
-const SEC_LEAFSTORE: &str = "LEAFSTOR";
 
 /// The engine discriminant stored in a snapshot header. Append-only: these
 /// values are on disk, so renumbering is a format-version bump.
@@ -79,17 +78,13 @@ fn codec(e: CodecError) -> Error {
     corrupt(e.to_string())
 }
 
-/// Writes one engine index — its flat tree, built under `config`, and for
-/// ParIS its leaf-store chunk column — as a snapshot file. `leaf_store` is
-/// the raw bytes of a materialized ParIS leaf store to embed, when there
-/// is one. Returns the file size; charging goes to `device` as one
+/// Writes one engine index — its flat tree, built under `config` — as a
+/// snapshot file. Returns the file size; charging goes to `device` as one
 /// sequential append.
 pub(crate) fn save_snapshot(
     path: &Path,
     engine: Engine,
     (tree, config): (&FlatTree, &TreeConfig),
-    chunks: Option<&LeafChunks>,
-    leaf_store: Option<Vec<u8>>,
     device: &Arc<Device>,
 ) -> Result<u64, Error> {
     let start = Instant::now();
@@ -107,12 +102,6 @@ pub(crate) fn save_snapshot(
     writer.section(SEC_ROOTS, sections.roots);
     writer.section(SEC_WORDS, sections.words);
     writer.section(SEC_POSITIONS, sections.positions);
-    if let Some(chunks) = chunks {
-        writer.section(SEC_CHUNKS, encode_chunks(chunks));
-    }
-    if let Some(bytes) = leaf_store {
-        writer.section(SEC_LEAFSTORE, bytes);
-    }
     let total = writer.finish()?;
     record_snapshot_obs(
         SNAPSHOT_SAVE_NANOS,
@@ -126,7 +115,7 @@ pub(crate) fn save_snapshot(
 }
 
 /// Everything an opened snapshot reconstitutes, before engine-specific
-/// assembly (ParIS leaf-store reader, ADS+/ParIS SAX array).
+/// assembly (ADS+/ParIS SAX array).
 pub(crate) struct SnapshotContents {
     pub engine: Engine,
     pub tree: FlatTree,
@@ -134,18 +123,16 @@ pub(crate) struct SnapshotContents {
     /// [`Options`](crate::Options) with it so query-time configs match the
     /// snapshot, not the caller's (possibly different) defaults.
     pub config: TreeConfig,
-    /// ParIS's leaf-store chunk column, when one was saved.
-    pub chunks: Option<LeafChunks>,
-    /// `(offset, bytes)` of the embedded leaf store within the snapshot
-    /// file, when one was saved. The bytes are the verified section payload
-    /// — handing them to the leaf-store reader lets it parse its header
-    /// without a second (seek-priced) read of the file.
-    pub leaf_store: Option<(u64, Vec<u8>)>,
 }
 
 /// Opens, validates and decodes a snapshot against the dataset it will
 /// answer for. No tree construction happens: the sections *are* the flat
 /// tree, read back in one pass each and checked.
+///
+/// Also returns the tree's entry runs in place — its `WORDS` and
+/// `POSITION` sections, already checksum-verified, through the file handle
+/// the open read them with — which an on-disk ParIS index reads leaves
+/// back from.
 ///
 /// All reads are charged to `device`; the open is recorded under the
 /// `dsidx_snapshot_open_*` metrics and a `snapshot_open` trace event.
@@ -154,7 +141,7 @@ pub(crate) fn open_snapshot(
     device: &Arc<Device>,
     expect_series_len: usize,
     expect_count: usize,
-) -> Result<SnapshotContents, Error> {
+) -> Result<(SnapshotContents, EntryRuns), Error> {
     let start = Instant::now();
     let read_before = device.stats().bytes_read;
     let reader = SnapshotReader::open(path, Arc::clone(device))?;
@@ -195,20 +182,15 @@ pub(crate) fn open_snapshot(
         positions: reader.read_section(SEC_POSITIONS)?,
     };
     let tree = decode_tree(config.clone(), expect_count, &sections).map_err(codec)?;
-    let chunks = if reader.has_section(SEC_CHUNKS) {
-        let bytes = reader.read_section(SEC_CHUNKS)?;
-        Some(decode_chunks(&tree, &bytes).map_err(codec)?)
-    } else {
-        None
-    };
-    let leaf_store = match reader.section_range(SEC_LEAFSTORE) {
-        // Verify the embedded store's checksum now — query-time leaf reads
-        // go straight to file offsets and would not notice corruption. The
-        // verified bytes ride along so the reader can parse its header
-        // without re-reading the file.
-        Some((offset, _)) => Some((offset, reader.read_section(SEC_LEAFSTORE)?)),
-        None => None,
-    };
+    let at = |id| reader.section_range(id).expect("section read above").0;
+    let (words_at, positions_at) = (at(SEC_WORDS), at(SEC_POSITIONS));
+    let runs = EntryRuns::new(
+        reader.into_file(),
+        words_at,
+        positions_at,
+        segments,
+        Arc::clone(device),
+    );
     let elapsed = start.elapsed();
     let bytes = device.stats().bytes_read - read_before;
     record_snapshot_obs(
@@ -233,13 +215,14 @@ pub(crate) fn open_snapshot(
             ],
         );
     }
-    Ok(SnapshotContents {
-        engine,
-        tree,
-        config,
-        chunks,
-        leaf_store,
-    })
+    Ok((
+        SnapshotContents {
+            engine,
+            tree,
+            config,
+        },
+        runs,
+    ))
 }
 
 fn record_snapshot_obs(

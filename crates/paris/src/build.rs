@@ -22,15 +22,22 @@
 //! its leaves are flushed between them, so each generation lands in a tree
 //! that already exists. Each drained buffer is inserted in position order,
 //! so ParIS, ParIS+, ADS+ and MESSI build one tree for one collection.
+//!
+//! The flushes are the I/O by which ParIS and ParIS+ differ; where they
+//! land is not recorded. Once the tree is flat, the leaf-store file is
+//! rewritten once as its two entry runs (words, then positions), and a
+//! leaf is read back by its entry range — the same reads an opened
+//! snapshot serves from its `WORDS` and `POSITION` sections.
 
 use crate::config::{Overlap, ParisConfig};
 use crate::recbuf::RecBufs;
 use crate::report::BuildReport;
 use dsidx_isax::Word;
+use dsidx_query::ErrorSlot;
 use dsidx_series::Dataset;
-use dsidx_storage::{DatasetFile, LeafStoreReader, LeafStoreWriter, StorageError};
-use dsidx_sync::{SyncSlice, WorkQueue};
-use dsidx_tree::{FlatTree, Index, LeafChunk, LeafChunks, LeafEntry, Node, SaxArray, TreeConfig};
+use dsidx_storage::{DatasetFile, EntryRuns, LeafStoreWriter, StorageError};
+use dsidx_sync::SyncSlice;
+use dsidx_tree::{FlatTree, Index, LeafEntry, Node, SaxArray, TreeConfig};
 use parking_lot::{Condvar, Mutex};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,11 +56,10 @@ pub struct ParisIndex {
     pub config: TreeConfig,
     /// Position-ordered iSAX words — what stage 4 scans.
     pub sax: SaxArray,
-    /// Where each leaf of `tree` was materialized in `leaves` (empty for
-    /// in-memory builds).
-    pub chunks: LeafChunks,
-    /// The materialized leaf store (on-disk builds only).
-    pub leaves: Option<LeafStoreReader>,
+    /// `tree`'s entry runs on disk, which a leaf is read back from by its
+    /// entry range: the rewritten leaf store of an on-disk build, or the
+    /// snapshot an index was opened from (none in memory).
+    pub leaves: Option<EntryRuns>,
 }
 
 enum Feed {
@@ -108,23 +114,6 @@ pub(crate) fn recv_shared<T>(rx: &Mutex<Receiver<T>>) -> Option<T> {
     rx.lock().recv().ok()
 }
 
-/// Shared error slot: first storage error wins, the pipeline drains.
-#[derive(Default)]
-struct ErrorSlot(Mutex<Option<StorageError>>);
-
-impl ErrorSlot {
-    fn set(&self, e: StorageError) {
-        let mut slot = self.0.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-
-    fn take(&self) -> Option<StorageError> {
-        self.0.lock().take()
-    }
-}
-
 fn flush_subtree(node: &mut Node, store: &LeafStoreWriter, errors: &ErrorSlot) {
     node.for_each_leaf_mut(&mut |leaf| {
         let unflushed = leaf.unflushed_entries();
@@ -133,17 +122,16 @@ fn flush_subtree(node: &mut Node, store: &LeafStoreWriter, errors: &ErrorSlot) {
         }
         let records: Vec<(Word, u32)> = unflushed.iter().map(|e| (e.word, e.pos)).collect();
         match store.append(&records) {
-            Ok(h) => leaf.mark_flushed(LeafChunk {
-                offset: h.offset,
-                count: h.count,
-            }),
-            Err(e) => errors.set(e),
+            Ok(()) => leaf.mark_flushed(),
+            Err(e) => errors.record(e),
         }
     });
 }
 
 /// Builds a ParIS or ParIS+ index from an on-disk dataset, materializing
-/// leaves into a leaf store created at `store_path`.
+/// leaves into a leaf store created at `store_path`. The path is unlinked
+/// as soon as the store is open: the file lives exactly as long as the
+/// index, which reads leaves back through the handle.
 ///
 /// # Errors
 /// Propagates I/O failures from the dataset file and the leaf store.
@@ -163,6 +151,7 @@ pub fn build_on_disk(
         "series length mismatch"
     );
     let store = LeafStoreWriter::create(store_path, cfg.tree.segments(), file.device().clone())?;
+    std::fs::remove_file(store_path)?;
     let (mut paris, report) = run_pipeline(
         cfg,
         mode,
@@ -170,7 +159,8 @@ pub fn build_on_disk(
         Some(&store),
         |start, count, out| file.read_block(start, count, out),
     )?;
-    paris.leaves = Some(store.finish()?);
+    let runs = dsidx_tree::snapshot::encode(&paris.tree);
+    paris.leaves = Some(store.finish(&runs.words, &runs.positions)?);
     Ok((paris, report))
 }
 
@@ -229,7 +219,7 @@ fn run_pipeline(
     let sax = SyncSlice::new(vec![filler; total]);
     let roots: SyncSlice<Option<Box<Node>>> =
         SyncSlice::new((0..tree_cfg.root_count()).map(|_| None).collect());
-    let errors = ErrorSlot::default();
+    let errors = ErrorSlot::new();
 
     // Channel capacity: a full generation plus markers — the raw buffer.
     let blocks_per_gen = cfg.generation_series.div_ceil(cfg.block_series);
@@ -433,9 +423,7 @@ fn run_pipeline(
     if let Some(e) = coordinator_error {
         return Err(e);
     }
-    if let Some(e) = errors.take() {
-        return Err(e);
-    }
+    errors.take()?;
 
     let total_time = t0.elapsed();
     let report = BuildReport {
@@ -453,39 +441,9 @@ fn run_pipeline(
         tree: FlatTree::from_index(&index),
         config: tree_cfg.clone(),
         sax: SaxArray::new(sax.into_inner()),
-        chunks: LeafChunks::from_index(&index),
         leaves: None,
     };
     Ok((paris, report))
-}
-
-/// Parallel in-memory summarization used by ablations and tests: fills only
-/// the SAX array (no tree), via Fetch&Inc position chunks.
-#[must_use]
-pub fn summarize_parallel(data: &Dataset, cfg: &ParisConfig) -> SaxArray {
-    let quantizer = cfg.tree.quantizer().clone();
-    let segments = cfg.tree.segments();
-    let filler = Word::new(&vec![0u8; segments]);
-    let sax = SyncSlice::new(vec![filler; data.len()]);
-    let queue = WorkQueue::new(data.len());
-    std::thread::scope(|s| {
-        for _ in 0..cfg.threads {
-            let quantizer = quantizer.clone();
-            let sax = &sax;
-            let queue = &queue;
-            s.spawn(move || {
-                let mut paa = vec![0.0f32; segments];
-                while let Some(range) = queue.claim_chunk(cfg.block_series) {
-                    for pos in range {
-                        let word = quantizer.word_into(data.get(pos), &mut paa);
-                        // SAFETY: chunk claims are disjoint.
-                        unsafe { sax.write(pos, word) };
-                    }
-                }
-            });
-        }
-    });
-    SaxArray::new(sax.into_inner())
 }
 
 #[cfg(test)]
@@ -493,7 +451,7 @@ mod tests {
     use super::*;
     use dsidx_series::gen::DatasetKind;
     use dsidx_storage::{write_dataset, Device, DeviceProfile};
-    use dsidx_tree::snapshot::{decode_chunks, encode_chunks, validate};
+    use dsidx_tree::snapshot::validate;
     use dsidx_tree::stats::index_stats;
     use std::sync::Arc;
 
@@ -529,7 +487,7 @@ mod tests {
         assert_eq!(paris.tree.entry_count(), 600);
         assert_eq!(paris.sax.len(), 600);
         validate(&paris.tree, &paris.config, 600).unwrap();
-        assert_eq!(paris.chunks, LeafChunks::default());
+        assert!(paris.leaves.is_none());
         assert!(report.generations >= 2, "600/256 needs >= 3 generations");
         // SAX words match direct computation.
         let q = cfg.tree.quantizer();
@@ -561,14 +519,10 @@ mod tests {
         assert_eq!(root_keys(&paris.tree), root_keys(&plus.tree));
         assert!(rep_a.generations >= 3);
         assert_eq!(rep_a.generations, rep_b.generations);
-        assert!(paris.leaves.is_some());
-        // Every leaf is fully flushed at the end of both builds: the chunk
-        // column decodes only if its counts cover each leaf exactly.
-        for built in [&paris, &plus] {
-            let bytes = encode_chunks(&built.chunks);
-            assert!(!bytes.is_empty());
-            assert_eq!(decode_chunks(&built.tree, &bytes).unwrap(), built.chunks);
-        }
+        assert!(paris.leaves.is_some() && plus.leaves.is_some());
+        // Both stores were unlinked once open: each index holds the only
+        // handle to its file.
+        assert!(!tmp("a.leaf").exists() && !tmp("b.leaf").exists());
     }
 
     #[test]
@@ -578,31 +532,15 @@ mod tests {
             .with_block_series(64)
             .with_generation_series(128);
         let (paris, _) = build_on_disk(&file, &tmp("rt.leaf"), &cfg, Overlap::ParisPlus).unwrap();
-        let reader = paris.leaves.as_ref().unwrap();
-        let mut records = Vec::new();
+        let runs = paris.leaves.as_ref().unwrap();
+        let (mut words, mut positions) = (Vec::new(), Vec::new());
         let mut checked = 0;
         let tree = &paris.tree;
-        for (idx, leaf) in tree.nodes().iter().enumerate().filter(|(_, n)| n.is_leaf()) {
-            let mut from_store = Vec::new();
-            for chunk in paris.chunks.of(idx as u32) {
-                reader
-                    .read(
-                        dsidx_storage::LeafHandle {
-                            offset: chunk.offset,
-                            count: chunk.count,
-                        },
-                        &mut records,
-                    )
-                    .unwrap();
-                from_store.extend(records.iter().copied());
-            }
-            let resident: Vec<(Word, u32)> = tree
-                .leaf_words(leaf)
-                .iter()
-                .copied()
-                .zip(tree.leaf_positions(leaf).iter().copied())
-                .collect();
-            assert_eq!(from_store, resident, "store contents must mirror leaf");
+        for leaf in tree.nodes().iter().filter(|n| n.is_leaf()) {
+            runs.read(leaf.entry_range(), &mut words, &mut positions)
+                .unwrap();
+            assert_eq!(words, tree.leaf_words(leaf), "store words must mirror leaf");
+            assert_eq!(positions, tree.leaf_positions(leaf));
             checked += 1;
         }
         assert!(checked > 0);
@@ -670,17 +608,6 @@ mod tests {
         for paid in [paris, plus] {
             assert!(paid.bytes_written >= 3000 * record, "{paid:?}");
             assert!(paid.charged_nanos >= paid.seeks * seek_nanos, "{paid:?}");
-        }
-    }
-
-    #[test]
-    fn summarize_parallel_matches_sequential() {
-        let data = DatasetKind::Sald.generate(400, 64, 12);
-        let cfg = ParisConfig::new(tree_cfg(), 6).with_block_series(32);
-        let sax = summarize_parallel(&data, &cfg);
-        let q = cfg.tree.quantizer();
-        for (pos, series) in data.iter().enumerate() {
-            assert_eq!(sax.word(pos), &q.word(series));
         }
     }
 }

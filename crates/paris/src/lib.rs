@@ -14,6 +14,13 @@
 //!    workers prune over the SAX array with lower-bound distances and
 //!    compute real distances for the surviving candidates in parallel.
 //!
+//! Every leaf also stays resident, so the flushes of stage 3 model the
+//! paper's I/O without recording where they land. A built index ends with
+//! its leaf store rewritten as the flat tree's two entry runs, the layout
+//! of a snapshot's `WORDS` and `POSITION` sections, and the approximate
+//! descent of stage 4 reads its leaf back by entry range: two positioned
+//! reads, from that file or from the snapshot an index was opened from.
+//!
 //! **ParIS** stops the Coordinator while stage 3 runs. **ParIS+** is the
 //! same pipeline re-plumbed for full overlap: the bulk-loading workers
 //! themselves grow the subtrees at generation boundaries while the

@@ -43,7 +43,7 @@ use dsidx_query::{
 use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_series::Match;
-use dsidx_storage::{LeafHandle, RawSource, StorageError};
+use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::WorkQueue;
 use parking_lot::Mutex;
 
@@ -78,19 +78,11 @@ const APPROX_PROBE_PER_NEIGHBOR: usize = 4;
 const APPROX_PROBE_MIN: usize = 16;
 
 /// Charges the on-disk read-back of one materialized leaf (by flat node
-/// index) to the leaf store's device (a no-op for in-memory builds).
+/// index) to the device of its entry runs (a no-op in memory).
 fn charge_leaf_read(paris: &ParisIndex, leaf: u32) -> Result<(), StorageError> {
-    if let Some(reader) = &paris.leaves {
-        let mut records = Vec::new();
-        for chunk in paris.chunks.of(leaf) {
-            reader.read(
-                LeafHandle {
-                    offset: chunk.offset,
-                    count: chunk.count,
-                },
-                &mut records,
-            )?;
-        }
+    if let Some(runs) = &paris.leaves {
+        let range = paris.tree.node(leaf).entry_range();
+        runs.read(range, &mut Vec::new(), &mut Vec::new())?;
     }
     Ok(())
 }
@@ -105,8 +97,8 @@ fn charge_leaf_read(paris: &ParisIndex, leaf: u32) -> Result<(), StorageError> {
 /// reads are charged to its device — or the in-memory dataset).
 ///
 /// Seeding ranks each query's approximate leaf by the query's own MINDIST
-/// and fetches only the best few entries (each distinct leaf charged once
-/// to the leaf store in on-disk mode), cross-seeding every pruner with
+/// and fetches only the best few entries (each distinct leaf read back
+/// once from its entry runs in on-disk mode), cross-seeding every pruner with
 /// the union, then warms the thresholds over a short position-order
 /// prefix. The collect phase
 /// lower-bounds each SAX word against every query in one pass, emitting
@@ -133,7 +125,7 @@ fn charge_leaf_read(paris: &ParisIndex, leaf: u32) -> Result<(), StorageError> {
 /// pruners after every shard joined.
 ///
 /// # Errors
-/// Propagates raw-source and leaf-store I/O failures.
+/// Propagates raw-source and leaf read-back I/O failures.
 ///
 /// # Panics
 /// Panics if any query length differs from the configured series length,

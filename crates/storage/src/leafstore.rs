@@ -1,52 +1,39 @@
 //! The leaf store: where ParIS/ParIS+ materialize subtree leaves.
 //!
 //! During on-disk index construction, finished subtrees flush their leaf
-//! contents — `(iSAX word, raw-series position)` records — to this
-//! append-only file "to free space in main memory" (§III). At query time
-//! the approximate-answer descent reads one leaf back.
-//!
-//! File layout: 16-byte header (`magic`, `segments`), then fixed-size
-//! records of `segments + 4` bytes (symbols, position u32 LE).
+//! contents — `(iSAX word, raw-series position)` records of `segments + 4`
+//! bytes — to this append-only file "to free space in main memory" (§III).
+//! Every leaf also stays resident, so the flushes model that I/O and where
+//! they land is not recorded. When the build ends,
+//! [`LeafStoreWriter::finish`] rewrites the file once as the flat tree's
+//! two entry runs — every entry's word, then every entry's position, the
+//! layout of a snapshot's `WORDS` and `POSITION` sections — and the
+//! approximate-answer descent reads a leaf back by its entry range
+//! ([`EntryRuns`]), from that file or from an opened snapshot alike.
 
 use crate::device::Device;
 use crate::error::StorageError;
 use dsidx_isax::Word;
 use parking_lot::Mutex;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: [u8; 8] = *b"DSIDXLF1";
-const HEADER_LEN: u64 = 16;
-
-/// Locates a flushed leaf inside the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeafHandle {
-    /// Byte offset of the first record.
-    pub offset: u64,
-    /// Number of records.
-    pub count: u32,
-}
-
 /// Append side of the leaf store (used by IndexConstruction workers).
 #[derive(Debug)]
 pub struct LeafStoreWriter {
-    inner: Mutex<WriterInner>,
+    out: Mutex<BufWriter<File>>,
     device: Arc<Device>,
     segments: usize,
-    path: std::path::PathBuf,
-}
-
-#[derive(Debug)]
-struct WriterInner {
-    out: BufWriter<File>,
-    next_offset: u64,
 }
 
 impl LeafStoreWriter {
-    /// Creates/truncates a leaf store for words of `segments` segments.
+    /// Creates/truncates a leaf store at `path` for words of `segments`
+    /// segments. Everything after goes through the handle this holds, so
+    /// the caller may unlink `path` as soon as this returns.
     ///
     /// # Errors
     /// I/O failures; `segments` must be in `1..=16`.
@@ -56,205 +43,147 @@ impl LeafStoreWriter {
                 "bad segment count {segments}"
             )));
         }
-        let mut out = BufWriter::new(File::create(path)?);
-        let mut header = [0u8; HEADER_LEN as usize];
-        header[0..8].copy_from_slice(&MAGIC);
-        header[8..12].copy_from_slice(&(segments as u32).to_le_bytes());
-        out.write_all(&header)?;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path)?;
         Ok(Self {
-            inner: Mutex::new(WriterInner {
-                out,
-                next_offset: HEADER_LEN,
-            }),
+            out: Mutex::new(BufWriter::new(file)),
             device,
             segments,
-            path: path.to_path_buf(),
         })
     }
 
-    /// Appends one leaf's records; thread-safe. Returns where they landed.
+    /// Appends one leaf's records; thread-safe.
     ///
     /// # Errors
     /// I/O failures.
-    pub fn append(&self, entries: &[(Word, u32)]) -> Result<LeafHandle, StorageError> {
-        let record = self.segments + 4;
-        let mut buf = Vec::with_capacity(entries.len() * record);
+    pub fn append(&self, entries: &[(Word, u32)]) -> Result<(), StorageError> {
+        let mut buf = Vec::with_capacity(entries.len() * (self.segments + 4));
         for (word, pos) in entries {
             debug_assert_eq!(word.segments(), self.segments);
             buf.extend_from_slice(word.symbols());
             buf.extend_from_slice(&pos.to_le_bytes());
         }
-        let mut inner = self.inner.lock();
-        let offset = inner.next_offset;
-        inner.out.write_all(&buf)?;
-        inner.next_offset += buf.len() as u64;
-        drop(inner);
+        self.out.lock().write_all(&buf)?;
         // The store is append-only, so flushes are sequential writes: charge
         // bandwidth, not a seek per leaf (thousands of leaves per
         // generation would otherwise cost thousands of head movements that
         // a real append-only writer never makes).
         self.device.charge_append(buf.len() as u64);
-        Ok(LeafHandle {
-            offset,
-            count: entries.len() as u32,
-        })
+        Ok(())
     }
 
-    /// Flushes and reopens the store for reading.
+    /// Ends the build: replaces the flushed records with `words` followed
+    /// by `positions` — the flat tree's entry runs, `segments` and 4 bytes
+    /// per entry — in one sequential write, and reads leaves back from
+    /// them.
     ///
     /// # Errors
     /// I/O failures.
-    pub fn finish(self) -> Result<LeafStoreReader, StorageError> {
-        let inner = self.inner.into_inner();
-        let mut out = inner.out;
-        out.flush()?;
-        drop(out);
-        LeafStoreReader::open(&self.path, self.device)
+    pub fn finish(self, words: &[u8], positions: &[u8]) -> Result<EntryRuns, StorageError> {
+        debug_assert_eq!(words.len() / self.segments, positions.len() / 4);
+        let file = self
+            .out
+            .into_inner()
+            .into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?;
+        file.set_len(0)?;
+        file.write_all_at(words, 0)?;
+        file.write_all_at(positions, words.len() as u64)?;
+        self.device
+            .charge_append((words.len() + positions.len()) as u64);
+        Ok(EntryRuns::new(
+            file,
+            0,
+            words.len() as u64,
+            self.segments,
+            self.device,
+        ))
     }
 }
 
-/// Read side of the leaf store (used by query answering).
-///
-/// The store may live in its own file (`base == 0`) or be embedded inside
-/// a larger one — an index snapshot carries the whole store as one section
-/// — in which case every stored offset is relative to `base`.
+/// Reads a leaf back by its entry range from a flat tree's two entry runs
+/// in `file`: `segments` bytes of word per entry in the run at
+/// `words_at`, a little-endian `u32` position per entry in the run at
+/// `positions_at`.
 #[derive(Debug)]
-pub struct LeafStoreReader {
+pub struct EntryRuns {
     file: File,
     device: Arc<Device>,
     segments: usize,
-    /// Byte position of the store's header within `file`.
-    base: u64,
-    /// Bytes of the store, header included.
-    len: u64,
+    words_at: u64,
+    positions_at: u64,
 }
 
-impl LeafStoreReader {
-    /// Opens an existing leaf store file.
-    ///
-    /// # Errors
-    /// Format violations and I/O failures.
-    pub fn open(path: &Path, device: Arc<Device>) -> Result<Self, StorageError> {
-        Self::open_within(path, 0, device)
-    }
-
-    /// Opens a leaf store embedded at byte `base` of a larger file (an
-    /// index snapshot). [`LeafHandle`] offsets stay store-relative; reads
-    /// add `base`.
-    ///
-    /// # Errors
-    /// Format violations and I/O failures.
-    pub fn open_within(path: &Path, base: u64, device: Arc<Device>) -> Result<Self, StorageError> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len().saturating_sub(base);
-        let mut header = [0u8; HEADER_LEN as usize];
-        device.charge_read(base, HEADER_LEN);
-        file.read_exact_at(&mut header, base).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                StorageError::Corrupt("leaf store shorter than header".into())
-            } else {
-                StorageError::Io(e)
-            }
-        })?;
-        Self::from_parts(file, &header, base, len, device)
-    }
-
-    /// Opens a leaf store embedded at byte `base` of `path` whose bytes
-    /// the caller has already read (and checksum-verified) — e.g. a
-    /// snapshot section. Parses the header from `bytes` without touching
-    /// the file again, so a sequential snapshot open stays sequential:
-    /// no re-read, no modeled seek back to `base`. Query-time leaf reads
-    /// are still charged through `device` as they happen.
-    ///
-    /// # Errors
-    /// Format violations and I/O failures.
-    pub fn from_verified_bytes(
-        path: &Path,
-        base: u64,
-        bytes: &[u8],
-        device: Arc<Device>,
-    ) -> Result<Self, StorageError> {
-        if (bytes.len() as u64) < HEADER_LEN {
-            return Err(StorageError::Corrupt(
-                "leaf store shorter than header".into(),
-            ));
-        }
-        let file = File::open(path)?;
-        let len = bytes.len() as u64;
-        Self::from_parts(file, &bytes[..HEADER_LEN as usize], base, len, device)
-    }
-
-    fn from_parts(
+impl EntryRuns {
+    /// The runs at byte `words_at` and `positions_at` of `file`, for words
+    /// of `segments` segments. Reads are charged to `device`.
+    #[must_use]
+    pub fn new(
         file: File,
-        header: &[u8],
-        base: u64,
-        len: u64,
+        words_at: u64,
+        positions_at: u64,
+        segments: usize,
         device: Arc<Device>,
-    ) -> Result<Self, StorageError> {
-        if header[0..8] != MAGIC {
-            return Err(StorageError::BadMagic);
-        }
-        let segments = u32::from_le_bytes(header[8..12].try_into().expect("slice of 4")) as usize;
-        if segments == 0 || segments > dsidx_isax::MAX_SEGMENTS {
-            return Err(StorageError::Corrupt(format!(
-                "bad segment count {segments}"
-            )));
-        }
-        Ok(Self {
+    ) -> Self {
+        Self {
             file,
             device,
             segments,
-            base,
-            len,
-        })
-    }
-
-    /// The whole store, header included, through the handle this reader
-    /// holds — one sequential read charged to the device. What a snapshot
-    /// embeds; the handle keeps reading the same bytes even after the file
-    /// it was opened from is replaced.
-    ///
-    /// # Errors
-    /// I/O failures (including a store shorter than it was when opened).
-    pub fn read_all(&self) -> Result<Vec<u8>, StorageError> {
-        let mut bytes = vec![0u8; usize::try_from(self.len).expect("store fits memory")];
-        self.device.charge_read(self.base, self.len);
-        self.file.read_exact_at(&mut bytes, self.base)?;
-        Ok(bytes)
-    }
-
-    /// Number of segments per stored word.
-    #[must_use]
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
-    /// Reads a flushed leaf back into `out` (cleared first); thread-safe.
-    ///
-    /// # Errors
-    /// I/O failures (including truncated stores).
-    pub fn read(&self, handle: LeafHandle, out: &mut Vec<(Word, u32)>) -> Result<(), StorageError> {
-        let record = self.segments + 4;
-        let bytes = handle.count as usize * record;
-        let mut buf = vec![0u8; bytes];
-        self.device
-            .charge_read(self.base + handle.offset, bytes as u64);
-        self.file
-            .read_exact_at(&mut buf, self.base + handle.offset)?;
-        out.clear();
-        out.reserve(handle.count as usize);
-        for rec in buf.chunks_exact(record) {
-            let word = Word::new(&rec[..self.segments]);
-            let pos = u32::from_le_bytes(rec[self.segments..].try_into().expect("slice of 4"));
-            out.push((word, pos));
+            words_at,
+            positions_at,
         }
+    }
+
+    /// Reads entries `range` back into `words` and `positions` (both
+    /// cleared first): one positioned read from each run, nothing for an
+    /// empty range. Thread-safe.
+    ///
+    /// # Errors
+    /// I/O failures (including runs shorter than `range`).
+    pub fn read(
+        &self,
+        range: Range<usize>,
+        words: &mut Vec<Word>,
+        positions: &mut Vec<u32>,
+    ) -> Result<(), StorageError> {
+        words.clear();
+        positions.clear();
+        if range.is_empty() {
+            return Ok(());
+        }
+        let symbols = self.read_run(self.words_at, range.clone(), self.segments)?;
+        let raw = self.read_run(self.positions_at, range, 4)?;
+        words.extend(symbols.chunks_exact(self.segments).map(Word::new));
+        positions.extend(
+            raw.chunks_exact(4)
+                .map(|b| u32::from_le_bytes(b.try_into().expect("slice of 4"))),
+        );
         Ok(())
+    }
+
+    /// The `width`-byte records `range` of the run at byte `at`.
+    fn read_run(
+        &self,
+        at: u64,
+        range: Range<usize>,
+        width: usize,
+    ) -> Result<Vec<u8>, StorageError> {
+        let offset = at + (range.start * width) as u64;
+        let mut buf = vec![0u8; range.len() * width];
+        self.device.charge_read(offset, buf.len() as u64);
+        self.file.read_exact_at(&mut buf, offset)?;
+        Ok(buf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::DeviceProfile;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dsidx-leaf-{}", std::process::id()));
@@ -273,76 +202,81 @@ mod tests {
         Word::new(&symbols)
     }
 
+    /// The two entry runs of `entries`, as a snapshot lays them out.
+    fn runs(entries: &[(Word, u32)]) -> (Vec<u8>, Vec<u8>) {
+        let words = entries.iter().flat_map(|(w, _)| w.symbols().to_vec());
+        let positions = entries.iter().flat_map(|(_, p)| p.to_le_bytes());
+        (words.collect(), positions.collect())
+    }
+
+    fn read(runs: &EntryRuns, range: Range<usize>) -> Vec<(Word, u32)> {
+        let (mut words, mut positions) = (Vec::new(), Vec::new());
+        runs.read(range, &mut words, &mut positions).unwrap();
+        words.into_iter().zip(positions).collect()
+    }
+
     #[test]
     fn append_and_read_round_trip() {
         let path = tmp("round.leaf");
         let w = LeafStoreWriter::create(&path, 16, dev()).unwrap();
         let leaf_a: Vec<(Word, u32)> = (0..10).map(|i| (word(i as u8, 16), i * 3)).collect();
         let leaf_b: Vec<(Word, u32)> = (0..5).map(|i| (word(i as u8 + 100, 16), i + 777)).collect();
-        let ha = w.append(&leaf_a).unwrap();
-        let hb = w.append(&leaf_b).unwrap();
-        let r = w.finish().unwrap();
-        let mut out = Vec::new();
-        r.read(hb, &mut out).unwrap();
-        assert_eq!(out, leaf_b);
-        r.read(ha, &mut out).unwrap();
-        assert_eq!(out, leaf_a);
+        w.append(&leaf_b).unwrap();
+        w.append(&leaf_a).unwrap();
+        // The finished store holds the tree's entry runs, whatever order
+        // the leaves were flushed in.
+        let all = [&leaf_a[..], &leaf_b[..]].concat();
+        let (words, positions) = runs(&all);
+        let r = w.finish(&words, &positions).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            [&words[..], &positions[..]].concat()
+        );
+        assert_eq!(read(&r, 10..15), leaf_b);
+        assert_eq!(read(&r, 0..10), leaf_a);
+        assert_eq!(read(&r, 3..12), all[3..12]);
     }
 
     #[test]
     fn empty_leaf_is_fine() {
+        let device = dev();
         let path = tmp("empty.leaf");
-        let w = LeafStoreWriter::create(&path, 4, dev()).unwrap();
-        let h = w.append(&[]).unwrap();
-        let r = w.finish().unwrap();
-        let mut out = vec![(word(0, 4), 0)];
-        r.read(h, &mut out).unwrap();
-        assert!(out.is_empty());
+        let w = LeafStoreWriter::create(&path, 4, Arc::clone(&device)).unwrap();
+        let r = w.finish(&[], &[]).unwrap();
+        let (mut words, mut positions) = (vec![word(0, 4)], vec![7]);
+        r.read(0..0, &mut words, &mut positions).unwrap();
+        assert!(words.is_empty() && positions.is_empty());
+        assert_eq!(device.stats().bytes_read, 0);
     }
 
     #[test]
     fn concurrent_appends_do_not_interleave() {
         let path = tmp("conc.leaf");
         let w = LeafStoreWriter::create(&path, 8, dev()).unwrap();
-        let handles: Vec<(usize, LeafHandle)> = std::thread::scope(|s| {
-            let mut joins = Vec::new();
+        std::thread::scope(|s| {
             for t in 0..8usize {
                 let w = &w;
-                joins.push(s.spawn(move || {
+                s.spawn(move || {
                     let entries: Vec<(Word, u32)> = (0..50)
                         .map(|i| (word((t * 50 + i) as u8, 8), (t * 50 + i) as u32))
                         .collect();
-                    (t, w.append(&entries).unwrap())
-                }));
+                    w.append(&entries).unwrap();
+                });
             }
-            joins.into_iter().map(|j| j.join().unwrap()).collect()
         });
-        let r = w.finish().unwrap();
-        let mut out = Vec::new();
-        for (t, h) in handles {
-            r.read(h, &mut out).unwrap();
-            assert_eq!(out.len(), 50);
-            for (i, (wd, pos)) in out.iter().enumerate() {
-                assert_eq!(*pos, (t * 50 + i) as u32);
-                assert_eq!(*wd, word((t * 50 + i) as u8, 8));
+        drop(w);
+        // Each thread's 50 records sit together, in order.
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 8 * 50 * 12);
+        for leaf in bytes.chunks_exact(50 * 12) {
+            let first = u32::from_le_bytes(leaf[8..12].try_into().unwrap()) as usize;
+            assert_eq!(first % 50, 0);
+            for (i, rec) in leaf.chunks_exact(12).enumerate() {
+                let pos = u32::from_le_bytes(rec[8..].try_into().unwrap()) as usize;
+                assert_eq!(pos, first + i);
+                assert_eq!(Word::new(&rec[..8]), word(pos as u8, 8));
             }
         }
-    }
-
-    #[test]
-    fn reader_rejects_foreign_files() {
-        let path = tmp("foreign.leaf");
-        std::fs::write(&path, b"WRONGMAGICxxxxxx").unwrap();
-        assert!(matches!(
-            LeafStoreReader::open(&path, dev()),
-            Err(StorageError::BadMagic)
-        ));
-        let path = tmp("tiny.leaf");
-        std::fs::write(&path, b"DS").unwrap();
-        assert!(matches!(
-            LeafStoreReader::open(&path, dev()),
-            Err(StorageError::Corrupt(_))
-        ));
     }
 
     #[test]
@@ -350,44 +284,48 @@ mod tests {
         let path = tmp("trunc.leaf");
         let w = LeafStoreWriter::create(&path, 8, dev()).unwrap();
         let entries: Vec<(Word, u32)> = (0..20).map(|i| (word(i as u8, 8), i)).collect();
-        let h = w.append(&entries).unwrap();
-        let _ = w.finish().unwrap();
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 6]).unwrap();
-        let r = LeafStoreReader::open(&path, dev()).unwrap();
-        let mut out = Vec::new();
-        assert!(r.read(h, &mut out).is_err());
+        let (words, positions) = runs(&entries);
+        let r = w.finish(&words, &positions).unwrap();
+        let (mut ws, mut ps) = (Vec::new(), Vec::new());
+        // The last entry's position runs past the end of the positions run.
+        let beyond = EntryRuns::new(
+            File::open(&path).unwrap(),
+            0,
+            words.len() as u64 + 4,
+            8,
+            dev(),
+        );
+        assert!(beyond.read(19..20, &mut ws, &mut ps).is_err());
+        assert!(r.read(19..21, &mut ws, &mut ps).is_err());
+        assert_eq!(read(&r, 19..20), entries[19..]);
     }
 
     #[test]
     fn embedded_store_reads_relative_to_base() {
-        // Build a normal store, then splice its bytes into the middle of a
-        // container file — the snapshot embedding case.
-        let path = tmp("embed-src.leaf");
-        let w = LeafStoreWriter::create(&path, 8, dev()).unwrap();
+        // Runs inside a larger file — a snapshot's WORDS and POSITION
+        // sections — read at their own offsets, two reads per leaf.
         let entries: Vec<(Word, u32)> = (0..15).map(|i| (word(i as u8, 8), i * 7)).collect();
-        let h = w.append(&entries).unwrap();
-        let _ = w.finish().unwrap();
-        let store_bytes = std::fs::read(&path).unwrap();
-        let container = tmp("embed-dst.bin");
+        let (words, positions) = runs(&entries);
         let mut bytes = vec![0xABu8; 100];
-        bytes.extend_from_slice(&store_bytes);
+        bytes.extend_from_slice(&words);
         bytes.extend_from_slice(&[0xCD; 37]);
+        bytes.extend_from_slice(&positions);
+        let container = tmp("embed.bin");
         std::fs::write(&container, &bytes).unwrap();
-        let device = dev();
-        let r = LeafStoreReader::open_within(&container, 100, Arc::clone(&device)).unwrap();
-        assert_eq!(r.segments(), 8);
-        let mut out = Vec::new();
-        r.read(h, &mut out).unwrap();
-        assert_eq!(out, entries);
-        // Charging sees the absolute position, so seek modeling stays honest.
-        assert_eq!(device.stats().bytes_read, 16 + 15 * 12);
-        // Read whole from the verified section bytes, it is exactly them.
-        let section = &bytes[100..100 + store_bytes.len()];
-        let r = LeafStoreReader::from_verified_bytes(&container, 100, section, dev()).unwrap();
-        assert_eq!(r.read_all().unwrap(), store_bytes);
-        // A wrong base lands on garbage and is rejected, not misread.
-        assert!(LeafStoreReader::open_within(&container, 0, dev()).is_err());
+        let device = Arc::new(Device::new(DeviceProfile::SSD));
+        let positions_at = 100 + words.len() as u64 + 37;
+        let r = EntryRuns::new(
+            File::open(&container).unwrap(),
+            100,
+            positions_at,
+            8,
+            Arc::clone(&device),
+        );
+        assert_eq!(read(&r, 0..15), entries);
+        assert_eq!(read(&r, 4..9), entries[4..9]);
+        let stats = device.stats();
+        assert_eq!(stats.bytes_read, (15 + 5) * 12);
+        assert_eq!(stats.seeks, 4);
     }
 
     #[test]
@@ -398,5 +336,9 @@ mod tests {
         let entries: Vec<(Word, u32)> = (0..10).map(|i| (word(i as u8, 8), i)).collect();
         w.append(&entries).unwrap();
         assert_eq!(device.stats().bytes_written, 10 * 12);
+        // The end-of-build rewrite is one more append of the two runs.
+        let (words, positions) = runs(&entries);
+        w.finish(&words, &positions).unwrap();
+        assert_eq!(device.stats().bytes_written, 2 * 10 * 12);
     }
 }

@@ -1,6 +1,7 @@
 //! Storage substrate: the raw dataset file format, positioned and block
-//! readers, the leaf store ParIS flushes subtree leaves into, and the
-//! *device model* that stands in for the paper's HDD and SSD testbeds.
+//! readers, the leaf store ParIS flushes subtree leaves into (and the
+//! reader of a flat tree's entry runs it ends as), and the *device model*
+//! that stands in for the paper's HDD and SSD testbeds.
 //!
 //! # The device model
 //!
@@ -25,6 +26,6 @@ pub mod snapshot;
 pub use device::{Device, DeviceProfile};
 pub use error::StorageError;
 pub use format::{read_dataset, write_dataset, DatasetFile, DatasetWriter};
-pub use leafstore::{LeafHandle, LeafStoreReader, LeafStoreWriter};
+pub use leafstore::{EntryRuns, LeafStoreWriter};
 pub use raw::{FlakySource, RawSource};
 pub use snapshot::{SnapshotFingerprint, SnapshotReader, SnapshotWriter};

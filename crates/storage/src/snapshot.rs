@@ -5,8 +5,8 @@
 //! `save` writes one, a later process `open`s it in milliseconds instead
 //! of re-running a full tree construction. This module owns only the
 //! *container* — header, fingerprint, section table, checksums; what goes
-//! *in* the sections (the flat tree's arrays, leaf stores) is the caller's
-//! business (`dsidx-tree::snapshot` defines those layouts).
+//! *in* the sections (the flat tree's arrays) is the caller's business
+//! (`dsidx-tree::snapshot` defines those layouts).
 //!
 //! # File layout (all integers little-endian)
 //!
@@ -62,10 +62,10 @@
 //! moves it into the target's place only once every byte is written: the
 //! old file is unlinked and the new one renamed to its name. An index
 //! opened from the old file keeps reading it through its open handle (a
-//! ParIS leaf store is served from inside its snapshot), and a process
-//! that dies while writing leaves the previous snapshot whole; one that
-//! dies in the instant between the unlink and the rename leaves the new
-//! snapshot, complete, under its temporary name. It is not one rename over
+//! ParIS leaf is read back from the entry runs inside its snapshot), and a
+//! process that dies while writing leaves the previous snapshot whole; one
+//! that dies in the instant between the unlink and the rename leaves the
+//! new snapshot, complete, under its temporary name. It is not one rename over
 //! the target because ext4 then writes the new file back immediately
 //! (`auto_da_alloc`), and replacing that file at the next save costs ~2 ms
 //! more per 4 MB than rewriting a file in place. Nothing is
@@ -512,15 +512,15 @@ impl SnapshotReader {
         self.total_len
     }
 
-    /// Whether a section is present (unknown sections are ignored, known
-    /// optional ones — like an embedded leaf store — are probed).
+    /// Whether a section is present (sections a reader does not know are
+    /// ignored).
     #[must_use]
     pub fn has_section(&self, id: &str) -> bool {
         self.sections.iter().any(|s| s.id == id)
     }
 
     /// The `(offset, len)` of a section's payload within the file, for
-    /// callers that read it in place (e.g. an embedded leaf store).
+    /// callers that read it in place (a ParIS leaf from the entry runs).
     #[must_use]
     pub fn section_range(&self, id: &str) -> Option<(u64, u64)> {
         self.sections
@@ -574,6 +574,14 @@ impl SnapshotReader {
     #[must_use]
     pub fn device(&self) -> &Arc<Device> {
         &self.device
+    }
+
+    /// The open snapshot file, for reading sections in place after the
+    /// open (see [`section_range`](Self::section_range)). It stays the
+    /// file that was opened even if its path is saved over.
+    #[must_use]
+    pub fn into_file(self) -> File {
+        self.file
     }
 }
 

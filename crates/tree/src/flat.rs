@@ -36,7 +36,7 @@
 use crate::config::TreeConfig;
 use crate::entry::LeafEntry;
 use crate::index::Index;
-use crate::node::{LeafChunk, Node};
+use crate::node::Node;
 use crate::sax::SaxArray;
 use dsidx_isax::split::choose_split_segment;
 use dsidx_isax::{NodeMindistTable, NodeWord, Word, MAX_BITS, MAX_SEGMENTS};
@@ -529,56 +529,6 @@ impl FlatTree {
     }
 }
 
-/// Where each leaf of a [`FlatTree`] sits in a ParIS leaf store: a column
-/// beside the tree, keyed by flat node index. Inner nodes own no chunks,
-/// and an index built in memory has an empty column.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LeafChunks {
-    /// Node `i`'s chunks are `chunks[starts[i]..starts[i + 1]]` (empty, or
-    /// one start per node plus the end).
-    pub(crate) starts: Vec<u32>,
-    /// Every leaf's chunks, leaves in node order.
-    pub(crate) chunks: Vec<LeafChunk>,
-}
-
-impl LeafChunks {
-    /// Collects a built index's flush chunks in the node order of
-    /// [`FlatTree::from_index`].
-    #[must_use]
-    pub fn from_index(index: &Index) -> Self {
-        fn push(node: &Node, out: &mut LeafChunks) {
-            out.starts.push(out.chunks.len() as u32);
-            if let Some((_, zero, one)) = node.children() {
-                push(zero, out);
-                push(one, out);
-            } else {
-                let payload = node.payload().expect("a node without children is a leaf");
-                out.chunks.extend_from_slice(&payload.chunks);
-            }
-        }
-        let mut out = Self::default();
-        for &key in index.occupied_roots() {
-            push(index.root(key).expect("occupied root exists"), &mut out);
-        }
-        if out.chunks.is_empty() {
-            return Self::default();
-        }
-        out.starts.push(out.chunks.len() as u32);
-        out
-    }
-
-    /// The chunks of node `node` (none for inner nodes and in-memory
-    /// builds).
-    #[must_use]
-    pub fn of(&self, node: u32) -> &[LeafChunk] {
-        let i = node as usize;
-        match (self.starts.get(i), self.starts.get(i + 1)) {
-            (Some(&start), Some(&end)) => &self.chunks[start as usize..end as usize],
-            _ => &[],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,6 +758,5 @@ mod tests {
         assert!(flat.roots().is_empty());
         assert!(flat.nodes().is_empty());
         assert!(flat.sax_array().is_empty());
-        assert_eq!(LeafChunks::from_index(&idx), LeafChunks::default());
     }
 }

@@ -40,9 +40,9 @@ pub mod stats;
 
 pub use config::TreeConfig;
 pub use entry::LeafEntry;
-pub use flat::{FlatFragment, FlatNode, FlatTree, LeafChunks};
+pub use flat::{FlatFragment, FlatNode, FlatTree};
 pub use index::Index;
-pub use node::{LeafChunk, LeafPayload, Node};
+pub use node::{LeafPayload, Node};
 pub use sax::SaxArray;
 
 pub use dsidx_isax::{NodeWord, Quantizer, Word};

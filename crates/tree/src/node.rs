@@ -15,31 +15,21 @@ use crate::entry::LeafEntry;
 use dsidx_isax::split::choose_split_segment;
 use dsidx_isax::NodeWord;
 
-/// A chunk of leaf entries materialized to the leaf store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeafChunk {
-    /// Byte offset in the leaf store.
-    pub offset: u64,
-    /// Number of entries in the chunk.
-    pub count: u32,
-}
-
 /// A leaf's contents.
 ///
 /// Entries always stay resident (the split policy needs their words); the
-/// `flushed` prefix and `chunks` record which of them ParIS/ParIS+ have
-/// already materialized to the leaf store. The paper flushes leaves "to
-/// free space in main memory" — at this reproduction's laptop scale the
-/// summaries fit comfortably, so we model the *I/O cost* of materialization
-/// (every flush is charged to the device) while keeping the bytes resident.
+/// `flushed` prefix counts those ParIS/ParIS+ have already materialized to
+/// the leaf store. The paper flushes leaves "to free space in main memory"
+/// — at this reproduction's laptop scale the summaries fit comfortably, so
+/// we model the *I/O cost* of materialization (every flush is charged to
+/// the device) while keeping the bytes resident. Where a flush lands is
+/// not recorded: a leaf is read back by its entry range in the flat tree.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LeafPayload {
     /// All entries of this leaf.
     pub entries: Vec<LeafEntry>,
     /// How many of `entries` (as a prefix) are already on disk.
     pub flushed: u32,
-    /// Where the flushed prefix lives in the leaf store.
-    pub chunks: Vec<LeafChunk>,
 }
 
 /// A subtree node. Roots of subtrees are `Node`s owned by
@@ -226,24 +216,15 @@ impl Node {
         &payload.entries[payload.flushed as usize..]
     }
 
-    /// Records that the previously unflushed suffix now lives at `chunk`.
+    /// Records that the previously unflushed suffix is now on disk.
     ///
     /// # Panics
-    /// Panics on inner nodes, or if `chunk.count` disagrees with the
-    /// unflushed suffix length.
-    pub fn mark_flushed(&mut self, chunk: LeafChunk) {
+    /// Panics on inner nodes.
+    pub fn mark_flushed(&mut self) {
         let NodeKind::Leaf(payload) = &mut self.kind else {
             panic!("mark_flushed on inner node");
         };
-        assert_eq!(
-            chunk.count as usize,
-            payload.entries.len() - payload.flushed as usize,
-            "flush chunk size mismatch"
-        );
-        if chunk.count > 0 {
-            payload.chunks.push(chunk);
-            payload.flushed = payload.entries.len() as u32;
-        }
+        payload.flushed = payload.entries.len() as u32;
     }
 
     /// Number of entries below this node.
@@ -383,51 +364,15 @@ mod tests {
             node.insert(*e, &cfg);
         }
         assert_eq!(node.unflushed_entries().len(), 4);
-        node.mark_flushed(LeafChunk {
-            offset: 16,
-            count: 4,
-        });
+        node.mark_flushed();
         assert_eq!(node.unflushed_entries().len(), 0);
         // Two more entries arrive in the next generation.
         for e in &es[4..] {
             node.insert(*e, &cfg);
         }
         assert_eq!(node.unflushed_entries(), &es[4..]);
-        node.mark_flushed(LeafChunk {
-            offset: 128,
-            count: 2,
-        });
-        let p = node.payload().unwrap();
-        assert_eq!(p.chunks.len(), 2);
-        assert_eq!(p.flushed, 6);
-    }
-
-    #[test]
-    fn flush_of_empty_suffix_adds_no_chunk() {
-        let cfg = config(4);
-        let key = any_key(&cfg);
-        let mut node = Node::new_leaf(cfg.root_word(key));
-        node.mark_flushed(LeafChunk {
-            offset: 0,
-            count: 0,
-        });
-        assert!(node.payload().unwrap().chunks.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size mismatch")]
-    fn flush_with_wrong_count_panics() {
-        let cfg = config(4);
-        let key = any_key(&cfg);
-        let es = entries_for_root(&cfg, key, 2);
-        let mut node = Node::new_leaf(cfg.root_word(key));
-        for e in &es {
-            node.insert(*e, &cfg);
-        }
-        node.mark_flushed(LeafChunk {
-            offset: 0,
-            count: 5,
-        });
+        node.mark_flushed();
+        assert_eq!(node.payload().unwrap().flushed, 6);
     }
 
     #[test]
@@ -439,16 +384,12 @@ mod tests {
         for e in &es[..4] {
             node.insert(*e, &cfg);
         }
-        node.mark_flushed(LeafChunk {
-            offset: 0,
-            count: 4,
-        });
+        node.mark_flushed();
         node.insert(es[4], &cfg); // overflow -> split
         assert!(!node.is_leaf());
         node.for_each_leaf(&mut |leaf| {
             let p = leaf.payload().unwrap();
             assert_eq!(p.flushed, 0, "children start unflushed");
-            assert!(p.chunks.is_empty());
         });
     }
 

@@ -24,29 +24,27 @@
 //!   leaf-contiguous (the padding words the tree appends are not stored).
 //! * **positions** (4 B per entry): raw-data positions, index-aligned with
 //!   the words.
-//! * **chunks** (12 B per chunk, ParIS on disk only): `offset: u64`,
-//!   `count: u32` per leaf-store chunk, leaves in node order. Every leaf is
-//!   flushed in full by the end of a build, so a leaf's chunks are simply
-//!   the next ones, until their counts add up to its entry count.
+//!
+//! A leaf's entries are its node's `entry_start..entry_end` in both entry
+//! runs, so one positioned read from each reads the leaf back: ParIS does
+//! that from an opened snapshot, and from its leaf-store file after a
+//! build, which ends as these two runs.
 //!
 //! The decoder trusts nothing: every structural invariant the builders
 //! maintain is re-checked against the bytes ([`validate`]), so a corrupt
 //! file that slips past the container checksums still yields an error —
 //! never a silently wrong index. Only a flipped symbol that stays inside
-//! its leaf, or a flipped chunk offset, is left to those checksums.
+//! its leaf is left to those checksums.
 
 use crate::config::TreeConfig;
-use crate::flat::{FlatNode, FlatTree, LeafChunks};
+use crate::flat::{FlatNode, FlatTree};
 use crate::index::Index;
-use crate::node::LeafChunk;
 use dsidx_isax::{NodeWord, Word, MAX_SEGMENTS};
 
 /// Size of one serialized tree node.
 pub const NODE_RECORD_LEN: usize = 2 * MAX_SEGMENTS + 12;
 /// Size of one root-subtree directory record.
 pub const ROOT_RECORD_LEN: usize = 6;
-/// Size of one leaf-store chunk record.
-pub const CHUNK_RECORD_LEN: usize = 12;
 
 /// A malformed or internally inconsistent serialized tree.
 ///
@@ -275,57 +273,6 @@ pub fn validate(tree: &FlatTree, config: &TreeConfig, count: usize) -> Result<()
     Ok(())
 }
 
-/// Serializes a ParIS leaf-store chunk column (empty for an in-memory
-/// build).
-#[must_use]
-pub fn encode_chunks(chunks: &LeafChunks) -> Vec<u8> {
-    let records = chunks.chunks.iter();
-    records
-        .flat_map(|c| [&c.offset.to_le_bytes()[..], &c.count.to_le_bytes()].concat())
-        .collect()
-}
-
-/// Reads a chunk column back against the (validated) tree it belongs to:
-/// empty, or chunks that cover every leaf's entries exactly.
-///
-/// # Errors
-/// A [`CodecError`] for a malformed record or counts that do not add up
-/// leaf by leaf.
-pub fn decode_chunks(tree: &FlatTree, bytes: &[u8]) -> Result<LeafChunks, CodecError> {
-    let mut records = records(bytes, "chunk", CHUNK_RECORD_LEN)?.map(|rec| LeafChunk {
-        offset: u64::from_le_bytes(rec[..8].try_into().expect("slice of 8")),
-        count: le_u32(&rec[8..]),
-    });
-    if bytes.is_empty() {
-        return Ok(LeafChunks::default());
-    }
-    let mut out = LeafChunks::default();
-    for (idx, node) in tree.nodes.iter().enumerate() {
-        out.starts.push(out.chunks.len() as u32);
-        let mut left = if node.is_leaf() {
-            node.subtree_len()
-        } else {
-            0
-        };
-        while left > 0 {
-            let chunk = records.next();
-            let count = chunk.map_or(0, |c| c.count as usize);
-            ensure!(
-                (1..=left).contains(&count),
-                "chunk records do not cover the {left} entries left of leaf {idx}"
-            );
-            left -= count;
-            out.chunks.extend(chunk);
-        }
-    }
-    out.starts.push(out.chunks.len() as u32);
-    ensure!(
-        records.next().is_none(),
-        "chunk section has records past the last leaf"
-    );
-    Ok(out)
-}
-
 fn le_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(bytes.try_into().expect("slice of 4"))
 }
@@ -348,7 +295,6 @@ fn records<'a>(
 mod tests {
     use super::*;
     use crate::entry::LeafEntry;
-    use crate::node::Node;
 
     /// Four segments, two of them in the root key, so every root record
     /// round-trips a word with zero-bit segments.
@@ -395,57 +341,6 @@ mod tests {
             assert_eq!(back, tree, "count={count}");
             assert_eq!(encode_tree(&build_index(count)), sections);
         }
-    }
-
-    #[test]
-    fn flush_bookkeeping_round_trips() {
-        // Simulate a ParIS materialization pass: grow each subtree, flush
-        // every leaf, assemble.
-        let cfg = config();
-        let mut slots: Vec<Option<Box<Node>>> = vec![None; cfg.root_count()];
-        for pos in 0..60u32 {
-            let word = cfg.quantizer().word(&series(u64::from(pos)));
-            let key = cfg.root_key(&word);
-            slots[usize::from(key)]
-                .get_or_insert_with(|| Box::new(Node::new_leaf(cfg.root_word(key))))
-                .insert(LeafEntry::new(word, pos), &cfg);
-        }
-        let mut offset = 0u64;
-        for node in slots.iter_mut().flatten() {
-            node.for_each_leaf_mut(&mut |leaf| {
-                let count = leaf.unflushed_entries().len() as u32;
-                leaf.mark_flushed(LeafChunk { offset, count });
-                offset += u64::from(count) * 36;
-            });
-        }
-        let index = Index::from_roots(cfg.clone(), slots);
-        let tree = FlatTree::from_index(&index);
-        let chunks = LeafChunks::from_index(&index);
-        for (idx, node) in tree.nodes().iter().enumerate() {
-            let covered: u32 = chunks.of(idx as u32).iter().map(|c| c.count).sum();
-            let want = if node.is_leaf() {
-                node.subtree_len()
-            } else {
-                0
-            };
-            assert_eq!(covered as usize, want, "node {idx}");
-        }
-        let bytes = encode_chunks(&chunks);
-        assert_eq!(bytes.len(), chunks.chunks.len() * CHUNK_RECORD_LEN);
-        let back = decode_tree(cfg, 60, &encode(&tree)).expect("decode");
-        assert_eq!(back, tree);
-        assert_eq!(decode_chunks(&back, &bytes).expect("decode"), chunks);
-        // An in-memory build has no column, and an empty one decodes so.
-        assert_eq!(decode_chunks(&back, &[]).unwrap(), LeafChunks::default());
-        // Every flip of a count byte, every dropped or extra record, is
-        // caught (offsets are the container checksum's job).
-        for i in (0..bytes.len()).filter(|i| i % CHUNK_RECORD_LEN >= 8) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            assert!(decode_chunks(&back, &bad).is_err(), "count flip at {i}");
-        }
-        assert!(decode_chunks(&back, &bytes[CHUNK_RECORD_LEN..]).is_err());
-        assert!(decode_chunks(&back, &[&bytes[..], &bytes[..CHUNK_RECORD_LEN]].concat()).is_err());
     }
 
     #[test]

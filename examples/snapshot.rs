@@ -54,7 +54,7 @@ fn save(dir: &Path) -> Result<(), Error> {
     )?;
     println!("ParIS+ on-disk build: {:.2?}", t0.elapsed());
     let bytes = disk.save(&dir.join("parisplus.snap"))?;
-    println!("  saved parisplus.snap ({bytes} bytes, leaf store embedded)");
+    println!("  saved parisplus.snap ({bytes} bytes, the same four tree sections as MESSI's)");
 
     let t0 = Instant::now();
     let mem = MemoryIndex::build(data, Engine::Messi, &options())?;

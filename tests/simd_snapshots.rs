@@ -13,7 +13,7 @@ use dsidx::isax::{MindistTable, NodeMindistTable, Quantizer, Word};
 use dsidx::prelude::*;
 use dsidx::series::distance::dtw::{self, DtwScratch, DtwVerdict};
 use dsidx::series::distance::{euclidean_sq, euclidean_sq_bounded, set_simd_enabled};
-use dsidx::storage::{write_dataset, Device, SnapshotReader};
+use dsidx::storage::{write_dataset, Device};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -71,16 +71,12 @@ fn paris_plus_tree_sections_are_byte_identical_with_simd_on_and_off() {
         let profile = DeviceProfile::UNTHROTTLED;
         let index = DiskIndex::build(&path, &dir, Engine::ParisPlus, &options, profile).unwrap();
         index.save(&snap).unwrap();
-        let reader = SnapshotReader::open(&snap, Arc::new(Device::unthrottled())).unwrap();
-        // The leaf store's layout (and the chunk column pointing into it)
-        // follows the order concurrent flushes land in, in either mode;
-        // the tree sections are what summarization decides.
-        ["NODES", "ROOTS", "WORDS", "POSITION"].map(|id| reader.read_section(id).unwrap())
+        std::fs::read(&snap).unwrap()
     });
-    assert!(scalar.iter().all(|s| !s.is_empty()));
+    assert!(!scalar.is_empty());
     assert!(
         scalar == simd,
-        "ParIS+ tree sections depend on the SIMD mode"
+        "ParIS+ snapshot bytes depend on the SIMD mode"
     );
 }
 

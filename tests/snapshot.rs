@@ -96,8 +96,8 @@ fn disk_open_is_bit_identical_across_the_query_plane() {
 
 #[test]
 fn opened_disk_index_charges_reads_to_the_modeled_device() {
-    // The open is not free I/O: header, table, every tree section and the
-    // embedded leaf store are all charged through the device model.
+    // The open is not free I/O: header, table and every tree section are
+    // all charged through the device model.
     let dir = tmpdir("disk-charge");
     let data = DatasetKind::Synthetic.generate(300, 64, 11);
     let path = dir.join("data.dsidx");
@@ -121,9 +121,9 @@ fn opened_disk_index_charges_reads_to_the_modeled_device() {
     .unwrap();
     let read = opened.file().device().stats().bytes_read;
     // Every payload byte is charged; only inter-section alignment padding
-    // (< 64 bytes per section, 8 sections max) goes unread.
+    // (< 64 bytes per section, 4 sections) goes unread.
     assert!(
-        read + 64 * 8 >= saved_bytes && read > 0,
+        read + 64 * 4 >= saved_bytes && read > 0,
         "open read {read} bytes but the snapshot holds {saved_bytes}"
     );
 }
@@ -316,7 +316,7 @@ fn fingerprint_root_segments_must_match_the_tree() {
 
 /// Saving over the file an opened index is still serving from replaces it
 /// whole: the opened index keeps answering from the bytes it opened (a
-/// ParIS+ leaf store is read from inside its snapshot), can still save
+/// ParIS+ leaf is read back from the entry runs inside its snapshot), can still save
 /// itself elsewhere, and the path opens as the new index.
 #[test]
 fn saving_over_an_open_snapshot_leaves_the_opened_index_intact() {
@@ -364,6 +364,130 @@ fn saving_over_an_open_snapshot_leaves_the_opened_index_intact() {
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
+}
+
+/// The four sections every snapshot consists of.
+const TREE_SECTIONS: [&str; 4] = ["NODES", "ROOTS", "WORDS", "POSITION"];
+
+/// One collection, four engines, one snapshot layout: every engine's index
+/// is the same flat tree, saved as the same four sections, so the files
+/// differ only in the header's engine id. ParIS+ saves the same bytes
+/// whatever the thread count its build ran at.
+#[test]
+fn every_engine_saves_the_same_four_sections() {
+    let dir = tmpdir("one-layout");
+    let data = DatasetKind::Synthetic.generate(1500, 64, 43);
+    let path = dir.join("data.dsidx");
+    write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let device = Arc::new(Device::unthrottled());
+    let save = |engine: Engine, threads: usize| {
+        // Several generations and read blocks, so ParIS flushes leaves
+        // between generations and its flushers race each other.
+        let options = Options {
+            block_series: 100,
+            generation_series: 400,
+            ..opts().with_threads(threads)
+        };
+        let profile = DeviceProfile::UNTHROTTLED;
+        let built = DiskIndex::build(&path, &dir, engine, &options, profile).unwrap();
+        let snap = dir.join(format!(
+            "{}-{threads}.snap",
+            engine.name().replace('+', "p")
+        ));
+        let size = built.save(&snap).unwrap();
+        (snap, size)
+    };
+    let sections = |snap: &std::path::Path| {
+        let reader = SnapshotReader::open(snap, Arc::clone(&device)).unwrap();
+        assert!(!reader.has_section("CHUNKS") && !reader.has_section("LEAFSTOR"));
+        TREE_SECTIONS.map(|id| reader.read_section(id).unwrap())
+    };
+    let (messi, messi_size) = save(Engine::Messi, 3);
+    let want = sections(&messi);
+    assert!(want.iter().all(|s| !s.is_empty()));
+    for engine in [Engine::Ads, Engine::Paris, Engine::ParisPlus] {
+        let (snap, size) = save(engine, 3);
+        assert!(
+            sections(&snap) == want,
+            "{} saves another tree",
+            engine.name()
+        );
+        assert_eq!(size, messi_size, "{} saves other sections", engine.name());
+    }
+    let plus: Vec<Vec<u8>> = [1, 2, 4, 8]
+        .into_iter()
+        .map(|threads| std::fs::read(save(Engine::ParisPlus, threads).0).unwrap())
+        .collect();
+    for (bytes, threads) in plus.iter().zip([1, 2, 4, 8]) {
+        assert!(
+            *bytes == plus[0],
+            "ParIS+ at {threads} threads saves other bytes"
+        );
+    }
+}
+
+/// A format-3 ParIS+ snapshot from before leaves were read back from the
+/// tree's entry runs also carries a leaf-store chunk column (`CHUNKS`) and
+/// the leaf store itself (`LEAFSTOR`). It still opens and answers
+/// bit-identically: the opener reads the four tree sections and ignores
+/// the rest.
+#[test]
+fn a_snapshot_with_the_old_leaf_store_sections_still_opens() {
+    let dir = tmpdir("old-paris");
+    let data = DatasetKind::Synthetic.generate(300, 64, 47);
+    let path = dir.join("data.dsidx");
+    write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let queries = DatasetKind::Synthetic.queries(3, 64, 47);
+    let profile = DeviceProfile::UNTHROTTLED;
+    let built = DiskIndex::build(&path, &dir, Engine::ParisPlus, &opts(), profile).unwrap();
+    let snap = dir.join("new.snap");
+    built.save(&snap).unwrap();
+    let device = Arc::new(Device::unthrottled());
+    let reader = SnapshotReader::open(&snap, Arc::clone(&device)).unwrap();
+    let fingerprint = *reader.fingerprint();
+    let [nodes, roots, words, positions] = TREE_SECTIONS.map(|id| reader.read_section(id).unwrap());
+    // The old layouts: one 12-byte chunk (offset u64, count u32) per
+    // leaf, in node order, into a store of a 16-byte header and then
+    // `segments + 4`-byte (word, position) records.
+    let segments = usize::from(fingerprint.segments);
+    let record = segments + 4;
+    let mut chunks = Vec::new();
+    let mut store = b"DSIDXLF1".to_vec();
+    store.extend_from_slice(&(segments as u32).to_le_bytes());
+    store.resize(16, 0);
+    for node in nodes.chunks_exact(44) {
+        let field = |at: usize| u32::from_le_bytes(node[at..at + 4].try_into().unwrap());
+        let (start, end, one_child) = (field(32), field(36), field(40));
+        if one_child != u32::MAX || start == end {
+            continue;
+        }
+        chunks.extend_from_slice(&(store.len() as u64).to_le_bytes());
+        chunks.extend_from_slice(&(end - start).to_le_bytes());
+        for entry in start as usize..end as usize {
+            store.extend_from_slice(&words[entry * segments..(entry + 1) * segments]);
+            store.extend_from_slice(&positions[entry * 4..(entry + 1) * 4]);
+        }
+    }
+    assert_eq!(store.len(), 16 + 300 * record);
+    let old = dir.join("old.snap");
+    let mut writer = SnapshotWriter::new(&old, fingerprint, Arc::clone(&device));
+    for (id, bytes) in TREE_SECTIONS
+        .into_iter()
+        .zip([nodes, roots, words, positions])
+    {
+        writer.section(id, bytes);
+    }
+    writer.section("CHUNKS", chunks);
+    writer.section("LEAFSTOR", store);
+    let old_size = writer.finish().unwrap();
+    assert!(old_size > std::fs::metadata(&snap).unwrap().len());
+    let opened = DiskIndex::open(&old, &path, &Options::default(), profile).unwrap();
+    assert_eq!(opened.engine(), Engine::ParisPlus);
+    assert_plane_identical(&built, &opened, &queries, "old layout");
+    // Saved again, it is the built index's snapshot.
+    let resaved = dir.join("resaved.snap");
+    opened.save(&resaved).unwrap();
+    assert!(std::fs::read(&resaved).unwrap() == std::fs::read(&snap).unwrap());
 }
 
 #[test]
