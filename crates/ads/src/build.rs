@@ -1,9 +1,18 @@
-//! Serial buffered index construction.
+//! Serial index construction: MESSI's build at one worker.
+//!
+//! ADS+ is the serial baseline whose tree MESSI builds in parallel, so it
+//! builds through [`dsidx_messi::build()`] and
+//! [`dsidx_messi::build_from_file`] with one worker: one summarization
+//! pass into per-subtree buffers, then each subtree grown from its whole
+//! buffer straight into the flat form (the buffered bulk load the
+//! receiving-buffer design generalizes). The SAX array SIMS scans is the
+//! tree's entry words in position order ([`FlatTree::sax_array`]), as for
+//! an opened snapshot.
 
-use dsidx_isax::Word;
+use dsidx_messi::{MessiConfig, MessiIndex};
+use dsidx_obs::BuildReport;
 use dsidx_storage::{DatasetFile, StorageError};
-use dsidx_tree::{FlatFragment, FlatTree, LeafEntry, SaxArray, TreeConfig};
-use std::time::{Duration, Instant};
+use dsidx_tree::{FlatTree, SaxArray, TreeConfig};
 
 /// A built ADS+-style index: the flat tree (what the approximate descent
 /// seeds from) plus the SAX array (what SIMS scans).
@@ -18,15 +27,15 @@ pub struct AdsIndex {
     pub sax: SaxArray,
 }
 
-/// Wall-clock breakdown of a serial build (Fig. 4's ADS+ bar).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdsBuildReport {
-    /// Time spent reading raw data.
-    pub read: Duration,
-    /// Time spent summarizing and growing the tree.
-    pub cpu: Duration,
-    /// Total wall time.
-    pub total: Duration,
+impl From<MessiIndex> for AdsIndex {
+    /// Adds the SAX array to a MESSI tree (built or opened).
+    fn from(MessiIndex { tree, config }: MessiIndex) -> Self {
+        Self {
+            sax: tree.sax_array(),
+            tree,
+            config,
+        }
+    }
 }
 
 /// Builds serially from an in-memory dataset.
@@ -37,26 +46,9 @@ pub struct AdsBuildReport {
 pub fn build_from_dataset(
     data: &dsidx_series::Dataset,
     config: &TreeConfig,
-) -> (AdsIndex, AdsBuildReport) {
-    assert_eq!(
-        data.series_len(),
-        config.series_len(),
-        "series length mismatch"
-    );
-    let t0 = Instant::now();
-    let quantizer = config.quantizer();
-    let mut paa = vec![0.0f32; config.segments()];
-    let mut words: Vec<Word> = Vec::with_capacity(data.len());
-    for series in data.iter() {
-        words.push(quantizer.word_into(series, &mut paa));
-    }
-    let ads = bulk_load(words, config);
-    let report = AdsBuildReport {
-        read: Duration::ZERO,
-        cpu: t0.elapsed(),
-        total: t0.elapsed(),
-    };
-    (ads, report)
+) -> (AdsIndex, BuildReport) {
+    let (messi, report) = dsidx_messi::build(data, &serial(config));
+    (messi.into(), report)
 }
 
 /// Builds serially from an on-disk dataset file, reading sequential blocks
@@ -71,70 +63,14 @@ pub fn build_from_file(
     file: &DatasetFile,
     config: &TreeConfig,
     block_series: usize,
-) -> Result<(AdsIndex, AdsBuildReport), StorageError> {
-    assert_eq!(
-        file.series_len(),
-        config.series_len(),
-        "series length mismatch"
-    );
-    assert!(block_series > 0, "block size must be non-zero");
-    let t0 = Instant::now();
-    let mut read = Duration::ZERO;
-    let mut cpu = Duration::ZERO;
-    let quantizer = config.quantizer();
-    let series_len = config.series_len();
-    let mut paa = vec![0.0f32; config.segments()];
-    let mut words: Vec<Word> = Vec::with_capacity(file.count());
-    let mut block = Vec::new();
-    let mut start = 0;
-    while start < file.count() {
-        let count = block_series.min(file.count() - start);
-        let tr = Instant::now();
-        file.read_block(start, count, &mut block)?;
-        read += tr.elapsed();
-        let tc = Instant::now();
-        for series in block.chunks_exact(series_len) {
-            words.push(quantizer.word_into(series, &mut paa));
-        }
-        cpu += tc.elapsed();
-        start += count;
-    }
-    let tc = Instant::now();
-    let ads = bulk_load(words, config);
-    cpu += tc.elapsed();
-    let report = AdsBuildReport {
-        read,
-        cpu,
-        total: t0.elapsed(),
-    };
-    Ok((ads, report))
+) -> Result<(AdsIndex, BuildReport), StorageError> {
+    let (messi, report) = dsidx_messi::build_from_file(file, &serial(config), block_series)?;
+    Ok((messi.into(), report))
 }
 
-/// ADS+-style buffered bulk load: group entries per root subtree first,
-/// then grow each subtree from its whole buffer in one pass, straight into
-/// the flat form ([`FlatFragment::grow`]; better locality than interleaved
-/// inserts — this is what the receiving-buffer design generalizes). The
-/// buffers fill in position order, so this is the tree position-ordered
-/// inserts build. The root fan-out is fitted to the number of words,
-/// whatever `config` carried (see [`TreeConfig::fitted_to`]).
-fn bulk_load(words: Vec<Word>, config: &TreeConfig) -> AdsIndex {
-    let config = config.fitted_to(words.len());
-    let mut buffers: Vec<Vec<LeafEntry>> = Vec::new();
-    buffers.resize_with(config.root_count(), Vec::new);
-    for (pos, word) in words.iter().enumerate() {
-        buffers[usize::from(config.root_key(word))].push(LeafEntry::new(*word, pos as u32));
-    }
-    let mut fragment = FlatFragment::with_capacity(words.len());
-    for (key, mut buffer) in buffers.into_iter().enumerate() {
-        if !buffer.is_empty() {
-            fragment.grow(key as u16, &mut buffer, &config);
-        }
-    }
-    AdsIndex {
-        tree: FlatTree::stitch(&config, vec![fragment]),
-        config,
-        sax: SaxArray::new(words),
-    }
+/// MESSI's configuration at one worker.
+fn serial(config: &TreeConfig) -> MessiConfig {
+    MessiConfig::new(config.clone(), 1)
 }
 
 #[cfg(test)]
@@ -157,7 +93,7 @@ mod tests {
         assert_eq!(ads.tree.entry_count(), 400);
         assert_eq!(ads.sax.len(), 400);
         validate(&ads.tree, &ads.config, 400).unwrap();
-        assert!(report.total >= report.cpu);
+        assert_eq!(report.read, std::time::Duration::ZERO);
         // SAX array is position-aligned.
         let q = config();
         for (pos, series) in data.iter().enumerate() {
@@ -174,14 +110,13 @@ mod tests {
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
         let (mem, _) = build_from_dataset(&data, &config());
-        let (disk, report) = build_from_file(&file, &config(), 77).unwrap();
+        let (disk, _) = build_from_file(&file, &config(), 77).unwrap();
         assert_eq!(mem.tree.entry_count(), disk.tree.entry_count());
         assert_eq!(mem.sax.words(), disk.sax.words());
         assert_eq!(
             index_stats(&mem.tree).leaf_count,
             index_stats(&disk.tree).leaf_count
         );
-        assert!(report.read > Duration::ZERO || report.total >= report.cpu);
         validate(&disk.tree, &disk.config, 300).unwrap();
     }
 

@@ -21,6 +21,7 @@ use crate::search::Search;
 use crate::snapshot::{open_snapshot, save_snapshot, SnapshotContents};
 use crate::spec::{Fidelity, Measure, QuerySpec};
 use dsidx_obs::phase::{Phase, PhaseClock};
+use dsidx_obs::BuildReport;
 use dsidx_query::{BatchStats, QueryStats, ShardView};
 use dsidx_series::{Dataset, Match};
 use dsidx_storage::{DatasetFile, Device, DeviceProfile, EntryRuns, RawSource, StorageError};
@@ -107,11 +108,7 @@ impl Built {
     ) -> Self {
         let SnapshotContents { tree, config, .. } = contents;
         match engine {
-            Engine::Ads => Built::Ads(dsidx_ads::AdsIndex {
-                sax: tree.sax_array(),
-                tree,
-                config,
-            }),
+            Engine::Ads => Built::Ads(dsidx_messi::MessiIndex { tree, config }.into()),
             Engine::Paris | Engine::ParisPlus => Built::Paris(dsidx_paris::ParisIndex {
                 sax: tree.sax_array(),
                 tree,
@@ -203,8 +200,8 @@ pub struct Index<S> {
     engine: Engine,
     options: Options,
     built: Built,
-    /// Build time decomposition of an on-disk ParIS/ParIS+ build.
-    build_report: Option<dsidx_paris::BuildReport>,
+    /// Build time decomposition (none for an opened index).
+    build_report: Option<BuildReport>,
 }
 
 /// An index over an in-memory dataset (owned via `Arc`, so clones of the
@@ -226,6 +223,13 @@ impl<S> Index<S> {
     #[must_use]
     pub fn stats(&self) -> IndexStats {
         index_stats(self.built.tree().0)
+    }
+
+    /// Where the build's wall time went (see [`BuildReport`]): `Some` for
+    /// every built index, `None` for one opened from a snapshot.
+    #[must_use]
+    pub fn build_report(&self) -> Option<&BuildReport> {
+        self.build_report.as_ref()
     }
 
     /// Pairs a decoded snapshot with the `source` it was opened over. The
@@ -338,15 +342,20 @@ impl MemoryIndex {
     ) -> Result<Self, Error> {
         let data = data.into();
         let series_len = data.series_len();
-        let built = match engine {
-            Engine::Ads => Built::Ads(
-                dsidx_ads::build_from_dataset(&data, &options.tree_config(series_len)?).0,
-            ),
-            Engine::Paris | Engine::ParisPlus => Built::Paris(
-                dsidx_paris::build_in_memory(&data, &options.paris_config(series_len)?).0,
-            ),
+        let (built, report) = match engine {
+            Engine::Ads => {
+                let (ads, report) =
+                    dsidx_ads::build_from_dataset(&data, &options.tree_config(series_len)?);
+                (Built::Ads(ads), report)
+            }
+            Engine::Paris | Engine::ParisPlus => {
+                let (paris, report) =
+                    dsidx_paris::build_in_memory(&data, &options.paris_config(series_len)?);
+                (Built::Paris(paris), report)
+            }
             Engine::Messi => {
-                Built::Messi(dsidx_messi::build(&data, &options.messi_config(series_len)?).0)
+                let (messi, report) = dsidx_messi::build(&data, &options.messi_config(series_len)?);
+                (Built::Messi(messi), report)
             }
         };
         Ok(Self {
@@ -354,7 +363,7 @@ impl MemoryIndex {
             engine,
             options: options.clone(),
             built,
-            build_report: None,
+            build_report: Some(report),
         })
     }
 
@@ -437,16 +446,15 @@ impl DiskIndex {
         let series_len = file.series_len();
         // One workdir setup for every engine (scratch files land here).
         std::fs::create_dir_all(workdir).map_err(StorageError::from)?;
-        let mut build_report = None;
-        let built = match engine {
-            Engine::Ads => Built::Ads(
-                dsidx_ads::build_from_file(
+        let (built, report) = match engine {
+            Engine::Ads => {
+                let (ads, report) = dsidx_ads::build_from_file(
                     &file,
                     &options.tree_config(series_len)?,
                     options.block_series,
-                )?
-                .0,
-            ),
+                )?;
+                (Built::Ads(ads), report)
+            }
             Engine::Paris | Engine::ParisPlus => {
                 let mode = if engine == Engine::Paris {
                     dsidx_paris::Overlap::Paris
@@ -466,24 +474,23 @@ impl DiskIndex {
                     &options.paris_config(series_len)?,
                     mode,
                 )?;
-                build_report = Some(report);
-                Built::Paris(paris)
+                (Built::Paris(paris), report)
             }
-            Engine::Messi => Built::Messi(
-                dsidx_messi::build_from_file(
+            Engine::Messi => {
+                let (messi, report) = dsidx_messi::build_from_file(
                     &file,
                     &options.messi_config(series_len)?,
                     options.block_series,
-                )?
-                .0,
-            ),
+                )?;
+                (Built::Messi(messi), report)
+            }
         };
         Ok(Self {
             source: file,
             engine,
             options: options.clone(),
             built,
-            build_report,
+            build_report: Some(report),
         })
     }
 
@@ -536,12 +543,6 @@ impl DiskIndex {
     #[must_use]
     pub fn file(&self) -> &DatasetFile {
         &self.source
-    }
-
-    /// Build time decomposition (ParIS/ParIS+ only).
-    #[must_use]
-    pub fn build_report(&self) -> Option<&dsidx_paris::BuildReport> {
-        self.build_report.as_ref()
     }
 }
 

@@ -106,4 +106,5 @@ pub use dsidx_sync as sync;
 pub use dsidx_tree as tree;
 pub use dsidx_ucr as ucr;
 
+pub use dsidx_obs::BuildReport;
 pub use dsidx_query::{BatchStats, QueryStats};

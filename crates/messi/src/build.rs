@@ -24,10 +24,11 @@
 //! straight into the run's [`FlatFragment`] ([`FlatFragment::grow`]: the
 //! tree position-ordered inserts would build) and drops the parts. The
 //! coordinator then only stitches the fragments together in key order
-//! ([`FlatTree::stitch`]); [`BuildPhases::stitch`] reports how long that
+//! ([`FlatTree::stitch`]); [`BuildReport::stitch`] reports how long that
 //! takes.
 
 use crate::config::MessiConfig;
+use dsidx_obs::BuildReport;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, StorageError};
 use dsidx_sync::{SyncSlice, WorkQueue};
@@ -47,26 +48,14 @@ pub struct MessiIndex {
     pub config: TreeConfig,
 }
 
-/// Wall-clock phase breakdown (Fig. 5's two stacked components).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BuildPhases {
-    /// Stage 1: "Calculate iSAX Representations".
-    pub summarize: Duration,
-    /// Stage 2: "Tree Index Construction".
-    pub tree_build: Duration,
-    /// The serial end of stage 2, included in `tree_build`: stitching the
-    /// subtrees the workers flattened into one tree.
-    pub stitch: Duration,
-    /// Total wall time.
-    pub total: Duration,
-}
-
-/// Builds a MESSI index over an in-memory dataset.
+/// Builds a MESSI index over an in-memory dataset. The report times
+/// stage 1 as `summarize`, stage 2 as `grow` and its serial end as
+/// `stitch`.
 ///
 /// # Panics
 /// Panics on configuration mismatches (series length, zero threads).
 #[must_use]
-pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildPhases) {
+pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildReport) {
     cfg.validate();
     assert_eq!(
         data.series_len(),
@@ -77,18 +66,12 @@ pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildPhases) {
     let config = cfg.tree.fitted_to(data.len());
     let parts = summarize_per_thread(data, cfg, &config);
     let summarize = t0.elapsed();
-
-    let t1 = Instant::now();
-    let (tree, stitch) = build_tree(cfg.threads, &config, parts);
-    let tree_build = t1.elapsed();
-
+    let (index, report) = build_tree(cfg.threads, config, parts, t0);
     (
-        MessiIndex { tree, config },
-        BuildPhases {
+        index,
+        BuildReport {
             summarize,
-            tree_build,
-            stitch,
-            total: t0.elapsed(),
+            ..report
         },
     )
 }
@@ -97,8 +80,9 @@ pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildPhases) {
 /// reads sequential blocks of `block_series` series (each read charged to
 /// the file's device) and summarizes them into per-subtree buffers, then
 /// stage 2 builds the subtrees with the same parallel schedule as the
-/// in-memory path. The counterpart of `dsidx_ads::build_from_file`, with
-/// MESSI's parallel tree construction.
+/// in-memory path (at one worker, this is ADS+'s serial build). The
+/// report times the block reads as `read` and the rest of stage 1 as
+/// `summarize`.
 ///
 /// The resulting tree is **identical** to what [`build`] produces over the
 /// same raw data (see the module docs), so queries — exact and
@@ -114,7 +98,7 @@ pub fn build_from_file(
     file: &DatasetFile,
     cfg: &MessiConfig,
     block_series: usize,
-) -> Result<(MessiIndex, BuildPhases), StorageError> {
+) -> Result<(MessiIndex, BuildReport), StorageError> {
     cfg.validate();
     assert_eq!(
         file.series_len(),
@@ -130,10 +114,13 @@ pub fn build_from_file(
     let mut buffers: Buffers = Vec::new();
     buffers.resize_with(config.root_count(), Vec::new);
     let mut block = Vec::new();
+    let mut read = Duration::ZERO;
     let mut start = 0;
     while start < file.count() {
         let count = block_series.min(file.count() - start);
+        let tr = Instant::now();
         file.read_block(start, count, &mut block)?;
+        read += tr.elapsed();
         for (i, series) in block.chunks_exact(series_len).enumerate() {
             let pos = start + i;
             let word = quantizer.word_into(series, &mut paa);
@@ -145,19 +132,14 @@ pub fn build_from_file(
         }
         start += count;
     }
-    let summarize = t0.elapsed();
-
-    let t1 = Instant::now();
-    let (tree, stitch) = build_tree(cfg.threads, &config, buffers);
-    let tree_build = t1.elapsed();
-
+    let summarize = t0.elapsed().saturating_sub(read);
+    let (index, report) = build_tree(cfg.threads, config, buffers, t0);
     Ok((
-        MessiIndex { tree, config },
-        BuildPhases {
+        index,
+        BuildReport {
+            read,
             summarize,
-            tree_build,
-            stitch,
-            total: t0.elapsed(),
+            ..report
         },
     ))
 }
@@ -223,9 +205,16 @@ const SUBTREES_PER_CLAIM: usize = 16;
 /// ([`FlatFragment::grow`]) and drops its stage-1 parts, so growing,
 /// laying out and freeing all run in parallel. All that is left after the
 /// broadcast is [`FlatTree::stitch`]: copying the fragments together in
-/// key order with rebased offsets. Returns the tree and the stitch's wall
-/// time.
-fn build_tree(threads: usize, tree: &TreeConfig, buffers: Buffers) -> (FlatTree, Duration) {
+/// key order with rebased offsets. Returns the index and a report of the
+/// two steps' wall time (`grow`, `stitch`) and the build's `total` since
+/// `t0`.
+fn build_tree(
+    threads: usize,
+    config: TreeConfig,
+    buffers: Buffers,
+    t0: Instant,
+) -> (MessiIndex, BuildReport) {
+    let t1 = Instant::now();
     let occupied: Vec<u16> = buffers
         .iter()
         .enumerate()
@@ -248,20 +237,28 @@ fn build_tree(threads: usize, tree: &TreeConfig, buffers: Buffers) -> (FlatTree,
             let mut fragment = FlatFragment::with_capacity(counts[run.clone()].iter().sum());
             for &key in &occupied[run.clone()] {
                 let parts = std::mem::take(&mut *buffers[usize::from(key)].lock());
-                fragment.grow(key, &mut in_position_order(parts), tree);
+                fragment.grow(key, &mut in_position_order(parts), &config);
             }
             // SAFETY: each run is claimed exactly once, and run starts are
             // distinct multiples of SUBTREES_PER_CLAIM.
             unsafe { fragments.write(run.start / SUBTREES_PER_CLAIM, Some(fragment)) };
         }
     });
-    let t = Instant::now();
+    let t2 = Instant::now();
     let fragments = fragments
         .into_inner()
         .into_iter()
         .map(|f| f.expect("every run of subtrees was claimed"))
         .collect();
-    (FlatTree::stitch(tree, fragments), t.elapsed())
+    let tree = FlatTree::stitch(&config, fragments);
+    let stitch = t2.elapsed();
+    let report = BuildReport {
+        grow: t2 - t1,
+        stitch,
+        total: t0.elapsed(),
+        ..BuildReport::default()
+    };
+    (MessiIndex { tree, config }, report)
 }
 
 /// The entries of one subtree's stage-1 parts (one per worker, or one in
@@ -397,11 +394,6 @@ mod tests {
             serial.insert(LeafEntry::new(fitted.quantizer().word(series), pos as u32));
         }
         assert_eq!(messi.tree, FlatTree::from_index(&serial));
-        // And ADS+'s buffered bulk load, which fits its own configuration.
-        let (ads, _) = dsidx_ads::build_from_dataset(&data, &cfg(1).tree);
-        assert_eq!(messi.tree, ads.tree);
-        assert_eq!(messi.config, ads.config);
-        assert_eq!(messi.tree.sax_array(), ads.sax);
     }
 
     #[test]

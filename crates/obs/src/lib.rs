@@ -15,6 +15,9 @@
 //!   accumulated nanoseconds carried on `QueryStats`/`BatchStats`, and the
 //!   [`PhaseClock`](phase::PhaseClock)/[`PhaseTimer`](phase::PhaseTimer)
 //!   instruments the engines record with.
+//! * [`report`] — wall-clock time per build phase: the one
+//!   [`BuildReport`] every engine's build returns (read, summarize, grow,
+//!   flush, stitch).
 //! * [`trace`] — an env-gated structured trace stream
 //!   (`DSIDX_TRACE=<path|stderr>`): JSON-lines events for build phases,
 //!   pool broadcasts and error-slot trips. Costs one relaxed atomic load
@@ -31,7 +34,10 @@
 
 pub mod phase;
 pub mod registry;
+pub mod report;
 pub mod trace;
+
+pub use report::BuildReport;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -31,8 +31,8 @@
 
 use crate::config::{Overlap, ParisConfig};
 use crate::recbuf::RecBufs;
-use crate::report::BuildReport;
 use dsidx_isax::Word;
+use dsidx_obs::BuildReport;
 use dsidx_query::ErrorSlot;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, EntryRuns, LeafStoreWriter, StorageError};
@@ -152,21 +152,15 @@ pub fn build_on_disk(
     );
     let store = LeafStoreWriter::create(store_path, cfg.tree.segments(), file.device().clone())?;
     std::fs::remove_file(store_path)?;
-    let (mut paris, report) = run_pipeline(
-        cfg,
-        mode,
-        file.count(),
-        Some(&store),
-        |start, count, out| file.read_block(start, count, out),
-    )?;
-    let runs = dsidx_tree::snapshot::encode(&paris.tree);
-    paris.leaves = Some(store.finish(&runs.words, &runs.positions)?);
-    Ok((paris, report))
+    run_pipeline(cfg, mode, file.count(), Some(store), |start, count, out| {
+        file.read_block(start, count, out)
+    })
 }
 
 /// Builds an in-memory ParIS index (the paper's "in-memory implementation
 /// of ParIS" used in Figs. 7, 9 and 12): same locked RecBufs and stage-3
-/// structure, no disk at all.
+/// structure, no disk at all — so the report's `read` is zero: the
+/// coordinator's blocks are copies of resident series.
 ///
 /// # Panics
 /// Panics on configuration mismatches.
@@ -179,7 +173,7 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (ParisIndex, BuildR
         "series length mismatch"
     );
     let series_len = data.series_len();
-    run_pipeline(
+    let (paris, mut report) = run_pipeline(
         cfg,
         Overlap::Paris,
         data.len(),
@@ -192,7 +186,9 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (ParisIndex, BuildR
             Ok(())
         },
     )
-    .expect("in-memory build performs no I/O")
+    .expect("in-memory build performs no I/O");
+    report.read = Duration::ZERO;
+    (paris, report)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -200,12 +196,13 @@ fn run_pipeline(
     cfg: &ParisConfig,
     mode: Overlap,
     total: usize,
-    store: Option<&LeafStoreWriter>,
+    leaf_store: Option<LeafStoreWriter>,
     mut read_block: impl FnMut(usize, usize, &mut Vec<f32>) -> Result<(), StorageError>,
 ) -> Result<(ParisIndex, BuildReport), StorageError> {
     // `total` is known before the first read: fit the root fan-out (and
     // with it the number of receiving buffers) to it.
     let tree_cfg = &cfg.tree.fitted_to(total);
+    let store = leaf_store.as_ref();
     let quantizer = tree_cfg.quantizer().clone();
     let segments = tree_cfg.segments();
     let series_len = tree_cfg.series_len();
@@ -425,23 +422,42 @@ fn run_pipeline(
     }
     errors.take()?;
 
-    let total_time = t0.elapsed();
-    let report = BuildReport {
-        total: total_time,
+    // The coordinator stalled on stage 3 at every ParIS generation
+    // boundary and, in either mode, from its last read until the workers
+    // and flushers were done: split by the work they measured.
+    let stalled = Instant::now();
+    let mut report = BuildReport {
         read: read_time,
-        stall: stall_waits + total_time.saturating_sub(t_read_done - t0),
+        generations,
+        ..BuildReport::default()
+    };
+    report.split_stall(
+        stall_waits + (stalled - t_read_done),
         // ORDERING: relaxed — every writer joined when the worker scope
         // ended above; the join is the happens-before edge.
-        grow_cpu: Duration::from_nanos(grow_nanos.load(Ordering::Relaxed)),
-        flush_io: Duration::from_nanos(flush_nanos.load(Ordering::Relaxed)),
-        generations,
-    };
+        Duration::from_nanos(grow_nanos.load(Ordering::Relaxed)),
+        Duration::from_nanos(flush_nanos.load(Ordering::Relaxed)),
+    );
     let index = Index::from_roots(tree_cfg.clone(), roots.into_inner());
+    let tree = FlatTree::from_index(&index);
+    let flattened = Instant::now();
+    report.stitch = flattened - stalled;
+    // Rewrite the leaf store once as the flat tree's entry runs: one more
+    // visible leaf write.
+    let leaves = match leaf_store {
+        Some(store) => {
+            let runs = dsidx_tree::snapshot::encode(&tree);
+            Some(store.finish(&runs.words, &runs.positions)?)
+        }
+        None => None,
+    };
+    report.flush += flattened.elapsed();
+    report.total = t0.elapsed();
     let paris = ParisIndex {
-        tree: FlatTree::from_index(&index),
+        tree,
         config: tree_cfg.clone(),
         sax: SaxArray::new(sax.into_inner()),
-        leaves: None,
+        leaves,
     };
     Ok((paris, report))
 }

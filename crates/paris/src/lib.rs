@@ -26,8 +26,10 @@
 //! themselves grow the subtrees at generation boundaries while the
 //! Coordinator already reads the next generation, and dedicated flusher
 //! threads materialize leaves concurrently — "completely masking out CPU
-//! cost" (§I). The visible difference is exactly what Fig. 4 plots, and
-//! [`BuildReport`] captures it.
+//! cost" (§I). The visible difference is exactly what Fig. 4 plots: the
+//! coordinator's stalls, which the build's
+//! [`BuildReport`](dsidx_obs::BuildReport) splits into CPU (`grow`) and
+//! writes (`flush`).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -35,13 +37,11 @@ pub mod build;
 pub mod config;
 pub mod query;
 pub mod recbuf;
-pub mod report;
 
 pub use build::{build_in_memory, build_on_disk, ParisIndex};
 pub use config::{Overlap, ParisConfig};
 pub use dsidx_query::{BatchStats, QueryStats};
 pub use query::{approx, exact};
-pub use report::BuildReport;
 
 #[cfg(test)]
 mod tests {

@@ -196,26 +196,6 @@ impl Device {
         self.pay(nanos);
     }
 
-    /// Charges a write of `bytes` (writes are modeled as bandwidth plus one
-    /// seek per call: leaf flushes land at scattered file offsets).
-    pub fn charge_write(&self, bytes: u64) {
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-        if self.profile.is_unthrottled() {
-            self.observe(self.metrics.write_bytes, bytes, self.metrics.write_nanos, 0);
-            return;
-        }
-        self.seeks.fetch_add(1, Ordering::Relaxed);
-        let nanos = bandwidth_nanos(bytes, self.profile.write_bandwidth)
-            + self.profile.seek_latency.as_nanos() as u64;
-        self.observe(
-            self.metrics.write_bytes,
-            bytes,
-            self.metrics.write_nanos,
-            nanos,
-        );
-        self.pay(nanos);
-    }
-
     /// Charges a sequential append of `bytes` (no seek).
     pub fn charge_append(&self, bytes: u64) {
         self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
@@ -354,7 +334,7 @@ mod tests {
         let t0 = Instant::now();
         for i in 0..1000 {
             d.charge_read(i * 4096, 4096);
-            d.charge_write(4096);
+            d.charge_append(4096);
         }
         assert!(t0.elapsed() < Duration::from_millis(100));
         let stats = d.stats();
