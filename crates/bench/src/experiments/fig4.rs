@@ -8,6 +8,7 @@
 //! cores".
 
 use crate::{core_ladder, disk_dataset, f, ms, Scale, Table};
+use dsidx::messi::{build_from_file, MessiConfig};
 use dsidx::paris::{build_on_disk, Overlap, ParisConfig};
 use dsidx::prelude::*;
 use dsidx::storage::DatasetFile;
@@ -59,11 +60,12 @@ pub fn run(scale: &Scale) {
         ]);
     };
 
-    // ADS+ reference at one core.
+    // ADS+ reference at one core: MESSI's build at one worker.
     {
         let device = Arc::new(Device::new(DeviceProfile::HDD));
         let file = DatasetFile::open(&path, device).expect("open dataset");
-        let (_, rep) = dsidx::ads::build_from_file(&file, &tree, 1024).expect("ads build");
+        let serial = MessiConfig::new(tree.clone(), 1);
+        let (_, rep) = build_from_file(&file, &serial, 1024).expect("ads build");
         row("ADS+", 1, &rep);
     }
 

@@ -9,7 +9,8 @@
 //!
 //! * **broadcasts per query** — the batch amortization survives the move
 //!   to disk (MESSI still answers a whole batch in ≤ 1 traversal
-//!   broadcast; ParIS keeps its 2; serial ADS+ stays at 0) — self-asserted;
+//!   broadcast, self-asserted; ParIS keeps its 2, and so does ADS+, which
+//!   runs ParIS's scan on a one-worker pool);
 //! * **device-charged bytes read** and **raw series fetched** — how much
 //!   raw data each engine's pruning actually touches, the paper's reason
 //!   tree-based query answering wins on slow devices;

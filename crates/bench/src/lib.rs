@@ -259,6 +259,14 @@ pub fn time_queries(qs: &Dataset, mut f: impl FnMut(&[f32])) -> Duration {
     t.elapsed() / qs.len().max(1) as u32
 }
 
+/// Prints how many of a figure's datasets show the ordering the paper
+/// reports at scale. Small collections need not show it (a sequential scan
+/// of a few thousand series beats an index's seeks), so this reports and
+/// never asserts.
+pub fn print_ordering(ordering: &str, metric: &str, held: usize, datasets: usize) {
+    println!("shape check: {ordering} in {metric} holds on {held}/{datasets} datasets.");
+}
+
 /// A simple aligned table that also lands in `results/<name>.csv`.
 pub struct Table {
     name: String,

@@ -9,8 +9,9 @@
 //! [`QuerySpec`] (how many neighbors, which [`Measure`], which
 //! [`Fidelity`], stats or not) and execute it with
 //! [`Search::search`] — one method, one internal dispatch (`Index::run`)
-//! onto one exact entry point per engine and one approximate one per
-//! answer kind (the best-leaf visit of ADS+ and MESSI, ParIS's
+//! onto one exact entry point per index kind (ParIS's SAX-array scan, which
+//! ADS+ runs at one worker, and MESSI's tree traversal) and one approximate
+//! one per answer kind (the best-leaf visit of ADS+ and MESSI, ParIS's
 //! sketch-nearest probe), batches as the native shape (a single query is a
 //! batch of one).
 
@@ -33,7 +34,10 @@ use std::sync::Arc;
 /// Which indexing engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// ADS+-style serial baseline.
+    /// ADS+-style serial baseline: MESSI's build and ParIS's SAX-array
+    /// scan (the paper's SIMS made parallel), both at one worker whatever
+    /// [`Options::threads`] says. Its approximate answer is the best-leaf
+    /// visit, and its exact DTW the UCR scan.
     Ads,
     /// ParIS (parallel, stop-the-world stage 3).
     Paris,
@@ -78,10 +82,21 @@ impl std::str::FromStr for Engine {
     }
 }
 
-/// The built engine behind an [`Index`]: ParIS and ParIS+ differ in how
-/// they build, not in what they build.
+impl Engine {
+    /// The workers this engine builds and scans with: ADS+ is the serial
+    /// baseline, every other engine takes [`Options::effective_threads`].
+    fn workers(self, options: &Options) -> usize {
+        match self {
+            Engine::Ads => 1,
+            _ => options.effective_threads(),
+        }
+    }
+}
+
+/// The built engine behind an [`Index`]: a SAX-array scan index (ParIS and
+/// ParIS+, which differ in how they build, not in what they build, and
+/// ADS+, which scans it at one worker) or MESSI's traversed tree.
 enum Built {
-    Ads(dsidx_ads::AdsIndex),
     Paris(dsidx_paris::ParisIndex),
     Messi(dsidx_messi::MessiIndex),
 }
@@ -91,16 +106,30 @@ impl Built {
     /// built under.
     fn tree(&self) -> (&FlatTree, &TreeConfig) {
         match self {
-            Built::Ads(ads) => (&ads.tree, &ads.config),
             Built::Paris(paris) => (&paris.tree, &paris.config),
             Built::Messi(messi) => (&messi.tree, &messi.config),
         }
     }
 
+    /// Holds a MESSI-built tree (built or decoded) the way `engine` queries
+    /// it: ADS+ scans its SAX array, MESSI traverses it. An ADS+ index
+    /// holds no entry runs: its approximate answer visits the resident
+    /// tree and reads no leaf back.
+    fn from_messi(engine: Engine, messi: dsidx_messi::MessiIndex) -> Self {
+        match engine {
+            Engine::Ads => Built::Paris(dsidx_paris::ParisIndex::from_tree(
+                messi.tree,
+                messi.config,
+                None,
+            )),
+            _ => Built::Messi(messi),
+        }
+    }
+
     /// Reassembles `engine`'s index from a decoded snapshot: the tree goes
-    /// in as decoded, ADS+ and ParIS rebuild the SAX array they scan from
-    /// it, and ParIS reads its leaves back from `leaves`, the snapshot's
-    /// own entry runs, when it answers on disk.
+    /// in as decoded, the scan engines rebuild the SAX array from it, and
+    /// ParIS reads its leaves back from `leaves`, the snapshot's own entry
+    /// runs, when it answers on disk.
     fn from_snapshot(
         engine: Engine,
         contents: SnapshotContents,
@@ -108,14 +137,12 @@ impl Built {
     ) -> Self {
         let SnapshotContents { tree, config, .. } = contents;
         match engine {
-            Engine::Ads => Built::Ads(dsidx_messi::MessiIndex { tree, config }.into()),
-            Engine::Paris | Engine::ParisPlus => Built::Paris(dsidx_paris::ParisIndex {
-                sax: tree.sax_array(),
-                tree,
-                config,
-                leaves,
-            }),
-            Engine::Messi => Built::Messi(dsidx_messi::MessiIndex { tree, config }),
+            Engine::Paris | Engine::ParisPlus => {
+                Built::Paris(dsidx_paris::ParisIndex::from_tree(tree, config, leaves))
+            }
+            Engine::Ads | Engine::Messi => {
+                Self::from_messi(engine, dsidx_messi::MessiIndex { tree, config })
+            }
         }
     }
 }
@@ -281,22 +308,22 @@ impl<S> Index<S> {
             (Fidelity::Exact, Built::Messi(messi), _) => {
                 dsidx_messi::exact(messi, source, queries, measure, k, threads, shard)
             }
-            (Fidelity::Exact, Built::Ads(ads), Measure::Euclidean) => {
-                dsidx_ads::exact(ads, source, queries, k, shard)
-            }
             (Fidelity::Exact, Built::Paris(paris), Measure::Euclidean) => {
-                dsidx_paris::exact(paris, source, queries, k, threads, shard)
+                let workers = self.engine.workers(&self.options);
+                dsidx_paris::exact(paris, source, queries, k, workers, shard)
             }
-            // The engines without a DTW index path: the one parallel UCR
+            // The scan engines have no DTW index path: the one parallel UCR
             // scan over the raw source (still exact, just index-free).
-            (Fidelity::Exact, Built::Ads(_) | Built::Paris(_), Measure::Dtw { band }) => {
+            (Fidelity::Exact, Built::Paris(_), Measure::Dtw { band }) => {
                 dsidx_ucr::scan_dtw_parallel(source, queries, band, k, threads, shard)
             }
-            (Fidelity::Approximate, Built::Paris(paris), _) => approx_batch(queries, |q| {
-                dsidx_paris::approx(paris, source, q, measure, k)
-            }),
+            (Fidelity::Approximate, Built::Paris(paris), _) if self.engine != Engine::Ads => {
+                approx_batch(queries, |q| {
+                    dsidx_paris::approx(paris, source, q, measure, k)
+                })
+            }
             // ADS+ and MESSI: one best-leaf visit over the tree they share.
-            (Fidelity::Approximate, Built::Ads(_) | Built::Messi(_), _) => {
+            (Fidelity::Approximate, _, _) => {
                 let (tree, config) = self.built.tree();
                 approx_batch(queries, |q| {
                     dsidx_query::approx_best_leaf(tree, config, source, q, measure, k)
@@ -343,19 +370,15 @@ impl MemoryIndex {
         let data = data.into();
         let series_len = data.series_len();
         let (built, report) = match engine {
-            Engine::Ads => {
-                let (ads, report) =
-                    dsidx_ads::build_from_dataset(&data, &options.tree_config(series_len)?);
-                (Built::Ads(ads), report)
-            }
             Engine::Paris | Engine::ParisPlus => {
                 let (paris, report) =
                     dsidx_paris::build_in_memory(&data, &options.paris_config(series_len)?);
                 (Built::Paris(paris), report)
             }
-            Engine::Messi => {
-                let (messi, report) = dsidx_messi::build(&data, &options.messi_config(series_len)?);
-                (Built::Messi(messi), report)
+            Engine::Ads | Engine::Messi => {
+                let config = options.messi_config(series_len, engine.workers(options))?;
+                let (messi, report) = dsidx_messi::build(&data, &config);
+                (Built::from_messi(engine, messi), report)
             }
         };
         Ok(Self {
@@ -447,14 +470,6 @@ impl DiskIndex {
         // One workdir setup for every engine (scratch files land here).
         std::fs::create_dir_all(workdir).map_err(StorageError::from)?;
         let (built, report) = match engine {
-            Engine::Ads => {
-                let (ads, report) = dsidx_ads::build_from_file(
-                    &file,
-                    &options.tree_config(series_len)?,
-                    options.block_series,
-                )?;
-                (Built::Ads(ads), report)
-            }
             Engine::Paris | Engine::ParisPlus => {
                 let mode = if engine == Engine::Paris {
                     dsidx_paris::Overlap::Paris
@@ -476,13 +491,13 @@ impl DiskIndex {
                 )?;
                 (Built::Paris(paris), report)
             }
-            Engine::Messi => {
+            Engine::Ads | Engine::Messi => {
                 let (messi, report) = dsidx_messi::build_from_file(
                     &file,
-                    &options.messi_config(series_len)?,
+                    &options.messi_config(series_len, engine.workers(options))?,
                     options.block_series,
                 )?;
-                (Built::Messi(messi), report)
+                (Built::from_messi(engine, messi), report)
             }
         };
         Ok(Self {
@@ -757,6 +772,65 @@ mod tests {
                     }
                 }
             }
+            // A collection member finds itself approximately (its own
+            // leaf holds it; its sketch distance is 0), and an empty
+            // collection answers with nothing.
+            let spec = QuerySpec::nn().fidelity(Fidelity::Approximate);
+            for pos in [0usize, 77, 499] {
+                let got = idx.search(&[data.get(pos)], &spec).unwrap().into_single();
+                assert_eq!((got[0].pos as usize, got[0].dist_sq), (pos, 0.0));
+            }
+            let empty = MemoryIndex::build(Dataset::new(64).unwrap(), engine, &opts).unwrap();
+            let got = empty
+                .search(&[&[0.0; 64]], &spec.clone().with_stats())
+                .unwrap();
+            assert!(got.matches()[0].is_empty(), "{}", engine.name());
+            assert_eq!(got.query_stats(0).unwrap().real_computed, 0);
+        }
+    }
+
+    #[test]
+    fn ads_answers_and_work_do_not_depend_on_the_thread_count() {
+        // ADS+ is ParIS's scan at one worker whatever `Options::threads`
+        // says, so its answers *and* its work counters are the same at
+        // every setting, where ParIS's vary with the pool.
+        let dir = std::env::temp_dir().join(format!("dsidx-core-ads-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serial.dsidx");
+        let data = DatasetKind::Sald.generate(600, 64, 57);
+        dsidx_storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let qs = DatasetKind::Sald.queries(6, 64, 57);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        let spec = QuerySpec::knn(5).with_stats();
+        let work = |idx: &dyn Search| {
+            let answers = idx.search(&qrefs, &spec).unwrap();
+            let stats = answers.stats().unwrap();
+            let per_query: Vec<(u64, u64)> = stats
+                .per_query
+                .iter()
+                .map(|s| (s.real_computed, s.candidates))
+                .collect();
+            let bits: Vec<Vec<(u32, u32)>> = answers
+                .matches()
+                .iter()
+                .map(|row| row.iter().map(|m| (m.pos, m.dist_sq.to_bits())).collect())
+                .collect();
+            (bits, per_query, stats.series_fetched)
+        };
+        let mut seen = Vec::new();
+        for threads in [1usize, 2, 4, 8] {
+            let opts = Options::default()
+                .with_threads(threads)
+                .with_leaf_capacity(16);
+            let memory = MemoryIndex::build(data.clone(), Engine::Ads, &opts).unwrap();
+            let disk =
+                DiskIndex::build(&path, &dir, Engine::Ads, &opts, DeviceProfile::UNTHROTTLED)
+                    .unwrap();
+            seen.push((threads, "memory", work(&memory)));
+            seen.push((threads, "disk", work(&disk)));
+        }
+        for (threads, residence, got) in &seen {
+            assert_eq!(*got, seen[0].2, "{residence} at {threads} threads");
         }
     }
 

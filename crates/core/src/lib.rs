@@ -63,9 +63,11 @@
 //! * [`query`] — the shared exact-NN query kernel (preparation, BSF
 //!   seeding, early-abandoned candidate scans, unified [`QueryStats`]) and
 //!   the best-leaf visit that is ADS+'s and MESSI's approximate answer;
-//! * [`ads`], [`ucr`], [`paris`], [`messi`] — the engines, each with one
-//!   exact entry point (`exact`; ParIS also its sketch-nearest `approx`)
-//!   taking batches and the [`Measure`] as values;
+//! * [`ucr`], [`paris`], [`messi`] — the engines, each with one exact
+//!   entry point (`exact`; ParIS also its sketch-nearest `approx`) taking
+//!   batches (and, for MESSI, the [`Measure`]) as values. The ADS+
+//!   baseline is no crate of its own: it is MESSI's build and ParIS's
+//!   `exact`, both at one worker ([`Engine::Ads`]);
 //! * [`sync`] — the concurrency substrate (atomic BSF, Fetch&Inc claims).
 //!
 //! The facade itself is small: [`engine`] holds the one index type
@@ -94,7 +96,6 @@ pub use search::Search;
 pub use shard::ShardedIndex;
 pub use spec::{Fidelity, Measure, QuerySpec};
 
-pub use dsidx_ads as ads;
 pub use dsidx_isax as isax;
 pub use dsidx_messi as messi;
 pub use dsidx_obs as obs;

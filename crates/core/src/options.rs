@@ -88,10 +88,11 @@ impl Options {
     pub(crate) fn messi_config(
         &self,
         series_len: usize,
+        threads: usize,
     ) -> Result<dsidx_messi::MessiConfig, Error> {
         Ok(dsidx_messi::MessiConfig::new(
             self.tree_config(series_len)?,
-            self.effective_threads(),
+            threads,
         ))
     }
 }

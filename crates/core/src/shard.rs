@@ -34,7 +34,8 @@
 //! Shards search in parallel on plain scoped threads; the engines' pool
 //! broadcasts all go through the per-size cached global
 //! [`WorkerPool`](dsidx_sync::WorkerPool), so `N` shards share one pool
-//! instead of spawning `N * threads` workers.
+//! instead of spawning `N * threads` workers. ADS+ scans on the one-worker
+//! pool, so its shards' scans take turns.
 
 use crate::answers::Answers;
 use crate::engine::{trace_search, DiskIndex, Engine, Index, MemoryIndex};

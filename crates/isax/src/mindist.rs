@@ -221,8 +221,8 @@ impl MindistTable {
     }
 
     /// Lower-bounds a run of words, one result per word — the primitive
-    /// behind the SAX-array scans (ADS+'s serial scan, ParIS's collect
-    /// phase), which bound millions of contiguous words per query.
+    /// behind the SAX-array scans (ParIS's collect phase and sketch scan),
+    /// which bound millions of contiguous words per query.
     ///
     /// Dispatches to an AVX2 kernel that transposes eight words in-register
     /// and gathers each segment's entries vertically; its per-lane

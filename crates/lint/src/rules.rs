@@ -96,7 +96,7 @@ as a dispatcher via lint.allow and add the gate.",
         summary: "no .unwrap()/.expect() on fallible storage reads in the \
                   engine/query crates",
         explain: "\
-In crates ads/paris/messi/query/ucr/core, a call to a StorageError-returning
+In crates paris/messi/query/ucr/core, a call to a StorageError-returning
 read (`.fetch(`, `.read_into(`, `.read(`) must not be followed by
 `.unwrap()` or `.expect(` on the same statement: mid-query I/O failures must
 propagate through `?` into ErrorSlot so they surface with phase/shard/query
@@ -459,7 +459,6 @@ fn check_simd_dispatch(ws: &Workspace) -> Vec<Violation> {
 
 /// Crates whose query paths must propagate storage errors.
 const ENGINE_CRATES: &[&str] = &[
-    "crates/ads/",
     "crates/paris/",
     "crates/messi/",
     "crates/query/",

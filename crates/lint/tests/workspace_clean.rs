@@ -77,12 +77,12 @@ fn injected_ungated_kernel_call_is_caught() {
                 include_str!("../fixtures/simd_dispatch_good_kernel.rs"),
             ),
             (
-                "crates/ads/src/zz_caller.rs",
+                "crates/paris/src/zz_caller.rs",
                 include_str!("../fixtures/simd_dispatch_caller_bad.rs"),
             ),
         ],
         "simd-dispatch",
-        "crates/ads/src/zz_caller.rs",
+        "crates/paris/src/zz_caller.rs",
     );
 }
 

@@ -27,7 +27,7 @@ use std::time::Instant;
 /// One phase of a query's execution schedule, uniform across engines.
 ///
 /// Engines record the phases their schedule has: the scan-based engines
-/// (ADS+, ParIS) use seed/sax-scan or seed/collect/verify; MESSI uses
+/// (ADS+, ParIS) use seed/collect/verify; MESSI uses
 /// seed/traversal (its single broadcast covers tree traversal *and* the
 /// best-bound-first queue drain); DTW queries charge their LB_Keogh →
 /// early-abandoned-DTW work to the dtw-cascade phase. Every engine pays
@@ -41,8 +41,8 @@ pub enum Phase {
     /// BSF seeding from the query's own (approximate) leaf, including the
     /// series reads it pays for.
     Seed,
-    /// Serial scan over the SAX array with interleaved verification
-    /// (ADS+), or the sketch scan behind approximate answers.
+    /// The sketch scan over the SAX array behind ParIS's approximate
+    /// answers.
     SaxScan,
     /// Lower-bound candidate collection broadcast (ParIS/ParIS+).
     Collect,

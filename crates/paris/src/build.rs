@@ -62,6 +62,22 @@ pub struct ParisIndex {
     pub leaves: Option<EntryRuns>,
 }
 
+impl ParisIndex {
+    /// The scan index over a tree built elsewhere or decoded from a
+    /// snapshot: the SAX array is the tree's entry words in position order
+    /// ([`FlatTree::sax_array`]), and `leaves` are its entry runs on disk,
+    /// if a leaf is to be read back from them.
+    #[must_use]
+    pub fn from_tree(tree: FlatTree, config: TreeConfig, leaves: Option<EntryRuns>) -> Self {
+        Self {
+            sax: tree.sax_array(),
+            tree,
+            config,
+            leaves,
+        }
+    }
+}
+
 enum Feed {
     Block {
         first_pos: usize,
@@ -465,6 +481,7 @@ fn run_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsidx_messi::{MessiConfig, MessiIndex};
     use dsidx_series::gen::DatasetKind;
     use dsidx_storage::{write_dataset, Device, DeviceProfile};
     use dsidx_tree::snapshot::validate;
@@ -510,13 +527,40 @@ mod tests {
         for (pos, series) in data.iter().enumerate() {
             assert_eq!(paris.sax.word(pos), &q.word(series), "pos {pos}");
         }
-        // Same leaf structure as the serial baseline build.
-        let (ads, _) = dsidx_ads::build_from_dataset(&data, &cfg.tree);
+        // Same leaf structure as the serial baseline build: MESSI's at one
+        // worker.
+        let (serial, _) = dsidx_messi::build(&data, &MessiConfig::new(cfg.tree.clone(), 1));
         assert_eq!(
             index_stats(&paris.tree).entry_count,
-            index_stats(&ads.tree).entry_count
+            index_stats(&serial.tree).entry_count
         );
-        assert_eq!(root_keys(&paris.tree), root_keys(&ads.tree));
+        assert_eq!(root_keys(&paris.tree), root_keys(&serial.tree));
+    }
+
+    #[test]
+    fn file_build_matches_memory_build() {
+        // The scan index over MESSI's tree at one worker (what ADS+ holds):
+        // the SAX array the tree spells out is the position-ordered words,
+        // whichever residence built the tree, and no entry runs come along.
+        let data = DatasetKind::Sald.generate(300, 64, 9);
+        let path = tmp("serial.dsidx");
+        write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
+        let serial = MessiConfig::new(tree_cfg(), 1);
+        let scan = |messi: MessiIndex| ParisIndex::from_tree(messi.tree, messi.config, None);
+        let mem = scan(dsidx_messi::build(&data, &serial).0);
+        let disk = scan(dsidx_messi::build_from_file(&file, &serial, 77).unwrap().0);
+        let q = serial.tree.quantizer();
+        for (pos, series) in data.iter().enumerate() {
+            assert_eq!(mem.sax.word(pos), &q.word(series), "pos {pos}");
+        }
+        assert_eq!(mem.sax.words(), disk.sax.words());
+        assert_eq!(
+            index_stats(&mem.tree).leaf_count,
+            index_stats(&disk.tree).leaf_count
+        );
+        validate(&disk.tree, &disk.config, 300).unwrap();
+        assert!(mem.leaves.is_none() && disk.leaves.is_none());
     }
 
     #[test]

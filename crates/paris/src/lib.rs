@@ -30,6 +30,11 @@
 //! coordinator's stalls, which the build's
 //! [`BuildReport`](dsidx_obs::BuildReport) splits into CPU (`grow`) and
 //! writes (`flush`).
+//!
+//! Stage 4 is ADS+'s SIMS made parallel (bound every SAX word, verify the
+//! survivors), so the same exact schedule, [`exact`], run at one worker
+//! over a MESSI-built tree ([`ParisIndex::from_tree`]), is the serial
+//! ADS+ baseline's exact answer too.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -12,6 +12,8 @@
 //! Fetch&Inc-chunked pool phases with a shared candidate list between.
 //! There is one exact schedule, [`exact`] (1-NN and single queries are
 //! its k = 1 / batch-of-one cases), and one approximate one, [`approx`].
+//! The exact schedule also answers for ADS+: at one worker it is SIMS,
+//! the serial scan ParIS parallelizes.
 //!
 //! **Departs from the paper** in *which* raw series the schedule pays
 //! for, never in the answer. The paper seeds from every entry of the
@@ -397,6 +399,83 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsidx-parisq-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// ADS+'s index: the scan index over MESSI's tree at one worker, with
+    /// no entry runs.
+    fn serial_index(messi: dsidx_messi::MessiIndex) -> ParisIndex {
+        ParisIndex::from_tree(messi.tree, messi.config, None)
+    }
+
+    fn serial_cfg() -> dsidx_messi::MessiConfig {
+        dsidx_messi::MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), 1)
+    }
+
+    #[test]
+    fn pruning_actually_happens_on_clusterable_data() {
+        let data = dsidx_series::gen::sines(800, 64, 3);
+        let paris = serial_index(dsidx_messi::build(&data, &serial_cfg()).0);
+        let queries = dsidx_series::gen::sines(5, 64, 999);
+        for q in queries.iter() {
+            let (_, stats) = nn(&paris, &data, q, 1).unwrap();
+            assert!(
+                stats.candidates <= 400,
+                "lower bounds should prune most sines candidates: {}",
+                stats.candidates
+            );
+        }
+    }
+
+    #[test]
+    fn knn_batch_of_zero_queries_is_empty() {
+        let data = DatasetKind::Synthetic.generate(50, 64, 3);
+        let paris = serial_index(dsidx_messi::build(&data, &serial_cfg()).0);
+        let (matches, stats) = exact(&paris, &data, &[], 5, 1, None).unwrap();
+        assert!(matches.is_empty());
+        assert_eq!(stats.broadcasts, 0);
+        assert!(stats.per_query.is_empty());
+    }
+
+    #[test]
+    fn stats_account_seeding_and_scan_uniformly() {
+        // At one worker the scan keeps its accounting: every query bounds
+        // every SAX word, pays real distances from the seed on, leaves the
+        // tree counters at zero, and the batch still costs the schedule's
+        // two broadcasts.
+        let data = DatasetKind::Synthetic.generate(150, 64, 17);
+        let paris = serial_index(dsidx_messi::build(&data, &serial_cfg()).0);
+        let qs = DatasetKind::Synthetic.queries(3, 64, 17);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        let (_, stats) = exact(&paris, &data, &qrefs, 1, 1, None).unwrap();
+        assert_eq!(stats.broadcasts, 2);
+        assert!(stats.series_fetched <= stats.series_requests);
+        for q in &stats.per_query {
+            assert_eq!(q.lb_computed, 150);
+            assert_eq!(q.lb_total(), 150);
+            assert!(q.real_computed >= 1, "seeding pays at least one real");
+            assert_eq!(q.nodes_pruned, 0);
+            assert_eq!(q.leaves_enqueued, 0);
+            assert_eq!(q.lb_entry_computed, 0);
+        }
+    }
+
+    #[test]
+    fn on_disk_query_matches_in_memory() {
+        // No entry runs to read a leaf back from: the one-worker scan over
+        // a file still answers exactly as over the resident dataset.
+        let data = DatasetKind::Seismic.generate(300, 64, 8);
+        let path = tmp("serial.dsidx");
+        write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
+        let built = dsidx_messi::build_from_file(&file, &serial_cfg(), 64).unwrap();
+        let paris = serial_index(built.0);
+        for q in DatasetKind::Seismic.queries(5, 64, 8).iter() {
+            let (mem, _) = nn(&paris, &data, q, 1).unwrap();
+            let (disk, _) = nn(&paris, &file, q, 1).unwrap();
+            assert_eq!(mem.pos, disk.pos);
+            assert_eq!(mem.dist_sq.to_bits(), disk.dist_sq.to_bits());
+            assert_eq!(mem.pos, brute_force(&data, q).unwrap().pos);
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! across B queries: each fetched series (or scanned SAX word, or visited
 //! tree node) is checked against *every* query in the batch — one data
 //! pass, B threshold checks — instead of re-walking the data per query.
-//! Engines run the whole batch inside one schedule (ADS+ one serial scan,
-//! ParIS one collect + one verify broadcast, MESSI one traversal
+//! Engines run the whole batch inside one schedule (ParIS, and ADS+ at one
+//! worker, one collect + one verify broadcast; MESSI one traversal
 //! broadcast), so the per-query broadcast cost drops to `1/B` of the
 //! single-query path. (MESSI shares data passes only where a fetch is
 //! charged: over a resident dataset it shares just the broadcast and
@@ -357,9 +357,9 @@ impl<'q, P> QueryBatch<'q, P> {
 /// how many raw-series fetches were shared across queries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchStats {
-    /// Pool broadcasts issued for the whole batch (0 for the serial
-    /// engine; constant per batch for the parallel ones, so
-    /// broadcasts-per-query shrinks as `1/B`).
+    /// Pool broadcasts issued for the whole batch (0 for approximate
+    /// answers; constant per batch for exact ones, so broadcasts-per-query
+    /// shrinks as `1/B`).
     pub broadcasts: u64,
     /// Raw series actually fetched, each at most once per scan/verify
     /// step whatever the batch size.
@@ -464,9 +464,9 @@ pub fn batch_seed_positions<P>(
 /// per query.
 ///
 /// Leaf seeding alone leaves a k-NN threshold at `+inf` whenever the
-/// approximate leaf holds fewer than k entries — harmless for engines
-/// that interleave pruning with insertion (ADS+'s scan, MESSI's
-/// best-first processing), but pathological for a batch lower-bound phase
+/// approximate leaf holds fewer than k entries — harmless for a schedule
+/// that interleaves pruning with insertion (MESSI's best-first
+/// processing), but pathological for a batch lower-bound phase
 /// like ParIS's collect, which would then materialize the *entire*
 /// collection as candidates. Warming over a prefix a few times k puts the
 /// threshold at a low quantile of the sampled distance distribution
@@ -497,59 +497,6 @@ pub fn batch_seed_prefix(
     }
     batch.merge_locals(&locals);
     batch.count_io(prefix as u64, prefix as u64 * batch.len() as u64);
-    Ok(())
-}
-
-/// SIMS-style serial scan, batched (the ADS+ schedule): every SAX word is
-/// lower-bounded against every query; a position is fetched at most once,
-/// then verified for each query whose bound survived. Fills each query's
-/// `lb_computed`, `candidates` and `real_computed`.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-pub fn batch_scan_sax_serial(
-    words: &[Word],
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_>,
-) -> Result<(), StorageError> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    let mut locals = vec![QueryStats::default(); batch.len()];
-    let mut survivors: Vec<(usize, f32)> = Vec::with_capacity(batch.len());
-    let (mut fetches, mut requests) = (0u64, 0u64);
-    for (pos, word) in words.iter().enumerate() {
-        survivors.clear();
-        for (qi, slot) in batch.slots().iter().enumerate() {
-            locals[qi].lb_computed += 1;
-            let lb = slot.prep.table.lookup(word);
-            if lb < slot.topk.threshold_sq() {
-                locals[qi].candidates += 1;
-                survivors.push((qi, lb));
-            }
-        }
-        if survivors.is_empty() {
-            continue;
-        }
-        let series = fetcher.fetch(pos)?;
-        fetches += 1;
-        for &(qi, _) in &survivors {
-            let slot = &batch.slots()[qi];
-            // No stale-bound re-check needed: this loop is serial, each
-            // query appears at most once per position, and verifications
-            // for other queries never touch this query's threshold. (A
-            // cross-shard sharer may tighten it concurrently — that only
-            // prunes more; the insert-time comparison stays authoritative.)
-            let limit = slot.topk.threshold_sq();
-            requests += 1;
-            if let Some(d) = euclidean_sq_bounded(slot.values, series, limit) {
-                slot.topk.insert(d, pos as u32);
-                locals[qi].real_computed += 1;
-            }
-        }
-    }
-    batch.merge_locals(&locals);
-    batch.count_io(fetches, requests);
     Ok(())
 }
 
@@ -842,41 +789,6 @@ mod tests {
         all.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         all.truncate(k);
         all
-    }
-
-    #[test]
-    fn batch_serial_scan_equals_per_query_brute_force() {
-        let (data, words, config) = fixture(400);
-        let qs = DatasetKind::Synthetic.queries(6, 64, 7);
-        let qrefs: Vec<&[f32]> = qs.iter().collect();
-        // k = 400 and 450 reach and pass the collection size: every
-        // position is then an answer, and the threshold stays open.
-        for k in [1usize, 4, 17, 400, 450] {
-            let batch = QueryBatch::new(config.quantizer(), &qrefs, k);
-            let mut fetcher = SeriesFetcher::new(&data);
-            batch_scan_sax_serial(&words, &mut fetcher, &batch).unwrap();
-            let (matches, stats) = batch.finish(0, QueryStats::default());
-            assert_eq!(matches.len(), qrefs.len());
-            for (qi, q) in qs.iter().enumerate() {
-                let want = brute_topk(&data, q, k);
-                let got = &matches[qi];
-                assert_eq!(got.len(), want.len(), "q{qi} k={k}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.pos, w.1, "q{qi} k={k}");
-                    assert!((g.dist_sq - w.0).abs() <= w.0 * 1e-4 + 1e-4);
-                }
-                // Every query paid one bound per position; only bound
-                // survivors can pay a real distance.
-                let q = &stats.per_query[qi];
-                assert_eq!(q.lb_computed, 400);
-                assert!(q.candidates <= q.lb_computed, "q{qi} k={k}");
-                assert!(q.real_computed <= q.candidates, "q{qi} k={k}");
-            }
-            // Fetches are shared: never more than one per position, and
-            // never fewer than any single query's needs.
-            assert!(stats.series_fetched <= 400);
-            assert!(stats.series_requests >= stats.series_fetched);
-        }
     }
 
     #[test]
@@ -1369,7 +1281,9 @@ mod tests {
         let mut fetcher = SeriesFetcher::new(&data);
         batch_seed_positions(&[1, 2], &mut fetcher, &batch).unwrap();
         batch_seed_prefix(5, &mut fetcher, &batch).unwrap();
-        batch_scan_sax_serial(&words, &mut fetcher, &batch).unwrap();
+        let mut candidates = Vec::new();
+        batch_collect_candidates(&words, 0..words.len(), &batch, &mut [], &mut candidates);
+        assert!(candidates.is_empty());
         let (matches, stats) = batch.finish(0, QueryStats::default());
         assert!(matches.is_empty());
         assert_eq!(stats.series_fetched, 0);

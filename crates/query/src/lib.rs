@@ -12,9 +12,9 @@
 //!    entries), early-abandon real distances for survivors, and fold
 //!    improvements into the shared BSF ([`scan`]).
 //!
-//! The engines differ only in *scheduling*: ADS+ runs step 3 serially in
-//! position order, ParIS splits it into parallel collect/verify phases
-//! over Fetch&Inc chunks, MESSI replaces the scan with a tree traversal
+//! The engines differ only in *scheduling*: ParIS splits step 3 into
+//! parallel collect/verify phases over Fetch&Inc chunks (ADS+ runs the same
+//! schedule at one worker), MESSI replaces the scan with a tree traversal
 //! feeding best-bound-first leaf runs but pays the same per-entry loop at
 //! the leaves. Those loops live here once; engines keep only their scheduling. One
 //! [`QueryStats`] reports all of them uniformly.
@@ -44,9 +44,9 @@ pub mod seed;
 pub mod stats;
 
 pub use batch::{
-    batch_collect_candidates, batch_process_leaf_entries, batch_scan_sax_serial,
-    batch_seed_positions, batch_seed_prefix, batch_verify_candidates, order_best_bound_first,
-    BatchCandidate, BatchSlot, BatchStats, QueryBatch, ShardView, SharedPruners,
+    batch_collect_candidates, batch_process_leaf_entries, batch_seed_positions, batch_seed_prefix,
+    batch_verify_candidates, order_best_bound_first, BatchCandidate, BatchSlot, BatchStats,
+    QueryBatch, ShardView, SharedPruners,
 };
 pub use dtw::{
     batch_process_leaf_entries_dtw, batch_seed_positions_dtw, process_leaf_entries_dtw,

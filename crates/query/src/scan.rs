@@ -1,7 +1,8 @@
 //! The per-leaf early-abandoned real-distance loop — MESSI's exact phase
 //! after seeding, one leaf's entries at a time. The scan engines' loops
-//! (ADS+'s serial SIMS scan, ParIS's collect/verify split) exist only in
-//! batch form ([`batch`](crate::batch)); a single query is a batch of one.
+//! (ParIS's collect/verify split, which ADS+ runs at one worker) exist
+//! only in batch form ([`batch`](crate::batch)); a single query is a batch
+//! of one.
 //!
 //! The loop is generic over [`Pruner`], so the same code answers 1-NN
 //! (an [`AtomicBest`](dsidx_sync::AtomicBest) best-so-far) and k-NN (a
@@ -117,9 +118,7 @@ pub fn process_leaf_entries<P: Pruner>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{
-        batch_scan_sax_serial, batch_verify_candidates, BatchCandidate, QueryBatch,
-    };
+    use crate::batch::{batch_verify_candidates, BatchCandidate, QueryBatch};
     use crate::prepare::PreparedQuery;
     use dsidx_series::distance::euclidean_sq;
     use dsidx_series::gen::DatasetKind;
@@ -162,58 +161,6 @@ mod tests {
         all.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         all.truncate(k);
         all
-    }
-
-    /// ADS+'s serial scan of one query: a batch of one.
-    fn serial_scan(
-        data: &dsidx_series::Dataset,
-        words: &[Word],
-        config: &TreeConfig,
-        q: &[f32],
-        k: usize,
-    ) -> (Vec<(f32, u32)>, QueryStats) {
-        let batch = QueryBatch::new(config.quantizer(), &[q], k);
-        let mut fetcher = SeriesFetcher::new(data);
-        batch_scan_sax_serial(words, &mut fetcher, &batch).unwrap();
-        let (matches, stats) = batch.finish(0, QueryStats::default());
-        let got = matches[0].iter().map(|m| (m.dist_sq, m.pos)).collect();
-        (got, stats.per_query[0])
-    }
-
-    #[test]
-    fn serial_scan_is_exact_and_accounts_correctly() {
-        let (data, words, config) = fixture(400);
-        let queries = DatasetKind::Synthetic.queries(5, 64, 5);
-        for q in queries.iter() {
-            let (got, stats) = serial_scan(&data, &words, &config, q, 1);
-            let want = brute(&data, q);
-            let (dist_sq, pos) = got[0];
-            assert_eq!(pos, want.1);
-            assert!((dist_sq - want.0).abs() <= want.0 * 1e-4 + 1e-4);
-            // Accounting invariants: every position pays a bound; only
-            // survivors can pay a real distance.
-            assert_eq!(stats.lb_computed, 400);
-            assert!(stats.candidates <= stats.lb_computed);
-            assert!(stats.real_computed <= stats.candidates);
-            assert_eq!(stats.lb_total(), 400);
-        }
-    }
-
-    #[test]
-    fn serial_scan_with_topk_equals_brute_force_topk() {
-        let (data, words, config) = fixture(350);
-        let queries = DatasetKind::Synthetic.queries(4, 64, 19);
-        for q in queries.iter() {
-            for k in [1usize, 5, 20, 350, 400] {
-                let (got, _) = serial_scan(&data, &words, &config, q, k);
-                let want = brute_topk(&data, q, k);
-                assert_eq!(got.len(), want.len(), "k={k}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.1, w.1, "k={k}");
-                    assert!((g.0 - w.0).abs() <= w.0 * 1e-4 + 1e-4);
-                }
-            }
-        }
     }
 
     #[test]

@@ -121,9 +121,10 @@ proptest! {
             .with_leaf_capacity(leaf)
             .with_segments(8.min(len));
         let tree = opts.tree_config(len).unwrap();
-        let (ads, _) = dsidx::ads::build_from_dataset(&data, &tree);
-        prop_assert!(dsidx::tree::snapshot::validate(&ads.tree, &ads.config, data.len()).is_ok());
-        let stats = dsidx::tree::stats::index_stats(&ads.tree);
+        let serial = dsidx::messi::MessiConfig::new(tree, 1);
+        let (built, _) = dsidx::messi::build(&data, &serial);
+        prop_assert!(dsidx::tree::snapshot::validate(&built.tree, &built.config, data.len()).is_ok());
+        let stats = dsidx::tree::stats::index_stats(&built.tree);
         prop_assert_eq!(stats.entry_count, data.len());
     }
 }
