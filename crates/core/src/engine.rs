@@ -23,7 +23,7 @@ use crate::snapshot::{open_snapshot, save_snapshot, SnapshotContents};
 use crate::spec::{Fidelity, Measure, QuerySpec};
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_obs::BuildReport;
-use dsidx_query::{BatchStats, QueryStats, ShardView};
+use dsidx_query::{BatchStats, DtwPrepared, Prepared, PreparedQuery, ShardView};
 use dsidx_series::{Dataset, Match};
 use dsidx_storage::{DatasetFile, Device, DeviceProfile, EntryRuns, RawSource, StorageError};
 use dsidx_tree::stats::{index_stats, IndexStats};
@@ -145,41 +145,6 @@ impl Built {
             }
         }
     }
-}
-
-/// The approximate-fidelity batch loop: approximate answering pays one
-/// best-leaf visit (ADS+, MESSI) or one sketch-nearest probe pass (ParIS)
-/// per query — no broadcast — so the batch is a plain loop and the batch
-/// counters report per-query work only. `answer_one` is the approximate
-/// answer for one query.
-fn approx_batch(
-    queries: &[&[f32]],
-    mut answer_one: impl FnMut(&[f32]) -> Result<(Vec<Match>, QueryStats), StorageError>,
-) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    let mut matches = Vec::with_capacity(queries.len());
-    let mut per_query = Vec::with_capacity(queries.len());
-    let mut clock = PhaseClock::start();
-    for (i, &q) in queries.iter().enumerate() {
-        // The approximate visit is one seeding pass; engines that
-        // annotated a more precise phase keep it (first wins).
-        let (m, mut s) =
-            answer_one(q).map_err(|e| e.in_phase(Phase::Seed.name()).for_query(i as u64))?;
-        // Engines that time their own approximate visit already filled
-        // the breakdown; charge the rest to the seeding phase they are.
-        let nanos = clock.lap();
-        if s.phase.is_zero() {
-            s.phase.record(Phase::Seed, nanos);
-        }
-        matches.push(m);
-        per_query.push(s);
-    }
-    Ok((
-        matches,
-        BatchStats {
-            per_query,
-            ..BatchStats::default()
-        },
-    ))
 }
 
 /// Emits one `search` trace event per [`Search::search`] call when the
@@ -304,6 +269,7 @@ impl<S> Index<S> {
     ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
         let (k, measure) = (spec.k(), spec.measure_kind());
         let threads = self.options.effective_threads();
+        let quantizer = self.built.tree().1.quantizer();
         Ok(match (spec.fidelity_kind(), &self.built, measure) {
             (Fidelity::Exact, Built::Messi(messi), _) => {
                 dsidx_messi::exact(messi, source, queries, measure, k, threads, shard)
@@ -317,19 +283,61 @@ impl<S> Index<S> {
             (Fidelity::Exact, Built::Paris(_), Measure::Dtw { band }) => {
                 dsidx_ucr::scan_dtw_parallel(source, queries, band, k, threads, shard)
             }
-            (Fidelity::Approximate, Built::Paris(paris), _) if self.engine != Engine::Ads => {
-                approx_batch(queries, |q| {
-                    dsidx_paris::approx(paris, source, q, measure, k)
-                })
+            (Fidelity::Approximate, _, Measure::Euclidean) => {
+                self.approx(source, queries, k, |q| PreparedQuery::new(quantizer, q))
             }
-            // ADS+ and MESSI: one best-leaf visit over the tree they share.
-            (Fidelity::Approximate, _, _) => {
-                let (tree, config) = self.built.tree();
-                approx_batch(queries, |q| {
-                    dsidx_query::approx_best_leaf(tree, config, source, q, measure, k)
-                })
+            (Fidelity::Approximate, _, Measure::Dtw { band }) => {
+                self.approx(source, queries, k, |q| DtwPrepared::new(quantizer, q, band))
             }
         }?)
+    }
+
+    /// The approximate cells, each query prepared by `prepare`: ParIS's
+    /// sketch-nearest probe, or one best-leaf visit over the tree ADS+ and
+    /// MESSI share. Either pays one pass per query and no broadcast, so
+    /// the batch is a plain loop and its counters report per-query work
+    /// only.
+    fn approx<R: RawSource, Q: Prepared>(
+        &self,
+        source: &R,
+        queries: &[&[f32]],
+        k: usize,
+        prepare: impl Fn(&[f32]) -> Q,
+    ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
+        let (tree, config) = self.built.tree();
+        let mut matches = Vec::with_capacity(queries.len());
+        let mut per_query = Vec::with_capacity(queries.len());
+        let mut clock = PhaseClock::start();
+        for (i, &q) in queries.iter().enumerate() {
+            let prep = prepare(q);
+            let prepare_nanos = clock.lap();
+            let answer = match &self.built {
+                Built::Paris(paris) if self.engine != Engine::Ads => {
+                    dsidx_paris::approx(paris, source, q, &prep, k)
+                }
+                _ => dsidx_query::approx_best_leaf(tree, config, source, q, &prep, k),
+            };
+            // The approximate visit is one seeding pass; engines that
+            // annotated a more precise phase keep it (first wins).
+            let (m, mut s) =
+                answer.map_err(|e| e.in_phase(Phase::Seed.name()).for_query(i as u64))?;
+            // Engines that time their own approximate visit already filled
+            // the breakdown; charge the rest to the seeding phase they are.
+            let nanos = clock.lap();
+            if s.phase.is_zero() {
+                s.phase.record(Phase::Seed, nanos);
+            }
+            s.phase.record(Phase::Prepare, prepare_nanos);
+            matches.push(m);
+            per_query.push(s);
+        }
+        Ok((
+            matches,
+            BatchStats {
+                per_query,
+                ..BatchStats::default()
+            },
+        ))
     }
 
     /// [`Search::search`] for either residence: validate once, dispatch,
@@ -570,7 +578,8 @@ impl Search for DiskIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::InvalidSpec;
+    use crate::error::{InvalidOptions, InvalidSpec};
+    use dsidx_query::QueryStats;
     use dsidx_series::gen::DatasetKind;
 
     /// One query's exact Euclidean k-NN, as a batch of one.
@@ -1206,5 +1215,58 @@ mod tests {
         let st = idx.stats();
         assert_eq!(st.entry_count, 200);
         assert!(st.leaf_count > 0);
+    }
+
+    #[test]
+    fn out_of_range_options_are_errors_not_panics() {
+        // Every engine x residence, and a sharded build, rejects a zero
+        // leaf capacity or block size with a structured error before any
+        // engine code runs (these used to panic inside the engines).
+        let dir = std::env::temp_dir().join(format!("dsidx-core-opts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = DatasetKind::Synthetic.generate(120, 64, 19);
+        let path = dir.join("data.dsidx");
+        dsidx_storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let base = Options::default().with_threads(2);
+        let cases = [
+            (
+                base.clone().with_leaf_capacity(0),
+                InvalidOptions::ZeroLeafCapacity,
+            ),
+            (
+                Options {
+                    block_series: 0,
+                    ..base.clone()
+                },
+                InvalidOptions::ZeroBlockSeries,
+            ),
+        ];
+        for (options, want) in cases {
+            for engine in Engine::ALL {
+                let errors = [
+                    (
+                        "memory",
+                        MemoryIndex::build(data.clone(), engine, &options).err(),
+                    ),
+                    (
+                        "disk",
+                        DiskIndex::build(&path, &dir, engine, &options, DeviceProfile::UNTHROTTLED)
+                            .err(),
+                    ),
+                    (
+                        "sharded",
+                        crate::ShardedIndex::build_in_memory(&data, 2, engine, &options).err(),
+                    ),
+                ];
+                for (residence, got) in errors {
+                    let label = format!("{} {residence} {want:?}", engine.name());
+                    match got {
+                        Some(Error::InvalidOptions(got)) => assert_eq!(got, want, "{label}"),
+                        Some(other) => panic!("{label}: wrong error {other}"),
+                        None => panic!("{label}: accepted"),
+                    }
+                }
+            }
+        }
     }
 }

@@ -20,6 +20,36 @@ pub enum Error {
     /// query-time misuse (`k == 0`, an over-wide DTW band, an empty
     /// batch, a query of the wrong length).
     InvalidSpec(InvalidSpec),
+    /// [`Options`](crate::Options) that no engine can build with,
+    /// rejected before any build starts.
+    InvalidOptions(InvalidOptions),
+}
+
+/// Why [`Options`](crate::Options) were rejected when a build turned them
+/// into an engine configuration.
+///
+/// Marked `#[non_exhaustive]`: validation grows with the options.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum InvalidOptions {
+    /// `leaf_capacity == 0`: a leaf must hold at least one series.
+    ZeroLeafCapacity,
+    /// `block_series == 0`: a read block must hold at least one series.
+    ZeroBlockSeries,
+}
+
+impl fmt::Display for InvalidOptions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InvalidOptions::ZeroLeafCapacity => write!(
+                f,
+                "leaf_capacity must be at least 1 (the paper's default is 100)"
+            ),
+            InvalidOptions::ZeroBlockSeries => {
+                write!(f, "block_series must be at least 1 (the default is 1024)")
+            }
+        }
+    }
 }
 
 /// Why a [`QuerySpec`](crate::QuerySpec) was rejected at the query plane,
@@ -104,6 +134,7 @@ impl fmt::Display for Error {
             Error::Storage(e) => write!(f, "storage error: {e}"),
             Error::Series(e) => write!(f, "series error: {e}"),
             Error::InvalidSpec(e) => write!(f, "invalid query spec: {e}"),
+            Error::InvalidOptions(e) => write!(f, "invalid options: {e}"),
         }
     }
 }
@@ -114,7 +145,7 @@ impl std::error::Error for Error {
             Error::Config(e) => Some(e),
             Error::Storage(e) => Some(e),
             Error::Series(e) => Some(e),
-            Error::InvalidSpec(_) => None,
+            Error::InvalidSpec(_) | Error::InvalidOptions(_) => None,
         }
     }
 }
@@ -140,6 +171,12 @@ impl From<dsidx_series::SeriesError> for Error {
 impl From<InvalidSpec> for Error {
     fn from(e: InvalidSpec) -> Self {
         Error::InvalidSpec(e)
+    }
+}
+
+impl From<InvalidOptions> for Error {
+    fn from(e: InvalidOptions) -> Self {
+        Error::InvalidOptions(e)
     }
 }
 
@@ -183,6 +220,15 @@ mod tests {
         let e: Error = InvalidSpec::NonFiniteQuery { index: 2 }.into();
         let text = e.to_string();
         assert!(text.contains("query 2") && text.contains("NaN"));
+        assert!(std::error::Error::source(&e).is_none());
+    }
+
+    #[test]
+    fn invalid_options_name_the_field() {
+        let e: Error = InvalidOptions::ZeroLeafCapacity.into();
+        assert!(e.to_string().contains("leaf_capacity"));
+        let e: Error = InvalidOptions::ZeroBlockSeries.into();
+        assert!(e.to_string().contains("block_series"));
         assert!(std::error::Error::source(&e).is_none());
     }
 }

@@ -90,7 +90,7 @@ pub mod spec;
 
 pub use answers::Answers;
 pub use engine::{DiskIndex, Engine, MemoryIndex};
-pub use error::{Error, InvalidSpec};
+pub use error::{Error, InvalidOptions, InvalidSpec};
 pub use options::Options;
 pub use search::Search;
 pub use shard::ShardedIndex;

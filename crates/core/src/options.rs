@@ -1,6 +1,6 @@
 //! Tuning knobs shared by every engine.
 
-use crate::error::Error;
+use crate::error::{Error, InvalidOptions};
 use dsidx_tree::TreeConfig;
 
 /// Index/build/query options. `Default` reproduces the paper's settings at
@@ -62,11 +62,20 @@ impl Options {
         self
     }
 
-    /// Builds the tree configuration for a given series length.
+    /// Builds the tree configuration for a given series length. Every
+    /// engine configuration is built from this one, so it is where the
+    /// options are validated, once, for every engine and residence.
     ///
     /// # Errors
-    /// Propagates configuration validation errors.
+    /// [`Error::InvalidOptions`] for a zero `leaf_capacity` or
+    /// `block_series`; propagates configuration validation errors.
     pub fn tree_config(&self, series_len: usize) -> Result<TreeConfig, Error> {
+        if self.leaf_capacity == 0 {
+            return Err(InvalidOptions::ZeroLeafCapacity.into());
+        }
+        if self.block_series == 0 {
+            return Err(InvalidOptions::ZeroBlockSeries.into());
+        }
         Ok(TreeConfig::new(
             series_len,
             self.segments,
@@ -127,5 +136,18 @@ mod tests {
         assert!(o.tree_config(256).is_err());
         let o = Options::default();
         assert!(o.tree_config(4).is_err(), "series shorter than segments");
+        let o = Options::default().with_leaf_capacity(0);
+        assert!(matches!(
+            o.tree_config(64),
+            Err(Error::InvalidOptions(InvalidOptions::ZeroLeafCapacity))
+        ));
+        let o = Options {
+            block_series: 0,
+            ..Options::default()
+        };
+        assert!(matches!(
+            o.tree_config(64),
+            Err(Error::InvalidOptions(InvalidOptions::ZeroBlockSeries))
+        ));
     }
 }

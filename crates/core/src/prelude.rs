@@ -2,7 +2,7 @@
 
 pub use crate::answers::Answers;
 pub use crate::engine::{DiskIndex, Engine, MemoryIndex};
-pub use crate::error::{Error, InvalidSpec};
+pub use crate::error::{Error, InvalidOptions, InvalidSpec};
 pub use crate::options::Options;
 pub use crate::search::Search;
 pub use crate::shard::ShardedIndex;

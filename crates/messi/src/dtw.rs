@@ -17,117 +17,24 @@
 //!
 //! The schedules are the Euclidean ones ([`crate::query`] — claim and help
 //! on a resident source, shared fetch on any other), entered through the
-//! same [`exact`](crate::query::exact) with `Measure::Dtw { band }`; this
-//! module only supplies the DTW `LeafKernel`: interval tables instead of
-//! point tables, the cascade at the leaves, and [`Phase::DtwCascade`] as
-//! the phase the broadcast is booked under. Like the ED path it is generic
-//! over [`RawSource`]: the cascade's first stage prunes from the leaf
-//! summaries alone, so an on-disk source pays positioned reads only for
-//! entries that survive the iSAX bound — this is what gives exact DTW an
-//! on-disk schedule. Mid-query read failures surface as `Err`.
-
-use crate::query::LeafKernel;
-use dsidx_isax::{NodeMindistTable, Quantizer, Word};
-use dsidx_obs::phase::Phase;
-use dsidx_query::{
-    batch_process_leaf_entries_dtw, batch_seed_positions_dtw, process_leaf_entries_dtw,
-    seed_from_entries_dtw, DtwPrepared, LeafScratch, Pruner, QueryBatch, QueryStats, SeriesFetcher,
-};
-use dsidx_storage::{RawSource, StorageError};
-
-/// Banded DTW: interval MINDIST tables from the query's envelope, then
-/// the raw-series cascade for what survives them.
-pub(crate) struct Dtw {
-    pub(crate) band: usize,
-}
-
-impl LeafKernel for Dtw {
-    type Prep = DtwPrepared;
-    const PHASE: Phase = Phase::DtwCascade;
-
-    fn prepare(&self, quantizer: &Quantizer, query: &[f32]) -> DtwPrepared {
-        DtwPrepared::new(quantizer, query, self.band)
-    }
-
-    fn word(prep: &DtwPrepared) -> &Word {
-        &prep.word
-    }
-
-    fn fill_node_table(prep: &DtwPrepared, quantizer: &Quantizer, table: &mut NodeMindistTable) {
-        prep.fill_node_table(quantizer, table);
-    }
-
-    fn seed<P: Pruner>(
-        &self,
-        prep: &DtwPrepared,
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        query: &[f32],
-        pruner: &P,
-        scratch: &mut LeafScratch,
-    ) -> Result<u64, StorageError> {
-        seed_from_entries_dtw(
-            positions.iter().copied(),
-            fetcher,
-            query,
-            &prep.lo_env,
-            &prep.hi_env,
-            self.band,
-            pruner,
-            scratch,
-        )
-    }
-
-    fn process_leaf<P: Pruner>(
-        &self,
-        prep: &DtwPrepared,
-        words: &[Word],
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        query: &[f32],
-        pruner: &P,
-        scratch: &mut LeafScratch,
-        stats: &mut QueryStats,
-    ) -> Result<u64, StorageError> {
-        process_leaf_entries_dtw(
-            words, positions, prep, fetcher, query, self.band, pruner, scratch, stats,
-        )
-    }
-
-    fn batch_seed(
-        &self,
-        preps: &[DtwPrepared],
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        batch: &QueryBatch<'_, ()>,
-    ) -> Result<(), StorageError> {
-        batch_seed_positions_dtw(positions, fetcher, batch, preps, self.band)
-    }
-
-    fn batch_process_leaf(
-        &self,
-        preps: &[DtwPrepared],
-        words: &[Word],
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        batch: &QueryBatch<'_, ()>,
-        active: &[usize],
-        survivors: &mut Vec<usize>,
-        scratch: &mut LeafScratch,
-        locals: &mut [QueryStats],
-    ) -> Result<(), StorageError> {
-        batch_process_leaf_entries_dtw(
-            words, positions, fetcher, batch, active, preps, self.band, survivors, scratch, locals,
-        )
-    }
-}
+//! same [`exact`](crate::query::exact) with `Measure::Dtw { band }`, which
+//! prepares each query as a [`DtwPrepared`](dsidx_query::DtwPrepared):
+//! interval tables instead of point tables, the cascade at the leaves, and
+//! `Phase::DtwCascade` as the phase the broadcast is booked under. This
+//! module holds no code of its own, only the DTW tests of those schedules.
+//! Like the ED path the schedules are generic over
+//! [`RawSource`](dsidx_storage::RawSource): the cascade's first stage
+//! prunes from the leaf summaries alone, so an on-disk source pays
+//! positioned reads only for entries that survive the iSAX bound — this is
+//! what gives exact DTW an on-disk schedule. Mid-query read failures
+//! surface as `Err`.
 
 #[cfg(test)]
 mod tests {
     use crate::build::{build, MessiIndex};
     use crate::config::MessiConfig;
     use crate::query::exact;
-    use dsidx_query::{approx_best_leaf, BatchStats, Measure, QueryStats};
+    use dsidx_query::{approx_best_leaf, BatchStats, DtwPrepared, Measure, QueryStats};
     use dsidx_series::distance::dtw::dtw_sq;
     use dsidx_series::gen::DatasetKind;
     use dsidx_series::{Dataset, Match};
@@ -355,15 +262,9 @@ mod tests {
         for q in queries.iter() {
             for k in [1usize, 5] {
                 let exact = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
-                let (approx, stats) = approx_best_leaf(
-                    &messi.tree,
-                    &messi.config,
-                    &data,
-                    q,
-                    Measure::Dtw { band: 4 },
-                    k,
-                )
-                .unwrap();
+                let prep = DtwPrepared::new(messi.config.quantizer(), q, 4);
+                let (approx, stats) =
+                    approx_best_leaf(&messi.tree, &messi.config, &data, q, &prep, k).unwrap();
                 assert!(!approx.is_empty() && approx.len() <= k);
                 for (a, e) in approx.iter().zip(&exact) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6);

@@ -19,14 +19,15 @@
 //!   early, whoever will claim it.
 //!
 //! Query preparation, approximate-descent seeding and the per-leaf loops
-//! come from the shared kernel (`dsidx-query`), reached through
-//! `LeafKernel` so that one pair of schedules answers both measures (the
-//! Euclidean kernel is here, the DTW one in [`crate::dtw`]). This module
-//! contributes the MESSI scheduling and the crate's entry point, [`exact`],
-//! which takes the [`Measure`] as a value. All tree reads go through the
-//! flat tree ([`dsidx_tree::flat`]); the approximate answer is the shared
-//! best-leaf visit, [`approx_best_leaf`](dsidx_query::approx_best_leaf),
-//! over [`MessiIndex::tree`].
+//! come from the shared kernel (`dsidx-query`), generic over the
+//! [`Prepared`] query, so that one pair of schedules answers both measures
+//! (see [`crate::dtw`] for what DTW changes). This module contributes the
+//! MESSI scheduling and the crate's entry point, [`exact`], which takes the
+//! [`Measure`] as a value and prepares each query under it. All tree reads
+//! go through the flat tree ([`dsidx_tree::flat`]); the approximate answer
+//! is the shared best-leaf visit,
+//! [`approx_best_leaf`](dsidx_query::approx_best_leaf), over
+//! [`MessiIndex::tree`].
 //!
 //! # Which schedule runs
 //!
@@ -71,175 +72,20 @@
 use crate::build::MessiIndex;
 use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
 use crate::traverse::{BatchTraversal, Traversal};
-use dsidx_isax::{NodeMindistTable, Quantizer, Word};
+use dsidx_isax::NodeMindistTable;
 use dsidx_obs::phase::{Phase, PhaseAcc, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
     approx_leaf_flat, batch_process_leaf_entries, batch_seed_positions, process_leaf_entries,
-    seed_from_entries, AtomicQueryStats, BatchStats, ErrorSlot, LeafScratch, Measure,
-    PreparedQuery, Pruner, QueryBatch, QueryStats, SeriesFetcher, ShardView,
+    seed_from_entries, AtomicQueryStats, BatchStats, DtwPrepared, ErrorSlot, LeafScratch, Measure,
+    Prepared, PreparedQuery, QueryBatch, QueryStats, SeriesFetcher, ShardView,
 };
+use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::{OffsetTopK, SpinBarrier, WorkQueue};
-use dsidx_tree::FlatTree;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// What a distance measure contributes to the MESSI schedules: how a query
-/// is prepared, and the seeding and per-leaf loops that pay its distances.
-/// The schedules themselves — traversal, runs, who works on what — are
-/// written once against this.
-pub(crate) trait LeafKernel: Sync {
-    /// Per-query prepared state (summaries and lookup tables), shared by
-    /// every worker that joins the query.
-    type Prep: Send + Sync;
-
-    /// The phase the traversal-and-processing broadcast is booked under.
-    const PHASE: Phase;
-
-    /// Prepares `query`.
-    fn prepare(&self, quantizer: &Quantizer, query: &[f32]) -> Self::Prep;
-
-    /// The query's own iSAX word, which locates its seed leaf.
-    fn word(prep: &Self::Prep) -> &Word;
-
-    /// Fills `table` with the query's node-level bounds.
-    fn fill_node_table(prep: &Self::Prep, quantizer: &Quantizer, table: &mut NodeMindistTable);
-
-    /// Seeds `pruner` from the entries at `positions`; returns the full
-    /// distances paid.
-    fn seed<P: Pruner>(
-        &self,
-        prep: &Self::Prep,
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        query: &[f32],
-        pruner: &P,
-        scratch: &mut LeafScratch,
-    ) -> Result<u64, StorageError>;
-
-    /// Processes one leaf for one query; returns the series fetched.
-    #[allow(clippy::too_many_arguments)] // the leaf, the query, and where results go
-    fn process_leaf<P: Pruner>(
-        &self,
-        prep: &Self::Prep,
-        words: &[Word],
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        query: &[f32],
-        pruner: &P,
-        scratch: &mut LeafScratch,
-        stats: &mut QueryStats,
-    ) -> Result<u64, StorageError>;
-
-    /// Seeds every query of `batch` from `positions`, one fetch each.
-    fn batch_seed(
-        &self,
-        preps: &[Self::Prep],
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        batch: &QueryBatch<'_, ()>,
-    ) -> Result<(), StorageError>;
-
-    /// Processes one leaf for the `active` queries of `batch`, one fetch
-    /// per surviving entry.
-    #[allow(clippy::too_many_arguments)] // mirrors the shared kernel's batch leaf loop
-    fn batch_process_leaf(
-        &self,
-        preps: &[Self::Prep],
-        words: &[Word],
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        batch: &QueryBatch<'_, ()>,
-        active: &[usize],
-        survivors: &mut Vec<usize>,
-        scratch: &mut LeafScratch,
-        locals: &mut [QueryStats],
-    ) -> Result<(), StorageError>;
-}
-
-/// Euclidean distance: point MINDIST tables, early-abandoned ED.
-struct Euclidean;
-
-impl LeafKernel for Euclidean {
-    type Prep = PreparedQuery;
-    const PHASE: Phase = Phase::Traversal;
-
-    fn prepare(&self, quantizer: &Quantizer, query: &[f32]) -> PreparedQuery {
-        PreparedQuery::new(quantizer, query)
-    }
-
-    fn word(prep: &PreparedQuery) -> &Word {
-        &prep.word
-    }
-
-    fn fill_node_table(prep: &PreparedQuery, quantizer: &Quantizer, table: &mut NodeMindistTable) {
-        table.fill_point(&prep.paa, quantizer.segment_lens());
-    }
-
-    fn seed<P: Pruner>(
-        &self,
-        _prep: &PreparedQuery,
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        query: &[f32],
-        pruner: &P,
-        _scratch: &mut LeafScratch,
-    ) -> Result<u64, StorageError> {
-        seed_from_entries(positions.iter().copied(), fetcher, query, pruner)
-    }
-
-    fn process_leaf<P: Pruner>(
-        &self,
-        prep: &PreparedQuery,
-        words: &[Word],
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        query: &[f32],
-        pruner: &P,
-        scratch: &mut LeafScratch,
-        stats: &mut QueryStats,
-    ) -> Result<u64, StorageError> {
-        process_leaf_entries(
-            words,
-            positions,
-            &prep.table,
-            fetcher,
-            query,
-            pruner,
-            scratch,
-            stats,
-        )
-    }
-
-    fn batch_seed(
-        &self,
-        _preps: &[PreparedQuery],
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        batch: &QueryBatch<'_, ()>,
-    ) -> Result<(), StorageError> {
-        batch_seed_positions(positions, fetcher, batch)
-    }
-
-    fn batch_process_leaf(
-        &self,
-        preps: &[PreparedQuery],
-        words: &[Word],
-        positions: &[u32],
-        fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-        batch: &QueryBatch<'_, ()>,
-        active: &[usize],
-        survivors: &mut Vec<usize>,
-        _scratch: &mut LeafScratch,
-        locals: &mut [QueryStats],
-    ) -> Result<(), StorageError> {
-        batch_process_leaf_entries(
-            words, positions, fetcher, batch, preps, active, survivors, locals,
-        )
-    }
-}
 
 /// How many places behind the popped leaf a draining worker requests a
 /// leaf's words — far enough that they arrive before they are bounded,
@@ -253,27 +99,28 @@ const LOOKAHEAD: usize = 4;
 /// dozen 17-byte words) in full.
 const LEAF_PREFETCH_LINES: usize = 4;
 
-/// Everything the two schedules share for one call.
-struct Call<'a, 'q, K, S> {
-    kernel: &'a K,
-    flat: &'a FlatTree,
-    quantizer: &'a Quantizer,
+/// Everything the two schedules share for one call. `P` is what the
+/// batch holds per query: `()` on a resident source (each query is
+/// prepared by the worker that claims it), the [`Prepared`] query itself
+/// under shared fetch.
+struct Call<'a, 'q, P, S> {
+    messi: &'a MessiIndex,
     source: &'a S,
     threads: usize,
-    batch: &'a QueryBatch<'q, ()>,
+    batch: &'a QueryBatch<'q, P>,
     errors: &'a ErrorSlot,
 }
 
-/// [`exact`] for one measure's kernel: builds the batch, picks the schedule
-/// (see the module docs), runs it in one broadcast.
-fn exact_batch<K: LeafKernel>(
-    kernel: &K,
+/// [`exact`] for queries prepared by `prepare`: builds the batch, picks
+/// the schedule (see the module docs), runs it in one broadcast.
+fn exact_batch<Q: Prepared>(
     messi: &MessiIndex,
     source: &impl RawSource,
     queries: &[&[f32]],
     k: usize,
     threads: usize,
     shard: Option<ShardView<'_>>,
+    prepare: impl Fn(&[f32]) -> Q + Sync,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
     let config = &messi.config;
     for q in queries {
@@ -281,36 +128,43 @@ fn exact_batch<K: LeafKernel>(
     }
     assert!(threads > 0, "thread count must be non-zero");
     let mut clock = PhaseClock::start();
-    let batch = QueryBatch::unprepared(queries, k, shard);
-    if messi.tree.entry_count() == 0 || batch.is_empty() {
+    if messi.tree.entry_count() == 0 || queries.is_empty() {
+        let batch = QueryBatch::prepared(queries, k, shard, |_| ());
         return Ok(batch.finish(0, QueryStats::default()));
     }
-    let errors = ErrorSlot::for_phase(K::PHASE);
-    let call = Call {
-        kernel,
-        flat: &messi.tree,
-        quantizer: config.quantizer(),
-        source,
-        threads,
-        batch: &batch,
-        errors: &errors,
-    };
-    // Counters of work done once for the whole batch: only the shared-fetch
-    // schedule has any; the resident schedule accounts per query.
-    let shared = if source.as_memory().is_none() {
-        call.shared_fetch(&mut clock)?
+    let errors = ErrorSlot::for_phase(Q::PHASE);
+    if source.as_memory().is_some() {
+        let batch = QueryBatch::prepared(queries, k, shard, |_| ());
+        let call = Call {
+            messi,
+            source,
+            threads,
+            batch: &batch,
+            errors: &errors,
+        };
+        call.resident(&prepare, &mut clock);
+        errors.take()?;
+        // The resident schedule accounts everything per query.
+        Ok(batch.finish(1, QueryStats::default()))
     } else {
-        call.resident(&mut clock);
-        QueryStats::default()
-    };
-    errors.take()?;
-    Ok(batch.finish(1, shared))
+        let batch = QueryBatch::prepared(queries, k, shard, prepare);
+        let call = Call {
+            messi,
+            source,
+            threads,
+            batch: &batch,
+            errors: &errors,
+        };
+        let shared = call.shared_fetch(&mut clock)?;
+        errors.take()?;
+        Ok(batch.finish(1, shared))
+    }
 }
 
 /// One query of a resident call, opened to every worker by the one that
 /// claimed it: what a peer needs to join its traversal or its drain.
-struct Open<'a, K: LeafKernel> {
-    prep: K::Prep,
+struct Open<'a, Q> {
+    prep: Q,
     traversal: Traversal<'a, OffsetTopK>,
     runs: LeafRuns,
     /// Participants that joined the traversal and have not published their
@@ -338,14 +192,19 @@ struct Worker<'a, S: RawSource> {
     fetched: u64,
 }
 
-impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
-    /// Resident source, any batch width: workers claim whole queries and
-    /// help unfinished ones once the queue is empty (see the module docs).
-    fn resident(&self, clock: &mut PhaseClock) {
+impl<'a, S: RawSource> Call<'a, '_, (), S> {
+    /// Resident source, any batch width: workers claim whole queries,
+    /// prepare them with `prepare`, and help unfinished ones once the
+    /// queue is empty (see the module docs).
+    fn resident<Q: Prepared>(
+        &self,
+        prepare: &(impl Fn(&[f32]) -> Q + Sync),
+        clock: &mut PhaseClock,
+    ) {
         let Self { batch, errors, .. } = *self;
         let pool = dsidx_sync::pool::global(self.threads);
         let claims = WorkQueue::new(batch.len());
-        let opened: Vec<OnceLock<Open<'a, K>>> =
+        let opened: Vec<OnceLock<Open<'a, Q>>> =
             batch.slots().iter().map(|_| OnceLock::new()).collect();
         let spent = PhaseAcc::new();
         clock.lap_into(batch.phases(), Phase::Prepare);
@@ -360,7 +219,7 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
             let mut spins = 0u32;
             while !errors.is_set() {
                 let (qi, traverse) = if let Some(qi) = claims.claim() {
-                    match self.open(qi, &mut me) {
+                    match self.open(qi, prepare, &mut me) {
                         Ok(open) => {
                             assert!(opened[qi].set(open).is_ok(), "query {qi} opened twice");
                             (qi, true)
@@ -397,7 +256,7 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
         let spent = spent.snapshot();
         let total = u128::from(spent.total_nanos());
         if total == 0 {
-            batch.phases().record(K::PHASE, wall);
+            batch.phases().record(Q::PHASE, wall);
         }
         for (phase, nanos) in spent.iter().filter(|&(_, nanos)| nanos > 0) {
             let share = u128::from(wall) * u128::from(nanos) / total;
@@ -409,31 +268,33 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
 
     /// Prepares and seeds claimed query `qi` on the calling worker; returns
     /// it ready to open, with the caller counted as traversing it.
-    fn open(&self, qi: usize, me: &mut Worker<'_, S>) -> Result<Open<'a, K>, StorageError> {
-        let (flat, kernel) = (self.flat, self.kernel);
+    fn open<Q: Prepared>(
+        &self,
+        qi: usize,
+        prepare: impl Fn(&[f32]) -> Q,
+        me: &mut Worker<'_, S>,
+    ) -> Result<Open<'a, Q>, StorageError> {
+        let (flat, quantizer) = (&self.messi.tree, self.messi.config.quantizer());
         let slot = &self.batch.slots()[qi];
         let mut clock = PhaseClock::start();
-        let prep = kernel.prepare(self.quantizer, slot.values);
-        let mut node_table = NodeMindistTable::default();
-        K::fill_node_table(&prep, self.quantizer, &mut node_table);
-        let traversal = Traversal::new(flat, node_table, &slot.topk);
+        let prep = prepare(slot.values);
+        let traversal = Traversal::new(flat, prep.node_table(quantizer), &slot.topk);
         me.phases.record(Phase::Prepare, clock.lap());
 
         // Initial threshold from the query's own leaf (its approximate
         // answer), routing around empty subtrees.
         let own_leaf =
-            approx_leaf_flat(flat, K::word(&prep)).expect("non-empty index has a non-empty leaf");
+            approx_leaf_flat(flat, prep.word()).expect("non-empty index has a non-empty leaf");
         let seeds = flat.leaf_positions(flat.node(own_leaf));
-        let reals = kernel
-            .seed(
-                &prep,
-                seeds,
-                &mut me.fetcher,
-                slot.values,
-                &slot.topk,
-                &mut me.scratch,
-            )
-            .map_err(|e| e.in_phase(Phase::Seed.name()))?;
+        let reals = seed_from_entries(
+            seeds.iter().copied(),
+            &mut me.fetcher,
+            slot.values,
+            &prep,
+            &slot.topk,
+            &mut me.scratch,
+        )
+        .map_err(|e| e.in_phase(Phase::Seed.name()))?;
         slot.stats.add_real_computed(reals);
         me.fetched += seeds.len() as u64;
         me.phases.record(Phase::Seed, clock.lap());
@@ -449,15 +310,15 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
     /// traversal into its own run and the run's publication when
     /// `traverse` (the caller is then counted in `traversing`), then a
     /// best-bound-first drain, own run first.
-    fn work_on(
+    fn work_on<Q: Prepared>(
         &self,
         qi: usize,
-        open: &Open<'_, K>,
+        open: &Open<'_, Q>,
         traverse: bool,
         worker: usize,
         me: &mut Worker<'_, S>,
     ) {
-        let (flat, kernel, errors) = (self.flat, self.kernel, self.errors);
+        let (flat, errors) = (&self.messi.tree, self.errors);
         let slot = &self.batch.slots()[qi];
         let mut clock = PhaseClock::start();
         // Workers accumulate locally and merge once per visit — shared
@@ -495,10 +356,10 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
             }
             local.leaves_processed += 1;
             let node = flat.node(leaf);
-            match kernel.process_leaf(
-                &open.prep,
+            match process_leaf_entries(
                 flat.leaf_words_padded(node),
                 flat.leaf_positions(node),
+                &open.prep,
                 fetcher,
                 slot.values,
                 &slot.topk,
@@ -517,34 +378,28 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
         });
         local.leaves_discarded += unclaimed;
         slot.stats.merge(&local);
-        me.phases.record(K::PHASE, clock.lap());
+        me.phases.record(Q::PHASE, clock.lap());
     }
+}
 
+impl<Q: Prepared, S: RawSource> Call<'_, '_, Q, S> {
     /// Non-resident source: one traversal and one leaf visit for the whole
     /// batch, each surviving series read once for every query that still
     /// wants it. Returns the counters of the work done once for the batch.
     fn shared_fetch(&self, clock: &mut PhaseClock) -> Result<QueryStats, StorageError> {
         let Self {
-            flat,
-            kernel,
+            messi,
             batch,
             errors,
             ..
         } = *self;
-        // Every query's summaries and node-level table, index-aligned with
-        // the slots.
-        let preps: Vec<K::Prep> = batch
+        let flat = &messi.tree;
+        // Every query's node-level table, index-aligned with the slots
+        // (the batch prepared the queries themselves).
+        let node_tables: Vec<NodeMindistTable> = batch
             .slots()
             .iter()
-            .map(|slot| kernel.prepare(self.quantizer, slot.values))
-            .collect();
-        let node_tables: Vec<NodeMindistTable> = preps
-            .iter()
-            .map(|prep| {
-                let mut table = NodeMindistTable::default();
-                K::fill_node_table(prep, self.quantizer, &mut table);
-                table
-            })
+            .map(|slot| slot.prep.node_table(messi.config.quantizer()))
             .collect();
         let pool = dsidx_sync::pool::global(self.threads);
         clock.lap_into(batch.phases(), Phase::Prepare);
@@ -553,10 +408,12 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
         // (distinct leaves only), cross-seeded into every pruner. Positions
         // are deduplicated and fetched in position order (sequential-
         // friendly for on-disk sources).
-        let mut leaf_idxs: Vec<u32> = preps
+        let mut leaf_idxs: Vec<u32> = batch
+            .slots()
             .iter()
-            .map(|prep| {
-                approx_leaf_flat(flat, K::word(prep)).expect("non-empty index has a non-empty leaf")
+            .map(|slot| {
+                approx_leaf_flat(flat, slot.prep.word())
+                    .expect("non-empty index has a non-empty leaf")
             })
             .collect();
         leaf_idxs.sort_unstable();
@@ -569,8 +426,7 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
         positions.sort_unstable();
         positions.dedup();
         let mut fetcher = SeriesFetcher::new(self.source);
-        kernel
-            .batch_seed(&preps, &positions, &mut fetcher, batch)
+        batch_seed_positions(positions.iter().copied(), &mut fetcher, batch)
             .map_err(|e| e.in_phase(Phase::Seed.name()))?;
         clock.lap_into(batch.phases(), Phase::Seed);
 
@@ -601,7 +457,7 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
             let mut fetcher = SeriesFetcher::new(self.source);
             let mut active: Vec<usize> = Vec::with_capacity(batch.len());
             let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
-            let mut scratch = LeafScratch::new();
+            let mut scratch = DtwScratch::new();
             let unclaimed = drain_best_first(&runs, worker, |min_lb, leaf, lbs, _| {
                 if errors.is_set() || min_lb >= batch.max_threshold_sq() {
                     // Every remaining leaf in this run is at least as
@@ -625,8 +481,7 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
                 }
                 shared_local.leaves_processed += 1;
                 let node = flat.node(leaf);
-                match kernel.batch_process_leaf(
-                    &preps,
+                match batch_process_leaf_entries(
                     flat.leaf_words(node),
                     flat.leaf_positions(node),
                     &mut fetcher,
@@ -647,7 +502,7 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
             batch.merge_locals(&locals);
             shared.merge(&shared_local);
         });
-        clock.lap_into(batch.phases(), K::PHASE);
+        clock.lap_into(batch.phases(), Q::PHASE);
         Ok(shared.snapshot())
     }
 }
@@ -657,7 +512,7 @@ impl<'a, K: LeafKernel, S: RawSource> Call<'a, '_, K, S> {
 /// and this worker has not published for it, its published runs while
 /// they hold unclaimed leaves — else wait while some claimed query is not
 /// open yet (being prepared and seeded) or still traversed, else done.
-fn help_wanted<K: LeafKernel>(opened: &[OnceLock<Open<'_, K>>], worker: usize) -> Help {
+fn help_wanted<Q>(opened: &[OnceLock<Open<'_, Q>>], worker: usize) -> Help {
     let mut pending = false;
     for (qi, open) in opened.iter().enumerate() {
         let Some(open) = open.get() else {
@@ -702,9 +557,10 @@ fn backoff(spins: &mut u32) {
 /// broadcast — the crate's one exact entry point. A single query is a
 /// batch of one; 1-NN is `k = 1`. How the batch is scheduled onto the
 /// `threads` workers depends on the source's residence alone; see the
-/// [module docs](self). Under [`Measure::Dtw`] the same schedules run with
-/// interval node tables in the traversal and the full cascade at the
-/// leaves (see [`crate::dtw`]).
+/// [module docs](self). Each query is prepared under `measure` (a
+/// [`PreparedQuery`], or a [`DtwPrepared`] whose interval node tables
+/// drive the traversal and whose cascade runs at the leaves; see
+/// [`crate::dtw`]), and the same schedules run for both.
 ///
 /// Each answer is the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,
@@ -739,12 +595,14 @@ pub fn exact(
     threads: usize,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
+    let quantizer = messi.config.quantizer();
     match measure {
-        Measure::Euclidean => exact_batch(&Euclidean, messi, source, queries, k, threads, shard),
-        Measure::Dtw { band } => {
-            let kernel = crate::dtw::Dtw { band };
-            exact_batch(&kernel, messi, source, queries, k, threads, shard)
-        }
+        Measure::Euclidean => exact_batch(messi, source, queries, k, threads, shard, |q| {
+            PreparedQuery::new(quantizer, q)
+        }),
+        Measure::Dtw { band } => exact_batch(messi, source, queries, k, threads, shard, |q| {
+            DtwPrepared::new(quantizer, q, band)
+        }),
     }
 }
 
@@ -764,15 +622,15 @@ mod tests {
         MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(64)
     }
 
-    /// The approximate answer through the index's tree.
+    /// The Euclidean approximate answer through the index's tree.
     fn approx(
         messi: &MessiIndex,
         source: &impl RawSource,
         q: &[f32],
-        measure: Measure,
         k: usize,
     ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-        approx_best_leaf(&messi.tree, &messi.config, source, q, measure, k)
+        let prep = PreparedQuery::new(messi.config.quantizer(), q);
+        approx_best_leaf(&messi.tree, &messi.config, source, q, &prep, k)
     }
 
     /// Euclidean [`exact`] for a batch, on `threads` workers.
@@ -935,7 +793,7 @@ mod tests {
         for q in queries.iter() {
             for k in [1usize, 5, 12] {
                 let exact = dsidx_ucr::brute_force_knn(&data, q, k);
-                let (approx, stats) = approx(&messi, &data, q, Measure::Euclidean, k).unwrap();
+                let (approx, stats) = approx(&messi, &data, q, k).unwrap();
                 assert!(approx.len() <= k);
                 assert!(!approx.is_empty());
                 // Rank-wise: the approximate i-th distance never falls
@@ -956,7 +814,7 @@ mod tests {
         let data = DatasetKind::Sald.generate(300, 64, 6);
         let (messi, _) = build(&data, &cfg(3));
         for pos in [0usize, 123, 299] {
-            let (m, _) = approx(&messi, &data, data.get(pos), Measure::Euclidean, 1).unwrap();
+            let (m, _) = approx(&messi, &data, data.get(pos), 1).unwrap();
             assert_eq!(m[0].pos as usize, pos);
             assert_eq!(m[0].dist_sq, 0.0);
         }
@@ -966,7 +824,7 @@ mod tests {
     fn approx_knn_on_empty_index_is_empty() {
         let data = Dataset::new(64).unwrap();
         let (messi, _) = build(&data, &cfg(2));
-        let (got, stats) = approx(&messi, &data, &vec![0.0; 64], Measure::Euclidean, 4).unwrap();
+        let (got, stats) = approx(&messi, &data, &vec![0.0; 64], 4).unwrap();
         assert!(got.is_empty());
         assert_eq!(stats, QueryStats::default());
     }
@@ -1151,26 +1009,24 @@ mod tests {
 
     /// The resident schedule over `source`, called directly: the residence
     /// dispatch in [`exact`] would send a fallible source to shared fetch.
-    fn resident<K: LeafKernel>(
-        kernel: &K,
+    fn resident<Q: Prepared>(
+        prepare: impl Fn(&[f32]) -> Q + Sync,
         messi: &MessiIndex,
         source: &impl RawSource,
         queries: &[&[f32]],
         k: usize,
         threads: usize,
     ) -> Result<Vec<Vec<Match>>, StorageError> {
-        let batch = QueryBatch::unprepared(queries, k, None);
-        let errors = ErrorSlot::for_phase(K::PHASE);
+        let batch = QueryBatch::prepared(queries, k, None, |_| ());
+        let errors = ErrorSlot::for_phase(Q::PHASE);
         let call = Call {
-            kernel,
-            flat: &messi.tree,
-            quantizer: messi.config.quantizer(),
+            messi,
             source,
             threads,
             batch: &batch,
             errors: &errors,
         };
-        call.resident(&mut PhaseClock::start());
+        call.resident(&prepare, &mut PhaseClock::start());
         errors.take()?;
         Ok(batch.finish(1, QueryStats::default()).0)
     }
@@ -1224,11 +1080,13 @@ mod tests {
                         let flaky = FlakySource::new(data, budget);
                         let qrefs: Vec<&[f32]> =
                             queries[..width].iter().map(Vec::as_slice).collect();
+                        let quantizer = messi.config.quantizer();
                         let got = if dtw {
-                            let kernel = crate::dtw::Dtw { band: 4 };
-                            resident(&kernel, &messi, &flaky, &qrefs, 50, threads)
+                            let prepare = |q: &[f32]| DtwPrepared::new(quantizer, q, 4);
+                            resident(prepare, &messi, &flaky, &qrefs, 50, threads)
                         } else {
-                            resident(&Euclidean, &messi, &flaky, &qrefs, 50, threads)
+                            let prepare = |q: &[f32]| PreparedQuery::new(quantizer, q);
+                            resident(prepare, &messi, &flaky, &qrefs, 50, threads)
                         };
                         got.map_err(|e| {
                             (e.to_string(), matches!(e.root_cause(), StorageError::Io(_)))
@@ -1263,7 +1121,8 @@ mod tests {
             // like the dispatch does over the dataset itself.
             let flaky = FlakySource::new(data.clone(), u64::MAX);
             let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-            let got = resident(&Euclidean, &messi, &flaky, &qrefs, 7, threads).unwrap();
+            let prepare = |q: &[f32]| PreparedQuery::new(messi.config.quantizer(), q);
+            let got = resident(prepare, &messi, &flaky, &qrefs, 7, threads).unwrap();
             let (want, _) = knn_batch(&messi, &data, &qrefs, 7, threads).unwrap();
             assert_eq!(got, want, "x{threads}");
         }

@@ -213,18 +213,18 @@ impl<'a, P: Pruner> Traversal<'a, P> {
 /// can still contribute without recomputing bounds. The same root-claiming
 /// and work-donation schedule as [`Traversal`] (its batch-of-one
 /// specialization).
-pub struct BatchTraversal<'a, 'q> {
+pub struct BatchTraversal<'a, 'q, P> {
     flat: &'a FlatTree,
     tables: &'a [NodeMindistTable],
     /// Root-level bounds per query.
     root_bounds: Vec<RootBounds>,
-    batch: &'a QueryBatch<'q, ()>,
+    batch: &'a QueryBatch<'q, P>,
     root_queue: WorkQueue,
     /// Overflow work: node indices donated by overloaded workers.
     shared: Mutex<Vec<u32>>,
 }
 
-impl<'a, 'q> BatchTraversal<'a, 'q> {
+impl<'a, 'q, P> BatchTraversal<'a, 'q, P> {
     /// Prepares a batched traversal over `flat`'s occupied roots.
     /// `tables` holds one node-level MINDIST table per query,
     /// index-aligned with the batch's slots.
@@ -235,7 +235,7 @@ impl<'a, 'q> BatchTraversal<'a, 'q> {
     pub fn new(
         flat: &'a FlatTree,
         tables: &'a [NodeMindistTable],
-        batch: &'a QueryBatch<'q, ()>,
+        batch: &'a QueryBatch<'q, P>,
     ) -> Self {
         assert_eq!(tables.len(), batch.len(), "one node table per query");
         let root_bounds = tables

@@ -34,16 +34,14 @@
 //! counts show the gap to MESSI closing.
 
 use crate::build::ParisIndex;
-use dsidx_isax::MindistTable;
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
     approx_leaf_flat, batch_collect_candidates, batch_seed_positions, batch_seed_prefix,
     batch_verify_candidates, best_bound_positions, finish_knn, order_best_bound_first,
-    BatchCandidate, BatchStats, DtwPrepared, ErrorSlot, Measure, PreparedQuery, Pruner, QueryBatch,
-    QueryStats, SeriesFetcher, ShardView, SharedTopK,
+    BatchCandidate, BatchStats, ErrorSlot, Prepared, Pruner, QueryBatch, QueryStats, SeriesFetcher,
+    ShardView, SharedTopK,
 };
 use dsidx_series::distance::dtw::DtwScratch;
-use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::WorkQueue;
@@ -146,7 +144,7 @@ pub fn exact(
     }
     assert!(threads > 0, "thread count must be non-zero");
     let mut clock = PhaseClock::start();
-    let batch = QueryBatch::for_shard(config.quantizer(), queries, k, shard);
+    let batch = QueryBatch::new(config.quantizer(), queries, k, shard);
     let prepare_nanos = clock.lap();
     if tree.entry_count() == 0 || batch.is_empty() {
         return Ok(batch.finish(0, QueryStats::default()));
@@ -178,7 +176,7 @@ pub fn exact(
     positions.sort_unstable();
     positions.dedup();
     let mut fetcher = SeriesFetcher::new(source);
-    batch_seed_positions(&positions, &mut fetcher, &batch)
+    batch_seed_positions(positions.iter().copied(), &mut fetcher, &batch)
         .map_err(|e| e.in_phase(Phase::Seed.name()))?;
     let warm = k.saturating_mul(KNN_WARM_PER_NEIGHBOR).min(source.count());
     batch_seed_prefix(warm, &mut fetcher, &batch).map_err(|e| e.in_phase(Phase::Seed.name()))?;
@@ -246,17 +244,22 @@ pub fn exact(
 }
 
 /// *Approximate* k-NN through the ParIS index by **sketch-nearest**
-/// probing: one serial pass over the SAX array (the sketches) lower-bounds
-/// every position — by the point bound under [`Measure::Euclidean`], by the
-/// interval (envelope) bound under [`Measure::Dtw`] — the few-times-k
-/// positions with the smallest sketch distances are fetched and verified
-/// with real distances (early-abandoned Euclidean, or the raw-series
-/// cascade, [`DtwPrepared::cascade`]), and the k nearest of those probes
-/// are returned — no pool broadcast, no exhaustive verification.
+/// probing: one serial pass over the SAX array (the sketches)
+/// lower-bounds every position through `prep`'s word-level table (the
+/// point bound of a Euclidean query, the interval bound of a DTW one), the
+/// few-times-k positions with the smallest sketch distances are fetched
+/// and verified with `prep`'s real distance (early-abandoned Euclidean, or
+/// the raw-series cascade), and the k nearest of those probes are returned
+/// — no pool broadcast, no exhaustive verification.
 ///
 /// Every reported distance is a real distance to a real series, so it is
 /// never below the exact answer at the same rank; the positions may
 /// differ. Empty for an empty index.
+///
+/// The pass bounds the whole array with
+/// [`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many):
+/// the batched kernel, and one whose sums are bit-identical with SIMD on
+/// or off, so the probed set never depends on the SIMD mode.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -268,54 +271,14 @@ pub fn approx(
     paris: &ParisIndex,
     source: &impl RawSource,
     query: &[f32],
-    measure: Measure,
+    prep: &impl Prepared,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    let config = &paris.config;
-    assert_eq!(query.len(), config.series_len(), "query length mismatch");
-    match measure {
-        Measure::Euclidean => {
-            let prep = PreparedQuery::new(config.quantizer(), query);
-            sketch_nearest(
-                paris,
-                source,
-                k,
-                &prep.table,
-                move |series, limit, stats| {
-                    if let Some(d) = euclidean_sq_bounded(query, series, limit) {
-                        stats.real_computed += 1;
-                        Some(d)
-                    } else {
-                        None
-                    }
-                },
-            )
-        }
-        Measure::Dtw { band } => {
-            let prep = DtwPrepared::new(config.quantizer(), query, band);
-            let mut scratch = DtwScratch::new();
-            sketch_nearest(paris, source, k, &prep.table, |series, limit, stats| {
-                prep.cascade(query, series, band, limit, &mut scratch, stats)
-            })
-        }
-    }
-}
-
-/// The shared sketch-nearest schedule behind both approximate measures:
-/// rank every SAX word by its bound in `table`, verify the best
-/// few-times-k positions through `verify` (which charges its own counters
-/// and returns a full real distance when one was paid).
-///
-/// The pass bounds the whole array with [`MindistTable::lookup_many`]:
-/// the batched kernel, and one whose sums are bit-identical with SIMD on
-/// or off, so the probed set never depends on the SIMD mode.
-fn sketch_nearest(
-    paris: &ParisIndex,
-    source: &impl RawSource,
-    k: usize,
-    table: &MindistTable,
-    mut verify: impl FnMut(&[f32], f32, &mut QueryStats) -> Option<f32>,
-) -> Result<(Vec<Match>, QueryStats), StorageError> {
+    assert_eq!(
+        query.len(),
+        paris.config.series_len(),
+        "query length mismatch"
+    );
     let topk = SharedTopK::new(k);
     if paris.tree.entry_count() == 0 {
         return Ok(finish_knn(&topk, None));
@@ -327,7 +290,7 @@ fn sketch_nearest(
         ..QueryStats::default()
     };
     let mut bounds = vec![0.0f32; words.len()];
-    table.lookup_many(words, &mut bounds);
+    prep.table().lookup_many(words, &mut bounds);
     let mut sketched: Vec<(f32, u32)> = bounds.into_iter().zip(0u32..).collect();
     let probe = k
         .saturating_mul(APPROX_PROBE_PER_NEIGHBOR)
@@ -344,10 +307,11 @@ fn sketch_nearest(
     // Fetch in position order (sequential-friendly for on-disk sources).
     sketched.sort_unstable_by_key(|&(_, pos)| pos);
     let mut fetcher = SeriesFetcher::new(source);
+    let mut scratch = DtwScratch::new();
     for &(_, pos) in &sketched {
         let series = fetcher.fetch(pos as usize)?;
         let limit = topk.threshold_sq();
-        if let Some(d) = verify(series, limit, &mut stats) {
+        if let Some(d) = prep.distance(query, series, limit, &mut scratch, &mut stats) {
             topk.insert(d, pos);
         }
     }
@@ -360,6 +324,7 @@ mod tests {
     use super::*;
     use crate::build::{build_in_memory, build_on_disk};
     use crate::config::{Overlap, ParisConfig};
+    use dsidx_query::PreparedQuery;
     use dsidx_series::gen::DatasetKind;
     use dsidx_storage::{write_dataset, DatasetFile, Device, FlakySource};
     use dsidx_tree::TreeConfig;
@@ -393,6 +358,22 @@ mod tests {
     ) -> Option<(Match, QueryStats)> {
         let (matches, stats) = knn(paris, source, q, 1, threads);
         matches.first().map(|&m| (m, stats))
+    }
+
+    /// The Euclidean sketch-nearest answer.
+    fn approx_ed(
+        paris: &ParisIndex,
+        source: &impl RawSource,
+        q: &[f32],
+        k: usize,
+    ) -> Result<(Vec<Match>, QueryStats), StorageError> {
+        approx(
+            paris,
+            source,
+            q,
+            &PreparedQuery::new(paris.config.quantizer(), q),
+            k,
+        )
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -848,7 +829,7 @@ mod tests {
         for q in queries.iter() {
             for k in [1usize, 5, 12] {
                 let exact = dsidx_ucr::brute_force_knn(&data, q, k);
-                let (approx, stats) = approx(&paris, &data, q, Measure::Euclidean, k).unwrap();
+                let (approx, stats) = approx_ed(&paris, &data, q, k).unwrap();
                 assert_eq!(approx.len(), k.min(data.len()));
                 for (a, e) in approx.iter().zip(&exact) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6, "k={k}");
@@ -858,8 +839,8 @@ mod tests {
                 assert!(stats.candidates <= 600);
                 assert!(stats.candidates >= k as u64);
                 let exact_dtw = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
-                let (approx_dtw, _) =
-                    super::approx(&paris, &data, q, Measure::Dtw { band: 4 }, k).unwrap();
+                let prep = dsidx_query::DtwPrepared::new(paris.config.quantizer(), q, 4);
+                let (approx_dtw, _) = super::approx(&paris, &data, q, &prep, k).unwrap();
                 for (a, e) in approx_dtw.iter().zip(&exact_dtw) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6, "dtw k={k}");
                 }
@@ -872,8 +853,8 @@ mod tests {
         let (paris_d, _) =
             build_on_disk(&file, &tmp("approx.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
         for q in queries.iter() {
-            let (mem, _) = approx(&paris_d, &data, q, Measure::Euclidean, 5).unwrap();
-            let (disk, _) = approx(&paris_d, &file, q, Measure::Euclidean, 5).unwrap();
+            let (mem, _) = approx_ed(&paris_d, &data, q, 5).unwrap();
+            let (disk, _) = approx_ed(&paris_d, &file, q, 5).unwrap();
             assert_eq!(
                 mem.iter().map(|m| m.pos).collect::<Vec<_>>(),
                 disk.iter().map(|m| m.pos).collect::<Vec<_>>()
@@ -888,13 +869,13 @@ mod tests {
         let data = DatasetKind::Seismic.generate(400, 64, 21);
         let (paris, _) = build_in_memory(&data, &cfg(3));
         for pos in [0usize, 200, 399] {
-            let (m, _) = approx(&paris, &data, data.get(pos), Measure::Euclidean, 1).unwrap();
+            let (m, _) = approx_ed(&paris, &data, data.get(pos), 1).unwrap();
             assert_eq!(m[0].pos as usize, pos);
             assert_eq!(m[0].dist_sq, 0.0);
         }
         let empty = dsidx_series::Dataset::new(64).unwrap();
         let (paris, _) = build_in_memory(&empty, &cfg(2));
-        let (m, stats) = approx(&paris, &empty, &vec![0.0; 64], Measure::Euclidean, 3).unwrap();
+        let (m, stats) = approx_ed(&paris, &empty, &vec![0.0; 64], 3).unwrap();
         assert!(m.is_empty());
         assert_eq!(stats, QueryStats::default());
     }

@@ -14,21 +14,26 @@
 //! hands whole queries to workers — see `dsidx_messi::query`.)
 //!
 //! Per-query state is exactly the single-query state, vectorized: a
-//! [`PreparedQuery`], a [`SharedTopK`] pruner (k-NN shaped; 1-NN batches
-//! are k = 1), and an [`AtomicQueryStats`]. The loops in this module are
-//! the batch generalizations of the single-query kernel loops in
-//! [`seed`](crate::seed) and [`scan`](crate::scan); the scan engines have
-//! only the batch form, and answer a single query as a batch of one.
+//! prepared query (a [`PreparedQuery`], or any [`Prepared`] measure), an
+//! [`OffsetTopK`] pruner (k-NN shaped; 1-NN batches are k = 1), and an
+//! [`AtomicQueryStats`]. The loops in this module are the batch
+//! generalizations of the single-query kernel loops in
+//! [`seed`](crate::seed) and [`scan`](crate::scan); the seed and leaf
+//! loops read each query's prepared state from its slot and serve every
+//! measure, while ParIS's collect and verify steps are Euclidean only.
+//! The scan engines have only the batch form, and answer a single query
+//! as a batch of one.
 //!
 //! [`BatchStats`] makes the amortization observable: broadcasts issued for
 //! the whole batch, raw series fetched once versus the per-query requests
 //! they served, plus the per-query [`QueryStats`].
 
 use crate::fetch::SeriesFetcher;
-use crate::prepare::PreparedQuery;
+use crate::prepare::{Prepared, PreparedQuery};
 use crate::stats::{AtomicQueryStats, QueryStats};
 use dsidx_isax::{Quantizer, Word};
 use dsidx_obs::phase::PhaseAcc;
+use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
@@ -41,12 +46,13 @@ use std::sync::Arc;
 /// prepared summaries, its own pruner and its own work counters.
 ///
 /// `P` is what the batch prepared per query up front: a [`PreparedQuery`]
-/// for the scan engines, `()` for a batch built
-/// [`unprepared`](QueryBatch::unprepared).
+/// for the scan engines, any [`Prepared`] query for the seed and leaf
+/// loops, `()` for a schedule that prepares each query where it answers
+/// it.
 pub struct BatchSlot<'q, P = PreparedQuery> {
     /// The raw (z-normalized) query values.
     pub values: &'q [f32],
-    /// PAA summary, iSAX word and MINDIST table for this query.
+    /// This query's prepared state (word, MINDIST tables, distance).
     pub prep: P,
     /// This query's top-k collector — its threshold prunes only for this
     /// query, never for its batch-mates. An [`OffsetTopK`] view: a plain
@@ -61,8 +67,8 @@ pub struct BatchSlot<'q, P = PreparedQuery> {
 /// One cross-shard pruner per query: the mid-flight BSF-sharing channel of
 /// a scatter-gather search.
 ///
-/// Each shard builds its [`QueryBatch`] with
-/// [`QueryBatch::with_shared`], so all shards' kernel loops for query `i`
+/// Each shard builds its [`QueryBatch`] over its own [`view`](Self::view)
+/// ([`QueryBatch::prepared`]), so all shards' kernel loops for query `i`
 /// feed `topks[i]` — a tight match found in one shard immediately raises
 /// the threshold every other shard prunes against. Positions inside the
 /// collectors are **global** (each shard's view rebases by its first
@@ -153,100 +159,65 @@ pub struct QueryBatch<'q, P = PreparedQuery> {
 }
 
 impl<'q> QueryBatch<'q> {
-    /// Prepares every query in `queries` for a k-NN batch under
-    /// `quantizer`.
+    /// Prepares every query in `queries` for a Euclidean k-NN batch under
+    /// `quantizer` (see [`prepared`](QueryBatch::prepared) for `shard`).
     ///
     /// # Panics
-    /// Panics if `k == 0` or any query length differs from the quantizer's
-    /// series length (engines also assert this at their API boundary).
+    /// As [`prepared`](QueryBatch::prepared), and if any query length
+    /// differs from the quantizer's series length (engines also assert
+    /// this at their API boundary).
     #[must_use]
-    pub fn new(quantizer: &Quantizer, queries: &[&'q [f32]], k: usize) -> Self {
-        Self::build(queries, prepared_by(quantizer), |_| OffsetTopK::fresh(k))
-    }
-
-    /// Prepares a batch whose per-query pruners are rebasing views into
-    /// `shared` (see [`SharedPruners`]): this batch's local position `p`
-    /// is recorded as global `base + p`. Used once per shard of a
-    /// scatter-gather search, with `base` the shard's first global
-    /// position.
-    ///
-    /// # Panics
-    /// Panics if `shared` does not hold exactly one pruner per query.
-    #[must_use]
-    pub fn with_shared(
-        quantizer: &Quantizer,
-        queries: &[&'q [f32]],
-        shared: &SharedPruners,
-        base: u32,
-    ) -> Self {
-        let topk = sharing(shared, base, queries.len());
-        Self::build(queries, prepared_by(quantizer), topk)
-    }
-
-    /// [`new`](Self::new) or [`with_shared`](Self::with_shared), chosen by
-    /// whether a shard view is present — the one-line dispatch every
-    /// engine's batch entry point uses.
-    ///
-    /// # Panics
-    /// As [`new`](Self::new) / [`with_shared`](Self::with_shared).
-    #[must_use]
-    pub fn for_shard(
+    pub fn new(
         quantizer: &Quantizer,
         queries: &[&'q [f32]],
         k: usize,
         shard: Option<ShardView<'_>>,
     ) -> Self {
-        match shard {
-            Some(v) => Self::with_shared(quantizer, queries, v.pruners, v.base),
-            None => Self::new(quantizer, queries, k),
-        }
+        Self::prepared(queries, k, shard, |values| {
+            PreparedQuery::new(quantizer, values)
+        })
     }
-}
-
-impl<'q> QueryBatch<'q, ()> {
-    /// [`for_shard`](QueryBatch::for_shard) without preparing any query:
-    /// the slots carry values, pruners and counters only. For schedules
-    /// that prepare a query where they answer it — in parallel inside the
-    /// worker that claimed it — instead of serially up front.
-    ///
-    /// # Panics
-    /// As [`for_shard`](QueryBatch::for_shard), query lengths aside.
-    #[must_use]
-    pub fn unprepared(queries: &[&'q [f32]], k: usize, shard: Option<ShardView<'_>>) -> Self {
-        match shard {
-            Some(v) => Self::build(queries, |_| (), sharing(v.pruners, v.base, queries.len())),
-            None => Self::build(queries, |_| (), |_| OffsetTopK::fresh(k)),
-        }
-    }
-}
-
-fn prepared_by(quantizer: &Quantizer) -> impl FnMut(&[f32]) -> PreparedQuery + '_ {
-    |values| PreparedQuery::new(quantizer, values)
-}
-
-fn sharing(
-    shared: &SharedPruners,
-    base: u32,
-    queries: usize,
-) -> impl FnMut(usize) -> OffsetTopK + '_ {
-    assert_eq!(shared.len(), queries, "one shared pruner per query");
-    move |qi| OffsetTopK::shared(Arc::clone(&shared.topks()[qi]), base)
 }
 
 /// What every batch offers, whatever it prepared per query.
 impl<'q, P> QueryBatch<'q, P> {
-    fn build(
+    /// A k-NN batch whose slots hold `prepare(query)` for each query — a
+    /// [`Prepared`] query, or `()` for a schedule that prepares each query
+    /// where it answers it (in parallel, inside the worker that claimed
+    /// it) instead of serially up front. With `shard` set (see
+    /// [`SharedPruners`]) the per-query pruners are rebasing views into the
+    /// cross-shard collectors: this batch's local position `p` is recorded
+    /// as global `base + p`.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` (without `shard`), if `shard`'s pruners are not
+    /// one per query, or as `prepare` does.
+    #[must_use]
+    pub fn prepared(
         queries: &[&'q [f32]],
-        mut prep: impl FnMut(&[f32]) -> P,
-        mut topk: impl FnMut(usize) -> OffsetTopK,
+        k: usize,
+        shard: Option<ShardView<'_>>,
+        mut prepare: impl FnMut(&[f32]) -> P,
     ) -> Self {
+        if let Some(view) = shard {
+            assert_eq!(
+                view.pruners.len(),
+                queries.len(),
+                "one shared pruner per query"
+            );
+        }
         let slots = queries
             .iter()
             .enumerate()
             .map(|(qi, &values)| BatchSlot {
                 values,
-                prep: prep(values),
-                topk: topk(qi),
+                prep: prepare(values),
+                topk: match shard {
+                    Some(view) => {
+                        OffsetTopK::shared(Arc::clone(&view.pruners.topks()[qi]), view.base)
+                    }
+                    None => OffsetTopK::fresh(k),
+                },
                 stats: AtomicQueryStats::new(),
             })
             .collect();
@@ -424,44 +395,47 @@ impl BatchStats {
 
 /// Seeds every query in the batch from the (deduplicated, typically
 /// union-of-approximate-leaves) `positions`: each series is fetched once
-/// and pays an early-abandoned real distance against every query, so
-/// every pruner starts from a threshold at least as tight as its own-leaf
-/// seed. Abandoning against each query's own threshold is result-identical
-/// to full distances (the pruner rejects anything at or above it anyway)
-/// and caps the cross-seeding cost once a query's top-k fills.
+/// and pays every query's [`distance`](Prepared::distance) against that
+/// query's own threshold, booked in full in its counters, so every pruner
+/// starts from a threshold at least as tight as its own-leaf seed.
+/// Abandoning against each query's own threshold is result-identical to
+/// full distances (the pruner rejects anything at or above it anyway) and
+/// caps the cross-seeding cost once a query's top-k fills.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
-pub fn batch_seed_positions<P>(
-    positions: &[u32],
+pub fn batch_seed_positions<Q: Prepared>(
+    positions: impl IntoIterator<Item = u32, IntoIter: ExactSizeIterator>,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_, P>,
+    batch: &QueryBatch<'_, Q>,
 ) -> Result<(), StorageError> {
-    if batch.is_empty() || positions.is_empty() {
+    let positions = positions.into_iter();
+    let fetches = positions.len() as u64;
+    if batch.is_empty() || fetches == 0 {
         return Ok(());
     }
     let mut locals = vec![QueryStats::default(); batch.len()];
-    for &pos in positions {
+    let mut scratch = DtwScratch::new();
+    for pos in positions {
         let series = fetcher.fetch(pos as usize)?;
         for (slot, local) in batch.slots().iter().zip(&mut locals) {
             let limit = slot.topk.threshold_sq();
-            if let Some(d) = euclidean_sq_bounded(slot.values, series, limit) {
+            if let Some(d) = slot
+                .prep
+                .distance(slot.values, series, limit, &mut scratch, local)
+            {
                 slot.topk.insert(d, pos);
-                local.real_computed += 1;
             }
         }
     }
     batch.merge_locals(&locals);
-    batch.count_io(
-        positions.len() as u64,
-        positions.len() as u64 * batch.len() as u64,
-    );
+    batch.count_io(fetches, fetches * batch.len() as u64);
     Ok(())
 }
 
 /// Warms every k-NN threshold in the batch over the position-order prefix
 /// `0..prefix`: one fetch per position, an early-abandoned real distance
-/// per query.
+/// per query ([`batch_seed_positions`] over the prefix).
 ///
 /// Leaf seeding alone leaves a k-NN threshold at `+inf` whenever the
 /// approximate leaf holds fewer than k entries — harmless for a schedule
@@ -476,28 +450,16 @@ pub fn batch_seed_positions<P>(
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
+///
+/// # Panics
+/// Panics if `prefix` exceeds `u32::MAX`.
 pub fn batch_seed_prefix(
     prefix: usize,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     batch: &QueryBatch<'_>,
 ) -> Result<(), StorageError> {
-    if batch.is_empty() || prefix == 0 {
-        return Ok(());
-    }
-    let mut locals = vec![QueryStats::default(); batch.len()];
-    for pos in 0..prefix {
-        let series = fetcher.fetch(pos)?;
-        for (slot, local) in batch.slots().iter().zip(&mut locals) {
-            let limit = slot.topk.threshold_sq();
-            if let Some(d) = euclidean_sq_bounded(slot.values, series, limit) {
-                slot.topk.insert(d, pos as u32);
-                local.real_computed += 1;
-            }
-        }
-    }
-    batch.merge_locals(&locals);
-    batch.count_io(prefix as u64, prefix as u64 * batch.len() as u64);
-    Ok(())
+    let prefix = u32::try_from(prefix).expect("positions are u32");
+    batch_seed_positions(0..prefix, fetcher, batch)
 }
 
 /// One surviving `(position, query, bound)` triple from a batched ParIS
@@ -704,44 +666,39 @@ pub fn batch_verify_candidates(
     Ok(())
 }
 
-/// Entry-level bound + early-abandoned real distance over one leaf's
-/// entries for every query in `active` (indices into the batch's slots
-/// whose leaf-level bound survived) — the leaf is processed *once* for the
-/// whole batch, and a surviving entry is fetched once from the
-/// [`RawSource`] for every query that still wants it. The batch
-/// generalization of
+/// Entry-level bound + real distance over one leaf's entries for every
+/// query in `active` (indices into the batch's slots whose leaf-level
+/// bound survived) — the leaf is processed *once* for the whole batch,
+/// and a surviving entry is fetched once from the [`RawSource`] for every
+/// query that still wants it, then pays that query's
+/// [`distance`](Prepared::distance). The batch generalization of
 /// [`process_leaf_entries`](crate::scan::process_leaf_entries).
 ///
-/// `words` and `positions` are the leaf's entries (index-aligned);
-/// `preps` is index-aligned with the batch's slots (the batch itself may
-/// be [`unprepared`](QueryBatch::unprepared)). `survivors` is caller-owned
-/// scratch (its contents are overwritten), so a worker visiting thousands
-/// of leaves allocates it once.
+/// `words` and `positions` are the leaf's entries (index-aligned).
+/// `survivors` and `scratch` are caller-owned scratch (their contents are
+/// overwritten), so a worker visiting thousands of leaves allocates them
+/// once.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if `preps` is not one prepared query per slot.
 #[allow(clippy::too_many_arguments)] // the leaf, the batch, and where results go
-pub fn batch_process_leaf_entries<P>(
+pub fn batch_process_leaf_entries<Q: Prepared>(
     words: &[Word],
     positions: &[u32],
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_, P>,
-    preps: &[PreparedQuery],
+    batch: &QueryBatch<'_, Q>,
     active: &[usize],
     survivors: &mut Vec<usize>,
+    scratch: &mut DtwScratch,
     locals: &mut [QueryStats],
 ) -> Result<(), StorageError> {
-    assert_eq!(preps.len(), batch.len(), "one PreparedQuery per query");
     let (mut fetches, mut requests) = (0u64, 0u64);
     for (word, &pos) in words.iter().zip(positions) {
         survivors.clear();
         for &qi in active {
             let slot = &batch.slots()[qi];
             locals[qi].lb_entry_computed += 1;
-            if preps[qi].table.lookup(word) < slot.topk.threshold_sq() {
+            if slot.prep.table().lookup(word) < slot.topk.threshold_sq() {
                 survivors.push(qi);
             }
         }
@@ -754,9 +711,11 @@ pub fn batch_process_leaf_entries<P>(
             let slot = &batch.slots()[qi];
             let limit = slot.topk.threshold_sq();
             requests += 1;
-            if let Some(d) = euclidean_sq_bounded(slot.values, series, limit) {
+            if let Some(d) =
+                slot.prep
+                    .distance(slot.values, series, limit, scratch, &mut locals[qi])
+            {
                 slot.topk.insert(d, pos);
-                locals[qi].real_computed += 1;
             }
         }
     }
@@ -797,7 +756,7 @@ mod tests {
         let qs = DatasetKind::Synthetic.queries(4, 64, 9);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let k = 5;
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, k);
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, k, None);
         let mut fetcher = SeriesFetcher::new(&data);
         // Warm the thresholds like the ParIS schedule does, or the collect
         // phase materializes everything.
@@ -924,7 +883,7 @@ mod tests {
         let (mut best_total, mut position_total) = (0, 0);
         for q in qs.iter() {
             let seeded = || {
-                let batch = QueryBatch::new(config.quantizer(), &[q], 1);
+                let batch = QueryBatch::new(config.quantizer(), &[q], 1, None);
                 let mut fetcher = SeriesFetcher::new(&data);
                 batch_seed_prefix(3, &mut fetcher, &batch).unwrap();
                 batch
@@ -972,7 +931,7 @@ mod tests {
         let (data, words, config) = fixture(300);
         let qs = DatasetKind::Synthetic.queries(2, 64, 23);
         let qrefs: Vec<&[f32]> = vec![qs.get(0), qs.get(1), qs.get(0)];
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, 2);
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, 2, None);
         let mut fetcher = SeriesFetcher::new(&data);
         batch_seed_prefix(8, &mut fetcher, &batch).unwrap();
         let mut locals = vec![QueryStats::default(); batch.len()];
@@ -1038,7 +997,7 @@ mod tests {
         let (data, words, config) = fixture(400);
         let qs = DatasetKind::Synthetic.queries(2, 64, 31);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, 1);
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, 1, None);
         let mut fetcher = SeriesFetcher::new(&data);
         batch_seed_prefix(2, &mut fetcher, &batch).unwrap();
         let collected = collect_all(&words, &batch);
@@ -1097,7 +1056,7 @@ mod tests {
         let (data, _, config) = fixture(40);
         let q = data.get(7).to_vec();
         let shared = SharedPruners::new(1, 1);
-        let batch = QueryBatch::with_shared(config.quantizer(), &[&q], &shared, 0);
+        let batch = QueryBatch::new(config.quantizer(), &[&q], 1, Some(shared.view(0)));
         let tighten = || {
             dsidx_sync::Pruner::insert(shared.topks()[0].as_ref(), 0.0, 39);
         };
@@ -1156,7 +1115,7 @@ mod tests {
         let (data, words, config) = fixture(LB_BLOCK + 37);
         let qs = DatasetKind::Synthetic.queries(3, 64, 29);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, 1);
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, 1, None);
         let mut fetcher = SeriesFetcher::new(&data);
         batch_seed_prefix(2, &mut fetcher, &batch).unwrap();
         let mut locals = vec![QueryStats::default(); batch.len()];
@@ -1188,9 +1147,9 @@ mod tests {
         let (data, _, config) = fixture(50);
         let qs = DatasetKind::Synthetic.queries(3, 64, 11);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, 2);
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, 2, None);
         let mut fetcher = SeriesFetcher::new(&data);
-        batch_seed_positions(&[3, 7, 19], &mut fetcher, &batch).unwrap();
+        batch_seed_positions([3, 7, 19], &mut fetcher, &batch).unwrap();
         for slot in batch.slots() {
             assert_eq!(slot.topk.len(), 2);
             assert!(slot.topk.threshold_sq().is_finite());
@@ -1212,12 +1171,7 @@ mod tests {
         let qs = DatasetKind::Synthetic.queries(3, 64, 13);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let k = 4;
-        // The schedule that uses this loop prepares its own queries.
-        let batch = QueryBatch::unprepared(&qrefs, k, None);
-        let preps: Vec<PreparedQuery> = qrefs
-            .iter()
-            .map(|q| PreparedQuery::new(config.quantizer(), q))
-            .collect();
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, k, None);
         let mut locals = vec![QueryStats::default(); batch.len()];
         let mut fetcher = SeriesFetcher::new(&data);
         // Only queries 0 and 2 are active for this "leaf".
@@ -1228,9 +1182,9 @@ mod tests {
             &positions,
             &mut fetcher,
             &batch,
-            &preps,
             &[0, 2],
             &mut survivors,
+            &mut DtwScratch::new(),
             &mut locals,
         )
         .unwrap();
@@ -1276,10 +1230,10 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let (data, words, config) = fixture(20);
-        let batch = QueryBatch::new(config.quantizer(), &[], 3);
+        let batch = QueryBatch::new(config.quantizer(), &[], 3, None);
         assert!(batch.is_empty());
         let mut fetcher = SeriesFetcher::new(&data);
-        batch_seed_positions(&[1, 2], &mut fetcher, &batch).unwrap();
+        batch_seed_positions([1, 2], &mut fetcher, &batch).unwrap();
         batch_seed_prefix(5, &mut fetcher, &batch).unwrap();
         let mut candidates = Vec::new();
         batch_collect_candidates(&words, 0..words.len(), &batch, &mut [], &mut candidates);

@@ -1,41 +1,36 @@
-//! DTW query preparation and the DTW kernel loops.
+//! DTW query preparation.
 //!
 //! A banded-DTW query carries more prepared state than a Euclidean one:
 //! the LB_Keogh envelope of the query, the PAA of that envelope (segment
 //! means of its lower and upper half), and the *interval* MINDIST tables
 //! built from them (a point query lower-bounds candidates from its own
 //! PAA; a warped query must lower-bound them from everything the band
-//! allows). [`DtwPrepared`] packages all of it, built once per query.
+//! allows). [`DtwPrepared`] packages all of it with the band, built once
+//! per query.
 //!
-//! The loops here are the DTW generalizations of the ED loops in
-//! [`scan`](crate::scan) and [`batch`](crate::batch): index summaries are
-//! bounded through the interval tables first, and every raw series that
-//! survives goes through the one raw-series cascade,
-//! [`dtw_cascade`] — LB_Keogh, reversed LB_Keogh, banded DTW abandoning on
-//! the bounds' unpaid remainder — against the live threshold, its verdict
-//! booked by [`QueryStats::count_dtw`]. Seeds go through the same
-//! function; they report only the full DTWs they paid. In the batch loops
-//! a [`QueryBatch`] supplies the per-query pruners and counters, a
-//! `&[DtwPrepared]` (index-aligned with the batch's slots) the per-query
-//! envelopes, and each fetched series meets every active query in one
-//! data pass.
+//! As a [`Prepared`] query it runs through the same kernel loops as a
+//! Euclidean one: index summaries are bounded through the interval tables,
+//! and every raw series that survives goes through the one raw-series
+//! cascade, [`dtw_cascade`] — LB_Keogh, reversed LB_Keogh, banded DTW
+//! abandoning on the bounds' unpaid remainder — against the live
+//! threshold, its verdict booked by [`QueryStats::count_dtw`].
 
-use crate::batch::QueryBatch;
-use crate::fetch::SeriesFetcher;
-use crate::scan::LeafScratch;
+use crate::prepare::Prepared;
 use crate::stats::QueryStats;
 use dsidx_isax::paa::envelope_paa_bounds;
 use dsidx_isax::{MindistTable, NodeMindistTable, Quantizer, Word};
-use dsidx_series::distance::dtw::{dtw_cascade, envelope, DtwScratch, DtwVerdict};
-use dsidx_storage::{RawSource, StorageError};
-use dsidx_sync::Pruner;
+use dsidx_obs::phase::Phase;
+use dsidx_series::distance::dtw::{dtw_cascade, envelope, DtwScratch};
 
 /// Everything a banded-DTW query needs before touching index structures:
-/// the query envelope (for LB_Keogh), its per-segment PAA bounds, and the
-/// interval word-level MINDIST table (for SAX-array and leaf-entry
-/// bounds). The DTW counterpart of [`PreparedQuery`](crate::PreparedQuery).
+/// the band, the query envelope (for LB_Keogh), its per-segment PAA
+/// bounds, and the interval word-level MINDIST table (for SAX-array and
+/// leaf-entry bounds). The DTW counterpart of
+/// [`PreparedQuery`](crate::PreparedQuery).
 #[derive(Debug, Clone)]
 pub struct DtwPrepared {
+    /// Sakoe-Chiba half-width in points.
+    pub band: usize,
     /// Lower envelope of the query under the band (length = series length).
     pub lo_env: Vec<f32>,
     /// Upper envelope of the query under the band.
@@ -68,6 +63,7 @@ impl DtwPrepared {
         envelope_paa_bounds(&lo_env, &hi_env, &mut lo_paa, &mut hi_paa);
         let table = MindistTable::new_interval(&lo_paa, &hi_paa, quantizer.segment_lens());
         Self {
+            band,
             lo_env,
             hi_env,
             lo_paa,
@@ -76,25 +72,32 @@ impl DtwPrepared {
             word: quantizer.word(query),
         }
     }
+}
 
-    /// Builds the interval node-level table for tree-traversing engines
-    /// (MESSI). Separate from construction because scan-based consumers
-    /// never need it.
-    #[must_use]
-    pub fn node_table(&self, quantizer: &Quantizer) -> NodeMindistTable {
-        let mut table = NodeMindistTable::default();
-        self.fill_node_table(quantizer, &mut table);
-        table
+/// Interval tables from the query's envelope, the raw-series cascade for
+/// what survives them, booked under [`Phase::DtwCascade`].
+impl Prepared for DtwPrepared {
+    const PHASE: Phase = Phase::DtwCascade;
+
+    #[inline]
+    fn word(&self) -> &Word {
+        &self.word
     }
 
-    /// One raw `series` through the [`dtw_cascade`] of `query` (the series
-    /// this state was prepared from, under the same `band`) at `limit`,
-    /// booked in `stats`; the distance if a full DTW was paid.
-    pub fn cascade(
+    #[inline]
+    fn table(&self) -> &MindistTable {
+        &self.table
+    }
+
+    fn node_table(&self, quantizer: &Quantizer) -> NodeMindistTable {
+        NodeMindistTable::new_interval(&self.lo_paa, &self.hi_paa, quantizer.segment_lens())
+    }
+
+    #[inline]
+    fn distance(
         &self,
         query: &[f32],
         series: &[f32],
-        band: usize,
         limit: f32,
         scratch: &mut DtwScratch,
         stats: &mut QueryStats,
@@ -104,211 +107,21 @@ impl DtwPrepared {
             &self.lo_env,
             &self.hi_env,
             series,
-            band,
+            self.band,
             limit,
             scratch,
         );
         stats.count_dtw(verdict, scratch.cells())
     }
-
-    /// [`node_table`](Self::node_table) into a table the caller reuses
-    /// from query to query.
-    pub fn fill_node_table(&self, quantizer: &Quantizer, table: &mut NodeMindistTable) {
-        table.fill_interval(&self.lo_paa, &self.hi_paa, quantizer.segment_lens());
-    }
-}
-
-/// Seeds the pruner from the approximate leaf under banded DTW: every
-/// entry (given by its raw-data position) goes through the
-/// [`dtw_cascade`] against the pruner's current threshold — the DTW
-/// counterpart of [`seed_from_entries`](crate::seed::seed_from_entries).
-/// `lower`/`upper` are the query's envelope under `band`. Returns the
-/// number of *full* DTW distances computed; pruned and abandoned entries
-/// are not counted anywhere (the funnel counters are the leaf cascade's).
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-#[allow(clippy::too_many_arguments)] // the cascade's arguments + where results go
-pub fn seed_from_entries_dtw<P: Pruner>(
-    positions: impl IntoIterator<Item = u32>,
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    query: &[f32],
-    lower: &[f32],
-    upper: &[f32],
-    band: usize,
-    pruner: &P,
-    scratch: &mut LeafScratch,
-) -> Result<u64, StorageError> {
-    let mut paid = 0u64;
-    for pos in positions {
-        let limit = pruner.threshold_sq();
-        let series = fetcher.fetch(pos as usize)?;
-        let verdict = dtw_cascade(query, lower, upper, series, band, limit, &mut scratch.dtw);
-        if let DtwVerdict::Full(d) = verdict {
-            pruner.insert(d, pos);
-            paid += 1;
-        }
-    }
-    Ok(paid)
-}
-
-/// The full DTW cascade over one leaf's entries for a single query
-/// (MESSI's DTW processing phase): the interval iSAX bound over the whole
-/// leaf first, the survivors' series prefetched ([`LeafScratch`]), then the
-/// raw-series [`dtw_cascade`] per survivor against the live threshold. The
-/// DTW counterpart of
-/// [`process_leaf_entries`](crate::scan::process_leaf_entries), with the
-/// same `words`/`positions` contract.
-///
-/// Counter updates land in `stats` (`lb_entry_computed`, then
-/// [`DtwPrepared::cascade`] per survivor); returns the number of series
-/// fetched.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if `words` is shorter than `positions`.
-#[allow(clippy::too_many_arguments)] // mirrors the ED leaf loop + band
-pub fn process_leaf_entries_dtw<P: Pruner>(
-    words: &[Word],
-    positions: &[u32],
-    prep: &DtwPrepared,
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    query: &[f32],
-    band: usize,
-    pruner: &P,
-    scratch: &mut LeafScratch,
-    stats: &mut QueryStats,
-) -> Result<u64, StorageError> {
-    let limit = pruner.threshold_sq();
-    scratch.bound_leaf(words, positions, &prep.table, limit, fetcher);
-    stats.lb_entry_computed += positions.len() as u64;
-    let mut fetched = 0u64;
-    // The survivors by field, so the cascade's buffers can be borrowed
-    // beside them.
-    for &(pos, lb) in &scratch.survivors {
-        // Re-read per survivor: this worker or a peer may have tightened it.
-        let limit = pruner.threshold_sq();
-        if lb >= limit {
-            continue;
-        }
-        let series = fetcher.fetch(pos as usize)?;
-        fetched += 1;
-        if let Some(d) = prep.cascade(query, series, band, limit, &mut scratch.dtw, stats) {
-            pruner.insert(d, pos);
-        }
-    }
-    Ok(fetched)
-}
-
-/// Seeds every query in a DTW batch from the (deduplicated) `positions`:
-/// each series is fetched once and goes through the [`dtw_cascade`] of
-/// every query — the DTW counterpart of
-/// [`batch_seed_positions`](crate::batch::batch_seed_positions). `preps`
-/// is index-aligned with the batch's slots.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if `preps` is not one prepared state per query.
-pub fn batch_seed_positions_dtw<P>(
-    positions: &[u32],
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_, P>,
-    preps: &[DtwPrepared],
-    band: usize,
-) -> Result<(), StorageError> {
-    assert_eq!(preps.len(), batch.len(), "one DtwPrepared per query");
-    if batch.is_empty() || positions.is_empty() {
-        return Ok(());
-    }
-    let mut locals = vec![QueryStats::default(); batch.len()];
-    let mut scratch = DtwScratch::new();
-    for &pos in positions {
-        let series = fetcher.fetch(pos as usize)?;
-        for ((slot, prep), local) in batch.slots().iter().zip(preps).zip(&mut locals) {
-            let limit = slot.topk.threshold_sq();
-            if let Some(d) = prep.cascade(slot.values, series, band, limit, &mut scratch, local) {
-                slot.topk.insert(d, pos);
-            }
-        }
-    }
-    batch.merge_locals(&locals);
-    batch.count_io(
-        positions.len() as u64,
-        positions.len() as u64 * batch.len() as u64,
-    );
-    Ok(())
-}
-
-/// The full DTW pruning cascade over one leaf's entries for every query in
-/// `active` (indices into the batch's slots whose leaf-level bound
-/// survived): interval iSAX bound, then the raw-series [`dtw_cascade`],
-/// each stage pruning against that query's current threshold. The leaf is
-/// processed *once* for the whole batch, and a surviving entry is fetched
-/// once from the [`RawSource`] for every query that still wants it — the
-/// DTW counterpart of
-/// [`batch_process_leaf_entries`](crate::batch::batch_process_leaf_entries).
-///
-/// `words` and `positions` are the leaf's entries (index-aligned);
-/// `preps` is index-aligned with the batch's slots; `survivors` and
-/// `scratch` are caller-owned scratch (their contents are overwritten).
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-///
-/// # Panics
-/// Panics if `preps` is not one prepared state per query.
-#[allow(clippy::too_many_arguments)] // mirrors the ED batch loop + band
-pub fn batch_process_leaf_entries_dtw<P>(
-    words: &[Word],
-    positions: &[u32],
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_, P>,
-    active: &[usize],
-    preps: &[DtwPrepared],
-    band: usize,
-    survivors: &mut Vec<usize>,
-    scratch: &mut LeafScratch,
-    locals: &mut [QueryStats],
-) -> Result<(), StorageError> {
-    assert_eq!(preps.len(), batch.len(), "one DtwPrepared per query");
-    let scratch = &mut scratch.dtw;
-    let (mut fetches, mut requests) = (0u64, 0u64);
-    for (word, &pos) in words.iter().zip(positions) {
-        survivors.clear();
-        for &qi in active {
-            let slot = &batch.slots()[qi];
-            locals[qi].lb_entry_computed += 1;
-            if preps[qi].table.lookup(word) < slot.topk.threshold_sq() {
-                survivors.push(qi);
-            }
-        }
-        if survivors.is_empty() {
-            continue;
-        }
-        let series = fetcher.fetch(pos as usize)?;
-        fetches += 1;
-        for &qi in survivors.iter() {
-            let slot = &batch.slots()[qi];
-            let limit = slot.topk.threshold_sq();
-            requests += 1;
-            let local = &mut locals[qi];
-            if let Some(d) = preps[qi].cascade(slot.values, series, band, limit, scratch, local) {
-                slot.topk.insert(d, pos);
-            }
-        }
-    }
-    batch.count_io(fetches, requests);
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::QueryStats;
+    use crate::batch::{batch_process_leaf_entries, batch_seed_positions, QueryBatch};
+    use crate::fetch::SeriesFetcher;
+    use crate::scan::{process_leaf_entries, LeafScratch};
+    use crate::seed::seed_from_entries;
     use dsidx_series::distance::dtw::dtw_sq;
     use dsidx_series::gen::DatasetKind;
     use dsidx_series::Dataset;
@@ -372,16 +185,14 @@ mod tests {
 
     #[test]
     fn seed_from_entries_dtw_finds_leaf_minimum() {
-        let (data, _) = fixture(100);
+        let (data, config) = fixture(100);
         let q = data.get(7);
+        let prep = DtwPrepared::new(config.quantizer(), q, 3);
         let topk = dsidx_sync::SharedTopK::new(1);
         let mut fetcher = SeriesFetcher::new(&data);
-        let (mut lo, mut hi) = (Vec::new(), Vec::new());
-        envelope(q, 3, &mut lo, &mut hi);
         let mut scratch = LeafScratch::new();
         let reals =
-            seed_from_entries_dtw(0..20u32, &mut fetcher, q, &lo, &hi, 3, &topk, &mut scratch)
-                .unwrap();
+            seed_from_entries(0..20u32, &mut fetcher, q, &prep, &topk, &mut scratch).unwrap();
         // Only improvements are paid in full, and nothing after series 7
         // sets the best-so-far to zero can be one.
         assert!((1..=8).contains(&reals), "{reals}");
@@ -401,13 +212,12 @@ mod tests {
             let topk = dsidx_sync::SharedTopK::new(6);
             let mut fetcher = SeriesFetcher::new(&data);
             let mut stats = QueryStats::default();
-            let fetched = process_leaf_entries_dtw(
+            let fetched = process_leaf_entries(
                 &words,
                 &positions,
                 &prep,
                 &mut fetcher,
                 q,
-                band,
                 &topk,
                 &mut LeafScratch::new(),
                 &mut stats,
@@ -438,24 +248,19 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let band = 4;
         for k in [1usize, 5] {
-            let batch = QueryBatch::new(quantizer, &qrefs, k);
-            let preps: Vec<DtwPrepared> = qrefs
-                .iter()
-                .map(|q| DtwPrepared::new(quantizer, q, band))
-                .collect();
+            let batch =
+                QueryBatch::prepared(&qrefs, k, None, |q| DtwPrepared::new(quantizer, q, band));
             let active: Vec<usize> = (0..batch.len()).collect();
             let mut locals = vec![QueryStats::default(); batch.len()];
             let mut fetcher = SeriesFetcher::new(&data);
-            batch_process_leaf_entries_dtw(
+            batch_process_leaf_entries(
                 &words,
                 &positions,
                 &mut fetcher,
                 &batch,
                 &active,
-                &preps,
-                band,
                 &mut Vec::new(),
-                &mut LeafScratch::new(),
+                &mut DtwScratch::new(),
                 &mut locals,
             )
             .unwrap();
@@ -485,13 +290,11 @@ mod tests {
         let (data, config) = fixture(60);
         let qs = DatasetKind::Synthetic.queries(3, 64, 11);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, 2);
-        let preps: Vec<DtwPrepared> = qrefs
-            .iter()
-            .map(|q| DtwPrepared::new(config.quantizer(), q, 4))
-            .collect();
+        let batch = QueryBatch::prepared(&qrefs, 2, None, |q| {
+            DtwPrepared::new(config.quantizer(), q, 4)
+        });
         let mut fetcher = SeriesFetcher::new(&data);
-        batch_seed_positions_dtw(&[3, 7, 19], &mut fetcher, &batch, &preps, 4).unwrap();
+        batch_seed_positions([3, 7, 19], &mut fetcher, &batch).unwrap();
         for slot in batch.slots() {
             assert_eq!(slot.topk.len(), 2);
             assert!(slot.topk.threshold_sq().is_finite());
@@ -511,14 +314,14 @@ mod tests {
     #[test]
     fn empty_batch_and_empty_positions_are_no_ops() {
         let (data, config) = fixture(10);
-        let batch = QueryBatch::new(config.quantizer(), &[], 2);
+        let prepare = |q: &[f32]| DtwPrepared::new(config.quantizer(), q, 3);
+        let batch = QueryBatch::prepared(&[], 2, None, prepare);
         let mut fetcher = SeriesFetcher::new(&data);
-        batch_seed_positions_dtw(&[1, 2], &mut fetcher, &batch, &[], 3).unwrap();
+        batch_seed_positions([1, 2], &mut fetcher, &batch).unwrap();
         let qs = DatasetKind::Synthetic.queries(1, 64, 1);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, 2);
-        let preps = [DtwPrepared::new(config.quantizer(), qs.get(0), 3)];
-        batch_seed_positions_dtw(&[], &mut fetcher, &batch, &preps, 3).unwrap();
+        let batch = QueryBatch::prepared(&qrefs, 2, None, prepare);
+        batch_seed_positions([], &mut fetcher, &batch).unwrap();
         let (_, stats) = batch.finish(0, QueryStats::default());
         assert_eq!(stats.series_fetched, 0);
     }

@@ -1,16 +1,17 @@
 //! The shared exact-NN query kernel.
 //!
-//! ADS+, ParIS/ParIS+ and MESSI answer exact 1-NN queries with the same
+//! ADS+, ParIS/ParIS+ and MESSI answer exact k-NN queries with the same
 //! scaffolding in different parallel shapes (§III–§IV of the paper):
 //!
 //! 1. **prepare** — summarize the query (PAA), derive its iSAX word, build
-//!    the per-query MINDIST lookup tables ([`PreparedQuery`]);
+//!    the per-query MINDIST lookup tables ([`PreparedQuery`], or
+//!    [`DtwPrepared`] under banded DTW);
 //! 2. **seed** — descend to the query's own leaf and pay real distances
 //!    for its entries, so pruning starts from a tight best-so-far
 //!    ([`seed`]);
 //! 3. **scan** — lower-bound candidates (SAX-array entries or leaf
 //!    entries), early-abandon real distances for survivors, and fold
-//!    improvements into the shared BSF ([`scan`]).
+//!    improvements into the shared threshold ([`scan`]).
 //!
 //! The engines differ only in *scheduling*: ParIS splits step 3 into
 //! parallel collect/verify phases over Fetch&Inc chunks (ADS+ runs the same
@@ -19,11 +20,17 @@
 //! the leaves. Those loops live here once; engines keep only their scheduling. One
 //! [`QueryStats`] reports all of them uniformly.
 //!
-//! Every loop is generic over [`Pruner`] — the abstraction of "threshold
-//! read + candidate insert" — so the same kernel answers exact 1-NN (an
-//! [`AtomicBest`](dsidx_sync::AtomicBest) best-so-far) and exact k-NN (a
-//! [`SharedTopK`] whose threshold is the k-th best
-//! distance so far).
+//! The measure is a parameter of the loops, not a copy of them: a prepared
+//! query implements [`Prepared`] — its word, its word-level table, its
+//! node-table fill, the phase its traversal is booked under and its
+//! distance — and the seed, leaf, batch-seed and batch-leaf loops are
+//! generic over it (ParIS's collect and verify steps are Euclidean only).
+//! Every loop is also generic over [`Pruner`] — the abstraction of
+//! "threshold read + candidate insert". Every engine schedule runs on an
+//! [`OffsetTopK`] (a k-NN collector whose threshold is the k-th best
+//! distance so far, optionally a view into a cross-shard [`SharedTopK`];
+//! 1-NN is k = 1); the [`AtomicBest`](dsidx_sync::AtomicBest) best-so-far
+//! is left to the UCR baseline scans.
 //!
 //! The [`batch`] module generalizes all of it to query *batches*: a
 //! [`QueryBatch`] holds per-query prepared state, pruners and stats, and
@@ -48,15 +55,12 @@ pub use batch::{
     batch_verify_candidates, order_best_bound_first, BatchCandidate, BatchSlot, BatchStats,
     QueryBatch, ShardView, SharedPruners,
 };
-pub use dtw::{
-    batch_process_leaf_entries_dtw, batch_seed_positions_dtw, process_leaf_entries_dtw,
-    seed_from_entries_dtw, DtwPrepared,
-};
+pub use dtw::DtwPrepared;
 pub use errslot::ErrorSlot;
 pub use fetch::SeriesFetcher;
 pub use knn::finish_knn;
 pub use measure::Measure;
-pub use prepare::PreparedQuery;
+pub use prepare::{Prepared, PreparedQuery};
 pub use scan::{process_leaf_entries, LeafScratch};
 pub use seed::{approx_best_leaf, approx_leaf_flat, best_bound_positions, seed_from_entries};
 pub use stats::{AtomicQueryStats, QueryStats};

@@ -1,9 +1,52 @@
 //! Per-query preparation shared by every engine: PAA summary, iSAX word,
-//! and the MINDIST lookup tables.
+//! and the MINDIST lookup tables — and [`Prepared`], what every kernel
+//! loop reads from a prepared query whatever its measure.
 
+use crate::stats::QueryStats;
 use dsidx_isax::{MindistTable, NodeMindistTable, Quantizer, Word};
+use dsidx_obs::phase::Phase;
+use dsidx_series::distance::dtw::DtwScratch;
+use dsidx_series::distance::euclidean_sq_bounded;
 
-/// Everything an exact-NN query needs before touching index structures.
+/// A query prepared under one measure: everything the kernel loops need
+/// from it. The seed, leaf and batch loops are written once against this
+/// trait, so a measure is a type implementing it —
+/// [`PreparedQuery`] (Euclidean) or [`DtwPrepared`](crate::DtwPrepared)
+/// (banded DTW) — never a copy of a loop.
+pub trait Prepared: Send + Sync {
+    /// The phase a tree traversal and the leaf work it feeds are booked
+    /// under for this measure.
+    const PHASE: Phase;
+
+    /// The query's full-cardinality iSAX word (locates its approximate
+    /// leaf).
+    fn word(&self) -> &Word;
+
+    /// The word-level MINDIST table: a sound lower bound of this measure
+    /// for SAX-array and leaf-entry words.
+    fn table(&self) -> &MindistTable;
+
+    /// The node-level MINDIST table (tree traversal).
+    fn node_table(&self, quantizer: &Quantizer) -> NodeMindistTable;
+
+    /// The distance from `query` (the series this state was prepared
+    /// from) to `series` if it is below `limit`, booked in `stats` the
+    /// way the measure books a candidate: an Euclidean distance counts
+    /// `real_computed` when it completes; a DTW candidate goes through the
+    /// cascade and is booked by [`QueryStats::count_dtw`]. `scratch` holds
+    /// the cascade's buffers (unused under Euclidean distance).
+    fn distance(
+        &self,
+        query: &[f32],
+        series: &[f32],
+        limit: f32,
+        scratch: &mut DtwScratch,
+        stats: &mut QueryStats,
+    ) -> Option<f32>;
+}
+
+/// Everything an exact Euclidean query needs before touching index
+/// structures.
 ///
 /// Built once per query; engines then consume the pieces their algorithm
 /// uses (the word for descent, the word-level table for entry/SAX-array
@@ -32,12 +75,42 @@ impl PreparedQuery {
         let table = MindistTable::new_point(&paa, quantizer.segment_lens());
         Self { paa, word, table }
     }
+}
 
-    /// Builds the node-level table for tree-traversing engines (MESSI).
-    /// Separate from construction because scan-based engines never need it.
-    #[must_use]
-    pub fn node_table(&self, quantizer: &Quantizer) -> NodeMindistTable {
+/// Point tables from the query's PAA, early-abandoned Euclidean distance.
+impl Prepared for PreparedQuery {
+    const PHASE: Phase = Phase::Traversal;
+
+    #[inline]
+    fn word(&self) -> &Word {
+        &self.word
+    }
+
+    #[inline]
+    fn table(&self) -> &MindistTable {
+        &self.table
+    }
+
+    fn node_table(&self, quantizer: &Quantizer) -> NodeMindistTable {
         NodeMindistTable::new_point(&self.paa, quantizer.segment_lens())
+    }
+
+    /// Goes through [`euclidean_sq_bounded`] like every insertion in the
+    /// kernel, never the unbounded variant: the two SIMD kernels add in
+    /// different orders and can disagree in the last bit, and a reported
+    /// distance must not depend on which loop reached the series first.
+    #[inline]
+    fn distance(
+        &self,
+        query: &[f32],
+        series: &[f32],
+        limit: f32,
+        _scratch: &mut DtwScratch,
+        stats: &mut QueryStats,
+    ) -> Option<f32> {
+        let d = euclidean_sq_bounded(query, series, limit)?;
+        stats.real_computed += 1;
+        Some(d)
     }
 }
 

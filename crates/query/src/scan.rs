@@ -1,19 +1,18 @@
 //! The per-leaf early-abandoned real-distance loop — MESSI's exact phase
-//! after seeding, one leaf's entries at a time. The scan engines' loops
-//! (ParIS's collect/verify split, which ADS+ runs at one worker) exist
-//! only in batch form ([`batch`](crate::batch)); a single query is a batch
-//! of one.
+//! after seeding, one leaf's entries at a time, under whichever measure
+//! the [`Prepared`] query brings. The scan engines' loops (ParIS's
+//! collect/verify split, which ADS+ runs at one worker) exist only in
+//! batch form ([`batch`](crate::batch)); a single query is a batch of one.
 //!
-//! The loop is generic over [`Pruner`], so the same code answers 1-NN
-//! (an [`AtomicBest`](dsidx_sync::AtomicBest) best-so-far) and k-NN (a
-//! [`SharedTopK`](dsidx_sync::SharedTopK) whose threshold is the k-th best
-//! distance).
+//! The loop is generic over [`Pruner`]; every engine schedule runs it on
+//! an [`OffsetTopK`](dsidx_sync::OffsetTopK), a k-NN collector whose
+//! threshold is the k-th best distance so far (1-NN is k = 1).
 
 use crate::fetch::SeriesFetcher;
+use crate::prepare::Prepared;
 use crate::stats::QueryStats;
 use dsidx_isax::{MindistTable, Word};
 use dsidx_series::distance::dtw::DtwScratch;
-use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
 
@@ -25,7 +24,7 @@ use dsidx_sync::Pruner;
 pub struct LeafScratch {
     bounds: Vec<f32>,
     /// `(position, bound)` of each surviving entry, in entry order.
-    pub(crate) survivors: Vec<(u32, f32)>,
+    survivors: Vec<(u32, f32)>,
     pub(crate) dtw: DtwScratch,
 }
 
@@ -37,19 +36,19 @@ impl LeafScratch {
     }
 
     /// Pass one of a leaf visit: bounds every word with the batched kernel
-    /// (bit-identical with SIMD on or off), keeps the entries among the
-    /// first `positions.len()` whose bound beats `limit`, and starts
-    /// pulling their series toward the cache so pass two does not open
-    /// each distance with a memory stall. Returns the survivors as
-    /// `(position, bound)`, in entry order.
-    pub(crate) fn bound_leaf(
+    /// (bit-identical with SIMD on or off), keeps in `survivors` the
+    /// entries among the first `positions.len()` whose bound beats
+    /// `limit`, as `(position, bound)` in entry order, and starts pulling
+    /// their series toward the cache so pass two does not open each
+    /// distance with a memory stall.
+    fn bound_leaf(
         &mut self,
         words: &[Word],
         positions: &[u32],
         table: &MindistTable,
         limit: f32,
         fetcher: &SeriesFetcher<'_, impl RawSource>,
-    ) -> &[(u32, f32)] {
+    ) {
         assert!(words.len() >= positions.len(), "one word per position");
         if self.bounds.len() < words.len() {
             self.bounds.resize(words.len(), 0.0);
@@ -62,23 +61,23 @@ impl LeafScratch {
                 fetcher.prefetch(pos as usize);
             }
         }
-        &self.survivors
     }
 }
 
-/// Entry-level bound + early-abandoned real distance over one leaf's
-/// entries (MESSI processing phase), fetching survivors from any
-/// [`RawSource`] — zero-copy in memory, device-charged reads on disk.
+/// Entry-level bound + real distance over one leaf's entries (MESSI
+/// processing phase), fetching survivors from any [`RawSource`] —
+/// zero-copy in memory, device-charged reads on disk.
 ///
 /// Two passes, because a leaf's entries point all over the raw data: first
-/// the whole leaf is bounded and the survivors' series are prefetched
-/// ([`LeafScratch`]), then the survivors pay their distances, the pruning
-/// threshold re-read after each one (and each bound re-checked against it).
-/// `words` may be longer than `positions` — a run padded for the batched
-/// kernel (`FlatTree::leaf_words_padded`); the extra bounds are ignored.
+/// the whole leaf is bounded through `prep`'s word-level table and the
+/// survivors' series are prefetched ([`LeafScratch`]), then the survivors
+/// pay `prep`'s [`distance`](Prepared::distance), the pruning threshold
+/// re-read after each one (and each bound re-checked against it). `words`
+/// may be longer than `positions` — a run padded for the batched kernel
+/// (`FlatTree::leaf_words_padded`); the extra bounds are ignored.
 ///
-/// Counts `lb_entry_computed` and `real_computed` into `stats`; returns the
-/// number of series fetched.
+/// Counts `lb_entry_computed` into `stats`, and whatever the measure books
+/// per survivor; returns the number of series fetched.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -86,20 +85,26 @@ impl LeafScratch {
 /// # Panics
 /// Panics if `words` is shorter than `positions`.
 #[allow(clippy::too_many_arguments)] // the leaf, the query, and where results go
-pub fn process_leaf_entries<P: Pruner>(
+pub fn process_leaf_entries<P: Pruner, Q: Prepared>(
     words: &[Word],
     positions: &[u32],
-    table: &MindistTable,
+    prep: &Q,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     query: &[f32],
     pruner: &P,
     scratch: &mut LeafScratch,
     stats: &mut QueryStats,
 ) -> Result<u64, StorageError> {
-    let survivors = scratch.bound_leaf(words, positions, table, pruner.threshold_sq(), fetcher);
+    scratch.bound_leaf(
+        words,
+        positions,
+        prep.table(),
+        pruner.threshold_sq(),
+        fetcher,
+    );
     stats.lb_entry_computed += positions.len() as u64;
     let mut fetched = 0u64;
-    for &(pos, lb) in survivors {
+    for &(pos, lb) in &scratch.survivors {
         // Re-read per survivor: this worker or a peer may have tightened it.
         let limit = pruner.threshold_sq();
         if lb >= limit {
@@ -107,8 +112,7 @@ pub fn process_leaf_entries<P: Pruner>(
         }
         let series = fetcher.fetch(pos as usize)?;
         fetched += 1;
-        if let Some(d) = euclidean_sq_bounded(query, series, limit) {
-            stats.real_computed += 1;
+        if let Some(d) = prep.distance(query, series, limit, &mut scratch.dtw, stats) {
             pruner.insert(d, pos);
         }
     }
@@ -169,7 +173,7 @@ mod tests {
         // threshold an earlier insert holds at 1.0.
         let (data, _, config) = fixture(10);
         let q = data.get(0).to_vec();
-        let batch = QueryBatch::new(config.quantizer(), &[&q], 1);
+        let batch = QueryBatch::new(config.quantizer(), &[&q], 1, None);
         batch.slots()[0].topk.insert(1.0, 999);
         let mut fetcher = SeriesFetcher::new(&data);
         let mut survivors = Vec::new();
@@ -221,7 +225,7 @@ mod tests {
             let fetched = process_leaf_entries(
                 &padded,
                 &positions,
-                &prep.table,
+                &prep,
                 &mut fetcher,
                 q,
                 &best,
@@ -249,7 +253,7 @@ mod tests {
             process_leaf_entries(
                 &padded,
                 &positions,
-                &prep.table,
+                &prep,
                 &mut fetcher,
                 q,
                 &topk,

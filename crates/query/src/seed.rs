@@ -4,16 +4,13 @@
 //! approximate fidelity, so that leaf's best entries *are* the answer
 //! ([`approx_best_leaf`]).
 
-use crate::dtw::seed_from_entries_dtw;
 use crate::fetch::SeriesFetcher;
 use crate::knn::finish_knn;
-use crate::measure::Measure;
+use crate::prepare::Prepared;
 use crate::scan::LeafScratch;
 use crate::stats::QueryStats;
 use dsidx_isax::{MindistTable, Word};
 use dsidx_obs::phase::{Phase, PhaseClock};
-use dsidx_series::distance::dtw::envelope;
-use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::{Pruner, SharedTopK};
@@ -45,10 +42,9 @@ pub fn approx_leaf_flat(flat: &FlatTree, word: &Word) -> Option<u32> {
 /// *Approximate* k-NN by one best-leaf visit — the approximate answer of
 /// ADS+ and MESSI, the paper's "most promising leaf": descend to the
 /// query's own leaf ([`approx_leaf_flat`]) and return the k nearest of its
-/// entries by real distance under `measure` (early-abandoned Euclidean, or
-/// each entry through the DTW cascade), with no scan, no traversal and no
-/// pool broadcast. On an on-disk source only that leaf's series are
-/// fetched.
+/// entries by `prep`'s real distance (early-abandoned Euclidean, or each
+/// entry through the DTW cascade), with no scan, no traversal and no pool
+/// broadcast. On an on-disk source only that leaf's series are fetched.
 ///
 /// Every reported distance is a real distance to a real series, so it is
 /// never below the exact answer at the same rank; returns fewer than `k`
@@ -65,7 +61,7 @@ pub fn approx_best_leaf(
     config: &TreeConfig,
     source: &impl RawSource,
     query: &[f32],
-    measure: Measure,
+    prep: &impl Prepared,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
     assert_eq!(query.len(), config.series_len(), "query length mismatch");
@@ -74,57 +70,47 @@ pub fn approx_best_leaf(
         return Ok(finish_knn(&topk, None));
     }
     let mut clock = PhaseClock::start();
-    let word = config.quantizer().word(query);
-    let leaf = approx_leaf_flat(tree, &word).expect("non-empty index has a non-empty leaf");
+    let leaf = approx_leaf_flat(tree, prep.word()).expect("non-empty index has a non-empty leaf");
     let positions = tree.leaf_positions(tree.node(leaf)).iter().copied();
     let mut fetcher = SeriesFetcher::new(source);
     let mut stats = QueryStats::default();
     stats.phase.record(Phase::Prepare, clock.lap());
-    stats.real_computed = match measure {
-        Measure::Euclidean => seed_from_entries(positions, &mut fetcher, query, &topk)?,
-        Measure::Dtw { band } => {
-            let (mut lower, mut upper) = (Vec::new(), Vec::new());
-            envelope(query, band, &mut lower, &mut upper);
-            seed_from_entries_dtw(
-                positions,
-                &mut fetcher,
-                query,
-                &lower,
-                &upper,
-                band,
-                &topk,
-                &mut LeafScratch::new(),
-            )?
-        }
-    };
+    stats.real_computed = seed_from_entries(
+        positions,
+        &mut fetcher,
+        query,
+        prep,
+        &topk,
+        &mut LeafScratch::new(),
+    )?;
     stats.phase.record(Phase::Seed, clock.lap());
     Ok(finish_knn(&topk, Some(stats)))
 }
 
 /// Seeds the pruner from the approximate leaf: every entry (given by its
-/// raw-data position) pays an early-abandoned real distance against the
-/// pruner's current threshold. Returns the number of *full* real distances
-/// computed — all of them until the pruner holds k, fewer once it abandons.
-///
-/// The distance goes through [`euclidean_sq_bounded`] like every other
-/// insertion in the kernel, never the unbounded variant: the two SIMD
-/// kernels add in different orders and can disagree in the last bit, and a
-/// reported distance must not depend on which phase reached the series
-/// first (memory and disk schedules seed from different sets).
+/// raw-data position) pays `prep`'s [`distance`](Prepared::distance)
+/// against the pruner's current threshold. Returns the number of *full*
+/// real distances computed — all of them until the pruner holds k, fewer
+/// once it abandons. That count is all a seed books: the rest of what the
+/// measure counts per candidate (a DTW cascade's prunes, abandons and
+/// cells) is left out here, and the leaf and batch loops book it.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
-pub fn seed_from_entries<P: Pruner>(
+pub fn seed_from_entries<P: Pruner, Q: Prepared>(
     positions: impl IntoIterator<Item = u32>,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     query: &[f32],
+    prep: &Q,
     pruner: &P,
+    scratch: &mut LeafScratch,
 ) -> Result<u64, StorageError> {
+    let mut unbooked = QueryStats::default();
     let mut paid = 0u64;
     for pos in positions {
         let limit = pruner.threshold_sq();
         let series = fetcher.fetch(pos as usize)?;
-        if let Some(d) = euclidean_sq_bounded(query, series, limit) {
+        if let Some(d) = prep.distance(query, series, limit, &mut scratch.dtw, &mut unbooked) {
             pruner.insert(d, pos);
             paid += 1;
         }
@@ -252,9 +238,19 @@ mod tests {
         let (data, index) = build_index(300);
         let q = data.get(42);
         let (_, positions) = own_leaf(&index, &data, 42);
+        let prep = crate::prepare::PreparedQuery::new(index.config().quantizer(), q);
         let best = AtomicBest::new();
         let mut fetcher = SeriesFetcher::new(&data);
-        let reals = seed_from_entries(positions.iter().copied(), &mut fetcher, q, &best).unwrap();
+        let mut scratch = LeafScratch::new();
+        let reals = seed_from_entries(
+            positions.iter().copied(),
+            &mut fetcher,
+            q,
+            &prep,
+            &best,
+            &mut scratch,
+        )
+        .unwrap();
         // Everything is paid in full until the first insertion; after it
         // the rest may abandon against the tightening best-so-far.
         assert!((1..=positions.len() as u64).contains(&reals));

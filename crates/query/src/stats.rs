@@ -82,6 +82,12 @@ impl QueryStats {
     /// `lb_keogh_computed` that resolves to exactly one of
     /// `lb_keogh_pruned` (either direction), `dtw_abandoned` or
     /// `real_computed`.
+    ///
+    /// The leaf, batch-seed and batch-leaf loops and ParIS's sketch probe
+    /// book every candidate this way. A single query's seed
+    /// ([`seed_from_entries`](crate::seed_from_entries)) does not: it
+    /// books only the full distances it paid, as `real_computed`, so its
+    /// cascade stages appear in none of these counters.
     pub fn count_dtw(&mut self, verdict: DtwVerdict, cells: u64) -> Option<f32> {
         self.lb_keogh_computed += 1;
         self.dtw_cells += cells;

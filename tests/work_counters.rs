@@ -1,0 +1,290 @@
+//! The work every query path does, pinned call by call.
+//!
+//! At one worker every schedule is deterministic, so the counters a call
+//! reports — lower bounds, candidates, leaves, cascade verdicts, real
+//! distances, fetches — are a fixed function of the index and the
+//! queries. This test runs each exact and approximate entry point of the
+//! engine crates over fixed Synthetic and SALD collections, at k = 1 and
+//! k = 10, and compares what they report with [`TABLE`]: every
+//! [`QueryStats`] counter summed over the queries, the batch's
+//! broadcasts, series fetched and series requested, a digest of the
+//! per-query counters (so two queries trading work cannot hide), and a
+//! digest of the answers' positions. (Distance bits stay out of it: the
+//! Euclidean kernels decide alike with SIMD on and off but may round the
+//! last bit differently; the answer tests pin the values per mode.)
+//!
+//! A change to a kernel loop that is meant to be a pure refactor must
+//! leave this table as it is. Every kernel decides the same with SIMD on
+//! and off (`tests/simd_snapshots.rs`), so the table also holds under
+//! `DSIDX_NO_SIMD=1`.
+//!
+//! To regenerate after a deliberate change of work, run
+//! `cargo test --test work_counters -- --nocapture` and copy the printed
+//! rows.
+
+use dsidx::messi::MessiConfig;
+use dsidx::paris::{ParisConfig, ParisIndex};
+use dsidx::prelude::*;
+use dsidx::query::{approx_best_leaf, DtwPrepared, PreparedQuery};
+use dsidx::storage::{write_dataset, DatasetFile, RawSource};
+use dsidx::tree::TreeConfig;
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+const SERIES: usize = 1500;
+const LEN: usize = 128;
+const QUERIES: usize = 5;
+const BAND: usize = 6;
+const SEED: u64 = 0x5eed_3400;
+
+/// One call's row: the label, then `lb_computed`, `candidates`,
+/// `nodes_pruned`, `leaves_enqueued`, `leaves_processed`,
+/// `leaves_discarded`, `lb_entry_computed`, `lb_keogh_computed`,
+/// `lb_keogh_pruned`, `lb_keogh_rev_pruned`, `dtw_abandoned`, `dtw_cells`,
+/// `real_computed` (each summed over the batch's queries and its shared
+/// counters), `broadcasts`, `series_fetched`, `series_requests`, the
+/// per-query counter digest and the answer-position digest.
+type Row = (&'static str, [u64; 18]);
+
+#[rustfmt::skip]
+const TABLE: &[Row] = &[
+    ("synthetic/messi-resident/ed/k1", [0, 0, 130, 321, 295, 26, 4149, 0, 0, 0, 0, 0, 31, 1, 179, 179, 17550106926475933756, 10409978560314616613]),
+    ("synthetic/messi-shared-fetch/ed/k1", [0, 0, 0, 109, 109, 0, 4149, 0, 0, 0, 0, 0, 35, 1, 167, 533, 6446478637658890852, 10409978560314616613]),
+    ("synthetic/best-leaf/ed/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 0, 0, 16111578257366559904, 11491680351945625473]),
+    ("synthetic/paris-approx/ed/k1", [7500, 80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 7542202593339497711, 10409978560314616613]),
+    ("synthetic/messi-resident/dtw/k1", [0, 0, 148, 294, 283, 11, 3979, 466, 337, 130, 119, 92888, 26, 1, 554, 554, 4103857251922580769, 5411154571359882617]),
+    ("synthetic/messi-shared-fetch/dtw/k1", [0, 0, 0, 109, 108, 1, 4014, 906, 708, 151, 167, 164078, 31, 1, 449, 906, 16710550665485583875, 5411154571359882617]),
+    ("synthetic/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 4611296220118408993, 3549676448302995044]),
+    ("synthetic/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 12, 10, 49, 79161, 19, 0, 0, 0, 753827474551625399, 5411154571359882617]),
+    ("synthetic/paris-exact-memory/ed/k1", [7500, 243, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 26, 2, 111, 291, 13764191040378680857, 10409978560314616613]),
+    ("synthetic/paris-exact-file/ed/k1", [7500, 243, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 26, 2, 111, 291, 13764191040378680857, 10409978560314616613]),
+    ("synthetic/messi-resident/ed/k10", [0, 0, 29, 474, 349, 125, 4729, 0, 0, 0, 0, 0, 220, 1, 413, 413, 12739023809380987787, 15048725421936891803]),
+    ("synthetic/messi-shared-fetch/ed/k10", [0, 0, 0, 109, 109, 0, 4781, 0, 0, 0, 0, 0, 286, 1, 352, 791, 12105883349053269810, 15048725421936891803]),
+    ("synthetic/best-leaf/ed/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 69, 0, 0, 0, 13162286273243104706, 14865141623892052239]),
+    ("synthetic/paris-approx/ed/k10", [7500, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 113, 0, 0, 0, 7563668283987659017, 15048725421936891803]),
+    ("synthetic/messi-resident/dtw/k10", [0, 0, 23, 492, 341, 151, 4622, 822, 440, 166, 246, 388814, 206, 1, 910, 910, 11165328273887041307, 8734562397311197402]),
+    ("synthetic/messi-shared-fetch/dtw/k10", [0, 0, 0, 109, 109, 0, 4762, 1312, 735, 202, 319, 643724, 258, 1, 681, 1312, 6705833985382222703, 8734562397311197402]),
+    ("synthetic/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 70, 0, 0, 0, 547381436288780259, 10861073893479150730]),
+    ("synthetic/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 7, 7, 75, 252057, 118, 0, 0, 0, 12757423871656543381, 8734562397311197402]),
+    ("synthetic/paris-exact-memory/ed/k10", [7500, 784, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 218, 2, 283, 705, 8109283893310584913, 15048725421936891803]),
+    ("synthetic/paris-exact-file/ed/k10", [7500, 784, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 218, 2, 283, 705, 8109283893310584913, 15048725421936891803]),
+    ("sald/messi-resident/ed/k1", [0, 0, 0, 485, 485, 0, 7500, 0, 0, 0, 0, 0, 31, 1, 1896, 1896, 2315984402114403421, 11697843258206417230]),
+    ("sald/messi-shared-fetch/ed/k1", [0, 0, 0, 97, 97, 0, 7500, 0, 0, 0, 0, 0, 38, 1, 1140, 2368, 4001377253621031708, 11697843258206417230]),
+    ("sald/best-leaf/ed/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 15258428169559615810, 8752279132793138057]),
+    ("sald/paris-approx/ed/k1", [7500, 80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 0, 0, 0, 16706770628547922992, 1224061397101839300]),
+    ("sald/messi-resident/dtw/k1", [0, 0, 0, 485, 485, 0, 7500, 7500, 2135, 1382, 5357, 1590219, 24, 1, 7581, 7581, 5033798843289480664, 16093031190061165185]),
+    ("sald/messi-shared-fetch/dtw/k1", [0, 0, 0, 97, 97, 0, 7500, 7905, 2198, 1415, 5678, 1764565, 29, 1, 1581, 7905, 16253767052937614145, 16093031190061165185]),
+    ("sald/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 17154963968864607303, 4193896489055772607]),
+    ("sald/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 0, 0, 61, 89735, 19, 0, 0, 0, 1338454021053804134, 16150743130427686176]),
+    ("sald/paris-exact-memory/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 30, 2, 1094, 2133, 14856720003275727607, 11697843258206417230]),
+    ("sald/paris-exact-file/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 30, 2, 1094, 2133, 14856720003275727607, 11697843258206417230]),
+    ("sald/messi-resident/ed/k10", [0, 0, 0, 485, 485, 0, 7500, 0, 0, 0, 0, 0, 222, 1, 4119, 4119, 17296818112942140544, 3913637135210837008]),
+    ("sald/messi-shared-fetch/ed/k10", [0, 0, 0, 97, 97, 0, 7500, 0, 0, 0, 0, 0, 300, 1, 1508, 4845, 4354483013493225544, 3913637135210837008]),
+    ("sald/best-leaf/ed/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 67, 0, 0, 0, 17526078177174369870, 9276736344420196590]),
+    ("sald/paris-approx/ed/k10", [7500, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 116, 0, 0, 0, 12895433400095029978, 18100470175822207612]),
+    ("sald/messi-resident/dtw/k10", [0, 0, 0, 485, 485, 0, 7500, 7500, 518, 459, 6814, 4044488, 235, 1, 7581, 7581, 7022152635910335126, 2111524857458372949]),
+    ("sald/messi-shared-fetch/dtw/k10", [0, 0, 0, 97, 97, 0, 7500, 7905, 541, 475, 7090, 4317498, 274, 1, 1581, 7905, 1881964238296497022, 2111524857458372949]),
+    ("sald/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 67, 0, 0, 0, 4146394358370173046, 2326980406789511990]),
+    ("sald/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 0, 0, 81, 294345, 119, 0, 0, 0, 1632088243979725464, 15576453189270096050]),
+    ("sald/paris-exact-memory/ed/k10", [7500, 6799, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 244, 2, 1508, 4664, 9358920710166318804, 3913637135210837008]),
+    ("sald/paris-exact-file/ed/k10", [7500, 6799, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 244, 2, 1508, 4664, 9358920710166318804, 3913637135210837008]),
+];
+
+fn tree_config() -> TreeConfig {
+    TreeConfig::new(LEN, 16, 24).unwrap()
+}
+
+/// FNV-1a over a stream of words.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn counters(s: &QueryStats) -> [u64; 13] {
+    [
+        s.lb_computed,
+        s.candidates,
+        s.nodes_pruned,
+        s.leaves_enqueued,
+        s.leaves_processed,
+        s.leaves_discarded,
+        s.lb_entry_computed,
+        s.lb_keogh_computed,
+        s.lb_keogh_pruned,
+        s.lb_keogh_rev_pruned,
+        s.dtw_abandoned,
+        s.dtw_cells,
+        s.real_computed,
+    ]
+}
+
+fn row(matches: &[Vec<Match>], stats: &BatchStats) -> [u64; 18] {
+    let mut out = [0u64; 18];
+    out[..13].copy_from_slice(&counters(&stats.total()));
+    out[13] = stats.broadcasts;
+    out[14] = stats.series_fetched;
+    out[15] = stats.series_requests;
+    out[16] = digest(
+        std::iter::once(&stats.shared)
+            .chain(&stats.per_query)
+            .flat_map(counters),
+    );
+    out[17] = digest(matches.iter().flat_map(|answer| {
+        std::iter::once(answer.len() as u64).chain(answer.iter().map(|m| u64::from(m.pos)))
+    }));
+    out
+}
+
+/// Approximate answers, one query at a time, folded into one batch row.
+fn approx_row(
+    queries: &[&[f32]],
+    mut one: impl FnMut(&[f32]) -> (Vec<Match>, QueryStats),
+) -> [u64; 18] {
+    let (matches, per_query): (Vec<_>, Vec<_>) = queries.iter().map(|q| one(q)).unzip();
+    row(
+        &matches,
+        &BatchStats {
+            per_query,
+            ..BatchStats::default()
+        },
+    )
+}
+
+fn measures() -> [(&'static str, Measure); 2] {
+    [
+        ("ed", Measure::Euclidean),
+        ("dtw", Measure::Dtw { band: BAND }),
+    ]
+}
+
+/// Every pinned call over one collection, labelled
+/// `<collection>/<call>/<measure>/k<k>`.
+fn rows_for(kind: DatasetKind, name: &str) -> Vec<(String, [u64; 18])> {
+    let data = kind.generate(SERIES, LEN, SEED);
+    let qs = kind.queries(QUERIES, LEN, SEED + 1);
+    let queries: Vec<&[f32]> = qs.iter().collect();
+    let dir = std::env::temp_dir().join(format!("dsidx-work-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("data.dsidx");
+    write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
+
+    let messi_cfg = MessiConfig::new(tree_config(), 1);
+    let (messi, _) = dsidx::messi::build(&data, &messi_cfg);
+    let (paris, _) = dsidx::paris::build_in_memory(
+        &data,
+        &ParisConfig::new(tree_config(), 1)
+            .with_block_series(64)
+            .with_generation_series(512),
+    );
+
+    let mut rows = Vec::new();
+    for k in [1usize, 10] {
+        for (mname, measure) in measures() {
+            let (matches, stats) =
+                dsidx::messi::exact(&messi, &data, &queries, measure, k, 1, None).unwrap();
+            rows.push((
+                format!("{name}/messi-resident/{mname}/k{k}"),
+                row(&matches, &stats),
+            ));
+            let (matches, stats) =
+                dsidx::messi::exact(&messi, &file, &queries, measure, k, 1, None).unwrap();
+            rows.push((
+                format!("{name}/messi-shared-fetch/{mname}/k{k}"),
+                row(&matches, &stats),
+            ));
+            rows.push((
+                format!("{name}/best-leaf/{mname}/k{k}"),
+                approx_row(&queries, |q| best_leaf(&messi, &data, q, measure, k)),
+            ));
+            rows.push((
+                format!("{name}/paris-approx/{mname}/k{k}"),
+                approx_row(&queries, |q| sketch_nearest(&paris, &data, q, measure, k)),
+            ));
+        }
+        let (matches, stats) = dsidx::paris::exact(&paris, &data, &queries, k, 1, None).unwrap();
+        rows.push((
+            format!("{name}/paris-exact-memory/ed/k{k}"),
+            row(&matches, &stats),
+        ));
+        let (matches, stats) = dsidx::paris::exact(&paris, &file, &queries, k, 1, None).unwrap();
+        rows.push((
+            format!("{name}/paris-exact-file/ed/k{k}"),
+            row(&matches, &stats),
+        ));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    rows
+}
+
+/// MESSI's (and ADS+'s) approximate answer: the best-leaf visit.
+fn best_leaf(
+    messi: &dsidx::messi::MessiIndex,
+    source: &impl RawSource,
+    query: &[f32],
+    measure: Measure,
+    k: usize,
+) -> (Vec<Match>, QueryStats) {
+    let (tree, config) = (&messi.tree, &messi.config);
+    let quantizer = config.quantizer();
+    match measure {
+        Measure::Euclidean => {
+            let prep = PreparedQuery::new(quantizer, query);
+            approx_best_leaf(tree, config, source, query, &prep, k)
+        }
+        Measure::Dtw { band } => {
+            let prep = DtwPrepared::new(quantizer, query, band);
+            approx_best_leaf(tree, config, source, query, &prep, k)
+        }
+    }
+    .unwrap()
+}
+
+/// ParIS's approximate answer: the sketch-nearest probe.
+fn sketch_nearest(
+    paris: &ParisIndex,
+    source: &impl RawSource,
+    query: &[f32],
+    measure: Measure,
+    k: usize,
+) -> (Vec<Match>, QueryStats) {
+    let quantizer = paris.config.quantizer();
+    match measure {
+        Measure::Euclidean => {
+            let prep = PreparedQuery::new(quantizer, query);
+            dsidx::paris::approx(paris, source, query, &prep, k)
+        }
+        Measure::Dtw { band } => {
+            let prep = DtwPrepared::new(quantizer, query, band);
+            dsidx::paris::approx(paris, source, query, &prep, k)
+        }
+    }
+    .unwrap()
+}
+
+#[test]
+fn every_call_does_the_pinned_work() {
+    let mut got = rows_for(DatasetKind::Synthetic, "synthetic");
+    got.extend(rows_for(DatasetKind::Sald, "sald"));
+    let mut printed = String::new();
+    for (label, values) in &got {
+        let cells: Vec<String> = values.iter().map(u64::to_string).collect();
+        writeln!(printed, "    (\"{label}\", [{}]),", cells.join(", ")).unwrap();
+    }
+    println!("{printed}");
+    assert_eq!(
+        got.len(),
+        TABLE.len(),
+        "one pinned row per call:\n{printed}"
+    );
+    for ((label, values), (want_label, want)) in got.iter().zip(TABLE) {
+        assert_eq!(label, want_label, "rows out of order:\n{printed}");
+        assert_eq!(values, want, "{label}: the work done changed:\n{printed}");
+    }
+}
