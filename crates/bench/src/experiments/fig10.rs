@@ -12,7 +12,7 @@
 
 use crate::{disk_dataset, f, ms, print_ordering, time_queries, Scale, Table};
 use dsidx::messi::{build_from_file, MessiConfig};
-use dsidx::paris::{build_on_disk, exact, Overlap, ParisConfig, ParisIndex};
+use dsidx::paris::{build_on_disk, exact, Overlap, ParisConfig};
 use dsidx::prelude::*;
 use dsidx::storage::DatasetFile;
 use std::sync::Arc;
@@ -55,11 +55,12 @@ pub(crate) fn run_profile(scale: &Scale, profile: DeviceProfile, table_name: &st
             let unthrottled =
                 DatasetFile::open(&path, Arc::new(Device::unthrottled())).expect("open");
             let serial = MessiConfig::new(tree.clone(), 1);
-            let (messi, _) = build_from_file(&unthrottled, &serial, 4096).expect("ads build");
-            ParisIndex::from_tree(messi.tree, messi.config, None)
+            build_from_file(&unthrottled, &serial, 4096)
+                .expect("ads build")
+                .0
         };
         let ads_t = time_queries(&qs, |q| {
-            let _ = exact(&ads, &file, &[q], 1, 1, None).expect("query");
+            let _ = exact(&ads, None, &file, &[q], 1, 1, None).expect("query");
         });
 
         // ParIS+: parallel index query.
@@ -69,13 +70,13 @@ pub(crate) fn run_profile(scale: &Scale, profile: DeviceProfile, table_name: &st
             .with_block_series(1024.min(scale.disk_series))
             .with_generation_series((scale.disk_series / 4).max(1024));
         let store = crate::data_dir().join(format!("{table_name}-{}.leaf", kind.name()));
-        let (paris, _) = {
+        let (paris, leaves, _) = {
             let unthrottled =
                 DatasetFile::open(&path, Arc::new(Device::unthrottled())).expect("open");
             build_on_disk(&unthrottled, &store, &cfg, Overlap::ParisPlus).expect("build")
         };
         let paris_t = time_queries(&qs, |q| {
-            let _ = exact(&paris, &file, &[q], 1, cores, None).expect("query");
+            let _ = exact(&paris, Some(&leaves), &file, &[q], 1, cores, None).expect("query");
         });
 
         let ratio = |d: std::time::Duration| d.as_secs_f64() / paris_t.as_secs_f64();

@@ -50,7 +50,7 @@ pub fn run(scale: &Scale) {
         // Warm up all engines once (pool wake + caches).
         let w = qs.get(0);
         let _ = dsidx::ucr::scan_ed_parallel(&data, w, cores);
-        let paris_nn = |q: &[f32]| dsidx::paris::exact(&paris, &data, &[q], 1, cores, None);
+        let paris_nn = |q: &[f32]| dsidx::paris::exact(&paris, None, &data, &[q], 1, cores, None);
         let messi_nn = |q: &[f32]| {
             dsidx::messi::exact(&messi, &data, &[q], Measure::Euclidean, 1, cores, None)
         };

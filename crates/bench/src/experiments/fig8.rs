@@ -30,12 +30,12 @@ pub fn run(scale: &Scale) {
             .with_block_series(1024.min(scale.disk_series))
             .with_generation_series((scale.disk_series / 4).max(1024));
         let store = crate::data_dir().join(format!("fig8-{}.leaf", profile.name));
-        let (paris, _) =
+        let (paris, leaves, _) =
             build_on_disk(&file, &store, &cfg, Overlap::ParisPlus).expect("paris build");
         for &cores in &core_ladder(&[2, 4, 6, 12, 24]) {
             dsidx::sync::pool::global(cores).broadcast(&|_| {});
             let avg = time_queries(&qs, |q| {
-                let _ = exact(&paris, &file, &[q], 1, cores, None).expect("query");
+                let _ = exact(&paris, Some(&leaves), &file, &[q], 1, cores, None).expect("query");
             });
             table.row(&[profile.name.into(), cores.to_string(), f(ms(avg))]);
         }

@@ -29,7 +29,7 @@ pub fn run(scale: &Scale) {
             let _ = dsidx::ucr::scan_ed_parallel(&data, q, cores);
         });
         let paris_t = time_queries(&qs, |q| {
-            let _ = dsidx::paris::exact(&paris, &data, &[q], 1, cores, None).expect("query");
+            let _ = dsidx::paris::exact(&paris, None, &data, &[q], 1, cores, None).expect("query");
         });
         let messi_t = time_queries(&qs, |q| {
             let _ = dsidx::messi::exact(&messi, &data, &[q], Measure::Euclidean, 1, cores, None);

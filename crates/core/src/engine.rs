@@ -9,11 +9,12 @@
 //! [`QuerySpec`] (how many neighbors, which [`Measure`], which
 //! [`Fidelity`], stats or not) and execute it with
 //! [`Search::search`] — one method, one internal dispatch (`Index::run`)
-//! onto one exact entry point per index kind (ParIS's SAX-array scan, which
-//! ADS+ runs at one worker, and MESSI's tree traversal) and one approximate
-//! one per answer kind (the best-leaf visit of ADS+ and MESSI, ParIS's
-//! sketch-nearest probe), batches as the native shape (a single query is a
-//! batch of one).
+//! onto one exact entry point per query schedule (ParIS's scan of the
+//! tree's entry words, which ADS+ runs at one worker, and MESSI's tree
+//! traversal) and one approximate one per answer kind (the best-leaf visit
+//! of ADS+ and MESSI, ParIS's sketch-nearest probe), batches as the native
+//! shape (a single query is a batch of one). Every engine holds the same
+//! thing, the flat tree it built; only the engine picks the schedule.
 
 use crate::answers::Answers;
 use crate::error::Error;
@@ -27,15 +28,15 @@ use dsidx_query::{BatchStats, DtwPrepared, Prepared, PreparedQuery, ShardView};
 use dsidx_series::{Dataset, Match};
 use dsidx_storage::{DatasetFile, Device, DeviceProfile, EntryRuns, RawSource, StorageError};
 use dsidx_tree::stats::{index_stats, IndexStats};
-use dsidx_tree::{FlatTree, TreeConfig};
+use dsidx_tree::FlatTree;
 use std::path::Path;
 use std::sync::Arc;
 
 /// Which indexing engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// ADS+-style serial baseline: MESSI's build and ParIS's SAX-array
-    /// scan (the paper's SIMS made parallel), both at one worker whatever
+    /// ADS+-style serial baseline: MESSI's build and ParIS's scan (the
+    /// paper's SIMS made parallel), both at one worker whatever
     /// [`Options::threads`] says. Its approximate answer is the best-leaf
     /// visit, and its exact DTW the UCR scan.
     Ads,
@@ -93,60 +94,6 @@ impl Engine {
     }
 }
 
-/// The built engine behind an [`Index`]: a SAX-array scan index (ParIS and
-/// ParIS+, which differ in how they build, not in what they build, and
-/// ADS+, which scans it at one worker) or MESSI's traversed tree.
-enum Built {
-    Paris(dsidx_paris::ParisIndex),
-    Messi(dsidx_messi::MessiIndex),
-}
-
-impl Built {
-    /// The flat iSAX tree every engine holds, and the configuration it was
-    /// built under.
-    fn tree(&self) -> (&FlatTree, &TreeConfig) {
-        match self {
-            Built::Paris(paris) => (&paris.tree, &paris.config),
-            Built::Messi(messi) => (&messi.tree, &messi.config),
-        }
-    }
-
-    /// Holds a MESSI-built tree (built or decoded) the way `engine` queries
-    /// it: ADS+ scans its SAX array, MESSI traverses it. An ADS+ index
-    /// holds no entry runs: its approximate answer visits the resident
-    /// tree and reads no leaf back.
-    fn from_messi(engine: Engine, messi: dsidx_messi::MessiIndex) -> Self {
-        match engine {
-            Engine::Ads => Built::Paris(dsidx_paris::ParisIndex::from_tree(
-                messi.tree,
-                messi.config,
-                None,
-            )),
-            _ => Built::Messi(messi),
-        }
-    }
-
-    /// Reassembles `engine`'s index from a decoded snapshot: the tree goes
-    /// in as decoded, the scan engines rebuild the SAX array from it, and
-    /// ParIS reads its leaves back from `leaves`, the snapshot's own entry
-    /// runs, when it answers on disk.
-    fn from_snapshot(
-        engine: Engine,
-        contents: SnapshotContents,
-        leaves: Option<EntryRuns>,
-    ) -> Self {
-        let SnapshotContents { tree, config, .. } = contents;
-        match engine {
-            Engine::Paris | Engine::ParisPlus => {
-                Built::Paris(dsidx_paris::ParisIndex::from_tree(tree, config, leaves))
-            }
-            Engine::Ads | Engine::Messi => {
-                Self::from_messi(engine, dsidx_messi::MessiIndex { tree, config })
-            }
-        }
-    }
-}
-
 /// Emits one `search` trace event per [`Search::search`] call when the
 /// structured trace stream is on (`DSIDX_TRACE`); one relaxed atomic load
 /// when it is off.
@@ -191,7 +138,13 @@ pub struct Index<S> {
     source: S,
     engine: Engine,
     options: Options,
-    built: Built,
+    /// The flat iSAX tree every engine builds and queries, with the
+    /// configuration it was built under.
+    tree: FlatTree,
+    /// The tree's entry runs on disk, which an on-disk ParIS/ParIS+ index
+    /// reads a leaf back from: the rewritten leaf store of its build, or
+    /// the snapshot it was opened from (none for any other index).
+    leaves: Option<EntryRuns>,
     /// Build time decomposition (none for an opened index).
     build_report: Option<BuildReport>,
 }
@@ -214,7 +167,7 @@ impl<S> Index<S> {
     /// Structural statistics of the underlying tree.
     #[must_use]
     pub fn stats(&self) -> IndexStats {
-        index_stats(self.built.tree().0)
+        index_stats(&self.tree)
     }
 
     /// Where the build's wall time went (see [`BuildReport`]): `Some` for
@@ -227,22 +180,25 @@ impl<S> Index<S> {
     /// Pairs a decoded snapshot with the `source` it was opened over. The
     /// engine and tree geometry come from the snapshot: the corresponding
     /// fields of `options` are overridden, so queries run with the
-    /// geometry the tree was actually built with.
+    /// geometry the tree was actually built with. A ParIS/ParIS+ index
+    /// reads its leaves back from `leaves`, the snapshot's own entry runs,
+    /// when it answers on disk; the other engines drop them.
     fn from_snapshot(
         source: S,
-        contents: SnapshotContents,
+        SnapshotContents { engine, tree }: SnapshotContents,
         options: &Options,
         leaves: Option<EntryRuns>,
     ) -> Self {
-        let engine = contents.engine;
+        let config = tree.config();
         Self {
             source,
             engine,
             options: options
                 .clone()
-                .with_segments(contents.config.segments())
-                .with_leaf_capacity(contents.config.leaf_capacity()),
-            built: Built::from_snapshot(engine, contents, leaves),
+                .with_segments(config.segments())
+                .with_leaf_capacity(config.leaf_capacity()),
+            leaves: leaves.filter(|_| matches!(engine, Engine::Paris | Engine::ParisPlus)),
+            tree,
             build_report: None,
         }
     }
@@ -269,18 +225,18 @@ impl<S> Index<S> {
     ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
         let (k, measure) = (spec.k(), spec.measure_kind());
         let threads = self.options.effective_threads();
-        let quantizer = self.built.tree().1.quantizer();
-        Ok(match (spec.fidelity_kind(), &self.built, measure) {
-            (Fidelity::Exact, Built::Messi(messi), _) => {
-                dsidx_messi::exact(messi, source, queries, measure, k, threads, shard)
+        let (tree, quantizer) = (&self.tree, self.tree.config().quantizer());
+        Ok(match (spec.fidelity_kind(), self.engine, measure) {
+            (Fidelity::Exact, Engine::Messi, _) => {
+                dsidx_messi::exact(tree, source, queries, measure, k, threads, shard)
             }
-            (Fidelity::Exact, Built::Paris(paris), Measure::Euclidean) => {
-                let workers = self.engine.workers(&self.options);
-                dsidx_paris::exact(paris, source, queries, k, workers, shard)
+            (Fidelity::Exact, _, Measure::Euclidean) => {
+                let (leaves, workers) = (self.leaves.as_ref(), self.engine.workers(&self.options));
+                dsidx_paris::exact(tree, leaves, source, queries, k, workers, shard)
             }
             // The scan engines have no DTW index path: the one parallel UCR
             // scan over the raw source (still exact, just index-free).
-            (Fidelity::Exact, Built::Paris(_), Measure::Dtw { band }) => {
+            (Fidelity::Exact, _, Measure::Dtw { band }) => {
                 dsidx_ucr::scan_dtw_parallel(source, queries, band, k, threads, shard)
             }
             (Fidelity::Approximate, _, Measure::Euclidean) => {
@@ -304,18 +260,19 @@ impl<S> Index<S> {
         k: usize,
         prepare: impl Fn(&[f32]) -> Q,
     ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-        let (tree, config) = self.built.tree();
         let mut matches = Vec::with_capacity(queries.len());
         let mut per_query = Vec::with_capacity(queries.len());
         let mut clock = PhaseClock::start();
         for (i, &q) in queries.iter().enumerate() {
             let prep = prepare(q);
             let prepare_nanos = clock.lap();
-            let answer = match &self.built {
-                Built::Paris(paris) if self.engine != Engine::Ads => {
-                    dsidx_paris::approx(paris, source, q, &prep, k)
+            let answer = match self.engine {
+                Engine::Paris | Engine::ParisPlus => {
+                    dsidx_paris::approx(&self.tree, source, q, &prep, k)
                 }
-                _ => dsidx_query::approx_best_leaf(tree, config, source, q, &prep, k),
+                Engine::Ads | Engine::Messi => {
+                    dsidx_query::approx_best_leaf(&self.tree, source, q, &prep, k)
+                }
             };
             // The approximate visit is one seeding pass; engines that
             // annotated a more precise phase keep it (first wins).
@@ -377,33 +334,29 @@ impl MemoryIndex {
     ) -> Result<Self, Error> {
         let data = data.into();
         let series_len = data.series_len();
-        let (built, report) = match engine {
+        let (tree, report) = match engine {
             Engine::Paris | Engine::ParisPlus => {
-                let (paris, report) =
-                    dsidx_paris::build_in_memory(&data, &options.paris_config(series_len)?);
-                (Built::Paris(paris), report)
+                dsidx_paris::build_in_memory(&data, &options.paris_config(series_len)?)
             }
             Engine::Ads | Engine::Messi => {
                 let config = options.messi_config(series_len, engine.workers(options))?;
-                let (messi, report) = dsidx_messi::build(&data, &config);
-                (Built::from_messi(engine, messi), report)
+                dsidx_messi::build(&data, &config)
             }
         };
         Ok(Self {
             source: data,
             engine,
             options: options.clone(),
-            built,
+            tree,
+            leaves: None,
             build_report: Some(report),
         })
     }
 
     /// Saves the built index as a snapshot file at `path`: the flat tree's
     /// arrays in the versioned container format (see the `snapshot` section
-    /// of the README) — the SAX words are the tree's entry words, so they
-    /// are not stored separately. The file is replaced whole, never
-    /// rewritten in place. The dataset
-    /// itself is *not* embedded — [`open`](Self::open) re-pairs the
+    /// of the README). The file is replaced whole, never rewritten in
+    /// place. The dataset itself is *not* embedded — [`open`](Self::open) re-pairs the
     /// snapshot with the caller's dataset and cross-checks the
     /// fingerprint. Returns the snapshot size in bytes.
     ///
@@ -411,7 +364,7 @@ impl MemoryIndex {
     /// I/O failures writing the file.
     pub fn save(&self, path: &Path) -> Result<u64, Error> {
         let device = Arc::new(Device::unthrottled());
-        save_snapshot(path, self.engine, self.built.tree(), &device)
+        save_snapshot(path, self.engine, &self.tree, &device)
     }
 
     /// Opens a snapshot saved by [`save`](Self::save) over `data` — the
@@ -477,7 +430,7 @@ impl DiskIndex {
         let series_len = file.series_len();
         // One workdir setup for every engine (scratch files land here).
         std::fs::create_dir_all(workdir).map_err(StorageError::from)?;
-        let (built, report) = match engine {
+        let (tree, leaves, report) = match engine {
             Engine::Paris | Engine::ParisPlus => {
                 let mode = if engine == Engine::Paris {
                     dsidx_paris::Overlap::Paris
@@ -491,28 +444,29 @@ impl DiskIndex {
                     std::process::id(),
                     BUILD_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
                 ));
-                let (paris, report) = dsidx_paris::build_on_disk(
+                let (tree, leaves, report) = dsidx_paris::build_on_disk(
                     &file,
                     &store_path,
                     &options.paris_config(series_len)?,
                     mode,
                 )?;
-                (Built::Paris(paris), report)
+                (tree, Some(leaves), report)
             }
             Engine::Ads | Engine::Messi => {
-                let (messi, report) = dsidx_messi::build_from_file(
+                let (tree, report) = dsidx_messi::build_from_file(
                     &file,
                     &options.messi_config(series_len, engine.workers(options))?,
                     options.block_series,
                 )?;
-                (Built::from_messi(engine, messi), report)
+                (tree, None, report)
             }
         };
         Ok(Self {
             source: file,
             engine,
             options: options.clone(),
-            built,
+            tree,
+            leaves,
             build_report: Some(report),
         })
     }
@@ -529,7 +483,7 @@ impl DiskIndex {
     /// # Errors
     /// I/O failures writing the snapshot.
     pub fn save(&self, path: &Path) -> Result<u64, Error> {
-        save_snapshot(path, self.engine, self.built.tree(), self.source.device())
+        save_snapshot(path, self.engine, &self.tree, self.source.device())
     }
 
     /// Opens a snapshot saved by [`save`](Self::save), re-pairing it with
@@ -1060,19 +1014,17 @@ mod tests {
     /// Every leaf of a ParIS+ index read back from its entry runs, with
     /// what each read-back cost on `device`: `(len, bytes, seeks)`.
     fn leaf_read_backs(index: &DiskIndex) -> Vec<(usize, u64, u64)> {
-        let Built::Paris(paris) = &index.built else {
-            panic!("a ParIS index");
-        };
-        let (runs, device) = (paris.leaves.as_ref().unwrap(), index.file().device());
+        let runs = index.leaves.as_ref().expect("a ParIS index on disk");
+        let (tree, device) = (&index.tree, index.file().device());
         let (mut words, mut positions) = (Vec::new(), Vec::new());
         let mut costs = Vec::new();
-        for leaf in paris.tree.nodes().iter().filter(|n| n.is_leaf()) {
+        for leaf in tree.nodes().iter().filter(|n| n.is_leaf()) {
             let before = device.stats();
             runs.read(leaf.entry_range(), &mut words, &mut positions)
                 .unwrap();
             let after = device.stats();
-            assert_eq!(words, paris.tree.leaf_words(leaf));
-            assert_eq!(positions, paris.tree.leaf_positions(leaf));
+            assert_eq!(words, tree.leaf_words(leaf));
+            assert_eq!(positions, tree.leaf_positions(leaf));
             costs.push((
                 leaf.subtree_len(),
                 after.bytes_read - before.bytes_read,
@@ -1149,7 +1101,7 @@ mod tests {
             // The decoded tree is structurally *equal* to the built one,
             // node for node (Index derives PartialEq) — the strongest
             // form of "no reconstruction drift".
-            assert_eq!(built.built.tree(), opened.built.tree(), "{}", engine.name());
+            assert_eq!(built.tree, opened.tree, "{}", engine.name());
         }
     }
 
@@ -1176,7 +1128,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(opened.engine(), engine);
-            assert_eq!(built.built.tree(), opened.built.tree(), "{}", engine.name());
+            assert_eq!(built.tree, opened.tree, "{}", engine.name());
             // ParIS reads its leaves back from the snapshot's entry runs —
             // same answers as from the built index's rewritten store.
             let a = built.search(&qs, &QuerySpec::knn(5)).unwrap();

@@ -58,22 +58,26 @@
 //! * [`isax`] — PAA, breakpoints, iSAX words, MINDIST lower bounds;
 //! * [`tree`] — the shared iSAX tree: grown straight into flat arrays
 //!   (ParIS: as a boxed graph by inserts, then flattened), held and
-//!   persisted as those arrays;
+//!   persisted as those arrays. A [`tree::FlatTree`] carries the
+//!   [`tree::TreeConfig`] it was built under, and it is all any engine
+//!   builds, holds and queries;
 //! * [`storage`] — dataset files, device throttling profiles, leaf store;
 //! * [`query`] — the shared exact-NN query kernel (preparation, BSF
 //!   seeding, early-abandoned candidate scans, unified [`QueryStats`]) and
 //!   the best-leaf visit that is ADS+'s and MESSI's approximate answer;
 //! * [`ucr`], [`paris`], [`messi`] — the engines, each with one exact
 //!   entry point (`exact`; ParIS also its sketch-nearest `approx`) taking
-//!   batches (and, for MESSI, the [`Measure`]) as values. The ADS+
+//!   a flat tree and batches (and, for MESSI, the [`Measure`]) as values;
+//!   ParIS's scans the tree's own entry words. The ADS+
 //!   baseline is no crate of its own: it is MESSI's build and ParIS's
 //!   `exact`, both at one worker ([`Engine::Ads`]);
 //! * [`sync`] — the concurrency substrate (atomic BSF, Fetch&Inc claims).
 //!
 //! The facade itself is small: [`engine`] holds the one index type
 //! ([`engine::Index`], of which [`MemoryIndex`] and [`DiskIndex`] are the
-//! two instantiations) and the one dispatch from a [`QuerySpec`] onto
-//! those entry points; [`shard`] scatters the same dispatch over slices of
+//! two instantiations: a flat tree, beside the source it answers from) and
+//! the one dispatch from a [`QuerySpec`] and the [`Engine`] onto those
+//! entry points; [`shard`] scatters the same dispatch over slices of
 //! a collection. Use the facade types for application code and the engine
 //! crates directly for experiments that need full control (the
 //! `dsidx-bench` harness does the latter).

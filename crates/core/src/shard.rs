@@ -134,8 +134,11 @@ fn slice_of(source: &impl RawSource, range: Range<usize>) -> Result<Dataset, Err
 
 /// The per-shard assembly loop behind all four constructors: one index per
 /// [`partition`] slice of `total` series, from `index_for(shard, slice)`.
-/// A storage failure is labeled with its shard, and every index must
-/// report `engine` (an opened snapshot names its own).
+/// A storage failure is labeled with its shard, every index must report
+/// `engine` (an opened snapshot names its own), and every index must hold
+/// exactly its slice's series — a manifest whose slices were shifted
+/// consistently with its `total` still passes [`ManifestShard::check_slice`],
+/// but not this.
 fn assemble<S>(
     total: usize,
     shards: usize,
@@ -150,6 +153,14 @@ fn assemble<S>(
                 "shard {s} snapshot was saved with engine {}, manifest says {}",
                 index.engine().name(),
                 engine.name()
+            )));
+        }
+        let held = index.stats().entry_count;
+        if held != range.len() {
+            return Err(manifest_corrupt(format!(
+                "shard {s} holds {held} series but the manifest gives it {} — the manifest was \
+                 edited or truncated",
+                range.len()
             )));
         }
         built.push(Shard {
@@ -897,6 +908,39 @@ mod tests {
             Ok(_) => panic!("tampered manifest accepted"),
         };
         assert!(err.contains("shard 2"), "{err}");
+    }
+
+    #[test]
+    fn a_manifest_shifted_consistently_with_its_total_is_refused() {
+        // Two shards of 200, the manifest edited to 402 series in slices
+        // (0, 201) and (201, 201): the partition rule agrees with it, but
+        // the shard files still hold 200 each, so every position past the
+        // first shard would come back shifted by one.
+        let dir = std::env::temp_dir().join(format!("dsidx-shardsnap-s-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("full.dsidx");
+        let data = DatasetKind::Synthetic.generate(400, 64, 47);
+        dsidx_storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let opts = Options::default().with_threads(2).with_leaf_capacity(16);
+        let profile = DeviceProfile::UNTHROTTLED;
+        let built =
+            ShardedIndex::build_on_disk(&path, &dir, 2, Engine::Messi, &opts, profile).unwrap();
+        let snapdir = dir.join("snap");
+        built.save(&snapdir).unwrap();
+        let manifest = snapdir.join("MANIFEST");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let edited = text
+            .replace("total 400\n", "total 402\n")
+            .replace("shard 0 disk 0 200 ", "shard 0 disk 0 201 ")
+            .replace("shard 1 disk 200 200 ", "shard 1 disk 201 201 ");
+        assert_eq!(edited.matches("201").count(), 3, "{edited}");
+        std::fs::write(&manifest, edited).unwrap();
+        let err = match ShardedIndex::open_on_disk(&snapdir, &Options::default(), profile) {
+            Err(e) => e.to_string(),
+            Ok(opened) => panic!("shifted manifest accepted: {} series", opened.len()),
+        };
+        assert!(err.contains("shard 0 holds 200 series"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

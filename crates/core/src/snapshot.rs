@@ -39,9 +39,7 @@ const SNAPSHOT_OPEN_BYTES: &str = "dsidx_snapshot_open_bytes";
 
 // Section ids (1..=8 printable ASCII bytes, see the container docs).
 // There is deliberately no SAX section: WORDS and POSITION already carry
-// every (position, word) pair, so ADS+ and ParIS rebuild their SAX array
-// from the decoded tree — storing it twice would cost ~`segments` bytes
-// per series of open-path bandwidth to verify a duplicate.
+// every (position, word) pair, and ADS+ and ParIS scan them as they are.
 const SEC_NODES: &str = "NODES";
 const SEC_ROOTS: &str = "ROOTS";
 const SEC_WORDS: &str = "WORDS";
@@ -78,16 +76,17 @@ fn codec(e: CodecError) -> Error {
     corrupt(e.to_string())
 }
 
-/// Writes one engine index — its flat tree, built under `config` — as a
-/// snapshot file. Returns the file size; charging goes to `device` as one
-/// sequential append.
+/// Writes one engine index — its flat tree, with the configuration it was
+/// built under — as a snapshot file. Returns the file size; charging goes
+/// to `device` as one sequential append.
 pub(crate) fn save_snapshot(
     path: &Path,
     engine: Engine,
-    (tree, config): (&FlatTree, &TreeConfig),
+    tree: &FlatTree,
     device: &Arc<Device>,
 ) -> Result<u64, Error> {
     let start = Instant::now();
+    let config = tree.config();
     let fingerprint = SnapshotFingerprint {
         engine: engine_id(engine),
         segments: config.segments() as u8,
@@ -114,15 +113,14 @@ pub(crate) fn save_snapshot(
     Ok(total)
 }
 
-/// Everything an opened snapshot reconstitutes, before engine-specific
-/// assembly (ADS+/ParIS SAX array).
+/// Everything an opened snapshot reconstitutes.
 pub(crate) struct SnapshotContents {
     pub engine: Engine,
+    /// The decoded tree, under the geometry from the fingerprint — the
+    /// opener overrides its [`Options`](crate::Options) with it so
+    /// query-time configs match the snapshot, not the caller's (possibly
+    /// different) defaults.
     pub tree: FlatTree,
-    /// Tree geometry from the fingerprint — the opener overrides its
-    /// [`Options`](crate::Options) with it so query-time configs match the
-    /// snapshot, not the caller's (possibly different) defaults.
-    pub config: TreeConfig,
 }
 
 /// Opens, validates and decodes a snapshot against the dataset it will
@@ -181,7 +179,7 @@ pub(crate) fn open_snapshot(
         words: reader.read_section(SEC_WORDS)?,
         positions: reader.read_section(SEC_POSITIONS)?,
     };
-    let tree = decode_tree(config.clone(), expect_count, &sections).map_err(codec)?;
+    let tree = decode_tree(config, expect_count, &sections).map_err(codec)?;
     let at = |id| reader.section_range(id).expect("section read above").0;
     let (words_at, positions_at) = (at(SEC_WORDS), at(SEC_POSITIONS));
     let runs = EntryRuns::new(
@@ -215,14 +213,7 @@ pub(crate) fn open_snapshot(
             ],
         );
     }
-    Ok((
-        SnapshotContents {
-            engine,
-            tree,
-            config,
-        },
-        runs,
-    ))
+    Ok((SnapshotContents { engine, tree }, runs))
 }
 
 fn record_snapshot_obs(

@@ -12,9 +12,9 @@
 //! `sum_{j in seg}(q_j - c_j)^2 >= len_i * (paa(q)_i - paa(c)_i)^2 >=
 //! len_i * d(paa(q)_i, [lo_i, hi_i))^2`.
 //!
-//! For query scans over the SAX array (ParIS stage 4), [`MindistTable`]
+//! For query scans over every series' word (ParIS stage 4), [`MindistTable`]
 //! precomputes the per-(segment, symbol) contribution once per query, so
-//! each array entry costs `w` table lookups and adds — the Rust counterpart
+//! each word costs `w` table lookups and adds — the Rust counterpart
 //! of the paper's SIMD lower-bound kernel.
 
 use crate::breakpoints::breakpoints;
@@ -297,10 +297,9 @@ fn node_slot(bits: u8, prefix: u8) -> usize {
 /// reduces each to `w` lookups and adds, like [`MindistTable`] does for
 /// full-cardinality words.
 ///
-/// The [`Default`] table has no segments and bounds everything at zero;
-/// [`fill_point`](Self::fill_point) / [`fill_interval`](Self::fill_interval)
-/// size it for a query. `==` compares slots as [`MindistTable`]'s does.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// [`new_point`](Self::new_point) / [`new_interval`](Self::new_interval)
+/// build it for a query. `==` compares slots as [`MindistTable`]'s does.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeMindistTable {
     /// Flat layout: `seg * NODE_ROW + node_slot(bits, prefix)`.
     table: Vec<f32>,
@@ -311,59 +310,45 @@ impl NodeMindistTable {
     /// Builds the table for an ED query with PAA `paa`.
     #[must_use]
     pub fn new_point(paa: &[f32], seg_lens: &[u32]) -> Self {
-        let mut table = Self::default();
-        table.fill_point(paa, seg_lens);
-        table
+        Self::filled(paa.len(), seg_lens, |seg, weight, edges, row| {
+            point_row(row, edges, paa[seg], weight);
+        })
     }
 
     /// Builds the table for a DTW query with PAA envelope bounds.
     #[must_use]
     pub fn new_interval(env_lo: &[f32], env_hi: &[f32], seg_lens: &[u32]) -> Self {
-        let mut table = Self::default();
-        table.fill_interval(env_lo, env_hi, seg_lens);
-        table
-    }
-
-    /// Refills this table for another ED query, reusing its buffer — a
-    /// worker answering many queries keeps one table instead of allocating
-    /// a fresh one per query.
-    pub fn fill_point(&mut self, paa: &[f32], seg_lens: &[u32]) {
-        self.fill(paa.len(), seg_lens, |seg, weight, edges, row| {
-            point_row(row, edges, paa[seg], weight);
-        });
-    }
-
-    /// Refills this table for another DTW query (see
-    /// [`fill_point`](Self::fill_point)).
-    pub fn fill_interval(&mut self, env_lo: &[f32], env_hi: &[f32], seg_lens: &[u32]) {
-        self.fill(env_lo.len(), seg_lens, |seg, weight, edges, row| {
+        Self::filled(env_lo.len(), seg_lens, |seg, weight, edges, row| {
             interval_row(row, edges, env_lo[seg], env_hi[seg], weight);
-        });
+        })
     }
 
-    /// Fills, for every segment and cardinality, the `2^bits` contiguous
-    /// slots from `node_slot(bits, 0)` through `fill_row(seg, weight,
-    /// edges, slots)`, `edges` being that cardinality's region boundaries.
-    fn fill(
-        &mut self,
+    /// A table whose slots, for every segment and cardinality, are the
+    /// `2^bits` contiguous ones from `node_slot(bits, 0)`, filled through
+    /// `fill_row(seg, weight, edges, slots)`, `edges` being that
+    /// cardinality's region boundaries.
+    fn filled(
         segments: usize,
         seg_lens: &[u32],
         fill_row: impl Fn(usize, f32, &[f32], &mut [f32]),
-    ) {
+    ) -> Self {
         assert_eq!(segments, seg_lens.len());
         let bp = breakpoints();
-        // Every slot a lookup can reach is rewritten below; the one spare
-        // slot per row stays zero from the sizing.
-        self.table.resize(segments * NODE_ROW, 0.0);
-        self.segments = segments;
-        let rows = self.table.chunks_exact_mut(NODE_ROW);
-        for ((seg, &seg_len), row) in seg_lens.iter().enumerate().zip(rows) {
+        // Every slot a lookup can reach is written below; the one spare
+        // slot per row stays zero.
+        let mut table = vec![0.0; segments * NODE_ROW];
+        for ((seg, &seg_len), row) in seg_lens
+            .iter()
+            .enumerate()
+            .zip(table.chunks_exact_mut(NODE_ROW))
+        {
             for bits in 0..=MAX_BITS {
                 let start = node_slot(bits, 0);
                 let slots = &mut row[start..start + (1 << bits)];
                 fill_row(seg, seg_len as f32, bp.edges(bits), slots);
             }
         }
+        Self { table, segments }
     }
 
     /// The contribution of segment `seg` at one-bit cardinality, for both
@@ -629,24 +614,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn refilled_node_table_equals_a_fresh_one() {
-        // One table reused across queries, segment counts and both kinds.
-        let mut reused = NodeMindistTable::default();
-        for (seed, segments) in [(3u64, 16usize), (4, 8), (5, 16)] {
-            let q = Quantizer::new(64, segments).unwrap();
-            let paa_a = crate::paa::paa(&series(seed, 64), segments);
-            reused.fill_point(&paa_a, q.segment_lens());
-            let fresh = NodeMindistTable::new_point(&paa_a, q.segment_lens());
-            assert_eq!(reused.table, fresh.table, "point, {segments} segments");
-            let lo: Vec<f32> = paa_a.iter().map(|v| v - 0.2).collect();
-            let hi: Vec<f32> = paa_a.iter().map(|v| v + 0.2).collect();
-            reused.fill_interval(&lo, &hi, q.segment_lens());
-            let fresh = NodeMindistTable::new_interval(&lo, &hi, q.segment_lens());
-            assert_eq!(reused.table, fresh.table, "interval, {segments} segments");
-        }
-    }
-
     /// Values a table row can be filled for: random ones, every 8-bit
     /// breakpoint (so a coarser region's edge too) and values an ulp or
     /// two either side,
@@ -666,7 +633,6 @@ mod tests {
         let bp = breakpoints();
         let q = Quantizer::new(250, 16).unwrap(); // weights 15 and 16
         let values = probe_values();
-        let mut node = NodeMindistTable::default();
         for (i, chunk) in values.chunks(16).enumerate() {
             let mut paa = [0.5f32; 16];
             paa[..chunk.len()].copy_from_slice(chunk);
@@ -686,11 +652,11 @@ mod tests {
                 MindistTable::new_interval(&lo, &hi, lens),
             ];
             for (kind, word) in words.iter().enumerate() {
-                if kind == 0 {
-                    node.fill_point(&paa, lens);
+                let node = if kind == 0 {
+                    NodeMindistTable::new_point(&paa, lens)
                 } else {
-                    node.fill_interval(&lo, &hi, lens);
-                }
+                    NodeMindistTable::new_interval(&lo, &hi, lens)
+                };
                 let dist = |seg: usize, (rlo, rhi): (f32, f32)| {
                     lens[seg] as f32
                         * if kind == 0 {

@@ -91,7 +91,7 @@ pub fn paa(series: &[f32], segments: usize) -> Vec<f32> {
 /// segments the right-hand side is LB_Keogh, which lower-bounds banded DTW.
 /// An iSAX region that contains `c̄` is at least as close to `[L̄, Ū]` as
 /// `c̄` itself, so the interval MINDIST tables built from these bounds
-/// (`MindistTable::new_interval`, `NodeMindistTable::fill_interval`) stay
+/// (`MindistTable::new_interval`, `NodeMindistTable::new_interval`) stay
 /// below the DTW distance of every series the word or node can hold.
 pub fn envelope_paa_bounds(
     lower_env: &[f32],

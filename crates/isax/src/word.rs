@@ -34,8 +34,7 @@ pub fn root_key_segments(root_segments: usize, segments: usize) -> impl Iterator
 
 /// A full-cardinality iSAX word: one 8-bit symbol per segment.
 ///
-/// `Copy` and 17 bytes — the tree and the SAX array store these by value in
-/// flat arrays.
+/// `Copy` and 17 bytes — the tree stores these by value in flat arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Word {
     symbols: [u8; MAX_SEGMENTS],

@@ -36,18 +36,6 @@ use dsidx_tree::{FlatFragment, FlatTree, LeafEntry, TreeConfig};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
-/// A built MESSI index: the flat tree and nothing else. Queries traverse
-/// it (see [`dsidx_tree::flat`]) and read summaries from its leaves; there
-/// is no SAX array, which no MESSI query would read.
-#[derive(Debug)]
-pub struct MessiIndex {
-    /// The iSAX tree, flattened once its subtrees were built.
-    pub tree: FlatTree,
-    /// The configuration the tree was built under (fitted to the
-    /// collection).
-    pub config: TreeConfig,
-}
-
 /// Builds a MESSI index over an in-memory dataset. The report times
 /// stage 1 as `summarize`, stage 2 as `grow` and its serial end as
 /// `stitch`.
@@ -55,7 +43,7 @@ pub struct MessiIndex {
 /// # Panics
 /// Panics on configuration mismatches (series length, zero threads).
 #[must_use]
-pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildReport) {
+pub fn build(data: &Dataset, cfg: &MessiConfig) -> (FlatTree, BuildReport) {
     cfg.validate();
     assert_eq!(
         data.series_len(),
@@ -66,9 +54,9 @@ pub fn build(data: &Dataset, cfg: &MessiConfig) -> (MessiIndex, BuildReport) {
     let config = cfg.tree.fitted_to(data.len());
     let parts = summarize_per_thread(data, cfg, &config);
     let summarize = t0.elapsed();
-    let (index, report) = build_tree(cfg.threads, config, parts, t0);
+    let (tree, report) = build_tree(cfg.threads, config, parts, t0);
     (
-        index,
+        tree,
         BuildReport {
             summarize,
             ..report
@@ -98,7 +86,7 @@ pub fn build_from_file(
     file: &DatasetFile,
     cfg: &MessiConfig,
     block_series: usize,
-) -> Result<(MessiIndex, BuildReport), StorageError> {
+) -> Result<(FlatTree, BuildReport), StorageError> {
     cfg.validate();
     assert_eq!(
         file.series_len(),
@@ -133,9 +121,9 @@ pub fn build_from_file(
         start += count;
     }
     let summarize = t0.elapsed().saturating_sub(read);
-    let (index, report) = build_tree(cfg.threads, config, buffers, t0);
+    let (tree, report) = build_tree(cfg.threads, config, buffers, t0);
     Ok((
-        index,
+        tree,
         BuildReport {
             read,
             summarize,
@@ -205,7 +193,7 @@ const SUBTREES_PER_CLAIM: usize = 16;
 /// ([`FlatFragment::grow`]) and drops its stage-1 parts, so growing,
 /// laying out and freeing all run in parallel. All that is left after the
 /// broadcast is [`FlatTree::stitch`]: copying the fragments together in
-/// key order with rebased offsets. Returns the index and a report of the
+/// key order with rebased offsets. Returns the tree and a report of the
 /// two steps' wall time (`grow`, `stitch`) and the build's `total` since
 /// `t0`.
 fn build_tree(
@@ -213,7 +201,7 @@ fn build_tree(
     config: TreeConfig,
     buffers: Buffers,
     t0: Instant,
-) -> (MessiIndex, BuildReport) {
+) -> (FlatTree, BuildReport) {
     let t1 = Instant::now();
     let occupied: Vec<u16> = buffers
         .iter()
@@ -250,7 +238,7 @@ fn build_tree(
         .into_iter()
         .map(|f| f.expect("every run of subtrees was claimed"))
         .collect();
-    let tree = FlatTree::stitch(&config, fragments);
+    let tree = FlatTree::stitch(config, fragments);
     let stitch = t2.elapsed();
     let report = BuildReport {
         grow: t2 - t1,
@@ -258,7 +246,7 @@ fn build_tree(
         total: t0.elapsed(),
         ..BuildReport::default()
     };
-    (MessiIndex { tree, config }, report)
+    (tree, report)
 }
 
 /// The entries of one subtree's stage-1 parts (one per worker, or one in
@@ -310,14 +298,14 @@ mod tests {
     #[test]
     fn build_indexes_every_series() {
         let data = DatasetKind::Synthetic.generate(700, 64, 2);
-        let (messi, phases) = build(&data, &cfg(4));
-        assert_eq!(messi.tree.entry_count(), 700);
-        validate(&messi.tree, &messi.config, 700).unwrap();
+        let (tree, phases) = build(&data, &cfg(4));
+        assert_eq!(tree.entry_count(), 700);
+        validate(&tree, 700).unwrap();
         assert!(phases.total >= phases.summarize);
         // Every series sits in the tree under its own word.
-        let sax = messi.tree.sax_array();
-        for (pos, series) in data.iter().enumerate() {
-            assert_eq!(sax.word(pos), &messi.config.quantizer().word(series));
+        let quantizer = tree.config().quantizer();
+        for (word, &pos) in tree.words().iter().zip(tree.positions()) {
+            assert_eq!(word, &quantizer.word(data.get(pos as usize)));
         }
     }
 
@@ -329,7 +317,7 @@ mod tests {
             for _ in 0..2 {
                 let (again, _) = build(&data, &cfg(threads));
                 assert_eq!(
-                    first.tree, again.tree,
+                    first, again,
                     "tree shape must not depend on worker timing (x{threads})"
                 );
             }
@@ -351,11 +339,11 @@ mod tests {
         let (disk, phases) = build_from_file(&file, &cfg(4), 77).unwrap();
         // Identical words AND an identical tree: the determinism the
         // disk==memory query equivalence rests on.
-        assert_eq!(mem.tree, disk.tree);
+        assert_eq!(mem, disk);
         assert!(phases.total >= phases.summarize);
         // Streaming reads were charged to the device.
         assert_eq!(device.stats().bytes_read, 400 * 64 * 4);
-        validate(&disk.tree, &disk.config, 400).unwrap();
+        validate(&disk, 400).unwrap();
     }
 
     #[test]
@@ -372,43 +360,42 @@ mod tests {
         )
         .unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (messi, _) = build_from_file(&file, &cfg(2), 64).unwrap();
-        assert_eq!(messi.tree.entry_count(), 0);
+        let (tree, _) = build_from_file(&file, &cfg(2), 64).unwrap();
+        assert_eq!(tree.entry_count(), 0);
     }
 
     #[test]
     fn matches_serial_baseline_structure() {
         let data = DatasetKind::Seismic.generate(400, 64, 21);
-        let (messi, _) = build(&data, &cfg(6));
+        let (tree, _) = build(&data, &cfg(6));
         // 400 series in leaves of 16 want 25 leaves: 5 of the 8 segments
         // key the root, whatever fan-out the caller's config carried.
         let fitted = cfg(1).tree.fitted_to(400);
         assert_eq!(fitted.root_segments(), 5);
-        assert_eq!(messi.config, fitted);
-        assert_eq!(messi.tree.root_segments(), 5);
-        let stats = index_stats(&messi.tree);
+        assert_eq!(tree.config(), &fitted);
+        let stats = index_stats(&tree);
         assert!(stats.root_subtrees <= 32);
         // One entry at a time, in position order, into a tree of that shape.
         let mut serial = Index::new(fitted.clone());
         for (pos, series) in data.iter().enumerate() {
             serial.insert(LeafEntry::new(fitted.quantizer().word(series), pos as u32));
         }
-        assert_eq!(messi.tree, FlatTree::from_index(&serial));
+        assert_eq!(tree, FlatTree::from_index(&serial));
     }
 
     #[test]
     fn single_thread_build_works() {
         let data = DatasetKind::Synthetic.generate(100, 64, 4);
-        let (messi, _) = build(&data, &cfg(1));
-        assert_eq!(messi.tree.entry_count(), 100);
-        validate(&messi.tree, &messi.config, 100).unwrap();
+        let (tree, _) = build(&data, &cfg(1));
+        assert_eq!(tree.entry_count(), 100);
+        validate(&tree, 100).unwrap();
     }
 
     #[test]
     fn empty_dataset() {
         let data = Dataset::new(64).unwrap();
-        let (messi, _) = build(&data, &cfg(4));
-        assert_eq!(messi.tree.entry_count(), 0);
+        let (tree, _) = build(&data, &cfg(4));
+        assert_eq!(tree.entry_count(), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::build::{build, MessiIndex};
+    use crate::build::build;
     use crate::config::MessiConfig;
     use crate::query::exact;
     use dsidx_query::{approx_best_leaf, BatchStats, DtwPrepared, Measure, QueryStats};
@@ -40,6 +40,7 @@ mod tests {
     use dsidx_series::{Dataset, Match};
     use dsidx_storage::FlakySource;
     use dsidx_storage::{RawSource, StorageError};
+    use dsidx_tree::FlatTree;
     use dsidx_tree::TreeConfig;
     use dsidx_ucr::dtw::brute_force_dtw;
 
@@ -49,7 +50,7 @@ mod tests {
 
     /// [`exact`] under banded DTW for a batch, on `threads` workers.
     fn knn_dtw_batch(
-        messi: &MessiIndex,
+        messi: &FlatTree,
         source: &impl RawSource,
         queries: &[&[f32]],
         band: usize,
@@ -62,7 +63,7 @@ mod tests {
 
     /// One query through [`exact`] as a batch of one.
     fn knn_dtw(
-        messi: &MessiIndex,
+        messi: &FlatTree,
         source: &impl RawSource,
         q: &[f32],
         band: usize,
@@ -75,7 +76,7 @@ mod tests {
 
     /// The `k = 1` case of [`knn_dtw`]; `None` for an empty index.
     fn nn_dtw(
-        messi: &MessiIndex,
+        messi: &FlatTree,
         source: &impl RawSource,
         q: &[f32],
         band: usize,
@@ -86,7 +87,7 @@ mod tests {
     }
 
     /// Euclidean 1-NN through the same entry point.
-    fn nn_ed(messi: &MessiIndex, data: &Dataset, q: &[f32], threads: usize) -> Match {
+    fn nn_ed(messi: &FlatTree, data: &Dataset, q: &[f32], threads: usize) -> Match {
         let (matches, _) = exact(messi, data, &[q], Measure::Euclidean, 1, threads, None).unwrap();
         matches[0][0]
     }
@@ -262,9 +263,8 @@ mod tests {
         for q in queries.iter() {
             for k in [1usize, 5] {
                 let exact = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
-                let prep = DtwPrepared::new(messi.config.quantizer(), q, 4);
-                let (approx, stats) =
-                    approx_best_leaf(&messi.tree, &messi.config, &data, q, &prep, k).unwrap();
+                let prep = DtwPrepared::new(messi.config().quantizer(), q, 4);
+                let (approx, stats) = approx_best_leaf(&messi, &data, q, &prep, k).unwrap();
                 assert!(!approx.is_empty() && approx.len() <= k);
                 for (a, e) in approx.iter().zip(&exact) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6);

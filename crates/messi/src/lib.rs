@@ -42,7 +42,7 @@ pub mod pqueue;
 pub mod query;
 pub mod traverse;
 
-pub use build::{build, build_from_file, MessiIndex};
+pub use build::{build, build_from_file};
 pub use config::MessiConfig;
 pub use dsidx_query::{BatchStats, QueryStats};
 pub use query::exact;

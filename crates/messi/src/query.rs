@@ -26,8 +26,8 @@
 //! [`Measure`] as a value and prepares each query under it. All tree reads
 //! go through the flat tree ([`dsidx_tree::flat`]); the approximate answer
 //! is the shared best-leaf visit,
-//! [`approx_best_leaf`](dsidx_query::approx_best_leaf), over
-//! [`MessiIndex::tree`].
+//! [`approx_best_leaf`](dsidx_query::approx_best_leaf), over the same
+//! tree.
 //!
 //! # Which schedule runs
 //!
@@ -69,7 +69,6 @@
 //! the query and the phase it tripped in; its peers stop claiming,
 //! joining and waiting, and the coordinator returns the error.
 
-use crate::build::MessiIndex;
 use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
 use crate::traverse::{BatchTraversal, Traversal};
 use dsidx_isax::NodeMindistTable;
@@ -84,6 +83,7 @@ use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::{OffsetTopK, SpinBarrier, WorkQueue};
+use dsidx_tree::FlatTree;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -104,7 +104,7 @@ const LEAF_PREFETCH_LINES: usize = 4;
 /// prepared by the worker that claims it), the [`Prepared`] query itself
 /// under shared fetch.
 struct Call<'a, 'q, P, S> {
-    messi: &'a MessiIndex,
+    tree: &'a FlatTree,
     source: &'a S,
     threads: usize,
     batch: &'a QueryBatch<'q, P>,
@@ -114,7 +114,7 @@ struct Call<'a, 'q, P, S> {
 /// [`exact`] for queries prepared by `prepare`: builds the batch, picks
 /// the schedule (see the module docs), runs it in one broadcast.
 fn exact_batch<Q: Prepared>(
-    messi: &MessiIndex,
+    tree: &FlatTree,
     source: &impl RawSource,
     queries: &[&[f32]],
     k: usize,
@@ -122,13 +122,13 @@ fn exact_batch<Q: Prepared>(
     shard: Option<ShardView<'_>>,
     prepare: impl Fn(&[f32]) -> Q + Sync,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    let config = &messi.config;
+    let config = tree.config();
     for q in queries {
         assert_eq!(q.len(), config.series_len(), "query length mismatch");
     }
     assert!(threads > 0, "thread count must be non-zero");
     let mut clock = PhaseClock::start();
-    if messi.tree.entry_count() == 0 || queries.is_empty() {
+    if tree.entry_count() == 0 || queries.is_empty() {
         let batch = QueryBatch::prepared(queries, k, shard, |_| ());
         return Ok(batch.finish(0, QueryStats::default()));
     }
@@ -136,7 +136,7 @@ fn exact_batch<Q: Prepared>(
     if source.as_memory().is_some() {
         let batch = QueryBatch::prepared(queries, k, shard, |_| ());
         let call = Call {
-            messi,
+            tree,
             source,
             threads,
             batch: &batch,
@@ -149,7 +149,7 @@ fn exact_batch<Q: Prepared>(
     } else {
         let batch = QueryBatch::prepared(queries, k, shard, prepare);
         let call = Call {
-            messi,
+            tree,
             source,
             threads,
             batch: &batch,
@@ -274,7 +274,7 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
         prepare: impl Fn(&[f32]) -> Q,
         me: &mut Worker<'_, S>,
     ) -> Result<Open<'a, Q>, StorageError> {
-        let (flat, quantizer) = (&self.messi.tree, self.messi.config.quantizer());
+        let (flat, quantizer) = (self.tree, self.tree.config().quantizer());
         let slot = &self.batch.slots()[qi];
         let mut clock = PhaseClock::start();
         let prep = prepare(slot.values);
@@ -318,7 +318,7 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
         worker: usize,
         me: &mut Worker<'_, S>,
     ) {
-        let (flat, errors) = (&self.messi.tree, self.errors);
+        let (flat, errors) = (self.tree, self.errors);
         let slot = &self.batch.slots()[qi];
         let mut clock = PhaseClock::start();
         // Workers accumulate locally and merge once per visit — shared
@@ -388,18 +388,17 @@ impl<Q: Prepared, S: RawSource> Call<'_, '_, Q, S> {
     /// wants it. Returns the counters of the work done once for the batch.
     fn shared_fetch(&self, clock: &mut PhaseClock) -> Result<QueryStats, StorageError> {
         let Self {
-            messi,
+            tree: flat,
             batch,
             errors,
             ..
         } = *self;
-        let flat = &messi.tree;
         // Every query's node-level table, index-aligned with the slots
         // (the batch prepared the queries themselves).
         let node_tables: Vec<NodeMindistTable> = batch
             .slots()
             .iter()
-            .map(|slot| slot.prep.node_table(messi.config.quantizer()))
+            .map(|slot| slot.prep.node_table(flat.config().quantizer()))
             .collect();
         let pool = dsidx_sync::pool::global(self.threads);
         clock.lap_into(batch.phases(), Phase::Prepare);
@@ -587,7 +586,7 @@ fn backoff(spins: &mut u32) {
 /// Panics if any query length differs from the configured series length,
 /// `threads == 0`, or `k == 0`.
 pub fn exact(
-    messi: &MessiIndex,
+    tree: &FlatTree,
     source: &impl RawSource,
     queries: &[&[f32]],
     measure: Measure,
@@ -595,12 +594,12 @@ pub fn exact(
     threads: usize,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    let quantizer = messi.config.quantizer();
+    let quantizer = tree.config().quantizer();
     match measure {
-        Measure::Euclidean => exact_batch(messi, source, queries, k, threads, shard, |q| {
+        Measure::Euclidean => exact_batch(tree, source, queries, k, threads, shard, |q| {
             PreparedQuery::new(quantizer, q)
         }),
-        Measure::Dtw { band } => exact_batch(messi, source, queries, k, threads, shard, |q| {
+        Measure::Dtw { band } => exact_batch(tree, source, queries, k, threads, shard, |q| {
             DtwPrepared::new(quantizer, q, band)
         }),
     }
@@ -624,18 +623,18 @@ mod tests {
 
     /// The Euclidean approximate answer through the index's tree.
     fn approx(
-        messi: &MessiIndex,
+        messi: &FlatTree,
         source: &impl RawSource,
         q: &[f32],
         k: usize,
     ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-        let prep = PreparedQuery::new(messi.config.quantizer(), q);
-        approx_best_leaf(&messi.tree, &messi.config, source, q, &prep, k)
+        let prep = PreparedQuery::new(messi.config().quantizer(), q);
+        approx_best_leaf(messi, source, q, &prep, k)
     }
 
     /// Euclidean [`exact`] for a batch, on `threads` workers.
     fn knn_batch(
-        messi: &MessiIndex,
+        messi: &FlatTree,
         source: &impl RawSource,
         queries: &[&[f32]],
         k: usize,
@@ -646,7 +645,7 @@ mod tests {
 
     /// One query through [`exact`] as a batch of one.
     fn knn(
-        messi: &MessiIndex,
+        messi: &FlatTree,
         source: &impl RawSource,
         q: &[f32],
         k: usize,
@@ -658,7 +657,7 @@ mod tests {
 
     /// The `k = 1` case of [`knn`]; `None` for an empty index.
     fn nn(
-        messi: &MessiIndex,
+        messi: &FlatTree,
         source: &impl RawSource,
         q: &[f32],
         threads: usize,
@@ -1011,7 +1010,7 @@ mod tests {
     /// dispatch in [`exact`] would send a fallible source to shared fetch.
     fn resident<Q: Prepared>(
         prepare: impl Fn(&[f32]) -> Q + Sync,
-        messi: &MessiIndex,
+        messi: &FlatTree,
         source: &impl RawSource,
         queries: &[&[f32]],
         k: usize,
@@ -1020,7 +1019,7 @@ mod tests {
         let batch = QueryBatch::prepared(queries, k, None, |_| ());
         let errors = ErrorSlot::for_phase(Q::PHASE);
         let call = Call {
-            messi,
+            tree: messi,
             source,
             threads,
             batch: &batch,
@@ -1061,9 +1060,9 @@ mod tests {
         // Query 0's seeding reads its own leaf: a budget of exactly that
         // many reads fails in the drain when query 0 is all there is, or
         // when one worker answers the batch in order.
-        let prep = PreparedQuery::new(messi.config.quantizer(), &queries[0]);
-        let own_leaf = approx_leaf_flat(&messi.tree, &prep.word).unwrap();
-        let seed_reads = messi.tree.leaf_positions(messi.tree.node(own_leaf)).len() as u64;
+        let prep = PreparedQuery::new(messi.config().quantizer(), &queries[0]);
+        let own_leaf = approx_leaf_flat(&messi, &prep.word).unwrap();
+        let seed_reads = messi.leaf_positions(messi.node(own_leaf)).len() as u64;
         for threads in [1usize, 2, 4, 8] {
             let mut widths = vec![1, threads, threads + 1, 64];
             widths.dedup();
@@ -1080,7 +1079,7 @@ mod tests {
                         let flaky = FlakySource::new(data, budget);
                         let qrefs: Vec<&[f32]> =
                             queries[..width].iter().map(Vec::as_slice).collect();
-                        let quantizer = messi.config.quantizer();
+                        let quantizer = messi.config().quantizer();
                         let got = if dtw {
                             let prepare = |q: &[f32]| DtwPrepared::new(quantizer, q, 4);
                             resident(prepare, &messi, &flaky, &qrefs, 50, threads)
@@ -1121,7 +1120,7 @@ mod tests {
             // like the dispatch does over the dataset itself.
             let flaky = FlakySource::new(data.clone(), u64::MAX);
             let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-            let prepare = |q: &[f32]| PreparedQuery::new(messi.config.quantizer(), q);
+            let prepare = |q: &[f32]| PreparedQuery::new(messi.config().quantizer(), q);
             let got = resident(prepare, &messi, &flaky, &qrefs, 7, threads).unwrap();
             let (want, _) = knn_batch(&messi, &data, &qrefs, 7, threads).unwrap();
             assert_eq!(got, want, "x{threads}");

@@ -64,7 +64,7 @@ pub struct RootBounds {
 impl RootBounds {
     /// Tabulates the root-level terms of `node_table` for a tree whose
     /// root keys cover `root_segments` of its `segments` segments
-    /// ([`FlatTree::root_segments`], [`FlatTree::segments`]).
+    /// (a [`FlatTree::config`]'s `root_segments()` and `segments()`).
     ///
     /// # Panics
     /// Panics if `root_segments` exceeds 16 (two tables of eight key bits).
@@ -127,7 +127,11 @@ impl<'a, P: Pruner> Traversal<'a, P> {
     pub fn new(flat: &'a FlatTree, node_table: NodeMindistTable, best: &'a P) -> Self {
         Self {
             flat,
-            root_bounds: RootBounds::new(&node_table, flat.root_segments(), flat.segments()),
+            root_bounds: RootBounds::new(
+                &node_table,
+                flat.config().root_segments(),
+                flat.config().segments(),
+            ),
             node_table,
             best,
             root_queue: WorkQueue::new(flat.roots().len()),
@@ -240,7 +244,7 @@ impl<'a, 'q, P> BatchTraversal<'a, 'q, P> {
         assert_eq!(tables.len(), batch.len(), "one node table per query");
         let root_bounds = tables
             .iter()
-            .map(|t| RootBounds::new(t, flat.root_segments(), flat.segments()))
+            .map(|t| RootBounds::new(t, flat.config().root_segments(), flat.config().segments()))
             .collect();
         Self {
             flat,
@@ -371,7 +375,6 @@ mod tests {
         // With an infinite BSF nothing is pruned, so every non-empty leaf
         // must be enqueued exactly once no matter how many workers help.
         let total_leaves = messi
-            .tree
             .nodes()
             .iter()
             .filter(|n| n.is_leaf() && !n.entry_range().is_empty())
@@ -379,7 +382,7 @@ mod tests {
         for threads in [1usize, 4, 8] {
             let best = AtomicBest::new();
             let runs = LeafRuns::new(threads, 0);
-            let traversal = Traversal::new(&messi.tree, node_table.clone(), &best);
+            let traversal = Traversal::new(&messi, node_table.clone(), &best);
             let enqueued = std::sync::atomic::AtomicU64::new(0);
             std::thread::scope(|s| {
                 for worker in 0..threads {
@@ -417,7 +420,7 @@ mod tests {
         let paa_q = paa(q.get(0), 8);
         let node_table = NodeMindistTable::new_point(&paa_q, cfg.tree.quantizer().segment_lens());
         let best = AtomicBest::with_initial(0.0, 0); // perfect BSF
-        let traversal = Traversal::new(&messi.tree, node_table, &best);
+        let traversal = Traversal::new(&messi, node_table, &best);
         let mut run = RunBuilder::new();
         let pruned = traversal.run_worker(&mut run);
         assert!(run.is_empty(), "zero BSF must prune every subtree");

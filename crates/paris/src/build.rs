@@ -5,11 +5,11 @@
 //! * the **coordinator** (caller thread) reads sequential blocks and feeds
 //!   them to a bounded channel sized to hold a full generation — the
 //!   "raw data buffer in main memory" — that all workers receive from;
-//! * `threads` **workers** summarize blocks into per-subtree RecBufs and
-//!   the SAX array; at each generation boundary the coordinator enqueues
-//!   one `EndGen` marker per worker (channel FIFO guarantees every worker
-//!   sees all of the generation's blocks first), the workers barrier, then
-//!   claim dirty RecBufs by Fetch&Inc and grow the corresponding subtrees;
+//! * `threads` **workers** summarize blocks into per-subtree RecBufs; at
+//!   each generation boundary the coordinator enqueues one `EndGen` marker
+//!   per worker (channel FIFO guarantees every worker sees all of the
+//!   generation's blocks first), the workers barrier, then claim dirty
+//!   RecBufs by Fetch&Inc and grow the corresponding subtrees;
 //! * in **ParIS** mode the coordinator blocks until the generation's
 //!   growth *and* leaf flushing finish (the visible stage-3 stall of
 //!   Fig. 4); in **ParIS+** mode it keeps reading the next generation while
@@ -37,46 +37,13 @@ use dsidx_query::ErrorSlot;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, EntryRuns, LeafStoreWriter, StorageError};
 use dsidx_sync::SyncSlice;
-use dsidx_tree::{FlatTree, Index, LeafEntry, Node, SaxArray, TreeConfig};
+use dsidx_tree::{FlatTree, Index, LeafEntry, Node};
 use parking_lot::{Condvar, Mutex};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
-
-/// A built ParIS/ParIS+ index.
-#[derive(Debug)]
-pub struct ParisIndex {
-    /// The iSAX tree, flattened once construction ended (every leaf stays
-    /// resident; the approximate descent seeds from it).
-    pub tree: FlatTree,
-    /// The configuration the tree was built under (fitted to the
-    /// collection).
-    pub config: TreeConfig,
-    /// Position-ordered iSAX words — what stage 4 scans.
-    pub sax: SaxArray,
-    /// `tree`'s entry runs on disk, which a leaf is read back from by its
-    /// entry range: the rewritten leaf store of an on-disk build, or the
-    /// snapshot an index was opened from (none in memory).
-    pub leaves: Option<EntryRuns>,
-}
-
-impl ParisIndex {
-    /// The scan index over a tree built elsewhere or decoded from a
-    /// snapshot: the SAX array is the tree's entry words in position order
-    /// ([`FlatTree::sax_array`]), and `leaves` are its entry runs on disk,
-    /// if a leaf is to be read back from them.
-    #[must_use]
-    pub fn from_tree(tree: FlatTree, config: TreeConfig, leaves: Option<EntryRuns>) -> Self {
-        Self {
-            sax: tree.sax_array(),
-            tree,
-            config,
-            leaves,
-        }
-    }
-}
 
 enum Feed {
     Block {
@@ -147,7 +114,8 @@ fn flush_subtree(node: &mut Node, store: &LeafStoreWriter, errors: &ErrorSlot) {
 /// Builds a ParIS or ParIS+ index from an on-disk dataset, materializing
 /// leaves into a leaf store created at `store_path`. The path is unlinked
 /// as soon as the store is open: the file lives exactly as long as the
-/// index, which reads leaves back through the handle.
+/// returned entry runs, which the tree's leaves are read back from
+/// (`exact`'s `leaves`).
 ///
 /// # Errors
 /// Propagates I/O failures from the dataset file and the leaf store.
@@ -159,7 +127,7 @@ pub fn build_on_disk(
     store_path: &Path,
     cfg: &ParisConfig,
     mode: Overlap,
-) -> Result<(ParisIndex, BuildReport), StorageError> {
+) -> Result<(FlatTree, EntryRuns, BuildReport), StorageError> {
     cfg.validate();
     assert_eq!(
         file.series_len(),
@@ -168,9 +136,11 @@ pub fn build_on_disk(
     );
     let store = LeafStoreWriter::create(store_path, cfg.tree.segments(), file.device().clone())?;
     std::fs::remove_file(store_path)?;
-    run_pipeline(cfg, mode, file.count(), Some(store), |start, count, out| {
-        file.read_block(start, count, out)
-    })
+    let (tree, leaves, report) =
+        run_pipeline(cfg, mode, file.count(), Some(store), |start, count, out| {
+            file.read_block(start, count, out)
+        })?;
+    Ok((tree, leaves.expect("a store was given"), report))
 }
 
 /// Builds an in-memory ParIS index (the paper's "in-memory implementation
@@ -181,7 +151,7 @@ pub fn build_on_disk(
 /// # Panics
 /// Panics on configuration mismatches.
 #[must_use]
-pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (ParisIndex, BuildReport) {
+pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (FlatTree, BuildReport) {
     cfg.validate();
     assert_eq!(
         data.series_len(),
@@ -189,7 +159,7 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (ParisIndex, BuildR
         "series length mismatch"
     );
     let series_len = data.series_len();
-    let (paris, mut report) = run_pipeline(
+    let (tree, _, mut report) = run_pipeline(
         cfg,
         Overlap::Paris,
         data.len(),
@@ -204,9 +174,11 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (ParisIndex, BuildR
     )
     .expect("in-memory build performs no I/O");
     report.read = Duration::ZERO;
-    (paris, report)
+    (tree, report)
 }
 
+/// The pipeline behind both builds: the flat tree, its entry runs when a
+/// leaf store was given, and the build's report.
 #[allow(clippy::too_many_lines)]
 fn run_pipeline(
     cfg: &ParisConfig,
@@ -214,7 +186,7 @@ fn run_pipeline(
     total: usize,
     leaf_store: Option<LeafStoreWriter>,
     mut read_block: impl FnMut(usize, usize, &mut Vec<f32>) -> Result<(), StorageError>,
-) -> Result<(ParisIndex, BuildReport), StorageError> {
+) -> Result<(FlatTree, Option<EntryRuns>, BuildReport), StorageError> {
     // `total` is known before the first read: fit the root fan-out (and
     // with it the number of receiving buffers) to it.
     let tree_cfg = &cfg.tree.fitted_to(total);
@@ -228,8 +200,6 @@ fn run_pipeline(
         RecBufs::new(tree_cfg.root_count()),
         RecBufs::new(tree_cfg.root_count()),
     ];
-    let filler = Word::new(&vec![0u8; segments]);
-    let sax = SyncSlice::new(vec![filler; total]);
     let roots: SyncSlice<Option<Box<Node>>> =
         SyncSlice::new((0..tree_cfg.root_count()).map(|_| None).collect());
     let errors = ErrorSlot::new();
@@ -262,7 +232,6 @@ fn run_pipeline(
             let flush_tx = flush_tx.clone();
             let quantizer = quantizer.clone();
             let recbufs = &recbufs;
-            let sax = &sax;
             let roots = &roots;
             let errors = &errors;
             let barrier = &barrier;
@@ -281,13 +250,9 @@ fn run_pipeline(
                         } => {
                             for (i, series) in data.chunks_exact(series_len).enumerate() {
                                 let word = quantizer.word_into(series, &mut paa);
-                                let pos = first_pos + i;
-                                // SAFETY: block ranges are disjoint and each
-                                // position is summarized exactly once.
-                                unsafe { sax.write(pos, word) };
                                 recbufs[parity].push(
                                     tree_cfg.root_key(&word),
-                                    LeafEntry::new(word, pos as u32),
+                                    LeafEntry::new(word, (first_pos + i) as u32),
                                 );
                             }
                         }
@@ -469,28 +434,33 @@ fn run_pipeline(
     };
     report.flush += flattened.elapsed();
     report.total = t0.elapsed();
-    let paris = ParisIndex {
-        tree,
-        config: tree_cfg.clone(),
-        sax: SaxArray::new(sax.into_inner()),
-        leaves,
-    };
-    Ok((paris, report))
+    Ok((tree, leaves, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsidx_messi::{MessiConfig, MessiIndex};
+    use dsidx_messi::MessiConfig;
     use dsidx_series::gen::DatasetKind;
     use dsidx_storage::{write_dataset, Device, DeviceProfile};
     use dsidx_tree::snapshot::validate;
     use dsidx_tree::stats::index_stats;
+    use dsidx_tree::TreeConfig;
     use std::sync::Arc;
 
     /// The occupied root keys, ascending.
     fn root_keys(tree: &FlatTree) -> Vec<u16> {
         tree.roots().iter().map(|&(key, _)| key).collect()
+    }
+
+    /// Every `(word, position)` pair of `tree`'s entries is series
+    /// `position`'s word in `data`, and each position appears once.
+    fn assert_words_summarize(tree: &FlatTree, data: &Dataset) {
+        let q = tree.config().quantizer();
+        assert_eq!(tree.positions().len(), data.len());
+        for (word, &pos) in tree.words().iter().zip(tree.positions()) {
+            assert_eq!(word, &q.word(data.get(pos as usize)), "pos {pos}");
+        }
     }
 
     fn tree_cfg() -> TreeConfig {
@@ -516,51 +486,36 @@ mod tests {
         let cfg = ParisConfig::new(tree_cfg(), 4)
             .with_block_series(64)
             .with_generation_series(256);
-        let (paris, report) = build_in_memory(&data, &cfg);
-        assert_eq!(paris.tree.entry_count(), 600);
-        assert_eq!(paris.sax.len(), 600);
-        validate(&paris.tree, &paris.config, 600).unwrap();
-        assert!(paris.leaves.is_none());
+        let (tree, report) = build_in_memory(&data, &cfg);
+        assert_eq!(tree.entry_count(), 600);
+        validate(&tree, 600).unwrap();
         assert!(report.generations >= 2, "600/256 needs >= 3 generations");
-        // SAX words match direct computation.
-        let q = cfg.tree.quantizer();
-        for (pos, series) in data.iter().enumerate() {
-            assert_eq!(paris.sax.word(pos), &q.word(series), "pos {pos}");
-        }
+        // Entry words match direct computation.
+        assert_words_summarize(&tree, &data);
         // Same leaf structure as the serial baseline build: MESSI's at one
         // worker.
         let (serial, _) = dsidx_messi::build(&data, &MessiConfig::new(cfg.tree.clone(), 1));
         assert_eq!(
-            index_stats(&paris.tree).entry_count,
-            index_stats(&serial.tree).entry_count
+            index_stats(&tree).entry_count,
+            index_stats(&serial).entry_count
         );
-        assert_eq!(root_keys(&paris.tree), root_keys(&serial.tree));
+        assert_eq!(root_keys(&tree), root_keys(&serial));
     }
 
     #[test]
     fn file_build_matches_memory_build() {
-        // The scan index over MESSI's tree at one worker (what ADS+ holds):
-        // the SAX array the tree spells out is the position-ordered words,
-        // whichever residence built the tree, and no entry runs come along.
+        // The tree ADS+ scans (MESSI's at one worker) holds every series'
+        // word once, beside its position, whichever residence built it.
         let data = DatasetKind::Sald.generate(300, 64, 9);
         let path = tmp("serial.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
         let serial = MessiConfig::new(tree_cfg(), 1);
-        let scan = |messi: MessiIndex| ParisIndex::from_tree(messi.tree, messi.config, None);
-        let mem = scan(dsidx_messi::build(&data, &serial).0);
-        let disk = scan(dsidx_messi::build_from_file(&file, &serial, 77).unwrap().0);
-        let q = serial.tree.quantizer();
-        for (pos, series) in data.iter().enumerate() {
-            assert_eq!(mem.sax.word(pos), &q.word(series), "pos {pos}");
-        }
-        assert_eq!(mem.sax.words(), disk.sax.words());
-        assert_eq!(
-            index_stats(&mem.tree).leaf_count,
-            index_stats(&disk.tree).leaf_count
-        );
-        validate(&disk.tree, &disk.config, 300).unwrap();
-        assert!(mem.leaves.is_none() && disk.leaves.is_none());
+        let (mem, _) = dsidx_messi::build(&data, &serial);
+        let (disk, _) = dsidx_messi::build_from_file(&file, &serial, 77).unwrap();
+        assert_words_summarize(&mem, &data);
+        assert_eq!(mem, disk);
+        validate(&disk, 300).unwrap();
     }
 
     #[test]
@@ -569,17 +524,16 @@ mod tests {
         let cfg = ParisConfig::new(tree_cfg(), 3)
             .with_block_series(50)
             .with_generation_series(150);
-        let (paris, rep_a) = build_on_disk(&file, &tmp("a.leaf"), &cfg, Overlap::Paris).unwrap();
-        let (plus, rep_b) = build_on_disk(&file, &tmp("b.leaf"), &cfg, Overlap::ParisPlus).unwrap();
+        let (paris, _, rep_a) = build_on_disk(&file, &tmp("a.leaf"), &cfg, Overlap::Paris).unwrap();
+        let (plus, _, rep_b) =
+            build_on_disk(&file, &tmp("b.leaf"), &cfg, Overlap::ParisPlus).unwrap();
         for built in [&paris, &plus] {
-            assert_eq!(built.tree.entry_count(), 500);
-            validate(&built.tree, &built.config, 500).unwrap();
+            assert_eq!(built.entry_count(), 500);
+            validate(built, 500).unwrap();
         }
-        assert_eq!(paris.sax.words(), plus.sax.words());
-        assert_eq!(root_keys(&paris.tree), root_keys(&plus.tree));
+        assert_eq!(paris, plus);
         assert!(rep_a.generations >= 3);
         assert_eq!(rep_a.generations, rep_b.generations);
-        assert!(paris.leaves.is_some() && plus.leaves.is_some());
         // Both stores were unlinked once open: each index holds the only
         // handle to its file.
         assert!(!tmp("a.leaf").exists() && !tmp("b.leaf").exists());
@@ -591,11 +545,10 @@ mod tests {
         let cfg = ParisConfig::new(tree_cfg(), 2)
             .with_block_series(64)
             .with_generation_series(128);
-        let (paris, _) = build_on_disk(&file, &tmp("rt.leaf"), &cfg, Overlap::ParisPlus).unwrap();
-        let runs = paris.leaves.as_ref().unwrap();
+        let (tree, runs, _) =
+            build_on_disk(&file, &tmp("rt.leaf"), &cfg, Overlap::ParisPlus).unwrap();
         let (mut words, mut positions) = (Vec::new(), Vec::new());
         let mut checked = 0;
-        let tree = &paris.tree;
         for leaf in tree.nodes().iter().filter(|n| n.is_leaf()) {
             runs.read(leaf.entry_range(), &mut words, &mut positions)
                 .unwrap();
@@ -612,20 +565,20 @@ mod tests {
         let cfg = ParisConfig::new(tree_cfg(), 1)
             .with_block_series(100)
             .with_generation_series(1000);
-        let (paris, report) =
+        let (tree, _, report) =
             build_on_disk(&file, &tmp("small.leaf"), &cfg, Overlap::Paris).unwrap();
-        assert_eq!(paris.tree.entry_count(), 100);
+        assert_eq!(tree.entry_count(), 100);
         assert_eq!(report.generations, 1);
-        validate(&paris.tree, &paris.config, 100).unwrap();
+        validate(&tree, 100).unwrap();
     }
 
     #[test]
     fn empty_dataset_builds_empty_index() {
         let data = dsidx_series::Dataset::new(64).unwrap();
         let cfg = ParisConfig::new(tree_cfg(), 4);
-        let (paris, report) = build_in_memory(&data, &cfg);
-        assert_eq!(paris.tree.entry_count(), 0);
-        assert!(paris.sax.is_empty());
+        let (tree, report) = build_in_memory(&data, &cfg);
+        assert_eq!(tree.entry_count(), 0);
+        assert!(tree.words().is_empty());
         assert_eq!(report.generations, 0);
     }
 
@@ -652,9 +605,9 @@ mod tests {
             let device = Arc::new(Device::new(DeviceProfile::HDD));
             let file = DatasetFile::open(&path, device.clone()).unwrap();
             let store = tmp(&format!("hdd_{}.leaf", mode.name()));
-            let (paris, report) = build_on_disk(&file, &store, &cfg, mode).unwrap();
-            validate(&paris.tree, &paris.config, 3000).unwrap();
-            assert_eq!((paris.tree.entry_count(), report.generations), (3000, 4));
+            let (tree, _, report) = build_on_disk(&file, &store, &cfg, mode).unwrap();
+            validate(&tree, 3000).unwrap();
+            assert_eq!((tree.entry_count(), report.generations), (3000, 4));
             device.stats()
         };
         let paris = build(Overlap::Paris);

@@ -4,15 +4,21 @@
 //!
 //! 1. a **Coordinator** thread reads raw series from disk into main-memory
 //!    blocks;
-//! 2. **IndexBulkLoading** workers summarize each series to its iSAX word,
-//!    append it to the receiving buffer (RecBuf) of its root subtree, and
-//!    record it in the SAX array;
+//! 2. **IndexBulkLoading** workers summarize each series to its iSAX word
+//!    and append it to the receiving buffer (RecBuf) of its root subtree;
 //! 3. when a *generation* (the memory budget) has been read,
 //!    **IndexConstruction** work drains each RecBuf into its subtree and
 //!    materializes leaves to the leaf store;
 //! 4. query answering: an approximate descent seeds the best-so-far, then
-//!    workers prune over the SAX array with lower-bound distances and
+//!    workers prune over every series' word with lower-bound distances and
 //!    compute real distances for the surviving candidates in parallel.
+//!
+//! The paper also records every word in a position-ordered SAX array for
+//! stage 4 to scan. Here the flat tree every engine ends with already
+//! holds each word once beside its position, so stage 4 scans the tree's
+//! own entry runs, in leaf order (the candidates it collects do not
+//! depend on the order; see [`query`]), and a build returns nothing but
+//! the tree.
 //!
 //! Every leaf also stays resident, so the flushes of stage 3 model the
 //! paper's I/O without recording where they land. A built index ends with
@@ -31,10 +37,10 @@
 //! [`BuildReport`](dsidx_obs::BuildReport) splits into CPU (`grow`) and
 //! writes (`flush`).
 //!
-//! Stage 4 is ADS+'s SIMS made parallel (bound every SAX word, verify the
+//! Stage 4 is ADS+'s SIMS made parallel (bound every word, verify the
 //! survivors), so the same exact schedule, [`exact`], run at one worker
-//! over a MESSI-built tree ([`ParisIndex::from_tree`]), is the serial
-//! ADS+ baseline's exact answer too.
+//! over the tree MESSI builds at one worker, is the serial ADS+ baseline's
+//! exact answer too.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -43,7 +49,7 @@ pub mod config;
 pub mod query;
 pub mod recbuf;
 
-pub use build::{build_in_memory, build_on_disk, ParisIndex};
+pub use build::{build_in_memory, build_on_disk};
 pub use config::{Overlap, ParisConfig};
 pub use dsidx_query::{BatchStats, QueryStats};
 pub use query::{approx, exact};

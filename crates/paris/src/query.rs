@@ -2,9 +2,16 @@
 //!
 //! Identical for ParIS and ParIS+ ("for query answering, ParIS and ParIS+
 //! are the same"): compute an approximate best-so-far from the most
-//! promising leaf, prune over the SAX array with lower-bound distances in
-//! parallel, collect the survivors in a candidate list, then compute real
-//! distances for the candidates in parallel with early abandoning.
+//! promising leaf, prune over every series' iSAX word with lower-bound
+//! distances in parallel, collect the survivors in a candidate list, then
+//! compute real distances for the candidates in parallel with early
+//! abandoning.
+//!
+//! The paper scans a SAX array: the words in position order, kept beside
+//! the tree. Here the scan reads the flat tree's own entry runs — the same
+//! words, in leaf order, each with its position. The collect phase inserts
+//! nothing, so its candidate set does not depend on the scan order, and
+//! [`order_best_bound_first`] orders it by position before anything else.
 //!
 //! The per-candidate work (preparation, seeding, lower-bound filtering,
 //! early-abandoned verification) comes from the shared kernel
@@ -33,7 +40,6 @@
 //! Fewer reads wins on both device profiles; `fig12`'s real-distance
 //! counts show the gap to MESSI closing.
 
-use crate::build::ParisIndex;
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
     approx_leaf_flat, batch_collect_candidates, batch_seed_positions, batch_seed_prefix,
@@ -43,11 +49,12 @@ use dsidx_query::{
 };
 use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::Match;
-use dsidx_storage::{RawSource, StorageError};
+use dsidx_storage::{EntryRuns, RawSource, StorageError};
 use dsidx_sync::WorkQueue;
+use dsidx_tree::FlatTree;
 use parking_lot::Mutex;
 
-/// SAX-array positions per Fetch&Inc claim in the lower-bound phase.
+/// Entries per Fetch&Inc claim in the lower-bound phase.
 const LB_CHUNK: usize = 4096;
 /// Candidates per Fetch&Inc claim in the real-distance phase.
 const REAL_CHUNK: usize = 16;
@@ -77,16 +84,6 @@ const APPROX_PROBE_PER_NEIGHBOR: usize = 4;
 /// Minimum sketch-nearest probes whatever the k.
 const APPROX_PROBE_MIN: usize = 16;
 
-/// Charges the on-disk read-back of one materialized leaf (by flat node
-/// index) to the device of its entry runs (a no-op in memory).
-fn charge_leaf_read(paris: &ParisIndex, leaf: u32) -> Result<(), StorageError> {
-    if let Some(runs) = &paris.leaves {
-        let range = paris.tree.node(leaf).entry_range();
-        runs.read(range, &mut Vec::new(), &mut Vec::new())?;
-    }
-    Ok(())
-}
-
 /// Exact Euclidean k-NN for a *batch* of queries through the ParIS index,
 /// amortizing the pool wake-ups that dominate sub-millisecond queries: the
 /// whole batch is answered by **one** collect broadcast plus **one** verify
@@ -94,14 +91,17 @@ fn charge_leaf_read(paris: &ParisIndex, leaf: u32) -> Result<(), StorageError> {
 /// one; 1-NN is `k = 1`.
 ///
 /// `source` supplies raw series (the dataset file for on-disk operation —
-/// reads are charged to its device — or the in-memory dataset).
+/// reads are charged to its device — or the in-memory dataset). `leaves`
+/// are `tree`'s entry runs on disk, if its leaves are to be read back from
+/// them: the rewritten leaf store of an on-disk build, or the snapshot an
+/// index was opened from.
 ///
 /// Seeding ranks each query's approximate leaf by the query's own MINDIST
 /// and fetches only the best few entries (each distinct leaf read back
-/// once from its entry runs in on-disk mode), cross-seeding every pruner with
+/// once from `leaves`, when given), cross-seeding every pruner with
 /// the union, then warms the thresholds over a short position-order
 /// prefix. The collect phase
-/// lower-bounds each SAX word against every query in one pass, emitting
+/// lower-bounds each entry's word against every query in one pass, emitting
 /// per-query candidate lists as `(position, query, bound)` triples. The
 /// triple list is then ordered — every query's best-bound candidates
 /// first, best bound first, the rest in position order — and the verify
@@ -131,14 +131,15 @@ fn charge_leaf_read(paris: &ParisIndex, leaf: u32) -> Result<(), StorageError> {
 /// Panics if any query length differs from the configured series length,
 /// `threads == 0`, or `k == 0`.
 pub fn exact(
-    paris: &ParisIndex,
+    tree: &FlatTree,
+    leaves: Option<&EntryRuns>,
     source: &impl RawSource,
     queries: &[&[f32]],
     k: usize,
     threads: usize,
     shard: Option<ShardView<'_>>,
 ) -> Result<(Vec<Vec<Match>>, BatchStats), StorageError> {
-    let (tree, config) = (&paris.tree, &paris.config);
+    let config = tree.config();
     for q in queries {
         assert_eq!(q.len(), config.series_len(), "query length mismatch");
     }
@@ -155,28 +156,33 @@ pub fn exact(
     // approximate leaf (distinct leaves charged once), cross-seeded into
     // every pruner, then the shared threshold warm-up over a position-order
     // prefix (adjacent positions: one seek for the lot).
-    let mut leaves: Vec<u32> = Vec::new();
-    let mut positions: Vec<u32> = Vec::new();
+    let mut seed_leaves: Vec<u32> = Vec::new();
+    let mut seeds: Vec<u32> = Vec::new();
     for slot in batch.slots() {
         let leaf =
             approx_leaf_flat(tree, &slot.prep.word).expect("non-empty index has a non-empty leaf");
-        if !leaves.contains(&leaf) {
-            charge_leaf_read(paris, leaf).map_err(|e| e.in_phase(Phase::Seed.name()))?;
-            leaves.push(leaf);
-        }
         let node = tree.node(leaf);
+        if !seed_leaves.contains(&leaf) {
+            if let Some(runs) = leaves {
+                // The read-back is charged to the runs' device; the tree
+                // already holds what it reads.
+                runs.read(node.entry_range(), &mut Vec::new(), &mut Vec::new())
+                    .map_err(|e| e.in_phase(Phase::Seed.name()))?;
+            }
+            seed_leaves.push(leaf);
+        }
         best_bound_positions(
             tree.leaf_words(node),
             tree.leaf_positions(node),
             &slot.prep.table,
             k.max(SEED_PROBES),
-            &mut positions,
+            &mut seeds,
         );
     }
-    positions.sort_unstable();
-    positions.dedup();
+    seeds.sort_unstable();
+    seeds.dedup();
     let mut fetcher = SeriesFetcher::new(source);
-    batch_seed_positions(positions.iter().copied(), &mut fetcher, &batch)
+    batch_seed_positions(seeds.iter().copied(), &mut fetcher, &batch)
         .map_err(|e| e.in_phase(Phase::Seed.name()))?;
     let warm = k.saturating_mul(KNN_WARM_PER_NEIGHBOR).min(source.count());
     batch_seed_prefix(warm, &mut fetcher, &batch).map_err(|e| e.in_phase(Phase::Seed.name()))?;
@@ -185,14 +191,14 @@ pub fn exact(
     // Step 2: one parallel lower-bound broadcast for the whole batch, then
     // the candidate list ordered: best-bound head, position-order rest.
     let pool = dsidx_sync::pool::global(threads);
-    let words = paris.sax.words();
+    let (words, positions) = (tree.words(), tree.positions());
     let lb_queue = WorkQueue::new(words.len());
     let candidates: Mutex<Vec<BatchCandidate>> = Mutex::new(Vec::new());
     pool.broadcast(&|_worker| {
         let mut locals = vec![QueryStats::default(); batch.len()];
         let mut local: Vec<BatchCandidate> = Vec::new();
         while let Some(range) = lb_queue.claim_chunk(LB_CHUNK) {
-            batch_collect_candidates(words, range, &batch, &mut locals, &mut local);
+            batch_collect_candidates(words, positions, range, &batch, &mut locals, &mut local);
         }
         batch.merge_locals(&locals);
         if !local.is_empty() {
@@ -232,7 +238,7 @@ pub fn exact(
     errors.take()?;
     clock.lap_into(batch.phases(), Phase::Verify);
 
-    // Every query paid one bound per SAX-array position.
+    // Every query paid one bound per entry.
     let bounds = QueryStats {
         lb_computed: words.len() as u64,
         ..QueryStats::default()
@@ -244,8 +250,8 @@ pub fn exact(
 }
 
 /// *Approximate* k-NN through the ParIS index by **sketch-nearest**
-/// probing: one serial pass over the SAX array (the sketches)
-/// lower-bounds every position through `prep`'s word-level table (the
+/// probing: one serial pass over `tree`'s entry words (the sketches)
+/// lower-bounds every series through `prep`'s word-level table (the
 /// point bound of a Euclidean query, the interval bound of a DTW one), the
 /// few-times-k positions with the smallest sketch distances are fetched
 /// and verified with `prep`'s real distance (early-abandoned Euclidean, or
@@ -256,10 +262,12 @@ pub fn exact(
 /// never below the exact answer at the same rank; the positions may
 /// differ. Empty for an empty index.
 ///
-/// The pass bounds the whole array with
+/// The pass bounds every word with
 /// [`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many):
 /// the batched kernel, and one whose sums are bit-identical with SIMD on
-/// or off, so the probed set never depends on the SIMD mode.
+/// or off, so the probed set never depends on the SIMD mode. Nor does it
+/// depend on the leaf order the words come in: the probes are the
+/// smallest `(sketch distance, position)` pairs.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -268,7 +276,7 @@ pub fn exact(
 /// Panics if the query length differs from the configured series length or
 /// `k == 0`.
 pub fn approx(
-    paris: &ParisIndex,
+    tree: &FlatTree,
     source: &impl RawSource,
     query: &[f32],
     prep: &impl Prepared,
@@ -276,22 +284,25 @@ pub fn approx(
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
     assert_eq!(
         query.len(),
-        paris.config.series_len(),
+        tree.config().series_len(),
         "query length mismatch"
     );
     let topk = SharedTopK::new(k);
-    if paris.tree.entry_count() == 0 {
+    if tree.entry_count() == 0 {
         return Ok(finish_knn(&topk, None));
     }
     let mut clock = PhaseClock::start();
-    let words = paris.sax.words();
+    let words = tree.words();
     let mut stats = QueryStats {
         lb_computed: words.len() as u64,
         ..QueryStats::default()
     };
     let mut bounds = vec![0.0f32; words.len()];
     prep.table().lookup_many(words, &mut bounds);
-    let mut sketched: Vec<(f32, u32)> = bounds.into_iter().zip(0u32..).collect();
+    let mut sketched: Vec<(f32, u32)> = bounds
+        .into_iter()
+        .zip(tree.positions().iter().copied())
+        .collect();
     let probe = k
         .saturating_mul(APPROX_PROBE_PER_NEIGHBOR)
         .max(APPROX_PROBE_MIN)
@@ -337,41 +348,54 @@ mod tests {
             .with_generation_series(256)
     }
 
-    /// One query through [`exact`] as a batch of one.
-    fn knn(
-        paris: &ParisIndex,
+    /// One query through [`exact`] as a batch of one, reading leaves back
+    /// from `leaves` when given.
+    fn knn_from(
+        tree: &FlatTree,
+        leaves: Option<&EntryRuns>,
         source: &impl RawSource,
         q: &[f32],
         k: usize,
         threads: usize,
     ) -> (Vec<Match>, QueryStats) {
-        let (mut matches, stats) = exact(paris, source, &[q], k, threads, None).unwrap();
+        let (mut matches, stats) = exact(tree, leaves, source, &[q], k, threads, None).unwrap();
         (matches.pop().expect("batch of one"), stats.into_single())
+    }
+
+    /// [`knn_from`] with every leaf resident.
+    fn knn(
+        tree: &FlatTree,
+        source: &impl RawSource,
+        q: &[f32],
+        k: usize,
+        threads: usize,
+    ) -> (Vec<Match>, QueryStats) {
+        knn_from(tree, None, source, q, k, threads)
     }
 
     /// The `k = 1` case of [`knn`]; `None` for an empty index.
     fn nn(
-        paris: &ParisIndex,
+        tree: &FlatTree,
         source: &impl RawSource,
         q: &[f32],
         threads: usize,
     ) -> Option<(Match, QueryStats)> {
-        let (matches, stats) = knn(paris, source, q, 1, threads);
+        let (matches, stats) = knn(tree, source, q, 1, threads);
         matches.first().map(|&m| (m, stats))
     }
 
     /// The Euclidean sketch-nearest answer.
     fn approx_ed(
-        paris: &ParisIndex,
+        tree: &FlatTree,
         source: &impl RawSource,
         q: &[f32],
         k: usize,
     ) -> Result<(Vec<Match>, QueryStats), StorageError> {
         approx(
-            paris,
+            tree,
             source,
             q,
-            &PreparedQuery::new(paris.config.quantizer(), q),
+            &PreparedQuery::new(tree.config().quantizer(), q),
             k,
         )
     }
@@ -382,12 +406,7 @@ mod tests {
         dir.join(name)
     }
 
-    /// ADS+'s index: the scan index over MESSI's tree at one worker, with
-    /// no entry runs.
-    fn serial_index(messi: dsidx_messi::MessiIndex) -> ParisIndex {
-        ParisIndex::from_tree(messi.tree, messi.config, None)
-    }
-
+    /// ADS+'s build: MESSI's at one worker.
     fn serial_cfg() -> dsidx_messi::MessiConfig {
         dsidx_messi::MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), 1)
     }
@@ -395,7 +414,7 @@ mod tests {
     #[test]
     fn pruning_actually_happens_on_clusterable_data() {
         let data = dsidx_series::gen::sines(800, 64, 3);
-        let paris = serial_index(dsidx_messi::build(&data, &serial_cfg()).0);
+        let (paris, _) = dsidx_messi::build(&data, &serial_cfg());
         let queries = dsidx_series::gen::sines(5, 64, 999);
         for q in queries.iter() {
             let (_, stats) = nn(&paris, &data, q, 1).unwrap();
@@ -410,8 +429,8 @@ mod tests {
     #[test]
     fn knn_batch_of_zero_queries_is_empty() {
         let data = DatasetKind::Synthetic.generate(50, 64, 3);
-        let paris = serial_index(dsidx_messi::build(&data, &serial_cfg()).0);
-        let (matches, stats) = exact(&paris, &data, &[], 5, 1, None).unwrap();
+        let (paris, _) = dsidx_messi::build(&data, &serial_cfg());
+        let (matches, stats) = exact(&paris, None, &data, &[], 5, 1, None).unwrap();
         assert!(matches.is_empty());
         assert_eq!(stats.broadcasts, 0);
         assert!(stats.per_query.is_empty());
@@ -424,10 +443,10 @@ mod tests {
         // tree counters at zero, and the batch still costs the schedule's
         // two broadcasts.
         let data = DatasetKind::Synthetic.generate(150, 64, 17);
-        let paris = serial_index(dsidx_messi::build(&data, &serial_cfg()).0);
+        let (paris, _) = dsidx_messi::build(&data, &serial_cfg());
         let qs = DatasetKind::Synthetic.queries(3, 64, 17);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let (_, stats) = exact(&paris, &data, &qrefs, 1, 1, None).unwrap();
+        let (_, stats) = exact(&paris, None, &data, &qrefs, 1, 1, None).unwrap();
         assert_eq!(stats.broadcasts, 2);
         assert!(stats.series_fetched <= stats.series_requests);
         for q in &stats.per_query {
@@ -448,8 +467,7 @@ mod tests {
         let path = tmp("serial.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let built = dsidx_messi::build_from_file(&file, &serial_cfg(), 64).unwrap();
-        let paris = serial_index(built.0);
+        let (paris, _) = dsidx_messi::build_from_file(&file, &serial_cfg(), 64).unwrap();
         for q in DatasetKind::Seismic.queries(5, 64, 8).iter() {
             let (mem, _) = nn(&paris, &data, q, 1).unwrap();
             let (disk, _) = nn(&paris, &file, q, 1).unwrap();
@@ -484,11 +502,13 @@ mod tests {
         let path = tmp("q.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris, _) = build_on_disk(&file, &tmp("q.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
+        let (paris, runs, _) =
+            build_on_disk(&file, &tmp("q.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
         let queries = DatasetKind::Seismic.queries(6, 64, 5);
         for q in queries.iter() {
             let want = brute_force(&data, q).unwrap();
-            let (got, _) = nn(&paris, &file, q, 4).unwrap();
+            let (got, _) = knn_from(&paris, Some(&runs), &file, q, 1, 4);
+            let got = got[0];
             assert_eq!(got.pos, want.pos);
             assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4);
         }
@@ -548,7 +568,7 @@ mod tests {
             .with_generation_series(256);
         let data = DatasetKind::Synthetic.generate(500, 64, 61);
         let (paris, _) = build_in_memory(&data, &tiny);
-        let largest = dsidx_tree::stats::index_stats(&paris.tree).max_leaf_len;
+        let largest = dsidx_tree::stats::index_stats(&paris).max_leaf_len;
         assert!(largest < SEED_PROBES, "fixture leaves too large: {largest}");
         let qs = DatasetKind::Synthetic.queries(5, 64, 61);
         for q in qs.iter() {
@@ -576,7 +596,7 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         for k in [1usize, 10] {
             for threads in [1usize, 4] {
-                let (got, stats) = exact(&paris, &data, &qrefs, k, threads, None).unwrap();
+                let (got, stats) = exact(&paris, None, &data, &qrefs, k, threads, None).unwrap();
                 for (qi, q) in qs.iter().enumerate() {
                     let want = dsidx_ucr::brute_force_knn(&data, q, k);
                     assert_eq!(
@@ -610,7 +630,7 @@ mod tests {
         let queries: Vec<&[f32]> = vec![base.get(5), fresh.get(0), fresh.get(1)];
         for k in [1usize, 7, 25, 40] {
             for threads in [1usize, 4] {
-                let (got, stats) = exact(&paris, &data, &queries, k, threads, None).unwrap();
+                let (got, stats) = exact(&paris, None, &data, &queries, k, threads, None).unwrap();
                 for (qi, q) in queries.iter().enumerate() {
                     let want = dsidx_ucr::brute_force_knn(&data, q, k);
                     assert_eq!(
@@ -634,7 +654,7 @@ mod tests {
         let path = tmp("shared-leaf.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris, _) =
+        let (paris, runs, _) =
             build_on_disk(&file, &tmp("shared-leaf.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
         let q = DatasetKind::Seismic.queries(1, 64, 83);
         let series_bytes = 64 * std::mem::size_of::<f32>() as u64;
@@ -642,7 +662,7 @@ mod tests {
         // the leaf-store read-back (one thread, so fetches repeat exactly).
         let leaf_bytes = |queries: &[&[f32]]| {
             file.device().reset_stats();
-            let (_, stats) = exact(&paris, &file, queries, 1, 1, None).unwrap();
+            let (_, stats) = exact(&paris, Some(&runs), &file, queries, 1, 1, None).unwrap();
             let read = file.device().stats().bytes_read;
             (read - stats.series_fetched * series_bytes, stats)
         };
@@ -667,7 +687,7 @@ mod tests {
         let mut phases = Vec::new();
         for budget in 0u64..64 {
             let flaky = FlakySource::new(data.clone(), budget);
-            match exact(&paris, &flaky, &qrefs, 5, 4, None) {
+            match exact(&paris, None, &flaky, &qrefs, 5, 4, None) {
                 Ok(_) => assert!(!flaky.tripped(), "budget {budget}"),
                 Err(err) => {
                     assert!(flaky.tripped());
@@ -688,8 +708,8 @@ mod tests {
         assert!(phases[first_verify..].iter().all(|&p| p == "verify"));
         // An unconstrained budget answers exactly like the dataset itself.
         let flaky = FlakySource::new(data.clone(), u64::MAX);
-        let (via_flaky, _) = exact(&paris, &flaky, &qrefs, 5, 4, None).unwrap();
-        let (via_data, _) = exact(&paris, &data, &qrefs, 5, 4, None).unwrap();
+        let (via_flaky, _) = exact(&paris, None, &flaky, &qrefs, 5, 4, None).unwrap();
+        let (via_data, _) = exact(&paris, None, &data, &qrefs, 5, 4, None).unwrap();
         assert_eq!(via_flaky, via_data);
     }
 
@@ -725,7 +745,7 @@ mod tests {
         let qs = DatasetKind::Synthetic.queries(4, 64, 97);
         for rep in 0..300 {
             let q = qs.get(rep % qs.len());
-            let (got, stats) = exact(&paris, &source, &[q], 1, 8, None).unwrap();
+            let (got, stats) = exact(&paris, None, &source, &[q], 1, 8, None).unwrap();
             assert_eq!(got[0][0].pos, brute_force(&data, q).unwrap().pos);
             assert_eq!(
                 stats.series_fetched, stats.series_requests,
@@ -742,7 +762,8 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         for k in [1usize, 9, 35] {
             for threads in [1usize, 4] {
-                let (batched, stats) = exact(&paris, &data, &qrefs, k, threads, None).unwrap();
+                let (batched, stats) =
+                    exact(&paris, None, &data, &qrefs, k, threads, None).unwrap();
                 assert_eq!(stats.broadcasts, 2, "one collect + one verify per batch");
                 assert!(stats.broadcasts_per_query() < 1.0);
                 for (qi, q) in qs.iter().enumerate() {
@@ -766,12 +787,12 @@ mod tests {
         let path = tmp("batch.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris, _) =
+        let (paris, runs, _) =
             build_on_disk(&file, &tmp("batch.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
         let qs = DatasetKind::Seismic.queries(5, 64, 53);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let (mem, _) = exact(&paris, &data, &qrefs, 7, 4, None).unwrap();
-        let (disk, _) = exact(&paris, &file, &qrefs, 7, 4, None).unwrap();
+        let (mem, _) = exact(&paris, None, &data, &qrefs, 7, 4, None).unwrap();
+        let (disk, _) = exact(&paris, Some(&runs), &file, &qrefs, 7, 4, None).unwrap();
         for (qi, (m, d)) in mem.iter().zip(&disk).enumerate() {
             assert_eq!(
                 m.iter().map(|x| x.pos).collect::<Vec<_>>(),
@@ -793,12 +814,12 @@ mod tests {
         let path = tmp("knn.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris, _) =
+        let (paris, runs, _) =
             build_on_disk(&file, &tmp("knn.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
         let queries = DatasetKind::Seismic.queries(3, 64, 17);
         for q in queries.iter() {
             let want = dsidx_ucr::brute_force_knn(&data, q, 10);
-            let (got, _) = knn(&paris, &file, q, 10, 4);
+            let (got, _) = knn_from(&paris, Some(&runs), &file, q, 10, 4);
             assert_eq!(
                 got.iter().map(|m| m.pos).collect::<Vec<_>>(),
                 want.iter().map(|m| m.pos).collect::<Vec<_>>()
@@ -839,7 +860,7 @@ mod tests {
                 assert!(stats.candidates <= 600);
                 assert!(stats.candidates >= k as u64);
                 let exact_dtw = dsidx_ucr::brute_force_dtw_knn(&data, q, 4, k);
-                let prep = dsidx_query::DtwPrepared::new(paris.config.quantizer(), q, 4);
+                let prep = dsidx_query::DtwPrepared::new(paris.config().quantizer(), q, 4);
                 let (approx_dtw, _) = super::approx(&paris, &data, q, &prep, k).unwrap();
                 for (a, e) in approx_dtw.iter().zip(&exact_dtw) {
                     assert!(a.dist_sq >= e.dist_sq - e.dist_sq * 1e-6, "dtw k={k}");
@@ -850,7 +871,7 @@ mod tests {
         let path = tmp("approx.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris_d, _) =
+        let (paris_d, _, _) =
             build_on_disk(&file, &tmp("approx.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
         for q in queries.iter() {
             let (mem, _) = approx_ed(&paris_d, &data, q, 5).unwrap();

@@ -468,7 +468,7 @@ pub fn batch_seed_prefix(
 /// position.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchCandidate {
-    /// SAX-array position of the candidate series.
+    /// Raw-data position of the candidate series.
     pub pos: u32,
     /// Index of the query (into the batch's slots) that kept it.
     pub query: u32,
@@ -476,10 +476,13 @@ pub struct BatchCandidate {
     pub lb: f32,
 }
 
-/// Lower-bound filter over one Fetch&Inc chunk of the SAX array, batched
-/// (ParIS collect): each word in `range` is bounded against every query;
-/// survivors append one [`BatchCandidate`] per `(position, query)` pair,
-/// position-major, so the triples of one position stay contiguous.
+/// Lower-bound filter over one Fetch&Inc chunk of a collection's
+/// `(word, position)` pairs, batched (ParIS collect): `words` and
+/// `positions` are index-aligned (a flat tree's entry runs, in leaf order),
+/// each word in `range` is bounded against every query, and survivors
+/// append one [`BatchCandidate`] per `(position, query)` pair, entry-major,
+/// so the triples of one position stay contiguous. Nothing is inserted, so
+/// the candidate set does not depend on the order the pairs come in.
 /// Thresholds are sampled once per chunk — the paper's granularity for
 /// refreshing the pruning threshold. Bounds come from the batched kernel
 /// ([`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many),
@@ -487,6 +490,7 @@ pub struct BatchCandidate {
 /// `LB_BLOCK` words.
 pub fn batch_collect_candidates(
     words: &[Word],
+    positions: &[u32],
     range: Range<usize>,
     batch: &QueryBatch<'_>,
     locals: &mut [QueryStats],
@@ -498,25 +502,24 @@ pub fn batch_collect_candidates(
         .map(|s| s.topk.threshold_sq())
         .collect();
     let mut rows = vec![0.0f32; batch.len() * LB_BLOCK];
-    let mut start = range.start;
-    for block in words[range].chunks(LB_BLOCK) {
+    let blocks = words[range.clone()].chunks(LB_BLOCK);
+    for (block, block_positions) in blocks.zip(positions[range].chunks(LB_BLOCK)) {
         for (slot, row) in batch.slots().iter().zip(rows.chunks_exact_mut(LB_BLOCK)) {
             slot.prep.table.lookup_many(block, row);
         }
-        for off in 0..block.len() {
+        for (off, &pos) in block_positions.iter().enumerate() {
             for (qi, &limit) in limits.iter().enumerate() {
                 let lb = rows[qi * LB_BLOCK + off];
                 if lb < limit {
                     locals[qi].candidates += 1;
                     out.push(BatchCandidate {
-                        pos: (start + off) as u32,
+                        pos,
                         query: qi as u32,
                         lb,
                     });
                 }
             }
         }
-        start += block.len();
     }
 }
 
@@ -539,16 +542,17 @@ pub fn batch_collect_candidates(
 /// final distance is fetched at all.
 ///
 /// The result is a pure function of the *set* of triples — it does not
-/// depend on the order the collect workers appended their chunks in —
-/// and the triples of one position stay contiguous.
+/// depend on the order the entries were scanned in or the collect workers
+/// appended their chunks in — and the triples of one position stay
+/// contiguous.
 pub fn order_best_bound_first(
     candidates: &mut [BatchCandidate],
     batch: &QueryBatch<'_>,
     head: usize,
 ) {
-    // Stable and adaptive: each collect worker appended ascending
-    // stretches, which merge in near-linear time.
-    candidates.sort_by_key(|c| (c.pos, c.query));
+    // Position-major first: the collect workers appended their triples in
+    // whatever order they scanned the entries.
+    candidates.sort_unstable_by_key(|c| (c.pos, c.query));
 
     // Per query, the bound its `head`-th best candidate has.
     let mut bounds_of: Vec<Vec<f32>> = vec![Vec::new(); batch.len()];
@@ -765,7 +769,15 @@ mod tests {
         let mut candidates = Vec::new();
         for start in (0..words.len()).step_by(64) {
             let end = (start + 64).min(words.len());
-            batch_collect_candidates(&words, start..end, &batch, &mut locals, &mut candidates);
+            let positions = in_order(&words);
+            batch_collect_candidates(
+                &words,
+                &positions,
+                start..end,
+                &batch,
+                &mut locals,
+                &mut candidates,
+            );
         }
         let mut survivors = Vec::new();
         for start in (0..candidates.len()).step_by(16) {
@@ -835,13 +847,30 @@ mod tests {
         }
     }
 
-    /// Collects the whole SAX array for `batch` in 64-word chunks.
-    fn collect_all(words: &[Word], batch: &QueryBatch<'_>) -> Vec<BatchCandidate> {
+    /// The positions of words listed in position order.
+    fn in_order(words: &[Word]) -> Vec<u32> {
+        (0..words.len() as u32).collect()
+    }
+
+    /// Collects every `(word, position)` pair for `batch` in 64-entry
+    /// chunks.
+    fn collect_all(
+        words: &[Word],
+        positions: &[u32],
+        batch: &QueryBatch<'_>,
+    ) -> Vec<BatchCandidate> {
         let mut locals = vec![QueryStats::default(); batch.len()];
         let mut candidates = Vec::new();
         for start in (0..words.len()).step_by(64) {
             let end = (start + 64).min(words.len());
-            batch_collect_candidates(words, start..end, batch, &mut locals, &mut candidates);
+            batch_collect_candidates(
+                words,
+                positions,
+                start..end,
+                batch,
+                &mut locals,
+                &mut candidates,
+            );
         }
         candidates
     }
@@ -889,7 +918,7 @@ mod tests {
                 batch
             };
             let by_position = seeded();
-            let candidates = collect_all(&words, &by_position);
+            let candidates = collect_all(&words, &in_order(&words), &by_position);
             assert!(candidates.windows(2).all(|w| w[0].pos < w[1].pos));
             let position_reads = verify_all(&candidates, 16, &data, &by_position);
 
@@ -939,7 +968,15 @@ mod tests {
         for start in (0..words.len()).step_by(64) {
             let mut out = Vec::new();
             let end = (start + 64).min(words.len());
-            batch_collect_candidates(&words, start..end, &batch, &mut locals, &mut out);
+            let positions = in_order(&words);
+            batch_collect_candidates(
+                &words,
+                &positions,
+                start..end,
+                &batch,
+                &mut locals,
+                &mut out,
+            );
             chunks.push(out);
         }
         let mut forward: Vec<BatchCandidate> = chunks.iter().flatten().copied().collect();
@@ -993,6 +1030,37 @@ mod tests {
     }
 
     #[test]
+    fn best_bound_order_does_not_depend_on_the_order_entries_are_scanned_in() {
+        // ParIS collects from a flat tree's entries, which come in leaf
+        // order: the same `(word, position)` pairs scanned in position
+        // order and shuffled must be put in one verify order.
+        let (data, words, config) = fixture(500);
+        let n = words.len();
+        // 7919 is prime and does not divide 500: a permutation of 0..n.
+        let shuffled: Vec<u32> = (0..n).map(|i| (i * 7919 % n) as u32).collect();
+        let shuffled_words: Vec<Word> = shuffled.iter().map(|&p| words[p as usize]).collect();
+        let qs = DatasetKind::Synthetic.queries(4, 64, 37);
+        for queries in [1usize, 4] {
+            let qrefs: Vec<&[f32]> = qs.iter().take(queries).collect();
+            for k in [1usize, 10] {
+                let batch = QueryBatch::new(config.quantizer(), &qrefs, k, None);
+                let mut fetcher = SeriesFetcher::new(&data);
+                batch_seed_prefix(4 * k, &mut fetcher, &batch).unwrap();
+                let by_position = collect_all(&words, &in_order(&words), &batch);
+                let by_shuffle = collect_all(&shuffled_words, &shuffled, &batch);
+                assert!(by_position.len() > 1, "fixture keeps too few candidates");
+                assert_ne!(by_position, by_shuffle, "the two scans differ in order");
+                for head in [0, 5, 64, usize::MAX] {
+                    let (mut a, mut b) = (by_position.clone(), by_shuffle.clone());
+                    order_best_bound_first(&mut a, &batch, head);
+                    order_best_bound_first(&mut b, &batch, head);
+                    assert_eq!(a, b, "{queries} queries, k={k}, head={head}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_finite_head_leads_and_the_rest_keeps_position_order() {
         let (data, words, config) = fixture(400);
         let qs = DatasetKind::Synthetic.queries(2, 64, 31);
@@ -1000,7 +1068,7 @@ mod tests {
         let batch = QueryBatch::new(config.quantizer(), &qrefs, 1, None);
         let mut fetcher = SeriesFetcher::new(&data);
         batch_seed_prefix(2, &mut fetcher, &batch).unwrap();
-        let collected = collect_all(&words, &batch);
+        let collected = collect_all(&words, &in_order(&words), &batch);
         let head = 5;
         assert!(collected.iter().filter(|c| c.query == 0).count() > 3 * head);
         let mut ordered = collected.clone();
@@ -1120,7 +1188,15 @@ mod tests {
         batch_seed_prefix(2, &mut fetcher, &batch).unwrap();
         let mut locals = vec![QueryStats::default(); batch.len()];
         let mut got = Vec::new();
-        batch_collect_candidates(&words, 5..words.len(), &batch, &mut locals, &mut got);
+        let positions = in_order(&words);
+        batch_collect_candidates(
+            &words,
+            &positions,
+            5..words.len(),
+            &batch,
+            &mut locals,
+            &mut got,
+        );
         let mut want = Vec::new();
         for (pos, word) in words.iter().enumerate().skip(5) {
             for (qi, slot) in batch.slots().iter().enumerate() {
@@ -1236,7 +1312,15 @@ mod tests {
         batch_seed_positions([1, 2], &mut fetcher, &batch).unwrap();
         batch_seed_prefix(5, &mut fetcher, &batch).unwrap();
         let mut candidates = Vec::new();
-        batch_collect_candidates(&words, 0..words.len(), &batch, &mut [], &mut candidates);
+        let positions = in_order(&words);
+        batch_collect_candidates(
+            &words,
+            &positions,
+            0..words.len(),
+            &batch,
+            &mut [],
+            &mut candidates,
+        );
         assert!(candidates.is_empty());
         let (matches, stats) = batch.finish(0, QueryStats::default());
         assert!(matches.is_empty());

@@ -14,7 +14,7 @@ use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::{Pruner, SharedTopK};
-use dsidx_tree::{FlatTree, TreeConfig};
+use dsidx_tree::FlatTree;
 
 /// The most promising leaf for `word` (its node index): the query's own
 /// non-empty leaf, routing around empty subtrees; when the query's root
@@ -26,7 +26,7 @@ pub fn approx_leaf_flat(flat: &FlatTree, word: &Word) -> Option<u32> {
     if roots.is_empty() {
         return None;
     }
-    let key = word.root_key(flat.root_segments());
+    let key = flat.config().root_key(word);
     let start_root = match roots.binary_search_by_key(&key, |&(k, _)| k) {
         Ok(i) => i,
         Err(i) => i.min(roots.len() - 1), // absent subtree: nearest key
@@ -58,13 +58,16 @@ pub fn approx_leaf_flat(flat: &FlatTree, word: &Word) -> Option<u32> {
 /// `k == 0`.
 pub fn approx_best_leaf(
     tree: &FlatTree,
-    config: &TreeConfig,
     source: &impl RawSource,
     query: &[f32],
     prep: &impl Prepared,
     k: usize,
 ) -> Result<(Vec<Match>, QueryStats), StorageError> {
-    assert_eq!(query.len(), config.series_len(), "query length mismatch");
+    assert_eq!(
+        query.len(),
+        tree.config().series_len(),
+        "query length mismatch"
+    );
     let topk = SharedTopK::new(k);
     if tree.entry_count() == 0 {
         return Ok(finish_knn(&topk, None));
@@ -152,7 +155,7 @@ mod tests {
     use super::*;
     use dsidx_series::gen::DatasetKind;
     use dsidx_sync::AtomicBest;
-    use dsidx_tree::{Index, LeafEntry};
+    use dsidx_tree::{Index, LeafEntry, TreeConfig};
 
     fn build_index(n: usize) -> (dsidx_series::Dataset, Index) {
         let config = TreeConfig::new(64, 8, 16).unwrap();

@@ -9,8 +9,8 @@
 //! * [`WorkQueue`] — Fetch&Inc work claiming: "chunks are assigned to index
 //!   workers one after the other (using Fetch&Inc)" (§III).
 //! * [`SyncSlice`] — a shared slice written at *disjoint* indices by many
-//!   threads without locks, used for the SAX array whose entry `i` is owned
-//!   by whichever worker summarizes series `i`.
+//!   threads without locks, used for the builds' per-subtree slots, each
+//!   owned by whichever worker claimed that subtree.
 //!
 //! On top of these, [`topk`] generalizes the BSF to exact k-NN: the
 //! [`Pruner`] trait abstracts "threshold read + candidate insert" (both

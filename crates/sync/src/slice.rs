@@ -5,9 +5,11 @@ use std::cell::UnsafeCell;
 /// A slice that multiple threads may write concurrently, **provided no two
 /// threads ever touch the same index**.
 ///
-/// This is how the SAX array is filled: series positions are partitioned
-/// among workers (statically or via [`crate::WorkQueue`] chunks), and worker
-/// that owns position `i` writes entry `i` exactly once. The type merely
+/// This is how the builds keep per-subtree slots: indices are partitioned
+/// among workers (statically or via [`crate::WorkQueue`] chunks), and the
+/// worker that owns index `i` is the only one to touch entry `i` — MESSI
+/// writes each claimed run of subtrees' fragment once, ParIS grows each
+/// claimed root subtree in place. The type merely
 /// encodes that contract; violating it is a data race, which is why the
 /// writing method is `unsafe` and the contract is spelled out there.
 ///

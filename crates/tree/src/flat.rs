@@ -37,7 +37,6 @@ use crate::config::TreeConfig;
 use crate::entry::LeafEntry;
 use crate::index::Index;
 use crate::node::Node;
-use crate::sax::SaxArray;
 use dsidx_isax::split::choose_split_segment;
 use dsidx_isax::{NodeMindistTable, NodeWord, Word, MAX_BITS, MAX_SEGMENTS};
 
@@ -155,9 +154,9 @@ pub struct FlatTree {
     /// Raw-data position of each word (no filler: `words.len() -
     /// (LEAF_BLOCK - 1)` of them).
     pub(crate) positions: Vec<u32>,
-    pub(crate) segments: usize,
-    /// Segments the root keys are taken from (the index's derived `r`).
-    pub(crate) root_segments: usize,
+    /// The configuration the tree was built under, fitted to its
+    /// collection.
+    pub(crate) config: TreeConfig,
 }
 
 /// Root subtrees laid out on their own, keys ascending: the unit a build
@@ -333,7 +332,7 @@ impl FlatTree {
         for &key in index.occupied_roots() {
             fragment.push(key, index.root(key).expect("occupied root exists"));
         }
-        Self::stitch(index.config(), vec![fragment])
+        Self::stitch(index.config().clone(), vec![fragment])
     }
 
     /// Concatenates fragments into one tree under `config`, rebasing each
@@ -345,7 +344,7 @@ impl FlatTree {
     /// Panics unless the keys ascend across the fragments (each occupied
     /// root once).
     #[must_use]
-    pub fn stitch(config: &TreeConfig, fragments: Vec<FlatFragment>) -> Self {
+    pub fn stitch(config: TreeConfig, fragments: Vec<FlatFragment>) -> Self {
         let nodes: usize = fragments.iter().map(|f| f.nodes.len()).sum();
         let entries: usize = fragments.iter().map(|f| f.positions.len()).sum();
         let mut fragments = fragments.into_iter();
@@ -355,8 +354,7 @@ impl FlatTree {
             roots: first.roots,
             words: first.words,
             positions: first.positions,
-            segments: config.segments(),
-            root_segments: config.root_segments(),
+            config,
         };
         flat.nodes.reserve_exact(nodes - flat.nodes.len());
         flat.words
@@ -396,7 +394,7 @@ impl FlatTree {
     /// Appends the `LEAF_BLOCK - 1` filler words that let the last leaf be
     /// bounded in whole blocks.
     pub(crate) fn pad_words(&mut self) {
-        let filler = Word::new(&[0u8; MAX_SEGMENTS][..self.segments]);
+        let filler = Word::new(&[0u8; MAX_SEGMENTS][..self.config.segments()]);
         self.words
             .extend(std::iter::repeat_n(filler, LEAF_BLOCK - 1));
     }
@@ -466,35 +464,27 @@ impl FlatTree {
         self.positions.len()
     }
 
-    /// Number of iSAX segments.
+    /// The configuration the tree was built under.
     #[inline]
     #[must_use]
-    pub fn segments(&self) -> usize {
-        self.segments
+    pub fn config(&self) -> &TreeConfig {
+        &self.config
     }
 
-    /// Number of segments the root keys in [`roots`](Self::roots) are taken
-    /// from — pass it to [`Word::root_key`] to find a word's root.
+    /// Every entry's iSAX word, leaf-contiguous (no filler), index-aligned
+    /// with [`positions`](Self::positions). Each series' word appears
+    /// once: this is the paper's SAX array, in leaf order.
     #[inline]
     #[must_use]
-    pub fn root_segments(&self) -> usize {
-        self.root_segments
+    pub fn words(&self) -> &[Word] {
+        &self.words[..self.positions.len()]
     }
 
-    /// The position-ordered SAX array the entries spell out — what ADS+
-    /// and ParIS scan. Built from the tree rather than stored beside it in
-    /// a snapshot: every `(position, word)` pair is already here.
-    ///
-    /// # Panics
-    /// Panics unless the positions are a permutation of
-    /// `0..entry_count()` (true of every built or decoded tree).
+    /// Every entry's raw-data position, leaf-contiguous.
+    #[inline]
     #[must_use]
-    pub fn sax_array(&self) -> SaxArray {
-        let mut words = self.words[..self.positions.len()].to_vec();
-        for (&pos, &word) in self.positions.iter().zip(&self.words) {
-            words[pos as usize] = word;
-        }
-        SaxArray::new(words)
+    pub fn positions(&self) -> &[u32] {
+        &self.positions
     }
 
     /// Descends from node `idx` towards `word`, detouring around empty
@@ -515,7 +505,7 @@ impl FlatTree {
             // more bit; recover the branch from the word's next bit.
             let (zero, one) = node.children(idx);
             let zero_node = self.node(zero);
-            let seg = (0..self.segments)
+            let seg = (0..self.config.segments())
                 .find(|&s| zero_node.bits[s] == node.bits[s] + 1)
                 .expect("inner node has a refined segment");
             let bit = (word.symbol(seg) >> (dsidx_isax::MAX_BITS - node.bits[seg] - 1)) & 1;
@@ -574,11 +564,15 @@ mod tests {
         let mut want: Vec<u32> = entries.iter().map(|e| e.pos).collect();
         want.sort_unstable();
         assert_eq!(seen, want);
-        // The SAX array it spells out is the words in position order.
-        let sax = flat.sax_array();
-        for e in &entries {
-            assert_eq!(sax.word(e.pos as usize), &e.word);
-        }
+        // Its `(word, position)` pairs are the inserted entries.
+        let mut pairs: Vec<LeafEntry> = flat
+            .words()
+            .iter()
+            .zip(flat.positions())
+            .map(|(&word, &pos)| LeafEntry::new(word, pos))
+            .collect();
+        pairs.sort_unstable_by_key(|e| e.pos);
+        assert_eq!(pairs, entries);
     }
 
     #[test]
@@ -589,7 +583,10 @@ mod tests {
         fn check(flat: &FlatTree, fidx: u32, node: &Node) {
             let fnode = flat.node(fidx);
             assert_eq!(fnode.is_leaf(), node.is_leaf());
-            assert_eq!(fnode.word(flat.segments()).as_ref(), Some(node.word()));
+            assert_eq!(
+                fnode.word(flat.config().segments()).as_ref(),
+                Some(node.word())
+            );
             if let Some((_, zero, one)) = node.children() {
                 let (fz, fo) = fnode.children(fidx);
                 check(flat, fz, zero);
@@ -681,7 +678,7 @@ mod tests {
         assert!(serial.roots().len() > 3);
         for per in [1, 2, 3] {
             assert_eq!(
-                FlatTree::stitch(&cfg, fragments(&idx, per)),
+                FlatTree::stitch(cfg.clone(), fragments(&idx, per)),
                 serial,
                 "per={per}"
             );
@@ -700,7 +697,7 @@ mod tests {
                 fragment.grow(key as u16, buffer, cfg);
             }
         }
-        FlatTree::stitch(cfg, vec![fragment])
+        FlatTree::stitch(cfg.clone(), vec![fragment])
     }
 
     #[test]
@@ -746,7 +743,7 @@ mod tests {
         let (cfg, idx, _) = build_index(500, 8);
         let mut fragments = fragments(&idx, 1);
         fragments.swap(0, 1);
-        let _ = FlatTree::stitch(&cfg, fragments);
+        let _ = FlatTree::stitch(cfg, fragments);
     }
 
     #[test]
@@ -757,6 +754,6 @@ mod tests {
         assert_eq!(flat.entry_count(), 0);
         assert!(flat.roots().is_empty());
         assert!(flat.nodes().is_empty());
-        assert!(flat.sax_array().is_empty());
+        assert!(flat.words().is_empty());
     }
 }

@@ -28,13 +28,18 @@
 //! leaf flushes in between (ParIS/ParIS+) grows a boxed [`Node`] graph
 //! under an [`Index`] by inserts, then flattens it and drops it. Both ways
 //! build the same tree from the same entries in the same order.
+//!
+//! A flat tree carries the [`TreeConfig`] it was built under, so it is the
+//! whole index: MESSI traverses it, ParIS and ADS+ scan its entry runs
+//! ([`FlatTree::words`], [`FlatTree::positions`]) — every series' word
+//! once, beside its position, which is the paper's SAX array in leaf
+//! order.
 
 pub mod config;
 pub mod entry;
 pub mod flat;
 pub mod index;
 pub mod node;
-pub mod sax;
 pub mod snapshot;
 pub mod stats;
 
@@ -43,6 +48,5 @@ pub use entry::LeafEntry;
 pub use flat::{FlatFragment, FlatNode, FlatTree};
 pub use index::Index;
 pub use node::{LeafPayload, Node};
-pub use sax::SaxArray;
 
 pub use dsidx_isax::{NodeWord, Quantizer, Word};

@@ -90,7 +90,7 @@ pub fn encode(tree: &FlatTree) -> TreeSections {
     let mut out = TreeSections {
         nodes: Vec::with_capacity(tree.nodes.len() * NODE_RECORD_LEN),
         roots: Vec::with_capacity(tree.roots.len() * ROOT_RECORD_LEN),
-        words: vec![0; count * tree.segments],
+        words: vec![0; count * tree.config.segments()],
         positions: vec![0; count * 4],
     };
     for node in &tree.nodes {
@@ -104,7 +104,11 @@ pub fn encode(tree: &FlatTree) -> TreeSections {
         out.roots.extend_from_slice(&key.to_le_bytes());
         out.roots.extend_from_slice(&node.to_le_bytes());
     }
-    for (record, word) in out.words.chunks_exact_mut(tree.segments).zip(&tree.words) {
+    for (record, word) in out
+        .words
+        .chunks_exact_mut(tree.config.segments())
+        .zip(&tree.words)
+    {
         record.copy_from_slice(word.symbols());
     }
     for (record, pos) in out.positions.chunks_exact_mut(4).zip(&tree.positions) {
@@ -155,16 +159,15 @@ pub fn decode_tree(
         roots: roots.collect(),
         words: words.map(Word::new).collect(),
         positions: positions.map(le_u32).collect(),
-        segments,
-        root_segments: config.root_segments(),
+        config,
     };
     tree.pad_words();
-    validate(&tree, &config, count)?;
+    validate(&tree, count)?;
     Ok(tree)
 }
 
 /// Checks every structural invariant a built tree keeps, against the
-/// configuration it was built under and the `count` series it indexes:
+/// configuration it carries and the `count` series it indexes:
 ///
 /// * root keys are strictly ascending, below `2^r`, and each subtree
 ///   starts where the previous one ended, at its key's root word;
@@ -181,12 +184,9 @@ pub fn decode_tree(
 ///
 /// # Errors
 /// A [`CodecError`] naming the first violation.
-pub fn validate(tree: &FlatTree, config: &TreeConfig, count: usize) -> Result<(), CodecError> {
+pub fn validate(tree: &FlatTree, count: usize) -> Result<(), CodecError> {
+    let config = &tree.config;
     let segments = config.segments();
-    ensure!(
-        (tree.segments, tree.root_segments) == (segments, config.root_segments()),
-        "tree geometry differs from its configuration"
-    );
     // One pass over the nodes in order. `pending` holds, innermost last,
     // the word each node still to come must carry and, for a one child,
     // the inner node that has to name it; `cursor` counts the entries the

@@ -51,7 +51,7 @@ mod tests {
     use crate::entry::LeafEntry;
     use crate::index::Index;
 
-    fn build(n: u64, cap: usize) -> (TreeConfig, FlatTree) {
+    fn build(n: u64, cap: usize) -> FlatTree {
         let cfg = TreeConfig::new(64, 8, cap).unwrap().fitted_to(n as usize);
         let mut idx = Index::new(cfg.clone());
         for seed in 0..n {
@@ -66,12 +66,12 @@ mod tests {
                 .collect();
             idx.insert(LeafEntry::new(cfg.quantizer().word(&s), seed as u32));
         }
-        (cfg, FlatTree::from_index(&idx))
+        FlatTree::from_index(&idx)
     }
 
     #[test]
     fn stats_count_consistently() {
-        let (_, tree) = build(400, 4);
+        let tree = build(400, 4);
         let st = index_stats(&tree);
         assert_eq!(st.entry_count, 400);
         assert_eq!(st.root_subtrees, tree.roots().len());
@@ -85,14 +85,14 @@ mod tests {
     #[test]
     fn validate_accepts_well_formed_index() {
         for (n, cap) in [(500, 7), (1, 1), (0, 5)] {
-            let (cfg, tree) = build(n, cap);
-            crate::snapshot::validate(&tree, &cfg, n as usize).expect("built trees are valid");
+            let tree = build(n, cap);
+            crate::snapshot::validate(&tree, n as usize).expect("built trees are valid");
         }
     }
 
     #[test]
     fn stats_on_empty_index() {
-        let st = index_stats(&build(0, 3).1);
+        let st = index_stats(&build(0, 3));
         assert_eq!(st, IndexStats::default());
     }
 }

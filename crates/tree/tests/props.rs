@@ -63,7 +63,7 @@ proptest! {
 
         let index = serial(&config, &words);
         let flat = FlatTree::from_index(&index);
-        prop_assert!(validate(&flat, &config, words.len()).is_ok());
+        prop_assert!(validate(&flat, words.len()).is_ok());
         let stats = index_stats(&flat);
         prop_assert_eq!(stats.entry_count, words.len());
         prop_assert!(stats.root_subtrees <= config.root_count());
@@ -73,7 +73,7 @@ proptest! {
             prop_assert_eq!(root.word(), &config.root_word(key));
             prop_assert_eq!(root.word().total_bits() as usize, r);
         }
-        prop_assert_eq!(flat.root_segments(), r);
+        prop_assert_eq!(flat.config(), &config);
         prop_assert_eq!(flat.entry_count(), words.len());
         for word in &words {
             let at = flat.roots().binary_search_by_key(&word.root_key(r), |&(k, _)| k);
@@ -93,7 +93,7 @@ proptest! {
                 fragment.grow(key as u16, buffer, &config);
             }
         }
-        prop_assert_eq!(FlatTree::stitch(&config, vec![fragment]), flat);
+        prop_assert_eq!(FlatTree::stitch(config.clone(), vec![fragment]), flat);
 
         let mut slots: Vec<Option<Box<Node>>> = vec![None; config.root_count()];
         for (pos, word) in words.iter().enumerate() {

@@ -123,8 +123,8 @@ proptest! {
         let tree = opts.tree_config(len).unwrap();
         let serial = dsidx::messi::MessiConfig::new(tree, 1);
         let (built, _) = dsidx::messi::build(&data, &serial);
-        prop_assert!(dsidx::tree::snapshot::validate(&built.tree, &built.config, data.len()).is_ok());
-        let stats = dsidx::tree::stats::index_stats(&built.tree);
+        prop_assert!(dsidx::tree::snapshot::validate(&built, data.len()).is_ok());
+        let stats = dsidx::tree::stats::index_stats(&built);
         prop_assert_eq!(stats.entry_count, data.len());
     }
 }

@@ -76,14 +76,11 @@ fn paris_builds_the_messi_tree_whatever_the_worker_timing() {
             .with_block_series(64)
             .with_generation_series(SERIES / 4);
         let (paris, _) = build_in_memory(&data, &cfg);
-        assert!(
-            paris.tree == messi.tree,
-            "ParIS in memory, {threads} threads"
-        );
+        assert!(paris == messi, "ParIS in memory, {threads} threads");
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
         let store = dir.join(format!("plus-{threads}.leaf"));
-        let (plus, _) = build_on_disk(&file, &store, &cfg, Overlap::ParisPlus).unwrap();
-        assert!(plus.tree == messi.tree, "ParIS+ on disk, {threads} threads");
+        let (plus, _, _) = build_on_disk(&file, &store, &cfg, Overlap::ParisPlus).unwrap();
+        assert!(plus == messi, "ParIS+ on disk, {threads} threads");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -23,11 +23,11 @@
 //! rows.
 
 use dsidx::messi::MessiConfig;
-use dsidx::paris::{ParisConfig, ParisIndex};
+use dsidx::paris::ParisConfig;
 use dsidx::prelude::*;
 use dsidx::query::{approx_best_leaf, DtwPrepared, PreparedQuery};
 use dsidx::storage::{write_dataset, DatasetFile, RawSource};
-use dsidx::tree::TreeConfig;
+use dsidx::tree::{FlatTree, TreeConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -208,12 +208,14 @@ fn rows_for(kind: DatasetKind, name: &str) -> Vec<(String, [u64; 18])> {
                 approx_row(&queries, |q| sketch_nearest(&paris, &data, q, measure, k)),
             ));
         }
-        let (matches, stats) = dsidx::paris::exact(&paris, &data, &queries, k, 1, None).unwrap();
+        let (matches, stats) =
+            dsidx::paris::exact(&paris, None, &data, &queries, k, 1, None).unwrap();
         rows.push((
             format!("{name}/paris-exact-memory/ed/k{k}"),
             row(&matches, &stats),
         ));
-        let (matches, stats) = dsidx::paris::exact(&paris, &file, &queries, k, 1, None).unwrap();
+        let (matches, stats) =
+            dsidx::paris::exact(&paris, None, &file, &queries, k, 1, None).unwrap();
         rows.push((
             format!("{name}/paris-exact-file/ed/k{k}"),
             row(&matches, &stats),
@@ -225,22 +227,21 @@ fn rows_for(kind: DatasetKind, name: &str) -> Vec<(String, [u64; 18])> {
 
 /// MESSI's (and ADS+'s) approximate answer: the best-leaf visit.
 fn best_leaf(
-    messi: &dsidx::messi::MessiIndex,
+    messi: &FlatTree,
     source: &impl RawSource,
     query: &[f32],
     measure: Measure,
     k: usize,
 ) -> (Vec<Match>, QueryStats) {
-    let (tree, config) = (&messi.tree, &messi.config);
-    let quantizer = config.quantizer();
+    let quantizer = messi.config().quantizer();
     match measure {
         Measure::Euclidean => {
             let prep = PreparedQuery::new(quantizer, query);
-            approx_best_leaf(tree, config, source, query, &prep, k)
+            approx_best_leaf(messi, source, query, &prep, k)
         }
         Measure::Dtw { band } => {
             let prep = DtwPrepared::new(quantizer, query, band);
-            approx_best_leaf(tree, config, source, query, &prep, k)
+            approx_best_leaf(messi, source, query, &prep, k)
         }
     }
     .unwrap()
@@ -248,13 +249,13 @@ fn best_leaf(
 
 /// ParIS's approximate answer: the sketch-nearest probe.
 fn sketch_nearest(
-    paris: &ParisIndex,
+    paris: &FlatTree,
     source: &impl RawSource,
     query: &[f32],
     measure: Measure,
     k: usize,
 ) -> (Vec<Match>, QueryStats) {
-    let quantizer = paris.config.quantizer();
+    let quantizer = paris.config().quantizer();
     match measure {
         Measure::Euclidean => {
             let prep = PreparedQuery::new(quantizer, query);
