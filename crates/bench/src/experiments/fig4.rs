@@ -79,7 +79,7 @@ pub fn run(scale: &Scale) {
         let store = crate::data_dir().join(format!("fig4-{}-{cores}.leaf", mode.name()));
         build_on_disk(&file, &store, &cfg, mode)
             .expect("paris build")
-            .2
+            .1
     };
     for mode in [Overlap::Paris, Overlap::ParisPlus] {
         for &cores in &ladder {

@@ -47,7 +47,7 @@ pub fn run(scale: &Scale) {
                 .with_generation_series(generation);
             let store =
                 crate::data_dir().join(format!("fig6-{}-{}.leaf", kind.name(), mode.name()));
-            let (_, _, rep) = build_on_disk(&file, &store, &cfg, mode).expect("paris build");
+            let (_, rep) = build_on_disk(&file, &store, &cfg, mode).expect("paris build");
             totals.push(rep.total);
             table.row(&[
                 kind.name().into(),

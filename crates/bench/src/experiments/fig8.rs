@@ -4,38 +4,40 @@
 //! roughly an order of magnitude below the HDD curve (random reads for
 //! non-pruned candidates dominate, and the modeled SSD seek is ~95x
 //! cheaper).
+//!
+//! The index is built and saved once per profile; each core count opens
+//! that snapshot, so every query reads its seed leaf back from the
+//! snapshot on the profile's device, as a built index would.
 
-use crate::{core_ladder, disk_dataset, f, ms, time_queries, Scale, Table};
-use dsidx::paris::{build_on_disk, exact, Overlap, ParisConfig};
+use crate::{core_ladder, data_dir, disk_dataset, f, ms, time_queries, Scale, Table};
 use dsidx::prelude::*;
-use dsidx::storage::DatasetFile;
-use std::sync::Arc;
 
 /// Runs this experiment at the given scale, printing its table and CSV.
 pub fn run(scale: &Scale) {
     let kind = DatasetKind::Synthetic;
     let len = scale.len_for(kind);
     let path = disk_dataset(kind, scale.disk_series, len);
-    let tree = Options::default()
-        .with_leaf_capacity(20)
-        .tree_config(len)
-        .expect("valid config");
+    let options = Options {
+        block_series: 1024.min(scale.disk_series),
+        generation_series: (scale.disk_series / 4).max(1024),
+        ..Options::default()
+            .with_leaf_capacity(20)
+            .with_threads(8.min(core_ladder(&[8])[0]))
+    };
     let qs = crate::queries_planted(kind, scale.disk_queries, scale);
 
     let mut table = Table::new("fig8", &["device", "cores", "avg_query_ms"]);
     for profile in [DeviceProfile::HDD, DeviceProfile::SSD] {
-        let device = Arc::new(Device::new(profile));
-        let file = DatasetFile::open(&path, device).expect("open dataset");
-        let cfg = ParisConfig::new(tree.clone(), 8.min(core_ladder(&[8])[0]))
-            .with_block_series(1024.min(scale.disk_series))
-            .with_generation_series((scale.disk_series / 4).max(1024));
-        let store = crate::data_dir().join(format!("fig8-{}.leaf", profile.name));
-        let (paris, leaves, _) =
-            build_on_disk(&file, &store, &cfg, Overlap::ParisPlus).expect("paris build");
+        let snapshot = data_dir().join(format!("fig8-{}.snap", profile.name));
+        DiskIndex::build(&path, &data_dir(), Engine::ParisPlus, &options, profile)
+            .and_then(|index| index.save(&snapshot))
+            .expect("paris build");
         for &cores in &core_ladder(&[2, 4, 6, 12, 24]) {
             dsidx::sync::pool::global(cores).broadcast(&|_| {});
+            let opened = options.clone().with_threads(cores);
+            let index = DiskIndex::open(&snapshot, &path, &opened, profile).expect("open snapshot");
             let avg = time_queries(&qs, |q| {
-                let _ = exact(&paris, Some(&leaves), &file, &[q], 1, cores, None).expect("query");
+                let _ = index.search(&[q], &QuerySpec::nn()).expect("query");
             });
             table.row(&[profile.name.into(), cores.to_string(), f(ms(avg))]);
         }

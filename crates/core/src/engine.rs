@@ -20,7 +20,7 @@ use crate::answers::Answers;
 use crate::error::Error;
 use crate::options::Options;
 use crate::search::Search;
-use crate::snapshot::{open_snapshot, save_snapshot, SnapshotContents};
+use crate::snapshot::{hold_snapshot, open_snapshot, save_snapshot, SnapshotContents};
 use crate::spec::{Fidelity, Measure, QuerySpec};
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_obs::BuildReport;
@@ -31,6 +31,7 @@ use dsidx_tree::stats::{index_stats, IndexStats};
 use dsidx_tree::FlatTree;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Which indexing engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,9 +126,10 @@ pub(crate) fn trace_search(
     );
 }
 
-/// Distinguishes the leaf-store files of concurrent builds in one
-/// process: the pid alone collides when two builds share a workdir (each
-/// file is unlinked once its build holds it open).
+/// Distinguishes the scratch files of concurrent ParIS/ParIS+ disk builds
+/// in one process (a leaf store and a snapshot each): the pid alone
+/// collides when two builds share a workdir (each file is unlinked once
+/// its build holds it open).
 static BUILD_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// A built index beside the raw source `S` it answers from. Use it through
@@ -142,8 +144,9 @@ pub struct Index<S> {
     /// configuration it was built under.
     tree: FlatTree,
     /// The tree's entry runs on disk, which an on-disk ParIS/ParIS+ index
-    /// reads a leaf back from: the rewritten leaf store of its build, or
-    /// the snapshot it was opened from (none for any other index).
+    /// reads a leaf back from: the `WORDS` and `POSITION` sections of its
+    /// snapshot, the one its build wrote and holds unlinked or the one it
+    /// was opened from (none for any other index).
     leaves: Option<EntryRuns>,
     /// Build time decomposition (none for an opened index).
     build_report: Option<BuildReport>,
@@ -408,13 +411,15 @@ impl Search for MemoryIndex {
 impl DiskIndex {
     /// Builds an index over the dataset file at `dataset_path`, modeling
     /// the given device profile. `workdir` is created if absent and
-    /// briefly holds any engine scratch file: the ParIS leaf store is
-    /// unlinked as soon as the build holds it open, so it lives exactly as
-    /// long as the index and nothing is left behind.
+    /// briefly holds any engine scratch file; each is unlinked as soon as
+    /// the build holds it open, so nothing is left behind.
     ///
     /// Every engine builds on disk: ADS+ and MESSI stream the file block
     /// by block (reads charged to the device), ParIS/ParIS+ run the
-    /// paper's pipelined construction with a materialized leaf store.
+    /// paper's pipelined construction with a materialized leaf store, then
+    /// write the snapshot [`save`](Self::save) would write and read leaves
+    /// back from it as an [`open`](Self::open)ed index does (the write is
+    /// charged to the device and booked in the report's `flush`).
     ///
     /// # Errors
     /// I/O and configuration failures.
@@ -438,18 +443,24 @@ impl DiskIndex {
                     dsidx_paris::Overlap::ParisPlus
                 };
                 // ORDERING: relaxed — the counter only mints a unique
-                // filename suffix; nothing is published through it.
-                let store_path = workdir.join(format!(
-                    "dsidx-leaves-{}-{}.store",
+                // filename stem; nothing is published through it.
+                let stem = workdir.join(format!(
+                    "dsidx-{}-{}",
                     std::process::id(),
                     BUILD_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
                 ));
-                let (tree, leaves, report) = dsidx_paris::build_on_disk(
+                let (tree, mut report) = dsidx_paris::build_on_disk(
                     &file,
-                    &store_path,
+                    &stem.with_extension("leaves"),
                     &options.paris_config(series_len)?,
                     mode,
                 )?;
+                let written = Instant::now();
+                let leaves =
+                    hold_snapshot(&stem.with_extension("snap"), engine, &tree, file.device())?;
+                let wrote = written.elapsed();
+                report.flush += wrote;
+                report.total += wrote;
                 (tree, Some(leaves), report)
             }
             Engine::Ads | Engine::Messi => {
@@ -474,11 +485,13 @@ impl DiskIndex {
     /// Saves the built index as a snapshot file at `path`: the flat tree's
     /// arrays, the same four sections for every engine (a ParIS leaf is
     /// read back from the tree's own entry runs, so there is no leaf store
-    /// to embed). The file is replaced whole, never rewritten in place, so
-    /// saving over the file an index was opened from is safe. The dataset
-    /// file is *not* embedded; [`open`](Self::open) re-pairs the snapshot
-    /// with it and cross-checks the fingerprint. The write is charged to
-    /// this index's modeled device. Returns the snapshot size in bytes.
+    /// to embed), encoded afresh even where a built ParIS index holds such
+    /// a file already. The file is replaced whole, never rewritten in
+    /// place, so saving over the file an index was opened from is safe.
+    /// The dataset file is *not* embedded; [`open`](Self::open) re-pairs
+    /// the snapshot with it and cross-checks the fingerprint. The write is
+    /// charged to this index's modeled device. Returns the snapshot size in
+    /// bytes.
     ///
     /// # Errors
     /// I/O failures writing the snapshot.
@@ -967,9 +980,9 @@ mod tests {
 
     #[test]
     fn repeated_disk_builds_in_one_process_do_not_collide() {
-        // The pid-named store file is sequence-suffixed: two live ParIS
-        // indexes from one process must not share (and clobber) one leaf
-        // store.
+        // The pid-named scratch files are sequence-suffixed: two live
+        // ParIS indexes from one process must not share (and clobber) one
+        // leaf store or one snapshot.
         let dir = std::env::temp_dir().join(format!("dsidx-core-seq-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.dsidx");
@@ -992,19 +1005,15 @@ mod tests {
             DeviceProfile::UNTHROTTLED,
         )
         .unwrap();
-        // Each build unlinked its store once it held it open: nothing is
-        // left in the workdir, while both indexes are alive.
-        let stores: Vec<String> = std::fs::read_dir(&dir)
+        // Each build unlinked its scratch files once it held them open:
+        // the workdir holds only the dataset, while both indexes are alive.
+        let files: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .filter(|name| name.starts_with("dsidx-leaves-"))
             .collect();
-        assert!(
-            stores.is_empty(),
-            "leaf-store files left behind: {stores:?}"
-        );
+        assert_eq!(files, ["s.dsidx"], "scratch files left behind");
         let q = DatasetKind::Synthetic.queries(1, 64, 3);
-        // Both indexes still answer (neither's store was truncated by the
+        // Both indexes still answer (neither's snapshot was replaced by the
         // other's build).
         let qa = a.search(&[q.get(0)], &QuerySpec::nn()).unwrap().into_nn();
         let qb = b.search(&[q.get(0)], &QuerySpec::nn()).unwrap().into_nn();
@@ -1035,12 +1044,41 @@ mod tests {
     }
 
     #[test]
+    fn flushed_leaves_read_back_correctly() {
+        // A ParIS+ build over several generations flushes leaves between
+        // them; the built index still reads every leaf's words and
+        // positions back from its snapshot.
+        let dir = std::env::temp_dir().join(format!("dsidx-core-flush-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f.dsidx");
+        let data = DatasetKind::Synthetic.generate(300, 64, 9);
+        dsidx_storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let opts = Options {
+            block_series: 64,
+            generation_series: 128,
+            ..Options::default().with_threads(2).with_leaf_capacity(16)
+        };
+        let built = DiskIndex::build(
+            &path,
+            &dir,
+            Engine::ParisPlus,
+            &opts,
+            DeviceProfile::UNTHROTTLED,
+        )
+        .unwrap();
+        assert_eq!(built.build_report().unwrap().generations, 3);
+        let costs = leaf_read_backs(&built);
+        assert!(costs.len() > 1);
+        assert_eq!(costs.iter().map(|c| c.0).sum::<usize>(), 300);
+    }
+
+    #[test]
     fn a_paris_leaf_reads_back_in_two_reads_of_its_entry_range() {
         // The SSD profile counts seeks (the unthrottled one does not). A
-        // leaf read back from the built index's rewritten store, or from
-        // the snapshot it was saved to, is its entry range in the two
-        // runs: len x (segments + 4) bytes, at most two seeks, and the
-        // very entries the tree holds.
+        // leaf read back from the snapshot the built index holds, or from
+        // the one it was saved to, is its entry range in the two runs:
+        // len x (segments + 4) bytes, at most two seeks, and the very
+        // entries the tree holds.
         let dir = std::env::temp_dir().join(format!("dsidx-core-runs-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("r.dsidx");
@@ -1129,8 +1167,8 @@ mod tests {
             .unwrap();
             assert_eq!(opened.engine(), engine);
             assert_eq!(built.tree, opened.tree, "{}", engine.name());
-            // ParIS reads its leaves back from the snapshot's entry runs —
-            // same answers as from the built index's rewritten store.
+            // ParIS reads its leaves back from the saved snapshot's entry
+            // runs — same answers as from the one the built index holds.
             let a = built.search(&qs, &QuerySpec::knn(5)).unwrap();
             let b = opened.search(&qs, &QuerySpec::knn(5)).unwrap();
             assert_eq!(a.matches(), b.matches(), "{}", engine.name());

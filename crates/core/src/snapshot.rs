@@ -3,6 +3,11 @@
 //! validation, tree codec invocation, and the snapshot observability
 //! hooks.
 //!
+//! An on-disk ParIS/ParIS+ index reads its leaves back from a snapshot:
+//! the one it was opened from, or the one its build wrote and holds
+//! unlinked ([`hold_snapshot`]). One writer and one entry-run reader serve
+//! both, so either reads a leaf at the same offsets of the same bytes.
+//!
 //! The division of labor: `dsidx-storage::snapshot` owns the *container*
 //! (header, checksums, section table), `dsidx-tree::snapshot` owns the
 //! *record layouts* (the flat tree's arrays), and this module is the glue
@@ -77,8 +82,9 @@ fn codec(e: CodecError) -> Error {
 }
 
 /// Writes one engine index — its flat tree, with the configuration it was
-/// built under — as a snapshot file. Returns the file size; charging goes
-/// to `device` as one sequential append.
+/// built under — as a snapshot file, recorded under the
+/// `dsidx_snapshot_save_*` metrics. Returns the file size; charging goes to
+/// `device` as one sequential append.
 pub(crate) fn save_snapshot(
     path: &Path,
     engine: Engine,
@@ -86,6 +92,42 @@ pub(crate) fn save_snapshot(
     device: &Arc<Device>,
 ) -> Result<u64, Error> {
     let start = Instant::now();
+    let total = write_snapshot(path, engine, tree, device)?;
+    record_snapshot_obs(
+        SNAPSHOT_SAVE_NANOS,
+        "Wall nanoseconds per index snapshot save",
+        SNAPSHOT_SAVE_BYTES,
+        "Bytes written per index snapshot save",
+        start.elapsed(),
+        total,
+    );
+    Ok(total)
+}
+
+/// Writes a built ParIS/ParIS+ tree at `path` as the snapshot
+/// [`save_snapshot`] writes and returns its entry runs. The file is
+/// reopened (header and table only: the sections were just written) and
+/// unlinked whether or not that worked, so it lives exactly as long as the
+/// runs.
+pub(crate) fn hold_snapshot(
+    path: &Path,
+    engine: Engine,
+    tree: &FlatTree,
+    device: &Arc<Device>,
+) -> Result<EntryRuns, Error> {
+    write_snapshot(path, engine, tree, device)?;
+    let held = SnapshotReader::open(path, Arc::clone(device));
+    std::fs::remove_file(path).map_err(StorageError::from)?;
+    Ok(entry_runs(held?, device))
+}
+
+/// The snapshot file behind both [`save_snapshot`] and [`hold_snapshot`].
+fn write_snapshot(
+    path: &Path,
+    engine: Engine,
+    tree: &FlatTree,
+    device: &Arc<Device>,
+) -> Result<u64, Error> {
     let config = tree.config();
     let fingerprint = SnapshotFingerprint {
         engine: engine_id(engine),
@@ -101,16 +143,23 @@ pub(crate) fn save_snapshot(
     writer.section(SEC_ROOTS, sections.roots);
     writer.section(SEC_WORDS, sections.words);
     writer.section(SEC_POSITIONS, sections.positions);
-    let total = writer.finish()?;
-    record_snapshot_obs(
-        SNAPSHOT_SAVE_NANOS,
-        "Wall nanoseconds per index snapshot save",
-        SNAPSHOT_SAVE_BYTES,
-        "Bytes written per index snapshot save",
-        start.elapsed(),
-        total,
-    );
-    Ok(total)
+    Ok(writer.finish()?)
+}
+
+/// The tree's entry runs in place: the `WORDS` and `POSITION` sections of
+/// the snapshot `reader` opened — one this module wrote or decoded — read
+/// through its file handle and charged to `device`.
+fn entry_runs(reader: SnapshotReader, device: &Arc<Device>) -> EntryRuns {
+    let at = |id| reader.section_range(id).expect("a tree snapshot").0;
+    let (words_at, positions_at) = (at(SEC_WORDS), at(SEC_POSITIONS));
+    let segments = usize::from(reader.fingerprint().segments);
+    EntryRuns::new(
+        reader.into_file(),
+        words_at,
+        positions_at,
+        segments,
+        Arc::clone(device),
+    )
 }
 
 /// Everything an opened snapshot reconstitutes.
@@ -180,15 +229,7 @@ pub(crate) fn open_snapshot(
         positions: reader.read_section(SEC_POSITIONS)?,
     };
     let tree = decode_tree(config, expect_count, &sections).map_err(codec)?;
-    let at = |id| reader.section_range(id).expect("section read above").0;
-    let (words_at, positions_at) = (at(SEC_WORDS), at(SEC_POSITIONS));
-    let runs = EntryRuns::new(
-        reader.into_file(),
-        words_at,
-        positions_at,
-        segments,
-        Arc::clone(device),
-    );
+    let runs = entry_runs(reader, device);
     let elapsed = start.elapsed();
     let bytes = device.stats().bytes_read - read_before;
     record_snapshot_obs(

@@ -61,9 +61,9 @@ contains any unsafe code must carry `#![deny(unsafe_op_in_unsafe_fn)]` in
 its lib.rs, so unsafe operations inside unsafe fns still need their own
 `unsafe { }` block — and therefore their own SAFETY comment.
 
-Why: the paper's engines lean on hand-rolled concurrency (SyncSlice disjoint
-writes, pool job erasure) and AVX2 kernels; an undocumented unsafe site is a
-soundness review nobody can perform.
+Why: the paper's engines lean on hand-rolled concurrency (pool job erasure)
+and AVX2 kernels; an undocumented unsafe site is a soundness review nobody
+can perform.
 
 Fix: write the justification, or — for generated/vendored code only — add a
 `lint.allow` entry with a reason.",

@@ -31,7 +31,7 @@ use crate::config::MessiConfig;
 use dsidx_obs::BuildReport;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, StorageError};
-use dsidx_sync::{SyncSlice, WorkQueue};
+use dsidx_sync::WorkQueue;
 use dsidx_tree::{FlatFragment, FlatTree, LeafEntry, TreeConfig};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
@@ -213,11 +213,11 @@ fn build_tree(
         .iter()
         .map(|&key| buffers[usize::from(key)].iter().map(Vec::len).sum())
         .collect();
-    // One lock per subtree, taken once by the worker that claims it.
+    // One lock per subtree and one per run, each taken once by the worker
+    // that claims it.
     let buffers: Vec<Mutex<Vec<Vec<LeafEntry>>>> = buffers.into_iter().map(Mutex::new).collect();
     let runs = occupied.len().div_ceil(SUBTREES_PER_CLAIM);
-    let fragments: SyncSlice<Option<FlatFragment>> =
-        SyncSlice::new((0..runs).map(|_| None).collect());
+    let fragments: Vec<Mutex<Option<FlatFragment>>> = (0..runs).map(|_| Mutex::new(None)).collect();
     let queue = WorkQueue::new(occupied.len());
     let pool = dsidx_sync::pool::global(threads);
     pool.broadcast(&|_worker| {
@@ -227,16 +227,13 @@ fn build_tree(
                 let parts = std::mem::take(&mut *buffers[usize::from(key)].lock());
                 fragment.grow(key, &mut in_position_order(parts), &config);
             }
-            // SAFETY: each run is claimed exactly once, and run starts are
-            // distinct multiples of SUBTREES_PER_CLAIM.
-            unsafe { fragments.write(run.start / SUBTREES_PER_CLAIM, Some(fragment)) };
+            *fragments[run.start / SUBTREES_PER_CLAIM].lock() = Some(fragment);
         }
     });
     let t2 = Instant::now();
     let fragments = fragments
-        .into_inner()
         .into_iter()
-        .map(|f| f.expect("every run of subtrees was claimed"))
+        .map(|f| f.into_inner().expect("every run of subtrees was claimed"))
         .collect();
     let tree = FlatTree::stitch(config, fragments);
     let stitch = t2.elapsed();

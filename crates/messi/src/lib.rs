@@ -33,8 +33,6 @@
 //! (Hercules, SING) explore. Raw-read failures mid-query surface as
 //! `Err(StorageError)`, never a worker panic.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod build;
 pub mod config;
 pub mod dtw;

@@ -25,7 +25,9 @@ pub struct BuildReport {
     /// stall on it that was CPU.
     pub grow: Duration,
     /// Writing leaves to the leaf store, or the part of a stall on it that
-    /// was writes (zero for the engines that write none).
+    /// was writes, plus, for a ParIS/ParIS+ index built on disk, writing
+    /// the snapshot it reads its leaves back from (zero for the engines
+    /// that write none).
     pub flush: Duration,
     /// The serial end: joining the grown subtrees into one flat tree.
     pub stitch: Duration,

@@ -24,10 +24,11 @@
 //! so ParIS, ParIS+, ADS+ and MESSI build one tree for one collection.
 //!
 //! The flushes are the I/O by which ParIS and ParIS+ differ; where they
-//! land is not recorded. Once the tree is flat, the leaf-store file is
-//! rewritten once as its two entry runs (words, then positions), and a
-//! leaf is read back by its entry range — the same reads an opened
-//! snapshot serves from its `WORDS` and `POSITION` sections.
+//! land is not recorded, and the leaf store they go to is dropped when the
+//! build returns. A build returns the flat tree and its report, whatever
+//! the residence: an on-disk index reads a leaf back from the snapshot of
+//! that tree (`dsidx::DiskIndex::build` writes it), by its entry range in
+//! the `WORDS` and `POSITION` sections.
 
 use crate::config::{Overlap, ParisConfig};
 use crate::recbuf::RecBufs;
@@ -35,8 +36,7 @@ use dsidx_isax::Word;
 use dsidx_obs::BuildReport;
 use dsidx_query::ErrorSlot;
 use dsidx_series::Dataset;
-use dsidx_storage::{DatasetFile, EntryRuns, LeafStoreWriter, StorageError};
-use dsidx_sync::SyncSlice;
+use dsidx_storage::{DatasetFile, LeafStoreWriter, StorageError};
 use dsidx_tree::{FlatTree, Index, LeafEntry, Node};
 use parking_lot::{Condvar, Mutex};
 use std::path::Path;
@@ -113,9 +113,8 @@ fn flush_subtree(node: &mut Node, store: &LeafStoreWriter, errors: &ErrorSlot) {
 
 /// Builds a ParIS or ParIS+ index from an on-disk dataset, materializing
 /// leaves into a leaf store created at `store_path`. The path is unlinked
-/// as soon as the store is open: the file lives exactly as long as the
-/// returned entry runs, which the tree's leaves are read back from
-/// (`exact`'s `leaves`).
+/// as soon as the store is open, and the store is dropped when the build
+/// returns: nothing reads the flushes back.
 ///
 /// # Errors
 /// Propagates I/O failures from the dataset file and the leaf store.
@@ -127,7 +126,7 @@ pub fn build_on_disk(
     store_path: &Path,
     cfg: &ParisConfig,
     mode: Overlap,
-) -> Result<(FlatTree, EntryRuns, BuildReport), StorageError> {
+) -> Result<(FlatTree, BuildReport), StorageError> {
     cfg.validate();
     assert_eq!(
         file.series_len(),
@@ -136,11 +135,13 @@ pub fn build_on_disk(
     );
     let store = LeafStoreWriter::create(store_path, cfg.tree.segments(), file.device().clone())?;
     std::fs::remove_file(store_path)?;
-    let (tree, leaves, report) =
-        run_pipeline(cfg, mode, file.count(), Some(store), |start, count, out| {
-            file.read_block(start, count, out)
-        })?;
-    Ok((tree, leaves.expect("a store was given"), report))
+    run_pipeline(
+        cfg,
+        mode,
+        file.count(),
+        Some(&store),
+        |start, count, out| file.read_block(start, count, out),
+    )
 }
 
 /// Builds an in-memory ParIS index (the paper's "in-memory implementation
@@ -159,7 +160,7 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (FlatTree, BuildRep
         "series length mismatch"
     );
     let series_len = data.series_len();
-    let (tree, _, mut report) = run_pipeline(
+    let (tree, mut report) = run_pipeline(
         cfg,
         Overlap::Paris,
         data.len(),
@@ -177,20 +178,19 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (FlatTree, BuildRep
     (tree, report)
 }
 
-/// The pipeline behind both builds: the flat tree, its entry runs when a
-/// leaf store was given, and the build's report.
+/// The pipeline behind both builds, flushing leaves to `store` when one is
+/// given: the flat tree and the build's report.
 #[allow(clippy::too_many_lines)]
 fn run_pipeline(
     cfg: &ParisConfig,
     mode: Overlap,
     total: usize,
-    leaf_store: Option<LeafStoreWriter>,
+    store: Option<&LeafStoreWriter>,
     mut read_block: impl FnMut(usize, usize, &mut Vec<f32>) -> Result<(), StorageError>,
-) -> Result<(FlatTree, Option<EntryRuns>, BuildReport), StorageError> {
+) -> Result<(FlatTree, BuildReport), StorageError> {
     // `total` is known before the first read: fit the root fan-out (and
     // with it the number of receiving buffers) to it.
     let tree_cfg = &cfg.tree.fitted_to(total);
-    let store = leaf_store.as_ref();
     let quantizer = tree_cfg.quantizer().clone();
     let segments = tree_cfg.segments();
     let series_len = tree_cfg.series_len();
@@ -200,8 +200,12 @@ fn run_pipeline(
         RecBufs::new(tree_cfg.root_count()),
         RecBufs::new(tree_cfg.root_count()),
     ];
-    let roots: SyncSlice<Option<Box<Node>>> =
-        SyncSlice::new((0..tree_cfg.root_count()).map(|_| None).collect());
+    // One slot per root key. The claim gives each key to one grower per
+    // generation and the flush tracker gives it to one flusher between
+    // generations, so no slot's lock is ever contended.
+    let roots: Vec<Mutex<Option<Box<Node>>>> = (0..tree_cfg.root_count())
+        .map(|_| Mutex::new(None))
+        .collect();
     let errors = ErrorSlot::new();
 
     // Channel capacity: a full generation plus markers — the raw buffer.
@@ -277,30 +281,29 @@ fn run_pipeline(
                                 // subtree in position order: the tree
                                 // MESSI and ADS+ build, whatever the timing.
                                 entries.sort_unstable_by_key(|e| e.pos);
-                                // SAFETY: each dirty key is claimed by one
-                                // worker; flushers only touch keys handed to
-                                // them after growth, never concurrently.
-                                let slot = unsafe { roots.get_mut(key as usize) };
+                                let mut slot = roots[usize::from(key)].lock();
                                 let node = slot.get_or_insert_with(|| {
                                     Box::new(Node::new_leaf(tree_cfg.root_word(key)))
                                 });
                                 for e in entries {
                                     node.insert(e, tree_cfg);
                                 }
-                                if let Some(store) = store {
-                                    match mode {
-                                        Overlap::Paris => {
-                                            let tf = Instant::now();
-                                            flush_subtree(node, store, errors);
-                                            flush_local += tf.elapsed();
-                                        }
-                                        Overlap::ParisPlus => {
-                                            flush_tracker.add();
-                                            // Receiver outlives senders by
-                                            // construction.
-                                            let _ = flush_tx.send(key);
-                                        }
+                                match (store, mode) {
+                                    (Some(store), Overlap::Paris) => {
+                                        let tf = Instant::now();
+                                        flush_subtree(node, store, errors);
+                                        flush_local += tf.elapsed();
                                     }
+                                    (Some(_), Overlap::ParisPlus) => {
+                                        // Unlock before the hand-over, so
+                                        // the flusher never waits on it.
+                                        drop(slot);
+                                        flush_tracker.add();
+                                        // Receiver outlives senders by
+                                        // construction.
+                                        let _ = flush_tx.send(key);
+                                    }
+                                    (None, _) => {}
                                 }
                             }
                             let grow_local = tg.elapsed().saturating_sub(flush_local);
@@ -337,11 +340,7 @@ fn run_pipeline(
                 s.spawn(move || {
                     while let Some(key) = recv_shared(flush_rx) {
                         let tf = Instant::now();
-                        // SAFETY: the key was handed over after growth
-                        // finished; no grower touches it until the tracker
-                        // hits zero, and each key is in flight at most once.
-                        let slot = unsafe { roots.get_mut(key as usize) };
-                        if let Some(node) = slot.as_mut() {
+                        if let Some(node) = roots[usize::from(key)].lock().as_mut() {
                             flush_subtree(node, store.expect("flushers imply a store"), errors);
                         }
                         // ORDERING: relaxed — phase-time accumulator, read
@@ -419,22 +418,11 @@ fn run_pipeline(
         Duration::from_nanos(grow_nanos.load(Ordering::Relaxed)),
         Duration::from_nanos(flush_nanos.load(Ordering::Relaxed)),
     );
-    let index = Index::from_roots(tree_cfg.clone(), roots.into_inner());
-    let tree = FlatTree::from_index(&index);
-    let flattened = Instant::now();
-    report.stitch = flattened - stalled;
-    // Rewrite the leaf store once as the flat tree's entry runs: one more
-    // visible leaf write.
-    let leaves = match leaf_store {
-        Some(store) => {
-            let runs = dsidx_tree::snapshot::encode(&tree);
-            Some(store.finish(&runs.words, &runs.positions)?)
-        }
-        None => None,
-    };
-    report.flush += flattened.elapsed();
+    let roots = roots.into_iter().map(Mutex::into_inner).collect();
+    let tree = FlatTree::from_index(&Index::from_roots(tree_cfg.clone(), roots));
+    report.stitch = stalled.elapsed();
     report.total = t0.elapsed();
-    Ok((tree, leaves, report))
+    Ok((tree, report))
 }
 
 #[cfg(test)]
@@ -524,9 +512,8 @@ mod tests {
         let cfg = ParisConfig::new(tree_cfg(), 3)
             .with_block_series(50)
             .with_generation_series(150);
-        let (paris, _, rep_a) = build_on_disk(&file, &tmp("a.leaf"), &cfg, Overlap::Paris).unwrap();
-        let (plus, _, rep_b) =
-            build_on_disk(&file, &tmp("b.leaf"), &cfg, Overlap::ParisPlus).unwrap();
+        let (paris, rep_a) = build_on_disk(&file, &tmp("a.leaf"), &cfg, Overlap::Paris).unwrap();
+        let (plus, rep_b) = build_on_disk(&file, &tmp("b.leaf"), &cfg, Overlap::ParisPlus).unwrap();
         for built in [&paris, &plus] {
             assert_eq!(built.entry_count(), 500);
             validate(built, 500).unwrap();
@@ -534,29 +521,9 @@ mod tests {
         assert_eq!(paris, plus);
         assert!(rep_a.generations >= 3);
         assert_eq!(rep_a.generations, rep_b.generations);
-        // Both stores were unlinked once open: each index holds the only
-        // handle to its file.
+        // Both stores were unlinked once open, and closed when the build
+        // returned.
         assert!(!tmp("a.leaf").exists() && !tmp("b.leaf").exists());
-    }
-
-    #[test]
-    fn flushed_leaves_read_back_correctly() {
-        let file = on_disk_fixture(300, 9, "roundtrip.dsidx");
-        let cfg = ParisConfig::new(tree_cfg(), 2)
-            .with_block_series(64)
-            .with_generation_series(128);
-        let (tree, runs, _) =
-            build_on_disk(&file, &tmp("rt.leaf"), &cfg, Overlap::ParisPlus).unwrap();
-        let (mut words, mut positions) = (Vec::new(), Vec::new());
-        let mut checked = 0;
-        for leaf in tree.nodes().iter().filter(|n| n.is_leaf()) {
-            runs.read(leaf.entry_range(), &mut words, &mut positions)
-                .unwrap();
-            assert_eq!(words, tree.leaf_words(leaf), "store words must mirror leaf");
-            assert_eq!(positions, tree.leaf_positions(leaf));
-            checked += 1;
-        }
-        assert!(checked > 0);
     }
 
     #[test]
@@ -565,7 +532,7 @@ mod tests {
         let cfg = ParisConfig::new(tree_cfg(), 1)
             .with_block_series(100)
             .with_generation_series(1000);
-        let (tree, _, report) =
+        let (tree, report) =
             build_on_disk(&file, &tmp("small.leaf"), &cfg, Overlap::Paris).unwrap();
         assert_eq!(tree.entry_count(), 100);
         assert_eq!(report.generations, 1);
@@ -605,7 +572,7 @@ mod tests {
             let device = Arc::new(Device::new(DeviceProfile::HDD));
             let file = DatasetFile::open(&path, device.clone()).unwrap();
             let store = tmp(&format!("hdd_{}.leaf", mode.name()));
-            let (tree, _, report) = build_on_disk(&file, &store, &cfg, mode).unwrap();
+            let (tree, report) = build_on_disk(&file, &store, &cfg, mode).unwrap();
             validate(&tree, 3000).unwrap();
             assert_eq!((tree.entry_count(), report.generations), (3000, 4));
             device.stats()

@@ -21,11 +21,10 @@
 //! the tree.
 //!
 //! Every leaf also stays resident, so the flushes of stage 3 model the
-//! paper's I/O without recording where they land. A built index ends with
-//! its leaf store rewritten as the flat tree's two entry runs, the layout
-//! of a snapshot's `WORDS` and `POSITION` sections, and the approximate
-//! descent of stage 4 reads its leaf back by entry range: two positioned
-//! reads, from that file or from the snapshot an index was opened from.
+//! paper's I/O without recording where they land. An on-disk index reads a
+//! leaf back from its snapshot, whether the build just wrote it or an open
+//! found it: the approximate descent of stage 4 reads its leaf by entry
+//! range from the `WORDS` and `POSITION` sections, two positioned reads.
 //!
 //! **ParIS** stops the Coordinator while stage 3 runs. **ParIS+** is the
 //! same pipeline re-plumbed for full overlap: the bulk-loading workers
@@ -41,8 +40,6 @@
 //! survivors), so the same exact schedule, [`exact`], run at one worker
 //! over the tree MESSI builds at one worker, is the serial ADS+ baseline's
 //! exact answer too.
-
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod build;
 pub mod config;

@@ -93,8 +93,8 @@ const APPROX_PROBE_MIN: usize = 16;
 /// `source` supplies raw series (the dataset file for on-disk operation —
 /// reads are charged to its device — or the in-memory dataset). `leaves`
 /// are `tree`'s entry runs on disk, if its leaves are to be read back from
-/// them: the rewritten leaf store of an on-disk build, or the snapshot an
-/// index was opened from.
+/// them: the `WORDS` and `POSITION` sections of the snapshot an on-disk
+/// index holds, whether its build wrote it or it was opened.
 ///
 /// Seeding ranks each query's approximate leaf by the query's own MINDIST
 /// and fetches only the best few entries (each distinct leaf read back
@@ -406,6 +406,25 @@ mod tests {
         dir.join(name)
     }
 
+    /// `tree`'s two entry runs — its snapshot's `WORDS` and `POSITION`
+    /// sections — back to back in a plain file at `path`, read through
+    /// `device`.
+    fn entry_runs(tree: &FlatTree, path: &std::path::Path, device: &Arc<Device>) -> EntryRuns {
+        let sections = dsidx_tree::snapshot::encode(tree);
+        std::fs::write(
+            path,
+            [sections.words.as_slice(), &sections.positions].concat(),
+        )
+        .unwrap();
+        EntryRuns::new(
+            std::fs::File::open(path).unwrap(),
+            0,
+            sections.words.len() as u64,
+            tree.config().segments(),
+            Arc::clone(device),
+        )
+    }
+
     /// ADS+'s build: MESSI's at one worker.
     fn serial_cfg() -> dsidx_messi::MessiConfig {
         dsidx_messi::MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), 1)
@@ -502,8 +521,8 @@ mod tests {
         let path = tmp("q.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris, runs, _) =
-            build_on_disk(&file, &tmp("q.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
+        let (paris, _) = build_on_disk(&file, &tmp("q.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
+        let runs = entry_runs(&paris, &tmp("q.runs"), file.device());
         let queries = DatasetKind::Seismic.queries(6, 64, 5);
         for q in queries.iter() {
             let want = brute_force(&data, q).unwrap();
@@ -654,12 +673,13 @@ mod tests {
         let path = tmp("shared-leaf.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris, runs, _) =
+        let (paris, _) =
             build_on_disk(&file, &tmp("shared-leaf.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
+        let runs = entry_runs(&paris, &tmp("shared-leaf.runs"), file.device());
         let q = DatasetKind::Seismic.queries(1, 64, 83);
         let series_bytes = 64 * std::mem::size_of::<f32>() as u64;
         // Bytes the device saw beyond the raw series the batch fetched:
-        // the leaf-store read-back (one thread, so fetches repeat exactly).
+        // the leaf read-back (one thread, so fetches repeat exactly).
         let leaf_bytes = |queries: &[&[f32]]| {
             file.device().reset_stats();
             let (_, stats) = exact(&paris, Some(&runs), &file, queries, 1, 1, None).unwrap();
@@ -787,8 +807,9 @@ mod tests {
         let path = tmp("batch.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris, runs, _) =
+        let (paris, _) =
             build_on_disk(&file, &tmp("batch.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
+        let runs = entry_runs(&paris, &tmp("batch.runs"), file.device());
         let qs = DatasetKind::Seismic.queries(5, 64, 53);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let (mem, _) = exact(&paris, None, &data, &qrefs, 7, 4, None).unwrap();
@@ -814,8 +835,9 @@ mod tests {
         let path = tmp("knn.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris, runs, _) =
+        let (paris, _) =
             build_on_disk(&file, &tmp("knn.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
+        let runs = entry_runs(&paris, &tmp("knn.runs"), file.device());
         let queries = DatasetKind::Seismic.queries(3, 64, 17);
         for q in queries.iter() {
             let want = dsidx_ucr::brute_force_knn(&data, q, 10);
@@ -871,7 +893,7 @@ mod tests {
         let path = tmp("approx.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let (paris_d, _, _) =
+        let (paris_d, _) =
             build_on_disk(&file, &tmp("approx.leaf"), &cfg(3), Overlap::ParisPlus).unwrap();
         for q in queries.iter() {
             let (mem, _) = approx_ed(&paris_d, &data, q, 5).unwrap();

@@ -193,7 +193,15 @@ impl DatasetFile {
             }
         })?;
         let (series_len, count) = decode_header(&h)?;
-        let expect = HEADER_LEN + count * u64::from(series_len) * 4;
+        let expect = count
+            .checked_mul(u64::from(series_len) * 4)
+            .and_then(|payload| payload.checked_add(HEADER_LEN))
+            .ok_or_else(|| {
+                StorageError::Corrupt(format!(
+                    "header claims {count} series of length {series_len}: more bytes than a \
+                     file can hold"
+                ))
+            })?;
         let actual = file.metadata()?.len();
         if actual != expect {
             return Err(StorageError::Corrupt(format!(
@@ -411,6 +419,24 @@ mod tests {
         assert!(matches!(
             DatasetFile::open(&path, dev()),
             Err(StorageError::BadVersion(99))
+        ));
+    }
+
+    #[test]
+    fn a_header_whose_payload_length_overflows_is_corrupt() {
+        // 2^62 + 2 series of one point are 2^64 + 8 payload bytes: the
+        // product wraps to the 8 bytes this file does carry.
+        let path = tmpdir().join("overflow.dsidx");
+        let mut bytes = encode_header(1, (1u64 << 62) + 2).to_vec();
+        bytes.extend_from_slice(&[0u8; 8]);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            DatasetFile::open(&path, dev()),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert!(matches!(
+            read_dataset(&path, dev()),
+            Err(StorageError::Corrupt(_))
         ));
     }
 

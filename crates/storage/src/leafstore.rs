@@ -3,19 +3,19 @@
 //! During on-disk index construction, finished subtrees flush their leaf
 //! contents — `(iSAX word, raw-series position)` records of `segments + 4`
 //! bytes — to this append-only file "to free space in main memory" (§III).
-//! Every leaf also stays resident, so the flushes model that I/O and where
-//! they land is not recorded. When the build ends,
-//! [`LeafStoreWriter::finish`] rewrites the file once as the flat tree's
-//! two entry runs — every entry's word, then every entry's position, the
-//! layout of a snapshot's `WORDS` and `POSITION` sections — and the
-//! approximate-answer descent reads a leaf back by its entry range
-//! ([`EntryRuns`]), from that file or from an opened snapshot alike.
+//! Every leaf also stays resident, so the flushes model that I/O and
+//! nothing reads them back: the file is a sink, dropped when the build
+//! returns. A query reads a leaf back by its entry range ([`EntryRuns`])
+//! from the flat tree's two entry runs — every entry's word, then every
+//! entry's position — which are a snapshot's `WORDS` and `POSITION`
+//! sections, whether the snapshot was just written by the build or opened
+//! from a save.
 
 use crate::device::Device;
 use crate::error::StorageError;
 use dsidx_isax::Word;
 use parking_lot::Mutex;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
@@ -43,14 +43,8 @@ impl LeafStoreWriter {
                 "bad segment count {segments}"
             )));
         }
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
         Ok(Self {
-            out: Mutex::new(BufWriter::new(file)),
+            out: Mutex::new(BufWriter::new(File::create(path)?)),
             device,
             segments,
         })
@@ -74,34 +68,6 @@ impl LeafStoreWriter {
         // a real append-only writer never makes).
         self.device.charge_append(buf.len() as u64);
         Ok(())
-    }
-
-    /// Ends the build: replaces the flushed records with `words` followed
-    /// by `positions` — the flat tree's entry runs, `segments` and 4 bytes
-    /// per entry — in one sequential write, and reads leaves back from
-    /// them.
-    ///
-    /// # Errors
-    /// I/O failures.
-    pub fn finish(self, words: &[u8], positions: &[u8]) -> Result<EntryRuns, StorageError> {
-        debug_assert_eq!(words.len() / self.segments, positions.len() / 4);
-        let file = self
-            .out
-            .into_inner()
-            .into_inner()
-            .map_err(std::io::IntoInnerError::into_error)?;
-        file.set_len(0)?;
-        file.write_all_at(words, 0)?;
-        file.write_all_at(positions, words.len() as u64)?;
-        self.device
-            .charge_append((words.len() + positions.len()) as u64);
-        Ok(EntryRuns::new(
-            file,
-            0,
-            words.len() as u64,
-            self.segments,
-            self.device,
-        ))
     }
 }
 
@@ -209,6 +175,25 @@ mod tests {
         (words.collect(), positions.collect())
     }
 
+    /// `entries`' two runs written back to back to a plain file at `path`,
+    /// read through [`EntryRuns`] on `device`.
+    fn runs_file(
+        path: &std::path::Path,
+        entries: &[(Word, u32)],
+        device: Arc<Device>,
+    ) -> EntryRuns {
+        let (words, positions) = runs(entries);
+        std::fs::write(path, [&words[..], &positions[..]].concat()).unwrap();
+        let segments = entries.first().map_or(4, |(w, _)| w.segments());
+        EntryRuns::new(
+            File::open(path).unwrap(),
+            0,
+            words.len() as u64,
+            segments,
+            device,
+        )
+    }
+
     fn read(runs: &EntryRuns, range: Range<usize>) -> Vec<(Word, u32)> {
         let (mut words, mut positions) = (Vec::new(), Vec::new());
         runs.read(range, &mut words, &mut positions).unwrap();
@@ -217,21 +202,18 @@ mod tests {
 
     #[test]
     fn append_and_read_round_trip() {
-        let path = tmp("round.leaf");
-        let w = LeafStoreWriter::create(&path, 16, dev()).unwrap();
+        // The store keeps records in flush order; the runs hold the same
+        // entries in tree order, and read each leaf back by its range.
         let leaf_a: Vec<(Word, u32)> = (0..10).map(|i| (word(i as u8, 16), i * 3)).collect();
         let leaf_b: Vec<(Word, u32)> = (0..5).map(|i| (word(i as u8 + 100, 16), i + 777)).collect();
+        let store = tmp("round.leaf");
+        let w = LeafStoreWriter::create(&store, 16, dev()).unwrap();
         w.append(&leaf_b).unwrap();
         w.append(&leaf_a).unwrap();
-        // The finished store holds the tree's entry runs, whatever order
-        // the leaves were flushed in.
+        drop(w);
+        assert_eq!(std::fs::read(&store).unwrap().len(), 15 * (16 + 4));
         let all = [&leaf_a[..], &leaf_b[..]].concat();
-        let (words, positions) = runs(&all);
-        let r = w.finish(&words, &positions).unwrap();
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            [&words[..], &positions[..]].concat()
-        );
+        let r = runs_file(&tmp("round.runs"), &all, dev());
         assert_eq!(read(&r, 10..15), leaf_b);
         assert_eq!(read(&r, 0..10), leaf_a);
         assert_eq!(read(&r, 3..12), all[3..12]);
@@ -240,9 +222,7 @@ mod tests {
     #[test]
     fn empty_leaf_is_fine() {
         let device = dev();
-        let path = tmp("empty.leaf");
-        let w = LeafStoreWriter::create(&path, 4, Arc::clone(&device)).unwrap();
-        let r = w.finish(&[], &[]).unwrap();
+        let r = runs_file(&tmp("empty.runs"), &[], Arc::clone(&device));
         let (mut words, mut positions) = (vec![word(0, 4)], vec![7]);
         r.read(0..0, &mut words, &mut positions).unwrap();
         assert!(words.is_empty() && positions.is_empty());
@@ -281,20 +261,12 @@ mod tests {
 
     #[test]
     fn truncated_store_errors_on_read() {
-        let path = tmp("trunc.leaf");
-        let w = LeafStoreWriter::create(&path, 8, dev()).unwrap();
+        let path = tmp("trunc.runs");
         let entries: Vec<(Word, u32)> = (0..20).map(|i| (word(i as u8, 8), i)).collect();
-        let (words, positions) = runs(&entries);
-        let r = w.finish(&words, &positions).unwrap();
+        let r = runs_file(&path, &entries, dev());
         let (mut ws, mut ps) = (Vec::new(), Vec::new());
         // The last entry's position runs past the end of the positions run.
-        let beyond = EntryRuns::new(
-            File::open(&path).unwrap(),
-            0,
-            words.len() as u64 + 4,
-            8,
-            dev(),
-        );
+        let beyond = EntryRuns::new(File::open(&path).unwrap(), 0, 20 * 8 + 4, 8, dev());
         assert!(beyond.read(19..20, &mut ws, &mut ps).is_err());
         assert!(r.read(19..21, &mut ws, &mut ps).is_err());
         assert_eq!(read(&r, 19..20), entries[19..]);
@@ -335,10 +307,7 @@ mod tests {
         let w = LeafStoreWriter::create(&path, 8, Arc::clone(&device)).unwrap();
         let entries: Vec<(Word, u32)> = (0..10).map(|i| (word(i as u8, 8), i)).collect();
         w.append(&entries).unwrap();
-        assert_eq!(device.stats().bytes_written, 10 * 12);
-        // The end-of-build rewrite is one more append of the two runs.
-        let (words, positions) = runs(&entries);
-        w.finish(&words, &positions).unwrap();
-        assert_eq!(device.stats().bytes_written, 2 * 10 * 12);
+        w.append(&entries[..4]).unwrap();
+        assert_eq!(device.stats().bytes_written, 14 * 12);
     }
 }

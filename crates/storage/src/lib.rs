@@ -1,7 +1,8 @@
 //! Storage substrate: the raw dataset file format, positioned and block
-//! readers, the leaf store ParIS flushes subtree leaves into (and the
-//! reader of a flat tree's entry runs it ends as), and the *device model*
-//! that stands in for the paper's HDD and SSD testbeds.
+//! readers, the leaf store ParIS flushes subtree leaves into, the reader of
+//! a flat tree's entry runs inside a snapshot ([`EntryRuns`]), the snapshot
+//! container, and the *device model* that stands in for the paper's HDD
+//! and SSD testbeds.
 //!
 //! # The device model
 //!

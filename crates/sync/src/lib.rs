@@ -1,6 +1,6 @@
 //! Concurrency substrate for the parallel engines.
 //!
-//! The paper's algorithms rest on three tiny synchronization devices, all
+//! The paper's algorithms rest on two tiny synchronization devices, both
 //! implemented (and stress-tested) here:
 //!
 //! * [`AtomicBest`] — the shared BSF ("best-so-far") variable: a lock-free
@@ -8,9 +8,6 @@
 //!   worker that finds a closer candidate.
 //! * [`WorkQueue`] — Fetch&Inc work claiming: "chunks are assigned to index
 //!   workers one after the other (using Fetch&Inc)" (§III).
-//! * [`SyncSlice`] — a shared slice written at *disjoint* indices by many
-//!   threads without locks, used for the builds' per-subtree slots, each
-//!   owned by whichever worker claimed that subtree.
 //!
 //! On top of these, [`topk`] generalizes the BSF to exact k-NN: the
 //! [`Pruner`] trait abstracts "threshold read + candidate insert" (both
@@ -24,12 +21,10 @@ pub mod best;
 pub mod metrics;
 pub mod pool;
 pub mod queue;
-pub mod slice;
 pub mod topk;
 
 pub use barrier::SpinBarrier;
 pub use best::AtomicBest;
 pub use pool::WorkerPool;
 pub use queue::WorkQueue;
-pub use slice::SyncSlice;
 pub use topk::{OffsetTopK, Pruner, SharedTopK};

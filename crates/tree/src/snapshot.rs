@@ -26,9 +26,9 @@
 //!   the words.
 //!
 //! A leaf's entries are its node's `entry_start..entry_end` in both entry
-//! runs, so one positioned read from each reads the leaf back: ParIS does
-//! that from an opened snapshot, and from its leaf-store file after a
-//! build, which ends as these two runs.
+//! runs, so one positioned read from each reads the leaf back: an on-disk
+//! ParIS index does that from its snapshot, whether its build wrote it or
+//! it was opened.
 //!
 //! The decoder trusts nothing: every structural invariant the builders
 //! maintain is re-checked against the bytes ([`validate`]), so a corrupt

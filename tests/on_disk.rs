@@ -289,6 +289,39 @@ fn wrong_length_query_is_a_structured_error() {
     ));
 }
 
+/// A built ParIS/ParIS+ index reads its leaves back from the snapshot its
+/// build wrote, so it pays the device what the same index saved and
+/// reopened pays: at one worker, every query's bytes, seeks and modeled
+/// time are the same on both.
+#[test]
+fn a_built_paris_index_reads_like_its_saved_and_reopened_snapshot() {
+    let dir = tmpdir("held");
+    let data = DatasetKind::Synthetic.generate(2000, 64, 61);
+    let path = dir.join("data.dsidx");
+    write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let queries = DatasetKind::Synthetic.queries(16, 64, 61);
+    let o = opts().with_threads(1);
+    let costs = |idx: &DiskIndex| -> Vec<(u64, u64, u64)> {
+        let device = idx.file().device();
+        let cost = |q: &[f32]| {
+            device.reset_stats();
+            let _ = nn(idx, q).unwrap();
+            let s = device.stats();
+            (s.bytes_read, s.seeks, s.charged_nanos)
+        };
+        queries.iter().map(cost).collect()
+    };
+    for engine in [Engine::Paris, Engine::ParisPlus] {
+        let built = DiskIndex::build(&path, &dir, engine, &o, DeviceProfile::SSD).unwrap();
+        let snap = dir.join(format!("{}.snap", engine.name()));
+        built.save(&snap).unwrap();
+        let opened = DiskIndex::open(&snap, &path, &o, DeviceProfile::SSD).unwrap();
+        let paid = costs(&built);
+        assert!(paid.iter().all(|&(bytes, seeks, _)| bytes > 0 && seeks > 0));
+        assert_eq!(paid, costs(&opened), "{}", engine.name());
+    }
+}
+
 #[test]
 fn hdd_queries_slower_than_ssd_queries() {
     let dir = tmpdir("devices");

@@ -79,7 +79,7 @@ fn paris_builds_the_messi_tree_whatever_the_worker_timing() {
         assert!(paris == messi, "ParIS in memory, {threads} threads");
         let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
         let store = dir.join(format!("plus-{threads}.leaf"));
-        let (plus, _, _) = build_on_disk(&file, &store, &cfg, Overlap::ParisPlus).unwrap();
+        let (plus, _) = build_on_disk(&file, &store, &cfg, Overlap::ParisPlus).unwrap();
         assert!(plus == messi, "ParIS+ on disk, {threads} threads");
     }
     std::fs::remove_dir_all(&dir).ok();
