@@ -126,12 +126,6 @@ pub(crate) fn trace_search(
     );
 }
 
-/// Distinguishes the scratch files of concurrent ParIS/ParIS+ disk builds
-/// in one process (a leaf store and a snapshot each): the pid alone
-/// collides when two builds share a workdir (each file is unlinked once
-/// its build holds it open).
-static BUILD_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 /// A built index beside the raw source `S` it answers from. Use it through
 /// its two instantiations: [`MemoryIndex`] (the dataset in memory, owned
 /// via `Arc`) and [`DiskIndex`] (a dataset file, raw values fetched from —
@@ -226,7 +220,10 @@ impl<S> Index<S> {
         spec: &QuerySpec,
         shard: Option<ShardView<'_>>,
     ) -> Result<(Vec<Vec<Match>>, BatchStats), Error> {
-        let (k, measure) = (spec.k(), spec.measure_kind());
+        // No answer holds more matches than the index holds series: clamp
+        // `k` here, once, so no collector is sized by a larger one.
+        let k = spec.k().min(self.tree.entry_count()).max(1);
+        let measure = spec.measure_kind();
         let threads = self.options.effective_threads();
         let (tree, quantizer) = (&self.tree, self.tree.config().quantizer());
         Ok(match (spec.fidelity_kind(), self.engine, measure) {
@@ -442,13 +439,10 @@ impl DiskIndex {
                 } else {
                     dsidx_paris::Overlap::ParisPlus
                 };
-                // ORDERING: relaxed — the counter only mints a unique
-                // filename stem; nothing is published through it.
-                let stem = workdir.join(format!(
-                    "dsidx-{}-{}",
-                    std::process::id(),
-                    BUILD_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                ));
+                // A leaf store and a snapshot per build, named apart from
+                // any other build's in the same workdir (each file is
+                // unlinked once its build holds it open).
+                let stem = workdir.join(format!("dsidx-{}", dsidx_storage::unique_stem()));
                 let (tree, mut report) = dsidx_paris::build_on_disk(
                     &file,
                     &stem.with_extension("leaves"),

@@ -59,10 +59,6 @@ const SHARD_SEARCH_NANOS: &str = "dsidx_shard_search_nanos";
 /// computed) — the number the BSF-sharing win shrinks.
 const SHARD_VERIFIED_TOTAL: &str = "dsidx_shard_verified_total";
 
-/// Distinguishes the split dataset files of concurrent (or repeated)
-/// on-disk sharded builds in one process.
-static SHARD_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 /// The deterministic contiguous partition rule: `total` series over
 /// `shards` slices, slice `i` holding `total / shards` series plus one
 /// extra for the first `total % shards` slices, each starting where the
@@ -265,14 +261,11 @@ impl ShardedIndex {
         let device = Arc::new(Device::unthrottled());
         let file = DatasetFile::open(dataset_path, Arc::clone(&device))?;
         std::fs::create_dir_all(workdir).map_err(StorageError::from)?;
-        // ORDERING: relaxed — the counter only mints unique workdir names;
-        // nothing is published through it.
-        let seq = SHARD_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // The split dataset files of concurrent (or repeated) sharded
+        // builds in one process must not collide.
+        let stem = dsidx_storage::unique_stem();
         let built = assemble(file.count(), shards, engine, |s, range| {
-            let shard_path = workdir.join(format!(
-                "dsidx-shard-{}-{seq}-{s}.dsidx",
-                std::process::id()
-            ));
+            let shard_path = workdir.join(format!("dsidx-shard-{stem}-{s}.dsidx"));
             let part = slice_of(&file, range)?;
             dsidx_storage::write_dataset(&shard_path, &part, Arc::clone(&device))?;
             DiskIndex::build(&shard_path, workdir, engine, options, profile)
@@ -451,7 +444,10 @@ impl ShardedIndex {
         spec.validate(self.series_len, queries)?;
         let validate_nanos = clock.lap();
         let exact = matches!(spec.fidelity_kind(), Fidelity::Exact);
-        let pruners = exact.then(|| SharedPruners::new(queries.len(), spec.k()));
+        // Sized like `Index::run` sizes its collectors: by `k`, clamped to
+        // the series held.
+        let k = spec.k().min(self.total).max(1);
+        let pruners = exact.then(|| SharedPruners::new(queries.len(), k));
 
         // Scatter: one coordinator thread per shard. These must be plain
         // threads, never pool tasks — the engines broadcast on the shared

@@ -72,11 +72,11 @@
 use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
 use crate::traverse::{BatchTraversal, Traversal};
 use dsidx_isax::NodeMindistTable;
-use dsidx_obs::phase::{Phase, PhaseAcc, PhaseBreakdown, PhaseClock};
+use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
     approx_leaf_flat, batch_process_leaf_entries, batch_seed_positions, process_leaf_entries,
-    seed_from_entries, AtomicQueryStats, BatchStats, DtwPrepared, ErrorSlot, LeafScratch, Measure,
-    Prepared, PreparedQuery, QueryBatch, QueryStats, SeriesFetcher, ShardView,
+    seed_from_entries, BatchStats, DtwPrepared, ErrorSlot, LeafScratch, Measure, Prepared,
+    PreparedQuery, QueryBatch, QueryStats, SeriesFetcher, ShardView,
 };
 use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::prefetch::prefetch_lines;
@@ -84,6 +84,7 @@ use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::{OffsetTopK, SpinBarrier, WorkQueue};
 use dsidx_tree::FlatTree;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -184,10 +185,14 @@ enum Help {
 }
 
 /// What a resident worker keeps from query to query: its fetcher and
-/// per-leaf scratch, the phase times it measured, the series it fetched.
+/// per-leaf scratch, and its tallies — the work it did for each query
+/// (index-aligned with the batch's slots), the phase times it measured and
+/// the series it fetched. The tallies are plain values, merged into the
+/// batch once, when the worker's broadcast ends: a visit takes no lock.
 struct Worker<'a, S: RawSource> {
     fetcher: SeriesFetcher<'a, S>,
     scratch: LeafScratch,
+    locals: Vec<QueryStats>,
     phases: PhaseBreakdown,
     fetched: u64,
 }
@@ -206,13 +211,14 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
         let claims = WorkQueue::new(batch.len());
         let opened: Vec<OnceLock<Open<'a, Q>>> =
             batch.slots().iter().map(|_| OnceLock::new()).collect();
-        let spent = PhaseAcc::new();
-        clock.lap_into(batch.phases(), Phase::Prepare);
+        let spent = Mutex::new(PhaseBreakdown::new());
+        batch.record_phase(Phase::Prepare, clock.lap());
 
         pool.broadcast(&|worker| {
             let mut me = Worker {
                 fetcher: SeriesFetcher::new(self.source),
                 scratch: LeafScratch::new(),
+                locals: vec![QueryStats::default(); batch.len()],
                 phases: PhaseBreakdown::new(),
                 fetched: 0,
             };
@@ -245,7 +251,9 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
             }
             // Resident data: every distance attempt reads its own series.
             batch.count_io(me.fetched, me.fetched);
-            spent.add(&me.phases);
+            batch.merge_locals(&me.locals);
+            let mut spent = spent.lock();
+            *spent = spent.merged(&me.phases);
         });
 
         // The workers' phase times add up to about `threads` times the
@@ -253,16 +261,14 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
         // Book the wall time, split in the proportions the workers
         // measured, so the breakdown adds up to what the caller waited.
         let wall = clock.lap();
-        let spent = spent.snapshot();
+        let spent = spent.into_inner();
         let total = u128::from(spent.total_nanos());
         if total == 0 {
-            batch.phases().record(Q::PHASE, wall);
+            batch.record_phase(Q::PHASE, wall);
         }
         for (phase, nanos) in spent.iter().filter(|&(_, nanos)| nanos > 0) {
             let share = u128::from(wall) * u128::from(nanos) / total;
-            batch
-                .phases()
-                .record(phase, u64::try_from(share).unwrap_or(u64::MAX));
+            batch.record_phase(phase, u64::try_from(share).unwrap_or(u64::MAX));
         }
     }
 
@@ -295,7 +301,7 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
             &mut me.scratch,
         )
         .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-        slot.stats.add_real_computed(reals);
+        me.locals[qi].real_computed += reals;
         me.fetched += seeds.len() as u64;
         me.phases.record(Phase::Seed, clock.lap());
         Ok(Open {
@@ -321,10 +327,14 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
         let (flat, errors) = (self.tree, self.errors);
         let slot = &self.batch.slots()[qi];
         let mut clock = PhaseClock::start();
-        // Workers accumulate locally and merge once per visit — shared
-        // fetch_adds per leaf would bounce one cache line across every
-        // core and dominate these sub-ms phases.
-        let mut local = QueryStats::default();
+        let Worker {
+            fetcher,
+            scratch,
+            locals,
+            fetched,
+            ..
+        } = me;
+        let local = &mut locals[qi];
         if traverse {
             let mut run = RunBuilder::new();
             local.nodes_pruned = open.traversal.run_worker(&mut run);
@@ -335,12 +345,6 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
             // published.
             open.traversing.fetch_sub(1, Ordering::Release);
         }
-        let Worker {
-            fetcher,
-            scratch,
-            fetched,
-            ..
-        } = me;
         let unclaimed = drain_best_first(&open.runs, worker, |lb, leaf, _, ahead| {
             if errors.is_set() || lb >= slot.topk.threshold_sq() {
                 // Everything left in this run is at least as far (or a
@@ -364,7 +368,7 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
                 slot.values,
                 &slot.topk,
                 scratch,
-                &mut local,
+                local,
             ) {
                 Ok(series) => {
                     *fetched += series;
@@ -377,7 +381,6 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
             }
         });
         local.leaves_discarded += unclaimed;
-        slot.stats.merge(&local);
         me.phases.record(Q::PHASE, clock.lap());
     }
 }
@@ -401,7 +404,7 @@ impl<Q: Prepared, S: RawSource> Call<'_, '_, Q, S> {
             .map(|slot| slot.prep.node_table(flat.config().quantizer()))
             .collect();
         let pool = dsidx_sync::pool::global(self.threads);
-        clock.lap_into(batch.phases(), Phase::Prepare);
+        batch.record_phase(Phase::Prepare, clock.lap());
 
         // Initial thresholds from the union of the batch's own leaves
         // (distinct leaves only), cross-seeded into every pruner. Positions
@@ -427,7 +430,7 @@ impl<Q: Prepared, S: RawSource> Call<'_, '_, Q, S> {
         let mut fetcher = SeriesFetcher::new(self.source);
         batch_seed_positions(positions.iter().copied(), &mut fetcher, batch)
             .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-        clock.lap_into(batch.phases(), Phase::Seed);
+        batch.record_phase(Phase::Seed, clock.lap());
 
         // Phase A: one cooperative traversal for the whole batch (see
         // [`BatchTraversal`]); surviving leaves enter the worker's run
@@ -437,14 +440,13 @@ impl<Q: Prepared, S: RawSource> Call<'_, '_, Q, S> {
         // queries whose leaf bound survived. One broadcast, phases
         // separated by a spin barrier; a failed raw read closes the run
         // and surfaces after the join.
-        let shared = AtomicQueryStats::new();
+        let shared = Mutex::new(QueryStats::default());
         let runs = LeafRuns::new(self.threads, batch.len());
         let traversal = BatchTraversal::new(flat, &node_tables, batch);
         let barrier = SpinBarrier::new(self.threads);
 
         pool.broadcast(&|worker| {
-            // Workers accumulate locally and merge once per phase (see
-            // `AtomicQueryStats`).
+            // Workers accumulate locally and merge once per broadcast.
             let mut shared_local = QueryStats::default();
             let mut locals = vec![QueryStats::default(); batch.len()];
             let mut run = RunBuilder::new();
@@ -499,10 +501,11 @@ impl<Q: Prepared, S: RawSource> Call<'_, '_, Q, S> {
             });
             shared_local.leaves_discarded += unclaimed;
             batch.merge_locals(&locals);
-            shared.merge(&shared_local);
+            let mut shared = shared.lock();
+            *shared = shared.merged(&shared_local);
         });
-        clock.lap_into(batch.phases(), Q::PHASE);
-        Ok(shared.snapshot())
+        batch.record_phase(Q::PHASE, clock.lap());
+        Ok(shared.into_inner())
     }
 }
 

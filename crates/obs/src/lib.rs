@@ -12,9 +12,10 @@
 //! * [`phase`] — wall-clock time per query phase: the [`Phase`](phase::Phase)
 //!   vocabulary (prepare, seed, sax-scan, collect, verify, traversal,
 //!   dtw-cascade), a [`PhaseBreakdown`](phase::PhaseBreakdown) of
-//!   accumulated nanoseconds carried on `QueryStats`/`BatchStats`, and the
-//!   [`PhaseClock`](phase::PhaseClock)/[`PhaseTimer`](phase::PhaseTimer)
-//!   instruments the engines record with.
+//!   accumulated nanoseconds carried on `QueryStats`/`BatchStats` (a plain
+//!   value, merged like the work counters), and the
+//!   [`PhaseClock`](phase::PhaseClock) the engines lap at each phase
+//!   boundary.
 //! * [`report`] — wall-clock time per build phase: the one
 //!   [`BuildReport`] every engine's build returns (read, summarize, grow,
 //!   flush, stitch).

@@ -4,8 +4,9 @@
 //! query's milliseconds went, not just how many bounds were computed.
 //! [`Phase`] is the cross-engine phase vocabulary, [`PhaseBreakdown`] the
 //! accumulated nanoseconds that ride on `QueryStats`/`BatchStats`, and
-//! [`PhaseClock`]/[`PhaseTimer`]/[`PhaseAcc`] the instruments the engines
-//! record with.
+//! [`PhaseClock`] the instrument the engines record with. A breakdown is a
+//! plain value: a worker or a coordinator fills its own and merges it
+//! once, under the lock of whatever holds the shared one.
 //!
 //! Phases are measured on the *coordinating* thread as disjoint,
 //! contiguous intervals (a [`PhaseClock`] lap ends exactly where the next
@@ -21,7 +22,6 @@
 //! All capture is gated on [`crate::enabled`]: with observability off the
 //! clocks never read the OS timer and every recorded duration is zero.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One phase of a query's execution schedule, uniform across engines.
@@ -146,46 +146,6 @@ impl PhaseBreakdown {
     }
 }
 
-/// Shared-counter form of [`PhaseBreakdown`] for recording through `&self`
-/// (a `QueryBatch` is shared with worker closures while the coordinator
-/// laps its clock between broadcasts).
-#[derive(Debug, Default)]
-pub struct PhaseAcc {
-    nanos: [AtomicU64; Phase::COUNT],
-}
-
-impl PhaseAcc {
-    /// Zeroed accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `nanos` to `phase`.
-    pub fn record(&self, phase: Phase, nanos: u64) {
-        self.nanos[phase as usize].fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Adds a whole [`PhaseBreakdown`] (a worker-local tally, say).
-    pub fn add(&self, breakdown: &PhaseBreakdown) {
-        for (phase, nanos) in breakdown.iter() {
-            if nanos > 0 {
-                self.record(phase, nanos);
-            }
-        }
-    }
-
-    /// Reads the accumulator out as a plain [`PhaseBreakdown`].
-    #[must_use]
-    pub fn snapshot(&self) -> PhaseBreakdown {
-        let mut out = PhaseBreakdown::new();
-        for (i, n) in self.nanos.iter().enumerate() {
-            out.nanos[i] = n.load(Ordering::Relaxed);
-        }
-        out
-    }
-}
-
 /// A lap timer for contiguous phase intervals on the coordinating thread.
 ///
 /// `start` it at the top of the query function, then [`lap`](Self::lap)
@@ -218,45 +178,6 @@ impl PhaseClock {
                 self.last = Some(now);
                 u64::try_from((now - prev).as_nanos()).unwrap_or(u64::MAX)
             }
-        }
-    }
-
-    /// Laps the clock and records the interval against `phase` in `acc`.
-    pub fn lap_into(&mut self, acc: &PhaseAcc, phase: Phase) {
-        let n = self.lap();
-        if n > 0 {
-            acc.record(phase, n);
-        }
-    }
-}
-
-/// A drop-guard span: charges the time between construction and drop to
-/// one phase of a [`PhaseAcc`]. For call sites where a scope, not a lap
-/// boundary, is the natural shape.
-#[derive(Debug)]
-pub struct PhaseTimer<'a> {
-    acc: &'a PhaseAcc,
-    phase: Phase,
-    start: Option<Instant>,
-}
-
-impl<'a> PhaseTimer<'a> {
-    /// Starts a span over `phase` (inert when observability is off).
-    #[must_use]
-    pub fn new(acc: &'a PhaseAcc, phase: Phase) -> Self {
-        Self {
-            acc,
-            phase,
-            start: crate::enabled().then(Instant::now),
-        }
-    }
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.acc.record(self.phase, nanos);
         }
     }
 }
@@ -310,27 +231,15 @@ mod tests {
         let t0 = Instant::now();
         let mut clock = PhaseClock::start();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let acc = PhaseAcc::new();
-        clock.lap_into(&acc, Phase::Seed);
+        let mut got = PhaseBreakdown::new();
+        got.record(Phase::Seed, clock.lap());
         std::thread::sleep(std::time::Duration::from_millis(2));
-        clock.lap_into(&acc, Phase::Traversal);
+        got.record(Phase::Traversal, clock.lap());
         let wall = u64::try_from(t0.elapsed().as_nanos()).unwrap();
-        let got = acc.snapshot();
         assert!(got.nanos(Phase::Seed) >= 1_000_000);
         assert!(got.nanos(Phase::Traversal) >= 1_000_000);
         // Laps are contiguous: their sum can't exceed the enclosing wall
         // time measured from before the clock started.
         assert!(got.total_nanos() <= wall);
-    }
-
-    #[test]
-    fn timer_guard_records_on_drop() {
-        crate::set_enabled(true);
-        let acc = PhaseAcc::new();
-        {
-            let _t = PhaseTimer::new(&acc, Phase::DtwCascade);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(acc.snapshot().nanos(Phase::DtwCascade) >= 500_000);
     }
 }

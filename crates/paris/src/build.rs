@@ -40,7 +40,6 @@ use dsidx_storage::{DatasetFile, LeafStoreWriter, StorageError};
 use dsidx_tree::{FlatTree, Index, LeafEntry, Node};
 use parking_lot::{Condvar, Mutex};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -217,8 +216,8 @@ fn run_pipeline(
     let (gen_done_tx, gen_done_rx) = mpsc::channel::<()>();
     let flush_tracker = FlushTracker::new();
     let barrier = Barrier::new(threads);
-    let grow_nanos = AtomicU64::new(0);
-    let flush_nanos = AtomicU64::new(0);
+    // Summed from what each build thread returns through its join.
+    let (mut grow_time, mut flush_time) = (Duration::ZERO, Duration::ZERO);
 
     let t0 = Instant::now();
     let mut read_time = Duration::ZERO;
@@ -230,7 +229,9 @@ fn run_pipeline(
         // IndexBulkLoading workers (who also construct subtrees at
         // generation boundaries; in ParIS+ that is exactly the paper's
         // redesign, in ParIS it is equivalent to a distinct construction
-        // pool because the coordinator is stopped anyway).
+        // pool because the coordinator is stopped anyway). Each returns the
+        // time it spent growing and flushing.
+        let mut timed = Vec::with_capacity(threads + 2);
         for _ in 0..threads {
             let block_rx = &block_rx;
             let flush_tx = flush_tx.clone();
@@ -240,10 +241,9 @@ fn run_pipeline(
             let errors = &errors;
             let barrier = &barrier;
             let flush_tracker = &flush_tracker;
-            let grow_nanos = &grow_nanos;
-            let flush_nanos = &flush_nanos;
             let gen_done_tx = gen_done_tx.clone();
-            s.spawn(move || {
+            timed.push(s.spawn(move || {
+                let (mut grow, mut flush) = (Duration::ZERO, Duration::ZERO);
                 let mut paa = vec![0.0f32; segments];
                 while let Some(feed) = recv_shared(block_rx) {
                     match feed {
@@ -306,11 +306,8 @@ fn run_pipeline(
                                     (None, _) => {}
                                 }
                             }
-                            let grow_local = tg.elapsed().saturating_sub(flush_local);
-                            // ORDERING: relaxed — phase-time accumulators,
-                            // read only after the scope joins all workers.
-                            grow_nanos.fetch_add(grow_local.as_nanos() as u64, Ordering::Relaxed);
-                            flush_nanos.fetch_add(flush_local.as_nanos() as u64, Ordering::Relaxed);
+                            grow += tg.elapsed().saturating_sub(flush_local);
+                            flush += flush_local;
                             // B2: all subtrees of this generation grown.
                             if barrier.wait().is_leader() {
                                 recbufs[parity].reset_generation();
@@ -323,7 +320,8 @@ fn run_pipeline(
                         }
                     }
                 }
-            });
+                (grow, flush)
+            }));
         }
         drop(gen_done_tx);
         drop(flush_tx);
@@ -336,19 +334,18 @@ fn run_pipeline(
                 let roots = &roots;
                 let errors = &errors;
                 let flush_tracker = &flush_tracker;
-                let flush_nanos = &flush_nanos;
-                s.spawn(move || {
+                timed.push(s.spawn(move || {
+                    let mut flush = Duration::ZERO;
                     while let Some(key) = recv_shared(flush_rx) {
                         let tf = Instant::now();
                         if let Some(node) = roots[usize::from(key)].lock().as_mut() {
                             flush_subtree(node, store.expect("flushers imply a store"), errors);
                         }
-                        // ORDERING: relaxed — phase-time accumulator, read
-                        // only after the scope joins all workers.
-                        flush_nanos.fetch_add(tf.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        flush += tf.elapsed();
                         flush_tracker.done();
                     }
-                });
+                    (Duration::ZERO, flush)
+                }));
             }
         }
 
@@ -394,6 +391,13 @@ fn run_pipeline(
         })();
         t_read_done = Instant::now();
         drop(block_tx); // workers drain and exit; flushers follow
+        for handle in timed {
+            let (grow, flush) = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            grow_time += grow;
+            flush_time += flush;
+        }
         result.err()
     });
 
@@ -411,13 +415,7 @@ fn run_pipeline(
         generations,
         ..BuildReport::default()
     };
-    report.split_stall(
-        stall_waits + (stalled - t_read_done),
-        // ORDERING: relaxed — every writer joined when the worker scope
-        // ended above; the join is the happens-before edge.
-        Duration::from_nanos(grow_nanos.load(Ordering::Relaxed)),
-        Duration::from_nanos(flush_nanos.load(Ordering::Relaxed)),
-    );
+    report.split_stall(stall_waits + (stalled - t_read_done), grow_time, flush_time);
     let roots = roots.into_iter().map(Mutex::into_inner).collect();
     let tree = FlatTree::from_index(&Index::from_roots(tree_cfg.clone(), roots));
     report.stitch = stalled.elapsed();

@@ -150,7 +150,7 @@ pub fn exact(
     if tree.entry_count() == 0 || batch.is_empty() {
         return Ok(batch.finish(0, QueryStats::default()));
     }
-    batch.phases().record(Phase::Prepare, prepare_nanos);
+    batch.record_phase(Phase::Prepare, prepare_nanos);
 
     // Step 1: approximate answers — each query's best-bound entries of its
     // approximate leaf (distinct leaves charged once), cross-seeded into
@@ -186,7 +186,7 @@ pub fn exact(
         .map_err(|e| e.in_phase(Phase::Seed.name()))?;
     let warm = k.saturating_mul(KNN_WARM_PER_NEIGHBOR).min(source.count());
     batch_seed_prefix(warm, &mut fetcher, &batch).map_err(|e| e.in_phase(Phase::Seed.name()))?;
-    clock.lap_into(batch.phases(), Phase::Seed);
+    batch.record_phase(Phase::Seed, clock.lap());
 
     // Step 2: one parallel lower-bound broadcast for the whole batch, then
     // the candidate list ordered: best-bound head, position-order rest.
@@ -207,7 +207,7 @@ pub fn exact(
     });
     let mut candidates = candidates.into_inner();
     order_best_bound_first(&mut candidates, &batch, k.max(VERIFY_HEAD));
-    clock.lap_into(batch.phases(), Phase::Collect);
+    batch.record_phase(Phase::Collect, clock.lap());
 
     // Step 3: one parallel verify broadcast, claimed from the front of
     // the ordered list.
@@ -236,16 +236,14 @@ pub fn exact(
         batch.merge_locals(&locals);
     });
     errors.take()?;
-    clock.lap_into(batch.phases(), Phase::Verify);
+    batch.record_phase(Phase::Verify, clock.lap());
 
     // Every query paid one bound per entry.
     let bounds = QueryStats {
         lb_computed: words.len() as u64,
         ..QueryStats::default()
     };
-    for slot in batch.slots() {
-        slot.stats.merge(&bounds);
-    }
+    batch.merge_locals(&vec![bounds; batch.len()]);
     Ok(batch.finish(2, QueryStats::default()))
 }
 

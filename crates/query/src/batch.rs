@@ -15,9 +15,11 @@
 //!
 //! Per-query state is exactly the single-query state, vectorized: a
 //! prepared query (a [`PreparedQuery`], or any [`Prepared`] measure), an
-//! [`OffsetTopK`] pruner (k-NN shaped; 1-NN batches are k = 1), and an
-//! [`AtomicQueryStats`]. The loops in this module are the batch
-//! generalizations of the single-query kernel loops in
+//! [`OffsetTopK`] pruner (k-NN shaped; 1-NN batches are k = 1), and its
+//! [`QueryStats`] behind a lock. A worker never takes that lock per item:
+//! it fills one local `QueryStats` per query and folds them in once, when
+//! its phase ends ([`QueryBatch::merge_locals`]). The loops in this module
+//! are the batch generalizations of the single-query kernel loops in
 //! [`seed`](crate::seed) and [`scan`](crate::scan); the seed and leaf
 //! loops read each query's prepared state from its slot and serve every
 //! measure, while ParIS's collect and verify steps are Euclidean only.
@@ -26,20 +28,23 @@
 //!
 //! [`BatchStats`] makes the amortization observable: broadcasts issued for
 //! the whole batch, raw series fetched once versus the per-query requests
-//! they served, plus the per-query [`QueryStats`].
+//! they served, plus the per-query [`QueryStats`]. The batch-level tallies
+//! (fetches, requests, phase times) are plain values under one lock too;
+//! every tally is read once, by [`QueryBatch::finish`], after the
+//! schedule has joined its workers.
 
 use crate::fetch::SeriesFetcher;
 use crate::prepare::{Prepared, PreparedQuery};
-use crate::stats::{AtomicQueryStats, QueryStats};
+use crate::stats::QueryStats;
 use dsidx_isax::{Quantizer, Word};
-use dsidx_obs::phase::PhaseAcc;
+use dsidx_obs::phase::{Phase, PhaseBreakdown};
 use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::{OffsetTopK, SharedTopK};
+use parking_lot::Mutex;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-query state inside a [`QueryBatch`]: the query's raw values, its
@@ -59,9 +64,10 @@ pub struct BatchSlot<'q, P = PreparedQuery> {
     /// per-batch collector for an ordinary batch, or a rebasing view into
     /// one cross-shard [`SharedPruners`] collector for a sharded search.
     pub topk: OffsetTopK,
-    /// This query's work counters (shared-counter form, so parallel phases
-    /// merge worker-local tallies without locks).
-    pub stats: AtomicQueryStats,
+    /// This query's work counters. Workers add to them only through
+    /// [`QueryBatch::merge_locals`], once per phase each, so the lock is
+    /// never contended for long; [`QueryBatch::finish`] takes them out.
+    pub stats: Mutex<QueryStats>,
 }
 
 /// One cross-shard pruner per query: the mid-flight BSF-sharing channel of
@@ -153,9 +159,18 @@ const LB_BLOCK: usize = 256;
 /// A batch of exact k-NN queries answered by one shared schedule.
 pub struct QueryBatch<'q, P = PreparedQuery> {
     slots: Vec<BatchSlot<'q, P>>,
-    fetches: AtomicU64,
-    requests: AtomicU64,
-    phases: PhaseAcc,
+    tally: Mutex<Tally>,
+}
+
+/// What a batch counts for the whole batch rather than per query.
+#[derive(Default)]
+struct Tally {
+    /// Raw series actually read.
+    fetches: u64,
+    /// Per-query distance attempts those reads served.
+    requests: u64,
+    /// Phase times, lapped by the coordinating thread.
+    phase: PhaseBreakdown,
 }
 
 impl<'q> QueryBatch<'q> {
@@ -218,14 +233,12 @@ impl<'q, P> QueryBatch<'q, P> {
                     }
                     None => OffsetTopK::fresh(k),
                 },
-                stats: AtomicQueryStats::new(),
+                stats: Mutex::new(QueryStats::default()),
             })
             .collect();
         Self {
             slots,
-            fetches: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            phases: PhaseAcc::new(),
+            tally: Mutex::new(Tally::default()),
         }
     }
 
@@ -247,13 +260,13 @@ impl<'q, P> QueryBatch<'q, P> {
         &self.slots
     }
 
-    /// The batch-level phase-time accumulator. The engine's coordinating
-    /// thread laps its [`PhaseClock`](dsidx_obs::phase::PhaseClock) into
-    /// this at each schedule boundary; [`finish`](Self::finish) folds it
-    /// into the batch's shared stats.
-    #[must_use]
-    pub fn phases(&self) -> &PhaseAcc {
-        &self.phases
+    /// Books `nanos` of the schedule's wall time to `phase`. The engine's
+    /// coordinating thread calls this with each lap of its
+    /// [`PhaseClock`](dsidx_obs::phase::PhaseClock);
+    /// [`finish`](Self::finish) folds the times into the batch's shared
+    /// stats.
+    pub fn record_phase(&self, phase: Phase, nanos: u64) {
+        self.tally.lock().phase.record(phase, nanos);
     }
 
     /// The loosest pruning threshold across the batch. A candidate whose
@@ -271,10 +284,9 @@ impl<'q, P> QueryBatch<'q, P> {
     /// Adds raw-fetch accounting: `fetches` series actually read, serving
     /// `requests` per-query distance attempts.
     pub fn count_io(&self, fetches: u64, requests: u64) {
-        // ORDERING: relaxed — read only in `finish`, after the schedule's
-        // join point; the join is the happens-before edge.
-        self.fetches.fetch_add(fetches, Ordering::Relaxed);
-        self.requests.fetch_add(requests, Ordering::Relaxed);
+        let mut tally = self.tally.lock();
+        tally.fetches += fetches;
+        tally.requests += requests;
     }
 
     /// Merges one worker's per-query local tallies (index-aligned with
@@ -285,7 +297,8 @@ impl<'q, P> QueryBatch<'q, P> {
     pub fn merge_locals(&self, locals: &[QueryStats]) {
         assert_eq!(locals.len(), self.slots.len(), "one local per query");
         for (slot, local) in self.slots.iter().zip(locals) {
-            slot.stats.merge(local);
+            let mut stats = slot.stats.lock();
+            *stats = stats.merged(local);
         }
     }
 
@@ -293,14 +306,16 @@ impl<'q, P> QueryBatch<'q, P> {
     /// `(distance, position)`) plus the [`BatchStats`]. `shared` carries
     /// counters for work done once for the whole batch (a tree engine's
     /// traversal); scan engines pass [`QueryStats::default()`]. Phase
-    /// times lapped into [`phases`](Self::phases) are folded into the
-    /// shared stats here (the schedule ran once for the whole batch).
+    /// times booked with [`record_phase`](Self::record_phase) are folded
+    /// into the shared stats here (the schedule ran once for the whole
+    /// batch).
     #[must_use]
     pub fn finish(self, broadcasts: u64, mut shared: QueryStats) -> (Vec<Vec<Match>>, BatchStats) {
-        shared.phase = shared.phase.merged(&self.phases.snapshot());
+        let tally = self.tally.into_inner();
+        shared.phase = shared.phase.merged(&tally.phase);
         let mut matches = Vec::with_capacity(self.slots.len());
         let mut per_query = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
+        for slot in self.slots {
             matches.push(
                 slot.topk
                     .matches()
@@ -308,14 +323,12 @@ impl<'q, P> QueryBatch<'q, P> {
                     .map(|(dist_sq, pos)| Match::new(pos, dist_sq))
                     .collect(),
             );
-            per_query.push(slot.stats.snapshot());
+            per_query.push(slot.stats.into_inner());
         }
         let stats = BatchStats {
             broadcasts,
-            // ORDERING: relaxed — `finish` consumes `self` after the
-            // schedule joined every worker, so all counts are visible.
-            series_fetched: self.fetches.load(Ordering::Relaxed),
-            series_requests: self.requests.load(Ordering::Relaxed),
+            series_fetched: tally.fetches,
+            series_requests: tally.requests,
             shared,
             per_query,
         };
@@ -1277,6 +1290,45 @@ mod tests {
         }
         assert!(matches[1].is_empty(), "inactive query untouched");
         assert_eq!(stats.per_query[1], QueryStats::default());
+    }
+
+    #[test]
+    fn merge_locals_is_thread_safe() {
+        let (_, _, config) = fixture(8);
+        let qs = DatasetKind::Synthetic.queries(2, 64, 3);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        let batch = QueryBatch::new(config.quantizer(), &qrefs, 1, None);
+        let tally = |k: u64| {
+            let mut phase = PhaseBreakdown::new();
+            phase.record(Phase::Verify, 5 * k);
+            QueryStats {
+                candidates: k,
+                leaves_processed: 2 * k,
+                dtw_cells: 3 * k,
+                real_computed: 4 * k,
+                phase,
+                ..QueryStats::default()
+            }
+        };
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        batch.merge_locals(&[tally(1), tally(3)]);
+                        batch.count_io(1, 2);
+                        batch.record_phase(Phase::Collect, 7);
+                    }
+                });
+            }
+        });
+        let (_, stats) = batch.finish(1, QueryStats::default());
+        assert_eq!(stats.per_query, vec![tally(8000), tally(24_000)]);
+        assert_eq!(
+            (stats.series_fetched, stats.series_requests),
+            (8000, 16_000)
+        );
+        assert_eq!(stats.shared.phase.nanos(Phase::Collect), 56_000);
+        assert_eq!(stats.shared.phase.nanos(Phase::Verify), 0);
     }
 
     #[test]

@@ -38,6 +38,13 @@
 //! query in one data pass, so an engine answers B queries inside a single
 //! schedule (and a single pool broadcast set). The single-query loops here
 //! are the lean B = 1 specializations.
+//!
+//! Work counters are plain values everywhere: the loops count into a
+//! `&mut QueryStats` the calling worker owns, and a worker merges its
+//! tallies into the batch once per phase, under a lock nobody else holds
+//! for longer than that merge. The only atomics a query shares are the
+//! ones that carry its answer and its progress: the pruners' thresholds,
+//! the work queues and the [`ErrorSlot`].
 
 pub mod batch;
 pub mod dtw;
@@ -63,6 +70,6 @@ pub use measure::Measure;
 pub use prepare::{Prepared, PreparedQuery};
 pub use scan::{process_leaf_entries, LeafScratch};
 pub use seed::{approx_best_leaf, approx_leaf_flat, best_bound_positions, seed_from_entries};
-pub use stats::{AtomicQueryStats, QueryStats};
+pub use stats::QueryStats;
 
 pub use dsidx_sync::{OffsetTopK, Pruner, SharedTopK};

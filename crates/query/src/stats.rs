@@ -1,8 +1,7 @@
 //! The unified per-query counter set shared by every engine.
 
-use dsidx_obs::phase::{PhaseAcc, PhaseBreakdown};
+use dsidx_obs::phase::PhaseBreakdown;
 use dsidx_series::distance::dtw::DtwVerdict;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters from one exact query, uniform across engines.
 ///
@@ -146,109 +145,6 @@ impl QueryStats {
     }
 }
 
-/// Shared-counter form of [`QueryStats`] for parallel query phases.
-///
-/// Workers accumulate *locally* and flush once per phase — per-item
-/// `fetch_add`s on these would bounce one cache line across every core,
-/// which dominates sub-millisecond phases.
-#[derive(Debug, Default)]
-pub struct AtomicQueryStats {
-    lb_computed: AtomicU64,
-    candidates: AtomicU64,
-    nodes_pruned: AtomicU64,
-    leaves_enqueued: AtomicU64,
-    leaves_processed: AtomicU64,
-    leaves_discarded: AtomicU64,
-    lb_entry_computed: AtomicU64,
-    lb_keogh_computed: AtomicU64,
-    lb_keogh_pruned: AtomicU64,
-    lb_keogh_rev_pruned: AtomicU64,
-    dtw_abandoned: AtomicU64,
-    dtw_cells: AtomicU64,
-    real_computed: AtomicU64,
-    phase: PhaseAcc,
-}
-
-impl AtomicQueryStats {
-    /// Creates zeroed counters.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a worker's local tally.
-    pub fn merge(&self, local: &QueryStats) {
-        // Destructure exhaustively — see `QueryStats::merged`.
-        let QueryStats {
-            lb_computed,
-            candidates,
-            nodes_pruned,
-            leaves_enqueued,
-            leaves_processed,
-            leaves_discarded,
-            lb_entry_computed,
-            lb_keogh_computed,
-            lb_keogh_pruned,
-            lb_keogh_rev_pruned,
-            dtw_abandoned,
-            dtw_cells,
-            real_computed,
-            phase,
-        } = *local;
-        // Relaxed: counters are only read after the pool broadcast joins,
-        // which is already a synchronization point.
-        self.lb_computed.fetch_add(lb_computed, Ordering::Relaxed);
-        self.candidates.fetch_add(candidates, Ordering::Relaxed);
-        self.nodes_pruned.fetch_add(nodes_pruned, Ordering::Relaxed);
-        self.leaves_enqueued
-            .fetch_add(leaves_enqueued, Ordering::Relaxed);
-        self.leaves_processed
-            .fetch_add(leaves_processed, Ordering::Relaxed);
-        self.leaves_discarded
-            .fetch_add(leaves_discarded, Ordering::Relaxed);
-        self.lb_entry_computed
-            .fetch_add(lb_entry_computed, Ordering::Relaxed);
-        self.lb_keogh_computed
-            .fetch_add(lb_keogh_computed, Ordering::Relaxed);
-        self.lb_keogh_pruned
-            .fetch_add(lb_keogh_pruned, Ordering::Relaxed);
-        self.lb_keogh_rev_pruned
-            .fetch_add(lb_keogh_rev_pruned, Ordering::Relaxed);
-        self.dtw_abandoned
-            .fetch_add(dtw_abandoned, Ordering::Relaxed);
-        self.dtw_cells.fetch_add(dtw_cells, Ordering::Relaxed);
-        self.real_computed
-            .fetch_add(real_computed, Ordering::Relaxed);
-        self.phase.add(&phase);
-    }
-
-    /// Adds to `real_computed` alone (the only counter some phases touch).
-    pub fn add_real_computed(&self, n: u64) {
-        self.real_computed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Reads the counters out as a plain [`QueryStats`].
-    #[must_use]
-    pub fn snapshot(&self) -> QueryStats {
-        QueryStats {
-            lb_computed: self.lb_computed.load(Ordering::Relaxed),
-            candidates: self.candidates.load(Ordering::Relaxed),
-            nodes_pruned: self.nodes_pruned.load(Ordering::Relaxed),
-            leaves_enqueued: self.leaves_enqueued.load(Ordering::Relaxed),
-            leaves_processed: self.leaves_processed.load(Ordering::Relaxed),
-            leaves_discarded: self.leaves_discarded.load(Ordering::Relaxed),
-            lb_entry_computed: self.lb_entry_computed.load(Ordering::Relaxed),
-            lb_keogh_computed: self.lb_keogh_computed.load(Ordering::Relaxed),
-            lb_keogh_pruned: self.lb_keogh_pruned.load(Ordering::Relaxed),
-            lb_keogh_rev_pruned: self.lb_keogh_rev_pruned.load(Ordering::Relaxed),
-            dtw_abandoned: self.dtw_abandoned.load(Ordering::Relaxed),
-            dtw_cells: self.dtw_cells.load(Ordering::Relaxed),
-            real_computed: self.real_computed.load(Ordering::Relaxed),
-            phase: self.phase.snapshot(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,33 +211,5 @@ mod tests {
             ..QueryStats::default()
         };
         assert_eq!(dtw.lb_total(), 32);
-    }
-
-    #[test]
-    fn atomic_merge_and_snapshot_roundtrip() {
-        let shared = AtomicQueryStats::new();
-        shared.merge(&sample(1));
-        shared.merge(&sample(2));
-        shared.add_real_computed(4);
-        let got = shared.snapshot();
-        let mut want = sample(3);
-        want.real_computed += 4;
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn atomic_merge_is_thread_safe() {
-        let shared = AtomicQueryStats::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let shared = &shared;
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        shared.merge(&sample(1));
-                    }
-                });
-            }
-        });
-        assert_eq!(shared.snapshot(), sample(8000));
     }
 }

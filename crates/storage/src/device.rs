@@ -6,10 +6,16 @@
 //! spend. Profiles for a commodity HDD and a SATA SSD (ballpark figures
 //! matching the paper's testbed era) are provided, plus an unthrottled
 //! profile that disables the model.
+//!
+//! A device's ledger — the offset a sequential access would start at and
+//! the [`DeviceStats`] charged so far — is one plain value under one lock:
+//! a charge decides whether it seeks and books what it costs in one step,
+//! so a read of [`Device::stats`] is always a consistent copy. The
+//! modeled wait itself is paid after the lock is released, so concurrent
+//! SSD reads still overlap.
 
 use dsidx_obs::registry::{exponential_bounds, labeled_histogram, Histogram};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Per-profile I/O histograms, shared by every device with the same
@@ -130,15 +136,29 @@ pub struct DeviceStats {
 #[derive(Debug)]
 pub struct Device {
     profile: DeviceProfile,
-    /// Expected next sequential offset, for seek detection.
-    expected_offset: AtomicU64,
+    ledger: Mutex<Ledger>,
     /// Serializes sleeps when the profile demands it.
     io_lock: Mutex<()>,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    seeks: AtomicU64,
-    charged_nanos: AtomicU64,
     metrics: DeviceMetrics,
+}
+
+/// What a device has booked: where the next sequential access starts, and
+/// the counters charged so far.
+#[derive(Debug)]
+struct Ledger {
+    /// Expected next sequential offset, for seek detection (`u64::MAX`
+    /// before the first read, so that one seeks).
+    expected_offset: u64,
+    stats: DeviceStats,
+}
+
+impl Default for Ledger {
+    fn default() -> Self {
+        Self {
+            expected_offset: u64::MAX,
+            stats: DeviceStats::default(),
+        }
+    }
 }
 
 /// Delays shorter than this accumulate instead of sleeping (sleep syscalls
@@ -151,12 +171,8 @@ impl Device {
     pub fn new(profile: DeviceProfile) -> Self {
         Self {
             profile,
-            expected_offset: AtomicU64::new(u64::MAX),
+            ledger: Mutex::default(),
             io_lock: Mutex::new(()),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            seeks: AtomicU64::new(0),
-            charged_nanos: AtomicU64::new(0),
             metrics: DeviceMetrics::for_profile(profile.name),
         }
     }
@@ -176,17 +192,18 @@ impl Device {
     /// Charges a read of `bytes` starting at file `offset` (seek detection
     /// compares against the previous read's end).
     pub fn charge_read(&self, offset: u64, bytes: u64) {
-        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        if self.profile.is_unthrottled() {
-            self.observe(self.metrics.read_bytes, bytes, self.metrics.read_nanos, 0);
-            return;
+        let mut ledger = self.ledger.lock();
+        ledger.stats.bytes_read += bytes;
+        let mut nanos = 0;
+        if !self.profile.is_unthrottled() {
+            nanos = bandwidth_nanos(bytes, self.profile.read_bandwidth);
+            if std::mem::replace(&mut ledger.expected_offset, offset + bytes) != offset {
+                ledger.stats.seeks += 1;
+                nanos += self.profile.seek_latency.as_nanos() as u64;
+            }
+            ledger.stats.charged_nanos += nanos;
         }
-        let sequential = self.expected_offset.swap(offset + bytes, Ordering::Relaxed) == offset;
-        let mut nanos = bandwidth_nanos(bytes, self.profile.read_bandwidth);
-        if !sequential {
-            self.seeks.fetch_add(1, Ordering::Relaxed);
-            nanos += self.profile.seek_latency.as_nanos() as u64;
-        }
+        drop(ledger);
         self.observe(
             self.metrics.read_bytes,
             bytes,
@@ -198,12 +215,11 @@ impl Device {
 
     /// Charges a sequential append of `bytes` (no seek).
     pub fn charge_append(&self, bytes: u64) {
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-        if self.profile.is_unthrottled() {
-            self.observe(self.metrics.write_bytes, bytes, self.metrics.write_nanos, 0);
-            return;
-        }
         let nanos = bandwidth_nanos(bytes, self.profile.write_bandwidth);
+        let mut ledger = self.ledger.lock();
+        ledger.stats.bytes_written += bytes;
+        ledger.stats.charged_nanos += nanos;
+        drop(ledger);
         self.observe(
             self.metrics.write_bytes,
             bytes,
@@ -223,11 +239,12 @@ impl Device {
         }
     }
 
+    /// Waits out a charge already booked in the ledger (never under its
+    /// lock: SSD waits overlap).
     fn pay(&self, nanos: u64) {
         if nanos == 0 {
             return;
         }
-        self.charged_nanos.fetch_add(nanos, Ordering::Relaxed);
         // Each thread accumulates its own sub-threshold debt and pays it
         // itself — a shared pool would let one thread sleep on behalf of
         // others and break the SSD parallel-I/O model. (Debt is per-thread,
@@ -258,24 +275,15 @@ impl Device {
         }
     }
 
-    /// Snapshot of the accumulated counters.
+    /// A consistent copy of the accumulated counters.
     #[must_use]
     pub fn stats(&self) -> DeviceStats {
-        DeviceStats {
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            seeks: self.seeks.load(Ordering::Relaxed),
-            charged_nanos: self.charged_nanos.load(Ordering::Relaxed),
-        }
+        self.ledger.lock().stats
     }
 
     /// Resets counters and seek tracking (between experiment phases).
     pub fn reset_stats(&self) {
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.seeks.store(0, Ordering::Relaxed);
-        self.charged_nanos.store(0, Ordering::Relaxed);
-        self.expected_offset.store(u64::MAX, Ordering::Relaxed);
+        *self.ledger.lock() = Ledger::default();
     }
 }
 
@@ -456,10 +464,61 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_charges_book_a_consistent_ledger() {
+        // Four threads, each reading its own sequential stretch and
+        // appending between reads: how many reads seek depends on the
+        // interleaving, but every read and every byte is booked, and the
+        // modeled time is exactly what the booked bytes and seeks cost.
+        let d = Device::new(DeviceProfile::SSD);
+        let (threads, ops) = (4u64, 100u64);
+        let read = |t: u64, i: u64| 512 + 64 * ((t + i) % 7);
+        let append = |t: u64, i: u64| 256 + 32 * ((t * i) % 5);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let d = &d;
+                s.spawn(move || {
+                    let mut offset = t << 40;
+                    for i in 0..ops {
+                        d.charge_read(offset, read(t, i));
+                        offset += read(t, i);
+                        d.charge_append(append(t, i));
+                    }
+                });
+            }
+        });
+        let profile = d.profile();
+        let (mut bytes_read, mut bytes_written, mut bandwidth) = (0, 0, 0);
+        for t in 0..threads {
+            for i in 0..ops {
+                bytes_read += read(t, i);
+                bytes_written += append(t, i);
+                bandwidth += bandwidth_nanos(read(t, i), profile.read_bandwidth)
+                    + bandwidth_nanos(append(t, i), profile.write_bandwidth);
+            }
+        }
+        let stats = d.stats();
+        assert_eq!(stats.bytes_read, bytes_read);
+        assert_eq!(stats.bytes_written, bytes_written);
+        assert!(
+            (1..=threads * ops).contains(&stats.seeks),
+            "{} seeks",
+            stats.seeks
+        );
+        assert_eq!(
+            stats.charged_nanos,
+            bandwidth + stats.seeks * profile.seek_latency.as_nanos() as u64
+        );
+    }
+
+    #[test]
     fn reset_clears_counters() {
         let d = Device::new(DeviceProfile::SSD);
         d.charge_read(0, 100);
         d.reset_stats();
         assert_eq!(d.stats(), DeviceStats::default());
+        // Seek tracking restarts too: the read that would have continued
+        // the last one seeks.
+        d.charge_read(100, 100);
+        assert_eq!(d.stats().seeks, 1);
     }
 }

@@ -30,3 +30,16 @@ pub use format::{read_dataset, write_dataset, DatasetFile, DatasetWriter};
 pub use leafstore::{EntryRuns, LeafStoreWriter};
 pub use raw::{FlakySource, RawSource};
 pub use snapshot::{SnapshotFingerprint, SnapshotReader, SnapshotWriter};
+
+/// A name no other call in this process is given: `"<pid>-<seq>"`, the
+/// process id and a sequence number. Scratch files that concurrent saves,
+/// builds or sharded builds create side by side in one directory are named
+/// from it.
+#[must_use]
+pub fn unique_stem() -> String {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    // ORDERING: relaxed — the counter only mints unique names; nothing is
+    // published through it.
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    format!("{}-{seq}", std::process::id())
+}

@@ -5,9 +5,14 @@
 //! values need to be read from disk", §III); MESSI points into an in-memory
 //! array. Engines are generic over this trait so the same query code runs
 //! in both modes; `as_memory` exposes the zero-copy fast path.
+//!
+//! [`FlakySource`] is the fault-injecting stand-in the error-path tests
+//! read through: its read budget and its trip latch are one value under
+//! one lock.
 
 use crate::error::StorageError;
 use dsidx_series::Dataset;
+use parking_lot::Mutex;
 
 /// A positionally addressable collection of equal-length raw series.
 pub trait RawSource: Sync {
@@ -79,11 +84,17 @@ impl<S: RawSource> RawSource for &S {
 #[derive(Debug)]
 pub struct FlakySource {
     data: Dataset,
-    reads_left: std::sync::atomic::AtomicU64,
+    budget: Mutex<Budget>,
+}
+
+/// A [`FlakySource`]'s reads left, and whether a read has failed yet.
+#[derive(Debug)]
+struct Budget {
+    reads_left: u64,
     /// Set by the first failing read, which also bumps
     /// [`FLAKY_TRIPS_TOTAL`](crate::metrics::FLAKY_TRIPS_TOTAL) and emits a
     /// `flaky_trip` trace event.
-    trip_noted: std::sync::atomic::AtomicBool,
+    tripped: bool,
 }
 
 impl FlakySource {
@@ -93,8 +104,10 @@ impl FlakySource {
     pub fn new(data: Dataset, reads_before_failure: u64) -> Self {
         Self {
             data,
-            reads_left: std::sync::atomic::AtomicU64::new(reads_before_failure),
-            trip_noted: std::sync::atomic::AtomicBool::new(false),
+            budget: Mutex::new(Budget {
+                reads_left: reads_before_failure,
+                tripped: false,
+            }),
         }
     }
 
@@ -102,14 +115,6 @@ impl FlakySource {
     /// trace stream.
     #[cold]
     fn note_trip(&self) {
-        // ORDERING: relaxed — once-only latch for metric/trace emission;
-        // double emission is the only thing at stake, no data rides on it.
-        if self
-            .trip_noted
-            .swap(true, std::sync::atomic::Ordering::Relaxed)
-        {
-            return;
-        }
         if dsidx_obs::enabled() {
             static TRIPS: std::sync::OnceLock<&'static dsidx_obs::registry::Counter> =
                 std::sync::OnceLock::new();
@@ -136,9 +141,7 @@ impl FlakySource {
     /// `true` once the read budget is exhausted (any further read fails).
     #[must_use]
     pub fn tripped(&self) -> bool {
-        // ORDERING: relaxed — diagnostic read of a self-contained budget
-        // counter; callers tolerate a momentarily stale answer.
-        self.reads_left.load(std::sync::atomic::Ordering::Relaxed) == 0
+        self.budget.lock().reads_left == 0
     }
 }
 
@@ -152,31 +155,21 @@ impl RawSource for FlakySource {
     }
 
     fn read_into(&self, pos: usize, out: &mut [f32]) -> Result<(), StorageError> {
-        // Budget check via a CAS loop: decrement only while non-zero, so
-        // concurrent readers never wrap the counter.
-        // ORDERING: relaxed — the budget counter is the entire shared
-        // state; the CAS only has to be atomic, it publishes no payload.
-        let mut left = self.reads_left.load(std::sync::atomic::Ordering::Relaxed);
-        loop {
-            if left == 0 {
-                self.note_trip();
-                return Err(StorageError::Io(std::io::Error::other(
-                    "injected fault: read budget exhausted",
-                )));
-            }
-            match self.reads_left.compare_exchange_weak(
-                left,
-                left - 1,
-                // ORDERING: relaxed on success and failure — the budget
-                // counter is self-contained (see comment on the load).
-                std::sync::atomic::Ordering::Relaxed,
-                std::sync::atomic::Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => left = now,
-            }
+        let mut budget = self.budget.lock();
+        if budget.reads_left > 0 {
+            budget.reads_left -= 1;
+            drop(budget);
+            return self.data.read_into(pos, out);
         }
-        self.data.read_into(pos, out)
+        let first_trip = !std::mem::replace(&mut budget.tripped, true);
+        // The metric and the trace event are emitted unlocked.
+        drop(budget);
+        if first_trip {
+            self.note_trip();
+        }
+        Err(StorageError::Io(std::io::Error::other(
+            "injected fault: read budget exhausted",
+        )))
     }
 }
 

@@ -77,7 +77,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MAGIC: [u8; 8] = *b"DSIDXSN1";
@@ -185,16 +184,10 @@ fn checksum64(chunks: &[&[u8]]) -> u64 {
     hash
 }
 
-/// Distinguishes the temporary files of concurrent saves in one process.
-static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// A hidden sibling of `path`, unique to this process and save.
 fn temp_sibling(path: &Path) -> PathBuf {
     let name = path.file_name().unwrap_or_default().to_string_lossy();
-    // ORDERING: relaxed — the counter only mints a unique file name;
-    // nothing is published through it.
-    let seq = SAVE_SEQ.fetch_add(1, Ordering::Relaxed);
-    path.with_file_name(format!(".{name}.{}-{seq}.tmp", std::process::id()))
+    path.with_file_name(format!(".{name}.{}.tmp", crate::unique_stem()))
 }
 
 fn align_up(offset: u64) -> u64 {

@@ -15,13 +15,12 @@
 use std::sync::Arc;
 
 use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};
-use dsidx_query::{
-    finish_knn, AtomicQueryStats, BatchStats, ErrorSlot, QueryStats, SeriesFetcher, ShardView,
-};
+use dsidx_query::{finish_knn, BatchStats, ErrorSlot, QueryStats, SeriesFetcher, ShardView};
 use dsidx_series::distance::dtw::{dtw_cascade, dtw_sq, envelope, DtwScratch};
 use dsidx_series::{Dataset, Match};
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::{AtomicBest, OffsetTopK, Pruner, WorkQueue};
+use parking_lot::Mutex;
 
 /// A query as the scans see it: its values and its envelope under the
 /// band, computed once.
@@ -142,7 +141,6 @@ pub fn scan_dtw_parallel(
     struct Slot<'q> {
         warped: Warped<'q>,
         topk: OffsetTopK,
-        stats: AtomicQueryStats,
     }
     let slots: Vec<Slot<'_>> = queries
         .iter()
@@ -155,7 +153,6 @@ pub fn scan_dtw_parallel(
             Slot {
                 warped: Warped::new(query, band),
                 topk,
-                stats: AtomicQueryStats::new(),
             }
         })
         .collect();
@@ -190,8 +187,9 @@ pub fn scan_dtw_parallel(
     let queue = WorkQueue::new(source.count());
     let errors = ErrorSlot::for_phase(Phase::DtwCascade);
     let pool = dsidx_sync::pool::global(threads);
+    let tallies = Mutex::new(vec![QueryStats::default(); slots.len()]);
     pool.broadcast(&|_worker| {
-        // Accumulate locally, merge once per worker (see `AtomicQueryStats`).
+        // Accumulate locally, merge once per worker.
         let mut locals = vec![QueryStats::default(); slots.len()];
         let mut fetcher = SeriesFetcher::new(source);
         let mut scratch = DtwScratch::new();
@@ -213,8 +211,8 @@ pub fn scan_dtw_parallel(
                 }
             }
         }
-        for (slot, local) in slots.iter().zip(&locals) {
-            slot.stats.merge(local);
+        for (tally, local) in tallies.lock().iter_mut().zip(&locals) {
+            *tally = tally.merged(local);
         }
     });
     errors.take()?;
@@ -222,8 +220,8 @@ pub fn scan_dtw_parallel(
 
     let mut matches = Vec::with_capacity(slots.len());
     let mut per_query = Vec::with_capacity(slots.len());
-    for slot in &slots {
-        let (m, mut s) = finish_knn(slot.topk.inner(), Some(slot.stats.snapshot()));
+    for (slot, tally) in slots.iter().zip(tallies.into_inner()) {
+        let (m, mut s) = finish_knn(slot.topk.inner(), Some(tally));
         // Position 0 paid one unconditional full DTW for the seed.
         s.real_computed += 1;
         matches.push(m);

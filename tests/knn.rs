@@ -254,6 +254,39 @@ fn paris_answers_are_identical_across_threads_residences_and_shards() {
 }
 
 #[test]
+fn a_k_far_above_the_collection_answers_like_k_equal_to_it() {
+    // No collector may be sized by such a `k`: `1 << 40` matches would ask
+    // for terabytes, and `usize::MAX` overflows a `k + 1`.
+    let data = DatasetKind::Synthetic.generate(500, 64, 41);
+    let n = data.len();
+    let queries = DatasetKind::Synthetic.queries(2, 64, 41);
+    let qrefs: Vec<&[f32]> = queries.iter().collect();
+    fn check(label: &str, idx: &impl Search, qrefs: &[&[f32]], n: usize) {
+        for spec in [
+            QuerySpec::knn(n),
+            QuerySpec::knn(n).measure(Measure::Dtw { band: 4 }),
+            QuerySpec::knn(n).fidelity(Fidelity::Approximate),
+        ] {
+            let want = idx.search(qrefs, &spec).unwrap().into_matches();
+            for k in [1usize << 40, usize::MAX] {
+                let huge = QuerySpec::knn(k)
+                    .measure(spec.measure_kind())
+                    .fidelity(spec.fidelity_kind());
+                let got = idx.search(qrefs, &huge).unwrap().into_matches();
+                assert_eq!(got, want, "{label} {spec:?} k={k}");
+            }
+        }
+    }
+    for engine in Engine::ALL {
+        let o = opts(2, 16);
+        let memory = MemoryIndex::build(data.clone(), engine, &o).unwrap();
+        check(engine.name(), &memory, &qrefs, n);
+        let sharded = dsidx::ShardedIndex::build_in_memory(&data, 2, engine, &o).unwrap();
+        check(&format!("{} 2 shards", engine.name()), &sharded, &qrefs, n);
+    }
+}
+
+#[test]
 fn knn_on_empty_collection_is_empty() {
     let data = Dataset::new(64).unwrap();
     for engine in Engine::ALL {
