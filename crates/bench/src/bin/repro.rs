@@ -5,9 +5,12 @@
 //! cargo run --release -p dsidx-bench --bin repro -- all --scale small
 //! cargo run --release -p dsidx-bench --bin repro -- fig9 fig12
 //! cargo run --release -p dsidx-bench --bin repro -- --list
+//! cargo run --release -p dsidx-bench --bin repro -- work --scale tiny --check BENCH_work.json
 //! ```
 //!
-//! Results print as tables and land as CSVs in `results/`.
+//! Results print as tables and land as CSVs in `results/`. `--check FILE`
+//! applies to the `work` ledger alone: it regenerates the scale's section
+//! and exits 1 on any difference from `FILE`.
 
 use dsidx_bench::{experiments, Scale};
 
@@ -15,6 +18,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::SMALL;
     let mut selected: Vec<String> = Vec::new();
+    let mut check: Option<std::path::PathBuf> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -23,6 +27,12 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| usage("missing value for --scale"));
                 scale = Scale::parse(value).unwrap_or_else(|e| usage(&e));
+            }
+            "--check" => {
+                let value = iter
+                    .next()
+                    .unwrap_or_else(|| usage("missing value for --check"));
+                check = Some(value.into());
             }
             "--list" => {
                 for (id, figure, _) in experiments::ALL {
@@ -37,6 +47,16 @@ fn main() {
     }
     if selected.is_empty() {
         usage("no experiment selected");
+    }
+    if let Some(file) = check {
+        if selected != ["work"] {
+            usage("--check applies to the `work` experiment alone");
+        }
+        if let Err(diff) = experiments::work::check(&scale, &file) {
+            eprintln!("error: the work ledger changed: {diff}");
+            std::process::exit(1);
+        }
+        return;
     }
     if selected.iter().any(|s| s == "all") {
         selected = experiments::ALL
@@ -71,7 +91,8 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: repro [--scale tiny|small|default|paper] [--list] <experiment...|all>\n\
+        "usage: repro [--scale tiny|small|default|bench|paper] [--list] <experiment...|all>\n       \
+         repro [--scale ...] work --check BENCH_work.json\n\
          experiments:"
     );
     for (id, figure, _) in experiments::ALL {

@@ -17,6 +17,7 @@ pub mod obs;
 pub mod ondisk;
 pub mod shards;
 pub mod throughput;
+pub mod work;
 
 use crate::Scale;
 
@@ -104,6 +105,11 @@ pub const ALL: &[Experiment] = &[
         "shards",
         "Extension: scatter-gather sharding sweep (N in {1,2,4,8}) with BSF sharing A/B",
         shards::run,
+    ),
+    (
+        "work",
+        "Ledger: exact per-query work at one worker (BENCH_work.json, diffed with --check)",
+        work::run,
     ),
 ];
 

@@ -66,6 +66,17 @@ impl Scale {
         mem_queries: 10,
     };
 
+    /// The committed benchmark's sizes (`benchmark/`): 200,000 series in
+    /// memory, 100,000 on disk, length 256.
+    pub const BENCH: Scale = Scale {
+        name: "bench",
+        disk_series: 100_000,
+        mem_series: 200_000,
+        series_len: 256,
+        disk_queries: 3,
+        mem_queries: 10,
+    };
+
     /// The paper's sizes (documented; expect hours and ~100 GB of disk).
     pub const PAPER: Scale = Scale {
         name: "paper",
@@ -85,8 +96,11 @@ impl Scale {
             "tiny" => Ok(Scale::TINY),
             "small" => Ok(Scale::SMALL),
             "default" => Ok(Scale::DEFAULT),
+            "bench" => Ok(Scale::BENCH),
             "paper" => Ok(Scale::PAPER),
-            other => Err(format!("unknown scale: {other} (tiny|small|default|paper)")),
+            other => Err(format!(
+                "unknown scale: {other} (tiny|small|default|bench|paper)"
+            )),
         }
     }
 
