@@ -32,7 +32,7 @@ pub mod word;
 
 pub use breakpoints::{breakpoints, BreakpointTable};
 pub use error::IsaxError;
-pub use mindist::{MindistTable, NodeMindistTable};
+pub use mindist::{CoarseTable, MindistTable, NodeMindistTable, COARSE_BLOCK};
 // The one SIMD gate every dispatch point in the workspace consults
 // (re-exported so isax consumers need not depend on dsidx-series directly).
 pub use dsidx_series::distance::simd_enabled;

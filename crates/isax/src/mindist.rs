@@ -18,7 +18,7 @@
 //! of the paper's SIMD lower-bound kernel.
 
 use crate::breakpoints::breakpoints;
-use crate::word::{NodeWord, Word, MAX_BITS, MAX_CARDINALITY};
+use crate::word::{NodeWord, Word, MAX_BITS, MAX_CARDINALITY, MAX_SEGMENTS};
 
 /// Squared distance from a point to an interval (0 inside).
 #[inline]
@@ -267,6 +267,223 @@ impl MindistTable {
         }
         for (w, o) in words.iter().zip(out) {
             *o = self.lookup_scalar(w);
+        }
+    }
+}
+
+/// Words the coarse pre-filter bounds at once: one bit each in its mask.
+pub const COARSE_BLOCK: usize = 32;
+
+/// Coarse slots per segment: one per high nibble of a symbol.
+const COARSE_ROW: usize = 16;
+
+/// The largest quantised coarse slot. Below 255 so that a slot can never
+/// saturate the `u8` sum on its own.
+const COARSE_MAX: f64 = 250.0;
+
+/// A slot's quantisation margin, `1 - 2^-10`: far wider than the
+/// rounding of the `f32` exact sum and of the `f64` quantisation (see
+/// [`CoarseTable`]).
+const COARSE_SHRINK: f64 = 1.0 - 1.0 / 1024.0;
+
+/// Most of 32 words that may survive the coarse stage for a block still to
+/// take it: past this, [`CoarseTable::for_each_below`] bounds the whole
+/// block with [`MindistTable::lookup_many`] instead, which is cheaper than
+/// that many one-word lookups (a wide DTW envelope passes most words).
+const COARSE_DENSE: u32 = 8;
+
+/// A 4-bit, `u8`-quantised companion of a [`MindistTable`]: the cheap
+/// first stage of bounding a run of words against a live limit.
+///
+/// Slot `(seg, h)` holds the smallest of the 16 fine slots whose symbols
+/// share the high nibble `h`, `v = min(table[seg][16h..16h + 16])`,
+/// quantised as `floor(v * S * (1 - 2^-10))` clamped to `[0, 250]`, where
+/// `S = 250 / L_ref` for the reference limit `L_ref` the table was made
+/// for. A word's coarse sum is the saturating `u8` sum of its 16 slots
+/// (at its symbols' high nibbles); for a live limit `L` the threshold is
+/// `T = ceil(L * S) + 1` ([`threshold`](Self::threshold)), and a word
+/// **may survive** iff its coarse sum is below `T`.
+///
+/// **Soundness.** A word ruled out has a [`MindistTable::lookup_many`]
+/// bound of at least `L`, so the survivors of the two stages are exactly
+/// those of the exact stage alone:
+///
+/// * each coarse slot is at most `v * S * (1 - 2^-10)` — the floor and the
+///   clamp only lower it, and `+inf` fine slots (a query far outside the
+///   breakpoints) quantise to 250, the same as any other large value;
+///   `v` is at most the fine slot the word's symbol picks, because that
+///   slot is one of the 16 it is the minimum of. This holds for point and
+///   interval tables alike;
+/// * a ruled-out word has a coarse sum `>= T`, so (the sum saturates only
+///   at 255 `>= T`) its exact integer sum is at least `ceil(L * S) + 1`,
+///   and the sum of its fine slots is above `L * (1 + 2^-11)` once the
+///   margin and the `f64` roundings (relative `2^-53` each) are paid;
+/// * the `f32` exact bound adds 16 non-negative slots with a relative
+///   error below `2^-20`, so it stays above `L`.
+///
+/// A `T` above 255 cannot be represented, and [`threshold`](Self::threshold)
+/// then declines to filter rather than clamp (a clamped `T` would rule out
+/// words that saturated below the true threshold).
+///
+/// Both the AVX2 kernel and the scalar oracle
+/// ([`may_survive_scalar`](Self::may_survive_scalar)) do exact integer
+/// arithmetic, so their masks are equal bit for bit and the pre-filter
+/// never changes with the SIMD mode. The table exists only for the
+/// paper's 16 segments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoarseTable {
+    /// `slots[seg * 16 + h]`, quantised.
+    slots: [u8; MAX_SEGMENTS * COARSE_ROW],
+    /// `S = 250 / L_ref`.
+    scale: f64,
+    /// `L_ref`.
+    reference: f32,
+}
+
+impl CoarseTable {
+    /// The coarse companion of `table` for limits near `reference`;
+    /// `None` unless `table` has 16 segments and `reference` is finite and
+    /// positive.
+    #[must_use]
+    pub fn new(table: &MindistTable, reference: f32) -> Option<Self> {
+        if table.segments != MAX_SEGMENTS || !(reference.is_finite() && reference > 0.0) {
+            return None;
+        }
+        let scale = COARSE_MAX / f64::from(reference);
+        let mut slots = [0u8; MAX_SEGMENTS * COARSE_ROW];
+        for (slot, fine) in slots.iter_mut().zip(table.table.chunks_exact(COARSE_ROW)) {
+            let v = fine.iter().copied().fold(f32::INFINITY, f32::min);
+            // A NaN (never built from a NaN-free query) quantises to 0,
+            // which only lets words through.
+            *slot = (f64::from(v) * scale * COARSE_SHRINK)
+                .floor()
+                .clamp(0.0, COARSE_MAX) as u8;
+        }
+        Some(Self {
+            slots,
+            scale,
+            reference,
+        })
+    }
+
+    /// The reference limit `L_ref` the slots were quantised for.
+    #[must_use]
+    pub fn reference(&self) -> f32 {
+        self.reference
+    }
+
+    /// The `u8` threshold for live limit `limit`, `ceil(limit * S) + 1`;
+    /// `None` when `limit` is not finite and positive or the threshold
+    /// would exceed 255 (the coarse stage then rules nothing out).
+    #[must_use]
+    pub fn threshold(&self, limit: f32) -> Option<u8> {
+        if !(limit.is_finite() && limit > 0.0) {
+            return None;
+        }
+        let t = (f64::from(limit) * self.scale).ceil() + 1.0;
+        (t <= 255.0).then_some(t as u8)
+    }
+
+    /// Bit `j` set iff word `j` may survive `threshold` (see the type
+    /// docs), for up to [`COARSE_BLOCK`] words.
+    ///
+    /// Dispatches to an AVX2 shuffle kernel unless `DSIDX_NO_SIMD`
+    /// disables it; a short block is copied into a full one first. Equal
+    /// bit for bit to [`may_survive_scalar`](Self::may_survive_scalar).
+    ///
+    /// # Panics
+    /// Panics if `words` holds more than [`COARSE_BLOCK`] words.
+    #[must_use]
+    pub fn may_survive(&self, words: &[Word], threshold: u8) -> u32 {
+        assert!(words.len() <= COARSE_BLOCK, "coarse blocks are 32 words");
+        #[cfg(target_arch = "x86_64")]
+        if threshold > 0 && !words.is_empty() && dsidx_series::distance::simd_enabled() {
+            let full = |words: &[Word; COARSE_BLOCK]| {
+                // SAFETY: `simd_enabled` implies AVX2, and the threshold
+                // was just checked to be at least 1.
+                unsafe { crate::simd::coarse_mask32_avx2(&self.slots, words, threshold) }
+            };
+            return match words.try_into() {
+                Ok(block) => full(block),
+                Err(_) => {
+                    let mut block = [words[0]; COARSE_BLOCK];
+                    block[..words.len()].copy_from_slice(words);
+                    full(&block) & ((1u32 << words.len()) - 1)
+                }
+            };
+        }
+        self.may_survive_scalar(words, threshold)
+    }
+
+    /// The scalar oracle of [`may_survive`](Self::may_survive): each
+    /// word's saturating sum, segment by segment.
+    ///
+    /// # Panics
+    /// Panics if `words` holds more than [`COARSE_BLOCK`] words.
+    #[must_use]
+    pub fn may_survive_scalar(&self, words: &[Word], threshold: u8) -> u32 {
+        assert!(words.len() <= COARSE_BLOCK, "coarse blocks are 32 words");
+        let mut mask = 0u32;
+        for (j, word) in words.iter().enumerate() {
+            let sum = word
+                .symbols_raw()
+                .iter()
+                .zip(self.slots.chunks_exact(COARSE_ROW))
+                .fold(0u8, |sum, (&sym, row)| {
+                    sum.saturating_add(row[usize::from(sym >> 4)])
+                });
+            if sum < threshold {
+                mask |= 1 << j;
+            }
+        }
+        mask
+    }
+
+    /// Calls `keep(i, bound)`, in word order, for every word `i` of
+    /// `words` whose exact bound is below `limit`, with exactly the bound
+    /// [`MindistTable::lookup_many`] gives it: the exact stage alone,
+    /// behind the coarse one. `table` must be the table this one was made
+    /// from.
+    ///
+    /// Words are taken in blocks of [`COARSE_BLOCK`]. The survivors of a
+    /// block's coarse mask get [`MindistTable::lookup_scalar`], which is
+    /// bit-identical to `lookup_many`'s lanes, unless more than 8 of them
+    /// survive: then the whole block takes `lookup_many`, which is cheaper
+    /// than that many one-word lookups (a wide DTW envelope passes most
+    /// words). Without a usable threshold
+    /// ([`threshold`](Self::threshold)) every block takes `lookup_many`.
+    pub fn for_each_below(
+        &self,
+        table: &MindistTable,
+        words: &[Word],
+        limit: f32,
+        mut keep: impl FnMut(usize, f32),
+    ) {
+        let threshold = self.threshold(limit);
+        let mut exact = [0.0f32; COARSE_BLOCK];
+        for (b, block) in words.chunks(COARSE_BLOCK).enumerate() {
+            let base = b * COARSE_BLOCK;
+            let mut mask = match threshold {
+                Some(threshold) => self.may_survive(block, threshold),
+                None => u32::MAX,
+            };
+            if mask.count_ones() > COARSE_DENSE {
+                table.lookup_many(block, &mut exact);
+                for (j, &lb) in exact[..block.len()].iter().enumerate() {
+                    if lb < limit {
+                        keep(base + j, lb);
+                    }
+                }
+                continue;
+            }
+            while mask != 0 {
+                let j = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let lb = table.lookup_scalar(&block[j]);
+                if lb < limit {
+                    keep(base + j, lb);
+                }
+            }
         }
     }
 }
@@ -837,6 +1054,146 @@ mod tests {
                 };
             }
         }
+    }
+
+    /// Words with pseudo-random symbols (every nibble pattern shows up).
+    fn random_words(seed: u64, count: usize) -> Vec<Word> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..count)
+            .map(|_| {
+                let mut symbols = [0u8; MAX_SEGMENTS];
+                for s in &mut symbols {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    *s = (state >> 56) as u8;
+                }
+                Word::new(&symbols)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn coarse_slots_are_the_quantised_nibble_minima() {
+        let q = Quantizer::new(256, 16).unwrap();
+        let paa_a = crate::paa::paa(&series(3, 256), 16);
+        let table = MindistTable::new_point(&paa_a, q.segment_lens());
+        let reference = table.lookup_scalar(&random_words(1, 1)[0]).max(1.0);
+        let coarse = CoarseTable::new(&table, reference).unwrap();
+        let scale = 250.0 / f64::from(reference);
+        for seg in 0..16 {
+            for h in 0..16 {
+                let fine = &table.table[seg * 256 + h * 16..][..16];
+                let v = fine.iter().copied().fold(f32::INFINITY, f32::min);
+                let want = (f64::from(v) * scale * (1.0 - 1.0 / 1024.0))
+                    .floor()
+                    .clamp(0.0, 250.0) as u8;
+                assert_eq!(coarse.slots[seg * 16 + h], want, "seg={seg} h={h}");
+            }
+        }
+        // The threshold: ceil(L * S) + 1, refused past 255 or for a limit
+        // that is not finite and positive.
+        assert_eq!(coarse.threshold(reference), Some(251));
+        assert_eq!(coarse.threshold(reference / 2.0), Some(126));
+        assert_eq!(coarse.threshold(reference * 1.1), None);
+        for bad in [0.0, -1.0, f32::INFINITY, f32::NAN] {
+            assert_eq!(coarse.threshold(bad), None);
+        }
+        for bad in [0.0, -1.0, f32::INFINITY, f32::NAN] {
+            assert!(CoarseTable::new(&table, bad).is_none());
+        }
+        let eight = Quantizer::new(64, 8).unwrap();
+        let narrow = MindistTable::new_point(&paa_a[..8], eight.segment_lens());
+        assert!(CoarseTable::new(&narrow, 1.0).is_none(), "16 segments only");
+    }
+
+    #[test]
+    fn a_word_bounded_just_below_the_limit_survives_the_coarse_stage() {
+        // The tightest case for the quantisation: the whole bound sits in
+        // one segment, whose symbol is the nearest of its nibble to the
+        // query (so the coarse slot is the fine one, floored once), every
+        // other segment contributes an exact zero, and the limit is one ulp
+        // above the bound. The word must survive for every reference at or
+        // above the limit, and every SIMD mode.
+        let q = Quantizer::new(256, 16).unwrap();
+        let table = MindistTable::new_point(&[0.0; 16], q.segment_lens());
+        let inside = (0..=u8::MAX)
+            .find(|&s| table.table[usize::from(s)] == 0.0)
+            .expect("the query's own region");
+        for seg in 0..16 {
+            for nibble in 0..7u8 {
+                let mut symbols = [inside; MAX_SEGMENTS];
+                symbols[seg] = nibble * 16 + 15;
+                let word = Word::new(&symbols);
+                let bound = table.lookup_scalar(&word);
+                assert!(bound > 0.0);
+                let limit = f32::from_bits(bound.to_bits() + 1);
+                for factor in [1.0f32, 1.01, 1.5, 2.0] {
+                    let coarse = CoarseTable::new(&table, limit * factor).unwrap();
+                    let threshold = coarse.threshold(limit).unwrap();
+                    let block = [word; COARSE_BLOCK];
+                    assert_eq!(coarse.may_survive(&block, threshold), u32::MAX);
+                    assert_eq!(coarse.may_survive_scalar(&block[..1], threshold), 1);
+                    let mut kept = Vec::new();
+                    coarse.for_each_below(&table, &block[..3], limit, |i, lb| kept.push((i, lb)));
+                    assert_eq!(kept, [(0, bound), (1, bound), (2, bound)]);
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_coarse_mask_matches_scalar() {
+        if !dsidx_series::distance::hardware_simd_available() {
+            eprintln!("skipping: no AVX2 on this host");
+            return;
+        }
+        let q = Quantizer::new(256, 16).unwrap();
+        let paa_a = crate::paa::paa(&series(17, 256), 16);
+        let lo: Vec<f32> = paa_a.iter().map(|v| v - 0.4).collect();
+        let hi: Vec<f32> = paa_a.iter().map(|v| v + 0.4).collect();
+        let words = random_words(5, 32 * 8);
+        for table in [
+            MindistTable::new_point(&paa_a, q.segment_lens()),
+            MindistTable::new_interval(&lo, &hi, q.segment_lens()),
+        ] {
+            for reference in [0.5f32, 4.0, 30.0, 400.0] {
+                let coarse = CoarseTable::new(&table, reference).unwrap();
+                for threshold in [1u8, 2, 64, 127, 200, 251, 254, 255] {
+                    for block in words.chunks_exact(COARSE_BLOCK) {
+                        let full: &[Word; COARSE_BLOCK] = block.try_into().unwrap();
+                        // SAFETY: AVX2 checked above; the threshold is >= 1.
+                        let simd = unsafe {
+                            crate::simd::coarse_mask32_avx2(&coarse.slots, full, threshold)
+                        };
+                        assert_eq!(simd, coarse.may_survive_scalar(block, threshold));
+                        // Partial blocks go through the dispatcher's copy.
+                        for len in [0, 1, 7, 16, 17, 31] {
+                            assert_eq!(
+                                coarse.may_survive(&block[..len], threshold),
+                                coarse.may_survive_scalar(&block[..len], threshold),
+                                "len={len} threshold={threshold}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coarse_masks_pass_everything_at_a_high_threshold_and_nothing_at_zero() {
+        let q = Quantizer::new(256, 16).unwrap();
+        let paa_a = crate::paa::paa(&series(23, 256), 16);
+        let table = MindistTable::new_point(&paa_a, q.segment_lens());
+        // A reference far above every bound: every slot quantises to 0.
+        let coarse = CoarseTable::new(&table, f32::MAX).unwrap();
+        let words = random_words(9, 40);
+        assert_eq!(coarse.may_survive(&words[..32], 1), u32::MAX);
+        assert_eq!(coarse.may_survive(&words[32..], 1), 0xFF);
+        assert_eq!(coarse.may_survive(&words[..32], 0), 0);
+        assert_eq!(coarse.may_survive_scalar(&words[..32], 0), 0);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! A [`crate::MindistTable`] lookup at the paper's default 16 segments is 16
 //! dependent loads and adds; with AVX2 it becomes two 8-lane gathers and a
-//! horizontal sum. The PAA kernel ([`paa_avx2`]) sums eight segments at
+//! horizontal sum. A [`crate::CoarseTable`] pre-filter ([`coarse_mask32_avx2`])
+//! needs no gather at all: its 16-entry rows fit one `vpshufb` each. The PAA kernel ([`paa_avx2`]) sums eight segments at
 //! once, one per lane, in the scalar loop's order. These kernels are
 //! `pub(crate)` — callers go through the dispatching `lookup` methods in
 //! [`crate::mindist`] and [`crate::paa::paa_into`], which gate on
@@ -15,13 +16,19 @@
 use crate::mindist::NODE_ROW;
 use crate::word::{Word, MAX_BITS, MAX_CARDINALITY, MAX_SEGMENTS};
 use std::arch::x86_64::{
-    __m128i, __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cvtepu8_epi32,
-    _mm256_div_ps, _mm256_extractf128_ps, _mm256_i32gather_ps, _mm256_set1_epi32, _mm256_set1_ps,
-    _mm256_set_m128, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_sllv_epi32,
-    _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_ps, _mm_add_ss,
-    _mm_cvtss_f32, _mm_loadu_ps, _mm_loadu_si128, _mm_movehl_ps, _mm_shuffle_ps, _mm_srli_si128,
-    _mm_unpackhi_epi16, _mm_unpackhi_epi32, _mm_unpackhi_epi8, _mm_unpacklo_epi16,
-    _mm_unpacklo_epi32, _mm_unpacklo_epi8,
+    __m128i, __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_adds_epu8, _mm256_and_si256,
+    _mm256_broadcastsi128_si256, _mm256_castps256_ps128, _mm256_cmpeq_epi8, _mm256_cvtepu8_epi32,
+    _mm256_div_ps, _mm256_extractf128_ps, _mm256_i32gather_ps, _mm256_min_epu8,
+    _mm256_movemask_epi8, _mm256_set1_epi32, _mm256_set1_epi8, _mm256_set1_ps, _mm256_set_m128,
+    _mm256_set_m128i, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_setzero_si256,
+    _mm256_shuffle_epi8, _mm256_shuffle_ps, _mm256_sllv_epi32, _mm256_srli_epi16, _mm256_storeu_ps,
+    _mm256_unpackhi_epi16 as unpackhi16, _mm256_unpackhi_epi32 as unpackhi32,
+    _mm256_unpackhi_epi64 as unpackhi64, _mm256_unpackhi_epi8 as unpackhi8, _mm256_unpackhi_ps,
+    _mm256_unpacklo_epi16 as unpacklo16, _mm256_unpacklo_epi32 as unpacklo32,
+    _mm256_unpacklo_epi64 as unpacklo64, _mm256_unpacklo_epi8 as unpacklo8, _mm256_unpacklo_ps,
+    _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_loadu_ps, _mm_loadu_si128, _mm_movehl_ps,
+    _mm_shuffle_ps, _mm_srli_si128, _mm_unpackhi_epi16, _mm_unpackhi_epi32, _mm_unpackhi_epi8,
+    _mm_unpacklo_epi16, _mm_unpacklo_epi32, _mm_unpacklo_epi8,
 };
 
 /// Whether [`paa_avx2`] covers a segmentation: segments in whole groups of
@@ -264,5 +271,82 @@ pub(crate) unsafe fn node_table_lookup_avx2(
             _mm256_i32gather_ps::<4>(base, idx_hi),
         );
         hsum256(gathered)
+    }
+}
+
+/// The [`crate::CoarseTable`] "may survive" mask of 32 words: bit `j` is
+/// set iff the saturating `u8` sum over the 16 segments of
+/// `slots[seg * 16 + (symbol >> 4)]` for word `j` is below `threshold`.
+///
+/// Words `0..16` go to the low 128-bit lane and words `16..32` to the high
+/// one, each word's 16 high nibbles a row; four rounds of in-lane unpacks
+/// (bytes, words, dwords, qwords) transpose each lane's 16 x 16 nibble
+/// matrix, so `cols[seg]` holds segment `seg` of every word, byte `j` of a
+/// lane being that lane's word `j`. Each segment is then one `vpshufb`
+/// into its 16-entry row, broadcast to both lanes, and one saturating add.
+/// The arithmetic is the scalar oracle's exactly (a saturating sum of
+/// non-negative terms is `min(255, sum)` in any order), so the masks are
+/// equal bit for bit.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX2 and `threshold >= 1`.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn coarse_mask32_avx2(
+    slots: &[u8; MAX_SEGMENTS * 16],
+    words: &[Word; 32],
+    threshold: u8,
+) -> u32 {
+    debug_assert!(threshold >= 1);
+    // SAFETY: the caller guarantees AVX2; each 16-byte load reads exactly
+    // one word's [u8; 16] symbol array or one 16-byte row of `slots`
+    // (`seg * 16 + 16 <= 256`), and everything else is register-only.
+    unsafe {
+        let nibble = _mm256_set1_epi8(0x0F);
+        let load = |i: usize| _mm_loadu_si128(words[i].symbols_raw().as_ptr().cast());
+        let mut x = [_mm256_setzero_si256(); 16];
+        for (i, row) in x.iter_mut().enumerate() {
+            let both = _mm256_set_m128i(load(i + 16), load(i));
+            *row = _mm256_and_si256(_mm256_srli_epi16::<4>(both), nibble);
+        }
+        // Round 1: `a[k]` pairs words 2k, 2k+1 over segments 0..8,
+        // `a[8 + k]` over segments 8..16.
+        let mut a = [_mm256_setzero_si256(); 16];
+        for k in 0..8 {
+            a[k] = unpacklo8(x[2 * k], x[2 * k + 1]);
+            a[8 + k] = unpackhi8(x[2 * k], x[2 * k + 1]);
+        }
+        // Round 2: `b[4q + m]` holds words 4m..4m+4 over segments
+        // 4q..4q+4.
+        let mut b = [_mm256_setzero_si256(); 16];
+        for h in 0..2 {
+            for m in 0..4 {
+                let (lo, hi) = (a[8 * h + 2 * m], a[8 * h + 2 * m + 1]);
+                b[4 * (2 * h) + m] = unpacklo16(lo, hi);
+                b[4 * (2 * h + 1) + m] = unpackhi16(lo, hi);
+            }
+        }
+        // Round 3: `c[2p + n]` holds words 8n..8n+8 over segments 2p, 2p+1.
+        let mut c = [_mm256_setzero_si256(); 16];
+        for q in 0..4 {
+            for n in 0..2 {
+                let (lo, hi) = (b[4 * q + 2 * n], b[4 * q + 2 * n + 1]);
+                c[2 * (2 * q) + n] = unpacklo32(lo, hi);
+                c[2 * (2 * q + 1) + n] = unpackhi32(lo, hi);
+            }
+        }
+        // Round 4: segment `2p` and `2p + 1` over all 16 words of a lane.
+        let mut acc = _mm256_setzero_si256();
+        for p in 0..8 {
+            let (lo, hi) = (c[2 * p], c[2 * p + 1]);
+            for (seg, col) in [(2 * p, unpacklo64(lo, hi)), (2 * p + 1, unpackhi64(lo, hi))] {
+                let row = _mm_loadu_si128(slots.as_ptr().add(seg * 16).cast());
+                let looked = _mm256_shuffle_epi8(_mm256_broadcastsi128_si256(row), col);
+                acc = _mm256_adds_epu8(acc, looked);
+            }
+        }
+        // acc < threshold, unsigned: min(acc, threshold - 1) == acc.
+        let below = _mm256_set1_epi8((threshold - 1) as i8);
+        let keep = _mm256_cmpeq_epi8(_mm256_min_epu8(acc, below), acc);
+        _mm256_movemask_epi8(keep) as u32
     }
 }

@@ -3,11 +3,11 @@
 
 use dsidx_isax::breakpoints::breakpoints;
 use dsidx_isax::mindist::{
-    mindist_envelope_node_sq, mindist_paa_node_sq, mindist_paa_word_sq, MindistTable,
-    NodeMindistTable,
+    mindist_envelope_node_sq, mindist_paa_node_sq, mindist_paa_word_sq, CoarseTable, MindistTable,
+    NodeMindistTable, COARSE_BLOCK,
 };
 use dsidx_isax::paa::{envelope_paa_bounds, paa};
-use dsidx_isax::word::{NodeWord, MAX_BITS};
+use dsidx_isax::word::{NodeWord, Word, MAX_BITS};
 use dsidx_isax::Quantizer;
 use dsidx_series::distance::{dtw, euclidean_sq};
 use dsidx_series::znorm::znormalize;
@@ -30,6 +30,25 @@ fn config_and_pair() -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>)> {
             )
         })
     })
+}
+
+/// A query summary value: mostly breakpoint territory, sometimes far
+/// outside it (slots whose squares overflow to `+inf`) or infinite.
+fn table_value() -> impl Strategy<Value = f32> {
+    (0u8..12, -4.0f32..4.0).prop_map(|(kind, v)| match kind {
+        0 => 1e20,
+        1 => -1e20,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => v * 40.0,
+        _ => v,
+    })
+}
+
+/// The `f32` next to `v` towards `+inf` (`up`) or `-inf`, for finite
+/// positive `v`.
+fn ulp_step(v: f32, up: bool) -> f32 {
+    f32::from_bits(if up { v.to_bits() + 1 } else { v.to_bits() - 1 })
 }
 
 proptest! {
@@ -341,5 +360,72 @@ proptest! {
                 node = if node.split_bit(&word_c, seg) { one } else { zero };
             }
         }
+    }
+
+    /// The coarse pre-filter is sound: a word it rules out has a
+    /// `lookup_many` bound at or above the limit — for point and interval
+    /// tables with `+inf` slots, random words, reference limits and live
+    /// limits set exactly to (or one ulp either side of) a word's own fine
+    /// bound. Its masks are the scalar oracle's bit for bit, and the two
+    /// stages keep exactly the words `lookup_many` puts below the limit,
+    /// in order, with its bits.
+    #[test]
+    fn the_coarse_stage_rules_out_only_words_bounded_at_or_above_the_limit(
+        interval in 0u8..2,
+        (a, b) in (prop::collection::vec(table_value(), 16), prop::collection::vec(table_value(), 16)),
+        series_len in 16usize..=256,
+        symbols in prop::collection::vec(0u8..=255, 16 * 45),
+        (reference_pick, reference_scale) in (0usize..45, 0u8..4),
+        (limit_pick, nudge) in (0usize..45, 0u8..4),
+    ) {
+        let quant = Quantizer::new(series_len, 16).unwrap();
+        let lens = quant.segment_lens();
+        let table = if interval == 0 {
+            MindistTable::new_point(&a, lens)
+        } else {
+            let lo: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x.min(*y)).collect();
+            let hi: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x.max(*y)).collect();
+            MindistTable::new_interval(&lo, &hi, lens)
+        };
+        let words: Vec<Word> = symbols.chunks_exact(16).map(Word::new).collect();
+        let mut exact = vec![0.0f32; words.len()];
+        table.lookup_many(&words, &mut exact);
+        let finite_positive = |v: f32| v.is_finite() && v > 0.0;
+        let mut reference = exact[reference_pick];
+        if !finite_positive(reference) {
+            reference = 1.0;
+        }
+        reference *= [1.0, 0.5, 2.0, 37.0][usize::from(reference_scale)];
+        let mut limit = exact[limit_pick];
+        if !finite_positive(limit) {
+            limit = reference;
+        }
+        match nudge {
+            1 => limit = ulp_step(limit, true),
+            2 if limit > f32::MIN_POSITIVE => limit = ulp_step(limit, false),
+            3 => limit = reference,
+            _ => {}
+        }
+        let coarse = CoarseTable::new(&table, reference).expect("16 segments, valid reference");
+        if let Some(threshold) = coarse.threshold(limit) {
+            for (block, bounds) in words.chunks(COARSE_BLOCK).zip(exact.chunks(COARSE_BLOCK)) {
+                let mask = coarse.may_survive(block, threshold);
+                prop_assert_eq!(mask, coarse.may_survive_scalar(block, threshold));
+                for (j, &lb) in bounds.iter().enumerate() {
+                    if mask & (1 << j) == 0 {
+                        prop_assert!(lb >= limit, "ruled out a bound {} below the limit {}", lb, limit);
+                    }
+                }
+            }
+        }
+        let mut kept = Vec::new();
+        coarse.for_each_below(&table, &words, limit, |i, lb| kept.push((i, lb.to_bits())));
+        let want: Vec<(usize, u32)> = exact
+            .iter()
+            .enumerate()
+            .filter(|&(_, &lb)| lb < limit)
+            .map(|(i, lb)| (i, lb.to_bits()))
+            .collect();
+        prop_assert_eq!(kept, want);
     }
 }

@@ -334,6 +334,7 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
             fetched,
             ..
         } = me;
+        scratch.begin_query(qi);
         let local = &mut locals[qi];
         if traverse {
             let mut run = RunBuilder::new();

@@ -36,7 +36,7 @@
 use crate::fetch::SeriesFetcher;
 use crate::prepare::{Prepared, PreparedQuery};
 use crate::stats::QueryStats;
-use dsidx_isax::{Quantizer, Word};
+use dsidx_isax::{CoarseTable, Quantizer, Word};
 use dsidx_obs::phase::{Phase, PhaseBreakdown};
 use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::distance::euclidean_sq_bounded;
@@ -497,10 +497,19 @@ pub struct BatchCandidate {
 /// so the triples of one position stay contiguous. Nothing is inserted, so
 /// the candidate set does not depend on the order the pairs come in.
 /// Thresholds are sampled once per chunk — the paper's granularity for
-/// refreshing the pruning threshold. Bounds come from the batched kernel
-/// ([`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many),
-/// bit-identical with SIMD on or off), one row per query over blocks of
-/// `LB_BLOCK` words.
+/// refreshing the pruning threshold.
+///
+/// Bounds come in two stages, one row per query over blocks of `LB_BLOCK`
+/// words. Each query with a finite positive threshold gets, once per
+/// chunk, a coarse table quantised for that threshold
+/// ([`CoarseTable`]), and its rows go through
+/// [`CoarseTable::for_each_below`]: a 4-bit shuffle pre-filter rules
+/// out most words 32 at a time, and only the rest pay the exact
+/// [`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many)
+/// bound (bit-identical with SIMD on or off). A word ruled out has an
+/// exact bound at or above the threshold, so the candidates, their bounds
+/// and the counters are those of the exact stage alone. A query without
+/// a finite threshold bounds every word exactly.
 pub fn batch_collect_candidates(
     words: &[Word],
     positions: &[u32],
@@ -514,11 +523,26 @@ pub fn batch_collect_candidates(
         .iter()
         .map(|s| s.topk.threshold_sq())
         .collect();
+    let coarse: Vec<Option<CoarseTable>> = batch
+        .slots()
+        .iter()
+        .zip(&limits)
+        .map(|(slot, &limit)| CoarseTable::new(&slot.prep.table, limit))
+        .collect();
     let mut rows = vec![0.0f32; batch.len() * LB_BLOCK];
     let blocks = words[range.clone()].chunks(LB_BLOCK);
     for (block, block_positions) in blocks.zip(positions[range].chunks(LB_BLOCK)) {
-        for (slot, row) in batch.slots().iter().zip(rows.chunks_exact_mut(LB_BLOCK)) {
-            slot.prep.table.lookup_many(block, row);
+        let queries = batch.slots().iter().zip(&coarse).zip(&limits);
+        for (((slot, coarse), &limit), row) in queries.zip(rows.chunks_exact_mut(LB_BLOCK)) {
+            match coarse {
+                Some(coarse) => {
+                    // Words ruled out keep an infinite bound: at or above
+                    // `limit` like their exact one.
+                    row.fill(f32::INFINITY);
+                    coarse.for_each_below(&slot.prep.table, block, limit, |i, lb| row[i] = lb);
+                }
+                None => slot.prep.table.lookup_many(block, row),
+            }
         }
         for (off, &pos) in block_positions.iter().enumerate() {
             for (qi, &limit) in limits.iter().enumerate() {
@@ -1228,6 +1252,54 @@ mod tests {
         for (qi, local) in locals.iter().enumerate() {
             let kept = want.iter().filter(|c| c.query as usize == qi).count();
             assert_eq!(local.candidates, kept as u64);
+        }
+    }
+
+    #[test]
+    fn collect_behind_the_coarse_stage_keeps_exactly_the_exact_candidates() {
+        // At 16 segments every query with a finite threshold bounds its
+        // chunk behind the coarse pre-filter; the candidates, their bounds
+        // and the counters are still the exact stage's, across blocks of
+        // the kernel and a short last one.
+        let config = TreeConfig::new(64, 16, 16).unwrap();
+        let data = DatasetKind::Synthetic.generate(3 * LB_BLOCK + 45, 64, 8);
+        let words: Vec<Word> = data.iter().map(|s| config.quantizer().word(s)).collect();
+        let positions = in_order(&words);
+        let qs = DatasetKind::Synthetic.queries(4, 64, 41);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        for seeds in [1usize, 4, 64] {
+            let batch = QueryBatch::new(config.quantizer(), &qrefs, 1, None);
+            let mut fetcher = SeriesFetcher::new(&data);
+            batch_seed_prefix(seeds, &mut fetcher, &batch).unwrap();
+            let mut locals = vec![QueryStats::default(); batch.len()];
+            let mut got = Vec::new();
+            batch_collect_candidates(
+                &words,
+                &positions,
+                3..words.len(),
+                &batch,
+                &mut locals,
+                &mut got,
+            );
+            let mut want = Vec::new();
+            for (pos, word) in words.iter().enumerate().skip(3) {
+                for (qi, slot) in batch.slots().iter().enumerate() {
+                    let lb = slot.prep.table.lookup_scalar(word);
+                    if lb < slot.topk.threshold_sq() {
+                        want.push(BatchCandidate {
+                            pos: pos as u32,
+                            query: qi as u32,
+                            lb,
+                        });
+                    }
+                }
+            }
+            assert!(!want.is_empty() && want.len() < words.len() * qrefs.len());
+            assert_eq!(got, want, "seeds={seeds}");
+            for (qi, local) in locals.iter().enumerate() {
+                let kept = want.iter().filter(|c| c.query as usize == qi).count();
+                assert_eq!(local.candidates, kept as u64);
+            }
         }
     }
 

@@ -4,6 +4,14 @@
 //! collect/verify split, which ADS+ runs at one worker) exist only in
 //! batch form ([`batch`](crate::batch)); a single query is a batch of one.
 //!
+//! A leaf's entries are bounded in two stages. The cheap one is a 4-bit
+//! pre-filter ([`CoarseTable`]): one byte shuffle per segment rules out,
+//! 32 words at a time, every word whose coarse sum already reaches the
+//! live threshold — on `mem-single` about 95 % of them. Only the words it
+//! lets through pay the exact [`MindistTable`] bound. It rules out nothing
+//! the exact bound would keep, so the survivors, their bounds and every
+//! work counter are those of the exact stage alone.
+//!
 //! The loop is generic over [`Pruner`]; every engine schedule runs it on
 //! an [`OffsetTopK`](dsidx_sync::OffsetTopK), a k-NN collector whose
 //! threshold is the k-th best distance so far (1-NN is k = 1).
@@ -11,20 +19,28 @@
 use crate::fetch::SeriesFetcher;
 use crate::prepare::Prepared;
 use crate::stats::QueryStats;
-use dsidx_isax::{MindistTable, Word};
+use dsidx_isax::{CoarseTable, MindistTable, Word};
 use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
 
 /// Reusable buffers of the per-leaf loops: one bound per (padded) word,
-/// the entries that survived the bound pass, and what the DTW cascade
-/// needs per candidate (empty and unused under Euclidean distance). A
-/// worker visiting thousands of leaves per query allocates them once.
+/// the entries that survived the bound pass, the coarse pre-filter of the
+/// query being served, and what the DTW cascade needs per candidate (empty
+/// and unused under Euclidean distance). A worker visiting thousands of
+/// leaves per query allocates them once.
+///
+/// The pre-filter runs only after [`begin_query`](Self::begin_query) has
+/// named the query the leaves belong to; a fresh scratch bounds every
+/// word exactly.
 #[derive(Debug, Default)]
 pub struct LeafScratch {
     bounds: Vec<f32>,
     /// `(position, bound)` of each surviving entry, in entry order.
     survivors: Vec<(u32, f32)>,
+    /// The batch slot of the query the leaves bounded next belong to, and
+    /// the coarse table made from its word table, once one was made.
+    query: Option<(usize, Option<CoarseTable>)>,
     pub(crate) dtw: DtwScratch,
 }
 
@@ -35,12 +51,38 @@ impl LeafScratch {
         Self::default()
     }
 
-    /// Pass one of a leaf visit: bounds every word with the batched kernel
-    /// (bit-identical with SIMD on or off), keeps in `survivors` the
-    /// entries among the first `positions.len()` whose bound beats
-    /// `limit`, as `(position, bound)` in entry order, and starts pulling
-    /// their series toward the cache so pass two does not open each
-    /// distance with a memory stall.
+    /// Declares that the leaves bounded next belong to the query in batch
+    /// slot `slot`, and lets the pre-filter run for them.
+    ///
+    /// The coarse table is the query's own: it is kept while the slot
+    /// stays the same and dropped when it changes. It is made from the
+    /// word table of the first leaf visit with a finite threshold, and
+    /// made again once the threshold falls below half the one it was made
+    /// for (its quantisation is then too coarse to prune well). A scratch
+    /// must therefore serve one batch's slots only: a slot number names
+    /// one query within one batch.
+    pub fn begin_query(&mut self, slot: usize) {
+        if self
+            .query
+            .as_ref()
+            .is_none_or(|&(served, _)| served != slot)
+        {
+            self.query = Some((slot, None));
+        }
+    }
+
+    /// Pass one of a leaf visit: bounds every word (bit-identical with
+    /// SIMD on or off, and whether or not the pre-filter runs), keeps in
+    /// `survivors` the entries among the first `positions.len()` whose
+    /// bound beats `limit`, as `(position, bound)` in entry order, and
+    /// starts pulling their series toward the cache so pass two does not
+    /// open each distance with a memory stall.
+    ///
+    /// With a query named ([`begin_query`](Self::begin_query)), a finite
+    /// positive `limit` and 16 segments, the words go through
+    /// [`CoarseTable::for_each_below`], which hands over the survivors
+    /// alone. Otherwise every word takes [`MindistTable::lookup_many`] and
+    /// is compared here.
     fn bound_leaf(
         &mut self,
         words: &[Word],
@@ -50,18 +92,52 @@ impl LeafScratch {
         fetcher: &SeriesFetcher<'_, impl RawSource>,
     ) {
         assert!(words.len() >= positions.len(), "one word per position");
+        self.survivors.clear();
+        let mut keep = |pos: u32, lb: f32| {
+            self.survivors.push((pos, lb));
+            fetcher.prefetch(pos as usize);
+        };
+        if let Some(coarse) = coarse_for(&mut self.query, table, limit) {
+            coarse.for_each_below(table, words, limit, |i, lb| {
+                // Padding words past the leaf have no position.
+                if let Some(&pos) = positions.get(i) {
+                    keep(pos, lb);
+                }
+            });
+            return;
+        }
         if self.bounds.len() < words.len() {
             self.bounds.resize(words.len(), 0.0);
         }
         table.lookup_many(words, &mut self.bounds);
-        self.survivors.clear();
         for (&lb, &pos) in self.bounds.iter().zip(positions) {
             if lb < limit {
-                self.survivors.push((pos, lb));
-                fetcher.prefetch(pos as usize);
+                keep(pos, lb);
             }
         }
     }
+}
+
+/// The served query's coarse table for `limit`, made (again) when there is
+/// none yet or `limit` fell below half its reference; `None` when no query
+/// is named, `limit` is not finite and positive, or the table does not
+/// have 16 segments.
+fn coarse_for<'a>(
+    query: &'a mut Option<(usize, Option<CoarseTable>)>,
+    table: &MindistTable,
+    limit: f32,
+) -> Option<&'a CoarseTable> {
+    let (_, coarse) = query.as_mut()?;
+    if !(limit.is_finite() && limit > 0.0) {
+        return None;
+    }
+    if coarse
+        .as_ref()
+        .is_none_or(|made| limit < made.reference() / 2.0)
+    {
+        *coarse = CoarseTable::new(table, limit);
+    }
+    coarse.as_ref()
 }
 
 /// Entry-level bound + real distance over one leaf's entries (MESSI
@@ -69,8 +145,10 @@ impl LeafScratch {
 /// zero-copy in memory, device-charged reads on disk.
 ///
 /// Two passes, because a leaf's entries point all over the raw data: first
-/// the whole leaf is bounded through `prep`'s word-level table and the
-/// survivors' series are prefetched ([`LeafScratch`]), then the survivors
+/// the whole leaf is bounded through `prep`'s word-level table, behind the
+/// coarse pre-filter once `scratch` serves a query
+/// ([`LeafScratch::begin_query`]), and the survivors' series are
+/// prefetched, then the survivors
 /// pay `prep`'s [`distance`](Prepared::distance), the pruning threshold
 /// re-read after each one (and each bound re-checked against it). `words`
 /// may be longer than `positions` — a run padded for the batched kernel
@@ -208,6 +286,105 @@ mod tests {
         let (matches, stats) = batch.finish(0, QueryStats::default());
         assert_eq!((matches[0][0].pos, matches[0][0].dist_sq), (0, 0.0));
         assert_eq!(stats.series_fetched, 1, "only the fresh bound fetched");
+    }
+
+    /// The single-stage leaf bound: every word through `lookup_many`, the
+    /// entries below `limit` kept in entry order — the oracle the two-stage
+    /// visit must reproduce.
+    fn single_stage(
+        words: &[Word],
+        positions: &[u32],
+        table: &MindistTable,
+        limit: f32,
+    ) -> Vec<(u32, f32)> {
+        let mut bounds = vec![0.0; words.len()];
+        table.lookup_many(words, &mut bounds);
+        bounds
+            .iter()
+            .zip(positions)
+            .filter(|&(&lb, _)| lb < limit)
+            .map(|(&lb, &pos)| (pos, lb))
+            .collect()
+    }
+
+    #[test]
+    fn two_stage_leaf_visits_keep_the_single_stage_survivors() {
+        // Leaves of a 16-segment collection, padded like flat-tree leaves,
+        // under point (ED) and interval (DTW) tables, at limits from loose
+        // to tight and exactly at entries' own bounds, with the coarse
+        // table made for a looser limit and rebuilt as the limit falls.
+        let config = TreeConfig::new(128, 16, 16).unwrap();
+        let data = DatasetKind::Synthetic.generate(700, 128, 12);
+        let words: Vec<Word> = data.iter().map(|s| config.quantizer().word(s)).collect();
+        let fetcher = SeriesFetcher::new(&data);
+        let queries = DatasetKind::Synthetic.queries(3, 128, 77);
+        let mut scratch = LeafScratch::new();
+        for (qi, q) in queries.iter().enumerate() {
+            let point = PreparedQuery::new(config.quantizer(), q);
+            let band = crate::dtw::DtwPrepared::new(config.quantizer(), q, 6);
+            // Each table stands for a query of its own, in a slot of its own.
+            for (kind, table) in [&point.table, band.table()].into_iter().enumerate() {
+                scratch.begin_query(2 * qi + kind);
+                let mut all = vec![0.0; words.len()];
+                table.lookup_many(&words, &mut all);
+                let mut limits: Vec<f32> = all.clone();
+                limits.sort_by(f32::total_cmp);
+                let mut limits: Vec<f32> = [600, 300, 100, 20, 3, 0]
+                    .iter()
+                    .map(|&i| limits[i])
+                    .filter(|&l| l > 0.0)
+                    .collect();
+                limits.insert(0, f32::INFINITY);
+                for limit in limits {
+                    for (start, len) in [(0usize, 700usize), (5, 61), (64, 3), (400, 32), (699, 1)]
+                    {
+                        let positions: Vec<u32> = (start as u32..(start + len) as u32).collect();
+                        let padded_len = len.next_multiple_of(dsidx_tree::flat::LEAF_BLOCK);
+                        let mut padded = words[start..].to_vec();
+                        padded.resize(padded_len, words[0]);
+                        scratch.bound_leaf(&padded, &positions, table, limit, &fetcher);
+                        let want = single_stage(&padded, &positions, table, limit);
+                        assert_eq!(scratch.survivors, want, "q{qi} limit={limit} start={start}");
+                    }
+                }
+                let made = scratch.query.as_ref().and_then(|(_, c)| c.as_ref());
+                assert!(made.is_some(), "a finite limit makes the coarse table");
+            }
+        }
+    }
+
+    #[test]
+    fn the_coarse_table_follows_the_slot_and_the_limit() {
+        let config = TreeConfig::new(128, 16, 16).unwrap();
+        let data = DatasetKind::Synthetic.generate(64, 128, 3);
+        let words: Vec<Word> = data.iter().map(|s| config.quantizer().word(s)).collect();
+        let positions: Vec<u32> = (0..64).collect();
+        let fetcher = SeriesFetcher::new(&data);
+        let prep = PreparedQuery::new(config.quantizer(), data.get(0));
+        let reference = |scratch: &LeafScratch| {
+            let (slot, coarse) = scratch.query.as_ref().expect("a query is named");
+            (*slot, coarse.as_ref().map(CoarseTable::reference))
+        };
+        let mut scratch = LeafScratch::new();
+        scratch.bound_leaf(&words, &positions, &prep.table, 8.0, &fetcher);
+        assert!(scratch.query.is_none(), "no query named: exact stage only");
+        scratch.begin_query(2);
+        scratch.bound_leaf(&words, &positions, &prep.table, f32::INFINITY, &fetcher);
+        assert_eq!(
+            reference(&scratch),
+            (2, None),
+            "no table for an infinite limit"
+        );
+        scratch.bound_leaf(&words, &positions, &prep.table, 8.0, &fetcher);
+        assert_eq!(reference(&scratch), (2, Some(8.0)));
+        scratch.bound_leaf(&words, &positions, &prep.table, 4.0, &fetcher);
+        assert_eq!(reference(&scratch), (2, Some(8.0)), "kept down to half");
+        scratch.bound_leaf(&words, &positions, &prep.table, 3.9, &fetcher);
+        assert_eq!(reference(&scratch), (2, Some(3.9)), "made again below half");
+        scratch.begin_query(2);
+        assert_eq!(reference(&scratch), (2, Some(3.9)), "same slot, same table");
+        scratch.begin_query(5);
+        assert_eq!(reference(&scratch), (5, None), "another slot drops it");
     }
 
     #[test]

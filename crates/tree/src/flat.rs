@@ -29,9 +29,9 @@
 //! ([`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many))
 //! and no cache line is spent on positions that are never read. The word
 //! array is padded so that any leaf can be bounded in whole blocks of
-//! [`LEAF_BLOCK`] words ([`FlatTree::leaf_words_padded`]): the kernel then
-//! never falls back to its one-word-at-a-time tail, and the caller ignores
-//! the extra results.
+//! [`LEAF_BLOCK`] words ([`FlatTree::leaf_words_padded`]): neither the
+//! coarse pre-filter nor the exact kernel then falls back to a short-block
+//! path, and the caller ignores the extra results.
 
 use crate::config::TreeConfig;
 use crate::entry::LeafEntry;
@@ -40,9 +40,15 @@ use crate::node::Node;
 use dsidx_isax::split::choose_split_segment;
 use dsidx_isax::{NodeMindistTable, NodeWord, Word, MAX_BITS, MAX_SEGMENTS};
 
-/// Words per block of the batched MINDIST kernel; leaf word runs are
-/// padded to a multiple of it.
-pub const LEAF_BLOCK: usize = 8;
+/// Words per block of the leaf-bounding kernels; leaf word runs are padded
+/// to a multiple of it.
+///
+/// It is the coarse pre-filter's block
+/// ([`COARSE_BLOCK`](dsidx_isax::COARSE_BLOCK), 32 words per mask), which
+/// is also a whole number of the exact kernel's 8-word blocks
+/// ([`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many)):
+/// a padded leaf run is bounded in full blocks by both stages.
+pub const LEAF_BLOCK: usize = dsidx_isax::COARSE_BLOCK;
 
 /// A node in the flattened tree (44 bytes, the snapshot's node record).
 ///

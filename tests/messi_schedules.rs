@@ -16,6 +16,7 @@ use dsidx::messi::traverse::RootBounds;
 use dsidx::prelude::*;
 use dsidx::series::distance::euclidean_sq;
 use dsidx::series::znorm::znormalize;
+use dsidx::tree::flat::LEAF_BLOCK;
 use dsidx::tree::{FlatTree, Index, LeafEntry, TreeConfig};
 use dsidx::ShardedIndex;
 use proptest::prelude::*;
@@ -209,8 +210,8 @@ fn padded_leaf_runs_bound_bit_identically_to_the_scalar_lookup() {
         for node in flat.nodes().iter().filter(|n| n.is_leaf()) {
             let words = flat.leaf_words(node);
             let padded = flat.leaf_words_padded(node);
-            assert_eq!(padded.len() % 8, 0);
-            assert!(padded.len() >= words.len() && padded.len() < words.len() + 8);
+            assert_eq!(padded.len() % LEAF_BLOCK, 0);
+            assert!(padded.len() >= words.len() && padded.len() < words.len() + LEAF_BLOCK);
             assert_eq!(&padded[..words.len()], words);
             bounds.clear();
             bounds.resize(padded.len(), f32::NAN);
