@@ -17,7 +17,7 @@
 //! thing, the flat tree it built; only the engine picks the schedule.
 
 use crate::answers::Answers;
-use crate::error::Error;
+use crate::error::{check_series_count, Error};
 use crate::options::Options;
 use crate::search::Search;
 use crate::snapshot::{hold_snapshot, open_snapshot, save_snapshot, SnapshotContents};
@@ -326,13 +326,15 @@ impl MemoryIndex {
     /// [`Engine::ParisPlus`] docs).
     ///
     /// # Errors
-    /// Configuration errors (series length vs segments etc.).
+    /// Configuration errors (series length vs segments etc.), and
+    /// [`Error::TooManySeries`] past `u32::MAX` series.
     pub fn build(
         data: impl Into<Arc<Dataset>>,
         engine: Engine,
         options: &Options,
     ) -> Result<Self, Error> {
         let data = data.into();
+        check_series_count(data.len())?;
         let series_len = data.series_len();
         let (tree, report) = match engine {
             Engine::Paris | Engine::ParisPlus => {
@@ -380,13 +382,15 @@ impl MemoryIndex {
     ///
     /// # Errors
     /// [`Error::Storage`] for missing/truncated/corrupt snapshots and for
-    /// a fingerprint that does not match `data` (wrong dataset).
+    /// a fingerprint that does not match `data` (wrong dataset), and
+    /// [`Error::TooManySeries`] past `u32::MAX` series.
     pub fn open(
         path: &Path,
         data: impl Into<Arc<Dataset>>,
         options: &Options,
     ) -> Result<Self, Error> {
         let data = data.into();
+        check_series_count(data.len())?;
         let device = Arc::new(Device::unthrottled());
         let (contents, _) = open_snapshot(path, &device, data.series_len(), data.len())?;
         Ok(Self::from_snapshot(data, contents, options, None))
@@ -419,7 +423,9 @@ impl DiskIndex {
     /// charged to the device and booked in the report's `flush`).
     ///
     /// # Errors
-    /// I/O and configuration failures.
+    /// I/O and configuration failures, and [`Error::TooManySeries`] for a
+    /// file of more than `u32::MAX` series (refused from its header,
+    /// before any series is read).
     pub fn build(
         dataset_path: &Path,
         workdir: &Path,
@@ -429,6 +435,7 @@ impl DiskIndex {
     ) -> Result<Self, Error> {
         let device = Arc::new(Device::new(profile));
         let file = DatasetFile::open(dataset_path, device)?;
+        check_series_count(file.count())?;
         let series_len = file.series_len();
         // One workdir setup for every engine (scratch files land here).
         std::fs::create_dir_all(workdir).map_err(StorageError::from)?;
@@ -509,7 +516,9 @@ impl DiskIndex {
     ///
     /// # Errors
     /// [`Error::Storage`] for missing/truncated/corrupt snapshots and for
-    /// a fingerprint that does not match the dataset file.
+    /// a fingerprint that does not match the dataset file, and
+    /// [`Error::TooManySeries`] for a dataset file of more than `u32::MAX`
+    /// series.
     pub fn open(
         snapshot_path: &Path,
         dataset_path: &Path,
@@ -518,6 +527,7 @@ impl DiskIndex {
     ) -> Result<Self, Error> {
         let device = Arc::new(Device::new(profile));
         let file = DatasetFile::open(dataset_path, Arc::clone(&device))?;
+        check_series_count(file.count())?;
         let (contents, runs) =
             open_snapshot(snapshot_path, &device, file.series_len(), file.count())?;
         Ok(Self::from_snapshot(file, contents, options, Some(runs)))
@@ -561,6 +571,57 @@ mod tests {
         let answers = idx.search(&[q], &spec).unwrap();
         let stats = answers.query_stats(0).expect("spec requested stats");
         (answers.into_single(), stats)
+    }
+
+    /// A dataset file whose header claims 2^32 series of length 1: sparse
+    /// (`set_len` writes no data), so only the header is ever real.
+    fn file_of_too_many_series(dir: &Path) -> std::path::PathBuf {
+        use std::os::unix::fs::FileExt as _;
+        let path = dir.join("too-many.dsidx");
+        let writer =
+            dsidx_storage::DatasetWriter::create(&path, 1, Arc::new(Device::unthrottled()))
+                .unwrap();
+        writer.finish().unwrap();
+        let count = u64::from(u32::MAX) + 1;
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(&count.to_le_bytes(), 16).unwrap();
+        file.set_len(32 + count * 4).unwrap();
+        path
+    }
+
+    #[test]
+    fn collections_past_32_bit_positions_are_refused_before_any_read() {
+        let dir = std::env::temp_dir().join(format!("dsidx-core-u32-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = file_of_too_many_series(&dir);
+        let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
+        assert_eq!(file.count() as u64, u64::from(u32::MAX) + 1);
+        fn too_many<T>(r: Result<T, Error>) -> bool {
+            matches!(r, Err(Error::TooManySeries { count }) if count == u64::from(u32::MAX) + 1)
+        }
+        for engine in Engine::ALL {
+            let options = Options::default().with_threads(1);
+            let built = DiskIndex::build(&path, &dir, engine, &options, DeviceProfile::SSD);
+            assert!(too_many(built), "{} built", engine.name());
+        }
+        let missing = dir.join("no-such.snap");
+        let opened = DiskIndex::open(&missing, &path, &Options::default(), DeviceProfile::SSD);
+        assert!(too_many(opened), "refused before the snapshot is looked at");
+        let sharded = crate::ShardedIndex::build_on_disk(
+            &path,
+            &dir,
+            4,
+            Engine::Messi,
+            &Options::default(),
+            DeviceProfile::SSD,
+        );
+        assert!(
+            too_many(sharded),
+            "the shards' sum is refused before any split"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(left.len(), 1, "nothing but the input was written");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

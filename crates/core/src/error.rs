@@ -23,6 +23,28 @@ pub enum Error {
     /// [`Options`](crate::Options) that no engine can build with,
     /// rejected before any build starts.
     InvalidOptions(InvalidOptions),
+    /// A collection of more series than an index can address: positions
+    /// are 32-bit (leaf entries, node ranges, [`Match::pos`]), so one index
+    /// — a [`ShardedIndex`](crate::ShardedIndex) too, whose positions are
+    /// global — holds at most `u32::MAX` series. Refused where a build or
+    /// an open first learns the count, before any series is read.
+    ///
+    /// [`Match::pos`]: dsidx_series::Match::pos
+    TooManySeries {
+        /// The number of series the collection holds.
+        count: u64,
+    },
+}
+
+/// Refuses a collection of `count` series when its positions would not
+/// fit the 32-bit positions every index stores.
+pub(crate) fn check_series_count(count: usize) -> Result<(), Error> {
+    if u32::try_from(count).is_err() {
+        return Err(Error::TooManySeries {
+            count: count as u64,
+        });
+    }
+    Ok(())
 }
 
 /// Why [`Options`](crate::Options) were rejected when a build turned them
@@ -135,6 +157,12 @@ impl fmt::Display for Error {
             Error::Series(e) => write!(f, "series error: {e}"),
             Error::InvalidSpec(e) => write!(f, "invalid query spec: {e}"),
             Error::InvalidOptions(e) => write!(f, "invalid options: {e}"),
+            Error::TooManySeries { count } => write!(
+                f,
+                "the collection holds {count} series, more than the {} an index can \
+                 address (positions are 32-bit); index it as several collections",
+                u32::MAX
+            ),
         }
     }
 }
@@ -145,7 +173,7 @@ impl std::error::Error for Error {
             Error::Config(e) => Some(e),
             Error::Storage(e) => Some(e),
             Error::Series(e) => Some(e),
-            Error::InvalidSpec(_) | Error::InvalidOptions(_) => None,
+            Error::InvalidSpec(_) | Error::InvalidOptions(_) | Error::TooManySeries { .. } => None,
         }
     }
 }
@@ -220,6 +248,17 @@ mod tests {
         let e: Error = InvalidSpec::NonFiniteQuery { index: 2 }.into();
         let text = e.to_string();
         assert!(text.contains("query 2") && text.contains("NaN"));
+        assert!(std::error::Error::source(&e).is_none());
+    }
+
+    #[test]
+    fn series_counts_past_32_bit_positions_are_refused() {
+        assert!(check_series_count(0).is_ok());
+        assert!(check_series_count(u32::MAX as usize).is_ok());
+        let past = u32::MAX as usize + 1;
+        let e = check_series_count(past).unwrap_err();
+        assert!(matches!(e, Error::TooManySeries { count } if count == past as u64));
+        assert!(e.to_string().contains("4294967296"));
         assert!(std::error::Error::source(&e).is_none());
     }
 

@@ -39,7 +39,7 @@
 
 use crate::answers::Answers;
 use crate::engine::{trace_search, DiskIndex, Engine, Index, MemoryIndex};
-use crate::error::Error;
+use crate::error::{check_series_count, Error};
 use crate::options::Options;
 use crate::search::Search;
 use crate::spec::{Fidelity, QuerySpec};
@@ -141,6 +141,8 @@ fn assemble<S>(
     engine: Engine,
     mut index_for: impl FnMut(usize, Range<usize>) -> Result<Index<S>, Error>,
 ) -> Result<Vec<Shard<S>>, Error> {
+    // Positions are global across the shards, so the sum must fit them.
+    check_series_count(total)?;
     let mut built = Vec::with_capacity(shards);
     for (s, range) in partition(total, shards).into_iter().enumerate() {
         let index = index_for(s, range.clone()).map_err(|e| for_shard(e, s))?;

@@ -280,9 +280,10 @@ impl DatasetFile {
         count: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), StorageError> {
-        if start + count > self.count {
+        let end = start.checked_add(count);
+        if end.is_none_or(|end| end > self.count) {
             return Err(StorageError::OutOfBounds {
-                index: (start + count) as u64,
+                index: (start as u64).saturating_add(count as u64),
                 len: self.count as u64,
             });
         }
@@ -382,6 +383,28 @@ mod tests {
             assert_eq!(&out[i * 16..(i + 1) * 16], ds.get(5 + i));
         }
         assert!(f.read_block(25, 10, &mut out).is_err());
+    }
+
+    #[test]
+    fn block_reads_whose_end_overflows_are_out_of_bounds() {
+        let dir = tmpdir();
+        let path = dir.join("overflow.dsidx");
+        write_dataset(&path, &random_walk(4, 8, 2), dev()).unwrap();
+        let f = DatasetFile::open(&path, dev()).unwrap();
+        let mut out = Vec::new();
+        for (start, count) in [(usize::MAX, 2), (2, usize::MAX), (usize::MAX, usize::MAX)] {
+            assert!(
+                matches!(
+                    f.read_block(start, count, &mut out),
+                    Err(StorageError::OutOfBounds {
+                        index: u64::MAX,
+                        len: 4
+                    })
+                ),
+                "start={start} count={count}"
+            );
+        }
+        assert_eq!(f.device().stats().bytes_read, 0, "nothing was read");
     }
 
     #[test]
