@@ -269,6 +269,55 @@ impl MindistTable {
             *o = self.lookup_scalar(w);
         }
     }
+
+    /// Calls `keep(i, bound)`, in word order, for every word `i` of
+    /// `words` whose bound is below `limit`, with exactly the bound
+    /// [`lookup_many`](Self::lookup_many) gives it — behind `coarse`'s
+    /// pre-filter when there is one, which must have been made from this
+    /// table.
+    ///
+    /// Words are taken in blocks of [`COARSE_BLOCK`]. The words a block's
+    /// coarse mask lets through get [`lookup_scalar`](Self::lookup_scalar),
+    /// which is bit-identical to `lookup_many`'s lanes, unless more than 8
+    /// of them do: then the whole block takes `lookup_many`, which is
+    /// cheaper than that many one-word lookups (a wide DTW envelope passes
+    /// most words). Without a coarse table, or one with no threshold for
+    /// `limit` ([`CoarseTable::threshold`]), every block takes
+    /// `lookup_many`.
+    pub fn for_each_below(
+        &self,
+        coarse: Option<&CoarseTable>,
+        words: &[Word],
+        limit: f32,
+        mut keep: impl FnMut(usize, f32),
+    ) {
+        let filter = coarse.and_then(|c| Some((c, c.threshold(limit)?)));
+        let mut exact = [0.0f32; COARSE_BLOCK];
+        for (b, block) in words.chunks(COARSE_BLOCK).enumerate() {
+            let base = b * COARSE_BLOCK;
+            let mut mask = match filter {
+                Some((coarse, threshold)) => coarse.may_survive(block, threshold),
+                None => u32::MAX,
+            };
+            if mask.count_ones() > COARSE_DENSE {
+                self.lookup_many(block, &mut exact);
+                for (j, &lb) in exact[..block.len()].iter().enumerate() {
+                    if lb < limit {
+                        keep(base + j, lb);
+                    }
+                }
+                continue;
+            }
+            while mask != 0 {
+                let j = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let lb = self.lookup_scalar(&block[j]);
+                if lb < limit {
+                    keep(base + j, lb);
+                }
+            }
+        }
+    }
 }
 
 /// Words the coarse pre-filter bounds at once: one bit each in its mask.
@@ -287,7 +336,7 @@ const COARSE_MAX: f64 = 250.0;
 const COARSE_SHRINK: f64 = 1.0 - 1.0 / 1024.0;
 
 /// Most of 32 words that may survive the coarse stage for a block still to
-/// take it: past this, [`CoarseTable::for_each_below`] bounds the whole
+/// take it: past this, [`MindistTable::for_each_below`] bounds the whole
 /// block with [`MindistTable::lookup_many`] instead, which is cheaper than
 /// that many one-word lookups (a wide DTW envelope passes most words).
 const COARSE_DENSE: u32 = 8;
@@ -437,54 +486,6 @@ impl CoarseTable {
             }
         }
         mask
-    }
-
-    /// Calls `keep(i, bound)`, in word order, for every word `i` of
-    /// `words` whose exact bound is below `limit`, with exactly the bound
-    /// [`MindistTable::lookup_many`] gives it: the exact stage alone,
-    /// behind the coarse one. `table` must be the table this one was made
-    /// from.
-    ///
-    /// Words are taken in blocks of [`COARSE_BLOCK`]. The survivors of a
-    /// block's coarse mask get [`MindistTable::lookup_scalar`], which is
-    /// bit-identical to `lookup_many`'s lanes, unless more than 8 of them
-    /// survive: then the whole block takes `lookup_many`, which is cheaper
-    /// than that many one-word lookups (a wide DTW envelope passes most
-    /// words). Without a usable threshold
-    /// ([`threshold`](Self::threshold)) every block takes `lookup_many`.
-    pub fn for_each_below(
-        &self,
-        table: &MindistTable,
-        words: &[Word],
-        limit: f32,
-        mut keep: impl FnMut(usize, f32),
-    ) {
-        let threshold = self.threshold(limit);
-        let mut exact = [0.0f32; COARSE_BLOCK];
-        for (b, block) in words.chunks(COARSE_BLOCK).enumerate() {
-            let base = b * COARSE_BLOCK;
-            let mut mask = match threshold {
-                Some(threshold) => self.may_survive(block, threshold),
-                None => u32::MAX,
-            };
-            if mask.count_ones() > COARSE_DENSE {
-                table.lookup_many(block, &mut exact);
-                for (j, &lb) in exact[..block.len()].iter().enumerate() {
-                    if lb < limit {
-                        keep(base + j, lb);
-                    }
-                }
-                continue;
-            }
-            while mask != 0 {
-                let j = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let lb = table.lookup_scalar(&block[j]);
-                if lb < limit {
-                    keep(base + j, lb);
-                }
-            }
-        }
     }
 }
 
@@ -1135,7 +1136,9 @@ mod tests {
                     assert_eq!(coarse.may_survive(&block, threshold), u32::MAX);
                     assert_eq!(coarse.may_survive_scalar(&block[..1], threshold), 1);
                     let mut kept = Vec::new();
-                    coarse.for_each_below(&table, &block[..3], limit, |i, lb| kept.push((i, lb)));
+                    table.for_each_below(Some(&coarse), &block[..3], limit, |i, lb| {
+                        kept.push((i, lb))
+                    });
                     assert_eq!(kept, [(0, bound), (1, bound), (2, bound)]);
                 }
             }

@@ -419,7 +419,7 @@ proptest! {
             }
         }
         let mut kept = Vec::new();
-        coarse.for_each_below(&table, &words, limit, |i, lb| kept.push((i, lb.to_bits())));
+        table.for_each_below(Some(&coarse), &words, limit, |i, lb| kept.push((i, lb.to_bits())));
         let want: Vec<(usize, u32)> = exact
             .iter()
             .enumerate()

@@ -503,8 +503,9 @@ pub struct BatchCandidate {
 /// words. Each query with a finite positive threshold gets, once per
 /// chunk, a coarse table quantised for that threshold
 /// ([`CoarseTable`]), and its rows go through
-/// [`CoarseTable::for_each_below`]: a 4-bit shuffle pre-filter rules
-/// out most words 32 at a time, and only the rest pay the exact
+/// [`MindistTable::for_each_below`](dsidx_isax::MindistTable::for_each_below):
+/// a 4-bit shuffle pre-filter rules out most words 32 at a time, and only
+/// the rest pay the exact
 /// [`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many)
 /// bound (bit-identical with SIMD on or off). A word ruled out has an
 /// exact bound at or above the threshold, so the candidates, their bounds
@@ -534,15 +535,11 @@ pub fn batch_collect_candidates(
     for (block, block_positions) in blocks.zip(positions[range].chunks(LB_BLOCK)) {
         let queries = batch.slots().iter().zip(&coarse).zip(&limits);
         for (((slot, coarse), &limit), row) in queries.zip(rows.chunks_exact_mut(LB_BLOCK)) {
-            match coarse {
-                Some(coarse) => {
-                    // Words ruled out keep an infinite bound: at or above
-                    // `limit` like their exact one.
-                    row.fill(f32::INFINITY);
-                    coarse.for_each_below(&slot.prep.table, block, limit, |i, lb| row[i] = lb);
-                }
-                None => slot.prep.table.lookup_many(block, row),
-            }
+            // Words ruled out keep an infinite bound: at or above `limit`
+            // like their exact one.
+            row.fill(f32::INFINITY);
+            let table = &slot.prep.table;
+            table.for_each_below(coarse.as_ref(), block, limit, |i, lb| row[i] = lb);
         }
         for (off, &pos) in block_positions.iter().enumerate() {
             for (qi, &limit) in limits.iter().enumerate() {

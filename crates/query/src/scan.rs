@@ -24,18 +24,17 @@ use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_storage::{RawSource, StorageError};
 use dsidx_sync::Pruner;
 
-/// Reusable buffers of the per-leaf loops: one bound per (padded) word,
-/// the entries that survived the bound pass, the coarse pre-filter of the
-/// query being served, and what the DTW cascade needs per candidate (empty
-/// and unused under Euclidean distance). A worker visiting thousands of
-/// leaves per query allocates them once.
+/// Reusable state of the per-leaf loops: the entries that survived the
+/// bound pass, the coarse pre-filter of the query being served, and what
+/// the DTW cascade needs per candidate (empty and unused under Euclidean
+/// distance). A worker visiting thousands of leaves per query allocates
+/// them once.
 ///
 /// The pre-filter runs only after [`begin_query`](Self::begin_query) has
 /// named the query the leaves belong to; a fresh scratch bounds every
 /// word exactly.
 #[derive(Debug, Default)]
 pub struct LeafScratch {
-    bounds: Vec<f32>,
     /// `(position, bound)` of each surviving entry, in entry order.
     survivors: Vec<(u32, f32)>,
     /// The batch slot of the query the leaves bounded next belong to, and
@@ -78,11 +77,10 @@ impl LeafScratch {
     /// starts pulling their series toward the cache so pass two does not
     /// open each distance with a memory stall.
     ///
-    /// With a query named ([`begin_query`](Self::begin_query)), a finite
-    /// positive `limit` and 16 segments, the words go through
-    /// [`CoarseTable::for_each_below`], which hands over the survivors
-    /// alone. Otherwise every word takes [`MindistTable::lookup_many`] and
-    /// is compared here.
+    /// The words go through [`MindistTable::for_each_below`], behind the
+    /// served query's coarse table when there is one (a query named by
+    /// [`begin_query`](Self::begin_query), a finite positive `limit`, 16
+    /// segments).
     fn bound_leaf(
         &mut self,
         words: &[Word],
@@ -93,28 +91,14 @@ impl LeafScratch {
     ) {
         assert!(words.len() >= positions.len(), "one word per position");
         self.survivors.clear();
-        let mut keep = |pos: u32, lb: f32| {
-            self.survivors.push((pos, lb));
-            fetcher.prefetch(pos as usize);
-        };
-        if let Some(coarse) = coarse_for(&mut self.query, table, limit) {
-            coarse.for_each_below(table, words, limit, |i, lb| {
-                // Padding words past the leaf have no position.
-                if let Some(&pos) = positions.get(i) {
-                    keep(pos, lb);
-                }
-            });
-            return;
-        }
-        if self.bounds.len() < words.len() {
-            self.bounds.resize(words.len(), 0.0);
-        }
-        table.lookup_many(words, &mut self.bounds);
-        for (&lb, &pos) in self.bounds.iter().zip(positions) {
-            if lb < limit {
-                keep(pos, lb);
+        let coarse = coarse_for(&mut self.query, table, limit);
+        table.for_each_below(coarse, words, limit, |i, lb| {
+            // Padding words past the leaf have no position.
+            if let Some(&pos) = positions.get(i) {
+                self.survivors.push((pos, lb));
+                fetcher.prefetch(pos as usize);
             }
-        }
+        });
     }
 }
 
