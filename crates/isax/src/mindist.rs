@@ -15,7 +15,11 @@
 //! For query scans over every series' word (ParIS stage 4), [`MindistTable`]
 //! precomputes the per-(segment, symbol) contribution once per query, so
 //! each word costs `w` table lookups and adds — the Rust counterpart
-//! of the paper's SIMD lower-bound kernel.
+//! of the paper's SIMD lower-bound kernel. Where every word is bounded
+//! against a live threshold, [`CoarseTable`] puts a sound 4-bit
+//! pre-filter in front of it ([`MindistTable::for_each_below`]): 32 words
+//! per shuffle kernel, and only the few it cannot rule out pay the exact
+//! lookup.
 
 use crate::breakpoints::breakpoints;
 use crate::word::{NodeWord, Word, MAX_BITS, MAX_CARDINALITY, MAX_SEGMENTS};

@@ -7,8 +7,9 @@
 //! A leaf's entries are bounded in two stages. The cheap one is a 4-bit
 //! pre-filter ([`CoarseTable`]): one byte shuffle per segment rules out,
 //! 32 words at a time, every word whose coarse sum already reaches the
-//! live threshold — on `mem-single` about 95 % of them. Only the words it
-//! lets through pay the exact [`MindistTable`] bound. It rules out nothing
+//! live threshold — on random-walk collections all but a few percent of
+//! them. Only the words it lets through pay the exact [`MindistTable`]
+//! bound. It rules out nothing
 //! the exact bound would keep, so the survivors, their bounds and every
 //! work counter are those of the exact stage alone.
 //!
