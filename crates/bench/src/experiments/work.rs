@@ -15,8 +15,9 @@
 //! plus N(0, 0.05) noise, re-z-normalised). The stream runs through a
 //! MESSI `MemoryIndex` and a ParIS+ `DiskIndex` on the SSD profile. Each
 //! per-query quantity is reported as p50, p95, max and sum; the disk
-//! section adds the device's seek, byte and charged-time deltas per query
-//! and the build's charged bytes.
+//! section adds the candidates ParIS+'s collect phase keeps, the device's
+//! seek, byte and charged-time deltas per query and the build's charged
+//! bytes.
 //!
 //! `repro work --scale S` rewrites section `S` of the file at the root of
 //! the workspace and leaves the others as they are; `repro work --scale S
@@ -43,8 +44,8 @@ const PLANTED_NOISE: f32 = 0.05;
 const NOTE: &str =
     "Exact work per query at threads = 1 (see crates/bench/src/experiments/work.rs). \
 `cargo run --release -p dsidx-bench --bin repro -- work --scale <section>` regenerates a section; \
-add `--check BENCH_work.json` to compare instead. CI checks `tiny` in both SIMD lanes; \
-a change that alters the work of a query regenerates `tiny` and `bench` and says why.";
+add `--check BENCH_work.json` to compare instead. CI checks `tiny` in both SIMD lanes and `bench` \
+in the default one; a change that alters the work of a query regenerates `tiny` and `bench` and says why.";
 
 /// Runs the ledger at `scale` and rewrites its section of the committed
 /// file.
@@ -139,22 +140,25 @@ fn measure(scale: &Scale) -> String {
     .expect("disk build");
     let device = disk.file().device();
     let build = device.stats();
-    let mut disk_rows: [Vec<u64>; 6] = Default::default();
+    let mut disk_rows: [Vec<u64>; 7] = Default::default();
     for q in disk_stream.iter() {
         let before = device.stats();
         let stats = query(&disk, q, &spec);
         let after = device.stats();
         disk_rows[0].push(stats.lb_computed + stats.lb_entry_computed);
         disk_rows[1].push(stats.leaves_processed);
-        disk_rows[2].push(stats.real_computed);
-        disk_rows[3].push(after.seeks - before.seeks);
-        disk_rows[4].push(after.bytes_read - before.bytes_read);
-        disk_rows[5].push(after.charged_nanos - before.charged_nanos);
+        disk_rows[2].push(stats.candidates);
+        disk_rows[3].push(stats.real_computed);
+        disk_rows[4].push(after.seeks - before.seeks);
+        disk_rows[5].push(after.bytes_read - before.bytes_read);
+        disk_rows[6].push(after.charged_nanos - before.charged_nanos);
     }
 
-    let names = [
+    let mem_names = ["entries_bounded", "leaves_processed", "real_distances"];
+    let disk_names = [
         "entries_bounded",
         "leaves_processed",
+        "candidates",
         "real_distances",
         "seeks",
         "bytes_read",
@@ -171,7 +175,7 @@ fn measure(scale: &Scale) -> String {
         "    \"memory\": {{\"engine\": \"MESSI\", \"series\": {},",
         scale.mem_series
     );
-    push_rows(&mut out, &mut table, "memory", &names[..3], &mem_rows);
+    push_rows(&mut out, &mut table, "memory", &mem_names, &mem_rows);
     out.push_str("    },\n");
     let _ = writeln!(
         out,
@@ -183,7 +187,7 @@ fn measure(scale: &Scale) -> String {
         "      \"build\": {{\"bytes_read\": {}, \"bytes_written\": {}}},",
         build.bytes_read, build.bytes_written
     );
-    push_rows(&mut out, &mut table, "disk", &names, &disk_rows);
+    push_rows(&mut out, &mut table, "disk", &disk_names, &disk_rows);
     out.push_str("    }\n");
     table.finish();
     out
