@@ -35,10 +35,15 @@
 //! verify split prevents. That tightens the thresholds after a handful of
 //! reads, and the re-check drops most of the remaining list without
 //! touching the device. The remainder keeps the paper's position order:
-//! whatever still survives has to be read anyway, and a dense stretch of
-//! survivors is then one sequential read instead of a seek per series.
-//! Fewer reads wins on both device profiles; `fig12`'s real-distance
-//! counts show the gap to MESSI closing.
+//! whatever still survives has to be read anyway, and in that order
+//! survivors that lie close together are fetched as one *span* read
+//! ([`batch_verify_candidates`]) whenever the series between them cost
+//! less to read through than a seek
+//! ([`RawSource::span_gap`]: 47 series at length 256 on the modeled SSD,
+//! 1,392 on the HDD). Only exactly adjacent positions got that before;
+//! the span read is the paper's short forward seek, priced by the
+//! device. Fewer reads wins on both device profiles; `fig12`'s
+//! real-distance counts show the gap to MESSI closing.
 
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
@@ -107,7 +112,8 @@ const APPROX_PROBE_MIN: usize = 16;
 /// first, best bound first, the rest in position order — and the verify
 /// phase claims chunks of it from the front, paying one raw fetch for
 /// every run of queries that kept the same position and still beat their
-/// live thresholds. Workers share one top-k set per query, so the tail of
+/// live thresholds, and reading a claimed chunk's nearby survivors as one
+/// span when the source's gap allows. Workers share one top-k set per query, so the tail of
 /// the candidate list is dropped as soon as any worker tightens the k-th
 /// distance.
 ///
@@ -335,7 +341,7 @@ mod tests {
     use crate::config::{Overlap, ParisConfig};
     use dsidx_query::PreparedQuery;
     use dsidx_series::gen::DatasetKind;
-    use dsidx_storage::{write_dataset, DatasetFile, Device, FlakySource};
+    use dsidx_storage::{write_dataset, DatasetFile, Device, DeviceProfile, FlakySource};
     use dsidx_tree::TreeConfig;
     use dsidx_ucr::brute_force;
     use std::sync::Arc;
@@ -729,6 +735,173 @@ mod tests {
         let (via_flaky, _) = exact(&paris, None, &flaky, &qrefs, 5, 4, None).unwrap();
         let (via_data, _) = exact(&paris, None, &data, &qrefs, 5, 4, None).unwrap();
         assert_eq!(via_flaky, via_data);
+    }
+
+    /// A flaky source that takes span reads eight series wide. Its
+    /// [`read_span`](RawSource::read_span) is the default one, which
+    /// spends the budget series by series, so a span can die partway.
+    struct FlakySpans(FlakySource);
+
+    impl RawSource for FlakySpans {
+        fn count(&self) -> usize {
+            self.0.count()
+        }
+
+        fn series_len(&self) -> usize {
+            self.0.series_len()
+        }
+
+        fn read_into(&self, pos: usize, out: &mut [f32]) -> Result<(), StorageError> {
+            self.0.read_into(pos, out)
+        }
+
+        fn span_gap(&self) -> usize {
+            8
+        }
+    }
+
+    #[test]
+    fn span_reads_that_fail_partway_are_structured_errors_in_their_phase() {
+        // Seismic's dense candidate lists put most survivors within a
+        // span of each other.
+        let data = DatasetKind::Seismic.generate(500, 64, 91);
+        let (paris, _) = build_in_memory(&data, &cfg(4));
+        let qs = DatasetKind::Seismic.queries(2, 64, 91);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        let (via_data, _) = exact(&paris, None, &data, &qrefs, 5, 4, None).unwrap();
+        let mut phases = Vec::new();
+        for budget in (0u64..64).chain([96, 128, 192, 256, u64::MAX]) {
+            let flaky = FlakySpans(FlakySource::new(data.clone(), budget));
+            match exact(&paris, None, &flaky, &qrefs, 5, 4, None) {
+                Ok((got, _)) => {
+                    assert!(!flaky.0.tripped(), "budget {budget}");
+                    assert_eq!(got, via_data, "budget {budget}");
+                }
+                Err(err) => {
+                    assert!(flaky.0.tripped());
+                    assert!(matches!(err.root_cause(), StorageError::Io(_)), "{err}");
+                    let text = err.to_string();
+                    let phase = ["seed", "verify"]
+                        .into_iter()
+                        .find(|p| text.starts_with(&format!("during {p}:")))
+                        .unwrap_or_else(|| panic!("budget {budget}: unphased error {text}"));
+                    phases.push(phase);
+                }
+            }
+        }
+        assert_eq!(phases.first(), Some(&"seed"), "budget 0 dies seeding");
+        assert!(phases.contains(&"verify"), "no budget died mid-verify");
+    }
+
+    #[test]
+    fn a_dataset_file_truncated_after_open_fails_the_search_cleanly() {
+        let data = DatasetKind::Seismic.generate(600, 64, 61);
+        let path = tmp("truncated.dsidx");
+        write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let file = DatasetFile::open(&path, Arc::new(Device::new(DeviceProfile::SSD))).unwrap();
+        let (paris, _) = build_in_memory(&data, &cfg(2));
+        // Another handle cuts the payload to its first 100 series, and
+        // part of the 101st, under the open file.
+        let cut = dsidx_storage::format::HEADER_LEN + (100 * 64 + 7) * 4;
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
+        let qs = DatasetKind::Seismic.queries(6, 64, 61);
+        let mut failed = 0;
+        for threads in [1usize, 4] {
+            for q in qs.iter() {
+                match exact(&paris, None, &file, &[q], 1, threads, None) {
+                    Ok((got, _)) => {
+                        assert_eq!(got[0][0].pos, brute_force(&data, q).unwrap().pos);
+                    }
+                    Err(err) => {
+                        assert!(matches!(err.root_cause(), StorageError::Io(_)), "{err}");
+                        let text = err.to_string();
+                        assert!(
+                            text.starts_with("during seed:") || text.starts_with("during verify:"),
+                            "unphased error {text}"
+                        );
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        assert!(failed > 0, "no query read past the cut");
+    }
+
+    /// A file source with its span reads hidden: every fetch is a read of
+    /// its own.
+    struct NoSpans<'a>(&'a DatasetFile);
+
+    impl RawSource for NoSpans<'_> {
+        fn count(&self) -> usize {
+            self.0.count()
+        }
+
+        fn series_len(&self) -> usize {
+            self.0.series_len()
+        }
+
+        fn read_into(&self, pos: usize, out: &mut [f32]) -> Result<(), StorageError> {
+            self.0.read_into(pos, out)
+        }
+    }
+
+    /// `stats` without its wall-clock phase times.
+    fn counters(mut stats: BatchStats) -> BatchStats {
+        stats.shared.phase = Default::default();
+        for q in &mut stats.per_query {
+            q.phase = Default::default();
+        }
+        stats
+    }
+
+    #[test]
+    fn span_reads_change_only_what_the_device_charges() {
+        // Seismic bounds barely prune, so the candidate list is dense and
+        // most survivors have a neighbour within the SSD's span gap.
+        let data = DatasetKind::Seismic.generate(1500, 64, 101);
+        let path = tmp("spans.dsidx");
+        write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let file = DatasetFile::open(&path, Arc::new(Device::new(DeviceProfile::SSD))).unwrap();
+        assert!(file.span_gap() > 0);
+        let (paris, _) = build_in_memory(&data, &cfg(4));
+        let qs = DatasetKind::Seismic.queries(5, 64, 101);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        let batches: Vec<&[&[f32]]> = vec![&qrefs[..1], &qrefs[1..2], &qrefs];
+        let device = file.device();
+        let (mut seeks, mut off_seeks) = (0, 0);
+        for k in [1usize, 10] {
+            for queries in &batches {
+                device.reset_stats();
+                let (off, off_stats) =
+                    exact(&paris, None, &NoSpans(&file), queries, k, 1, None).unwrap();
+                let off_device = device.stats();
+                device.reset_stats();
+                let (on, on_stats) = exact(&paris, None, &file, queries, k, 1, None).unwrap();
+                let on_device = device.stats();
+                let what = format!("k={k} batch of {}", queries.len());
+                assert_eq!(on, off, "{what}");
+                assert_eq!(counters(on_stats), counters(off_stats), "{what}");
+                assert!(on_device.seeks <= off_device.seeks, "{what}");
+                assert!(on_device.bytes_read >= off_device.bytes_read, "{what}");
+                (seeks, off_seeks) = (seeks + on_device.seeks, off_seeks + off_device.seeks);
+                for threads in [2usize, 4, 8] {
+                    let (on_t, _) = exact(&paris, None, &file, queries, k, threads, None).unwrap();
+                    let (off_t, _) =
+                        exact(&paris, None, &NoSpans(&file), queries, k, threads, None).unwrap();
+                    assert_eq!(on_t, on, "{what} x{threads}");
+                    assert_eq!(off_t, on, "{what} x{threads}");
+                }
+            }
+        }
+        assert!(
+            seeks < off_seeks,
+            "spans saved no seek: {seeks} vs {off_seeks}"
+        );
     }
 
     /// Reads like the dataset, but gives the CPU away inside every read —

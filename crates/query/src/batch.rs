@@ -569,9 +569,9 @@ pub fn batch_collect_candidates(
 /// [`batch_verify_candidates`] then drops most of what follows without
 /// touching the source. The tail keeps position order: what still
 /// survives the tightened thresholds has to be read whatever the order,
-/// and in position order a dense stretch of survivors is a sequential
-/// read (and a sequential walk of an in-memory collection) instead of a
-/// seek per series. A list no longer than the head is sorted outright;
+/// and in position order nearby survivors are one span read (see
+/// [`batch_verify_candidates`]) and a sequential walk of an in-memory
+/// collection instead of a seek per series. A list no longer than the head is sorted outright;
 /// then, with one worker and k = 1, no candidate whose bound exceeds the
 /// final distance is fetched at all.
 ///
@@ -656,6 +656,21 @@ pub fn order_best_bound_first(
 /// meanwhile. A stale sample is only looser; the insert-time comparison
 /// stays authoritative.
 ///
+/// **Spans.** A run that survives its sample opens a *span*: the source
+/// is read once, from that run's position through the last of the
+/// chunk's following runs that ascend, leave at most
+/// [`SeriesFetcher::span_gap`] series between each other, and are live
+/// when the span opens (a dead run in between is read through with the
+/// rest of the gap). That look ahead is a peek and counts nothing. Each
+/// later run of the span still takes its own sample at its turn; only if
+/// that sample keeps it does it count a fetch and its requests and verify
+/// from the span, so a run gone stale since the peek is read but not
+/// counted. At one worker the samples, and so every counter, are those of
+/// one fetch per run; only the device's seeks, bytes and charged time
+/// differ. A resident or unthrottled source has a gap of 0 and reads
+/// spans of one series; the best-bound head is not in position order and
+/// mostly does too.
+///
 /// # Errors
 /// Propagates raw-source I/O failures.
 pub fn batch_verify_candidates(
@@ -675,8 +690,28 @@ pub fn batch_verify_candidates(
     while start < end && continues_run(end) {
         end += 1;
     }
+    let run_end = |at: usize| {
+        let pos = candidates[at].pos;
+        at + candidates[at..end]
+            .iter()
+            .take_while(|c| c.pos == pos)
+            .count()
+    };
+    let live = |run: &[BatchCandidate]| {
+        run.iter()
+            .any(|c| c.lb < batch.slots()[c.query as usize].topk.threshold_sq())
+    };
+    let (gap, len) = (fetcher.span_gap(), fetcher.series_len());
     let (mut fetches, mut requests) = (0u64, 0u64);
-    for run in candidates[start..end].chunk_by(|a, b| a.pos == b.pos) {
+    // The last span read: the series it holds, the position of the first,
+    // and the end of the runs it was read for.
+    let mut span: &[f32] = &[];
+    let (mut span_first, mut covered) = (0, start);
+    let mut at = start;
+    while at < end {
+        let next = run_end(at);
+        let run = &candidates[at..next];
+        at = next;
         survivors.clear();
         for c in run {
             let qi = c.query as usize;
@@ -689,7 +724,26 @@ pub fn batch_verify_candidates(
             continue;
         }
         let pos = run[0].pos;
-        let series = fetcher.fetch(pos as usize)?;
+        if next > covered {
+            // Open a span: peek along the following runs of the chunk.
+            let (mut last, mut peek) = (pos, next);
+            covered = next;
+            while gap > 0 && peek < end {
+                let peek_end = run_end(peek);
+                let p = candidates[peek].pos;
+                if p <= last || (p - last - 1) as usize > gap {
+                    break;
+                }
+                if live(&candidates[peek..peek_end]) {
+                    (last, covered) = (p, peek_end);
+                }
+                peek = peek_end;
+            }
+            span = fetcher.fetch_span(pos as usize, (last - pos) as usize + 1)?;
+            span_first = pos;
+        }
+        let offset = (pos - span_first) as usize * len;
+        let series = &span[offset..offset + len];
         fetches += 1;
         requests += survivors.len() as u64;
         for &(qi, limit) in survivors.iter() {
@@ -842,11 +896,15 @@ mod tests {
 
     /// A [`RawSource`] that logs every position read and, when a hook is
     /// set, runs it inside each read — how a test forces "another worker
-    /// tightened the threshold while this one was fetching".
+    /// tightened the threshold while this one was fetching". With a
+    /// non-zero `gap` it also takes span reads, logging each as `(start,
+    /// count)` before reading its series one by one.
     struct LoggingSource<'a> {
         data: &'a Dataset,
         reads: std::sync::Mutex<Vec<usize>>,
+        spans: std::sync::Mutex<Vec<(usize, usize)>>,
         on_read: Option<&'a (dyn Fn() + Sync)>,
+        gap: usize,
     }
 
     impl<'a> LoggingSource<'a> {
@@ -854,12 +912,18 @@ mod tests {
             Self {
                 data,
                 reads: std::sync::Mutex::new(Vec::new()),
+                spans: std::sync::Mutex::new(Vec::new()),
                 on_read: None,
+                gap: 0,
             }
         }
 
         fn reads(&self) -> Vec<usize> {
             self.reads.lock().unwrap().clone()
+        }
+
+        fn spans(&self) -> Vec<(usize, usize)> {
+            self.spans.lock().unwrap().clone()
         }
     }
 
@@ -878,6 +942,25 @@ mod tests {
                 hook();
             }
             self.data.read_into(pos, out)
+        }
+
+        fn span_gap(&self) -> usize {
+            self.gap
+        }
+
+        fn read_span(
+            &self,
+            start: usize,
+            count: usize,
+            out: &mut Vec<f32>,
+        ) -> Result<(), StorageError> {
+            self.spans.lock().unwrap().push((start, count));
+            let len = self.data.series_len();
+            out.resize(count * len, 0.0);
+            for (pos, series) in (start..).zip(out.chunks_exact_mut(len)) {
+                self.read_into(pos, series)?;
+            }
+            Ok(())
         }
     }
 
@@ -1208,6 +1291,81 @@ mod tests {
         assert_eq!((stats.series_fetched, stats.series_requests), (1, 1));
         // The concurrent insert stays authoritative.
         assert_eq!(matches[0][0].pos, 39);
+    }
+
+    #[test]
+    fn nearby_survivors_are_read_as_one_span_and_counted_at_their_turn() {
+        // Runs at 3, 5 (two queries), 7 (dead: its bound can never beat a
+        // threshold), 9 and 60, with a gap of 4 series: 3..=9 is one span
+        // (5 -> 9 leaves 3 series between, the dead 7 among them) and 60
+        // stands alone.
+        let (data, _, config) = fixture(80);
+        let (q0, q1) = (data.get(7).to_vec(), data.get(20).to_vec());
+        let candidates = [
+            (3, 0, 0.1),
+            (5, 0, 0.2),
+            (5, 1, 0.2),
+            (7, 0, f32::INFINITY),
+            (9, 1, 0.3),
+            (60, 0, 0.4),
+        ]
+        .map(|(pos, query, lb)| BatchCandidate { pos, query, lb });
+        let run = |chunk: usize, tighten: Option<&(dyn Fn(&SharedPruners) + Sync)>| {
+            let shared = SharedPruners::new(2, 1);
+            let batch = QueryBatch::new(config.quantizer(), &[&q0, &q1], 1, Some(shared.view(0)));
+            let hook = || tighten.map_or((), |t| t(&shared));
+            let mut source = LoggingSource::new(&data);
+            source.gap = 4;
+            source.on_read = Some(&hook);
+            let mut fetcher = SeriesFetcher::new(&source);
+            let mut locals = vec![QueryStats::default(); 2];
+            let mut survivors = Vec::new();
+            for start in (0..candidates.len()).step_by(chunk) {
+                batch_verify_candidates(
+                    &candidates,
+                    start..(start + chunk).min(candidates.len()),
+                    &mut fetcher,
+                    &batch,
+                    &mut survivors,
+                    &mut locals,
+                )
+                .unwrap();
+            }
+            let (_, stats) = batch.finish(0, QueryStats::default());
+            assert!(stats.series_fetched <= stats.series_requests);
+            (
+                source.spans(),
+                source.reads(),
+                (stats.series_fetched, stats.series_requests),
+            )
+        };
+
+        let (spans, reads, counts) = run(6, None);
+        assert_eq!(spans, [(3, 7), (60, 1)]);
+        assert_eq!(reads, [3, 4, 5, 6, 7, 8, 9, 60]);
+        assert_eq!(
+            counts,
+            (4, 5),
+            "one fetch per live run, one request per triple"
+        );
+
+        // Spans stay inside a claimed chunk.
+        let (spans, _, counts) = run(3, None);
+        assert_eq!(spans, [(3, 3), (9, 1), (60, 1)]);
+        assert_eq!(counts, (4, 5));
+
+        // Both thresholds collapse while the span is read: 5 and 9 were
+        // read but are stale at their turn, so only 3 counts, and 60 is
+        // never read.
+        let collapse = |shared: &SharedPruners| {
+            for topk in shared.topks() {
+                dsidx_sync::Pruner::insert(topk.as_ref(), 0.0, 39);
+            }
+        };
+        let (spans, reads, counts) = run(6, Some(&collapse));
+        assert_eq!(spans, [(3, 7)]);
+        assert_eq!(reads, [3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(counts, (1, 1));
     }
 
     #[test]

@@ -17,6 +17,9 @@ const PREFETCH_LINES: usize = 4;
 pub struct SeriesFetcher<'a, S: RawSource> {
     source: &'a S,
     memory: Option<&'a Dataset>,
+    /// The source's [`RawSource::span_gap`]; 0 for a resident source.
+    span_gap: usize,
+    /// One series, or the last span read.
     scratch: Vec<f32>,
 }
 
@@ -31,11 +34,32 @@ impl<'a, S: RawSource> SeriesFetcher<'a, S> {
         } else {
             vec![0.0f32; source.series_len()]
         };
+        let span_gap = if memory.is_some() {
+            0
+        } else {
+            source.span_gap()
+        };
         Self {
             source,
             memory,
+            span_gap,
             scratch,
         }
+    }
+
+    /// Length of each series.
+    #[must_use]
+    pub fn series_len(&self) -> usize {
+        self.source.series_len()
+    }
+
+    /// The series a [`fetch_span`](Self::fetch_span) may run through
+    /// instead of seeking past them: the source's
+    /// [`RawSource::span_gap`], and 0 for a resident source, where a
+    /// span saves nothing.
+    #[must_use]
+    pub fn span_gap(&self) -> usize {
+        self.span_gap
     }
 
     /// Hints that series `pos` is about to be [`fetch`](Self::fetch)ed, so
@@ -59,7 +83,25 @@ impl<'a, S: RawSource> SeriesFetcher<'a, S> {
         if let Some(ds) = self.memory {
             return Ok(ds.get(pos));
         }
+        // A span may have grown the buffer.
+        self.scratch.resize(self.source.series_len(), 0.0);
         self.source.read_into(pos, &mut self.scratch)?;
+        Ok(&self.scratch)
+    }
+
+    /// Returns the raw values of the `count` series starting at `start`,
+    /// back to back — one [`RawSource::read_span`] for a non-resident
+    /// source.
+    ///
+    /// # Errors
+    /// Propagates I/O failures and out-of-bounds spans (the in-memory
+    /// path is infallible for in-bounds spans).
+    pub fn fetch_span(&mut self, start: usize, count: usize) -> Result<&[f32], StorageError> {
+        if let Some(ds) = self.memory {
+            let len = ds.series_len();
+            return Ok(&ds.as_flat()[start * len..(start + count) * len]);
+        }
+        self.source.read_span(start, count, &mut self.scratch)?;
         Ok(&self.scratch)
     }
 }
@@ -78,5 +120,19 @@ mod tests {
             fetcher.fetch(3).unwrap().as_ptr(),
             ds.get(3).as_ptr()
         ));
+        assert_eq!(fetcher.span_gap(), 0);
+        assert_eq!(fetcher.fetch_span(1, 2).unwrap(), &ds.as_flat()[16..48]);
+    }
+
+    #[test]
+    fn a_fetch_after_a_span_reads_one_series() {
+        // A non-resident source whose span read grew the scratch buffer:
+        // the next single fetch must read into one series' worth again.
+        let ds = sines(6, 16, 4);
+        let flaky = dsidx_storage::FlakySource::new(ds.clone(), u64::MAX);
+        let mut fetcher = SeriesFetcher::new(&flaky);
+        assert_eq!(fetcher.fetch_span(1, 4).unwrap(), &ds.as_flat()[16..80]);
+        assert_eq!(fetcher.fetch(5).unwrap(), ds.get(5));
+        assert_eq!(fetcher.fetch_span(0, 1).unwrap(), ds.get(0));
     }
 }

@@ -115,6 +115,16 @@ impl DeviceProfile {
     pub fn is_unthrottled(&self) -> bool {
         self.seek_latency.is_zero() && self.read_bandwidth == 0 && self.write_bandwidth == 0
     }
+
+    /// Bytes whose sequential read costs as much as one seek:
+    /// `seek_latency × read_bandwidth`, and 0 when either is zero. A read
+    /// that runs through fewer bytes than this to reach its next target
+    /// is cheaper than seeking past them.
+    #[must_use]
+    pub fn seek_equivalent_bytes(&self) -> u64 {
+        let bytes = self.seek_latency.as_nanos() * u128::from(self.read_bandwidth) / 1_000_000_000;
+        u64::try_from(bytes).unwrap_or(u64::MAX)
+    }
 }
 
 /// Counters accumulated by a device (nanosecond sleep total included), for
@@ -322,7 +332,7 @@ fn sleep_overhead() -> Duration {
     })
 }
 
-fn bandwidth_nanos(bytes: u64, bandwidth: u64) -> u64 {
+pub(crate) fn bandwidth_nanos(bytes: u64, bandwidth: u64) -> u64 {
     if bandwidth == 0 {
         0
     } else {
@@ -508,6 +518,29 @@ mod tests {
             stats.charged_nanos,
             bandwidth + stats.seeks * profile.seek_latency.as_nanos() as u64
         );
+    }
+
+    #[test]
+    fn a_seek_costs_as_much_as_reading_its_equivalent_bytes() {
+        assert_eq!(DeviceProfile::SSD.seek_equivalent_bytes(), 49_073);
+        assert_eq!(DeviceProfile::HDD.seek_equivalent_bytes(), 1_426_063);
+        assert_eq!(DeviceProfile::UNTHROTTLED.seek_equivalent_bytes(), 0);
+        let no_bandwidth = DeviceProfile {
+            read_bandwidth: 0,
+            ..DeviceProfile::SSD
+        };
+        assert_eq!(no_bandwidth.seek_equivalent_bytes(), 0);
+        let no_seek = DeviceProfile {
+            seek_latency: Duration::ZERO,
+            ..DeviceProfile::SSD
+        };
+        assert_eq!(no_seek.seek_equivalent_bytes(), 0);
+        // Reading them through is never slower than the seek.
+        for profile in [DeviceProfile::SSD, DeviceProfile::HDD] {
+            let bytes = profile.seek_equivalent_bytes();
+            let seek = profile.seek_latency.as_nanos() as u64;
+            assert!(bandwidth_nanos(bytes, profile.read_bandwidth) <= seek);
+        }
     }
 
     #[test]

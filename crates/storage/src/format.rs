@@ -16,7 +16,7 @@
 
 use crate::device::Device;
 use crate::error::StorageError;
-use crate::raw::RawSource;
+use crate::raw::{check_span, RawSource};
 use dsidx_series::Dataset;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -269,8 +269,9 @@ impl DatasetFile {
         Ok(())
     }
 
-    /// Reads `count` series starting at `start` into `out` (resized), for
-    /// the sequential build path.
+    /// Reads `count` series starting at `start` into `out` (resized) with
+    /// one device read: the sequential build path, and a query's span of
+    /// nearby candidates ([`RawSource::read_span`]).
     ///
     /// # Errors
     /// Out-of-bounds ranges and I/O failures.
@@ -280,13 +281,7 @@ impl DatasetFile {
         count: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), StorageError> {
-        let end = start.checked_add(count);
-        if end.is_none_or(|end| end > self.count) {
-            return Err(StorageError::OutOfBounds {
-                index: (start as u64).saturating_add(count as u64),
-                len: self.count as u64,
-            });
-        }
+        check_span(start, count, self.count)?;
         let floats = count * self.series_len;
         let bytes = floats * 4;
         let mut buf = vec![0u8; bytes];
@@ -311,6 +306,25 @@ impl RawSource for DatasetFile {
     fn read_into(&self, pos: usize, out: &mut [f32]) -> Result<(), StorageError> {
         self.read_series_into(pos, out)
     }
+
+    /// The series whose bytes together cost one seek on the device
+    /// ([`DeviceProfile::seek_equivalent_bytes`](crate::DeviceProfile::seek_equivalent_bytes)):
+    /// 47 on the SSD profile at length 256, 1,392 on the HDD, 0
+    /// unthrottled.
+    fn span_gap(&self) -> usize {
+        let series_bytes = self.series_len as u64 * 4;
+        usize::try_from(self.device.profile().seek_equivalent_bytes() / series_bytes)
+            .unwrap_or(usize::MAX)
+    }
+
+    fn read_span(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<f32>,
+    ) -> Result<(), StorageError> {
+        self.read_block(start, count, out)
+    }
 }
 
 fn decode_f32s(bytes: &[u8], out: &mut [f32]) {
@@ -323,6 +337,7 @@ fn decode_f32s(bytes: &[u8], out: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::{bandwidth_nanos, DeviceProfile};
     use dsidx_series::gen::random_walk;
 
     fn tmpdir() -> PathBuf {
@@ -400,6 +415,77 @@ mod tests {
                         index: u64::MAX,
                         len: 4
                     })
+                ),
+                "start={start} count={count}"
+            );
+        }
+        assert_eq!(f.device().stats().bytes_read, 0, "nothing was read");
+    }
+
+    #[test]
+    fn span_gaps_follow_the_device_profile() {
+        let path = tmpdir().join("gap.dsidx");
+        write_dataset(&path, &random_walk(4, 256, 5), dev()).unwrap();
+        let gap = |profile| {
+            let f = DatasetFile::open(&path, Arc::new(Device::new(profile))).unwrap();
+            f.span_gap()
+        };
+        assert_eq!(gap(DeviceProfile::SSD), 47);
+        assert_eq!(gap(DeviceProfile::HDD), 1_392);
+        assert_eq!(gap(DeviceProfile::UNTHROTTLED), 0);
+        // Through a reference, as the engines hold it.
+        let f = DatasetFile::open(&path, Arc::new(Device::new(DeviceProfile::SSD))).unwrap();
+        let by_ref: &dyn RawSource = &&f;
+        assert_eq!(by_ref.span_gap(), 47);
+    }
+
+    #[test]
+    fn a_span_reads_like_its_series_for_one_seek_and_their_bytes() {
+        let path = tmpdir().join("span.dsidx");
+        let ds = random_walk(40, 32, 8);
+        write_dataset(&path, &ds, dev()).unwrap();
+        let f = DatasetFile::open(&path, Arc::new(Device::new(DeviceProfile::SSD))).unwrap();
+        let series_bytes = 32 * 4;
+        let mut span = Vec::new();
+        let mut one = vec![0.0f32; 32];
+        for (start, count) in [(0usize, 1usize), (3, 7), (11, 29), (39, 1)] {
+            f.device().reset_stats();
+            f.read_span(start, count, &mut span).unwrap();
+            let stats = f.device().stats();
+            assert_eq!(span.len(), count * 32);
+            assert_eq!(stats.bytes_read, (count * series_bytes) as u64);
+            assert!(stats.seeks <= 1, "{start}+{count}: {} seeks", stats.seeks);
+            let profile = f.device().profile();
+            assert_eq!(
+                stats.charged_nanos,
+                bandwidth_nanos(stats.bytes_read, profile.read_bandwidth)
+                    + stats.seeks * profile.seek_latency.as_nanos() as u64
+            );
+            for (i, got) in span.chunks_exact(32).enumerate() {
+                f.read_series_into(start + i, &mut one).unwrap();
+                let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&one), "{start}+{count} series {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_span_past_the_end_or_overflowing_is_out_of_bounds() {
+        let path = tmpdir().join("span-oob.dsidx");
+        write_dataset(&path, &random_walk(6, 8, 4), dev()).unwrap();
+        let f = DatasetFile::open(&path, dev()).unwrap();
+        let src: &dyn RawSource = &f;
+        let mut out = Vec::new();
+        for (start, count, index) in [
+            (5usize, 2usize, 7u64),
+            (6, 1, 7),
+            (usize::MAX, 2, u64::MAX),
+            (2, usize::MAX, u64::MAX),
+        ] {
+            assert!(
+                matches!(
+                    src.read_span(start, count, &mut out),
+                    Err(StorageError::OutOfBounds { index: i, len: 6 }) if i == index
                 ),
                 "start={start} count={count}"
             );

@@ -32,6 +32,57 @@ pub trait RawSource: Sync {
     fn as_memory(&self) -> Option<&Dataset> {
         None
     }
+
+    /// The series a read may run through instead of seeking past them:
+    /// two wanted positions with at most this many series between them
+    /// are cheaper to fetch as one [`read_span`](Self::read_span) than
+    /// as two reads. 0 (the default) means every read stands alone; a
+    /// resident or unthrottled source has nothing to save.
+    fn span_gap(&self) -> usize {
+        0
+    }
+
+    /// Copies the `count` series starting at `start`, back to back, into
+    /// `out` (resized to `count × series_len`).
+    ///
+    /// The default reads them one by one through
+    /// [`read_into`](Self::read_into), so a source that counts or hooks
+    /// its reads sees every series; a file source overrides it with one
+    /// device read.
+    ///
+    /// # Errors
+    /// [`StorageError::OutOfBounds`] when the span runs past the end (or
+    /// its end overflows), before anything is read; I/O failures,
+    /// possibly after part of `out` was filled.
+    fn read_span(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<f32>,
+    ) -> Result<(), StorageError> {
+        check_span(start, count, self.count())?;
+        let len = self.series_len();
+        out.resize(count * len, 0.0);
+        for (pos, series) in (start..).zip(out.chunks_exact_mut(len)) {
+            self.read_into(pos, series)?;
+        }
+        Ok(())
+    }
+}
+
+/// `Ok` when the span `start..start + count` lies inside a collection of
+/// `len` series.
+///
+/// # Errors
+/// [`StorageError::OutOfBounds`] at the span's end (saturated) otherwise.
+pub(crate) fn check_span(start: usize, count: usize, len: usize) -> Result<(), StorageError> {
+    if start.checked_add(count).is_none_or(|end| end > len) {
+        return Err(StorageError::OutOfBounds {
+            index: (start as u64).saturating_add(count as u64),
+            len: len as u64,
+        });
+    }
+    Ok(())
 }
 
 impl RawSource for Dataset {
@@ -69,6 +120,19 @@ impl<S: RawSource> RawSource for &S {
 
     fn as_memory(&self) -> Option<&Dataset> {
         (**self).as_memory()
+    }
+
+    fn span_gap(&self) -> usize {
+        (**self).span_gap()
+    }
+
+    fn read_span(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<f32>,
+    ) -> Result<(), StorageError> {
+        (**self).read_span(start, count, out)
     }
 }
 
@@ -217,6 +281,30 @@ mod tests {
         ));
         // Once tripped, it stays tripped.
         assert!(flaky.read_into(0, &mut buf).is_err());
+    }
+
+    #[test]
+    fn default_spans_read_series_by_series() {
+        let ds = sines(6, 8, 2);
+        let mut out = Vec::new();
+        ds.read_span(1, 4, &mut out).unwrap();
+        assert_eq!(out, ds.as_flat()[8..40]);
+        assert_eq!(ds.span_gap(), 0);
+        assert!(matches!(
+            ds.read_span(4, 3, &mut out),
+            Err(StorageError::OutOfBounds { index: 7, len: 6 })
+        ));
+        // Each series spends one read of a flaky budget: a span of three
+        // with two reads left dies partway, with an I/O error.
+        let flaky = FlakySource::new(ds.clone(), 2);
+        let by_ref: &dyn RawSource = &&flaky;
+        assert_eq!(by_ref.span_gap(), 0);
+        assert!(matches!(
+            by_ref.read_span(0, 3, &mut out),
+            Err(StorageError::Io(_))
+        ));
+        assert!(flaky.tripped());
+        assert_eq!(out[..16], ds.as_flat()[..16]);
     }
 
     #[test]
