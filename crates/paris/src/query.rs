@@ -38,12 +38,11 @@
 //! whatever still survives has to be read anyway, and in that order
 //! survivors that lie close together are fetched as one *span* read
 //! ([`batch_verify_candidates`]) whenever the series between them cost
-//! less to read through than a seek
-//! ([`RawSource::span_gap`]: 47 series at length 256 on the modeled SSD,
-//! 1,392 on the HDD). Only exactly adjacent positions got that before;
-//! the span read is the paper's short forward seek, priced by the
-//! device. Fewer reads wins on both device profiles; `fig12`'s
-//! real-distance counts show the gap to MESSI closing.
+//! less to read through than a seek ([`RawSource::span_gap`]: 47 series
+//! at length 256 on the modeled SSD, 1,392 on the HDD) — the paper's
+//! short forward seek, priced by the device. Fewer reads wins on both
+//! device profiles; `fig12`'s real-distance counts show the gap to MESSI
+//! closing.
 
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
@@ -112,10 +111,10 @@ const APPROX_PROBE_MIN: usize = 16;
 /// first, best bound first, the rest in position order — and the verify
 /// phase claims chunks of it from the front, paying one raw fetch for
 /// every run of queries that kept the same position and still beat their
-/// live thresholds, and reading a claimed chunk's nearby survivors as one
-/// span when the source's gap allows. Workers share one top-k set per query, so the tail of
-/// the candidate list is dropped as soon as any worker tightens the k-th
-/// distance.
+/// live thresholds, and reading a chunk's nearby survivors as one span
+/// when the source's gap allows. Workers share one top-k set per query,
+/// so the tail of the candidate list is dropped as soon as any worker
+/// tightens the k-th distance.
 ///
 /// Each answer is the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,

@@ -571,9 +571,9 @@ pub fn batch_collect_candidates(
 /// survives the tightened thresholds has to be read whatever the order,
 /// and in position order nearby survivors are one span read (see
 /// [`batch_verify_candidates`]) and a sequential walk of an in-memory
-/// collection instead of a seek per series. A list no longer than the head is sorted outright;
-/// then, with one worker and k = 1, no candidate whose bound exceeds the
-/// final distance is fetched at all.
+/// collection instead of a seek per series. A list no longer than the
+/// head is sorted outright; then, with one worker and k = 1, no
+/// candidate whose bound exceeds the final distance is fetched at all.
 ///
 /// The result is a pure function of the *set* of triples — it does not
 /// depend on the order the entries were scanned in or the collect workers
@@ -1296,8 +1296,9 @@ mod tests {
     #[test]
     fn nearby_survivors_are_read_as_one_span_and_counted_at_their_turn() {
         // Runs at 3, 5 (two queries), 7 (dead: its bound can never beat a
-        // threshold), 9 and 60, with a gap of 4 series: 3..=9 is one span
-        // (5 -> 9 leaves 3 series between, the dead 7 among them) and 60
+        // threshold), 10, 12 (dead) and 60, with a gap of 4 series:
+        // 3..=10 is one span (5 -> 10 leaves exactly 4 series between,
+        // the dead 7 among them; the dead 12 does not stretch it) and 60
         // stands alone.
         let (data, _, config) = fixture(80);
         let (q0, q1) = (data.get(7).to_vec(), data.get(20).to_vec());
@@ -1306,7 +1307,8 @@ mod tests {
             (5, 0, 0.2),
             (5, 1, 0.2),
             (7, 0, f32::INFINITY),
-            (9, 1, 0.3),
+            (10, 1, 0.3),
+            (12, 1, f32::INFINITY),
             (60, 0, 0.4),
         ]
         .map(|(pos, query, lb)| BatchCandidate { pos, query, lb });
@@ -1340,9 +1342,9 @@ mod tests {
             )
         };
 
-        let (spans, reads, counts) = run(6, None);
-        assert_eq!(spans, [(3, 7), (60, 1)]);
-        assert_eq!(reads, [3, 4, 5, 6, 7, 8, 9, 60]);
+        let (spans, reads, counts) = run(7, None);
+        assert_eq!(spans, [(3, 8), (60, 1)]);
+        assert_eq!(reads, [3, 4, 5, 6, 7, 8, 9, 10, 60]);
         assert_eq!(
             counts,
             (4, 5),
@@ -1351,10 +1353,10 @@ mod tests {
 
         // Spans stay inside a claimed chunk.
         let (spans, _, counts) = run(3, None);
-        assert_eq!(spans, [(3, 3), (9, 1), (60, 1)]);
+        assert_eq!(spans, [(3, 3), (10, 1), (60, 1)]);
         assert_eq!(counts, (4, 5));
 
-        // Both thresholds collapse while the span is read: 5 and 9 were
+        // Both thresholds collapse while the span is read: 5 and 10 were
         // read but are stale at their turn, so only 3 counts, and 60 is
         // never read.
         let collapse = |shared: &SharedPruners| {
@@ -1362,9 +1364,9 @@ mod tests {
                 dsidx_sync::Pruner::insert(topk.as_ref(), 0.0, 39);
             }
         };
-        let (spans, reads, counts) = run(6, Some(&collapse));
-        assert_eq!(spans, [(3, 7)]);
-        assert_eq!(reads, [3, 4, 5, 6, 7, 8, 9]);
+        let (spans, reads, counts) = run(7, Some(&collapse));
+        assert_eq!(spans, [(3, 8)]);
+        assert_eq!(reads, [3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(counts, (1, 1));
     }
 

@@ -24,16 +24,11 @@ pub struct SeriesFetcher<'a, S: RawSource> {
 }
 
 impl<'a, S: RawSource> SeriesFetcher<'a, S> {
-    /// Wraps a source; the on-disk path gets one scratch buffer, the
-    /// zero-copy in-memory path allocates nothing.
+    /// Wraps a source; the scratch buffer is sized by the first read, so
+    /// the zero-copy in-memory path allocates nothing.
     #[must_use]
     pub fn new(source: &'a S) -> Self {
         let memory = source.as_memory();
-        let scratch = if memory.is_some() {
-            Vec::new()
-        } else {
-            vec![0.0f32; source.series_len()]
-        };
         let span_gap = if memory.is_some() {
             0
         } else {
@@ -43,7 +38,7 @@ impl<'a, S: RawSource> SeriesFetcher<'a, S> {
             source,
             memory,
             span_gap,
-            scratch,
+            scratch: Vec::new(),
         }
     }
 
@@ -83,7 +78,7 @@ impl<'a, S: RawSource> SeriesFetcher<'a, S> {
         if let Some(ds) = self.memory {
             return Ok(ds.get(pos));
         }
-        // A span may have grown the buffer.
+        // Sized for one series: the first read, or one after a span.
         self.scratch.resize(self.source.series_len(), 0.0);
         self.source.read_into(pos, &mut self.scratch)?;
         Ok(&self.scratch)
