@@ -11,9 +11,9 @@
 //! query (constant per batch ⇒ shrinking as 1/B for every engine; ADS+
 //! runs ParIS's two broadcasts on a one-worker pool) and raw series fetched once versus the per-query
 //! requests they served (ADS+ and ParIS share raw reads across a batch;
-//! MESSI in memory answers each query from its own reads, so the two
-//! columns are equal). Around t is where MESSI's resident schedule turns
-//! from every worker on one query into whole queries per worker.
+//! MESSI answers each query from its own reads, so the two columns are
+//! equal). Around t is where MESSI's schedule turns from every worker on
+//! one query into whole queries per worker.
 
 use crate::{core_ladder, f, mem_dataset, ms, queries, time, Scale, Table};
 use dsidx::prelude::*;

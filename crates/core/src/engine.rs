@@ -230,15 +230,21 @@ impl<S> Index<S> {
             (Fidelity::Exact, Engine::Messi, _) => {
                 dsidx_messi::exact(tree, source, queries, measure, k, threads, shard)
             }
-            (Fidelity::Exact, _, Measure::Euclidean) => {
+            (
+                Fidelity::Exact,
+                Engine::Ads | Engine::Paris | Engine::ParisPlus,
+                Measure::Euclidean,
+            ) => {
                 let (leaves, workers) = (self.leaves.as_ref(), self.engine.workers(&self.options));
                 dsidx_paris::exact(tree, leaves, source, queries, k, workers, shard)
             }
             // The scan engines have no DTW index path: the one parallel UCR
             // scan over the raw source (still exact, just index-free).
-            (Fidelity::Exact, _, Measure::Dtw { band }) => {
-                dsidx_ucr::scan_dtw_parallel(source, queries, band, k, threads, shard)
-            }
+            (
+                Fidelity::Exact,
+                Engine::Ads | Engine::Paris | Engine::ParisPlus,
+                Measure::Dtw { band },
+            ) => dsidx_ucr::scan_dtw_parallel(source, queries, band, k, threads, shard),
             (Fidelity::Approximate, _, Measure::Euclidean) => {
                 self.approx(source, queries, k, |q| PreparedQuery::new(quantizer, q))
             }

@@ -949,13 +949,14 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let mut sharded = ShardedIndex::build_in_memory(&data, 3, Engine::Messi, &opts).unwrap();
         sharded.fault_inject_shard(1, 0).unwrap();
-        // Exact: the error names the phase and the failing shard.
+        // Exact: the error names the phase, the failing shard and the query
+        // whose read failed (whichever a worker claimed first).
         let err = sharded
             .search(&qrefs, &QuerySpec::knn(3))
             .expect_err("shard 1 cannot read anything");
         let msg = err.to_string();
         assert!(
-            msg.contains("during") && msg.contains("(shard 1)"),
+            msg.contains("during") && msg.contains("(shard 1, query "),
             "unexpected message: {msg}"
         );
         // Approximate: the per-query loop adds the query index too.

@@ -151,7 +151,7 @@ fn summarize_per_thread(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) ->
         let mut paa = vec![0.0f32; segments];
         let mut parts: Vec<Vec<LeafEntry>> = Vec::new();
         parts.resize_with(root_count, Vec::new);
-        while let Some(range) = queue.claim_chunk(cfg.chunk_series) {
+        while let Some(range) = queue.claim_chunk(CHUNK_SERIES) {
             for pos in range {
                 let word = quantizer.word_into(data.get(pos), &mut paa);
                 parts[usize::from(tree.root_key(&word))].push(LeafEntry::new(word, pos as u32));
@@ -176,6 +176,11 @@ fn summarize_per_thread(data: &Dataset, cfg: &MessiConfig, tree: &TreeConfig) ->
     }
     buffers
 }
+
+/// Series a stage-1 worker claims at once by Fetch&Inc: 1,024 summaries
+/// amortise the claim and still leave a collection of a few thousand
+/// series split across workers.
+const CHUNK_SERIES: usize = 1024;
 
 /// Root subtrees a stage-2 worker claims at once, and grows into one
 /// fragment: few enough fragments (128 at 200k series) that the stitch
@@ -289,7 +294,7 @@ mod tests {
     use dsidx_tree::Index;
 
     fn cfg(threads: usize) -> MessiConfig {
-        MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(50)
+        MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads)
     }
 
     #[test]
@@ -308,7 +313,9 @@ mod tests {
 
     #[test]
     fn parallel_build_is_deterministic_across_runs_and_threads() {
-        let data = DatasetKind::Synthetic.generate(800, 64, 17);
+        // Several summarization chunks, so the collection is split across
+        // workers.
+        let data = DatasetKind::Synthetic.generate(5 * CHUNK_SERIES + 300, 64, 17);
         let (first, _) = build(&data, &cfg(1));
         for threads in [2usize, 4, 8] {
             for _ in 0..2 {

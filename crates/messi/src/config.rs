@@ -9,32 +9,17 @@ pub struct MessiConfig {
     pub tree: TreeConfig,
     /// Worker thread count.
     pub threads: usize,
-    /// Series per Fetch&Inc chunk during summarization.
-    pub chunk_series: usize,
 }
 
 impl MessiConfig {
     /// A configuration with the paper's defaults.
     #[must_use]
     pub fn new(tree: TreeConfig, threads: usize) -> Self {
-        Self {
-            tree,
-            threads,
-            chunk_series: 1024,
-        }
-    }
-
-    /// Sets the summarization chunk size.
-    #[must_use]
-    pub fn with_chunk_series(mut self, chunk_series: usize) -> Self {
-        assert!(chunk_series > 0, "chunk size must be non-zero");
-        self.chunk_series = chunk_series;
-        self
+        Self { tree, threads }
     }
 
     pub(crate) fn validate(&self) {
         assert!(self.threads > 0, "thread count must be non-zero");
-        assert!(self.chunk_series > 0, "chunk size must be non-zero");
     }
 }
 
@@ -47,9 +32,6 @@ mod tests {
         let tree = TreeConfig::new(64, 8, 10).unwrap();
         let cfg = MessiConfig::new(tree, 8);
         assert_eq!(cfg.threads, 8);
-        assert_eq!(cfg.chunk_series, 1024);
-        let cfg = cfg.with_chunk_series(64);
-        assert_eq!(cfg.chunk_series, 64);
         cfg.validate();
     }
 

@@ -15,14 +15,14 @@
 //! (`lb_keogh_rev_pruned` is the reversed one's share) and `dtw_cells`
 //! says how far the DTWs that did start got.
 //!
-//! The schedules are the Euclidean ones ([`crate::query`] — claim and help
-//! on a resident source, shared fetch on any other), entered through the
-//! same [`exact`](crate::query::exact) with `Measure::Dtw { band }`, which
-//! prepares each query as a [`DtwPrepared`](dsidx_query::DtwPrepared):
-//! interval tables instead of point tables, the cascade at the leaves, and
-//! `Phase::DtwCascade` as the phase the broadcast is booked under. This
-//! module holds no code of its own, only the DTW tests of those schedules.
-//! Like the ED path the schedules are generic over
+//! The schedule is the Euclidean one ([`crate::query`]: claim and help),
+//! entered through the same [`exact`](crate::query::exact) with
+//! `Measure::Dtw { band }`, which prepares each query as a
+//! [`DtwPrepared`](dsidx_query::DtwPrepared): interval tables instead of
+//! point tables, the cascade at the leaves, and `Phase::DtwCascade` as the
+//! phase the broadcast is booked under. This module holds no code of its
+//! own, only the DTW tests of that schedule. Like the ED path the
+//! schedule is generic over
 //! [`RawSource`](dsidx_storage::RawSource): the cascade's first stage
 //! prunes from the leaf summaries alone, so an on-disk source pays
 //! positioned reads only for entries that survive the iSAX bound — this is
@@ -45,7 +45,7 @@ mod tests {
     use dsidx_ucr::dtw::brute_force_dtw;
 
     fn cfg(threads: usize) -> MessiConfig {
-        MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(64)
+        MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads)
     }
 
     /// [`exact`] under banded DTW for a batch, on `threads` workers.
@@ -173,25 +173,24 @@ mod tests {
                             "q{qi} band={band} k={k} x{threads}"
                         );
                     }
-                    // A resident source is traversed per query, and each
-                    // query's leaf funnel is exact.
+                    // Every query is traversed on its own, and each query's
+                    // leaf funnel is exact.
                     for (qi, q) in stats.per_query.iter().enumerate() {
                         assert!(q.leaves_enqueued > 0, "q{qi} band={band} k={k} x{threads}");
                         assert_funnel_exact(q);
                     }
                     assert_eq!(stats.shared.leaves_enqueued, 0);
                     // The same batch over a source that is not resident
-                    // is traversed once for the whole batch: same answers,
-                    // the funnel in the shared slice, fetches shared.
+                    // runs the same schedule: same answers, per-query
+                    // funnels, one read per request.
                     let file = FlakySource::new(data.clone(), u64::MAX);
                     let (on_file, stats) =
                         knn_dtw_batch(&messi, &file, &qrefs, band, k, threads).unwrap();
                     assert_eq!(on_file, batched, "band={band} k={k} x{threads}");
                     assert_eq!(stats.broadcasts, 1);
-                    assert!(stats.shared.leaves_enqueued > 0);
-                    assert_funnel_exact(&stats.shared);
-                    assert!(stats.per_query.iter().all(|q| q.leaves_enqueued == 0));
-                    assert!(stats.series_fetched <= stats.series_requests);
+                    stats.per_query.iter().for_each(assert_funnel_exact);
+                    assert_eq!(stats.shared.leaves_enqueued, 0);
+                    assert_eq!(stats.series_fetched, stats.series_requests);
                 }
             }
         }

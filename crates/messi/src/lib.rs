@@ -19,16 +19,15 @@
 //!   The paper collects the leaves in locked minimum priority queues
 //!   filled round-robin; since they are only ever filled, then drained,
 //!   this reproduction uses per-worker sorted runs claimed by Fetch&Inc
-//!   instead (see [`pqueue`]) — same order, no lock per leaf. Over a
-//!   resident dataset a batch is answered by workers that claim whole
-//!   queries and, once none is left, join the unfinished ones through the
-//!   same root claims and run cursors; over a non-resident one fetches are
-//!   shared across the batch ([`query`] has both schedules).
+//!   instead (see [`pqueue`]) — same order, no lock per leaf. A batch is
+//!   answered by workers that claim whole queries and, once none is left,
+//!   join the unfinished ones through the same root claims and run cursors
+//!   ([`query`] has the schedule), whatever source holds the raw series.
 //!
 //! The paper positions MESSI as in-memory; this reproduction additionally
 //! makes every query path generic over `dsidx_storage::RawSource` and adds
-//! a streaming build path ([`build_from_file`]), so the same schedules
-//! answer from an on-disk dataset file with candidate reads charged to the
+//! a streaming build path ([`build_from_file`]), so the same schedule
+//! answers from an on-disk dataset file with candidate reads charged to the
 //! modeled device — the storage blend the paper's successor systems
 //! (Hercules, SING) explore. Raw-read failures mid-query surface as
 //! `Err(StorageError)`, never a worker panic.

@@ -17,9 +17,6 @@
 //!   run (its cursor swapped to the end), which also counts the leaves
 //!   never claimed. A publisher drains its own run until it is exhausted
 //!   or closed, so no run waits on a peer.
-//!
-//! Only shared fetch (non-resident sources) attaches anything to a leaf:
-//! one bound per query of the batch, in an `f32` arena beside the keys.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -58,9 +55,6 @@ fn unpack(item: u64) -> (f32, u32) {
 #[derive(Debug, Default)]
 pub struct RunBuilder {
     items: Vec<u64>,
-    /// Per-query bounds of each pushed leaf, in push order (`width` per
-    /// leaf); empty on the resident schedule.
-    bounds: Vec<f32>,
 }
 
 impl RunBuilder {
@@ -82,28 +76,16 @@ impl RunBuilder {
         self.items.is_empty()
     }
 
-    /// Appends leaf `leaf` under ordering key `key`, carrying `bounds`
-    /// (one node-level bound per query of a shared-fetch batch; empty on
-    /// the resident schedule, whose only bound is the key).
+    /// Appends leaf `leaf` under ordering key `key`, its lower bound.
     ///
     /// # Panics
     /// Panics if `key` is negative or NaN (lower bounds are non-negative,
     /// and the bit-pattern ordering depends on it).
     #[inline]
-    pub fn push(&mut self, key: f32, leaf: u32, bounds: &[f32]) {
+    pub fn push(&mut self, key: f32, leaf: u32) {
         assert!(key >= 0.0, "run keys are non-negative lower bounds");
-        self.bounds.extend_from_slice(bounds);
         self.items.push(pack(key, leaf));
     }
-}
-
-/// A run sorted for the shared drain.
-#[derive(Debug)]
-struct SortedRun {
-    items: Vec<u64>,
-    /// Push index of each sorted item — its row in `bounds` (none at width 0).
-    rows: Vec<u32>,
-    bounds: Vec<f32>,
 }
 
 /// A published run and its claim cursor. Aligned to a cache line so
@@ -112,7 +94,8 @@ struct SortedRun {
 #[derive(Debug, Default)]
 struct Run {
     cursor: AtomicUsize,
-    sorted: OnceLock<SortedRun>,
+    /// The run's leaves, sorted for the shared drain.
+    sorted: OnceLock<Vec<u64>>,
 }
 
 impl Run {
@@ -132,19 +115,15 @@ impl Run {
 /// The per-query set of leaf runs, one slot per worker.
 #[derive(Debug)]
 pub struct LeafRuns {
-    /// Bounds carried per leaf (the batch size on the shared-fetch batch
-    /// schedule; 0 on the resident one).
-    width: usize,
     runs: Box<[Run]>,
 }
 
 impl LeafRuns {
-    /// `workers` unpublished runs whose leaves each carry `width` bounds.
+    /// `workers` unpublished runs.
     #[must_use]
-    pub fn new(workers: usize, width: usize) -> Self {
+    pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "need at least one run");
         Self {
-            width,
             runs: (0..workers).map(|_| Run::default()).collect(),
         }
     }
@@ -154,32 +133,12 @@ impl LeafRuns {
     /// traversal ends; peers may be draining the other slots meanwhile.
     ///
     /// # Panics
-    /// Panics on a second publish for the same worker, or if some leaf
-    /// does not carry exactly `width` bounds.
+    /// Panics on a second publish for the same worker.
     pub fn publish(&self, worker: usize, run: RunBuilder) {
-        let RunBuilder { mut items, bounds } = run;
-        assert_eq!(
-            bounds.len(),
-            items.len() * self.width,
-            "every leaf carries one bound per query"
-        );
-        let rows = if self.width == 0 {
-            items.sort_unstable();
-            Vec::new()
-        } else {
-            let mut tagged: Vec<(u64, u32)> = items.iter().copied().zip(0u32..).collect();
-            tagged.sort_unstable();
-            let (sorted, rows) = tagged.into_iter().unzip();
-            items = sorted;
-            rows
-        };
-        let sorted = SortedRun {
-            items,
-            rows,
-            bounds,
-        };
+        let mut items = run.items;
+        items.sort_unstable();
         assert!(
-            self.runs[worker].sorted.set(sorted).is_ok(),
+            self.runs[worker].sorted.set(items).is_ok(),
             "worker {worker} published its run twice"
         );
     }
@@ -198,7 +157,7 @@ impl LeafRuns {
             run.sorted.get().is_some_and(|sorted| {
                 // ORDERING: relaxed — a hint; the drain that acts on it
                 // claims through its own `fetch_add`.
-                run.cursor.load(Ordering::Relaxed) < sorted.items.len()
+                run.cursor.load(Ordering::Relaxed) < sorted.len()
             })
         })
     }
@@ -228,16 +187,16 @@ impl Ahead<'_> {
 }
 
 /// MESSI's best-bound-first processing: from the worker's own run on, claim
-/// leaves in ascending bound order and hand `(bound, leaf, per-query
-/// bounds, what comes next)` to `on_pop`; leave a run when it is exhausted
-/// or `on_pop` abandons it (closing it for everyone). Unpublished slots
-/// are skipped — their publishers drain them. Returns the leaves this
+/// leaves in ascending bound order and hand `(bound, leaf, what comes
+/// next)` to `on_pop`; leave a run when it is exhausted or `on_pop`
+/// abandons it (closing it for everyone). Unpublished slots are skipped —
+/// their publishers drain them. Returns the leaves this
 /// worker's abandons left unclaimed, each counted by exactly one worker:
 /// once every run is exhausted or closed, `popped + returned == published`.
 pub fn drain_best_first(
     runs: &LeafRuns,
     worker: usize,
-    mut on_pop: impl FnMut(f32, u32, &[f32], Ahead<'_>) -> Drain,
+    mut on_pop: impl FnMut(f32, u32, Ahead<'_>) -> Drain,
 ) -> u64 {
     let n = runs.runs.len();
     let mut pops = 0u64;
@@ -247,22 +206,18 @@ pub fn drain_best_first(
         let Some(sorted) = run.sorted.get() else {
             continue;
         };
-        let len = sorted.items.len();
+        let len = sorted.len();
         loop {
             // ORDERING: relaxed — Fetch&Inc claim: the index is the whole
             // payload; the items it indexes were published through the
             // `OnceLock` (acquired by `get` above).
             let i = run.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&item) = sorted.items.get(i) else {
+            let Some(&item) = sorted.get(i) else {
                 break;
             };
             pops += 1;
             let (key, leaf) = unpack(item);
-            let bounds = sorted.rows.get(i).map_or(&[][..], |&row| {
-                &sorted.bounds[row as usize * runs.width..][..runs.width]
-            });
-            let ahead = Ahead(&sorted.items[i..]);
-            if matches!(on_pop(key, leaf, bounds, ahead), Drain::Abandon) {
+            if matches!(on_pop(key, leaf, Ahead(&sorted[i..])), Drain::Abandon) {
                 unclaimed += run.close(len);
                 break;
             }
@@ -283,14 +238,14 @@ mod tests {
     fn run_of(keys: &[(f32, u32)]) -> RunBuilder {
         let mut run = RunBuilder::new();
         for &(k, v) in keys {
-            run.push(k, v, &[]);
+            run.push(k, v);
         }
         run
     }
 
     fn drain_all(runs: &LeafRuns, worker: usize) -> Vec<(f32, u32)> {
         let mut out = Vec::new();
-        let unclaimed = drain_best_first(runs, worker, |k, v, _, _| {
+        let unclaimed = drain_best_first(runs, worker, |k, v, _| {
             out.push((k, v));
             Drain::Processed
         });
@@ -300,7 +255,7 @@ mod tests {
 
     #[test]
     fn pops_in_ascending_key_order() {
-        let runs = LeafRuns::new(1, 0);
+        let runs = LeafRuns::new(1);
         runs.publish(
             0,
             run_of(&[(3.0, 30), (1.0, 10), (2.0, 20), (0.5, 5), (1.0, 7)]),
@@ -314,7 +269,7 @@ mod tests {
 
     #[test]
     fn zero_key_allowed() {
-        let runs = LeafRuns::new(1, 0);
+        let runs = LeafRuns::new(1);
         runs.publish(0, run_of(&[(0.0, 1)]));
         assert_eq!(drain_all(&runs, 0), vec![(0.0, 1)]);
     }
@@ -322,64 +277,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_key_panics() {
-        RunBuilder::new().push(-1.0, 0, &[]);
+        RunBuilder::new().push(-1.0, 0);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn nan_key_panics() {
-        RunBuilder::new().push(f32::NAN, 0, &[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one bound per query")]
-    fn wrong_bounds_width_panics() {
-        let runs = LeafRuns::new(1, 2);
-        let mut run = RunBuilder::new();
-        run.push(1.0, 0, &[1.0]);
-        runs.publish(0, run);
+        RunBuilder::new().push(f32::NAN, 0);
     }
 
     #[test]
     #[should_panic(expected = "published its run twice")]
     fn double_publish_panics() {
-        let runs = LeafRuns::new(1, 0);
+        let runs = LeafRuns::new(1);
         runs.publish(0, RunBuilder::new());
         runs.publish(0, RunBuilder::new());
-    }
-
-    #[test]
-    fn bounds_travel_with_their_leaf_through_the_sort() {
-        let runs = LeafRuns::new(2, 3);
-        let mut a = RunBuilder::new();
-        a.push(5.0, 50, &[5.0, 6.0, 7.0]);
-        a.push(1.0, 10, &[1.0, 2.0, 3.0]);
-        let mut b = RunBuilder::new();
-        b.push(2.0, 20, &[2.0, 9.0, 4.0]);
-        runs.publish(0, a);
-        runs.publish(1, b);
-        let mut seen = Vec::new();
-        drain_best_first(&runs, 1, |k, leaf, bounds, _| {
-            assert_eq!(bounds[0], k);
-            seen.push((leaf, bounds.to_vec()));
-            Drain::Processed
-        });
-        // Own run first, then the other, each ascending.
-        assert_eq!(
-            seen,
-            vec![
-                (20, vec![2.0, 9.0, 4.0]),
-                (10, vec![1.0, 2.0, 3.0]),
-                (50, vec![5.0, 6.0, 7.0]),
-            ]
-        );
     }
 
     #[test]
     fn drain_best_first_visits_everything_and_honors_abandon() {
         // No abandoning: every item of every run is handed out exactly
         // once, own run first; empty runs are fine.
-        let runs = LeafRuns::new(3, 0);
+        let runs = LeafRuns::new(3);
         runs.publish(0, run_of(&[(4.0, 4), (0.0, 0), (2.0, 2)]));
         runs.publish(1, RunBuilder::new());
         runs.publish(2, run_of(&[(3.0, 3), (1.0, 1)]));
@@ -392,13 +311,13 @@ mod tests {
 
         // Abandoning at a key closes the run wholesale: later items of
         // that run are never handed out, and are counted as unclaimed.
-        let runs = LeafRuns::new(1, 0);
+        let runs = LeafRuns::new(1);
         runs.publish(
             0,
             run_of(&(0..10).map(|i| (i as f32, i)).collect::<Vec<_>>()),
         );
         let mut popped = Vec::new();
-        let unclaimed = drain_best_first(&runs, 0, |k, v, _, _| {
+        let unclaimed = drain_best_first(&runs, 0, |k, v, _| {
             popped.push(v);
             if k >= 4.0 {
                 Drain::Abandon
@@ -412,13 +331,13 @@ mod tests {
 
     #[test]
     fn close_is_idempotent_and_counted() {
-        let runs = LeafRuns::new(2, 0);
+        let runs = LeafRuns::new(2);
         runs.publish(0, run_of(&[(1.0, 1), (2.0, 2), (3.0, 3)]));
         runs.publish(1, run_of(&[(1.5, 15), (2.5, 25)]));
         // Abandon run 0 at its first pop; run 1 stays open and is drained
         // in full — an abandon closes only its own run.
         let mut popped = Vec::new();
-        let unclaimed = drain_best_first(&runs, 0, |_, v, _, _| {
+        let unclaimed = drain_best_first(&runs, 0, |_, v, _| {
             popped.push(v);
             if v == 1 {
                 Drain::Abandon
@@ -431,7 +350,7 @@ mod tests {
         // The never-claimed leaves are counted exactly once: closing again
         // (or draining again) finds nothing.
         assert_eq!(runs.runs[0].close(3), 0);
-        let unclaimed = drain_best_first(&runs, 1, |_, _, _, _| panic!("nothing left to pop"));
+        let unclaimed = drain_best_first(&runs, 1, |_, _, _| panic!("nothing left to pop"));
         assert_eq!(unclaimed, 0);
     }
 
@@ -441,7 +360,7 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             // Fill, publish, barrier, drain — the shape of a query. Worker
             // `t` leaves its run empty when `t % 4 == 3`.
-            let runs = LeafRuns::new(threads, 1);
+            let runs = LeafRuns::new(threads);
             let barrier = Barrier::new(threads);
             let total: usize = (0..threads).filter(|t| t % 4 != 3).count() * PER_WORKER;
             let seen: Vec<AtomicU64> = (0..threads * PER_WORKER)
@@ -458,7 +377,7 @@ mod tests {
                                 // Descending keys: the sort has work to do.
                                 let id = t * PER_WORKER + i;
                                 let key = (PER_WORKER - i) as f32;
-                                run.push(key, id as u32, &[key]);
+                                run.push(key, id as u32);
                             }
                         }
                         runs.publish(t, run);
@@ -467,8 +386,7 @@ mod tests {
                         // key seen per source run.
                         let mut last = vec![0.0f32; threads];
                         let mut mine = 0u64;
-                        let unclaimed = drain_best_first(runs, t, |k, leaf, bounds, _| {
-                            assert_eq!(bounds, [k]);
+                        let unclaimed = drain_best_first(runs, t, |k, leaf, _| {
                             let from = leaf as usize / PER_WORKER;
                             assert!(k >= last[from], "run {from} out of order");
                             last[from] = k;
@@ -497,7 +415,7 @@ mod tests {
     fn concurrent_abandons_account_for_every_leaf_exactly_once() {
         const PER_WORKER: usize = 400;
         for threads in [2usize, 3, 8] {
-            let runs = LeafRuns::new(threads, 0);
+            let runs = LeafRuns::new(threads);
             let barrier = Barrier::new(threads);
             let popped = AtomicU64::new(0);
             let unclaimed = AtomicU64::new(0);
@@ -507,14 +425,14 @@ mod tests {
                     s.spawn(move || {
                         let mut run = RunBuilder::new();
                         for i in 0..PER_WORKER {
-                            run.push(i as f32, (t * PER_WORKER + i) as u32, &[]);
+                            run.push(i as f32, (t * PER_WORKER + i) as u32);
                         }
                         runs.publish(t, run);
                         barrier.wait();
                         // Everyone abandons at the same bound, so several
                         // workers race to close the same run.
                         let mut mine = 0u64;
-                        let left = drain_best_first(runs, t, |k, _, _, _| {
+                        let left = drain_best_first(runs, t, |k, _, _| {
                             mine += 1;
                             if k >= 100.0 {
                                 Drain::Abandon
@@ -539,7 +457,7 @@ mod tests {
 
     #[test]
     fn unpublished_slots_are_skipped_until_their_publisher_arrives() {
-        let runs = LeafRuns::new(3, 0);
+        let runs = LeafRuns::new(3);
         assert!(!runs.has_unclaimed());
         runs.publish(1, run_of(&[(2.0, 20), (1.0, 10)]));
         assert!(runs.is_published(1) && !runs.is_published(0));
@@ -550,7 +468,7 @@ mod tests {
         // A late publisher drains its own run; nothing is popped twice.
         runs.publish(0, run_of(&[(0.5, 5), (3.0, 30), (4.0, 40)]));
         let mut ahead = Vec::new();
-        let unclaimed = drain_best_first(&runs, 0, |_, leaf, _, next| {
+        let unclaimed = drain_best_first(&runs, 0, |_, leaf, next| {
             ahead.push((leaf, next.leaf(1), next.leaf(2)));
             Drain::Processed
         });
@@ -576,7 +494,7 @@ mod tests {
             // its peers are draining. Worker `t` leaves its run empty when
             // `t % 4 == 3`; odd runs are closed at a bound, the others
             // drained to exhaustion.
-            let runs = LeafRuns::new(threads, 0);
+            let runs = LeafRuns::new(threads);
             let published = AtomicUsize::new(0);
             let first_passes = AtomicUsize::new(0);
             let total = (0..threads).filter(|t| t % 4 != 3).count() * PER_WORKER;
@@ -599,20 +517,20 @@ mod tests {
                         let mut run = RunBuilder::new();
                         if t % 4 != 3 {
                             for i in 0..PER_WORKER {
-                                run.push(i as f32, (t * PER_WORKER + i) as u32, &[]);
+                                run.push(i as f32, (t * PER_WORKER + i) as u32);
                             }
                         }
                         runs.publish(t, run);
                         // ORDERING: release — see the acquire above.
                         published.fetch_add(1, Ordering::Release);
                         // Keep draining while runs are still to come or
-                        // hold unclaimed leaves, as an idle resident
+                        // hold unclaimed leaves, as an idle MESSI
                         // worker does.
                         let mut left = 0;
                         for pass in 0.. {
                             // ORDERING: acquire — see the release above.
                             let all_published = published.load(Ordering::Acquire) == threads;
-                            left += drain_best_first(runs, t, |k, leaf, _, _| {
+                            left += drain_best_first(runs, t, |k, leaf, _| {
                                 // ORDERING: relaxed — test tally read after
                                 // the scope joins.
                                 seen[leaf as usize].fetch_add(1, Ordering::Relaxed);

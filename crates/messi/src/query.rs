@@ -20,7 +20,7 @@
 //!
 //! Query preparation, approximate-descent seeding and the per-leaf loops
 //! come from the shared kernel (`dsidx-query`), generic over the
-//! [`Prepared`] query, so that one pair of schedules answers both measures
+//! [`Prepared`] query, so that one schedule answers both measures
 //! (see [`crate::dtw`] for what DTW changes). This module contributes the
 //! MESSI scheduling and the crate's entry point, [`exact`], which takes the
 //! [`Measure`] as a value and prepares each query under it. All tree reads
@@ -29,40 +29,46 @@
 //! [`approx_best_leaf`](dsidx_query::approx_best_leaf), over the same
 //! tree.
 //!
-//! # Which schedule runs
+//! # The schedule
 //!
-//! [`exact`] picks one of two schedules from the source's residence, and
-//! from nothing else (there is no option, environment variable or feature
-//! behind it):
+//! [`exact`] runs one schedule for every [`RawSource`] — the resident
+//! dataset, a dataset file, a fault-injecting wrapper — with no option,
+//! environment variable or feature behind it: **claim and help**. Each
+//! worker claims the next query from a [`WorkQueue`], prepares it, seeds
+//! it from its own leaf and opens it to its peers, then runs its share of
+//! the traversal into its own run, publishes the run and drains
+//! best-bound-first. A worker that finds the queue empty joins an open
+//! query that still has work: its traversal while a participant is still
+//! traversing, its published runs while they hold unclaimed leaves. A
+//! batch of one is the paper's schedule (every worker on the one query); a
+//! batch of 64 is whole queries per worker with the tail shared. Every
+//! distance attempt reads its own series, so a call reports
+//! `series_fetched == series_requests`.
 //!
-//! | source | schedule |
-//! |---|---|
-//! | resident (`as_memory()` is `Some`) | **claim and help**: each worker claims the next query from a [`WorkQueue`], prepares it, seeds it from its own leaf and opens it to its peers, then runs its share of the traversal into its own run, publishes the run and drains best-bound-first. A worker that finds the queue empty joins an open query that still has work: its traversal while a participant is still traversing, its published runs while they hold unclaimed leaves. A batch of one is the paper's schedule (every worker on the one query); a batch of 64 is whole queries per worker with the tail shared. |
-//! | non-resident | **shared fetch**: one traversal for the whole batch ([`BatchTraversal`]), a popped leaf processed once and each surviving series read once for every query that wants it — on a device that charges per read, one fetch serving many queries is the saving that matters. |
+//! The schedule has no barrier. Every published run is drained by its
+//! publisher until it is exhausted or closed, so exactness never waits on
+//! a peer. A worker with nothing to do waits (spinning, then yielding)
+//! only while some query is still being opened or has a participant that
+//! has not published its run, and stops waiting as soon as a peer records
+//! an error.
 //!
-//! The resident schedule has no barrier. Every published run is drained
-//! by its publisher until it is exhausted or closed, so exactness never
-//! waits on a peer. A worker with nothing to do waits (spinning, then
-//! yielding) only while some query is still being opened or has a
-//! participant that has not published its run, and stops waiting as soon
-//! as a peer records an error.
+//! A call is one pool broadcast, and its answers are bit-identical across
+//! thread counts and sources: every reported distance comes from the same
+//! bounded kernel, and the top-k collectors break ties by position.
 //!
-//! Both schedules are one pool broadcast per call and return bit-identical
-//! answers: every reported distance comes from the same bounded kernel,
-//! and the top-k collectors break ties by position.
-//!
-//! The residence boundary rests on alternating pairs (2 workers; every run
-//! is in CHANGES.md): on a `DiskIndex` (modeled SSD) shared fetch beat
-//! the resident schedules of the time in `repro ondisk` on both measures
-//! (ED 46 vs 57 ms per query, DTW 377 vs 486; 12 of 12 pairs each), by
-//! 14 % for 64 x 10-NN ED per call and by 5x for 64 DTW queries, whose
-//! looser bounds make queries want the same series. It lost 15 % on 64 x
-//! 1-NN ED per call and was level at one query per call. The resident
-//! schedule replaced a width rule (whole queries from `threads` queries
-//! per call up, all workers on each query below); `repro throughput
-//! --scale small` (100k x 256, 10-NN, 2 workers, 16 alternating runs,
-//! µs per query, rule → this schedule) reads 379 → 391 at width 1, 472 →
-//! 384 at t, 446 → 348 at t + 1, 409 → 368 at 2t and 345 → 356 at 64.
+//! Claim and help replaced a width rule (whole queries from `threads`
+//! queries per call up, all workers on each query below); `repro
+//! throughput --scale small` (100k x 256, 10-NN, 2 workers, 16 alternating
+//! runs, µs per query, rule → this schedule) reads 379 → 391 at width 1,
+//! 472 → 384 at t, 446 → 348 at t + 1, 409 → 368 at 2t and 345 → 356 at
+//! 64. It also replaced a second schedule for non-resident sources that
+//! walked the tree once per batch and read each surviving series once for
+//! every query that wanted it. On a `DiskIndex` (modeled SSD, 2 workers,
+//! alternating runs in the README) claim and help is ahead in `repro
+//! ondisk` (ED 43.1 → 39.7 ms per query, DTW 284.5 → 278), level at one
+//! query per call and 2 % behind at 64 x 1-NN ED per call; it is behind
+//! on wide batches no workload issues, where one read served several
+//! queries (64 x 10-NN ED 44.9 → 59.2, 64 x DTW 1-NN 85 → 373).
 //!
 //! A read failing mid-query (a device dying under load) surfaces as `Err`:
 //! the worker records the first failure in a shared [`ErrorSlot`], with
@@ -70,19 +76,17 @@
 //! joining and waiting, and the coordinator returns the error.
 
 use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
-use crate::traverse::{BatchTraversal, Traversal};
-use dsidx_isax::NodeMindistTable;
+use crate::traverse::Traversal;
 use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
-    approx_leaf_flat, batch_process_leaf_entries, batch_seed_positions, process_leaf_entries,
-    seed_from_entries, BatchStats, DtwPrepared, ErrorSlot, LeafScratch, Measure, Prepared,
-    PreparedQuery, QueryBatch, QueryStats, SeriesFetcher, ShardView,
+    approx_leaf_flat, process_leaf_entries, seed_from_entries, BatchStats, DtwPrepared, ErrorSlot,
+    LeafScratch, Measure, Prepared, PreparedQuery, QueryBatch, QueryStats, SeriesFetcher,
+    ShardView,
 };
-use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
-use dsidx_sync::{OffsetTopK, SpinBarrier, WorkQueue};
+use dsidx_sync::{OffsetTopK, WorkQueue};
 use dsidx_tree::FlatTree;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,20 +104,18 @@ const LOOKAHEAD: usize = 4;
 /// dozen 17-byte words) in full.
 const LEAF_PREFETCH_LINES: usize = 4;
 
-/// Everything the two schedules share for one call. `P` is what the
-/// batch holds per query: `()` on a resident source (each query is
-/// prepared by the worker that claims it), the [`Prepared`] query itself
-/// under shared fetch.
-struct Call<'a, 'q, P, S> {
+/// Everything the schedule shares for one call. The batch holds no
+/// prepared state: each query is prepared by the worker that claims it.
+struct Call<'a, 'q, S> {
     tree: &'a FlatTree,
     source: &'a S,
     threads: usize,
-    batch: &'a QueryBatch<'q, P>,
+    batch: &'a QueryBatch<'q, ()>,
     errors: &'a ErrorSlot,
 }
 
-/// [`exact`] for queries prepared by `prepare`: builds the batch, picks
-/// the schedule (see the module docs), runs it in one broadcast.
+/// [`exact`] for queries prepared by `prepare`: builds the batch and runs
+/// the schedule (see the module docs) in one broadcast.
 fn exact_batch<Q: Prepared>(
     tree: &FlatTree,
     source: &impl RawSource,
@@ -129,41 +131,26 @@ fn exact_batch<Q: Prepared>(
     }
     assert!(threads > 0, "thread count must be non-zero");
     let mut clock = PhaseClock::start();
+    let batch = QueryBatch::prepared(queries, k, shard, |_| ());
     if tree.entry_count() == 0 || queries.is_empty() {
-        let batch = QueryBatch::prepared(queries, k, shard, |_| ());
-        return Ok(batch.finish(0, QueryStats::default()));
+        return Ok(batch.finish(0));
     }
     let errors = ErrorSlot::for_phase(Q::PHASE);
-    if source.as_memory().is_some() {
-        let batch = QueryBatch::prepared(queries, k, shard, |_| ());
-        let call = Call {
-            tree,
-            source,
-            threads,
-            batch: &batch,
-            errors: &errors,
-        };
-        call.resident(&prepare, &mut clock);
-        errors.take()?;
-        // The resident schedule accounts everything per query.
-        Ok(batch.finish(1, QueryStats::default()))
-    } else {
-        let batch = QueryBatch::prepared(queries, k, shard, prepare);
-        let call = Call {
-            tree,
-            source,
-            threads,
-            batch: &batch,
-            errors: &errors,
-        };
-        let shared = call.shared_fetch(&mut clock)?;
-        errors.take()?;
-        Ok(batch.finish(1, shared))
-    }
+    let call = Call {
+        tree,
+        source,
+        threads,
+        batch: &batch,
+        errors: &errors,
+    };
+    call.claim_and_help(&prepare, &mut clock);
+    errors.take()?;
+    // The schedule accounts everything per query.
+    Ok(batch.finish(1))
 }
 
-/// One query of a resident call, opened to every worker by the one that
-/// claimed it: what a peer needs to join its traversal or its drain.
+/// One query of a call, opened to every worker by the one that claimed
+/// it: what a peer needs to join its traversal or its drain.
 struct Open<'a, Q> {
     prep: Q,
     traversal: Traversal<'a, OffsetTopK>,
@@ -184,11 +171,11 @@ enum Help {
     Done,
 }
 
-/// What a resident worker keeps from query to query: its fetcher and
-/// per-leaf scratch, and its tallies — the work it did for each query
-/// (index-aligned with the batch's slots), the phase times it measured and
-/// the series it fetched. The tallies are plain values, merged into the
-/// batch once, when the worker's broadcast ends: a visit takes no lock.
+/// What a worker keeps from query to query: its fetcher and per-leaf
+/// scratch, and its tallies — the work it did for each query (index-aligned
+/// with the batch's slots), the phase times it measured and the series it
+/// fetched. The tallies are plain values, merged into the batch once, when
+/// the worker's broadcast ends: a visit takes no lock.
 struct Worker<'a, S: RawSource> {
     fetcher: SeriesFetcher<'a, S>,
     scratch: LeafScratch,
@@ -197,11 +184,11 @@ struct Worker<'a, S: RawSource> {
     fetched: u64,
 }
 
-impl<'a, S: RawSource> Call<'a, '_, (), S> {
-    /// Resident source, any batch width: workers claim whole queries,
-    /// prepare them with `prepare`, and help unfinished ones once the
-    /// queue is empty (see the module docs).
-    fn resident<Q: Prepared>(
+impl<'a, S: RawSource> Call<'a, '_, S> {
+    /// Any batch width: workers claim whole queries, prepare them with
+    /// `prepare`, and help unfinished ones once the queue is empty (see
+    /// the module docs).
+    fn claim_and_help<Q: Prepared>(
         &self,
         prepare: &(impl Fn(&[f32]) -> Q + Sync),
         clock: &mut PhaseClock,
@@ -249,7 +236,7 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
                 let open = opened[qi].get().expect("worked-on queries are open");
                 self.work_on(qi, open, traverse, worker, &mut me);
             }
-            // Resident data: every distance attempt reads its own series.
+            // Every distance attempt reads its own series.
             batch.count_io(me.fetched, me.fetched);
             batch.merge_locals(&me.locals);
             let mut spent = spent.lock();
@@ -307,7 +294,7 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
         Ok(Open {
             prep,
             traversal,
-            runs: LeafRuns::new(self.threads, 0),
+            runs: LeafRuns::new(self.threads),
             traversing: AtomicUsize::new(1),
         })
     }
@@ -346,7 +333,7 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
             // published.
             open.traversing.fetch_sub(1, Ordering::Release);
         }
-        let unclaimed = drain_best_first(&open.runs, worker, |lb, leaf, _, ahead| {
+        let unclaimed = drain_best_first(&open.runs, worker, |lb, leaf, ahead| {
             if errors.is_set() || lb >= slot.topk.threshold_sq() {
                 // Everything left in this run is at least as far (or a
                 // peer already failed): abandon it wholesale.
@@ -386,130 +373,6 @@ impl<'a, S: RawSource> Call<'a, '_, (), S> {
     }
 }
 
-impl<Q: Prepared, S: RawSource> Call<'_, '_, Q, S> {
-    /// Non-resident source: one traversal and one leaf visit for the whole
-    /// batch, each surviving series read once for every query that still
-    /// wants it. Returns the counters of the work done once for the batch.
-    fn shared_fetch(&self, clock: &mut PhaseClock) -> Result<QueryStats, StorageError> {
-        let Self {
-            tree: flat,
-            batch,
-            errors,
-            ..
-        } = *self;
-        // Every query's node-level table, index-aligned with the slots
-        // (the batch prepared the queries themselves).
-        let node_tables: Vec<NodeMindistTable> = batch
-            .slots()
-            .iter()
-            .map(|slot| slot.prep.node_table(flat.config().quantizer()))
-            .collect();
-        let pool = dsidx_sync::pool::global(self.threads);
-        batch.record_phase(Phase::Prepare, clock.lap());
-
-        // Initial thresholds from the union of the batch's own leaves
-        // (distinct leaves only), cross-seeded into every pruner. Positions
-        // are deduplicated and fetched in position order (sequential-
-        // friendly for on-disk sources).
-        let mut leaf_idxs: Vec<u32> = batch
-            .slots()
-            .iter()
-            .map(|slot| {
-                approx_leaf_flat(flat, slot.prep.word())
-                    .expect("non-empty index has a non-empty leaf")
-            })
-            .collect();
-        leaf_idxs.sort_unstable();
-        leaf_idxs.dedup();
-        let mut positions: Vec<u32> = leaf_idxs
-            .iter()
-            .flat_map(|&idx| flat.leaf_positions(flat.node(idx)))
-            .copied()
-            .collect();
-        positions.sort_unstable();
-        positions.dedup();
-        let mut fetcher = SeriesFetcher::new(self.source);
-        batch_seed_positions(positions.iter().copied(), &mut fetcher, batch)
-            .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-        batch.record_phase(Phase::Seed, clock.lap());
-
-        // Phase A: one cooperative traversal for the whole batch (see
-        // [`BatchTraversal`]); surviving leaves enter the worker's run
-        // keyed by their minimum per-query bound. Phase B: pop best-first;
-        // a popped minimum at or above every query's threshold closes its
-        // whole run; an entry pays per-query bounds and distances only for
-        // queries whose leaf bound survived. One broadcast, phases
-        // separated by a spin barrier; a failed raw read closes the run
-        // and surfaces after the join.
-        let shared = Mutex::new(QueryStats::default());
-        let runs = LeafRuns::new(self.threads, batch.len());
-        let traversal = BatchTraversal::new(flat, &node_tables, batch);
-        let barrier = SpinBarrier::new(self.threads);
-
-        pool.broadcast(&|worker| {
-            // Workers accumulate locally and merge once per broadcast.
-            let mut shared_local = QueryStats::default();
-            let mut locals = vec![QueryStats::default(); batch.len()];
-            let mut run = RunBuilder::new();
-            shared_local.nodes_pruned = traversal.run_worker(&mut run);
-            shared_local.leaves_enqueued = run.len() as u64;
-            runs.publish(worker, run);
-            barrier.wait();
-
-            let mut fetcher = SeriesFetcher::new(self.source);
-            let mut active: Vec<usize> = Vec::with_capacity(batch.len());
-            let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
-            let mut scratch = DtwScratch::new();
-            let unclaimed = drain_best_first(&runs, worker, |min_lb, leaf, lbs, _| {
-                if errors.is_set() || min_lb >= batch.max_threshold_sq() {
-                    // Every remaining leaf in this run is at least as
-                    // far for every query (or a peer already failed):
-                    // abandon it wholesale.
-                    shared_local.leaves_discarded += 1;
-                    return Drain::Abandon;
-                }
-                active.clear();
-                for (qi, slot) in batch.slots().iter().enumerate() {
-                    if lbs[qi] < slot.topk.threshold_sq() {
-                        active.push(qi);
-                    }
-                }
-                if active.is_empty() {
-                    // No query can benefit from this one leaf, but the
-                    // run's minimum key still beat some threshold —
-                    // keep draining it.
-                    shared_local.leaves_discarded += 1;
-                    return Drain::Processed;
-                }
-                shared_local.leaves_processed += 1;
-                let node = flat.node(leaf);
-                match batch_process_leaf_entries(
-                    flat.leaf_words(node),
-                    flat.leaf_positions(node),
-                    &mut fetcher,
-                    batch,
-                    &active,
-                    &mut survivors,
-                    &mut scratch,
-                    &mut locals,
-                ) {
-                    Ok(()) => Drain::Processed,
-                    Err(e) => {
-                        errors.record(e);
-                        Drain::Abandon
-                    }
-                }
-            });
-            shared_local.leaves_discarded += unclaimed;
-            batch.merge_locals(&locals);
-            let mut shared = shared.lock();
-            *shared = shared.merged(&shared_local);
-        });
-        batch.record_phase(Q::PHASE, clock.lap());
-        Ok(shared.into_inner())
-    }
-}
-
 /// Where a worker whose claims ran dry goes next: the first open query it
 /// can still help — its traversal while a participant is still traversing
 /// and this worker has not published for it, its published runs while
@@ -544,9 +407,9 @@ fn help_wanted<Q>(opened: &[OnceLock<Open<'_, Q>>], worker: usize) -> Help {
     }
 }
 
-/// One step of waiting for a peer: spin briefly, then yield — as
-/// [`SpinBarrier`] does, because a hot spin on a shared or oversubscribed
-/// core slows the very peer it waits for.
+/// One step of waiting for a peer: spin briefly, then yield, because a hot
+/// spin on a shared or oversubscribed core slows the very peer it waits
+/// for.
 fn backoff(spins: &mut u32) {
     if *spins < 64 {
         std::hint::spin_loop();
@@ -559,32 +422,30 @@ fn backoff(spins: &mut u32) {
 /// Exact k-NN for a batch of queries under `measure` in **one** pool
 /// broadcast — the crate's one exact entry point. A single query is a
 /// batch of one; 1-NN is `k = 1`. How the batch is scheduled onto the
-/// `threads` workers depends on the source's residence alone; see the
-/// [module docs](self). Each query is prepared under `measure` (a
-/// [`PreparedQuery`], or a [`DtwPrepared`] whose interval node tables
-/// drive the traversal and whose cascade runs at the leaves; see
-/// [`crate::dtw`]), and the same schedules run for both.
+/// `threads` workers is in the [module docs](self). Each query is prepared
+/// under `measure` (a [`PreparedQuery`], or a [`DtwPrepared`] whose
+/// interval node tables drive the traversal and whose cascade runs at the
+/// leaves; see [`crate::dtw`]), and the same schedule runs for both.
 ///
 /// Each answer is the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,
 /// empty for an empty index — deterministic across runs, thread counts and
-/// schedules (distance ties prefer the lowest position) and independent of
-/// what else is in the batch. Counters of work done once for the whole
-/// batch (the shared-fetch schedule's traversal) are reported in
-/// [`BatchStats::shared`]; everything a schedule does per query — on a
-/// resident source, all of it — sits in [`BatchStats::per_query`], where
-/// `leaves_processed + leaves_discarded == leaves_enqueued` holds query by
-/// query.
+/// sources (distance ties prefer the lowest position) and independent of
+/// what else is in the batch. Every counter is per query, in
+/// [`BatchStats::per_query`], where `leaves_processed + leaves_discarded
+/// == leaves_enqueued` holds query by query; [`BatchStats::shared`] holds
+/// only the call's phase times.
 ///
 /// With `shard` set (see [`SharedPruners`](dsidx_query::SharedPruners)),
-/// every schedule prunes against thresholds that other shards tighten
+/// every query prunes against thresholds that other shards tighten
 /// mid-flight, and recorded positions are rebased to global. The returned
 /// matches then reflect the whole gather so far; the coordinator uses this
 /// return value for stats and reads the final answer from the shared
 /// pruners after every shard joined.
 ///
 /// # Errors
-/// Propagates raw-source I/O failures (the in-memory path is infallible).
+/// Propagates raw-source I/O failures (the in-memory dataset is
+/// infallible), naming the query and the phase that tripped.
 ///
 /// # Panics
 /// Panics if any query length differs from the configured series length,
@@ -622,7 +483,7 @@ mod tests {
     use dsidx_ucr::brute_force;
 
     fn cfg(threads: usize) -> MessiConfig {
-        MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads).with_chunk_series(64)
+        MessiConfig::new(TreeConfig::new(64, 8, 16).unwrap(), threads)
     }
 
     /// The Euclidean approximate answer through the index's tree.
@@ -736,26 +597,23 @@ mod tests {
                         "q{qi} k={k} x{threads}"
                     );
                 }
-                // A resident source is traversed per query: every leaf a
-                // query enqueued is processed or discarded, exactly once.
+                // Every query is traversed on its own: every leaf a query
+                // enqueued is processed or discarded, exactly once.
                 for (qi, q) in stats.per_query.iter().enumerate() {
                     assert!(q.leaves_enqueued > 0, "q{qi} k={k} x{threads}");
                     assert_funnel_exact(q);
                 }
                 assert_eq!(stats.shared.leaves_enqueued, 0);
                 assert_eq!(stats.series_fetched, stats.series_requests);
-                // The same batch over a source that is not resident is
-                // traversed once for the whole batch: same answers, the
-                // funnel in the shared slice, fetches shared by queries.
+                // The same batch over a source that is not resident runs
+                // the same schedule: same answers, one read per request.
                 let file = FlakySource::new(data.clone(), u64::MAX);
                 let (on_file, stats) = knn_batch(&messi, &file, &qrefs, k, threads).unwrap();
                 assert_eq!(on_file, batched, "k={k} x{threads}");
                 assert_eq!(stats.broadcasts, 1);
-                assert!(stats.shared.leaves_enqueued > 0);
-                assert_funnel_exact(&stats.shared);
-                assert!(stats.per_query.iter().all(|q| q.leaves_enqueued == 0));
-                assert!(stats.series_fetched <= stats.series_requests);
-                assert_eq!(stats.shared.lb_computed, 0);
+                stats.per_query.iter().for_each(assert_funnel_exact);
+                assert_eq!(stats.shared.leaves_enqueued, 0);
+                assert_eq!(stats.series_fetched, stats.series_requests);
             }
         }
     }
@@ -886,10 +744,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_fetch_funnel_is_exact_when_runs_are_abandoned() {
+    fn funnel_is_exact_when_runs_are_abandoned() {
         // Clusterable data and k = 1: thresholds tighten fast, so sorted
         // runs are closed early with leaves still unclaimed — every one of
-        // them must still be counted as discarded, once.
+        // them must still be counted as discarded, once, by its query.
         let data = dsidx_series::gen::sines(1000, 64, 3);
         let (messi, _) = build(&data, &cfg(4));
         let file = FlakySource::new(data.clone(), u64::MAX);
@@ -900,13 +758,13 @@ mod tests {
                 let (got, stats) = knn_batch(&messi, &file, batch, 1, threads).unwrap();
                 let (want, _) = knn_batch(&messi, &data, batch, 1, threads).unwrap();
                 assert_eq!(got, want, "x{threads}");
-                assert_funnel_exact(&stats.shared);
+                stats.per_query.iter().for_each(assert_funnel_exact);
                 assert!(
-                    stats.shared.leaves_discarded > 1,
+                    stats.per_query.iter().any(|q| q.leaves_discarded > 1),
                     "x{threads}: expected a run closed early, {:?}",
-                    stats.shared
+                    stats.per_query
                 );
-                assert!(stats.series_fetched <= stats.series_requests);
+                assert_eq!(stats.series_fetched, stats.series_requests);
             }
         }
     }
@@ -960,11 +818,14 @@ mod tests {
         let q = DatasetKind::Synthetic.queries(2, 64, 91);
         let qrefs: Vec<&[f32]> = q.iter().collect();
         // Budget 0: the very first fetch (approximate-leaf seeding) fails,
-        // and the error carries the phase it happened in.
+        // and the error carries the phase and the query it happened in.
         let flaky = FlakySource::new(data.clone(), 0);
         let err = nn(&messi, &flaky, q.get(0), 4).unwrap_err();
         assert!(matches!(err.root_cause(), StorageError::Io(_)));
-        assert!(err.to_string().starts_with("during seed:"), "{err}");
+        assert!(
+            err.to_string().starts_with("during seed (query 0):"),
+            "{err}"
+        );
         // Budgets that survive seeding but die inside the broadcast's
         // processing phase: the error must surface through the pool join
         // as `Err` — a worker panic would abort the whole process here.
@@ -976,10 +837,9 @@ mod tests {
             );
             assert!(flaky.tripped());
         }
-        // A batch wider than the pool: a fallible source is not resident,
-        // so it takes the shared-fetch schedule, where a failed read stops
-        // every worker and still comes back as `Err` (the resident
-        // schedule's error path has its own test below).
+        // A batch wider than the pool: a failed read stops every worker
+        // and still comes back as `Err` (the error path across widths and
+        // budgets has its own test below).
         let wide = DatasetKind::Synthetic.queries(9, 64, 92);
         let wide: Vec<&[f32]> = wide.iter().collect();
         for budget in [1u64, 8, 32, 64] {
@@ -988,10 +848,9 @@ mod tests {
             assert!(matches!(err.root_cause(), StorageError::Io(_)), "{err}");
             assert!(flaky.tripped());
         }
-        // An unconstrained budget answers exactly like the dataset itself
-        // — through the other schedule: the traversal counters of the
-        // shared-fetch schedule are the batch's, those of the resident
-        // schedule each query's.
+        // An unconstrained budget answers exactly like the dataset itself,
+        // and both count the traversal of each query as that query's and
+        // read one series per request.
         let flaky = FlakySource::new(data.clone(), u64::MAX);
         let (via_flaky, _) = knn(&messi, &flaky, q.get(0), 7, 4).unwrap();
         let (via_data, _) = knn(&messi, &data, q.get(0), 7, 4).unwrap();
@@ -999,39 +858,13 @@ mod tests {
         let (via_flaky, on_flaky) = knn_batch(&messi, &flaky, &wide, 7, 4).unwrap();
         let (via_data, on_data) = knn_batch(&messi, &data, &wide, 7, 4).unwrap();
         assert_eq!(via_flaky, via_data);
-        assert!(on_flaky.shared.leaves_enqueued > 0);
-        assert_funnel_exact(&on_flaky.shared);
-        assert!(on_flaky.per_query.iter().all(|q| q.leaves_enqueued == 0));
-        assert!(on_flaky.series_fetched < on_flaky.series_requests);
-        assert_eq!(on_data.shared.leaves_enqueued, 0);
-        assert!(on_data.per_query.iter().all(|q| q.leaves_enqueued > 0));
-        on_data.per_query.iter().for_each(assert_funnel_exact);
-        assert_eq!(on_data.series_fetched, on_data.series_requests);
+        for on in [&on_flaky, &on_data] {
+            assert_eq!(on.shared.leaves_enqueued, 0);
+            assert!(on.per_query.iter().all(|q| q.leaves_enqueued > 0));
+            on.per_query.iter().for_each(assert_funnel_exact);
+            assert_eq!(on.series_fetched, on.series_requests);
+        }
         assert_eq!((on_flaky.broadcasts, on_data.broadcasts), (1, 1));
-    }
-
-    /// The resident schedule over `source`, called directly: the residence
-    /// dispatch in [`exact`] would send a fallible source to shared fetch.
-    fn resident<Q: Prepared>(
-        prepare: impl Fn(&[f32]) -> Q + Sync,
-        messi: &FlatTree,
-        source: &impl RawSource,
-        queries: &[&[f32]],
-        k: usize,
-        threads: usize,
-    ) -> Result<Vec<Vec<Match>>, StorageError> {
-        let batch = QueryBatch::prepared(queries, k, None, |_| ());
-        let errors = ErrorSlot::for_phase(Q::PHASE);
-        let call = Call {
-            tree: messi,
-            source,
-            threads,
-            batch: &batch,
-            errors: &errors,
-        };
-        call.resident(&prepare, &mut PhaseClock::start());
-        errors.take()?;
-        Ok(batch.finish(1, QueryStats::default()).0)
     }
 
     /// Runs `f` on a thread of its own and fails unless it returns within a
@@ -1083,15 +916,13 @@ mod tests {
                         let flaky = FlakySource::new(data, budget);
                         let qrefs: Vec<&[f32]> =
                             queries[..width].iter().map(Vec::as_slice).collect();
-                        let quantizer = messi.config().quantizer();
-                        let got = if dtw {
-                            let prepare = |q: &[f32]| DtwPrepared::new(quantizer, q, 4);
-                            resident(prepare, &messi, &flaky, &qrefs, 50, threads)
+                        let measure = if dtw {
+                            Measure::Dtw { band: 4 }
                         } else {
-                            let prepare = |q: &[f32]| PreparedQuery::new(quantizer, q);
-                            resident(prepare, &messi, &flaky, &qrefs, 50, threads)
+                            Measure::Euclidean
                         };
-                        got.map_err(|e| {
+                        let got = exact(&messi, &flaky, &qrefs, measure, 50, threads, None);
+                        got.map(|_| ()).map_err(|e| {
                             (e.to_string(), matches!(e.root_cause(), StorageError::Io(_)))
                         })
                     });
@@ -1121,11 +952,10 @@ mod tests {
                 }
             }
             // With the budget unconstrained the same calls answer exactly
-            // like the dispatch does over the dataset itself.
+            // like the dataset itself.
             let flaky = FlakySource::new(data.clone(), u64::MAX);
             let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-            let prepare = |q: &[f32]| PreparedQuery::new(messi.config().quantizer(), q);
-            let got = resident(prepare, &messi, &flaky, &qrefs, 7, threads).unwrap();
+            let (got, _) = knn_batch(&messi, &flaky, &qrefs, 7, threads).unwrap();
             let (want, _) = knn_batch(&messi, &data, &qrefs, 7, threads).unwrap();
             assert_eq!(got, want, "x{threads}");
         }

@@ -13,18 +13,14 @@
 //! queries of its own while the walk was still running (see
 //! [`crate::query`]). Each runs its share into its own run; a worker alone
 //! on a query runs the same code, its claims just never contend.
-//! [`BatchTraversal`] walks the tree once for a whole batch and is used
-//! only where one raw fetch can serve many queries, i.e. over non-resident
-//! sources.
 //!
-//! Either way the root level — the widest single level, though on a tree
+//! The root level — the widest single level, though on a tree
 //! fitted to its collection (`2^r` roots of about a leaf's worth each) no
 //! longer most of the tree — is scanned from the root keys alone through
 //! [`RootBounds`], without touching node memory.
 
 use crate::pqueue::RunBuilder;
 use dsidx_isax::{root_key_segments, NodeMindistTable};
-use dsidx_query::QueryBatch;
 use dsidx_sync::{Pruner, WorkQueue};
 use dsidx_tree::FlatTree;
 use parking_lot::Mutex;
@@ -198,152 +194,9 @@ impl<'a, P: Pruner> Traversal<'a, P> {
             }
             if node.is_leaf() {
                 if !node.entry_range().is_empty() {
-                    run.push(lb, idx, &[]);
+                    run.push(lb, idx);
                 }
             } else {
-                let (zero, one) = node.children(idx);
-                stack.push(one);
-                stack.push(zero);
-            }
-        }
-    }
-}
-
-/// Shared state for one *batched* traversal phase: the tree is walked once
-/// for the whole batch, a node is pruned only when **every** query's
-/// threshold beats its bound, and a surviving leaf is queued with the
-/// node-level lower bound for *every* query in the batch (index-aligned
-/// with the batch's slots), so processing knows per query whether the leaf
-/// can still contribute without recomputing bounds. The same root-claiming
-/// and work-donation schedule as [`Traversal`] (its batch-of-one
-/// specialization).
-pub struct BatchTraversal<'a, 'q, P> {
-    flat: &'a FlatTree,
-    tables: &'a [NodeMindistTable],
-    /// Root-level bounds per query.
-    root_bounds: Vec<RootBounds>,
-    batch: &'a QueryBatch<'q, P>,
-    root_queue: WorkQueue,
-    /// Overflow work: node indices donated by overloaded workers.
-    shared: Mutex<Vec<u32>>,
-}
-
-impl<'a, 'q, P> BatchTraversal<'a, 'q, P> {
-    /// Prepares a batched traversal over `flat`'s occupied roots.
-    /// `tables` holds one node-level MINDIST table per query,
-    /// index-aligned with the batch's slots.
-    ///
-    /// # Panics
-    /// Panics if `tables` is not one table per query.
-    #[must_use]
-    pub fn new(
-        flat: &'a FlatTree,
-        tables: &'a [NodeMindistTable],
-        batch: &'a QueryBatch<'q, P>,
-    ) -> Self {
-        assert_eq!(tables.len(), batch.len(), "one node table per query");
-        let root_bounds = tables
-            .iter()
-            .map(|t| RootBounds::new(t, flat.config().root_segments(), flat.config().segments()))
-            .collect();
-        Self {
-            flat,
-            tables,
-            root_bounds,
-            batch,
-            root_queue: WorkQueue::new(flat.roots().len()),
-            shared: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// `true` iff no query in the batch can benefit from the subtree under
-    /// `key` — every query's root-level bound meets its own threshold.
-    #[inline]
-    fn root_pruned_for_all(&self, key: u16) -> bool {
-        self.batch
-            .slots()
-            .iter()
-            .zip(&self.root_bounds)
-            .all(|(slot, bounds)| bounds.lb(key) >= slot.topk.threshold_sq())
-    }
-
-    /// Runs one worker's share of the batched traversal (same contract as
-    /// [`Traversal::run_worker`]).
-    pub fn run_worker(&self, run: &mut RunBuilder) -> u64 {
-        let mut pruned = 0u64;
-        let mut stack: Vec<u32> = Vec::new();
-        let mut visits = 0u64;
-        // Scratch for one leaf's per-query bounds, reused across leaves.
-        let mut lbs: Vec<f32> = Vec::with_capacity(self.batch.len());
-        while let Some(range) = self.root_queue.claim_chunk(64) {
-            for i in range {
-                let (key, root_idx) = self.flat.roots()[i];
-                if self.root_pruned_for_all(key) {
-                    pruned += 1;
-                    continue;
-                }
-                stack.push(root_idx);
-                self.drain_stack(&mut stack, &mut visits, &mut pruned, &mut lbs, run);
-            }
-        }
-        loop {
-            let item = self.shared.lock().pop();
-            match item {
-                Some(idx) => {
-                    stack.push(idx);
-                    self.drain_stack(&mut stack, &mut visits, &mut pruned, &mut lbs, run);
-                }
-                None => return pruned,
-            }
-        }
-    }
-
-    fn drain_stack(
-        &self,
-        stack: &mut Vec<u32>,
-        visits: &mut u64,
-        pruned: &mut u64,
-        lbs: &mut Vec<f32>,
-        run: &mut RunBuilder,
-    ) {
-        while let Some(idx) = stack.pop() {
-            *visits += 1;
-            if *visits & DONATE_CHECK_MASK == 0 && stack.len() > DONATE_ABOVE {
-                let keep = stack.len() / 2;
-                let mut shared = self.shared.lock();
-                shared.extend(stack.drain(..keep));
-            }
-            let node = self.flat.node(idx);
-            if node.is_leaf() {
-                if node.entry_range().is_empty() {
-                    continue;
-                }
-                // Leaves need every query's bound (the run payload), so
-                // compute them all; the min orders the run.
-                lbs.clear();
-                let mut min_lb = f32::INFINITY;
-                let mut survives = false;
-                for (qi, slot) in self.batch.slots().iter().enumerate() {
-                    let lb = node.mindist_sq(&self.tables[qi]);
-                    min_lb = min_lb.min(lb);
-                    survives |= lb < slot.topk.threshold_sq();
-                    lbs.push(lb);
-                }
-                if !survives {
-                    *pruned += 1;
-                    continue;
-                }
-                run.push(min_lb, idx, lbs);
-            } else {
-                // Internal nodes only need the "any query survives" test.
-                let survives =
-                    self.batch.slots().iter().enumerate().any(|(qi, slot)| {
-                        node.mindist_sq(&self.tables[qi]) < slot.topk.threshold_sq()
-                    });
-                if !survives {
-                    *pruned += 1;
-                    continue;
-                }
                 let (zero, one) = node.children(idx);
                 stack.push(one);
                 stack.push(zero);
@@ -381,7 +234,7 @@ mod tests {
             .count() as u64;
         for threads in [1usize, 4, 8] {
             let best = AtomicBest::new();
-            let runs = LeafRuns::new(threads, 0);
+            let runs = LeafRuns::new(threads);
             let traversal = Traversal::new(&messi, node_table.clone(), &best);
             let enqueued = std::sync::atomic::AtomicU64::new(0);
             std::thread::scope(|s| {
@@ -403,7 +256,7 @@ mod tests {
             );
             // And every queued index is a distinct leaf.
             let mut seen = std::collections::HashSet::new();
-            drain_best_first(&runs, 0, |_, idx, _, _| {
+            drain_best_first(&runs, 0, |_, idx, _| {
                 assert!(seen.insert(idx), "leaf {idx} enqueued twice");
                 Drain::Processed
             });

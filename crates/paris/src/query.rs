@@ -153,7 +153,7 @@ pub fn exact(
     let batch = QueryBatch::new(config.quantizer(), queries, k, shard);
     let prepare_nanos = clock.lap();
     if tree.entry_count() == 0 || batch.is_empty() {
-        return Ok(batch.finish(0, QueryStats::default()));
+        return Ok(batch.finish(0));
     }
     batch.record_phase(Phase::Prepare, prepare_nanos);
 
@@ -249,7 +249,7 @@ pub fn exact(
         ..QueryStats::default()
     };
     batch.merge_locals(&vec![bounds; batch.len()]);
-    Ok(batch.finish(2, QueryStats::default()))
+    Ok(batch.finish(2))
 }
 
 /// *Approximate* k-NN through the ParIS index by **sketch-nearest**

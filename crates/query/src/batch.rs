@@ -7,11 +7,10 @@
 //! tree node) is checked against *every* query in the batch — one data
 //! pass, B threshold checks — instead of re-walking the data per query.
 //! Engines run the whole batch inside one schedule (ParIS, and ADS+ at one
-//! worker, one collect + one verify broadcast; MESSI one traversal
-//! broadcast), so the per-query broadcast cost drops to `1/B` of the
-//! single-query path. (MESSI shares data passes only where a fetch is
-//! charged: over a resident dataset it shares just the broadcast and
-//! hands whole queries to workers — see `dsidx_messi::query`.)
+//! worker, one collect + one verify broadcast; MESSI one broadcast), so
+//! the per-query broadcast cost drops to `1/B` of the single-query path.
+//! (MESSI shares no data pass: it shares just the broadcast and hands
+//! whole queries to workers — see `dsidx_messi::query`.)
 //!
 //! Per-query state is exactly the single-query state, vectorized: a
 //! prepared query (a [`PreparedQuery`], or any [`Prepared`] measure), an
@@ -20,9 +19,9 @@
 //! it fills one local `QueryStats` per query and folds them in once, when
 //! its phase ends ([`QueryBatch::merge_locals`]). The loops in this module
 //! are the batch generalizations of the single-query kernel loops in
-//! [`seed`](crate::seed) and [`scan`](crate::scan); the seed and leaf
-//! loops read each query's prepared state from its slot and serve every
-//! measure, while ParIS's collect and verify steps are Euclidean only.
+//! [`seed`](crate::seed) and [`scan`](crate::scan); the seed loop reads
+//! each query's prepared state from its slot and serves every measure,
+//! while ParIS's collect and verify steps are Euclidean only.
 //! The scan engines have only the batch form, and answer a single query
 //! as a batch of one.
 //!
@@ -51,9 +50,8 @@ use std::sync::Arc;
 /// prepared summaries, its own pruner and its own work counters.
 ///
 /// `P` is what the batch prepared per query up front: a [`PreparedQuery`]
-/// for the scan engines, any [`Prepared`] query for the seed and leaf
-/// loops, `()` for a schedule that prepares each query where it answers
-/// it.
+/// for the scan engines, any [`Prepared`] query for the seed loop, `()`
+/// for a schedule that prepares each query where it answers it.
 pub struct BatchSlot<'q, P = PreparedQuery> {
     /// The raw (z-normalized) query values.
     pub values: &'q [f32],
@@ -269,18 +267,6 @@ impl<'q, P> QueryBatch<'q, P> {
         self.tally.lock().phase.record(phase, nanos);
     }
 
-    /// The loosest pruning threshold across the batch. A candidate whose
-    /// lower bound reaches it cannot improve *any* query — the sound
-    /// batch-wide pruning test (per-query tests prune more; this one gates
-    /// work shared by the whole batch, like a MESSI queue abandonment).
-    #[must_use]
-    pub fn max_threshold_sq(&self) -> f32 {
-        self.slots
-            .iter()
-            .map(|s| s.topk.threshold_sq())
-            .fold(0.0f32, f32::max)
-    }
-
     /// Adds raw-fetch accounting: `fetches` series actually read, serving
     /// `requests` per-query distance attempts.
     pub fn count_io(&self, fetches: u64, requests: u64) {
@@ -303,16 +289,16 @@ impl<'q, P> QueryBatch<'q, P> {
     }
 
     /// Finishes the batch: per-query answers (sorted ascending by
-    /// `(distance, position)`) plus the [`BatchStats`]. `shared` carries
-    /// counters for work done once for the whole batch (a tree engine's
-    /// traversal); scan engines pass [`QueryStats::default()`]. Phase
-    /// times booked with [`record_phase`](Self::record_phase) are folded
-    /// into the shared stats here (the schedule ran once for the whole
-    /// batch).
+    /// `(distance, position)`) plus the [`BatchStats`]. Phase times booked
+    /// with [`record_phase`](Self::record_phase) become the shared stats
+    /// (the schedule ran once for the whole batch).
     #[must_use]
-    pub fn finish(self, broadcasts: u64, mut shared: QueryStats) -> (Vec<Vec<Match>>, BatchStats) {
+    pub fn finish(self, broadcasts: u64) -> (Vec<Vec<Match>>, BatchStats) {
         let tally = self.tally.into_inner();
-        shared.phase = shared.phase.merged(&tally.phase);
+        let shared = QueryStats {
+            phase: tally.phase,
+            ..QueryStats::default()
+        };
         let mut matches = Vec::with_capacity(self.slots.len());
         let mut per_query = Vec::with_capacity(self.slots.len());
         for slot in self.slots {
@@ -352,11 +338,9 @@ pub struct BatchStats {
     /// independent queries would each have fetched for. `series_requests
     /// >= series_fetched`; the gap is the sharing.
     pub series_requests: u64,
-    /// Counters for work done once for the whole batch (the tree
-    /// traversal of MESSI's shared-fetch schedule: nodes pruned, leaves
-    /// enqueued/processed/discarded); zero for the scan engines and for
-    /// MESSI over a resident source, which traverses per query. Phase
-    /// times are always here: the schedule ran once for the batch.
+    /// The batch's phase times (the schedule ran once for the batch).
+    /// Its counters stay zero: every engine counts its work per query,
+    /// MESSI included, whose traversals are each one query's.
     pub shared: QueryStats,
     /// Per-query counters, index-aligned with the batch's queries.
     pub per_query: Vec<QueryStats>,
@@ -758,63 +742,6 @@ pub fn batch_verify_candidates(
     Ok(())
 }
 
-/// Entry-level bound + real distance over one leaf's entries for every
-/// query in `active` (indices into the batch's slots whose leaf-level
-/// bound survived) — the leaf is processed *once* for the whole batch,
-/// and a surviving entry is fetched once from the [`RawSource`] for every
-/// query that still wants it, then pays that query's
-/// [`distance`](Prepared::distance). The batch generalization of
-/// [`process_leaf_entries`](crate::scan::process_leaf_entries).
-///
-/// `words` and `positions` are the leaf's entries (index-aligned).
-/// `survivors` and `scratch` are caller-owned scratch (their contents are
-/// overwritten), so a worker visiting thousands of leaves allocates them
-/// once.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-#[allow(clippy::too_many_arguments)] // the leaf, the batch, and where results go
-pub fn batch_process_leaf_entries<Q: Prepared>(
-    words: &[Word],
-    positions: &[u32],
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_, Q>,
-    active: &[usize],
-    survivors: &mut Vec<usize>,
-    scratch: &mut DtwScratch,
-    locals: &mut [QueryStats],
-) -> Result<(), StorageError> {
-    let (mut fetches, mut requests) = (0u64, 0u64);
-    for (word, &pos) in words.iter().zip(positions) {
-        survivors.clear();
-        for &qi in active {
-            let slot = &batch.slots()[qi];
-            locals[qi].lb_entry_computed += 1;
-            if slot.prep.table().lookup(word) < slot.topk.threshold_sq() {
-                survivors.push(qi);
-            }
-        }
-        if survivors.is_empty() {
-            continue;
-        }
-        let series = fetcher.fetch(pos as usize)?;
-        fetches += 1;
-        for &qi in survivors.iter() {
-            let slot = &batch.slots()[qi];
-            let limit = slot.topk.threshold_sq();
-            requests += 1;
-            if let Some(d) =
-                slot.prep
-                    .distance(slot.values, series, limit, scratch, &mut locals[qi])
-            {
-                slot.topk.insert(d, pos);
-            }
-        }
-    }
-    batch.count_io(fetches, requests);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,7 +808,7 @@ mod tests {
             .unwrap();
         }
         batch.merge_locals(&locals);
-        let (matches, stats) = batch.finish(2, QueryStats::default());
+        let (matches, stats) = batch.finish(2);
         for (qi, q) in qs.iter().enumerate() {
             let want = brute_topk(&data, q, k);
             assert_eq!(
@@ -1133,7 +1060,7 @@ mod tests {
             reads.iter().all(|&pos| once.insert(pos)),
             "a position read twice"
         );
-        let (matches, stats) = batch.finish(2, QueryStats::default());
+        let (matches, stats) = batch.finish(2);
         assert_eq!(matches[0], matches[2]);
         for (qi, q) in qrefs.iter().enumerate() {
             let want = brute_topk(&data, q, 2);
@@ -1225,7 +1152,7 @@ mod tests {
         assert_eq!(flat, collected);
         // Whatever the head, verification stays exact.
         verify_all(&ordered, 16, &data, &batch);
-        let (matches, _) = batch.finish(2, QueryStats::default());
+        let (matches, _) = batch.finish(2);
         for (qi, q) in qrefs.iter().enumerate() {
             assert_eq!(matches[qi][0].pos, brute_topk(&data, q, 1)[0].1, "q{qi}");
         }
@@ -1287,7 +1214,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(source.reads(), vec![3]);
-        let (matches, stats) = batch.finish(0, QueryStats::default());
+        let (matches, stats) = batch.finish(0);
         assert_eq!((stats.series_fetched, stats.series_requests), (1, 1));
         // The concurrent insert stays authoritative.
         assert_eq!(matches[0][0].pos, 39);
@@ -1333,7 +1260,7 @@ mod tests {
                 )
                 .unwrap();
             }
-            let (_, stats) = batch.finish(0, QueryStats::default());
+            let (_, stats) = batch.finish(0);
             assert!(stats.series_fetched <= stats.series_requests);
             (
                 source.spans(),
@@ -1472,7 +1399,7 @@ mod tests {
             assert_eq!(slot.topk.len(), 2);
             assert!(slot.topk.threshold_sq().is_finite());
         }
-        let (_, stats) = batch.finish(0, QueryStats::default());
+        let (_, stats) = batch.finish(0);
         assert_eq!(stats.series_fetched, 3);
         assert_eq!(stats.series_requests, 9);
         for q in &stats.per_query {
@@ -1480,45 +1407,6 @@ mod tests {
             // early-abandon against the tightened threshold.
             assert!(q.real_computed >= 2 && q.real_computed <= 3);
         }
-    }
-
-    #[test]
-    fn batch_leaf_processing_respects_active_set() {
-        let (data, words, config) = fixture(120);
-        let positions: Vec<u32> = (0..120).collect();
-        let qs = DatasetKind::Synthetic.queries(3, 64, 13);
-        let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let k = 4;
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, k, None);
-        let mut locals = vec![QueryStats::default(); batch.len()];
-        let mut fetcher = SeriesFetcher::new(&data);
-        // Only queries 0 and 2 are active for this "leaf".
-        // Stale scratch contents must not leak into the survivor set.
-        let mut survivors = vec![1usize];
-        batch_process_leaf_entries(
-            &words,
-            &positions,
-            &mut fetcher,
-            &batch,
-            &[0, 2],
-            &mut survivors,
-            &mut DtwScratch::new(),
-            &mut locals,
-        )
-        .unwrap();
-        batch.merge_locals(&locals);
-        let (matches, stats) = batch.finish(1, QueryStats::default());
-        for qi in [0usize, 2] {
-            let want = brute_topk(&data, qs.get(qi), k);
-            assert_eq!(
-                matches[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
-                want.iter().map(|m| m.1).collect::<Vec<_>>(),
-                "q{qi}"
-            );
-            assert_eq!(stats.per_query[qi].lb_entry_computed, 120);
-        }
-        assert!(matches[1].is_empty(), "inactive query untouched");
-        assert_eq!(stats.per_query[1], QueryStats::default());
     }
 
     #[test]
@@ -1550,7 +1438,7 @@ mod tests {
                 });
             }
         });
-        let (_, stats) = batch.finish(1, QueryStats::default());
+        let (_, stats) = batch.finish(1);
         assert_eq!(stats.per_query, vec![tally(8000), tally(24_000)]);
         assert_eq!(
             (stats.series_fetched, stats.series_requests),
@@ -1603,7 +1491,7 @@ mod tests {
             &mut candidates,
         );
         assert!(candidates.is_empty());
-        let (matches, stats) = batch.finish(0, QueryStats::default());
+        let (matches, stats) = batch.finish(0);
         assert!(matches.is_empty());
         assert_eq!(stats.series_fetched, 0);
         assert!((stats.broadcasts_per_query() - 0.0).abs() < 1e-9);

@@ -118,7 +118,7 @@ impl Prepared for DtwPrepared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{batch_process_leaf_entries, batch_seed_positions, QueryBatch};
+    use crate::batch::{batch_seed_positions, QueryBatch};
     use crate::fetch::SeriesFetcher;
     use crate::scan::{process_leaf_entries, LeafScratch};
     use crate::seed::seed_from_entries;
@@ -240,52 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_leaf_cascade_equals_brute_force() {
-        let (data, config) = fixture(250);
-        let quantizer = config.quantizer();
-        let (words, positions) = leaf_of(&data, quantizer);
-        let qs = DatasetKind::Synthetic.queries(4, 64, 13);
-        let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let band = 4;
-        for k in [1usize, 5] {
-            let batch =
-                QueryBatch::prepared(&qrefs, k, None, |q| DtwPrepared::new(quantizer, q, band));
-            let active: Vec<usize> = (0..batch.len()).collect();
-            let mut locals = vec![QueryStats::default(); batch.len()];
-            let mut fetcher = SeriesFetcher::new(&data);
-            batch_process_leaf_entries(
-                &words,
-                &positions,
-                &mut fetcher,
-                &batch,
-                &active,
-                &mut Vec::new(),
-                &mut DtwScratch::new(),
-                &mut locals,
-            )
-            .unwrap();
-            batch.merge_locals(&locals);
-            let (matches, stats) = batch.finish(0, QueryStats::default());
-            for (qi, q) in qs.iter().enumerate() {
-                let want = brute_dtw_topk(&data, q, band, k);
-                assert_eq!(
-                    matches[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
-                    want.iter().map(|w| w.1).collect::<Vec<_>>(),
-                    "q{qi} k={k}"
-                );
-                // Every entry paid an entry-level bound; survivors resolve
-                // to pruned, abandoned, or fully paid DTWs.
-                assert_eq!(stats.per_query[qi].lb_entry_computed, 250);
-                let q = &stats.per_query[qi];
-                assert_eq!(
-                    q.lb_keogh_pruned + q.dtw_abandoned + q.real_computed,
-                    q.lb_keogh_computed
-                );
-            }
-        }
-    }
-
-    #[test]
     fn batch_seeding_dtw_tightens_every_query() {
         let (data, config) = fixture(60);
         let qs = DatasetKind::Synthetic.queries(3, 64, 11);
@@ -299,7 +253,7 @@ mod tests {
             assert_eq!(slot.topk.len(), 2);
             assert!(slot.topk.threshold_sq().is_finite());
         }
-        let (_, stats) = batch.finish(0, QueryStats::default());
+        let (_, stats) = batch.finish(0);
         assert_eq!(stats.series_fetched, 3);
         assert_eq!(stats.series_requests, 9);
         for q in &stats.per_query {
@@ -322,7 +276,7 @@ mod tests {
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let batch = QueryBatch::prepared(&qrefs, 2, None, prepare);
         batch_seed_positions([], &mut fetcher, &batch).unwrap();
-        let (_, stats) = batch.finish(0, QueryStats::default());
+        let (_, stats) = batch.finish(0);
         assert_eq!(stats.series_fetched, 0);
     }
 }

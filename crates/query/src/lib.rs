@@ -23,8 +23,8 @@
 //! The measure is a parameter of the loops, not a copy of them: a prepared
 //! query implements [`Prepared`] — its word, its word-level table, its
 //! node-table fill, the phase its traversal is booked under and its
-//! distance — and the seed, leaf, batch-seed and batch-leaf loops are
-//! generic over it (ParIS's collect and verify steps are Euclidean only).
+//! distance — and the seed, leaf and batch-seed loops are generic over it
+//! (ParIS's collect and verify steps are Euclidean only).
 //! Every loop is also generic over [`Pruner`] — the abstraction of
 //! "threshold read + candidate insert". Every engine schedule runs on an
 //! [`OffsetTopK`] (a k-NN collector whose threshold is the k-th best
@@ -58,9 +58,9 @@ pub mod seed;
 pub mod stats;
 
 pub use batch::{
-    batch_collect_candidates, batch_process_leaf_entries, batch_seed_positions, batch_seed_prefix,
-    batch_verify_candidates, order_best_bound_first, BatchCandidate, BatchSlot, BatchStats,
-    QueryBatch, ShardView, SharedPruners,
+    batch_collect_candidates, batch_seed_positions, batch_seed_prefix, batch_verify_candidates,
+    order_best_bound_first, BatchCandidate, BatchSlot, BatchStats, QueryBatch, ShardView,
+    SharedPruners,
 };
 pub use dtw::DtwPrepared;
 pub use errslot::ErrorSlot;

@@ -268,7 +268,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(locals[0].real_computed, 1);
-        let (matches, stats) = batch.finish(0, QueryStats::default());
+        let (matches, stats) = batch.finish(0);
         assert_eq!((matches[0][0].pos, matches[0][0].dist_sq), (0, 0.0));
         assert_eq!(stats.series_fetched, 1, "only the fresh bound fetched");
     }

@@ -82,7 +82,7 @@ impl QueryStats {
     /// `lb_keogh_pruned` (either direction), `dtw_abandoned` or
     /// `real_computed`.
     ///
-    /// The leaf, batch-seed and batch-leaf loops and ParIS's sketch probe
+    /// The leaf and batch-seed loops and ParIS's sketch probe
     /// book every candidate this way. A single query's seed
     /// ([`seed_from_entries`](crate::seed_from_entries)) does not: it
     /// books only the full distances it paid, as `real_computed`, so its

@@ -12,18 +12,22 @@
 //! On top of these, [`topk`] generalizes the BSF to exact k-NN: the
 //! [`Pruner`] trait abstracts "threshold read + candidate insert" (both
 //! [`AtomicBest`] and [`SharedTopK`] implement it), so the query kernels
-//! answer 1-NN and k-NN with the same code.
+//! answer 1-NN and k-NN with the same code. The engines' workers are the
+//! persistent threads of a [`WorkerPool`], one task per broadcast.
+//!
+//! There is no barrier here: no schedule stops every worker between two
+//! phases. A MESSI worker hands its traversal to its peers by publishing
+//! a sorted run they drain without waiting for the rest, and ParIS's
+//! phases are separate broadcasts.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod barrier;
 pub mod best;
 pub mod metrics;
 pub mod pool;
 pub mod queue;
 pub mod topk;
 
-pub use barrier::SpinBarrier;
 pub use best::AtomicBest;
 pub use pool::WorkerPool;
 pub use queue::WorkQueue;

@@ -141,10 +141,11 @@ pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     created: Instant,
-    /// Serializes broadcasts: tasks may contain cross-worker phase barriers
-    /// (see `SpinBarrier`), and two interleaved broadcasts would then each
-    /// hold some workers at their own barrier — a deadlock. One broadcast
-    /// at a time makes every worker run the same task to completion.
+    /// Serializes broadcasts: a task may wait for its peers (a barrier, or
+    /// a worker waiting on a run a peer has yet to publish), and two
+    /// interleaved broadcasts would then each hold some workers waiting on
+    /// peers stuck in the other — a deadlock. One broadcast at a time makes
+    /// every worker run the same task to completion.
     run_lock: Mutex<()>,
 }
 
@@ -481,7 +482,7 @@ mod tests {
                 let pool = &pool;
                 s.spawn(move || {
                     for _ in 0..20 {
-                        let barrier = crate::SpinBarrier::new(4);
+                        let barrier = std::sync::Barrier::new(4);
                         let after = AtomicU64::new(0);
                         pool.broadcast(&|_| {
                             barrier.wait();

@@ -1,14 +1,13 @@
-//! MESSI schedule differential: which of the two exact schedules runs
-//! (claim and help on a resident source, shared fetch on any other — see
-//! `dsidx::messi::query`) is decided from the source's residence, and on a
-//! resident source how the workers share the batch depends on its width
-//! against the pool width, so the answer must not depend on either. One
-//! matrix pins that: brute-force oracle × k × threads × batch widths
-//! around the pool width (a batch of one, t − 1, t, t + 1, 2t, 64) ×
-//! ED/DTW × duplicate-heavy data (lowest-position tie-break) × monolith/4
-//! shards, positions **and distance bits** equal throughout. Plus the two
-//! kernel pieces the schedules share: the two-table root bound and the
-//! padded leaf word runs.
+//! MESSI schedule differential: MESSI answers exactly with one schedule,
+//! claim and help (see `dsidx::messi::query`), over every source, and how
+//! its workers share a batch depends on the batch's width against the
+//! pool width, so the answer must not depend on either. One matrix pins
+//! that: brute-force oracle × k × threads × batch widths around the pool
+//! width (a batch of one, t − 1, t, t + 1, 2t, 64) × ED/DTW ×
+//! duplicate-heavy data (lowest-position tie-break) × monolith/4 shards,
+//! positions **and distance bits** equal throughout. Plus two kernel
+//! pieces of the schedule: the two-table root bound and the padded leaf
+//! word runs.
 
 use dsidx::isax::paa::paa;
 use dsidx::isax::{MindistTable, NodeMindistTable, NodeWord, Quantizer};
@@ -62,7 +61,7 @@ fn bits(rows: &[Vec<Match>]) -> Vec<Vec<(u32, u32)>> {
         .collect()
 }
 
-/// The per-call invariants every MESSI schedule keeps on a resident source.
+/// The per-call invariants MESSI's schedule keeps, whatever the width.
 fn assert_stats_hold(stats: &BatchStats, width: usize, label: &str) {
     assert_eq!(stats.broadcasts, 1, "{label}: one broadcast per call");
     assert_eq!(stats.per_query.len(), width, "{label}");
@@ -133,11 +132,11 @@ fn answers_do_not_depend_on_the_schedule() {
     }
 }
 
-/// Memory and disk seed differently — a resident source seeds each query
-/// from its own leaf, a non-resident one cross-seeds the batch from the
-/// union of the leaves — so a neighbour sitting in the query's seed leaf
-/// is inserted by different phases on the two. Its reported distance must
-/// not show which: every insertion goes through the same bounded kernel.
+/// A neighbour sitting in the query's seed leaf is inserted while seeding,
+/// while later neighbours are inserted from the drain, by whichever worker
+/// claimed the query, over memory and over a file alike. Its reported
+/// distance must not show which path found it: every insertion goes
+/// through the same bounded kernel.
 #[test]
 fn seed_leaf_neighbours_report_the_same_bits_on_memory_and_disk() {
     let dir = std::env::temp_dir().join(format!("dsidx-schedules-{}", std::process::id()));

@@ -33,10 +33,10 @@ fn assert_bit_identical(old: &[Match], new: &[Match], label: &str) {
 
 #[test]
 fn a_batch_of_one_is_bit_identical_to_its_row_in_a_batch_of_four() {
-    // Batch width decides how the work is shared (MESSI in memory: every
-    // worker on the one query alone, whole queries at four; shared fetch
-    // on disk; ParIS/ADS+: one pass either way) and which queries share
-    // fetches and seeds — never the answer.
+    // Batch width decides how the work is shared (MESSI: every worker on
+    // the one query alone, whole queries at four; ParIS/ADS+: one pass
+    // either way) and which queries share fetches and seeds — never the
+    // answer.
     let dir = std::env::temp_dir().join(format!("dsidx-plane-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let data = DatasetKind::Seismic.generate(300, 64, 4071);

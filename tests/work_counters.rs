@@ -49,41 +49,33 @@ type Row = (&'static str, [u64; 18]);
 #[rustfmt::skip]
 const TABLE: &[Row] = &[
     ("synthetic/messi-resident/ed/k1", [0, 0, 130, 321, 295, 26, 4149, 0, 0, 0, 0, 0, 31, 1, 179, 179, 17550106926475933756, 10409978560314616613]),
-    ("synthetic/messi-shared-fetch/ed/k1", [0, 0, 0, 109, 109, 0, 4149, 0, 0, 0, 0, 0, 35, 1, 167, 533, 6446478637658890852, 10409978560314616613]),
     ("synthetic/best-leaf/ed/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 0, 0, 16111578257366559904, 11491680351945625473]),
     ("synthetic/paris-approx/ed/k1", [7500, 80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 7542202593339497711, 10409978560314616613]),
     ("synthetic/messi-resident/dtw/k1", [0, 0, 148, 294, 283, 11, 3979, 466, 337, 130, 119, 92888, 26, 1, 554, 554, 4103857251922580769, 5411154571359882617]),
-    ("synthetic/messi-shared-fetch/dtw/k1", [0, 0, 0, 109, 108, 1, 4014, 906, 708, 151, 167, 164078, 31, 1, 449, 906, 16710550665485583875, 5411154571359882617]),
     ("synthetic/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 4611296220118408993, 3549676448302995044]),
     ("synthetic/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 12, 10, 49, 79161, 19, 0, 0, 0, 753827474551625399, 5411154571359882617]),
     ("synthetic/paris-exact-memory/ed/k1", [7500, 243, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 26, 2, 111, 291, 13764191040378680857, 10409978560314616613]),
     ("synthetic/paris-exact-file/ed/k1", [7500, 243, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 26, 2, 111, 291, 13764191040378680857, 10409978560314616613]),
     ("synthetic/messi-resident/ed/k10", [0, 0, 29, 474, 349, 125, 4729, 0, 0, 0, 0, 0, 220, 1, 413, 413, 12739023809380987787, 15048725421936891803]),
-    ("synthetic/messi-shared-fetch/ed/k10", [0, 0, 0, 109, 109, 0, 4781, 0, 0, 0, 0, 0, 286, 1, 352, 791, 12105883349053269810, 15048725421936891803]),
     ("synthetic/best-leaf/ed/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 69, 0, 0, 0, 13162286273243104706, 14865141623892052239]),
     ("synthetic/paris-approx/ed/k10", [7500, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 113, 0, 0, 0, 7563668283987659017, 15048725421936891803]),
     ("synthetic/messi-resident/dtw/k10", [0, 0, 23, 492, 341, 151, 4622, 822, 440, 166, 246, 388814, 206, 1, 910, 910, 11165328273887041307, 8734562397311197402]),
-    ("synthetic/messi-shared-fetch/dtw/k10", [0, 0, 0, 109, 109, 0, 4762, 1312, 735, 202, 319, 643724, 258, 1, 681, 1312, 6705833985382222703, 8734562397311197402]),
     ("synthetic/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 70, 0, 0, 0, 547381436288780259, 10861073893479150730]),
     ("synthetic/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 7, 7, 75, 252057, 118, 0, 0, 0, 12757423871656543381, 8734562397311197402]),
     ("synthetic/paris-exact-memory/ed/k10", [7500, 784, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 218, 2, 283, 705, 8109283893310584913, 15048725421936891803]),
     ("synthetic/paris-exact-file/ed/k10", [7500, 784, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 218, 2, 283, 705, 8109283893310584913, 15048725421936891803]),
     ("sald/messi-resident/ed/k1", [0, 0, 0, 485, 485, 0, 7500, 0, 0, 0, 0, 0, 31, 1, 1896, 1896, 2315984402114403421, 11697843258206417230]),
-    ("sald/messi-shared-fetch/ed/k1", [0, 0, 0, 97, 97, 0, 7500, 0, 0, 0, 0, 0, 38, 1, 1140, 2368, 4001377253621031708, 11697843258206417230]),
     ("sald/best-leaf/ed/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 15258428169559615810, 8752279132793138057]),
     ("sald/paris-approx/ed/k1", [7500, 80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 0, 0, 0, 16706770628547922992, 1224061397101839300]),
     ("sald/messi-resident/dtw/k1", [0, 0, 0, 485, 485, 0, 7500, 7500, 2135, 1382, 5357, 1590219, 24, 1, 7581, 7581, 5033798843289480664, 16093031190061165185]),
-    ("sald/messi-shared-fetch/dtw/k1", [0, 0, 0, 97, 97, 0, 7500, 7905, 2198, 1415, 5678, 1764565, 29, 1, 1581, 7905, 16253767052937614145, 16093031190061165185]),
     ("sald/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 17154963968864607303, 4193896489055772607]),
     ("sald/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 0, 0, 61, 89735, 19, 0, 0, 0, 1338454021053804134, 16150743130427686176]),
     ("sald/paris-exact-memory/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 30, 2, 1094, 2133, 14856720003275727607, 11697843258206417230]),
     ("sald/paris-exact-file/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 30, 2, 1094, 2133, 14856720003275727607, 11697843258206417230]),
     ("sald/messi-resident/ed/k10", [0, 0, 0, 485, 485, 0, 7500, 0, 0, 0, 0, 0, 222, 1, 4119, 4119, 17296818112942140544, 3913637135210837008]),
-    ("sald/messi-shared-fetch/ed/k10", [0, 0, 0, 97, 97, 0, 7500, 0, 0, 0, 0, 0, 300, 1, 1508, 4845, 4354483013493225544, 3913637135210837008]),
     ("sald/best-leaf/ed/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 67, 0, 0, 0, 17526078177174369870, 9276736344420196590]),
     ("sald/paris-approx/ed/k10", [7500, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 116, 0, 0, 0, 12895433400095029978, 18100470175822207612]),
     ("sald/messi-resident/dtw/k10", [0, 0, 0, 485, 485, 0, 7500, 7500, 518, 459, 6814, 4044488, 235, 1, 7581, 7581, 7022152635910335126, 2111524857458372949]),
-    ("sald/messi-shared-fetch/dtw/k10", [0, 0, 0, 97, 97, 0, 7500, 7905, 541, 475, 7090, 4317498, 274, 1, 1581, 7905, 1881964238296497022, 2111524857458372949]),
     ("sald/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 67, 0, 0, 0, 4146394358370173046, 2326980406789511990]),
     ("sald/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 0, 0, 81, 294345, 119, 0, 0, 0, 1632088243979725464, 15576453189270096050]),
     ("sald/paris-exact-memory/ed/k10", [7500, 6799, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 244, 2, 1508, 4664, 9358920710166318804, 3913637135210837008]),
@@ -193,12 +185,12 @@ fn rows_for(kind: DatasetKind, name: &str) -> Vec<(String, [u64; 18])> {
                 format!("{name}/messi-resident/{mname}/k{k}"),
                 row(&matches, &stats),
             ));
+            // Over the dataset file MESSI runs the same schedule, and at one
+            // worker does the same work, counter for counter.
             let (matches, stats) =
                 dsidx::messi::exact(&messi, &file, &queries, measure, k, 1, None).unwrap();
-            rows.push((
-                format!("{name}/messi-shared-fetch/{mname}/k{k}"),
-                row(&matches, &stats),
-            ));
+            let (label, resident) = rows.last().unwrap();
+            assert_eq!(&row(&matches, &stats), resident, "{label} over the file");
             rows.push((
                 format!("{name}/best-leaf/{mname}/k{k}"),
                 approx_row(&queries, |q| best_leaf(&messi, &data, q, measure, k)),
