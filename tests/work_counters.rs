@@ -4,8 +4,9 @@
 //! reports — lower bounds, candidates, leaves, cascade verdicts, real
 //! distances, fetches — are a fixed function of the index and the
 //! queries. This test runs each exact and approximate entry point of the
-//! engine crates over fixed Synthetic and SALD collections, at k = 1 and
-//! k = 10, and compares what they report with [`TABLE`]: every
+//! engine crates, and the UCR scan, over fixed Synthetic and SALD
+//! collections, at k = 1 and k = 10, and compares what they report with
+//! [`TABLE`]: every
 //! [`QueryStats`] counter summed over the queries, the batch's
 //! broadcasts, series fetched and series requested, a digest of the
 //! per-query counters (so two queries trading work cannot hide), and a
@@ -54,6 +55,7 @@ const TABLE: &[Row] = &[
     ("synthetic/messi-resident/dtw/k1", [0, 0, 148, 294, 283, 11, 3979, 466, 337, 130, 119, 92888, 26, 1, 554, 554, 4103857251922580769, 5411154571359882617]),
     ("synthetic/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 4611296220118408993, 3549676448302995044]),
     ("synthetic/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 12, 10, 49, 79161, 19, 0, 0, 0, 753827474551625399, 5411154571359882617]),
+    ("synthetic/ucr-scan/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 7500, 7285, 144, 175, 184629, 45, 1, 1501, 7505, 72921222068202915, 5411154571359882617]),
     ("synthetic/paris-exact-memory/ed/k1", [7500, 243, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 26, 2, 111, 291, 13764191040378680857, 10409978560314616613]),
     ("synthetic/paris-exact-file/ed/k1", [7500, 243, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 26, 2, 111, 291, 13764191040378680857, 10409978560314616613]),
     ("synthetic/messi-resident/ed/k10", [0, 0, 29, 474, 349, 125, 4729, 0, 0, 0, 0, 0, 220, 1, 413, 413, 12739023809380987787, 15048725421936891803]),
@@ -62,6 +64,7 @@ const TABLE: &[Row] = &[
     ("synthetic/messi-resident/dtw/k10", [0, 0, 23, 492, 341, 151, 4622, 822, 440, 166, 246, 388814, 206, 1, 910, 910, 11165328273887041307, 8734562397311197402]),
     ("synthetic/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 70, 0, 0, 0, 547381436288780259, 10861073893479150730]),
     ("synthetic/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 7, 7, 75, 252057, 118, 0, 0, 0, 12757423871656543381, 8734562397311197402]),
+    ("synthetic/ucr-scan/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 7500, 6885, 187, 321, 683366, 299, 1, 1501, 7505, 9301408799841879233, 8734562397311197402]),
     ("synthetic/paris-exact-memory/ed/k10", [7500, 784, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 218, 2, 283, 705, 8109283893310584913, 15048725421936891803]),
     ("synthetic/paris-exact-file/ed/k10", [7500, 784, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 218, 2, 283, 705, 8109283893310584913, 15048725421936891803]),
     ("sald/messi-resident/ed/k1", [0, 0, 0, 485, 485, 0, 7500, 0, 0, 0, 0, 0, 31, 1, 1896, 1896, 2315984402114403421, 11697843258206417230]),
@@ -70,6 +73,7 @@ const TABLE: &[Row] = &[
     ("sald/messi-resident/dtw/k1", [0, 0, 0, 485, 485, 0, 7500, 7500, 2135, 1382, 5357, 1590219, 24, 1, 7581, 7581, 5033798843289480664, 16093031190061165185]),
     ("sald/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 17154963968864607303, 4193896489055772607]),
     ("sald/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 0, 0, 61, 89735, 19, 0, 0, 0, 1338454021053804134, 16150743130427686176]),
+    ("sald/ucr-scan/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 7500, 2002, 1245, 5450, 1875605, 53, 1, 1501, 7505, 8168415876970787111, 16093031190061165185]),
     ("sald/paris-exact-memory/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 30, 2, 1094, 2133, 14856720003275727607, 11697843258206417230]),
     ("sald/paris-exact-file/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 30, 2, 1094, 2133, 14856720003275727607, 11697843258206417230]),
     ("sald/messi-resident/ed/k10", [0, 0, 0, 485, 485, 0, 7500, 0, 0, 0, 0, 0, 222, 1, 4119, 4119, 17296818112942140544, 3913637135210837008]),
@@ -78,6 +82,7 @@ const TABLE: &[Row] = &[
     ("sald/messi-resident/dtw/k10", [0, 0, 0, 485, 485, 0, 7500, 7500, 518, 459, 6814, 4044488, 235, 1, 7581, 7581, 7022152635910335126, 2111524857458372949]),
     ("sald/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 67, 0, 0, 0, 4146394358370173046, 2326980406789511990]),
     ("sald/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 0, 0, 81, 294345, 119, 0, 0, 0, 1632088243979725464, 15576453189270096050]),
+    ("sald/ucr-scan/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 7500, 548, 461, 6659, 4162825, 298, 1, 1501, 7505, 16253503496807537225, 2111524857458372949]),
     ("sald/paris-exact-memory/ed/k10", [7500, 6799, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 244, 2, 1508, 4664, 9358920710166318804, 3913637135210837008]),
     ("sald/paris-exact-file/ed/k10", [7500, 6799, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 244, 2, 1508, 4664, 9358920710166318804, 3913637135210837008]),
 ];
@@ -199,6 +204,20 @@ fn rows_for(kind: DatasetKind, name: &str) -> Vec<(String, [u64; 18])> {
                 format!("{name}/paris-approx/{mname}/k{k}"),
                 approx_row(&queries, |q| sketch_nearest(&paris, &data, q, measure, k)),
             ));
+            if let Measure::Dtw { band } = measure {
+                let (matches, stats) =
+                    dsidx::ucr::scan_dtw_parallel(&data, &queries, band, k, 1, None).unwrap();
+                rows.push((
+                    format!("{name}/ucr-scan/{mname}/k{k}"),
+                    row(&matches, &stats),
+                ));
+                // Over the dataset file the scan reads the same series in
+                // the same order, so it does the same work.
+                let (matches, stats) =
+                    dsidx::ucr::scan_dtw_parallel(&file, &queries, band, k, 1, None).unwrap();
+                let (label, resident) = rows.last().unwrap();
+                assert_eq!(&row(&matches, &stats), resident, "{label} over the file");
+            }
         }
         let (matches, stats) =
             dsidx::paris::exact(&paris, None, &data, &queries, k, 1, None).unwrap();
