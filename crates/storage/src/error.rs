@@ -61,26 +61,9 @@ impl StorageError {
     /// knows best).
     #[must_use]
     pub fn in_phase(self, phase: &'static str) -> StorageError {
-        match self {
-            StorageError::Context {
-                phase: None,
-                shard,
-                query,
-                source,
-            } => StorageError::Context {
-                phase: Some(phase),
-                shard,
-                query,
-                source,
-            },
-            e @ StorageError::Context { .. } => e,
-            e => StorageError::Context {
-                phase: Some(phase),
-                shard: None,
-                query: None,
-                source: Box::new(e),
-            },
-        }
+        self.annotate(|slot, _, _| {
+            slot.get_or_insert(phase);
+        })
     }
 
     /// Annotates this error with the batch query index it tripped for
@@ -88,26 +71,9 @@ impl StorageError {
     /// [`in_phase`](StorageError::in_phase)).
     #[must_use]
     pub fn for_query(self, query: u64) -> StorageError {
-        match self {
-            StorageError::Context {
-                phase,
-                shard,
-                query: None,
-                source,
-            } => StorageError::Context {
-                phase,
-                shard,
-                query: Some(query),
-                source,
-            },
-            e @ StorageError::Context { .. } => e,
-            e => StorageError::Context {
-                phase: None,
-                shard: None,
-                query: Some(query),
-                source: Box::new(e),
-            },
-        }
+        self.annotate(|_, _, slot| {
+            slot.get_or_insert(query);
+        })
     }
 
     /// Annotates this error with the shard whose search tripped it (same
@@ -116,25 +82,34 @@ impl StorageError {
     /// the innermost site that knows the shard number).
     #[must_use]
     pub fn for_shard(self, shard: u64) -> StorageError {
-        match self {
+        self.annotate(|_, slot, _| {
+            slot.get_or_insert(shard);
+        })
+    }
+
+    /// The one body of the three annotations: `fill` gets the `phase`,
+    /// `shard` and `query` of this error's
+    /// [`Context`](StorageError::Context) — all `None` around any other
+    /// error — and fills the one it is about if it is still empty.
+    fn annotate(
+        self,
+        fill: impl FnOnce(&mut Option<&'static str>, &mut Option<u64>, &mut Option<u64>),
+    ) -> StorageError {
+        let (mut phase, mut shard, mut query, source) = match self {
             StorageError::Context {
                 phase,
-                shard: None,
+                shard,
                 query,
                 source,
-            } => StorageError::Context {
-                phase,
-                shard: Some(shard),
-                query,
-                source,
-            },
-            e @ StorageError::Context { .. } => e,
-            e => StorageError::Context {
-                phase: None,
-                shard: Some(shard),
-                query: None,
-                source: Box::new(e),
-            },
+            } => (phase, shard, query, source),
+            e => (None, None, None, Box::new(e)),
+        };
+        fill(&mut phase, &mut shard, &mut query);
+        StorageError::Context {
+            phase,
+            shard,
+            query,
+            source,
         }
     }
 
