@@ -13,17 +13,16 @@
 //! whole queries to workers — see `dsidx_messi::query`.)
 //!
 //! Per-query state is exactly the single-query state, vectorized: a
-//! prepared query (a [`PreparedQuery`], or any [`Prepared`] measure), an
+//! prepared query (a [`PreparedQuery`], or whatever the schedule
+//! prepares), an
 //! [`OffsetTopK`] pruner (k-NN shaped; 1-NN batches are k = 1), and its
 //! [`QueryStats`] behind a lock. A worker never takes that lock per item:
 //! it fills one local `QueryStats` per query and folds them in once, when
 //! its phase ends ([`QueryBatch::merge_locals`]). The loops in this module
 //! are the batch generalizations of the single-query kernel loops in
-//! [`seed`](crate::seed) and [`scan`](crate::scan); the seed loop reads
-//! each query's prepared state from its slot and serves every measure,
-//! while ParIS's collect and verify steps are Euclidean only.
-//! The scan engines have only the batch form, and answer a single query
-//! as a batch of one.
+//! [`seed`](crate::seed) and [`scan`](crate::scan), all Euclidean: they
+//! are ParIS's seed, collect and verify steps. The scan engines have only
+//! the batch form, and answer a single query as a batch of one.
 //!
 //! [`BatchStats`] makes the amortization observable: broadcasts issued for
 //! the whole batch, raw series fetched once versus the per-query requests
@@ -33,11 +32,10 @@
 //! schedule has joined its workers.
 
 use crate::fetch::SeriesFetcher;
-use crate::prepare::{Prepared, PreparedQuery};
+use crate::prepare::PreparedQuery;
 use crate::stats::QueryStats;
 use dsidx_isax::{CoarseTable, Quantizer, Word};
 use dsidx_obs::phase::{Phase, PhaseBreakdown};
-use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::distance::euclidean_sq_bounded;
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
@@ -50,8 +48,8 @@ use std::sync::Arc;
 /// prepared summaries, its own pruner and its own work counters.
 ///
 /// `P` is what the batch prepared per query up front: a [`PreparedQuery`]
-/// for the scan engines, any [`Prepared`] query for the seed loop, `()`
-/// for a schedule that prepares each query where it answers it.
+/// for ParIS's loops, the UCR scan's own per-query state, or `()` for a
+/// schedule that prepares each query where it answers it.
 pub struct BatchSlot<'q, P = PreparedQuery> {
     /// The raw (z-normalized) query values.
     pub values: &'q [f32],
@@ -195,7 +193,7 @@ impl<'q> QueryBatch<'q> {
 /// What every batch offers, whatever it prepared per query.
 impl<'q, P> QueryBatch<'q, P> {
     /// A k-NN batch whose slots hold `prepare(query)` for each query — a
-    /// [`Prepared`] query, or `()` for a schedule that prepares each query
+    /// prepared query, or `()` for a schedule that prepares each query
     /// where it answers it (in parallel, inside the worker that claimed
     /// it) instead of serially up front. With `shard` set (see
     /// [`SharedPruners`]) the per-query pruners are rebasing views into the
@@ -390,21 +388,23 @@ impl BatchStats {
     }
 }
 
-/// Seeds every query in the batch from the (deduplicated, typically
-/// union-of-approximate-leaves) `positions`: each series is fetched once
-/// and pays every query's [`distance`](Prepared::distance) against that
-/// query's own threshold, booked in full in its counters, so every pruner
-/// starts from a threshold at least as tight as its own-leaf seed.
-/// Abandoning against each query's own threshold is result-identical to
-/// full distances (the pruner rejects anything at or above it anyway) and
-/// caps the cross-seeding cost once a query's top-k fills.
+/// Seeds every query in a Euclidean batch from the (deduplicated,
+/// typically union-of-approximate-leaves) `positions`: each series is
+/// fetched once and pays every query's early-abandoned distance
+/// ([`euclidean_sq_bounded`], booked as `real_computed` when it completes,
+/// as [`PreparedQuery`]'s [`distance`](crate::Prepared::distance) books it)
+/// against that query's own threshold, so every pruner starts from a
+/// threshold at least as tight as its own-leaf seed. Abandoning against
+/// each query's own threshold is result-identical to full distances (the
+/// pruner rejects anything at or above it anyway) and caps the
+/// cross-seeding cost once a query's top-k fills.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
-pub fn batch_seed_positions<Q: Prepared>(
+pub fn batch_seed_positions(
     positions: impl IntoIterator<Item = u32, IntoIter: ExactSizeIterator>,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    batch: &QueryBatch<'_, Q>,
+    batch: &QueryBatch<'_>,
 ) -> Result<(), StorageError> {
     let positions = positions.into_iter();
     let fetches = positions.len() as u64;
@@ -412,15 +412,12 @@ pub fn batch_seed_positions<Q: Prepared>(
         return Ok(());
     }
     let mut locals = vec![QueryStats::default(); batch.len()];
-    let mut scratch = DtwScratch::new();
     for pos in positions {
         let series = fetcher.fetch(pos as usize)?;
         for (slot, local) in batch.slots().iter().zip(&mut locals) {
             let limit = slot.topk.threshold_sq();
-            if let Some(d) = slot
-                .prep
-                .distance(slot.values, series, limit, &mut scratch, local)
-            {
+            if let Some(d) = euclidean_sq_bounded(slot.values, series, limit) {
+                local.real_computed += 1;
                 slot.topk.insert(d, pos);
             }
         }
@@ -1495,5 +1492,10 @@ mod tests {
         assert!(matches.is_empty());
         assert_eq!(stats.series_fetched, 0);
         assert!((stats.broadcasts_per_query() - 0.0).abs() < 1e-9);
+        // No positions seed nothing, either.
+        let qs = DatasetKind::Synthetic.queries(1, 64, 1);
+        let batch = QueryBatch::new(config.quantizer(), &[qs.get(0)], 3, None);
+        batch_seed_positions([], &mut fetcher, &batch).unwrap();
+        assert_eq!(batch.finish(0).1.series_fetched, 0);
     }
 }

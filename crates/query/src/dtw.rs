@@ -118,7 +118,6 @@ impl Prepared for DtwPrepared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{batch_seed_positions, QueryBatch};
     use crate::fetch::SeriesFetcher;
     use crate::scan::{process_leaf_entries, LeafScratch};
     use crate::seed::seed_from_entries;
@@ -237,46 +236,5 @@ mod tests {
                 stats.lb_keogh_computed
             );
         }
-    }
-
-    #[test]
-    fn batch_seeding_dtw_tightens_every_query() {
-        let (data, config) = fixture(60);
-        let qs = DatasetKind::Synthetic.queries(3, 64, 11);
-        let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let batch = QueryBatch::prepared(&qrefs, 2, None, |q| {
-            DtwPrepared::new(config.quantizer(), q, 4)
-        });
-        let mut fetcher = SeriesFetcher::new(&data);
-        batch_seed_positions([3, 7, 19], &mut fetcher, &batch).unwrap();
-        for slot in batch.slots() {
-            assert_eq!(slot.topk.len(), 2);
-            assert!(slot.topk.threshold_sq().is_finite());
-        }
-        let (_, stats) = batch.finish(0);
-        assert_eq!(stats.series_fetched, 3);
-        assert_eq!(stats.series_requests, 9);
-        for q in &stats.per_query {
-            // Every position goes through the cascade and resolves to a
-            // prune, an abandoned or a full DTW.
-            assert_eq!(q.lb_keogh_computed, 3);
-            assert_eq!(q.lb_keogh_pruned + q.dtw_abandoned + q.real_computed, 3);
-            assert!(q.real_computed >= 2);
-        }
-    }
-
-    #[test]
-    fn empty_batch_and_empty_positions_are_no_ops() {
-        let (data, config) = fixture(10);
-        let prepare = |q: &[f32]| DtwPrepared::new(config.quantizer(), q, 3);
-        let batch = QueryBatch::prepared(&[], 2, None, prepare);
-        let mut fetcher = SeriesFetcher::new(&data);
-        batch_seed_positions([1, 2], &mut fetcher, &batch).unwrap();
-        let qs = DatasetKind::Synthetic.queries(1, 64, 1);
-        let qrefs: Vec<&[f32]> = qs.iter().collect();
-        let batch = QueryBatch::prepared(&qrefs, 2, None, prepare);
-        batch_seed_positions([], &mut fetcher, &batch).unwrap();
-        let (_, stats) = batch.finish(0);
-        assert_eq!(stats.series_fetched, 0);
     }
 }
