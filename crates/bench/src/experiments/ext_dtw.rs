@@ -4,9 +4,10 @@
 //! once, and then use this index to answer both Euclidean and DTW
 //! similarity search queries." Compares the facade's DTW query plane
 //! (`QuerySpec::nn().measure(Measure::Dtw { band })` on a MESSI
-//! `MemoryIndex`) against the serial and parallel UCR-DTW scans for
-//! several warping bands, then answers the whole query set as ONE batched
-//! DTW search — a single pool broadcast for B queries, asserted below.
+//! `MemoryIndex`) against the UCR scan at one worker and at every core
+//! (asserted to answer alike) for several warping bands, then answers the
+//! whole query set as ONE batched DTW search — a single pool broadcast for
+//! B queries, asserted below.
 
 use crate::{core_ladder, f, mem_dataset, ms, queries, time, time_queries, Scale, Table};
 use dsidx::prelude::*;
@@ -48,12 +49,19 @@ pub fn run(scale: &Scale) {
         let band = len * band_pct / 100;
         let spec = QuerySpec::nn().measure(Measure::Dtw { band }).with_stats();
         let _ = index.search(&qrefs[..1], &spec).expect("warm");
-        let serial = time_queries(&qs, |q| {
-            let _ = dsidx::ucr::scan_dtw(&data, q, band);
-        });
-        let parallel = time_queries(&qs, |q| {
-            let _ = dsidx::ucr::scan_dtw_parallel(&*data, &[q], band, 1, cores, None);
-        });
+        // The one UCR scan at one worker (UCR Suite) and at `cores` (UCR
+        // Suite-p): the same answers, asserted below.
+        let scan = |q: &[f32], threads: usize| {
+            let dtw = Measure::Dtw { band };
+            dsidx::ucr::scan(&*data, &[q], dtw, 1, threads, None).expect("in-memory scan")
+        };
+        let (mut serial_answers, mut parallel_answers) = (Vec::new(), Vec::new());
+        let serial = time_queries(&qs, |q| serial_answers.push(scan(q, 1).0));
+        let parallel = time_queries(&qs, |q| parallel_answers.push(scan(q, cores).0));
+        assert_eq!(
+            serial_answers, parallel_answers,
+            "the UCR scan must answer alike at 1 and {cores} workers (band {band})"
+        );
         let mut stats = QueryStats::default();
         let messi_t = time_queries(&qs, |q| {
             let answers = index.search(&[q], &spec).expect("query");

@@ -39,11 +39,11 @@ pub(crate) fn run_profile(scale: &Scale, profile: DeviceProfile, table_name: &st
             .expect("valid config");
         let qs = crate::queries_planted(kind, scale.disk_queries, scale);
 
-        // UCR Suite: serial sequential scan over the file.
+        // UCR Suite: the scan at one worker, sequential over the file.
         let device = Arc::new(Device::new(profile));
         let file = DatasetFile::open(&path, device).expect("open dataset");
         let ucr = time_queries(&qs, |q| {
-            let _ = dsidx::ucr::scan_ed_file(&file, q, 4096).expect("scan");
+            let _ = dsidx::ucr::scan(&file, &[q], Measure::Euclidean, 1, 1, None).expect("scan");
         });
 
         // ADS+: ParIS's scan at one worker over MESSI's tree built at one

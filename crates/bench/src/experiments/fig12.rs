@@ -49,7 +49,8 @@ pub fn run(scale: &Scale) {
 
         // Warm up all engines once (pool wake + caches).
         let w = qs.get(0);
-        let _ = dsidx::ucr::scan_ed_parallel(&data, w, cores);
+        let ucr_nn = |q: &[f32]| dsidx::ucr::scan(&data, &[q], Measure::Euclidean, 1, cores, None);
+        let _ = ucr_nn(w);
         let paris_nn = |q: &[f32]| dsidx::paris::exact(&paris, None, &data, &[q], 1, cores, None);
         let messi_nn = |q: &[f32]| {
             dsidx::messi::exact(&messi, &data, &[q], Measure::Euclidean, 1, cores, None)
@@ -58,7 +59,7 @@ pub fn run(scale: &Scale) {
         let _ = messi_nn(w);
 
         let ucr = time_queries(&qs, |q| {
-            let _ = dsidx::ucr::scan_ed_parallel(&data, q, cores);
+            let _ = ucr_nn(q);
         });
         let paris_t = time_queries(&qs, |q| {
             let _ = paris_nn(q).expect("query");

@@ -26,7 +26,7 @@ pub fn run(scale: &Scale) {
     for &cores in &core_ladder(&[2, 4, 6, 8, 12, 18, 24]) {
         dsidx::sync::pool::global(cores).broadcast(&|_| {});
         let ucr = time_queries(&qs, |q| {
-            let _ = dsidx::ucr::scan_ed_parallel(&data, q, cores);
+            let _ = dsidx::ucr::scan(&data, &[q], Measure::Euclidean, 1, cores, None);
         });
         let paris_t = time_queries(&qs, |q| {
             let _ = dsidx::paris::exact(&paris, None, &data, &[q], 1, cores, None).expect("query");

@@ -238,13 +238,13 @@ impl<S> Index<S> {
                 let (leaves, workers) = (self.leaves.as_ref(), self.engine.workers(&self.options));
                 dsidx_paris::exact(tree, leaves, source, queries, k, workers, shard)
             }
-            // The scan engines have no DTW index path: the one parallel UCR
-            // scan over the raw source (still exact, just index-free).
+            // The scan engines have no DTW index path: the one UCR scan
+            // over the raw source (still exact, just index-free).
             (
                 Fidelity::Exact,
                 Engine::Ads | Engine::Paris | Engine::ParisPlus,
-                Measure::Dtw { band },
-            ) => dsidx_ucr::scan_dtw_parallel(source, queries, band, k, threads, shard),
+                Measure::Dtw { .. },
+            ) => dsidx_ucr::scan(source, queries, measure, k, threads, shard),
             (Fidelity::Approximate, _, Measure::Euclidean) => {
                 self.approx(source, queries, k, |q| PreparedQuery::new(quantizer, q))
             }

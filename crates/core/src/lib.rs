@@ -71,7 +71,8 @@
 //!   ParIS's scans the tree's own entry words. The ADS+
 //!   baseline is no crate of its own: it is MESSI's build and ParIS's
 //!   `exact`, both at one worker ([`Engine::Ads`]);
-//! * [`sync`] — the concurrency substrate (atomic BSF, Fetch&Inc claims).
+//! * [`sync`] — the concurrency substrate (shared top-k BSF, Fetch&Inc
+//!   claims, the worker pool).
 //!
 //! The facade itself is small: [`engine`] holds the one index type
 //! ([`engine::Index`], of which [`MemoryIndex`] and [`DiskIndex`] are the

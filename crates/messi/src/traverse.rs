@@ -213,7 +213,7 @@ mod tests {
     use crate::pqueue::{drain_best_first, Drain, LeafRuns};
     use dsidx_isax::paa::paa;
     use dsidx_series::gen::DatasetKind;
-    use dsidx_sync::AtomicBest;
+    use dsidx_sync::SharedTopK;
     use dsidx_tree::TreeConfig;
 
     #[test]
@@ -233,7 +233,7 @@ mod tests {
             .filter(|n| n.is_leaf() && !n.entry_range().is_empty())
             .count() as u64;
         for threads in [1usize, 4, 8] {
-            let best = AtomicBest::new();
+            let best = SharedTopK::new(1);
             let runs = LeafRuns::new(threads);
             let traversal = Traversal::new(&messi, node_table.clone(), &best);
             let enqueued = std::sync::atomic::AtomicU64::new(0);
@@ -264,6 +264,19 @@ mod tests {
         }
     }
 
+    /// A best-so-far nothing can beat: a match at distance 0 is in hand.
+    struct Perfect;
+
+    impl Pruner for Perfect {
+        fn threshold_sq(&self) -> f32 {
+            0.0
+        }
+
+        fn insert(&self, _: f32, _: u32) -> bool {
+            false
+        }
+    }
+
     #[test]
     fn tight_bsf_prunes_everything() {
         let data = DatasetKind::Synthetic.generate(500, 64, 9);
@@ -272,8 +285,7 @@ mod tests {
         let q = DatasetKind::Synthetic.queries(1, 64, 9);
         let paa_q = paa(q.get(0), 8);
         let node_table = NodeMindistTable::new_point(&paa_q, cfg.tree.quantizer().segment_lens());
-        let best = AtomicBest::with_initial(0.0, 0); // perfect BSF
-        let traversal = Traversal::new(&messi, node_table, &best);
+        let traversal = Traversal::new(&messi, node_table, &Perfect);
         let mut run = RunBuilder::new();
         let pruned = traversal.run_worker(&mut run);
         assert!(run.is_empty(), "zero BSF must prune every subtree");

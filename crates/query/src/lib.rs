@@ -23,14 +23,13 @@
 //! The measure is a parameter of the loops, not a copy of them: a prepared
 //! query implements [`Prepared`] — its word, its word-level table, its
 //! node-table fill, the phase its traversal is booked under and its
-//! distance — and the seed, leaf and batch-seed loops are generic over it
-//! (ParIS's collect and verify steps are Euclidean only).
+//! distance — and the seed and leaf loops are generic over it (ParIS's
+//! batch seed, collect and verify steps are Euclidean only).
 //! Every loop is also generic over [`Pruner`] — the abstraction of
-//! "threshold read + candidate insert". Every engine schedule runs on an
-//! [`OffsetTopK`] (a k-NN collector whose threshold is the k-th best
-//! distance so far, optionally a view into a cross-shard [`SharedTopK`];
-//! 1-NN is k = 1); the [`AtomicBest`](dsidx_sync::AtomicBest) best-so-far
-//! is left to the UCR baseline scans.
+//! "threshold read + candidate insert". Every schedule, the UCR scan's
+//! included, runs on an [`OffsetTopK`] (a k-NN collector whose threshold is
+//! the k-th best distance so far, optionally a view into a cross-shard
+//! [`SharedTopK`]; 1-NN is k = 1).
 //!
 //! The [`batch`] module generalizes all of it to query *batches*: a
 //! [`QueryBatch`] holds per-query prepared state, pruners and stats, and

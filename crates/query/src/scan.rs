@@ -189,7 +189,7 @@ mod tests {
     use crate::prepare::PreparedQuery;
     use dsidx_series::distance::euclidean_sq;
     use dsidx_series::gen::DatasetKind;
-    use dsidx_sync::{AtomicBest, SharedTopK};
+    use dsidx_sync::SharedTopK;
     use dsidx_tree::TreeConfig;
 
     /// One leaf holding the whole fixture, padded like a flat-tree leaf.
@@ -381,7 +381,7 @@ mod tests {
         let mut scratch = LeafScratch::new();
         for q in queries.iter() {
             let prep = PreparedQuery::new(config.quantizer(), q);
-            let best = AtomicBest::new();
+            let best = SharedTopK::new(1);
             let mut fetcher = SeriesFetcher::new(&data);
             let mut stats = QueryStats::default();
             let fetched = process_leaf_entries(
@@ -398,7 +398,7 @@ mod tests {
             assert_eq!(stats.lb_entry_computed, 203, "padding is not counted");
             assert!(stats.real_computed <= fetched && fetched <= 203);
             let want = brute(&data, q);
-            assert_eq!(best.get().1, want.1);
+            assert_eq!(best.matches()[0].1, want.1);
         }
     }
 

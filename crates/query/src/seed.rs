@@ -154,7 +154,7 @@ pub fn best_bound_positions(
 mod tests {
     use super::*;
     use dsidx_series::gen::DatasetKind;
-    use dsidx_sync::AtomicBest;
+    use dsidx_sync::SharedTopK;
     use dsidx_tree::{Index, LeafEntry, TreeConfig};
 
     fn build_index(n: usize) -> (dsidx_series::Dataset, Index) {
@@ -242,7 +242,7 @@ mod tests {
         let q = data.get(42);
         let (_, positions) = own_leaf(&index, &data, 42);
         let prep = crate::prepare::PreparedQuery::new(index.config().quantizer(), q);
-        let best = AtomicBest::new();
+        let best = SharedTopK::new(1);
         let mut fetcher = SeriesFetcher::new(&data);
         let mut scratch = LeafScratch::new();
         let reals = seed_from_entries(
@@ -258,8 +258,6 @@ mod tests {
         // the rest may abandon against the tightening best-so-far.
         assert!((1..=positions.len() as u64).contains(&reals));
         // Series 42 is in its own leaf, so seeding must find distance 0.
-        let (dist_sq, pos) = best.get();
-        assert_eq!(pos, 42);
-        assert_eq!(dist_sq, 0.0);
+        assert_eq!(best.matches(), vec![(0.0, 42)]);
     }
 }

@@ -3,17 +3,15 @@
 //! The paper's algorithms rest on two tiny synchronization devices, both
 //! implemented (and stress-tested) here:
 //!
-//! * [`AtomicBest`] — the shared BSF ("best-so-far") variable: a lock-free
-//!   minimum over `(squared distance, position)` pairs, updated by every
-//!   worker that finds a closer candidate.
+//! * the shared BSF ("best-so-far"), updated by every worker that finds a
+//!   closer candidate. [`SharedTopK`] generalizes it to exact k-NN: the
+//!   [`Pruner`] trait abstracts "threshold read + candidate insert", so the
+//!   query kernels answer 1-NN (k = 1) and k-NN with the same code;
 //! * [`WorkQueue`] — Fetch&Inc work claiming: "chunks are assigned to index
 //!   workers one after the other (using Fetch&Inc)" (§III).
 //!
-//! On top of these, [`topk`] generalizes the BSF to exact k-NN: the
-//! [`Pruner`] trait abstracts "threshold read + candidate insert" (both
-//! [`AtomicBest`] and [`SharedTopK`] implement it), so the query kernels
-//! answer 1-NN and k-NN with the same code. The engines' workers are the
-//! persistent threads of a [`WorkerPool`], one task per broadcast.
+//! The engines' workers are the persistent threads of a [`WorkerPool`],
+//! one task per broadcast.
 //!
 //! There is no barrier here: no schedule stops every worker between two
 //! phases. A MESSI worker hands its traversal to its peers by publishing
@@ -22,13 +20,11 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod best;
 pub mod metrics;
 pub mod pool;
 pub mod queue;
 pub mod topk;
 
-pub use best::AtomicBest;
 pub use pool::WorkerPool;
 pub use queue::WorkQueue;
 pub use topk::{OffsetTopK, Pruner, SharedTopK};

@@ -4,15 +4,25 @@
 //! is the *k-th* best distance instead of the single best. [`Pruner`]
 //! captures that contract — a cheap threshold read for the hot
 //! early-abandon checks plus a candidate insert — so every query kernel
-//! loop is written once and answers both query shapes. [`AtomicBest`]
-//! implements it for k = 1 (lock-free, unchanged semantics);
-//! [`SharedTopK`] implements it for general k.
+//! loop is written once and answers both query shapes. [`SharedTopK`]
+//! implements it for every k, 1-NN being k = 1; [`OffsetTopK`] is the view
+//! every engine schedule holds.
 
-use crate::best::{pack, AtomicBest};
 use parking_lot::Mutex;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+
+/// Packs `f32::to_bits(dist)` into the high 32 bits and the series position
+/// into the low 32 bits. Distances are non-negative, and for non-negative
+/// IEEE-754 floats the bit pattern order equals numeric order, so the
+/// integer order of packed words is the `(distance, position)` order —
+/// lowest position first among exact ties.
+#[inline]
+fn pack(dist_sq: f32, pos: u32) -> u64 {
+    debug_assert!(dist_sq >= 0.0, "distances are non-negative");
+    (u64::from(dist_sq.to_bits()) << 32) | u64::from(pos)
+}
 
 /// A shared, concurrently updatable pruning target for exact NN queries.
 ///
@@ -35,24 +45,11 @@ pub trait Pruner: Sync {
     fn insert(&self, dist_sq: f32, pos: u32) -> bool;
 }
 
-impl Pruner for AtomicBest {
-    #[inline]
-    fn threshold_sq(&self) -> f32 {
-        self.dist_sq()
-    }
-
-    #[inline]
-    fn insert(&self, dist_sq: f32, pos: u32) -> bool {
-        self.update(dist_sq, pos)
-    }
-}
-
 /// A thread-safe bounded collector of the k smallest `(squared distance,
 /// position)` pairs.
 ///
 /// Internally a mutex'd max-heap of packed `(dist bits, position)` words
-/// (the same packing as [`AtomicBest`], so ordering — including the
-/// lowest-position tie-break — is identical), plus a lock-free mirror of
+/// (ordered by distance, then lowest position), plus a lock-free mirror of
 /// the current k-th distance in an `AtomicU32` of `f32` bits. The hot
 /// early-abandon read ([`Pruner::threshold_sq`]) is a single atomic load;
 /// the mutex is only touched by inserts that might change the set, which
@@ -65,8 +62,8 @@ impl Pruner for AtomicBest {
 /// still reaches [`insert`](Pruner::insert), where the packed comparison
 /// lets a lower position replace the incumbent — so concurrent executions
 /// converge to the brute-force answer (k smallest by `(dist, pos)`),
-/// independent of processing order. At k = 1 this degenerates to
-/// [`AtomicBest`]-equivalent behavior with the same tie-break.
+/// independent of processing order; at k = 1, the best-so-far with the
+/// lowest position winning exact ties.
 ///
 /// Positions are unique: re-inserting a position already in the set is a
 /// no-op (the first recorded distance wins), so callers may freely
@@ -358,17 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn k1_matches_atomic_best_including_ties() {
-        let updates = [(4.0f32, 9u32), (4.0, 3), (2.0, 8), (2.0, 1), (7.0, 0)];
-        let best = AtomicBest::new();
+    fn k1_keeps_the_lowest_position_minimum_including_ties() {
         let topk = SharedTopK::new(1);
-        for &(d, p) in &updates {
-            best.update(d, p);
-            topk.insert(d, p);
-        }
-        let (d, p) = best.get();
-        assert_eq!(collect(&topk), vec![(d, p)]);
-        assert_eq!((d, p), (2.0, 1));
+        let updates = [(4.0f32, 9u32), (4.0, 3), (2.0, 8), (2.0, 1), (7.0, 0)];
+        let improved: Vec<bool> = updates.iter().map(|&(d, p)| topk.insert(d, p)).collect();
+        assert_eq!(improved, [true, true, true, true, false]);
+        assert_eq!(collect(&topk), vec![(2.0, 1)]);
+        assert_eq!(topk.kth_dist_sq(), 2.0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property tests for the concurrency substrate — centered on the
-//! determinism contract of [`AtomicBest`] and [`SharedTopK`]: whatever the
-//! update order or thread interleaving, the final answer is the global
-//! minimum (or the k smallest pairs) with the *lowest position winning
-//! exact distance ties*. Every engine's "deterministic answer across runs
-//! and threads" behaviour rests on this.
+//! determinism contract of [`SharedTopK`]: whatever the update order or
+//! thread interleaving, the final answer is the k smallest pairs (at
+//! k = 1, the global minimum) with the *lowest position winning exact
+//! distance ties*. Every engine's "deterministic answer across runs and
+//! threads" behaviour rests on this.
 
-use dsidx_sync::{AtomicBest, Pruner, SharedTopK};
+use dsidx_sync::{Pruner, SharedTopK};
 use proptest::prelude::*;
 
 /// Reference semantics: minimum by `(dist, pos)` lexicographic order.
@@ -34,18 +34,10 @@ fn reference_topk(updates: &[(f32, u32)], k: usize) -> Vec<(f32, u32)> {
 }
 
 /// Distances drawn from a tiny set of magnitudes so exact ties are common
-/// (quantizing to a step of 0.25 makes equal f32 values routine).
-fn tie_heavy_updates() -> impl Strategy<Value = Vec<(f32, u32)>> {
-    collection::vec((0usize..8, 0u32..64), 1..200).prop_map(|raw| {
-        raw.into_iter()
-            .map(|(step, pos)| (step as f32 * 0.25, pos))
-            .collect()
-    })
-}
-
-/// Like [`tie_heavy_updates`], but the distance is a function of the
-/// position — repeated positions always carry the same distance, matching
-/// how the query kernels re-verify already-seeded positions.
+/// (quantizing to a step of 0.25 makes equal f32 values routine), each a
+/// function of the position — repeated positions always carry the same
+/// distance, matching how the query kernels re-verify already-seeded
+/// positions.
 fn tie_heavy_keyed_updates() -> impl Strategy<Value = Vec<(f32, u32)>> {
     collection::vec(0u32..96, 1..250).prop_map(|raw| {
         raw.into_iter()
@@ -62,22 +54,25 @@ fn tie_heavy_keyed_updates() -> impl Strategy<Value = Vec<(f32, u32)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Sequential updates in any order converge to the reference minimum,
-    /// with the lowest position winning every exact tie.
+    /// At k = 1, sequential inserts in any order converge to the reference
+    /// minimum, with the lowest position winning every exact tie.
     #[test]
-    fn lowest_position_wins_ties_sequentially(updates in tie_heavy_updates()) {
-        let best = AtomicBest::new();
+    fn lowest_position_wins_ties_sequentially(updates in tie_heavy_keyed_updates()) {
+        let best = SharedTopK::new(1);
         for &(d, p) in &updates {
-            best.update(d, p);
+            best.insert(d, p);
         }
-        prop_assert_eq!(best.get(), reference_best(&updates));
+        prop_assert_eq!(best.matches(), vec![reference_best(&updates)]);
     }
 
-    /// The same holds under concurrent updates: the winner is independent
+    /// The same holds under concurrent inserts: the winner is independent
     /// of thread interleaving.
     #[test]
-    fn lowest_position_wins_ties_concurrently(updates in tie_heavy_updates(), threads in 2usize..6) {
-        let best = AtomicBest::new();
+    fn lowest_position_wins_ties_concurrently(
+        updates in tie_heavy_keyed_updates(),
+        threads in 2usize..6,
+    ) {
+        let best = SharedTopK::new(1);
         std::thread::scope(|s| {
             for t in 0..threads {
                 let best = &best;
@@ -85,29 +80,25 @@ proptest! {
                 s.spawn(move || {
                     // Each thread replays a strided slice of the updates.
                     for (d, p) in updates.iter().skip(t).step_by(threads) {
-                        best.update(*d, *p);
+                        best.insert(*d, *p);
                     }
                 });
             }
         });
-        prop_assert_eq!(best.get(), reference_best(&updates));
+        prop_assert_eq!(best.matches(), vec![reference_best(&updates)]);
     }
 
-    /// `update` reports an improvement iff the packed order strictly
-    /// decreased — the invariant the engines' `real_computed` accounting
-    /// and BSF refresh logic rely on.
+    /// `insert` reports an improvement iff the held set changed — the
+    /// invariant the engines' accounting and threshold refresh rely on.
     #[test]
-    fn update_returns_true_iff_it_improved(updates in tie_heavy_updates()) {
-        let best = AtomicBest::new();
-        let mut current = (f32::INFINITY, u32::MAX);
-        for &(d, p) in &updates {
-            let improved = best.update(d, p);
-            let should = d < current.0 || (d == current.0 && p < current.1);
-            prop_assert_eq!(improved, should, "update ({}, {}) against {:?}", d, p, current);
-            if should {
-                current = (d, p);
-            }
-            prop_assert_eq!(best.get(), current);
+    fn update_returns_true_iff_it_improved(updates in tie_heavy_keyed_updates(), k in 1usize..12) {
+        let topk = SharedTopK::new(k);
+        for (i, &(d, p)) in updates.iter().enumerate() {
+            let before = topk.matches();
+            let improved = topk.insert(d, p);
+            let after = topk.matches();
+            prop_assert_eq!(improved, before != after, "insert ({}, {}) into {:?}", d, p, before);
+            prop_assert_eq!(after, reference_topk(&updates[..=i], k));
         }
     }
 
@@ -146,24 +137,18 @@ proptest! {
         prop_assert_eq!(topk.matches(), reference_topk(&updates, k));
     }
 
-    /// k = 1 degenerates to `AtomicBest` exactly, tie-breaks included, and
-    /// the exposed thresholds agree to within the documented one ulp.
+    /// At k = 1 the collector holds the sort-and-truncate minimum, and its
+    /// pruning threshold sits exactly one ulp above that distance, keeping
+    /// boundary ties reachable.
     #[test]
-    fn topk_at_k1_matches_atomic_best(updates in tie_heavy_keyed_updates()) {
-        let best = AtomicBest::new();
+    fn topk_at_k1_sits_one_ulp_above_the_minimum(updates in tie_heavy_keyed_updates()) {
         let topk = SharedTopK::new(1);
         for &(d, p) in &updates {
-            best.update(d, p);
             topk.insert(d, p);
         }
-        let (d, p) = best.get();
-        prop_assert_eq!(topk.matches(), vec![(d, p)]);
-        prop_assert_eq!(topk.kth_dist_sq(), best.dist_sq());
-        // The top-k pruning threshold sits exactly one ulp above the
-        // AtomicBest one, keeping boundary ties reachable.
-        prop_assert_eq!(
-            Pruner::threshold_sq(&topk).to_bits(),
-            Pruner::threshold_sq(&best).to_bits() + 1
-        );
+        let want = reference_topk(&updates, 1);
+        prop_assert_eq!(topk.matches(), want.clone());
+        prop_assert_eq!(topk.kth_dist_sq(), want[0].0);
+        prop_assert_eq!(Pruner::threshold_sq(&topk).to_bits(), want[0].0.to_bits() + 1);
     }
 }

@@ -1,137 +1,46 @@
-//! Serial UCR-style scans under Euclidean distance.
+//! The Euclidean oracles, and the scan's Euclidean tests.
 
-use dsidx_series::distance::{abandon_order, euclidean_sq_ordered};
+use crate::sorted_by;
+use dsidx_series::distance::euclidean_sq;
 use dsidx_series::{Dataset, Match};
-use dsidx_storage::{DatasetFile, StorageError};
 
-/// Exact 1-NN by serial scan over an in-memory dataset.
-///
-/// Applies the UCR Suite optimizations applicable to whole matching:
-/// early abandoning against the best-so-far, visiting points in decreasing
-/// `|query|` order.
-///
-/// Returns `None` for an empty dataset.
+/// Reference brute-force exact 1-NN without any optimization (test
+/// oracle): the lowest position at the smallest distance; `None` for an
+/// empty dataset.
 ///
 /// # Panics
 /// Panics if the query length differs from the dataset's series length.
 #[must_use]
-pub fn scan_ed(data: &Dataset, query: &[f32]) -> Option<Match> {
-    assert_eq!(query.len(), data.series_len(), "query length mismatch");
-    let order = abandon_order(query);
-    let mut best = Match::new(0, f32::INFINITY);
-    let mut found = false;
-    for (pos, series) in data.iter().enumerate() {
-        if let Some(d) = euclidean_sq_ordered(query, series, &order, best.dist_sq) {
-            best = Match::new(pos as u32, d);
-            found = true;
-        } else if !found {
-            // First series may tie the +inf limit (e.g. identical); keep a
-            // valid answer for the degenerate case below.
-            found = true;
-            best = Match::new(
-                pos as u32,
-                dsidx_series::distance::euclidean_sq(query, series),
-            );
-        }
-    }
-    found.then_some(best)
-}
-
-/// Exact 1-NN by serial block scan over an on-disk dataset file; reads are
-/// charged to the file's device.
-///
-/// `block_series` controls the sequential read granularity.
-///
-/// # Errors
-/// Propagates I/O failures.
-///
-/// # Panics
-/// Panics if the query length differs from the file's series length, or if
-/// `block_series == 0`.
-pub fn scan_ed_file(
-    file: &DatasetFile,
-    query: &[f32],
-    block_series: usize,
-) -> Result<Option<Match>, StorageError> {
-    assert_eq!(query.len(), file.series_len(), "query length mismatch");
-    assert!(block_series > 0, "block size must be non-zero");
-    let order = abandon_order(query);
-    let series_len = file.series_len();
-    let mut best = Match::new(0, f32::INFINITY);
-    let mut found = false;
-    let mut block = Vec::new();
-    let mut start = 0;
-    while start < file.count() {
-        let count = block_series.min(file.count() - start);
-        file.read_block(start, count, &mut block)?;
-        for (i, series) in block.chunks_exact(series_len).enumerate() {
-            let pos = (start + i) as u32;
-            if let Some(d) = euclidean_sq_ordered(query, series, &order, best.dist_sq) {
-                best = Match::new(pos, d);
-                found = true;
-            } else if !found {
-                found = true;
-                best = Match::new(pos, dsidx_series::distance::euclidean_sq(query, series));
-            }
-        }
-        start += count;
-    }
-    Ok(found.then_some(best))
-}
-
-/// Reference brute-force scan without any optimization (test oracle).
-#[must_use]
 pub fn brute_force(data: &Dataset, query: &[f32]) -> Option<Match> {
-    assert_eq!(query.len(), data.series_len(), "query length mismatch");
-    let mut best: Option<Match> = None;
-    for (pos, series) in data.iter().enumerate() {
-        let d = dsidx_series::distance::euclidean_sq(query, series);
-        if best.is_none_or(|b| d < b.dist_sq) {
-            best = Some(Match::new(pos as u32, d));
-        }
-    }
-    best
+    brute_force_knn(data, query, 1).pop()
 }
 
 /// Reference brute-force exact k-NN (test oracle): every distance, sorted
-/// ascending by `(distance, position)`, truncated to `k`. The
-/// lowest-position tie-break matches the concurrent collectors'
-/// determinism contract.
+/// ascending by `(distance, position)`, truncated to `k`.
 ///
 /// # Panics
 /// Panics if the query length differs from the dataset's series length.
 #[must_use]
 pub fn brute_force_knn(data: &Dataset, query: &[f32], k: usize) -> Vec<Match> {
-    assert_eq!(query.len(), data.series_len(), "query length mismatch");
-    let mut all: Vec<Match> = data
-        .iter()
-        .enumerate()
-        .map(|(pos, series)| {
-            Match::new(
-                pos as u32,
-                dsidx_series::distance::euclidean_sq(query, series),
-            )
-        })
-        .collect();
-    all.sort_unstable_by(|a, b| {
-        a.dist_sq
-            .partial_cmp(&b.dist_sq)
-            .expect("finite distances")
-            .then(a.pos.cmp(&b.pos))
-    });
-    all.truncate(k);
-    all
+    sorted_by(data, query, k, |series| euclidean_sq(query, series))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan;
+    use dsidx_query::{Measure, QueryStats};
     use dsidx_series::gen::{random_walk, DatasetKind};
-    use dsidx_storage::{write_dataset, Device};
+    use dsidx_storage::{write_dataset, DatasetFile, Device, RawSource};
     use std::sync::Arc;
 
-    fn dev() -> Arc<Device> {
-        Arc::new(Device::unthrottled())
+    /// One query, 1-NN, at one worker.
+    fn nn(source: &impl RawSource, query: &[f32]) -> (Option<Match>, QueryStats) {
+        let (mut matches, stats) = scan(source, &[query], Measure::Euclidean, 1, 1, None).unwrap();
+        (
+            matches.pop().expect("batch of one").pop(),
+            stats.into_single(),
+        )
     }
 
     #[test]
@@ -140,7 +49,7 @@ mod tests {
             let data = kind.generate(300, 64, 11);
             let queries = kind.queries(10, 64, 11);
             for q in queries.iter() {
-                let got = scan_ed(&data, q).unwrap();
+                let got = nn(&data, q).0.unwrap();
                 let want = brute_force(&data, q).unwrap();
                 assert_eq!(got.pos, want.pos, "{}", kind.name());
                 assert!((got.dist_sq - want.dist_sq).abs() <= want.dist_sq * 1e-4 + 1e-4);
@@ -152,30 +61,34 @@ mod tests {
     fn finds_exact_copy() {
         let data = random_walk(100, 32, 5);
         let q = data.get(37).to_vec();
-        let m = scan_ed(&data, &q).unwrap();
-        assert_eq!(m.pos, 37);
-        assert_eq!(m.dist_sq, 0.0);
+        let (m, stats) = nn(&data, &q);
+        assert_eq!(m, Some(Match::new(37, 0.0)));
+        // The seed's full distance plus every completed one; nothing after
+        // the copy completes.
+        assert!((3..=39).contains(&stats.real_computed), "{stats:?}");
+        assert_eq!(stats.lb_total(), 0);
     }
 
     #[test]
     fn empty_dataset_returns_none() {
         let data = Dataset::new(16).unwrap();
-        assert!(scan_ed(&data, &[0.0; 16]).is_none());
+        let (m, stats) = nn(&data, &[0.0; 16]);
+        assert!(m.is_none());
+        assert_eq!(stats, QueryStats::default());
     }
 
     #[test]
     fn single_series_dataset() {
         let data = random_walk(1, 32, 9);
         let q = random_walk(1, 32, 10);
-        let m = scan_ed(&data, q.get(0)).unwrap();
-        assert_eq!(m.pos, 0);
+        assert_eq!(nn(&data, q.get(0)).0.unwrap().pos, 0);
     }
 
     #[test]
     #[should_panic(expected = "query length mismatch")]
     fn wrong_query_length_panics() {
         let data = random_walk(5, 32, 1);
-        let _ = scan_ed(&data, &[0.0; 16]);
+        let _ = nn(&data, &[0.0; 16]);
     }
 
     #[test]
@@ -183,16 +96,27 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsidx-ucr-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("scan.dsidx");
-        let data = random_walk(200, 48, 3);
+        let data = random_walk(600, 48, 3);
+        let dev = || Arc::new(Device::unthrottled());
         write_dataset(&path, &data, dev()).unwrap();
         let file = DatasetFile::open(&path, dev()).unwrap();
         let queries = random_walk(5, 48, 99);
         for q in queries.iter() {
-            let mem = scan_ed(&data, q).unwrap();
-            // Block size that does not divide the count exercises the tail.
-            let disk = scan_ed_file(&file, q, 37).unwrap().unwrap();
-            assert_eq!(mem.pos, disk.pos);
-            assert!((mem.dist_sq - disk.dist_sq).abs() <= mem.dist_sq * 1e-4 + 1e-4);
+            // The same series in the same order: the same answer and work.
+            let (mem, mem_stats) = nn(&data, q);
+            let (disk, disk_stats) = nn(&file, q);
+            assert_eq!(mem, disk);
+            assert_eq!(
+                QueryStats {
+                    phase: Default::default(),
+                    ..mem_stats
+                },
+                QueryStats {
+                    phase: Default::default(),
+                    ..disk_stats
+                }
+            );
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

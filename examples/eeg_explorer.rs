@@ -26,11 +26,12 @@ fn main() -> Result<(), Error> {
     // Compare against what the session would feel like on a serial scan.
     let seed_query = DatasetKind::Sald.queries(1, len, 99);
     let t_scan = Instant::now();
-    let scan_hit = dsidx::ucr::scan_ed(&data, seed_query.get(0)).expect("non-empty");
+    let (scan_hits, _) =
+        dsidx::ucr::scan(&data, &[seed_query.get(0)], Measure::Euclidean, 1, 1, None)?;
     let scan_time = t_scan.elapsed();
     println!(
         "serial UCR scan for one query: {scan_time:.1?} (hit #{}) — the baseline feel",
-        scan_hit.pos
+        scan_hits[0][0].pos
     );
 
     // The exploration session: 12 hops, each query derived from the

@@ -52,6 +52,7 @@ const TABLE: &[Row] = &[
     ("synthetic/messi-resident/ed/k1", [0, 0, 130, 321, 295, 26, 4149, 0, 0, 0, 0, 0, 31, 1, 179, 179, 17550106926475933756, 10409978560314616613]),
     ("synthetic/best-leaf/ed/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 0, 0, 16111578257366559904, 11491680351945625473]),
     ("synthetic/paris-approx/ed/k1", [7500, 80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 7542202593339497711, 10409978560314616613]),
+    ("synthetic/ucr-scan/ed/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 46, 1, 1501, 7505, 10941667694762238725, 10409978560314616613]),
     ("synthetic/messi-resident/dtw/k1", [0, 0, 148, 294, 283, 11, 3979, 466, 337, 130, 119, 92888, 26, 1, 554, 554, 4103857251922580769, 5411154571359882617]),
     ("synthetic/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 4611296220118408993, 3549676448302995044]),
     ("synthetic/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 12, 10, 49, 79161, 19, 0, 0, 0, 753827474551625399, 5411154571359882617]),
@@ -61,6 +62,7 @@ const TABLE: &[Row] = &[
     ("synthetic/messi-resident/ed/k10", [0, 0, 29, 474, 349, 125, 4729, 0, 0, 0, 0, 0, 220, 1, 413, 413, 12739023809380987787, 15048725421936891803]),
     ("synthetic/best-leaf/ed/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 69, 0, 0, 0, 13162286273243104706, 14865141623892052239]),
     ("synthetic/paris-approx/ed/k10", [7500, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 113, 0, 0, 0, 7563668283987659017, 15048725421936891803]),
+    ("synthetic/ucr-scan/ed/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 298, 1, 1501, 7505, 14333931563641753541, 15048725421936891803]),
     ("synthetic/messi-resident/dtw/k10", [0, 0, 23, 492, 341, 151, 4622, 822, 440, 166, 246, 388814, 206, 1, 910, 910, 11165328273887041307, 8734562397311197402]),
     ("synthetic/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 70, 0, 0, 0, 547381436288780259, 10861073893479150730]),
     ("synthetic/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 7, 7, 75, 252057, 118, 0, 0, 0, 12757423871656543381, 8734562397311197402]),
@@ -70,6 +72,7 @@ const TABLE: &[Row] = &[
     ("sald/messi-resident/ed/k1", [0, 0, 0, 485, 485, 0, 7500, 0, 0, 0, 0, 0, 31, 1, 1896, 1896, 2315984402114403421, 11697843258206417230]),
     ("sald/best-leaf/ed/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 15258428169559615810, 8752279132793138057]),
     ("sald/paris-approx/ed/k1", [7500, 80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 0, 0, 0, 16706770628547922992, 1224061397101839300]),
+    ("sald/ucr-scan/ed/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 48, 1, 1501, 7505, 3272108249434677415, 11697843258206417230]),
     ("sald/messi-resident/dtw/k1", [0, 0, 0, 485, 485, 0, 7500, 7500, 2135, 1382, 5357, 1590219, 24, 1, 7581, 7581, 5033798843289480664, 16093031190061165185]),
     ("sald/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 17154963968864607303, 4193896489055772607]),
     ("sald/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 0, 0, 61, 89735, 19, 0, 0, 0, 1338454021053804134, 16150743130427686176]),
@@ -79,6 +82,7 @@ const TABLE: &[Row] = &[
     ("sald/messi-resident/ed/k10", [0, 0, 0, 485, 485, 0, 7500, 0, 0, 0, 0, 0, 222, 1, 4119, 4119, 17296818112942140544, 3913637135210837008]),
     ("sald/best-leaf/ed/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 67, 0, 0, 0, 17526078177174369870, 9276736344420196590]),
     ("sald/paris-approx/ed/k10", [7500, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 116, 0, 0, 0, 12895433400095029978, 18100470175822207612]),
+    ("sald/ucr-scan/ed/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 308, 1, 1501, 7505, 17998730288244201923, 3913637135210837008]),
     ("sald/messi-resident/dtw/k10", [0, 0, 0, 485, 485, 0, 7500, 7500, 518, 459, 6814, 4044488, 235, 1, 7581, 7581, 7022152635910335126, 2111524857458372949]),
     ("sald/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 67, 0, 0, 0, 4146394358370173046, 2326980406789511990]),
     ("sald/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 0, 0, 81, 294345, 119, 0, 0, 0, 1632088243979725464, 15576453189270096050]),
@@ -204,20 +208,16 @@ fn rows_for(kind: DatasetKind, name: &str) -> Vec<(String, [u64; 18])> {
                 format!("{name}/paris-approx/{mname}/k{k}"),
                 approx_row(&queries, |q| sketch_nearest(&paris, &data, q, measure, k)),
             ));
-            if let Measure::Dtw { band } = measure {
-                let (matches, stats) =
-                    dsidx::ucr::scan_dtw_parallel(&data, &queries, band, k, 1, None).unwrap();
-                rows.push((
-                    format!("{name}/ucr-scan/{mname}/k{k}"),
-                    row(&matches, &stats),
-                ));
-                // Over the dataset file the scan reads the same series in
-                // the same order, so it does the same work.
-                let (matches, stats) =
-                    dsidx::ucr::scan_dtw_parallel(&file, &queries, band, k, 1, None).unwrap();
-                let (label, resident) = rows.last().unwrap();
-                assert_eq!(&row(&matches, &stats), resident, "{label} over the file");
-            }
+            let (matches, stats) = dsidx::ucr::scan(&data, &queries, measure, k, 1, None).unwrap();
+            rows.push((
+                format!("{name}/ucr-scan/{mname}/k{k}"),
+                row(&matches, &stats),
+            ));
+            // Over the dataset file the scan reads the same series in the
+            // same order, so it does the same work.
+            let (matches, stats) = dsidx::ucr::scan(&file, &queries, measure, k, 1, None).unwrap();
+            let (label, resident) = rows.last().unwrap();
+            assert_eq!(&row(&matches, &stats), resident, "{label} over the file");
         }
         let (matches, stats) =
             dsidx::paris::exact(&paris, None, &data, &queries, k, 1, None).unwrap();
