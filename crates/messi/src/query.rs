@@ -13,10 +13,17 @@
 //! * **Processing** — leaves are visited best-bound-first; a bound at or
 //!   above the best-so-far abandons everything behind it. A visited leaf
 //!   is bounded whole by the batched MINDIST kernel over its padded word
-//!   run, its survivors' series are prefetched, then each survivor pays an
-//!   early-abandoned real distance. The words of the leaf a few places
-//!   behind the popped one (and, twice as far, its node) are requested
-//!   early, whoever will claim it.
+//!   run and its survivors' whole series are prefetched; then the
+//!   survivors, best bound first, each pay an early-abandoned real
+//!   distance until a bound reaches the best-so-far. The words of the leaf
+//!   a few places behind the popped one (and, twice as far, its node) are
+//!   requested early, whoever will claim it.
+//!
+//! Before either step the query is **seeded**: the worker that claimed it
+//! visits the query's own leaf (the leaf its word descends to) with the
+//! same leaf visit, from the initial threshold, so the traversal starts
+//! from that leaf's k best. The seed's work is the query's like any
+//! other visit's, and its reads are counted with the rest.
 //!
 //! Query preparation, approximate-descent seeding and the per-leaf loops
 //! come from the shared kernel (`dsidx-query`), generic over the
@@ -79,9 +86,8 @@ use crate::pqueue::{drain_best_first, Drain, LeafRuns, RunBuilder};
 use crate::traverse::Traversal;
 use dsidx_obs::phase::{Phase, PhaseBreakdown, PhaseClock};
 use dsidx_query::{
-    approx_leaf_flat, process_leaf_entries, seed_from_entries, BatchStats, DtwPrepared, ErrorSlot,
-    LeafScratch, Measure, Prepared, PreparedQuery, QueryBatch, QueryStats, SeriesFetcher,
-    ShardView,
+    approx_leaf_flat, process_leaf_entries, BatchStats, DtwPrepared, ErrorSlot, LeafScratch,
+    Measure, Prepared, PreparedQuery, QueryBatch, QueryStats, SeriesFetcher, ShardView,
 };
 use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Match;
@@ -100,8 +106,11 @@ use std::sync::OnceLock;
 /// itself and costs more than it saves.
 const LOOKAHEAD: usize = 4;
 
-/// Cache lines of a leaf's word run requested ahead: a typical leaf (a
-/// dozen 17-byte words) in full.
+/// Cache lines of a leaf's word run requested ahead: the first ~15 of its
+/// 17-byte words. A fitted tree's leaf holds about half its capacity (~49
+/// words, ~13 lines, at capacity 100); the hardware prefetcher follows the
+/// bound pass's sequential read through the rest, and requesting the whole
+/// run measured no faster.
 const LEAF_PREFETCH_LINES: usize = 4;
 
 /// Everything the schedule shares for one call. The batch holds no
@@ -275,21 +284,24 @@ impl<'a, S: RawSource> Call<'a, '_, S> {
         me.phases.record(Phase::Prepare, clock.lap());
 
         // Initial threshold from the query's own leaf (its approximate
-        // answer), routing around empty subtrees.
+        // answer), routing around empty subtrees, visited like any other
+        // leaf. The scratch is named for this query first: a coarse table
+        // left by the worker's previous query must not bound its words.
         let own_leaf =
             approx_leaf_flat(flat, prep.word()).expect("non-empty index has a non-empty leaf");
-        let seeds = flat.leaf_positions(flat.node(own_leaf));
-        let reals = seed_from_entries(
-            seeds.iter().copied(),
+        let node = flat.node(own_leaf);
+        me.scratch.begin_query(qi);
+        me.fetched += process_leaf_entries(
+            flat.leaf_words_padded(node),
+            flat.leaf_positions(node),
+            &prep,
             &mut me.fetcher,
             slot.values,
-            &prep,
             &slot.topk,
             &mut me.scratch,
+            &mut me.locals[qi],
         )
         .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-        me.locals[qi].real_computed += reals;
-        me.fetched += seeds.len() as u64;
         me.phases.record(Phase::Seed, clock.lap());
         Ok(Open {
             prep,
@@ -809,6 +821,202 @@ mod tests {
         let want = brute_force(&data, q.get(0)).unwrap();
         let (got, _) = nn(&messi, &data, q.get(0), 2).unwrap().unwrap();
         assert_eq!(got.pos, want.pos);
+    }
+
+    /// The k nearest entries of `q`'s own leaf by `distance`, sorted and
+    /// truncated: what a seed must leave in the pruner.
+    fn own_leaf_best(
+        messi: &FlatTree,
+        q: &[f32],
+        k: usize,
+        distance: impl Fn(usize) -> f32,
+    ) -> Vec<(f32, u32)> {
+        let word = messi.config().quantizer().word(q);
+        let leaf = approx_leaf_flat(messi, &word).unwrap();
+        let mut all: Vec<(f32, u32)> = messi
+            .leaf_positions(messi.node(leaf))
+            .iter()
+            .map(|&p| (distance(p as usize), p))
+            .collect();
+        all.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        all.truncate(k);
+        all
+    }
+
+    /// What the pruner held right after a seed, the seed's counters and
+    /// the series it read.
+    type Seeded = (Vec<(f32, u32)>, QueryStats, u64);
+
+    /// Opens every query of `queries` in turn on one worker, as the worker
+    /// that claims each does (seed, then a full visit, so the worker's
+    /// scratch holds the previous query's coarse table when the next one
+    /// is seeded), and returns per query what the pruner held right after
+    /// its seed, the seed's counters and its reads.
+    fn seeds(
+        messi: &FlatTree,
+        source: &impl RawSource,
+        queries: &[&[f32]],
+        k: usize,
+        measure: Measure,
+    ) -> Vec<Seeded> {
+        let quantizer = messi.config().quantizer();
+        match measure {
+            Measure::Euclidean => seeds_of(messi, source, queries, k, |q| {
+                PreparedQuery::new(quantizer, q)
+            }),
+            Measure::Dtw { band } => seeds_of(messi, source, queries, k, |q| {
+                DtwPrepared::new(quantizer, q, band)
+            }),
+        }
+    }
+
+    /// [`seeds`] for queries prepared by `prepare`.
+    fn seeds_of<Q: Prepared>(
+        messi: &FlatTree,
+        source: &impl RawSource,
+        queries: &[&[f32]],
+        k: usize,
+        prepare: impl Fn(&[f32]) -> Q,
+    ) -> Vec<Seeded> {
+        let batch = QueryBatch::prepared(queries, k, None, |_| ());
+        let errors = ErrorSlot::for_phase(Q::PHASE);
+        let call = Call {
+            tree: messi,
+            source,
+            threads: 1,
+            batch: &batch,
+            errors: &errors,
+        };
+        let mut me = Worker {
+            fetcher: SeriesFetcher::new(source),
+            scratch: LeafScratch::new(),
+            locals: vec![QueryStats::default(); batch.len()],
+            phases: PhaseBreakdown::new(),
+            fetched: 0,
+        };
+        let mut out = Vec::new();
+        for qi in 0..queries.len() {
+            let before = me.fetched;
+            let open = call.open(qi, &prepare, &mut me).unwrap();
+            let seeded = batch.slots()[qi].topk.matches();
+            out.push((seeded, me.locals[qi], me.fetched - before));
+            call.work_on(qi, &open, true, 0, &mut me);
+        }
+        assert!(!errors.is_set());
+        out
+    }
+
+    #[test]
+    fn a_seed_leaves_the_k_best_of_its_leaf_in_the_pruner() {
+        use dsidx_series::distance::{dtw::dtw_sq, euclidean_sq};
+        use dsidx_storage::{write_dataset, DatasetFile, Device};
+        use std::sync::Arc;
+        let data = DatasetKind::Synthetic.generate(800, 64, 61);
+        let (messi, _) = build(&data, &cfg(2));
+        let dir = std::env::temp_dir().join(format!("dsidx-messi-seed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("data.dsidx");
+        write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
+        let flaky = FlakySource::new(data.clone(), u64::MAX);
+        let qs = DatasetKind::Synthetic.queries(6, 64, 62);
+        let queries: Vec<&[f32]> = qs.iter().collect();
+        let quantizer = messi.config().quantizer();
+        let band = 4;
+        for k in [1usize, 10] {
+            for dtw in [false, true] {
+                let measure = if dtw {
+                    Measure::Dtw { band }
+                } else {
+                    Measure::Euclidean
+                };
+                let resident = seeds(&messi, &data, &queries, k, measure);
+                for (qi, (got, stats, reads)) in resident.iter().enumerate() {
+                    let label = format!("q{qi} k={k} dtw={dtw}");
+                    let q = queries[qi];
+                    let want = own_leaf_best(&messi, q, k, |p| {
+                        if dtw {
+                            dtw_sq(q, data.get(p), band)
+                        } else {
+                            euclidean_sq(q, data.get(p))
+                        }
+                    });
+                    assert_eq!(
+                        got.iter().map(|m| m.1).collect::<Vec<_>>(),
+                        want.iter().map(|w| w.1).collect::<Vec<_>>(),
+                        "{label}"
+                    );
+                    for (g, w) in got.iter().zip(&want) {
+                        assert!((g.0 - w.0).abs() <= w.0 * 1e-5 + 1e-5, "{label}");
+                    }
+                    // The seed is a leaf visit: its entry bounds and its
+                    // distance attempts are the query's, one read each.
+                    let word = quantizer.word(q);
+                    let leaf = approx_leaf_flat(&messi, &word).unwrap();
+                    let entries = messi.leaf_positions(messi.node(leaf)).len() as u64;
+                    assert_eq!(stats.lb_entry_computed, entries, "{label}");
+                    assert!((1..=entries).contains(reads), "{label}");
+                    let tried = if dtw {
+                        stats.lb_keogh_computed
+                    } else {
+                        stats.real_computed
+                    };
+                    assert!(tried <= *reads, "{label}");
+                    assert_eq!(stats.leaves_processed, 0, "{label}");
+                }
+                // Over a dataset file and a fault-injecting wrapper the seed
+                // does the same work with the same answer.
+                let label = format!("k={k} dtw={dtw}");
+                assert_eq!(
+                    seeds(&messi, &file, &queries, k, measure),
+                    resident,
+                    "{label}"
+                );
+                assert_eq!(
+                    seeds(&messi, &flaky, &queries, k, measure),
+                    resident,
+                    "{label}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_budget_spent_inside_a_seed_names_the_seed_and_its_query() {
+        let data = DatasetKind::Synthetic.generate(500, 64, 91);
+        let (messi, _) = build(&data, &cfg(4));
+        let qs = DatasetKind::Synthetic.queries(2, 64, 93);
+        let qrefs: Vec<&[f32]> = qs.iter().collect();
+        // k = 50 above any leaf's size: each seed reads its whole leaf.
+        let k = 50;
+        let leaf_len = |q: &[f32]| {
+            let word = messi.config().quantizer().word(q);
+            let leaf = approx_leaf_flat(&messi, &word).unwrap();
+            messi.leaf_positions(messi.node(leaf)).len() as u64
+        };
+        let (first, second) = (leaf_len(qrefs[0]), leaf_len(qrefs[1]));
+        assert!(first >= 2 && second >= 2, "fixture leaves too small");
+        // At one worker query 0 is claimed, seeded and drained before
+        // query 1 is claimed: what query 0 reads alone is what it reads
+        // here.
+        let unconstrained = FlakySource::new(data.clone(), u64::MAX);
+        let (_, alone) = knn_batch(&messi, &unconstrained, &qrefs[..1], k, 1).unwrap();
+        for (budget, query) in [
+            (1, 0),
+            (first - 1, 0),
+            (alone.series_fetched, 1),
+            (alone.series_fetched + second - 1, 1),
+        ] {
+            let flaky = FlakySource::new(data.clone(), budget);
+            let err = knn_batch(&messi, &flaky, &qrefs, k, 1).unwrap_err();
+            assert!(matches!(err.root_cause(), StorageError::Io(_)), "{err}");
+            assert!(
+                err.to_string()
+                    .starts_with(&format!("during seed (query {query}):")),
+                "budget {budget}: {err}"
+            );
+        }
     }
 
     #[test]

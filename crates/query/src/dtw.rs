@@ -120,7 +120,6 @@ mod tests {
     use super::*;
     use crate::fetch::SeriesFetcher;
     use crate::scan::{process_leaf_entries, LeafScratch};
-    use crate::seed::seed_from_entries;
     use dsidx_series::distance::dtw::dtw_sq;
     use dsidx_series::gen::DatasetKind;
     use dsidx_series::Dataset;
@@ -183,20 +182,35 @@ mod tests {
     }
 
     #[test]
-    fn seed_from_entries_dtw_finds_leaf_minimum() {
+    fn seeding_visit_dtw_finds_leaf_minimum() {
         let (data, config) = fixture(100);
+        let quantizer = config.quantizer();
+        let (words, positions) = leaf_of(&data, quantizer);
+        // A 20-entry leaf holding series 7, the query itself.
+        let (words, positions) = (&words[..20], &positions[..20]);
         let q = data.get(7);
-        let prep = DtwPrepared::new(config.quantizer(), q, 3);
+        let prep = DtwPrepared::new(quantizer, q, 3);
         let topk = dsidx_sync::SharedTopK::new(1);
-        let mut fetcher = SeriesFetcher::new(&data);
-        let mut scratch = LeafScratch::new();
-        let reals =
-            seed_from_entries(0..20u32, &mut fetcher, q, &prep, &topk, &mut scratch).unwrap();
-        // Only improvements are paid in full, and nothing after series 7
-        // sets the best-so-far to zero can be one.
-        assert!((1..=8).contains(&reals), "{reals}");
+        let mut stats = QueryStats::default();
+        let fetched = process_leaf_entries(
+            words,
+            positions,
+            &prep,
+            &mut SeriesFetcher::new(&data),
+            q,
+            &topk,
+            &mut LeafScratch::new(),
+            &mut stats,
+        )
+        .unwrap();
         // Series 7 is among the entries, so its DTW distance of 0 wins.
         assert_eq!(topk.matches(), vec![(0.0, 7)]);
+        // Its entry bounds to zero and is tried among the first; nothing
+        // bounding above zero is tried after it.
+        assert!((1..20).contains(&fetched), "{fetched}");
+        assert_eq!(stats.lb_entry_computed, 20);
+        assert_eq!(stats.lb_keogh_computed, fetched);
+        assert!(stats.real_computed >= 1);
     }
 
     #[test]

@@ -5,11 +5,6 @@ use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Dataset;
 use dsidx_storage::{RawSource, StorageError};
 
-/// Cache lines of a series requested ahead of its distance computation:
-/// enough to cover where an early-abandoned distance usually stops; the
-/// hardware prefetcher follows the sequential read from there.
-const PREFETCH_LINES: usize = 4;
-
 /// Fetches raw series from a [`RawSource`], taking the zero-copy path when
 /// the source is an in-memory dataset and reading through a reusable
 /// scratch buffer (charged to the device model) otherwise.
@@ -58,13 +53,16 @@ impl<'a, S: RawSource> SeriesFetcher<'a, S> {
     }
 
     /// Hints that series `pos` is about to be [`fetch`](Self::fetch)ed, so
-    /// a resident source can start pulling it toward the cache while the
-    /// caller still works on something else. No-op (and no device charge)
-    /// for non-resident sources.
+    /// a resident source can start pulling all of it toward the cache while
+    /// the caller still works on something else. The whole series, not its
+    /// head: a DTW candidate's LB_Keogh pass reads every point, and the
+    /// requests of one leaf's survivors overlap only if each is made before
+    /// the first distance. No-op (and no device charge) for non-resident
+    /// sources.
     #[inline]
     pub fn prefetch(&self, pos: usize) {
         if let Some(ds) = self.memory {
-            prefetch_lines(ds.get(pos), PREFETCH_LINES);
+            prefetch_lines(ds.get(pos), usize::MAX);
         }
     }
 

@@ -6,9 +6,8 @@
 //! 1. **prepare** — summarize the query (PAA), derive its iSAX word, build
 //!    the per-query MINDIST lookup tables ([`PreparedQuery`], or
 //!    [`DtwPrepared`] under banded DTW);
-//! 2. **seed** — descend to the query's own leaf and pay real distances
-//!    for its entries, so pruning starts from a tight best-so-far
-//!    ([`seed`]);
+//! 2. **seed** — descend to the query's own leaf and visit it like any
+//!    other leaf, so pruning starts from a tight best-so-far ([`seed`]);
 //! 3. **scan** — lower-bound candidates (SAX-array entries or leaf
 //!    entries), early-abandon real distances for survivors, and fold
 //!    improvements into the shared threshold ([`scan`]).
@@ -68,7 +67,7 @@ pub use knn::finish_knn;
 pub use measure::Measure;
 pub use prepare::{Prepared, PreparedQuery};
 pub use scan::{process_leaf_entries, LeafScratch};
-pub use seed::{approx_best_leaf, approx_leaf_flat, best_bound_positions, seed_from_entries};
+pub use seed::{approx_best_leaf, approx_leaf_flat, best_bound_positions};
 pub use stats::QueryStats;
 
 pub use dsidx_sync::{OffsetTopK, Pruner, SharedTopK};

@@ -1,8 +1,9 @@
-//! The per-leaf early-abandoned real-distance loop — MESSI's exact phase
-//! after seeding, one leaf's entries at a time, under whichever measure
-//! the [`Prepared`] query brings. The scan engines' loops (ParIS's
-//! collect/verify split, which ADS+ runs at one worker) exist only in
-//! batch form ([`batch`](crate::batch)); a single query is a batch of one.
+//! The per-leaf early-abandoned real-distance loop — every MESSI leaf
+//! visit, the seed's visit of the query's own leaf included, one leaf's
+//! entries at a time, under whichever measure the [`Prepared`] query
+//! brings. The scan engines' loops (ParIS's collect/verify split, which
+//! ADS+ runs at one worker) exist only in batch form
+//! ([`batch`](crate::batch)); a single query is a batch of one.
 //!
 //! A leaf's entries are bounded in two stages. The cheap one is a 4-bit
 //! pre-filter ([`CoarseTable`]): one byte shuffle per segment rules out,
@@ -12,6 +13,13 @@
 //! bound. It rules out nothing
 //! the exact bound would keep, so the survivors, their bounds and every
 //! work counter are those of the exact stage alone.
+//!
+//! Each survivor's whole series is requested from memory the moment its
+//! bound passes, so the leaf's scattered reads overlap instead of each
+//! distance opening on a miss. The survivors then pay their distances
+//! best-bound-first, ordered by `(bound, position)`: the nearest
+//! candidates tighten the threshold before the farther ones are tried,
+//! and the first bound at or above the threshold ends the visit.
 //!
 //! The loop is generic over [`Pruner`]; every engine schedule runs it on
 //! an [`OffsetTopK`](dsidx_sync::OffsetTopK), a k-NN collector whose
@@ -36,7 +44,8 @@ use dsidx_sync::Pruner;
 /// word exactly.
 #[derive(Debug, Default)]
 pub struct LeafScratch {
-    /// `(position, bound)` of each surviving entry, in entry order.
+    /// `(position, bound)` of each surviving entry: in entry order after
+    /// the bound pass, by `(bound, position)` once a visit sorts them.
     survivors: Vec<(u32, f32)>,
     /// The batch slot of the query the leaves bounded next belong to, and
     /// the coarse table made from its word table, once one was made.
@@ -75,8 +84,8 @@ impl LeafScratch {
     /// SIMD on or off, and whether or not the pre-filter runs), keeps in
     /// `survivors` the entries among the first `positions.len()` whose
     /// bound beats `limit`, as `(position, bound)` in entry order, and
-    /// starts pulling their series toward the cache so pass two does not
-    /// open each distance with a memory stall.
+    /// starts pulling each one's whole series toward the cache so pass two
+    /// does not open each distance with a memory stall.
     ///
     /// The words go through [`MindistTable::for_each_below`], behind the
     /// served query's coarse table when there is one (a query named by
@@ -125,22 +134,29 @@ fn coarse_for<'a>(
     coarse.as_ref()
 }
 
-/// Entry-level bound + real distance over one leaf's entries (MESSI
-/// processing phase), fetching survivors from any [`RawSource`] —
+/// Entry-level bound + real distance over one leaf's entries (a MESSI
+/// leaf visit, and the seed's and the approximate answer's visit of the
+/// query's own leaf), fetching survivors from any [`RawSource`] —
 /// zero-copy in memory, device-charged reads on disk.
 ///
 /// Two passes, because a leaf's entries point all over the raw data: first
 /// the whole leaf is bounded through `prep`'s word-level table, behind the
 /// coarse pre-filter once `scratch` serves a query
 /// ([`LeafScratch::begin_query`]), and the survivors' series are
-/// prefetched, then the survivors
-/// pay `prep`'s [`distance`](Prepared::distance), the pruning threshold
-/// re-read after each one (and each bound re-checked against it). `words`
+/// prefetched whole; then the survivors, sorted by `(bound, position)`,
+/// pay `prep`'s [`distance`](Prepared::distance) against the pruning
+/// threshold, re-read before each one. The first bound at or above it
+/// ends the visit: every survivor behind it is at least as far. `words`
 /// may be longer than `positions` — a run padded for the batched kernel
 /// (`FlatTree::leaf_words_padded`); the extra bounds are ignored.
 ///
+/// The order changes which candidates are tried, never what the pruner
+/// holds afterwards: every entry whose distance beats the final threshold
+/// has a bound below it, so it is tried whatever the order, and the
+/// collector breaks ties by position.
+///
 /// Counts `lb_entry_computed` into `stats`, and whatever the measure books
-/// per survivor; returns the number of series fetched.
+/// per survivor tried; returns the number of series fetched.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -166,12 +182,15 @@ pub fn process_leaf_entries<P: Pruner, Q: Prepared>(
         fetcher,
     );
     stats.lb_entry_computed += positions.len() as u64;
+    scratch
+        .survivors
+        .sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     let mut fetched = 0u64;
     for &(pos, lb) in &scratch.survivors {
         // Re-read per survivor: this worker or a peer may have tightened it.
         let limit = pruner.threshold_sq();
         if lb >= limit {
-            continue;
+            break;
         }
         let series = fetcher.fetch(pos as usize)?;
         fetched += 1;
@@ -334,6 +353,91 @@ mod tests {
                 }
                 let made = scratch.query.as_ref().and_then(|(_, c)| c.as_ref());
                 assert!(made.is_some(), "a finite limit makes the coarse table");
+            }
+        }
+    }
+
+    /// A non-resident source that logs the position of every read.
+    struct Logged {
+        data: dsidx_series::Dataset,
+        reads: std::sync::Mutex<Vec<u32>>,
+    }
+
+    impl RawSource for Logged {
+        fn count(&self) -> usize {
+            self.data.len()
+        }
+
+        fn series_len(&self) -> usize {
+            self.data.series_len()
+        }
+
+        fn read_into(&self, pos: usize, out: &mut [f32]) -> Result<(), StorageError> {
+            self.reads.lock().unwrap().push(pos as u32);
+            out.copy_from_slice(self.data.get(pos));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_leaf_visit_fetches_best_bound_first_and_stops_at_the_threshold() {
+        // 16-segment words, so the pre-filter runs once a threshold is
+        // finite; k = 1 and 5, from an infinite threshold and from one a
+        // peer already tightened to the leaf's median bound.
+        let config = TreeConfig::new(128, 16, 16).unwrap();
+        let data = DatasetKind::Synthetic.generate(300, 128, 8);
+        let words: Vec<Word> = data.iter().map(|s| config.quantizer().word(s)).collect();
+        let (padded, positions) = leaf_of(&words);
+        let source = Logged {
+            data: data.clone(),
+            reads: std::sync::Mutex::new(Vec::new()),
+        };
+        let queries = DatasetKind::Synthetic.queries(4, 128, 9);
+        let mut scratch = LeafScratch::new();
+        for (qi, q) in queries.iter().enumerate() {
+            let prep = PreparedQuery::new(config.quantizer(), q);
+            let mut bounds = vec![0.0; words.len()];
+            prep.table.lookup_many(&words, &mut bounds);
+            // Every entry in the order a visit must try them.
+            let mut order: Vec<(f32, u32)> = bounds.iter().copied().zip(0..).collect();
+            order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let median = order[order.len() / 2].0;
+            for (k, preset) in [(1, None), (5, None), (1, Some(median))] {
+                let label = format!("q{qi} k={k} preset={preset:?}");
+                let topk = SharedTopK::new(k);
+                if let Some(limit) = preset {
+                    // A peer's distance past the end of the collection.
+                    topk.insert(limit, u32::MAX);
+                }
+                source.reads.lock().unwrap().clear();
+                scratch.begin_query(qi);
+                let fetched = process_leaf_entries(
+                    &padded,
+                    &positions,
+                    &prep,
+                    &mut SeriesFetcher::new(&source),
+                    q,
+                    &topk,
+                    &mut scratch,
+                    &mut QueryStats::default(),
+                )
+                .unwrap();
+                let reads = source.reads.lock().unwrap().clone();
+                assert_eq!(fetched, reads.len() as u64, "{label}");
+                // Ascending (bound, position): a prefix of the order.
+                let want: Vec<u32> = order[..reads.len()].iter().map(|&(_, p)| p).collect();
+                assert_eq!(reads, want, "{label}");
+                // It stopped at the first bound at or above the threshold.
+                let next = order.get(reads.len()).expect("the visit stops early");
+                assert!(
+                    next.0 >= topk.threshold_sq(),
+                    "{label}: stopped before {next:?}"
+                );
+                if preset.is_none() {
+                    let got: Vec<u32> = topk.matches().iter().map(|m| m.1).collect();
+                    let want: Vec<u32> = brute_topk(&data, q, k).iter().map(|m| m.1).collect();
+                    assert_eq!(got, want, "{label}");
+                }
             }
         }
     }

@@ -1,19 +1,24 @@
 //! Approximate-descent BSF seeding: locate the leaf the query's own word
-//! descends to and pay real distances for its entries, so the exact phase
-//! starts from a tight best-so-far instead of infinity — or, at
-//! approximate fidelity, so that leaf's best entries *are* the answer
-//! ([`approx_best_leaf`]).
+//! descends to ([`approx_leaf_flat`]) and visit it like any other leaf
+//! ([`process_leaf_entries`]: bounded whole, survivors prefetched and
+//! tried best-bound-first), so the exact phase starts from a tight
+//! best-so-far instead of infinity — or, at approximate fidelity, so that
+//! leaf's best entries *are* the answer ([`approx_best_leaf`]).
+//!
+//! ParIS seeds from ranked positions instead ([`best_bound_positions`]):
+//! on a device that charges every read, only the few best-bounded entries
+//! of its approximate leaf are worth a fetch.
 
 use crate::fetch::SeriesFetcher;
 use crate::knn::finish_knn;
 use crate::prepare::Prepared;
-use crate::scan::LeafScratch;
+use crate::scan::{process_leaf_entries, LeafScratch};
 use crate::stats::QueryStats;
 use dsidx_isax::{MindistTable, Word};
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
-use dsidx_sync::{Pruner, SharedTopK};
+use dsidx_sync::SharedTopK;
 use dsidx_tree::FlatTree;
 
 /// The most promising leaf for `word` (its node index): the query's own
@@ -44,7 +49,10 @@ pub fn approx_leaf_flat(flat: &FlatTree, word: &Word) -> Option<u32> {
 /// query's own leaf ([`approx_leaf_flat`]) and return the k nearest of its
 /// entries by `prep`'s real distance (early-abandoned Euclidean, or each
 /// entry through the DTW cascade), with no scan, no traversal and no pool
-/// broadcast. On an on-disk source only that leaf's series are fetched.
+/// broadcast. The visit is the exact schedule's leaf visit
+/// ([`process_leaf_entries`]) from an infinite threshold, so its stats
+/// count the leaf's entry bounds and what the measure books per survivor
+/// tried. On an on-disk source only that leaf's series are fetched.
 ///
 /// Every reported distance is a real distance to a real series, so it is
 /// never below the exact answer at the same rank; returns fewer than `k`
@@ -74,51 +82,22 @@ pub fn approx_best_leaf(
     }
     let mut clock = PhaseClock::start();
     let leaf = approx_leaf_flat(tree, prep.word()).expect("non-empty index has a non-empty leaf");
-    let positions = tree.leaf_positions(tree.node(leaf)).iter().copied();
+    let node = tree.node(leaf);
     let mut fetcher = SeriesFetcher::new(source);
     let mut stats = QueryStats::default();
     stats.phase.record(Phase::Prepare, clock.lap());
-    stats.real_computed = seed_from_entries(
-        positions,
+    process_leaf_entries(
+        tree.leaf_words_padded(node),
+        tree.leaf_positions(node),
+        prep,
         &mut fetcher,
         query,
-        prep,
         &topk,
         &mut LeafScratch::new(),
+        &mut stats,
     )?;
     stats.phase.record(Phase::Seed, clock.lap());
     Ok(finish_knn(&topk, Some(stats)))
-}
-
-/// Seeds the pruner from the approximate leaf: every entry (given by its
-/// raw-data position) pays `prep`'s [`distance`](Prepared::distance)
-/// against the pruner's current threshold. Returns the number of *full*
-/// real distances computed — all of them until the pruner holds k, fewer
-/// once it abandons. That count is all a seed books: the rest of what the
-/// measure counts per candidate (a DTW cascade's prunes, abandons and
-/// cells) is left out here, and the leaf and batch loops book it.
-///
-/// # Errors
-/// Propagates raw-source I/O failures.
-pub fn seed_from_entries<P: Pruner, Q: Prepared>(
-    positions: impl IntoIterator<Item = u32>,
-    fetcher: &mut SeriesFetcher<'_, impl RawSource>,
-    query: &[f32],
-    prep: &Q,
-    pruner: &P,
-    scratch: &mut LeafScratch,
-) -> Result<u64, StorageError> {
-    let mut unbooked = QueryStats::default();
-    let mut paid = 0u64;
-    for pos in positions {
-        let limit = pruner.threshold_sq();
-        let series = fetcher.fetch(pos as usize)?;
-        if let Some(d) = prep.distance(query, series, limit, &mut scratch.dtw, &mut unbooked) {
-            pruner.insert(d, pos);
-            paid += 1;
-        }
-    }
-    Ok(paid)
 }
 
 /// Appends to `out` the positions of the `n` leaf entries (`words` and
@@ -154,7 +133,7 @@ pub fn best_bound_positions(
 mod tests {
     use super::*;
     use dsidx_series::gen::DatasetKind;
-    use dsidx_sync::SharedTopK;
+    use dsidx_sync::Pruner;
     use dsidx_tree::{Index, LeafEntry, TreeConfig};
 
     fn build_index(n: usize) -> (dsidx_series::Dataset, Index) {
@@ -240,24 +219,92 @@ mod tests {
     fn seeding_finds_the_leaf_minimum() {
         let (data, index) = build_index(300);
         let q = data.get(42);
-        let (_, positions) = own_leaf(&index, &data, 42);
+        let (words, positions) = own_leaf(&index, &data, 42);
         let prep = crate::prepare::PreparedQuery::new(index.config().quantizer(), q);
         let best = SharedTopK::new(1);
-        let mut fetcher = SeriesFetcher::new(&data);
-        let mut scratch = LeafScratch::new();
-        let reals = seed_from_entries(
-            positions.iter().copied(),
-            &mut fetcher,
-            q,
+        let mut stats = QueryStats::default();
+        let fetched = process_leaf_entries(
+            &words,
+            &positions,
             &prep,
+            &mut SeriesFetcher::new(&data),
+            q,
             &best,
-            &mut scratch,
+            &mut LeafScratch::new(),
+            &mut stats,
         )
         .unwrap();
-        // Everything is paid in full until the first insertion; after it
-        // the rest may abandon against the tightening best-so-far.
-        assert!((1..=positions.len() as u64).contains(&reals));
-        // Series 42 is in its own leaf, so seeding must find distance 0.
+        // Series 42 is in its own leaf, so the visit must find distance 0.
         assert_eq!(best.matches(), vec![(0.0, 42)]);
+        assert_eq!(stats.lb_entry_computed, positions.len() as u64);
+        // Its entry bounds to zero and is tried among the first; after it
+        // only entries bounding below the (now zero) best are, so the visit
+        // fetches exactly those.
+        let below = words
+            .iter()
+            .filter(|w| prep.table.lookup(w) < best.threshold_sq())
+            .count();
+        assert!(below >= 1);
+        assert_eq!(fetched, below as u64);
+        assert!(stats.real_computed <= fetched);
+    }
+
+    /// The k nearest of `positions` by `distance`, as a sort and a
+    /// truncation: the oracle of a best-leaf visit.
+    fn sorted_truncated(
+        positions: &[u32],
+        k: usize,
+        distance: impl Fn(u32) -> f32,
+    ) -> Vec<(f32, u32)> {
+        let mut all: Vec<(f32, u32)> = positions.iter().map(|&p| (distance(p), p)).collect();
+        all.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        all.truncate(k);
+        all
+    }
+
+    fn assert_answers(got: &[Match], want: &[(f32, u32)], label: &str) {
+        assert_eq!(
+            got.iter().map(|m| m.pos).collect::<Vec<_>>(),
+            want.iter().map(|w| w.1).collect::<Vec<_>>(),
+            "{label}"
+        );
+        for (g, w) in got.iter().zip(want) {
+            assert!((g.dist_sq - w.0).abs() <= w.0 * 1e-5 + 1e-5, "{label}");
+        }
+    }
+
+    #[test]
+    fn the_best_leaf_answer_is_its_leaf_sorted_and_truncated() {
+        use dsidx_series::distance::dtw::dtw_sq;
+        use dsidx_series::distance::euclidean_sq;
+        let (data, index) = build_index(600);
+        let flat = FlatTree::from_index(&index);
+        let quantizer = index.config().quantizer();
+        let queries = DatasetKind::Synthetic.queries(4, 64, 19);
+        let band = 5;
+        for (qi, q) in queries.iter().enumerate() {
+            let ed = crate::prepare::PreparedQuery::new(quantizer, q);
+            let dtw = crate::dtw::DtwPrepared::new(quantizer, q, band);
+            for k in [1usize, 5, 1000] {
+                // Both measures descend by the query's own word.
+                let leaf = approx_leaf_flat(&flat, &ed.word).unwrap();
+                let positions = flat.leaf_positions(flat.node(leaf));
+                let label = format!("q{qi} k={k}");
+                let (got, stats) = approx_best_leaf(&flat, &data, q, &ed, k).unwrap();
+                let want =
+                    sorted_truncated(positions, k, |p| euclidean_sq(q, data.get(p as usize)));
+                assert_answers(&got, &want, &format!("{label} ed"));
+                assert_eq!(stats.lb_entry_computed, positions.len() as u64);
+                let (got, stats) = approx_best_leaf(&flat, &data, q, &dtw, k).unwrap();
+                let want =
+                    sorted_truncated(positions, k, |p| dtw_sq(q, data.get(p as usize), band));
+                assert_answers(&got, &want, &format!("{label} dtw"));
+                assert_eq!(
+                    stats.lb_keogh_pruned + stats.dtw_abandoned + stats.real_computed,
+                    stats.lb_keogh_computed,
+                    "{label} dtw"
+                );
+            }
+        }
     }
 }

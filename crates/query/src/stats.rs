@@ -82,11 +82,9 @@ impl QueryStats {
     /// `lb_keogh_pruned` (either direction), `dtw_abandoned` or
     /// `real_computed`.
     ///
-    /// The leaf and batch-seed loops and ParIS's sketch probe
-    /// book every candidate this way. A single query's seed
-    /// ([`seed_from_entries`](crate::seed_from_entries)) does not: it
-    /// books only the full distances it paid, as `real_computed`, so its
-    /// cascade stages appear in none of these counters.
+    /// The leaf loop (every MESSI leaf visit, the seed's and the
+    /// approximate answer's included), the batch loops and ParIS's sketch
+    /// probe book every candidate this way.
     pub fn count_dtw(&mut self, verdict: DtwVerdict, cells: u64) -> Option<f32> {
         self.lb_keogh_computed += 1;
         self.dtw_cells += cells;

@@ -13,13 +13,14 @@
 const LINE_BYTES: usize = 64;
 
 /// Asks the CPU to start loading the first `lines` cache lines of `data`
-/// (fewer when `data` is shorter) into every cache level.
+/// (fewer when `data` is shorter; `usize::MAX` asks for all of it) into
+/// every cache level.
 #[inline]
 pub fn prefetch_lines<T>(data: &[T], lines: usize) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let bytes = std::mem::size_of_val(data).min(lines * LINE_BYTES);
+        let bytes = std::mem::size_of_val(data).min(lines.saturating_mul(LINE_BYTES));
         let base = data.as_ptr().cast::<i8>();
         for offset in (0..bytes).step_by(LINE_BYTES) {
             // SAFETY: `offset < size_of_val(data)`, so the address lies
@@ -39,7 +40,7 @@ mod tests {
     #[test]
     fn prefetching_is_a_no_op_for_the_program() {
         let data: Vec<f32> = (0..300).map(|i| i as f32).collect();
-        for lines in [0usize, 1, 2, 1000] {
+        for lines in [0usize, 1, 2, 1000, usize::MAX] {
             prefetch_lines(&data, lines);
             prefetch_lines(&data[..3], lines);
             prefetch_lines::<f32>(&[], lines);
