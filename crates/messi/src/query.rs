@@ -109,8 +109,8 @@ const LOOKAHEAD: usize = 4;
 /// Cache lines of a leaf's word run requested ahead: the first ~15 of its
 /// 17-byte words. A fitted tree's leaf holds about half its capacity (~49
 /// words, ~13 lines, at capacity 100); the hardware prefetcher follows the
-/// bound pass's sequential read through the rest, and requesting the whole
-/// run measured no faster.
+/// bound pass's sequential read through the rest, and a whole-run request
+/// read within noise of this one.
 const LEAF_PREFETCH_LINES: usize = 4;
 
 /// Everything the schedule shares for one call. The batch holds no

@@ -1,5 +1,10 @@
 //! Raw-series access for query-time verification, uniform over in-memory
 //! datasets and on-disk files.
+//!
+//! A resident source can also be asked for a series ahead of its fetch
+//! ([`SeriesFetcher::prefetch`]): a leaf visit requests each survivor's
+//! whole series as soon as its bound passes, so the survivors' scattered
+//! reads are in flight together by the time the first distance is paid.
 
 use dsidx_series::prefetch::prefetch_lines;
 use dsidx_series::Dataset;
