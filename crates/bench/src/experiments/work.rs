@@ -13,11 +13,14 @@
 //! fixed stream shaped like the benchmark's: Synthetic random walks of
 //! length 256, three fresh queries to one planted (a collection member
 //! plus N(0, 0.05) noise, re-z-normalised). The stream runs through a
-//! MESSI `MemoryIndex` and a ParIS+ `DiskIndex` on the SSD profile. Each
-//! per-query quantity is reported as p50, p95, max and sum; the disk
-//! section adds the candidates ParIS+'s collect phase keeps, the device's
-//! seek, byte and charged-time deltas per query and the build's charged
-//! bytes.
+//! MESSI `MemoryIndex` and a ParIS+ `DiskIndex` on the SSD profile, and
+//! once more through the same `MemoryIndex` as exact 1-NN under banded DTW
+//! at the benchmark's band. Each per-query quantity is reported as p50,
+//! p95, max and sum; the DTW section follows a series through the cascade
+//! (fetched for LB_Keogh, DTW started, DTW finished, DP cells evaluated);
+//! the disk section adds the candidates ParIS+'s collect phase keeps, the
+//! device's seek, byte and charged-time deltas per query and the build's
+//! charged bytes.
 //!
 //! `repro work --scale S` rewrites section `S` of the file at the root of
 //! the workspace and leaves the others as they are; `repro work --scale S
@@ -39,6 +42,8 @@ const QUERIES: usize = 200;
 const PLANTED_EVERY: usize = 4;
 /// Standard deviation of a planted query's noise.
 const PLANTED_NOISE: f32 = 0.05;
+/// Sakoe-Chiba radius of the DTW section (the benchmark's `mem-dtw` band).
+const DTW_BAND: usize = 12;
 
 /// What the file says about itself, kept at its top.
 const NOTE: &str =
@@ -123,6 +128,19 @@ fn measure(scale: &Scale) -> String {
         mem_rows[1].push(stats.leaves_processed);
         mem_rows[2].push(stats.real_computed);
     }
+    let dtw_spec = QuerySpec::nn()
+        .measure(Measure::Dtw { band: DTW_BAND })
+        .with_stats();
+    let mut dtw_rows: [Vec<u64>; 6] = Default::default();
+    for q in mem_stream.iter() {
+        let stats = query(&memory, q, &dtw_spec);
+        dtw_rows[0].push(stats.lb_computed + stats.lb_entry_computed);
+        dtw_rows[1].push(stats.leaves_processed);
+        dtw_rows[2].push(stats.lb_keogh_computed);
+        dtw_rows[3].push(stats.dtw_abandoned + stats.real_computed);
+        dtw_rows[4].push(stats.real_computed);
+        dtw_rows[5].push(stats.dtw_cells);
+    }
     drop(memory);
 
     let path = disk_dataset(DatasetKind::Synthetic, scale.disk_series, SERIES_LEN);
@@ -155,6 +173,14 @@ fn measure(scale: &Scale) -> String {
     }
 
     let mem_names = ["entries_bounded", "leaves_processed", "real_distances"];
+    let dtw_names = [
+        "entries_bounded",
+        "leaves_processed",
+        "keogh_fetched",
+        "dtw_started",
+        "dtw_finished",
+        "dtw_cells",
+    ];
     let disk_names = [
         "entries_bounded",
         "leaves_processed",
@@ -176,6 +202,13 @@ fn measure(scale: &Scale) -> String {
         scale.mem_series
     );
     push_rows(&mut out, &mut table, "memory", &mem_names, &mem_rows);
+    out.push_str("    },\n");
+    let _ = writeln!(
+        out,
+        "    \"memory_dtw\": {{\"engine\": \"MESSI\", \"series\": {}, \"band\": {DTW_BAND},",
+        scale.mem_series
+    );
+    push_rows(&mut out, &mut table, "memory_dtw", &dtw_names, &dtw_rows);
     out.push_str("    },\n");
     let _ = writeln!(
         out,
