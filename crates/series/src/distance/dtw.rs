@@ -21,6 +21,15 @@
 //! bits, in scalar and AVX2 dispatch alike; `widened_limit` is what keeps
 //! that true under floating-point rounding.
 //!
+//! The scalar DTW walks the DP row by row; the AVX2 kernel walks it by
+//! anti-diagonals, whose cells do not depend on each other, one row per
+//! vector lane. A cell is `min(up, diag, left) + (a_i - b_j)²` either way:
+//! the minimum is exact in any order and the subtraction, square and add
+//! see the same operands, so every cell has the same bits. The AVX2 kernel
+//! keeps each row's minimum and runs the row-abandon test in row order as
+//! rows complete, so the two also stop at the same row and count the same
+//! cells.
+//!
 //! All costs are **squared** point differences, so DTW values compare
 //! directly against squared Euclidean BSFs (for band 0, DTW == squared ED).
 
@@ -239,11 +248,12 @@ pub fn dtw_sq(a: &[f32], b: &[f32], band: usize) -> f32 {
 /// cost `d` is strictly below `limit`; abandons as soon as an entire DP row
 /// exceeds `limit`.
 ///
-/// Dispatches to the AVX2 row-vectorized kernel when
+/// Dispatches to the AVX2 anti-diagonal kernel when
 /// [`simd_enabled`](crate::distance::simd_enabled). Unlike the tolerance-
-/// tested Euclidean/LB_Keogh pairs, the two DTW variants perform the same
-/// float operations in the same order, so values and abandon decisions are
-/// bit-identical across dispatch modes.
+/// tested Euclidean/LB_Keogh pairs, the two DTW variants give every cell
+/// the same three predecessors and the same cost, and test rows for
+/// abandoning in the same order, so values and abandon decisions are
+/// bit-identical across dispatch modes (see the module docs).
 ///
 /// # Panics
 /// Panics if the lengths differ.
@@ -261,8 +271,9 @@ pub fn dtw_sq_bounded(a: &[f32], b: &[f32], band: usize, limit: f32) -> Option<f
     dtw_sq_bounded_scalar(a, b, band, limit)
 }
 
-/// Scalar early-abandoning banded DTW — the non-x86 fallback and the
-/// bit-exact oracle for the AVX2 kernel.
+/// Scalar early-abandoning banded DTW, row by row — the non-x86 fallback,
+/// the `DSIDX_NO_SIMD=1` path and the bit-exact oracle for the AVX2
+/// kernel.
 #[must_use]
 pub fn dtw_sq_bounded_scalar(a: &[f32], b: &[f32], band: usize, limit: f32) -> Option<f32> {
     debug_assert_eq!(a.len(), b.len());
@@ -359,7 +370,9 @@ pub(crate) fn dtw_rows_scalar(
 
 /// The `rest`-abandoning DP on whichever path
 /// [`simd_enabled`](crate::distance::simd_enabled) selects; same contract
-/// as [`dtw_rows_scalar`] with `rows` `4 * n` long.
+/// as [`dtw_rows_scalar`], over a grow-only buffer each path sizes to what
+/// it needs (the row loop's two rows, or the anti-diagonal kernel's padded
+/// inputs).
 #[inline]
 fn dtw_rows(
     a: &[f32],
@@ -367,11 +380,11 @@ fn dtw_rows(
     r: usize,
     limit: f32,
     rest: &[f32],
-    rows: &mut [f32],
+    rows: &mut Vec<f32>,
 ) -> (Option<f32>, u64) {
     let n = a.len();
     assert!(
-        n > 0 && b.len() == n && r < n && rest.len() == n && rows.len() == 4 * n,
+        n > 0 && b.len() == n && r < n && rest.len() == n,
         "dtw_rows contract"
     );
     #[cfg(target_arch = "x86_64")]
@@ -383,6 +396,9 @@ fn dtw_rows(
                 crate::distance::simd::dtw_rows_avx2(a, b, r, limit, Some(rest), rows)
             };
         }
+    }
+    if rows.len() < 2 * n {
+        rows.resize(2 * n, 0.0);
     }
     dtw_rows_scalar(a, b, r, limit, Some(rest), &mut rows[..2 * n])
 }
@@ -407,8 +423,10 @@ pub enum DtwVerdict {
 }
 
 /// Per-worker buffers of [`dtw_cascade`]: the candidate's envelope, the
-/// remaining-cost bounds and the DP rows. They grow to the series length
-/// once and are reused for every candidate.
+/// remaining-cost bounds and the DP's working buffer (the scalar row
+/// loop's two rows; the AVX2 kernel's padded query and reversed candidate,
+/// plus its diagonals and row minima for bands past 15). They grow to the
+/// series length once and are reused for every candidate.
 ///
 /// The remaining-cost bound `rest[i]` is what every warping path of the
 /// DTW of the query (rows) against the candidate (columns) still owes once
@@ -532,17 +550,7 @@ pub fn dtw_cascade(
     }
     let r = band.min(n - 1);
     scratch.fill_rest(query, q_lower, q_upper, series, r);
-    if scratch.rows.len() < 4 * n {
-        scratch.rows.resize(4 * n, 0.0);
-    }
-    let (cost, cells) = dtw_rows(
-        query,
-        series,
-        r,
-        limit,
-        &scratch.rest,
-        &mut scratch.rows[..4 * n],
-    );
+    let (cost, cells) = dtw_rows(query, series, r, limit, &scratch.rest, &mut scratch.rows);
     scratch.cells = cells;
     cost.map_or(DtwVerdict::Abandoned, DtwVerdict::Full)
 }

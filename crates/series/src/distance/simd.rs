@@ -10,10 +10,11 @@
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{
-    __m256, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_loadu_ps,
-    _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-    _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehl_ps,
-    _mm_shuffle_ps,
+    __m256, _mm256_add_ps, _mm256_alignr_epi8, _mm256_castps256_ps128, _mm256_castps_si256,
+    _mm256_castsi256_ps, _mm256_cvtss_f32, _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_loadu_ps,
+    _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
+    _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
+    _mm_movehl_ps, _mm_shuffle_ps,
 };
 
 /// `true` when the running CPU supports AVX2 and FMA.
@@ -271,22 +272,17 @@ pub unsafe fn lb_keogh_sq_bounded_avx2(
 }
 
 thread_local! {
-    /// Scratch rows for [`dtw_sq_bounded_avx2`] (`prev`/`curr`/`cost`/`mins`,
-    /// each `n` long, in one flat grow-only buffer). DTW verification runs
+    /// Scratch of [`dtw_sq_bounded_avx2`] (see [`dtw_rows_avx2`] for what
+    /// it holds), one grow-only buffer per thread. DTW verification runs
     /// per-candidate inside hot query loops, so the kernel reuses this
-    /// per-thread buffer instead of paying four heap allocations per call.
+    /// buffer instead of allocating per call.
     static DTW_SCRATCH: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Early-abandoning banded DTW with an AVX2-vectorized row pass.
+/// Early-abandoning banded DTW with AVX2, walking the DP by
+/// anti-diagonals with one row per vector lane.
 ///
-/// Per DP row the two vectorizable parts — the cell costs `(a_i - b_j)^2`
-/// for a lane of `j` and the lane-wise `min` of the two row-independent
-/// predecessors `min(prev[j], prev[j-1])` — are computed 8 columns at a
-/// time into scratch rows; a short serial pass then folds in the
-/// loop-carried left predecessor. Every float operation (subtract, square,
-/// `min`, add) is performed in the same order as the scalar kernel, so
-/// results AND the row-min early-abandon decision are **bit-identical** to
+/// Values AND the early-abandon decision are **bit-identical** to
 /// [`scalar` DTW](crate::distance::dtw::dtw_sq_bounded_scalar) at every
 /// limit — the differential tests assert exact equality.
 ///
@@ -301,26 +297,87 @@ pub unsafe fn dtw_sq_bounded_avx2(a: &[f32], b: &[f32], band: usize, limit: f32)
         return if 0.0 < limit { Some(0.0) } else { None };
     }
     DTW_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < 4 * n {
-            buf.resize(4 * n, 0.0);
-        }
         // SAFETY: forwards the caller's contract (AVX2/FMA support, equal
-        // non-zero lengths); the scratch slice is exactly `4 * n` long.
-        unsafe { dtw_rows_avx2(a, b, band.min(n - 1), limit, None, &mut buf[..4 * n]).0 }
+        // non-zero lengths); the kernel sizes the scratch itself.
+        unsafe { dtw_rows_avx2(a, b, band.min(n - 1), limit, None, &mut cell.borrow_mut()).0 }
     })
 }
 
-/// The DP-row loop of [`dtw_sq_bounded_avx2`], over a caller-provided flat
-/// scratch buffer it splits into the four `n`-length rows. `rest` and the
-/// returned cell count are those of
-/// [`dtw_rows_scalar`](crate::distance::dtw::dtw_rows_scalar): the abandon
-/// test is the same expression on the same values, so the two kernels stop
-/// at the same row.
+/// Lanes kept in registers: bands up to `r = 15` hold a whole
+/// anti-diagonal in two `ymm` registers.
+const REGISTER_LANES: usize = 16;
+
+/// Guard floats on each side of a diagonal kept in memory.
+const GUARD: usize = 8;
+
+/// Lane `k` ← lane `k + 1` over the 16 lanes `(lo, hi)`; lane 15 gets
+/// lane 0 of `fill`.
+///
+/// # Safety
+/// AVX2.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn lanes_down(lo: __m256, hi: __m256, fill: __m256) -> (__m256, __m256) {
+    let mid = _mm256_castps_si256(_mm256_permute2f128_ps(lo, hi, 0x21));
+    let top = _mm256_castps_si256(_mm256_permute2f128_ps(hi, fill, 0x21));
+    (
+        _mm256_castsi256_ps(_mm256_alignr_epi8(mid, _mm256_castps_si256(lo), 4)),
+        _mm256_castsi256_ps(_mm256_alignr_epi8(top, _mm256_castps_si256(hi), 4)),
+    )
+}
+
+/// Lane `k` ← lane `k - 1` over the 16 lanes `(lo, hi)`; lane 0 gets lane
+/// 7 of `fill`.
+///
+/// # Safety
+/// AVX2.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn lanes_up(lo: __m256, hi: __m256, fill: __m256) -> (__m256, __m256) {
+    let bottom = _mm256_castps_si256(_mm256_permute2f128_ps(fill, lo, 0x21));
+    let mid = _mm256_castps_si256(_mm256_permute2f128_ps(lo, hi, 0x21));
+    (
+        _mm256_castsi256_ps(_mm256_alignr_epi8(_mm256_castps_si256(lo), bottom, 12)),
+        _mm256_castsi256_ps(_mm256_alignr_epi8(_mm256_castps_si256(hi), mid, 12)),
+    )
+}
+
+/// The DP of [`dtw_sq_bounded_avx2`] and of the cascade's DTW, walked by
+/// anti-diagonals `d = i + j`, with a grow-only caller scratch buffer it
+/// sizes itself. `rest`, the outcome and the returned cell count are
+/// those of [`dtw_rows_scalar`](crate::distance::dtw::dtw_rows_scalar),
+/// to the bit.
+///
+/// Why the bits cannot differ: a cell is `min(up, diag, left) + (a_i -
+/// b_j)²`. The minimum is exact whatever the order it is taken in, and
+/// the subtraction, square and add see the same operands as in the row
+/// loop, so any order that computes a cell after its three predecessors
+/// gives every cell the same value. The cells of one anti-diagonal depend
+/// only on the two before it, so a vector lane holds one row: lane `k` of
+/// diagonal `d` is row `i = ⌊d/2⌋ - ⌊r/2⌋ + k`, column `d - i`. Then
+/// `diag` is the same lane of diagonal `d - 2`, and `up`/`left` are the
+/// same lane and its neighbour (above on even `d`, below on odd `d`) of
+/// diagonal `d - 1`: one lane shift per diagonal. Lanes outside the band
+/// get a `+inf` cost (a per-parity mask), and rows or columns outside the
+/// series read `+inf` from the padded copies of `a` and of `b` reversed
+/// (`b` reversed makes column `d - i` contiguous in `k`), so every lane
+/// runs the same arithmetic with no boundary branch.
+///
+/// Abandoning stays in row order: every lane keeps its row's running
+/// minimum, row `i` is complete once diagonal `2i + r` is (it sits in lane
+/// 0 then), and its test `row_min + rest[i] ≥ limit` runs there, for each
+/// row in turn — the same expression on the same values as the row loop's.
+/// Rows completing past the last diagonal are tested after it, in order.
+/// The cells reported are the row loop's count up to the stopping row, not
+/// the (slightly larger) set this kernel evaluated.
+///
+/// Bands up to `r = 15` keep the last two diagonals and the row minima in
+/// two `ymm` registers each; wider bands run the same loop over diagonals
+/// kept in `scratch`, 8 lanes at a time.
 ///
 /// # Safety
 /// Caller must ensure AVX2/FMA support, `a.len() == b.len() == n > 0`,
-/// `r < n`, `scratch.len() == 4 * n`, and `rest`, when given, `n` long.
+/// `r < n`, and `rest`, when given, `n` long.
 #[target_feature(enable = "avx2", enable = "fma")]
 #[must_use]
 pub(crate) unsafe fn dtw_rows_avx2(
@@ -329,9 +386,10 @@ pub(crate) unsafe fn dtw_rows_avx2(
     r: usize,
     limit: f32,
     rest: Option<&[f32]>,
-    scratch: &mut [f32],
+    scratch: &mut Vec<f32>,
 ) -> (Option<f32>, u64) {
     let n = a.len();
+    debug_assert!(n > 0 && b.len() == n && r < n);
     debug_assert!(rest.is_none_or(|rest| rest.len() == n));
     let inf = f32::INFINITY;
     let abandon_at = if rest.is_some() {
@@ -339,77 +397,225 @@ pub(crate) unsafe fn dtw_rows_avx2(
     } else {
         limit
     };
+    // Lane `k` of diagonal `d` is row `base + k`, `base = ⌊d/2⌋ - h`.
+    let h = r / 2;
+    let in_registers = r < REGISTER_LANES;
+    let lanes = if in_registers {
+        REGISTER_LANES
+    } else {
+        (r + 1).next_multiple_of(8)
+    };
+    // Valid lanes: `0..=2h` on even diagonals, `odd_lo..=odd_hi` on odd.
+    let (odd_lo, odd_hi) = (1 - r % 2, 2 * h + r % 2);
+    // Padded `a` and reversed `b`: index `h + i` holds row `i`, `h + m`
+    // holds column `n - 1 - m`; a lane never reads past `n + lanes - 2`.
+    let padded = n + lanes - 1;
+    let memory = if in_registers {
+        0
+    } else {
+        // Two diagonals with guards, two lane masks, the row minima.
+        2 * (lanes + 2 * GUARD) + 2 * lanes + padded
+    };
+    if scratch.len() < 2 * padded + memory {
+        scratch.resize(2 * padded + memory, 0.0);
+    }
+    let (ap, others) = scratch.split_at_mut(padded);
+    let (bp, others) = others.split_at_mut(padded);
+    ap[..h].fill(inf);
+    ap[h..h + n].copy_from_slice(a);
+    ap[h + n..].fill(inf);
+    // `-inf` here against `+inf` in `ap`: an out-of-range row or column
+    // (or both) costs `(+inf)² = +inf`, never `inf - inf`.
+    bp[..h].fill(f32::NEG_INFINITY);
+    for (dst, &v) in bp[h..h + n].iter_mut().zip(b.iter().rev()) {
+        *dst = v;
+    }
+    bp[h + n..].fill(f32::NEG_INFINITY);
+    let row_cells = |i: usize| ((i + r).min(n - 1) - i.saturating_sub(r) + 1) as u64;
+    let row_fails = |i: usize, row_min: f32| {
+        // SAFETY: `i < n` and `rest` is `n` long.
+        rest.map_or(row_min, |rest| row_min + unsafe { *rest.get_unchecked(i) }) >= abandon_at
+    };
     let mut cells = 0u64;
-    let (mut prev, others) = scratch.split_at_mut(n);
-    let (mut curr, others) = others.split_at_mut(n);
-    let (cost, mins) = others.split_at_mut(n);
-    // Band-edge cells one past a row's window are read (as `up`/`diag`)
-    // before any row writes them; like the scalar kernel's fresh rows they
-    // must start at +inf, so stale values from a previous call on this
-    // thread never leak into the recurrence. `cost`/`mins` need no reset:
-    // every cell read in a row was written earlier in that row.
-    prev.fill(inf);
-    curr.fill(inf);
-    // SAFETY: all pointer offsets stay inside the window `lo..=hi` (for the
-    // `diag` load, `j >= 1` is established before the vector loop), every
-    // buffer is `n` long, and the caller guarantees AVX2/FMA support.
-    unsafe {
-        let pb = b.as_ptr();
-        for (i, &av) in a.iter().enumerate() {
-            let lo = i.saturating_sub(r);
-            let hi = (i + r).min(n - 1);
-            let va = _mm256_set1_ps(av);
-            let pp = prev.as_ptr();
-            let pcost = cost.as_mut_ptr();
-            let pmins = mins.as_mut_ptr();
-            let mut j = lo;
-            if j == 0 {
-                // No `prev[j-1]` at the left boundary: diag is +inf there,
-                // so min(up, diag) degenerates to up.
-                let d = av - *b.get_unchecked(0);
-                *cost.get_unchecked_mut(0) = d * d;
-                *mins.get_unchecked_mut(0) = *prev.get_unchecked(0);
-                j = 1;
-            }
-            while j + 8 <= hi + 1 {
-                let vb = _mm256_loadu_ps(pb.add(j));
-                let d = _mm256_sub_ps(va, vb);
-                _mm256_storeu_ps(pcost.add(j), _mm256_mul_ps(d, d));
-                let up = _mm256_loadu_ps(pp.add(j));
-                let diag = _mm256_loadu_ps(pp.add(j - 1));
-                _mm256_storeu_ps(pmins.add(j), _mm256_min_ps(up, diag));
-                j += 8;
-            }
-            while j <= hi {
-                let d = av - *b.get_unchecked(j);
-                *cost.get_unchecked_mut(j) = d * d;
-                *mins.get_unchecked_mut(j) =
-                    (*prev.get_unchecked(j)).min(*prev.get_unchecked(j - 1));
-                j += 1;
-            }
-            // Serial pass: the left predecessor is loop-carried.
-            let mut row_min = inf;
-            let mut left = inf;
-            for j in lo..=hi {
-                let best = if i == 0 && j == 0 {
-                    0.0
+    // Rows `2i + r <= 2n - 2` are tested on their diagonal; the rest after
+    // the last one.
+    let mut tested = 0usize;
+    let last = 2 * n - 2;
+    let (h_i, n_i) = (h as isize, n as isize);
+    let (pa, pb) = (ap.as_ptr(), bp.as_ptr());
+
+    if in_registers {
+        // SAFETY: `base` starts at `-h` and ends at `n - 1 - h`, so the
+        // `a` loads cover `h + base .. h + base + 16 ⊆ 0..n + 15 = padded`;
+        // the `b` loads start at `h + n - 1 - d + base`, from `0` (last
+        // diagonal) up to `n - 1` (first), and end 15 lanes later. The
+        // caller guarantees AVX2/FMA.
+        unsafe {
+            let vinf = _mm256_set1_ps(inf);
+            let mut mask = [inf; 2 * REGISTER_LANES];
+            for (k, m) in mask.iter_mut().enumerate() {
+                let lane = k % REGISTER_LANES;
+                let valid = if k < REGISTER_LANES {
+                    lane <= 2 * h
                 } else {
-                    (*mins.get_unchecked(j)).min(left)
+                    (odd_lo..=odd_hi).contains(&lane)
                 };
-                let c = best + *cost.get_unchecked(j);
-                *curr.get_unchecked_mut(j) = c;
-                left = c;
-                row_min = row_min.min(c);
+                if valid {
+                    *m = 0.0;
+                }
             }
-            cells += (hi - lo + 1) as u64;
-            if rest.map_or(row_min, |rest| row_min + *rest.get_unchecked(i)) >= abandon_at {
-                return (None, cells);
+            let pm = mask.as_ptr();
+            let (even0, even1) = (_mm256_loadu_ps(pm), _mm256_loadu_ps(pm.add(8)));
+            let (odd0, odd1) = (_mm256_loadu_ps(pm.add(16)), _mm256_loadu_ps(pm.add(24)));
+            // Diagonal -2 holds the virtual cell (-1, -1) = 0 in lane `h`,
+            // so (0, 0) comes out as `0 + cost` like the row loop's start.
+            let mut start = [inf; REGISTER_LANES];
+            start[h] = 0.0;
+            let (mut p20, mut p21) = (
+                _mm256_loadu_ps(start.as_ptr()),
+                _mm256_loadu_ps(start.as_ptr().add(8)),
+            );
+            let (mut p10, mut p11) = (vinf, vinf);
+            let (mut m0, mut m1) = (vinf, vinf);
+            let mut base = -h_i - 1;
+            let mut d = 0usize;
+            // One diagonal; `$even` is `d % 2 == 0`.
+            macro_rules! diagonal {
+                ($even:literal) => {{
+                    if $even {
+                        base += 1;
+                        (m0, m1) = lanes_down(m0, m1, vinf);
+                    }
+                    let ia = (h_i + base) as usize;
+                    let ib = (h_i + n_i - 1 - d as isize + base) as usize;
+                    let (k0, k1) = if $even { (even0, even1) } else { (odd0, odd1) };
+                    let t0 =
+                        _mm256_sub_ps(_mm256_loadu_ps(pa.add(ia)), _mm256_loadu_ps(pb.add(ib)));
+                    let t1 = _mm256_sub_ps(
+                        _mm256_loadu_ps(pa.add(ia + 8)),
+                        _mm256_loadu_ps(pb.add(ib + 8)),
+                    );
+                    let c0 = _mm256_max_ps(_mm256_mul_ps(t0, t0), k0);
+                    let c1 = _mm256_max_ps(_mm256_mul_ps(t1, t1), k1);
+                    let (s0, s1) = if $even {
+                        lanes_down(p10, p11, vinf)
+                    } else {
+                        lanes_up(p10, p11, vinf)
+                    };
+                    let n0 = _mm256_add_ps(_mm256_min_ps(_mm256_min_ps(p20, p10), s0), c0);
+                    let n1 = _mm256_add_ps(_mm256_min_ps(_mm256_min_ps(p21, p11), s1), c1);
+                    m0 = _mm256_min_ps(m0, n0);
+                    m1 = _mm256_min_ps(m1, n1);
+                    (p20, p21, p10, p11) = (p10, p11, n0, n1);
+                    if d >= r && (d - r) % 2 == 0 {
+                        let i = (d - r) / 2;
+                        cells += row_cells(i);
+                        if row_fails(i, _mm256_cvtss_f32(m0)) {
+                            return (None, cells);
+                        }
+                        tested = i + 1;
+                    }
+                    d += 1;
+                }};
             }
-            std::mem::swap(&mut prev, &mut curr);
+            // `last` is even: the walk ends on an even diagonal.
+            loop {
+                diagonal!(true);
+                if d > last {
+                    break;
+                }
+                diagonal!(false);
+            }
+            let mut tail = [0.0f32; 2 * REGISTER_LANES];
+            let pt = tail.as_mut_ptr();
+            _mm256_storeu_ps(pt, p10);
+            _mm256_storeu_ps(pt.add(8), p11);
+            _mm256_storeu_ps(pt.add(16), m0);
+            _mm256_storeu_ps(pt.add(24), m1);
+            // Lane of row `i` on the last diagonal: `i - (n - 1 - h)`.
+            for i in tested..n {
+                cells += row_cells(i);
+                if row_fails(i, tail[REGISTER_LANES + i + h + 1 - n]) {
+                    return (None, cells);
+                }
+            }
+            let result = tail[h];
+            return (if result < limit { Some(result) } else { None }, cells);
         }
     }
-    let result = prev[n - 1];
-    (if result < limit { Some(result) } else { None }, cells)
+
+    let diag_len = lanes + 2 * GUARD;
+    let (p2, others) = others.split_at_mut(diag_len);
+    let (p1, others) = others.split_at_mut(diag_len);
+    let (mask, others) = others.split_at_mut(2 * lanes);
+    let mins = &mut others[..padded];
+    p2.fill(inf);
+    p2[GUARD + h] = 0.0;
+    p1.fill(inf);
+    mins.fill(inf);
+    for (k, m) in mask.iter_mut().enumerate() {
+        let valid = if k < lanes {
+            k <= 2 * h
+        } else {
+            (odd_lo..=odd_hi).contains(&(k - lanes))
+        };
+        *m = if valid { 0.0 } else { inf };
+    }
+    let (mut p2, mut p1) = (p2.as_mut_ptr(), p1.as_mut_ptr());
+    let pk = mask.as_ptr();
+    let pmin = mins.as_mut_ptr();
+    // SAFETY: the `a`/`b` loads are those of the register path with
+    // `lanes` in place of 16 (`padded = n + lanes - 1`); diagonal reads
+    // stay within one lane of `0..lanes`, inside the guards; the row
+    // minima of row `i` sit at `h + i`, `h + base ..
+    // h + base + lanes ⊆ 0..padded`. The caller guarantees AVX2/FMA.
+    unsafe {
+        let mut base = -h_i - 1;
+        for d in 0..=last {
+            let even = d % 2 == 0;
+            if even {
+                base += 1;
+            }
+            let ia = (h_i + base) as usize;
+            let ib = (h_i + n_i - 1 - d as isize + base) as usize;
+            let pkd = if even { pk } else { pk.add(lanes) };
+            let side = if even { GUARD + 1 } else { GUARD - 1 };
+            let mut k = 0;
+            while k < lanes {
+                let t = _mm256_sub_ps(
+                    _mm256_loadu_ps(pa.add(ia + k)),
+                    _mm256_loadu_ps(pb.add(ib + k)),
+                );
+                let c = _mm256_max_ps(_mm256_mul_ps(t, t), _mm256_loadu_ps(pkd.add(k)));
+                let near = _mm256_min_ps(
+                    _mm256_loadu_ps(p2.add(GUARD + k)),
+                    _mm256_loadu_ps(p1.add(GUARD + k)),
+                );
+                let v = _mm256_add_ps(_mm256_min_ps(near, _mm256_loadu_ps(p1.add(side + k))), c);
+                _mm256_storeu_ps(p2.add(GUARD + k), v);
+                let pm = pmin.add(ia + k);
+                _mm256_storeu_ps(pm, _mm256_min_ps(_mm256_loadu_ps(pm), v));
+                k += 8;
+            }
+            std::mem::swap(&mut p1, &mut p2);
+            if d >= r && (d - r) % 2 == 0 {
+                let i = (d - r) / 2;
+                cells += row_cells(i);
+                if row_fails(i, *pmin.add(h + i)) {
+                    return (None, cells);
+                }
+                tested = i + 1;
+            }
+        }
+        for i in tested..n {
+            cells += row_cells(i);
+            if row_fails(i, *pmin.add(h + i)) {
+                return (None, cells);
+            }
+        }
+        let result = *p1.add(GUARD + h);
+        (if result < limit { Some(result) } else { None }, cells)
+    }
 }
 
 /// The in-place doubling passes of
@@ -623,6 +829,94 @@ mod tests {
         }
     }
 
+    /// Pairs for the DTW differential tests at length `n`: two unrelated
+    /// series, two coarse series whose neighbours repeat (ties between
+    /// `up`, `diag` and `left`), a series against a shifted copy of itself
+    /// (a cheap warp) and a series against itself (every path ties).
+    /// Past length 65 only the first two, to keep the debug-build
+    /// test run short.
+    fn dtw_pairs(seed: u64, n: usize) -> Vec<(Vec<f32>, Vec<f32>)> {
+        let a = series(seed, n);
+        let shifted: Vec<f32> = (0..n).map(|i| a[(i + 3) % n]).collect();
+        let coarse = |s: u64| -> Vec<f32> {
+            let raw = series(s, n.div_ceil(2));
+            (0..n).map(|i| raw[i / 2].round()).collect()
+        };
+        let mut pairs = vec![
+            (a.clone(), series(seed + 1, n)),
+            (coarse(seed + 2), coarse(seed + 3)),
+            (a.clone(), shifted),
+            (a.clone(), a),
+        ];
+        if n > 65 {
+            pairs.truncate(2);
+        }
+        pairs
+    }
+
+    /// Lengths of the DTW differential tests: every length up to 40, and
+    /// both sides of 64 and 256.
+    fn dtw_lengths() -> impl Iterator<Item = usize> {
+        (1usize..=40).chain([63, 64, 65, 255, 256, 257])
+    }
+
+    /// Band radii of the DTW differential tests at length `n`, clamped and
+    /// deduplicated: every band up to 20 (the register window holds bands
+    /// up to 15, so 15 and 16 sit on either side of its edge) and `n - 1`.
+    fn dtw_radii(n: usize) -> Vec<usize> {
+        let mut radii: Vec<usize> = (0..=20).chain([n - 1]).map(|b| b.min(n - 1)).collect();
+        radii.dedup();
+        radii
+    }
+
+    /// The rows whose stopping limit the DTW differential tests try: every
+    /// row up to length 40; past that the first 4, every 16th and the last
+    /// 20 (which hold the rows a walk by anti-diagonals tests after its
+    /// last diagonal), so the debug-build test run stays short.
+    fn stop_rows(n: usize) -> impl Iterator<Item = usize> {
+        (0..n).filter(move |&i| n <= 40 || i < 4 || i % 16 == 0 || i + 20 >= n)
+    }
+
+    /// Every row's minimum in the banded DP, computed like the row loop.
+    fn row_minima(a: &[f32], b: &[f32], r: usize) -> Vec<f32> {
+        let n = a.len();
+        let inf = f32::INFINITY;
+        let mut prev = vec![inf; n];
+        let mut minima = Vec::with_capacity(n);
+        for (i, &av) in a.iter().enumerate() {
+            let mut curr = vec![inf; n];
+            for j in i.saturating_sub(r)..=(i + r).min(n - 1) {
+                let d = (av - b[j]) * (av - b[j]);
+                let best = if i == 0 && j == 0 {
+                    0.0
+                } else {
+                    let diag = if j > 0 { prev[j - 1] } else { inf };
+                    let left = if j > 0 { curr[j - 1] } else { inf };
+                    prev[j].min(diag).min(left)
+                };
+                curr[j] = best + d;
+            }
+            minima.push(curr.iter().copied().fold(inf, f32::min));
+            prev = curr;
+        }
+        minima
+    }
+
+    /// Limits around `full` — one ulp under, at, one ulp over — plus `0`,
+    /// `+inf` and each of `stops`, which the tests pick to stop the DP at
+    /// every row in turn; each distinct limit once.
+    fn dtw_limits(full: f32, stops: &[f32]) -> Vec<f32> {
+        let below = f32::from_bits(full.to_bits().saturating_sub(1));
+        let above = f32::from_bits(full.to_bits() + 1);
+        let mut limits: Vec<f32> = [0.0, below, full, above, f32::INFINITY]
+            .into_iter()
+            .chain(stops.iter().copied())
+            .collect();
+        limits.sort_unstable_by(f32::total_cmp);
+        limits.dedup_by(|x, y| x.to_bits() == y.to_bits());
+        limits
+    }
+
     #[test]
     fn dtw_avx2_is_bit_identical_to_scalar() {
         if !avx2_fma_available() {
@@ -630,22 +924,26 @@ mod tests {
             return;
         }
         use crate::distance::dtw::dtw_sq_bounded_scalar;
-        for n in [1usize, 2, 7, 8, 9, 17, 33, 64, 100, 256] {
-            let a = series(n as u64 + 500, n);
-            let b = series(n as u64 + 600, n);
-            for band in [0usize, 1, 3, 8, 40, n] {
-                let full = dtw_sq_bounded_scalar(&a, &b, band, f32::INFINITY)
-                    .expect("infinite limit never abandons");
-                for limit in [0.0, full * 0.5, full, full * 1.001, f32::INFINITY] {
-                    let s = dtw_sq_bounded_scalar(&a, &b, band, limit);
-                    // SAFETY: AVX2/FMA availability checked above; equal lengths.
-                    let v = unsafe { dtw_sq_bounded_avx2(&a, &b, band, limit) };
-                    // Same ops in the same order: exact equality, no tolerance.
-                    assert_eq!(
-                        s.map(f32::to_bits),
-                        v.map(f32::to_bits),
-                        "n={n} band={band} limit={limit}"
-                    );
+        for n in dtw_lengths() {
+            for (a, b) in dtw_pairs(n as u64 + 500, n) {
+                for r in dtw_radii(n) {
+                    let full = dtw_sq_bounded_scalar(&a, &b, r, f32::INFINITY)
+                        .expect("infinite limit never abandons");
+                    // A limit at row `i`'s minimum stops the DP at the
+                    // first row whose minimum reaches it: row minima never
+                    // fall, so these limits stop it at every tried row.
+                    let minima = row_minima(&a, &b, r);
+                    let stops: Vec<f32> = stop_rows(n).map(|i| minima[i]).collect();
+                    for limit in dtw_limits(full, &stops) {
+                        let s = dtw_sq_bounded_scalar(&a, &b, r, limit);
+                        // SAFETY: AVX2/FMA availability checked above; equal lengths.
+                        let v = unsafe { dtw_sq_bounded_avx2(&a, &b, r, limit) };
+                        assert_eq!(
+                            s.map(f32::to_bits),
+                            v.map(f32::to_bits),
+                            "n={n} r={r} limit={limit}"
+                        );
+                    }
                 }
             }
         }
@@ -658,39 +956,49 @@ mod tests {
             return;
         }
         use crate::distance::dtw::{dtw_rows_scalar, lb_keogh_sq_scalar};
-        for n in [1usize, 2, 7, 8, 9, 17, 33, 64, 100, 256] {
-            let a = series(n as u64 + 700, n);
-            let b = series(n as u64 + 800, n);
-            let mut rows = vec![0.0f32; 4 * n];
-            for band in [0usize, 1, 3, 8, 40, n] {
-                let r = band.min(n - 1);
-                // Any non-increasing non-negative `rest` exercises the
-                // kernels; use the forward LB_Keogh suffix sums.
-                let (lo, up) = envelope_of(&a, r);
-                let rest: Vec<f32> = (0..n)
-                    .map(|i| {
-                        let from = (i + r + 1).min(n);
-                        lb_keogh_sq_scalar(&b[from..], &lo[from..], &up[from..])
-                    })
-                    .collect();
-                let (full, all_cells) =
-                    dtw_rows_scalar(&a, &b, r, f32::INFINITY, None, &mut rows[..2 * n]);
-                let full = full.expect("infinite limit never abandons");
-                for limit in [0.0, full * 0.5, full, full * 1.001, f32::INFINITY] {
-                    for rest in [None, Some(&rest[..])] {
-                        let s = dtw_rows_scalar(&a, &b, r, limit, rest, &mut rows[..2 * n]);
-                        // SAFETY: AVX2/FMA availability checked above; equal
-                        // non-zero lengths, `r < n`, rows `4 * n`, rest `n`.
-                        let v = unsafe { dtw_rows_avx2(&a, &b, r, limit, rest, &mut rows) };
-                        // Same value, same decision, stopped at the same row.
-                        assert_eq!(
-                            (s.0.map(f32::to_bits), s.1),
-                            (v.0.map(f32::to_bits), v.1),
-                            "n={n} band={band} limit={limit} rest={}",
-                            rest.is_some()
-                        );
-                        assert!(s.1 <= all_cells);
-                        assert_eq!(s.0.is_some(), full < limit);
+        let mut scratch = Vec::new();
+        for n in dtw_lengths() {
+            let mut rows = vec![0.0f32; 2 * n];
+            for (a, b) in dtw_pairs(n as u64 + 700, n) {
+                for r in dtw_radii(n) {
+                    // Any non-increasing non-negative `rest` exercises the
+                    // kernels; use the forward LB_Keogh suffix sums.
+                    let (lo, up) = envelope_of(&a, r);
+                    let rest: Vec<f32> = (0..n)
+                        .map(|i| {
+                            let from = (i + r + 1).min(n);
+                            lb_keogh_sq_scalar(&b[from..], &lo[from..], &up[from..])
+                        })
+                        .collect();
+                    let (full, all_cells) =
+                        dtw_rows_scalar(&a, &b, r, f32::INFINITY, None, &mut rows);
+                    let full = full.expect("infinite limit never abandons");
+                    // Row `i`'s test with `rest` is `min + rest[i]` against
+                    // the limit widened by `(2n + 4)` epsilons: narrowed by
+                    // a little more, the sums stop the DP at every tried
+                    // row. Without `rest`, the row stops are the other
+                    // test's; here only the limits around `full`.
+                    let narrow = 1.0 - (2 * n + 8) as f32 * f32::EPSILON;
+                    let minima = row_minima(&a, &b, r);
+                    let stops: Vec<f32> = stop_rows(n)
+                        .map(|i| (minima[i] + rest[i]) * narrow)
+                        .collect();
+                    for (rest, stops) in [(None, &[][..]), (Some(&rest[..]), &stops[..])] {
+                        for limit in dtw_limits(full, stops) {
+                            let s = dtw_rows_scalar(&a, &b, r, limit, rest, &mut rows);
+                            // SAFETY: AVX2/FMA availability checked above;
+                            // equal non-zero lengths, `r < n`, rest `n`.
+                            let v = unsafe { dtw_rows_avx2(&a, &b, r, limit, rest, &mut scratch) };
+                            // Same value, same decision, stopped at the same row.
+                            assert_eq!(
+                                (s.0.map(f32::to_bits), s.1),
+                                (v.0.map(f32::to_bits), v.1),
+                                "n={n} r={r} limit={limit} rest={}",
+                                rest.is_some()
+                            );
+                            assert!(s.1 <= all_cells);
+                            assert_eq!(s.0.is_some(), full < limit);
+                        }
                     }
                 }
             }

@@ -1,7 +1,8 @@
 //! Property-based tests for the series substrate.
 
 use dsidx_series::distance::{
-    abandon_order, dtw, euclidean, euclidean_sq, euclidean_sq_bounded, euclidean_sq_ordered, scalar,
+    abandon_order, dtw, euclidean, euclidean_sq, euclidean_sq_bounded, euclidean_sq_ordered,
+    scalar, set_simd_enabled,
 };
 use dsidx_series::znorm::{is_znormalized, znormalize, STD_EPSILON};
 use proptest::prelude::*;
@@ -278,10 +279,14 @@ proptest! {
         band in 0usize..24,
         frac in 0.0f32..2.0,
     ) {
-        // The vector DTW kernel performs the same float ops in the same
-        // order as the scalar recurrence, so it must agree to the bit —
-        // including the Some/None early-abandon decision at every limit.
+        // Every cell takes the same three predecessors and the same cost in
+        // either kernel, and the rows are tested in the same order, so they
+        // must agree to the bit — including the Some/None early-abandon
+        // decision at every limit.
         let full = dtw::dtw_sq(&a, &b, band);
+        let (mut lo, mut up) = (Vec::new(), Vec::new());
+        dtw::envelope(&a, band, &mut lo, &mut up);
+        let mut scratch = dtw::DtwScratch::new();
         for limit in [full * frac + 0.001, f32::INFINITY] {
             let simd = dtw::dtw_sq_bounded(&a, &b, band, limit);
             let oracle = dtw::dtw_sq_bounded_scalar(&a, &b, band, limit);
@@ -293,6 +298,22 @@ proptest! {
                 simd,
                 oracle
             );
+            // The cascade stops its DTW at the same row in both modes. The
+            // gate is process-wide, but every other test here checks a
+            // dispatching kernel against its scalar oracle, so a moment on
+            // the scalar path cannot fail one.
+            let mut cascade = |mode| {
+                set_simd_enabled(mode);
+                let verdict = dtw::dtw_cascade(&a, &lo, &up, &b, band, limit, &mut scratch);
+                let bits = match verdict {
+                    dtw::DtwVerdict::Full(d) => Some(d.to_bits()),
+                    _ => None,
+                };
+                (std::mem::discriminant(&verdict), bits, scratch.cells())
+            };
+            let scalar_cascade = cascade(false);
+            let simd_cascade = cascade(true);
+            prop_assert_eq!(simd_cascade, scalar_cascade, "limit={}", limit);
         }
     }
 }

@@ -90,8 +90,12 @@ struct KernelOutputs {
     /// Some/None of the early-abandoning Euclidean and LB_Keogh kernels.
     decisions: Vec<bool>,
     /// Bits of the kernels that are bit-identical by construction: banded
-    /// DTW alone, DTW through the whole cascade, the envelope.
+    /// DTW alone and the envelope.
     exact: Vec<Option<u32>>,
+    /// Per cascade call: which stage decided (the `DtwVerdict` variant),
+    /// the bits of a completed DTW, and the DP cells evaluated — so the
+    /// DTW stops at the same row in both modes, not only at the same value.
+    cascade: Vec<(&'static str, Option<u32>, u64)>,
     /// Bits of every PAA value (series and envelope bounds).
     paa: Vec<u32>,
     words: Vec<Word>,
@@ -127,11 +131,14 @@ fn kernel_outputs(len: usize) -> KernelOutputs {
                 .push(dtw::lb_keogh_sq_bounded(y, &lo, &up, keogh * scale).is_some());
             let bounded = dtw::dtw_sq_bounded(x, y, band, full * scale);
             out.exact.push(bounded.map(f32::to_bits));
-            let cascade = dtw::dtw_cascade(x, &lo, &up, y, band, full * scale, &mut scratch);
-            out.exact.push(match cascade {
-                DtwVerdict::Full(d) => Some(d.to_bits()),
-                _ => None,
-            });
+            let verdict = dtw::dtw_cascade(x, &lo, &up, y, band, full * scale, &mut scratch);
+            let (stage, bits) = match verdict {
+                DtwVerdict::KeoghPruned => ("keogh", None),
+                DtwVerdict::ReversedPruned => ("reversed", None),
+                DtwVerdict::Abandoned => ("abandoned", None),
+                DtwVerdict::Full(d) => ("full", Some(d.to_bits())),
+            };
+            out.cascade.push((stage, bits, scratch.cells()));
         }
         for s in [x, y] {
             out.words.push(quantizer.word_into(s, &mut paa));
@@ -163,7 +170,14 @@ fn every_kernel_decides_the_same_with_simd_on_and_off() {
         );
         assert_eq!(
             scalar.exact, simd.exact,
-            "len {len}: a DTW, cascade or envelope value depends on the SIMD mode"
+            "len {len}: a DTW or envelope value depends on the SIMD mode"
+        );
+        // Both the completed and the abandoned DTW were reached.
+        let reached = |stage| scalar.cascade.iter().any(|c| c.0 == stage);
+        assert!(reached("full") && reached("abandoned"), "len {len}");
+        assert_eq!(
+            scalar.cascade, simd.cascade,
+            "len {len}: a cascade verdict, value or cell count depends on the SIMD mode"
         );
         assert!(
             scalar.paa == simd.paa && scalar.words == simd.words,
