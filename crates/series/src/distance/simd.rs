@@ -405,8 +405,20 @@ pub(crate) unsafe fn dtw_rows_avx2(
     } else {
         (r + 1).next_multiple_of(8)
     };
-    // Valid lanes: `0..=2h` on even diagonals, `odd_lo..=odd_hi` on odd.
-    let (odd_lo, odd_hi) = (1 - r % 2, 2 * h + r % 2);
+    // The cost mask: `0` on the band's lanes, `+inf` on the others; the
+    // first `lanes` floats for even diagonals (lanes `0..=2h`), the rest
+    // for odd ones (lanes `1 - r % 2 ..= 2h + r % 2`).
+    let fill_mask = |mask: &mut [f32]| {
+        let (even, odd) = mask.split_at_mut(lanes);
+        for (k, (e, o)) in even.iter_mut().zip(odd).enumerate() {
+            *e = if k <= 2 * h { 0.0 } else { inf };
+            *o = if (1 - r % 2..=2 * h + r % 2).contains(&k) {
+                0.0
+            } else {
+                inf
+            };
+        }
+    };
     // Padded `a` and reversed `b`: index `h + i` holds row `i`, `h + m`
     // holds column `n - 1 - m`; a lane never reads past `n + lanes - 2`.
     let padded = n + lanes - 1;
@@ -452,18 +464,8 @@ pub(crate) unsafe fn dtw_rows_avx2(
         // caller guarantees AVX2/FMA.
         unsafe {
             let vinf = _mm256_set1_ps(inf);
-            let mut mask = [inf; 2 * REGISTER_LANES];
-            for (k, m) in mask.iter_mut().enumerate() {
-                let lane = k % REGISTER_LANES;
-                let valid = if k < REGISTER_LANES {
-                    lane <= 2 * h
-                } else {
-                    (odd_lo..=odd_hi).contains(&lane)
-                };
-                if valid {
-                    *m = 0.0;
-                }
-            }
+            let mut mask = [0.0; 2 * REGISTER_LANES];
+            fill_mask(&mut mask);
             let pm = mask.as_ptr();
             let (even0, even1) = (_mm256_loadu_ps(pm), _mm256_loadu_ps(pm.add(8)));
             let (odd0, odd1) = (_mm256_loadu_ps(pm.add(16)), _mm256_loadu_ps(pm.add(24)));
@@ -553,14 +555,7 @@ pub(crate) unsafe fn dtw_rows_avx2(
     p2[GUARD + h] = 0.0;
     p1.fill(inf);
     mins.fill(inf);
-    for (k, m) in mask.iter_mut().enumerate() {
-        let valid = if k < lanes {
-            k <= 2 * h
-        } else {
-            (odd_lo..=odd_hi).contains(&(k - lanes))
-        };
-        *m = if valid { 0.0 } else { inf };
-    }
+    fill_mask(mask);
     let (mut p2, mut p1) = (p2.as_mut_ptr(), p1.as_mut_ptr());
     let pk = mask.as_ptr();
     let pmin = mins.as_mut_ptr();
