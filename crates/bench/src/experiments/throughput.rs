@@ -9,11 +9,11 @@
 //! over the largest multiple of B queries that fits in 64 — and reporting
 //! wall time per query plus the amortization counters: broadcasts per
 //! query (constant per batch ⇒ shrinking as 1/B for every engine; ADS+
-//! runs ParIS's two broadcasts on a one-worker pool) and raw series fetched once versus the per-query
-//! requests they served (ADS+ and ParIS share raw reads across a batch;
-//! MESSI answers each query from its own reads, so the two columns are
-//! equal). Around t is where MESSI's schedule turns from every worker on
-//! one query into whole queries per worker.
+//! runs ParIS's two broadcasts on a one-worker pool) and raw series
+//! fetched versus the per-query requests they served (every engine here
+//! answers each query from its own reads, so the two columns are equal).
+//! Around t is where MESSI's schedule turns from every worker on one
+//! query into whole queries per worker.
 
 use crate::{core_ladder, f, mem_dataset, ms, queries, time, Scale, Table};
 use dsidx::prelude::*;
@@ -122,8 +122,7 @@ pub fn run(scale: &Scale) {
     );
     println!(
         "shape check: broadcasts_per_query is constant-per-batch (2/B ParIS and ADS+,\n\
-         1/B MESSI). requests_per_query exceeds fetched_per_query where the\n\
-         batch shares raw reads (ADS+, ParIS); for MESSI the two are equal — in memory\n\
-         every query's distance attempts read their own series."
+         1/B MESSI). requests_per_query equals fetched_per_query for every engine —\n\
+         each query's distance attempts read their own series."
     );
 }

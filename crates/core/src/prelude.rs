@@ -9,5 +9,5 @@ pub use crate::shard::ShardedIndex;
 pub use crate::spec::{Fidelity, Measure, QuerySpec};
 pub use dsidx_query::{BatchStats, QueryStats};
 pub use dsidx_series::gen::DatasetKind;
-pub use dsidx_series::{DataSeries, Dataset, Match};
+pub use dsidx_series::{Dataset, Match};
 pub use dsidx_storage::{Device, DeviceProfile};

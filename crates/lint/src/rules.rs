@@ -63,7 +63,11 @@ its lib.rs, so unsafe operations inside unsafe fns still need their own
 
 Why: the paper's engines lean on hand-rolled concurrency (pool job erasure)
 and AVX2 kernels; an undocumented unsafe site is a soundness review nobody
-can perform.
+can perform. CI's clippy command rejects most such sites on its own
+(`undocumented_unsafe_blocks` covers blocks and `unsafe impl`,
+`unsafe_op_in_unsafe_fn` bare operations, `missing_safety_doc` public
+fns), but a private `unsafe fn` with no `# Safety` section gets through
+it: only this rule asks that contract of every unsafe fn.
 
 Fix: write the justification, or — for generated/vendored code only — add a
 `lint.allow` entry with a reason.",

@@ -41,10 +41,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A fixed-bucket histogram of `u64` observations.
@@ -112,14 +108,6 @@ impl Histogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
     }
 }
 
@@ -249,19 +237,6 @@ fn histogram_entry(
     match metric {
         Metric::Histogram(h) => h,
         Metric::Counter(_) => panic!("metric `{name}` already registered as a counter"),
-    }
-}
-
-/// Zeroes every registered metric (handles stay valid). For benchmarks and
-/// tests that want per-run deltas; racy against concurrent updates in the
-/// usual point-in-time sense.
-pub fn reset_all() {
-    let entries = registry().lock().expect("metrics registry poisoned");
-    for e in entries.iter() {
-        match e.metric {
-            Metric::Counter(c) => c.reset(),
-            Metric::Histogram(h) => h.reset(),
-        }
     }
 }
 

@@ -119,11 +119,6 @@ pub fn route_to_file(path: &std::path::Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Routes the trace stream to standard error, overriding the environment.
-pub fn route_to_stderr() {
-    set_state(Some(Sink::Stderr));
-}
-
 /// Turns the trace stream off (flushing first), overriding the
 /// environment.
 pub fn disable() {

@@ -1,16 +1,15 @@
-//! Batched query execution: one pass over the data answers many queries.
+//! Batched query execution: one schedule answers many queries.
 //!
 //! A single exact query is dominated by fixed costs — the pool broadcast
-//! that wakes every worker, the walk over the SAX array or tree, the raw
-//! fetch per surviving candidate. A [`QueryBatch`] shares all of them
-//! across B queries: each fetched series (or scanned SAX word, or visited
-//! tree node) is checked against *every* query in the batch — one data
-//! pass, B threshold checks — instead of re-walking the data per query.
-//! Engines run the whole batch inside one schedule (ParIS, and ADS+ at one
-//! worker, one collect + one verify broadcast; MESSI one broadcast), so
-//! the per-query broadcast cost drops to `1/B` of the single-query path.
-//! (MESSI shares no data pass: it shares just the broadcast and hands
-//! whole queries to workers — see `dsidx_messi::query`.)
+//! that wakes every worker, the walk over the SAX array or tree. A
+//! [`QueryBatch`] shares them across B queries. Engines run the whole
+//! batch inside one schedule (ParIS, and ADS+ at one worker, one collect +
+//! one verify broadcast; MESSI one broadcast), so the per-query broadcast
+//! cost drops to `1/B` of the single-query path. ParIS's collect bounds
+//! each scanned SAX word against *every* query in one pass, but raw series
+//! are each query's own: ParIS seeds and verifies each query from its own
+//! reads, and MESSI hands whole queries to workers (`dsidx_messi::query`).
+//! Only the UCR scan checks one fetched series against every query.
 //!
 //! Per-query state is exactly the single-query state, vectorized: a
 //! prepared query (a [`PreparedQuery`], or whatever the schedule
@@ -25,8 +24,8 @@
 //! the batch form, and answer a single query as a batch of one.
 //!
 //! [`BatchStats`] makes the amortization observable: broadcasts issued for
-//! the whole batch, raw series fetched once versus the per-query requests
-//! they served, plus the per-query [`QueryStats`]. The batch-level tallies
+//! the whole batch, raw series fetched versus the per-query requests they
+//! served, plus the per-query [`QueryStats`]. The batch-level tallies
 //! (fetches, requests, phase times) are plain values under one lock too;
 //! every tally is read once, by [`QueryBatch::finish`], after the
 //! schedule has joined its workers.
@@ -148,9 +147,6 @@ pub struct ShardView<'a> {
     /// Global position of this shard's local position 0.
     pub base: u32,
 }
-
-/// Words lower-bounded per batched-kernel call in the collect loop.
-const LB_BLOCK: usize = 256;
 
 /// A batch of exact k-NN queries answered by one shared schedule.
 pub struct QueryBatch<'q, P = PreparedQuery> {
@@ -322,15 +318,15 @@ impl<'q, P> QueryBatch<'q, P> {
 
 /// Work accounting for one answered [`QueryBatch`] — the observable form
 /// of the amortization: how many pool broadcasts the whole batch cost, and
-/// how many raw-series fetches were shared across queries.
+/// how many raw-series fetches were shared across queries (UCR scan only).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchStats {
     /// Pool broadcasts issued for the whole batch (0 for approximate
     /// answers; constant per batch for exact ones, so broadcasts-per-query
     /// shrinks as `1/B`).
     pub broadcasts: u64,
-    /// Raw series actually fetched, each at most once per scan/verify
-    /// step whatever the batch size.
+    /// Raw series actually fetched: one per request for ParIS and MESSI,
+    /// and once per scan step whatever the batch size for the UCR scan.
     pub series_fetched: u64,
     /// Per-query real-distance attempts those fetches served — what B
     /// independent queries would each have fetched for. `series_requests
@@ -389,32 +385,28 @@ impl BatchStats {
 }
 
 /// Seeds every query in a Euclidean batch from the (deduplicated,
-/// typically union-of-approximate-leaves) `positions`: each series is
-/// fetched once and pays every query's early-abandoned distance
-/// ([`euclidean_sq_bounded`], booked as `real_computed` when it completes,
-/// as [`PreparedQuery`]'s [`distance`](crate::Prepared::distance) books it)
-/// against that query's own threshold, so every pruner starts from a
-/// threshold at least as tight as its own-leaf seed. Abandoning against
-/// each query's own threshold is result-identical to full distances (the
-/// pruner rejects anything at or above it anyway) and caps the
-/// cross-seeding cost once a query's top-k fills.
+/// typically union-of-approximate-leaves) `positions`: each query fetches
+/// each series itself (one fetch, one request) and pays its
+/// early-abandoned distance ([`euclidean_sq_bounded`], booked as
+/// `real_computed` when it completes, as [`PreparedQuery`]'s
+/// [`distance`](crate::Prepared::distance) books it) against its own
+/// threshold, so every pruner starts from a threshold at least as tight as
+/// its own-leaf seed. Abandoning is result-identical to full distances
+/// (the pruner rejects anything at or above the threshold anyway) and caps
+/// the cross-seeding cost once a query's top-k fills.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
 pub fn batch_seed_positions(
-    positions: impl IntoIterator<Item = u32, IntoIter: ExactSizeIterator>,
+    positions: impl IntoIterator<Item = u32, IntoIter: ExactSizeIterator + Clone>,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     batch: &QueryBatch<'_>,
 ) -> Result<(), StorageError> {
     let positions = positions.into_iter();
-    let fetches = positions.len() as u64;
-    if batch.is_empty() || fetches == 0 {
-        return Ok(());
-    }
     let mut locals = vec![QueryStats::default(); batch.len()];
-    for pos in positions {
-        let series = fetcher.fetch(pos as usize)?;
-        for (slot, local) in batch.slots().iter().zip(&mut locals) {
+    for (slot, local) in batch.slots().iter().zip(&mut locals) {
+        for pos in positions.clone() {
+            let series = fetcher.fetch(pos as usize)?;
             let limit = slot.topk.threshold_sq();
             if let Some(d) = euclidean_sq_bounded(slot.values, series, limit) {
                 local.real_computed += 1;
@@ -423,13 +415,14 @@ pub fn batch_seed_positions(
         }
     }
     batch.merge_locals(&locals);
-    batch.count_io(fetches, fetches * batch.len() as u64);
+    let fetches = (positions.len() * batch.len()) as u64;
+    batch.count_io(fetches, fetches);
     Ok(())
 }
 
 /// Warms every k-NN threshold in the batch over the position-order prefix
-/// `0..prefix`: one fetch per position, an early-abandoned real distance
-/// per query ([`batch_seed_positions`] over the prefix).
+/// `0..prefix`: per query, one fetch and one early-abandoned real distance
+/// per position ([`batch_seed_positions`] over the prefix).
 ///
 /// Leaf seeding alone leaves a k-NN threshold at `+inf` whenever the
 /// approximate leaf holds fewer than k entries — harmless for a schedule
@@ -456,10 +449,8 @@ pub fn batch_seed_prefix(
     batch_seed_positions(0..prefix, fetcher, batch)
 }
 
-/// One surviving `(position, query, bound)` triple from a batched ParIS
-/// collect phase. Triples for one position are emitted contiguously, so
-/// the verify phase can share one fetch across every query that kept the
-/// position.
+/// One surviving candidate of a batched ParIS collect phase: a position
+/// one query kept, with the bound that beat that query's threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchCandidate {
     /// Raw-data position of the candidate series.
@@ -473,17 +464,15 @@ pub struct BatchCandidate {
 /// Lower-bound filter over one Fetch&Inc chunk of a collection's
 /// `(word, position)` pairs, batched (ParIS collect): `words` and
 /// `positions` are index-aligned (a flat tree's entry runs, in leaf order),
-/// each word in `range` is bounded against every query, and survivors
-/// append one [`BatchCandidate`] per `(position, query)` pair, entry-major,
-/// so the triples of one position stay contiguous. Nothing is inserted, so
-/// the candidate set does not depend on the order the pairs come in.
-/// Thresholds are sampled once per chunk — the paper's granularity for
-/// refreshing the pruning threshold.
+/// each word in `range` is bounded against every query, and each survivor
+/// is appended to its own query's list in `lists` (index-aligned with the
+/// batch's slots). Nothing is inserted, so the candidate set does not
+/// depend on the order the pairs come in. Thresholds are sampled once per
+/// chunk — the paper's granularity for refreshing the pruning threshold.
 ///
-/// Bounds come in two stages, one row per query over blocks of `LB_BLOCK`
-/// words. Each query with a finite positive threshold gets, once per
-/// chunk, a coarse table quantised for that threshold
-/// ([`CoarseTable`]), and its rows go through
+/// Bounds come in two stages. Each query with a finite positive threshold
+/// gets, once per chunk, a coarse table quantised for that threshold
+/// ([`CoarseTable`]), and bounds the chunk through
 /// [`MindistTable::for_each_below`](dsidx_isax::MindistTable::for_each_below):
 /// a 4-bit shuffle pre-filter rules out most words 32 at a time, and only
 /// the rest pay the exact
@@ -498,159 +487,83 @@ pub fn batch_collect_candidates(
     range: Range<usize>,
     batch: &QueryBatch<'_>,
     locals: &mut [QueryStats],
-    out: &mut Vec<BatchCandidate>,
+    lists: &mut [Vec<BatchCandidate>],
 ) {
-    let limits: Vec<f32> = batch
-        .slots()
-        .iter()
-        .map(|s| s.topk.threshold_sq())
-        .collect();
-    let coarse: Vec<Option<CoarseTable>> = batch
-        .slots()
-        .iter()
-        .zip(&limits)
-        .map(|(slot, &limit)| CoarseTable::new(&slot.prep.table, limit))
-        .collect();
-    let mut rows = vec![0.0f32; batch.len() * LB_BLOCK];
-    let blocks = words[range.clone()].chunks(LB_BLOCK);
-    for (block, block_positions) in blocks.zip(positions[range].chunks(LB_BLOCK)) {
-        let queries = batch.slots().iter().zip(&coarse).zip(&limits);
-        for (((slot, coarse), &limit), row) in queries.zip(rows.chunks_exact_mut(LB_BLOCK)) {
-            // Words ruled out keep an infinite bound: at or above `limit`
-            // like their exact one.
-            row.fill(f32::INFINITY);
-            let table = &slot.prep.table;
-            table.for_each_below(coarse.as_ref(), block, limit, |i, lb| row[i] = lb);
-        }
-        for (off, &pos) in block_positions.iter().enumerate() {
-            for (qi, &limit) in limits.iter().enumerate() {
-                let lb = rows[qi * LB_BLOCK + off];
-                if lb < limit {
-                    locals[qi].candidates += 1;
-                    out.push(BatchCandidate {
-                        pos,
-                        query: qi as u32,
-                        lb,
-                    });
-                }
-            }
-        }
+    let (words, positions) = (&words[range.clone()], &positions[range]);
+    let queries = batch.slots().iter().zip(locals).zip(lists);
+    for (query, ((slot, local), list)) in (0u32..).zip(queries) {
+        let limit = slot.topk.threshold_sq();
+        let table = &slot.prep.table;
+        let coarse = CoarseTable::new(table, limit);
+        table.for_each_below(coarse.as_ref(), words, limit, |i, lb| {
+            local.candidates += 1;
+            list.push(BatchCandidate {
+                pos: positions[i],
+                query,
+                lb,
+            });
+        });
     }
 }
 
-/// Puts a collected candidate list in the order ParIS verifies it: a
-/// **best-bound-first head**, then the rest **in position order**.
+/// Puts one query's collected candidate list in the order ParIS verifies
+/// it: a **best-bound-first head**, then the rest **in position order**.
 ///
-/// The head holds, for every query, the positions of its `head` smallest
-/// bounds (ties included), sorted ascending by `(run bound, position)`
-/// where a run's bound is the smallest bound any query recorded for that
-/// position. Those are the series most likely to be the answer, so
-/// fetching them first — while the thresholds are loosest — tightens the
-/// thresholds after a few reads, and the re-check in
+/// The head holds the candidates with the list's `head` smallest bounds
+/// (ties included), sorted ascending by `(bound, position)`: the series
+/// most likely to be the answer, so fetching them first tightens the
+/// threshold after a few reads, and the re-check in
 /// [`batch_verify_candidates`] then drops most of what follows without
-/// touching the source. The tail keeps position order: what still
-/// survives the tightened thresholds has to be read whatever the order,
-/// and in position order nearby survivors are one span read (see
-/// [`batch_verify_candidates`]) and a sequential walk of an in-memory
-/// collection instead of a seek per series. A list no longer than the
-/// head is sorted outright; then, with one worker and k = 1, no
-/// candidate whose bound exceeds the final distance is fetched at all.
-///
-/// The result is a pure function of the *set* of triples — it does not
-/// depend on the order the entries were scanned in or the collect workers
-/// appended their chunks in — and the triples of one position stay
-/// contiguous.
-pub fn order_best_bound_first(
-    candidates: &mut [BatchCandidate],
-    batch: &QueryBatch<'_>,
-    head: usize,
-) {
-    // Position-major first: the collect workers appended their triples in
-    // whatever order they scanned the entries.
-    candidates.sort_unstable_by_key(|c| (c.pos, c.query));
-
-    // Per query, the bound its `head`-th best candidate has.
-    let mut bounds_of: Vec<Vec<f32>> = vec![Vec::new(); batch.len()];
-    for c in candidates.iter() {
-        bounds_of[c.query as usize].push(c.lb);
-    }
-    let cutoffs: Vec<f32> = bounds_of
-        .iter_mut()
-        .map(|lbs| match head {
-            0 => f32::NEG_INFINITY,
-            _ if lbs.len() <= head => f32::INFINITY,
-            _ => *lbs.select_nth_unstable_by(head - 1, f32::total_cmp).1,
-        })
-        .collect();
-    drop(bounds_of);
-
-    // Lift the head runs out, keyed by run bound...
-    let mut lifted: Vec<(f32, BatchCandidate)> = Vec::new();
-    let mut gaps: Vec<Range<usize>> = Vec::new();
-    let mut start = 0;
-    for run in candidates.chunk_by(|a, b| a.pos == b.pos) {
-        let end = start + run.len();
-        if run.iter().any(|c| c.lb <= cutoffs[c.query as usize]) {
-            let bound = run.iter().map(|c| c.lb).fold(f32::INFINITY, f32::min);
-            lifted.extend(run.iter().map(|&c| (bound, c)));
-            gaps.push(start..end);
+/// touching the source. What still survives has to be read whatever the
+/// order, and in position order nearby survivors are one span read and a
+/// sequential walk of an in-memory collection instead of a seek each. A
+/// list no longer than the head is sorted outright; then, with one worker
+/// and k = 1, no candidate whose bound exceeds the final distance is
+/// fetched at all. A query keeps each position at most once, so the result
+/// does not depend on the order the entries were scanned or appended in.
+pub fn order_best_bound_first(list: &mut [BatchCandidate], head: usize) {
+    let cutoff = match head {
+        0 => f32::NEG_INFINITY,
+        _ if list.len() <= head => f32::INFINITY,
+        _ => {
+            let mut bounds: Vec<f32> = list.iter().map(|c| c.lb).collect();
+            *bounds.select_nth_unstable_by(head - 1, f32::total_cmp).1
         }
-        start = end;
-    }
-    // ...close the gaps they leave toward the back, so the tail sits, still
-    // in position order, at the end of the slice...
-    let mut tail_start = candidates.len();
-    let mut kept_end = candidates.len();
-    for gap in gaps.iter().rev() {
-        tail_start -= kept_end - gap.end;
-        candidates.copy_within(gap.end..kept_end, tail_start);
-        kept_end = gap.start;
-    }
-    tail_start -= kept_end;
-    candidates.copy_within(..kept_end, tail_start);
-    debug_assert_eq!(tail_start, lifted.len());
-    // ...and put them back in front, best bound first.
-    lifted.sort_unstable_by(|(ka, a), (kb, b)| {
-        ka.total_cmp(kb)
-            .then(a.pos.cmp(&b.pos))
-            .then(a.query.cmp(&b.query))
+    };
+    list.sort_unstable_by(|a, b| {
+        let lead = |c: &BatchCandidate| c.lb <= cutoff;
+        match (lead(a), lead(b)) {
+            (true, true) => a.lb.total_cmp(&b.lb).then(a.pos.cmp(&b.pos)),
+            (false, false) => a.pos.cmp(&b.pos),
+            (a_leads, b_leads) => b_leads.cmp(&a_leads),
+        }
     });
-    for (slot, (_, c)) in candidates.iter_mut().zip(lifted) {
-        *slot = c;
-    }
 }
 
-/// Verifies one Fetch&Inc chunk of a batched candidate list (ParIS
-/// verify): each triple's bound is re-checked against its query's
-/// *current* threshold, and a run of triples sharing a position pays one
-/// fetch for all that survive the re-check — none when none does.
+/// Verifies one Fetch&Inc chunk of ParIS's verify queue — the per-query
+/// ordered lists, one query after another: each candidate's bound is
+/// re-checked against its own query's *current* threshold, and a candidate
+/// that survives the re-check pays one fetch and one early-abandoned
+/// distance for that query alone.
 ///
-/// A position run belongs to the chunk its first triple falls in: the
-/// chunk skips a run that began before `range` and finishes one that
-/// runs past it, so however the list is cut into chunks a position kept
-/// by several queries is fetched at most once.
-///
-/// Each threshold is sampled exactly once, into `survivors` (caller-owned
-/// scratch, contents overwritten): the fetch decision, the request count
-/// and the abandon limit all come from that one sample, so a fetch always
-/// has a request behind it however the other workers tighten thresholds
-/// meanwhile. A stale sample is only looser; the insert-time comparison
+/// The fetch decision and the abandon limit come from one threshold
+/// sample; a stale sample is only looser, and the insert-time comparison
 /// stays authoritative.
 ///
-/// **Spans.** A run that survives its sample opens a *span*: the source
-/// is read once, from that run's position through the last of the
-/// chunk's following runs that ascend, leave at most
+/// **Spans.** A survivor that has to be read opens a *span*: the source
+/// is read once, from its position through the last of the chunk's
+/// following candidates **of the same query** that ascend, leave at most
 /// [`SeriesFetcher::span_gap`] series between each other, and are live
-/// when the span opens (a dead run in between is read through with the
-/// rest of the gap). That look ahead is a peek and counts nothing. Each
-/// later run of the span still takes its own sample at its turn; only if
-/// that sample keeps it does it count a fetch and its requests and verify
-/// from the span, so a run gone stale since the peek is read but not
-/// counted. At one worker the samples, and so every counter, are those of
-/// one fetch per run; only the device's seeks, bytes and charged time
-/// differ. A resident or unthrottled source has a gap of 0 and reads
-/// spans of one series; the best-bound head is not in position order and
-/// mostly does too.
+/// when the span opens (a dead candidate in between is read through with
+/// the rest of the gap). A span never crosses into the next query's list.
+/// That look ahead is a peek and counts nothing. Each later candidate of
+/// the span still takes its own sample at its turn; only if that sample
+/// keeps it does it count a fetch and verify from the span, so a candidate
+/// gone stale since the peek is read but not counted. At one worker the
+/// samples, and so every counter, are those of one fetch per candidate;
+/// only the device's seeks, bytes and charged time differ. A resident or
+/// unthrottled source has a gap of 0 and reads spans of one series; the
+/// best-bound head is not in position order and mostly does too.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -659,83 +572,48 @@ pub fn batch_verify_candidates(
     range: Range<usize>,
     fetcher: &mut SeriesFetcher<'_, impl RawSource>,
     batch: &QueryBatch<'_>,
-    survivors: &mut Vec<(usize, f32)>,
     locals: &mut [QueryStats],
 ) -> Result<(), StorageError> {
-    let continues_run =
-        |i: usize| 0 < i && i < candidates.len() && candidates[i].pos == candidates[i - 1].pos;
-    let (mut start, mut end) = (range.start, range.end);
-    while start < end && continues_run(start) {
-        start += 1;
-    }
-    while start < end && continues_run(end) {
-        end += 1;
-    }
-    let run_end = |at: usize| {
-        let pos = candidates[at].pos;
-        at + candidates[at..end]
-            .iter()
-            .take_while(|c| c.pos == pos)
-            .count()
-    };
-    let live = |run: &[BatchCandidate]| {
-        run.iter()
-            .any(|c| c.lb < batch.slots()[c.query as usize].topk.threshold_sq())
-    };
+    let chunk = &candidates[range];
     let (gap, len) = (fetcher.span_gap(), fetcher.series_len());
-    let (mut fetches, mut requests) = (0u64, 0u64);
+    let mut fetches = 0u64;
     // The last span read: the series it holds, the position of the first,
-    // and the end of the runs it was read for.
+    // and the end (in `chunk`) of the candidates it was read for.
     let mut span: &[f32] = &[];
-    let (mut span_first, mut covered) = (0, start);
-    let mut at = start;
-    while at < end {
-        let next = run_end(at);
-        let run = &candidates[at..next];
-        at = next;
-        survivors.clear();
-        for c in run {
-            let qi = c.query as usize;
-            let limit = batch.slots()[qi].topk.threshold_sq();
-            if c.lb < limit {
-                survivors.push((qi, limit));
-            }
-        }
-        if survivors.is_empty() {
+    let (mut span_first, mut covered) = (0, 0);
+    for (at, c) in chunk.iter().enumerate() {
+        let slot = &batch.slots()[c.query as usize];
+        let limit = slot.topk.threshold_sq();
+        if c.lb >= limit {
             continue;
         }
-        let pos = run[0].pos;
-        if next > covered {
-            // Open a span: peek along the following runs of the chunk.
-            let (mut last, mut peek) = (pos, next);
-            covered = next;
-            while gap > 0 && peek < end {
-                let peek_end = run_end(peek);
-                let p = candidates[peek].pos;
-                if p <= last || (p - last - 1) as usize > gap {
+        if at >= covered {
+            // Open a span: peek along this query's following candidates.
+            let mut last = c.pos;
+            covered = at + 1;
+            for (i, next) in chunk.iter().enumerate().skip(at + 1) {
+                if gap == 0
+                    || next.query != c.query
+                    || next.pos <= last
+                    || (next.pos - last - 1) as usize > gap
+                {
                     break;
                 }
-                if live(&candidates[peek..peek_end]) {
-                    (last, covered) = (p, peek_end);
+                if next.lb < slot.topk.threshold_sq() {
+                    (last, covered) = (next.pos, i + 1);
                 }
-                peek = peek_end;
             }
-            span = fetcher.fetch_span(pos as usize, (last - pos) as usize + 1)?;
-            span_first = pos;
+            span = fetcher.fetch_span(c.pos as usize, (last - c.pos) as usize + 1)?;
+            span_first = c.pos;
         }
-        let offset = (pos - span_first) as usize * len;
-        let series = &span[offset..offset + len];
+        let offset = (c.pos - span_first) as usize * len;
         fetches += 1;
-        requests += survivors.len() as u64;
-        for &(qi, limit) in survivors.iter() {
-            let slot = &batch.slots()[qi];
-            if let Some(d) = euclidean_sq_bounded(slot.values, series, limit) {
-                slot.topk.insert(d, pos);
-                locals[qi].real_computed += 1;
-            }
+        if let Some(d) = euclidean_sq_bounded(slot.values, &span[offset..offset + len], limit) {
+            slot.topk.insert(d, c.pos);
+            locals[c.query as usize].real_computed += 1;
         }
     }
-    batch.count_io(fetches, requests);
+    batch.count_io(fetches, fetches);
     Ok(())
 }
 
@@ -778,7 +656,7 @@ mod tests {
         // phase materializes everything.
         batch_seed_prefix(4 * k, &mut fetcher, &batch).unwrap();
         let mut locals = vec![QueryStats::default(); batch.len()];
-        let mut candidates = Vec::new();
+        let mut lists = vec![Vec::new(); batch.len()];
         for start in (0..words.len()).step_by(64) {
             let end = (start + 64).min(words.len());
             let positions = in_order(&words);
@@ -788,21 +666,14 @@ mod tests {
                 start..end,
                 &batch,
                 &mut locals,
-                &mut candidates,
+                &mut lists,
             );
         }
-        let mut survivors = Vec::new();
+        let candidates = lists.concat();
         for start in (0..candidates.len()).step_by(16) {
             let end = (start + 16).min(candidates.len());
-            batch_verify_candidates(
-                &candidates,
-                start..end,
-                &mut fetcher,
-                &batch,
-                &mut survivors,
-                &mut locals,
-            )
-            .unwrap();
+            batch_verify_candidates(&candidates, start..end, &mut fetcher, &batch, &mut locals)
+                .unwrap();
         }
         batch.merge_locals(&locals);
         let (matches, stats) = batch.finish(2);
@@ -894,26 +765,19 @@ mod tests {
     }
 
     /// Collects every `(word, position)` pair for `batch` in 64-entry
-    /// chunks.
+    /// chunks: one candidate list per query.
     fn collect_all(
         words: &[Word],
         positions: &[u32],
         batch: &QueryBatch<'_>,
-    ) -> Vec<BatchCandidate> {
+    ) -> Vec<Vec<BatchCandidate>> {
         let mut locals = vec![QueryStats::default(); batch.len()];
-        let mut candidates = Vec::new();
+        let mut lists = vec![Vec::new(); batch.len()];
         for start in (0..words.len()).step_by(64) {
             let end = (start + 64).min(words.len());
-            batch_collect_candidates(
-                words,
-                positions,
-                start..end,
-                batch,
-                &mut locals,
-                &mut candidates,
-            );
+            batch_collect_candidates(words, positions, start..end, batch, &mut locals, &mut lists);
         }
-        candidates
+        lists
     }
 
     /// Verifies `candidates` serially in `chunk`-sized claims; returns the
@@ -927,18 +791,10 @@ mod tests {
         let source = LoggingSource::new(data);
         let mut fetcher = SeriesFetcher::new(&source);
         let mut locals = vec![QueryStats::default(); batch.len()];
-        let mut survivors = Vec::new();
         for start in (0..candidates.len()).step_by(chunk) {
             let end = (start + chunk).min(candidates.len());
-            batch_verify_candidates(
-                candidates,
-                start..end,
-                &mut fetcher,
-                batch,
-                &mut survivors,
-                &mut locals,
-            )
-            .unwrap();
+            batch_verify_candidates(candidates, start..end, &mut fetcher, batch, &mut locals)
+                .unwrap();
         }
         source.reads()
     }
@@ -959,13 +815,13 @@ mod tests {
                 batch
             };
             let by_position = seeded();
-            let candidates = collect_all(&words, &in_order(&words), &by_position);
+            let candidates = collect_all(&words, &in_order(&words), &by_position).remove(0);
             assert!(candidates.windows(2).all(|w| w[0].pos < w[1].pos));
             let position_reads = verify_all(&candidates, 16, &data, &by_position);
 
             let best_first = seeded();
             let mut ordered = candidates.clone();
-            order_best_bound_first(&mut ordered, &best_first, usize::MAX);
+            order_best_bound_first(&mut ordered, usize::MAX);
             assert!(ordered
                 .windows(2)
                 .all(|w| (w[0].lb, w[0].pos) < (w[1].lb, w[1].pos)));
@@ -993,84 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn best_bound_order_keeps_position_runs_whole_whatever_the_append_order() {
-        // Three queries, two of them identical: their triples for one
-        // position must stay adjacent (one fetch), runs sort by their best
-        // bound, and the result does not depend on which collect worker
-        // appended its chunk first.
-        let (data, words, config) = fixture(300);
-        let qs = DatasetKind::Synthetic.queries(2, 64, 23);
-        let qrefs: Vec<&[f32]> = vec![qs.get(0), qs.get(1), qs.get(0)];
-        let batch = QueryBatch::new(config.quantizer(), &qrefs, 2, None);
-        let mut fetcher = SeriesFetcher::new(&data);
-        batch_seed_prefix(8, &mut fetcher, &batch).unwrap();
-        let mut locals = vec![QueryStats::default(); batch.len()];
-        let mut chunks: Vec<Vec<BatchCandidate>> = Vec::new();
-        for start in (0..words.len()).step_by(64) {
-            let mut out = Vec::new();
-            let end = (start + 64).min(words.len());
-            let positions = in_order(&words);
-            batch_collect_candidates(
-                &words,
-                &positions,
-                start..end,
-                &batch,
-                &mut locals,
-                &mut out,
-            );
-            chunks.push(out);
-        }
-        let mut forward: Vec<BatchCandidate> = chunks.iter().flatten().copied().collect();
-        let mut backward: Vec<BatchCandidate> = chunks.iter().rev().flatten().copied().collect();
-        order_best_bound_first(&mut forward, &batch, usize::MAX);
-        order_best_bound_first(&mut backward, &batch, usize::MAX);
-        assert_eq!(forward, backward);
-        let runs: Vec<&[BatchCandidate]> = forward.chunk_by(|a, b| a.pos == b.pos).collect();
-        let mut seen = std::collections::HashSet::new();
-        let mut last = (0.0f32, 0u32);
-        for run in &runs {
-            assert!(
-                seen.insert(run[0].pos),
-                "position {} split in two runs",
-                run[0].pos
-            );
-            assert!(run.windows(2).all(|w| w[0].query < w[1].query));
-            let key = (
-                run.iter().map(|c| c.lb).fold(f32::INFINITY, f32::min),
-                run[0].pos,
-            );
-            assert!(last <= key, "runs out of order: {last:?} then {key:?}");
-            last = key;
-        }
-        // Queries 0 and 2 are the same series: every run holds both or
-        // neither, with equal bounds.
-        for run in &runs {
-            let of = |q: u32| run.iter().find(|c| c.query == q).map(|c| c.lb);
-            assert_eq!(of(0), of(2));
-        }
-        // The shared fetch: one read per run that still has a survivor,
-        // even with chunks (5 triples) that cut through the runs.
-        let reads = verify_all(&forward, 5, &data, &batch);
-        assert!(reads.len() <= runs.len());
-        let mut once = std::collections::HashSet::new();
-        assert!(
-            reads.iter().all(|&pos| once.insert(pos)),
-            "a position read twice"
-        );
-        let (matches, stats) = batch.finish(2);
-        assert_eq!(matches[0], matches[2]);
-        for (qi, q) in qrefs.iter().enumerate() {
-            let want = brute_topk(&data, q, 2);
-            assert_eq!(
-                matches[qi].iter().map(|m| m.pos).collect::<Vec<_>>(),
-                want.iter().map(|m| m.1).collect::<Vec<_>>(),
-                "q{qi}"
-            );
-        }
-        assert!(stats.series_fetched <= stats.series_requests);
-    }
-
-    #[test]
     fn best_bound_order_does_not_depend_on_the_order_entries_are_scanned_in() {
         // ParIS collects from a flat tree's entries, which come in leaf
         // order: the same `(word, position)` pairs scanned in position
@@ -1089,13 +867,18 @@ mod tests {
                 batch_seed_prefix(4 * k, &mut fetcher, &batch).unwrap();
                 let by_position = collect_all(&words, &in_order(&words), &batch);
                 let by_shuffle = collect_all(&shuffled_words, &shuffled, &batch);
-                assert!(by_position.len() > 1, "fixture keeps too few candidates");
+                assert!(
+                    by_position.concat().len() > 1,
+                    "fixture keeps too few candidates"
+                );
                 assert_ne!(by_position, by_shuffle, "the two scans differ in order");
                 for head in [0, 5, 64, usize::MAX] {
-                    let (mut a, mut b) = (by_position.clone(), by_shuffle.clone());
-                    order_best_bound_first(&mut a, &batch, head);
-                    order_best_bound_first(&mut b, &batch, head);
-                    assert_eq!(a, b, "{queries} queries, k={k}, head={head}");
+                    for (a, b) in by_position.iter().zip(&by_shuffle) {
+                        let (mut a, mut b) = (a.clone(), b.clone());
+                        order_best_bound_first(&mut a, head);
+                        order_best_bound_first(&mut b, head);
+                        assert_eq!(a, b, "{queries} queries, k={k}, head={head}");
+                    }
                 }
             }
         }
@@ -1109,203 +892,191 @@ mod tests {
         let batch = QueryBatch::new(config.quantizer(), &qrefs, 1, None);
         let mut fetcher = SeriesFetcher::new(&data);
         batch_seed_prefix(2, &mut fetcher, &batch).unwrap();
-        let collected = collect_all(&words, &in_order(&words), &batch);
         let head = 5;
-        assert!(collected.iter().filter(|c| c.query == 0).count() > 3 * head);
-        let mut ordered = collected.clone();
-        order_best_bound_first(&mut ordered, &batch, head);
-        // Nothing lost, nothing invented.
-        let key = |c: &BatchCandidate| (c.pos, c.query);
-        let mut sorted = ordered.clone();
-        sorted.sort_by_key(key);
-        assert_eq!(sorted, collected);
-        // The tail is the longest position-ordered suffix; the head before
-        // it is bound-ordered and holds each query's `head` best bounds.
-        let tail_start = (1..ordered.len())
-            .rev()
-            .find(|&i| key(&ordered[i - 1]) > key(&ordered[i]))
-            .unwrap_or(0);
-        let (lead, tail) = ordered.split_at(tail_start);
-        // At most `head` runs per query, each run holding both queries.
-        assert!(!lead.is_empty() && lead.len() <= 2 * 2 * head);
-        assert!(tail.windows(2).all(|w| key(&w[0]) < key(&w[1])));
-        for q in 0..2u32 {
-            let mut lbs: Vec<f32> = collected
-                .iter()
-                .filter(|c| c.query == q)
-                .map(|c| c.lb)
-                .collect();
+        let mut queue = Vec::new();
+        for collected in collect_all(&words, &in_order(&words), &batch) {
+            assert!(collected.len() > 3 * head);
+            let mut ordered = collected.clone();
+            order_best_bound_first(&mut ordered, head);
+            // Nothing lost, nothing invented.
+            let mut sorted = ordered.clone();
+            sorted.sort_by_key(|c| c.pos);
+            assert_eq!(sorted, collected);
+            // The head holds exactly the `head` best bounds (ties
+            // included), bound-ordered; the tail keeps position order.
+            let mut lbs: Vec<f32> = collected.iter().map(|c| c.lb).collect();
             lbs.sort_by(f32::total_cmp);
-            let lifted = |pos: u32| lead.iter().any(|c| c.pos == pos);
-            for c in collected.iter().filter(|c| c.query == q) {
-                if c.lb <= lbs[head - 1] {
-                    assert!(lifted(c.pos), "q{q}: best bound {} left in the tail", c.lb);
-                }
-            }
+            let cutoff = lbs[head - 1];
+            let lead_len = collected.iter().filter(|c| c.lb <= cutoff).count();
+            let (lead, tail) = ordered.split_at(lead_len);
+            assert!(lead.len() >= head && lead.len() <= 2 * head);
+            assert!(lead.iter().all(|c| c.lb <= cutoff));
+            assert!(lead
+                .windows(2)
+                .all(|w| (w[0].lb, w[0].pos) < (w[1].lb, w[1].pos)));
+            assert!(tail.windows(2).all(|w| w[0].pos < w[1].pos));
+            // A head of zero is plain position order.
+            let mut flat = ordered.clone();
+            order_best_bound_first(&mut flat, 0);
+            assert_eq!(flat, collected);
+            queue.extend(ordered);
         }
-        // A head of zero is plain position order.
-        let mut flat = ordered.clone();
-        order_best_bound_first(&mut flat, &batch, 0);
-        assert_eq!(flat, collected);
         // Whatever the head, verification stays exact.
-        verify_all(&ordered, 16, &data, &batch);
+        verify_all(&queue, 16, &data, &batch);
         let (matches, _) = batch.finish(2);
         for (qi, q) in qrefs.iter().enumerate() {
             assert_eq!(matches[qi][0].pos, brute_topk(&data, q, 1)[0].1, "q{qi}");
         }
     }
 
-    #[test]
-    fn a_fetch_always_has_a_request_behind_it() {
-        // Another worker tightens the threshold below the candidate's bound
-        // *while* this one fetches it. The fetch was decided from one
-        // threshold sample and must be counted against that same sample:
-        // one fetch, one request (reading the threshold a second time
-        // would count the fetch and skip the request).
-        let (data, _, config) = fixture(40);
-        let q = data.get(7).to_vec();
-        let shared = SharedPruners::new(1, 1);
-        let batch = QueryBatch::new(config.quantizer(), &[&q], 1, Some(shared.view(0)));
-        let tighten = || {
-            dsidx_sync::Pruner::insert(shared.topks()[0].as_ref(), 0.0, 39);
-        };
+    /// What [`verify_spans`] saw: the spans read as `(start, count)`, the
+    /// positions read, and the fetch and request counts.
+    type SpanReads = (Vec<(usize, usize)>, Vec<usize>, (u64, u64));
+
+    /// Verifies the per-query `lists`, joined, over a gap of 4 series in
+    /// `chunk`-sized claims, with `tighten` run inside every read.
+    fn verify_spans(
+        lists: &[&[(u32, f32)]],
+        chunk: usize,
+        tighten: Option<&(dyn Fn(&SharedPruners) + Sync)>,
+    ) -> SpanReads {
+        let (data, _, config) = fixture(80);
+        let queries: Vec<&[f32]> = [7, 20, 33].iter().map(|&p| data.get(p)).collect();
+        let qrefs = &queries[..lists.len()];
+        let candidates: Vec<BatchCandidate> = (0u32..)
+            .zip(lists)
+            .flat_map(|(query, list)| {
+                list.iter()
+                    .map(move |&(pos, lb)| BatchCandidate { pos, query, lb })
+            })
+            .collect();
+        let shared = SharedPruners::new(qrefs.len(), 1);
+        let batch = QueryBatch::new(config.quantizer(), qrefs, 1, Some(shared.view(0)));
+        let hook = || tighten.map_or((), |t| t(&shared));
         let mut source = LoggingSource::new(&data);
-        source.on_read = Some(&tighten);
+        source.gap = 4;
+        source.on_read = Some(&hook);
         let mut fetcher = SeriesFetcher::new(&source);
-        let candidates = [BatchCandidate {
-            pos: 3,
-            query: 0,
-            lb: 0.5,
-        }];
-        let mut locals = vec![QueryStats::default()];
-        let mut survivors = Vec::new();
-        batch_verify_candidates(
-            &candidates,
-            0..1,
-            &mut fetcher,
-            &batch,
-            &mut survivors,
-            &mut locals,
+        let mut locals = vec![QueryStats::default(); qrefs.len()];
+        for start in (0..candidates.len()).step_by(chunk) {
+            let end = (start + chunk).min(candidates.len());
+            batch_verify_candidates(&candidates, start..end, &mut fetcher, &batch, &mut locals)
+                .unwrap();
+        }
+        let (_, stats) = batch.finish(0);
+        assert_eq!(stats.series_fetched, stats.series_requests);
+        (
+            source.spans(),
+            source.reads(),
+            (stats.series_fetched, stats.series_requests),
         )
-        .unwrap();
-        assert_eq!(source.reads(), vec![3]);
-        // Verified again, both bounds are stale — one above the tightened
-        // threshold, one exactly at it: the re-check skips them without
-        // touching the source.
-        let limit = batch.slots()[0].topk.threshold_sq();
-        let stale = [
-            candidates[0],
-            BatchCandidate {
-                pos: 5,
-                query: 0,
-                lb: limit,
-            },
-        ];
-        batch_verify_candidates(
-            &stale,
-            0..2,
-            &mut fetcher,
-            &batch,
-            &mut survivors,
-            &mut locals,
-        )
-        .unwrap();
-        assert_eq!(source.reads(), vec![3]);
-        let (matches, stats) = batch.finish(0);
-        assert_eq!((stats.series_fetched, stats.series_requests), (1, 1));
-        // The concurrent insert stays authoritative.
-        assert_eq!(matches[0][0].pos, 39);
     }
 
     #[test]
     fn nearby_survivors_are_read_as_one_span_and_counted_at_their_turn() {
-        // Runs at 3, 5 (two queries), 7 (dead: its bound can never beat a
-        // threshold), 10, 12 (dead) and 60, with a gap of 4 series:
-        // 3..=10 is one span (5 -> 10 leaves exactly 4 series between,
-        // the dead 7 among them; the dead 12 does not stretch it) and 60
-        // stands alone.
-        let (data, _, config) = fixture(80);
-        let (q0, q1) = (data.get(7).to_vec(), data.get(20).to_vec());
-        let candidates = [
-            (3, 0, 0.1),
-            (5, 0, 0.2),
-            (5, 1, 0.2),
-            (7, 0, f32::INFINITY),
-            (10, 1, 0.3),
-            (12, 1, f32::INFINITY),
-            (60, 0, 0.4),
-        ]
-        .map(|(pos, query, lb)| BatchCandidate { pos, query, lb });
-        let run = |chunk: usize, tighten: Option<&(dyn Fn(&SharedPruners) + Sync)>| {
-            let shared = SharedPruners::new(2, 1);
-            let batch = QueryBatch::new(config.quantizer(), &[&q0, &q1], 1, Some(shared.view(0)));
-            let hook = || tighten.map_or((), |t| t(&shared));
-            let mut source = LoggingSource::new(&data);
-            source.gap = 4;
-            source.on_read = Some(&hook);
-            let mut fetcher = SeriesFetcher::new(&source);
-            let mut locals = vec![QueryStats::default(); 2];
-            let mut survivors = Vec::new();
-            for start in (0..candidates.len()).step_by(chunk) {
-                batch_verify_candidates(
-                    &candidates,
-                    start..(start + chunk).min(candidates.len()),
-                    &mut fetcher,
-                    &batch,
-                    &mut survivors,
-                    &mut locals,
-                )
-                .unwrap();
-            }
-            let (_, stats) = batch.finish(0);
-            assert!(stats.series_fetched <= stats.series_requests);
-            (
-                source.spans(),
-                source.reads(),
-                (stats.series_fetched, stats.series_requests),
-            )
-        };
-
-        let (spans, reads, counts) = run(7, None);
-        assert_eq!(spans, [(3, 8), (60, 1)]);
-        assert_eq!(reads, [3, 4, 5, 6, 7, 8, 9, 10, 60]);
+        // Query 0 keeps 3, 5, 7 (dead: its bound can never beat a
+        // threshold), 10, 12 (dead) and 60; query 1 keeps 5. With a gap of
+        // 4 series, 3..=10 is one span (5 -> 10 leaves exactly 4 series
+        // between, the dead 7 among them; the dead 12 does not stretch it),
+        // 60 stands alone, and so does query 1's 5: a span never reaches
+        // into another query's list.
+        let inf = f32::INFINITY;
+        let q0: &[(u32, f32)] = &[
+            (3, 0.1),
+            (5, 0.2),
+            (7, inf),
+            (10, 0.3),
+            (12, inf),
+            (60, 0.4),
+        ];
+        let q1: &[(u32, f32)] = &[(5, 0.2)];
+        let (spans, reads, counts) = verify_spans(&[q0, q1], 7, None);
+        assert_eq!(spans, [(3, 8), (60, 1), (5, 1)]);
+        assert_eq!(reads, [3, 4, 5, 6, 7, 8, 9, 10, 60, 5]);
         assert_eq!(
             counts,
-            (4, 5),
-            "one fetch per live run, one request per triple"
+            (5, 5),
+            "one fetch and one request per live candidate"
         );
 
         // Spans stay inside a claimed chunk.
-        let (spans, _, counts) = run(3, None);
-        assert_eq!(spans, [(3, 3), (10, 1), (60, 1)]);
-        assert_eq!(counts, (4, 5));
+        let (spans, _, counts) = verify_spans(&[q0, q1], 3, None);
+        assert_eq!(spans, [(3, 3), (10, 1), (60, 1), (5, 1)]);
+        assert_eq!(counts, (5, 5));
 
         // Both thresholds collapse while the span is read: 5 and 10 were
-        // read but are stale at their turn, so only 3 counts, and 60 is
-        // never read.
+        // read but are stale at their turn, so only 3 counts, and neither
+        // 60 nor query 1's 5 is ever read.
         let collapse = |shared: &SharedPruners| {
             for topk in shared.topks() {
                 dsidx_sync::Pruner::insert(topk.as_ref(), 0.0, 39);
             }
         };
-        let (spans, reads, counts) = run(7, Some(&collapse));
+        let (spans, reads, counts) = verify_spans(&[q0, q1], 7, Some(&collapse));
         assert_eq!(spans, [(3, 8)]);
         assert_eq!(reads, [3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(counts, (1, 1));
     }
 
     #[test]
+    fn a_span_never_crosses_into_the_next_querys_list() {
+        // Query 0's list ends at 5 and query 1's starts at 7, within the
+        // gap of 4 series: the joined queue ascends across the join, yet
+        // each query opens its own span, in one chunk and in chunks that
+        // cut the lists anywhere, and each read counts for its own query.
+        let q0: &[(u32, f32)] = &[(3, 0.1), (5, 0.2)];
+        let q1: &[(u32, f32)] = &[(7, 0.1), (9, 0.2)];
+        for chunk in [1, 2, 3, 4] {
+            let (spans, _, counts) = verify_spans(&[q0, q1], chunk, None);
+            let want: &[(usize, usize)] = match chunk {
+                1 => &[(3, 1), (5, 1), (7, 1), (9, 1)],
+                3 => &[(3, 3), (7, 1), (9, 1)],
+                _ => &[(3, 3), (7, 3)],
+            };
+            assert_eq!(spans, want, "chunk {chunk}");
+            assert_eq!(counts, (4, 4), "chunk {chunk}");
+        }
+        // A third query whose list repeats query 1's positions reads them
+        // again, for itself.
+        let (spans, _, counts) = verify_spans(&[q0, q1, q1], 8, None);
+        assert_eq!(spans, [(3, 3), (7, 3), (7, 3)]);
+        assert_eq!(counts, (6, 6));
+    }
+
+    /// Each query's candidates among `words[skip..]` by the scalar lookup:
+    /// the reference the collect kernel must reproduce.
+    fn scalar_candidates(
+        words: &[Word],
+        skip: usize,
+        batch: &QueryBatch<'_>,
+    ) -> Vec<Vec<BatchCandidate>> {
+        (0u32..)
+            .zip(batch.slots())
+            .map(|(query, slot)| {
+                (0u32..)
+                    .zip(words)
+                    .skip(skip)
+                    .filter_map(|(pos, word)| {
+                        let lb = slot.prep.table.lookup_scalar(word);
+                        (lb < slot.topk.threshold_sq()).then_some(BatchCandidate { pos, query, lb })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
     fn collect_bounds_match_the_scalar_reference_for_every_query() {
         // The batched kernel is bit-identical to the scalar lookup with
         // SIMD on or off, across block boundaries and a short last block.
-        let (data, words, config) = fixture(LB_BLOCK + 37);
+        let (data, words, config) = fixture(256 + 37);
         let qs = DatasetKind::Synthetic.queries(3, 64, 29);
         let qrefs: Vec<&[f32]> = qs.iter().collect();
         let batch = QueryBatch::new(config.quantizer(), &qrefs, 1, None);
         let mut fetcher = SeriesFetcher::new(&data);
         batch_seed_prefix(2, &mut fetcher, &batch).unwrap();
         let mut locals = vec![QueryStats::default(); batch.len()];
-        let mut got = Vec::new();
+        let mut got = vec![Vec::new(); batch.len()];
         let positions = in_order(&words);
         batch_collect_candidates(
             &words,
@@ -1315,24 +1086,11 @@ mod tests {
             &mut locals,
             &mut got,
         );
-        let mut want = Vec::new();
-        for (pos, word) in words.iter().enumerate().skip(5) {
-            for (qi, slot) in batch.slots().iter().enumerate() {
-                let lb = slot.prep.table.lookup_scalar(word);
-                if lb < slot.topk.threshold_sq() {
-                    want.push(BatchCandidate {
-                        pos: pos as u32,
-                        query: qi as u32,
-                        lb,
-                    });
-                }
-            }
-        }
-        assert!(!want.is_empty());
+        let want = scalar_candidates(&words, 5, &batch);
+        assert!(!want.concat().is_empty());
         assert_eq!(got, want);
-        for (qi, local) in locals.iter().enumerate() {
-            let kept = want.iter().filter(|c| c.query as usize == qi).count();
-            assert_eq!(local.candidates, kept as u64);
+        for (local, kept) in locals.iter().zip(&want) {
+            assert_eq!(local.candidates, kept.len() as u64);
         }
     }
 
@@ -1343,7 +1101,7 @@ mod tests {
         // and the counters are still the exact stage's, across blocks of
         // the kernel and a short last one.
         let config = TreeConfig::new(64, 16, 16).unwrap();
-        let data = DatasetKind::Synthetic.generate(3 * LB_BLOCK + 45, 64, 8);
+        let data = DatasetKind::Synthetic.generate(3 * 256 + 45, 64, 8);
         let words: Vec<Word> = data.iter().map(|s| config.quantizer().word(s)).collect();
         let positions = in_order(&words);
         let qs = DatasetKind::Synthetic.queries(4, 64, 41);
@@ -1353,7 +1111,7 @@ mod tests {
             let mut fetcher = SeriesFetcher::new(&data);
             batch_seed_prefix(seeds, &mut fetcher, &batch).unwrap();
             let mut locals = vec![QueryStats::default(); batch.len()];
-            let mut got = Vec::new();
+            let mut got = vec![Vec::new(); batch.len()];
             batch_collect_candidates(
                 &words,
                 &positions,
@@ -1362,24 +1120,12 @@ mod tests {
                 &mut locals,
                 &mut got,
             );
-            let mut want = Vec::new();
-            for (pos, word) in words.iter().enumerate().skip(3) {
-                for (qi, slot) in batch.slots().iter().enumerate() {
-                    let lb = slot.prep.table.lookup_scalar(word);
-                    if lb < slot.topk.threshold_sq() {
-                        want.push(BatchCandidate {
-                            pos: pos as u32,
-                            query: qi as u32,
-                            lb,
-                        });
-                    }
-                }
-            }
-            assert!(!want.is_empty() && want.len() < words.len() * qrefs.len());
+            let want = scalar_candidates(&words, 3, &batch);
+            let kept = want.concat().len();
+            assert!(kept > 0 && kept < words.len() * qrefs.len());
             assert_eq!(got, want, "seeds={seeds}");
-            for (qi, local) in locals.iter().enumerate() {
-                let kept = want.iter().filter(|c| c.query as usize == qi).count();
-                assert_eq!(local.candidates, kept as u64);
+            for (local, kept) in locals.iter().zip(&want) {
+                assert_eq!(local.candidates, kept.len() as u64);
             }
         }
     }
@@ -1397,7 +1143,8 @@ mod tests {
             assert!(slot.topk.threshold_sq().is_finite());
         }
         let (_, stats) = batch.finish(0);
-        assert_eq!(stats.series_fetched, 3);
+        // Each query reads every seed position itself.
+        assert_eq!(stats.series_fetched, 9);
         assert_eq!(stats.series_requests, 9);
         for q in &stats.per_query {
             // At least k full distances fill the collector; the rest may
@@ -1477,17 +1224,8 @@ mod tests {
         let mut fetcher = SeriesFetcher::new(&data);
         batch_seed_positions([1, 2], &mut fetcher, &batch).unwrap();
         batch_seed_prefix(5, &mut fetcher, &batch).unwrap();
-        let mut candidates = Vec::new();
         let positions = in_order(&words);
-        batch_collect_candidates(
-            &words,
-            &positions,
-            0..words.len(),
-            &batch,
-            &mut [],
-            &mut candidates,
-        );
-        assert!(candidates.is_empty());
+        batch_collect_candidates(&words, &positions, 0..words.len(), &batch, &mut [], &mut []);
         let (matches, stats) = batch.finish(0);
         assert!(matches.is_empty());
         assert_eq!(stats.series_fetched, 0);

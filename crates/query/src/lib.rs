@@ -32,10 +32,10 @@
 //!
 //! The [`batch`] module generalizes all of it to query *batches*: a
 //! [`QueryBatch`] holds per-query prepared state, pruners and stats, and
-//! the batch kernel loops check each fetched series/SAX word against every
-//! query in one data pass, so an engine answers B queries inside a single
-//! schedule (and a single pool broadcast set). The single-query loops here
-//! are the lean B = 1 specializations.
+//! ParIS's collect loop bounds each SAX word against every query in one
+//! data pass, so an engine answers B queries inside a single schedule (and
+//! a single pool broadcast set). The single-query loops here are the lean
+//! B = 1 specializations.
 //!
 //! Work counters are plain values everywhere: the loops count into a
 //! `&mut QueryStats` the calling worker owns, and a worker merges its

@@ -258,34 +258,17 @@ mod tests {
         let batch = QueryBatch::new(config.quantizer(), &[&q], 1, None);
         batch.slots()[0].topk.insert(1.0, 999);
         let mut fetcher = SeriesFetcher::new(&data);
-        let mut survivors = Vec::new();
         let mut locals = vec![QueryStats::default()];
         let candidate = |pos, lb| [BatchCandidate { pos, query: 0, lb }];
         // A bound at/above the BSF is pruned without touching the source.
         let bsf = batch.slots()[0].topk.threshold_sq();
         let stale = candidate(3, bsf);
-        batch_verify_candidates(
-            &stale,
-            0..1,
-            &mut fetcher,
-            &batch,
-            &mut survivors,
-            &mut locals,
-        )
-        .unwrap();
+        batch_verify_candidates(&stale, 0..1, &mut fetcher, &batch, &mut locals).unwrap();
         assert_eq!(locals[0].real_computed, 0);
         assert_eq!(batch.slots()[0].topk.threshold_sq(), bsf);
         // A bound below lets the real distance through (series 0 itself).
         let fresh = candidate(0, 0.0);
-        batch_verify_candidates(
-            &fresh,
-            0..1,
-            &mut fetcher,
-            &batch,
-            &mut survivors,
-            &mut locals,
-        )
-        .unwrap();
+        batch_verify_candidates(&fresh, 0..1, &mut fetcher, &batch, &mut locals).unwrap();
         assert_eq!(locals[0].real_computed, 1);
         let (matches, stats) = batch.finish(0);
         assert_eq!((matches[0][0].pos, matches[0][0].dist_sq), (0, 0.0));

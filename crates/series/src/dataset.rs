@@ -136,16 +136,6 @@ impl Dataset {
             crate::znorm::znormalize(s);
         }
     }
-
-    /// Splits `0..len()` into `parts` near-equal contiguous position ranges.
-    ///
-    /// Used by the parallel engines to hand each worker a disjoint slice of
-    /// the dataset. Earlier ranges get the remainder, so sizes differ by at
-    /// most one. `parts` must be non-zero.
-    #[must_use]
-    pub fn position_ranges(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
-        split_ranges(self.len(), parts)
-    }
 }
 
 /// Splits `0..total` into `parts` near-equal contiguous ranges.
@@ -259,7 +249,6 @@ mod tests {
         assert_eq!(ds.len(), 0);
         assert!(ds.is_empty());
         assert_eq!(ds.iter().count(), 0);
-        assert!(ds.position_ranges(4).is_empty());
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod gen;
 pub mod load;
 pub mod nn;
 pub mod prefetch;
-pub mod series;
 pub mod stats;
 pub mod znorm;
 
@@ -33,4 +32,3 @@ pub use dataset::Dataset;
 pub use error::SeriesError;
 pub use load::{load_raw_f32, load_raw_f32_range, raw_f32_record_count, write_raw_f32};
 pub use nn::Match;
-pub use series::DataSeries;

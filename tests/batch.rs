@@ -213,3 +213,59 @@ fn batch_stats_report_the_amortization() {
         assert!(stats.total().real_computed >= stats.per_query.len() as u64);
     }
 }
+
+/// Asserts that three identical queries through `idx`, built for
+/// `threads` workers, read once per request, answer alike, and (at one
+/// worker) read three times what one of them reads alone.
+fn assert_three_identical_queries_read_their_own(
+    idx: &impl Search,
+    q: &[f32],
+    threads: usize,
+    what: &str,
+) {
+    let spec = QuerySpec::knn(5).with_stats();
+    let three = idx.search(&[q, q, q], &spec).unwrap();
+    let stats = three.stats().unwrap();
+    assert_eq!(stats.series_fetched, stats.series_requests, "{what}");
+    let matches = three.matches();
+    assert_eq!(matches[0], matches[1], "{what}");
+    assert_eq!(matches[0], matches[2], "{what}");
+    if threads == 1 {
+        let one = idx.search(&[q], &spec).unwrap();
+        let one = one.stats().unwrap();
+        assert_eq!(stats.series_fetched, 3 * one.series_fetched, "{what}");
+    }
+}
+
+#[test]
+fn every_exact_call_reads_once_per_request_memory_and_file() {
+    // Three identical queries keep the same candidates: each query still
+    // reads its own seeds and candidates, so no read is shared and
+    // fetches equal requests, for every engine, memory and file, at one
+    // worker and at three. At one worker the three also read exactly
+    // three times what one reads alone.
+    let dir = std::env::temp_dir().join(format!("dsidx-batch-reads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = DatasetKind::Seismic.generate(300, 64, 19);
+    let path = dir.join("reads.dsidx");
+    dsidx::storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let q = DatasetKind::Seismic.queries(1, 64, 19);
+    for engine in Engine::ALL {
+        for threads in [1usize, 3] {
+            let memory =
+                MemoryIndex::build(Arc::new(data.clone()), engine, &opts(threads, 20)).unwrap();
+            let what = format!("{} memory x{threads}", engine.name());
+            assert_three_identical_queries_read_their_own(&memory, q.get(0), threads, &what);
+            let file = DiskIndex::build(
+                &path,
+                &dir,
+                engine,
+                &opts(threads, 20),
+                DeviceProfile::UNTHROTTLED,
+            )
+            .unwrap();
+            let what = format!("{} file x{threads}", engine.name());
+            assert_three_identical_queries_read_their_own(&file, q.get(0), threads, &what);
+        }
+    }
+}
