@@ -41,15 +41,18 @@
 //! over the tree MESSI builds at one worker, is the serial ADS+ baseline's
 //! exact answer too.
 
+mod batch;
 pub mod build;
 pub mod config;
 pub mod query;
 pub mod recbuf;
+mod seed;
 
 pub use build::{build_in_memory, build_on_disk};
 pub use config::{Overlap, ParisConfig};
 pub use dsidx_query::{BatchStats, QueryStats};
 pub use query::{approx, exact};
+pub use seed::best_bound_positions;
 
 #[cfg(test)]
 mod tests {

@@ -11,26 +11,30 @@
 //! the tree. Here the scan reads the flat tree's own entry runs — the same
 //! words, in leaf order, each with its position. The collect phase inserts
 //! nothing, so its candidate set does not depend on the scan order, and
-//! [`order_best_bound_first`] orders each query's list by position before
-//! anything else.
+//! each query's list is ordered by position before anything else.
 //!
-//! The per-candidate work (preparation, seeding, lower-bound filtering,
-//! early-abandoned verification) comes from the shared kernel
-//! (`dsidx-query`); this module contributes the ParIS scheduling: two
+//! The whole schedule lives in this crate: the per-entry loops in the
+//! private `seed` and `batch` modules, their scheduling here — two
 //! Fetch&Inc-chunked pool phases with the queries' candidate lists between.
+//! The shared kernel (`dsidx-query`) gives the batch, the fetcher and the
+//! descent to a leaf.
 //! There is one exact schedule, [`exact`] (1-NN and single queries are
 //! its k = 1 / batch-of-one cases), and one approximate one, [`approx`].
 //! The exact schedule also answers for ADS+: at one worker it is SIMS,
-//! the serial scan ParIS parallelizes.
+//! the serial scan ParIS parallelizes. Every query in a batch seeds,
+//! collects and verifies for itself, so at one worker it does exactly the
+//! work it does alone; a batch shares only the broadcasts, the entry scan
+//! and the read-back of a leaf two queries seed from.
 //!
 //! **Departs from the paper** in *which* raw series the schedule pays
 //! for, never in the answer. The paper seeds from every entry of the
 //! approximate leaf and verifies the whole candidate list in position
 //! order, which favours an HDD's short forward seeks. The modeled device
 //! (like an SSD) charges a full access latency for any non-adjacent read,
-//! so what counts is the number of reads. Here the seed fetches only the
-//! leaf entries whose own MINDIST ranks best, and each query's few dozen
-//! best-bound candidates are verified *first*, best bound first — the
+//! so what counts is the number of reads. Here each query's seed fetches
+//! only the few entries of its own leaf whose MINDIST ranks best
+//! ([`best_bound_positions`]), and each query's few dozen best-bound
+//! candidates are verified *first*, best bound first — the
 //! order the paper credits for part of MESSI's win ("MESSI also performs
 //! less real distance calculations"), which nothing in the collect →
 //! verify split prevents. That tightens the thresholds after a handful of
@@ -38,19 +42,21 @@
 //! touching the device. The remainder keeps the paper's position order:
 //! whatever still survives has to be read anyway, and in that order
 //! survivors that lie close together are fetched as one *span* read
-//! ([`batch_verify_candidates`]) whenever the series between them cost
-//! less to read through than a seek ([`RawSource::span_gap`]: 47 series
+//! whenever the series between them cost less to read through than a
+//! seek ([`RawSource::span_gap`]: 47 series
 //! at length 256 on the modeled SSD, 1,392 on the HDD) — the paper's
 //! short forward seek, priced by the device. Fewer reads wins on both
 //! device profiles; `fig12`'s real-distance counts show the gap to MESSI
 //! closing.
 
+use crate::batch::{
+    batch_collect_candidates, batch_verify_candidates, order_best_bound_first, BatchCandidate,
+};
+use crate::seed::{best_bound_positions, seed_query};
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_query::{
-    approx_leaf_flat, batch_collect_candidates, batch_seed_positions, batch_seed_prefix,
-    batch_verify_candidates, best_bound_positions, finish_knn, order_best_bound_first,
-    BatchCandidate, BatchStats, ErrorSlot, Prepared, Pruner, QueryBatch, QueryStats, SeriesFetcher,
-    ShardView, SharedTopK,
+    approx_leaf_flat, finish_knn, BatchStats, ErrorSlot, Prepared, Pruner, QueryBatch, QueryStats,
+    SeriesFetcher, ShardView, SharedTopK,
 };
 use dsidx_series::distance::dtw::DtwScratch;
 use dsidx_series::Match;
@@ -64,7 +70,7 @@ const LB_CHUNK: usize = 4096;
 /// Candidates per Fetch&Inc claim in the real-distance phase.
 const REAL_CHUNK: usize = 16;
 /// Best-bound candidates per query verified ahead of the position-order
-/// remainder of its list (see [`order_best_bound_first`]), floored at k.
+/// remainder of its list ([`order_best_bound_first`]), floored at k.
 /// Past a few dozen the reads saved stop growing (16, 64, 256 and the
 /// whole list measured alike on the modeled SSD), while every head entry
 /// costs a seek when the candidate list is dense.
@@ -74,7 +80,9 @@ const VERIFY_HEAD: usize = 64;
 /// fills the top-k.
 const SEED_PROBES: usize = 8;
 /// Positions sampled per requested neighbor when warming a k-NN threshold
-/// before the collect phase: the k-th best of a `4k` sample sits at a low
+/// before the collect phase. Leaf seeding alone leaves the threshold at
+/// `+inf` when the leaf holds fewer than k entries, and collect would then
+/// keep the whole collection. The k-th best of a `4k` sample sits at a low
 /// quantile of the distance distribution, where the k-th of a bare-k
 /// sample would be the sample maximum (no pruning power at all). The
 /// sample also caps the threshold of a query whose leaf holds nothing
@@ -101,22 +109,22 @@ const APPROX_PROBE_MIN: usize = 16;
 /// them: the `WORDS` and `POSITION` sections of the snapshot an on-disk
 /// index holds, whether its build wrote it or it was opened.
 ///
-/// Seeding ranks each query's approximate leaf by the query's own MINDIST
-/// and fetches only the best few entries (each distinct leaf read back
-/// once from `leaves`, when given), cross-seeding every pruner with
-/// the union, then warms the thresholds over a short position-order
-/// prefix; each query reads every seed and prefix position itself. The
-/// collect phase lower-bounds each entry's word against every query in one
-/// pass, appending each survivor to its own query's candidate list. Each
-/// list is then ordered on its own — its best-bound candidates first, best
-/// bound first, the rest in position order — and the lists are joined,
-/// query after query, into one verify queue. The verify phase claims
-/// chunks of it from the front, paying one raw fetch for every candidate
-/// that still beats its query's live threshold, and reading a chunk's
-/// nearby survivors of one query as one span when the source's gap
-/// allows. A position two queries kept is read once for each. Workers
-/// share one top-k set per query, so the tail of a candidate list is
-/// dropped as soon as any worker tightens the k-th distance.
+/// Each query seeds itself: it ranks its own approximate leaf by its
+/// MINDIST, fetches the best few entries in position order (each distinct
+/// leaf read back once from `leaves`, when given), then warms its
+/// threshold over a short position-order prefix, checking every series
+/// against its own threshold only. The collect phase lower-bounds each
+/// entry's word against every query in one pass, appending each survivor
+/// to its own query's candidate list. Each list is then ordered on its own
+/// — its best-bound candidates first, best bound first, the rest in
+/// position order — and the lists are joined, query after query, into one
+/// verify queue. The verify phase claims chunks of it from the front,
+/// paying one raw fetch for every candidate that still beats its query's
+/// live threshold, and reading a chunk's nearby survivors of one query as
+/// one span when the source's gap allows. A position two queries read is
+/// read once for each. Workers share one top-k set per query, so the tail
+/// of a candidate list is dropped as soon as any worker tightens the k-th
+/// distance.
 ///
 /// Each answer is the up-to-`k` nearest series sorted ascending by
 /// `(distance, position)` — fewer than `k` when the collection is smaller,
@@ -159,25 +167,28 @@ pub fn exact(
     }
     batch.record_phase(Phase::Prepare, prepare_nanos);
 
-    // Step 1: approximate answers — each query's best-bound entries of its
-    // approximate leaf (distinct leaves charged once), the union seeding
-    // every pruner, then the threshold warm-up over a position-order prefix
-    // (adjacent positions: one seek per query for the lot).
-    let mut seed_leaves: Vec<u32> = Vec::new();
-    let mut seeds: Vec<u32> = Vec::new();
-    for slot in batch.slots() {
+    // Step 1: approximate answers, each query on its own — the best-bound
+    // entries of its approximate leaf in position order (distinct leaves
+    // read back once), then the threshold warm-up over a position-order
+    // prefix (adjacent positions: one seek for the lot), each against its
+    // own threshold only.
+    let warm = u32::try_from(k.saturating_mul(KNN_WARM_PER_NEIGHBOR).min(source.count()))
+        .expect("positions are u32");
+    let mut fetcher = SeriesFetcher::new(source);
+    let mut locals = vec![QueryStats::default(); batch.len()];
+    let (mut read_back, mut seeds, mut fetches) = (Vec::new(), Vec::new(), 0);
+    for (slot, local) in batch.slots().iter().zip(&mut locals) {
         let leaf =
             approx_leaf_flat(tree, &slot.prep.word).expect("non-empty index has a non-empty leaf");
         let node = tree.node(leaf);
-        if !seed_leaves.contains(&leaf) {
-            if let Some(runs) = leaves {
-                // The read-back is charged to the runs' device; the tree
-                // already holds what it reads.
-                runs.read(node.entry_range(), &mut Vec::new(), &mut Vec::new())
-                    .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-            }
-            seed_leaves.push(leaf);
+        if let Some(runs) = leaves.filter(|_| !read_back.contains(&leaf)) {
+            // The read-back is charged to the runs' device; the tree
+            // already holds what it reads.
+            runs.read(node.entry_range(), &mut Vec::new(), &mut Vec::new())
+                .map_err(|e| e.in_phase(Phase::Seed.name()))?;
+            read_back.push(leaf);
         }
+        seeds.clear();
         best_bound_positions(
             tree.leaf_words(node),
             tree.leaf_positions(node),
@@ -185,14 +196,12 @@ pub fn exact(
             k.max(SEED_PROBES),
             &mut seeds,
         );
+        let reads = seeds.iter().copied().chain(0..warm);
+        fetches += seed_query(slot, reads, &mut fetcher, local)
+            .map_err(|e| e.in_phase(Phase::Seed.name()))?;
     }
-    seeds.sort_unstable();
-    seeds.dedup();
-    let mut fetcher = SeriesFetcher::new(source);
-    batch_seed_positions(seeds.iter().copied(), &mut fetcher, &batch)
-        .map_err(|e| e.in_phase(Phase::Seed.name()))?;
-    let warm = k.saturating_mul(KNN_WARM_PER_NEIGHBOR).min(source.count());
-    batch_seed_prefix(warm, &mut fetcher, &batch).map_err(|e| e.in_phase(Phase::Seed.name()))?;
+    batch.merge_locals(&locals);
+    batch.count_io(fetches, fetches);
     batch.record_phase(Phase::Seed, clock.lap());
 
     // Step 2: one parallel lower-bound broadcast for the whole batch, then
@@ -265,12 +274,10 @@ pub fn exact(
 /// never below the exact answer at the same rank; the positions may
 /// differ. Empty for an empty index.
 ///
-/// The pass bounds every word with
-/// [`MindistTable::lookup_many`](dsidx_isax::MindistTable::lookup_many):
-/// the batched kernel, and one whose sums are bit-identical with SIMD on
-/// or off, so the probed set never depends on the SIMD mode. Nor does it
-/// depend on the leaf order the words come in: the probes are the
-/// smallest `(sketch distance, position)` pairs.
+/// The probes are the smallest `(sketch distance, position)` pairs, fetched
+/// in position order ([`best_bound_positions`], the ranking the exact seed
+/// uses), so the probed set depends neither on the SIMD mode nor on the
+/// leaf order the words come in.
 ///
 /// # Errors
 /// Propagates raw-source I/O failures.
@@ -300,29 +307,16 @@ pub fn approx(
         lb_computed: words.len() as u64,
         ..QueryStats::default()
     };
-    let mut bounds = vec![0.0f32; words.len()];
-    prep.table().lookup_many(words, &mut bounds);
-    let mut sketched: Vec<(f32, u32)> = bounds
-        .into_iter()
-        .zip(tree.positions().iter().copied())
-        .collect();
     let probe = k
         .saturating_mul(APPROX_PROBE_PER_NEIGHBOR)
-        .max(APPROX_PROBE_MIN)
-        .min(sketched.len());
-    if probe < sketched.len() {
-        // Deterministic selection: ties on the sketch distance break by
-        // position, so the probed set never depends on sort internals.
-        sketched.select_nth_unstable_by(probe - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        sketched.truncate(probe);
-    }
-    stats.candidates = sketched.len() as u64;
+        .max(APPROX_PROBE_MIN);
+    let mut probes = Vec::new();
+    best_bound_positions(words, tree.positions(), prep.table(), probe, &mut probes);
+    stats.candidates = probes.len() as u64;
     stats.phase.record(Phase::SaxScan, clock.lap());
-    // Fetch in position order (sequential-friendly for on-disk sources).
-    sketched.sort_unstable_by_key(|&(_, pos)| pos);
     let mut fetcher = SeriesFetcher::new(source);
     let mut scratch = DtwScratch::new();
-    for &(_, pos) in &sketched {
+    for pos in probes {
         let series = fetcher.fetch(pos as usize)?;
         let limit = topk.threshold_sq();
         if let Some(d) = prep.distance(query, series, limit, &mut scratch, &mut stats) {
@@ -707,7 +701,7 @@ mod tests {
         // Every read budget either answers or fails with the phase that
         // ran dry — seeding first, then (past the few seed probes) the
         // verify broadcast, where the error has to cross the pool join.
-        // Each query reads every seed itself: up to 2 x (16 + 20) reads.
+        // Each query reads its own seeds: up to 2 x (8 + 20) reads.
         let mut phases = Vec::new();
         for budget in 0u64..128 {
             let flaky = FlakySource::new(data.clone(), budget);

@@ -1,9 +1,8 @@
 //! The per-leaf early-abandoned real-distance loop — every MESSI leaf
 //! visit, the seed's visit of the query's own leaf included, one leaf's
 //! entries at a time, under whichever measure the [`Prepared`] query
-//! brings. The scan engines' loops (ParIS's collect/verify split, which
-//! ADS+ runs at one worker) exist only in batch form
-//! ([`batch`](crate::batch)); a single query is a batch of one.
+//! brings. ParIS's collect/verify loops, which ADS+ runs at one worker,
+//! are ParIS's own (`dsidx_paris`).
 //!
 //! A leaf's entries are bounded in two stages. The cheap one is a 4-bit
 //! pre-filter ([`CoarseTable`]): one byte shuffle per segment rules out,
@@ -204,7 +203,6 @@ pub fn process_leaf_entries<P: Pruner, Q: Prepared>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{batch_verify_candidates, BatchCandidate, QueryBatch};
     use crate::prepare::PreparedQuery;
     use dsidx_series::distance::euclidean_sq;
     use dsidx_series::gen::DatasetKind;
@@ -247,32 +245,6 @@ mod tests {
         all.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         all.truncate(k);
         all
-    }
-
-    #[test]
-    fn verify_candidate_skips_stale_bounds() {
-        // One query's candidates, verified as a batch of one whose
-        // threshold an earlier insert holds at 1.0.
-        let (data, _, config) = fixture(10);
-        let q = data.get(0).to_vec();
-        let batch = QueryBatch::new(config.quantizer(), &[&q], 1, None);
-        batch.slots()[0].topk.insert(1.0, 999);
-        let mut fetcher = SeriesFetcher::new(&data);
-        let mut locals = vec![QueryStats::default()];
-        let candidate = |pos, lb| [BatchCandidate { pos, query: 0, lb }];
-        // A bound at/above the BSF is pruned without touching the source.
-        let bsf = batch.slots()[0].topk.threshold_sq();
-        let stale = candidate(3, bsf);
-        batch_verify_candidates(&stale, 0..1, &mut fetcher, &batch, &mut locals).unwrap();
-        assert_eq!(locals[0].real_computed, 0);
-        assert_eq!(batch.slots()[0].topk.threshold_sq(), bsf);
-        // A bound below lets the real distance through (series 0 itself).
-        let fresh = candidate(0, 0.0);
-        batch_verify_candidates(&fresh, 0..1, &mut fetcher, &batch, &mut locals).unwrap();
-        assert_eq!(locals[0].real_computed, 1);
-        let (matches, stats) = batch.finish(0);
-        assert_eq!((matches[0][0].pos, matches[0][0].dist_sq), (0, 0.0));
-        assert_eq!(stats.series_fetched, 1, "only the fresh bound fetched");
     }
 
     /// The single-stage leaf bound: every word through `lookup_many`, the

@@ -4,17 +4,13 @@
 //! tried best-bound-first), so the exact phase starts from a tight
 //! best-so-far instead of infinity — or, at approximate fidelity, so that
 //! leaf's best entries *are* the answer ([`approx_best_leaf`]).
-//!
-//! ParIS seeds from ranked positions instead ([`best_bound_positions`]):
-//! on a device that charges every read, only the few best-bounded entries
-//! of its approximate leaf are worth a fetch.
 
 use crate::fetch::SeriesFetcher;
 use crate::knn::finish_knn;
 use crate::prepare::Prepared;
 use crate::scan::{process_leaf_entries, LeafScratch};
 use crate::stats::QueryStats;
-use dsidx_isax::{MindistTable, Word};
+use dsidx_isax::Word;
 use dsidx_obs::phase::{Phase, PhaseClock};
 use dsidx_series::Match;
 use dsidx_storage::{RawSource, StorageError};
@@ -100,35 +96,6 @@ pub fn approx_best_leaf(
     Ok(finish_knn(&topk, Some(stats)))
 }
 
-/// Appends to `out` the positions of the `n` leaf entries (`words` and
-/// their index-aligned `positions`) with the smallest MINDIST to the query
-/// behind `table`, ties broken by position (all of them when the leaf
-/// holds no more than `n`).
-///
-/// Bound-ranked seeding: on a device that charges an access latency per
-/// raw series, seeding from a whole approximate leaf pays for every
-/// entry although the best-so-far almost always comes from the few whose
-/// summaries sit closest to the query's. Ranking costs one table lookup
-/// per resident entry and no I/O.
-///
-/// The bounds come from [`MindistTable::lookup_many`], whose sums are
-/// bit-identical with SIMD on or off, so the ranking — and every seed
-/// drawn from it — does not depend on the SIMD mode.
-pub fn best_bound_positions(
-    words: &[Word],
-    positions: &[u32],
-    table: &MindistTable,
-    n: usize,
-    out: &mut Vec<u32>,
-) {
-    let mut bounds = vec![0.0f32; words.len()];
-    table.lookup_many(words, &mut bounds);
-    let mut ranked: Vec<(f32, u32)> = bounds.into_iter().zip(positions.iter().copied()).collect();
-    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    ranked.truncate(n);
-    out.extend(ranked.iter().map(|&(_, pos)| pos));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,32 +153,6 @@ mod tests {
             assert_eq!(flat_positions, tree_positions);
             // The query's own leaf contains the queried series.
             assert!(tree_positions.contains(&(pos as u32)));
-        }
-    }
-
-    #[test]
-    fn best_bound_positions_rank_by_bound_then_position() {
-        let (data, index) = build_index(300);
-        let quantizer = index.config().quantizer();
-        let q = data.get(42);
-        let prep = crate::prepare::PreparedQuery::new(quantizer, q);
-        let (words, positions) = own_leaf(&index, &data, 42);
-        assert!(words.len() > 2, "fixture leaf too small to rank");
-        let mut want: Vec<(f32, u32)> = words
-            .iter()
-            .zip(&positions)
-            .map(|(w, &pos)| (prep.table.lookup_scalar(w), pos))
-            .collect();
-        want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let want: Vec<u32> = want.iter().map(|&(_, pos)| pos).collect();
-        // The query's own entry bounds to zero, so it is among the first.
-        let own = positions.iter().position(|&p| p == 42).expect("own leaf");
-        assert_eq!(prep.table.lookup(&words[own]), 0.0);
-        for n in [0usize, 1, 2, words.len(), words.len() + 5] {
-            let mut got = vec![7u32]; // appended to, never cleared
-            best_bound_positions(&words, &positions, &prep.table, n, &mut got);
-            assert_eq!(got[0], 7);
-            assert_eq!(&got[1..], &want[..n.min(want.len())], "n={n}");
         }
     }
 

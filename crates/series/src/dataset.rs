@@ -124,41 +124,12 @@ impl Dataset {
         &self.data
     }
 
-    /// Consumes the dataset, returning the flat buffer.
-    #[must_use]
-    pub fn into_flat(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Z-normalizes every series in place.
     pub fn znormalize_all(&mut self) {
         for s in self.data.chunks_exact_mut(self.series_len) {
             crate::znorm::znormalize(s);
         }
     }
-}
-
-/// Splits `0..total` into `parts` near-equal contiguous ranges.
-///
-/// Empty ranges are omitted, so the result may contain fewer than `parts`
-/// entries when `total < parts`.
-#[must_use]
-pub fn split_ranges(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(parts > 0, "parts must be non-zero");
-    let base = total / parts;
-    let extra = total % parts;
-    let mut out = Vec::with_capacity(parts.min(total));
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        if len == 0 {
-            continue;
-        }
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, total);
-    out
 }
 
 #[cfg(test)]
@@ -252,48 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn split_ranges_covers_everything_disjointly() {
-        for total in [0usize, 1, 2, 7, 24, 100] {
-            for parts in [1usize, 2, 3, 8, 24] {
-                let ranges = split_ranges(total, parts);
-                let mut covered = 0;
-                let mut prev_end = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, prev_end, "ranges must be contiguous");
-                    assert!(!r.is_empty());
-                    covered += r.len();
-                    prev_end = r.end;
-                }
-                assert_eq!(covered, total);
-                // Near-equal: sizes differ by at most one.
-                if let (Some(min), Some(max)) = (
-                    ranges.iter().map(std::ops::Range::len).min(),
-                    ranges.iter().map(std::ops::Range::len).max(),
-                ) {
-                    assert!(max - min <= 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "parts must be non-zero")]
-    fn split_ranges_zero_parts_panics() {
-        let _ = split_ranges(10, 0);
-    }
-
-    #[test]
     fn with_capacity_preallocates() {
         let ds = Dataset::with_capacity(8, 100).unwrap();
         assert_eq!(ds.len(), 0);
-        assert!(ds.into_flat().capacity() >= 800);
-    }
-
-    #[test]
-    fn into_flat_round_trips() {
-        let ds = sample();
-        let flat = ds.clone().into_flat();
-        let back = Dataset::from_flat(flat, 3).unwrap();
-        assert_eq!(back, ds);
+        assert!(ds.data.capacity() >= 800);
     }
 }

@@ -14,13 +14,6 @@ pub enum SeriesError {
     },
     /// A zero-length series was supplied where a non-empty one is required.
     EmptySeries,
-    /// A value was NaN or infinite at the given point.
-    NonFinite {
-        /// Index of the offending point within the series.
-        index: usize,
-        /// The offending value.
-        value: f32,
-    },
     /// A flat buffer's length is not a multiple of the series length.
     RaggedBuffer {
         /// Length of the flat buffer.
@@ -50,9 +43,6 @@ impl fmt::Display for SeriesError {
                 )
             }
             SeriesError::EmptySeries => write!(f, "series must be non-empty"),
-            SeriesError::NonFinite { index, value } => {
-                write!(f, "non-finite value {value} at point {index}")
-            }
             SeriesError::RaggedBuffer {
                 buffer_len,
                 series_len,
@@ -92,11 +82,6 @@ mod tests {
         let e = SeriesError::OutOfBounds { index: 5, len: 2 };
         assert!(e.to_string().contains('5'));
         assert!(SeriesError::EmptySeries.to_string().contains("non-empty"));
-        let e = SeriesError::NonFinite {
-            index: 1,
-            value: f32::NAN,
-        };
-        assert!(e.to_string().contains("point 1"));
     }
 
     #[test]

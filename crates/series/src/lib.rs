@@ -25,7 +25,6 @@ pub mod gen;
 pub mod load;
 pub mod nn;
 pub mod prefetch;
-pub mod stats;
 pub mod znorm;
 
 pub use dataset::Dataset;

@@ -50,23 +50,6 @@ pub fn znormalize(series: &mut [f32]) {
     }
 }
 
-/// Writes the z-normalized form of `src` into `dst` (lengths must match).
-///
-/// # Panics
-/// Panics if `src.len() != dst.len()`.
-pub fn znormalize_into(src: &[f32], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "znormalize_into length mismatch");
-    let (mean, std) = mean_std(src);
-    if std < STD_EPSILON {
-        dst.fill(0.0);
-        return;
-    }
-    let inv = 1.0 / std;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = ((f64::from(s) - mean) * inv) as f32;
-    }
-}
-
 /// Checks whether a series is already z-normalized within `tolerance`.
 ///
 /// The all-zero series (our normalization of constants) is accepted.
@@ -110,23 +93,6 @@ mod tests {
         let mut s = [42.0];
         znormalize(&mut s);
         assert_eq!(s, [0.0]);
-    }
-
-    #[test]
-    fn znormalize_into_matches_in_place() {
-        let src = [1.0f32, 5.0, -3.0, 2.0, 0.5];
-        let mut a = src;
-        znormalize(&mut a);
-        let mut b = [0.0f32; 5];
-        znormalize_into(&src, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn znormalize_into_length_mismatch_panics() {
-        let mut dst = [0.0f32; 3];
-        znormalize_into(&[1.0, 2.0], &mut dst);
     }
 
     #[test]

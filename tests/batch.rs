@@ -269,3 +269,63 @@ fn every_exact_call_reads_once_per_request_memory_and_file() {
         }
     }
 }
+
+/// `stats` without its wall-clock phase times.
+fn counters(mut stats: QueryStats) -> QueryStats {
+    stats.phase = Default::default();
+    stats
+}
+
+/// Asserts that at one worker every query of a 5-query batch through
+/// `idx` answers and counts exactly as when it is asked alone, and that
+/// the batch reads exactly what the five single queries read.
+fn assert_each_query_works_alone_in_a_batch(idx: &impl Search, queries: &[&[f32]], what: &str) {
+    for k in [1usize, 10] {
+        let spec = QuerySpec::knn(k).with_stats();
+        let batch = idx.search(queries, &spec).unwrap();
+        let batch_stats = batch.stats().unwrap();
+        let mut fetched_alone = 0;
+        for (qi, q) in queries.iter().enumerate() {
+            let alone = idx.search(&[q], &spec).unwrap();
+            let what = format!("{what} q{qi} k={k}");
+            assert_eq!(batch.matches()[qi], alone.matches()[0], "{what}");
+            assert_eq!(
+                counters(batch_stats.per_query[qi]),
+                counters(alone.query_stats(0).unwrap()),
+                "{what}"
+            );
+            fetched_alone += alone.stats().unwrap().series_fetched;
+        }
+        assert_eq!(batch_stats.series_fetched, fetched_alone, "{what} k={k}");
+        assert_eq!(batch_stats.series_requests, fetched_alone, "{what} k={k}");
+    }
+}
+
+#[test]
+fn each_paris_query_does_the_same_work_in_a_batch_as_alone() {
+    // ParIS, ParIS+ and ADS+ seed, collect and verify each query for
+    // itself: at one worker a batch only shares the broadcasts, the entry
+    // scan and a seed leaf's read-back, never a read or a threshold.
+    let dir = std::env::temp_dir().join(format!("dsidx-batch-alone-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = DatasetKind::Synthetic.generate(800, 64, 43);
+    let path = dir.join("alone.dsidx");
+    dsidx::storage::write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+    let qs = DatasetKind::Synthetic.queries(5, 64, 43);
+    let queries: Vec<&[f32]> = qs.iter().collect();
+    for engine in [Engine::Ads, Engine::Paris, Engine::ParisPlus] {
+        let memory = MemoryIndex::build(data.clone(), engine, &opts(1, 20)).unwrap();
+        let what = format!("{} memory", engine.name());
+        assert_each_query_works_alone_in_a_batch(&memory, &queries, &what);
+        let file = DiskIndex::build(
+            &path,
+            &dir,
+            engine,
+            &opts(1, 20),
+            DeviceProfile::UNTHROTTLED,
+        )
+        .unwrap();
+        let what = format!("{} file", engine.name());
+        assert_each_query_works_alone_in_a_batch(&file, &queries, &what);
+    }
+}

@@ -12,8 +12,8 @@
 //! binary and take turns on it.
 
 use dsidx::isax::{MindistTable, Quantizer, Word};
+use dsidx::paris::best_bound_positions;
 use dsidx::prelude::*;
-use dsidx::query::best_bound_positions;
 use dsidx::series::distance::set_simd_enabled;
 use std::sync::Mutex;
 

@@ -57,8 +57,8 @@ const TABLE: &[Row] = &[
     ("synthetic/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 88, 35, 14, 1, 13, 21588, 8, 0, 0, 0, 2844139972965321552, 3549676448302995044]),
     ("synthetic/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 12, 10, 49, 79161, 19, 0, 0, 0, 753827474551625399, 5411154571359882617]),
     ("synthetic/ucr-scan/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 7500, 7285, 144, 175, 184629, 45, 1, 1501, 7505, 72921222068202915, 5411154571359882617]),
-    ("synthetic/paris-exact-memory/ed/k1", [7500, 243, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 27, 2, 290, 290, 17583640663097932606, 10409978560314616613]),
-    ("synthetic/paris-exact-file/ed/k1", [7500, 243, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 27, 2, 290, 290, 17583640663097932606, 10409978560314616613]),
+    ("synthetic/paris-exact-memory/ed/k1", [7500, 249, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 21, 2, 138, 138, 3712617195496845460, 10409978560314616613]),
+    ("synthetic/paris-exact-file/ed/k1", [7500, 249, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 21, 2, 138, 138, 3712617195496845460, 10409978560314616613]),
     ("synthetic/messi-resident/ed/k10", [0, 0, 29, 474, 349, 125, 4817, 0, 0, 0, 0, 0, 186, 1, 367, 367, 5540738873868254814, 15048725421936891803]),
     ("synthetic/best-leaf/ed/k10", [0, 0, 0, 0, 0, 0, 88, 0, 0, 0, 0, 0, 47, 0, 0, 0, 14157823544930231406, 14865141623892052239]),
     ("synthetic/paris-approx/ed/k10", [7500, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 113, 0, 0, 0, 7563668283987659017, 15048725421936891803]),
@@ -67,8 +67,8 @@ const TABLE: &[Row] = &[
     ("synthetic/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 88, 72, 13, 3, 10, 87794, 49, 0, 0, 0, 2984701970224774167, 10861073893479150730]),
     ("synthetic/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 7, 7, 75, 252057, 118, 0, 0, 0, 12757423871656543381, 8734562397311197402]),
     ("synthetic/ucr-scan/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 7500, 6885, 187, 321, 683366, 299, 1, 1501, 7505, 9301408799841879233, 8734562397311197402]),
-    ("synthetic/paris-exact-memory/ed/k10", [7500, 784, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 203, 2, 660, 660, 8807389134324027460, 15048725421936891803]),
-    ("synthetic/paris-exact-file/ed/k10", [7500, 784, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 203, 2, 660, 660, 8807389134324027460, 15048725421936891803]),
+    ("synthetic/paris-exact-memory/ed/k10", [7500, 1014, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 141, 2, 476, 476, 17155737191056972834, 15048725421936891803]),
+    ("synthetic/paris-exact-file/ed/k10", [7500, 1014, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 141, 2, 476, 476, 17155737191056972834, 15048725421936891803]),
     ("sald/messi-resident/ed/k1", [0, 0, 0, 485, 485, 0, 7581, 0, 0, 0, 0, 0, 19, 1, 1894, 1894, 4880223347156973542, 11697843258206417230]),
     ("sald/best-leaf/ed/k1", [0, 0, 0, 0, 0, 0, 81, 0, 0, 0, 0, 0, 8, 0, 0, 0, 6522052200590742058, 8752279132793138057]),
     ("sald/paris-approx/ed/k1", [7500, 80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 0, 0, 0, 16706770628547922992, 1224061397101839300]),
@@ -77,8 +77,8 @@ const TABLE: &[Row] = &[
     ("sald/best-leaf/dtw/k1", [0, 0, 0, 0, 0, 0, 81, 81, 1, 1, 65, 63485, 15, 0, 0, 0, 16729600827535371682, 4193896489055772607]),
     ("sald/paris-approx/dtw/k1", [7500, 80, 0, 0, 0, 0, 0, 80, 0, 0, 61, 89735, 19, 0, 0, 0, 1338454021053804134, 16150743130427686176]),
     ("sald/ucr-scan/dtw/k1", [0, 0, 0, 0, 0, 0, 0, 7500, 2002, 1245, 5450, 1875605, 53, 1, 1501, 7505, 8168415876970787111, 16093031190061165185]),
-    ("sald/paris-exact-memory/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 31, 2, 2014, 2014, 9896351751343102448, 11697843258206417230]),
-    ("sald/paris-exact-file/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 31, 2, 2014, 2014, 9896351751343102448, 11697843258206417230]),
+    ("sald/paris-exact-memory/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 24, 2, 1854, 1854, 5422507575241551801, 11697843258206417230]),
+    ("sald/paris-exact-file/ed/k1", [7500, 2722, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 24, 2, 1854, 1854, 5422507575241551801, 11697843258206417230]),
     ("sald/messi-resident/ed/k10", [0, 0, 0, 485, 485, 0, 7581, 0, 0, 0, 0, 0, 207, 1, 4119, 4119, 13136088501766813266, 3913637135210837008]),
     ("sald/best-leaf/ed/k10", [0, 0, 0, 0, 0, 0, 81, 0, 0, 0, 0, 0, 67, 0, 0, 0, 7046184210547083583, 9276736344420196590]),
     ("sald/paris-approx/ed/k10", [7500, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 116, 0, 0, 0, 12895433400095029978, 18100470175822207612]),
@@ -87,8 +87,8 @@ const TABLE: &[Row] = &[
     ("sald/best-leaf/dtw/k10", [0, 0, 0, 0, 0, 0, 81, 81, 0, 0, 14, 128190, 67, 0, 0, 0, 981021447638141443, 2326980406789511990]),
     ("sald/paris-approx/dtw/k10", [7500, 200, 0, 0, 0, 0, 0, 200, 0, 0, 81, 294345, 119, 0, 0, 0, 1632088243979725464, 15576453189270096050]),
     ("sald/ucr-scan/dtw/k10", [0, 0, 0, 0, 0, 0, 0, 7500, 548, 461, 6659, 4162825, 298, 1, 1501, 7505, 16253503496807537225, 2111524857458372949]),
-    ("sald/paris-exact-memory/ed/k10", [7500, 6799, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 235, 2, 4539, 4539, 7769416351967883887, 3913637135210837008]),
-    ("sald/paris-exact-file/ed/k10", [7500, 6799, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 235, 2, 4539, 4539, 7769416351967883887, 3913637135210837008]),
+    ("sald/paris-exact-memory/ed/k10", [7500, 7198, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 201, 2, 4341, 4341, 4205811825686133947, 3913637135210837008]),
+    ("sald/paris-exact-file/ed/k10", [7500, 7198, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 201, 2, 4341, 4341, 4205811825686133947, 3913637135210837008]),
 ];
 
 fn tree_config() -> TreeConfig {
