@@ -330,27 +330,14 @@ fn render_series(e: &Entry, out: &mut String) {
     }
 }
 
-fn json_escape(value: &str, out: &mut String) {
-    for ch in value.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn json_labels(label: &Option<(&'static str, String)>) -> String {
     match label {
         None => "{}".to_owned(),
         Some((k, v)) => {
-            let mut escaped = String::new();
-            json_escape(v, &mut escaped);
-            format!("{{\"{k}\":\"{escaped}\"}}")
+            let mut out = format!("{{\"{k}\":");
+            crate::trace::push_json_str(v, &mut out);
+            out.push('}');
+            out
         }
     }
 }

@@ -150,7 +150,8 @@ pub enum Value<'a> {
     Bool(bool),
 }
 
-fn push_json_str(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string.
+pub(crate) fn push_json_str(s: &str, out: &mut String) {
     out.push('"');
     for ch in s.chars() {
         match ch {

@@ -7,15 +7,21 @@
 //!   "raw data buffer in main memory" — that all workers receive from;
 //! * `threads` **workers** summarize blocks into per-subtree RecBufs; at
 //!   each generation boundary the coordinator enqueues one `EndGen` marker
-//!   per worker (channel FIFO guarantees every worker sees all of the
-//!   generation's blocks first), the workers barrier, then claim dirty
-//!   RecBufs by Fetch&Inc and grow the corresponding subtrees;
-//! * in **ParIS** mode the coordinator blocks until the generation's
-//!   growth *and* leaf flushing finish (the visible stage-3 stall of
-//!   Fig. 4); in **ParIS+** mode it keeps reading the next generation while
-//!   dedicated **flusher** threads materialize the finished subtrees'
-//!   leaves — growth of generation `g+1` waits until generation `g` is
-//!   fully flushed, which is the only ordering the shared subtrees need.
+//!   per worker, and the boundary runs between two barriers: B1 (every
+//!   worker has taken its marker), then each worker takes dirty RecBufs,
+//!   grows their subtrees and, when there is a leaf store, flushes each
+//!   subtree it grew, until none is left, then B2;
+//! * in **ParIS** mode the coordinator blocks until B2 (the visible
+//!   stage-3 stall of Fig. 4); in **ParIS+** mode it keeps reading the
+//!   next generation into the channel meanwhile.
+//!
+//! One set of RecBufs serves every generation because the channel is FIFO:
+//! a generation's blocks, then exactly `threads` markers, then the next
+//! generation's blocks. A worker holding a marker waits at B1, so no worker
+//! takes a block of generation `g+1` before every block of `g` has been
+//! pushed; and none returns to the channel before B2, which every worker
+//! reaches only once no buffer is listed, so `g+1`'s pushes start with
+//! every buffer empty and every subtree of `g` grown and flushed.
 //!
 //! ParIS grows its subtrees by [`Node::insert`], not by partition as MESSI
 //! and ADS+ do: a subtree's entries arrive over several generations and
@@ -38,55 +44,15 @@ use dsidx_query::ErrorSlot;
 use dsidx_series::Dataset;
 use dsidx_storage::{DatasetFile, LeafStoreWriter, StorageError};
 use dsidx_tree::{FlatTree, Index, LeafEntry, Node};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 enum Feed {
-    Block {
-        first_pos: usize,
-        parity: usize,
-        data: Vec<f32>,
-    },
-    EndGen {
-        parity: usize,
-    },
-}
-
-/// Counts leaf-store flushes still in flight (ParIS+).
-struct FlushTracker {
-    pending: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl FlushTracker {
-    fn new() -> Self {
-        Self {
-            pending: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn add(&self) {
-        *self.pending.lock() += 1;
-    }
-
-    fn done(&self) {
-        let mut p = self.pending.lock();
-        *p -= 1;
-        if *p == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait_zero(&self) {
-        let mut p = self.pending.lock();
-        while *p > 0 {
-            self.cv.wait(&mut p);
-        }
-    }
+    Block { first_pos: usize, data: Vec<f32> },
+    EndGen,
 }
 
 /// Receives from a channel that several threads consume: `std::sync::mpsc`
@@ -179,7 +145,6 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (FlatTree, BuildRep
 
 /// The pipeline behind both builds, flushing leaves to `store` when one is
 /// given: the flat tree and the build's report.
-#[allow(clippy::too_many_lines)]
 fn run_pipeline(
     cfg: &ParisConfig,
     mode: Overlap,
@@ -195,13 +160,9 @@ fn run_pipeline(
     let series_len = tree_cfg.series_len();
     let threads = cfg.threads;
 
-    let recbufs = [
-        RecBufs::new(tree_cfg.root_count()),
-        RecBufs::new(tree_cfg.root_count()),
-    ];
-    // One slot per root key. The claim gives each key to one grower per
-    // generation and the flush tracker gives it to one flusher between
-    // generations, so no slot's lock is ever contended.
+    let recbufs = RecBufs::new(tree_cfg.root_count());
+    // One slot per root key. `take_dirty` gives each key to one grower per
+    // generation, so no slot's lock is ever contended.
     let roots: Vec<Mutex<Option<Box<Node>>>> = (0..tree_cfg.root_count())
         .map(|_| Mutex::new(None))
         .collect();
@@ -211,10 +172,7 @@ fn run_pipeline(
     let blocks_per_gen = cfg.generation_series.div_ceil(cfg.block_series);
     let (block_tx, block_rx) = mpsc::sync_channel::<Feed>(2 * blocks_per_gen + threads + 1);
     let block_rx = Mutex::new(block_rx);
-    let (flush_tx, flush_rx) = mpsc::channel::<u16>();
-    let flush_rx = Mutex::new(flush_rx);
     let (gen_done_tx, gen_done_rx) = mpsc::channel::<()>();
-    let flush_tracker = FlushTracker::new();
     let barrier = Barrier::new(threads);
     // Summed from what each build thread returns through its join.
     let (mut grow_time, mut flush_time) = (Duration::ZERO, Duration::ZERO);
@@ -226,53 +184,41 @@ fn run_pipeline(
     let mut t_read_done = t0;
 
     let coordinator_error: Option<StorageError> = std::thread::scope(|s| {
-        // IndexBulkLoading workers (who also construct subtrees at
-        // generation boundaries; in ParIS+ that is exactly the paper's
+        // IndexBulkLoading workers (who also construct and flush subtrees
+        // at generation boundaries; in ParIS+ that is exactly the paper's
         // redesign, in ParIS it is equivalent to a distinct construction
         // pool because the coordinator is stopped anyway). Each returns the
         // time it spent growing and flushing.
-        let mut timed = Vec::with_capacity(threads + 2);
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let block_rx = &block_rx;
-            let flush_tx = flush_tx.clone();
             let quantizer = quantizer.clone();
             let recbufs = &recbufs;
             let roots = &roots;
             let errors = &errors;
             let barrier = &barrier;
-            let flush_tracker = &flush_tracker;
             let gen_done_tx = gen_done_tx.clone();
-            timed.push(s.spawn(move || {
+            workers.push(s.spawn(move || {
                 let (mut grow, mut flush) = (Duration::ZERO, Duration::ZERO);
                 let mut paa = vec![0.0f32; segments];
                 while let Some(feed) = recv_shared(block_rx) {
                     match feed {
-                        Feed::Block {
-                            first_pos,
-                            parity,
-                            data,
-                        } => {
+                        Feed::Block { first_pos, data } => {
                             for (i, series) in data.chunks_exact(series_len).enumerate() {
                                 let word = quantizer.word_into(series, &mut paa);
-                                recbufs[parity].push(
+                                recbufs.push(
                                     tree_cfg.root_key(&word),
                                     LeafEntry::new(word, (first_pos + i) as u32),
                                 );
                             }
                         }
-                        Feed::EndGen { parity } => {
+                        Feed::EndGen => {
                             // B1: every worker finished summarizing this
                             // generation (each consumes exactly one marker).
                             barrier.wait();
-                            if mode == Overlap::ParisPlus {
-                                // Previous generation's leaves must be fully
-                                // materialized before we mutate subtrees.
-                                flush_tracker.wait_zero();
-                            }
                             let tg = Instant::now();
                             let mut flush_local = Duration::ZERO;
-                            while let Some(key) = recbufs[parity].claim_dirty() {
-                                let mut entries = recbufs[parity].drain(key);
+                            while let Some((key, mut entries)) = recbufs.take_dirty() {
                                 // Workers push in whatever order they take
                                 // the buffer's lock, and split decisions
                                 // depend on insertion order. Generations
@@ -288,32 +234,17 @@ fn run_pipeline(
                                 for e in entries {
                                     node.insert(e, tree_cfg);
                                 }
-                                match (store, mode) {
-                                    (Some(store), Overlap::Paris) => {
-                                        let tf = Instant::now();
-                                        flush_subtree(node, store, errors);
-                                        flush_local += tf.elapsed();
-                                    }
-                                    (Some(_), Overlap::ParisPlus) => {
-                                        // Unlock before the hand-over, so
-                                        // the flusher never waits on it.
-                                        drop(slot);
-                                        flush_tracker.add();
-                                        // Receiver outlives senders by
-                                        // construction.
-                                        let _ = flush_tx.send(key);
-                                    }
-                                    (None, _) => {}
+                                if let Some(store) = store {
+                                    let tf = Instant::now();
+                                    flush_subtree(node, store, errors);
+                                    flush_local += tf.elapsed();
                                 }
                             }
                             grow += tg.elapsed().saturating_sub(flush_local);
                             flush += flush_local;
-                            // B2: all subtrees of this generation grown.
-                            if barrier.wait().is_leader() {
-                                recbufs[parity].reset_generation();
-                            }
-                            // B3: reset visible to everyone; signal the
-                            // coordinator (ParIS waits on this).
+                            // B2: every buffer is empty and every subtree
+                            // grown and flushed; signal the coordinator
+                            // (ParIS waits on this).
                             if barrier.wait().is_leader() {
                                 let _ = gen_done_tx.send(());
                             }
@@ -324,37 +255,12 @@ fn run_pipeline(
             }));
         }
         drop(gen_done_tx);
-        drop(flush_tx);
-
-        // Flusher pool (ParIS+ on-disk only): materializes leaves while the
-        // coordinator keeps reading.
-        if mode == Overlap::ParisPlus && store.is_some() {
-            for _ in 0..2usize {
-                let flush_rx = &flush_rx;
-                let roots = &roots;
-                let errors = &errors;
-                let flush_tracker = &flush_tracker;
-                timed.push(s.spawn(move || {
-                    let mut flush = Duration::ZERO;
-                    while let Some(key) = recv_shared(flush_rx) {
-                        let tf = Instant::now();
-                        if let Some(node) = roots[usize::from(key)].lock().as_mut() {
-                            flush_subtree(node, store.expect("flushers imply a store"), errors);
-                        }
-                        flush += tf.elapsed();
-                        flush_tracker.done();
-                    }
-                    (Duration::ZERO, flush)
-                }));
-            }
-        }
 
         // Coordinator (stage 1).
         let result = (|| -> Result<(), StorageError> {
             let mut buf: Vec<f32> = Vec::new();
             let mut pos = 0usize;
             let mut in_gen = 0usize;
-            let mut parity = 0usize;
             while pos < total {
                 let gen_left = cfg.generation_series - in_gen;
                 let count = cfg.block_series.min(total - pos).min(gen_left);
@@ -365,7 +271,6 @@ fn run_pipeline(
                 block_tx
                     .send(Feed::Block {
                         first_pos: pos,
-                        parity,
                         data,
                     })
                     .expect("workers outlive the coordinator");
@@ -374,7 +279,7 @@ fn run_pipeline(
                 if in_gen >= cfg.generation_series || pos == total {
                     for _ in 0..threads {
                         block_tx
-                            .send(Feed::EndGen { parity })
+                            .send(Feed::EndGen)
                             .expect("workers outlive the coordinator");
                     }
                     generations += 1;
@@ -384,14 +289,13 @@ fn run_pipeline(
                         stall_waits += tw.elapsed();
                     }
                     in_gen = 0;
-                    parity ^= 1;
                 }
             }
             Ok(())
         })();
         t_read_done = Instant::now();
-        drop(block_tx); // workers drain and exit; flushers follow
-        for handle in timed {
+        drop(block_tx); // workers drain and exit
+        for handle in workers {
             let (grow, flush) = handle
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
@@ -408,7 +312,7 @@ fn run_pipeline(
 
     // The coordinator stalled on stage 3 at every ParIS generation
     // boundary and, in either mode, from its last read until the workers
-    // and flushers were done: split by the work they measured.
+    // were done: split by the work they measured.
     let stalled = Instant::now();
     let mut report = BuildReport {
         read: read_time,
@@ -551,15 +455,15 @@ mod tests {
     fn paris_plus_hides_cpu_under_reads_on_hdd() {
         // ParIS+ hides stage 3 under reading; it skips none of it. Without
         // a clock, what a test can hold it to is the device's own ledger:
-        // the coordinator's reads are the same bytes and seeks as under
-        // ParIS, both are charged at least the seeks' modeled latency, and
-        // every entry still reaches the
-        // leaf store before the build returns (how many entries a split
-        // re-appends depends on arrival order, so the write totals are
-        // bounded, not equal). Whatever wall time ParIS+ saves is therefore
-        // overlap, not work left undone; that the overlap shows on the wall
-        // clock — a smaller visible stall share — is `repro fig4`'s
-        // self-check, where the build runs alone, not beside a test suite.
+        // ParIS+ is charged exactly what ParIS is, reads and writes alike
+        // (each drained buffer is inserted in position order, so both grow
+        // the same leaves and flush them at the same boundaries), every
+        // entry reaches the leaf store before the build returns, and the
+        // charge covers at least the seeks' modeled latency. Whatever wall
+        // time ParIS+ saves is therefore overlap, not work left undone;
+        // that the overlap shows on the wall clock — a smaller visible
+        // stall share — is `repro fig4`'s self-check, where the build runs
+        // alone, not beside a test suite.
         let data = DatasetKind::Synthetic.generate(3000, 64, 5);
         let path = tmp("hdd.dsidx");
         write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
@@ -577,10 +481,7 @@ mod tests {
         };
         let paris = build(Overlap::Paris);
         let plus = build(Overlap::ParisPlus);
-        assert_eq!(
-            (plus.bytes_read, plus.seeks),
-            (paris.bytes_read, paris.seeks)
-        );
+        assert_eq!(plus, paris);
         let record = (cfg.tree.segments() + 4) as u64;
         let seek_nanos = DeviceProfile::HDD.seek_latency.as_nanos() as u64;
         for paid in [paris, plus] {

@@ -27,9 +27,8 @@ impl Overlap {
 pub struct ParisConfig {
     /// Tree shape (series length, segments, leaf capacity).
     pub tree: TreeConfig,
-    /// Worker thread count (the coordinator and flushers are extra threads,
-    /// but they are I/O-bound; the paper's "number of cores" sweeps map to
-    /// this value).
+    /// Worker thread count (the coordinator is one extra thread, but it is
+    /// I/O-bound; the paper's "number of cores" sweeps map to this value).
     pub threads: usize,
     /// Series per sequential read block (stage 1 granularity).
     pub block_series: usize,

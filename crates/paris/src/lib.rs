@@ -28,11 +28,10 @@
 //!
 //! **ParIS** stops the Coordinator while stage 3 runs. **ParIS+** is the
 //! same pipeline re-plumbed for full overlap: the bulk-loading workers
-//! themselves grow the subtrees at generation boundaries while the
-//! Coordinator already reads the next generation, and dedicated flusher
-//! threads materialize leaves concurrently — "completely masking out CPU
-//! cost" (§I). The visible difference is exactly what Fig. 4 plots: the
-//! coordinator's stalls, which the build's
+//! themselves grow the subtrees and materialize their leaves at generation
+//! boundaries while the Coordinator already reads the next generation —
+//! "completely masking out CPU cost" (§I). The visible difference is
+//! exactly what Fig. 4 plots: the coordinator's stalls, which the build's
 //! [`BuildReport`](dsidx_obs::BuildReport) splits into CPU (`grow`) and
 //! writes (`flush`).
 //!
@@ -45,7 +44,7 @@ mod batch;
 pub mod build;
 pub mod config;
 pub mod query;
-pub mod recbuf;
+mod recbuf;
 mod seed;
 
 pub use build::{build_in_memory, build_on_disk};
@@ -56,9 +55,9 @@ pub use seed::best_bound_positions;
 
 #[cfg(test)]
 mod tests {
-    //! The build's channels that several threads consume — the workers'
-    //! blocks, the flushers' keys — are one `std::sync::mpsc` receiver
-    //! behind a lock, read through [`recv_shared`](crate::build::recv_shared).
+    //! The build's block channel, which every worker consumes, is one
+    //! `std::sync::mpsc` receiver behind a lock, read through
+    //! [`recv_shared`](crate::build::recv_shared).
 
     use crate::build::recv_shared;
     use parking_lot::Mutex;

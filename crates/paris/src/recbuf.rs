@@ -8,17 +8,15 @@
 
 use dsidx_tree::LeafEntry;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// One locked buffer per root key, plus dirty-key tracking so stage 3 only
-/// visits subtrees that received data this generation.
+/// One locked buffer per root key, plus the list of keys whose buffer holds
+/// entries, so stage 3 only visits subtrees that received data.
 #[derive(Debug)]
 pub struct RecBufs {
     bufs: Vec<Mutex<Vec<LeafEntry>>>,
-    dirty: Vec<AtomicBool>,
-    dirty_keys: Mutex<Vec<u16>>,
-    /// Claim cursor over `dirty_keys` during the grow phase.
-    cursor: AtomicUsize,
+    /// Each key whose buffer is non-empty, once: `push` lists a key when it
+    /// finds its buffer empty, `take_dirty` unlists it as it drains it.
+    dirty: Mutex<Vec<u16>>,
 }
 
 impl RecBufs {
@@ -27,59 +25,29 @@ impl RecBufs {
     pub fn new(root_count: usize) -> Self {
         let mut bufs = Vec::with_capacity(root_count);
         bufs.resize_with(root_count, || Mutex::new(Vec::new()));
-        let mut dirty = Vec::with_capacity(root_count);
-        dirty.resize_with(root_count, || AtomicBool::new(false));
         Self {
             bufs,
-            dirty,
-            dirty_keys: Mutex::new(Vec::new()),
-            cursor: AtomicUsize::new(0),
+            dirty: Mutex::new(Vec::new()),
         }
     }
 
     /// Appends an entry to its subtree's buffer (locked; contended by
-    /// design — see module docs).
+    /// design — see module docs), listing the key if the buffer was empty.
     pub fn push(&self, key: u16, entry: LeafEntry) {
-        self.bufs[key as usize].lock().push(entry);
-        if !self.dirty[key as usize].swap(true, Ordering::AcqRel) {
-            self.dirty_keys.lock().push(key);
+        let mut buf = self.bufs[usize::from(key)].lock();
+        if buf.is_empty() {
+            self.dirty.lock().push(key);
         }
+        buf.push(entry);
     }
 
-    /// Claims the next dirty key during the grow phase (call only after all
-    /// pushes for the generation have finished).
-    pub fn claim_dirty(&self) -> Option<u16> {
-        let keys = self.dirty_keys.lock();
-        // ORDERING: relaxed — Fetch&Inc claim: the index is the whole
-        // payload, and the keys themselves are read under the mutex.
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        keys.get(i).copied()
-    }
-
-    /// Drains a buffer for subtree construction and clears its dirty flag.
-    #[must_use]
-    pub fn drain(&self, key: u16) -> Vec<LeafEntry> {
-        self.dirty[key as usize].store(false, Ordering::Release);
-        std::mem::take(&mut *self.bufs[key as usize].lock())
-    }
-
-    /// Resets the dirty-key list and cursor for the next generation (call
-    /// once per generation, after every dirty key has been drained).
-    pub fn reset_generation(&self) {
-        let mut keys = self.dirty_keys.lock();
-        debug_assert!(
-            keys.iter()
-                .all(|&k| !self.dirty[k as usize].load(Ordering::Acquire)),
-            "reset with undrained buffers"
-        );
-        keys.clear();
-        self.cursor.store(0, Ordering::Release);
-    }
-
-    /// Number of dirty subtrees in the current generation.
-    #[must_use]
-    pub fn dirty_count(&self) -> usize {
-        self.dirty_keys.lock().len()
+    /// Takes a listed key and every entry its buffer holds, or `None` once
+    /// no buffer holds any. The emptied buffer is listed again by its next
+    /// push.
+    pub fn take_dirty(&self) -> Option<(u16, Vec<LeafEntry>)> {
+        let key = self.dirty.lock().pop()?;
+        let entries = std::mem::take(&mut *self.bufs[usize::from(key)].lock());
+        Some((key, entries))
     }
 }
 
@@ -92,16 +60,23 @@ mod tests {
         LeafEntry::new(Word::new(&[key_byte, 0, 0, 0]), pos)
     }
 
+    /// Takes every listed key, sorted, each with its entries' positions.
+    fn take_all(rb: &RecBufs) -> Vec<(u16, Vec<u32>)> {
+        let mut taken: Vec<(u16, Vec<u32>)> = std::iter::from_fn(|| rb.take_dirty())
+            .map(|(key, entries)| (key, entries.iter().map(|e| e.pos).collect()))
+            .collect();
+        taken.sort_unstable();
+        taken
+    }
+
     #[test]
     fn push_drain_round_trip() {
         let rb = RecBufs::new(16);
         rb.push(3, entry(1, 10));
         rb.push(3, entry(2, 11));
         rb.push(7, entry(3, 12));
-        assert_eq!(rb.dirty_count(), 2);
-        let drained = rb.drain(3);
-        assert_eq!(drained.len(), 2);
-        assert_eq!(rb.drain(3).len(), 0, "drain empties the buffer");
+        assert_eq!(take_all(&rb), vec![(3, vec![10, 11]), (7, vec![12])]);
+        assert!(rb.take_dirty().is_none(), "taking empties the list");
     }
 
     #[test]
@@ -110,27 +85,18 @@ mod tests {
         rb.push(1, entry(0, 0));
         rb.push(5, entry(0, 1));
         rb.push(1, entry(0, 2));
-        let mut claimed = Vec::new();
-        while let Some(k) = rb.claim_dirty() {
-            claimed.push(k);
-            let _ = rb.drain(k);
-        }
-        claimed.sort_unstable();
-        assert_eq!(claimed, vec![1, 5]);
+        let keys: Vec<u16> = take_all(&rb).into_iter().map(|(key, _)| key).collect();
+        assert_eq!(keys, vec![1, 5]);
     }
 
     #[test]
     fn generations_reset_cleanly() {
         let rb = RecBufs::new(8);
         rb.push(2, entry(0, 0));
-        while let Some(k) = rb.claim_dirty() {
-            let _ = rb.drain(k);
-        }
-        rb.reset_generation();
-        assert_eq!(rb.dirty_count(), 0);
+        assert_eq!(take_all(&rb), vec![(2, vec![0])]);
+        assert!(rb.take_dirty().is_none());
         rb.push(2, entry(0, 1));
-        assert_eq!(rb.dirty_count(), 1);
-        assert_eq!(rb.claim_dirty(), Some(2));
+        assert_eq!(take_all(&rb), vec![(2, vec![1])]);
     }
 
     #[test]
@@ -146,11 +112,11 @@ mod tests {
                 });
             }
         });
-        let mut total = 0;
-        for k in 0..4 {
-            total += rb.drain(k).len();
-        }
-        assert_eq!(total, 8000);
-        assert_eq!(rb.dirty_count(), 4);
+        let taken = take_all(&rb);
+        let keys: Vec<u16> = taken.iter().map(|(key, _)| *key).collect();
+        assert_eq!(keys, vec![0, 1, 2, 3], "each key listed once");
+        let mut all: Vec<u32> = taken.into_iter().flat_map(|(_, pos)| pos).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..8000).collect::<Vec<u32>>());
     }
 }

@@ -382,7 +382,7 @@ fn every_engine_saves_the_same_four_sections() {
     let device = Arc::new(Device::unthrottled());
     let save = |engine: Engine, threads: usize| {
         // Several generations and read blocks, so ParIS flushes leaves
-        // between generations and its flushers race each other.
+        // between generations and its growers race each other.
         let options = Options {
             block_series: 100,
             generation_series: 400,

@@ -58,7 +58,9 @@ fn every_engine_fills_its_leaves_in_memory() {
 
 /// ParIS's receiving buffers fill in whatever order concurrent workers take
 /// their locks; each is inserted in position order, so ParIS in memory and
-/// ParIS+ on disk build the tree MESSI grows at any thread count.
+/// ParIS and ParIS+ on disk (growers flushing between generations) build
+/// the tree MESSI grows at any thread count, also with more workers than
+/// cores.
 #[test]
 fn paris_builds_the_messi_tree_whatever_the_worker_timing() {
     use dsidx::messi::{self, MessiConfig};
@@ -77,10 +79,12 @@ fn paris_builds_the_messi_tree_whatever_the_worker_timing() {
             .with_generation_series(SERIES / 4);
         let (paris, _) = build_in_memory(&data, &cfg);
         assert!(paris == messi, "ParIS in memory, {threads} threads");
-        let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
-        let store = dir.join(format!("plus-{threads}.leaf"));
-        let (plus, _) = build_on_disk(&file, &store, &cfg, Overlap::ParisPlus).unwrap();
-        assert!(plus == messi, "ParIS+ on disk, {threads} threads");
+        for mode in [Overlap::Paris, Overlap::ParisPlus] {
+            let file = DatasetFile::open(&path, Arc::new(Device::unthrottled())).unwrap();
+            let store = dir.join(format!("{}-{threads}.leaf", mode.name()));
+            let (built, _) = build_on_disk(&file, &store, &cfg, mode).unwrap();
+            assert!(built == messi, "{} on disk, {threads} threads", mode.name());
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
