@@ -20,7 +20,7 @@
 //! (fetched for LB_Keogh, DTW started, DTW finished, DP cells evaluated);
 //! the disk section adds the candidates ParIS+'s collect phase keeps, the
 //! device's seek, byte and charged-time deltas per query and the build's
-//! charged bytes.
+//! charged bytes, seeks and time.
 //!
 //! `repro work --scale S` rewrites section `S` of the file at the root of
 //! the workspace and leaves the others as they are; `repro work --scale S
@@ -217,8 +217,9 @@ fn measure(scale: &Scale) -> String {
     );
     let _ = writeln!(
         out,
-        "      \"build\": {{\"bytes_read\": {}, \"bytes_written\": {}}},",
-        build.bytes_read, build.bytes_written
+        "      \"build\": {{\"bytes_read\": {}, \"bytes_written\": {}, \"seeks\": {}, \
+         \"charged_nanos\": {}}},",
+        build.bytes_read, build.bytes_written, build.seeks, build.charged_nanos
     );
     push_rows(&mut out, &mut table, "disk", &disk_names, &disk_rows);
     out.push_str("    }\n");
