@@ -235,13 +235,15 @@ pub fn lb_keogh_sq_bounded_scalar(
 /// Exact DTW (squared costs) between equal-length series with a Sakoe-Chiba
 /// band of radius `band`.
 ///
-/// `band == 0` degenerates to the squared Euclidean distance.
+/// `band == 0` degenerates to the squared Euclidean distance. A cost that
+/// is not finite (an infinite value, or a sum that overflows) is `+inf`.
 ///
 /// # Panics
 /// Panics if the lengths differ.
 #[must_use]
 pub fn dtw_sq(a: &[f32], b: &[f32], band: usize) -> f32 {
-    dtw_sq_bounded(a, b, band, f32::INFINITY).expect("infinite limit never abandons")
+    // An infinite limit abandons only a cost that reached it.
+    dtw_sq_bounded(a, b, band, f32::INFINITY).unwrap_or(f32::INFINITY)
 }
 
 /// Early-abandoning banded DTW: returns `Some(d)` iff the exact banded DTW

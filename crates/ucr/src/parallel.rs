@@ -129,15 +129,18 @@ pub fn scan(
         .map_err(|e| e.in_phase(Phase::Seed.name()))?;
     let mut scratch = DtwScratch::new();
     for slot in batch.slots() {
-        // Booked as one real distance, nothing else.
-        let seed = slot.prep.distance(
+        // Booked as one real distance, nothing else. A distance that is
+        // not finite (an infinite value, or one whose square overflows)
+        // seeds nothing: it is never a neighbour.
+        if let Some(seed) = slot.prep.distance(
             slot.values,
             first,
             f32::INFINITY,
             &mut scratch,
             &mut QueryStats::default(),
-        );
-        slot.topk.insert(seed.expect("finite inputs"), 0);
+        ) {
+            slot.topk.insert(seed, 0);
+        }
     }
     let seeded = QueryStats {
         real_computed: 1,
