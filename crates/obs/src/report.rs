@@ -16,7 +16,10 @@ use std::time::Duration;
 pub struct BuildReport {
     /// Total wall time of the build.
     pub total: Duration,
-    /// Reading raw series from a dataset file (zero in memory).
+    /// Reading raw series from a dataset file (zero in memory). For
+    /// ParIS/ParIS+ it is only the coordinator's charged waits on the
+    /// device: the workers copy and decode each block it charged, hidden
+    /// like their summarizing.
     pub read: Duration,
     /// Summarizing series to iSAX words ("Calculate iSAX Representations";
     /// zero where a pipeline hides it under reads).

@@ -2,17 +2,22 @@
 //!
 //! Thread roles and synchronization, mirroring the paper:
 //!
-//! * the **coordinator** (caller thread) reads sequential blocks and feeds
-//!   them to a bounded channel sized to hold a full generation — the
-//!   "raw data buffer in main memory" — that all workers receive from;
-//! * `threads` **workers** summarize blocks into per-subtree RecBufs; at
+//! * the **coordinator** (caller thread) only waits on the device: it
+//!   charges sequential blocks in file order ([`DatasetFile::charge_block`])
+//!   and feeds each charge to a bounded channel that all workers receive
+//!   from, so one thread reads one sequential stream and the device ledger
+//!   is that of a plain sequential read. It copies and decodes nothing; in
+//!   memory it sends position ranges only;
+//! * `threads` **workers** each copy a charged block into their own byte
+//!   buffer (in memory they take the resident series where they lie),
+//!   decode each series as they summarize it into per-subtree RecBufs; at
 //!   each generation boundary the coordinator enqueues one `EndGen` marker
 //!   per worker, and the boundary runs between two barriers: B1 (every
 //!   worker has taken its marker), then each worker takes dirty RecBufs,
 //!   grows their subtrees and, when there is a leaf store, flushes each
 //!   subtree it grew, until none is left, then B2;
 //! * in **ParIS** mode the coordinator blocks until B2 (the visible
-//!   stage-3 stall of Fig. 4); in **ParIS+** mode it keeps reading the
+//!   stage-3 stall of Fig. 4); in **ParIS+** mode it keeps charging the
 //!   next generation into the channel meanwhile.
 //!
 //! One set of RecBufs serves every generation because the channel is FIFO:
@@ -22,6 +27,10 @@
 //! pushed; and none returns to the channel before B2, which every worker
 //! reaches only once no buffer is listed, so `g+1`'s pushes start with
 //! every buffer empty and every subtree of `g` grown and flushed.
+//!
+//! A worker whose copy fails (a file cut short after it was opened) records
+//! the error and keeps taking feeds, so every barrier is still reached; the
+//! coordinator charges no block once an error is recorded.
 //!
 //! ParIS grows its subtrees by [`Node::insert`], not by partition as MESSI
 //! and ADS+ do: a subtree's entries arrive over several generations and
@@ -42,16 +51,29 @@ use dsidx_isax::Word;
 use dsidx_obs::BuildReport;
 use dsidx_query::ErrorSlot;
 use dsidx_series::Dataset;
-use dsidx_storage::{DatasetFile, LeafStoreWriter, StorageError};
+use dsidx_storage::{decode_f32s, ChargedBlock, DatasetFile, LeafStoreWriter, StorageError};
 use dsidx_tree::{FlatTree, Index, LeafEntry, Node};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-enum Feed {
-    Block { first_pos: usize, data: Vec<f32> },
+/// Where a build's series are.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    Memory(&'a Dataset),
+    File(&'a DatasetFile),
+}
+
+enum Feed<'a> {
+    /// Series `positions`, with the charged read of their bytes when the
+    /// build is on disk.
+    Block {
+        positions: Range<usize>,
+        charged: Option<ChargedBlock<'a>>,
+    },
     EndGen,
 }
 
@@ -74,6 +96,36 @@ fn flush_subtree(node: &mut Node, store: &LeafStoreWriter, errors: &ErrorSlot) {
             Err(e) => errors.record(e),
         }
     });
+}
+
+/// Hands each series of block `positions` to `summarize` with its
+/// position: a resident series where it lies, or, on disk, each series of
+/// the charged block as it is decoded from the worker's copy (`bytes`)
+/// into its `series` buffer.
+fn summarize_block(
+    input: Input<'_>,
+    positions: Range<usize>,
+    charged: Option<ChargedBlock<'_>>,
+    bytes: &mut Vec<u8>,
+    series: &mut [f32],
+    summarize: &mut impl FnMut(usize, &[f32]),
+) -> Result<(), StorageError> {
+    match (input, charged) {
+        (Input::Memory(data), _) => {
+            for pos in positions {
+                summarize(pos, data.get(pos));
+            }
+        }
+        (Input::File(_), Some(block)) => {
+            block.copy_into(bytes)?;
+            for (pos, raw) in positions.zip(bytes.chunks_exact(4 * series.len())) {
+                decode_f32s(raw, series);
+                summarize(pos, series);
+            }
+        }
+        (Input::File(_), None) => unreachable!("the coordinator charges every block of a file"),
+    }
+    Ok(())
 }
 
 /// Builds a ParIS or ParIS+ index from an on-disk dataset, materializing
@@ -100,19 +152,13 @@ pub fn build_on_disk(
     );
     let store = LeafStoreWriter::create(store_path, cfg.tree.segments(), file.device().clone())?;
     std::fs::remove_file(store_path)?;
-    run_pipeline(
-        cfg,
-        mode,
-        file.count(),
-        Some(&store),
-        |start, count, out| file.read_block(start, count, out),
-    )
+    run_pipeline(cfg, mode, Input::File(file), Some(&store))
 }
 
 /// Builds an in-memory ParIS index (the paper's "in-memory implementation
 /// of ParIS" used in Figs. 7, 9 and 12): same locked RecBufs and stage-3
-/// structure, no disk at all — so the report's `read` is zero: the
-/// coordinator's blocks are copies of resident series.
+/// structure, no disk at all — so the report's `read` is zero, and the
+/// workers summarize the resident series where they lie.
 ///
 /// # Panics
 /// Panics on configuration mismatches.
@@ -124,23 +170,8 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (FlatTree, BuildRep
         cfg.tree.series_len(),
         "series length mismatch"
     );
-    let series_len = data.series_len();
-    let (tree, mut report) = run_pipeline(
-        cfg,
-        Overlap::Paris,
-        data.len(),
-        None,
-        |start, count, out: &mut Vec<f32>| {
-            out.clear();
-            out.extend_from_slice(
-                &data.as_flat()[start * series_len..(start + count) * series_len],
-            );
-            Ok(())
-        },
-    )
-    .expect("in-memory build performs no I/O");
-    report.read = Duration::ZERO;
-    (tree, report)
+    run_pipeline(cfg, Overlap::Paris, Input::Memory(data), None)
+        .expect("in-memory build performs no I/O")
 }
 
 /// The pipeline behind both builds, flushing leaves to `store` when one is
@@ -148,10 +179,13 @@ pub fn build_in_memory(data: &Dataset, cfg: &ParisConfig) -> (FlatTree, BuildRep
 fn run_pipeline(
     cfg: &ParisConfig,
     mode: Overlap,
-    total: usize,
+    input: Input<'_>,
     store: Option<&LeafStoreWriter>,
-    mut read_block: impl FnMut(usize, usize, &mut Vec<f32>) -> Result<(), StorageError>,
 ) -> Result<(FlatTree, BuildReport), StorageError> {
+    let total = match input {
+        Input::Memory(data) => data.len(),
+        Input::File(file) => file.count(),
+    };
     // `total` is known before the first read: fit the root fan-out (and
     // with it the number of receiving buffers) to it.
     let tree_cfg = &cfg.tree.fitted_to(total);
@@ -168,7 +202,8 @@ fn run_pipeline(
         .collect();
     let errors = ErrorSlot::new();
 
-    // Channel capacity: a full generation plus markers — the raw buffer.
+    // Channel capacity: two generations of charged blocks plus markers,
+    // which bounds how far the coordinator charges ahead of the copies.
     let blocks_per_gen = cfg.generation_series.div_ceil(cfg.block_series);
     let (block_tx, block_rx) = mpsc::sync_channel::<Feed>(2 * blocks_per_gen + threads + 1);
     let block_rx = Mutex::new(block_rx);
@@ -201,15 +236,25 @@ fn run_pipeline(
             workers.push(s.spawn(move || {
                 let (mut grow, mut flush) = (Duration::ZERO, Duration::ZERO);
                 let mut paa = vec![0.0f32; segments];
+                let mut bytes = Vec::new();
+                let mut series = vec![0.0f32; series_len];
+                let mut summarize = |pos: usize, series: &[f32]| {
+                    let word = quantizer.word_into(series, &mut paa);
+                    recbufs.push(tree_cfg.root_key(&word), LeafEntry::new(word, pos as u32));
+                };
                 while let Some(feed) = recv_shared(block_rx) {
                     match feed {
-                        Feed::Block { first_pos, data } => {
-                            for (i, series) in data.chunks_exact(series_len).enumerate() {
-                                let word = quantizer.word_into(series, &mut paa);
-                                recbufs.push(
-                                    tree_cfg.root_key(&word),
-                                    LeafEntry::new(word, (first_pos + i) as u32),
-                                );
+                        Feed::Block { positions, charged } => {
+                            let summarized = summarize_block(
+                                input,
+                                positions,
+                                charged,
+                                &mut bytes,
+                                &mut series,
+                                &mut summarize,
+                            );
+                            if let Err(e) = summarized {
+                                errors.record(e);
                             }
                         }
                         Feed::EndGen => {
@@ -256,22 +301,26 @@ fn run_pipeline(
         }
         drop(gen_done_tx);
 
-        // Coordinator (stage 1).
+        // Coordinator (stage 1): charges, and sends.
         let result = (|| -> Result<(), StorageError> {
-            let mut buf: Vec<f32> = Vec::new();
             let mut pos = 0usize;
             let mut in_gen = 0usize;
-            while pos < total {
+            while pos < total && !errors.is_set() {
                 let gen_left = cfg.generation_series - in_gen;
                 let count = cfg.block_series.min(total - pos).min(gen_left);
-                let tr = Instant::now();
-                read_block(pos, count, &mut buf)?;
-                read_time += tr.elapsed();
-                let data = std::mem::take(&mut buf);
+                let charged = match input {
+                    Input::Memory(_) => None,
+                    Input::File(file) => {
+                        let tr = Instant::now();
+                        let block = file.charge_block(pos, count)?;
+                        read_time += tr.elapsed();
+                        Some(block)
+                    }
+                };
                 block_tx
                     .send(Feed::Block {
-                        first_pos: pos,
-                        data,
+                        positions: pos..pos + count,
+                        charged,
                     })
                     .expect("workers outlive the coordinator");
                 pos += count;
@@ -449,6 +498,93 @@ mod tests {
         assert_eq!(tree.entry_count(), 0);
         assert!(tree.words().is_empty());
         assert_eq!(report.generations, 0);
+    }
+
+    /// Runs `f` on a thread of its own and fails unless it returns within a
+    /// minute: a worker left at a barrier fails the test instead of hanging
+    /// it. A panic inside `f` fails it too.
+    fn under_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let call = std::thread::spawn(move || tx.send(f()).expect("the watchdog waits"));
+        let got = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("{label}: the build hung or panicked ({e})"));
+        call.join()
+            .expect("the build answered, then its thread ends");
+        got
+    }
+
+    #[test]
+    fn a_dataset_file_cut_after_open_fails_the_build_in_a_worker_copy() {
+        // 40 blocks of 100 series, 3 to a generation; another handle cuts
+        // the payload inside the second block under the open file. The
+        // coordinator's charges still succeed, so the failure is a copy.
+        let data = DatasetKind::Synthetic.generate(4000, 64, 13);
+        let payload = (4000 * 64 * 4) as u64;
+        for mode in [Overlap::Paris, Overlap::ParisPlus] {
+            for threads in [1usize, 2, 4] {
+                let label = format!("{} threads={threads}", mode.name());
+                let path = tmp(&format!("cut-{}-{threads}.dsidx", mode.name()));
+                write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+                let device = Arc::new(Device::unthrottled());
+                let file = DatasetFile::open(&path, device.clone()).unwrap();
+                let cut = dsidx_storage::format::HEADER_LEN + 150 * 64 * 4;
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .unwrap()
+                    .set_len(cut)
+                    .unwrap();
+                let cfg = ParisConfig::new(tree_cfg(), threads)
+                    .with_block_series(100)
+                    .with_generation_series(300);
+                let store = tmp(&format!("cut-{}-{threads}.leaf", mode.name()));
+                let got = under_watchdog(&label, move || {
+                    build_on_disk(&file, &store, &cfg, mode).map(|_| ())
+                });
+                let err = got.expect_err(&label);
+                assert!(
+                    matches!(err.root_cause(), StorageError::Io(_)),
+                    "{label}: {err}"
+                );
+                // The coordinator stops charging once a copy has failed, at
+                // most a channel's worth of blocks later.
+                let read = device.stats().bytes_read;
+                assert!(read < payload, "{label}: charged {read} of {payload} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn a_build_charges_one_sequential_pass_whatever_the_mode_and_width() {
+        // One thread charges the file once, front to back, so the device
+        // sees one seek and the payload's bytes; the flushes land at the
+        // same boundaries, so the whole ledger is the same everywhere.
+        let data = DatasetKind::Synthetic.generate(3000, 64, 21);
+        let path = tmp("pass.dsidx");
+        write_dataset(&path, &data, Arc::new(Device::unthrottled())).unwrap();
+        let mut ledgers = Vec::new();
+        for mode in [Overlap::Paris, Overlap::ParisPlus] {
+            for threads in [1usize, 2, 4] {
+                let device = Arc::new(Device::new(DeviceProfile::SSD));
+                let file = DatasetFile::open(&path, device.clone()).unwrap();
+                let cfg = ParisConfig::new(tree_cfg(), threads)
+                    .with_block_series(250)
+                    .with_generation_series(750);
+                let store = tmp(&format!("pass-{}-{threads}.leaf", mode.name()));
+                let (tree, _) = build_on_disk(&file, &store, &cfg, mode).unwrap();
+                validate(&tree, 3000).unwrap();
+                let stats = device.stats();
+                assert_eq!(
+                    (stats.bytes_read, stats.seeks),
+                    (3000 * 64 * 4, 1),
+                    "{} threads={threads}",
+                    mode.name()
+                );
+                ledgers.push(stats);
+            }
+        }
+        assert!(ledgers.windows(2).all(|w| w[0] == w[1]), "{ledgers:?}");
     }
 
     #[test]

@@ -260,38 +260,98 @@ impl DatasetFile {
                 len: self.count as u64,
             });
         }
-        let bytes = self.series_len * 4;
-        let mut buf = vec![0u8; bytes];
-        let offset = self.series_offset(pos);
-        self.device.charge_read(offset, bytes as u64);
-        self.file.read_exact_at(&mut buf, offset)?;
-        decode_f32s(&buf, out);
-        Ok(())
+        let block = self.charge(pos, 1);
+        with_scratch(|bytes| {
+            block.copy_into(bytes)?;
+            decode_f32s(bytes, out);
+            Ok(())
+        })
+    }
+
+    /// Books and waits out the device read of the `count` series starting
+    /// at `start`, without copying them: the returned block is the only
+    /// way to copy those bytes, once. A build's coordinator charges blocks
+    /// in file order, and its workers copy them.
+    ///
+    /// # Errors
+    /// [`StorageError::OutOfBounds`] when the range runs past the end (or
+    /// its end overflows), before anything is charged.
+    pub fn charge_block(
+        &self,
+        start: usize,
+        count: usize,
+    ) -> Result<ChargedBlock<'_>, StorageError> {
+        check_span(start, count, self.count)?;
+        Ok(self.charge(start, count))
+    }
+
+    /// Charges the read of an in-bounds range.
+    fn charge(&self, start: usize, count: usize) -> ChargedBlock<'_> {
+        let len = count * self.series_len * 4;
+        let offset = self.series_offset(start);
+        self.device.charge_read(offset, len as u64);
+        ChargedBlock {
+            file: &self.file,
+            offset,
+            len,
+        }
     }
 
     /// Reads `count` series starting at `start` into `out` (resized) with
-    /// one device read: the sequential build path, and a query's span of
-    /// nearby candidates ([`RawSource::read_span`]).
+    /// one device read: [`charge_block`](Self::charge_block), then the
+    /// block's copy into this thread's byte buffer, then the decode. A
+    /// query's span of nearby candidates ([`RawSource::read_span`]) and
+    /// MESSI's file build read this way.
     ///
     /// # Errors
-    /// Out-of-bounds ranges and I/O failures.
+    /// Out-of-bounds ranges, before anything is charged, and I/O failures.
     pub fn read_block(
         &self,
         start: usize,
         count: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), StorageError> {
-        check_span(start, count, self.count)?;
-        let floats = count * self.series_len;
-        let bytes = floats * 4;
-        let mut buf = vec![0u8; bytes];
-        let offset = self.series_offset(start);
-        self.device.charge_read(offset, bytes as u64);
-        self.file.read_exact_at(&mut buf, offset)?;
-        out.resize(floats, 0.0);
-        decode_f32s(&buf, out);
+        let block = self.charge_block(start, count)?;
+        with_scratch(|bytes| {
+            block.copy_into(bytes)?;
+            out.clear();
+            out.extend(bytes.chunks_exact(4).map(decode_f32));
+            Ok(())
+        })
+    }
+}
+
+/// A block read the device has booked and waited out
+/// ([`DatasetFile::charge_block`]), whose bytes are not yet copied.
+#[derive(Debug)]
+#[must_use = "a charged block's bytes are only read by `copy_into`"]
+pub struct ChargedBlock<'a> {
+    file: &'a File,
+    offset: u64,
+    len: usize,
+}
+
+impl ChargedBlock<'_> {
+    /// Copies the block's bytes into `bytes` (resized to their length;
+    /// a buffer kept across blocks allocates only when it grows). Decode
+    /// them with [`decode_f32s`].
+    ///
+    /// # Errors
+    /// I/O failures, such as a file cut short after it was opened.
+    pub fn copy_into(self, bytes: &mut Vec<u8>) -> Result<(), StorageError> {
+        bytes.resize(self.len, 0);
+        self.file.read_exact_at(bytes, self.offset)?;
         Ok(())
     }
+}
+
+/// Runs `f` with this thread's byte buffer, kept across reads so that a
+/// read allocates only when it is longer than every earlier one.
+fn with_scratch<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    thread_local! {
+        static BYTES: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    BYTES.with_borrow_mut(f)
 }
 
 impl RawSource for DatasetFile {
@@ -327,11 +387,17 @@ impl RawSource for DatasetFile {
     }
 }
 
-fn decode_f32s(bytes: &[u8], out: &mut [f32]) {
+/// Decodes a dataset file's little-endian `f32` bytes into `out`
+/// (`bytes.len() == 4 * out.len()`).
+pub fn decode_f32s(bytes: &[u8], out: &mut [f32]) {
     debug_assert_eq!(bytes.len(), out.len() * 4);
     for (chunk, v) in bytes.chunks_exact(4).zip(out.iter_mut()) {
-        *v = f32::from_le_bytes(chunk.try_into().expect("chunk of 4"));
+        *v = decode_f32(chunk);
     }
+}
+
+fn decode_f32(chunk: &[u8]) -> f32 {
+    f32::from_le_bytes(chunk.try_into().expect("chunk of 4"))
 }
 
 #[cfg(test)]
@@ -420,6 +486,62 @@ mod tests {
             );
         }
         assert_eq!(f.device().stats().bytes_read, 0, "nothing was read");
+    }
+
+    #[test]
+    fn a_charged_block_books_what_a_block_read_books_and_copies_its_bytes() {
+        let path = tmpdir().join("charge-block.dsidx");
+        let ds = random_walk(30, 16, 6);
+        write_dataset(&path, &ds, dev()).unwrap();
+        let ssd = || DatasetFile::open(&path, Arc::new(Device::new(DeviceProfile::SSD))).unwrap();
+        let (charged, read) = (ssd(), ssd());
+        let mut bytes = Vec::new();
+        let (mut decoded, mut out) = (Vec::new(), Vec::new());
+        for (start, count) in [(0usize, 10usize), (10, 10), (25, 5)] {
+            let block = charged.charge_block(start, count).unwrap();
+            assert_eq!(
+                charged.device().stats().bytes_read,
+                read.device().stats().bytes_read + (count * 16 * 4) as u64,
+                "the charge is booked before the copy"
+            );
+            block.copy_into(&mut bytes).unwrap();
+            decoded.resize(count * 16, 0.0);
+            decode_f32s(&bytes, &mut decoded);
+            read.read_block(start, count, &mut out).unwrap();
+            assert_eq!(decoded, out, "{start}+{count}");
+            assert_eq!(charged.device().stats(), read.device().stats());
+        }
+        // 0..10 and 10..20 run on; 25..30 seeks.
+        assert_eq!(charged.device().stats().seeks, 2);
+        assert!(matches!(
+            charged.charge_block(25, 10),
+            Err(StorageError::OutOfBounds { index: 35, len: 30 })
+        ));
+        assert_eq!(
+            charged.device().stats(),
+            read.device().stats(),
+            "nothing charged"
+        );
+    }
+
+    #[test]
+    fn a_block_charged_before_its_file_is_cut_fails_its_copy() {
+        let path = tmpdir().join("charge-cut.dsidx");
+        write_dataset(&path, &random_walk(20, 16, 4), dev()).unwrap();
+        let f = DatasetFile::open(&path, dev()).unwrap();
+        let block = f.charge_block(10, 10).unwrap();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(HEADER_LEN + 15 * 16 * 4)
+            .unwrap();
+        let mut bytes = Vec::new();
+        assert!(matches!(
+            block.copy_into(&mut bytes),
+            Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+        ));
+        assert_eq!(f.device().stats().bytes_read, 10 * 16 * 4);
     }
 
     #[test]

@@ -26,7 +26,9 @@ pub mod snapshot;
 
 pub use device::{Device, DeviceProfile};
 pub use error::StorageError;
-pub use format::{read_dataset, write_dataset, DatasetFile, DatasetWriter};
+pub use format::{
+    decode_f32s, read_dataset, write_dataset, ChargedBlock, DatasetFile, DatasetWriter,
+};
 pub use leafstore::{EntryRuns, LeafStoreWriter};
 pub use raw::{FlakySource, RawSource};
 pub use snapshot::{SnapshotFingerprint, SnapshotReader, SnapshotWriter};
